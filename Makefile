@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: test race bench stream storage storage-bench coalesce net recovery query chaos driver-chaos bench-verify profile fuzz api apicheck verify clean
+.PHONY: test race bench stream storage storage-bench coalesce net recovery query chaos driver-chaos bench-verify bench-spine profile fuzz api apicheck verify clean
 
 test:
 	$(GO) build ./... && $(GO) test ./...
@@ -103,6 +103,13 @@ driver-chaos:
 bench-verify:
 	$(GO) run ./cmd/expbench -verify
 
+# bench-spine vets and tests the benchmark spine (bench/ is its own
+# module, so `go test ./...` at the root never reaches it): the spine
+# compiles against internal packages, and its tests hold BENCHMARK.json
+# and the program together.
+bench-spine:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # profile writes CPU and heap profiles of one experiment sweep, so perf
 # work starts from a pprof instead of a guess. Override PROFILE_EXP to
 # target a different experiment (substring match, see expbench -exp).
@@ -113,10 +120,17 @@ profile:
 
 # fuzz is the native-fuzzing smoke CI runs: grouping-key round-trip,
 # injectivity and hash consistency (seeded with the \x1f collision
-# corpus), and the TCP framing codec against adversarial headers.
+# corpus), the TCP framing codec against adversarial headers, and the
+# call path's two decoders — the binary envelope (FuzzMsg) and the
+# positional payload codec on one structurally rich message per engine
+# (FuzzPayload) — against arbitrary bytes: no panic, no length trusted
+# beyond the input, every accepted input re-encodes to itself.
 fuzz:
 	$(GO) test -fuzz=FuzzAppendKey -fuzztime=10s -run '^$$' ./internal/relation
 	$(GO) test -fuzz=FuzzFrame -fuzztime=10s -run '^$$' ./internal/netwire
+	$(GO) test -fuzz=FuzzMsg -fuzztime=10s -run '^$$' ./internal/netwire
+	$(GO) test -fuzz=FuzzPayload -fuzztime=10s -run '^$$' ./internal/horizontal
+	$(GO) test -fuzz=FuzzPayload -fuzztime=10s -run '^$$' ./internal/vertical
 	$(GO) test -fuzz=FuzzStorePage -fuzztime=10s -run '^$$' ./internal/storage
 
 # api regenerates the committed API-surface lockfile; apicheck fails when

@@ -16,7 +16,9 @@
 // On-disk layout (one directory per site):
 //
 //	snap-<epoch>.ckpt   header + one CRC-framed gob(Snapshot) record
-//	delta-<epoch>.log   header + CRC-framed gob(Record) records
+//	delta-<epoch>.log   header + CRC-framed Record records, each the
+//	                    positional encoding (internal/wire) of the call's
+//	                    seq, method and raw payload
 //
 // Both files start with a 6-byte header: magic "RCKP", a format version
 // byte and a file-kind byte. Every record is framed as a big-endian
@@ -36,10 +38,10 @@
 // already made durable and acknowledged, the torn tail never was — so
 // the valid prefix is recovered and the file truncated at the tear.
 //
-// None of these bytes ride the metered protocol streams: snapshots and
-// records are encoded with stream-local gob encoders, so the committed
-// wire-meter baselines stay bit-identical whether or not checkpointing
-// is on.
+// None of these bytes ride the metered protocol streams: snapshots are
+// encoded with a stream-local gob encoder and log records carry no gob
+// at all, so the committed wire-meter baselines stay bit-identical
+// whether or not checkpointing is on.
 package checkpoint
 
 import (
@@ -55,12 +57,13 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/wire"
 	"repro/internal/xerr"
 )
 
 // FormatVersion is the on-disk format version; a snapshot and its delta
 // log must agree on it.
-const FormatVersion = 1
+const FormatVersion = 2
 
 // File kinds, distinguishing snapshots from delta logs in the header so
 // neither can be misread as the other.
@@ -119,6 +122,8 @@ type Store struct {
 
 	log  *os.File
 	logw *bufio.Writer
+	// recBuf is Append's reused encode buffer.
+	recBuf []byte
 }
 
 // Open prepares dir as a checkpoint directory, creating it if needed,
@@ -256,11 +261,11 @@ func (s *Store) Append(r Record) error {
 	if s.logw == nil {
 		return fmt.Errorf("checkpoint: append before first snapshot")
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&r); err != nil {
+	var err error
+	if s.recBuf, err = wire.Append(s.recBuf[:0], &r); err != nil {
 		return fmt.Errorf("checkpoint: encode record: %w", err)
 	}
-	return writeFramed(s.logw, buf.Bytes())
+	return writeFramed(s.logw, s.recBuf)
 }
 
 // Flush pushes buffered delta records to the file. A completed write is
@@ -489,7 +494,7 @@ func readLogFile(path string) ([]Record, int64, error) {
 			return nil, 0, err
 		}
 		var rec Record
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
+		if err := wire.Unmarshal(payload, &rec); err != nil {
 			return nil, 0, corrupt("%s: decode record: %v", path, err)
 		}
 		recs = append(recs, rec)

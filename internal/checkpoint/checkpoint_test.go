@@ -191,6 +191,25 @@ func TestCorruptCheckpoints(t *testing.T) {
 			wantCorrupt: true,
 		},
 		{
+			// The previous format generation: gob-framed records holding
+			// gob call payloads. Replaying those through today's handlers
+			// would mis-decode, so the whole epoch is refused.
+			name:    "previous-version delta log",
+			records: 2,
+			damage: func(t *testing.T, dir string) {
+				setByte(t, filepath.Join(dir, logName), 4, FormatVersion-1)
+			},
+			wantCorrupt: true,
+		},
+		{
+			name:    "previous-version snapshot",
+			records: 0,
+			damage: func(t *testing.T, dir string) {
+				setByte(t, filepath.Join(dir, snapName), 4, FormatVersion-1)
+			},
+			wantCorrupt: true,
+		},
+		{
 			name:    "torn trailing log record recovers the prefix",
 			records: 3,
 			damage: func(t *testing.T, dir string) {

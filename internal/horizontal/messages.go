@@ -14,22 +14,28 @@ package horizontal
 
 import (
 	"crypto/md5"
-	"encoding/gob"
-	"io"
 
+	"repro/internal/network"
 	"repro/internal/relation"
 )
 
 // init pins the package's wire types into encoding/gob's process-global
-// type registry in a fixed order. Gob assigns global type ids at first
-// encode, and a descriptor's wire size depends on the id's varint width —
-// so without pinning, the exact bytes a message occupies would depend on
-// which subsystem happened to encode first in the process. The committed
-// byte baselines (and `expbench -verify`) rely on the accounting being a
-// pure function of the workload.
-func init() {
-	enc := gob.NewEncoder(io.Discard)
-	for _, v := range []any{
+// type registry in a fixed order. Calls no longer travel as gob, but the
+// protocol byte meters are still defined on per-pair gob streams
+// (network.Cluster.meterEncode): gob assigns global type ids at first
+// encode, and a descriptor's size depends on the id's varint width — so
+// without pinning, the exact bytes a message is metered at would depend
+// on which subsystem happened to encode first in the process. The
+// committed byte baselines (and `expbench -verify`) rely on the
+// accounting being a pure function of the workload.
+func init() { network.PinMeterTypes(wireMessages()) }
+
+// wireMessages is the package's closed set of request/reply types, one
+// value each with every nested type populated, in pinning order. New
+// message types are appended (see PinRuleWireTypes for the ones that
+// came later), never inserted: the order is the gob type-id assignment.
+func wireMessages() []any {
+	return []any{
 		applyReq{}, insLocalReq{X: keyRef{Digest: []byte{0}, Raw: []string{""}}}, insLocalResp{Added: []int64{0}},
 		probeInsReq{Tuple: []string{""}, Items: []probeItem{{}}}, probeInsResp{Items: []probeInsItemResp{{Added: []int64{0}}}},
 		finishInsReq{}, delLocalReq{}, delLocalResp{LocalOthers: [][]byte{{0}}},
@@ -43,10 +49,6 @@ func init() {
 		probeGroupReq{Items: []probeGroupItem{{}}}, probeGroupResp{Items: []probeGroupItemResp{{Added: []int64{0}}}},
 		settleGroupReq{Items: []settleGroupItem{{}}}, settleGroupResp{Items: []settleGroupItemResp{{Added: []int64{0}, Removed: []int64{0}}}},
 		empty{},
-	} {
-		if err := enc.Encode(v); err != nil {
-			panic(err)
-		}
 	}
 }
 

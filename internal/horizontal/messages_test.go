@@ -1,0 +1,51 @@
+package horizontal
+
+import (
+	"testing"
+
+	"repro/internal/cfd"
+	"repro/internal/network"
+	"repro/internal/wire/wiretest"
+)
+
+// TestWireCodecMatchesGob runs the package's whole message set — the gob
+// pinning lists, which name every request/reply type with its nested
+// types populated — plus the nil/empty edge shapes through the call-path
+// codec and through gob, and requires identical decoded values.
+func TestWireCodecMatchesGob(t *testing.T) {
+	cases := append(wireMessages(), ruleWireMessages()...)
+	cases = append(cases,
+		// Empty but non-nil slices at every nesting depth decode to nil.
+		batchApplyResp{Consts: []constMark{}, Groups: []touchedGroup{{X: []byte{}, PostBs: [][]byte{{}, nil, {1}}, Inserted: []int64{}}}},
+		probeInsReq{Tuple: []string{}, Items: []probeItem{{Rule: "r", X: keyRef{Raw: []string{"", "a"}}}}},
+		// Negative and wide integers, non-ASCII strings.
+		batchApplyReq{Updates: []batchApplyItem{{Op: OpDelete, ID: -1 << 62, Values: []string{"é", ""}}, {ID: 1<<63 - 1}}, RawKeys: true},
+		seedRulesReq{Rules: []cfd.CFD{{ID: "phi", LHS: []string{"a", "b"}, RHS: "c", LHSPattern: []string{"_", "x"}, RHSPattern: "_"}}, Local: []bool{true, false}},
+	)
+	for _, v := range cases {
+		wiretest.GobParity(t, v)
+	}
+}
+
+// FuzzPayload drives arbitrary bytes through the call-path decoder as a
+// batchApplyResp, the package's most deeply nested reply.
+func FuzzPayload(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x0F}) // a count far beyond the input
+	for _, v := range []batchApplyResp{
+		{},
+		{Consts: []constMark{{Rule: "r1", ID: 7, Add: true}}},
+		{Groups: []touchedGroup{{
+			Rule: "r2", X: []byte{1, 2, 3}, XRaw: []string{"a"}, PreKnown: true,
+			PostBs: [][]byte{{4}, {5}}, Structural: true,
+			Inserted: []int64{1, -2}, Deleted: []int64{3}, DeletedWasInV: []bool{true},
+		}}},
+	} {
+		seed, err := network.Marshal(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(wiretest.FuzzDecode[batchApplyResp])
+}

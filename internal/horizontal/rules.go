@@ -2,9 +2,7 @@ package horizontal
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
-	"io"
 	"slices"
 	"sort"
 
@@ -65,16 +63,15 @@ type dropRulesReq struct {
 // type registry. Called by package core's init — which runs after both
 // engines' own message pins — so these types take ids *after* every
 // pre-existing wire type and the committed byte baselines stay stable.
-func PinRuleWireTypes() {
-	enc := gob.NewEncoder(io.Discard)
-	for _, v := range []any{
+func PinRuleWireTypes() { network.PinMeterTypes(ruleWireMessages()) }
+
+// ruleWireMessages continues wireMessages with the rule-management
+// types.
+func ruleWireMessages() []any {
+	return []any{
 		seedRulesReq{Rules: []cfd.CFD{{LHS: []string{""}, LHSPattern: []string{""}}}, Local: []bool{false}},
 		seedRulesResp{Items: []seedRulesItem{{Violations: []int64{0}, Groups: []seedGroupInfo{{X: []byte{0}, Bs: [][]byte{{0}}}}}}},
 		dropRulesReq{Rules: []string{""}},
-	} {
-		if err := enc.Encode(v); err != nil {
-			panic(err)
-		}
 	}
 }
 

@@ -80,6 +80,12 @@ type System struct {
 	unitMode bool
 }
 
+// seedChunk is how many tuples of the initial relation one seeding round
+// carries — one wave of the batch-grouped protocol in direct (same-site,
+// unmetered) mode — so cold start costs O(rows / seedChunk) calls per
+// site.
+const seedChunk = batchWaveSize
+
 // NewSystem partitions rel under scheme, builds the per-site indices for
 // rules, seeds them and computes the initial V(Σ, D). Traffic meters are
 // zero on return.
@@ -130,15 +136,13 @@ func NewSystem(rel *relation.Relation, scheme *partition.HorizontalScheme, rules
 		if sys.noIndexes {
 			seedErr = sys.seedFragments(rel)
 		} else {
-			rel.Each(func(t relation.Tuple) bool {
-				delta, err := sys.applyUnit(relation.Update{Kind: relation.Insert, Tuple: t})
-				if err != nil {
-					seedErr = err
-					return false
-				}
-				delta.Apply(sys.v)
-				return true
+			seedErr = rel.EachInsertChunk(seedChunk, func(ins relation.UpdateList) error {
+				_, err := sys.applyCoalesced(ins)
+				return err
 			})
+			// Seeding is not a protocol round: the relay rotation starts
+			// from wave zero, as it did when seeding never ran a wave.
+			sys.waveSeq = 0
 		}
 		sys.direct = false
 		if seedErr != nil {

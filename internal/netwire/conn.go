@@ -2,6 +2,8 @@ package netwire
 
 import (
 	"bufio"
+	"encoding/binary"
+	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -49,27 +51,31 @@ func Wrap(nc net.Conn, opts ConnOptions) *Conn {
 // RemoteAddr returns the peer address.
 func (c *Conn) RemoteAddr() net.Addr { return c.nc.RemoteAddr() }
 
-// Send frames and writes one envelope. timeout > 0 sets a write
-// deadline for this message only.
+// Send frames and writes one envelope, encoding it straight into the
+// connection's reused write buffer. timeout > 0 sets a write deadline
+// for this message only.
 func (c *Conn) Send(m *Msg, timeout time.Duration) error {
-	payload, err := EncodeMsg(m)
-	if err != nil {
-		return err
-	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	c.wbuf, err = AppendFrame(c.wbuf[:0], payload, c.max)
+	var hdr [frameHeaderLen]byte
+	buf, err := appendMsg(append(c.wbuf[:0], hdr[:]...), m)
+	c.wbuf = buf
 	if err != nil {
 		return err
 	}
+	n := int64(len(buf) - frameHeaderLen)
+	if n > c.max {
+		return fmt.Errorf("%w: %d > %d bytes", ErrFrameTooLarge, n, c.max)
+	}
+	binary.BigEndian.PutUint32(buf, uint32(n))
 	if timeout > 0 {
 		if err := c.nc.SetWriteDeadline(time.Now().Add(timeout)); err != nil {
 			return err
 		}
 	}
-	n, err := c.nc.Write(c.wbuf)
+	written, err := c.nc.Write(buf)
 	if c.ctr != nil {
-		c.ctr.Add(int64(n))
+		c.ctr.Add(int64(written))
 	}
 	return err
 }

@@ -1,19 +1,20 @@
 // Package netwire is the physical wire layer of the multi-process
-// deployment: length-prefixed gob frames over net.Conn, with connection
-// lifecycle (dial retry with backoff, per-message deadlines, graceful
-// close) and optional TLS. It carries the driver↔sited protocol but
-// knows nothing about detection — payloads are opaque bytes.
+// deployment: length-prefixed binary frames over net.Conn, with
+// connection lifecycle (dial retry with backoff, per-message deadlines,
+// graceful close) and optional TLS. It carries the driver↔sited protocol
+// but knows nothing about detection — payloads are opaque bytes.
 //
 // The framing format is deliberately minimal: a 4-byte big-endian
-// payload length followed by the payload. A reader enforces a maximum
-// frame size before allocating, so an adversarial or corrupted length
-// header cannot force an unbounded allocation.
+// payload length followed by the payload, one fixed-layout envelope
+// (msg.go). A reader enforces a maximum frame size before allocating, so
+// an adversarial or corrupted length header cannot force an unbounded
+// allocation.
 //
 // These physical bytes are NOT the protocol meters: the detection
 // algorithms' cross-site traffic is still measured on the cluster's
 // per-pair gob streams (identical to the in-process loopback), while the
-// socket bytes — framing, envelopes, handshakes, per-frame gob type
-// descriptors — are counted separately as framing overhead.
+// socket bytes — frame headers, envelopes, payloads, handshakes — are
+// counted separately as framing overhead.
 package netwire
 
 import (

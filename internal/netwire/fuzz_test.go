@@ -63,3 +63,45 @@ func FuzzFrame(f *testing.F) {
 		}
 	})
 }
+
+// FuzzMsg feeds arbitrary bytes to the envelope decoder: it must never
+// panic, must fail only with ErrBadEnvelope, must never hand out more
+// bytes than it was given (every declared length is checked against the
+// remaining input before use), and every envelope it accepts must
+// re-encode to exactly the bytes it consumed — the encoding is canonical.
+func FuzzMsg(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{envelopeVersion, byte(KindCall), 0x80, 0x00, 0, 0, 0, 0}) // padded seq varint
+	f.Add([]byte{envelopeVersion, byte(KindCall), 1, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0, 0, 0})
+	for _, m := range []*Msg{
+		{Kind: KindHello, Data: []byte("hello-payload"), Reconnect: true},
+		{Kind: KindHelloAck, Err: "rejected"},
+		{Kind: KindCall, Seq: 1 << 40, Method: "v.batchDeliver", Data: []byte{1, 2, 3}},
+		{Kind: KindReply, Seq: 9},
+	} {
+		seed, err := EncodeMsg(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := DecodeMsg(data)
+		if err != nil {
+			if !errors.Is(err, ErrBadEnvelope) {
+				t.Fatalf("untyped decode error: %v", err)
+			}
+			return
+		}
+		if got := len(m.Method) + len(m.Data) + len(m.Err); got > len(data) {
+			t.Fatalf("decoded %d bytes of fields from %d bytes of input", got, len(data))
+		}
+		reenc, err := EncodeMsg(m)
+		if err != nil {
+			t.Fatalf("re-encode of accepted envelope: %v", err)
+		}
+		if !bytes.Equal(reenc, data) {
+			t.Fatalf("re-encoded envelope differs from input:\n in  %x\n out %x", data, reenc)
+		}
+	})
+}

@@ -6,7 +6,7 @@ import "sort"
 // protocol rounds: instead of one message per (unit update, destination),
 // a protocol phase accumulates every item bound for one site into an
 // Envelope and ships it as a single message per destination. The
-// per-message overhead — gob framing, the round-trip a real link charges,
+// per-message overhead — framing, the round-trip a real link charges,
 // the handler dispatch — is then paid once per (phase, destination) per
 // batch rather than once per update, which is what turns a batch's
 // O(|∆D| · n) protocol messages into O(n)-per-phase.

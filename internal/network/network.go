@@ -4,11 +4,15 @@
 // Cluster, which meters messages, payload bytes and shipped eqids — the
 // quantities behind the paper's Figs. 9(c), 9(h) and 10.
 //
-// Two transports are provided: an in-process loopback (deterministic,
-// used by tests and benchmarks) and a real net/rpc-over-TCP transport in
-// which every site runs its own RPC server goroutine, exercising an
-// actual network stack. Both marshal payloads with encoding/gob, so the
-// byte accounting is identical and honest in either mode.
+// Transports: an in-process loopback (deterministic, used by tests and
+// benchmarks), a net/rpc-over-TCP transport in which every site runs its
+// own RPC server goroutine, and the framed TCP transport to site daemons
+// (tcp.go). Whatever crosses a transport is a Marshal payload — the
+// descriptor-free positional encoding of internal/wire. The protocol
+// byte meters are defined separately, on long-lived per-pair gob streams
+// (meterEncode), so they are identical on the loopback, which ships no
+// bytes at all, and on the daemon deployment; the RPC transport meters
+// the payload bytes it ships.
 //
 // Fan-outs — one coordinator addressing many sites — go through the
 // concurrent scatter/gather engine (Fanout, Broadcast, Gather in
@@ -20,20 +24,22 @@
 package network
 
 import (
-	"bytes"
 	"encoding/gob"
 	"fmt"
+	"io"
 	"reflect"
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // SiteID identifies a site (fragment host) in [0, n).
 type SiteID int
 
-// RawHandler is a registered message handler: gob-encoded request bytes
-// in, gob-encoded reply bytes out.
+// RawHandler is a registered message handler: Marshal-encoded request
+// bytes in, Marshal-encoded reply bytes out.
 type RawHandler func(data []byte) ([]byte, error)
 
 // NativeHandler is the unserialized twin of a RawHandler, used for
@@ -200,6 +206,21 @@ func (c *Cluster) meterEncode(from, to SiteID, payload any) (int, error) {
 		return 0, err
 	}
 	return int(ms.cw.n - before), nil
+}
+
+// PinMeterTypes registers each value's type (and the types nested in it)
+// with encoding/gob's process-global registry, in order. The byte meters
+// are sizes on gob streams, and a type descriptor's size depends on the
+// id gob assigns at first encode — so protocol packages pin their
+// message types at init, making the meters a pure function of the
+// workload instead of which subsystem happened to encode first.
+func PinMeterTypes(vals []any) {
+	enc := gob.NewEncoder(io.Discard)
+	for _, v := range vals {
+		if err := enc.Encode(v); err != nil {
+			panic(err)
+		}
+	}
 }
 
 // NewCluster creates a cluster of n sites wired to the in-process
@@ -550,8 +571,9 @@ func (c *Cluster) ResetStats() {
 func (c *Cluster) Close() error { return c.transport.Close() }
 
 // loopback is the in-process transport: dispatch without leaving the
-// address space. Payloads are still gob bytes, so accounting matches the
-// RPC transport exactly.
+// address space. Cross-site calls take Call's native path and never
+// reach it; what does arrive is a Marshal payload, as on every
+// transport.
 type loopback struct{ c *Cluster }
 
 func (l *loopback) Invoke(to SiteID, method string, data []byte) ([]byte, error) {
@@ -560,19 +582,15 @@ func (l *loopback) Invoke(to SiteID, method string, data []byte) ([]byte, error)
 
 func (l *loopback) Close() error { return nil }
 
-// Marshal gob-encodes a value.
-func Marshal(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
+// Marshal encodes a request or reply for the call path with the
+// positional payload codec (internal/wire): self-contained bytes with no
+// type descriptors, so the same payload can sit in a replay log, a delta
+// log or a reply window and decode alone.
+func Marshal(v any) ([]byte, error) { return wire.Marshal(v) }
 
-// Unmarshal gob-decodes into v (a pointer).
-func Unmarshal(data []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
-}
+// Unmarshal decodes a Marshal payload into v (a pointer), overwriting it
+// in full.
+func Unmarshal(data []byte, v any) error { return wire.Unmarshal(data, v) }
 
 // Handler adapts a typed request/response function into a RawHandler.
 func Handler[Req, Resp any](f func(Req) (Resp, error)) RawHandler {
@@ -593,7 +611,16 @@ func Handler[Req, Resp any](f func(Req) (Resp, error)) RawHandler {
 // serialized path (cross-site transport) and the native path (same-site
 // calls). Handlers must not retain or mutate their arguments: on the
 // native path they are shared with the caller.
+//
+// The payload codec's plans for Req and Resp are built here, so a type
+// the codec cannot carry panics at registration — start-up — rather than
+// failing a call mid-round.
 func RegisterFunc[Req, Resp any](c *Cluster, site SiteID, method string, f func(Req) (Resp, error)) {
+	for _, t := range []reflect.Type{reflect.TypeOf((*Req)(nil)), reflect.TypeOf((*Resp)(nil))} {
+		if err := wire.Register(t); err != nil {
+			panic(fmt.Sprintf("network: handler %q: %v", method, err))
+		}
+	}
 	c.Register(site, method, Handler(f))
 	c.mu.Lock()
 	defer c.mu.Unlock()

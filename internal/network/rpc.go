@@ -9,7 +9,7 @@ import (
 )
 
 // Envelope is the wire format of the RPC transport: a method name plus
-// gob-encoded payload bytes. Each site runs its own rpc.Server; Invoke
+// Marshal-encoded payload bytes. Each site runs its own rpc.Server; Invoke
 // delivers the envelope to the registered handler on that site.
 type Envelope struct {
 	Method string

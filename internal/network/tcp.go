@@ -143,9 +143,10 @@ func NewTCPTransport(addrs []string, cfg TCPConfig) (*TCPTransport, error) {
 func (t *TCPTransport) HostsSiteState() bool { return true }
 
 // FrameBytes returns the physical bytes this transport has put on and
-// taken off its sockets: frame headers, envelope gob (with its per-frame
-// type descriptors), handshakes. This is the framing overhead a real
-// deployment pays on top of the metered protocol bytes.
+// taken off its sockets: frame headers, binary envelopes, call and reply
+// payloads (same-site seeding and ∆D delivery included), handshakes.
+// This is what a real deployment's sockets carry, metered apart from the
+// protocol bytes the paper counts.
 func (t *TCPTransport) FrameBytes() int64 { return t.frameBytes.Load() }
 
 // ReplayedCalls returns how many logged calls have been resent to

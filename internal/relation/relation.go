@@ -185,6 +185,28 @@ func (r *Relation) Each(fn func(Tuple) bool) {
 	}
 }
 
+// EachInsertChunk presents the relation as insertions, in ascending
+// TupleID order, to fn at most n at a time — how the distributed engines
+// seed their sites through the batch protocol without materializing the
+// whole relation as one ∆D. The slice passed to fn is reused between
+// calls. The first error from fn stops the scan and is returned.
+func (r *Relation) EachInsertChunk(n int, fn func(UpdateList) error) error {
+	chunk := make(UpdateList, 0, n)
+	var err error
+	r.Each(func(t Tuple) bool {
+		chunk = append(chunk, Update{Kind: Insert, Tuple: t})
+		if len(chunk) == n {
+			err = fn(chunk)
+			chunk = chunk[:0]
+		}
+		return err == nil
+	})
+	if err == nil && len(chunk) > 0 {
+		err = fn(chunk)
+	}
+	return err
+}
+
 // Clone returns a deep copy of the relation. Cloning a stored relation
 // materializes an in-memory one — clones exist to be mutated
 // independently (mirrors, oracles), not to share a disk file.

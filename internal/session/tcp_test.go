@@ -44,6 +44,15 @@ func serveHosts(t *testing.T, n int) ([]string, []*sitehost.Server) {
 	return addrs, srvs
 }
 
+// totalSiteCalls sums a TCP session's per-site call counts.
+func totalSiteCalls(s *Session) uint64 {
+	var n uint64
+	for _, c := range s.SiteCalls() {
+		n += c
+	}
+	return n
+}
+
 // TestTCPSessionMatchesLoopback drives identical workloads through an
 // in-process loopback session and a TCP-sites session (real sockets,
 // in-process daemons) and asserts that the maintained violation set AND
@@ -123,8 +132,24 @@ func TestTCPSessionMatchesLoopback(t *testing.T) {
 			if _, err := loop.RemoveRules(pool[0].ID); err != nil {
 				t.Fatalf("loopback RemoveRules: %v", err)
 			}
+			frameBefore, callsBefore := tcp.Cluster().FrameBytes(), totalSiteCalls(tcp)
 			if _, err := tcp.RemoveRules(pool[0].ID); err != nil {
 				t.Fatalf("tcp RemoveRules: %v", err)
+			}
+			// Per-message framing overhead. The round is one "h.dropRules" /
+			// "v.dropRules" call per site whose request payload is the rule
+			// id plus two length bytes and whose reply payload is empty, so
+			// everything else the socket carried is frame headers and
+			// envelopes: at most 16 B for each of the call's two messages,
+			// plus the method name. Type descriptors in every frame (the
+			// gob envelope paid ~100 B per message) cannot meet this.
+			calls := int64(totalSiteCalls(tcp) - callsBefore)
+			if calls != sites {
+				t.Fatalf("RemoveRules round made %d calls, want one per site (%d)", calls, sites)
+			}
+			perCall := (tcp.Cluster().FrameBytes() - frameBefore) / calls
+			if over := perCall - int64(len(pool[0].ID)+2) - int64(len("h.dropRules")); over > 2*16 {
+				t.Fatalf("framing overhead %d B per call beyond method and payload, want <= 32 (%d B per call in all)", over, perCall)
 			}
 			active = append(active[:0:0], active[1:]...)
 			check("remove rule")
@@ -141,12 +166,6 @@ func TestTCPSessionMatchesLoopback(t *testing.T) {
 			}
 			check("final batch")
 
-			// Physical socket traffic exceeds the metered protocol bytes
-			// (framing, call envelopes, bootstrap) and is tracked apart.
-			fb := tcp.Cluster().FrameBytes()
-			if fb <= tcp.Stats().Bytes {
-				t.Fatalf("FrameBytes %d should exceed metered bytes %d", fb, tcp.Stats().Bytes)
-			}
 			if loop.Cluster().FrameBytes() != 0 {
 				t.Fatalf("loopback FrameBytes = %d, want 0", loop.Cluster().FrameBytes())
 			}

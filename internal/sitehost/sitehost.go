@@ -99,7 +99,7 @@ type Hello struct {
 }
 
 // ProtoVersion guards against driver/daemon skew.
-const ProtoVersion = 1
+const ProtoVersion = 2
 
 // Encode gob-encodes the hello.
 func (h *Hello) Encode() ([]byte, error) {

@@ -61,3 +61,24 @@ func TestBootstrapRejectsBadSessionID(t *testing.T) {
 		t.Fatal("bootstrap accepted a 3-byte session id")
 	}
 }
+
+// A driver built before the wire format changed (ProtoVersion-1: gob
+// envelopes and payloads) must be refused at the hello, before any call
+// payload is interpreted.
+func TestBootstrapRejectsOlderProto(t *testing.T) {
+	h := &Hello{
+		Proto: ProtoVersion - 1, SessionID: []byte{1, 2, 3, 4, 5, 6, 7, 8}, Kind: KindHorizontal,
+		Site: 0, NumSites: 1, SchemaName: "r", SchemaAttrs: []string{"a", "b"},
+	}
+	data, err := h.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	host := NewHost()
+	if err := host.Bootstrap(data, false); err == nil {
+		t.Fatal("bootstrap accepted an older protocol version")
+	}
+	if _, _, ok := host.Hosting(); ok {
+		t.Fatal("rejected hello still built a site")
+	}
+}

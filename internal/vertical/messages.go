@@ -12,20 +12,24 @@
 package vertical
 
 import (
-	"encoding/gob"
-	"io"
-
+	"repro/internal/network"
 	"repro/internal/relation"
 )
 
 // init pins the package's wire types into encoding/gob's process-global
 // type registry in a fixed order (see the matching init in package
-// horizontal): a descriptor's wire size depends on the globally assigned
-// type id, so pinning keeps the byte meters a pure function of the
-// workload regardless of which subsystem encodes first in the process.
-func init() {
-	enc := gob.NewEncoder(io.Discard)
-	for _, v := range []any{
+// horizontal): the byte meters are defined on gob streams, a descriptor's
+// size depends on the globally assigned type id, so pinning keeps the
+// meters a pure function of the workload regardless of which subsystem
+// encodes first in the process.
+func init() { network.PinMeterTypes(wireMessages()) }
+
+// wireMessages is the package's closed set of request/reply types, one
+// value each with every nested type populated, in pinning order. New
+// message types are appended (see PinRuleWireTypes for the ones that
+// came later), never inserted: the order is the gob type-id assignment.
+func wireMessages() []any {
+	return []any{
 		applyReq{Values: []string{""}}, evalConstsReq{}, evalConstsResp{Failed: []string{""}},
 		resolveReq{}, resolveResp{}, deliverReq{}, applyRuleReq{}, applyRuleResp{Added: []int64{0}, Removed: []int64{0}},
 		releaseReq{}, endUpdateReq{}, voteReq{Rules: []string{""}}, barrierReq{},
@@ -38,10 +42,6 @@ func init() {
 		batchRuleReq{Items: []batchRuleItem{{}}}, batchRuleResp{Items: []applyRuleResp{{}}},
 		batchReleaseReq{Items: []batchReleaseItem{{}}}, batchEndReq{IDs: []int64{0}},
 		empty{},
-	} {
-		if err := enc.Encode(v); err != nil {
-			panic(err)
-		}
 	}
 }
 

@@ -1,0 +1,69 @@
+package vertical
+
+import (
+	"testing"
+
+	"repro/internal/cfd"
+	"repro/internal/network"
+	"repro/internal/optimizer"
+	"repro/internal/wire/wiretest"
+)
+
+// TestWireCodecMatchesGob runs the package's whole message set — the gob
+// pinning lists, which name every request/reply type with its nested
+// types populated — plus a real grafted sub-plan and the nil/empty edge
+// shapes through the call-path codec and through gob, and requires
+// identical decoded values.
+func TestWireCodecMatchesGob(t *testing.T) {
+	plan, err := optimizer.NaiveChainPlan(optimizer.Input{
+		NumSites:  3,
+		AttrSites: map[string][]int{"a": {0}, "b": {1}, "c": {2}, "d": {0, 2}},
+		Rules: []optimizer.RuleSpec{
+			{ID: "r1", LHS: []string{"a", "b"}, RHS: "c"},
+			{ID: "r2", LHS: []string{"b", "d"}, RHS: "a"},
+			{ID: "r3", LHS: []string{"a"}, RHS: "d"},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rules := []cfd.CFD{{ID: "r1", LHS: []string{"a", "b"}, RHS: "c", LHSPattern: []string{"_", "x"}, RHSPattern: "_"}}
+
+	cases := append(wireMessages(), ruleWireMessages()...)
+	cases = append(cases,
+		// The plan's unexported edge set is dropped by both codecs; its
+		// map of bindings travels whole.
+		addRulesReq{Rules: rules, FirstNode: 4, Sub: plan},
+		// Pointer and map edge shapes: nil pointer, pointer to a zero
+		// struct, empty non-nil map.
+		addRulesReq{Rules: rules},
+		addRulesReq{Sub: &optimizer.Plan{}},
+		addRulesReq{Sub: &optimizer.Plan{Nodes: []optimizer.Node{}, Bindings: map[string]optimizer.RuleBinding{}}},
+		// Empty but non-nil slices at every nesting depth decode to nil.
+		batchEvalResp{Failed: [][]string{{}, nil, {"r1"}}},
+		batchFragReq{Items: []applyReq{{Op: OpDelete, ID: -5, Values: []string{}}}},
+		batchDeliverReq{Items: []batchDeliverItem{{ID: 1<<63 - 1, Node: -3, Eq: -1 << 63}}},
+		batchRuleResp{Items: []applyRuleResp{{}, {Added: []int64{}, Removed: []int64{9}}}},
+	)
+	for _, v := range cases {
+		wiretest.GobParity(t, v)
+	}
+}
+
+// FuzzPayload drives arbitrary bytes through the call-path decoder as a
+// batchDeliverReq, the coalesced eqid shipment.
+func FuzzPayload(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x0F}) // a count far beyond the input
+	for _, v := range []batchDeliverReq{
+		{},
+		{Items: []batchDeliverItem{{ID: 1, Node: 2, Eq: 3}, {ID: -1, Node: 0, Eq: 1 << 40}}},
+	} {
+		seed, err := network.Marshal(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(wiretest.FuzzDecode[batchDeliverReq])
+}

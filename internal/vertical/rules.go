@@ -2,9 +2,7 @@ package vertical
 
 import (
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
-	"io"
 	"sort"
 
 	"repro/internal/cfd"
@@ -58,9 +56,12 @@ type listIDsResp struct {
 // type registry. Called by package core's init — after both engines'
 // message pins — so pre-existing wire-type ids (and the committed byte
 // baselines) stay stable.
-func PinRuleWireTypes() {
-	enc := gob.NewEncoder(io.Discard)
-	for _, v := range []any{
+func PinRuleWireTypes() { network.PinMeterTypes(ruleWireMessages()) }
+
+// ruleWireMessages continues wireMessages with the rule-management
+// types.
+func ruleWireMessages() []any {
+	return []any{
 		// Sub is populated so optimizer.Plan and its node/binding types
 		// take their registry ids here — after every pre-existing wire
 		// type — keeping the committed byte baselines stable.
@@ -70,10 +71,6 @@ func PinRuleWireTypes() {
 		}},
 		vDropRulesReq{Rules: []string{""}},
 		listIDsReq{}, listIDsResp{IDs: []int64{0}},
-	} {
-		if err := enc.Encode(v); err != nil {
-			panic(err)
-		}
 	}
 }
 

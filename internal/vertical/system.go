@@ -97,7 +97,8 @@ type System struct {
 	normScratch relation.UpdateList
 
 	// Per-update scratch, reused across applyUnit calls (the driver
-	// processes unit updates one at a time). varIdxSite and checkers are
+	// processes unit updates one at a time; every reply slot is
+	// overwritten in full by the call that fills it). varIdxSite and checkers are
 	// static lookups hoisted out of the per-update path; schedCache
 	// memoizes runSchedules keyed by the alive rule set.
 	varIdxSite []network.SiteID
@@ -113,6 +114,12 @@ type System struct {
 	ruleResps  []applyRuleResp
 	failedAt   map[string]network.SiteID
 }
+
+// seedChunk is how many tuples of the initial relation one seeding wave
+// carries, so cold start costs O(rows / seedChunk) calls per site. Every
+// site pools one eqid buffer per tuple of the largest wave it has seen,
+// so the chunk also bounds what seeding leaves resident.
+const seedChunk = 128
 
 // NewSystem partitions rel under scheme, plans and builds the HEV/IDX
 // indices for rules, seeds them with rel's data and computes the initial
@@ -200,26 +207,25 @@ func NewSystem(rel *relation.Relation, scheme *partition.VerticalScheme, rules [
 	sys.schedCache = make(map[string]*runSchedule)
 	sys.failedAt = make(map[string]network.SiteID)
 
-	// Seed: replay the initial database through the same insertion logic
-	// in direct (unmetered) mode; V(Σ, D) accumulates on the way. With
-	// NoIndexes only the fragments are loaded.
+	// Seed: replay the initial database through the batch-grouped
+	// insertion logic in direct (unmetered) mode, seedChunk tuples per
+	// wave; V(Σ, D) accumulates on the way. With NoIndexes only the
+	// fragments are loaded.
 	sys.noIndexes = opts.NoIndexes
 	if !opts.SkipSeed {
 		sys.direct = true
 		var seedErr error
-		rel.Each(func(t relation.Tuple) bool {
-			if sys.noIndexes {
+		if sys.noIndexes {
+			rel.Each(func(t relation.Tuple) bool {
 				seedErr = sys.applyFragments(t, OpInsert)
 				return seedErr == nil
-			}
-			delta, err := sys.applyUnit(relation.Update{Kind: relation.Insert, Tuple: t})
-			if err != nil {
-				seedErr = err
-				return false
-			}
-			delta.Apply(sys.v)
-			return true
-		})
+			})
+		} else {
+			seedErr = rel.EachInsertChunk(seedChunk, func(ins relation.UpdateList) error {
+				_, err := sys.applyCoalesced(ins)
+				return err
+			})
+		}
 		sys.direct = false
 		if seedErr != nil {
 			return nil, seedErr
@@ -369,9 +375,6 @@ func (sys *System) applyUnit(u relation.Update) (*cfd.Delta, error) {
 		sys.checkResps = make([]evalConstsResp, len(checkers))
 	}
 	checkResps := sys.checkResps[:len(checkers)]
-	for i := range checkResps {
-		checkResps[i] = evalConstsResp{}
-	}
 	err := sys.cluster.Fanout(len(checkers), network.FanoutOpts{}, func(i int) error {
 		return sys.send(checkers[i], checkers[i], "v.evalConsts", evalConstsReq{ID: tid}, &checkResps[i])
 	})
@@ -432,11 +435,6 @@ func (sys *System) applyUnit(u relation.Update) (*cfd.Delta, error) {
 		sys.constResps = make([]applyConstResp, len(aliveConst))
 	}
 	constResps := sys.constResps[:len(aliveConst)]
-	for i := range constResps {
-		// Zero before reuse: a gob-decoded dispatch (cross-site RPC)
-		// omits zero-valued fields, so stale values would survive.
-		constResps[i] = applyConstResp{}
-	}
 	err = sys.cluster.Fanout(len(aliveConst), network.FanoutOpts{}, func(i int) error {
 		coord := sys.constCoord[aliveConst[i].ID]
 		return sys.send(coord, coord, "v.applyConst", applyConstReq{Rule: aliveConst[i].ID, ID: tid, Op: op}, &constResps[i])
@@ -602,10 +600,6 @@ func (sys *System) runPlan(tid int64, op OpKind, alive []*cfd.CFD, alivePos []in
 		sys.ruleResps = make([]applyRuleResp, len(alive))
 	}
 	ruleResps := sys.ruleResps[:len(alive)]
-	for i := range ruleResps {
-		// Zero before reuse (see constResps): gob omits zero fields.
-		ruleResps[i] = applyRuleResp{}
-	}
 	err := sys.cluster.Fanout(len(alive), network.FanoutOpts{}, func(i int) error {
 		idxSite := sys.varIdxSite[alivePos[i]]
 		return sys.send(idxSite, idxSite, "v.applyRule", applyRuleReq{Rule: alive[i].ID, ID: tid, Op: op}, &ruleResps[i])

@@ -1,0 +1,110 @@
+// Package wiretest holds the checks the protocol packages run over their
+// own (unexported) message types: the differential against encoding/gob
+// — the codec internal/wire replaced on the call path, whose decoding
+// conventions the handlers were written against — and the decode-side
+// fuzz properties.
+package wiretest
+
+import (
+	"bytes"
+	"encoding/gob"
+	"reflect"
+	"testing"
+
+	"repro/internal/network"
+)
+
+// GobParity checks that v survives the call-path codec exactly as it
+// survived gob: both round trips, into fresh zero targets, must be
+// reflect.DeepEqual — nil-versus-empty slices and maps, nil and non-nil
+// pointers, and unexported fields included. It also checks the encoding
+// is deterministic: the decoded value re-encodes to the same bytes.
+func GobParity(t *testing.T, v any) {
+	t.Helper()
+	typ := reflect.TypeOf(v)
+
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatalf("%s: gob encode: %v", typ, err)
+	}
+	viaGob := reflect.New(typ)
+	if err := gob.NewDecoder(&buf).Decode(viaGob.Interface()); err != nil {
+		t.Fatalf("%s: gob decode: %v", typ, err)
+	}
+
+	enc, err := network.Marshal(v)
+	if err != nil {
+		t.Fatalf("%s: Marshal: %v", typ, err)
+	}
+	viaWire := reflect.New(typ)
+	if err := network.Unmarshal(enc, viaWire.Interface()); err != nil {
+		t.Fatalf("%s: Unmarshal: %v", typ, err)
+	}
+	if !reflect.DeepEqual(viaGob.Elem().Interface(), viaWire.Elem().Interface()) {
+		t.Errorf("%s: codec round trip differs from gob round trip:\n in   %#v\n gob  %#v\n wire %#v",
+			typ, v, viaGob.Elem().Interface(), viaWire.Elem().Interface())
+	}
+	again, err := network.Marshal(viaWire.Interface())
+	if err != nil {
+		t.Fatalf("%s: re-Marshal: %v", typ, err)
+	}
+	if !bytes.Equal(enc, again) {
+		t.Errorf("%s: decoded value re-encodes differently:\n first  %x\n second %x", typ, enc, again)
+	}
+}
+
+// FuzzDecode is the body of a payload fuzz target for message type T:
+// arbitrary bytes through network.Unmarshal must never panic, must never
+// materialize more elements than the input has bytes (every declared
+// length is checked against the remaining input before allocation), and
+// whatever is accepted must re-encode to exactly the input.
+func FuzzDecode[T any](t *testing.T, data []byte) {
+	var v T
+	if err := network.Unmarshal(data, &v); err != nil {
+		return
+	}
+	if n := elements(reflect.ValueOf(v)); n > len(data) {
+		t.Fatalf("decoded %d elements from %d bytes of input", n, len(data))
+	}
+	reenc, err := network.Marshal(v)
+	if err != nil {
+		t.Fatalf("re-encode of accepted payload: %v", err)
+	}
+	if !bytes.Equal(reenc, data) {
+		t.Fatalf("re-encoded payload differs from input:\n in  %x\n out %x", data, reenc)
+	}
+}
+
+// elements counts every slice element, map entry and string byte
+// reachable from v.
+func elements(v reflect.Value) int {
+	switch v.Kind() {
+	case reflect.String:
+		return v.Len()
+	case reflect.Slice:
+		n := v.Len()
+		for i := 0; i < v.Len(); i++ {
+			n += elements(v.Index(i))
+		}
+		return n
+	case reflect.Map:
+		n := v.Len()
+		for it := v.MapRange(); it.Next(); {
+			n += elements(it.Key()) + elements(it.Value())
+		}
+		return n
+	case reflect.Pointer:
+		if v.IsNil() {
+			return 0
+		}
+		return elements(v.Elem())
+	case reflect.Struct:
+		n := 0
+		for i := 0; i < v.NumField(); i++ {
+			n += elements(v.Field(i))
+		}
+		return n
+	default:
+		return 0
+	}
+}
