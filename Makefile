@@ -26,12 +26,13 @@ stream:
 
 # storage runs the out-of-core suite under the race detector: the
 # storage-package disk/memory differential, the stored relation,
-# postings and engine oracles, and the session-level eviction-churn
+# postings and engine oracles, the group-record editor's differential
+# against the map codec, and the session-level eviction-churn
 # oracle (tiny page-cache budgets; every round faults and evicts).
 # -short caps the seed count; drop it locally for all 20 seeds.
 storage:
 	$(GO) test -race -short ./internal/storage/
-	$(GO) test -race -short -run 'TestStored|TestIDsCache|TestStorageOption' \
+	$(GO) test -race -short -run 'TestStored|TestGroupRecord|TestIDsCache|TestStorageOption' \
 		./internal/relation/ ./internal/cfd/ ./internal/centralized/ ./internal/session/
 	$(GO) test -race -run 'TestRunStorageQuick' ./internal/harness/
 
@@ -124,7 +125,10 @@ profile:
 # call path's two decoders — the binary envelope (FuzzMsg) and the
 # positional payload codec on one structurally rich message per engine
 # (FuzzPayload) — against arbitrary bytes: no panic, no length trusted
-# beyond the input, every accepted input re-encodes to itself.
+# beyond the input, every accepted input re-encodes to itself. The two
+# storage targets do the same below the CRC framing: the page codec and
+# the stored engine's group-record editor (FuzzGroupRecord: arbitrary
+# bytes as a record, an arbitrary member inserted and deleted).
 fuzz:
 	$(GO) test -fuzz=FuzzAppendKey -fuzztime=10s -run '^$$' ./internal/relation
 	$(GO) test -fuzz=FuzzFrame -fuzztime=10s -run '^$$' ./internal/netwire
@@ -132,6 +136,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzPayload -fuzztime=10s -run '^$$' ./internal/horizontal
 	$(GO) test -fuzz=FuzzPayload -fuzztime=10s -run '^$$' ./internal/vertical
 	$(GO) test -fuzz=FuzzStorePage -fuzztime=10s -run '^$$' ./internal/storage
+	$(GO) test -fuzz=FuzzGroupRecord -fuzztime=10s -run '^$$' ./internal/centralized
 
 # api regenerates the committed API-surface lockfile; apicheck fails when
 # the public repro surface (go doc -all) drifts from it, so façade changes

@@ -14,7 +14,7 @@ import (
 // testStorage opens the three stores of a stored maintainer in a temp
 // dir under a deliberately tiny shared budget, so every test churns the
 // page caches.
-func testStorage(t *testing.T, budget int64) Storage {
+func testStorage(t testing.TB, budget int64) Storage {
 	t.Helper()
 	dir := t.TempDir()
 	open := func(name string, opt storage.DiskOptions) storage.Store {

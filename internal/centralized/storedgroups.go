@@ -1,23 +1,26 @@
 package centralized
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"repro/internal/cfd"
 	"repro/internal/relation"
 	"repro/internal/storage"
+	"repro/internal/wire"
+	"repro/internal/xerr"
 )
 
 // Stored grouping indexes: the out-of-core backend for the per-rule
 // equivalence groups the Fig. 4 case analysis reads and writes. One
 // store record per (rule, X-key) holds the whole group — B-value
 // classes and their member sets — so a unit update touches exactly the
-// records of the rules its tuple matches: load, run the same case
-// analysis as the in-memory path, store back. The page cache turns a
-// round's locality into one fault per warm page; Flush at round
-// boundaries writes the dirty pages back.
+// records of the rules its tuple matches: get the record, run the same
+// case analysis as the in-memory path on what one scan of its bytes
+// yields, put the spliced record back. The page cache turns a round's
+// locality into one fault per warm page; Flush at round boundaries
+// writes the dirty pages back.
 //
 // Keys are a stable big-endian uint32 rule tag followed by the raw
 // length-prefixed X-key. Tags are assigned once when a rule enters
@@ -74,92 +77,160 @@ func (g *storedGroups) addRule(constRHS bool) {
 	g.tags = append(g.tags, g.nextTag)
 }
 
-// group record codec: uvarint #classes; per class (sorted by B-value):
-// uvarint len(b), b, uvarint #members, members as ascending uvarint ids.
+// Group record layout: uvarint #classes; per class, ascending by
+// B-value: uvarint len(b), b, uvarint #members (>= 1), the members as
+// ascending uvarint ids. Every varint is minimal (wire.ReadUvarint
+// rejects padding), so a group has exactly one encoding and an update
+// can be applied to the bytes: scanGroup finds where the update lands in
+// one allocation-free pass, and appendInsert/appendDelete splice the new
+// record together from the old one's prefix and suffix — no maps, no
+// sort, no allocation.
 
-func encodeGroup(dst []byte, group map[string]map[relation.TupleID]struct{}) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(group)))
-	bs := make([]string, 0, len(group))
-	for b := range group {
-		bs = append(bs, b)
-	}
-	sort.Strings(bs)
-	var ids []relation.TupleID
-	for _, b := range bs {
-		dst = binary.AppendUvarint(dst, uint64(len(b)))
-		dst = append(dst, b...)
-		cls := group[b]
-		dst = binary.AppendUvarint(dst, uint64(len(cls)))
-		ids = ids[:0]
-		for id := range cls {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			dst = binary.AppendUvarint(dst, uint64(id))
-		}
-	}
-	return dst
+// groupScan is what one pass over a group record tells the Fig. 4 case
+// analysis and the splice about an update of member (b, id). The zero
+// value describes the absent record.
+type groupScan struct {
+	distinct int // classes in the record
+	hdrW     int // width of the class-count varint
+	// The class of b is raw[classOff:classEnd] when classSize > 0;
+	// otherwise classOff == classEnd is where it sorts in.
+	classOff, classEnd int
+	classSize          int // members of the class of b; 0 when absent
+	countOff, countW   int // that class's member-count varint
+	// id's varint is raw[idOff:idEnd] when found; otherwise
+	// idOff == idEnd is where it sorts into the class of b.
+	idOff, idEnd int
+	found        bool
 }
 
-func decodeGroup(raw []byte) (map[string]map[relation.TupleID]struct{}, error) {
-	nClasses, w := binary.Uvarint(raw)
-	if w <= 0 {
-		return nil, fmt.Errorf("centralized: bad group class count")
+// scanGroup validates raw as a canonical group record — every length
+// bounded by the input, classes and ids strictly ascending, no empty
+// class, no trailing bytes — and locates member (b, id) in it.
+func scanGroup(raw []byte, b string, id relation.TupleID) (groupScan, error) {
+	var sc groupScan
+	n, p := wire.ReadUvarint(raw)
+	if p == 0 || n == 0 || n > uint64(len(raw)) {
+		return sc, fmt.Errorf("bad class count")
 	}
-	raw = raw[w:]
-	group := make(map[string]map[relation.TupleID]struct{}, nClasses)
-	for c := uint64(0); c < nClasses; c++ {
-		blen, w := binary.Uvarint(raw)
-		if w <= 0 || blen > uint64(len(raw)-w) {
-			return nil, fmt.Errorf("centralized: bad group B-value frame")
+	sc.distinct, sc.hdrW = int(n), p
+	sc.classOff = -1
+	var prevB []byte
+	for c := 0; c < sc.distinct; c++ {
+		start := p
+		blen, w := wire.ReadUvarint(raw[p:])
+		if w == 0 || blen > uint64(len(raw)-p-w) {
+			return sc, fmt.Errorf("bad B-value frame at byte %d", p)
 		}
-		b := string(raw[w : w+int(blen)])
-		raw = raw[w+int(blen):]
-		n, w := binary.Uvarint(raw)
-		if w <= 0 {
-			return nil, fmt.Errorf("centralized: bad group member count")
+		cb := raw[p+w : p+w+int(blen)]
+		if c > 0 && bytes.Compare(prevB, cb) >= 0 {
+			return sc, fmt.Errorf("classes out of order at byte %d", p)
 		}
-		raw = raw[w:]
-		cls := make(map[relation.TupleID]struct{}, n)
-		for i := uint64(0); i < n; i++ {
-			id, w := binary.Uvarint(raw)
-			if w <= 0 {
-				return nil, fmt.Errorf("centralized: bad group member id")
+		prevB = cb
+		p += w + int(blen)
+		cnt, w := wire.ReadUvarint(raw[p:])
+		if w == 0 || cnt == 0 || cnt > uint64(len(raw)-p-w) {
+			return sc, fmt.Errorf("bad member count at byte %d", p)
+		}
+		target := string(cb) == b
+		if target {
+			sc.classOff, sc.classSize = start, int(cnt)
+			sc.countOff, sc.countW = p, w
+			sc.idOff = -1
+		} else if sc.classOff < 0 && string(cb) > b {
+			sc.classOff, sc.classEnd = start, start
+		}
+		p += w
+		var last relation.TupleID
+		for m := uint64(0); m < cnt; m++ {
+			v, w := wire.ReadUvarint(raw[p:])
+			if w == 0 {
+				return sc, fmt.Errorf("bad member id at byte %d", p)
 			}
-			raw = raw[w:]
-			cls[relation.TupleID(id)] = struct{}{}
+			cur := relation.TupleID(v)
+			if m > 0 && cur <= last {
+				return sc, fmt.Errorf("member ids out of order at byte %d", p)
+			}
+			last = cur
+			if target && sc.idOff < 0 && cur >= id {
+				sc.idOff, sc.idEnd = p, p
+				if cur == id {
+					sc.idEnd, sc.found = p+w, true
+				}
+			}
+			p += w
 		}
-		group[b] = cls
+		if target {
+			sc.classEnd = p
+			if sc.idOff < 0 {
+				sc.idOff, sc.idEnd = p, p
+			}
+		}
 	}
-	if len(raw) != 0 {
-		return nil, fmt.Errorf("centralized: %d trailing bytes in group record", len(raw))
+	if p != len(raw) {
+		return sc, fmt.Errorf("%d trailing bytes", len(raw)-p)
 	}
-	return group, nil
+	if sc.classOff < 0 {
+		sc.classOff, sc.classEnd = p, p
+	}
+	return sc, nil
 }
 
-// load fetches and decodes the group of (rule i, xkey); nil when the
-// group does not exist. The key stays in g.keyBuf for the store-back.
-func (g *storedGroups) load(i int, xkey []byte) (map[string]map[relation.TupleID]struct{}, error) {
-	g.keyBuf = GroupKey(g.keyBuf[:0], g.tags[i], xkey)
-	raw, ok, err := g.st.Get(g.keyBuf)
-	if err != nil {
-		return nil, err
+// appendInsert appends to dst the record raw with member (b, id) added;
+// sc must be scanGroup(raw, b, id) with id not found.
+func (sc *groupScan) appendInsert(dst, raw []byte, b string, id relation.TupleID) []byte {
+	if sc.classSize > 0 {
+		dst = append(dst, raw[:sc.countOff]...)
+		dst = binary.AppendUvarint(dst, uint64(sc.classSize+1))
+		dst = append(dst, raw[sc.countOff+sc.countW:sc.idOff]...)
+		dst = binary.AppendUvarint(dst, uint64(id))
+		return append(dst, raw[sc.idOff:]...)
 	}
-	if !ok {
-		return nil, nil
-	}
-	return decodeGroup(raw)
+	dst = binary.AppendUvarint(dst, uint64(sc.distinct+1))
+	dst = append(dst, raw[sc.hdrW:sc.classOff]...)
+	dst = binary.AppendUvarint(dst, uint64(len(b)))
+	dst = append(dst, b...)
+	dst = binary.AppendUvarint(dst, 1)
+	dst = binary.AppendUvarint(dst, uint64(id))
+	return append(dst, raw[sc.classOff:]...)
 }
 
-// store writes back the group last loaded (g.keyBuf), deleting the
-// record when the group emptied.
-func (g *storedGroups) store(group map[string]map[relation.TupleID]struct{}) error {
-	if len(group) == 0 {
-		return g.st.Delete(g.keyBuf)
+// appendDelete appends to dst the record raw with the found member
+// removed — nothing at all when that empties the group.
+func (sc *groupScan) appendDelete(dst, raw []byte) []byte {
+	if sc.classSize > 1 {
+		dst = append(dst, raw[:sc.countOff]...)
+		dst = binary.AppendUvarint(dst, uint64(sc.classSize-1))
+		dst = append(dst, raw[sc.countOff+sc.countW:sc.idOff]...)
+		return append(dst, raw[sc.idEnd:]...)
 	}
-	g.encBuf = encodeGroup(g.encBuf[:0], group)
-	return g.st.Put(g.keyBuf, g.encBuf)
+	if sc.distinct == 1 {
+		return dst
+	}
+	dst = binary.AppendUvarint(dst, uint64(sc.distinct-1))
+	dst = append(dst, raw[sc.hdrW:sc.classOff]...)
+	return append(dst, raw[sc.classEnd:]...)
+}
+
+// eachOtherMember calls f for every member of the scanned record raw
+// outside the class of b: the tuples whose marks flip when the group
+// moves between one and two distinct B-values.
+func (sc *groupScan) eachOtherMember(raw []byte, f func(relation.TupleID)) {
+	p := sc.hdrW
+	for p < len(raw) {
+		if p == sc.classOff && sc.classSize > 0 {
+			p = sc.classEnd
+			continue
+		}
+		blen, w := binary.Uvarint(raw[p:])
+		p += w + int(blen)
+		cnt, w := binary.Uvarint(raw[p:])
+		p += w
+		for ; cnt > 0; cnt-- {
+			v, w := binary.Uvarint(raw[p:])
+			p += w
+			f(relation.TupleID(v))
+		}
+	}
 }
 
 // purgeRule deletes every record of the given tag (a retired rule).
@@ -266,74 +337,68 @@ func (inc *Incremental) StorageStats() map[string]storage.Stats {
 }
 
 // applyRuleStored is the stored-groups mirror of applyUnit's per-rule
-// body: the identical Fig. 4 case analysis, with the group record
-// loaded from and stored back to the group store.
+// body: the identical Fig. 4 case analysis, run on the two numbers a
+// scan of the encoded group record yields, and the record rewritten by
+// splicing. Member ids are read off the bytes only in the two
+// transitions that mark every other member (paid for by |∆V|). raw is
+// the store's (valid until the next store operation): it is only read,
+// the new record is assembled in encBuf and then Put.
 func (inc *Incremental) applyRuleStored(i int, u relation.Update, delta *cfd.Delta) error {
 	r := &inc.comp[i]
+	g := inc.gst
 	inc.keyBuf = u.Tuple.AppendKey(inc.keyBuf[:0], r.LHSCols)
+	g.keyBuf = GroupKey(g.keyBuf[:0], g.tags[i], inc.keyBuf)
 	bVal := u.Tuple.Values[r.RHSCol]
-	group, err := inc.gst.load(i, inc.keyBuf)
+	raw, ok, err := g.st.Get(g.keyBuf)
 	if err != nil {
 		return err
+	}
+	var sc groupScan
+	if ok {
+		if sc, err = scanGroup(raw, bVal, u.Tuple.ID); err != nil {
+			return fmt.Errorf("centralized: group record of rule %s (tag %d): %v: %w", r.ID, g.tags[i], err, xerr.ErrStoreCorrupt)
+		}
 	}
 
 	switch u.Kind {
 	case relation.Insert:
-		classSize := len(group[bVal])
-		distinct := len(group)
+		if sc.found {
+			return fmt.Errorf("centralized: tuple %d already indexed for rule %s", u.Tuple.ID, r.ID)
+		}
 		// Fig. 4 incVIns case analysis.
 		switch {
-		case classSize > 0:
-			if distinct >= 2 {
+		case sc.classSize > 0:
+			if sc.distinct >= 2 {
 				delta.Add(u.Tuple.ID, r.ID)
 			}
-		case distinct >= 2:
+		case sc.distinct >= 2:
 			delta.Add(u.Tuple.ID, r.ID)
-		case distinct == 1:
+		case sc.distinct == 1:
 			delta.Add(u.Tuple.ID, r.ID)
-			for b := range group {
-				for id := range group[b] {
-					delta.Add(id, r.ID)
-				}
-			}
+			sc.eachOtherMember(raw, func(id relation.TupleID) { delta.Add(id, r.ID) })
 		}
-		if group == nil {
-			group = make(map[string]map[relation.TupleID]struct{})
-		}
-		if group[bVal] == nil {
-			group[bVal] = make(map[relation.TupleID]struct{})
-		}
-		group[bVal][u.Tuple.ID] = struct{}{}
+		g.encBuf = sc.appendInsert(g.encBuf[:0], raw, bVal, u.Tuple.ID)
 
 	case relation.Delete:
-		if group == nil || group[bVal] == nil {
+		if !sc.found {
 			return fmt.Errorf("centralized: tuple %d not indexed for rule %s", u.Tuple.ID, r.ID)
 		}
-		classSize := len(group[bVal])
-		distinct := len(group)
 		// Fig. 4 incVDel case analysis.
 		switch {
-		case classSize > 1:
-			if distinct >= 2 {
+		case sc.classSize > 1:
+			if sc.distinct >= 2 {
 				delta.Remove(u.Tuple.ID, r.ID)
 			}
-		case distinct-1 >= 2:
+		case sc.distinct-1 >= 2:
 			delta.Remove(u.Tuple.ID, r.ID)
-		case distinct-1 == 1:
+		case sc.distinct-1 == 1:
 			delta.Remove(u.Tuple.ID, r.ID)
-			for b, cls := range group {
-				if b == bVal {
-					continue
-				}
-				for id := range cls {
-					delta.Remove(id, r.ID)
-				}
-			}
+			sc.eachOtherMember(raw, func(id relation.TupleID) { delta.Remove(id, r.ID) })
 		}
-		delete(group[bVal], u.Tuple.ID)
-		if len(group[bVal]) == 0 {
-			delete(group, bVal)
-		}
+		g.encBuf = sc.appendDelete(g.encBuf[:0], raw)
 	}
-	return inc.gst.store(group)
+	if len(g.encBuf) == 0 {
+		return g.st.Delete(g.keyBuf)
+	}
+	return g.st.Put(g.keyBuf, g.encBuf)
 }

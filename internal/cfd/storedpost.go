@@ -221,64 +221,81 @@ func (sp *storedPost) collect(idx RuleIdx) ([]relation.TupleID, error) {
 	return ids, nil
 }
 
-// flush folds every overlay entry into its bucket record.
+// flush folds every overlay entry into its bucket record: the rule's
+// flips are sorted once, and each bucket's run of them is merged
+// linearly with the stored ascending ids. Buckets are visited in
+// ascending order, so the store sees the same access sequence on every
+// run of the same input.
 func (sp *storedPost) flush() error {
 	for idx, ov := range sp.overlay {
 		if len(ov) == 0 {
 			continue
 		}
-		// Group the rule's flips by bucket.
-		byBucket := make(map[uint64][]relation.TupleID)
+		ids := sp.idsBuf[:0]
 		for id := range ov {
-			b := uint64(id) >> PostBucketShift
-			byBucket[b] = append(byBucket[b], id)
+			ids = append(ids, id)
 		}
-		for bucket, ids := range byBucket {
-			key := PostKey(sp.keyBuf[:0], RuleIdx(idx), bucket)
-			sp.keyBuf = key
-			raw, ok, err := sp.st.Get(key)
-			if err != nil {
-				return fmt.Errorf("cfd: posting flush rule %d bucket %d: %w", idx, bucket, err)
+		// Unsigned order is bucket order, and within a bucket (all ids
+		// share the bits above PostBucketShift) it is id order.
+		sort.Slice(ids, func(i, j int) bool { return uint64(ids[i]) < uint64(ids[j]) })
+		sp.idsBuf = ids
+		for len(ids) > 0 {
+			bucket := uint64(ids[0]) >> PostBucketShift
+			n := 1
+			for n < len(ids) && uint64(ids[n])>>PostBucketShift == bucket {
+				n++
 			}
-			merged := make(map[relation.TupleID]struct{}, len(ids))
-			if ok {
-				for len(raw) > 0 {
-					u, w := binary.Uvarint(raw)
-					if w <= 0 {
-						return fmt.Errorf("cfd: posting flush rule %d bucket %d: bad id varint", idx, bucket)
-					}
-					raw = raw[w:]
-					merged[relation.TupleID(u)] = struct{}{}
-				}
-			}
-			for _, id := range ids {
-				if ov[id] {
-					merged[id] = struct{}{}
-				} else {
-					delete(merged, id)
-				}
-			}
-			if len(merged) == 0 {
-				if err := sp.st.Delete(key); err != nil {
-					return err
-				}
-				continue
-			}
-			out := sp.idsBuf[:0]
-			for id := range merged {
-				out = append(out, id)
-			}
-			sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-			sp.idsBuf = out
-			sp.encBuf = sp.encBuf[:0]
-			for _, id := range out {
-				sp.encBuf = binary.AppendUvarint(sp.encBuf, uint64(id))
-			}
-			if err := sp.st.Put(key, sp.encBuf); err != nil {
+			if err := sp.foldBucket(RuleIdx(idx), bucket, ids[:n], ov); err != nil {
 				return err
 			}
+			ids = ids[n:]
 		}
 		sp.overlay[idx] = nil
 	}
 	return nil
+}
+
+// foldBucket rewrites one bucket record with flips (ascending, all of
+// this bucket; ov says which way each goes) merged in. Stored bytes
+// between flip positions are copied as they are.
+func (sp *storedPost) foldBucket(idx RuleIdx, bucket uint64, flips []relation.TupleID, ov map[relation.TupleID]bool) error {
+	key := PostKey(sp.keyBuf[:0], idx, bucket)
+	sp.keyBuf = key
+	raw, _, err := sp.st.Get(key)
+	if err != nil {
+		return fmt.Errorf("cfd: posting flush rule %d bucket %d: %w", idx, bucket, err)
+	}
+	out := sp.encBuf[:0]
+	kept := 0 // raw[kept:p] is stored bytes not yet copied to out
+	for p := 0; p < len(raw); {
+		u, w := binary.Uvarint(raw[p:])
+		if w <= 0 {
+			return fmt.Errorf("cfd: posting flush rule %d bucket %d: bad id varint", idx, bucket)
+		}
+		for len(flips) > 0 && uint64(flips[0]) <= u {
+			f := flips[0]
+			flips = flips[1:]
+			switch {
+			case uint64(f) == u && !ov[f]: // clear a stored id
+				out = append(out, raw[kept:p]...)
+				kept = p + w
+			case uint64(f) < u && ov[f]: // set an id that sorts before u
+				out = append(out, raw[kept:p]...)
+				kept = p
+				out = binary.AppendUvarint(out, uint64(f))
+			}
+		}
+		p += w
+	}
+	out = append(out, raw[kept:]...)
+	for _, f := range flips {
+		if ov[f] {
+			out = binary.AppendUvarint(out, uint64(f))
+		}
+	}
+	sp.encBuf = out
+	if len(out) == 0 {
+		return sp.st.Delete(key)
+	}
+	return sp.st.Put(key, out)
 }

@@ -105,6 +105,44 @@ func TestStoredPostingsDifferential(t *testing.T) {
 	}
 }
 
+// TestStoredPostingsDeterministic runs the same flips twice over a
+// budget of a few pages and asserts the posting store's counters agree
+// exactly: flush visits buckets in ascending order, so cache hits,
+// faults and evictions are a function of the input, not of Go's map
+// iteration order.
+func TestStoredPostingsDeterministic(t *testing.T) {
+	run := func() storage.Stats {
+		sv := NewViolations()
+		if err := sv.UseStoredPostings(newPostStore(t, 2<<10)); err != nil {
+			t.Fatal(err)
+		}
+		r0, r1 := sv.Intern("phi0"), sv.Intern("phi1")
+		rng := rand.New(rand.NewSource(5))
+		for round := 0; round < 40; round++ {
+			for op := 0; op < 60; op++ {
+				id := relation.TupleID(rng.Intn(40 << PostBucketShift))
+				idx := []RuleIdx{r0, r1}[rng.Intn(2)]
+				if rng.Intn(3) == 0 {
+					sv.RemoveIdx(id, idx)
+				} else {
+					sv.AddIdx(id, idx)
+				}
+			}
+			if err := sv.FlushPostings(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return sv.PostingStats()
+	}
+	a, b := run(), run()
+	if a.Evictions == 0 {
+		t.Fatal("tiny budget never forced an eviction")
+	}
+	if a != b {
+		t.Fatalf("identical runs, different posting stats:\n%+v\n%+v", a, b)
+	}
+}
+
 // TestStoredPostingsGuards pins the UseStoredPostings preconditions.
 func TestStoredPostingsGuards(t *testing.T) {
 	st := newPostStore(t, 0)

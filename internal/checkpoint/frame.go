@@ -61,3 +61,17 @@ func ReadFramed(r io.Reader) ([]byte, error) {
 	}
 	return payload, nil
 }
+
+// CheckFramed verifies rec as exactly one framed record already in
+// memory — the single-pread counterpart of ReadFramed for callers that
+// know the record's extent — and returns its payload, aliasing rec.
+func CheckFramed(rec []byte) ([]byte, error) {
+	if len(rec) < FrameOverhead || uint64(binary.BigEndian.Uint32(rec[0:4])) != uint64(len(rec)-FrameOverhead) {
+		return nil, ErrTornRecord
+	}
+	payload := rec[FrameOverhead:]
+	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(rec[4:8]) {
+		return nil, ErrBadCRC
+	}
+	return payload, nil
+}

@@ -72,6 +72,11 @@ type page struct {
 	m     map[string][]byte
 	size  int64 // approximate decoded bytes (records only)
 	dirty bool
+	// used is the store clock at the page's last access. Clean pages
+	// sit on the eviction list in descending used order; a dirty page
+	// is off the list (el == nil) and rejoins it by used at Flush.
+	used uint64
+	el   *list.Element
 }
 
 // DiskStore is the disk backend: a page-structured append-only file
@@ -88,13 +93,18 @@ type DiskStore struct {
 	dead     int64 // bytes of superseded records and applied tombstones
 	n        int   // live records across all pages
 
-	cache    map[uint32]*list.Element // value: *page
-	lru      *list.List               // front = most recently used
+	cache map[uint32]*page
+	// lru is the eviction list: the clean cached pages, front = most
+	// recently used. Pinned (dirty) pages are kept off it, so evict
+	// only ever visits pages it evicts.
+	lru      *list.List
+	clock    uint64  // access counter behind page.used
+	dirty    []*page // the pinned pages
 	resident int64
-	dirty    int
 
-	stats  Stats
-	encBuf []byte
+	stats   Stats
+	encBuf  []byte
+	readBuf []byte // one framed record, reused across page reads
 }
 
 func storeCorrupt(format string, a ...any) error {
@@ -120,7 +130,7 @@ func OpenDisk(path string, opt DiskOptions) (*DiskStore, error) {
 		path:  path,
 		opt:   opt,
 		index: make(map[uint32]pageLoc),
-		cache: make(map[uint32]*list.Element),
+		cache: make(map[uint32]*page),
 		lru:   list.New(),
 	}
 	fi, err := f.Stat()
@@ -212,27 +222,48 @@ func (s *DiskStore) scan(size int64) error {
 	return nil
 }
 
+// readRecord reads the framed record of page no at loc with a single
+// pread into the reused read buffer and returns it CRC-verified: the
+// whole record (valid until the next readRecord) and its page payload.
+func (s *DiskStore) readRecord(no uint32, loc pageLoc) (rec, payload []byte, err error) {
+	if int64(cap(s.readBuf)) < loc.rec {
+		s.readBuf = make([]byte, loc.rec)
+	}
+	rec = s.readBuf[:loc.rec]
+	if _, err := s.f.ReadAt(rec, loc.off); err != nil {
+		return nil, nil, storeCorrupt("%s page %d @%d: %v", s.path, no, loc.off, err)
+	}
+	body, err := checkpoint.CheckFramed(rec)
+	if err != nil {
+		return nil, nil, storeCorrupt("%s page %d @%d: %v", s.path, no, loc.off, err)
+	}
+	if len(body) < recPrefixLen || binary.BigEndian.Uint32(body[0:4]) != no {
+		return nil, nil, storeCorrupt("%s page %d @%d: record/index mismatch", s.path, no, loc.off)
+	}
+	return rec, body[recPrefixLen:], nil
+}
+
 // fault returns the decoded page, serving from the cache or reading it
 // from disk. With create=false an absent page returns (nil, nil).
 // Caller holds s.mu.
 func (s *DiskStore) fault(no uint32, create bool) (*page, error) {
-	if el, ok := s.cache[no]; ok {
-		s.lru.MoveToFront(el)
+	s.clock++
+	if pg, ok := s.cache[no]; ok {
+		pg.used = s.clock
+		if pg.el != nil {
+			s.lru.MoveToFront(pg.el)
+		}
 		s.stats.Hits++
-		return el.Value.(*page), nil
+		return pg, nil
 	}
 	s.stats.Misses++
-	pg := &page{no: no, m: make(map[string][]byte)}
+	pg := &page{no: no, m: make(map[string][]byte), used: s.clock}
 	if loc, ok := s.index[no]; ok {
-		sect := io.NewSectionReader(s.f, loc.off, loc.rec)
-		payload, err := checkpoint.ReadFramed(sect)
+		_, payload, err := s.readRecord(no, loc)
 		if err != nil {
-			return nil, storeCorrupt("%s page %d @%d: %v", s.path, no, loc.off, err)
+			return nil, err
 		}
-		if len(payload) < recPrefixLen || binary.BigEndian.Uint32(payload[0:4]) != no {
-			return nil, storeCorrupt("%s page %d @%d: record/index mismatch", s.path, no, loc.off)
-		}
-		m, size, err := decodePage(payload[recPrefixLen:])
+		m, size, err := decodePage(payload)
 		if err != nil {
 			return nil, storeCorrupt("%s page %d @%d: %v", s.path, no, loc.off, err)
 		}
@@ -241,28 +272,39 @@ func (s *DiskStore) fault(no uint32, create bool) (*page, error) {
 	} else if !create {
 		return nil, nil
 	}
-	s.cache[no] = s.lru.PushFront(pg)
+	s.cache[no] = pg
+	pg.el = s.lru.PushFront(pg)
 	s.resident += pg.size + pageOverhead
 	return pg, nil
 }
 
-// evict drops clean pages from the LRU tail until the cache fits the
-// budget. Dirty pages are pinned; Flush unpins them. Caller holds s.mu.
+// pin marks pg dirty and takes it off the eviction list until Flush.
+// Caller holds s.mu.
+func (s *DiskStore) pin(pg *page) {
+	if pg.dirty {
+		return
+	}
+	pg.dirty = true
+	s.lru.Remove(pg.el)
+	pg.el = nil
+	s.dirty = append(s.dirty, pg)
+}
+
+// evict drops least-recently-used clean pages until the cache fits the
+// budget or only pinned pages remain. Caller holds s.mu.
 func (s *DiskStore) evict() {
 	if s.opt.CacheBudget <= 0 {
 		return
 	}
-	el := s.lru.Back()
-	for el != nil && s.resident > s.opt.CacheBudget {
-		prev := el.Prev()
-		pg := el.Value.(*page)
-		if !pg.dirty {
-			s.lru.Remove(el)
-			delete(s.cache, pg.no)
-			s.resident -= pg.size + pageOverhead
-			s.stats.Evictions++
+	for s.resident > s.opt.CacheBudget {
+		el := s.lru.Back()
+		if el == nil {
+			return
 		}
-		el = prev
+		pg := s.lru.Remove(el).(*page)
+		delete(s.cache, pg.no)
+		s.resident -= pg.size + pageOverhead
+		s.stats.Evictions++
 	}
 }
 
@@ -296,10 +338,7 @@ func (s *DiskStore) Put(key, val []byte) error {
 		s.n++
 	}
 	pg.m[k] = append([]byte(nil), val...)
-	if !pg.dirty {
-		pg.dirty = true
-		s.dirty++
-	}
+	s.pin(pg)
 	s.evict()
 	return nil
 }
@@ -318,10 +357,7 @@ func (s *DiskStore) Delete(key []byte) error {
 		pg.size -= d
 		s.resident -= d
 		s.n--
-		if !pg.dirty {
-			pg.dirty = true
-			s.dirty++
-		}
+		s.pin(pg)
 	}
 	s.evict()
 	return nil
@@ -420,24 +456,17 @@ func (s *DiskStore) Flush() error {
 }
 
 func (s *DiskStore) flushLocked() error {
-	if s.dirty == 0 {
+	if len(s.dirty) == 0 {
 		return nil
 	}
-	dirtyPages := make([]*page, 0, s.dirty)
-	for _, el := range s.cache {
-		if pg := el.Value.(*page); pg.dirty {
-			dirtyPages = append(dirtyPages, pg)
-		}
-	}
-	sort.Slice(dirtyPages, func(i, j int) bool { return dirtyPages[i].no < dirtyPages[j].no })
+	sort.Slice(s.dirty, func(i, j int) bool { return s.dirty[i].no < s.dirty[j].no })
 	bw := bufio.NewWriter(s.f)
 	off := s.fileSize
-	for _, pg := range dirtyPages {
+	for _, pg := range s.dirty {
 		old, onDisk := s.index[pg.no]
 		if len(pg.m) == 0 && !onDisk {
 			// Never persisted and now empty: nothing to write or
-			// tombstone. Drop it from the cache entirely.
-			s.dropPage(pg)
+			// tombstone.
 			continue
 		}
 		s.encBuf = s.encBuf[:0]
@@ -460,11 +489,6 @@ func (s *DiskStore) flushLocked() error {
 		off += rec
 		s.stats.FlushedPages++
 		s.stats.FlushedBytes += uint64(rec)
-		pg.dirty = false
-		s.dirty--
-		if len(pg.m) == 0 {
-			s.dropPage(pg)
-		}
 	}
 	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("storage: %w", err)
@@ -473,22 +497,38 @@ func (s *DiskStore) flushLocked() error {
 		return fmt.Errorf("storage: %w", err)
 	}
 	s.fileSize = off
+	s.unpin()
 	s.evict()
 	return s.maybeCompact()
 }
 
-// dropPage removes a page from the cache without counting an eviction.
-// Caller holds s.mu; the page must be clean.
-func (s *DiskStore) dropPage(pg *page) {
-	if el, ok := s.cache[pg.no]; ok {
-		if pg.dirty {
-			pg.dirty = false
-			s.dirty--
+// unpin returns the flushed pages to the eviction list, each at the
+// position its last access earned — the list stays in descending used
+// order, so victims are exactly those of an LRU that never unlinked the
+// pinned pages. Pages that became empty leave the cache instead (not
+// counted as evictions). The walk from the front passes only clean pages
+// used since the oldest pinned one, i.e. pages this round touched.
+// Caller holds s.mu.
+func (s *DiskStore) unpin() {
+	sort.Slice(s.dirty, func(i, j int) bool { return s.dirty[i].used > s.dirty[j].used })
+	at := s.lru.Front()
+	for _, pg := range s.dirty {
+		pg.dirty = false
+		if len(pg.m) == 0 {
+			delete(s.cache, pg.no)
+			s.resident -= pg.size + pageOverhead
+			continue
 		}
-		s.lru.Remove(el)
-		delete(s.cache, pg.no)
-		s.resident -= pg.size + pageOverhead
+		for at != nil && at.Value.(*page).used > pg.used {
+			at = at.Next()
+		}
+		if at == nil {
+			pg.el = s.lru.PushBack(pg)
+		} else {
+			pg.el = s.lru.InsertBefore(pg, at)
+		}
 	}
+	s.dirty = nil // not [:0]: a seeding round's worth of page pointers must not stay reachable
 }
 
 // maybeCompact rewrites the data file when dead bytes exceed both a
@@ -527,13 +567,13 @@ func (s *DiskStore) compactLocked() error {
 	off := int64(diskHeaderLen)
 	for _, no := range nos {
 		loc := s.index[no]
-		sect := io.NewSectionReader(s.f, loc.off, loc.rec)
-		payload, err := checkpoint.ReadFramed(sect)
+		rec, _, err := s.readRecord(no, loc)
 		if err != nil {
 			tf.Close()
-			return storeCorrupt("%s page %d @%d: %v", s.path, no, loc.off, err)
+			return err
 		}
-		if err := checkpoint.WriteFramed(bw, payload); err != nil {
+		// The verified record moves as it is, frame and all.
+		if _, err := bw.Write(rec); err != nil {
 			tf.Close()
 			return fmt.Errorf("storage: compact: %w", err)
 		}
@@ -582,7 +622,7 @@ func (s *DiskStore) Stats() Stats {
 	st := s.stats
 	st.ResidentPages = len(s.cache)
 	st.ResidentBytes = s.resident
-	st.DirtyPages = s.dirty
+	st.DirtyPages = len(s.dirty)
 	st.DiskBytes = s.fileSize
 	return st
 }
