@@ -123,8 +123,10 @@ profile:
 # injectivity and hash consistency (seeded with the \x1f collision
 # corpus), the TCP framing codec against adversarial headers, and the
 # call path's two decoders — the binary envelope (FuzzMsg) and the
-# positional payload codec on one structurally rich message per engine
-# (FuzzPayload) — against arbitrary bytes: no panic, no length trusted
+# positional payload codec on each engine's structurally richest messages
+# (FuzzPayload: horizontal batchApplyResp; vertical batchDeliverReq and
+# the stage-grouped batchResolveReq, decoded from the same bytes) —
+# against arbitrary bytes: no panic, no length trusted
 # beyond the input, every accepted input re-encodes to itself. The two
 # storage targets do the same below the CRC framing: the page codec and
 # the stored engine's group-record editor (FuzzGroupRecord: arbitrary

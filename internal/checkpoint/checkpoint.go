@@ -62,8 +62,10 @@ import (
 )
 
 // FormatVersion is the on-disk format version; a snapshot and its delta
-// log must agree on it.
-const FormatVersion = 2
+// log must agree on it. The delta log holds raw call payloads, so the
+// version also moves when a call payload is reshaped (3: v.batchResolve
+// carries a stage's node groups).
+const FormatVersion = 3
 
 // File kinds, distinguishing snapshots from delta logs in the header so
 // neither can be misread as the other.

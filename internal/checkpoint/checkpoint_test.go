@@ -191,9 +191,10 @@ func TestCorruptCheckpoints(t *testing.T) {
 			wantCorrupt: true,
 		},
 		{
-			// The previous format generation: gob-framed records holding
-			// gob call payloads. Replaying those through today's handlers
-			// would mis-decode, so the whole epoch is refused.
+			// The previous format generation: positional records whose
+			// v.batchResolve payloads name one node. Replaying those
+			// through today's handlers would mis-decode, so the whole
+			// epoch is refused.
 			name:    "previous-version delta log",
 			records: 2,
 			damage: func(t *testing.T, dir string) {
@@ -206,6 +207,23 @@ func TestCorruptCheckpoints(t *testing.T) {
 			records: 0,
 			damage: func(t *testing.T, dir string) {
 				setByte(t, filepath.Join(dir, snapName), 4, FormatVersion-1)
+			},
+			wantCorrupt: true,
+		},
+		{
+			// Two generations back: gob-framed records of gob payloads.
+			name:    "gob-era delta log",
+			records: 2,
+			damage: func(t *testing.T, dir string) {
+				setByte(t, filepath.Join(dir, logName), 4, 1)
+			},
+			wantCorrupt: true,
+		},
+		{
+			name:    "gob-era snapshot",
+			records: 0,
+			damage: func(t *testing.T, dir string) {
+				setByte(t, filepath.Join(dir, snapName), 4, 1)
 			},
 			wantCorrupt: true,
 		},

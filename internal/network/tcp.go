@@ -301,6 +301,10 @@ func (t *TCPTransport) Invoke(to SiteID, method string, data []byte) ([]byte, er
 				if method == "chk.mark" {
 					// The daemon has durably marked this batch boundary:
 					// everything at or before it can never need replay.
+					// Cleared, not just truncated: a batch with fewer calls
+					// than an earlier one would otherwise keep that one's
+					// payloads alive in the slack of the backing array.
+					clear(sc.replay)
 					sc.replay = sc.replay[:0]
 					sc.replayBase = msg.Seq
 					sc.overflowed = false

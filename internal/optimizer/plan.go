@@ -68,6 +68,10 @@ type Plan struct {
 	// edges is the deduplicated set of cross-site shipments
 	// (source node → destination site) a unit update incurs.
 	edges map[edge]struct{}
+
+	// stages caches Stages(): a function of Nodes alone, extended when a
+	// graft appends nodes (bindings, and so DropRule, never move it).
+	stages []int
 }
 
 type edge struct {
@@ -101,6 +105,30 @@ func (p *Plan) TopoOrder() []NodeID {
 		out[i] = NodeID(i)
 	}
 	return out
+}
+
+// Stages returns every node's cross-site stage, indexed by node id: 0 for
+// a base node, and for a composed node the maximum over its inputs of the
+// input's stage, plus one when that input lives at another site. Every
+// input of a node is therefore either in an earlier stage (its eqid has
+// been shipped by the time the node's stage starts) or in the same stage
+// at the same site under a lower id (it resolves earlier in the same
+// call), so a whole stage resolves in one round of one call per site, and
+// a plan whose deepest stage is D needs D+1 rounds however many nodes it
+// has. The slice is shared; callers must not modify it.
+func (p *Plan) Stages() []int {
+	for id := len(p.stages); id < len(p.Nodes); id++ {
+		n, stage := p.Nodes[id], 0
+		for _, in := range n.Inputs {
+			s := p.stages[in]
+			if p.Nodes[in].Site != n.Site {
+				s++
+			}
+			stage = max(stage, s)
+		}
+		p.stages = append(p.stages, stage)
+	}
+	return p.stages
 }
 
 // Consumers returns, for every node, the set of sites that need its output

@@ -185,3 +185,78 @@ func TestConsumersNeverSelfDeliver(t *testing.T) {
 		}
 	}
 }
+
+// stagesSound checks the contract the vertical stage runner relies on:
+// every input of a node is in an earlier stage, or in the same stage at
+// the same site under a lower id; and no stage exceeds the node's depth
+// in the DAG (its longest input chain).
+func stagesSound(p *Plan) error {
+	stages := p.Stages()
+	if len(stages) != len(p.Nodes) {
+		return fmt.Errorf("%d stages for %d nodes", len(stages), len(p.Nodes))
+	}
+	depth := make([]int, len(p.Nodes))
+	for _, n := range p.Nodes {
+		for _, in := range n.Inputs {
+			depth[n.ID] = max(depth[n.ID], depth[in]+1)
+			sameCall := stages[in] == stages[n.ID] && p.Nodes[in].Site == n.Site && in < n.ID
+			if stages[in] > stages[n.ID] || (stages[in] == stages[n.ID] && !sameCall) {
+				return fmt.Errorf("node %d (stage %d, site %d) has input %d (stage %d, site %d)",
+					n.ID, stages[n.ID], n.Site, in, stages[in], p.Nodes[in].Site)
+			}
+		}
+		if stages[n.ID] > depth[n.ID] {
+			return fmt.Errorf("node %d: stage %d exceeds depth %d", n.ID, stages[n.ID], depth[n.ID])
+		}
+	}
+	return nil
+}
+
+// Property: Stages is sound for optVer plans, naive chains, and plans
+// after live rule management — a graft extends the cached stages to the
+// new nodes, a drop leaves them alone.
+func TestStagesSound(t *testing.T) {
+	f := func(seed int64) bool {
+		in := randomInput(seed)
+		naive, err := NaiveChainPlan(in)
+		if err != nil {
+			return false
+		}
+		opt, err := Optimize(in, 4)
+		if err != nil {
+			return false
+		}
+		for _, p := range []*Plan{naive, opt} {
+			if err := stagesSound(p); err != nil {
+				t.Logf("seed %d: %v", seed, err)
+				return false
+			}
+			before := append([]int(nil), p.Stages()...)
+			// Graft the same rules' chains again under fresh ids.
+			more := Input{NumSites: in.NumSites, AttrSites: in.AttrSites}
+			for i, r := range in.Rules {
+				more.Rules = append(more.Rules, RuleSpec{ID: fmt.Sprintf("g%02d", i), LHS: r.LHS, RHS: r.RHS})
+			}
+			sub, err := NaiveChainPlan(more)
+			if err != nil {
+				return false
+			}
+			p.Graft(sub)
+			p.DropRule(in.Rules[0].ID)
+			if err := stagesSound(p); err != nil {
+				t.Logf("seed %d after graft+drop: %v", seed, err)
+				return false
+			}
+			for id, s := range before {
+				if p.Stages()[id] != s {
+					t.Logf("seed %d: graft moved node %d from stage %d to %d", seed, id, s, p.Stages()[id])
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}

@@ -98,8 +98,10 @@ type Hello struct {
 	CheckpointEvery int
 }
 
-// ProtoVersion guards against driver/daemon skew.
-const ProtoVersion = 2
+// ProtoVersion guards against driver/daemon skew: it moves whenever the
+// envelope or a call payload changes shape (2: binary envelope and
+// positional payloads; 3: v.batchResolve carries a stage's node groups).
+const ProtoVersion = 3
 
 // Encode gob-encodes the hello.
 func (h *Hello) Encode() ([]byte, error) {

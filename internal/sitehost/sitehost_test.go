@@ -62,23 +62,25 @@ func TestBootstrapRejectsBadSessionID(t *testing.T) {
 	}
 }
 
-// A driver built before the wire format changed (ProtoVersion-1: gob
-// envelopes and payloads) must be refused at the hello, before any call
-// payload is interpreted.
+// A driver built before the wire last changed — version 1's gob envelopes
+// and payloads, version 2's one-node v.batchResolve — must be refused at
+// the hello, before any call payload is interpreted.
 func TestBootstrapRejectsOlderProto(t *testing.T) {
-	h := &Hello{
-		Proto: ProtoVersion - 1, SessionID: []byte{1, 2, 3, 4, 5, 6, 7, 8}, Kind: KindHorizontal,
-		Site: 0, NumSites: 1, SchemaName: "r", SchemaAttrs: []string{"a", "b"},
-	}
-	data, err := h.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	host := NewHost()
-	if err := host.Bootstrap(data, false); err == nil {
-		t.Fatal("bootstrap accepted an older protocol version")
-	}
-	if _, _, ok := host.Hosting(); ok {
-		t.Fatal("rejected hello still built a site")
+	for proto := 1; proto < ProtoVersion; proto++ {
+		h := &Hello{
+			Proto: proto, SessionID: []byte{1, 2, 3, 4, 5, 6, 7, 8}, Kind: KindHorizontal,
+			Site: 0, NumSites: 1, SchemaName: "r", SchemaAttrs: []string{"a", "b"},
+		}
+		data, err := h.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		host := NewHost()
+		if err := host.Bootstrap(data, false); err == nil {
+			t.Fatalf("bootstrap accepted protocol version %d", proto)
+		}
+		if _, _, ok := host.Hosting(); ok {
+			t.Fatalf("rejected version-%d hello still built a site", proto)
+		}
 	}
 }

@@ -181,43 +181,46 @@ func TestBootstrapRejectsReconnectToEmptyHost(t *testing.T) {
 	}
 }
 
-// A daemon restarted over a checkpoint written by the previous format
-// generation (whose delta log holds gob call payloads that today's
-// handlers would mis-decode) must refuse it whole: typed error, nothing
-// loaded, and a reconnecting driver told the state is gone.
+// A daemon restarted over a checkpoint written by an earlier format
+// generation (whose delta log holds call payloads that today's handlers
+// would mis-decode: gob in version 1, the one-node v.batchResolve in
+// version 2) must refuse it whole: typed error, nothing loaded, and a
+// reconnecting driver told the state is gone.
 func TestHostStartsEmptyOnOldFormatDeltaLog(t *testing.T) {
-	dir := t.TempDir()
-	host := bootHost(t, dir, 100)
-	for seq := uint64(1); seq <= 3; seq++ {
-		if _, errStr := host.Dispatch(seq, "chk.mark", nil); errStr != "" {
-			t.Fatalf("mark seq %d: %s", seq, errStr)
+	for old := byte(1); old < checkpoint.FormatVersion; old++ {
+		dir := t.TempDir()
+		host := bootHost(t, dir, 100)
+		for seq := uint64(1); seq <= 3; seq++ {
+			if _, errStr := host.Dispatch(seq, "chk.mark", nil); errStr != "" {
+				t.Fatalf("mark seq %d: %s", seq, errStr)
+			}
 		}
-	}
-	logs, err := filepath.Glob(filepath.Join(dir, "delta-*.log"))
-	if err != nil || len(logs) != 1 {
-		t.Fatalf("delta logs = %v, %v; want exactly one", logs, err)
-	}
-	f, err := os.OpenFile(logs[0], os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Byte 4 of the header is the format version.
-	if _, err := f.WriteAt([]byte{checkpoint.FormatVersion - 1}, 4); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+		logs, err := filepath.Glob(filepath.Join(dir, "delta-*.log"))
+		if err != nil || len(logs) != 1 {
+			t.Fatalf("delta logs = %v, %v; want exactly one", logs, err)
+		}
+		f, err := os.OpenFile(logs[0], os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Byte 4 of the header is the format version.
+		if _, err := f.WriteAt([]byte{old}, 4); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-	host2 := NewHost()
-	stats, err := host2.UseCheckpoints(dir)
-	if !errors.Is(err, xerr.ErrCheckpointCorrupt) {
-		t.Fatalf("UseCheckpoints = %+v, %v; want ErrCheckpointCorrupt", stats, err)
-	}
-	if _, _, ok := host2.Hosting(); ok || stats.Recovered {
-		t.Fatal("old-format checkpoint still loaded state")
-	}
-	if host2.StatusPayload() != nil {
-		t.Fatal("empty daemon reports served calls")
+		host2 := NewHost()
+		stats, err := host2.UseCheckpoints(dir)
+		if !errors.Is(err, xerr.ErrCheckpointCorrupt) {
+			t.Fatalf("version %d: UseCheckpoints = %+v, %v; want ErrCheckpointCorrupt", old, stats, err)
+		}
+		if _, _, ok := host2.Hosting(); ok || stats.Recovered {
+			t.Fatalf("version-%d checkpoint still loaded state", old)
+		}
+		if host2.StatusPayload() != nil {
+			t.Fatal("empty daemon reports served calls")
+		}
 	}
 }

@@ -20,9 +20,9 @@ import (
 //	2. pattern-constant checks (same-site, batched per checker site);
 //	3. constant-CFD votes, coalesced per (checker, coordinator) pair, and
 //	   the coordinator-side classifications batched per site;
-//	4. plan-node resolution in global topological order, with eqid
-//	   deliveries accumulated per (source, destination) edge and flushed
-//	   lazily — one message per edge per wave instead of per tuple;
+//	4. plan-node resolution by cross-site stage (resolveStages): per
+//	   stage one resolve call per site, then one eqid delivery per
+//	   (source, destination) edge — instead of one per edge per tuple;
 //	5. Fig. 4 case analyses batched per IDX site, replayed in item order;
 //	6. reference-count releases, buffer clears and fragment removals,
 //	   batched per site.
@@ -37,10 +37,31 @@ type uState struct {
 	update relation.Update
 	tid    int64
 	op     OpKind
-	failed map[string]bool
+	failed ruleSet // rules whose pattern constants the tuple fails
 	alive  []*cfd.CFD
 	sched  *runSchedule
-	pos    int // cursor into sched.order during node resolution
+	pos    int // cursor into sched.walk during node resolution
+}
+
+// ruleSet is a bitset over the system's rules: bit i is constRules[i],
+// bit len(constRules)+i is varRules[i] (System.ruleBit by rule id).
+type ruleSet []uint64
+
+func (s ruleSet) has(bit int) bool { return s[bit>>6]&(1<<(bit&63)) != 0 }
+func (s ruleSet) set(bit int)      { s[bit>>6] |= 1 << (bit & 63) }
+
+// newStates allocates one wave's states in a single slab, each with an
+// empty ruleSet sized to the current rule count.
+func (sys *System) newStates(n int) []*uState {
+	words := (len(sys.rules) + 63) / 64
+	bits := make([]uint64, n*words)
+	slab := make([]uState, n)
+	states := make([]*uState, n)
+	for i := range slab {
+		slab[i].failed = bits[i*words : (i+1)*words : (i+1)*words]
+		states[i] = &slab[i]
+	}
+	return states
 }
 
 // SetUnitMode switches between the batch-grouped driver (the default)
@@ -74,13 +95,13 @@ func (sys *System) applyCoalesced(norm relation.UpdateList) (*cfd.Delta, error) 
 // applyWave runs one wave (distinct tuple ids) through the grouped
 // phases, appending its ∆V emissions to delta in exact replay order.
 func (sys *System) applyWave(wave relation.UpdateList, delta *cfd.Delta) error {
-	states := make([]*uState, len(wave))
+	states := sys.newStates(len(wave))
 	for i, u := range wave {
-		op := OpInsert
+		us := states[i]
+		us.update, us.tid = u, int64(u.Tuple.ID)
 		if u.Kind == relation.Delete {
-			op = OpDelete
+			us.op = OpDelete
 		}
-		states[i] = &uState{update: u, tid: int64(u.Tuple.ID), op: op, failed: make(map[string]bool)}
 	}
 
 	// 1. Insertions reach every fragment first (∆Di delivery), one
@@ -106,40 +127,120 @@ func (sys *System) applyWave(wave relation.UpdateList, delta *cfd.Delta) error {
 	}
 
 	// 2. Pattern constants, every checker site over the whole wave.
-	ids := make([]int64, len(states))
-	for i, us := range states {
-		ids[i] = us.tid
+	if err := sys.evalConstants(states, sys.checkers); err != nil {
+		return err
 	}
-	evalResps := make([]batchEvalResp, len(sys.checkers))
-	err = sys.cluster.Fanout(len(sys.checkers), network.FanoutOpts{}, func(i int) error {
-		c := sys.checkers[i]
-		return sys.send(c, c, "v.batchEval", batchEvalReq{IDs: ids}, &evalResps[i])
+
+	// 3. Constant CFDs.
+	if err := sys.constPhase(states, sys.constRules, 0, delta); err != nil {
+		return err
+	}
+
+	// 4. Variable CFDs: alive sets and memoized schedules per update,
+	// then the scheduled plan nodes, stage by stage.
+	for _, us := range states {
+		var alivePos []int
+		for i, r := range sys.varRules {
+			if !us.failed.has(len(sys.constRules) + i) {
+				us.alive = append(us.alive, r)
+				alivePos = append(alivePos, i)
+			}
+		}
+		if len(us.alive) > 0 {
+			us.sched = sys.scheduleFor(us.alive, alivePos)
+		}
+	}
+	if err := sys.resolveStages(states); err != nil {
+		return err
+	}
+
+	// 5. Fig. 4 at each alive rule's IDX site.
+	if err := sys.idxPhase(states, delta); err != nil {
+		return err
+	}
+
+	// 6. Deletions release reference counts top-down, batched per site.
+	releaseItems := make(map[network.SiteID][]batchReleaseItem)
+	for _, us := range states {
+		if us.op != OpDelete || us.sched == nil {
+			continue
+		}
+		for i := len(us.sched.order) - 1; i >= 0; i-- {
+			n := us.sched.order[i]
+			src := network.SiteID(sys.plan.Node(n).Site)
+			releaseItems[src] = append(releaseItems[src], batchReleaseItem{ID: us.tid, Node: int(n)})
+		}
+	}
+	releaseSites := network.SortedSites(releaseItems)
+	err = sys.cluster.Fanout(len(releaseSites), network.FanoutOpts{}, func(i int) error {
+		s := releaseSites[i]
+		return sys.send(s, s, "v.batchRelease", batchReleaseReq{Items: releaseItems[s]}, nil)
 	})
 	if err != nil {
 		return err
 	}
-	for ci := range sys.checkers {
-		if len(evalResps[ci].Failed) != len(states) {
-			return fmt.Errorf("vertical: v.batchEval: malformed batch response from site %d", sys.checkers[ci])
+
+	if err := sys.endWave(states); err != nil {
+		return err
+	}
+
+	// 7. Deletions leave the fragments last (values were needed above).
+	return sys.cluster.Fanout(len(sys.sites), network.FanoutOpts{}, func(i int) error {
+		var req batchFragReq
+		for _, us := range states {
+			if us.op != OpDelete {
+				continue
+			}
+			req.Items = append(req.Items, applyReq{Op: OpDelete, ID: us.tid})
 		}
-		for ui, failed := range evalResps[ci].Failed {
+		if len(req.Items) == 0 {
+			return nil
+		}
+		return sys.send(sys.sites[i].id, sys.sites[i].id, "v.batchFrag", req, nil)
+	})
+}
+
+// evalConstants checks the wave's pattern constants at every listed
+// checker site and folds the failures into the states.
+func (sys *System) evalConstants(states []*uState, checkers []network.SiteID) error {
+	ids := make([]int64, len(states))
+	for i, us := range states {
+		ids[i] = us.tid
+	}
+	resps := make([]batchEvalResp, len(checkers))
+	err := sys.cluster.Fanout(len(checkers), network.FanoutOpts{}, func(i int) error {
+		c := checkers[i]
+		return sys.send(c, c, "v.batchEval", batchEvalReq{IDs: ids}, &resps[i])
+	})
+	if err != nil {
+		return err
+	}
+	for ci := range checkers {
+		if len(resps[ci].Failed) != len(states) {
+			return fmt.Errorf("vertical: v.batchEval: malformed batch response from site %d", checkers[ci])
+		}
+		for ui, failed := range resps[ci].Failed {
 			for _, rid := range failed {
-				states[ui].failed[rid] = true
+				if bit, ok := sys.ruleBit[rid]; ok {
+					states[ui].failed.set(bit)
+				}
 			}
 		}
 	}
+	return nil
+}
 
-	// 3. Constant CFDs: votes coalesced per (checker, coordinator) pair
-	// across the wave, then the coordinator classifications batched per
-	// site; ∆V replays in (update, rule) order.
+// constPhase runs the wave through the given constant rules (rules[i]
+// is bit bitBase+i of a ruleSet): votes coalesced per (checker,
+// coordinator) pair across the wave, then the coordinator
+// classifications batched per site; ∆V replays in (update, rule) order.
+func (sys *System) constPhase(states []*uState, rules []*cfd.CFD, bitBase int, delta *cfd.Delta) error {
 	votes := make(map[[2]network.SiteID][]batchVoteItem)
 	voteAt := make(map[[2]network.SiteID]int) // index of the pair's item for the current update
 	for _, us := range states {
-		for k := range voteAt {
-			delete(voteAt, k)
-		}
-		for _, r := range sys.constRules {
-			if us.failed[r.ID] {
+		clear(voteAt)
+		for ci, r := range rules {
+			if us.failed.has(bitBase + ci) {
 				continue // non-matching tuples ship nothing
 			}
 			coord := sys.constCoord[r.ID]
@@ -168,7 +269,7 @@ func (sys *System) applyWave(wave relation.UpdateList, delta *cfd.Delta) error {
 		}
 		return pairs[i][1] < pairs[j][1]
 	})
-	err = sys.cluster.Fanout(len(pairs), network.FanoutOpts{}, func(i int) error {
+	err := sys.cluster.Fanout(len(pairs), network.FanoutOpts{}, func(i int) error {
 		k := pairs[i]
 		return sys.send(k[0], k[1], "v.batchVote", batchVoteReq{Items: votes[k]}, nil)
 	})
@@ -183,8 +284,8 @@ func (sys *System) applyWave(wave relation.UpdateList, delta *cfd.Delta) error {
 	}
 	constRefs := make(map[network.SiteID][]constRef)
 	for _, us := range states {
-		for _, r := range sys.constRules {
-			if us.failed[r.ID] {
+		for ci, r := range rules {
+			if us.failed.has(bitBase + ci) {
 				continue
 			}
 			coord := sys.constCoord[r.ID]
@@ -211,123 +312,171 @@ func (sys *System) applyWave(wave relation.UpdateList, delta *cfd.Delta) error {
 			}
 			ref := constRefs[s][k]
 			if ref.us.op == OpInsert {
-				delta.Add(ref.us.update.Tuple.ID, ref.rule)
+				delta.Add(relation.TupleID(ref.us.tid), ref.rule)
 			} else {
-				delta.Remove(ref.us.update.Tuple.ID, ref.rule)
+				delta.Remove(relation.TupleID(ref.us.tid), ref.rule)
 			}
 		}
 	}
+	return nil
+}
 
-	// 4. Variable CFDs: alive sets and memoized schedules per update,
-	// then plan nodes in global topological order. Eqid deliveries
-	// accumulate per (source, destination) edge and flush lazily, right
-	// before a site consumes them.
-	nodeSet := make(map[optimizer.NodeID]bool)
-	var nodeOrder []optimizer.NodeID
+// resolveStages resolves every scheduled plan node of the wave's updates
+// and ships the eqids, one cross-site stage (optimizer.Plan.Stages) at a
+// time. A stage is two fan-out rounds: one v.batchResolve per involved
+// site, carrying that site's nodes of the stage in ascending id, then one
+// v.batchDeliver per (source, destination) edge with eqids to ship, one
+// worker per destination sending in ascending source order — so every
+// site sees a deterministic call stream whatever the worker count. A
+// node's items keep the wave's update order, so each HEV allocates the
+// same eqids as when nodes resolved one call at a time.
+func (sys *System) resolveStages(states []*uState) error {
+	walk := sys.waveNodes(states)
+	stages := sys.plan.Stages()
+	siteOf := func(node optimizer.NodeID) network.SiteID { return network.SiteID(sys.plan.Nodes[node].Site) }
+
+	// One backing array each for the wave's groups, items and per-item
+	// destinations: in walk order a site's groups of one stage are
+	// adjacent, and so are a group's items.
+	total := 0
 	for _, us := range states {
-		var alivePos []int
-		for i, r := range sys.varRules {
-			if !us.failed[r.ID] {
-				us.alive = append(us.alive, r)
-				alivePos = append(alivePos, i)
-			}
-		}
-		if len(us.alive) == 0 {
-			continue
-		}
-		us.sched = sys.scheduleFor(us.alive, alivePos)
-		for _, n := range us.sched.order {
-			if !nodeSet[n] {
-				nodeSet[n] = true
-				nodeOrder = append(nodeOrder, n)
-			}
+		if us.sched != nil {
+			total += len(us.sched.walk)
 		}
 	}
-	sort.Slice(nodeOrder, func(i, j int) bool { return nodeOrder[i] < nodeOrder[j] }) // plan ids are topo-ordered
+	groups := make([]batchResolveGroup, 0, len(walk))
+	items := make([]batchResolveItem, 0, total)
+	dests := make([][]network.SiteID, 0, total) // where items[i]'s eqid ships
 
-	pend := make(map[[2]network.SiteID][]batchDeliverItem)
-	flushTo := func(dest network.SiteID) error {
-		var srcs []network.SiteID
-		for k := range pend {
-			if k[1] == dest && len(pend[k]) > 0 {
-				srcs = append(srcs, k[0])
+	n := len(sys.sites)
+	reqs := make([]batchResolveReq, n)
+	resps := make([]batchResolveResp, n)
+	pend := make([][]batchDeliverItem, n*n) // [dest*n+src]
+	srcs := make([]network.SiteID, 0, n)
+	dsts := make([]network.SiteID, 0, n)
+	for lo := 0; lo < len(walk); {
+		stage, stageItems := stages[walk[lo]], len(items)
+		srcs = srcs[:0]
+		for lo < len(walk) && stages[walk[lo]] == stage {
+			site, siteGroups := siteOf(walk[lo]), len(groups)
+			for ; lo < len(walk) && stages[walk[lo]] == stage && siteOf(walk[lo]) == site; lo++ {
+				node, from := walk[lo], len(items)
+				for _, us := range states {
+					if us.sched == nil || us.pos == len(us.sched.walk) {
+						continue
+					}
+					at := us.sched.walk[us.pos]
+					if us.sched.order[at] != node {
+						continue
+					}
+					items = append(items, batchResolveItem{ID: us.tid, Acquire: us.op == OpInsert})
+					dests = append(dests, us.sched.dests[at])
+					us.pos++
+				}
+				groups = append(groups, batchResolveGroup{Node: int(node), Items: items[from:]})
 			}
+			srcs = append(srcs, site)
+			reqs[site].Groups = groups[siteGroups:]
 		}
-		sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
+
+		err := sys.cluster.Fanout(len(srcs), network.FanoutOpts{}, func(i int) error {
+			s := srcs[i]
+			return sys.send(s, s, "v.batchResolve", reqs[s], &resps[s])
+		})
+		if err != nil {
+			return err
+		}
+
+		// The stage's items lie in items[stageItems:] site by site, group
+		// by group — the order each site's reply lists its eqids in.
+		shipped, k := 0, stageItems
 		for _, src := range srcs {
-			k := [2]network.SiteID{src, dest}
-			if err := sys.send(src, dest, "v.batchDeliver", batchDeliverReq{Items: pend[k]}, nil); err != nil {
-				return err
+			eqs := resps[src].Eqs
+			for _, g := range reqs[src].Groups {
+				if len(g.Items) > len(eqs) {
+					return fmt.Errorf("vertical: v.batchResolve: malformed batch response from site %d", src)
+				}
+				for j, item := range g.Items {
+					for _, dest := range dests[k] {
+						at := int(dest)*n + int(src)
+						pend[at] = append(pend[at], batchDeliverItem{ID: item.ID, Node: g.Node, Eq: eqs[j]})
+						shipped++
+					}
+					k++
+				}
+				eqs = eqs[len(g.Items):]
 			}
-			if !sys.direct {
-				sys.cluster.AddEqids(len(pend[k]))
+			if len(eqs) != 0 {
+				return fmt.Errorf("vertical: v.batchResolve: malformed batch response from site %d", src)
 			}
-			delete(pend, k)
 		}
-		return nil
-	}
-
-	resolveItems := make([]batchResolveItem, 0, len(states))
-	consumers := make([]*uState, 0, len(states))
-	for _, n := range nodeOrder {
-		src := network.SiteID(sys.plan.Node(n).Site)
-		if err := flushTo(src); err != nil {
-			return err
-		}
-		resolveItems = resolveItems[:0]
-		consumers = consumers[:0]
-		for _, us := range states {
-			if us.sched == nil || us.pos >= len(us.sched.order) || us.sched.order[us.pos] != n {
-				continue
-			}
-			resolveItems = append(resolveItems, batchResolveItem{ID: us.tid, Acquire: us.op == OpInsert})
-			consumers = append(consumers, us)
-		}
-		if len(resolveItems) == 0 {
+		if shipped == 0 {
 			continue
 		}
-		var resp batchResolveResp
-		if err := sys.send(src, src, "v.batchResolve", batchResolveReq{Node: int(n), Items: resolveItems}, &resp); err != nil {
-			return err
-		}
-		if len(resp.Eqs) != len(resolveItems) {
-			return fmt.Errorf("vertical: v.batchResolve: malformed batch response from site %d", src)
-		}
-		for k, us := range consumers {
-			for _, dest := range us.sched.dests[us.pos] {
-				key := [2]network.SiteID{src, dest}
-				pend[key] = append(pend[key], batchDeliverItem{ID: us.tid, Node: int(n), Eq: resp.Eqs[k]})
+		dsts = dsts[:0]
+		for dest := 0; dest < n; dest++ {
+			for src := 0; src < n; src++ {
+				if len(pend[dest*n+src]) > 0 {
+					dsts = append(dsts, network.SiteID(dest))
+					break
+				}
 			}
-			us.pos++
 		}
-	}
-	// Remaining deliveries feed the IDX sites: flush everything.
-	var restPairs [][2]network.SiteID
-	for k := range pend {
-		if len(pend[k]) > 0 {
-			restPairs = append(restPairs, k)
-		}
-	}
-	sort.Slice(restPairs, func(i, j int) bool {
-		if restPairs[i][1] != restPairs[j][1] {
-			return restPairs[i][1] < restPairs[j][1]
-		}
-		return restPairs[i][0] < restPairs[j][0]
-	})
-	for _, k := range restPairs {
-		if err := sys.send(k[0], k[1], "v.batchDeliver", batchDeliverReq{Items: pend[k]}, nil); err != nil {
+		err = sys.cluster.Fanout(len(dsts), network.FanoutOpts{}, func(i int) error {
+			dest := dsts[i]
+			for src := 0; src < n; src++ {
+				items := pend[int(dest)*n+src]
+				if len(items) == 0 {
+					continue
+				}
+				if err := sys.send(network.SiteID(src), dest, "v.batchDeliver", batchDeliverReq{Items: items}, nil); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
 			return err
 		}
 		if !sys.direct {
-			sys.cluster.AddEqids(len(pend[k]))
+			sys.cluster.AddEqids(shipped)
 		}
-		delete(pend, k)
+		clear(pend)
 	}
+	return nil
+}
 
-	// 5. Fig. 4 at each alive rule's IDX site, batched per site; ∆V
-	// replays in each site's item order (conflicting flips of one
-	// (tuple, rule) mark only ever meet inside one IDX site's list, where
-	// the order is the mutation order).
+// waveNodes returns the union of the states' scheduled nodes in walk
+// order (System.walksBefore).
+func (sys *System) waveNodes(states []*uState) []optimizer.NodeID {
+	seen := make([]bool, len(sys.plan.Nodes))
+	var walk []optimizer.NodeID
+	var last *runSchedule
+	merged := false
+	for _, us := range states {
+		if us.sched == nil || us.sched == last {
+			continue
+		}
+		merged = merged || last != nil
+		last = us.sched
+		for _, at := range last.walk {
+			if node := last.order[at]; !seen[node] {
+				seen[node] = true
+				walk = append(walk, node)
+			}
+		}
+	}
+	if merged { // one schedule's walk is in order already
+		sort.Slice(walk, func(i, j int) bool { return sys.walksBefore(walk[i], walk[j]) })
+	}
+	return walk
+}
+
+// idxPhase runs Fig. 4 at each alive rule's IDX site, batched per site;
+// ∆V replays in each site's item order (conflicting flips of one (tuple,
+// rule) mark only ever meet inside one IDX site's list, where the order
+// is the mutation order).
+func (sys *System) idxPhase(states []*uState, delta *cfd.Delta) error {
 	ruleItems := make(map[network.SiteID][]batchRuleItem)
 	type ruleRef struct {
 		us   *uState
@@ -343,7 +492,7 @@ func (sys *System) applyWave(wave relation.UpdateList, delta *cfd.Delta) error {
 	}
 	ruleSites := network.SortedSites(ruleItems)
 	ruleResps := make([]batchRuleResp, len(ruleSites))
-	err = sys.cluster.Fanout(len(ruleSites), network.FanoutOpts{}, func(i int) error {
+	err := sys.cluster.Fanout(len(ruleSites), network.FanoutOpts{}, func(i int) error {
 		s := ruleSites[i]
 		return sys.send(s, s, "v.batchRule", batchRuleReq{Items: ruleItems[s]}, &ruleResps[i])
 	})
@@ -364,29 +513,11 @@ func (sys *System) applyWave(wave relation.UpdateList, delta *cfd.Delta) error {
 			}
 		}
 	}
+	return nil
+}
 
-	// 6. Deletions release reference counts top-down, batched per site.
-	releaseItems := make(map[network.SiteID][]batchReleaseItem)
-	for _, us := range states {
-		if us.op != OpDelete || us.sched == nil {
-			continue
-		}
-		for i := len(us.sched.order) - 1; i >= 0; i-- {
-			n := us.sched.order[i]
-			src := network.SiteID(sys.plan.Node(n).Site)
-			releaseItems[src] = append(releaseItems[src], batchReleaseItem{ID: us.tid, Node: int(n)})
-		}
-	}
-	releaseSites := network.SortedSites(releaseItems)
-	err = sys.cluster.Fanout(len(releaseSites), network.FanoutOpts{}, func(i int) error {
-		s := releaseSites[i]
-		return sys.send(s, s, "v.batchRelease", batchReleaseReq{Items: releaseItems[s]}, nil)
-	})
-	if err != nil {
-		return err
-	}
-
-	// Clear the wave's eqid buffers, one call per involved site.
+// endWave clears the wave's eqid buffers, one call per involved site.
+func (sys *System) endWave(states []*uState) error {
 	endIDs := make(map[network.SiteID][]int64)
 	for _, us := range states {
 		if us.sched == nil {
@@ -397,26 +528,8 @@ func (sys *System) applyWave(wave relation.UpdateList, delta *cfd.Delta) error {
 		}
 	}
 	endSites := network.SortedSites(endIDs)
-	err = sys.cluster.Fanout(len(endSites), network.FanoutOpts{}, func(i int) error {
+	return sys.cluster.Fanout(len(endSites), network.FanoutOpts{}, func(i int) error {
 		s := endSites[i]
 		return sys.send(s, s, "v.batchEnd", batchEndReq{IDs: endIDs[s]}, nil)
-	})
-	if err != nil {
-		return err
-	}
-
-	// 7. Deletions leave the fragments last (values were needed above).
-	return sys.cluster.Fanout(len(sys.sites), network.FanoutOpts{}, func(i int) error {
-		var req batchFragReq
-		for _, us := range states {
-			if us.op != OpDelete {
-				continue
-			}
-			req.Items = append(req.Items, applyReq{Op: OpDelete, ID: us.tid})
-		}
-		if len(req.Items) == 0 {
-			return nil
-		}
-		return sys.send(sys.sites[i].id, sys.sites[i].id, "v.batchFrag", req, nil)
 	})
 }

@@ -37,7 +37,7 @@ func wireMessages() []any {
 		batchFragReq{Items: []applyReq{{}}}, batchEvalReq{IDs: []int64{0}}, batchEvalResp{Failed: [][]string{{""}}},
 		batchVoteReq{Items: []batchVoteItem{{Rules: []string{""}}}},
 		batchConstReq{Items: []batchConstItem{{}}}, batchConstResp{Violations: []bool{false}},
-		batchResolveReq{Items: []batchResolveItem{{}}}, batchResolveResp{Eqs: []int64{0}},
+		batchResolveReq{Groups: []batchResolveGroup{{Items: []batchResolveItem{{}}}}}, batchResolveResp{Eqs: []int64{0}},
 		batchDeliverReq{Items: []batchDeliverItem{{}}},
 		batchRuleReq{Items: []batchRuleItem{{}}}, batchRuleResp{Items: []applyRuleResp{{}}},
 		batchReleaseReq{Items: []batchReleaseItem{{}}}, batchEndReq{IDs: []int64{0}},
@@ -157,8 +157,8 @@ type applyConstResp struct {
 // messages per plan edge per batch. The batch-grouped driver runs the
 // same phases once per wave (a maximal run of updates with distinct
 // tuple ids), coalescing everything bound for one site into a single
-// message: eqid deliveries merge per (source, destination) edge, votes
-// merge per (checker, coordinator) pair, and the same-site phases
+// message: eqid deliveries merge per (source, destination) edge and plan
+// stage, votes merge per (checker, coordinator) pair, and the same-site phases
 // (fragment delivery, constant checks, Fig. 4 case analyses, releases,
 // buffer clears) batch into one dispatch per site.
 
@@ -216,11 +216,18 @@ type batchResolveItem struct {
 	Acquire bool
 }
 
-// batchResolveReq resolves one node for every listed tuple at the node's
-// site; Eqs is aligned with Items.
-type batchResolveReq struct {
+// batchResolveGroup resolves one plan node for every listed tuple.
+type batchResolveGroup struct {
 	Node  int
 	Items []batchResolveItem
+}
+
+// batchResolveReq carries every node of one cross-site stage (see
+// optimizer.Plan.Stages) hosted at the receiving site, in ascending node
+// id — so a same-site input is resolved, and buffered, before the node
+// consuming it. Eqs answers flat, group by group, item by item.
+type batchResolveReq struct {
+	Groups []batchResolveGroup
 }
 
 type batchResolveResp struct {
@@ -236,7 +243,8 @@ type batchDeliverItem struct {
 }
 
 // batchDeliverReq is the coalesced eqid shipment — the metered message of
-// §4, now one per edge per wave instead of one per edge per tuple.
+// §4, now one per (source, destination) edge per stage of a wave instead
+// of one per edge per tuple.
 type batchDeliverReq struct {
 	Items []batchDeliverItem
 }

@@ -44,26 +44,51 @@ func TestWireCodecMatchesGob(t *testing.T) {
 		batchFragReq{Items: []applyReq{{Op: OpDelete, ID: -5, Values: []string{}}}},
 		batchDeliverReq{Items: []batchDeliverItem{{ID: 1<<63 - 1, Node: -3, Eq: -1 << 63}}},
 		batchRuleResp{Items: []applyRuleResp{{}, {Added: []int64{}, Removed: []int64{9}}}},
+		// The stage-grouped resolve: zero groups, a group without items
+		// (decodes to nil, like any empty slice), groups of uneven length.
+		batchResolveReq{},
+		batchResolveReq{Groups: []batchResolveGroup{{Node: 7, Items: []batchResolveItem{}}}},
+		batchResolveReq{Groups: []batchResolveGroup{
+			{Node: 0, Items: []batchResolveItem{{ID: 1, Acquire: true}, {ID: -2}}},
+			{Node: 1<<31 - 1, Items: []batchResolveItem{{ID: 1<<63 - 1, Acquire: true}}},
+		}},
+		batchResolveResp{Eqs: []int64{1, -1 << 63, 1<<63 - 1}},
 	)
 	for _, v := range cases {
 		wiretest.GobParity(t, v)
 	}
 }
 
-// FuzzPayload drives arbitrary bytes through the call-path decoder as a
-// batchDeliverReq, the coalesced eqid shipment.
+// FuzzPayload drives arbitrary bytes through the call-path decoder as the
+// package's two structurally richest requests: a batchDeliverReq, the
+// coalesced eqid shipment, and a batchResolveReq, whose groups nest a
+// second counted list inside the first.
 func FuzzPayload(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x0F}) // a count far beyond the input
-	for _, v := range []batchDeliverReq{
-		{},
-		{Items: []batchDeliverItem{{ID: 1, Node: 2, Eq: 3}, {ID: -1, Node: 0, Eq: 1 << 40}}},
+	for _, v := range []any{
+		batchDeliverReq{},
+		batchDeliverReq{Items: []batchDeliverItem{{ID: 1, Node: 2, Eq: 3}, {ID: -1, Node: 0, Eq: 1 << 40}}},
+		batchResolveReq{}, // zero groups
+		batchResolveReq{Groups: []batchResolveGroup{
+			{Node: 3, Items: []batchResolveItem{{ID: 1, Acquire: true}, {ID: 2}}},
+			{Node: 9, Items: []batchResolveItem{{ID: 1, Acquire: true}}},
+		}},
 	} {
 		seed, err := network.Marshal(v)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(seed)
+		if len(seed) > 2 {
+			f.Add(seed[:len(seed)-2]) // cut inside the last group's items
+			grown := append([]byte(nil), seed...)
+			grown[0]++ // one more group (or item) declared than the bytes hold
+			f.Add(grown)
+		}
 	}
-	f.Fuzz(wiretest.FuzzDecode[batchDeliverReq])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		wiretest.FuzzDecode[batchDeliverReq](t, data)
+		wiretest.FuzzDecode[batchResolveReq](t, data)
+	})
 }

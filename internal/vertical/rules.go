@@ -301,16 +301,7 @@ func (sys *System) AddRules(rules []cfd.CFD) (*cfd.Delta, error) {
 			}
 		}
 	}
-	sys.varIdxSite = make([]network.SiteID, len(sys.varRules))
-	for i, r := range sys.varRules {
-		sys.varIdxSite[i] = network.SiteID(sys.plan.Bindings[r.ID].IDXSite)
-	}
-	sys.checkers = nil
-	for _, st := range sys.sites {
-		if len(st.checks) > 0 {
-			sys.checkers = append(sys.checkers, st.id)
-		}
-	}
+	sys.indexRules()
 	sys.fullSched = nil
 
 	// Seed wave: replay the resident ids through the new rules only.
@@ -331,18 +322,18 @@ func (sys *System) AddRules(rules []cfd.CFD) (*cfd.Delta, error) {
 }
 
 // seedWave runs the batch-grouped phases of one insertion wave restricted
-// to the given (new) rules, without touching the fragments: constant
-// checks, constant-rule votes and classifications, eqid resolution and
-// coalesced shipment for the new plan nodes, Fig. 4 at the new IDX sites,
-// and buffer clears. Mirrors applyWave's phases 2–5 plus cleanup.
+// to the given (new) rules — the tails of sys.constRules and sys.varRules
+// — without touching the fragments: applyWave's phases 2–5 plus the
+// buffer clears.
 func (sys *System) seedWave(ids []int64, newConst, newVar []*cfd.CFD, delta *cfd.Delta) error {
-	// Phase 1: pattern constants. Only sites holding a new rule's
-	// constant-pattern attribute can fail one, so the fan-out skips
-	// checker sites that serve old rules exclusively.
-	failed := make([]map[string]bool, len(ids))
-	for i := range failed {
-		failed[i] = make(map[string]bool)
+	states := sys.newStates(len(ids))
+	for i, tid := range ids {
+		states[i].tid = tid // op is OpInsert
 	}
+
+	// Pattern constants. Only sites holding a new rule's constant-pattern
+	// attribute can fail one, so the fan-out skips checker sites that
+	// serve old rules exclusively.
 	checkSites := make(map[network.SiteID]bool)
 	for _, list := range [][]*cfd.CFD{newConst, newVar} {
 		for _, r := range list {
@@ -360,287 +351,47 @@ func (sys *System) seedWave(ids []int64, newConst, newVar []*cfd.CFD, delta *cfd
 			checkers = append(checkers, c)
 		}
 	}
-	evalResps := make([]batchEvalResp, len(checkers))
-	err := sys.cluster.Fanout(len(checkers), network.FanoutOpts{}, func(i int) error {
-		c := checkers[i]
-		return sys.send(c, c, "v.batchEval", batchEvalReq{IDs: ids}, &evalResps[i])
-	})
-	if err != nil {
+	if err := sys.evalConstants(states, checkers); err != nil {
 		return err
 	}
-	newRule := make(map[string]bool, len(newConst)+len(newVar))
-	for _, r := range newConst {
-		newRule[r.ID] = true
-	}
-	for _, r := range newVar {
-		newRule[r.ID] = true
-	}
-	for ci := range checkers {
-		if len(evalResps[ci].Failed) != len(ids) {
-			return fmt.Errorf("vertical: v.batchEval: malformed batch response from site %d", checkers[ci])
-		}
-		for ui, fl := range evalResps[ci].Failed {
-			for _, rid := range fl {
-				if newRule[rid] {
-					failed[ui][rid] = true
-				}
-			}
-		}
-	}
-
-	// Phase 2: new constant rules — votes per (checker, coordinator)
-	// pair, then coordinator classifications, exactly as in applyWave.
-	votes := make(map[[2]network.SiteID][]batchVoteItem)
-	voteAt := make(map[[2]network.SiteID]int)
-	for ui, tid := range ids {
-		for k := range voteAt {
-			delete(voteAt, k)
-		}
-		for _, r := range newConst {
-			if failed[ui][r.ID] {
-				continue
-			}
-			coord := sys.constCoord[r.ID]
-			for _, s := range sys.constSites[r.ID] {
-				if s == coord {
-					continue
-				}
-				key := [2]network.SiteID{s, coord}
-				at, ok := voteAt[key]
-				if !ok {
-					votes[key] = append(votes[key], batchVoteItem{ID: tid})
-					at = len(votes[key]) - 1
-					voteAt[key] = at
-				}
-				votes[key][at].Rules = append(votes[key][at].Rules, r.ID)
-			}
-		}
-	}
-	pairs := make([][2]network.SiteID, 0, len(votes))
-	for k := range votes {
-		pairs = append(pairs, k)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i][0] != pairs[j][0] {
-			return pairs[i][0] < pairs[j][0]
-		}
-		return pairs[i][1] < pairs[j][1]
-	})
-	err = sys.cluster.Fanout(len(pairs), network.FanoutOpts{}, func(i int) error {
-		k := pairs[i]
-		return sys.send(k[0], k[1], "v.batchVote", batchVoteReq{Items: votes[k]}, nil)
-	})
-	if err != nil {
+	if err := sys.constPhase(states, newConst, len(sys.constRules)-len(newConst), delta); err != nil {
 		return err
 	}
-
-	constItems := make(map[network.SiteID][]batchConstItem)
-	type constRef struct {
-		id   int64
-		rule string
-	}
-	constRefs := make(map[network.SiteID][]constRef)
-	for ui, tid := range ids {
-		for _, r := range newConst {
-			if failed[ui][r.ID] {
-				continue
-			}
-			coord := sys.constCoord[r.ID]
-			constItems[coord] = append(constItems[coord], batchConstItem{Rule: r.ID, ID: tid, Op: OpInsert})
-			constRefs[coord] = append(constRefs[coord], constRef{tid, r.ID})
-		}
-	}
-	constSites := network.SortedSites(constItems)
-	constResps := make([]batchConstResp, len(constSites))
-	err = sys.cluster.Fanout(len(constSites), network.FanoutOpts{}, func(i int) error {
-		s := constSites[i]
-		return sys.send(s, s, "v.batchConst", batchConstReq{Items: constItems[s]}, &constResps[i])
-	})
-	if err != nil {
-		return err
-	}
-	for si, s := range constSites {
-		if len(constResps[si].Violations) != len(constItems[s]) {
-			return fmt.Errorf("vertical: v.batchConst: malformed batch response from site %d", s)
-		}
-		for k, violation := range constResps[si].Violations {
-			if violation {
-				ref := constRefs[s][k]
-				delta.Add(relation.TupleID(ref.id), ref.rule)
-			}
-		}
-	}
-
 	if len(newVar) == 0 {
 		return nil
 	}
 
-	// Phase 3: per-tuple alive sets over the new variable rules, with
-	// schedules restricted to the new rules' (grafted) nodes, memoized by
-	// alive positions within newVar.
-	type seedState struct {
-		tid   int64
-		alive []*cfd.CFD
-		sched *runSchedule
-		pos   int
-	}
+	// Per-tuple alive sets over the new variable rules, with schedules
+	// restricted to the new rules' (grafted) nodes, memoized by alive
+	// positions within newVar.
+	varBit := len(sys.constRules) + len(sys.varRules) - len(newVar)
 	schedMemo := make(map[string]*runSchedule)
 	var keyBuf []byte
-	states := make([]*seedState, 0, len(ids))
-	nodeSet := make(map[optimizer.NodeID]bool)
-	var nodeOrder []optimizer.NodeID
-	for ui, tid := range ids {
-		st := &seedState{tid: tid}
+	for _, us := range states {
 		keyBuf = keyBuf[:0]
 		for vi, r := range newVar {
-			if !failed[ui][r.ID] {
-				st.alive = append(st.alive, r)
+			if !us.failed.has(varBit + vi) {
+				us.alive = append(us.alive, r)
 				keyBuf = binary.AppendUvarint(keyBuf, uint64(vi))
 			}
 		}
-		if len(st.alive) == 0 {
+		if len(us.alive) == 0 {
 			continue
 		}
 		sched, ok := schedMemo[string(keyBuf)]
 		if !ok {
-			sched = sys.buildSchedule(st.alive)
+			sched = sys.buildSchedule(us.alive)
 			schedMemo[string(keyBuf)] = sched
 		}
-		st.sched = sched
-		for _, n := range sched.order {
-			if !nodeSet[n] {
-				nodeSet[n] = true
-				nodeOrder = append(nodeOrder, n)
-			}
-		}
-		states = append(states, st)
+		us.sched = sched
 	}
-	sort.Slice(nodeOrder, func(i, j int) bool { return nodeOrder[i] < nodeOrder[j] })
-
-	pend := make(map[[2]network.SiteID][]batchDeliverItem)
-	flushTo := func(dest network.SiteID) error {
-		var srcs []network.SiteID
-		for k := range pend {
-			if k[1] == dest && len(pend[k]) > 0 {
-				srcs = append(srcs, k[0])
-			}
-		}
-		sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
-		for _, src := range srcs {
-			k := [2]network.SiteID{src, dest}
-			if err := sys.send(src, dest, "v.batchDeliver", batchDeliverReq{Items: pend[k]}, nil); err != nil {
-				return err
-			}
-			if !sys.direct {
-				sys.cluster.AddEqids(len(pend[k]))
-			}
-			delete(pend, k)
-		}
-		return nil
-	}
-
-	resolveItems := make([]batchResolveItem, 0, len(states))
-	consumers := make([]*seedState, 0, len(states))
-	for _, n := range nodeOrder {
-		src := network.SiteID(sys.plan.Node(n).Site)
-		if err := flushTo(src); err != nil {
-			return err
-		}
-		resolveItems = resolveItems[:0]
-		consumers = consumers[:0]
-		for _, st := range states {
-			if st.pos >= len(st.sched.order) || st.sched.order[st.pos] != n {
-				continue
-			}
-			resolveItems = append(resolveItems, batchResolveItem{ID: st.tid, Acquire: true})
-			consumers = append(consumers, st)
-		}
-		if len(resolveItems) == 0 {
-			continue
-		}
-		var resp batchResolveResp
-		if err := sys.send(src, src, "v.batchResolve", batchResolveReq{Node: int(n), Items: resolveItems}, &resp); err != nil {
-			return err
-		}
-		if len(resp.Eqs) != len(resolveItems) {
-			return fmt.Errorf("vertical: v.batchResolve: malformed batch response from site %d", src)
-		}
-		for k, st := range consumers {
-			for _, dest := range st.sched.dests[st.pos] {
-				key := [2]network.SiteID{src, dest}
-				pend[key] = append(pend[key], batchDeliverItem{ID: st.tid, Node: int(n), Eq: resp.Eqs[k]})
-			}
-			st.pos++
-		}
-	}
-	var restPairs [][2]network.SiteID
-	for k := range pend {
-		if len(pend[k]) > 0 {
-			restPairs = append(restPairs, k)
-		}
-	}
-	sort.Slice(restPairs, func(i, j int) bool {
-		if restPairs[i][1] != restPairs[j][1] {
-			return restPairs[i][1] < restPairs[j][1]
-		}
-		return restPairs[i][0] < restPairs[j][0]
-	})
-	for _, k := range restPairs {
-		if err := sys.send(k[0], k[1], "v.batchDeliver", batchDeliverReq{Items: pend[k]}, nil); err != nil {
-			return err
-		}
-		if !sys.direct {
-			sys.cluster.AddEqids(len(pend[k]))
-		}
-		delete(pend, k)
-	}
-
-	// Phase 4: Fig. 4 at the new rules' IDX sites.
-	ruleItems := make(map[network.SiteID][]batchRuleItem)
-	ruleRefs := make(map[network.SiteID][]string)
-	for _, st := range states {
-		for _, r := range st.alive {
-			idxSite := network.SiteID(sys.plan.Bindings[r.ID].IDXSite)
-			ruleItems[idxSite] = append(ruleItems[idxSite], batchRuleItem{Rule: r.ID, ID: st.tid, Op: OpInsert})
-			ruleRefs[idxSite] = append(ruleRefs[idxSite], r.ID)
-		}
-	}
-	ruleSites := network.SortedSites(ruleItems)
-	ruleResps := make([]batchRuleResp, len(ruleSites))
-	err = sys.cluster.Fanout(len(ruleSites), network.FanoutOpts{}, func(i int) error {
-		s := ruleSites[i]
-		return sys.send(s, s, "v.batchRule", batchRuleReq{Items: ruleItems[s]}, &ruleResps[i])
-	})
-	if err != nil {
+	if err := sys.resolveStages(states); err != nil {
 		return err
 	}
-	for si, s := range ruleSites {
-		if len(ruleResps[si].Items) != len(ruleItems[s]) {
-			return fmt.Errorf("vertical: v.batchRule: malformed batch response from site %d", s)
-		}
-		for k, ir := range ruleResps[si].Items {
-			rule := ruleRefs[s][k]
-			for _, id := range ir.Added {
-				delta.Add(relation.TupleID(id), rule)
-			}
-			for _, id := range ir.Removed {
-				delta.Remove(relation.TupleID(id), rule)
-			}
-		}
+	if err := sys.idxPhase(states, delta); err != nil {
+		return err
 	}
-
-	// Cleanup: clear the wave's eqid buffers at every involved site.
-	endIDs := make(map[network.SiteID][]int64)
-	for _, st := range states {
-		for _, s := range st.sched.involved {
-			endIDs[s] = append(endIDs[s], st.tid)
-		}
-	}
-	endSites := network.SortedSites(endIDs)
-	return sys.cluster.Fanout(len(endSites), network.FanoutOpts{}, func(i int) error {
-		s := endSites[i]
-		return sys.send(s, s, "v.batchEnd", batchEndReq{IDs: endIDs[s]}, nil)
-	})
+	return sys.endWave(states)
 }
 
 // RemoveRules retires rules by id: their marks leave Violations() via
@@ -709,16 +460,7 @@ func (sys *System) RemoveRules(ids []string) (*cfd.Delta, error) {
 			sys.varRules = append(sys.varRules, r)
 		}
 	}
-	sys.varIdxSite = make([]network.SiteID, len(sys.varRules))
-	for i, r := range sys.varRules {
-		sys.varIdxSite[i] = network.SiteID(sys.plan.Bindings[r.ID].IDXSite)
-	}
-	sys.checkers = nil
-	for _, st := range sys.sites {
-		if len(st.checks) > 0 {
-			sys.checkers = append(sys.checkers, st.id)
-		}
-	}
+	sys.indexRules()
 	// Variable-rule positions shifted: every memoized schedule is stale.
 	sys.schedCache = make(map[string]*runSchedule)
 	sys.fullSched = nil

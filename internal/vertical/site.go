@@ -381,15 +381,22 @@ func (s *site) batchConst(req batchConstReq) (batchConstResp, error) {
 	return resp, nil
 }
 
-// batchResolve resolves one plan node for every listed tuple.
+// batchResolve resolves one stage's nodes hosted here, group by group in
+// request order, returning the eqids flat in the same order.
 func (s *site) batchResolve(req batchResolveReq) (batchResolveResp, error) {
-	resp := batchResolveResp{Eqs: make([]int64, len(req.Items))}
-	for i, item := range req.Items {
-		r, err := s.resolve(resolveReq{ID: item.ID, Node: req.Node, Acquire: item.Acquire})
-		if err != nil {
-			return batchResolveResp{}, err
+	n := 0
+	for _, g := range req.Groups {
+		n += len(g.Items)
+	}
+	resp := batchResolveResp{Eqs: make([]int64, 0, n)}
+	for _, g := range req.Groups {
+		for _, item := range g.Items {
+			r, err := s.resolve(resolveReq{ID: item.ID, Node: g.Node, Acquire: item.Acquire})
+			if err != nil {
+				return batchResolveResp{}, err
+			}
+			resp.Eqs = append(resp.Eqs, r.Eq)
 		}
-		resp.Eqs[i] = r.Eq
 	}
 	return resp, nil
 }

@@ -55,6 +55,23 @@ type runSchedule struct {
 	dests [][]network.SiteID
 	// involved are the sites holding eqid buffers for the update, sorted.
 	involved []network.SiteID
+	// walk lists the positions of order in the stage runner's walk order
+	// (System.walksBefore); see resolveStages.
+	walk []int32
+}
+
+// walksBefore orders plan nodes for the stage walk: by cross-site stage,
+// then site, then id. The order is total over the plan, so every
+// schedule's walk is a subsequence of any wave's union.
+func (sys *System) walksBefore(a, b optimizer.NodeID) bool {
+	stages := sys.plan.Stages()
+	if stages[a] != stages[b] {
+		return stages[a] < stages[b]
+	}
+	if sa, sb := sys.plan.Nodes[a].Site, sys.plan.Nodes[b].Site; sa != sb {
+		return sa < sb
+	}
+	return a < b
 }
 
 // System is a vertically partitioned database with incremental CFD
@@ -98,11 +115,13 @@ type System struct {
 
 	// Per-update scratch, reused across applyUnit calls (the driver
 	// processes unit updates one at a time; every reply slot is
-	// overwritten in full by the call that fills it). varIdxSite and checkers are
-	// static lookups hoisted out of the per-update path; schedCache
-	// memoizes runSchedules keyed by the alive rule set.
+	// overwritten in full by the call that fills it). varIdxSite, checkers
+	// and ruleBit are static lookups hoisted out of the per-update path
+	// (see indexRules); schedCache memoizes runSchedules keyed by the
+	// alive rule set.
 	varIdxSite []network.SiteID
 	checkers   []network.SiteID
+	ruleBit    map[string]int // rule id → bit in a ruleSet
 	schedCache map[string]*runSchedule
 	fullSched  *runSchedule
 	keyScratch []byte
@@ -193,17 +212,7 @@ func NewSystem(rel *relation.Relation, scheme *partition.VerticalScheme, rules [
 		})
 	}
 
-	// Static per-update lookups: each variable rule's IDX site, and the
-	// sites owning pattern-constant checks.
-	sys.varIdxSite = make([]network.SiteID, len(sys.varRules))
-	for i, r := range sys.varRules {
-		sys.varIdxSite[i] = network.SiteID(sys.plan.Bindings[r.ID].IDXSite)
-	}
-	for _, st := range sys.sites {
-		if len(st.checks) > 0 {
-			sys.checkers = append(sys.checkers, st.id)
-		}
-	}
+	sys.indexRules()
 	sys.schedCache = make(map[string]*runSchedule)
 	sys.failedAt = make(map[string]network.SiteID)
 
@@ -233,6 +242,29 @@ func NewSystem(rel *relation.Relation, scheme *partition.VerticalScheme, rules [
 	}
 	sys.cluster.ResetStats()
 	return sys, nil
+}
+
+// indexRules rebuilds the static per-update lookups over the current
+// rule lists, plan and sites: each variable rule's IDX site, the sites
+// owning pattern-constant checks, and every rule's bit in a ruleSet.
+func (sys *System) indexRules() {
+	sys.varIdxSite = make([]network.SiteID, len(sys.varRules))
+	for i, r := range sys.varRules {
+		sys.varIdxSite[i] = network.SiteID(sys.plan.Bindings[r.ID].IDXSite)
+	}
+	sys.checkers = nil
+	for _, st := range sys.sites {
+		if len(st.checks) > 0 {
+			sys.checkers = append(sys.checkers, st.id)
+		}
+	}
+	sys.ruleBit = make(map[string]int, len(sys.rules))
+	for i, r := range sys.constRules {
+		sys.ruleBit[r.ID] = i
+	}
+	for i, r := range sys.varRules {
+		sys.ruleBit[r.ID] = len(sys.constRules) + i
+	}
 }
 
 // AdoptViolations replaces the maintained violation set — the resume
@@ -565,6 +597,12 @@ func (sys *System) buildSchedule(alive []*cfd.CFD) *runSchedule {
 		sched.involved = append(sched.involved, s)
 	}
 	slices.Sort(sched.involved)
+
+	sched.walk = make([]int32, len(order))
+	for i := range sched.walk {
+		sched.walk[i] = int32(i)
+	}
+	sort.Slice(sched.walk, func(i, j int) bool { return sys.walksBefore(order[sched.walk[i]], order[sched.walk[j]]) })
 	return sched
 }
 

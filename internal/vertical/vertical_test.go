@@ -3,10 +3,12 @@ package vertical
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/centralized"
 	"repro/internal/cfd"
+	"repro/internal/optimizer"
 	"repro/internal/partition"
 	"repro/internal/relation"
 )
@@ -282,5 +284,70 @@ func TestRandomizedAgainstOracle(t *testing.T) {
 func TestRandomizedAgainstOracleWithOptimizer(t *testing.T) {
 	for seed := int64(101); seed <= 120; seed++ {
 		runRandomCase(t, seed, true)
+	}
+}
+
+// TestBatchResolveSameSiteChain: one v.batchResolve carrying a same-site
+// chain — the base nodes A and B, then AB composed from them, all at
+// site 0 — returns exactly the eqids that resolving the three nodes in
+// three calls returns, flat in group order; tuples equal on (A, B) share
+// AB's eqid and others do not.
+func TestBatchResolveSameSiteChain(t *testing.T) {
+	schema := relation.MustSchema("R", "A", "B", "C")
+	scheme, err := partition.NewVerticalScheme(schema, 2, map[string][]int{"A": {0}, "B": {0}, "C": {1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rules, err := cfd.ParseAll(`r: ([A, B] -> [C], (_, _, _))`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := [][]string{{"x", "p", "1"}, {"x", "q", "2"}, {"x", "p", "3"}, {"y", "p", "4"}}
+	build := func() (*site, []batchResolveGroup) {
+		sys, err := NewSystem(relation.New(schema), scheme, rules, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := sys.sites[0]
+		var items []batchResolveItem
+		for i, row := range rows {
+			id := int64(i + 1)
+			if _, err := s.apply(applyReq{Op: OpInsert, ID: id, Values: row[:2]}); err != nil {
+				t.Fatal(err)
+			}
+			items = append(items, batchResolveItem{ID: id, Acquire: true})
+		}
+		var groups []batchResolveGroup
+		for _, n := range sys.plan.Nodes {
+			if n.Site == 0 {
+				groups = append(groups, batchResolveGroup{Node: int(n.ID), Items: items})
+			}
+		}
+		if len(groups) != 3 || sys.plan.Node(optimizer.NodeID(groups[2].Node)).Kind != optimizer.Composed {
+			t.Fatalf("fixture: site 0 hosts %d nodes, want A, B, AB:\n%s", len(groups), sys.plan.Describe())
+		}
+		return s, groups
+	}
+
+	s, groups := build()
+	one, err := s.batchResolve(batchResolveReq{Groups: groups})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, groups = build()
+	var stepwise []int64
+	for _, g := range groups {
+		resp, err := s.batchResolve(batchResolveReq{Groups: []batchResolveGroup{g}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stepwise = append(stepwise, resp.Eqs...)
+	}
+	if !slices.Equal(one.Eqs, stepwise) {
+		t.Fatalf("one call returned %v, node-by-node calls %v", one.Eqs, stepwise)
+	}
+	ab := one.Eqs[2*len(rows):]
+	if ab[0] != ab[2] || ab[0] == ab[1] || ab[0] == ab[3] || ab[1] == ab[3] {
+		t.Errorf("AB eqids %v: want rows 1 and 3 equal, all others distinct", ab)
 	}
 }
