@@ -2,13 +2,19 @@
 
 GO ?= go
 
-.PHONY: test race bench stream storage storage-bench coalesce net recovery query chaos driver-chaos bench-verify bench-spine profile fuzz api apicheck verify clean
+.PHONY: test race loc bench stream storage storage-bench coalesce net recovery query chaos driver-chaos bench-verify bench-spine profile fuzz api apicheck verify clean
 
 test:
 	$(GO) build ./... && $(GO) test ./...
 
 race:
 	$(GO) test -short -race ./...
+
+# loc prints the non-test Go lines outside bench/: the number ROADMAP
+# asks every PR to report as added/removed.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 \
+		| xargs -0 cat | wc -l
 
 # bench runs the hot-path micro benchmarks once (allocation counts are
 # deterministic; timing needs more iterations — drop -benchtime for

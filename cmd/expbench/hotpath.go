@@ -100,9 +100,8 @@ func unitUpdateMeters(style string) (wireMeters, error) {
 	}, nil
 }
 
-// batchDetectMeters measures one steady-state BatchDetect (the first run
-// pays the per-pair gob stream descriptors; the second is what every
-// later run ships).
+// batchDetectMeters measures one BatchDetect on a fresh system; every
+// run ships the same.
 func batchDetectMeters(style string) (wireMeters, error) {
 	gen := hpGen()
 	rules := gen.Rules(hpRules)
@@ -114,11 +113,7 @@ func batchDetectMeters(style string) (wireMeters, error) {
 	if _, err := sys.BatchDetect(); err != nil {
 		return wireMeters{}, err
 	}
-	before := sys.Stats()
-	if _, err := sys.BatchDetect(); err != nil {
-		return wireMeters{}, err
-	}
-	st := sys.Stats().Sub(before)
+	st := sys.Stats()
 	return wireMeters{bytesPerOp: float64(st.Bytes), msgsPerOp: float64(st.Messages)}, nil
 }
 
@@ -237,8 +232,7 @@ func writeHotpathBaseline(path string) error {
 		if err != nil {
 			return err
 		}
-		// Warm the per-pair gob meter streams so every measured run pays
-		// steady-state marshalling.
+		// One warm-up run, so the measured ones start from grown buffers.
 		if _, err := sys.BatchDetect(); err != nil {
 			return err
 		}

@@ -35,8 +35,8 @@ import (
 // CI runs `make bench-verify`, so a change that silently shifts what the
 // protocols ship — the paper's own quantities — fails the build instead
 // of landing as an unexplained baseline diff. Intentional protocol
-// changes regenerate the baselines (`make bench stream coalesce`) and
-// commit them alongside the code.
+// changes regenerate the baselines (`make bench stream coalesce net
+// recovery query storage-bench`) and commit them alongside the code.
 
 // verifyBaselines checks all three baselines against freshly measured
 // values, returning an error describing the first drift found.
@@ -174,7 +174,7 @@ func verifyBaselines(sc harness.Scale) error {
 	}
 
 	if fails > 0 {
-		return fmt.Errorf("%d baseline column(s) drifted — if intentional, regenerate with `make bench stream coalesce` and commit", fails)
+		return fmt.Errorf("%d baseline column(s) drifted — if intentional, regenerate with `make bench stream coalesce net recovery query storage-bench` and commit", fails)
 	}
 	fmt.Println("baselines verified: no drift in deterministic columns")
 	return nil

@@ -1,13 +1,12 @@
 // horizontal_shards demonstrates incHor over an H-Store-style sharded
 // deployment: a TPCH-like table hash-partitioned by customer across eight
 // sites, with incremental violation maintenance under a mixed update
-// stream — optionally over the real net/rpc TCP transport — and the MD5
-// tuple-coding ablation of §6. Everything is built through repro.Open.
+// stream and the MD5 tuple-coding ablation of §6. Everything is built
+// through repro.Open.
 package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"log"
 	"time"
@@ -16,9 +15,6 @@ import (
 )
 
 func main() {
-	useRPC := flag.Bool("rpc", false, "run every cross-site message over net/rpc TCP sockets")
-	flag.Parse()
-
 	const (
 		sites   = 8
 		dbSize  = 12000
@@ -34,14 +30,11 @@ func main() {
 
 	run := func(label string, extra ...repro.Option) {
 		opts := append([]repro.Option{repro.WithHorizontal(scheme)}, extra...)
-		if *useRPC {
-			opts = append(opts, repro.WithRPCTransport())
-		}
 		sess, err := repro.Open(rel, rules, opts...)
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer sess.Close() // tears down RPC listeners and site goroutines
+		defer sess.Close()
 		start := time.Now()
 		delta, err := sess.ApplyBatch(context.Background(), batch)
 		if err != nil {
@@ -53,12 +46,7 @@ func main() {
 			st.Messages, float64(st.Bytes)/1024)
 	}
 
-	transport := "in-process loopback"
-	if *useRPC {
-		transport = "net/rpc over TCP"
-	}
-	fmt.Printf("shards: %d rows over %d sites (hash by c_name), 40 CFDs, transport: %s\n\n",
-		dbSize, sites, transport)
+	fmt.Printf("shards: %d rows over %d sites (hash by c_name), 40 CFDs\n\n", dbSize, sites)
 
 	run("incHor (MD5 coding):")
 	run("incHor (raw tuples):", repro.WithoutMD5())

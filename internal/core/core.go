@@ -56,16 +56,6 @@ type Detector interface {
 	RemoveRules([]string) (*cfd.Delta, error)
 }
 
-// init pins the rule-management wire types of both engines into gob's
-// type registry. Both engine packages pinned their protocol types in
-// their own inits (which have already run by the time this one does), so
-// these later additions take type ids after every pre-existing wire type
-// — keeping the committed byte baselines stable.
-func init() {
-	horizontal.PinRuleWireTypes()
-	vertical.PinRuleWireTypes()
-}
-
 // Compile-time checks that both engines satisfy the façade.
 var (
 	_ Detector = (*vertical.System)(nil)

@@ -4,9 +4,12 @@ import "testing"
 
 // TestCoalesceShape pins the Exp-coalesce acceptance claims at the Quick
 // scale: for every swept (engine, batch size) the batch-grouped protocol
-// ships at least 5× fewer messages than the per-update protocol and no
-// more bytes, while the eqid meters — the §4/§5 semantic quantity — stay
-// identical. RunCoalesce itself asserts the violation sets and net ∆V
+// ships at least 5× fewer messages than the per-update protocol, while
+// the eqid meters — the §4/§5 semantic quantity — stay identical. What it
+// saves is messages and round trips. Payload bytes shrink only on
+// horizontal, whose probes merge per group; a vertical batch carries the
+// same eqids plus a header per group, so its payload may sit a hair above
+// the per-update protocol's (≤ 2 %). RunCoalesce itself asserts the violation sets and net ∆V
 // are bit-identical, so a pass also re-proves parity. Zero RTT: the
 // meter claims are latency-independent and the test never sleeps.
 func TestCoalesceShape(t *testing.T) {
@@ -26,9 +29,19 @@ func TestCoalesceShape(t *testing.T) {
 			t.Errorf("%s/%d: coalesced sent %d messages vs unit %d — less than the 5× reduction the batch-grouped rounds promise",
 				r.Style, r.BatchSize, r.CoalMsgs, r.UnitMsgs)
 		}
-		if r.CoalBytes >= r.UnitBytes {
-			t.Errorf("%s/%d: coalesced shipped %d bytes vs unit %d — shared framing must shrink the payload",
-				r.Style, r.BatchSize, r.CoalBytes, r.UnitBytes)
+		switch r.Style {
+		case "hor":
+			if r.CoalBytes >= r.UnitBytes {
+				t.Errorf("%s/%d: coalesced shipped %d bytes vs unit %d — merged probes must shrink the payload",
+					r.Style, r.BatchSize, r.CoalBytes, r.UnitBytes)
+			}
+		case "ver":
+			if float64(r.CoalBytes) > 1.02*float64(r.UnitBytes) {
+				t.Errorf("%s/%d: coalesced shipped %d bytes vs unit %d — group headers must stay within 2%% of the payload",
+					r.Style, r.BatchSize, r.CoalBytes, r.UnitBytes)
+			}
+		default:
+			t.Errorf("unknown style %q", r.Style)
 		}
 		if r.UnitEqids != r.CoalEqids {
 			t.Errorf("%s/%d: eqid meters diverged (unit %d, coalesced %d); coalescing merges messages, never eqids",

@@ -15,42 +15,8 @@ package horizontal
 import (
 	"crypto/md5"
 
-	"repro/internal/network"
 	"repro/internal/relation"
 )
-
-// init pins the package's wire types into encoding/gob's process-global
-// type registry in a fixed order. Calls no longer travel as gob, but the
-// protocol byte meters are still defined on per-pair gob streams
-// (network.Cluster.meterEncode): gob assigns global type ids at first
-// encode, and a descriptor's size depends on the id's varint width — so
-// without pinning, the exact bytes a message is metered at would depend
-// on which subsystem happened to encode first in the process. The
-// committed byte baselines (and `expbench -verify`) rely on the
-// accounting being a pure function of the workload.
-func init() { network.PinMeterTypes(wireMessages()) }
-
-// wireMessages is the package's closed set of request/reply types, one
-// value each with every nested type populated, in pinning order. New
-// message types are appended (see PinRuleWireTypes for the ones that
-// came later), never inserted: the order is the gob type-id assignment.
-func wireMessages() []any {
-	return []any{
-		applyReq{}, insLocalReq{X: keyRef{Digest: []byte{0}, Raw: []string{""}}}, insLocalResp{Added: []int64{0}},
-		probeInsReq{Tuple: []string{""}, Items: []probeItem{{}}}, probeInsResp{Items: []probeInsItemResp{{Added: []int64{0}}}},
-		finishInsReq{}, delLocalReq{}, delLocalResp{LocalOthers: [][]byte{{0}}},
-		probeDelReq{Items: []probeItem{{}}}, probeDelResp{Items: []probeDelItemResp{{Others: [][]byte{{0}}}}},
-		demoteReq{Items: []demoteItem{{}}}, demoteResp{Items: []demoteItemResp{{Removed: []int64{0}}}},
-		constCheckReq{}, constCheckResp{}, shipMatchingReq{}, shipMatchingResp{Rows: []matchRow{{X: []string{""}}}},
-		localDetectReq{}, localDetectResp{IDs: []int64{0}},
-		batchApplyReq{Updates: []batchApplyItem{{Values: []string{""}}}},
-		batchApplyResp{Consts: []constMark{{}}, Groups: []touchedGroup{{X: []byte{0}, PostBs: [][]byte{{0}}, Inserted: []int64{0}, DeletedWasInV: []bool{false}}}},
-		forwardGroupReq{Items: []probeGroupItem{{Bs: [][]byte{{0}}}}},
-		probeGroupReq{Items: []probeGroupItem{{}}}, probeGroupResp{Items: []probeGroupItemResp{{Added: []int64{0}}}},
-		settleGroupReq{Items: []settleGroupItem{{}}}, settleGroupResp{Items: []settleGroupItemResp{{Added: []int64{0}, Removed: []int64{0}}}},
-		empty{},
-	}
-}
 
 // OpKind distinguishes insertion from deletion processing.
 type OpKind int

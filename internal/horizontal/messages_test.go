@@ -8,13 +8,34 @@ import (
 	"repro/internal/wire/wiretest"
 )
 
-// TestWireCodecMatchesGob runs the package's whole message set — the gob
-// pinning lists, which name every request/reply type with its nested
-// types populated — plus the nil/empty edge shapes through the call-path
-// codec and through gob, and requires identical decoded values.
+// wireMessages is the package's closed set of request/reply types, one
+// value each with every nested type populated.
+func wireMessages() []any {
+	return []any{
+		applyReq{}, insLocalReq{X: keyRef{Digest: []byte{0}, Raw: []string{""}}}, insLocalResp{Added: []int64{0}},
+		probeInsReq{Tuple: []string{""}, Items: []probeItem{{}}}, probeInsResp{Items: []probeInsItemResp{{Added: []int64{0}}}},
+		finishInsReq{}, delLocalReq{}, delLocalResp{LocalOthers: [][]byte{{0}}},
+		probeDelReq{Items: []probeItem{{}}}, probeDelResp{Items: []probeDelItemResp{{Others: [][]byte{{0}}}}},
+		demoteReq{Items: []demoteItem{{}}}, demoteResp{Items: []demoteItemResp{{Removed: []int64{0}}}},
+		constCheckReq{}, constCheckResp{}, shipMatchingReq{}, shipMatchingResp{Rows: []matchRow{{X: []string{""}}}},
+		localDetectReq{}, localDetectResp{IDs: []int64{0}},
+		batchApplyReq{Updates: []batchApplyItem{{Values: []string{""}}}},
+		batchApplyResp{Consts: []constMark{{}}, Groups: []touchedGroup{{X: []byte{0}, PostBs: [][]byte{{0}}, Inserted: []int64{0}, DeletedWasInV: []bool{false}}}},
+		forwardGroupReq{Items: []probeGroupItem{{Bs: [][]byte{{0}}}}},
+		probeGroupReq{Items: []probeGroupItem{{}}}, probeGroupResp{Items: []probeGroupItemResp{{Added: []int64{0}}}},
+		settleGroupReq{Items: []settleGroupItem{{}}}, settleGroupResp{Items: []settleGroupItemResp{{Added: []int64{0}, Removed: []int64{0}}}},
+		empty{},
+		seedRulesReq{Rules: []cfd.CFD{{LHS: []string{""}, LHSPattern: []string{""}}}, Local: []bool{false}},
+		seedRulesResp{Items: []seedRulesItem{{Violations: []int64{0}, Groups: []seedGroupInfo{{X: []byte{0}, Bs: [][]byte{{0}}}}}}},
+		dropRulesReq{Rules: []string{""}},
+	}
+}
+
+// TestWireCodecMatchesGob runs the package's whole message set plus the
+// nil/empty edge shapes through the call-path codec and through gob, and
+// requires identical decoded values.
 func TestWireCodecMatchesGob(t *testing.T) {
-	cases := append(wireMessages(), ruleWireMessages()...)
-	cases = append(cases,
+	cases := append(wireMessages(),
 		// Empty but non-nil slices at every nesting depth decode to nil.
 		batchApplyResp{Consts: []constMark{}, Groups: []touchedGroup{{X: []byte{}, PostBs: [][]byte{{}, nil, {1}}, Inserted: []int64{}}}},
 		probeInsReq{Tuple: []string{}, Items: []probeItem{{Rule: "r", X: keyRef{Raw: []string{"", "a"}}}}},

@@ -59,22 +59,6 @@ type dropRulesReq struct {
 	Rules []string
 }
 
-// PinRuleWireTypes encodes the rule-management wire types into gob's
-// type registry. Called by package core's init — which runs after both
-// engines' own message pins — so these types take ids *after* every
-// pre-existing wire type and the committed byte baselines stay stable.
-func PinRuleWireTypes() { network.PinMeterTypes(ruleWireMessages()) }
-
-// ruleWireMessages continues wireMessages with the rule-management
-// types.
-func ruleWireMessages() []any {
-	return []any{
-		seedRulesReq{Rules: []cfd.CFD{{LHS: []string{""}, LHSPattern: []string{""}}}, Local: []bool{false}},
-		seedRulesResp{Items: []seedRulesItem{{Violations: []int64{0}, Groups: []seedGroupInfo{{X: []byte{0}, Bs: [][]byte{{0}}}}}}},
-		dropRulesReq{Rules: []string{""}},
-	}
-}
-
 // seedRules is the site half of AddRules: it compiles and installs the
 // new rules, builds their group indexes from the local fragment in one
 // scan, settles the flags of locally decidable rules, and reports the

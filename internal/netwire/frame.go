@@ -11,10 +11,11 @@
 // allocation.
 //
 // These physical bytes are NOT the protocol meters: the detection
-// algorithms' cross-site traffic is still measured on the cluster's
-// per-pair gob streams (identical to the in-process loopback), while the
-// socket bytes — frame headers, envelopes, payloads, handshakes — are
-// counted separately as framing overhead.
+// algorithms' cross-site traffic is metered by the cluster at the length
+// of each call's payload (identical to the in-process run), while the
+// socket bytes — frame headers, envelopes, every payload including
+// same-site ones, handshakes — are counted separately as framing
+// overhead.
 package netwire
 
 import (

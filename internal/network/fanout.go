@@ -16,8 +16,9 @@ import (
 // round-trip per target concurrently, bounded by a worker cap, while the
 // per-site handler locks keep each site's state single-threaded (a site
 // still processes messages serially, as a real node would) and the meters
-// stay exact: per-pair gob streams are independent, so byte and message
-// counts are identical whether a fan-out runs with 1 worker or 16.
+// stay exact: a message's metered size depends on nothing but its own
+// payload, so byte and message counts are identical whether a fan-out
+// runs with 1 worker or 16.
 
 // FanoutOpts tunes one scatter/gather round.
 type FanoutOpts struct {

@@ -3,6 +3,7 @@ package network
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -162,9 +163,9 @@ func TestFanoutRunsAllAfterFailure(t *testing.T) {
 	}
 }
 
-// Loopback and RPC transports agree on fan-out results, and both meter
-// cross-site traffic.
-func TestFanoutLoopbackRPCParity(t *testing.T) {
+// In-process and real-socket clusters agree on fan-out results and on
+// every meter.
+func TestFanoutLoopbackTCPParity(t *testing.T) {
 	build := func() *Cluster {
 		c := NewCluster(4)
 		wireEcho(c)
@@ -178,34 +179,22 @@ func TestFanoutLoopbackRPCParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return resps, c.Stats()
+		st := c.Stats()
+		st.BusyNanos = nil // handler time, not traffic
+		return resps, st
 	}
 
-	loopC := build()
-	loopResps, loopStats := collect(loopC)
+	loopResps, loopStats := collect(build())
+	tcpResps, tcpStats := collect(remoteTwin(t, build()))
 
-	rpcC := build()
-	tr, err := NewRPCTransport(rpcC)
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(loopResps, tcpResps) {
+		t.Errorf("replies: loopback %v, tcp %v", loopResps, tcpResps)
 	}
-	defer tr.Close()
-	rpcC.UseTransport(tr)
-	rpcResps, rpcStats := collect(rpcC)
-
-	if len(loopResps) != len(rpcResps) {
-		t.Fatalf("loopback %d replies, rpc %d", len(loopResps), len(rpcResps))
+	if loopStats.Messages != 3 || loopStats.Bytes <= 0 {
+		t.Errorf("unmetered fan-out: %+v", loopStats)
 	}
-	for i := range loopResps {
-		if loopResps[i] != rpcResps[i] {
-			t.Errorf("reply %d: loopback %v, rpc %v", i, loopResps[i], rpcResps[i])
-		}
-	}
-	if loopStats.Messages != rpcStats.Messages {
-		t.Errorf("loopback metered %d messages, rpc %d", loopStats.Messages, rpcStats.Messages)
-	}
-	if loopStats.Bytes <= 0 || rpcStats.Bytes <= 0 {
-		t.Errorf("unmetered transport: loopback %d bytes, rpc %d", loopStats.Bytes, rpcStats.Bytes)
+	if !reflect.DeepEqual(loopStats, tcpStats) {
+		t.Errorf("meters diverge:\nloopback %+v\ntcp      %+v", loopStats, tcpStats)
 	}
 }
 

@@ -4,15 +4,15 @@
 // Cluster, which meters messages, payload bytes and shipped eqids — the
 // quantities behind the paper's Figs. 9(c), 9(h) and 10.
 //
-// Transports: an in-process loopback (deterministic, used by tests and
-// benchmarks), a net/rpc-over-TCP transport in which every site runs its
-// own RPC server goroutine, and the framed TCP transport to site daemons
-// (tcp.go). Whatever crosses a transport is a Marshal payload — the
-// descriptor-free positional encoding of internal/wire. The protocol
-// byte meters are defined separately, on long-lived per-pair gob streams
-// (meterEncode), so they are identical on the loopback, which ships no
-// bytes at all, and on the daemon deployment; the RPC transport meters
-// the payload bytes it ships.
+// A site is reached in one of two ways: natively, in process
+// (deterministic, used by tests and benchmarks), or through the framed
+// TCP transport to site daemons (tcp.go). A shipped byte has one
+// definition on both: a cross-site call is metered at the length of its
+// Marshal payload — the descriptor-free positional encoding of
+// internal/wire — request plus reply. The TCP path holds those bytes and
+// counts them; the native path, which ships none, encodes the same
+// values into scratch to size them. The codec is canonical, so the two
+// agree byte for byte.
 //
 // Fan-outs — one coordinator addressing many sites — go through the
 // concurrent scatter/gather engine (Fanout, Broadcast, Gather in
@@ -24,9 +24,7 @@
 package network
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 	"reflect"
 	"sort"
 	"sync"
@@ -42,12 +40,12 @@ type SiteID int
 // bytes in, Marshal-encoded reply bytes out.
 type RawHandler func(data []byte) ([]byte, error)
 
-// NativeHandler is the unserialized twin of a RawHandler, used for
-// same-site calls where no bytes cross the wire: no marshalling cost, no
-// metering (a site talking to itself is local computation).
+// NativeHandler is the unserialized twin of a RawHandler, the form every
+// call to an in-process site takes: the values themselves change hands.
 type NativeHandler func(args any) (any, error)
 
-// Transport delivers a request to a site's handler and returns the reply.
+// Transport delivers a request to a remotely hosted site's handler and
+// returns the reply.
 type Transport interface {
 	Invoke(to SiteID, method string, data []byte) ([]byte, error)
 	Close() error
@@ -139,16 +137,12 @@ type Cluster struct {
 	registry []map[string]RawHandler
 	native   []map[string]NativeHandler
 	siteMu   []sync.Mutex
-	// replyProto maps a method to a constructor of its typed reply, so
-	// the remote path can decode (and meter) replies even when the
-	// caller passed a nil reply. Populated by RegisterFunc.
-	replyProto map[string]func() any
 
+	// transport, when non-nil, HOSTS the site state (TCP daemons): every
+	// call, same-site included, ships through it and the local registry
+	// goes unused. Nil means the sites live in this process and calls
+	// dispatch natively.
 	transport Transport
-	// remote marks a transport that HOSTS the site state (TCP daemons):
-	// every call, same-site included, must ship through it, and the
-	// local registry is only a reply-type catalogue.
-	remote bool
 
 	statMu sync.Mutex
 	stats  Stats
@@ -160,82 +154,22 @@ type Cluster struct {
 	// cross-site calls (zero by default). See SetLinkRTT.
 	linkRTT time.Duration
 
-	// meterMu guards the per-pair metering stream map. Each (from, to)
-	// pair has a long-lived gob stream, so type descriptors are paid
-	// once per pair — the amortized cost of gob over a real connection,
-	// not a per-message artifact. The streams themselves carry their own
-	// locks: concurrent fan-outs to distinct sites encode in parallel.
-	meterMu sync.Mutex
-	meters  map[[2]SiteID]*meterStream
-
 	// pairKeys precomputes the "from→to" PerPair map keys so metering a
 	// message never formats a string.
 	pairKeys [][]string
 }
 
-// meterStream measures the wire size of payloads on one directed pair.
-type meterStream struct {
-	mu  sync.Mutex
-	cw  countWriter
-	enc *gob.Encoder
-}
-
-type countWriter struct{ n int64 }
-
-func (w *countWriter) Write(p []byte) (int, error) {
-	w.n += int64(len(p))
-	return len(p), nil
-}
-
-// meterEncode returns the number of bytes payload would occupy on the
-// (from, to) gob stream.
-func (c *Cluster) meterEncode(from, to SiteID, payload any) (int, error) {
-	c.meterMu.Lock()
-	key := [2]SiteID{from, to}
-	ms, ok := c.meters[key]
-	if !ok {
-		ms = &meterStream{}
-		ms.enc = gob.NewEncoder(&ms.cw)
-		c.meters[key] = ms
-	}
-	c.meterMu.Unlock()
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	before := ms.cw.n
-	if err := ms.enc.Encode(payload); err != nil {
-		return 0, err
-	}
-	return int(ms.cw.n - before), nil
-}
-
-// PinMeterTypes registers each value's type (and the types nested in it)
-// with encoding/gob's process-global registry, in order. The byte meters
-// are sizes on gob streams, and a type descriptor's size depends on the
-// id gob assigns at first encode — so protocol packages pin their
-// message types at init, making the meters a pure function of the
-// workload instead of which subsystem happened to encode first.
-func PinMeterTypes(vals []any) {
-	enc := gob.NewEncoder(io.Discard)
-	for _, v := range vals {
-		if err := enc.Encode(v); err != nil {
-			panic(err)
-		}
-	}
-}
-
-// NewCluster creates a cluster of n sites wired to the in-process
-// loopback transport.
+// NewCluster creates a cluster of n in-process sites.
 func NewCluster(n int) *Cluster {
 	if n <= 0 {
 		panic(fmt.Sprintf("network: cluster needs at least one site, got %d", n))
 	}
 	c := &Cluster{
-		n:          n,
-		registry:   make([]map[string]RawHandler, n),
-		native:     make([]map[string]NativeHandler, n),
-		siteMu:     make([]sync.Mutex, n),
-		replyProto: make(map[string]func() any),
-		stats:      Stats{PerPair: make(map[string]int64), BusyNanos: make([]int64, n), RecvBytes: make([]int64, n)},
+		n:        n,
+		registry: make([]map[string]RawHandler, n),
+		native:   make([]map[string]NativeHandler, n),
+		siteMu:   make([]sync.Mutex, n),
+		stats:    Stats{PerPair: make(map[string]int64), BusyNanos: make([]int64, n), RecvBytes: make([]int64, n)},
 	}
 	for i := range c.registry {
 		c.registry[i] = make(map[string]RawHandler)
@@ -248,28 +182,24 @@ func NewCluster(n int) *Cluster {
 			c.pairKeys[i][j] = fmt.Sprintf("%d→%d", i, j)
 		}
 	}
-	c.meters = make(map[[2]SiteID]*meterStream)
-	c.transport = &loopback{c: c}
 	return c
 }
 
 // NumSites returns n.
 func (c *Cluster) NumSites() int { return c.n }
 
-// Register installs a handler for (site, method). Protocol packages call
-// this while wiring their per-site state.
-func (c *Cluster) Register(site SiteID, method string, h RawHandler) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, dup := c.registry[site][method]; dup {
-		panic(fmt.Sprintf("network: site %d already has handler %q", site, method))
-	}
-	c.registry[site][method] = h
+// charge adds a handler execution that began at start to the site's
+// busy meter.
+func (c *Cluster) charge(to SiteID, start time.Time) {
+	elapsed := time.Since(start)
+	c.statMu.Lock()
+	c.stats.BusyNanos[to] += elapsed.Nanoseconds()
+	c.statMu.Unlock()
 }
 
-// dispatch runs the registered handler under the site's lock; it is the
-// single entry point used by every transport.
-func (c *Cluster) dispatch(to SiteID, method string, data []byte) ([]byte, error) {
+// Dispatch runs the registered handler for (to, method) on raw bytes:
+// the entry point a site daemon serves its framed calls through.
+func (c *Cluster) Dispatch(to SiteID, method string, data []byte) ([]byte, error) {
 	if int(to) < 0 || int(to) >= c.n {
 		return nil, fmt.Errorf("network: no site %d", to)
 	}
@@ -282,41 +212,22 @@ func (c *Cluster) dispatch(to SiteID, method string, data []byte) ([]byte, error
 	c.siteMu[to].Lock()
 	start := time.Now()
 	resp, err := h(data)
-	elapsed := time.Since(start)
 	c.siteMu[to].Unlock()
-	c.statMu.Lock()
-	c.stats.BusyNanos[to] += elapsed.Nanoseconds()
-	c.statMu.Unlock()
+	c.charge(to, start)
 	return resp, err
 }
-
-// UseTransport swaps the transport (e.g. for RPC mode). The caller owns
-// closing the previous transport.
-func (c *Cluster) UseTransport(t Transport) { c.transport = t }
 
 // UseRemoteTransport installs a transport that hosts the site state at
 // its remote end (the TCP sited deployment). Every call — same-site
 // seeding traffic included — ships through it; the local site replicas
-// stay empty. Metering is unchanged: cross-site payloads are measured on
-// the same per-pair gob streams as the loopback, so the protocol meters
-// stay bit-identical, while the transport's own framing overhead is
-// counted separately (see TCPTransport.FrameBytes).
-func (c *Cluster) UseRemoteTransport(t Transport) {
-	c.transport = t
-	c.remote = true
-}
-
-// Remote reports whether the site state lives behind the transport.
-func (c *Cluster) Remote() bool { return c.remote }
-
-// Dispatch runs the registered handler for (to, method) on raw bytes:
-// the entry point a site daemon serves its framed calls through.
-func (c *Cluster) Dispatch(to SiteID, method string, data []byte) ([]byte, error) {
-	return c.dispatch(to, method, data)
-}
+// stay empty. The meters keep their definition: a cross-site call costs
+// the payload bytes of its request and reply, which are the bytes this
+// path ships, while the transport's own framing overhead is counted
+// separately (see TCPTransport.FrameBytes).
+func (c *Cluster) UseRemoteTransport(t Transport) { c.transport = t }
 
 // FrameBytes returns the transport's physical framing overhead in bytes
-// (0 for transports without sockets or without the meter).
+// (0 for in-process sites and transports without the meter).
 func (c *Cluster) FrameBytes() int64 {
 	if fb, ok := c.transport.(interface{ FrameBytes() int64 }); ok {
 		return fb.FrameBytes()
@@ -326,7 +237,7 @@ func (c *Cluster) FrameBytes() int64 {
 
 // SetLinkRTT sets a simulated network round-trip charged to every
 // cross-site call (the paper's EC2 cluster pays real propagation delay on
-// every message; the in-process loopback pays none). Same-site calls are
+// every message; in-process sites pay none). Same-site calls are
 // unaffected, as is every meter — latency changes when replies arrive,
 // not what is sent. With a nonzero RTT the benefit of the parallel
 // scatter/gather engine is visible even on a single-core host: sequential
@@ -347,77 +258,59 @@ func (c *Cluster) linkDelay() {
 	}
 }
 
-// callNative dispatches to a registered native handler under the site's
-// lock, charging the site's busy meter. ok is false when no native
-// handler exists for (to, method).
-func (c *Cluster) callNative(to SiteID, method string, args any) (resp any, ok bool, err error) {
-	c.mu.Lock()
-	h, found := c.native[to][method]
-	c.mu.Unlock()
-	if !found {
-		return nil, false, nil
-	}
-	c.siteMu[to].Lock()
-	start := time.Now()
-	resp, err = h(args)
-	elapsed := time.Since(start)
-	c.siteMu[to].Unlock()
-	c.statMu.Lock()
-	c.stats.BusyNanos[to] += elapsed.Nanoseconds()
-	c.statMu.Unlock()
-	return resp, true, err
-}
-
-func setReply(reply, resp any) {
-	if reply != nil {
-		reflect.ValueOf(reply).Elem().Set(reflect.ValueOf(resp))
-	}
-}
-
-// Call sends a request from one site to another through the transport,
-// metering it, and decodes the reply into reply (a pointer). A call with
-// from == to is local computation: dispatched directly via the native
-// handler when one exists, never metered. Cross-site calls on the
-// loopback transport dispatch natively too, with payload sizes measured
-// on long-lived per-pair gob streams — the same bytes a persistent TCP
-// connection would carry.
+// Call sends a request from one site to another, metering it, and stores
+// the reply in reply (a pointer, or nil to discard it). A call with
+// from == to is local computation and never metered. A cross-site call
+// counts one message and the payload bytes of its request and reply.
 func (c *Cluster) Call(from, to SiteID, method string, args, reply any) error {
-	if c.remote {
+	if c.transport != nil {
 		return c.callRemote(from, to, method, args, reply)
 	}
-	if from == to {
-		if resp, ok, err := c.callNative(to, method, args); ok {
-			if err != nil {
-				return err
-			}
-			setReply(reply, resp)
-			return nil
-		}
-		data, err := Marshal(args)
+	if int(to) < 0 || int(to) >= c.n {
+		return fmt.Errorf("network: no site %d", to)
+	}
+	c.mu.Lock()
+	h, ok := c.native[to][method]
+	c.mu.Unlock()
+	if !ok {
+		return fmt.Errorf("network: site %d has no handler %q", to, method)
+	}
+	metered := from != to
+	reqBytes := 0
+	if metered {
+		c.linkDelay()
+		n, err := payloadSize(args)
 		if err != nil {
 			return fmt.Errorf("network: marshal %s args: %w", method, err)
 		}
-		respData, err := c.dispatch(to, method, data)
+		reqBytes = n
+	}
+	c.siteMu[to].Lock()
+	start := time.Now()
+	resp, err := h(args)
+	c.siteMu[to].Unlock()
+	c.charge(to, start)
+	if err != nil {
+		return err
+	}
+	if metered {
+		respBytes, err := payloadSize(resp)
 		if err != nil {
-			return err
+			return fmt.Errorf("network: marshal %s reply: %w", method, err)
 		}
-		if reply == nil {
-			return nil
-		}
-		return Unmarshal(respData, reply)
+		c.meter(from, to, reqBytes, respBytes)
 	}
-
-	c.linkDelay()
-	if _, isLoop := c.transport.(*loopback); isLoop {
-		if resp, ok, err := c.nativeMetered(from, to, method, args); ok {
-			if err != nil {
-				return err
-			}
-			setReply(reply, resp)
-			return nil
-		}
+	if reply != nil {
+		reflect.ValueOf(reply).Elem().Set(reflect.ValueOf(resp))
 	}
+	return nil
+}
 
+// callRemote ships a call through the state-hosting transport. Same-site
+// calls (local computation, e.g. seed-mode traffic) travel to the daemon
+// but stay unmetered, exactly as they are free in process. The simulated
+// link RTT is not charged: a real network is paying real latency.
+func (c *Cluster) callRemote(from, to SiteID, method string, args, reply any) error {
 	data, err := Marshal(args)
 	if err != nil {
 		return fmt.Errorf("network: marshal %s args: %w", method, err)
@@ -426,7 +319,9 @@ func (c *Cluster) Call(from, to SiteID, method string, args, reply any) error {
 	if err != nil {
 		return err
 	}
-	c.meter(from, to, len(data), len(respData))
+	if from != to {
+		c.meter(from, to, len(data), len(respData))
+	}
 	if reply == nil {
 		return nil
 	}
@@ -436,89 +331,17 @@ func (c *Cluster) Call(from, to SiteID, method string, args, reply any) error {
 	return nil
 }
 
-// callRemote ships a call through a state-hosting transport. Same-site
-// calls (local computation, e.g. seed-mode traffic) travel to the daemon
-// but stay unmetered, exactly as they are free on the loopback.
-// Cross-site calls are metered on the per-pair gob streams — encoding
-// the same native values in the same order as the loopback run — so
-// Messages/Bytes/PerPair/RecvBytes stay bit-identical to the simulated
-// baselines; the socket's own framing overhead is the transport's
-// separate FrameBytes meter. The simulated link RTT is not charged: a
-// real network is paying real latency.
-func (c *Cluster) callRemote(from, to SiteID, method string, args, reply any) error {
-	metered := from != to
-	reqBytes := 0
-	if metered {
-		if rb, err := c.meterEncode(from, to, args); err == nil {
-			reqBytes = rb
-		} else {
-			return fmt.Errorf("network: meter %s args: %w", method, err)
-		}
-	}
-	data, err := Marshal(args)
-	if err != nil {
-		return fmt.Errorf("network: marshal %s args: %w", method, err)
-	}
-	respData, err := c.transport.Invoke(to, method, data)
-	if err != nil {
-		return err
-	}
-	// Decode into the caller's reply, or — for metering parity when the
-	// caller passed nil — into the method's registered reply prototype
-	// (the loopback meters every handler's return value, fire-and-forget
-	// calls included).
-	var respVal any
-	if reply != nil {
-		if err := Unmarshal(respData, reply); err != nil {
-			return fmt.Errorf("network: unmarshal %s reply: %w", method, err)
-		}
-		respVal = reply
-	} else if metered {
-		c.mu.Lock()
-		proto := c.replyProto[method]
-		c.mu.Unlock()
-		if proto != nil {
-			p := proto()
-			if err := Unmarshal(respData, p); err == nil {
-				respVal = p
-			}
-		}
-	}
-	if metered {
-		respBytes := 0
-		if respVal != nil {
-			if rb, err := c.meterEncode(to, from, respVal); err == nil {
-				respBytes = rb
-			}
-		}
-		c.meter(from, to, reqBytes, respBytes)
-	}
-	return nil
-}
+// scratch holds the encode buffers payloadSize reuses.
+var scratch = sync.Pool{New: func() any { return new([]byte) }}
 
-// nativeMetered performs a cross-site call without serializing the
-// payload for transport (loopback), while still measuring its exact wire
-// size on the pair's gob stream.
-func (c *Cluster) nativeMetered(from, to SiteID, method string, args any) (any, bool, error) {
-	reqBytes, err := c.meterEncode(from, to, args)
-	if err != nil {
-		return nil, false, nil // fall back to the raw path
-	}
-	resp, ok, err := c.callNative(to, method, args)
-	if !ok {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, true, err
-	}
-	respBytes := 0
-	if resp != nil {
-		if rb, err := c.meterEncode(to, from, resp); err == nil {
-			respBytes = rb
-		}
-	}
-	c.meter(from, to, reqBytes, respBytes)
-	return resp, true, nil
+// payloadSize returns len(Marshal(v)) without keeping the bytes: what a
+// natively dispatched value would have cost to ship.
+func payloadSize(v any) (int, error) {
+	bp := scratch.Get().(*[]byte)
+	b, err := wire.Append((*bp)[:0], v)
+	*bp = b
+	scratch.Put(bp)
+	return len(b), err
 }
 
 func (c *Cluster) meter(from, to SiteID, reqBytes, respBytes int) {
@@ -567,20 +390,13 @@ func (c *Cluster) ResetStats() {
 	}
 }
 
-// Close shuts the transport down.
-func (c *Cluster) Close() error { return c.transport.Close() }
-
-// loopback is the in-process transport: dispatch without leaving the
-// address space. Cross-site calls take Call's native path and never
-// reach it; what does arrive is a Marshal payload, as on every
-// transport.
-type loopback struct{ c *Cluster }
-
-func (l *loopback) Invoke(to SiteID, method string, data []byte) ([]byte, error) {
-	return l.c.dispatch(to, method, data)
+// Close shuts the transport down, if there is one.
+func (c *Cluster) Close() error {
+	if c.transport == nil {
+		return nil
+	}
+	return c.transport.Close()
 }
-
-func (l *loopback) Close() error { return nil }
 
 // Marshal encodes a request or reply for the call path with the
 // positional payload codec (internal/wire): self-contained bytes with no
@@ -592,25 +408,10 @@ func Marshal(v any) ([]byte, error) { return wire.Marshal(v) }
 // in full.
 func Unmarshal(data []byte, v any) error { return wire.Unmarshal(data, v) }
 
-// Handler adapts a typed request/response function into a RawHandler.
-func Handler[Req, Resp any](f func(Req) (Resp, error)) RawHandler {
-	return func(data []byte) ([]byte, error) {
-		var req Req
-		if err := Unmarshal(data, &req); err != nil {
-			return nil, err
-		}
-		resp, err := f(req)
-		if err != nil {
-			return nil, err
-		}
-		return Marshal(resp)
-	}
-}
-
-// RegisterFunc installs a typed handler for (site, method) on both the
-// serialized path (cross-site transport) and the native path (same-site
-// calls). Handlers must not retain or mutate their arguments: on the
-// native path they are shared with the caller.
+// RegisterFunc installs a typed handler for (site, method) in both its
+// forms: the raw one a daemon's Dispatch serves framed calls through, and
+// the native one in-process calls use. Handlers must not retain or mutate
+// their arguments: on the native path they are shared with the caller.
 //
 // The payload codec's plans for Req and Resp are built here, so a type
 // the codec cannot carry panics at registration — start-up — rather than
@@ -621,10 +422,22 @@ func RegisterFunc[Req, Resp any](c *Cluster, site SiteID, method string, f func(
 			panic(fmt.Sprintf("network: handler %q: %v", method, err))
 		}
 	}
-	c.Register(site, method, Handler(f))
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.replyProto[method] = func() any { return new(Resp) }
+	if _, dup := c.registry[site][method]; dup {
+		panic(fmt.Sprintf("network: site %d already has handler %q", site, method))
+	}
+	c.registry[site][method] = func(data []byte) ([]byte, error) {
+		var req Req
+		if err := Unmarshal(data, &req); err != nil {
+			return nil, err
+		}
+		resp, err := f(req)
+		if err != nil {
+			return nil, err
+		}
+		return Marshal(resp)
+	}
 	c.native[site][method] = func(args any) (any, error) {
 		req, ok := args.(Req)
 		if !ok {

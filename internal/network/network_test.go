@@ -1,8 +1,13 @@
 package network
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/netwire"
 )
 
 type echoReq struct {
@@ -71,24 +76,114 @@ func TestCrossSiteCallsAreMetered(t *testing.T) {
 	}
 }
 
-// The long-lived meter streams amortize gob type descriptors: after the
-// first message of a type on a pair, subsequent identical messages cost
-// far fewer bytes — the cost of a persistent connection, not a
-// per-message artifact.
-func TestMeterAmortizesTypeDescriptors(t *testing.T) {
-	c := NewCluster(2)
-	wireEcho(c)
-	var resp echoResp
-	if err := c.Call(0, 1, "echo", echoReq{Text: "x", N: 1}, &resp); err != nil {
+// remoteTwin starts one framed-TCP listener per site of srv, each serving
+// its site's handlers through Dispatch — a minimal sited — and returns a
+// driver-side cluster whose every call ships to them over real sockets.
+func remoteTwin(t *testing.T, srv *Cluster) *Cluster {
+	t.Helper()
+	addrs := make([]string, srv.NumSites())
+	hellos := make([][]byte, srv.NumSites())
+	for i := range addrs {
+		site := SiteID(i)
+		ln, err := netwire.Listen("127.0.0.1:0", nil, netwire.ConnOptions{}, func(c *netwire.Conn) {
+			for {
+				msg, err := c.Recv(0)
+				if err != nil {
+					return
+				}
+				reply := &netwire.Msg{Kind: netwire.KindHelloAck}
+				if msg.Kind == netwire.KindCall {
+					reply = &netwire.Msg{Kind: netwire.KindReply, Seq: msg.Seq}
+					if reply.Data, err = srv.Dispatch(site, msg.Method, msg.Data); err != nil {
+						reply.Err = err.Error()
+					}
+				}
+				if c.Send(reply, time.Second) != nil {
+					return
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Close() })
+		addrs[i], hellos[i] = ln.Addr(), []byte("hello")
+	}
+	tr, err := NewTCPTransport(addrs, TCPConfig{Hellos: hellos})
+	if err != nil {
 		t.Fatal(err)
 	}
-	first := c.Stats().Bytes
-	if err := c.Call(0, 1, "echo", echoReq{Text: "x", N: 1}, &resp); err != nil {
-		t.Fatal(err)
+	drv := NewCluster(srv.NumSites())
+	drv.UseRemoteTransport(tr)
+	t.Cleanup(func() { drv.Close() })
+	return drv
+}
+
+type dropResp struct{}
+
+// TestMeterIsPayloadLength pins the one definition of a shipped byte on
+// both ways to reach a site: a cross-site call is one message costing
+// len(Marshal(request)) + len(Marshal(reply)) — the reply counted even
+// when the caller discards it — and a same-site call costs nothing.
+func TestMeterIsPayloadLength(t *testing.T) {
+	build := func() *Cluster {
+		c := NewCluster(3)
+		wireEcho(c)
+		for i := 0; i < c.NumSites(); i++ {
+			RegisterFunc(c, SiteID(i), "drop", func(echoReq) (dropResp, error) { return dropResp{}, nil })
+		}
+		return c
 	}
-	second := c.Stats().Bytes - first
-	if second >= first {
-		t.Errorf("second message cost %d bytes, first %d: no amortization", second, first)
+	size := func(v any) int64 {
+		b, err := Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int64(len(b))
+	}
+	req := echoReq{Text: "héllo", N: 300}
+	echoed := echoResp{Text: strings.Repeat(req.Text, req.N)}
+	cases := []struct {
+		name      string
+		from, to  SiteID
+		method    string
+		reply     any
+		msgs      int64
+		req, resp int64
+	}{
+		{"cross-site with reply", 0, 2, "echo", new(echoResp), 1, size(req), size(echoed)},
+		{"fire-and-forget", 1, 0, "drop", nil, 1, size(req), size(dropResp{})},
+		{"discarded reply", 2, 1, "echo", nil, 1, size(req), size(echoed)},
+		{"same-site", 1, 1, "echo", new(echoResp), 0, 0, 0},
+	}
+	for _, tr := range []struct {
+		name    string
+		cluster *Cluster
+	}{{"loopback", build()}, {"tcp", remoteTwin(t, build())}} {
+		c := tr.cluster
+		for _, tc := range cases {
+			before := c.Stats()
+			if err := c.Call(tc.from, tc.to, tc.method, req, tc.reply); err != nil {
+				t.Fatalf("%s/%s: %v", tr.name, tc.name, err)
+			}
+			if r, ok := tc.reply.(*echoResp); ok && *r != echoed {
+				t.Errorf("%s/%s: reply %q", tr.name, tc.name, r.Text)
+			}
+			d := c.Stats().Sub(before)
+			want := Stats{Messages: tc.msgs, Bytes: tc.req + tc.resp, PerPair: map[string]int64{}, RecvBytes: make([]int64, 3)}
+			if tc.req > 0 {
+				want.PerPair[fmt.Sprintf("%d→%d", tc.from, tc.to)] = tc.req
+				want.RecvBytes[tc.to] = tc.req
+			}
+			if tc.resp > 0 {
+				want.PerPair[fmt.Sprintf("%d→%d", tc.to, tc.from)] = tc.resp
+				want.RecvBytes[tc.from] = tc.resp
+			}
+			d.BusyNanos = nil
+			if !reflect.DeepEqual(d, want) {
+				t.Errorf("%s/%s: metered %+v, want %+v", tr.name, tc.name, d, want)
+			}
+		}
 	}
 }
 
@@ -119,40 +214,5 @@ func TestErrorsPropagate(t *testing.T) {
 	}
 	if err := c.Call(0, 0, "nope", echoReq{}, nil); err == nil {
 		t.Error("unknown local handler succeeded")
-	}
-}
-
-// TestRPCTransportParity runs the same calls over real TCP sockets and
-// checks the results match the loopback transport.
-func TestRPCTransportParity(t *testing.T) {
-	c := NewCluster(3)
-	wireEcho(c)
-
-	var loop echoResp
-	if err := c.Call(0, 2, "echo", echoReq{Text: "par", N: 4}, &loop); err != nil {
-		t.Fatal(err)
-	}
-
-	tr, err := NewRPCTransport(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	c.UseTransport(tr)
-	defer c.UseTransport(&loopback{c: c})
-
-	var rpc echoResp
-	if err := c.Call(0, 2, "echo", echoReq{Text: "par", N: 4}, &rpc); err != nil {
-		t.Fatal(err)
-	}
-	if rpc.Text != loop.Text {
-		t.Errorf("rpc %q != loopback %q", rpc.Text, loop.Text)
-	}
-	if len(tr.Addrs()) != 3 {
-		t.Errorf("Addrs = %v", tr.Addrs())
-	}
-	// Cross-site bytes over RPC are metered too.
-	if st := c.Stats(); st.Messages < 2 {
-		t.Errorf("Messages = %d", st.Messages)
 	}
 }

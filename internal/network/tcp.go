@@ -54,8 +54,7 @@ type TCPConfig struct {
 const DefaultReplayLimit = 1024
 
 // TCPTransport connects a driver to N sited processes, one framed TCP
-// connection per site. Unlike the loopback and RPC transports, the site
-// STATE lives at the remote end: the owning Cluster must route every
+// connection per site. The site STATE lives at the remote end: the owning Cluster must route every
 // call — including same-site ones — through Invoke (see
 // UseRemoteTransport).
 //

@@ -10,10 +10,10 @@ import (
 	"repro/internal/workload"
 )
 
-// TestCloseLeaksNoGoroutines is the goleak-style assertion of the
-// teardown bugfix: an RPC-transported session spawns one server
-// goroutine per site plus per-connection servers, and Close must reap
-// every one of them.
+// TestCloseLeaksNoGoroutines is the goleak-style assertion for
+// in-process sessions: whatever a session's fan-out rounds spawned is
+// gone once Close returns (TestTCPCloseLeaksNoGoroutines is the
+// real-socket twin).
 func TestCloseLeaksNoGoroutines(t *testing.T) {
 	gen := workload.NewSized(workload.TPCH, 11, 300)
 	rules := gen.Rules(3)
@@ -21,7 +21,7 @@ func TestCloseLeaksNoGoroutines(t *testing.T) {
 
 	// Warm up runtime pools (timers, GC workers) before baselining.
 	for i := 0; i < 2; i++ {
-		s, err := Open(rel, rules, WithHorizontal(partition.HashHorizontal("c_name", 3)), WithRPCTransport())
+		s, err := Open(rel, rules, WithHorizontal(partition.HashHorizontal("c_name", 3)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,19 +38,16 @@ func TestCloseLeaksNoGoroutines(t *testing.T) {
 		var opts []Option
 		switch style {
 		case "horizontal":
-			opts = []Option{WithHorizontal(partition.HashHorizontal("c_name", 4)), WithRPCTransport()}
+			opts = []Option{WithHorizontal(partition.HashHorizontal("c_name", 4))}
 		case "vertical":
-			opts = []Option{WithVertical(partition.RoundRobinVertical(rel.Schema, 4)), WithRPCTransport()}
+			opts = []Option{WithVertical(partition.RoundRobinVertical(rel.Schema, 4))}
 		}
 		s, err := Open(rel, rules, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := s.ApplyBatch(context.Background(), gen.Updates(rel, 5, 1)); err != nil {
-			t.Fatalf("%s: ApplyBatch over RPC: %v", style, err)
-		}
-		if runtime.NumGoroutine() <= base {
-			t.Fatalf("%s: expected live RPC server goroutines above baseline %d", style, base)
+			t.Fatalf("%s: ApplyBatch: %v", style, err)
 		}
 		if err := s.Close(); err != nil {
 			t.Fatalf("%s: Close: %v", style, err)
@@ -72,41 +69,5 @@ func TestCloseLeaksNoGoroutines(t *testing.T) {
 		}
 		runtime.Gosched()
 		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestRPCContextTeardown pins WithRPCTransportContext: cancelling the
-// context tears the transport down without an explicit Close.
-func TestRPCContextTeardown(t *testing.T) {
-	gen := workload.NewSized(workload.TPCH, 12, 200)
-	rules := gen.Rules(2)
-	rel := gen.Relation(60)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	s, err := Open(rel, rules,
-		WithHorizontal(partition.HashHorizontal("c_name", 2)),
-		WithRPCTransportContext(ctx))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.ApplyBatch(context.Background(), gen.Updates(rel, 3, 1)); err != nil {
-		t.Fatal(err)
-	}
-	cancel()
-	// After cancellation the sockets die; cross-site calls must fail
-	// rather than hang.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		_, err := s.ApplyBatch(context.Background(), gen.Updates(rel, 3, 1))
-		if err != nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("RPC calls still succeed long after context cancellation")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close after context teardown: %v", err)
 	}
 }

@@ -1,7 +1,6 @@
 package session
 
 import (
-	"context"
 	"crypto/tls"
 	"fmt"
 	"net"
@@ -51,8 +50,6 @@ type config struct {
 	unitMode     bool
 	maxFanout    int // -1 = engine default
 	linkRTT      time.Duration
-	rpc          bool
-	rpcCtx       context.Context
 
 	tcpAddrs  []string
 	tcpRetry  time.Duration
@@ -116,8 +113,6 @@ func (c *config) validate() error {
 			return fmt.Errorf("session: WithMaxFanout requires a distributed session")
 		case c.linkRTT > 0:
 			return fmt.Errorf("session: WithLinkRTT requires a distributed session")
-		case c.rpc:
-			return fmt.Errorf("session: WithRPCTransport requires a distributed session")
 		case c.noIndexes:
 			return fmt.Errorf("session: WithNoIndexes requires a distributed session")
 		case len(c.tcpAddrs) > 0:
@@ -125,10 +120,7 @@ func (c *config) validate() error {
 		}
 	}
 	if len(c.tcpAddrs) > 0 {
-		switch {
-		case c.rpc:
-			return fmt.Errorf("session: WithTCPSites conflicts with WithRPCTransport")
-		case c.linkRTT > 0:
+		if c.linkRTT > 0 {
 			return fmt.Errorf("session: WithTCPSites conflicts with WithLinkRTT (a real network pays real latency)")
 		}
 	} else {
@@ -174,9 +166,6 @@ func (c *config) validate() error {
 	}
 	if c.disableMD5 && c.kind != Horizontal {
 		return fmt.Errorf("session: WithoutMD5 requires a horizontal session")
-	}
-	if c.rpc && c.rpcCtx == nil {
-		c.rpcCtx = context.Background()
 	}
 	return nil
 }
@@ -276,26 +265,6 @@ func WithLinkRTT(d time.Duration) Option {
 			return fmt.Errorf("session: WithLinkRTT: negative RTT %v", d)
 		}
 		c.linkRTT = d
-		return nil
-	}
-}
-
-// WithRPCTransport runs the cluster over a real net/rpc-over-TCP
-// transport: one server goroutine per site on localhost. Session.Close
-// tears the listeners and server goroutines down.
-func WithRPCTransport() Option {
-	return func(c *config) error {
-		c.rpc = true
-		return nil
-	}
-}
-
-// WithRPCTransportContext is WithRPCTransport bound to ctx: cancelling
-// it tears the transport down even without Close.
-func WithRPCTransportContext(ctx context.Context) Option {
-	return func(c *config) error {
-		c.rpc = true
-		c.rpcCtx = ctx
 		return nil
 	}
 }

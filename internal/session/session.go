@@ -13,7 +13,7 @@
 //     the drastic/MI-style aggregate inconsistency measures;
 //   - subscriptions: Watch streams every applied batch's ∆V;
 //   - lifecycle: context-aware ApplyBatch/Run, and Close that reliably
-//     tears down RPC listeners and site goroutines.
+//     tears down site connections and leaves no goroutine behind.
 //
 // The experiment harness, the stream pipeline and every example drive
 // their engines through this one handle; the root repro package
@@ -74,7 +74,6 @@ type Session struct {
 	cfg  config
 	eng  engine
 	det  core.Detector         // nil when centralized
-	rpc  *network.RPCTransport // nil without WithRPCTransport
 	tcp  *network.TCPTransport // nil without WithTCPSites
 	rows int
 	seq  int
@@ -317,14 +316,6 @@ func Open(rel *relation.Relation, rules []cfd.CFD, opts ...Option) (*Session, er
 		}
 		if cfg.linkRTT > 0 {
 			s.det.Cluster().SetLinkRTT(cfg.linkRTT)
-		}
-		if cfg.rpc {
-			t, err := network.NewRPCTransportContext(cfg.rpcCtx, s.det.Cluster())
-			if err != nil {
-				return nil, err
-			}
-			s.det.Cluster().UseTransport(t)
-			s.rpc = t
 		}
 	}
 	if res != nil {
@@ -677,9 +668,9 @@ func (p *publishingApplier) Stats() network.Stats {
 	return p.s.eng.Stats()
 }
 
-// Close tears the session down: RPC listeners, site server goroutines
-// and watch channels. Close waits for an in-flight Run to finish (cancel
-// its context to stop it early). After Close every mutating operation
+// Close tears the session down: site connections, the journal, the
+// stores and watch channels. Close waits for an in-flight Run to finish
+// (cancel its context to stop it early). After Close every mutating operation
 // (ApplyBatch, AddRules, RemoveRules, BatchDetect, Run) fails with
 // ErrClosed; read accessors (Violations, Query, Count, Measures, Stats,
 // Snapshot) keep serving the final state. Close is idempotent.
@@ -700,14 +691,8 @@ func (s *Session) Close() error {
 		delete(s.watchers, id)
 	}
 	var err error
-	if s.rpc != nil {
-		err = s.rpc.Close()
-		s.rpc = nil
-	}
 	if s.tcp != nil {
-		if terr := s.tcp.Close(); err == nil {
-			err = terr
-		}
+		err = s.tcp.Close()
 		s.tcp = nil
 	}
 	if s.jnl != nil {

@@ -229,7 +229,6 @@ func TestOptionValidation(t *testing.T) {
 	bad := [][]Option{
 		{WithUnitMode()},
 		{WithMaxFanout(1)},
-		{WithRPCTransport()},
 		{WithNoIndexes()},
 		{WithOptimizer()},
 		{WithOptimizer(), WithHorizontal(partition.HashHorizontal("c_name", 2))},

@@ -9,8 +9,10 @@ import (
 	"time"
 
 	"repro/internal/centralized"
+	"repro/internal/cfd"
 	"repro/internal/network"
 	"repro/internal/partition"
+	"repro/internal/relation"
 	"repro/internal/sitehost"
 	"repro/internal/workload"
 	"repro/internal/xerr"
@@ -166,6 +168,44 @@ func TestTCPSessionMatchesLoopback(t *testing.T) {
 			}
 			check("final batch")
 
+			// A rule added live whose pattern constant sits on a site that
+			// checked nothing before (every pool rule is all-wildcard). The
+			// driver must start consulting that site — and must learn it
+			// from the rule set: over TCP its local site replicas never see
+			// AddRules. The seed wave and a later violating insert both
+			// depend on it.
+			sample := mirror.Tuples()[0]
+			col, _ := rel.Schema.Index("c_nation")
+			live := cfd.CFD{
+				ID:  "live-const",
+				LHS: []string{"c_nation"}, LHSPattern: []string{sample.Values[col]},
+				RHS: "c_region", RHSPattern: "nowhere",
+			}
+			if _, err := loop.AddRules(live); err != nil {
+				t.Fatalf("loopback AddRules: %v", err)
+			}
+			if _, err := tcp.AddRules(live); err != nil {
+				t.Fatalf("tcp AddRules: %v", err)
+			}
+			active = append(active, live)
+			check("add constant-pattern rule")
+
+			sample.ID = mirror.MaxID() + 1
+			violating := relation.UpdateList{{Kind: relation.Insert, Tuple: sample}}
+			if _, err := loop.ApplyBatch(context.Background(), violating); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tcp.ApplyBatch(context.Background(), violating); err != nil {
+				t.Fatal(err)
+			}
+			if err := violating.Apply(mirror); err != nil {
+				t.Fatal(err)
+			}
+			if !tcp.Violations().HasRule(sample.ID, live.ID) {
+				t.Fatal("violating insert not flagged")
+			}
+			check("violating insert")
+
 			if loop.Cluster().FrameBytes() != 0 {
 				t.Fatalf("loopback FrameBytes = %d, want 0", loop.Cluster().FrameBytes())
 			}
@@ -276,8 +316,8 @@ func TestTCPReconnectStateLost(t *testing.T) {
 	}
 }
 
-// TestTCPCloseLeaksNoGoroutines is the TCP analogue of the RPC leak
-// test: a TCP-sites session spawns per-site server goroutines and
+// TestTCPCloseLeaksNoGoroutines is the real-socket twin of
+// TestCloseLeaksNoGoroutines: a TCP-sites session spawns per-site server goroutines and
 // per-connection readers, and closing the session plus the servers must
 // reap every one of them.
 func TestTCPCloseLeaksNoGoroutines(t *testing.T) {

@@ -11,39 +11,7 @@
 // ∆V locally, exactly as in the paper's Figs. 4 and 5.
 package vertical
 
-import (
-	"repro/internal/network"
-	"repro/internal/relation"
-)
-
-// init pins the package's wire types into encoding/gob's process-global
-// type registry in a fixed order (see the matching init in package
-// horizontal): the byte meters are defined on gob streams, a descriptor's
-// size depends on the globally assigned type id, so pinning keeps the
-// meters a pure function of the workload regardless of which subsystem
-// encodes first in the process.
-func init() { network.PinMeterTypes(wireMessages()) }
-
-// wireMessages is the package's closed set of request/reply types, one
-// value each with every nested type populated, in pinning order. New
-// message types are appended (see PinRuleWireTypes for the ones that
-// came later), never inserted: the order is the gob type-id assignment.
-func wireMessages() []any {
-	return []any{
-		applyReq{Values: []string{""}}, evalConstsReq{}, evalConstsResp{Failed: []string{""}},
-		resolveReq{}, resolveResp{}, deliverReq{}, applyRuleReq{}, applyRuleResp{Added: []int64{0}, Removed: []int64{0}},
-		releaseReq{}, endUpdateReq{}, voteReq{Rules: []string{""}}, barrierReq{},
-		applyConstReq{}, applyConstResp{}, shipColsReq{}, shipColsResp{Attrs: []string{""}, Rows: []colRow{{Vals: []string{""}}}},
-		batchFragReq{Items: []applyReq{{}}}, batchEvalReq{IDs: []int64{0}}, batchEvalResp{Failed: [][]string{{""}}},
-		batchVoteReq{Items: []batchVoteItem{{Rules: []string{""}}}},
-		batchConstReq{Items: []batchConstItem{{}}}, batchConstResp{Violations: []bool{false}},
-		batchResolveReq{Groups: []batchResolveGroup{{Items: []batchResolveItem{{}}}}}, batchResolveResp{Eqs: []int64{0}},
-		batchDeliverReq{Items: []batchDeliverItem{{}}},
-		batchRuleReq{Items: []batchRuleItem{{}}}, batchRuleResp{Items: []applyRuleResp{{}}},
-		batchReleaseReq{Items: []batchReleaseItem{{}}}, batchEndReq{IDs: []int64{0}},
-		empty{},
-	}
-}
+import "repro/internal/relation"
 
 // OpKind says whether a unit update is an insertion or a deletion.
 type OpKind int

@@ -52,28 +52,6 @@ type listIDsResp struct {
 	IDs []int64
 }
 
-// PinRuleWireTypes encodes the rule-management wire types into gob's
-// type registry. Called by package core's init — after both engines'
-// message pins — so pre-existing wire-type ids (and the committed byte
-// baselines) stay stable.
-func PinRuleWireTypes() { network.PinMeterTypes(ruleWireMessages()) }
-
-// ruleWireMessages continues wireMessages with the rule-management
-// types.
-func ruleWireMessages() []any {
-	return []any{
-		// Sub is populated so optimizer.Plan and its node/binding types
-		// take their registry ids here — after every pre-existing wire
-		// type — keeping the committed byte baselines stable.
-		addRulesReq{Rules: []cfd.CFD{{LHS: []string{""}, LHSPattern: []string{""}}}, Sub: &optimizer.Plan{
-			Nodes:    []optimizer.Node{{Attrs: []string{""}, Inputs: []optimizer.NodeID{0}}},
-			Bindings: map[string]optimizer.RuleBinding{"": {}},
-		}},
-		vDropRulesReq{Rules: []string{""}},
-		listIDsReq{}, listIDsResp{IDs: []int64{0}},
-	}
-}
-
 // addRules is the site half of AddRules: install the rules' constant
 // checks, the grafted nodes this site owns, and the new IDX structures.
 // A hosted site grafts the shipped sub-plan onto its own plan copy
@@ -92,18 +70,7 @@ func (s *site) addRules(req addRulesReq) (empty, error) {
 		}
 		rc := r
 		s.rules[rc.ID] = &rc
-		var cc constChecks
-		for li, a := range rc.LHS {
-			if rc.LHSPattern[li] == cfd.Wildcard {
-				continue
-			}
-			if col, ok := s.schema.Index(a); ok {
-				cc.cols = append(cc.cols, col)
-				cc.values = append(cc.values, rc.LHSPattern[li])
-			}
-		}
-		if len(cc.cols) > 0 {
-			cc.ruleID = rc.ID
+		if cc := constChecksFor(s.schema, &rc); len(cc.cols) > 0 {
 			s.checks = append(s.checks, cc)
 		}
 	}

@@ -63,18 +63,7 @@ func newSite(id network.SiteID, schema *relation.Schema, plan *optimizer.Plan, r
 	for i := range rules {
 		r := &rules[i]
 		s.rules[r.ID] = r
-		var cc constChecks
-		for li, a := range r.LHS {
-			if r.LHSPattern[li] == cfd.Wildcard {
-				continue
-			}
-			if col, ok := schema.Index(a); ok {
-				cc.cols = append(cc.cols, col)
-				cc.values = append(cc.values, r.LHSPattern[li])
-			}
-		}
-		if len(cc.cols) > 0 {
-			cc.ruleID = r.ID
+		if cc := constChecksFor(schema, r); len(cc.cols) > 0 {
 			s.checks = append(s.checks, cc)
 		}
 	}
@@ -97,6 +86,24 @@ func newSite(id network.SiteID, schema *relation.Schema, plan *optimizer.Plan, r
 		}
 	}
 	return s
+}
+
+// constChecksFor returns r's pattern-constant checks over a fragment
+// schema: one (column, constant) pair per non-wildcard LHS pattern on an
+// attribute the fragment holds. The site checks r iff there is at least
+// one — the predicate System.indexRules derives the checker sites from.
+func constChecksFor(schema *relation.Schema, r *cfd.CFD) constChecks {
+	cc := constChecks{ruleID: r.ID}
+	for li, a := range r.LHS {
+		if r.LHSPattern[li] == cfd.Wildcard {
+			continue
+		}
+		if col, ok := schema.Index(a); ok {
+			cc.cols = append(cc.cols, col)
+			cc.values = append(cc.values, r.LHSPattern[li])
+		}
+	}
+	return cc
 }
 
 // apply stores or removes the tuple's projection in the fragment.

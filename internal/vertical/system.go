@@ -245,17 +245,23 @@ func NewSystem(rel *relation.Relation, scheme *partition.VerticalScheme, rules [
 }
 
 // indexRules rebuilds the static per-update lookups over the current
-// rule lists, plan and sites: each variable rule's IDX site, the sites
-// owning pattern-constant checks, and every rule's bit in a ruleSet.
+// rule lists, plan and fragment schemas: each variable rule's IDX site,
+// the sites owning pattern-constant checks, and every rule's bit in a
+// ruleSet.
 func (sys *System) indexRules() {
 	sys.varIdxSite = make([]network.SiteID, len(sys.varRules))
 	for i, r := range sys.varRules {
 		sys.varIdxSite[i] = network.SiteID(sys.plan.Bindings[r.ID].IDXSite)
 	}
+	// Derived from the rule set and the fragment schemas, never from the
+	// local site replicas: a hosted deployment does not update those.
 	sys.checkers = nil
-	for _, st := range sys.sites {
-		if len(st.checks) > 0 {
-			sys.checkers = append(sys.checkers, st.id)
+	for i, fs := range sys.fragSch {
+		for ri := range sys.rules {
+			if len(constChecksFor(fs, &sys.rules[ri]).cols) > 0 {
+				sys.checkers = append(sys.checkers, network.SiteID(i))
+				break
+			}
 		}
 	}
 	sys.ruleBit = make(map[string]int, len(sys.rules))

@@ -148,11 +148,6 @@ var (
 	WithMaxFanout = session.WithMaxFanout
 	// WithLinkRTT simulates a per-message network round-trip.
 	WithLinkRTT = session.WithLinkRTT
-	// WithRPCTransport runs the cluster over net/rpc-over-TCP; Close
-	// tears listeners and site goroutines down.
-	WithRPCTransport = session.WithRPCTransport
-	// WithRPCTransportContext binds the RPC transport to a context.
-	WithRPCTransportContext = session.WithRPCTransportContext
 	// WithTCPSites deploys the session across real OS processes: site i
 	// lives in the sited daemon at addrs[i] (cmd/sited), reached over
 	// framed TCP. Meters stay bit-identical to the in-process loopback;
@@ -525,19 +520,3 @@ func NewCentralizedApplier(rel *Relation, rules []CFD) (*CentralizedApplier, err
 // DeltaBetween returns the canonical net change between two violation
 // sets: exactly the marks added and removed going from old to new.
 func DeltaBetween(old, new *Violations) *Delta { return cfd.DeltaBetween(old, new) }
-
-// UseRPCTransport switches a system's cluster onto a real net/rpc-over-TCP
-// transport (one server goroutine per site on localhost). Returns a close
-// function that reliably tears down the listeners and every server
-// goroutine.
-//
-// Deprecated: use Open with WithRPCTransport; Session.Close owns the
-// teardown.
-func UseRPCTransport(d Detector) (func() error, error) {
-	t, err := network.NewRPCTransport(d.Cluster())
-	if err != nil {
-		return nil, err
-	}
-	d.Cluster().UseTransport(t)
-	return t.Close, nil
-}

@@ -1,9 +1,11 @@
 package repro
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"repro/internal/sitehost"
 	"repro/internal/workload"
 )
 
@@ -57,67 +59,30 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRPCTransportEndToEnd runs incremental detection with every
-// cross-site message flowing over real net/rpc TCP connections, and
-// checks the result matches the loopback run exactly.
-func TestRPCTransportEndToEnd(t *testing.T) {
-	gen := NewGenerator(TPCH, 33, 2000)
-	rules := gen.Rules(12)
-	rel := gen.Relation(600)
-	updates := gen.Updates(rel, 150, 0.7)
-
-	loop, err := NewHorizontal(rel, HashHorizontal("c_name", 4), rules, HorizontalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loopDelta, err := loop.ApplyBatch(updates)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rpc, err := NewHorizontal(rel, HashHorizontal("c_name", 4), rules, HorizontalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	closeFn, err := UseRPCTransport(rpc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := closeFn(); err != nil {
-			t.Errorf("closing transport: %v", err)
-		}
-	}()
-	rpcDelta, err := rpc.ApplyBatch(updates)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !rpc.Violations().Equal(loop.Violations()) {
-		t.Error("RPC and loopback transports disagree on V")
-	}
-	if rpcDelta.Size() != loopDelta.Size() {
-		t.Errorf("∆V size differs: rpc %d, loopback %d", rpcDelta.Size(), loopDelta.Size())
-	}
-}
-
-// TestVerticalRPC exercises the vertical engine over TCP as well.
-func TestVerticalRPC(t *testing.T) {
+// TestVerticalTCP drives the vertical engine through the public façade
+// with every site behind a real socket (in-process site daemons) and
+// checks the result against the centralized oracle.
+func TestVerticalTCP(t *testing.T) {
 	gen := NewGenerator(DBLP, 13, 1500)
 	rules := gen.Rules(8)
 	rel := gen.Relation(400)
 	updates := gen.Updates(rel, 100, 0.8)
 
-	sys, err := NewVertical(rel, RoundRobinVertical(gen.Schema(), 4), rules, VerticalOptions{})
+	addrs := make([]string, 4)
+	for i := range addrs {
+		srv, err := sitehost.Serve(sitehost.NewHost(), "127.0.0.1:0", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		addrs[i] = srv.Addr()
+	}
+	sess, err := Open(rel, rules, WithVertical(RoundRobinVertical(gen.Schema(), 4)), WithTCPSites(addrs...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	closeFn, err := UseRPCTransport(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeFn()
-	if _, err := sys.ApplyBatch(updates); err != nil {
+	defer sess.Close()
+	if _, err := sess.ApplyBatch(context.Background(), updates); err != nil {
 		t.Fatal(err)
 	}
 
@@ -125,11 +90,11 @@ func TestVerticalRPC(t *testing.T) {
 	if err := updates.Normalize().Apply(updated); err != nil {
 		t.Fatal(err)
 	}
-	if want := DetectCentralized(updated, rules); !sys.Violations().Equal(want) {
-		t.Error("vertical-over-RPC diverged from oracle")
+	if want := DetectCentralized(updated, rules); !sess.Violations().Equal(want) {
+		t.Error("vertical-over-TCP diverged from oracle")
 	}
-	if sys.Stats().Messages == 0 {
-		t.Error("no messages metered over RPC")
+	if sess.Stats().Messages == 0 {
+		t.Error("no messages metered over TCP")
 	}
 }
 
