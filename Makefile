@@ -133,7 +133,10 @@ profile:
 # (FuzzPayload: horizontal batchApplyResp; vertical batchDeliverReq and
 # the stage-grouped batchResolveReq, decoded from the same bytes) —
 # against arbitrary bytes: no panic, no length trusted
-# beyond the input, every accepted input re-encodes to itself. The two
+# beyond the input, every accepted input re-encodes to itself. FuzzSnapshot
+# does the same for each engine's checkpoint blob (hSiteState /
+# vSiteState) and also restores a site from the bytes: an error or a site
+# whose own snapshot restores again, never a panic. The two
 # storage targets do the same below the CRC framing: the page codec and
 # the stored engine's group-record editor (FuzzGroupRecord: arbitrary
 # bytes as a record, an arbitrary member inserted and deleted).
@@ -143,6 +146,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzMsg -fuzztime=10s -run '^$$' ./internal/netwire
 	$(GO) test -fuzz=FuzzPayload -fuzztime=10s -run '^$$' ./internal/horizontal
 	$(GO) test -fuzz=FuzzPayload -fuzztime=10s -run '^$$' ./internal/vertical
+	$(GO) test -fuzz=FuzzSnapshot -fuzztime=10s -run '^$$' ./internal/horizontal
+	$(GO) test -fuzz=FuzzSnapshot -fuzztime=10s -run '^$$' ./internal/vertical
 	$(GO) test -fuzz=FuzzStorePage -fuzztime=10s -run '^$$' ./internal/storage
 	$(GO) test -fuzz=FuzzGroupRecord -fuzztime=10s -run '^$$' ./internal/centralized
 

@@ -18,10 +18,11 @@
 //
 // On startup the daemon prints exactly one line "listening <addr>" to
 // stdout — scripts and the cross-process test harness parse it to learn
-// the bound port when -addr ends in :0. SIGINT closes the listener and
-// drains every connection before exiting; SIGTERM additionally flushes
-// a final full checkpoint first, so a graceful stop never loses the
-// buffered log tail.
+// the bound port when -addr ends in :0. SIGINT closes the listener,
+// drains every connection, flushes the delta log and waits for a
+// snapshot still being written before exiting; SIGTERM writes a final
+// full checkpoint before that, so a graceful stop restarts with no log
+// to replay.
 package main
 
 import (
@@ -91,6 +92,9 @@ func main() {
 		if err := host.FinalCheckpoint(); err != nil {
 			fatal(fmt.Errorf("final checkpoint: %w", err))
 		}
+	}
+	if err := host.Close(); err != nil {
+		fatal(err)
 	}
 }
 

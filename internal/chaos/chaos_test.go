@@ -16,6 +16,7 @@ import (
 	"repro/internal/centralized"
 	"repro/internal/cfd"
 	"repro/internal/chaos"
+	"repro/internal/checkpoint"
 	"repro/internal/network"
 	"repro/internal/partition"
 	"repro/internal/relation"
@@ -47,19 +48,22 @@ func startSites(t *testing.T, n int, root string) []*siteSrv {
 		}
 		s := &siteSrv{srv: srv, addr: srv.Addr(), dir: sitehost.SiteDir(root, i)}
 		out[i] = s
-		t.Cleanup(func() { s.srv.Close() })
+		// The host too: its compactor may still be writing under root.
+		t.Cleanup(func() { s.srv.Close(); s.srv.Host().Close() })
 	}
 	return out
 }
 
 // crashRestart kills the in-process daemon — listener down, host (and
-// so the site's in-memory state) discarded — and brings a fresh host up
-// on the same address, recovered from the checkpoint dir.
-func crashRestart(t *testing.T, s *siteSrv) sitehost.RecoveryStats {
+// so the site's in-memory state) discarded, a snapshot being written
+// behind the last mark stopped no later than step — and brings a fresh
+// host up on the same address, recovered from the checkpoint dir.
+func crashRestart(t *testing.T, s *siteSrv, step checkpoint.Step) sitehost.RecoveryStats {
 	t.Helper()
 	if err := s.srv.Close(); err != nil {
 		t.Fatal(err)
 	}
+	s.srv.Host().Abandon(step)
 	host := sitehost.NewHost()
 	stats, err := host.UseCheckpoints(s.dir)
 	if err != nil {
@@ -202,7 +206,7 @@ func TestChaosRecoveryOracle(t *testing.T) {
 					check(step, "remove "+victim.ID)
 				case 4: // crash a daemon at a batch boundary, restart warm
 					victim := rng.Intn(sites)
-					stats := crashRestart(t, srvs[victim])
+					stats := crashRestart(t, srvs[victim], checkpoint.Step(1+(seed+step)%4))
 					if stats.LastSeq == 0 {
 						t.Fatalf("seed %d step %d: site %d recovered to seq 0", seed, step, victim)
 					}
@@ -244,7 +248,7 @@ func TestDriverReplaysLostTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { srv.Close() }()
+	defer func() { srv.Close(); srv.Host().Close() }()
 	addr := srv.Addr()
 
 	var sid [8]byte
@@ -286,6 +290,7 @@ func TestDriverReplaysLostTail(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
+	srv.Host().Abandon(checkpoint.StepDone)
 	host := sitehost.NewHost()
 	stats, err := host.UseCheckpoints(sitehost.SiteDir(root, 0))
 	if err != nil {
@@ -336,7 +341,7 @@ func TestListenerSideFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		srv := sitehost.ServeListener(sitehost.NewHost(), inj.Listener(ln), nil)
-		t.Cleanup(func() { srv.Close() })
+		t.Cleanup(func() { srv.Close(); srv.Host().Close() })
 		addrs[i] = srv.Addr()
 	}
 	sess, err := session.Open(rel, pool,

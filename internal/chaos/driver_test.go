@@ -12,6 +12,7 @@ import (
 	"repro/internal/centralized"
 	"repro/internal/cfd"
 	"repro/internal/chaos"
+	"repro/internal/checkpoint"
 	"repro/internal/partition"
 	"repro/internal/session"
 	"repro/internal/workload"
@@ -200,7 +201,7 @@ func TestDriverResumeOracle(t *testing.T) {
 					check(step, "mid-round driver kill")
 				case 6: // crash a daemon at a batch boundary, restart warm
 					victim := rng.Intn(sites)
-					crashRestart(t, srvs[victim])
+					crashRestart(t, srvs[victim], checkpoint.Step(1+(seed+step)%4))
 					batch(step, fmt.Sprintf("crash-restart site %d", victim))
 				}
 			}

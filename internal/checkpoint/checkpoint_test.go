@@ -10,8 +10,20 @@ import (
 	"repro/internal/xerr"
 )
 
+// snapshotSync runs one compaction to the end: the first snapshot's and
+// FinalCheckpoint's path.
+func snapshotSync(t *testing.T, st *Store, snap *Snapshot) {
+	t.Helper()
+	if err := st.Compact(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Wait(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // writeEpoch populates dir with one snapshot (epoch 1) plus n delta
-// records through the public API and returns the store.
+// records through the public API.
 func writeEpoch(t *testing.T, dir string, n int) {
 	t.Helper()
 	st, err := Open(dir)
@@ -25,9 +37,7 @@ func writeEpoch(t *testing.T, dir string, n int) {
 		Window:  []Reply{{Seq: 7, Data: []byte("ok")}},
 		Engine:  []byte("engine-state"),
 	}
-	if err := st.WriteSnapshot(snap); err != nil {
-		t.Fatal(err)
-	}
+	snapshotSync(t, st, snap)
 	if snap.Epoch != 1 {
 		t.Fatalf("first snapshot epoch = %d, want 1", snap.Epoch)
 	}
@@ -93,15 +103,11 @@ func TestCompactionReplacesEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if err := st.WriteSnapshot(&Snapshot{LastSeq: 1}); err != nil {
-		t.Fatal(err)
-	}
+	snapshotSync(t, st, &Snapshot{LastSeq: 1})
 	if err := st.Append(Record{Seq: 2, Method: "m"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.WriteSnapshot(&Snapshot{LastSeq: 2}); err != nil {
-		t.Fatal(err)
-	}
+	snapshotSync(t, st, &Snapshot{LastSeq: 2})
 	if st.Epoch() != 2 {
 		t.Fatalf("epoch = %d, want 2", st.Epoch())
 	}
@@ -278,17 +284,16 @@ func TestCorruptCheckpoints(t *testing.T) {
 }
 
 // TestRecoverSkipsCorruptNewestEpoch verifies "newest valid" semantics:
-// a corrupt later snapshot falls back to the older intact epoch, and
-// the next snapshot is numbered above the corrupt one.
+// a corrupt later snapshot falls back to the older intact epoch and is
+// removed, so the next epoch — the one after the recovered segment, for
+// the chain has no gaps — does not find a stale file under its name.
 func TestRecoverSkipsCorruptNewestEpoch(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.WriteSnapshot(&Snapshot{LastSeq: 1}); err != nil {
-		t.Fatal(err)
-	}
+	snapshotSync(t, st, &Snapshot{LastSeq: 1})
 	st.Close()
 	// Plant a damaged "newer" snapshot by hand.
 	good, err := os.ReadFile(filepath.Join(dir, "snap-0000000000000001.ckpt"))
@@ -313,11 +318,12 @@ func TestRecoverSkipsCorruptNewestEpoch(t *testing.T) {
 	if snap == nil || snap.Epoch != 1 {
 		t.Fatalf("recovered %+v, want epoch 1", snap)
 	}
-	if err := st2.WriteSnapshot(&Snapshot{LastSeq: 9}); err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(filepath.Join(dir, "snap-0000000000000002.ckpt")); !os.IsNotExist(err) {
+		t.Fatalf("refused snapshot still on disk (stat err %v)", err)
 	}
-	if st2.Epoch() != 3 {
-		t.Fatalf("next epoch = %d, want 3 (above the corrupt epoch 2)", st2.Epoch())
+	snapshotSync(t, st2, &Snapshot{LastSeq: 9})
+	if st2.Epoch() != 2 {
+		t.Fatalf("next epoch = %d, want 2 (the segment after the recovered one)", st2.Epoch())
 	}
 }
 

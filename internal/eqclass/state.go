@@ -1,13 +1,17 @@
 package eqclass
 
-import "repro/internal/relation"
+import (
+	"sort"
+
+	"repro/internal/relation"
+)
 
 // Exported state mirrors for checkpointing. The index structures keep
 // their working fields unexported (scratch buffers, struct{}-valued
-// sets gob cannot encode); these types flatten them into gob-friendly
-// shapes. Snapshots are never written to metered wire streams — only
-// to checkpoint files — so map iteration order in the encodings does
-// not need to be deterministic.
+// sets the positional codec cannot encode); these types flatten them
+// into shapes internal/wire takes. Maps encode in ascending key order
+// and the flattened lists are sorted here, so a state's bytes do not
+// depend on map iteration order.
 
 // BaseState is the serializable state of a BaseHEV.
 type BaseState struct {
@@ -17,21 +21,11 @@ type BaseState struct {
 	Refcnt map[EqID]int
 }
 
-// State captures the HEV's current classes for checkpointing.
+// State exposes the HEV's current classes for checkpointing. The maps
+// are the live ones, not copies: encode the state before the HEV is used
+// again.
 func (h *BaseHEV) State() *BaseState {
-	s := &BaseState{
-		Attr:   h.Attr,
-		Next:   h.next,
-		ByVal:  make(map[string]EqID, len(h.byVal)),
-		Refcnt: make(map[EqID]int, len(h.refcnt)),
-	}
-	for v, id := range h.byVal {
-		s.ByVal[v] = id
-	}
-	for id, n := range h.refcnt {
-		s.Refcnt[id] = n
-	}
-	return s
+	return &BaseState{Attr: h.Attr, Next: h.next, ByVal: h.byVal, Refcnt: h.refcnt}
 }
 
 // RestoreBase rebuilds a BaseHEV from checkpointed state.
@@ -55,21 +49,10 @@ type HEVState struct {
 	Refcnt map[EqID]int
 }
 
-// State captures the HEV's current classes for checkpointing.
+// State exposes the HEV's current classes for checkpointing; like
+// BaseHEV.State it aliases the live maps.
 func (h *HEV) State() *HEVState {
-	s := &HEVState{
-		Attrs:  append([]string(nil), h.Attrs...),
-		Next:   h.next,
-		ByKey:  make(map[string]EqID, len(h.byKey)),
-		Refcnt: make(map[EqID]int, len(h.refcnt)),
-	}
-	for k, id := range h.byKey {
-		s.ByKey[k] = id
-	}
-	for id, n := range h.refcnt {
-		s.Refcnt[id] = n
-	}
-	return s
+	return &HEVState{Attrs: h.Attrs, Next: h.next, ByKey: h.byKey, Refcnt: h.refcnt}
 }
 
 // RestoreHEV rebuilds a non-base HEV from checkpointed state.
@@ -93,7 +76,8 @@ type IDXEntry struct {
 }
 
 // IDXState is the serializable state of an IDX, flattened to entry
-// lists because gob cannot encode struct{}-valued set maps.
+// lists (ascending EqX, then EqB) because the checkpoint codec cannot
+// encode struct{}-valued set maps.
 type IDXState struct {
 	Entries []IDXEntry
 }
@@ -111,6 +95,10 @@ func (x *IDX) State() *IDXState {
 			s.Entries = append(s.Entries, IDXEntry{EqX: eqX, EqB: eqB, IDs: ids})
 		}
 	}
+	sort.Slice(s.Entries, func(i, j int) bool {
+		a, b := s.Entries[i], s.Entries[j]
+		return a.EqX < b.EqX || a.EqX == b.EqX && a.EqB < b.EqB
+	})
 	return s
 }
 

@@ -6,6 +6,7 @@ import (
 	"os"
 
 	"repro/internal/centralized"
+	"repro/internal/checkpoint"
 	"repro/internal/partition"
 	"repro/internal/session"
 	"repro/internal/sitehost"
@@ -87,6 +88,8 @@ func runRecoveryStyle(sc Scale, style string) (RecoveryRow, error) {
 		for _, srv := range srvs {
 			if srv != nil {
 				srv.Close()
+				// Before root goes: a compactor may be writing under it.
+				srv.Host().Close()
 			}
 		}
 	}()
@@ -131,6 +134,10 @@ func runRecoveryStyle(sc Scale, style string) (RecoveryRow, error) {
 	if err := srvs[0].Close(); err != nil {
 		return row, err
 	}
+	// The killed daemon's compactor is let finish (StepDone): the sweep's
+	// columns are exact counts, and which snapshot the restart finds must
+	// not depend on how far a background write got.
+	srvs[0].Host().Abandon(checkpoint.StepDone)
 	host := sitehost.NewHost()
 	stats, err := host.UseCheckpoints(sitehost.SiteDir(root, 0))
 	if err != nil {
@@ -245,6 +252,8 @@ func runDriverRecoveryStyle(sc Scale, style string) (DriverRecoveryRow, error) {
 		for _, srv := range srvs {
 			if srv != nil {
 				srv.Close()
+				// Before root goes: a compactor may be writing under it.
+				srv.Host().Close()
 			}
 		}
 	}()

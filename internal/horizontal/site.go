@@ -29,7 +29,9 @@ type site struct {
 	id     network.SiteID
 	schema *relation.Schema
 	frag   *relation.Relation
-	rules  map[string]*cfd.Compiled
+	// snapLen is the size of the last snapshot, the next one's buffer.
+	snapLen int
+	rules   map[string]*cfd.Compiled
 	// ruleOrder lists the compiled rules in rule-set order, the
 	// deterministic iteration order of the batched local phase.
 	ruleOrder []*cfd.Compiled

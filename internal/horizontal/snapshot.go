@@ -2,78 +2,108 @@ package horizontal
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
+	"slices"
 
 	"repro/internal/cfd"
 	"repro/internal/relation"
+	"repro/internal/wire"
 )
 
-// Checkpoint serialization for hosted horizontal sites. The encoding is
-// a standalone gob buffer written only to checkpoint files — never to a
-// metered wire stream — so it does not disturb the committed byte
-// baselines, and map iteration order in it need not be deterministic.
+// Checkpoint serialization for hosted horizontal sites: the positional
+// encoding (internal/wire) of an hSiteState, written only to checkpoint
+// files — never to a metered wire stream. The state is emitted in one
+// canonical order (tuples by id, rules in installation order, groups and
+// classes by ascending key, members by id), so equal site states are
+// equal bytes.
 
 // snapRule pins one installed rule with the exact dense index the live
 // site assigned it (seedRules bases indexes on the instantaneous
 // ruleOrder length and dropRules leaves gaps, so indexes are
-// history-dependent and must be persisted, not recomputed).
+// history-dependent and must be persisted, not recomputed), and carries
+// a variable rule's class index.
 type snapRule struct {
-	Rule cfd.CFD
-	Idx  cfd.RuleIdx
+	Rule   cfd.CFD
+	Idx    cfd.RuleIdx
+	Groups []snapGroup
 }
 
-// snapGroup is one equivalence class [t]_{X∪{B}} with its violation
-// flag and member tuple ids.
+// snapGroup is the classes sharing one [t]_X. The codec has no arrays,
+// so the 16-byte codes travel as byte strings.
 type snapGroup struct {
-	Rule    string
-	DX      code
-	DB      code
+	DX      []byte
+	Classes []snapClass
+}
+
+// snapClass is one equivalence class [t]_{X∪{B}} with its violation
+// flag and member tuple ids.
+type snapClass struct {
+	DB      []byte
 	InV     bool
 	Members []int64
 }
 
 // hSiteState is the full checkpointable state of a horizontal site.
 type hSiteState struct {
-	Frag   []relation.Tuple
-	Rules  []snapRule
-	Groups []snapGroup
+	Frag  []relation.Tuple
+	Rules []snapRule
 }
 
-// snapshotState captures the site's fragment, rules and class indexes.
-func (s *site) snapshotState() ([]byte, error) {
-	st := hSiteState{Frag: s.frag.Tuples()}
-	for _, r := range s.ruleOrder {
-		st.Rules = append(st.Rules, snapRule{Rule: *r.CFD, Idx: r.Idx})
-		if r.ConstRHS {
-			continue
-		}
-		for dx, g := range s.groups[r.ID] {
-			for db, c := range g {
-				st.Groups = append(st.Groups, snapGroup{
-					Rule:    r.ID,
-					DX:      dx,
-					DB:      db,
-					InV:     c.inV,
-					Members: toInt64s(sortedMembers(c)),
-				})
-			}
-		}
+// sortedCodes returns m's keys in ascending byte order.
+func sortedCodes[V any](m map[code]V) []code {
+	keys := make([]code, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
+	if len(keys) > 1 {
+		slices.SortFunc(keys, func(a, b code) int { return bytes.Compare(a[:], b[:]) })
+	}
+	return keys
+}
+
+// snapshotState captures the site's fragment, rules and class indexes
+// in the canonical order.
+func (s *site) snapshotState() ([]byte, error) {
+	st := hSiteState{Frag: s.frag.Tuples(), Rules: make([]snapRule, 0, len(s.ruleOrder))}
+	for _, r := range s.ruleOrder {
+		sr := snapRule{Rule: *r.CFD, Idx: r.Idx}
+		groups := s.groups[r.ID] // none under a constant rule
+		// The key slices are not reused: the state's DX and DB alias them
+		// until it is encoded.
+		dxs := sortedCodes(groups)
+		for i := range dxs {
+			g := groups[dxs[i]]
+			dbs := sortedCodes(g)
+			sg := snapGroup{DX: dxs[i][:], Classes: make([]snapClass, 0, len(dbs))}
+			for j := range dbs {
+				c := g[dbs[j]]
+				members := make([]int64, 0, len(c.members))
+				for id := range c.members {
+					members = append(members, int64(id))
+				}
+				slices.Sort(members)
+				sg.Classes = append(sg.Classes, snapClass{DB: dbs[j][:], InV: c.inV, Members: members})
+			}
+			sr.Groups = append(sr.Groups, sg)
+		}
+		st.Rules = append(st.Rules, sr)
+	}
+	data, err := wire.Append(make([]byte, 0, s.snapLen+s.snapLen/8), &st)
+	if err != nil {
 		return nil, fmt.Errorf("horizontal: snapshot site %d: %w", s.id, err)
 	}
-	return buf.Bytes(), nil
+	s.snapLen = len(data)
+	return data, nil
 }
 
 // restoreState rebuilds the site from a checkpointed snapshot, replacing
 // all current state. Rules recompile against the site's own schema with
 // their persisted indexes.
 func (s *site) restoreState(data []byte) error {
+	fail := func(err error) error { return fmt.Errorf("horizontal: restore site %d: %w", s.id, err) }
 	var st hSiteState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("horizontal: restore site %d: %w", s.id, err)
+	if err := wire.Unmarshal(data, &st); err != nil {
+		return fail(err)
 	}
 	s.frag = relation.New(s.schema)
 	s.rules = make(map[string]*cfd.Compiled, len(st.Rules))
@@ -81,26 +111,38 @@ func (s *site) restoreState(data []byte) error {
 	s.groups = make(map[string]map[code]map[code]*hClass)
 	for _, t := range st.Frag {
 		if err := s.frag.Insert(t); err != nil {
-			return fmt.Errorf("horizontal: restore site %d: %w", s.id, err)
+			return fail(err)
 		}
 	}
 	for i := range st.Rules {
-		r := st.Rules[i].Rule
-		c := cfd.Compile(s.schema, &r, st.Rules[i].Idx)
-		s.rules[r.ID] = &c
+		sr := &st.Rules[i]
+		if err := sr.Rule.Validate(s.schema); err != nil {
+			return fail(err)
+		}
+		if _, dup := s.rules[sr.Rule.ID]; dup {
+			return fail(fmt.Errorf("rule %q twice", sr.Rule.ID))
+		}
+		c := cfd.Compile(s.schema, &sr.Rule, sr.Idx)
+		s.rules[c.ID] = &c
 		s.ruleOrder = append(s.ruleOrder, &c)
-		if !c.ConstRHS {
-			s.groups[r.ID] = make(map[code]map[code]*hClass)
+		if c.ConstRHS {
+			if len(sr.Groups) > 0 {
+				return fail(fmt.Errorf("groups under constant rule %q", c.ID))
+			}
+			continue
 		}
-	}
-	for _, g := range st.Groups {
-		if _, ok := s.groups[g.Rule]; !ok {
-			return fmt.Errorf("horizontal: restore site %d: group for unknown or constant rule %q", s.id, g.Rule)
-		}
-		c := s.ensureClass(g.Rule, g.DX, g.DB)
-		c.inV = g.InV
-		for _, id := range g.Members {
-			c.members[relation.TupleID(id)] = struct{}{}
+		s.groups[c.ID] = make(map[code]map[code]*hClass, len(sr.Groups))
+		for _, g := range sr.Groups {
+			for _, cl := range g.Classes {
+				if len(g.DX) != len(code{}) || len(cl.DB) != len(code{}) {
+					return fail(fmt.Errorf("rule %q: class key of %d and %d bytes", c.ID, len(g.DX), len(cl.DB)))
+				}
+				hc := s.ensureClass(c.ID, code(g.DX), code(cl.DB))
+				hc.inV = cl.InV
+				for _, id := range cl.Members {
+					hc.members[relation.TupleID(id)] = struct{}{}
+				}
+			}
 		}
 	}
 	return nil

@@ -315,6 +315,7 @@ func (t *TCPTransport) Invoke(to SiteID, method string, data []byte) ([]byte, er
 						// bounded, and a daemon that later recovers behind
 						// this point fails loudly (ensureConn) instead of
 						// rejoining with a silently truncated call tail.
+						clear(sc.replay)
 						sc.replay = sc.replay[:0]
 						sc.replayBase = msg.Seq
 						sc.overflowed = true
@@ -404,9 +405,14 @@ func (t *TCPTransport) Rewind(seqs []uint64) error {
 			return fmt.Errorf("network: rewind: site %d watermark %d ahead of seq %d", i, seqs[i], sc.seq)
 		}
 		sc.seq = seqs[i]
-		for len(sc.replay) > 0 && sc.replay[len(sc.replay)-1].seq > seqs[i] {
-			sc.replay = sc.replay[:len(sc.replay)-1]
+		keep := len(sc.replay)
+		for keep > 0 && sc.replay[keep-1].seq > seqs[i] {
+			keep--
 		}
+		// Cleared, not just cut off: the dropped entries' payloads would
+		// otherwise stay reachable through the backing array's slack.
+		clear(sc.replay[keep:])
+		sc.replay = sc.replay[:keep]
 		sc.mu.Unlock()
 	}
 	return nil

@@ -275,3 +275,40 @@ func TestTCPTransportMarkClearsOverflow(t *testing.T) {
 		t.Fatalf("ReplayedCalls = %d, want 0", got)
 	}
 }
+
+// TestRewindClearsDroppedReplayEntries: Rewind cuts the replay log back
+// to the watermark, and what it cuts must not stay reachable through the
+// slack of the backing array — the re-driven round may log fewer calls
+// than the abandoned one did, and those payloads would then live until
+// the array is next overwritten that far.
+func TestRewindClearsDroppedReplayEntries(t *testing.T) {
+	d := startFakeDaemon(t)
+	tr, err := NewTCPTransport([]string{d.srv.Addr()}, TCPConfig{
+		Hellos:    [][]byte{[]byte("h")},
+		Dial:      replayDialConfig(),
+		ReplayLog: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	for i := 0; i < 5; i++ {
+		if _, err := tr.Invoke(0, "op", []byte{byte(i), 0xAB}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tr.Rewind([]uint64{2}); err != nil {
+		t.Fatal(err)
+	}
+	sc := tr.sites[0]
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	if len(sc.replay) != 2 || sc.replay[1].seq != 2 {
+		t.Fatalf("replay log after Rewind(2) = %+v, want seqs 1-2", sc.replay)
+	}
+	for i, e := range sc.replay[len(sc.replay):cap(sc.replay)] {
+		if e.data != nil || e.method != "" || e.seq != 0 {
+			t.Fatalf("slack entry %d still holds a dropped call: %+v", i, e)
+		}
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/centralized"
+	"repro/internal/checkpoint"
 	"repro/internal/partition"
 	"repro/internal/sitehost"
 	"repro/internal/workload"
@@ -301,6 +302,9 @@ func TestJournalCorruptStartsFresh(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
+		// The old daemon dies with its compactor, if one is running, at a
+		// different step on every site.
+		s.Host().Abandon(checkpoint.Step(1 + i%4))
 		host := sitehost.NewHost()
 		if _, err := host.UseCheckpoints(sitehost.SiteDir(ckpt, i)); err != nil {
 			t.Fatal(err)
@@ -309,7 +313,7 @@ func TestJournalCorruptStartsFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { srv.Close() })
+		t.Cleanup(func() { srv.Close(); srv.Host().Close() })
 	}
 
 	sess2 := open()

@@ -394,20 +394,24 @@ func newTCPTransport(cfg config, hellos [][]byte) (*network.TCPTransport, error)
 }
 
 // markSites tells every checkpointing daemon that the state just reached
-// is durable-worthy: each appends a mark to its delta log (or compacts
-// into a full snapshot), and the driver prunes its replay log up to this
-// point. A no-op without WithCheckpointDir. Marks ride outside the
-// Cluster.Call path, so the protocol meters never see them.
+// is durable-worthy: each appends a mark to its delta log (every few
+// marks also rotating the log, its snapshot written behind the reply),
+// and the driver prunes its replay log up to this point. The marks go
+// out concurrently, at most WithMaxFanout at a time; every site gets
+// exactly one per round, under its own sequence number, whatever a
+// sibling answers, and the lowest failing site's error is returned. A
+// no-op without WithCheckpointDir. Marks ride outside the Cluster.Call
+// path, so the protocol meters never see them.
 func (s *Session) markSites() error {
 	if s.tcp == nil || s.cfg.ckptDir == "" {
 		return nil
 	}
-	for i := range s.cfg.tcpAddrs {
+	return s.det.Cluster().Fanout(len(s.cfg.tcpAddrs), network.FanoutOpts{}, func(i int) error {
 		if _, err := s.tcp.Invoke(network.SiteID(i), "chk.mark", nil); err != nil {
 			return fmt.Errorf("session: checkpoint mark site %d: %w", i, err)
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // ReplayedCalls reports how many logged calls the transport replayed to

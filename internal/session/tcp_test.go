@@ -39,7 +39,9 @@ func serveHosts(t *testing.T, n int) ([]string, []*sitehost.Server) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { srv.Close() })
+		// The host too: under WithCheckpointDir its compactor may still
+		// be writing into a directory the test is about to remove.
+		t.Cleanup(func() { srv.Close(); srv.Host().Close() })
 		addrs[i] = srv.Addr()
 		srvs[i] = srv
 	}

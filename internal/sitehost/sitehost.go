@@ -22,11 +22,13 @@
 // mutates only through the serialized Dispatch, so a snapshot at seq S
 // plus the raw (seq, method, data) records after S reconstructs the
 // exact state — including the reply window — by replay. The driver's
-// "chk.mark" call delimits batches: every few marks the host compacts
-// the log into a fresh snapshot. On restart the newest valid checkpoint
-// is loaded, the local log replayed, and the recovered lastSeq answered
-// in the hello ack so the driver's transport replays only the calls the
-// daemon missed.
+// "chk.mark" call delimits batches: the host appends and flushes a mark
+// record before it answers, and every few marks it also hands its state,
+// as bytes, to the store, which rotates the log and writes the snapshot
+// behind the reply (see handleChk). On restart the newest valid
+// checkpoint is loaded, the segments after it replayed, and the
+// recovered lastSeq answered in the hello ack so the driver's transport
+// replays only the calls the daemon missed.
 package sitehost
 
 import (
@@ -59,8 +61,8 @@ const (
 // calls late) without unbounded growth.
 const replyWindowSize = 32
 
-// DefaultCheckpointEvery is the snapshot compaction threshold: a full
-// snapshot every N batch marks, a delta-log append in between.
+// DefaultCheckpointEvery is the snapshot compaction threshold: a
+// compaction starts every N batch marks.
 const DefaultCheckpointEvery = 8
 
 // Hello is the bootstrap payload: everything a daemon needs to build
@@ -169,7 +171,8 @@ type RecoveryStats struct {
 	// LastSeq is the highest call sequence number restored.
 	LastSeq uint64
 	// Replayed counts the delta-log records re-executed on top of the
-	// snapshot — the daemon-local replay cost of the warm start.
+	// snapshot, over every segment since it — the daemon-local replay
+	// cost of the warm start.
 	Replayed int
 }
 
@@ -200,10 +203,13 @@ type Host struct {
 	ckpt       *checkpoint.Store
 	ckptEvery  int
 	marksSince int
-	// logErr latches a delta-log append failure; surfaced at the next
-	// mark rather than failing the already-executed call (which would
-	// desynchronize driver and daemon).
+	// logErr latches a delta-log append failure, or a compaction's;
+	// surfaced at the next mark rather than failing the already-executed
+	// call (which would desynchronize driver and daemon).
 	logErr error
+	// closed is set by Close and Abandon: the store is gone, so serving
+	// on would acknowledge marks nothing makes durable.
+	closed bool
 }
 
 // NewHost returns an empty host.
@@ -254,7 +260,7 @@ func (h *Host) UseCheckpoints(dir string) (RecoveryStats, error) {
 	h.fromCheckpoint = true
 	return RecoveryStats{
 		Recovered: true,
-		Epoch:     st.Epoch(),
+		Epoch:     snap.Epoch,
 		LastSeq:   h.lastSeq,
 		Replayed:  len(recs),
 	}, nil
@@ -289,7 +295,6 @@ func (h *Host) restoreLocked(snap *checkpoint.Snapshot) error {
 	copy(h.sid[:], hello.SessionID)
 	h.kind, h.site = hello.Kind, hello.Site
 	h.helloBytes = append([]byte(nil), snap.Hello...)
-	h.lastSeq = snap.LastSeq
 	h.window = make(map[uint64]reply, len(snap.Window))
 	h.order = nil
 	win := append([]checkpoint.Reply(nil), snap.Window...)
@@ -497,6 +502,9 @@ func (h *Host) Dispatch(seq uint64, method string, data []byte) ([]byte, string)
 	}
 	h.callMu.Lock()
 	defer h.callMu.Unlock()
+	if h.closed {
+		return nil, "sitehost: host closed"
+	}
 	if seq != 0 {
 		if r, ok := h.window[seq]; ok {
 			return r.data, r.err
@@ -531,6 +539,13 @@ func (h *Host) Dispatch(seq uint64, method string, data []byte) ([]byte, string)
 }
 
 // handleChk serves the checkpoint-control methods. callMu held.
+//
+// A mark is acknowledged — and remembered in the dedupe window, so that
+// a resend can be answered "ok" — only once its record is flushed to the
+// current segment. Every ckptEvery marks the host then also captures its
+// state and lets the store rotate the log; the snapshot file is written
+// behind the reply, and a mark that falls due while that is still going
+// on is a plain mark, the compaction starting at the next one.
 func (h *Host) handleChk(seq uint64, method string) ([]byte, string) {
 	if method != "chk.mark" {
 		return nil, fmt.Sprintf("sitehost: unknown checkpoint method %q", method)
@@ -543,33 +558,49 @@ func (h *Host) handleChk(seq uint64, method string) ([]byte, string) {
 	if h.logErr != nil {
 		return nil, fmt.Sprintf("sitehost: checkpoint delta log failed: %v", h.logErr)
 	}
-	h.marksSince++
-	if h.ckpt.Epoch() == 0 || h.marksSince >= h.ckptEvery {
-		// Compact: snapshot now (the mark's seq and window ride along).
-		h.remember(seq, nil, "")
-		if err := h.snapshotLocked(); err != nil {
+	if h.ckpt.Epoch() == 0 {
+		// The first snapshot: there is no segment to hold the mark and
+		// no older epoch to recover from, so the mark rides inside the
+		// snapshot and the ack waits for the file.
+		if err := h.compactLocked(seq, true); err != nil {
+			// Back to epoch 0, or the next mark would be logged and
+			// acked with no snapshot under its segment.
+			h.ckpt.Reset()
 			return nil, fmt.Sprintf("sitehost: checkpoint snapshot: %v", err)
 		}
+		h.remember(seq, nil, "")
 		h.marksSince = 0
 		return nil, ""
 	}
-	if err := h.ckpt.Append(checkpoint.Record{Seq: seq, Method: method}); err == nil {
-		if err := h.ckpt.Flush(); err != nil {
-			h.logErr = err
-		}
-	} else {
-		h.logErr = err
+	err := h.ckpt.Append(checkpoint.Record{Seq: seq, Method: method})
+	if err == nil {
+		// Also reports a compaction that failed since the last mark.
+		err = h.ckpt.Flush()
 	}
-	if h.logErr != nil {
-		return nil, fmt.Sprintf("sitehost: checkpoint delta log failed: %v", h.logErr)
+	if err != nil {
+		h.logErr = err
+		return nil, fmt.Sprintf("sitehost: checkpoint delta log failed: %v", err)
 	}
 	h.remember(seq, nil, "")
+	h.marksSince++
+	if h.marksSince >= h.ckptEvery && !h.ckpt.Compacting() {
+		// The mark is durable whatever happens to the compaction: its
+		// failure, now or behind the reply, fails the next mark.
+		if err := h.compactLocked(0, false); err != nil {
+			h.logErr = err
+		} else {
+			h.marksSince = 0
+		}
+	}
 	return nil, ""
 }
 
-// snapshotLocked writes a full snapshot of the current state. callMu
-// held; h.engine is stable once the cluster exists.
-func (h *Host) snapshotLocked() error {
+// compactLocked captures the current state as bytes and starts a
+// compaction with it, waiting for the snapshot file if wait is set.
+// mark, when non-zero, is a mark the capture must already count as
+// served although the host has not remembered it yet. callMu held;
+// h.engine is stable once the cluster exists.
+func (h *Host) compactLocked(mark uint64, wait bool) error {
 	eng, err := h.engine.Snapshot()
 	if err != nil {
 		return err
@@ -577,30 +608,80 @@ func (h *Host) snapshotLocked() error {
 	snap := &checkpoint.Snapshot{
 		Hello:   h.helloBytes,
 		LastSeq: h.lastSeq,
+		Window:  make([]checkpoint.Reply, 0, len(h.order)+1),
 		Engine:  eng,
 	}
+	// Cached replies are never written after they are cached, so the
+	// compactor may read them while the host serves on.
 	for _, s := range h.order {
 		r := h.window[s]
 		snap.Window = append(snap.Window, checkpoint.Reply{Seq: s, Data: r.data, Err: r.err})
 	}
-	if err := h.ckpt.WriteSnapshot(snap); err != nil {
+	if mark != 0 {
+		snap.LastSeq = mark
+		snap.Window = append(snap.Window, checkpoint.Reply{Seq: mark})
+		if len(snap.Window) > replyWindowSize {
+			snap.Window = snap.Window[1:]
+		}
+	}
+	if err := h.ckpt.Compact(snap); err != nil {
 		return err
 	}
-	h.logErr = nil
+	if wait {
+		return h.ckpt.Wait()
+	}
 	return nil
 }
 
-// FinalCheckpoint flushes a full snapshot of the current state — the
-// SIGTERM path, so a graceful stop never loses the buffered log tail.
-// A no-op without a checkpoint store or before bootstrap.
+// FinalCheckpoint writes a full snapshot of the current state and waits
+// for it — the SIGTERM path, so a graceful stop restarts without a log
+// to replay. A no-op without a checkpoint store or before bootstrap.
 func (h *Host) FinalCheckpoint() error {
 	h.mu.Lock()
 	cluster := h.cluster
 	h.mu.Unlock()
 	h.callMu.Lock()
 	defer h.callMu.Unlock()
-	if h.ckpt == nil || cluster == nil {
+	if h.ckpt == nil || cluster == nil || h.closed {
 		return nil
 	}
-	return h.snapshotLocked()
+	if err := h.compactLocked(0, true); err != nil {
+		return err
+	}
+	h.logErr = nil
+	return nil
+}
+
+// Close ends the host: it waits for a compaction in flight, flushes the
+// delta log's buffered tail and closes the checkpoint store, returning
+// only once the compactor has. Calls arriving afterwards are refused.
+// Idempotent.
+func (h *Host) Close() error {
+	h.callMu.Lock()
+	defer h.callMu.Unlock()
+	if h.closed {
+		return nil
+	}
+	h.closed = true
+	if h.ckpt == nil {
+		return nil
+	}
+	return h.ckpt.Close()
+}
+
+// Abandon is Close for a host that plays a killed daemon in a test or a
+// recovery sweep: a compaction in flight goes no further than step and
+// the delta log's buffered tail is lost, as a kill would have it (see
+// checkpoint.Store.Abandon). Returns once the compactor has, so a
+// successor may open the same directory.
+func (h *Host) Abandon(step checkpoint.Step) {
+	h.callMu.Lock()
+	defer h.callMu.Unlock()
+	if h.closed {
+		return
+	}
+	h.closed = true
+	if h.ckpt != nil {
+		h.ckpt.Abandon(step)
+	}
 }

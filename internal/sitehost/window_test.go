@@ -39,6 +39,8 @@ func bootHost(t *testing.T, dir string, every int) *Host {
 	if err := host.Bootstrap(data, false); err != nil {
 		t.Fatal(err)
 	}
+	// Before the directory goes: a compactor may still be writing into it.
+	t.Cleanup(func() { host.Close() })
 	return host
 }
 
@@ -99,7 +101,9 @@ func TestHostRecoversWindowAndWatermark(t *testing.T) {
 	}
 	// Crash: the process dies without FinalCheckpoint. A fresh host
 	// recovers from the snapshot (epoch 1, seq 1) plus the flushed log.
+	host.Abandon(checkpoint.StepDone)
 	host2 := NewHost()
+	defer host2.Close()
 	stats, err := host2.UseCheckpoints(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +154,9 @@ func TestHostRecoversWindowAndWatermark(t *testing.T) {
 	if err := host2.Bootstrap(data, false); err == nil {
 		t.Fatal("claimed state stolen by another session")
 	}
+	host2.Abandon(checkpoint.StepDone)
 	host3 := NewHost()
+	defer host3.Close()
 	if _, err := host3.UseCheckpoints(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -183,8 +189,9 @@ func TestBootstrapRejectsReconnectToEmptyHost(t *testing.T) {
 
 // A daemon restarted over a checkpoint written by an earlier format
 // generation (whose delta log holds call payloads that today's handlers
-// would mis-decode: gob in version 1, the one-node v.batchResolve in
-// version 2) must refuse it whole: typed error, nothing loaded, and a
+// would mis-decode — gob in version 1, the one-node v.batchResolve in
+// version 2 — or sits beside a gob snapshot no segment chain hangs off,
+// version 3) must refuse it whole: typed error, nothing loaded, and a
 // reconnecting driver told the state is gone.
 func TestHostStartsEmptyOnOldFormatDeltaLog(t *testing.T) {
 	for old := byte(1); old < checkpoint.FormatVersion; old++ {
@@ -211,7 +218,9 @@ func TestHostStartsEmptyOnOldFormatDeltaLog(t *testing.T) {
 			t.Fatal(err)
 		}
 
+		host.Abandon(checkpoint.StepDone)
 		host2 := NewHost()
+		defer host2.Close()
 		stats, err := host2.UseCheckpoints(dir)
 		if !errors.Is(err, xerr.ErrCheckpointCorrupt) {
 			t.Fatalf("version %d: UseCheckpoints = %+v, %v; want ErrCheckpointCorrupt", old, stats, err)

@@ -122,6 +122,9 @@ func (e *Engine) RunContext(ctx context.Context) (*Summary, error) {
 
 	arrivals := make(chan arrival, e.opts.Buffer)
 	stop := make(chan struct{})
+	// cancelled is the producer's: set before it closes arrivals, read
+	// after the channel has drained.
+	cancelled := false
 	drain := func() {
 		close(stop)
 		for range arrivals { // unblock and run off the producer
@@ -143,6 +146,7 @@ func (e *Engine) RunContext(ctx context.Context) (*Summary, error) {
 					return
 				case <-ctx.Done():
 					t.Stop()
+					cancelled = true
 					return
 				}
 			}
@@ -151,6 +155,7 @@ func (e *Engine) RunContext(ctx context.Context) (*Summary, error) {
 			case <-stop:
 				return
 			case <-ctx.Done():
+				cancelled = true
 				return
 			}
 		}
@@ -180,6 +185,10 @@ func (e *Engine) RunContext(ctx context.Context) (*Summary, error) {
 		if e.opts.OnBatch != nil {
 			e.opts.OnBatch(arr.b, res.r, e.a.Violations().Snapshot())
 		}
+	}
+	if cancelled {
+		// The producer saw the cancellation first and the queue was empty.
+		return nil, ctx.Err()
 	}
 	sum.Elapsed = time.Since(start)
 

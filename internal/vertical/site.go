@@ -46,6 +46,8 @@ type site struct {
 	bufPool [][]int64
 	// inScratch is the reused input-eqid slice for composed resolves.
 	inScratch []eqclass.EqID
+	// snapLen is the size of the last snapshot, the next one's buffer.
+	snapLen int
 }
 
 func newSite(id network.SiteID, schema *relation.Schema, plan *optimizer.Plan, rules []cfd.CFD) *site {

@@ -1,22 +1,22 @@
 package vertical
 
 import (
-	"bytes"
-	"encoding/gob"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/cfd"
 	"repro/internal/eqclass"
 	"repro/internal/optimizer"
 	"repro/internal/relation"
+	"repro/internal/wire"
 )
 
 // Checkpoint serialization for hosted vertical sites. Like the
-// horizontal twin, the encoding is a standalone gob buffer written only
-// to checkpoint files — never to a metered wire stream — so committed
-// byte baselines are untouched and map iteration order need not be
-// deterministic.
+// horizontal twin, the encoding is the positional codec of
+// internal/wire, written only to checkpoint files — never to a metered
+// wire stream — and every list is emitted in ascending key order (the
+// codec does the same for maps), so equal site states are equal bytes.
 
 // snapCheck is one local pattern-constant check; checks are a slice, so
 // their order is preserved exactly.
@@ -61,33 +61,39 @@ type vSiteState struct {
 }
 
 // snapshotState captures the site's fragment, rules, plan copy and
-// equivalence state.
+// equivalence state. The HEV states alias the live maps, which is safe
+// because they are encoded before this returns, under the caller's lock.
 func (s *site) snapshotState() ([]byte, error) {
 	st := vSiteState{Frag: s.frag.Tuples(), Plan: s.plan}
 	for _, r := range s.rules {
 		st.Rules = append(st.Rules, *r)
 	}
-	sort.Slice(st.Rules, func(i, j int) bool { return st.Rules[i].ID < st.Rules[j].ID })
+	slices.SortFunc(st.Rules, func(a, b cfd.CFD) int { return cmp.Compare(a.ID, b.ID) })
 	for _, c := range s.checks {
 		st.Checks = append(st.Checks, snapCheck{RuleID: c.ruleID, Cols: c.cols, Values: c.values})
 	}
 	for _, b := range s.base {
 		st.Base = append(st.Base, b.State())
 	}
+	slices.SortFunc(st.Base, func(a, b *eqclass.BaseState) int { return cmp.Compare(a.Attr, b.Attr) })
 	for id, h := range s.hevs {
 		st.Hevs = append(st.Hevs, snapHEV{Node: id, State: h.State()})
 	}
+	slices.SortFunc(st.Hevs, func(a, b snapHEV) int { return cmp.Compare(a.Node, b.Node) })
 	for rid, x := range s.idx {
 		st.Idx = append(st.Idx, snapIDX{Rule: rid, State: x.State()})
 	}
+	slices.SortFunc(st.Idx, func(a, b snapIDX) int { return cmp.Compare(a.Rule, b.Rule) })
 	for id, m := range s.buf {
 		st.Buf = append(st.Buf, snapBuf{ID: id, Eqids: m})
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
+	slices.SortFunc(st.Buf, func(a, b snapBuf) int { return cmp.Compare(a.ID, b.ID) })
+	data, err := wire.Append(make([]byte, 0, s.snapLen+s.snapLen/8), &st)
+	if err != nil {
 		return nil, fmt.Errorf("vertical: snapshot site %d: %w", s.id, err)
 	}
-	return buf.Bytes(), nil
+	s.snapLen = len(data)
+	return data, nil
 }
 
 // restoreState rebuilds the site from a checkpointed snapshot, replacing
@@ -95,11 +101,21 @@ func (s *site) snapshotState() ([]byte, error) {
 // a freshly bootstrapped hosted site.
 func (s *site) restoreState(data []byte) error {
 	var st vSiteState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+	if err := wire.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("vertical: restore site %d: %w", s.id, err)
 	}
 	if st.Plan == nil {
 		return fmt.Errorf("vertical: restore site %d: snapshot lacks a plan", s.id)
+	}
+	for _, c := range st.Checks {
+		if len(c.Cols) != len(c.Values) {
+			return fmt.Errorf("vertical: restore site %d: rule %q checks %d columns against %d constants", s.id, c.RuleID, len(c.Cols), len(c.Values))
+		}
+		for _, col := range c.Cols {
+			if col < 0 || col >= s.schema.Width() {
+				return fmt.Errorf("vertical: restore site %d: rule %q checks column %d of %d", s.id, c.RuleID, col, s.schema.Width())
+			}
+		}
 	}
 	s.frag = relation.New(s.schema)
 	s.plan = st.Plan
@@ -124,12 +140,21 @@ func (s *site) restoreState(data []byte) error {
 		s.checks = append(s.checks, constChecks{ruleID: c.RuleID, cols: c.Cols, values: c.Values})
 	}
 	for _, b := range st.Base {
+		if b == nil {
+			return fmt.Errorf("vertical: restore site %d: base HEV without state", s.id)
+		}
 		s.base[b.Attr] = eqclass.RestoreBase(b)
 	}
 	for _, h := range st.Hevs {
+		if h.State == nil {
+			return fmt.Errorf("vertical: restore site %d: node %d without state", s.id, h.Node)
+		}
 		s.hevs[h.Node] = eqclass.RestoreHEV(h.State)
 	}
 	for _, x := range st.Idx {
+		if x.State == nil {
+			return fmt.Errorf("vertical: restore site %d: rule %q IDX without state", s.id, x.Rule)
+		}
 		s.idx[x.Rule] = eqclass.RestoreIDX(x.State)
 	}
 	for _, b := range st.Buf {
