@@ -51,7 +51,8 @@ storage-bench:
 	$(GO) run ./cmd/expbench -storage
 
 # coalesce regenerates the batch-grouped protocol baseline
-# (BENCH_coalesce.json: per-update vs coalesced wire meters).
+# (BENCH_coalesce.json: the wire meters of the same ∆D applied one update
+# per ApplyBatch vs whole, through the one protocol driver).
 coalesce:
 	$(GO) run ./cmd/expbench -coalesce
 

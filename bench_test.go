@@ -183,12 +183,12 @@ func benchApplyBatchFanout(b *testing.B, workers int) {
 func BenchmarkApplyBatch8SitesSequential(b *testing.B) { benchApplyBatchFanout(b, 1) }
 func BenchmarkApplyBatch8SitesParallel(b *testing.B)   { benchApplyBatchFanout(b, 0) }
 
-// --- batch-grouped protocol rounds: per-update vs coalesced ApplyBatch ---
+// --- batch-grouped protocol rounds: ∆D update by update vs whole ---
 //
-// The same system driven through ApplyBatch in unit mode (one protocol
-// round per update, O(|∆D|·n) messages per batch) and in the default
-// coalesced mode (one envelope per destination per phase per wave), under
-// a simulated 100µs per-message round-trip. Each op applies one batch of
+// The same ∆D driven through ApplyBatch one update per call (Unit: one
+// protocol round per update, O(|∆D|·n) messages per batch) and in one call
+// (Coalesced: one envelope per destination per phase per wave), under a
+// simulated 100µs per-message round-trip. Each op applies one batch of
 // fresh insertions and one batch deleting them, so index state is steady
 // across iterations; the metrics report the measured messages per batch.
 
@@ -206,7 +206,6 @@ func benchBatchApply(b *testing.B, style string, unit bool, batch int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys.SetUnitMode(unit)
 	sys.Cluster().SetLinkRTT(100 * time.Microsecond)
 	ins := make(UpdateList, batch)
 	del := make(UpdateList, batch)
@@ -217,11 +216,16 @@ func benchBatchApply(b *testing.B, style string, unit bool, batch int) {
 			ins[j] = Update{Kind: Insert, Tuple: t}
 			del[j] = Update{Kind: Delete, Tuple: t}
 		}
-		if _, err := sys.ApplyBatch(ins); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sys.ApplyBatch(del); err != nil {
-			b.Fatal(err)
+		for _, ul := range []UpdateList{ins, del} {
+			step := len(ul)
+			if unit {
+				step = 1
+			}
+			for at := 0; at < len(ul); at += step {
+				if _, err := sys.ApplyBatch(ul[at : at+step]); err != nil {
+					b.Fatal(err)
+				}
+			}
 		}
 	}
 	b.StopTimer()

@@ -11,8 +11,8 @@ import (
 )
 
 // BENCH_coalesce.json is the batch-grouped protocol baseline: per
-// (engine, batch size), the wire meters of the same ∆D applied through
-// the per-update protocol and through the coalesced driver. The rows are
+// (engine, batch size), the wire meters of the same ∆D applied update by
+// update (the unit_* columns) and whole (coal_*). The rows are
 // a pure function of the seed and must stay bit-identical across perf
 // work on any machine; only the header varies with the environment.
 // Latency columns are machine-dependent and deliberately kept out (the

@@ -93,12 +93,14 @@ import (
 )
 
 // FormatVersion is the on-disk format version; a snapshot and its
-// segments must agree on it. The delta log holds raw call payloads, so
-// the version also moves when a call payload is reshaped (3:
+// segments must agree on it. The delta log holds raw call payloads keyed
+// by method name and recovery re-dispatches them, so the version also
+// moves when a call payload is reshaped or a method is retired (3:
 // v.batchResolve carries a stage's node groups; 4: snapshots and engine
 // blobs leave gob for the positional codec, the log is cut into
-// per-epoch segments).
-const FormatVersion = 4
+// per-epoch segments; 5: the per-update methods are retired — no layout
+// change, but an older log may hold calls nothing handles any more).
+const FormatVersion = 5
 
 // File kinds, distinguishing snapshots from delta logs in the header so
 // neither can be misread as the other.

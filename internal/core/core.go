@@ -29,12 +29,6 @@ type Detector interface {
 	// ApplyBatch runs the incremental algorithm (incVer or incHor) on a
 	// batch update ∆D, maintaining V(Σ, D) and returning ∆V.
 	ApplyBatch(relation.UpdateList) (*cfd.Delta, error)
-	// SetUnitMode switches ApplyBatch between the batch-grouped protocol
-	// with per-destination message coalescing (the default, false) and
-	// the per-update protocol rounds (true) — the ablation baseline,
-	// which maintains an identical violation set at O(|∆D| · n) messages
-	// per batch instead of O(n) per phase.
-	SetUnitMode(bool)
 	// BatchDetect recomputes the violations from the current fragments
 	// with the batch baseline (batVer or batHor).
 	BatchDetect() (*cfd.Violations, error)

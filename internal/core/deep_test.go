@@ -72,17 +72,17 @@ konst: ([A, C] -> [D], (a0, c0, d0))
 	return rel, scheme, rules, batches
 }
 
-func deepSystem(t *testing.T, seed int64) (Detector, []relation.UpdateList) {
+// deepSystem builds the fixture's system over a clone of rel.
+func deepSystem(t *testing.T, rel *relation.Relation, scheme *partition.VerticalScheme, rules []cfd.CFD) Detector {
 	t.Helper()
-	rel, scheme, rules, batches := deepFixture(t, seed)
-	sys, err := NewVertical(rel, scheme, rules, VerticalOptions{})
+	sys, err := NewVertical(rel.Clone(), scheme, rules, VerticalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := slices.Max(sys.Plan().Stages()); d < 2 {
 		t.Fatalf("fixture plan has depth %d, want >= 2:\n%s", d, sys.Plan().Describe())
 	}
-	return sys, batches
+	return sys
 }
 
 // TestUnitCoalescedParityDeepPlan is TestUnitCoalescedParity on a plan
@@ -90,31 +90,20 @@ func deepSystem(t *testing.T, seed int64) (Detector, []relation.UpdateList) {
 // eqids produced in one stage are consumed in the next.
 func TestUnitCoalescedParityDeepPlan(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		unitSys, batches := deepSystem(t, seed)
-		coalSys, _ := deepSystem(t, seed)
-		unitSys.SetUnitMode(true)
+		mirror, scheme, rules, batches := deepFixture(t, seed)
+		step := deepSystem(t, mirror, scheme, rules)
+		whole := deepSystem(t, mirror, scheme, rules)
+		v0 := whole.Violations().Clone()
 		for i, batch := range batches {
-			ud, err := unitSys.ApplyBatch(batch)
-			if err != nil {
-				t.Fatalf("seed %d unit batch %d: %v", seed, i, err)
-			}
-			cd, err := coalSys.ApplyBatch(batch)
-			if err != nil {
-				t.Fatalf("seed %d coalesced batch %d: %v", seed, i, err)
-			}
-			if ud.String() != cd.String() {
-				t.Fatalf("seed %d batch %d: ∆V diverged\nunit:      %v\ncoalesced: %v", seed, i, ud, cd)
-			}
-			if !unitSys.Violations().Equal(coalSys.Violations()) {
-				t.Fatalf("seed %d batch %d: violation sets diverged", seed, i)
-			}
+			checkCut(t, fmt.Sprintf("seed %d batch %d", seed, i), step, whole, mirror, batch)
 		}
-		uSt, cSt := unitSys.Stats(), coalSys.Stats()
-		if uSt.Eqids != cSt.Eqids || uSt.Eqids == 0 {
-			t.Errorf("seed %d: eqids unit %d, coalesced %d; want equal and non-zero", seed, uSt.Eqids, cSt.Eqids)
+		stepNet, wholeNet := cfd.DeltaBetween(v0, step.Violations()), cfd.DeltaBetween(v0, whole.Violations())
+		if stepNet.String() != wholeNet.String() {
+			t.Fatalf("seed %d: net ∆V diverged:\nupdate by update: %v\nwhole batches:    %v", seed, stepNet, wholeNet)
 		}
-		if cSt.Messages >= uSt.Messages {
-			t.Errorf("seed %d: coalesced mode sent %d messages, unit mode %d; want strictly fewer", seed, cSt.Messages, uSt.Messages)
+		checkMeters(t, fmt.Sprintf("seed %d", seed), step, whole)
+		if whole.Stats().Eqids == 0 {
+			t.Errorf("seed %d: no eqids shipped", seed)
 		}
 	}
 }
@@ -125,7 +114,8 @@ func TestUnitCoalescedParityDeepPlan(t *testing.T) {
 // received bytes and eqids.
 func TestFanoutParityDeepPlan(t *testing.T) {
 	run := func(workers int) (Detector, []string) {
-		sys, batches := deepSystem(t, 3)
+		rel, scheme, rules, batches := deepFixture(t, 3)
+		sys := deepSystem(t, rel, scheme, rules)
 		sys.Cluster().SetMaxFanout(workers)
 		var deltas []string
 		for i, batch := range batches {

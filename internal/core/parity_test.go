@@ -4,18 +4,77 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/centralized"
 	"repro/internal/cfd"
 	"repro/internal/partition"
 	"repro/internal/relation"
 	"repro/internal/workload"
 )
 
-// The unit-vs-coalesced parity suite: the batch-grouped protocol rounds
-// (the ApplyBatch default) and the per-update protocol (SetUnitMode) must
-// maintain bit-identical violation sets and net ∆V on every batch of
-// every stream profile, while the coalesced mode sends strictly fewer
-// messages on any batch with k ≥ 2 updates that ships at all — the
-// tentpole claim of the batch-grouped refactor.
+// The batch-cut parity suite: each engine has one protocol driver, and a
+// per-update round is a wave of one. However ∆D is cut — every update its
+// own ApplyBatch, or the whole batch in one call — the maintained V must
+// equal a fresh centralized Detect on the current relation after every
+// batch, the net ∆V and the shipped eqids must agree, and the whole batch
+// must send strictly fewer messages whenever k ≥ 2 updates ship at all:
+// coalescing merges messages, never eqids or violations.
+
+// stepwise applies batch one normalised update per ApplyBatch call.
+func stepwise(d Detector, batch relation.UpdateList) error {
+	norm := batch.Normalize()
+	for i := range norm {
+		if _, err := d.ApplyBatch(norm[i : i+1]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkCut applies batch to step update by update, to whole in one call
+// and to the mirrored relation, then holds both V's to a fresh centralized
+// Detect on the mirror. It returns the ∆V whole reported.
+func checkCut(t *testing.T, label string, step, whole Detector, mirror *relation.Relation, batch relation.UpdateList) *cfd.Delta {
+	t.Helper()
+	if err := stepwise(step, batch); err != nil {
+		t.Fatalf("%s: update by update: %v", label, err)
+	}
+	delta, err := whole.ApplyBatch(batch)
+	if err != nil {
+		t.Fatalf("%s: whole batch: %v", label, err)
+	}
+	if err := batch.Apply(mirror); err != nil {
+		t.Fatalf("%s: mirror: %v", label, err)
+	}
+	want := centralized.Detect(mirror, whole.Rules())
+	for _, c := range []struct {
+		cut string
+		d   Detector
+	}{{"update by update", step}, {"whole batch", whole}} {
+		if got := c.d.Violations(); !got.Equal(want) {
+			t.Fatalf("%s: %s: V ≠ centralized Detect on the mirrored relation\ngot \\ want: %v\nwant \\ got: %v",
+				label, c.cut, got.Diff(want), want.Diff(got))
+		}
+	}
+	return delta
+}
+
+// checkMeters compares the two cuts' traffic after a run whose batches
+// all had k ≥ 2 updates.
+func checkMeters(t *testing.T, label string, step, whole Detector) {
+	t.Helper()
+	sSt, wSt := step.Stats(), whole.Stats()
+	if sSt.Eqids != wSt.Eqids {
+		t.Errorf("%s: eqids diverged: update by update %d, whole batch %d (coalescing merges messages, never eqids)",
+			label, sSt.Eqids, wSt.Eqids)
+	}
+	if sSt.Messages > 0 && wSt.Messages >= sSt.Messages {
+		t.Errorf("%s: whole batches sent %d messages, update by update %d; coalescing must reduce messages",
+			label, wSt.Messages, sSt.Messages)
+	}
+	if sSt.Messages == 0 && wSt.Messages > 0 {
+		t.Errorf("%s: whole batches shipped %d messages where update by update shipped none", label, wSt.Messages)
+	}
+}
 
 // parityCase is one (profile, engine) table entry.
 type parityCase struct {
@@ -35,13 +94,9 @@ func parityCases() []parityCase {
 	return out
 }
 
-// parityBuild constructs one engine over a freshly generated base
-// relation, deterministic in the case's seed.
-func parityBuild(t *testing.T, c parityCase, unit bool) (Detector, *workload.Stream) {
+// parityBuild constructs one engine over rel.
+func parityBuild(t *testing.T, c parityCase, rel *relation.Relation, rules []cfd.CFD) Detector {
 	t.Helper()
-	gen := workload.NewSized(workload.TPCH, c.seed, 4000)
-	rules := gen.Rules(24)
-	rel := gen.Relation(260)
 	var (
 		d   Detector
 		err error
@@ -56,110 +111,74 @@ func parityBuild(t *testing.T, c parityCase, unit bool) (Detector, *workload.Str
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.SetUnitMode(unit)
-	src := workload.NewStream(gen, rel, workload.StreamConfig{
-		Profile: c.profile, BatchSize: 24, Batches: 5, InsFrac: 0.65, Seed: c.seed * 7,
-	})
-	return d, src
+	return d
 }
 
-// TestUnitCoalescedParity drives both modes through identical update
-// streams: after every batch the violation sets must be bit-identical,
-// the stream's net ∆V must agree, and the coalesced mode must have sent
-// fewer messages overall.
+// TestUnitCoalescedParity drives both cuts through identical update
+// streams of every profile: after every batch both violation sets equal
+// the centralized oracle, the stream's net ∆V agrees, and the whole
+// batches sent fewer messages overall.
 func TestUnitCoalescedParity(t *testing.T) {
 	for _, c := range parityCases() {
 		c := c
 		t.Run(fmt.Sprintf("%s-%s", c.profile, c.style), func(t *testing.T) {
 			t.Parallel()
-			unitSys, unitSrc := parityBuild(t, c, true)
-			coalSys, coalSrc := parityBuild(t, c, false)
-			v0 := unitSys.Violations().Clone()
-			if !v0.Equal(coalSys.Violations()) {
-				t.Fatal("seeded violation sets differ before any batch")
+			gen := workload.NewSized(workload.TPCH, c.seed, 4000)
+			rules := gen.Rules(24)
+			mirror := gen.Relation(260)
+			step := parityBuild(t, c, mirror.Clone(), rules)
+			whole := parityBuild(t, c, mirror.Clone(), rules)
+			src := workload.NewStream(gen, mirror, workload.StreamConfig{
+				Profile: c.profile, BatchSize: 24, Batches: 5, InsFrac: 0.65, Seed: c.seed * 7,
+			})
+			v0 := centralized.Detect(mirror, rules)
+			if !v0.Equal(step.Violations()) || !v0.Equal(whole.Violations()) {
+				t.Fatal("seeded violation sets differ from the oracle before any batch")
 			}
 			batches := 0
-			for {
-				ub, uok := unitSrc.Next()
-				cb, cok := coalSrc.Next()
-				if uok != cok {
-					t.Fatal("streams diverged in length")
-				}
-				if !uok {
-					break
-				}
+			for b, ok := src.Next(); ok; b, ok = src.Next() {
 				batches++
-				if _, err := unitSys.ApplyBatch(ub.Updates); err != nil {
-					t.Fatalf("unit batch %d: %v", ub.Seq, err)
-				}
-				if _, err := coalSys.ApplyBatch(cb.Updates); err != nil {
-					t.Fatalf("coalesced batch %d: %v", cb.Seq, err)
-				}
-				us, cs := unitSys.Violations().Snapshot(), coalSys.Violations().Snapshot()
-				if !us.Equal(cs) {
-					t.Fatalf("batch %d: violation sets diverged\nunit:      %v\ncoalesced: %v\ndiff u\\c:  %v\ndiff c\\u:  %v",
-						ub.Seq, us, cs, us.Diff(cs), cs.Diff(us))
-				}
+				checkCut(t, fmt.Sprintf("batch %d", b.Seq), step, whole, mirror, b.Updates)
 			}
 			if batches == 0 {
 				t.Fatal("stream produced no batches")
 			}
-
-			unitNet := cfd.DeltaBetween(v0, unitSys.Violations())
-			coalNet := cfd.DeltaBetween(v0, coalSys.Violations())
-			if unitNet.String() != coalNet.String() {
-				t.Fatalf("net ∆V diverged:\nunit:      %v\ncoalesced: %v", unitNet, coalNet)
+			stepNet := cfd.DeltaBetween(v0, step.Violations())
+			wholeNet := cfd.DeltaBetween(v0, whole.Violations())
+			if stepNet.String() != wholeNet.String() {
+				t.Fatalf("net ∆V diverged:\nupdate by update: %v\nwhole batches:    %v", stepNet, wholeNet)
 			}
-
-			uSt, cSt := unitSys.Stats(), coalSys.Stats()
-			if uSt.Eqids != cSt.Eqids {
-				t.Errorf("eqid counts diverged: unit %d, coalesced %d (coalescing merges messages, never eqids)",
-					uSt.Eqids, cSt.Eqids)
-			}
-			if uSt.Messages > 0 && cSt.Messages >= uSt.Messages {
-				t.Errorf("coalesced mode sent %d messages, unit mode %d; coalescing must reduce messages",
-					cSt.Messages, uSt.Messages)
-			}
-			if uSt.Messages == 0 && cSt.Messages > 0 {
-				t.Errorf("coalesced mode shipped %d messages where unit mode shipped none", cSt.Messages)
-			}
+			checkMeters(t, "stream", step, whole)
 		})
 	}
 }
 
-// TestCoalescedSingleUpdate pins the k=1 edge: a lone update must not pay
-// more messages coalesced than the per-update protocol does, and both
-// must agree on ∆V semantics.
+// TestCoalescedSingleUpdate pins the k=1 edge: a lone update is a wave of
+// one whichever way it is cut, so both cuts cost the same on every meter;
+// V tracks the oracle throughout, and the ∆V a single update returns is
+// exactly the change it made to V.
 func TestCoalescedSingleUpdate(t *testing.T) {
 	for _, style := range []string{"horizontal", "vertical"} {
 		t.Run(style, func(t *testing.T) {
 			gen := workload.NewSized(workload.TPCH, 5, 2000)
 			rules := gen.Rules(16)
-			rel := gen.Relation(200)
-			mk := func(unit bool) Detector {
-				d := build(t, style, rel.Clone(), rules, false)
-				d.SetUnitMode(unit)
-				return d
-			}
-			unitSys, coalSys := mk(true), mk(false)
+			mirror := gen.Relation(200)
+			step := build(t, style, mirror.Clone(), rules, false)
+			whole := build(t, style, mirror.Clone(), rules, false)
 			for i := 0; i < 12; i++ {
 				tup := gen.Next()
 				for _, u := range []relation.Update{{Kind: relation.Insert, Tuple: tup}, {Kind: relation.Delete, Tuple: tup}} {
-					ud, err := unitSys.ApplyBatch(relation.UpdateList{u})
-					if err != nil {
-						t.Fatal(err)
-					}
-					cd, err := coalSys.ApplyBatch(relation.UpdateList{u})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if ud.String() != cd.String() {
-						t.Fatalf("unit ∆V %v ≠ coalesced ∆V %v for %v", ud, cd, u.Kind)
+					label := fmt.Sprintf("%v t%d", u.Kind, tup.ID)
+					before := whole.Violations().Clone()
+					got := checkCut(t, label, step, whole, mirror, relation.UpdateList{u})
+					if want := cfd.DeltaBetween(before, whole.Violations()); got.String() != want.String() {
+						t.Fatalf("%s: returned ∆V %v, V changed by %v", label, got, want)
 					}
 				}
 			}
-			if !unitSys.Violations().Equal(coalSys.Violations()) {
-				t.Fatal("violation sets diverged after single-update sequence")
+			sSt, wSt := step.Stats(), whole.Stats()
+			if sSt.Messages != wSt.Messages || sSt.Bytes != wSt.Bytes || sSt.Eqids != wSt.Eqids {
+				t.Errorf("a single update cost differently by cut:\nupdate by update: %+v\nwhole batch:      %+v", sSt, wSt)
 			}
 		})
 	}

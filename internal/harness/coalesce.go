@@ -11,14 +11,17 @@ import (
 	"repro/internal/workload"
 )
 
-// Exp-coalesce measures the batch-grouped protocol rounds: the same batch
-// ∆D applied once through the per-update protocol (SetUnitMode, one probe
-// broadcast / eqid delivery / vote per unit update) and once through the
-// coalesced driver (one envelope per destination per phase per wave). The
-// two runs land on bit-identical violation sets and net ∆V — RunCoalesce
-// errors out otherwise — and ship identical eqid counts; what drops is
-// the message count (O(|∆D| · n) → O(n) per phase) and, under a simulated
-// link RTT, the wall-clock apply latency.
+// Exp-coalesce measures what batch grouping buys: the same normalised ∆D
+// applied once update by update (every update its own ApplyBatch — a wave
+// of one: one probe broadcast / eqid delivery / vote per unit update, and
+// on vertical one n(n−1) barrier per call) and once whole (one envelope
+// per destination per phase per wave). Both runs go through the one
+// protocol driver, land on bit-identical violation sets and net ∆V —
+// RunCoalesce errors out otherwise — and ship identical eqid counts; what
+// drops is the message count (O(|∆D| · n) → O(n) per phase) and, under a
+// simulated link RTT, the wall-clock apply latency. The Unit* columns
+// (unit_* in BENCH_coalesce.json) are the update-by-update run, Coal* the
+// whole-batch one.
 
 // CoalesceRow is one (engine, batch size) measurement of the sweep. The
 // meter columns are deterministic in the scale's seed; the seconds are
@@ -41,9 +44,9 @@ type CoalesceRow struct {
 // gap widening as batches grow while coalesced messages stay ~O(n).
 func CoalesceBatchSizes() []int { return []int{64, 256} }
 
-// RunCoalesce runs the unit-vs-coalesced sweep at the given scale and
-// simulated per-message RTT. Both modes consume the identical batch
-// against identically seeded systems.
+// RunCoalesce runs the update-by-update vs whole-batch sweep at the given
+// scale and simulated per-message RTT. Both runs consume the identical
+// batch against identically seeded systems.
 func RunCoalesce(sc Scale, rtt time.Duration) ([]CoalesceRow, error) {
 	var rows []CoalesceRow
 	for _, style := range []string{"hor", "ver"} {
@@ -59,9 +62,6 @@ func RunCoalesce(sc Scale, rtt time.Duration) ([]CoalesceRow, error) {
 				if style == "hor" {
 					opts = []session.Option{session.WithHorizontal(partition.HashHorizontal("c_name", sc.Sites))}
 				}
-				if unit {
-					opts = append(opts, session.WithUnitMode())
-				}
 				if rtt > 0 {
 					opts = append(opts, session.WithLinkRTT(rtt))
 				}
@@ -69,11 +69,17 @@ func RunCoalesce(sc Scale, rtt time.Duration) ([]CoalesceRow, error) {
 				if err != nil {
 					return nil, err
 				}
-				updates := gen.Updates(rel, batch, 0.7)
+				updates := gen.Updates(rel, batch, 0.7).Normalize()
+				step := len(updates)
+				if unit {
+					step = 1
+				}
 				v0 := sys.Violations().Clone()
 				start := time.Now()
-				if _, err := sys.ApplyBatch(context.Background(), updates); err != nil {
-					return nil, err
+				for i := 0; i < len(updates); i += step {
+					if _, err := sys.ApplyBatch(context.Background(), updates[i:i+step]); err != nil {
+						return nil, err
+					}
 				}
 				elapsed := time.Since(start).Seconds()
 				st := sys.Stats()
@@ -103,7 +109,7 @@ func RunCoalesce(sc Scale, rtt time.Duration) ([]CoalesceRow, error) {
 func CoalesceResult(rows []CoalesceRow, rtt time.Duration) *Result {
 	r := &Result{
 		Name: "Exp-coalesce", Figure: "protocol",
-		Title:   fmt.Sprintf("per-update vs batch-grouped protocol rounds, %s RTT", rtt),
+		Title:   fmt.Sprintf("∆D update by update vs whole through the batch-grouped rounds, %s RTT", rtt),
 		XLabel:  "engine/|∆D|",
 		Columns: []string{"unitMsgs", "coalMsgs", "msg÷", "unitKB", "coalKB", "eqids", "unit(s)", "coal(s)", "speedup"},
 	}
@@ -125,8 +131,9 @@ func CoalesceResult(rows []CoalesceRow, rtt time.Duration) *Result {
 		})
 	}
 	r.Notes = append(r.Notes,
-		"both modes land on bit-identical V and net ∆V (asserted) and ship identical eqid counts",
-		"coalesced rounds pay one envelope per destination per phase per wave: O(n) messages instead of O(|∆D|·n)")
+		"both runs land on bit-identical V and net ∆V (asserted) and ship identical eqid counts",
+		"a whole batch pays one envelope per destination per phase per wave: O(n) messages instead of O(|∆D|·n)",
+		"unit* = every update its own ApplyBatch; on ver that includes one n(n−1) barrier per call")
 	return r
 }
 

@@ -9,8 +9,9 @@ import (
 	"repro/internal/relation"
 )
 
-// This file is the batch-grouped incHor driver: the coalesced twin of the
-// per-update protocol in system.go. One batch runs as phases —
+// This file is the incHor driver — the one protocol ApplyBatch, seeding
+// and rule seeding all run; a per-update round is a wave of one. One wave
+// runs as phases —
 //
 //	A. local phase: one same-site call per owning site applies the whole
 //	   batch's fragment and class-membership changes and reports the
@@ -29,10 +30,10 @@ import (
 //	D. settle: final flags are pinned — same-site at the touching owners,
 //	   and one envelope per (relay, peer) for the demote round.
 //
-// The final violation set and the net ∆V are bit-identical to the
-// per-update path (the parity tests and the differential oracle pin
-// this); what changes is the number of wire messages: O(n) per wave
-// instead of O(|∆D| · n) per batch.
+// After every batch V equals a fresh centralized Detect on the current D
+// (the parity tests and the differential oracles pin this) however ∆D is
+// cut into batches; what the cut changes is the number of wire messages:
+// O(n) per wave, against O(|∆D| · n) when every update is its own batch.
 
 // hGroup is the driver-side aggregate of one touched (rule, X) group.
 type hGroup struct {
@@ -139,7 +140,7 @@ func (sys *System) applyWaveCoalesced(norm relation.UpdateList, delta *cfd.Delta
 
 	// Phase A: route every update to its owner, one local-phase call per
 	// owning site (same-site, unmetered — ∆D delivery is not detection
-	// traffic, exactly as in the per-update path).
+	// traffic).
 	perOwner := make([][]batchApplyItem, len(sys.sites))
 	for _, u := range norm {
 		ownerInt, err := sys.scheme.SiteFor(sys.schema, u.Tuple)
@@ -169,8 +170,7 @@ func (sys *System) applyWaveCoalesced(norm relation.UpdateList, delta *cfd.Delta
 
 	// Aggregate: constant-rule marks emit directly; touched groups merge
 	// across owners. Removals are emitted before additions at the end, so
-	// a modification (delete + insert of one id) replays exactly like the
-	// per-update sequence would.
+	// a modification (delete + insert of one id) replays in update order.
 	var removes, adds []mark
 	byRule := make(map[string]map[code]*hGroup)
 	var groups []*hGroup

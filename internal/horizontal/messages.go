@@ -1,7 +1,7 @@
 // Package horizontal implements §6 of the paper: incremental detection of
-// CFD violations over horizontally partitioned data (incHor with its
-// per-update insertion and deletion protocols and local-check rules) plus
-// the batHor batch baseline of Fan et al., ICDE 2010.
+// CFD violations over horizontally partitioned data (incHor: the insertion
+// and deletion protocols regrouped by (rule, X-group), and the local-check
+// rules) plus the batHor batch baseline of Fan et al., ICDE 2010.
 //
 // Constant CFDs are checked at the owning site with no shipment. For
 // variable CFDs, each site indexes its local tuples by (X values, B value)
@@ -64,153 +64,16 @@ type applyReq struct {
 	Values []string
 }
 
-// insLocalReq runs the owner-local part of the insertion protocol.
-type insLocalReq struct {
-	Rule string
-	ID   int64
-	X    keyRef
-	B    keyRef
-}
-
-// insLocalResp reports the owner-local outcome. When Broadcast is false
-// the decision was fully local: TAdded says whether the inserted tuple is
-// a new violation, Added lists other local tuples that became violations.
-// When Broadcast is true the driver must probe the other sites and then
-// call finishIns; Added still lists locally flipped tuples and LocalDiff
-// whether a local disagreeing class exists.
-type insLocalResp struct {
-	Broadcast bool
-	TAdded    bool
-	Added     []int64
-	LocalDiff bool
-}
-
-// probeItem is one rule's entry inside a batched probe. With MD5 coding
-// (§6's optimization) it carries the 128-bit codes of t[X] and t[B];
-// without, it carries only the rule id and the receiving site derives the
-// keys from the full tuple shipped once in the request — "send the coding
-// of the tuple instead of the tuple". Each tuple is shipped to a peer at
-// most once per update, keeping the message count at O(|∆D| · n) as §6's
-// complexity analysis requires.
-type probeItem struct {
-	Rule string
-	X    keyRef
-	B    keyRef
-}
-
-// probeInsReq is the broadcast of a (coded) tuple to another site during
-// insertion: "each site Sj checks its local violations in parallel".
-// Tuple holds the full attribute values when MD5 coding is off.
-type probeInsReq struct {
-	Tuple []string
-	Items []probeItem
-}
-
-// probeInsItemResp reports what the probed site found for one rule: local
-// tuples newly violating because of the inserted tuple, whether a class
-// disagreeing on B exists, and whether the tuple's own class exists (with
-// its flag).
-type probeInsItemResp struct {
-	Rule    string
-	Added   []int64
-	HasDiff bool
-	HasSame bool
-	SameInV bool
-}
-
-// probeInsResp carries one response per probed item.
-type probeInsResp struct {
-	Items []probeInsItemResp
-}
-
-// finishInsReq completes a broadcast insertion at the owner with the
-// globally determined violation status of the new tuple.
-type finishInsReq struct {
-	Rule string
-	ID   int64
-	X    keyRef
-	B    keyRef
-	TInV bool
-}
-
-// delLocalReq runs the owner-local part of the deletion protocol.
-type delLocalReq struct {
-	Rule string
-	ID   int64
-	X    keyRef
-	B    keyRef
-}
-
-// delLocalResp reports the owner-local outcome: TRemoved says whether the
-// deleted tuple left V. Broadcast is set when the tuple's class became
-// locally extinct and at most one other local class remains, so remote
-// state may change; LocalOthers carries up to two distinct remaining local
-// class digests for the driver's aggregation.
-type delLocalResp struct {
-	TRemoved    bool
-	Broadcast   bool
-	LocalOthers [][]byte
-}
-
-// probeDelReq asks a site, for each item, whether the deleted tuple's
-// class survives there and which other classes it holds in the group.
-// Batched per (tuple, peer) like insertion probes; Tuple carries the full
-// values when MD5 coding is off.
-type probeDelReq struct {
-	Tuple []string
-	Items []probeItem
-}
-
-// probeDelItemResp carries one rule's survival answer: HasSame, plus up to
-// two distinct other-class digests.
-type probeDelItemResp struct {
-	Rule    string
-	HasSame bool
-	Others  [][]byte
-}
-
-// probeDelResp carries one response per probed item.
-type probeDelResp struct {
-	Items []probeDelItemResp
-}
-
-// demoteItem names one group whose surviving single class is no longer
-// violating.
-type demoteItem struct {
-	Rule string
-	X    keyRef
-}
-
-// demoteReq tells a site to clear the violation flags of the surviving
-// classes of the listed groups, batched per (tuple, peer); Tuple carries
-// the full values when MD5 coding is off.
-type demoteReq struct {
-	Tuple []string
-	Items []demoteItem
-}
-
-// demoteResp lists tuples that left V at the receiving site, tagged by
-// rule.
-type demoteItemResp struct {
-	Rule    string
-	Removed []int64
-}
-
-// demoteResp carries one response per demoted group.
-type demoteResp struct {
-	Items []demoteItemResp
-}
-
-// --- batch-grouped protocol (coalesced ApplyBatch) ---
+// --- batch-grouped protocol ---
 //
-// The per-update protocol above pays one probe broadcast (and possibly a
-// demote round) per unit update: O(|∆D| · n) messages per batch. The
-// batch-grouped protocol regroups the same work by (rule, X-group): every
-// owner runs the whole batch's local phase in one same-site call, the
-// driver aggregates the touched groups, and everything bound for one peer
-// — survey questions, promote orders, demote orders — rides in one
-// envelope per (coordinator, peer) per batch: O(n) messages per phase,
-// independent of |∆D|.
+// §6's protocols pay one probe broadcast (and possibly a demote round)
+// per unit update: O(|∆D| · n) messages per batch. The batch-grouped
+// protocol regroups the same work by (rule, X-group): every owner runs
+// the whole batch's local phase in one same-site call, the driver
+// aggregates the touched groups, and everything bound for one peer —
+// survey questions, promote orders, demote orders — rides in one envelope
+// per (coordinator, peer) per batch: O(n) messages per phase, independent
+// of |∆D|.
 
 // batchApplyItem is one unit update inside an owner's local phase.
 type batchApplyItem struct {
@@ -279,8 +142,8 @@ type batchApplyResp struct {
 // the batch; Decided short-circuits the survey: the coordinator has proof
 // of ≥ 2 distinct B values, so the receiver promotes its classes without
 // answering. An undecided receiver that sees ≥ 2 distinct values across
-// Bs and its own classes promotes inline, exactly like the per-update
-// probe does — a group only ever needs a second (settle) round to demote.
+// Bs and its own classes promotes inline, as §6's insertion probe does —
+// a group only ever needs a second (settle) round to demote.
 type probeGroupItem struct {
 	Rule    string
 	X       keyRef
@@ -343,17 +206,6 @@ type settleGroupItemResp struct {
 // settleGroupResp carries one response per settled group.
 type settleGroupResp struct {
 	Items []settleGroupItemResp
-}
-
-// constCheckReq classifies a tuple against a constant rule at its owner.
-type constCheckReq struct {
-	Rule string
-	ID   int64
-}
-
-// constCheckResp reports whether the tuple violates the constant rule.
-type constCheckResp struct {
-	Violation bool
 }
 
 // shipMatchingReq asks a site for its tuples matching a rule's pattern

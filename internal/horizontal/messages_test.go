@@ -12,16 +12,11 @@ import (
 // value each with every nested type populated.
 func wireMessages() []any {
 	return []any{
-		applyReq{}, insLocalReq{X: keyRef{Digest: []byte{0}, Raw: []string{""}}}, insLocalResp{Added: []int64{0}},
-		probeInsReq{Tuple: []string{""}, Items: []probeItem{{}}}, probeInsResp{Items: []probeInsItemResp{{Added: []int64{0}}}},
-		finishInsReq{}, delLocalReq{}, delLocalResp{LocalOthers: [][]byte{{0}}},
-		probeDelReq{Items: []probeItem{{}}}, probeDelResp{Items: []probeDelItemResp{{Others: [][]byte{{0}}}}},
-		demoteReq{Items: []demoteItem{{}}}, demoteResp{Items: []demoteItemResp{{Removed: []int64{0}}}},
-		constCheckReq{}, constCheckResp{}, shipMatchingReq{}, shipMatchingResp{Rows: []matchRow{{X: []string{""}}}},
+		applyReq{Values: []string{""}}, shipMatchingReq{}, shipMatchingResp{Rows: []matchRow{{X: []string{""}}}},
 		localDetectReq{}, localDetectResp{IDs: []int64{0}},
 		batchApplyReq{Updates: []batchApplyItem{{Values: []string{""}}}},
 		batchApplyResp{Consts: []constMark{{}}, Groups: []touchedGroup{{X: []byte{0}, PostBs: [][]byte{{0}}, Inserted: []int64{0}, DeletedWasInV: []bool{false}}}},
-		forwardGroupReq{Items: []probeGroupItem{{Bs: [][]byte{{0}}}}},
+		forwardGroupReq{Items: []probeGroupItem{{X: keyRef{Digest: []byte{0}, Raw: []string{""}}, Bs: [][]byte{{0}}}}},
 		probeGroupReq{Items: []probeGroupItem{{}}}, probeGroupResp{Items: []probeGroupItemResp{{Added: []int64{0}}}},
 		settleGroupReq{Items: []settleGroupItem{{}}}, settleGroupResp{Items: []settleGroupItemResp{{Added: []int64{0}, Removed: []int64{0}}}},
 		empty{},
@@ -38,7 +33,7 @@ func TestWireCodecMatchesGob(t *testing.T) {
 	cases := append(wireMessages(),
 		// Empty but non-nil slices at every nesting depth decode to nil.
 		batchApplyResp{Consts: []constMark{}, Groups: []touchedGroup{{X: []byte{}, PostBs: [][]byte{{}, nil, {1}}, Inserted: []int64{}}}},
-		probeInsReq{Tuple: []string{}, Items: []probeItem{{Rule: "r", X: keyRef{Raw: []string{"", "a"}}}}},
+		probeGroupReq{Items: []probeGroupItem{{Rule: "r", X: keyRef{Raw: []string{"", "a"}}, Bs: [][]byte{}}}},
 		// Negative and wide integers, non-ASCII strings.
 		batchApplyReq{Updates: []batchApplyItem{{Op: OpDelete, ID: -1 << 62, Values: []string{"é", ""}}, {ID: 1<<63 - 1}}, RawKeys: true},
 		seedRulesReq{Rules: []cfd.CFD{{ID: "phi", LHS: []string{"a", "b"}, RHS: "c", LHSPattern: []string{"_", "x"}, RHSPattern: "_"}}, Local: []bool{true, false}},

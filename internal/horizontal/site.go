@@ -109,209 +109,8 @@ func (s *site) apply(req applyReq) (empty, error) {
 	return empty{}, nil
 }
 
-// insLocal is step (1) of the insertion protocol at the owning site.
-func (s *site) insLocal(req insLocalReq) (insLocalResp, error) {
-	dx, db := req.X.code(), req.B.code()
-	tid := relation.TupleID(req.ID)
-	g := s.group(req.Rule, dx)
-
-	if c, ok := g[db]; ok {
-		// [t]_{X∪{B}} is non-empty locally: t inherits the class's
-		// status, nothing else changes, no shipment (§6 case (1)(a)(i) /
-		// (1)(b)(i)).
-		c.members[tid] = struct{}{}
-		return insLocalResp{TAdded: c.inV}, nil
-	}
-
-	// t's class is new here. Every local class in the group disagrees
-	// with t on B, so all of them gain t as a violation partner: any
-	// unflagged class flips now.
-	var added []int64
-	anyFlagged := false
-	for _, c := range g {
-		if c.inV {
-			anyFlagged = true
-			continue
-		}
-		c.inV = true
-		added = append(added, toInt64s(sortedMembers(c))...)
-	}
-	sort.Slice(added, func(i, j int) bool { return added[i] < added[j] })
-	if len(g) >= 2 || anyFlagged {
-		// Fully local (the paper's Example 9 reasoning): a disagreeing
-		// local class that was already a violation — or two local
-		// classes keeping each other violating — implies, by flag
-		// consistency, that every unflagged tuple anywhere in the group
-		// shares that class's B value and therefore already had a
-		// disagreeing partner; no remote status can change, and t
-		// itself is a violation. No shipment.
-		c := s.ensureClass(req.Rule, dx, db)
-		c.members[tid] = struct{}{}
-		c.inV = true
-		return insLocalResp{TAdded: true, Added: added}, nil
-	}
-	// 0 unflagged-or-no local classes: remote state determines t's status
-	// and remote unflagged classes may flip — the driver must broadcast.
-	return insLocalResp{Broadcast: true, Added: added, LocalDiff: len(g) >= 1}, nil
-}
-
-// itemKeys resolves a probe item's index keys: from its MD5 codes when
-// present, otherwise derived from the full tuple shipped in the request.
-func (s *site) itemKeys(item probeItem, tuple []string) (dx, db code, err error) {
-	if len(item.X.Digest) > 0 || len(item.X.Raw) > 0 {
-		return item.X.code(), item.B.code(), nil
-	}
-	rule, ok := s.rules[item.Rule]
-	if !ok {
-		return dx, db, fmt.Errorf("horizontal: site %d: unknown rule %s", s.id, item.Rule)
-	}
-	if len(tuple) != s.schema.Width() {
-		return dx, db, fmt.Errorf("horizontal: site %d: probe for rule %s lacks both codes and tuple", s.id, item.Rule)
-	}
-	t := relation.Tuple{Values: tuple}
-	s.keyBuf = t.AppendKey(s.keyBuf[:0], rule.LHSCols)
-	dx = md5.Sum(s.keyBuf)
-	s.bScratch[0] = tuple[rule.RHSCol]
-	s.keyBuf = relation.AppendKeyVals(s.keyBuf[:0], s.bScratch[:])
-	return dx, md5.Sum(s.keyBuf), nil
-}
-
-// probeIns is step (2): a probed site checks the shipped (coded) tuple
-// against its local classes, for every rule in the batch.
-func (s *site) probeIns(req probeInsReq) (probeInsResp, error) {
-	resp := probeInsResp{Items: make([]probeInsItemResp, 0, len(req.Items))}
-	for _, item := range req.Items {
-		dx, db, err := s.itemKeys(item, req.Tuple)
-		if err != nil {
-			return probeInsResp{}, err
-		}
-		ir := probeInsItemResp{Rule: item.Rule}
-		for bd, c := range s.group(item.Rule, dx) {
-			if bd == db {
-				ir.HasSame = true
-				ir.SameInV = c.inV
-				continue
-			}
-			ir.HasDiff = true
-			if !c.inV {
-				c.inV = true
-				ir.Added = append(ir.Added, toInt64s(sortedMembers(c))...)
-			}
-		}
-		sort.Slice(ir.Added, func(i, j int) bool { return ir.Added[i] < ir.Added[j] })
-		resp.Items = append(resp.Items, ir)
-	}
-	return resp, nil
-}
-
-// finishIns completes a broadcast insertion with t's global status.
-func (s *site) finishIns(req finishInsReq) (empty, error) {
-	c := s.ensureClass(req.Rule, req.X.code(), req.B.code())
-	c.members[relation.TupleID(req.ID)] = struct{}{}
-	if req.TInV {
-		c.inV = true
-	}
-	return empty{}, nil
-}
-
-// delLocal is step (1) of the deletion protocol at the owning site.
-func (s *site) delLocal(req delLocalReq) (delLocalResp, error) {
-	dx, db := req.X.code(), req.B.code()
-	tid := relation.TupleID(req.ID)
-	c := s.classOf(req.Rule, dx, db)
-	if c == nil {
-		return delLocalResp{}, fmt.Errorf("horizontal: site %d: delete of unindexed tuple %d (rule %s)", s.id, req.ID, req.Rule)
-	}
-	if _, ok := c.members[tid]; !ok {
-		return delLocalResp{}, fmt.Errorf("horizontal: site %d: tuple %d not in its class (rule %s)", s.id, req.ID, req.Rule)
-	}
-	delete(c.members, tid)
-	wasInV := c.inV
-	classEmpty := len(c.members) == 0
-	s.dropIfEmpty(req.Rule, dx, db)
-
-	if !wasInV {
-		// t was not a violation: nothing changes anywhere (deleting a
-		// tuple with no disagreeing partner affects nobody).
-		return delLocalResp{}, nil
-	}
-	resp := delLocalResp{TRemoved: true}
-	if !classEmpty {
-		// Tuples equal to t on X and B remain here: every other tuple
-		// keeps its partners. No shipment (§6 case (1)(a)).
-		return resp, nil
-	}
-	// t's class is locally extinct. If ≥ 2 distinct local classes
-	// remain they keep each other violating — and any remote class
-	// disagrees with at least one of them — so nothing else changes.
-	g := s.group(req.Rule, dx)
-	if len(g) >= 2 {
-		return resp, nil
-	}
-	resp.Broadcast = true
-	for bd := range g {
-		resp.LocalOthers = append(resp.LocalOthers, append([]byte(nil), bd[:]...))
-	}
-	return resp, nil
-}
-
-// probeDel answers a deletion probe for every rule in the batch: does
-// t's class survive here, and which other classes exist in the group (two
-// distinct digests suffice for the driver to decide).
-func (s *site) probeDel(req probeDelReq) (probeDelResp, error) {
-	resp := probeDelResp{Items: make([]probeDelItemResp, 0, len(req.Items))}
-	for _, item := range req.Items {
-		dx, db, err := s.itemKeys(item, req.Tuple)
-		if err != nil {
-			return probeDelResp{}, err
-		}
-		ir := probeDelItemResp{Rule: item.Rule}
-		digests := make([]code, 0, 2)
-		for bd := range s.group(item.Rule, dx) {
-			if bd == db {
-				ir.HasSame = true
-				continue
-			}
-			digests = append(digests, bd)
-		}
-		slices.SortFunc(digests, func(a, b code) int { return bytes.Compare(a[:], b[:]) })
-		if len(digests) > 2 {
-			digests = digests[:2]
-		}
-		for _, d := range digests {
-			ir.Others = append(ir.Others, append([]byte(nil), d[:]...))
-		}
-		resp.Items = append(resp.Items, ir)
-	}
-	return resp, nil
-}
-
-// demote clears the violation flags of the surviving class(es) of each
-// listed group, after the driver determined only one distinct B value
-// remains globally.
-func (s *site) demote(req demoteReq) (demoteResp, error) {
-	resp := demoteResp{Items: make([]demoteItemResp, 0, len(req.Items))}
-	for _, item := range req.Items {
-		dx, _, err := s.itemKeys(probeItem{Rule: item.Rule, X: item.X}, req.Tuple)
-		if err != nil {
-			return demoteResp{}, err
-		}
-		ir := demoteItemResp{Rule: item.Rule}
-		for _, c := range s.group(item.Rule, dx) {
-			if c.inV {
-				c.inV = false
-				ir.Removed = append(ir.Removed, toInt64s(sortedMembers(c))...)
-			}
-		}
-		sort.Slice(ir.Removed, func(i, j int) bool { return ir.Removed[i] < ir.Removed[j] })
-		resp.Items = append(resp.Items, ir)
-	}
-	return resp, nil
-}
-
 // tupleKeys computes the MD5 codes of t[X] and t[B] under a compiled
-// rule through the site's scratch buffer (the owner-side twin of the
-// driver's keysFor).
+// rule through the site's scratch buffer.
 func (s *site) tupleKeys(r *cfd.Compiled, t relation.Tuple) (dx, db code) {
 	s.keyBuf = t.AppendKey(s.keyBuf[:0], r.LHSCols)
 	dx = md5.Sum(s.keyBuf)
@@ -466,8 +265,8 @@ func (s *site) forwardGroup(forwardGroupReq) (empty, error) { return empty{}, ni
 // the local evidence (classes present, shared flag, ≤ 2 distinct B
 // digests) and — when the item is Decided, or the item's digests plus its
 // own prove ≥ 2 distinct B values — promotes its classes inline,
-// returning the flipped members. Exactly the per-update probe's
-// semantics, for a whole batch of groups in one message.
+// returning the flipped members. §6's probe semantics, for a whole wave of
+// groups in one message.
 func (s *site) probeGroup(req probeGroupReq) (probeGroupResp, error) {
 	resp := probeGroupResp{Items: make([]probeGroupItemResp, 0, len(req.Items))}
 	for _, item := range req.Items {
@@ -547,19 +346,6 @@ func (s *site) settleGroup(req settleGroupReq) (settleGroupResp, error) {
 	return resp, nil
 }
 
-// constCheck classifies a stored tuple against a constant rule.
-func (s *site) constCheck(req constCheckReq) (constCheckResp, error) {
-	rule, ok := s.rules[req.Rule]
-	if !ok {
-		return constCheckResp{}, fmt.Errorf("horizontal: site %d: unknown rule %s", s.id, req.Rule)
-	}
-	t, ok := s.frag.Get(relation.TupleID(req.ID))
-	if !ok {
-		return constCheckResp{}, fmt.Errorf("horizontal: site %d: constCheck on missing tuple %d", s.id, req.ID)
-	}
-	return constCheckResp{Violation: rule.SingleViolation(t)}, nil
-}
-
 // shipMatching returns the site's (partial) tuples for a rule: the batHor
 // shipment unit. Sites project each tuple onto X ∪ {B}; the coordinator
 // evaluates the pattern, as in the batch baseline of Fan et al. (ICDE
@@ -636,17 +422,10 @@ func (s *site) localDetect(req localDetectReq) (localDetectResp, error) {
 
 func (s *site) register(c *network.Cluster) {
 	network.RegisterFunc(c, s.id, "h.apply", s.apply)
-	network.RegisterFunc(c, s.id, "h.insLocal", s.insLocal)
-	network.RegisterFunc(c, s.id, "h.probeIns", s.probeIns)
-	network.RegisterFunc(c, s.id, "h.finishIns", s.finishIns)
-	network.RegisterFunc(c, s.id, "h.delLocal", s.delLocal)
-	network.RegisterFunc(c, s.id, "h.probeDel", s.probeDel)
-	network.RegisterFunc(c, s.id, "h.demote", s.demote)
 	network.RegisterFunc(c, s.id, "h.batchApply", s.batchApply)
 	network.RegisterFunc(c, s.id, "h.forwardGroup", s.forwardGroup)
 	network.RegisterFunc(c, s.id, "h.probeGroup", s.probeGroup)
 	network.RegisterFunc(c, s.id, "h.settleGroup", s.settleGroup)
-	network.RegisterFunc(c, s.id, "h.constCheck", s.constCheck)
 	network.RegisterFunc(c, s.id, "h.shipMatching", s.shipMatching)
 	network.RegisterFunc(c, s.id, "h.localDetect", s.localDetect)
 	network.RegisterFunc(c, s.id, "h.seedRules", s.seedRules)

@@ -1,9 +1,7 @@
 package horizontal
 
 import (
-	"crypto/md5"
 	"fmt"
-	"sort"
 
 	"repro/internal/cfd"
 	"repro/internal/network"
@@ -14,9 +12,9 @@ import (
 
 // Options configures a horizontal detection system.
 type Options struct {
-	// DisableMD5 ships raw values instead of 128-bit MD5 tuple codes in
-	// the per-update protocols, turning §6's optimization off (for the
-	// shipment ablation).
+	// DisableMD5 ships raw X values instead of 128-bit MD5 codes as the
+	// group keys of probe and settle items, turning §6's optimization off
+	// (for the shipment ablation).
 	DisableMD5 bool
 	// NoIndexes loads the fragments only; the system serves batHor
 	// (BatchDetect) but rejects ApplyBatch.
@@ -40,7 +38,7 @@ type System struct {
 	scheme *partition.HorizontalScheme
 	rules  []cfd.CFD
 	// comp is the schema-compiled form of rules, index-aligned; the
-	// driver's per-update hot paths run on it.
+	// driver's hot paths run on it.
 	comp []cfd.Compiled
 
 	cluster *network.Cluster
@@ -49,10 +47,6 @@ type System struct {
 	// compByID resolves a rule id to its compiled form (the batch-grouped
 	// driver aggregates site responses keyed by rule id).
 	compByID map[string]*cfd.Compiled
-
-	// keyBuf is the driver's grouping-key scratch. Unit updates are
-	// processed one at a time, so a single buffer suffices.
-	keyBuf []byte
 
 	// normScratch backs the per-batch normalized update slice, reused
 	// across ApplyBatch calls so normalization happens exactly once per
@@ -74,10 +68,6 @@ type System struct {
 	v         *cfd.Violations
 	direct    bool
 	noIndexes bool
-	// unitMode restores the per-update protocol rounds (one probe
-	// broadcast per unit update) for ablation; the default is the
-	// batch-grouped protocol with per-destination message coalescing.
-	unitMode bool
 }
 
 // seedChunk is how many tuples of the initial relation one seeding round
@@ -228,15 +218,9 @@ func gather[Req, Resp any](sys *System, from network.SiteID, method string, targ
 	return network.GatherVia[Req, Resp](sys.cluster, sys.send, from, method, targets, req, network.FanoutOpts{})
 }
 
-// SetUnitMode switches between the batch-grouped protocol (the default:
-// one coalesced envelope per destination per phase per batch) and the
-// per-update protocol rounds of Fig. 8 (one probe broadcast per unit
-// update), the ablation baseline. Both maintain identical violation sets.
-func (sys *System) SetUnitMode(unit bool) { sys.unitMode = unit }
-
 // ApplyBatch runs incHor (Fig. 8): normalizes ∆D once, applies it through
-// the batch-grouped protocol (or the per-update protocol under
-// SetUnitMode), maintains V and returns ∆V.
+// the batch-grouped protocol (coalesce.go), maintains V and returns ∆V. A
+// per-update round is a batch of one.
 func (sys *System) ApplyBatch(updates relation.UpdateList) (*cfd.Delta, error) {
 	if sys.noIndexes {
 		return nil, fmt.Errorf("horizontal: cannot apply incremental updates: %w", xerr.ErrNoIndexes)
@@ -245,19 +229,7 @@ func (sys *System) ApplyBatch(updates relation.UpdateList) (*cfd.Delta, error) {
 	if len(norm) != len(updates) {
 		sys.normScratch = norm // grown scratch: keep the backing array
 	}
-	if !sys.unitMode {
-		return sys.applyCoalesced(norm)
-	}
-	delta := cfd.NewDelta()
-	for _, u := range norm {
-		ud, err := sys.applyUnit(u)
-		if err != nil {
-			return nil, err
-		}
-		ud.Apply(sys.v)
-		delta.Merge(ud)
-	}
-	return delta, nil
+	return sys.applyCoalesced(norm)
 }
 
 // participants returns every site whose predicate can hold tuples
@@ -271,301 +243,6 @@ func (sys *System) participants(rule string) []network.SiteID {
 		}
 	}
 	return out
-}
-
-// peers returns the broadcast targets for a rule from the given owner:
-// every other site whose predicate does not contradict the rule's pattern
-// constants. Locally checkable rules have no targets.
-func (sys *System) peers(rule string, owner network.SiteID) []network.SiteID {
-	if sys.localCheck[rule] {
-		return nil
-	}
-	ex := sys.excluded[rule]
-	var out []network.SiteID
-	for i := range sys.sites {
-		id := network.SiteID(i)
-		if id == owner || ex[i] {
-			continue
-		}
-		out = append(out, id)
-	}
-	return out
-}
-
-func (sys *System) applyUnit(u relation.Update) (*cfd.Delta, error) {
-	ownerInt, err := sys.scheme.SiteFor(sys.schema, u.Tuple)
-	if err != nil {
-		return nil, err
-	}
-	owner := network.SiteID(ownerInt)
-	tid := int64(u.Tuple.ID)
-	delta := cfd.NewDelta()
-
-	if u.Kind == relation.Insert {
-		req := applyReq{Op: OpInsert, ID: tid, Values: u.Tuple.Values}
-		if err := sys.send(owner, owner, "h.apply", req, nil); err != nil {
-			return nil, err
-		}
-	}
-
-	// Constant CFDs: single-tuple checks at the owner, no shipment.
-	for i := range sys.comp {
-		r := &sys.comp[i]
-		if !r.ConstRHS || !r.MatchesLHS(u.Tuple) {
-			continue
-		}
-		var resp constCheckResp
-		if err := sys.send(owner, owner, "h.constCheck", constCheckReq{Rule: r.ID, ID: tid}, &resp); err != nil {
-			return nil, err
-		}
-		if resp.Violation {
-			if u.Kind == relation.Insert {
-				delta.Add(u.Tuple.ID, r.ID)
-			} else {
-				delta.Remove(u.Tuple.ID, r.ID)
-			}
-		}
-	}
-
-	// Variable CFDs, with the broadcast phases batched so each tuple is
-	// shipped to a peer at most once per update (O(|∆D| · n) messages).
-	var err2 error
-	switch u.Kind {
-	case relation.Insert:
-		err2 = sys.insertVariable(u.Tuple, owner, delta)
-	case relation.Delete:
-		err2 = sys.deleteVariable(u.Tuple, owner, delta)
-	}
-	if err2 != nil {
-		return nil, err2
-	}
-
-	if u.Kind == relation.Delete {
-		req := applyReq{Op: OpDelete, ID: tid, Values: u.Tuple.Values}
-		if err := sys.send(owner, owner, "h.apply", req, nil); err != nil {
-			return nil, err
-		}
-	}
-	return delta, nil
-}
-
-// keysFor computes the MD5-coded X and B keys of a tuple under a
-// compiled rule, used by the owner's local index operations. The codes
-// are built through the driver's scratch buffer; only the 16-byte
-// digests themselves are materialized (they go on the wire).
-func (sys *System) keysFor(r *cfd.Compiled, t relation.Tuple) (keyRef, keyRef) {
-	sys.keyBuf = t.AppendKey(sys.keyBuf[:0], r.LHSCols)
-	xSum := md5.Sum(sys.keyBuf)
-	vb := [1]string{t.Values[r.RHSCol]}
-	sys.keyBuf = relation.AppendKeyVals(sys.keyBuf[:0], vb[:])
-	bSum := md5.Sum(sys.keyBuf)
-	// One backing allocation carries both 16-byte codes.
-	both := make([]byte, 32)
-	copy(both, xSum[:])
-	copy(both[16:], bSum[:])
-	return keyRef{Digest: both[:16:16]}, keyRef{Digest: both[16:32:32]}
-}
-
-// probeItemFor builds the wire form of one rule's probe entry: MD5 codes
-// when the optimization is on, a bare rule id otherwise (the full tuple
-// rides in the request and the receiver derives the keys).
-func (sys *System) probeItemFor(r *cfd.Compiled, x, b keyRef) probeItem {
-	if sys.useMD5 {
-		return probeItem{Rule: r.ID, X: x, B: b}
-	}
-	return probeItem{Rule: r.ID}
-}
-
-// probeTuple returns the raw tuple values for probe requests when MD5
-// coding is off, nil otherwise.
-func (sys *System) probeTuple(t relation.Tuple) []string {
-	if sys.useMD5 {
-		return nil
-	}
-	return t.Values
-}
-
-func (sys *System) insertVariable(t relation.Tuple, owner network.SiteID, delta *cfd.Delta) error {
-	tid := int64(t.ID)
-	type pending struct {
-		rule *cfd.Compiled
-		x, b keyRef
-		tInV bool
-	}
-	var pend []*pending
-	for i := range sys.comp {
-		r := &sys.comp[i]
-		if r.ConstRHS || !r.MatchesLHS(t) {
-			continue
-		}
-		x, b := sys.keysFor(r, t)
-		var local insLocalResp
-		if err := sys.send(owner, owner, "h.insLocal", insLocalReq{Rule: r.ID, ID: tid, X: x, B: b}, &local); err != nil {
-			return err
-		}
-		for _, id := range local.Added {
-			delta.Add(relation.TupleID(id), r.ID)
-		}
-		if !local.Broadcast {
-			if local.TAdded {
-				delta.Add(t.ID, r.ID)
-			}
-			continue
-		}
-		pend = append(pend, &pending{rule: r, x: x, b: b, tInV: local.LocalDiff})
-	}
-	if len(pend) == 0 {
-		return nil
-	}
-
-	// One probe message per peer, carrying every rule needing it.
-	peerItems := make(map[network.SiteID][]probeItem)
-	peerPend := make(map[network.SiteID][]*pending)
-	for _, p := range pend {
-		for _, peer := range sys.peers(p.rule.ID, owner) {
-			peerItems[peer] = append(peerItems[peer], sys.probeItemFor(p.rule, p.x, p.b))
-			peerPend[peer] = append(peerPend[peer], p)
-		}
-	}
-	peers := network.SortedSites(peerItems)
-	resps, err := gather[probeInsReq, probeInsResp](sys, owner, "h.probeIns", peers, func(peer network.SiteID) probeInsReq {
-		return probeInsReq{Tuple: sys.probeTuple(t), Items: peerItems[peer]}
-	})
-	if err != nil {
-		return err
-	}
-	for pi, peer := range peers {
-		resp := resps[pi]
-		if len(resp.Items) != len(peerItems[peer]) {
-			return errResponseShape("h.probeIns", peer)
-		}
-		for k, ir := range resp.Items {
-			p := peerPend[peer][k]
-			for _, id := range ir.Added {
-				delta.Add(relation.TupleID(id), p.rule.ID)
-			}
-			if ir.HasDiff || ir.SameInV {
-				p.tInV = true
-			}
-		}
-	}
-	for _, p := range pend {
-		req := finishInsReq{Rule: p.rule.ID, ID: tid, X: p.x, B: p.b, TInV: p.tInV}
-		if err := sys.send(owner, owner, "h.finishIns", req, nil); err != nil {
-			return err
-		}
-		if p.tInV {
-			delta.Add(t.ID, p.rule.ID)
-		}
-	}
-	return nil
-}
-
-func (sys *System) deleteVariable(t relation.Tuple, owner network.SiteID, delta *cfd.Delta) error {
-	tid := int64(t.ID)
-	type pending struct {
-		rule          *cfd.Compiled
-		x, b          keyRef
-		sameElsewhere bool
-		others        map[string]bool
-	}
-	var pend []*pending
-	for i := range sys.comp {
-		r := &sys.comp[i]
-		if r.ConstRHS || !r.MatchesLHS(t) {
-			continue
-		}
-		x, b := sys.keysFor(r, t)
-		var local delLocalResp
-		if err := sys.send(owner, owner, "h.delLocal", delLocalReq{Rule: r.ID, ID: tid, X: x, B: b}, &local); err != nil {
-			return err
-		}
-		if local.TRemoved {
-			delta.Remove(t.ID, r.ID)
-		}
-		if !local.Broadcast {
-			continue
-		}
-		p := &pending{rule: r, x: x, b: b, others: make(map[string]bool)}
-		for _, d := range local.LocalOthers {
-			p.others[string(d)] = true
-		}
-		pend = append(pend, p)
-	}
-	if len(pend) == 0 {
-		return nil
-	}
-
-	peerItems := make(map[network.SiteID][]probeItem)
-	peerPend := make(map[network.SiteID][]*pending)
-	for _, p := range pend {
-		for _, peer := range sys.peers(p.rule.ID, owner) {
-			peerItems[peer] = append(peerItems[peer], sys.probeItemFor(p.rule, p.x, p.b))
-			peerPend[peer] = append(peerPend[peer], p)
-		}
-	}
-	peers := network.SortedSites(peerItems)
-	resps, err := gather[probeDelReq, probeDelResp](sys, owner, "h.probeDel", peers, func(peer network.SiteID) probeDelReq {
-		return probeDelReq{Tuple: sys.probeTuple(t), Items: peerItems[peer]}
-	})
-	if err != nil {
-		return err
-	}
-	for pi, peer := range peers {
-		resp := resps[pi]
-		if len(resp.Items) != len(peerItems[peer]) {
-			return errResponseShape("h.probeDel", peer)
-		}
-		for k, ir := range resp.Items {
-			p := peerPend[peer][k]
-			if ir.HasSame {
-				p.sameElsewhere = true
-			}
-			for _, d := range ir.Others {
-				p.others[string(d)] = true
-			}
-		}
-	}
-
-	// Rules whose group collapsed to a single surviving class get a
-	// demote round, again batched per peer.
-	demoteSiteItems := make(map[network.SiteID][]demoteItem)
-	demotePend := make(map[network.SiteID][]*pending)
-	for _, p := range pend {
-		if p.sameElsewhere || len(p.others) != 1 {
-			continue
-		}
-		item := demoteItem{Rule: p.rule.ID}
-		if sys.useMD5 {
-			item.X = p.x
-		}
-		sites := append([]network.SiteID{owner}, sys.peers(p.rule.ID, owner)...)
-		sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
-		for _, s := range sites {
-			demoteSiteItems[s] = append(demoteSiteItems[s], item)
-			demotePend[s] = append(demotePend[s], p)
-		}
-	}
-	demoteSites := network.SortedSites(demoteSiteItems)
-	demoteResps, err := gather[demoteReq, demoteResp](sys, owner, "h.demote", demoteSites, func(s network.SiteID) demoteReq {
-		return demoteReq{Tuple: sys.probeTuple(t), Items: demoteSiteItems[s]}
-	})
-	if err != nil {
-		return err
-	}
-	for si, s := range demoteSites {
-		resp := demoteResps[si]
-		if len(resp.Items) != len(demoteSiteItems[s]) {
-			return errResponseShape("h.demote", s)
-		}
-		for k, ir := range resp.Items {
-			p := demotePend[s][k]
-			for _, id := range ir.Removed {
-				delta.Remove(relation.TupleID(id), p.rule.ID)
-			}
-		}
-	}
-	return nil
 }
 
 func errResponseShape(method string, site network.SiteID) error {

@@ -217,6 +217,18 @@ func (c *Cluster) Dispatch(to SiteID, method string, data []byte) ([]byte, error
 	return resp, err
 }
 
+// Methods returns the method names registered at site, sorted.
+func (c *Cluster) Methods(site SiteID) []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]string, 0, len(c.registry[site]))
+	for m := range c.registry[site] {
+		out = append(out, m)
+	}
+	sort.Strings(out)
+	return out
+}
+
 // UseRemoteTransport installs a transport that hosts the site state at
 // its remote end (the TCP sited deployment). Every call — same-site
 // seeding traffic included — ships through it; the local site replicas

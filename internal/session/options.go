@@ -47,7 +47,6 @@ type config struct {
 	beamWidth    int
 	disableMD5   bool
 	noIndexes    bool
-	unitMode     bool
 	maxFanout    int // -1 = engine default
 	linkRTT      time.Duration
 
@@ -107,8 +106,6 @@ func (c *config) setKind(k Kind) error {
 func (c *config) validate() error {
 	if c.kind == Centralized {
 		switch {
-		case c.unitMode:
-			return fmt.Errorf("session: WithUnitMode requires a distributed session")
 		case c.maxFanout >= 0:
 			return fmt.Errorf("session: WithMaxFanout requires a distributed session")
 		case c.linkRTT > 0:
@@ -232,15 +229,6 @@ func WithoutMD5() Option {
 func WithNoIndexes() Option {
 	return func(c *config) error {
 		c.noIndexes = true
-		return nil
-	}
-}
-
-// WithUnitMode starts the session on the per-update protocol rounds (the
-// ablation baseline) instead of the batch-grouped default.
-func WithUnitMode() Option {
-	return func(c *config) error {
-		c.unitMode = true
 		return nil
 	}
 }

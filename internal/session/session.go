@@ -308,9 +308,6 @@ func Open(rel *relation.Relation, rules []cfd.CFD, opts ...Option) (*Session, er
 		s.det, s.eng = sys, sys
 	}
 	if s.det != nil {
-		if cfg.unitMode {
-			s.det.SetUnitMode(true)
-		}
 		if cfg.maxFanout >= 0 {
 			s.det.Cluster().SetMaxFanout(cfg.maxFanout)
 		}
@@ -493,17 +490,6 @@ func (s *Session) Plan() *optimizer.Plan {
 		return p.Plan()
 	}
 	return nil
-}
-
-// SetUnitMode switches a distributed session between the batch-grouped
-// protocol (default) and per-update protocol rounds (the ablation
-// baseline). No-op on centralized sessions, which have no rounds.
-func (s *Session) SetUnitMode(unit bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.det != nil {
-		s.det.SetUnitMode(unit)
-	}
 }
 
 // ApplyBatch applies one batch update ∆D through the engine's

@@ -227,7 +227,6 @@ func TestRunContextCancel(t *testing.T) {
 func TestOptionValidation(t *testing.T) {
 	_, rel, rules := tpch(t, 5, 50)
 	bad := [][]Option{
-		{WithUnitMode()},
 		{WithMaxFanout(1)},
 		{WithNoIndexes()},
 		{WithOptimizer()},

@@ -22,12 +22,18 @@ import (
 
 // The two horizontal calls the tests drive state with, as mirrors of
 // the engine's unexported request types (the positional codec matches by
-// field order): h.apply stores a tuple in the fragment, h.insLocal files
-// it under a class of rule r1.
-type applyReq struct {
+// field order): a one-item h.batchApply stores a tuple in the fragment and
+// files it under its class of rule r1, h.settleGroup pins the flag of the
+// tuple's group.
+type batchApplyItem struct {
 	Op     int
 	ID     int64
 	Values []string
+}
+
+type batchApplyReq struct {
+	Updates []batchApplyItem
+	RawKeys bool
 }
 
 type keyRef struct {
@@ -35,17 +41,20 @@ type keyRef struct {
 	Raw    []string
 }
 
-type insLocalReq struct {
+type settleGroupItem struct {
 	Rule string
-	ID   int64
 	X    keyRef
-	B    keyRef
+	Flag bool
+}
+
+type settleGroupReq struct {
+	Items []settleGroupItem
 }
 
 // script dispatches the deterministic call stream the compaction tests
-// share: per step one tuple insertion, its class registration (steps
+// share: per step one tuple insertion, a flag settle on its group (steps
 // spread over several groups and classes, so a snapshot holds maps of
-// more than one entry), and a mark. It runs steps [from, to) and returns
+// more than one entry, flagged and not), and a mark. It runs steps [from, to) and returns
 // the next free sequence number.
 func script(t *testing.T, host *Host, seq uint64, from, to int) uint64 {
 	t.Helper()
@@ -65,8 +74,8 @@ func script(t *testing.T, host *Host, seq uint64, from, to int) uint64 {
 	}
 	for i := from; i < to; i++ {
 		a, b := fmt.Sprintf("a%d", i%5), fmt.Sprintf("b%d", i%3)
-		call("h.apply", applyReq{Op: 0, ID: int64(i + 1), Values: []string{a, b}})
-		call("h.insLocal", insLocalReq{Rule: "r1", ID: int64(i + 1), X: keyRef{Raw: []string{a}}, B: keyRef{Raw: []string{b}}})
+		call("h.batchApply", batchApplyReq{Updates: []batchApplyItem{{Op: 0, ID: int64(i + 1), Values: []string{a, b}}}})
+		call("h.settleGroup", settleGroupReq{Items: []settleGroupItem{{Rule: "r1", X: keyRef{Raw: []string{a}}, Flag: i%2 == 0}}})
 		call("chk.mark", nil)
 	}
 	return seq

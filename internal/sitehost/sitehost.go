@@ -101,9 +101,12 @@ type Hello struct {
 }
 
 // ProtoVersion guards against driver/daemon skew: it moves whenever the
-// envelope or a call payload changes shape (2: binary envelope and
-// positional payloads; 3: v.batchResolve carries a stage's node groups).
-const ProtoVersion = 3
+// envelope or a call payload changes shape, or a method a driver may call
+// is retired (2: binary envelope and positional payloads; 3:
+// v.batchResolve carries a stage's node groups; 4: the per-update methods
+// are retired, so a driver that would call them is refused here instead of
+// hitting "no handler" mid-round).
+const ProtoVersion = 4
 
 // Encode gob-encodes the hello.
 func (h *Hello) Encode() ([]byte, error) {

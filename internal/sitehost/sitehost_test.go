@@ -63,8 +63,9 @@ func TestBootstrapRejectsBadSessionID(t *testing.T) {
 }
 
 // A driver built before the wire last changed — version 1's gob envelopes
-// and payloads, version 2's one-node v.batchResolve — must be refused at
-// the hello, before any call payload is interpreted.
+// and payloads, version 2's one-node v.batchResolve, version 3's
+// per-update methods — must be refused at the hello, before any call
+// payload is interpreted.
 func TestBootstrapRejectsOlderProto(t *testing.T) {
 	for proto := 1; proto < ProtoVersion; proto++ {
 		h := &Hello{

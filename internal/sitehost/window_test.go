@@ -191,8 +191,9 @@ func TestBootstrapRejectsReconnectToEmptyHost(t *testing.T) {
 // generation (whose delta log holds call payloads that today's handlers
 // would mis-decode — gob in version 1, the one-node v.batchResolve in
 // version 2 — or sits beside a gob snapshot no segment chain hangs off,
-// version 3) must refuse it whole: typed error, nothing loaded, and a
-// reconnecting driver told the state is gone.
+// version 3, or may hold calls to the retired per-update methods, version
+// 4) must refuse it whole: typed error, nothing loaded, and a reconnecting
+// driver told the state is gone.
 func TestHostStartsEmptyOnOldFormatDeltaLog(t *testing.T) {
 	for old := byte(1); old < checkpoint.FormatVersion; old++ {
 		dir := t.TempDir()

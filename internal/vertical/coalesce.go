@@ -10,11 +10,12 @@ import (
 	"repro/internal/relation"
 )
 
-// This file is the batch-grouped incVer driver: the coalesced twin of the
-// per-update path in system.go. A normalized batch is split into waves —
-// maximal runs of updates with pairwise-distinct tuple ids, so the phases
-// below can safely reorder work across updates — and each wave runs the
-// per-update protocol's phases once, over every update at a time:
+// This file is the incVer driver — the one protocol ApplyBatch, seeding
+// and rule seeding all run; a per-update round is a wave of one. A
+// normalized batch is split into waves — maximal runs of updates with
+// pairwise-distinct tuple ids, so the phases below can safely reorder work
+// across updates — and each wave runs the phases of Figs. 4 and 5 once,
+// over every update at a time:
 //
 //	1. fragment delivery (same-site, batched per site);
 //	2. pattern-constant checks (same-site, batched per checker site);
@@ -27,14 +28,14 @@ import (
 //	6. reference-count releases, buffer clears and fragment removals,
 //	   batched per site.
 //
-// The shipped eqid count is identical to the per-update path (the same
-// eqids travel the same edges); what collapses is the message count and
-// the per-message framing. The differential oracle and the parity tests
-// pin the violation sets bit-identical between the two drivers.
+// The shipped eqid count does not depend on how ∆D is cut into batches
+// (the same eqids travel the same edges); what a larger wave collapses is
+// the message count and the per-message framing. After every batch V
+// equals a fresh centralized Detect on the current D — the differential
+// oracles and the parity tests pin this.
 
 // uState tracks one update through a wave's phases.
 type uState struct {
-	update relation.Update
 	tid    int64
 	op     OpKind
 	failed ruleSet // rules whose pattern constants the tuple fails
@@ -63,11 +64,6 @@ func (sys *System) newStates(n int) []*uState {
 	}
 	return states
 }
-
-// SetUnitMode switches between the batch-grouped driver (the default)
-// and the per-update protocol rounds, the ablation baseline. Both
-// maintain identical violation sets and ship identical eqid counts.
-func (sys *System) SetUnitMode(unit bool) { sys.unitMode = unit }
 
 // applyCoalesced runs one normalized batch wave by wave, maintaining V
 // and returning the exact ∆V.
@@ -98,31 +94,14 @@ func (sys *System) applyWave(wave relation.UpdateList, delta *cfd.Delta) error {
 	states := sys.newStates(len(wave))
 	for i, u := range wave {
 		us := states[i]
-		us.update, us.tid = u, int64(u.Tuple.ID)
+		us.tid = int64(u.Tuple.ID)
 		if u.Kind == relation.Delete {
 			us.op = OpDelete
 		}
 	}
 
-	// 1. Insertions reach every fragment first (∆Di delivery), one
-	// batched same-site call per site.
-	err := sys.cluster.Fanout(len(sys.sites), network.FanoutOpts{}, func(i int) error {
-		var req batchFragReq
-		for _, us := range states {
-			if us.op != OpInsert {
-				continue
-			}
-			req.Items = append(req.Items, applyReq{
-				Op: OpInsert, ID: us.tid,
-				Values: us.update.Tuple.ProjectTuple(sys.schema, sys.fragSch[i]).Values,
-			})
-		}
-		if len(req.Items) == 0 {
-			return nil
-		}
-		return sys.send(sys.sites[i].id, sys.sites[i].id, "v.batchFrag", req, nil)
-	})
-	if err != nil {
+	// 1. Insertions reach every fragment first (∆Di delivery).
+	if err := sys.deliverFragments(wave, OpInsert); err != nil {
 		return err
 	}
 
@@ -172,7 +151,7 @@ func (sys *System) applyWave(wave relation.UpdateList, delta *cfd.Delta) error {
 		}
 	}
 	releaseSites := network.SortedSites(releaseItems)
-	err = sys.cluster.Fanout(len(releaseSites), network.FanoutOpts{}, func(i int) error {
+	err := sys.cluster.Fanout(len(releaseSites), network.FanoutOpts{}, func(i int) error {
 		s := releaseSites[i]
 		return sys.send(s, s, "v.batchRelease", batchReleaseReq{Items: releaseItems[s]}, nil)
 	})
@@ -185,13 +164,25 @@ func (sys *System) applyWave(wave relation.UpdateList, delta *cfd.Delta) error {
 	}
 
 	// 7. Deletions leave the fragments last (values were needed above).
+	return sys.deliverFragments(wave, OpDelete)
+}
+
+// deliverFragments hands every site its share of the wave's updates of
+// one kind, in wave order: each insertion's projection onto the site's
+// fragment schema, or the bare ids of the deletions. One batched
+// same-site call per site; none when the wave has no such update.
+func (sys *System) deliverFragments(wave relation.UpdateList, op OpKind) error {
 	return sys.cluster.Fanout(len(sys.sites), network.FanoutOpts{}, func(i int) error {
 		var req batchFragReq
-		for _, us := range states {
-			if us.op != OpDelete {
+		for _, u := range wave {
+			if (u.Kind == relation.Delete) != (op == OpDelete) {
 				continue
 			}
-			req.Items = append(req.Items, applyReq{Op: OpDelete, ID: us.tid})
+			item := applyReq{Op: op, ID: int64(u.Tuple.ID)}
+			if op == OpInsert {
+				item.Values = u.Tuple.ProjectTuple(sys.schema, sys.fragSch[i]).Values
+			}
+			req.Items = append(req.Items, item)
 		}
 		if len(req.Items) == 0 {
 			return nil

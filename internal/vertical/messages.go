@@ -31,46 +31,6 @@ type applyReq struct {
 	Values []string // aligned with the fragment schema
 }
 
-// evalConstsReq asks a site to check the pattern constants it owns.
-type evalConstsReq struct {
-	ID int64
-}
-
-// evalConstsResp lists the rules whose local constants failed.
-type evalConstsResp struct {
-	Failed []string
-}
-
-// resolveReq asks the site owning a plan node to compute the node's eqid
-// for a tuple. Acquire allocates classes and bumps refcounts (insertion);
-// plain resolution only looks up (deletion).
-type resolveReq struct {
-	ID      int64
-	Node    int
-	Acquire bool
-}
-
-// resolveResp returns the computed eqid.
-type resolveResp struct {
-	Eq int64
-}
-
-// deliverReq ships an eqid from the site owning a plan node to a consumer
-// site: the metered message of §4 ("only eqids are sent").
-type deliverReq struct {
-	ID   int64
-	Node int
-	Eq   int64
-}
-
-// applyRuleReq asks a rule's IDX site to run the incVIns/incVDel case
-// analysis of Fig. 4 and maintain the IDX.
-type applyRuleReq struct {
-	Rule string
-	ID   int64
-	Op   OpKind
-}
-
 // applyRuleResp is the rule's local ∆V contribution: tuple ids that become
 // violations (∆V+) or stop being violations (∆V−) of this rule.
 type applyRuleResp struct {
@@ -78,57 +38,21 @@ type applyRuleResp struct {
 	Removed []int64
 }
 
-// releaseReq undoes the reference counts a deleted tuple held on a node.
-type releaseReq struct {
-	ID   int64
-	Node int
-}
-
-// endUpdateReq clears a tuple's per-update eqid buffer at a site.
-type endUpdateReq struct {
-	ID int64
-}
-
-// voteReq tells a constant rule coordinator (the site owning B) that the
-// tuple matched the pattern constants held at the sending site, for every
-// listed rule (Fig. 5 lines 5–6: shipping the matching tuple ids). Rules
-// sharing the (checker, coordinator) pair ride in one message. A
-// push-based implementation detects batch completion with a per-batch
-// barrier (O(n²) empty messages per ∆D, not per tuple), which the driver
-// emits at the end of ApplyBatch.
-type voteReq struct {
-	Rules []string
-	ID    int64
-}
-
-// barrierReq is the end-of-batch marker exchanged between sites.
+// barrierReq is the end-of-batch marker exchanged between sites (see
+// System.barrier).
 type barrierReq struct{}
 
-// applyConstReq asks the coordinator of a constant CFD to classify a fully
-// pattern-matching tuple (Fig. 5 lines 8–10, with the paper's line-9 typo
-// fixed: a tuple is a violation iff t[B] ≠ tp[B]).
-type applyConstReq struct {
-	Rule string
-	ID   int64
-	Op   OpKind
-}
-
-// applyConstResp reports whether the tuple violates the constant rule.
-type applyConstResp struct {
-	Violation bool
-}
-
-// --- batch-grouped protocol (coalesced ApplyBatch) ---
+// --- batch-grouped protocol ---
 //
-// The per-update driver pays one eqid delivery per (node, consumer) and
-// one vote per (checker, coordinator) for every unit update: O(|∆D|)
-// messages per plan edge per batch. The batch-grouped driver runs the
-// same phases once per wave (a maximal run of updates with distinct
-// tuple ids), coalescing everything bound for one site into a single
-// message: eqid deliveries merge per (source, destination) edge and plan
-// stage, votes merge per (checker, coordinator) pair, and the same-site phases
-// (fragment delivery, constant checks, Fig. 4 case analyses, releases,
-// buffer clears) batch into one dispatch per site.
+// Figs. 4 and 5 pay one eqid delivery per (node, consumer) and one vote
+// per (checker, coordinator) for every unit update: O(|∆D|) messages per
+// plan edge per batch. The driver runs the same phases once per wave (a
+// maximal run of updates with distinct tuple ids), coalescing everything
+// bound for one site into a single message: eqid deliveries merge per
+// (source, destination) edge and plan stage, votes merge per (checker,
+// coordinator) pair, and the same-site phases (fragment delivery,
+// constant checks, Fig. 4 case analyses, releases, buffer clears) batch
+// into one dispatch per site.
 
 // batchFragReq delivers a wave's fragment projections and removals to one
 // site, in wave order.
@@ -148,7 +72,10 @@ type batchEvalResp struct {
 }
 
 // batchVoteItem is one tuple's constant-rule match notice inside a
-// coalesced vote message.
+// coalesced vote message: it tells a constant rule's coordinator (the site
+// owning B) that the tuple matched the pattern constants held at the
+// sending site, for every listed rule (Fig. 5 lines 5–6: shipping the
+// matching tuple ids).
 type batchVoteItem struct {
 	ID    int64
 	Rules []string
@@ -160,9 +87,11 @@ type batchVoteReq struct {
 	Items []batchVoteItem
 }
 
-// batchConstItem asks a constant rule's coordinator to classify one
-// tuple; a batchConstReq carries a whole wave's classifications for the
-// site, answered positionally by batchConstResp.
+// batchConstItem asks a constant rule's coordinator to classify one fully
+// pattern-matching tuple (Fig. 5 lines 8–10, with the paper's line-9 typo
+// fixed: a tuple is a violation iff t[B] ≠ tp[B]); a batchConstReq carries
+// a whole wave's classifications for the site, answered positionally by
+// batchConstResp.
 type batchConstItem struct {
 	Rule string
 	ID   int64
@@ -217,8 +146,9 @@ type batchDeliverReq struct {
 	Items []batchDeliverItem
 }
 
-// batchRuleItem runs one (rule, tuple) Fig. 4 case analysis at the rule's
-// IDX site; batchRuleResp answers positionally with each item's local ∆V.
+// batchRuleItem runs one (rule, tuple) incVIns/incVDel case analysis of
+// Fig. 4 at the rule's IDX site and maintains the IDX; batchRuleResp
+// answers positionally with each item's local ∆V.
 type batchRuleItem struct {
 	Rule string
 	ID   int64

@@ -13,16 +13,13 @@ import (
 // value each with every nested type populated.
 func wireMessages() []any {
 	return []any{
-		applyReq{Values: []string{""}}, evalConstsReq{}, evalConstsResp{Failed: []string{""}},
-		resolveReq{}, resolveResp{}, deliverReq{}, applyRuleReq{}, applyRuleResp{Added: []int64{0}, Removed: []int64{0}},
-		releaseReq{}, endUpdateReq{}, voteReq{Rules: []string{""}}, barrierReq{},
-		applyConstReq{}, applyConstResp{}, shipColsReq{}, shipColsResp{Attrs: []string{""}, Rows: []colRow{{Vals: []string{""}}}},
-		batchFragReq{Items: []applyReq{{}}}, batchEvalReq{IDs: []int64{0}}, batchEvalResp{Failed: [][]string{{""}}},
+		barrierReq{}, shipColsReq{}, shipColsResp{Attrs: []string{""}, Rows: []colRow{{Vals: []string{""}}}},
+		batchFragReq{Items: []applyReq{{Values: []string{""}}}}, batchEvalReq{IDs: []int64{0}}, batchEvalResp{Failed: [][]string{{""}}},
 		batchVoteReq{Items: []batchVoteItem{{Rules: []string{""}}}},
 		batchConstReq{Items: []batchConstItem{{}}}, batchConstResp{Violations: []bool{false}},
 		batchResolveReq{Groups: []batchResolveGroup{{Items: []batchResolveItem{{}}}}}, batchResolveResp{Eqs: []int64{0}},
 		batchDeliverReq{Items: []batchDeliverItem{{}}},
-		batchRuleReq{Items: []batchRuleItem{{}}}, batchRuleResp{Items: []applyRuleResp{{}}},
+		batchRuleReq{Items: []batchRuleItem{{}}}, batchRuleResp{Items: []applyRuleResp{{Added: []int64{0}, Removed: []int64{0}}}},
 		batchReleaseReq{Items: []batchReleaseItem{{}}}, batchEndReq{IDs: []int64{0}},
 		empty{},
 		addRulesReq{Rules: []cfd.CFD{{LHS: []string{""}, LHSPattern: []string{""}}}, Sub: &optimizer.Plan{

@@ -109,29 +109,26 @@ func constChecksFor(schema *relation.Schema, r *cfd.CFD) constChecks {
 }
 
 // apply stores or removes the tuple's projection in the fragment.
-func (s *site) apply(req applyReq) (empty, error) {
+func (s *site) apply(req applyReq) error {
 	switch req.Op {
 	case OpInsert:
-		if err := s.frag.Insert(relation.Tuple{ID: relation.TupleID(req.ID), Values: req.Values}); err != nil {
-			return empty{}, err
-		}
+		return s.frag.Insert(relation.Tuple{ID: relation.TupleID(req.ID), Values: req.Values})
 	case OpDelete:
-		if _, err := s.frag.Delete(relation.TupleID(req.ID)); err != nil {
-			return empty{}, err
-		}
+		_, err := s.frag.Delete(relation.TupleID(req.ID))
+		return err
 	}
-	return empty{}, nil
+	return nil
 }
 
-// evalConsts checks the locally held pattern constants for every rule and
-// returns the rules that fail.
-func (s *site) evalConsts(req evalConstsReq) (evalConstsResp, error) {
+// evalConsts checks a tuple against the locally held pattern constants of
+// every rule and returns the rules that fail.
+func (s *site) evalConsts(tid int64) ([]string, error) {
 	if len(s.checks) == 0 {
-		return evalConstsResp{}, nil
+		return nil, nil
 	}
-	t, ok := s.frag.Get(relation.TupleID(req.ID))
+	t, ok := s.frag.Get(relation.TupleID(tid))
 	if !ok {
-		return evalConstsResp{}, fmt.Errorf("vertical: site %d: evalConsts on missing tuple %d", s.id, req.ID)
+		return nil, fmt.Errorf("vertical: site %d: evalConsts on missing tuple %d", s.id, tid)
 	}
 	var failed []string
 	for ci := range s.checks {
@@ -143,54 +140,55 @@ func (s *site) evalConsts(req evalConstsReq) (evalConstsResp, error) {
 			}
 		}
 	}
-	return evalConstsResp{Failed: failed}, nil
+	return failed, nil
 }
 
 // resolve computes a plan node's eqid for a tuple. Base nodes read the
 // attribute value from the fragment; composed nodes combine the buffered
-// input eqids (locally computed or delivered). The result is buffered for
-// downstream consumers at this site.
-func (s *site) resolve(req resolveReq) (resolveResp, error) {
-	node := s.plan.Node(optimizer.NodeID(req.Node))
+// input eqids (locally computed or delivered). acquire allocates classes
+// and bumps refcounts (insertion); plain resolution only looks up
+// (deletion). The result is buffered for downstream consumers at this site.
+func (s *site) resolve(tid int64, nid optimizer.NodeID, acquire bool) (int64, error) {
+	node := s.plan.Node(nid)
 	if int(node.Site) != int(s.id) {
-		return resolveResp{}, fmt.Errorf("vertical: site %d asked to resolve node %d owned by site %d", s.id, req.Node, node.Site)
+		return 0, fmt.Errorf("vertical: site %d asked to resolve node %d owned by site %d", s.id, nid, node.Site)
 	}
 	var eq eqclass.EqID
 	switch node.Kind {
 	case optimizer.Base:
-		t, ok := s.frag.Get(relation.TupleID(req.ID))
+		t, ok := s.frag.Get(relation.TupleID(tid))
 		if !ok {
-			return resolveResp{}, fmt.Errorf("vertical: site %d: resolve base %s on missing tuple %d", s.id, node.Attrs[0], req.ID)
+			return 0, fmt.Errorf("vertical: site %d: resolve base %s on missing tuple %d", s.id, node.Attrs[0], tid)
 		}
 		v := t.Values[s.schema.MustIndex(node.Attrs[0])]
 		h := s.base[node.Attrs[0]]
-		if req.Acquire {
+		if acquire {
 			eq = h.Acquire(v)
 		} else {
 			id, ok := h.Lookup(v)
 			if !ok {
-				return resolveResp{}, fmt.Errorf("vertical: site %d: base %s has no class for %q", s.id, node.Attrs[0], v)
+				return 0, fmt.Errorf("vertical: site %d: base %s has no class for %q", s.id, node.Attrs[0], v)
 			}
 			eq = id
 		}
 	case optimizer.Composed:
-		inputs, err := s.inputEqids(req.ID, node)
+		inputs, err := s.inputEqids(tid, node)
 		if err != nil {
-			return resolveResp{}, err
+			return 0, err
 		}
 		h := s.hevs[node.ID]
-		if req.Acquire {
+		if acquire {
 			eq = h.Acquire(inputs)
 		} else {
 			id, ok := h.Lookup(inputs)
 			if !ok {
-				return resolveResp{}, fmt.Errorf("vertical: site %d: HEV %v has no class for tuple %d", s.id, node.Attrs, req.ID)
+				return 0, fmt.Errorf("vertical: site %d: HEV %v has no class for tuple %d", s.id, node.Attrs, tid)
 			}
 			eq = id
 		}
 	}
-	s.bufPut(req.ID, node.ID, int64(eq))
-	return resolveResp{Eq: int64(eq)}, nil
+	s.bufPut(tid, node.ID, int64(eq))
+	return int64(eq), nil
 }
 
 // inputEqids assembles a composed node's input eqids into the site's
@@ -215,12 +213,6 @@ func (s *site) inputEqids(tid int64, node optimizer.Node) ([]eqclass.EqID, error
 	return inputs, nil
 }
 
-// deliver buffers an eqid shipped from another site.
-func (s *site) deliver(req deliverReq) (empty, error) {
-	s.bufPut(req.ID, optimizer.NodeID(req.Node), req.Eq)
-	return empty{}, nil
-}
-
 func (s *site) bufPut(tid int64, node optimizer.NodeID, eq int64) {
 	m, ok := s.buf[tid]
 	if !ok {
@@ -243,7 +235,7 @@ func (s *site) bufPut(tid int64, node optimizer.NodeID, eq int64) {
 // applyRule runs the Fig. 4 case analysis at the rule's IDX site and
 // maintains the IDX. For insertions the analysis precedes the IDX update;
 // for deletions it precedes the removal — both exactly as in the paper.
-func (s *site) applyRule(req applyRuleReq) (applyRuleResp, error) {
+func (s *site) applyRule(req batchRuleItem) (applyRuleResp, error) {
 	x, ok := s.idx[req.Rule]
 	if !ok {
 		return applyRuleResp{}, fmt.Errorf("vertical: site %d holds no IDX for rule %s", s.id, req.Rule)
@@ -312,48 +304,43 @@ func (s *site) applyRule(req applyRuleReq) (applyRuleResp, error) {
 }
 
 // release drops the reference counts a deleted tuple held on a node.
-func (s *site) release(req releaseReq) (empty, error) {
+func (s *site) release(req batchReleaseItem) error {
 	node := s.plan.Node(optimizer.NodeID(req.Node))
 	switch node.Kind {
 	case optimizer.Base:
 		t, ok := s.frag.Get(relation.TupleID(req.ID))
 		if !ok {
-			return empty{}, fmt.Errorf("vertical: site %d: release base %s on missing tuple %d", s.id, node.Attrs[0], req.ID)
+			return fmt.Errorf("vertical: site %d: release base %s on missing tuple %d", s.id, node.Attrs[0], req.ID)
 		}
-		if err := s.base[node.Attrs[0]].Release(t.Values[s.schema.MustIndex(node.Attrs[0])]); err != nil {
-			return empty{}, err
-		}
+		return s.base[node.Attrs[0]].Release(t.Values[s.schema.MustIndex(node.Attrs[0])])
 	case optimizer.Composed:
 		inputs, err := s.inputEqids(req.ID, node)
 		if err != nil {
-			return empty{}, err
+			return err
 		}
-		if err := s.hevs[node.ID].Release(inputs); err != nil {
-			return empty{}, err
-		}
+		return s.hevs[node.ID].Release(inputs)
 	}
-	return empty{}, nil
+	return nil
 }
 
 // endUpdate clears the tuple's eqid buffer, returning it to the pool.
-func (s *site) endUpdate(req endUpdateReq) (empty, error) {
-	if m, ok := s.buf[req.ID]; ok {
+func (s *site) endUpdate(tid int64) {
+	if m, ok := s.buf[tid]; ok {
 		for i := range m {
 			m[i] = 0
 		}
 		s.bufPool = append(s.bufPool, m)
-		delete(s.buf, req.ID)
+		delete(s.buf, tid)
 	}
-	return empty{}, nil
 }
 
-// --- batch-grouped handlers: the coalesced twins of the unit handlers
-// above, each processing a whole wave's items in one dispatch.
+// --- the handlers: each processes a whole wave's items in one dispatch,
+// looping over the per-item bodies above.
 
 // batchFrag applies a wave's fragment projections/removals in wave order.
 func (s *site) batchFrag(req batchFragReq) (empty, error) {
 	for _, item := range req.Items {
-		if _, err := s.apply(item); err != nil {
+		if err := s.apply(item); err != nil {
 			return empty{}, err
 		}
 	}
@@ -364,28 +351,29 @@ func (s *site) batchFrag(req batchFragReq) (empty, error) {
 func (s *site) batchEval(req batchEvalReq) (batchEvalResp, error) {
 	resp := batchEvalResp{Failed: make([][]string, len(req.IDs))}
 	for i, id := range req.IDs {
-		r, err := s.evalConsts(evalConstsReq{ID: id})
+		failed, err := s.evalConsts(id)
 		if err != nil {
 			return batchEvalResp{}, err
 		}
-		resp.Failed[i] = r.Failed
+		resp.Failed[i] = failed
 	}
 	return resp, nil
 }
 
-// batchVote receives a wave's coalesced constant-rule votes; state-free
-// like vote.
+// batchVote is the receipt of a wave's constant-rule match notices (Fig. 5
+// line 6); state-free: the coordinator's applyConst decides from its own
+// fragment.
 func (s *site) batchVote(batchVoteReq) (empty, error) { return empty{}, nil }
 
 // batchConst classifies every listed tuple against its constant rule.
 func (s *site) batchConst(req batchConstReq) (batchConstResp, error) {
 	resp := batchConstResp{Violations: make([]bool, len(req.Items))}
 	for i, item := range req.Items {
-		r, err := s.applyConst(applyConstReq{Rule: item.Rule, ID: item.ID, Op: item.Op})
+		violation, err := s.applyConst(item)
 		if err != nil {
 			return batchConstResp{}, err
 		}
-		resp.Violations[i] = r.Violation
+		resp.Violations[i] = violation
 	}
 	return resp, nil
 }
@@ -400,11 +388,11 @@ func (s *site) batchResolve(req batchResolveReq) (batchResolveResp, error) {
 	resp := batchResolveResp{Eqs: make([]int64, 0, n)}
 	for _, g := range req.Groups {
 		for _, item := range g.Items {
-			r, err := s.resolve(resolveReq{ID: item.ID, Node: g.Node, Acquire: item.Acquire})
+			eq, err := s.resolve(item.ID, optimizer.NodeID(g.Node), item.Acquire)
 			if err != nil {
 				return batchResolveResp{}, err
 			}
-			resp.Eqs = append(resp.Eqs, r.Eq)
+			resp.Eqs = append(resp.Eqs, eq)
 		}
 	}
 	return resp, nil
@@ -423,7 +411,7 @@ func (s *site) batchDeliver(req batchDeliverReq) (empty, error) {
 func (s *site) batchRule(req batchRuleReq) (batchRuleResp, error) {
 	resp := batchRuleResp{Items: make([]applyRuleResp, len(req.Items))}
 	for i, item := range req.Items {
-		r, err := s.applyRule(applyRuleReq{Rule: item.Rule, ID: item.ID, Op: item.Op})
+		r, err := s.applyRule(item)
 		if err != nil {
 			return batchRuleResp{}, err
 		}
@@ -435,7 +423,7 @@ func (s *site) batchRule(req batchRuleReq) (batchRuleResp, error) {
 // batchRelease undoes the wave's reference counts.
 func (s *site) batchRelease(req batchReleaseReq) (empty, error) {
 	for _, item := range req.Items {
-		if _, err := s.release(releaseReq{ID: item.ID, Node: item.Node}); err != nil {
+		if err := s.release(item); err != nil {
 			return empty{}, err
 		}
 	}
@@ -445,16 +433,10 @@ func (s *site) batchRelease(req batchReleaseReq) (empty, error) {
 // batchEnd clears the wave's eqid buffers.
 func (s *site) batchEnd(req batchEndReq) (empty, error) {
 	for _, id := range req.IDs {
-		if _, err := s.endUpdate(endUpdateReq{ID: id}); err != nil {
-			return empty{}, err
-		}
+		s.endUpdate(id)
 	}
 	return empty{}, nil
 }
-
-// vote is the receipt of a constant-rule match notice (Fig. 5 line 6);
-// state-free: the coordinator's applyConst decides from its own fragment.
-func (s *site) vote(voteReq) (empty, error) { return empty{}, nil }
 
 // barrier is the end-of-batch marker; state-free.
 func (s *site) barrier(barrierReq) (empty, error) { return empty{}, nil }
@@ -462,17 +444,17 @@ func (s *site) barrier(barrierReq) (empty, error) { return empty{}, nil }
 // applyConst classifies a tuple against a constant rule at the site
 // owning B. The driver only calls it once every constant-owning site has
 // confirmed the tuple matches tp[X].
-func (s *site) applyConst(req applyConstReq) (applyConstResp, error) {
+func (s *site) applyConst(req batchConstItem) (bool, error) {
 	rule, ok := s.rules[req.Rule]
 	if !ok {
-		return applyConstResp{}, fmt.Errorf("vertical: site %d: unknown rule %s", s.id, req.Rule)
+		return false, fmt.Errorf("vertical: site %d: unknown rule %s", s.id, req.Rule)
 	}
 	t, ok := s.frag.Get(relation.TupleID(req.ID))
 	if !ok {
-		return applyConstResp{}, fmt.Errorf("vertical: site %d: applyConst on missing tuple %d", s.id, req.ID)
+		return false, fmt.Errorf("vertical: site %d: applyConst on missing tuple %d", s.id, req.ID)
 	}
 	b := t.Values[s.schema.MustIndex(rule.RHS)]
-	return applyConstResp{Violation: b != rule.RHSPattern}, nil
+	return b != rule.RHSPattern, nil
 }
 
 // shipCols returns the site's columns relevant to a rule for batVer: the
@@ -510,14 +492,6 @@ func (s *site) shipCols(req shipColsReq) (shipColsResp, error) {
 
 // register wires every handler into the cluster.
 func (s *site) register(c *network.Cluster) {
-	network.RegisterFunc(c, s.id, "v.apply", s.apply)
-	network.RegisterFunc(c, s.id, "v.evalConsts", s.evalConsts)
-	network.RegisterFunc(c, s.id, "v.resolve", s.resolve)
-	network.RegisterFunc(c, s.id, "v.deliver", s.deliver)
-	network.RegisterFunc(c, s.id, "v.applyRule", s.applyRule)
-	network.RegisterFunc(c, s.id, "v.release", s.release)
-	network.RegisterFunc(c, s.id, "v.endUpdate", s.endUpdate)
-	network.RegisterFunc(c, s.id, "v.vote", s.vote)
 	network.RegisterFunc(c, s.id, "v.barrier", s.barrier)
 	network.RegisterFunc(c, s.id, "v.batchFrag", s.batchFrag)
 	network.RegisterFunc(c, s.id, "v.batchEval", s.batchEval)
@@ -528,7 +502,6 @@ func (s *site) register(c *network.Cluster) {
 	network.RegisterFunc(c, s.id, "v.batchRule", s.batchRule)
 	network.RegisterFunc(c, s.id, "v.batchRelease", s.batchRelease)
 	network.RegisterFunc(c, s.id, "v.batchEnd", s.batchEnd)
-	network.RegisterFunc(c, s.id, "v.applyConst", s.applyConst)
 	network.RegisterFunc(c, s.id, "v.shipCols", s.shipCols)
 	network.RegisterFunc(c, s.id, "v.addRules", s.addRules)
 	network.RegisterFunc(c, s.id, "v.dropRules", s.vDropRules)

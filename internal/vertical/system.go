@@ -46,9 +46,9 @@ type Options struct {
 // runSchedule is the precomputed shipment plan for one alive rule set:
 // which nodes resolve in which order, where each node's eqid ships, and
 // which sites end up holding per-tuple state. Schedules depend only on
-// the (static) plan and the alive set, so they are memoized — the
-// per-update hot path walks precomputed slices instead of rebuilding
-// maps and re-sorting destination lists for every tuple.
+// the (static) plan and the alive set, so they are memoized — a wave
+// walks precomputed slices instead of rebuilding maps and re-sorting
+// destination lists for every tuple.
 type runSchedule struct {
 	order []optimizer.NodeID
 	// dests[i] are the sorted cross-site destinations of order[i].
@@ -103,35 +103,20 @@ type System struct {
 	// of any measured detection.
 	direct    bool
 	noIndexes bool
-	// unitMode restores the per-update protocol rounds (one eqid
-	// delivery per edge per update) for ablation; the default is the
-	// batch-grouped driver in coalesce.go.
-	unitMode bool
 
 	// normScratch backs the per-batch normalized update slice, reused
 	// across ApplyBatch calls so normalization happens exactly once per
 	// batch and allocates nothing in steady state.
 	normScratch relation.UpdateList
 
-	// Per-update scratch, reused across applyUnit calls (the driver
-	// processes unit updates one at a time; every reply slot is
-	// overwritten in full by the call that fills it). varIdxSite, checkers
-	// and ruleBit are static lookups hoisted out of the per-update path
-	// (see indexRules); schedCache memoizes runSchedules keyed by the
-	// alive rule set.
-	varIdxSite []network.SiteID
+	// checkers and ruleBit are static lookups over the current rule set
+	// (see indexRules); schedCache memoizes runSchedules keyed by the alive
+	// rule set.
 	checkers   []network.SiteID
 	ruleBit    map[string]int // rule id → bit in a ruleSet
 	schedCache map[string]*runSchedule
 	fullSched  *runSchedule
 	keyScratch []byte
-	aliveVar   []*cfd.CFD
-	alivePos   []int
-	aliveConst []*cfd.CFD
-	checkResps []evalConstsResp
-	constResps []applyConstResp
-	ruleResps  []applyRuleResp
-	failedAt   map[string]network.SiteID
 }
 
 // seedChunk is how many tuples of the initial relation one seeding wave
@@ -214,27 +199,21 @@ func NewSystem(rel *relation.Relation, scheme *partition.VerticalScheme, rules [
 
 	sys.indexRules()
 	sys.schedCache = make(map[string]*runSchedule)
-	sys.failedAt = make(map[string]network.SiteID)
 
 	// Seed: replay the initial database through the batch-grouped
 	// insertion logic in direct (unmetered) mode, seedChunk tuples per
 	// wave; V(Σ, D) accumulates on the way. With NoIndexes only the
-	// fragments are loaded.
+	// fragments are loaded: each wave stops after its delivery phase.
 	sys.noIndexes = opts.NoIndexes
 	if !opts.SkipSeed {
 		sys.direct = true
-		var seedErr error
-		if sys.noIndexes {
-			rel.Each(func(t relation.Tuple) bool {
-				seedErr = sys.applyFragments(t, OpInsert)
-				return seedErr == nil
-			})
-		} else {
-			seedErr = rel.EachInsertChunk(seedChunk, func(ins relation.UpdateList) error {
-				_, err := sys.applyCoalesced(ins)
-				return err
-			})
-		}
+		seedErr := rel.EachInsertChunk(seedChunk, func(ins relation.UpdateList) error {
+			if sys.noIndexes {
+				return sys.deliverFragments(ins, OpInsert)
+			}
+			_, err := sys.applyCoalesced(ins)
+			return err
+		})
 		sys.direct = false
 		if seedErr != nil {
 			return nil, seedErr
@@ -244,15 +223,10 @@ func NewSystem(rel *relation.Relation, scheme *partition.VerticalScheme, rules [
 	return sys, nil
 }
 
-// indexRules rebuilds the static per-update lookups over the current
-// rule lists, plan and fragment schemas: each variable rule's IDX site,
-// the sites owning pattern-constant checks, and every rule's bit in a
-// ruleSet.
+// indexRules rebuilds the static lookups over the current rule lists and
+// fragment schemas: the sites owning pattern-constant checks, and every
+// rule's bit in a ruleSet.
 func (sys *System) indexRules() {
-	sys.varIdxSite = make([]network.SiteID, len(sys.varRules))
-	for i, r := range sys.varRules {
-		sys.varIdxSite[i] = network.SiteID(sys.plan.Bindings[r.ID].IDXSite)
-	}
 	// Derived from the rule set and the fragment schemas, never from the
 	// local site replicas: a hosted deployment does not update those.
 	sys.checkers = nil
@@ -341,8 +315,8 @@ func gather[Req, Resp any](sys *System, from network.SiteID, method string, targ
 }
 
 // ApplyBatch runs incVer (Fig. 5): it normalizes ∆D once, processes it
-// through the batch-grouped driver (or the per-update machinery under
-// SetUnitMode), maintains V(Σ, D) and returns the accumulated ∆V.
+// through the batch-grouped driver (coalesce.go), maintains V(Σ, D) and
+// returns the accumulated ∆V. A per-update round is a batch of one.
 func (sys *System) ApplyBatch(updates relation.UpdateList) (*cfd.Delta, error) {
 	if sys.noIndexes {
 		return nil, fmt.Errorf("vertical: cannot apply incremental updates: %w", xerr.ErrNoIndexes)
@@ -351,22 +325,7 @@ func (sys *System) ApplyBatch(updates relation.UpdateList) (*cfd.Delta, error) {
 	if len(norm) != len(updates) {
 		sys.normScratch = norm // grown scratch: keep the backing array
 	}
-	if !sys.unitMode {
-		return sys.applyCoalesced(norm)
-	}
-	delta := cfd.NewDelta()
-	for _, u := range norm {
-		ud, err := sys.applyUnit(u)
-		if err != nil {
-			return nil, err
-		}
-		ud.Apply(sys.v)
-		delta.Merge(ud)
-	}
-	if err := sys.barrier(); err != nil {
-		return nil, err
-	}
-	return delta, nil
+	return sys.applyCoalesced(norm)
 }
 
 // barrier emits the end-of-batch markers a push-based implementation
@@ -386,137 +345,6 @@ func (sys *System) barrier() error {
 	return sys.cluster.Fanout(len(pairs), network.FanoutOpts{}, func(i int) error {
 		return sys.send(pairs[i][0], pairs[i][1], "v.barrier", barrierReq{}, nil)
 	})
-}
-
-// applyUnit processes one insertion or deletion through incVIns/incVDel
-// for every rule, sharing eqid resolution and shipment across rules.
-func (sys *System) applyUnit(u relation.Update) (*cfd.Delta, error) {
-	tid := int64(u.Tuple.ID)
-	op := OpInsert
-	if u.Kind == relation.Delete {
-		op = OpDelete
-	}
-
-	// 1. Insertions reach the fragments first (∆Di delivery).
-	if op == OpInsert {
-		if err := sys.applyFragments(u.Tuple, OpInsert); err != nil {
-			return nil, err
-		}
-	}
-
-	// 2. Each site checks the pattern constants it owns, all sites at
-	// once (same-site calls; replies merge in site order).
-	checkers := sys.checkers
-	failedAt := sys.failedAt
-	clear(failedAt)
-	if cap(sys.checkResps) < len(checkers) {
-		sys.checkResps = make([]evalConstsResp, len(checkers))
-	}
-	checkResps := sys.checkResps[:len(checkers)]
-	err := sys.cluster.Fanout(len(checkers), network.FanoutOpts{}, func(i int) error {
-		return sys.send(checkers[i], checkers[i], "v.evalConsts", evalConstsReq{ID: tid}, &checkResps[i])
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, id := range checkers {
-		for _, rid := range checkResps[i].Failed {
-			if prev, ok := failedAt[rid]; !ok || id < prev {
-				failedAt[rid] = id
-			}
-		}
-	}
-
-	delta := cfd.NewDelta()
-
-	// 3. Constant CFDs (Fig. 5 lines 4–10): matching sites vote to the
-	// coordinator owning B, which classifies the tuple locally. Votes
-	// sharing a (checker, coordinator) pair ride one message.
-	votes := make(map[[2]network.SiteID][]string)
-	for _, r := range sys.constRules {
-		if _, dead := failedAt[r.ID]; dead {
-			continue // non-matching tuples ship nothing
-		}
-		coord := sys.constCoord[r.ID]
-		for _, s := range sys.constSites[r.ID] {
-			if s != coord {
-				key := [2]network.SiteID{s, coord}
-				votes[key] = append(votes[key], r.ID)
-			}
-		}
-	}
-	pairs := make([][2]network.SiteID, 0, len(votes))
-	for k := range votes {
-		pairs = append(pairs, k)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i][0] != pairs[j][0] {
-			return pairs[i][0] < pairs[j][0]
-		}
-		return pairs[i][1] < pairs[j][1]
-	})
-	err = sys.cluster.Fanout(len(pairs), network.FanoutOpts{}, func(i int) error {
-		k := pairs[i]
-		return sys.send(k[0], k[1], "v.vote", voteReq{Rules: votes[k], ID: tid}, nil)
-	})
-	if err != nil {
-		return nil, err
-	}
-	aliveConst := sys.aliveConst[:0]
-	for _, r := range sys.constRules {
-		if _, dead := failedAt[r.ID]; !dead {
-			aliveConst = append(aliveConst, r)
-		}
-	}
-	sys.aliveConst = aliveConst
-	if cap(sys.constResps) < len(aliveConst) {
-		sys.constResps = make([]applyConstResp, len(aliveConst))
-	}
-	constResps := sys.constResps[:len(aliveConst)]
-	err = sys.cluster.Fanout(len(aliveConst), network.FanoutOpts{}, func(i int) error {
-		coord := sys.constCoord[aliveConst[i].ID]
-		return sys.send(coord, coord, "v.applyConst", applyConstReq{Rule: aliveConst[i].ID, ID: tid, Op: op}, &constResps[i])
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range aliveConst {
-		if constResps[i].Violation {
-			if op == OpInsert {
-				delta.Add(u.Tuple.ID, r.ID)
-			} else {
-				delta.Remove(u.Tuple.ID, r.ID)
-			}
-		}
-	}
-
-	// 4. Variable CFDs: determine the alive set. A tuple failing a
-	// rule's constants ships nothing for it: in the push-based flow no
-	// eqids are emitted, and the per-batch barrier (end of ApplyBatch)
-	// tells IDX sites the batch is complete.
-	alive := sys.aliveVar[:0]
-	alivePos := sys.alivePos[:0]
-	for i, r := range sys.varRules {
-		if _, dead := failedAt[r.ID]; !dead {
-			alive = append(alive, r)
-			alivePos = append(alivePos, i)
-		}
-	}
-	sys.aliveVar, sys.alivePos = alive, alivePos
-
-	if len(alive) > 0 {
-		if err := sys.runPlan(tid, op, alive, alivePos, delta); err != nil {
-			return nil, err
-		}
-	}
-
-	// 7. Deletions leave the fragments last (values were needed above).
-	if op == OpDelete {
-		if err := sys.applyFragments(u.Tuple, OpDelete); err != nil {
-			return nil, err
-		}
-	}
-	return delta, nil
 }
 
 // scheduleFor returns the memoized runSchedule of an alive rule set.
@@ -610,83 +438,4 @@ func (sys *System) buildSchedule(alive []*cfd.CFD) *runSchedule {
 	}
 	sort.Slice(sched.walk, func(i, j int) bool { return sys.walksBefore(order[sched.walk[i]], order[sched.walk[j]]) })
 	return sched
-}
-
-// runPlan resolves the needed plan nodes in topological order, ships their
-// eqids to consumer sites, applies Fig. 4 at each alive rule's IDX site
-// and, for deletions, releases reference counts.
-func (sys *System) runPlan(tid int64, op OpKind, alive []*cfd.CFD, alivePos []int, delta *cfd.Delta) error {
-	sched := sys.scheduleFor(alive, alivePos)
-
-	// 5. Resolve and ship eqids bottom-up. Nodes resolve in topological
-	// order (later nodes consume earlier deliveries), but each node's
-	// deliveries to its consumer sites go out in parallel.
-	for oi, n := range sched.order {
-		src := network.SiteID(sys.plan.Node(n).Site)
-		var resp resolveResp
-		if err := sys.send(src, src, "v.resolve", resolveReq{ID: tid, Node: int(n), Acquire: op == OpInsert}, &resp); err != nil {
-			return err
-		}
-		destSites := sched.dests[oi]
-		req := deliverReq{ID: tid, Node: int(n), Eq: resp.Eq}
-		if err := sys.cluster.BroadcastVia(sys.send, src, "v.deliver", req, destSites, network.FanoutOpts{}); err != nil {
-			return err
-		}
-		if !sys.direct {
-			sys.cluster.AddEqids(len(destSites))
-		}
-	}
-
-	// 6. Fig. 4 at each alive rule's IDX site, all rules at once (rules
-	// sharing an IDX site serialize on that site's lock, as on a real
-	// node); ∆V merges in rule order.
-	if cap(sys.ruleResps) < len(alive) {
-		sys.ruleResps = make([]applyRuleResp, len(alive))
-	}
-	ruleResps := sys.ruleResps[:len(alive)]
-	err := sys.cluster.Fanout(len(alive), network.FanoutOpts{}, func(i int) error {
-		idxSite := sys.varIdxSite[alivePos[i]]
-		return sys.send(idxSite, idxSite, "v.applyRule", applyRuleReq{Rule: alive[i].ID, ID: tid, Op: op}, &ruleResps[i])
-	})
-	if err != nil {
-		return err
-	}
-	for i, r := range alive {
-		for _, id := range ruleResps[i].Added {
-			delta.Add(relation.TupleID(id), r.ID)
-		}
-		for _, id := range ruleResps[i].Removed {
-			delta.Remove(relation.TupleID(id), r.ID)
-		}
-	}
-
-	// Deletions release reference counts top-down.
-	if op == OpDelete {
-		for i := len(sched.order) - 1; i >= 0; i-- {
-			n := sched.order[i]
-			src := network.SiteID(sys.plan.Node(n).Site)
-			if err := sys.send(src, src, "v.release", releaseReq{ID: tid, Node: int(n)}, nil); err != nil {
-				return err
-			}
-		}
-	}
-
-	// Clear per-update buffers, every involved site at once.
-	return sys.cluster.Fanout(len(sched.involved), network.FanoutOpts{}, func(i int) error {
-		return sys.send(sched.involved[i], sched.involved[i], "v.endUpdate", endUpdateReq{ID: tid}, nil)
-	})
-}
-
-// applyFragments delivers a tuple's projection to every fragment in
-// parallel (each site ingests its own columns independently). Deletions
-// carry no values — the handler removes by id — so no projection is
-// materialized for them.
-func (sys *System) applyFragments(t relation.Tuple, op OpKind) error {
-	return sys.cluster.Fanout(len(sys.sites), network.FanoutOpts{}, func(i int) error {
-		req := applyReq{Op: op, ID: int64(t.ID)}
-		if op == OpInsert {
-			req.Values = t.ProjectTuple(sys.schema, sys.fragSch[i]).Values
-		}
-		return sys.send(sys.sites[i].id, sys.sites[i].id, "v.apply", req, nil)
-	})
 }

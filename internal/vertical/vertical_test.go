@@ -312,7 +312,7 @@ func TestBatchResolveSameSiteChain(t *testing.T) {
 		var items []batchResolveItem
 		for i, row := range rows {
 			id := int64(i + 1)
-			if _, err := s.apply(applyReq{Op: OpInsert, ID: id, Values: row[:2]}); err != nil {
+			if err := s.apply(applyReq{Op: OpInsert, ID: id, Values: row[:2]}); err != nil {
 				t.Fatal(err)
 			}
 			items = append(items, batchResolveItem{ID: id, Acquire: true})

@@ -142,8 +142,6 @@ var (
 	// WithNoIndexes loads fragments only: BatchDetect works, the
 	// incremental surface returns ErrNoIndexes.
 	WithNoIndexes = session.WithNoIndexes
-	// WithUnitMode starts on the per-update protocol rounds (ablation).
-	WithUnitMode = session.WithUnitMode
 	// WithMaxFanout caps the scatter/gather engine's workers.
 	WithMaxFanout = session.WithMaxFanout
 	// WithLinkRTT simulates a per-message network round-trip.
