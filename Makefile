@@ -132,9 +132,12 @@ profile:
 # call path's two decoders — the binary envelope (FuzzMsg) and the
 # positional payload codec on each engine's structurally richest messages
 # (FuzzPayload: horizontal batchApplyResp; vertical batchDeliverReq and
-# the stage-grouped batchResolveReq, decoded from the same bytes) —
+# the column-coded batchResolveReq, decoded from the same bytes) —
 # against arbitrary bytes: no panic, no length trusted
-# beyond the input, every accepted input re-encodes to itself. FuzzSnapshot
+# beyond the input, every accepted input re-encodes to itself. FuzzDispatch
+# goes one layer up: arbitrary bytes through Cluster.Dispatch for every
+# method a seeded hosted vertical site registers — an answer or an error,
+# never a panic, and a site whose snapshot still restores. FuzzSnapshot
 # does the same for each engine's checkpoint blob (hSiteState /
 # vSiteState) and also restores a site from the bytes: an error or a site
 # whose own snapshot restores again, never a panic. The two
@@ -147,6 +150,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzMsg -fuzztime=10s -run '^$$' ./internal/netwire
 	$(GO) test -fuzz=FuzzPayload -fuzztime=10s -run '^$$' ./internal/horizontal
 	$(GO) test -fuzz=FuzzPayload -fuzztime=10s -run '^$$' ./internal/vertical
+	$(GO) test -fuzz=FuzzDispatch -fuzztime=10s -run '^$$' ./internal/vertical
 	$(GO) test -fuzz=FuzzSnapshot -fuzztime=10s -run '^$$' ./internal/horizontal
 	$(GO) test -fuzz=FuzzSnapshot -fuzztime=10s -run '^$$' ./internal/vertical
 	$(GO) test -fuzz=FuzzStorePage -fuzztime=10s -run '^$$' ./internal/storage

@@ -99,8 +99,10 @@ import (
 // v.batchResolve carries a stage's node groups; 4: snapshots and engine
 // blobs leave gob for the positional codec, the log is cut into
 // per-epoch segments; 5: the per-update methods are retired — no layout
-// change, but an older log may hold calls nothing handles any more).
-const FormatVersion = 5
+// change, but an older log may hold calls nothing handles any more; 6:
+// the vertical same-site calls carry id, index and bitset columns, and a
+// vertical site's blob no longer stores what it derives from its rules).
+const FormatVersion = 6
 
 // File kinds, distinguishing snapshots from delta logs in the header so
 // neither can be misread as the other.

@@ -28,7 +28,9 @@ func wireMessages() []any {
 
 // TestWireCodecMatchesGob runs the package's whole message set plus the
 // nil/empty edge shapes through the call-path codec and through gob, and
-// requires identical decoded values.
+// requires identical decoded values; the encoded bytes must also be the
+// ones the codec's element-by-element rules give, whichever slice plan
+// wrote them.
 func TestWireCodecMatchesGob(t *testing.T) {
 	cases := append(wireMessages(),
 		// Empty but non-nil slices at every nesting depth decode to nil.
@@ -40,6 +42,7 @@ func TestWireCodecMatchesGob(t *testing.T) {
 	)
 	for _, v := range cases {
 		wiretest.GobParity(t, v)
+		wiretest.PlanParity(t, v)
 	}
 }
 

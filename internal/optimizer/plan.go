@@ -193,6 +193,39 @@ func (p *Plan) RuleNodes(ruleID string) []NodeID {
 	return order
 }
 
+// Validate checks the structure every walk over a plan relies on: node i
+// has id i, a base node names one attribute and takes no input, a
+// composed node has inputs and they all precede it, and every binding
+// points at nodes of the plan.
+// Planners build nothing else; a plan decoded from a hello, an
+// addRules call or a checkpoint is checked before anything indexes by it.
+func (p *Plan) Validate() error {
+	inPlan := func(id NodeID) bool { return id >= 0 && int(id) < len(p.Nodes) }
+	for i, n := range p.Nodes {
+		switch {
+		case n.ID != NodeID(i):
+			return fmt.Errorf("optimizer: node at position %d has id %d", i, n.ID)
+		case n.Kind == Base && (len(n.Attrs) != 1 || len(n.Inputs) != 0):
+			return fmt.Errorf("optimizer: base node %d has %d attributes and %d inputs", i, len(n.Attrs), len(n.Inputs))
+		case n.Kind == Composed && len(n.Inputs) == 0:
+			return fmt.Errorf("optimizer: composed node %d has no inputs", i)
+		case n.Kind != Base && n.Kind != Composed:
+			return fmt.Errorf("optimizer: node %d has unknown kind %d", i, n.Kind)
+		}
+		for _, in := range n.Inputs {
+			if in < 0 || in >= n.ID {
+				return fmt.Errorf("optimizer: node %d takes input %d, which does not precede it", i, in)
+			}
+		}
+	}
+	for id, b := range p.Bindings {
+		if !inPlan(b.XNode) || !inPlan(b.BNode) {
+			return fmt.Errorf("optimizer: rule %q binds nodes %d and %d of a %d-node plan", id, b.XNode, b.BNode, len(p.Nodes))
+		}
+	}
+	return nil
+}
+
 // Describe renders the plan for humans: one line per node plus bindings.
 func (p *Plan) Describe() string {
 	var sb strings.Builder

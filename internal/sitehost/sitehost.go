@@ -105,8 +105,9 @@ type Hello struct {
 // is retired (2: binary envelope and positional payloads; 3:
 // v.batchResolve carries a stage's node groups; 4: the per-update methods
 // are retired, so a driver that would call them is refused here instead of
-// hitting "no handler" mid-round).
-const ProtoVersion = 4
+// hitting "no handler" mid-round; 5: the vertical same-site calls carry
+// id, index and bitset columns over a shared rule numbering).
+const ProtoVersion = 5
 
 // Encode gob-encodes the hello.
 func (h *Hello) Encode() ([]byte, error) {

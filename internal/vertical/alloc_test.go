@@ -6,6 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/network"
+	"repro/internal/partition"
+	"repro/internal/relation"
+	"repro/internal/workload"
 )
 
 // Decoding a coalesced eqid shipment allocates its item slice once, not
@@ -35,5 +38,43 @@ func TestBatchDeliverDecodeAllocs(t *testing.T) {
 	}
 	if small, large := decodeAllocs(4), decodeAllocs(1024); small != large {
 		t.Errorf("decode allocs grow with items: %v for 4, %v for 1024", small, large)
+	}
+}
+
+// TestWaveAllocBound pins the allocation diet of the same-site phases: a
+// 64-update wave over in-process sites (no encoding: what is counted is
+// the driver's request building, the handlers and the replies) stays
+// under a committed number of allocations per update: 17.6 measured, 44.4
+// when every (tuple, rule) and (tuple, node) pair was a struct of its own.
+func TestWaveAllocBound(t *testing.T) {
+	const batch, rounds, bound = 64, 20, 24
+	gen := workload.NewSized(workload.TPCH, 5, 2000)
+	rel := gen.Relation(400)
+	sys, err := NewSystem(rel, partition.RoundRobinVertical(rel.Schema, 4), gen.Rules(50), Options{UseOptimizer: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mirror := rel.Clone()
+	batches := make([]relation.UpdateList, rounds+4)
+	for i := range batches {
+		batches[i] = gen.Updates(mirror, batch, 0.5)
+		if err := batches[i].Normalize().Apply(mirror); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := 0
+	apply := func() {
+		if _, err := sys.ApplyBatch(batches[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	for next < 3 { // pools and memoized schedules fill
+		apply()
+	}
+	perUpdate := testing.AllocsPerRun(rounds, apply) / batch
+	t.Logf("%.1f allocations per update", perUpdate)
+	if perUpdate > bound {
+		t.Errorf("a %d-update wave allocates %.1f times per update, bound %d", batch, perUpdate, bound)
 	}
 }

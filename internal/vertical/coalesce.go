@@ -2,6 +2,7 @@ package vertical
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/cfd"
@@ -24,7 +25,8 @@ import (
 //	4. plan-node resolution by cross-site stage (resolveStages): per
 //	   stage one resolve call per site, then one eqid delivery per
 //	   (source, destination) edge — instead of one per edge per tuple;
-//	5. Fig. 4 case analyses batched per IDX site, replayed in item order;
+//	5. Fig. 4 case analyses batched per IDX site, replayed in the order
+//	   the site ran them;
 //	6. reference-count releases, buffer clears and fragment removals,
 //	   batched per site.
 //
@@ -34,35 +36,54 @@ import (
 // equals a fresh centralized Detect on the current D — the differential
 // oracles and the parity tests pin this.
 
-// uState tracks one update through a wave's phases.
+// uState tracks one update through a wave's node resolution.
 type uState struct {
-	tid    int64
-	op     OpKind
-	failed ruleSet // rules whose pattern constants the tuple fails
-	alive  []*cfd.CFD
-	sched  *runSchedule
-	pos    int // cursor into sched.walk during node resolution
+	sched *runSchedule // of the update's alive rules; nil when none is
+	pos   int          // cursor into sched.walk
 }
 
-// ruleSet is a bitset over the system's rules: bit i is constRules[i],
-// bit len(constRules)+i is varRules[i] (System.ruleBit by rule id).
-type ruleSet []uint64
+// wave is one wave's updates with the columns its same-site calls are
+// made of (messages.go). The calls of a phase share them: a request
+// handed to several sites at once is only ever read.
+type wave struct {
+	states []uState
+	ids    []int64 // the updates' tuple ids, in wave order
+	ins    bitset  // position i is an insertion
+	// failed holds one rule-set row per position: the rules whose pattern
+	// constants the tuple fails.
+	failed []uint64
 
-func (s ruleSet) has(bit int) bool { return s[bit>>6]&(1<<(bit&63)) != 0 }
-func (s ruleSet) set(bit int)      { s[bit>>6] |= 1 << (bit & 63) }
+	// walk and members are resolveStages' record of the plan nodes the
+	// wave resolved, in walk order, and for each the positions that
+	// resolved it (one row over positions per node).
+	walk    []optimizer.NodeID
+	members []uint64
+}
 
-// newStates allocates one wave's states in a single slab, each with an
-// empty ruleSet sized to the current rule count.
-func (sys *System) newStates(n int) []*uState {
-	words := (len(sys.rules) + 63) / 64
-	bits := make([]uint64, n*words)
-	slab := make([]uState, n)
-	states := make([]*uState, n)
-	for i := range slab {
-		slab[i].failed = bits[i*words : (i+1)*words : (i+1)*words]
-		states[i] = &slab[i]
+// newWave returns the wave over the given tuple ids, all deletions so far.
+func (sys *System) newWave(ids []int64) *wave {
+	return &wave{
+		states: make([]uState, len(ids)),
+		ids:    ids,
+		ins:    make(bitset, words(len(ids))),
+		failed: make([]uint64, len(ids)*words(len(sys.rules))),
 	}
-	return states
+}
+
+// unfailed returns a rule-set table: per position, the rules of mask whose
+// pattern constants the tuple did not fail.
+func (w *wave) unfailed(mask bitset) []uint64 {
+	rows := make([]uint64, len(w.failed))
+	for i, word := range w.failed {
+		rows[i] = ^word & mask[i%len(mask)]
+	}
+	return rows
+}
+
+// ruleRow returns position i's row of a rule-set table.
+func (sys *System) ruleRow(rows []uint64, i int) bitset {
+	w := words(len(sys.rules))
+	return rows[i*w : (i+1)*w]
 }
 
 // applyCoalesced runs one normalized batch wave by wave, maintaining V
@@ -90,81 +111,46 @@ func (sys *System) applyCoalesced(norm relation.UpdateList) (*cfd.Delta, error) 
 
 // applyWave runs one wave (distinct tuple ids) through the grouped
 // phases, appending its ∆V emissions to delta in exact replay order.
-func (sys *System) applyWave(wave relation.UpdateList, delta *cfd.Delta) error {
-	states := sys.newStates(len(wave))
-	for i, u := range wave {
-		us := states[i]
-		us.tid = int64(u.Tuple.ID)
-		if u.Kind == relation.Delete {
-			us.op = OpDelete
+func (sys *System) applyWave(updates relation.UpdateList, delta *cfd.Delta) error {
+	w := sys.newWave(make([]int64, len(updates)))
+	for i, u := range updates {
+		w.ids[i] = int64(u.Tuple.ID)
+		if u.Kind != relation.Delete {
+			w.ins.set(i)
 		}
 	}
 
 	// 1. Insertions reach every fragment first (∆Di delivery).
-	if err := sys.deliverFragments(wave, OpInsert); err != nil {
+	if err := sys.deliverFragments(updates, OpInsert); err != nil {
 		return err
 	}
 
 	// 2. Pattern constants, every checker site over the whole wave.
-	if err := sys.evalConstants(states, sys.checkers); err != nil {
+	if err := sys.evalConstants(w, sys.checkers); err != nil {
 		return err
 	}
 
 	// 3. Constant CFDs.
-	if err := sys.constPhase(states, sys.constRules, 0, delta); err != nil {
+	if err := sys.constPhase(w, sys.constRules, sys.constNo, delta); err != nil {
 		return err
 	}
 
-	// 4. Variable CFDs: alive sets and memoized schedules per update,
-	// then the scheduled plan nodes, stage by stage.
-	for _, us := range states {
-		var alivePos []int
-		for i, r := range sys.varRules {
-			if !us.failed.has(len(sys.constRules) + i) {
-				us.alive = append(us.alive, r)
-				alivePos = append(alivePos, i)
-			}
-		}
-		if len(us.alive) > 0 {
-			us.sched = sys.scheduleFor(us.alive, alivePos)
-		}
-	}
-	if err := sys.resolveStages(states); err != nil {
-		return err
-	}
-
+	// 4. Variable CFDs: the alive rules' plan nodes, stage by stage, then
 	// 5. Fig. 4 at each alive rule's IDX site.
-	if err := sys.idxPhase(states, delta); err != nil {
+	if err := sys.varPhase(w, sys.varMask, delta); err != nil {
 		return err
 	}
 
 	// 6. Deletions release reference counts top-down, batched per site.
-	releaseItems := make(map[network.SiteID][]batchReleaseItem)
-	for _, us := range states {
-		if us.op != OpDelete || us.sched == nil {
-			continue
-		}
-		for i := len(us.sched.order) - 1; i >= 0; i-- {
-			n := us.sched.order[i]
-			src := network.SiteID(sys.plan.Node(n).Site)
-			releaseItems[src] = append(releaseItems[src], batchReleaseItem{ID: us.tid, Node: int(n)})
-		}
-	}
-	releaseSites := network.SortedSites(releaseItems)
-	err := sys.cluster.Fanout(len(releaseSites), network.FanoutOpts{}, func(i int) error {
-		s := releaseSites[i]
-		return sys.send(s, s, "v.batchRelease", batchReleaseReq{Items: releaseItems[s]}, nil)
-	})
-	if err != nil {
+	if err := sys.releaseWave(w); err != nil {
 		return err
 	}
-
-	if err := sys.endWave(states); err != nil {
+	if err := sys.endWave(w); err != nil {
 		return err
 	}
 
 	// 7. Deletions leave the fragments last (values were needed above).
-	return sys.deliverFragments(wave, OpDelete)
+	return sys.deliverFragments(updates, OpDelete)
 }
 
 // deliverFragments hands every site its share of the wave's updates of
@@ -191,47 +177,62 @@ func (sys *System) deliverFragments(wave relation.UpdateList, op OpKind) error {
 	})
 }
 
-// evalConstants checks the wave's pattern constants at every listed
-// checker site and folds the failures into the states.
-func (sys *System) evalConstants(states []*uState, checkers []network.SiteID) error {
-	ids := make([]int64, len(states))
-	for i, us := range states {
-		ids[i] = us.tid
+// sitesWhere lists, ascending, the sites has holds for.
+func (sys *System) sitesWhere(has func(site int) bool) []network.SiteID {
+	var out []network.SiteID
+	for s := range sys.sites {
+		if has(s) {
+			out = append(out, network.SiteID(s))
+		}
 	}
+	return out
+}
+
+// malformed is the error for a same-site reply that does not fit the
+// request it answers: driver and site have diverged.
+func malformed(method string, site network.SiteID) error {
+	return fmt.Errorf("vertical: %s: malformed batch response from site %d", method, site)
+}
+
+// evalConstants checks the wave's pattern constants at every listed
+// checker site and ORs the failures into w.failed.
+func (sys *System) evalConstants(w *wave, checkers []network.SiteID) error {
+	req := batchEvalReq{Gen: sys.gen, IDs: w.ids}
 	resps := make([]batchEvalResp, len(checkers))
 	err := sys.cluster.Fanout(len(checkers), network.FanoutOpts{}, func(i int) error {
 		c := checkers[i]
-		return sys.send(c, c, "v.batchEval", batchEvalReq{IDs: ids}, &resps[i])
+		return sys.send(c, c, "v.batchEval", req, &resps[i])
 	})
 	if err != nil {
 		return err
 	}
-	for ci := range checkers {
-		if len(resps[ci].Failed) != len(states) {
-			return fmt.Errorf("vertical: v.batchEval: malformed batch response from site %d", checkers[ci])
+	for ci, c := range checkers {
+		failed := resps[ci].Failed
+		if !validRows(failed, len(w.ids), len(sys.rules)) {
+			return malformed("v.batchEval", c)
 		}
-		for ui, failed := range resps[ci].Failed {
-			for _, rid := range failed {
-				if bit, ok := sys.ruleBit[rid]; ok {
-					states[ui].failed.set(bit)
-				}
-			}
+		for i, word := range failed {
+			w.failed[i] |= word
 		}
 	}
 	return nil
 }
 
 // constPhase runs the wave through the given constant rules (rules[i]
-// is bit bitBase+i of a ruleSet): votes coalesced per (checker,
-// coordinator) pair across the wave, then the coordinator
-// classifications batched per site; ∆V replays in (update, rule) order.
-func (sys *System) constPhase(states []*uState, rules []*cfd.CFD, bitBase int, delta *cfd.Delta) error {
+// has number nos[i]): votes coalesced per (checker, coordinator) pair
+// across the wave, then the coordinator classifications batched per
+// site; ∆V replays per coordinator in (update, rule number) order.
+func (sys *System) constPhase(w *wave, rules []*cfd.CFD, nos []int, delta *cfd.Delta) error {
+	if len(rules) == 0 {
+		return nil
+	}
 	votes := make(map[[2]network.SiteID][]batchVoteItem)
 	voteAt := make(map[[2]network.SiteID]int) // index of the pair's item for the current update
-	for _, us := range states {
+	for i := range w.states {
+		failed := sys.ruleRow(w.failed, i)
 		clear(voteAt)
 		for ci, r := range rules {
-			if us.failed.has(bitBase + ci) {
+			if failed.has(nos[ci]) {
 				continue // non-matching tuples ship nothing
 			}
 			coord := sys.constCoord[r.ID]
@@ -242,7 +243,7 @@ func (sys *System) constPhase(states []*uState, rules []*cfd.CFD, bitBase int, d
 				key := [2]network.SiteID{s, coord}
 				at, ok := voteAt[key]
 				if !ok {
-					votes[key] = append(votes[key], batchVoteItem{ID: us.tid})
+					votes[key] = append(votes[key], batchVoteItem{ID: w.ids[i]})
 					at = len(votes[key]) - 1
 					voteAt[key] = at
 				}
@@ -268,48 +269,80 @@ func (sys *System) constPhase(states []*uState, rules []*cfd.CFD, bitBase int, d
 		return err
 	}
 
-	constItems := make(map[network.SiteID][]batchConstItem)
-	type constRef struct {
-		us   *uState
-		rule string
+	// Each coordinator classifies, per tuple, the rules it coordinates
+	// that the tuple did not fail: the complement of the failed row under
+	// the coordinator's mask.
+	rw := words(len(sys.rules))
+	masks := make([]bitset, len(sys.sites))
+	for ci, r := range rules {
+		coord := sys.constCoord[r.ID]
+		if masks[coord] == nil {
+			masks[coord] = make(bitset, rw)
+		}
+		masks[coord].set(nos[ci])
 	}
-	constRefs := make(map[network.SiteID][]constRef)
-	for _, us := range states {
-		for ci, r := range rules {
-			if us.failed.has(bitBase + ci) {
-				continue
-			}
-			coord := sys.constCoord[r.ID]
-			constItems[coord] = append(constItems[coord], batchConstItem{Rule: r.ID, ID: us.tid, Op: us.op})
-			constRefs[coord] = append(constRefs[coord], constRef{us, r.ID})
+	var coords []network.SiteID
+	reqs := make([]batchConstReq, len(sys.sites))
+	for s, mask := range masks {
+		if mask == nil {
+			continue
+		}
+		if asked := w.unfailed(mask); !bitset(asked).empty() {
+			coords = append(coords, network.SiteID(s))
+			reqs[s] = batchConstReq{Gen: sys.gen, IDs: w.ids, Rules: asked}
 		}
 	}
-	constSites := network.SortedSites(constItems)
-	constResps := make([]batchConstResp, len(constSites))
-	err = sys.cluster.Fanout(len(constSites), network.FanoutOpts{}, func(i int) error {
-		s := constSites[i]
-		return sys.send(s, s, "v.batchConst", batchConstReq{Items: constItems[s]}, &constResps[i])
+	resps := make([]batchConstResp, len(coords))
+	err = sys.cluster.Fanout(len(coords), network.FanoutOpts{}, func(i int) error {
+		s := coords[i]
+		return sys.send(s, s, "v.batchConst", reqs[s], &resps[i])
 	})
 	if err != nil {
 		return err
 	}
-	for si, s := range constSites {
-		if len(constResps[si].Violations) != len(constItems[s]) {
-			return fmt.Errorf("vertical: v.batchConst: malformed batch response from site %d", s)
+	for si, s := range coords {
+		violations, asked := resps[si].Violations, reqs[s].Rules
+		if len(violations) != len(asked) {
+			return malformed("v.batchConst", s)
 		}
-		for k, violation := range constResps[si].Violations {
-			if !violation {
-				continue
+		for k, word := range violations {
+			if word&^asked[k] != 0 {
+				return malformed("v.batchConst", s)
 			}
-			ref := constRefs[s][k]
-			if ref.us.op == OpInsert {
-				delta.Add(relation.TupleID(ref.us.tid), ref.rule)
-			} else {
-				delta.Remove(relation.TupleID(ref.us.tid), ref.rule)
+			i := k / rw
+			for ; word != 0; word &= word - 1 {
+				rule := sys.ruleByNo[k%rw<<6+bits.TrailingZeros64(word)].ID
+				if w.ins.has(i) {
+					delta.Add(relation.TupleID(w.ids[i]), rule)
+				} else {
+					delta.Remove(relation.TupleID(w.ids[i]), rule)
+				}
 			}
 		}
 	}
 	return nil
+}
+
+// varPhase runs the wave through the variable rules of mask: per update
+// the alive set (mask minus the failed rules) and its memoized schedule,
+// the scheduled plan nodes stage by stage, then Fig. 4 at each alive
+// rule's IDX site.
+func (sys *System) varPhase(w *wave, mask bitset, delta *cfd.Delta) error {
+	alive := w.unfailed(mask)
+	for i := range w.states {
+		w.states[i].sched = sys.scheduleFor(sys.ruleRow(alive, i))
+	}
+	if err := sys.resolveStages(w); err != nil {
+		return err
+	}
+	return sys.idxPhase(w, alive, delta)
+}
+
+// shipRef says where one resolved eqid goes: the position it belongs to
+// and the sites its node's eqid ships to for that update.
+type shipRef struct {
+	pos   int
+	dests []network.SiteID
 }
 
 // resolveStages resolves every scheduled plan node of the wave's updates
@@ -319,25 +352,26 @@ func (sys *System) constPhase(states []*uState, rules []*cfd.CFD, bitBase int, d
 // v.batchDeliver per (source, destination) edge with eqids to ship, one
 // worker per destination sending in ascending source order — so every
 // site sees a deterministic call stream whatever the worker count. A
-// node's items keep the wave's update order, so each HEV allocates the
-// same eqids as when nodes resolved one call at a time.
-func (sys *System) resolveStages(states []*uState) error {
-	walk := sys.waveNodes(states)
-	stages := sys.plan.Stages()
+// node's members resolve in wave order, so each HEV allocates the same
+// eqids as when nodes resolved one call at a time.
+func (sys *System) resolveStages(w *wave) error {
+	w.walk = sys.waveNodes(w.states)
+	walk, stages := w.walk, sys.plan.Stages()
 	siteOf := func(node optimizer.NodeID) network.SiteID { return network.SiteID(sys.plan.Nodes[node].Site) }
 
-	// One backing array each for the wave's groups, items and per-item
-	// destinations: in walk order a site's groups of one stage are
-	// adjacent, and so are a group's items.
+	// One backing array each for the wave's node lists, member rows and
+	// shipping references: in walk order a site's nodes of one stage are
+	// adjacent, and so are a node's members.
 	total := 0
-	for _, us := range states {
-		if us.sched != nil {
-			total += len(us.sched.walk)
+	for i := range w.states {
+		if sched := w.states[i].sched; sched != nil {
+			total += len(sched.walk)
 		}
 	}
-	groups := make([]batchResolveGroup, 0, len(walk))
-	items := make([]batchResolveItem, 0, total)
-	dests := make([][]network.SiteID, 0, total) // where items[i]'s eqid ships
+	iw := words(len(w.ids))
+	nodes := make([]int, len(walk))
+	w.members = make([]uint64, len(walk)*iw)
+	refs := make([]shipRef, 0, total) // one per (node, member), in reply order
 
 	n := len(sys.sites)
 	reqs := make([]batchResolveReq, n)
@@ -346,13 +380,16 @@ func (sys *System) resolveStages(states []*uState) error {
 	srcs := make([]network.SiteID, 0, n)
 	dsts := make([]network.SiteID, 0, n)
 	for lo := 0; lo < len(walk); {
-		stage, stageItems := stages[walk[lo]], len(items)
+		stage, stageRefs := stages[walk[lo]], len(refs)
 		srcs = srcs[:0]
 		for lo < len(walk) && stages[walk[lo]] == stage {
-			site, siteGroups := siteOf(walk[lo]), len(groups)
+			site, first := siteOf(walk[lo]), lo
 			for ; lo < len(walk) && stages[walk[lo]] == stage && siteOf(walk[lo]) == site; lo++ {
-				node, from := walk[lo], len(items)
-				for _, us := range states {
+				node := walk[lo]
+				nodes[lo] = int(node)
+				row := bitset(w.members[lo*iw : (lo+1)*iw])
+				for i := range w.states {
+					us := &w.states[i]
 					if us.sched == nil || us.pos == len(us.sched.walk) {
 						continue
 					}
@@ -360,14 +397,13 @@ func (sys *System) resolveStages(states []*uState) error {
 					if us.sched.order[at] != node {
 						continue
 					}
-					items = append(items, batchResolveItem{ID: us.tid, Acquire: us.op == OpInsert})
-					dests = append(dests, us.sched.dests[at])
+					row.set(i)
+					refs = append(refs, shipRef{pos: i, dests: us.sched.dests[at]})
 					us.pos++
 				}
-				groups = append(groups, batchResolveGroup{Node: int(node), Items: items[from:]})
 			}
 			srcs = append(srcs, site)
-			reqs[site].Groups = groups[siteGroups:]
+			reqs[site] = batchResolveReq{IDs: w.ids, Ins: w.ins, Nodes: nodes[first:lo], Members: w.members[first*iw : lo*iw]}
 		}
 
 		err := sys.cluster.Fanout(len(srcs), network.FanoutOpts{}, func(i int) error {
@@ -378,27 +414,31 @@ func (sys *System) resolveStages(states []*uState) error {
 			return err
 		}
 
-		// The stage's items lie in items[stageItems:] site by site, group
-		// by group — the order each site's reply lists its eqids in.
-		shipped, k := 0, stageItems
+		// The stage's refs lie in refs[stageRefs:] site by site, node by
+		// node — the order each site's reply lists its eqids in.
+		shipped, k := 0, stageRefs
 		for _, src := range srcs {
 			eqs := resps[src].Eqs
-			for _, g := range reqs[src].Groups {
-				if len(g.Items) > len(eqs) {
-					return fmt.Errorf("vertical: v.batchResolve: malformed batch response from site %d", src)
+			for ni, node := range reqs[src].Nodes {
+				members := 0
+				for _, word := range reqs[src].Members[ni*iw : (ni+1)*iw] {
+					members += bits.OnesCount64(word)
 				}
-				for j, item := range g.Items {
-					for _, dest := range dests[k] {
+				if members > len(eqs) {
+					return malformed("v.batchResolve", src)
+				}
+				for _, eq := range eqs[:members] {
+					for _, dest := range refs[k].dests {
 						at := int(dest)*n + int(src)
-						pend[at] = append(pend[at], batchDeliverItem{ID: item.ID, Node: g.Node, Eq: eqs[j]})
+						pend[at] = append(pend[at], batchDeliverItem{ID: w.ids[refs[k].pos], Node: node, Eq: eq})
 						shipped++
 					}
 					k++
 				}
-				eqs = eqs[len(g.Items):]
+				eqs = eqs[members:]
 			}
 			if len(eqs) != 0 {
-				return fmt.Errorf("vertical: v.batchResolve: malformed batch response from site %d", src)
+				return malformed("v.batchResolve", src)
 			}
 		}
 		if shipped == 0 {
@@ -439,17 +479,18 @@ func (sys *System) resolveStages(states []*uState) error {
 
 // waveNodes returns the union of the states' scheduled nodes in walk
 // order (System.walksBefore).
-func (sys *System) waveNodes(states []*uState) []optimizer.NodeID {
+func (sys *System) waveNodes(states []uState) []optimizer.NodeID {
 	seen := make([]bool, len(sys.plan.Nodes))
 	var walk []optimizer.NodeID
 	var last *runSchedule
 	merged := false
-	for _, us := range states {
-		if us.sched == nil || us.sched == last {
+	for i := range states {
+		sched := states[i].sched
+		if sched == nil || sched == last {
 			continue
 		}
 		merged = merged || last != nil
-		last = us.sched
+		last = sched
 		for _, at := range last.walk {
 			if node := last.order[at]; !seen[node] {
 				seen[node] = true
@@ -463,64 +504,105 @@ func (sys *System) waveNodes(states []*uState) []optimizer.NodeID {
 	return walk
 }
 
-// idxPhase runs Fig. 4 at each alive rule's IDX site, batched per site;
-// ∆V replays in each site's item order (conflicting flips of one (tuple,
-// rule) mark only ever meet inside one IDX site's list, where the order
-// is the mutation order).
-func (sys *System) idxPhase(states []*uState, delta *cfd.Delta) error {
-	ruleItems := make(map[network.SiteID][]batchRuleItem)
-	type ruleRef struct {
-		us   *uState
-		rule string
+// idxPhase runs Fig. 4 at each alive rule's IDX site, one call per site
+// hosting the IDX of a rule some update has alive; every site gets the
+// same request and runs the rules it hosts. ∆V replays in each site's
+// reply order (conflicting flips of one (tuple, rule) mark only ever meet
+// inside one IDX site's reply, where the order is the mutation order).
+func (sys *System) idxPhase(w *wave, alive []uint64, delta *cfd.Delta) error {
+	rw := words(len(sys.rules))
+	hosts := make([]bool, len(sys.sites))
+	union := make(bitset, rw)
+	for i, word := range alive {
+		union[i%rw] |= word
 	}
-	ruleRefs := make(map[network.SiteID][]ruleRef)
-	for _, us := range states {
-		for _, r := range us.alive {
-			idxSite := network.SiteID(sys.plan.Bindings[r.ID].IDXSite)
-			ruleItems[idxSite] = append(ruleItems[idxSite], batchRuleItem{Rule: r.ID, ID: us.tid, Op: us.op})
-			ruleRefs[idxSite] = append(ruleRefs[idxSite], ruleRef{us, r.ID})
+	for wi, word := range union {
+		for ; word != 0; word &= word - 1 {
+			hosts[sys.idxSite[wi<<6+bits.TrailingZeros64(word)]] = true
 		}
 	}
-	ruleSites := network.SortedSites(ruleItems)
-	ruleResps := make([]batchRuleResp, len(ruleSites))
-	err := sys.cluster.Fanout(len(ruleSites), network.FanoutOpts{}, func(i int) error {
-		s := ruleSites[i]
-		return sys.send(s, s, "v.batchRule", batchRuleReq{Items: ruleItems[s]}, &ruleResps[i])
+	idxSites := sys.sitesWhere(func(s int) bool { return hosts[s] })
+	req := batchRuleReq{Gen: sys.gen, IDs: w.ids, Ins: w.ins, Alive: alive}
+	resps := make([]batchRuleResp, len(idxSites))
+	err := sys.cluster.Fanout(len(idxSites), network.FanoutOpts{}, func(i int) error {
+		s := idxSites[i]
+		return sys.send(s, s, "v.batchRule", req, &resps[i])
 	})
 	if err != nil {
 		return err
 	}
-	for si, s := range ruleSites {
-		if len(ruleResps[si].Items) != len(ruleItems[s]) {
-			return fmt.Errorf("vertical: v.batchRule: malformed batch response from site %d", s)
+	for si, s := range idxSites {
+		resp := &resps[si]
+		if len(resp.Rules) != len(resp.At) || len(resp.Counts) != len(resp.At) {
+			return malformed("v.batchRule", s)
 		}
-		for k, ir := range ruleResps[si].Items {
-			rule := ruleRefs[s][k].rule
-			for _, id := range ir.Added {
-				delta.Add(relation.TupleID(id), rule)
+		ids := resp.IDs
+		for k, at := range resp.At {
+			no, count := resp.Rules[k], resp.Counts[k]
+			if at < 0 || at >= len(w.ids) || no < 0 || no >= len(sys.ruleByNo) || !sys.ruleRow(alive, at).has(no) ||
+				sys.idxSite[no] != s || count <= 0 || count > len(ids) {
+				return malformed("v.batchRule", s)
 			}
-			for _, id := range ir.Removed {
-				delta.Remove(relation.TupleID(id), rule)
+			rule := sys.ruleByNo[no].ID
+			for _, id := range ids[:count] {
+				if w.ins.has(at) {
+					delta.Add(relation.TupleID(id), rule)
+				} else {
+					delta.Remove(relation.TupleID(id), rule)
+				}
 			}
+			ids = ids[count:]
+		}
+		if len(ids) != 0 {
+			return malformed("v.batchRule", s)
 		}
 	}
 	return nil
 }
 
-// endWave clears the wave's eqid buffers, one call per involved site.
-func (sys *System) endWave(states []*uState) error {
-	endIDs := make(map[network.SiteID][]int64)
-	for _, us := range states {
-		if us.sched == nil {
+// releaseWave drops the reference counts the wave's deleted tuples held
+// on the nodes they resolved: per site one call, listing the nodes in
+// reverse walk order (a consumer before its inputs) with each node's
+// deleted members.
+func (sys *System) releaseWave(w *wave) error {
+	iw := words(len(w.ids))
+	reqs := make([]batchReleaseReq, len(sys.sites))
+	for k := len(w.walk) - 1; k >= 0; k-- {
+		row := w.members[k*iw : (k+1)*iw]
+		deleted := uint64(0)
+		for wi, word := range row {
+			deleted |= word &^ w.ins[wi]
+		}
+		if deleted == 0 {
 			continue
 		}
-		for _, s := range us.sched.involved {
-			endIDs[s] = append(endIDs[s], us.tid)
+		req := &reqs[sys.plan.Nodes[w.walk[k]].Site]
+		req.IDs = w.ids
+		req.Nodes = append(req.Nodes, int(w.walk[k]))
+		for wi, word := range row {
+			req.Members = append(req.Members, word&^w.ins[wi])
 		}
 	}
-	endSites := network.SortedSites(endIDs)
-	return sys.cluster.Fanout(len(endSites), network.FanoutOpts{}, func(i int) error {
-		s := endSites[i]
+	sites := sys.sitesWhere(func(s int) bool { return len(reqs[s].Nodes) > 0 })
+	return sys.cluster.Fanout(len(sites), network.FanoutOpts{}, func(i int) error {
+		s := sites[i]
+		return sys.send(s, s, "v.batchRelease", reqs[s], nil)
+	})
+}
+
+// endWave clears the wave's eqid buffers, one call per involved site.
+func (sys *System) endWave(w *wave) error {
+	endIDs := make([][]int64, len(sys.sites))
+	for i := range w.states {
+		if sched := w.states[i].sched; sched != nil {
+			for _, s := range sched.involved {
+				endIDs[s] = append(endIDs[s], w.ids[i])
+			}
+		}
+	}
+	sites := sys.sitesWhere(func(s int) bool { return len(endIDs[s]) > 0 })
+	return sys.cluster.Fanout(len(sites), network.FanoutOpts{}, func(i int) error {
+		s := sites[i]
 		return sys.send(s, s, "v.batchEnd", batchEndReq{IDs: endIDs[s]}, nil)
 	})
 }

@@ -53,11 +53,17 @@ func HostSiteState(c *network.Cluster, id network.SiteID, schema *relation.Schem
 	if plan == nil {
 		return nil, fmt.Errorf("vertical: hosting site %d: nil plan", id)
 	}
+	if err := plan.Validate(); err != nil {
+		return nil, fmt.Errorf("vertical: hosting site %d: %w", id, err)
+	}
 	fs, err := scheme.FragmentSchema(schema, int(id))
 	if err != nil {
 		return nil, err
 	}
-	st := newSite(id, fs, plan, rules)
+	st, err := newSite(id, fs, plan, rules)
+	if err != nil {
+		return nil, err
+	}
 	st.ownsPlan = true
 	st.register(c)
 	return &HostedSite{st: st}, nil

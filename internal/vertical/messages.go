@@ -11,8 +11,6 @@
 // ∆V locally, exactly as in the paper's Figs. 4 and 5.
 package vertical
 
-import "repro/internal/relation"
-
 // OpKind says whether a unit update is an insertion or a deletion.
 type OpKind int
 
@@ -29,13 +27,6 @@ type applyReq struct {
 	Op     OpKind
 	ID     int64
 	Values []string // aligned with the fragment schema
-}
-
-// applyRuleResp is the rule's local ∆V contribution: tuple ids that become
-// violations (∆V+) or stop being violations (∆V−) of this rule.
-type applyRuleResp struct {
-	Added   []int64
-	Removed []int64
 }
 
 // barrierReq is the end-of-batch marker exchanged between sites (see
@@ -60,15 +51,35 @@ type batchFragReq struct {
 	Items []applyReq
 }
 
+// A same-site call carries ids, indices and bitsets — never a rule-id
+// string, never one struct per (tuple, rule). Its columns:
+//
+//   - IDs: the wave's tuple ids, in wave order; the other columns index
+//     into it by position.
+//   - a bitset over those positions ([]uint64, bit i in word i>>6), such
+//     as Ins: the positions that are insertions.
+//   - rows of such bitsets laid end to end, one row per listed node
+//     (Members: which positions the node serves).
+//   - rule sets: per position one row of bits over the rule numbering —
+//     a rule's number is its rank by id among the rules in force, which
+//     driver and site each derive from the rule set they hold (see
+//     ruleGen). Gen stamps the numbering a call was coded under; a site
+//     holding another rule set refuses it with xerr.ErrRuleSetSkew.
+//
+// Every count, index and padding bit is checked by the receiving handler;
+// a malformed call is answered with an error naming site and method.
+
 // batchEvalReq checks the site's pattern constants for every listed
-// tuple; Failed is aligned with IDs.
+// tuple.
 type batchEvalReq struct {
+	Gen uint32
 	IDs []int64
 }
 
-// batchEvalResp lists, per tuple, the rules whose local constants failed.
+// batchEvalResp holds, per tuple of the request, the set of rules whose
+// local constants failed: len(IDs) rule-set rows.
 type batchEvalResp struct {
-	Failed [][]string
+	Failed []uint64
 }
 
 // batchVoteItem is one tuple's constant-rule match notice inside a
@@ -87,46 +98,36 @@ type batchVoteReq struct {
 	Items []batchVoteItem
 }
 
-// batchConstItem asks a constant rule's coordinator to classify one fully
-// pattern-matching tuple (Fig. 5 lines 8–10, with the paper's line-9 typo
-// fixed: a tuple is a violation iff t[B] ≠ tp[B]); a batchConstReq carries
-// a whole wave's classifications for the site, answered positionally by
-// batchConstResp.
-type batchConstItem struct {
-	Rule string
-	ID   int64
-	Op   OpKind
-}
-
+// batchConstReq asks a coordinator to classify fully pattern-matching
+// tuples against its constant rules (Fig. 5 lines 8–10, with the paper's
+// line-9 typo fixed: a tuple is a violation iff t[B] ≠ tp[B]): Rules is
+// one rule-set row per tuple, the rules to classify it under.
 type batchConstReq struct {
-	Items []batchConstItem
+	Gen   uint32
+	IDs   []int64
+	Rules []uint64
 }
 
+// batchConstResp answers in the request's shape: per tuple, the subset of
+// its asked rules it violates.
 type batchConstResp struct {
-	Violations []bool
-}
-
-// batchResolveItem resolves one plan node for one tuple (Acquire on
-// insertion, lookup on deletion).
-type batchResolveItem struct {
-	ID      int64
-	Acquire bool
-}
-
-// batchResolveGroup resolves one plan node for every listed tuple.
-type batchResolveGroup struct {
-	Node  int
-	Items []batchResolveItem
+	Violations []uint64
 }
 
 // batchResolveReq carries every node of one cross-site stage (see
 // optimizer.Plan.Stages) hosted at the receiving site, in ascending node
 // id — so a same-site input is resolved, and buffered, before the node
-// consuming it. Eqs answers flat, group by group, item by item.
+// consuming it. Members row k lists the positions node Nodes[k] resolves
+// for: Acquire where Ins has the position, lookup otherwise.
 type batchResolveReq struct {
-	Groups []batchResolveGroup
+	IDs     []int64
+	Ins     []uint64
+	Nodes   []int
+	Members []uint64
 }
 
+// batchResolveResp answers flat: node by node, members in ascending
+// position.
 type batchResolveResp struct {
 	Eqs []int64
 }
@@ -146,31 +147,36 @@ type batchDeliverReq struct {
 	Items []batchDeliverItem
 }
 
-// batchRuleItem runs one (rule, tuple) incVIns/incVDel case analysis of
-// Fig. 4 at the rule's IDX site and maintains the IDX; batchRuleResp
-// answers positionally with each item's local ∆V.
-type batchRuleItem struct {
-	Rule string
-	ID   int64
-	Op   OpKind
-}
-
+// batchRuleReq runs the wave's incVIns/incVDel case analyses of Fig. 4 at
+// one IDX site. Alive is one rule-set row per tuple; the site takes the
+// tuples in order and, per tuple, the alive rules whose IDX it hosts in
+// ascending rule number — the order the driver replays the reply in.
 type batchRuleReq struct {
-	Items []batchRuleItem
+	Gen   uint32
+	IDs   []int64
+	Ins   []uint64
+	Alive []uint64
 }
 
+// batchRuleResp lists the analyses with a non-empty local ∆V, in the
+// order they ran: entry k is tuple position At[k] under rule number
+// Rules[k], and owns the next Counts[k] of IDs — the tuples that become
+// violations of the rule (the position is an insertion) or stop being
+// ones (a deletion).
 type batchRuleResp struct {
-	Items []applyRuleResp
+	At     []int
+	Rules  []int
+	Counts []int
+	IDs    []int64
 }
 
-// batchReleaseItem undoes one (tuple, node) reference count.
-type batchReleaseItem struct {
-	ID   int64
-	Node int
-}
-
+// batchReleaseReq undoes the reference counts deleted tuples held:
+// Members row k lists the positions to release on node Nodes[k]. Nodes
+// come consumers first.
 type batchReleaseReq struct {
-	Items []batchReleaseItem
+	IDs     []int64
+	Nodes   []int
+	Members []uint64
 }
 
 // batchEndReq clears the wave's eqid buffers at one site.
@@ -197,11 +203,3 @@ type shipColsResp struct {
 
 // empty is the reply type of fire-and-forget handlers.
 type empty struct{}
-
-func toInt64s(ids []relation.TupleID) []int64 {
-	out := make([]int64, len(ids))
-	for i, id := range ids {
-		out[i] = int64(id)
-	}
-	return out
-}

@@ -1,12 +1,10 @@
 package vertical
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
 	"repro/internal/cfd"
-	"repro/internal/eqclass"
 	"repro/internal/network"
 	"repro/internal/optimizer"
 	"repro/internal/partition"
@@ -52,75 +50,64 @@ type listIDsResp struct {
 	IDs []int64
 }
 
-// addRules is the site half of AddRules: install the rules' constant
-// checks, the grafted nodes this site owns, and the new IDX structures.
-// A hosted site grafts the shipped sub-plan onto its own plan copy
-// first; in-process sites see the driver's already-grafted plan.
+// addRules is the site half of AddRules: install the grafted nodes this
+// site owns and put the rules in force, which renumbers every rule. A
+// hosted site grafts the shipped sub-plan onto its own plan copy;
+// in-process sites see the driver's already-grafted plan. The request is
+// checked in full before anything changes.
 func (s *site) addRules(req addRulesReq) (empty, error) {
-	if s.ownsPlan && req.Sub != nil {
-		if len(s.plan.Nodes) != req.FirstNode {
-			return empty{}, fmt.Errorf("vertical: site %d: plan out of sync: %d nodes, graft expects %d", s.id, len(s.plan.Nodes), req.FirstNode)
+	const method = "v.addRules"
+	if req.FirstNode != len(s.nodes) {
+		return empty{}, s.refuse(method, "plan out of sync: %d nodes, graft expects %d", len(s.nodes), req.FirstNode)
+	}
+	grafted := s.plan.Nodes[len(s.nodes):]
+	graft := s.ownsPlan && req.Sub != nil
+	if graft {
+		if err := req.Sub.Validate(); err != nil {
+			return empty{}, s.refuse(method, "%w", err)
 		}
+		for id := range req.Sub.Bindings {
+			if _, bound := s.plan.Bindings[id]; bound {
+				return empty{}, s.refuse(method, "rule %q is bound in the plan already: %w", id, xerr.ErrDuplicateRule)
+			}
+		}
+		grafted = req.Sub.Nodes
+	}
+	if err := s.checkNodes(grafted); err != nil {
+		return empty{}, err
+	}
+	if err := s.checkRules(req.Rules); err != nil {
+		return empty{}, err
+	}
+	if graft {
 		s.plan.Graft(req.Sub)
 	}
-	for i := range req.Rules {
-		r := req.Rules[i]
-		if _, dup := s.rules[r.ID]; dup {
-			return empty{}, fmt.Errorf("vertical: site %d: rule %q already in force: %w", s.id, r.ID, xerr.ErrDuplicateRule)
-		}
-		rc := r
-		s.rules[rc.ID] = &rc
-		if cc := constChecksFor(s.schema, &rc); len(cc.cols) > 0 {
-			s.checks = append(s.checks, cc)
-		}
-	}
-	for _, n := range s.plan.Nodes[req.FirstNode:] {
-		if n.Site != int(s.id) {
-			continue
-		}
-		switch n.Kind {
-		case optimizer.Base:
-			if _, ok := s.base[n.Attrs[0]]; !ok {
-				s.base[n.Attrs[0]] = eqclass.NewBaseHEV(n.Attrs[0])
-			}
-		case optimizer.Composed:
-			s.hevs[n.ID] = eqclass.NewHEV(n.Attrs)
-		}
-	}
-	for i := range req.Rules {
-		if b, ok := s.plan.Bindings[req.Rules[i].ID]; ok && b.IDXSite == int(s.id) {
-			s.idx[req.Rules[i].ID] = eqclass.NewIDX()
-		}
-	}
-	// Pooled eqid buffers were sized to the pre-graft node count; drop
-	// them so bufPut re-sizes lazily.
-	s.bufPool = nil
+	s.installNodes()
+	s.setRules(append(s.rules, s.resolveRules(req.Rules)...))
 	return empty{}, nil
 }
 
-// vDropRules is the site half of RemoveRules. A hosted site also sheds
-// the rules' bindings from its own plan copy (the driver does this for
-// the shared in-process plan after the round).
+// vDropRules is the site half of RemoveRules; the surviving rules close
+// ranks in the numbering. A hosted site also sheds the rules' bindings
+// from its own plan copy (the driver does this for the shared in-process
+// plan after the round).
 func (s *site) vDropRules(req vDropRulesReq) (empty, error) {
 	drop := make(map[string]bool, len(req.Rules))
 	for _, id := range req.Rules {
-		if _, ok := s.rules[id]; !ok {
+		if _, ok := s.ruleNo(id); !ok || drop[id] {
 			return empty{}, fmt.Errorf("vertical: site %d: dropping rule %q: %w", s.id, id, xerr.ErrUnknownRule)
 		}
 		drop[id] = true
-		delete(s.rules, id)
-		delete(s.idx, id)
-		if s.ownsPlan {
-			s.plan.DropRule(id)
+	}
+	kept := make([]siteRule, 0, len(s.rules)-len(drop))
+	for _, r := range s.rules {
+		if !drop[r.rule.ID] {
+			kept = append(kept, r)
+		} else if s.ownsPlan {
+			s.plan.DropRule(r.rule.ID)
 		}
 	}
-	kept := s.checks[:0]
-	for _, c := range s.checks {
-		if !drop[c.ruleID] {
-			kept = append(kept, c)
-		}
-	}
-	s.checks = kept
+	s.setRules(kept)
 	return empty{}, nil
 }
 
@@ -247,9 +234,7 @@ func (sys *System) AddRules(rules []cfd.CFD) (*cfd.Delta, error) {
 	}
 
 	// Driver state: the rule slices are rebuilt over the grown backing
-	// array (positions of existing variable rules are unchanged, so the
-	// memoized schedules for old alive-sets stay valid; only the
-	// full-set shortcut is stale).
+	// array, and indexRules renumbers exactly as every site just did.
 	sys.rules = all
 	sys.varRules, sys.constRules = nil, nil
 	var newVar, newConst []*cfd.CFD
@@ -269,7 +254,6 @@ func (sys *System) AddRules(rules []cfd.CFD) (*cfd.Delta, error) {
 		}
 	}
 	sys.indexRules()
-	sys.fullSched = nil
 
 	// Seed wave: replay the resident ids through the new rules only.
 	var idResp listIDsResp
@@ -293,9 +277,9 @@ func (sys *System) AddRules(rules []cfd.CFD) (*cfd.Delta, error) {
 // — without touching the fragments: applyWave's phases 2–5 plus the
 // buffer clears.
 func (sys *System) seedWave(ids []int64, newConst, newVar []*cfd.CFD, delta *cfd.Delta) error {
-	states := sys.newStates(len(ids))
-	for i, tid := range ids {
-		states[i].tid = tid // op is OpInsert
+	w := sys.newWave(ids)
+	for i := range ids {
+		w.ins.set(i)
 	}
 
 	// Pattern constants. Only sites holding a new rule's constant-pattern
@@ -318,47 +302,23 @@ func (sys *System) seedWave(ids []int64, newConst, newVar []*cfd.CFD, delta *cfd
 			checkers = append(checkers, c)
 		}
 	}
-	if err := sys.evalConstants(states, checkers); err != nil {
+	if err := sys.evalConstants(w, checkers); err != nil {
 		return err
 	}
-	if err := sys.constPhase(states, newConst, len(sys.constRules)-len(newConst), delta); err != nil {
+	if err := sys.constPhase(w, newConst, sys.constNo[len(sys.constNo)-len(newConst):], delta); err != nil {
 		return err
 	}
 	if len(newVar) == 0 {
 		return nil
 	}
-
-	// Per-tuple alive sets over the new variable rules, with schedules
-	// restricted to the new rules' (grafted) nodes, memoized by alive
-	// positions within newVar.
-	varBit := len(sys.constRules) + len(sys.varRules) - len(newVar)
-	schedMemo := make(map[string]*runSchedule)
-	var keyBuf []byte
-	for _, us := range states {
-		keyBuf = keyBuf[:0]
-		for vi, r := range newVar {
-			if !us.failed.has(varBit + vi) {
-				us.alive = append(us.alive, r)
-				keyBuf = binary.AppendUvarint(keyBuf, uint64(vi))
-			}
-		}
-		if len(us.alive) == 0 {
-			continue
-		}
-		sched, ok := schedMemo[string(keyBuf)]
-		if !ok {
-			sched = sys.buildSchedule(us.alive)
-			schedMemo[string(keyBuf)] = sched
-		}
-		us.sched = sched
+	mask := make(bitset, len(sys.varMask))
+	for _, no := range sys.varNo[len(sys.varNo)-len(newVar):] {
+		mask.set(no)
 	}
-	if err := sys.resolveStages(states); err != nil {
+	if err := sys.varPhase(w, mask, delta); err != nil {
 		return err
 	}
-	if err := sys.idxPhase(states, delta); err != nil {
-		return err
-	}
-	return sys.endWave(states)
+	return sys.endWave(w)
 }
 
 // RemoveRules retires rules by id: their marks leave Violations() via
@@ -428,9 +388,6 @@ func (sys *System) RemoveRules(ids []string) (*cfd.Delta, error) {
 		}
 	}
 	sys.indexRules()
-	// Variable-rule positions shifted: every memoized schedule is stale.
-	sys.schedCache = make(map[string]*runSchedule)
-	sys.fullSched = nil
 	delta.Apply(sys.v)
 	return delta, nil
 }

@@ -2,21 +2,49 @@ package vertical
 
 import (
 	"fmt"
+	"math/bits"
+	"sort"
 
 	"repro/internal/cfd"
 	"repro/internal/eqclass"
 	"repro/internal/network"
 	"repro/internal/optimizer"
 	"repro/internal/relation"
+	"repro/internal/xerr"
 )
 
-// constChecks collects the locally held pattern constants of one rule,
-// deduplicated at construction so evalConsts needs no per-call seen-set.
-type constChecks struct {
-	ruleID string
-	cols   []int // column indexes in the fragment schema
+// siteRule is one rule in force as a site sees it, with everything a
+// handler needs resolved against the fragment schema and the plan once.
+// A rule's number — what every same-site call names it by — is its
+// position in site.rules.
+type siteRule struct {
+	rule *cfd.CFD
+	// cols and values are the pattern constants of the rule's LHS this
+	// fragment holds: tuple column, required constant.
+	cols   []int
 	values []string
+	// rhsCol is the fragment column of the rule's RHS, -1 when another
+	// site holds it.
+	rhsCol int
+	// idx is the rule's IDX when this site hosts it (nil otherwise), fed
+	// by the eqids of plan nodes xNode and bNode.
+	idx          *eqclass.IDX
+	xNode, bNode optimizer.NodeID
 }
+
+// siteNode is one plan node as its host site resolves it; the zero value
+// marks a node hosted elsewhere.
+type siteNode struct {
+	// Base node: the attribute's HEV (shared by every base node of the
+	// attribute here) and the fragment column it reads.
+	base *eqclass.BaseHEV
+	col  int
+	// Composed node: its HEV and the nodes whose buffered eqids key it.
+	hev    *eqclass.HEV
+	inputs []optimizer.NodeID
+}
+
+func (n *siteNode) here() bool { return n.base != nil || n.hev != nil }
 
 // site is the per-fragment state of the vertical detection system. All
 // access goes through the methods below, dispatched by the cluster; the
@@ -32,12 +60,19 @@ type site struct {
 	// (decoded from the bootstrap hello) rather than shared with the
 	// driver: rule grafts and drops then apply to it from the wire.
 	ownsPlan bool
-	rules    map[string]*cfd.CFD
 
-	base   map[string]*eqclass.BaseHEV       // one per locally hosted base node attr
-	hevs   map[optimizer.NodeID]*eqclass.HEV // composed nodes hosted here
-	idx    map[string]*eqclass.IDX           // rule id → IDX hosted here
-	checks []constChecks                     // local pattern-constant checks, one entry per rule
+	// rules are the rules in force, ascending by id; gen stamps that
+	// numbering (ruleGen), checked lists the numbers of the rules with
+	// local pattern constants and idxHere is the set of rules whose IDX is
+	// here. All four change only in setRules.
+	rules   []siteRule
+	gen     uint32
+	checked []int
+	idxHere bitset
+
+	// nodes mirrors plan.Nodes, extended whenever the plan is.
+	nodes []siteNode
+	base  map[string]*eqclass.BaseHEV // one per locally hosted base attribute
 
 	// buf holds the per-tuple eqid buffer: one slot per plan node, 0 =
 	// unset (eqids start at 1). Retired buffers are pooled, so steady
@@ -50,62 +85,175 @@ type site struct {
 	snapLen int
 }
 
-func newSite(id network.SiteID, schema *relation.Schema, plan *optimizer.Plan, rules []cfd.CFD) *site {
+// newSite builds an empty site over plan and rules. Both may come off the
+// wire (a hello), so both are checked.
+func newSite(id network.SiteID, schema *relation.Schema, plan *optimizer.Plan, rules []cfd.CFD) (*site, error) {
 	s := &site{
 		id:     id,
 		schema: schema,
 		frag:   relation.New(schema),
 		plan:   plan,
-		rules:  make(map[string]*cfd.CFD, len(rules)),
 		base:   make(map[string]*eqclass.BaseHEV),
-		hevs:   make(map[optimizer.NodeID]*eqclass.HEV),
-		idx:    make(map[string]*eqclass.IDX),
 		buf:    make(map[int64][]int64),
 	}
+	if err := s.checkNodes(plan.Nodes); err != nil {
+		return nil, err
+	}
+	if err := s.checkRules(rules); err != nil {
+		return nil, err
+	}
+	s.installNodes()
+	s.setRules(s.resolveRules(rules))
+	return s, nil
+}
+
+// refuse is the error a handler answers a malformed call with.
+func (s *site) refuse(method, format string, args ...any) error {
+	return fmt.Errorf("vertical: site %d: %s: "+format, append([]any{s.id, method}, args...)...)
+}
+
+// checkNodes reports whether this site can host its share of nodes (plan
+// nodes already structurally valid, see optimizer.Plan.Validate): a base
+// node here must read an attribute of the fragment.
+func (s *site) checkNodes(nodes []optimizer.Node) error {
+	for _, n := range nodes {
+		if n.Site == int(s.id) && n.Kind == optimizer.Base {
+			if _, ok := s.schema.Index(n.Attrs[0]); !ok {
+				return fmt.Errorf("vertical: site %d: base node %d reads %q, which the fragment does not hold: %w",
+					s.id, n.ID, n.Attrs[0], xerr.ErrUnknownAttribute)
+			}
+		}
+	}
+	return nil
+}
+
+// installNodes extends the node table over the plan nodes it does not
+// cover yet (checked by checkNodes), creating the HEVs hosted here.
+func (s *site) installNodes() {
+	for _, n := range s.plan.Nodes[len(s.nodes):] {
+		var sn siteNode
+		if n.Site == int(s.id) {
+			switch n.Kind {
+			case optimizer.Base:
+				attr := n.Attrs[0]
+				if s.base[attr] == nil {
+					s.base[attr] = eqclass.NewBaseHEV(attr)
+				}
+				sn = siteNode{base: s.base[attr], col: s.schema.MustIndex(attr)}
+			case optimizer.Composed:
+				sn = siteNode{hev: eqclass.NewHEV(n.Attrs), inputs: n.Inputs}
+			}
+		}
+		s.nodes = append(s.nodes, sn)
+	}
+	// Pooled eqid buffers were sized to the old node count; drop them so
+	// bufPut sizes fresh ones.
+	s.bufPool = nil
+}
+
+// checkRules reports whether rules can join the rules in force: no id
+// taken, every pattern aligned with its attribute list.
+func (s *site) checkRules(rules []cfd.CFD) error {
 	for i := range rules {
 		r := &rules[i]
-		s.rules[r.ID] = r
-		if cc := constChecksFor(schema, r); len(cc.cols) > 0 {
-			s.checks = append(s.checks, cc)
+		if len(r.LHS) != len(r.LHSPattern) {
+			return fmt.Errorf("vertical: site %d: rule %q has %d LHS attributes and %d patterns: %w",
+				s.id, r.ID, len(r.LHS), len(r.LHSPattern), xerr.ErrArityMismatch)
+		}
+		_, dup := s.ruleNo(r.ID)
+		for _, earlier := range rules[:i] {
+			dup = dup || earlier.ID == r.ID
+		}
+		if dup {
+			return fmt.Errorf("vertical: site %d: rule %q already in force: %w", s.id, r.ID, xerr.ErrDuplicateRule)
 		}
 	}
-	for _, n := range plan.Nodes {
-		if int(n.Site) != int(id) {
-			continue
+	return nil
+}
+
+// resolveRules resolves rules (passed by checkRules) against the fragment
+// schema and the plan, already grafted with their bindings, creating the
+// IDXes hosted here.
+func (s *site) resolveRules(rules []cfd.CFD) []siteRule {
+	out := make([]siteRule, len(rules))
+	for i := range rules {
+		r := rules[i]
+		sr := siteRule{rule: &r, rhsCol: -1}
+		sr.cols, sr.values = constChecksFor(s.schema, &r)
+		if col, ok := s.schema.Index(r.RHS); ok {
+			sr.rhsCol = col
 		}
-		switch n.Kind {
-		case optimizer.Base:
-			if _, ok := s.base[n.Attrs[0]]; !ok {
-				s.base[n.Attrs[0]] = eqclass.NewBaseHEV(n.Attrs[0])
-			}
-		case optimizer.Composed:
-			s.hevs[n.ID] = eqclass.NewHEV(n.Attrs)
+		if b, ok := s.plan.Bindings[r.ID]; ok && b.IDXSite == int(s.id) {
+			sr.idx, sr.xNode, sr.bNode = eqclass.NewIDX(), b.XNode, b.BNode
 		}
+		out[i] = sr
 	}
-	for rid, b := range plan.Bindings {
-		if int(b.IDXSite) == int(id) {
-			s.idx[rid] = eqclass.NewIDX()
-		}
-	}
-	return s
+	return out
 }
 
 // constChecksFor returns r's pattern-constant checks over a fragment
 // schema: one (column, constant) pair per non-wildcard LHS pattern on an
 // attribute the fragment holds. The site checks r iff there is at least
 // one — the predicate System.indexRules derives the checker sites from.
-func constChecksFor(schema *relation.Schema, r *cfd.CFD) constChecks {
-	cc := constChecks{ruleID: r.ID}
+func constChecksFor(schema *relation.Schema, r *cfd.CFD) (cols []int, values []string) {
 	for li, a := range r.LHS {
 		if r.LHSPattern[li] == cfd.Wildcard {
 			continue
 		}
 		if col, ok := schema.Index(a); ok {
-			cc.cols = append(cc.cols, col)
-			cc.values = append(cc.values, r.LHSPattern[li])
+			cols = append(cols, col)
+			values = append(values, r.LHSPattern[li])
 		}
 	}
-	return cc
+	return cols, values
+}
+
+// setRules puts rules in force: sorted by id, which numbers them, with
+// the generation stamp and the checker list that follow from the order.
+func (s *site) setRules(rules []siteRule) {
+	sort.Slice(rules, func(i, j int) bool { return rules[i].rule.ID < rules[j].rule.ID })
+	s.rules = rules
+	ids := make([]string, len(rules))
+	s.checked = s.checked[:0]
+	s.idxHere = make(bitset, words(len(rules)))
+	for no := range rules {
+		ids[no] = rules[no].rule.ID
+		if len(rules[no].cols) > 0 {
+			s.checked = append(s.checked, no)
+		}
+		if rules[no].idx != nil {
+			s.idxHere.set(no)
+		}
+	}
+	s.gen = ruleGen(ids)
+}
+
+// ruleNo returns the number of the rule with the given id.
+func (s *site) ruleNo(id string) (int, bool) {
+	no := sort.Search(len(s.rules), func(i int) bool { return s.rules[i].rule.ID >= id })
+	return no, no < len(s.rules) && s.rules[no].rule.ID == id
+}
+
+// checkGen refuses a call coded under another rule numbering.
+func (s *site) checkGen(method string, gen uint32) error {
+	if gen != s.gen {
+		return s.refuse(method, "call coded under rule set %08x, site holds %08x: %w", gen, s.gen, xerr.ErrRuleSetSkew)
+	}
+	return nil
+}
+
+// hostedNodes checks a call's node list: every node in the plan and
+// hosted here.
+func (s *site) hostedNodes(method string, nodes []int) error {
+	for _, n := range nodes {
+		if n < 0 || n >= len(s.nodes) {
+			return s.refuse(method, "node %d of a %d-node plan", n, len(s.nodes))
+		}
+		if !s.nodes[n].here() {
+			return s.refuse(method, "node %d is hosted at site %d", n, s.plan.Nodes[n].Site)
+		}
+	}
+	return nil
 }
 
 // apply stores or removes the tuple's projection in the fragment.
@@ -120,207 +268,170 @@ func (s *site) apply(req applyReq) error {
 	return nil
 }
 
-// evalConsts checks a tuple against the locally held pattern constants of
-// every rule and returns the rules that fail.
-func (s *site) evalConsts(tid int64) ([]string, error) {
-	if len(s.checks) == 0 {
-		return nil, nil
-	}
-	t, ok := s.frag.Get(relation.TupleID(tid))
-	if !ok {
-		return nil, fmt.Errorf("vertical: site %d: evalConsts on missing tuple %d", s.id, tid)
-	}
-	var failed []string
-	for ci := range s.checks {
-		c := &s.checks[ci]
-		for i, col := range c.cols {
-			if t.Values[col] != c.values[i] {
-				failed = append(failed, c.ruleID)
-				break
-			}
-		}
-	}
-	return failed, nil
-}
-
-// resolve computes a plan node's eqid for a tuple. Base nodes read the
+// resolve computes a node's eqid for a tuple. Base nodes read the
 // attribute value from the fragment; composed nodes combine the buffered
 // input eqids (locally computed or delivered). acquire allocates classes
 // and bumps refcounts (insertion); plain resolution only looks up
 // (deletion). The result is buffered for downstream consumers at this site.
-func (s *site) resolve(tid int64, nid optimizer.NodeID, acquire bool) (int64, error) {
-	node := s.plan.Node(nid)
-	if int(node.Site) != int(s.id) {
-		return 0, fmt.Errorf("vertical: site %d asked to resolve node %d owned by site %d", s.id, nid, node.Site)
-	}
+func (s *site) resolve(tid int64, nid int, acquire bool) (int64, error) {
+	node := &s.nodes[nid]
 	var eq eqclass.EqID
-	switch node.Kind {
-	case optimizer.Base:
+	if node.base != nil {
 		t, ok := s.frag.Get(relation.TupleID(tid))
 		if !ok {
-			return 0, fmt.Errorf("vertical: site %d: resolve base %s on missing tuple %d", s.id, node.Attrs[0], tid)
+			return 0, fmt.Errorf("vertical: site %d: resolve base %s on missing tuple %d", s.id, node.base.Attr, tid)
 		}
-		v := t.Values[s.schema.MustIndex(node.Attrs[0])]
-		h := s.base[node.Attrs[0]]
+		v := t.Values[node.col]
 		if acquire {
-			eq = h.Acquire(v)
-		} else {
-			id, ok := h.Lookup(v)
-			if !ok {
-				return 0, fmt.Errorf("vertical: site %d: base %s has no class for %q", s.id, node.Attrs[0], v)
-			}
-			eq = id
+			eq = node.base.Acquire(v)
+		} else if eq, ok = node.base.Lookup(v); !ok {
+			return 0, fmt.Errorf("vertical: site %d: base %s has no class for %q", s.id, node.base.Attr, v)
 		}
-	case optimizer.Composed:
-		inputs, err := s.inputEqids(tid, node)
+	} else {
+		inputs, err := s.inputEqids(tid, nid)
 		if err != nil {
 			return 0, err
 		}
-		h := s.hevs[node.ID]
 		if acquire {
-			eq = h.Acquire(inputs)
+			eq = node.hev.Acquire(inputs)
 		} else {
-			id, ok := h.Lookup(inputs)
-			if !ok {
-				return 0, fmt.Errorf("vertical: site %d: HEV %v has no class for tuple %d", s.id, node.Attrs, tid)
+			var ok bool
+			if eq, ok = node.hev.Lookup(inputs); !ok {
+				return 0, fmt.Errorf("vertical: site %d: HEV %v has no class for tuple %d", s.id, node.hev.Attrs, tid)
 			}
-			eq = id
 		}
 	}
-	s.bufPut(tid, node.ID, int64(eq))
+	s.bufPut(tid, nid, int64(eq))
 	return int64(eq), nil
 }
 
 // inputEqids assembles a composed node's input eqids into the site's
 // reused scratch slice (valid until the next call).
-func (s *site) inputEqids(tid int64, node optimizer.Node) ([]eqclass.EqID, error) {
-	if cap(s.inScratch) < len(node.Inputs) {
-		s.inScratch = make([]eqclass.EqID, len(node.Inputs))
+func (s *site) inputEqids(tid int64, nid int) ([]eqclass.EqID, error) {
+	ins := s.nodes[nid].inputs
+	if cap(s.inScratch) < len(ins) {
+		s.inScratch = make([]eqclass.EqID, len(ins))
 	}
-	inputs := s.inScratch[:len(node.Inputs)]
+	inputs := s.inScratch[:len(ins)]
 	m := s.buf[tid]
-	for i, in := range node.Inputs {
+	for i, in := range ins {
 		var v int64
 		if int(in) < len(m) {
 			v = m[in]
 		}
 		if v == 0 {
 			return nil, fmt.Errorf("vertical: site %d: node %d missing input eqid from node %d for tuple %d",
-				s.id, node.ID, in, tid)
+				s.id, nid, in, tid)
 		}
 		inputs[i] = eqclass.EqID(v)
 	}
 	return inputs, nil
 }
 
-func (s *site) bufPut(tid int64, node optimizer.NodeID, eq int64) {
+// bufPut buffers node's eqid for a tuple; node is within the node table.
+func (s *site) bufPut(tid int64, node int, eq int64) {
 	m, ok := s.buf[tid]
 	if !ok {
 		if n := len(s.bufPool); n > 0 {
 			m = s.bufPool[n-1]
 			s.bufPool = s.bufPool[:n-1]
 		} else {
-			m = make([]int64, len(s.plan.Nodes))
+			m = make([]int64, len(s.nodes))
 		}
 		s.buf[tid] = m
 	}
-	// Grafted plans grow past a pooled buffer's length; extend lazily.
-	for len(m) <= int(node) {
+	// A buffer opened before a graft is shorter than the table; extend.
+	for len(m) <= node {
 		m = append(m, 0)
 		s.buf[tid] = m
 	}
 	m[node] = eq
 }
 
-// applyRule runs the Fig. 4 case analysis at the rule's IDX site and
-// maintains the IDX. For insertions the analysis precedes the IDX update;
-// for deletions it precedes the removal — both exactly as in the paper.
-func (s *site) applyRule(req batchRuleItem) (applyRuleResp, error) {
-	x, ok := s.idx[req.Rule]
-	if !ok {
-		return applyRuleResp{}, fmt.Errorf("vertical: site %d holds no IDX for rule %s", s.id, req.Rule)
-	}
-	binding := s.plan.Bindings[req.Rule]
-	m := s.buf[req.ID]
+// applyRule runs the Fig. 4 case analysis for one tuple at the rule's IDX
+// and maintains the IDX, appending the rule's local ∆V — the tuples that
+// become violations (insert) or stop being ones (delete) — to dst. For
+// insertions the analysis precedes the IDX update; for deletions it
+// precedes the removal — both exactly as in the paper.
+func (s *site) applyRule(r *siteRule, id int64, insert bool, dst []int64) ([]int64, error) {
+	x := r.idx
+	m := s.buf[id]
 	var eqXRaw, eqBRaw int64
-	if int(binding.XNode) < len(m) {
-		eqXRaw = m[binding.XNode]
+	if int(r.xNode) < len(m) {
+		eqXRaw = m[r.xNode]
 	}
-	if int(binding.BNode) < len(m) {
-		eqBRaw = m[binding.BNode]
+	if int(r.bNode) < len(m) {
+		eqBRaw = m[r.bNode]
 	}
 	if eqXRaw == 0 || eqBRaw == 0 {
-		return applyRuleResp{}, fmt.Errorf("vertical: site %d: rule %s missing eqids for tuple %d (X:%v B:%v)",
-			s.id, req.Rule, req.ID, eqXRaw != 0, eqBRaw != 0)
+		return dst, fmt.Errorf("vertical: site %d: rule %s missing eqids for tuple %d (X:%v B:%v)",
+			s.id, r.rule.ID, id, eqXRaw != 0, eqBRaw != 0)
 	}
 	eqX, eqB := eqclass.EqID(eqXRaw), eqclass.EqID(eqBRaw)
-	tid := relation.TupleID(req.ID)
+	tid := relation.TupleID(id)
+	distinct := x.DistinctB(eqX)
+	classSize := x.ClassSize(eqX, eqB)
 
-	var resp applyRuleResp
-	switch req.Op {
-	case OpInsert:
-		distinct := x.DistinctB(eqX)
-		classSize := x.ClassSize(eqX, eqB)
+	if insert {
 		switch {
 		case classSize > 0:
 			// t joins an existing class: it is a violation iff the
 			// group already had ≥ 2 distinct B values (incVIns line 2;
 			// line 5 otherwise).
 			if distinct >= 2 {
-				resp.Added = []int64{req.ID}
+				dst = append(dst, id)
 			}
 		case distinct >= 2:
 			// Group already violating: t is the only new violation.
-			resp.Added = []int64{req.ID}
+			dst = append(dst, id)
 		case distinct == 1:
 			// t disagrees with the single existing class: t and the
 			// whole class become violations (incVIns line 4).
-			resp.Added = append([]int64{req.ID}, toInt64s(x.OtherClassMembers(eqX, eqB))...)
+			dst = appendIDs(append(dst, id), x.OtherClassMembers(eqX, eqB))
 		}
 		x.Insert(eqX, eqB, tid)
-	case OpDelete:
-		distinct := x.DistinctB(eqX)
-		classSize := x.ClassSize(eqX, eqB)
-		switch {
-		case classSize > 1:
-			// Tuples equal to t on X and B remain: only t's status can
-			// change (incVDel lines 2–4).
-			if distinct >= 2 {
-				resp.Removed = []int64{req.ID}
-			}
-		case distinct-1 >= 2:
-			// t's class disappears but ≥ 2 classes remain violating.
-			resp.Removed = []int64{req.ID}
-		case distinct-1 == 1:
-			// One class remains: its members lose their last
-			// disagreeing partner (incVDel line 7).
-			resp.Removed = append([]int64{req.ID}, toInt64s(x.OtherClassMembers(eqX, eqB))...)
-		}
-		if err := x.Delete(eqX, eqB, tid); err != nil {
-			return applyRuleResp{}, err
-		}
+		return dst, nil
 	}
-	return resp, nil
+	switch {
+	case classSize > 1:
+		// Tuples equal to t on X and B remain: only t's status can
+		// change (incVDel lines 2–4).
+		if distinct >= 2 {
+			dst = append(dst, id)
+		}
+	case distinct-1 >= 2:
+		// t's class disappears but ≥ 2 classes remain violating.
+		dst = append(dst, id)
+	case distinct-1 == 1:
+		// One class remains: its members lose their last
+		// disagreeing partner (incVDel line 7).
+		dst = appendIDs(append(dst, id), x.OtherClassMembers(eqX, eqB))
+	}
+	return dst, x.Delete(eqX, eqB, tid)
+}
+
+func appendIDs(dst []int64, ids []relation.TupleID) []int64 {
+	for _, id := range ids {
+		dst = append(dst, int64(id))
+	}
+	return dst
 }
 
 // release drops the reference counts a deleted tuple held on a node.
-func (s *site) release(req batchReleaseItem) error {
-	node := s.plan.Node(optimizer.NodeID(req.Node))
-	switch node.Kind {
-	case optimizer.Base:
-		t, ok := s.frag.Get(relation.TupleID(req.ID))
+func (s *site) release(tid int64, nid int) error {
+	node := &s.nodes[nid]
+	if node.base != nil {
+		t, ok := s.frag.Get(relation.TupleID(tid))
 		if !ok {
-			return fmt.Errorf("vertical: site %d: release base %s on missing tuple %d", s.id, node.Attrs[0], req.ID)
+			return fmt.Errorf("vertical: site %d: release base %s on missing tuple %d", s.id, node.base.Attr, tid)
 		}
-		return s.base[node.Attrs[0]].Release(t.Values[s.schema.MustIndex(node.Attrs[0])])
-	case optimizer.Composed:
-		inputs, err := s.inputEqids(req.ID, node)
-		if err != nil {
-			return err
-		}
-		return s.hevs[node.ID].Release(inputs)
+		return node.base.Release(t.Values[node.col])
 	}
-	return nil
+	inputs, err := s.inputEqids(tid, nid)
+	if err != nil {
+		return err
+	}
+	return node.hev.Release(inputs)
 }
 
 // endUpdate clears the tuple's eqid buffer, returning it to the pool.
@@ -334,8 +445,7 @@ func (s *site) endUpdate(tid int64) {
 	}
 }
 
-// --- the handlers: each processes a whole wave's items in one dispatch,
-// looping over the per-item bodies above.
+// --- the handlers: each processes a whole wave's columns in one dispatch.
 
 // batchFrag applies a wave's fragment projections/removals in wave order.
 func (s *site) batchFrag(req batchFragReq) (empty, error) {
@@ -349,50 +459,102 @@ func (s *site) batchFrag(req batchFragReq) (empty, error) {
 
 // batchEval checks the local pattern constants for every listed tuple.
 func (s *site) batchEval(req batchEvalReq) (batchEvalResp, error) {
-	resp := batchEvalResp{Failed: make([][]string, len(req.IDs))}
+	if err := s.checkGen("v.batchEval", req.Gen); err != nil {
+		return batchEvalResp{}, err
+	}
+	w := words(len(s.rules))
+	resp := batchEvalResp{Failed: make([]uint64, len(req.IDs)*w)}
+	if len(s.checked) == 0 {
+		return resp, nil
+	}
 	for i, id := range req.IDs {
-		failed, err := s.evalConsts(id)
-		if err != nil {
-			return batchEvalResp{}, err
+		t, ok := s.frag.Get(relation.TupleID(id))
+		if !ok {
+			return batchEvalResp{}, fmt.Errorf("vertical: site %d: evalConsts on missing tuple %d", s.id, id)
 		}
-		resp.Failed[i] = failed
+		failed := bitset(resp.Failed[i*w : (i+1)*w])
+		for _, no := range s.checked {
+			r := &s.rules[no]
+			for k, col := range r.cols {
+				if t.Values[col] != r.values[k] {
+					failed.set(no)
+					break
+				}
+			}
+		}
 	}
 	return resp, nil
 }
 
 // batchVote is the receipt of a wave's constant-rule match notices (Fig. 5
-// line 6); state-free: the coordinator's applyConst decides from its own
+// line 6); state-free: the coordinator's batchConst decides from its own
 // fragment.
 func (s *site) batchVote(batchVoteReq) (empty, error) { return empty{}, nil }
 
-// batchConst classifies every listed tuple against its constant rule.
+// batchConst classifies every listed tuple against the constant rules
+// asked for it. The driver only asks once every constant-owning site has
+// confirmed the tuple matches tp[X].
 func (s *site) batchConst(req batchConstReq) (batchConstResp, error) {
-	resp := batchConstResp{Violations: make([]bool, len(req.Items))}
-	for i, item := range req.Items {
-		violation, err := s.applyConst(item)
-		if err != nil {
-			return batchConstResp{}, err
+	const method = "v.batchConst"
+	if err := s.checkGen(method, req.Gen); err != nil {
+		return batchConstResp{}, err
+	}
+	if !validRows(req.Rules, len(req.IDs), len(s.rules)) {
+		return batchConstResp{}, s.refuse(method, "%d rule-set words for %d tuples under %d rules", len(req.Rules), len(req.IDs), len(s.rules))
+	}
+	w := words(len(s.rules))
+	resp := batchConstResp{Violations: make([]uint64, len(req.Rules))}
+	for i, id := range req.IDs {
+		row := req.Rules[i*w : (i+1)*w]
+		if bitset(row).empty() {
+			continue
 		}
-		resp.Violations[i] = violation
+		t, ok := s.frag.Get(relation.TupleID(id))
+		if !ok {
+			return batchConstResp{}, fmt.Errorf("vertical: site %d: applyConst on missing tuple %d", s.id, id)
+		}
+		for wi, word := range row {
+			for ; word != 0; word &= word - 1 {
+				no := wi<<6 + bits.TrailingZeros64(word)
+				r := &s.rules[no]
+				if !r.rule.IsConstant() || r.rhsCol < 0 {
+					return batchConstResp{}, s.refuse(method, "rule %s is not a constant rule coordinated here", r.rule.ID)
+				}
+				if t.Values[r.rhsCol] != r.rule.RHSPattern {
+					resp.Violations[i*w+wi] |= word & -word
+				}
+			}
+		}
 	}
 	return resp, nil
 }
 
-// batchResolve resolves one stage's nodes hosted here, group by group in
+// batchResolve resolves one stage's nodes hosted here, node by node in
 // request order, returning the eqids flat in the same order.
 func (s *site) batchResolve(req batchResolveReq) (batchResolveResp, error) {
+	const method = "v.batchResolve"
+	if !validRows(req.Ins, 1, len(req.IDs)) || !validRows(req.Members, len(req.Nodes), len(req.IDs)) {
+		return batchResolveResp{}, s.refuse(method, "%d op and %d member words for %d nodes over %d tuples",
+			len(req.Ins), len(req.Members), len(req.Nodes), len(req.IDs))
+	}
+	if err := s.hostedNodes(method, req.Nodes); err != nil {
+		return batchResolveResp{}, err
+	}
 	n := 0
-	for _, g := range req.Groups {
-		n += len(g.Items)
+	for _, word := range req.Members {
+		n += bits.OnesCount64(word)
 	}
 	resp := batchResolveResp{Eqs: make([]int64, 0, n)}
-	for _, g := range req.Groups {
-		for _, item := range g.Items {
-			eq, err := s.resolve(item.ID, optimizer.NodeID(g.Node), item.Acquire)
-			if err != nil {
-				return batchResolveResp{}, err
+	w := words(len(req.IDs))
+	for k, node := range req.Nodes {
+		for wi, word := range req.Members[k*w : (k+1)*w] {
+			for ; word != 0; word &= word - 1 {
+				eq, err := s.resolve(req.IDs[wi<<6+bits.TrailingZeros64(word)], node, req.Ins[wi]&word&-word != 0)
+				if err != nil {
+					return batchResolveResp{}, err
+				}
+				resp.Eqs = append(resp.Eqs, eq)
 			}
-			resp.Eqs = append(resp.Eqs, eq)
 		}
 	}
 	return resp, nil
@@ -401,30 +563,69 @@ func (s *site) batchResolve(req batchResolveReq) (batchResolveResp, error) {
 // batchDeliver buffers a coalesced eqid shipment.
 func (s *site) batchDeliver(req batchDeliverReq) (empty, error) {
 	for _, item := range req.Items {
-		s.bufPut(item.ID, optimizer.NodeID(item.Node), item.Eq)
+		if item.Node < 0 || item.Node >= len(s.nodes) {
+			return empty{}, s.refuse("v.batchDeliver", "node %d of a %d-node plan", item.Node, len(s.nodes))
+		}
+	}
+	for _, item := range req.Items {
+		s.bufPut(item.ID, item.Node, item.Eq)
 	}
 	return empty{}, nil
 }
 
-// batchRule runs the wave's Fig. 4 case analyses at this IDX site, in
-// item order (the order the driver replays the per-item ∆Vs in).
+// batchRule runs the wave's Fig. 4 case analyses at this IDX site: the
+// tuples in request order and, per tuple, its alive rules hosted here in
+// ascending rule number — the order the reply lists the non-empty ∆Vs in.
 func (s *site) batchRule(req batchRuleReq) (batchRuleResp, error) {
-	resp := batchRuleResp{Items: make([]applyRuleResp, len(req.Items))}
-	for i, item := range req.Items {
-		r, err := s.applyRule(item)
-		if err != nil {
-			return batchRuleResp{}, err
+	const method = "v.batchRule"
+	if err := s.checkGen(method, req.Gen); err != nil {
+		return batchRuleResp{}, err
+	}
+	if !validRows(req.Ins, 1, len(req.IDs)) || !validRows(req.Alive, len(req.IDs), len(s.rules)) {
+		return batchRuleResp{}, s.refuse(method, "%d op and %d rule-set words for %d tuples under %d rules",
+			len(req.Ins), len(req.Alive), len(req.IDs), len(s.rules))
+	}
+	var resp batchRuleResp
+	w := words(len(s.rules))
+	for i, id := range req.IDs {
+		insert := bitset(req.Ins).has(i)
+		for wi, word := range req.Alive[i*w : (i+1)*w] {
+			// The other alive rules have their IDX at another site.
+			for word &= s.idxHere[wi]; word != 0; word &= word - 1 {
+				no := wi<<6 + bits.TrailingZeros64(word)
+				before := len(resp.IDs)
+				var err error
+				if resp.IDs, err = s.applyRule(&s.rules[no], id, insert, resp.IDs); err != nil {
+					return batchRuleResp{}, err
+				}
+				if n := len(resp.IDs) - before; n > 0 {
+					resp.At = append(resp.At, i)
+					resp.Rules = append(resp.Rules, no)
+					resp.Counts = append(resp.Counts, n)
+				}
+			}
 		}
-		resp.Items[i] = r
 	}
 	return resp, nil
 }
 
 // batchRelease undoes the wave's reference counts.
 func (s *site) batchRelease(req batchReleaseReq) (empty, error) {
-	for _, item := range req.Items {
-		if err := s.release(item); err != nil {
-			return empty{}, err
+	const method = "v.batchRelease"
+	if !validRows(req.Members, len(req.Nodes), len(req.IDs)) {
+		return empty{}, s.refuse(method, "%d member words for %d nodes over %d tuples", len(req.Members), len(req.Nodes), len(req.IDs))
+	}
+	if err := s.hostedNodes(method, req.Nodes); err != nil {
+		return empty{}, err
+	}
+	w := words(len(req.IDs))
+	for k, node := range req.Nodes {
+		for wi, word := range req.Members[k*w : (k+1)*w] {
+			for ; word != 0; word &= word - 1 {
+				if err := s.release(req.IDs[wi<<6+bits.TrailingZeros64(word)], node); err != nil {
+					return empty{}, err
+				}
+			}
 		}
 	}
 	return empty{}, nil
@@ -441,35 +642,19 @@ func (s *site) batchEnd(req batchEndReq) (empty, error) {
 // barrier is the end-of-batch marker; state-free.
 func (s *site) barrier(barrierReq) (empty, error) { return empty{}, nil }
 
-// applyConst classifies a tuple against a constant rule at the site
-// owning B. The driver only calls it once every constant-owning site has
-// confirmed the tuple matches tp[X].
-func (s *site) applyConst(req batchConstItem) (bool, error) {
-	rule, ok := s.rules[req.Rule]
-	if !ok {
-		return false, fmt.Errorf("vertical: site %d: unknown rule %s", s.id, req.Rule)
-	}
-	t, ok := s.frag.Get(relation.TupleID(req.ID))
-	if !ok {
-		return false, fmt.Errorf("vertical: site %d: applyConst on missing tuple %d", s.id, req.ID)
-	}
-	b := t.Values[s.schema.MustIndex(rule.RHS)]
-	return b != rule.RHSPattern, nil
-}
-
 // shipCols returns the site's columns relevant to a rule for batVer: the
 // tuple id plus every locally held attribute of X ∪ {B}. The shipping
 // site only projects columns — pattern evaluation happens at the
 // coordinator, as in the batch baseline's "copy the relevant attributes
 // to a coordinator site" step.
 func (s *site) shipCols(req shipColsReq) (shipColsResp, error) {
-	rule, ok := s.rules[req.Rule]
+	no, ok := s.ruleNo(req.Rule)
 	if !ok {
 		return shipColsResp{}, fmt.Errorf("vertical: site %d: unknown rule %s", s.id, req.Rule)
 	}
 	var attrs []string
 	var cols []int
-	for _, a := range rule.Attrs() {
+	for _, a := range s.rules[no].rule.Attrs() {
 		if col, ok := s.schema.Index(a); ok {
 			attrs = append(attrs, a)
 			cols = append(cols, col)

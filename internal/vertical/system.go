@@ -109,11 +109,23 @@ type System struct {
 	// batch and allocates nothing in steady state.
 	normScratch relation.UpdateList
 
-	// checkers and ruleBit are static lookups over the current rule set
-	// (see indexRules); schedCache memoizes runSchedules keyed by the alive
-	// rule set.
-	checkers   []network.SiteID
-	ruleBit    map[string]int // rule id → bit in a ruleSet
+	// Static lookups over the current rule set, rebuilt by indexRules.
+	// checkers are the sites holding pattern-constant checks. The rest is
+	// the rule numbering the same-site messages are coded in (rank by rule
+	// id, stamped by gen; see messages.go): ruleByNo inverts it, constNo
+	// and varNo give the numbers of constRules[i] and varRules[i], varMask
+	// is the set of variable rules and idxSite[no] a variable rule's IDX
+	// site.
+	checkers []network.SiteID
+	ruleByNo []*cfd.CFD
+	constNo  []int
+	varNo    []int
+	varMask  bitset
+	idxSite  []network.SiteID
+	gen      uint32
+
+	// schedCache memoizes runSchedules keyed by the alive rule set, with a
+	// dedicated slot for the full set.
 	schedCache map[string]*runSchedule
 	fullSched  *runSchedule
 	keyScratch []byte
@@ -164,7 +176,10 @@ func NewSystem(rel *relation.Relation, scheme *partition.VerticalScheme, rules [
 			return nil, err
 		}
 		sys.fragSch[i] = fs
-		st := newSite(network.SiteID(i), fs, plan, sys.rules)
+		st, err := newSite(network.SiteID(i), fs, plan, sys.rules)
+		if err != nil {
+			return nil, err
+		}
 		sys.sites = append(sys.sites, st)
 		st.register(sys.cluster)
 	}
@@ -198,7 +213,6 @@ func NewSystem(rel *relation.Relation, scheme *partition.VerticalScheme, rules [
 	}
 
 	sys.indexRules()
-	sys.schedCache = make(map[string]*runSchedule)
 
 	// Seed: replay the initial database through the batch-grouped
 	// insertion logic in direct (unmetered) mode, seedChunk tuples per
@@ -223,28 +237,47 @@ func NewSystem(rel *relation.Relation, scheme *partition.VerticalScheme, rules [
 	return sys, nil
 }
 
-// indexRules rebuilds the static lookups over the current rule lists and
-// fragment schemas: the sites owning pattern-constant checks, and every
-// rule's bit in a ruleSet.
+// indexRules rebuilds the static lookups over the current rule lists,
+// fragment schemas and plan: the sites owning pattern-constant checks and
+// the rule numbering. Renumbering moves every alive-set key, so the
+// memoized schedules go too.
 func (sys *System) indexRules() {
 	// Derived from the rule set and the fragment schemas, never from the
 	// local site replicas: a hosted deployment does not update those.
 	sys.checkers = nil
 	for i, fs := range sys.fragSch {
 		for ri := range sys.rules {
-			if len(constChecksFor(fs, &sys.rules[ri]).cols) > 0 {
+			if cols, _ := constChecksFor(fs, &sys.rules[ri]); len(cols) > 0 {
 				sys.checkers = append(sys.checkers, network.SiteID(i))
 				break
 			}
 		}
 	}
-	sys.ruleBit = make(map[string]int, len(sys.rules))
-	for i, r := range sys.constRules {
-		sys.ruleBit[r.ID] = i
+
+	ids := make([]string, len(sys.rules))
+	for i := range sys.rules {
+		ids[i] = sys.rules[i].ID
 	}
+	sort.Strings(ids)
+	sys.gen = ruleGen(ids)
+	sys.ruleByNo = make([]*cfd.CFD, len(ids))
+	number := func(rules []*cfd.CFD) []int {
+		nos := make([]int, len(rules))
+		for i, r := range rules {
+			nos[i] = sort.SearchStrings(ids, r.ID)
+			sys.ruleByNo[nos[i]] = r
+		}
+		return nos
+	}
+	sys.constNo, sys.varNo = number(sys.constRules), number(sys.varRules)
+	sys.varMask = make(bitset, words(len(ids)))
+	sys.idxSite = make([]network.SiteID, len(ids))
 	for i, r := range sys.varRules {
-		sys.ruleBit[r.ID] = len(sys.constRules) + i
+		sys.varMask.set(sys.varNo[i])
+		sys.idxSite[sys.varNo[i]] = network.SiteID(sys.plan.Bindings[r.ID].IDXSite)
 	}
+	sys.schedCache = make(map[string]*runSchedule)
+	sys.fullSched = nil
 }
 
 // AdoptViolations replaces the maintained violation set — the resume
@@ -347,19 +380,23 @@ func (sys *System) barrier() error {
 	})
 }
 
-// scheduleFor returns the memoized runSchedule of an alive rule set.
-// The full set (no constant failures) hits a dedicated slot; other sets
-// are keyed by their uvarint-encoded positions within varRules.
-func (sys *System) scheduleFor(alive []*cfd.CFD, alivePos []int) *runSchedule {
-	if len(alive) == len(sys.varRules) {
+// scheduleFor returns the memoized runSchedule of an alive rule set (a
+// row over the rule numbering), nil for the empty set. The full set (no
+// constant failures) hits a dedicated slot; other sets are keyed by their
+// words.
+func (sys *System) scheduleFor(alive bitset) *runSchedule {
+	if alive.empty() {
+		return nil
+	}
+	if slices.Equal(alive, sys.varMask) {
 		if sys.fullSched == nil {
 			sys.fullSched = sys.buildSchedule(alive)
 		}
 		return sys.fullSched
 	}
 	key := sys.keyScratch[:0]
-	for _, p := range alivePos {
-		key = binary.AppendUvarint(key, uint64(p))
+	for _, w := range alive {
+		key = binary.LittleEndian.AppendUint64(key, w)
 	}
 	sys.keyScratch = key
 	if sched, ok := sys.schedCache[string(key)]; ok {
@@ -377,7 +414,13 @@ func (sys *System) scheduleFor(alive []*cfd.CFD, alivePos []int) *runSchedule {
 
 // buildSchedule computes the node order, per-node shipment destinations
 // and involved-site set for one alive rule set.
-func (sys *System) buildSchedule(alive []*cfd.CFD) *runSchedule {
+func (sys *System) buildSchedule(aliveSet bitset) *runSchedule {
+	var alive []*cfd.CFD
+	for no, r := range sys.ruleByNo {
+		if aliveSet.has(no) {
+			alive = append(alive, r)
+		}
+	}
 	needed := make(map[optimizer.NodeID]bool)
 	var order []optimizer.NodeID
 	for _, r := range alive {

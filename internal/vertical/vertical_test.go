@@ -290,7 +290,7 @@ func TestRandomizedAgainstOracleWithOptimizer(t *testing.T) {
 // TestBatchResolveSameSiteChain: one v.batchResolve carrying a same-site
 // chain — the base nodes A and B, then AB composed from them, all at
 // site 0 — returns exactly the eqids that resolving the three nodes in
-// three calls returns, flat in group order; tuples equal on (A, B) share
+// three calls returns, flat in node order; tuples equal on (A, B) share
 // AB's eqid and others do not.
 func TestBatchResolveSameSiteChain(t *testing.T) {
 	schema := relation.MustSchema("R", "A", "B", "C")
@@ -303,41 +303,44 @@ func TestBatchResolveSameSiteChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := [][]string{{"x", "p", "1"}, {"x", "q", "2"}, {"x", "p", "3"}, {"y", "p", "4"}}
-	build := func() (*site, []batchResolveGroup) {
+	all := []uint64{1<<len(rows) - 1} // every position: inserted, and a member of every node
+	build := func() (*site, batchResolveReq) {
 		sys, err := NewSystem(relation.New(schema), scheme, rules, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		s := sys.sites[0]
-		var items []batchResolveItem
+		req := batchResolveReq{Ins: all}
 		for i, row := range rows {
 			id := int64(i + 1)
 			if err := s.apply(applyReq{Op: OpInsert, ID: id, Values: row[:2]}); err != nil {
 				t.Fatal(err)
 			}
-			items = append(items, batchResolveItem{ID: id, Acquire: true})
+			req.IDs = append(req.IDs, id)
 		}
-		var groups []batchResolveGroup
 		for _, n := range sys.plan.Nodes {
 			if n.Site == 0 {
-				groups = append(groups, batchResolveGroup{Node: int(n.ID), Items: items})
+				req.Nodes = append(req.Nodes, int(n.ID))
+				req.Members = append(req.Members, all...)
 			}
 		}
-		if len(groups) != 3 || sys.plan.Node(optimizer.NodeID(groups[2].Node)).Kind != optimizer.Composed {
-			t.Fatalf("fixture: site 0 hosts %d nodes, want A, B, AB:\n%s", len(groups), sys.plan.Describe())
+		if len(req.Nodes) != 3 || sys.plan.Node(optimizer.NodeID(req.Nodes[2])).Kind != optimizer.Composed {
+			t.Fatalf("fixture: site 0 hosts %d nodes, want A, B, AB:\n%s", len(req.Nodes), sys.plan.Describe())
 		}
-		return s, groups
+		return s, req
 	}
 
-	s, groups := build()
-	one, err := s.batchResolve(batchResolveReq{Groups: groups})
+	s, req := build()
+	one, err := s.batchResolve(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, groups = build()
+	s, req = build()
 	var stepwise []int64
-	for _, g := range groups {
-		resp, err := s.batchResolve(batchResolveReq{Groups: []batchResolveGroup{g}})
+	for k := range req.Nodes {
+		step := req
+		step.Nodes, step.Members = req.Nodes[k:k+1], req.Members[k:k+1]
+		resp, err := s.batchResolve(step)
 		if err != nil {
 			t.Fatal(err)
 		}

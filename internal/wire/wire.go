@@ -29,6 +29,13 @@
 // interfaces, channels, functions, recursive types, slices of zero-size
 // elements) is rejected when the plan is built.
 //
+// Slices of exactly []int64, []uint64, []int, []bool and []string — the
+// columns the protocol messages are made of — skip the per-element
+// reflection: their plan asserts the concrete slice out of the
+// reflect.Value once and loops over it natively (scalar.go). The bytes
+// and every decode check are those of the generic plan; a named slice or
+// element type ([]SiteID, say) simply takes the generic plan.
+//
 // Decoding is strict: the encoding is canonical (minimal varints, 0/1
 // bools, ascending map keys, no trailing bytes), so any accepted input
 // re-encodes to itself, and every declared length is checked against the
@@ -43,6 +50,7 @@ import (
 	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // ErrCorrupt marks a payload that does not decode as the requested type:
@@ -57,6 +65,9 @@ type codec struct {
 	// min is the smallest number of bytes a value of the type encodes
 	// to: the bound a declared element count is checked against.
 	min int
+	// last is the length of the type's latest Marshal encoding: the next
+	// one's starting capacity.
+	last atomic.Int64
 }
 
 // plans caches reflect.Type → *codec.
@@ -79,26 +90,44 @@ func planFor(t reflect.Type) (*codec, error) {
 	return build(t, map[reflect.Type]bool{})
 }
 
-// Marshal encodes v, a value or a non-nil pointer to one.
-func Marshal(v any) ([]byte, error) { return Append(nil, v) }
+// Marshal encodes v, a value or a non-nil pointer to one. The buffer
+// starts at the size (plus an eighth) of the type's previous encoding:
+// successive messages of one type are about the same length, so the
+// usual Marshal is one allocation and no regrowth.
+func Marshal(v any) ([]byte, error) {
+	rv, c, err := encodable(v)
+	if err != nil {
+		return nil, err
+	}
+	last := c.last.Load()
+	b := c.enc(make([]byte, 0, last+last/8), rv)
+	c.last.Store(int64(len(b)))
+	return b, nil
+}
 
 // Append appends the encoding of v to b.
 func Append(b []byte, v any) ([]byte, error) {
-	rv := reflect.ValueOf(v)
-	if !rv.IsValid() {
-		return b, errors.New("wire: cannot encode nil")
-	}
-	for rv.Kind() == reflect.Pointer {
-		if rv.IsNil() {
-			return b, fmt.Errorf("wire: cannot encode nil %s", rv.Type())
-		}
-		rv = rv.Elem()
-	}
-	c, err := planFor(rv.Type())
+	rv, c, err := encodable(v)
 	if err != nil {
 		return b, err
 	}
 	return c.enc(b, rv), nil
+}
+
+// encodable flattens v's pointers and returns the value with its plan.
+func encodable(v any) (reflect.Value, *codec, error) {
+	rv := reflect.ValueOf(v)
+	if !rv.IsValid() {
+		return rv, nil, errors.New("wire: cannot encode nil")
+	}
+	for rv.Kind() == reflect.Pointer {
+		if rv.IsNil() {
+			return rv, nil, fmt.Errorf("wire: cannot encode nil %s", rv.Type())
+		}
+		rv = rv.Elem()
+	}
+	c, err := planFor(rv.Type())
+	return rv, c, err
 }
 
 // Unmarshal decodes data into v, a non-nil pointer. The pointed-to value
@@ -243,6 +272,9 @@ func construct(t reflect.Type, busy map[reflect.Type]bool) (*codec, error) {
 	case reflect.Slice:
 		if t.Elem().Kind() == reflect.Uint8 {
 			return bytesCodec, nil
+		}
+		if c, ok := scalarSlices[t]; ok {
+			return c, nil
 		}
 		el, err := build(t.Elem(), busy)
 		if err != nil {

@@ -61,6 +61,12 @@ var (
 	// torn trailing record is NOT corruption (crash mid-append) and is
 	// truncated away on open.
 	ErrStoreCorrupt = errors.New("storage corrupt")
+	// ErrRuleSetSkew marks a vertical same-site call coded under a rule
+	// numbering the receiving site does not hold: driver and site
+	// disagree on the rule set in force, so the call's rule indices
+	// would name other rules there. It is a divergence, never retried,
+	// and stays internal (the repro package does not re-export it).
+	ErrRuleSetSkew = errors.New("rule set out of sync")
 )
 
 // sentinels lists every sentinel for cross-process reconstruction.
@@ -68,7 +74,7 @@ var sentinels = []error{
 	ErrArityMismatch, ErrUnknownAttribute, ErrNoIndexes,
 	ErrDuplicateRule, ErrUnknownRule, ErrClosed, ErrSiteDown,
 	ErrCheckpointCorrupt, ErrBatchInDoubt, ErrReplayOverflow,
-	ErrJournalCorrupt, ErrStoreCorrupt,
+	ErrJournalCorrupt, ErrStoreCorrupt, ErrRuleSetSkew,
 }
 
 // Rewrap re-attaches sentinel identity to an error message that crossed
