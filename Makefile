@@ -79,10 +79,12 @@ query:
 # chaos runs the fault-injection suite under the race detector: the
 # 20-seed crash-recovery oracle (drops, duplicates, truncations,
 # partitions, in-process kill-restarts) plus the driver-replay and
-# checkpoint-window regressions. -short skips the cross-process (sited
-# child) cases; drop it for the full matrix.
+# checkpoint-window regressions, and the durable log both sides stand on
+# (internal/seglog: crash points, incomplete chains, one compaction in
+# flight). -short skips the cross-process (sited child) cases; drop it
+# for the full matrix.
 chaos:
-	$(GO) test -race -short ./internal/chaos/ ./internal/sitehost/
+	$(GO) test -race -short ./internal/chaos/ ./internal/sitehost/ ./internal/seglog/
 
 # driver-chaos runs the driver-side crash acceptance suite under the
 # race detector at full seed count: the 20-seed driver-kill resume
@@ -96,7 +98,7 @@ driver-chaos:
 	$(GO) test -race -timeout 20m \
 		-run 'TestDriverResumeOracle|TestCrossProcessDriverKillOracle' ./internal/chaos/
 	$(GO) test -race -run 'TestJournal|TestInDoubt' ./internal/session/
-	$(GO) test -race ./internal/journal/
+	$(GO) test -race ./internal/journal/ ./internal/seglog/
 
 # bench-verify remeasures every deterministic column of the committed
 # baselines (BENCH_hotpath.json wire meters, BENCH_stream.json rows,
@@ -144,6 +146,10 @@ profile:
 # storage targets do the same below the CRC framing: the page codec and
 # the stored engine's group-record editor (FuzzGroupRecord: arbitrary
 # bytes as a record, an arbitrary member inserted and deleted).
+# FuzzRecover is the durable log's: arbitrary bytes as the last segment
+# and as the newest snapshot of a small valid directory — the sentinel or
+# the state that was there, never a panic, never an allocation sized by a
+# damaged length field.
 fuzz:
 	$(GO) test -fuzz=FuzzAppendKey -fuzztime=10s -run '^$$' ./internal/relation
 	$(GO) test -fuzz=FuzzFrame -fuzztime=10s -run '^$$' ./internal/netwire
@@ -154,6 +160,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzSnapshot -fuzztime=10s -run '^$$' ./internal/horizontal
 	$(GO) test -fuzz=FuzzSnapshot -fuzztime=10s -run '^$$' ./internal/vertical
 	$(GO) test -fuzz=FuzzStorePage -fuzztime=10s -run '^$$' ./internal/storage
+	$(GO) test -fuzz=FuzzRecover -fuzztime=10s -run '^$$' ./internal/seglog
 	$(GO) test -fuzz=FuzzGroupRecord -fuzztime=10s -run '^$$' ./internal/centralized
 
 # api regenerates the committed API-surface lockfile; apicheck fails when

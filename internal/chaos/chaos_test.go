@@ -16,10 +16,10 @@ import (
 	"repro/internal/centralized"
 	"repro/internal/cfd"
 	"repro/internal/chaos"
-	"repro/internal/checkpoint"
 	"repro/internal/network"
 	"repro/internal/partition"
 	"repro/internal/relation"
+	"repro/internal/seglog"
 	"repro/internal/session"
 	"repro/internal/sitehost"
 	"repro/internal/workload"
@@ -58,7 +58,7 @@ func startSites(t *testing.T, n int, root string) []*siteSrv {
 // so the site's in-memory state) discarded, a snapshot being written
 // behind the last mark stopped no later than step — and brings a fresh
 // host up on the same address, recovered from the checkpoint dir.
-func crashRestart(t *testing.T, s *siteSrv, step checkpoint.Step) sitehost.RecoveryStats {
+func crashRestart(t *testing.T, s *siteSrv, step seglog.Step) sitehost.RecoveryStats {
 	t.Helper()
 	if err := s.srv.Close(); err != nil {
 		t.Fatal(err)
@@ -206,7 +206,7 @@ func TestChaosRecoveryOracle(t *testing.T) {
 					check(step, "remove "+victim.ID)
 				case 4: // crash a daemon at a batch boundary, restart warm
 					victim := rng.Intn(sites)
-					stats := crashRestart(t, srvs[victim], checkpoint.Step(1+(seed+step)%4))
+					stats := crashRestart(t, srvs[victim], seglog.Step(1+(seed+step)%4))
 					if stats.LastSeq == 0 {
 						t.Fatalf("seed %d step %d: site %d recovered to seq 0", seed, step, victim)
 					}
@@ -290,7 +290,7 @@ func TestDriverReplaysLostTail(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	srv.Host().Abandon(checkpoint.StepDone)
+	srv.Host().Abandon(seglog.StepDone)
 	host := sitehost.NewHost()
 	stats, err := host.UseCheckpoints(sitehost.SiteDir(root, 0))
 	if err != nil {

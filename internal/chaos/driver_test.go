@@ -12,8 +12,8 @@ import (
 	"repro/internal/centralized"
 	"repro/internal/cfd"
 	"repro/internal/chaos"
-	"repro/internal/checkpoint"
 	"repro/internal/partition"
+	"repro/internal/seglog"
 	"repro/internal/session"
 	"repro/internal/workload"
 	"repro/internal/xerr"
@@ -87,6 +87,15 @@ func TestDriverResumeOracle(t *testing.T) {
 
 			sess := open()
 			defer func() { sess.Close() }()
+			// kill is the driver's death and restart: the session is
+			// abandoned, never Closed — its journal compactor, if one is
+			// running, dies at a step the schedule picks (from seed and
+			// step, no rng draw) — and reopened over the same journal.
+			kill := func(step int) {
+				t.Helper()
+				sess.Abandon(seglog.Step(1 + (seed+step)%4))
+				sess = open()
+			}
 
 			mirror := rel.Clone()
 			active := append(pool[:0:0], pool[:3]...)
@@ -151,7 +160,7 @@ func TestDriverResumeOracle(t *testing.T) {
 					check(step, "remove "+victim.ID)
 				case 4: // driver kill at a clean round boundary
 					calls := sess.SiteCalls()
-					sess = open() // the old session is abandoned, never Closed
+					kill(step)
 					js := sess.Journal()
 					if !js.Resumed || js.InDoubt {
 						t.Fatalf("seed %d step %d: boundary kill resume stats = %+v", seed, step, js)
@@ -189,7 +198,7 @@ func TestDriverResumeOracle(t *testing.T) {
 							t.Fatalf("seed %d step %d: stats after quarantine = %+v", seed, step, js)
 						}
 						inj.Heal()
-						sess = open()
+						kill(step)
 						js := sess.Journal()
 						if !js.Resumed || js.InDoubt || js.Redriven == 0 {
 							t.Fatalf("seed %d step %d: mid-round kill resume stats = %+v", seed, step, js)
@@ -201,13 +210,13 @@ func TestDriverResumeOracle(t *testing.T) {
 					check(step, "mid-round driver kill")
 				case 6: // crash a daemon at a batch boundary, restart warm
 					victim := rng.Intn(sites)
-					crashRestart(t, srvs[victim], checkpoint.Step(1+(seed+step)%4))
+					crashRestart(t, srvs[victim], seglog.Step(1+(seed+step)%4))
 					batch(step, fmt.Sprintf("crash-restart site %d", victim))
 				}
 			}
 			// One final boundary kill: whatever the schedule did, the
 			// journal must bring it all back.
-			sess = open()
+			kill(9)
 			js := sess.Journal()
 			if !js.Resumed || js.InDoubt {
 				t.Fatalf("seed %d: final resume stats = %+v", seed, js)

@@ -10,9 +10,9 @@ import (
 
 	"repro/internal/centralized"
 	"repro/internal/cfd"
-	"repro/internal/checkpoint"
 	"repro/internal/partition"
 	"repro/internal/relation"
+	"repro/internal/seglog"
 	"repro/internal/session"
 	"repro/internal/workload"
 )
@@ -119,7 +119,7 @@ func TestRuleRenumberingAcrossRestart(t *testing.T) {
 			both("add first-sorting rule", func(s *session.Session) error { _, err := s.AddRules(first); return err })
 			active = append(active, first)
 			check("add first-sorting rule")
-			crashRestart(t, srvs[1], checkpoint.Step(1))
+			crashRestart(t, srvs[1], seglog.Step(1))
 			batch("batch after add + restart of site 1", gen.Updates(mirror, 30, 0.5))
 			sample.ID = mirror.MaxID() + 1
 			batch("violating insert", relation.UpdateList{{Kind: relation.Insert, Tuple: sample}})
@@ -146,9 +146,9 @@ func TestRuleRenumberingAcrossRestart(t *testing.T) {
 			}
 			active = kept
 			check("remove middle rule")
-			crashRestart(t, srvs[2], checkpoint.Step(2))
+			crashRestart(t, srvs[2], seglog.Step(2))
 			batch("batch after remove + restart of site 2", gen.Updates(mirror, 30, 0.4))
-			crashRestart(t, srvs[0], checkpoint.Step(3))
+			crashRestart(t, srvs[0], seglog.Step(3))
 			batch("final batch", gen.Updates(mirror, 30, 0.6))
 			if tcp.Violations().Len() == 0 {
 				t.Error("fixture produced no violations")

@@ -7,8 +7,17 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/seglog"
 	"repro/internal/xerr"
 )
+
+// These tests drive the typed Store exactly as they did when it owned its
+// files: that they still pass, names, epochs and directory listings
+// included, is the evidence that moving the chain into internal/seglog
+// changed nothing a site can observe. The chain's own suite — the same
+// shapes over opaque bytes, plus the held compactor — is seglog's.
+
+const headerLen = seglog.HeaderLen
 
 // snapshotSync runs one compaction to the end: the first snapshot's and
 // FinalCheckpoint's path.
@@ -112,10 +121,10 @@ func TestCompactionReplacesEpoch(t *testing.T) {
 		t.Fatalf("epoch = %d, want 2", st.Epoch())
 	}
 	// The old epoch's files are compacted away.
-	if _, err := os.Stat(st.snapPath(1)); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, "snap-0000000000000001.ckpt")); !os.IsNotExist(err) {
 		t.Fatal("epoch-1 snapshot not removed by compaction")
 	}
-	if _, err := os.Stat(st.logPath(1)); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, "delta-0000000000000001.log")); !os.IsNotExist(err) {
 		t.Fatal("epoch-1 delta log not removed by compaction")
 	}
 	snap, recs, err := recoverDir(t, dir)

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/seglog"
 	"repro/internal/xerr"
 )
 
@@ -113,7 +114,7 @@ func dirNames(t *testing.T, dir string) []string {
 func TestCompactionCrashPoints(t *testing.T) {
 	// History: snapshot 1 at seq 0, calls 1-4, compaction (epoch 2),
 	// calls 5-6 into the new segment, kill.
-	run := func(t *testing.T, stopAt Step) string {
+	run := func(t *testing.T, stopAt seglog.Step) string {
 		dir := t.TempDir()
 		m := openModel(t, dir)
 		m.compact()
@@ -121,7 +122,7 @@ func TestCompactionCrashPoints(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.call(1, 4)
-		m.st.stopAt.Store(int32(stopAt))
+		m.st.StopAt(stopAt)
 		m.compact()
 		if got := m.st.Epoch(); got != 2 {
 			t.Fatalf("epoch after the rotation = %d, want 2 before the snapshot exists", got)
@@ -135,16 +136,16 @@ func TestCompactionCrashPoints(t *testing.T) {
 		t.Fatalf("uncrashed twin recovered epoch %d with %d records (err %v), want epoch 2 and 2", twinEpoch, twinReplayed, err)
 	}
 	cases := []struct {
-		step         Step
+		step         seglog.Step
 		name         string
 		wantSnap     uint64
 		wantReplayed int
 		wantFiles    []string
 	}{
-		{StepRotated, "after rotation", 1, 6, []string{"delta-0000000000000001.log", "delta-0000000000000002.log", "snap-0000000000000001.ckpt"}},
-		{StepTempWritten, "after the temp write", 1, 6, []string{"delta-0000000000000001.log", "delta-0000000000000002.log", "snap-0000000000000001.ckpt"}},
-		{StepRenamed, "after the rename", 2, 2, []string{"delta-0000000000000002.log", "snap-0000000000000002.ckpt"}},
-		{StepDone, "after the unlinks", 2, 2, []string{"delta-0000000000000002.log", "snap-0000000000000002.ckpt"}},
+		{seglog.StepRotated, "after rotation", 1, 6, []string{"delta-0000000000000001.log", "delta-0000000000000002.log", "snap-0000000000000001.ckpt"}},
+		{seglog.StepTempWritten, "after the temp write", 1, 6, []string{"delta-0000000000000001.log", "delta-0000000000000002.log", "snap-0000000000000001.ckpt"}},
+		{seglog.StepRenamed, "after the rename", 2, 2, []string{"delta-0000000000000002.log", "snap-0000000000000002.ckpt"}},
+		{seglog.StepDone, "after the unlinks", 2, 2, []string{"delta-0000000000000002.log", "snap-0000000000000002.ckpt"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -180,10 +181,10 @@ func TestRecoverAfterCrashedCompactionCompactsAgain(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.call(1, 2)
-	m.st.stopAt.Store(int32(StepRotated))
+	m.st.StopAt(seglog.StepRotated)
 	m.compact()
 	m.call(3, 3)
-	m.st.Abandon(StepRotated)
+	m.st.Abandon(seglog.StepRotated)
 
 	st, err := Open(dir)
 	if err != nil {
@@ -218,13 +219,13 @@ func TestRecoverRefusesIncompleteChain(t *testing.T) {
 		if err := m.st.Wait(); err != nil {
 			t.Fatal(err)
 		}
-		m.st.stopAt.Store(int32(StepRotated))
+		m.st.StopAt(seglog.StepRotated)
 		m.call(1, 3)
 		m.compact()
 		m.call(4, 6)
 		m.compact()
 		m.call(7, 9)
-		m.st.Abandon(StepRotated)
+		m.st.Abandon(seglog.StepRotated)
 		return dir
 	}
 	cases := []struct {
@@ -292,10 +293,10 @@ func TestRecoverFallsBackToOlderCompleteEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.call(1, 3)
-	m.st.stopAt.Store(int32(StepRenamed))
+	m.st.StopAt(seglog.StepRenamed)
 	m.compact()
 	m.call(4, 5)
-	m.st.Abandon(StepRenamed)
+	m.st.Abandon(seglog.StepRenamed)
 	flipByte(t, filepath.Join(dir, "snap-0000000000000002.ckpt"), -1)
 
 	state, snapEpoch, replayed, epoch, err := recovered(t, dir)
@@ -305,11 +306,14 @@ func TestRecoverFallsBackToOlderCompleteEpoch(t *testing.T) {
 	}
 }
 
-// TestOneCompactionInFlight: while a compactor is held, the store says
-// so and a second Compact waits for it instead of starting another;
-// once it is over no goroutine is left and its buffer is not referenced.
+// TestOneCompactionInFlight: a Compact issued while the one before is
+// still writing waits for it instead of starting a second compactor —
+// both epochs land in order, the second supersedes the first, and no
+// goroutine is left. (Holding the compactor mid-step to watch it is
+// seglog's TestOneCompactionInFlight.)
 func TestOneCompactionInFlight(t *testing.T) {
-	st, err := Open(t.TempDir())
+	dir := t.TempDir()
+	st, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,25 +322,12 @@ func TestOneCompactionInFlight(t *testing.T) {
 	runtime.GC()
 	idle := runtime.NumGoroutine()
 
-	release := make(chan struct{})
-	entered := make(chan Step, 8)
-	st.hook = func(step Step) {
-		entered <- step
-		if step == StepRotated {
-			<-release
-		}
-	}
-	if err := st.Compact(&Snapshot{LastSeq: 2, Engine: make([]byte, 1<<16)}); err != nil {
+	first := &Snapshot{LastSeq: 2, Engine: make([]byte, 1<<16)}
+	if err := st.Compact(first); err != nil {
 		t.Fatal(err)
 	}
-	if step := <-entered; step != StepRotated {
-		t.Fatalf("compactor's first step = %d, want StepRotated", step)
-	}
-	if !st.Compacting() || st.Epoch() != 2 {
-		t.Fatalf("held compaction: Compacting %v, epoch %d; want true, 2", st.Compacting(), st.Epoch())
-	}
-	if got := runtime.NumGoroutine(); got != idle+1 {
-		t.Fatalf("%d goroutines with a compaction in flight, want %d", got, idle+1)
+	if first.Epoch != 2 || st.Epoch() != 2 {
+		t.Fatalf("after the first Compact: snapshot epoch %d, store epoch %d; want 2, 2", first.Epoch, st.Epoch())
 	}
 	// Appends and flushes go on into the new segment meanwhile.
 	if err := st.Append(Record{Seq: 3, Method: "m"}); err != nil {
@@ -345,25 +336,13 @@ func TestOneCompactionInFlight(t *testing.T) {
 	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	second := make(chan error, 1)
-	go func() { second <- st.Compact(&Snapshot{LastSeq: 3}) }()
-	select {
-	case err := <-second:
-		t.Fatalf("second Compact returned (%v) while the first was in flight", err)
-	case <-time.After(50 * time.Millisecond):
-	}
-	if st.Epoch() != 2 {
-		t.Fatalf("epoch moved to %d under a held compaction", st.Epoch())
-	}
-	close(release)
-	if err := <-second; err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Wait(); err != nil {
-		t.Fatal(err)
-	}
+	snapshotSync(t, st, &Snapshot{LastSeq: 3})
 	if st.Compacting() || st.Epoch() != 3 {
 		t.Fatalf("after both: Compacting %v, epoch %d; want false, 3", st.Compacting(), st.Epoch())
+	}
+	want := []string{"delta-0000000000000003.log", "snap-0000000000000003.ckpt"}
+	if got := dirNames(t, dir); !reflect.DeepEqual(got, want) {
+		t.Fatalf("directory after both compactions = %v, want %v", got, want)
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > idle {
@@ -386,7 +365,7 @@ func TestCompactorFailureReportedAtNextFlush(t *testing.T) {
 	}
 	m.call(1, 2)
 	// A directory squatting on the temp file's name fails its creation.
-	if err := os.Mkdir(m.st.tmpPath(2), 0o755); err != nil {
+	if err := os.Mkdir(filepath.Join(dir, "snap-0000000000000002.tmp"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	m.compact()
@@ -403,7 +382,7 @@ func TestCompactorFailureReportedAtNextFlush(t *testing.T) {
 	if err := m.st.Flush(); err != nil {
 		t.Fatalf("the failure was reported twice: %v", err)
 	}
-	m.st.Abandon(StepDone)
+	m.st.Abandon(seglog.StepDone)
 	state, snapEpoch, replayed, _, err := recovered(t, dir)
 	if err != nil || snapEpoch != 1 || replayed != 3 || state != "[1 2 3]" {
 		t.Fatalf("Recover = state %s from snapshot %d, %d records, err %v", state, snapEpoch, replayed, err)

@@ -6,8 +6,8 @@ import (
 	"os"
 
 	"repro/internal/centralized"
-	"repro/internal/checkpoint"
 	"repro/internal/partition"
+	"repro/internal/seglog"
 	"repro/internal/session"
 	"repro/internal/sitehost"
 	"repro/internal/workload"
@@ -137,7 +137,7 @@ func runRecoveryStyle(sc Scale, style string) (RecoveryRow, error) {
 	// The killed daemon's compactor is let finish (StepDone): the sweep's
 	// columns are exact counts, and which snapshot the restart finds must
 	// not depend on how far a background write got.
-	srvs[0].Host().Abandon(checkpoint.StepDone)
+	srvs[0].Host().Abandon(seglog.StepDone)
 	host := sitehost.NewHost()
 	stats, err := host.UseCheckpoints(sitehost.SiteDir(root, 0))
 	if err != nil {

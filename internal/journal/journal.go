@@ -1,6 +1,8 @@
 // Package journal is the driver-side write-ahead log that makes a
-// TCP-sites session crash-safe: where internal/checkpoint persists each
-// *site's* state, the journal persists the *driver's* — the session
+// TCP-sites session crash-safe: typed records over a seglog.Log, which
+// owns the files, the compactor and the recovery rule (see
+// internal/seglog and DESIGN.md §11). Where internal/checkpoint persists
+// each *site's* state, the journal persists the *driver's* — the session
 // identity, the folded rule set and plan, a mirror of the maintained
 // relation, the per-site call watermarks, and every write round's
 // intent, logged durably before the first wire call of the round goes
@@ -13,58 +15,44 @@
 // intent re-issues the same calls under the same sequence numbers and
 // the daemons' dedupe windows make the resume exactly-once.
 //
-// On-disk layout (one directory per driver):
-//
-//	journal-<epoch>.wal   header + CRC-framed gob records
-//
-// The file starts with checkpoint's 6-byte header shape (magic "RJRN",
-// format version, file kind) and frames every record exactly like
-// internal/checkpoint: big-endian uint32 length, big-endian uint32
-// CRC-32 (IEEE), payload. The first record is a self-contained Base;
-// after it, Intent and Applied records strictly alternate — at most the
-// final Intent may dangle (the round the driver died inside).
-// Compaction (a fresh Base capturing the folded state) writes the next
-// epoch to a temp file, syncs, atomically renames, then removes the old
-// epoch.
-//
-// Validation is deliberately stricter than checkpoint's: a torn
-// *trailing* record is the expected crash-mid-append shape and is
-// truncated away, but any other damage — bad magic or version, a
-// mid-file CRC failure, a broken Base/Intent/Applied interleave, or a
-// corrupt newest epoch even when an older valid one survives — fails
-// Recover with xerr.ErrJournalCorrupt. Falling back to an older epoch
-// would silently resume a driver *behind* the cluster, which is exactly
-// the divergence the journal exists to prevent; the caller resets and
-// starts a fresh session instead.
+// A snapshot is one record, the positional encoding (internal/wire) of a
+// Base; a segment record is a one-byte tag and the encoding of an Intent
+// or an Applied. On top of seglog's chain this package checks the ledger
+// grammar (fold): after the Base, Intent and Applied alternate with
+// consecutive round numbers, across segment boundaries, and at most the
+// final Intent dangles — the round the driver died inside. A chain that
+// loads but breaks the grammar is xerr.ErrJournalCorrupt, with no
+// fallback: the caller resets and starts a fresh session.
 package journal
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/gob"
-	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/cfd"
-	"repro/internal/checkpoint"
 	"repro/internal/relation"
+	"repro/internal/seglog"
+	"repro/internal/wire"
 	"repro/internal/xerr"
 )
 
-// FormatVersion is the on-disk journal format version.
-const FormatVersion = 1
+// FormatVersion is the on-disk journal format version (1 was one
+// journal-<epoch>.wal file per epoch holding gob records).
+const FormatVersion = 2
 
-const kindJournal byte = 1
+var format = seglog.Format{
+	Magic:   [4]byte{'R', 'J', 'R', 'N'},
+	Version: FormatVersion,
+	Name:    "journal",
+	Corrupt: xerr.ErrJournalCorrupt,
+}
 
-var magic = [4]byte{'R', 'J', 'R', 'N'}
-
-const headerLen = 6 // magic + version + kind
+// Segment record tags.
+const (
+	tagIntent  byte = 'I'
+	tagApplied byte = 'A'
+)
 
 // OpKind distinguishes the journaled write operations.
 type OpKind uint8
@@ -79,21 +67,15 @@ const (
 )
 
 func (k OpKind) String() string {
-	switch k {
-	case OpBatch:
-		return "batch"
-	case OpAddRules:
-		return "add-rules"
-	case OpRemoveRules:
-		return "remove-rules"
-	default:
-		return fmt.Sprintf("OpKind(%d)", uint8(k))
+	if names := [...]string{OpBatch: "batch", OpAddRules: "add-rules", OpRemoveRules: "remove-rules"}; k > 0 && int(k) < len(names) {
+		return names[k]
 	}
+	return fmt.Sprintf("OpKind(%d)", uint8(k))
 }
 
-// Base is the self-contained foundation record of a journal epoch: the
-// full driver state at round Round. Folding the applied intents after
-// it reconstructs the driver exactly.
+// Base is the snapshot of a journal epoch: the full driver state at
+// round Round. Folding the applied intents after it reconstructs the
+// driver exactly.
 type Base struct {
 	// SessionID is the 8-byte identity the driver presents to its
 	// daemons; a resumed driver reuses it so reconnect handshakes are
@@ -117,7 +99,7 @@ type Base struct {
 	Cursor uint64
 	// Rules is the rule set in force.
 	Rules []cfd.CFD
-	// Plan is the gob-encoded §5 HEV plan (vertical only; nil otherwise).
+	// Plan is the encoded §5 HEV plan (vertical only; nil otherwise).
 	Plan []byte
 	// Tuples is the full mirror of the maintained relation.
 	Tuples []relation.Tuple
@@ -184,367 +166,142 @@ func (st *State) Rounds() uint64 {
 	return st.Base.Round
 }
 
-// record is the on-disk union; exactly one pointer is set.
-type record struct {
-	Base    *Base
-	Intent  *Intent
-	Applied *Applied
-}
-
-// Store manages one driver's journal directory: the current epoch file,
-// open for append.
+// Store is one driver's journal directory: the seglog.Log (Epoch, Wait,
+// Abandon and Close are its own) speaking Base, Intent and Applied.
 type Store struct {
-	dir   string
-	epoch uint64 // current epoch; 0 = no journal yet
-
-	f *os.File
-	w *bufio.Writer
+	*seglog.Log
+	// v1 matches what a format-version-1 driver left in the directory.
+	v1 string
+	// buf is Intent's and Applied's reused encode buffer.
+	buf []byte
 }
 
-// Open prepares dir as a journal directory, creating it if needed, and
-// probes writability so a misconfigured deployment fails at Open, not
-// at the first batch.
+// Open prepares dir as a journal directory (seglog.Open).
 func Open(dir string) (*Store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	probe := filepath.Join(dir, ".probe")
-	f, err := os.Create(probe)
-	if err != nil {
-		return nil, fmt.Errorf("journal: dir %s not writable: %w", dir, err)
-	}
-	f.Close()
-	os.Remove(probe)
-	return &Store{dir: dir}, nil
-}
-
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
-// Epoch returns the current epoch (0 before the first Begin).
-func (s *Store) Epoch() uint64 { return s.epoch }
-
-func (s *Store) path(epoch uint64) string {
-	return filepath.Join(s.dir, fmt.Sprintf("journal-%016x.wal", epoch))
-}
-
-// corrupt wraps a validation failure as an errors.Is-compatible
-// ErrJournalCorrupt.
-func corrupt(format string, args ...any) error {
-	return fmt.Errorf("journal: %w: %s", xerr.ErrJournalCorrupt, fmt.Sprintf(format, args...))
-}
-
-// Recover loads the newest epoch's state and reopens its file for
-// append. (nil, nil) means an empty directory — a fresh deployment.
-// Any validation failure beyond a torn trailing record returns an error
-// wrapping xerr.ErrJournalCorrupt; older epochs are never consulted
-// (resuming from one would restart the driver behind the cluster). The
-// store stays usable either way, positioned so the next epoch never
-// collides with anything on disk.
-func (s *Store) Recover() (*State, error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	var epochs []uint64
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "journal-") || !strings.HasSuffix(name, ".wal") {
-			continue
-		}
-		hexa := strings.TrimSuffix(strings.TrimPrefix(name, "journal-"), ".wal")
-		epoch, err := strconv.ParseUint(hexa, 16, 64)
-		if err != nil {
-			continue
-		}
-		epochs = append(epochs, epoch)
-	}
-	if len(epochs) == 0 {
-		return nil, nil
-	}
-	sort.Slice(epochs, func(i, j int) bool { return epochs[i] > epochs[j] })
-	s.epoch = epochs[0]
-
-	st, validLen, err := readEpochFile(s.path(s.epoch))
+	log, err := seglog.Open(dir, format)
 	if err != nil {
 		return nil, err
 	}
-	// Truncate the torn tail (if any) and reopen for append.
-	f, err := os.OpenFile(s.path(s.epoch), os.O_WRONLY, 0o644)
+	return &Store{Log: log, v1: filepath.Join(dir, "journal-*.wal")}, nil
+}
+
+// Recover loads the journal by seglog's rule and folds it into a State,
+// leaving the last segment open for append. (nil, nil) means an empty
+// directory — a fresh deployment. Damage to the chain, a directory
+// written by format version 1, or a broken ledger grammar returns an
+// error wrapping xerr.ErrJournalCorrupt; the store stays usable.
+func (s *Store) Recover() (*State, error) {
+	epoch, snap, recs, err := s.Log.Recover()
 	if err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
+		return nil, err
 	}
-	if err := f.Truncate(validLen); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("journal: %w", err)
+	if epoch == 0 {
+		if old, _ := filepath.Glob(s.v1); len(old) > 0 {
+			return nil, format.Corruptf("%s: format version 1, want %d", old[0], FormatVersion)
+		}
+		return nil, nil
 	}
-	if _, err := f.Seek(validLen, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("journal: %w", err)
+	if len(snap) != 1 {
+		return nil, format.Corruptf("snapshot %d holds %d records, want one base", epoch, len(snap))
 	}
-	s.closeFile()
-	s.f, s.w = f, bufio.NewWriter(f)
+	st := &State{Base: new(Base)}
+	if err := wire.Unmarshal(snap[0], st.Base); err != nil {
+		return nil, format.Corruptf("snapshot %d: decode base: %v", epoch, err)
+	}
+	for _, payload := range recs {
+		if err := st.fold(payload); err != nil {
+			return nil, err
+		}
+	}
 	return st, nil
 }
 
-// Begin starts the journal's first epoch from base. Only valid on a
-// store with no epoch yet (a fresh or Reset directory).
+// Begin starts the journal's first epoch from base and returns once the
+// base is on disk. Only valid on a fresh or Reset directory.
 func (s *Store) Begin(base *Base) error {
-	if s.f != nil || s.epoch != 0 {
-		return fmt.Errorf("journal: Begin on a non-empty journal (epoch %d)", s.epoch)
+	if s.Epoch() != 0 {
+		return fmt.Errorf("journal: Begin on a non-empty journal (epoch %d)", s.Epoch())
 	}
-	return s.startEpoch(base)
-}
-
-// Compact folds the journal into a fresh epoch whose Base is the
-// current driver state: temp file, sync, atomic rename, then the old
-// epoch is removed. Durable against a crash at any point — the old
-// epoch survives until the new one is fully on disk.
-func (s *Store) Compact(base *Base) error {
-	if s.f == nil {
-		return fmt.Errorf("journal: Compact before Begin")
-	}
-	return s.startEpoch(base)
-}
-
-// startEpoch writes epoch+1 with the given base record via temp file +
-// sync + rename, switches appends to it, and removes the previous
-// epoch's file.
-func (s *Store) startEpoch(base *Base) error {
-	epoch := s.epoch + 1
-	payload, err := encodeRecord(record{Base: base})
-	if err != nil {
+	if err := s.Compact(base); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(s.dir, "journal-*.tmp")
+	return s.Wait()
+}
+
+// Compact folds the journal into a fresh epoch whose Base is the current
+// driver state (seglog's Compact: the rotation is all the caller waits
+// for). base is captured as bytes before Compact returns.
+func (s *Store) Compact(base *Base) error {
+	payload, err := wire.Marshal(base)
 	if err != nil {
-		return fmt.Errorf("journal: %w", err)
+		return fmt.Errorf("journal: encode base: %w", err)
 	}
-	defer os.Remove(tmp.Name()) // no-op after successful rename
-	w := bufio.NewWriter(tmp)
-	if err := writeHeader(w); err == nil {
-		err = writeFramed(w, payload)
-	}
-	if err == nil {
-		err = w.Flush()
-	}
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("journal: write base: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), s.path(epoch)); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	f, err := os.OpenFile(s.path(epoch), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	s.closeFile()
-	s.f, s.w = f, bufio.NewWriter(f)
-	prev := s.epoch
-	s.epoch = epoch
-	if prev > 0 {
-		os.Remove(s.path(prev))
-	}
-	return nil
+	return s.Log.Compact(func() ([][]byte, error) { return [][]byte{payload}, nil })
 }
 
 // Intent appends and flushes one intent record — returns only once the
 // record is durable against process death, so the round's first wire
-// call never races its own recoverability.
-func (s *Store) Intent(it *Intent) error { return s.append(record{Intent: it}) }
+// call never races its own recoverability. Like Applied it does not
+// check the round against the ledger; Recover does.
+func (s *Store) Intent(it *Intent) error { return s.append(tagIntent, it) }
 
 // Applied appends and flushes one applied record, closing the round.
-func (s *Store) Applied(ap *Applied) error { return s.append(record{Applied: ap}) }
+func (s *Store) Applied(ap *Applied) error { return s.append(tagApplied, ap) }
 
-func (s *Store) append(rec record) error {
-	if s.w == nil {
-		return fmt.Errorf("journal: append before Begin")
+func (s *Store) append(tag byte, rec any) error {
+	var err error
+	if s.buf, err = wire.Append(append(s.buf[:0], tag), rec); err != nil {
+		return fmt.Errorf("journal: encode record: %w", err)
 	}
-	payload, err := encodeRecord(rec)
-	if err != nil {
+	if err := s.Log.Append(s.buf); err != nil {
 		return err
 	}
-	if err := writeFramed(s.w, payload); err != nil {
-		return err
-	}
-	if err := s.w.Flush(); err != nil {
-		return fmt.Errorf("journal: flush: %w", err)
-	}
-	return nil
+	// Also reports a compaction that failed since the last record.
+	return s.Flush()
 }
 
-// Reset discards every journal file and returns the store to epoch 0 —
-// the start-empty-on-corrupt path.
+// Reset discards every journal file, of this format or version 1's, and
+// returns the store to epoch 0 — the start-empty-on-corrupt path.
 func (s *Store) Reset() error {
-	s.closeFile()
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
+	old, _ := filepath.Glob(s.v1)
+	for _, path := range old {
+		os.Remove(path)
 	}
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), "journal-") {
-			os.Remove(filepath.Join(s.dir, e.Name()))
-		}
-	}
-	s.epoch = 0
-	return nil
+	return s.Log.Reset()
 }
 
-// Close flushes and closes the epoch file.
-func (s *Store) Close() error {
-	if s.w != nil {
-		if err := s.w.Flush(); err != nil {
-			s.closeFile()
-			return fmt.Errorf("journal: %w", err)
-		}
-	}
-	s.closeFile()
-	return nil
-}
-
-func (s *Store) closeFile() {
-	if s.f != nil {
-		s.f.Close()
-		s.f, s.w = nil, nil
-	}
-}
-
-// --- framing (checkpoint's record conventions, journal's magic) ---
-
-func encodeRecord(rec record) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&rec); err != nil {
-		return nil, fmt.Errorf("journal: encode record: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func writeHeader(w io.Writer) error {
-	hdr := [headerLen]byte{magic[0], magic[1], magic[2], magic[3], FormatVersion, kindJournal}
-	_, err := w.Write(hdr[:])
-	return err
-}
-
-// The journal shares the checkpoint layer's CRC-framed record
-// convention (checkpoint.WriteFramed/ReadFramed), so all durable files
-// in the repository stay bit-compatible by construction.
-
-func writeFramed(w io.Writer, payload []byte) error {
-	if err := checkpoint.WriteFramed(w, payload); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	return nil
-}
-
-// errTorn marks an incomplete trailing record — crash mid-append.
-var errTorn = checkpoint.ErrTornRecord
-
-func readFramed(r io.Reader, path string) ([]byte, error) {
-	payload, err := checkpoint.ReadFramed(r)
-	if errors.Is(err, checkpoint.ErrBadCRC) {
-		return nil, corrupt("%s: CRC mismatch", path)
-	}
-	return payload, err
-}
-
-// readEpochFile loads and validates one epoch file, returning the state
-// and the byte offset of the end of the valid prefix (a torn trailing
-// record is dropped; everything else must validate).
-func readEpochFile(path string) (*State, int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, corrupt("%s: %v", path, err)
-	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, 0, corrupt("%s: truncated header", path)
-	}
-	if hdr[0] != magic[0] || hdr[1] != magic[1] || hdr[2] != magic[2] || hdr[3] != magic[3] {
-		return nil, 0, corrupt("%s: bad magic %x", path, hdr[:4])
-	}
-	if hdr[4] != FormatVersion {
-		return nil, 0, corrupt("%s: format version %d, want %d", path, hdr[4], FormatVersion)
-	}
-	if hdr[5] != kindJournal {
-		return nil, 0, corrupt("%s: file kind %d, want %d", path, hdr[5], kindJournal)
-	}
-
-	st := &State{}
-	offset := int64(headerLen)
-	for {
-		payload, err := readFramed(r, path)
-		if err == io.EOF || errors.Is(err, errTorn) {
-			break // torn tail: the valid prefix is the journal
-		}
-		if err != nil {
-			return nil, 0, err
-		}
-		var rec record
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
-			return nil, 0, corrupt("%s: decode record: %v", path, err)
-		}
-		if err := st.fold(rec, path); err != nil {
-			return nil, 0, err
-		}
-		offset += int64(8 + len(payload))
-	}
-	if st.Base == nil {
-		return nil, 0, corrupt("%s: no base record", path)
-	}
-	return st, offset, nil
-}
-
-// fold validates one record against the interleave invariant and
+// fold validates one segment record against the ledger grammar and
 // appends it to the state.
-func (st *State) fold(rec record, path string) error {
-	set := 0
-	if rec.Base != nil {
-		set++
+func (st *State) fold(payload []byte) error {
+	if len(payload) == 0 {
+		return format.Corruptf("empty record")
 	}
-	if rec.Intent != nil {
-		set++
-	}
-	if rec.Applied != nil {
-		set++
-	}
-	if set != 1 {
-		return corrupt("%s: record sets %d of base/intent/applied", path, set)
-	}
-	switch {
-	case rec.Base != nil:
-		if st.Base != nil {
-			return corrupt("%s: second base record", path)
+	switch tag, body := payload[0], payload[1:]; tag {
+	case tagIntent:
+		var it Intent
+		if err := wire.Unmarshal(body, &it); err != nil {
+			return format.Corruptf("decode intent: %v", err)
 		}
-		st.Base = rec.Base
-		return nil
-	case st.Base == nil:
-		return corrupt("%s: record before base", path)
-	case rec.Intent != nil:
-		if len(st.Intents) > len(st.Applied) {
-			return corrupt("%s: intent for round %d while round %d is still open",
-				path, rec.Intent.Round, st.Intents[len(st.Intents)-1].Round)
+		if open := st.Pending(); open != nil {
+			return format.Corruptf("intent for round %d while round %d is still open", it.Round, open.Round)
 		}
-		if want := st.Rounds() + 1; rec.Intent.Round != want {
-			return corrupt("%s: intent round %d, want %d", path, rec.Intent.Round, want)
+		if want := st.Rounds() + 1; it.Round != want {
+			return format.Corruptf("intent round %d, want %d", it.Round, want)
 		}
-		st.Intents = append(st.Intents, *rec.Intent)
-		return nil
+		st.Intents = append(st.Intents, it)
+	case tagApplied:
+		var ap Applied
+		if err := wire.Unmarshal(body, &ap); err != nil {
+			return format.Corruptf("decode applied: %v", err)
+		}
+		if open := st.Pending(); open == nil {
+			return format.Corruptf("applied round %d without an open intent", ap.Round)
+		} else if ap.Round != open.Round {
+			return format.Corruptf("applied round %d closes intent round %d", ap.Round, open.Round)
+		}
+		st.Applied = append(st.Applied, ap)
 	default:
-		if len(st.Intents) == len(st.Applied) {
-			return corrupt("%s: applied round %d without an open intent", path, rec.Applied.Round)
-		}
-		if open := st.Intents[len(st.Intents)-1].Round; rec.Applied.Round != open {
-			return corrupt("%s: applied round %d closes intent round %d", path, rec.Applied.Round, open)
-		}
-		st.Applied = append(st.Applied, *rec.Applied)
-		return nil
+		return format.Corruptf("unknown record tag %q", tag)
 	}
+	return nil
 }

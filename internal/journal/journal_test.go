@@ -2,15 +2,25 @@ package journal
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
+	"reflect"
 	"testing"
 
 	"repro/internal/cfd"
 	"repro/internal/relation"
+	"repro/internal/seglog"
+	"repro/internal/wire"
 	"repro/internal/xerr"
 )
+
+// The chain itself — header, frames, torn tails, crash points, fallback —
+// is tested once, in internal/seglog. What is tested here is what the
+// journal adds: its records, its ledger grammar, and that seglog's rule
+// surfaces as xerr.ErrJournalCorrupt.
+
+const headerLen = seglog.HeaderLen
 
 func testBase(round uint64) *Base {
 	return &Base{
@@ -42,6 +52,10 @@ func testIntent(round uint64) *Intent {
 	}
 }
 
+func testApplied(round uint64) *Applied {
+	return &Applied{Round: round, Fingerprint: round * 7, Seqs: []uint64{20, 21, 22}, Cursor: 9}
+}
+
 // writeRounds populates dir with a base at round 0 plus n applied
 // rounds (and optionally one dangling intent) through the public API.
 func writeRounds(t *testing.T, dir string, n int, dangling bool) {
@@ -58,7 +72,7 @@ func writeRounds(t *testing.T, dir string, n int, dangling bool) {
 		if err := st.Intent(testIntent(uint64(i))); err != nil {
 			t.Fatal(err)
 		}
-		if err := st.Applied(&Applied{Round: uint64(i), Fingerprint: uint64(i) * 7, Seqs: []uint64{20, 21, 22}, Cursor: 9}); err != nil {
+		if err := st.Applied(testApplied(uint64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -79,16 +93,37 @@ func recoverDir(t *testing.T, dir string) (*State, error) {
 	return st.Recover()
 }
 
-func epochFile(t *testing.T, dir string) string {
+func snapFile(dir string, epoch int) string {
+	return filepath.Join(dir, fmt.Sprintf("snap-%016x.ckpt", epoch))
+}
+
+func segFile(dir string, epoch int) string {
+	return filepath.Join(dir, fmt.Sprintf("delta-%016x.log", epoch))
+}
+
+func dirNames(t *testing.T, dir string) []string {
 	t.Helper()
-	matches, err := filepath.Glob(filepath.Join(dir, "journal-*.wal"))
-	if err != nil || len(matches) == 0 {
-		t.Fatalf("no journal file in %s (err %v)", dir, err)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(matches) > 1 {
-		t.Fatalf("expected one journal file, found %v", matches)
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
 	}
-	return matches[0]
+	return names
+}
+
+func flipByte(t *testing.T, path string, offset int) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[offset] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -159,15 +194,16 @@ func TestCompactionReplacesEpoch(t *testing.T) {
 	if err := st.Compact(testBase(1)); err != nil {
 		t.Fatal(err)
 	}
-	// The new epoch can still take appends, and only one file remains.
+	// The new epoch can still take appends, and only its files remain
+	// once the compactor is through (Close waits for it).
 	if err := st.Intent(testIntent(2)); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
 
-	name := filepath.Base(epochFile(t, dir))
-	if !strings.Contains(name, "0000000000000002") {
-		t.Fatalf("expected epoch-2 file, got %s", name)
+	want := []string{filepath.Base(segFile(dir, 2)), filepath.Base(snapFile(dir, 2))}
+	if got := dirNames(t, dir); !reflect.DeepEqual(got, want) {
+		t.Fatalf("directory after compaction = %v, want %v", got, want)
 	}
 	rec, err := recoverDir(t, dir)
 	if err != nil {
@@ -181,131 +217,143 @@ func TestCompactionReplacesEpoch(t *testing.T) {
 	}
 }
 
-// TestCorruptJournals mirrors checkpoint's corruption suite: every
-// damage shape beyond a torn trailing record must surface
-// xerr.ErrJournalCorrupt, and a torn tail must recover the valid
-// prefix.
+// TestCorruptJournals: seglog's one corruption policy as the journal's
+// caller sees it. Every damage shape beyond a torn trailing record of the
+// last segment surfaces xerr.ErrJournalCorrupt — unless an older snapshot
+// still has its whole chain beside it, which reconstructs the same
+// rounds. The directory holds base 0, rounds 1-2 in segment 1, a
+// compaction at round 2 killed after its rename (so both epochs are on
+// disk), and round 3 applied plus a dangling intent 4 in segment 2.
 func TestCorruptJournals(t *testing.T) {
+	build := func(t *testing.T) string {
+		dir := t.TempDir()
+		st, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Begin(testBase(0)); err != nil {
+			t.Fatal(err)
+		}
+		round := func(r uint64) {
+			if err := st.Intent(testIntent(r)); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Applied(testApplied(r)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		round(1)
+		round(2)
+		st.StopAt(seglog.StepRenamed)
+		if err := st.Compact(testBase(2)); err != nil {
+			t.Fatal(err)
+		}
+		round(3)
+		if err := st.Intent(testIntent(4)); err != nil {
+			t.Fatal(err)
+		}
+		st.Abandon(seglog.StepRenamed)
+		return dir
+	}
+	// rounds is what every successful recovery must agree on, whichever
+	// snapshot it loaded: 3 applied rounds, intent 4 dangling.
+	rounds := func(wantBase uint64, wantPending bool) func(t *testing.T, st *State) {
+		return func(t *testing.T, st *State) {
+			pending := st.Pending() != nil
+			if st.Base.Round != wantBase || st.Rounds() != 3 || pending != wantPending || (pending && st.Pending().Round != 4) {
+				t.Fatalf("recovered base %d, rounds %d, pending %+v; want base %d, 3 rounds, pending %v",
+					st.Base.Round, st.Rounds(), st.Pending(), wantBase, wantPending)
+			}
+		}
+	}
 	cases := []struct {
-		name    string
-		mangle  func(t *testing.T, dir string)
-		corrupt bool
-		// check runs on the recovered state when corrupt is false.
+		name   string
+		mangle func(t *testing.T, dir string)
+		// check runs on the recovered state; nil means ErrJournalCorrupt.
 		check func(t *testing.T, st *State)
 	}{
 		{
-			name: "torn-trailing-record",
-			mangle: func(t *testing.T, dir string) {
-				path := epochFile(t, dir)
-				fi, err := os.Stat(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := os.Truncate(path, fi.Size()-3); err != nil {
-					t.Fatal(err)
-				}
-			},
-			check: func(t *testing.T, st *State) {
-				// The dangling intent was the torn record: the valid
-				// prefix is the 2 applied rounds.
-				if len(st.Intents) != 2 || len(st.Applied) != 2 || st.Pending() != nil {
-					t.Fatalf("torn tail recovered %d intents, %d applied, pending %v",
-						len(st.Intents), len(st.Applied), st.Pending())
-				}
-			},
+			name:   "intact",
+			mangle: func(*testing.T, string) {},
+			check:  rounds(2, true),
 		},
 		{
-			name: "crc-flip-mid-file",
+			// The dangling intent was the torn record: the valid prefix is
+			// the 3 applied rounds.
+			name: "torn-trailing-record",
 			mangle: func(t *testing.T, dir string) {
-				path := epochFile(t, dir)
-				data, err := os.ReadFile(path)
+				fi, err := os.Stat(segFile(dir, 2))
 				if err != nil {
 					t.Fatal(err)
 				}
-				// Flip a byte inside the first record's payload (file
-				// header + frame header + 5): a mid-file CRC failure,
-				// not a torn tail.
-				data[headerLen+8+5] ^= 0xff
-				if err := os.WriteFile(path, data, 0o644); err != nil {
+				if err := os.Truncate(segFile(dir, 2), fi.Size()-3); err != nil {
 					t.Fatal(err)
 				}
 			},
-			corrupt: true,
+			check: rounds(2, false),
+		},
+		{
+			// A mid-file CRC failure in the last segment spoils every
+			// chain that ends in it.
+			name:   "crc-flip-mid-file",
+			mangle: func(t *testing.T, dir string) { flipByte(t, segFile(dir, 2), headerLen+8+5) },
 		},
 		{
 			name: "version-bump",
 			mangle: func(t *testing.T, dir string) {
-				path := epochFile(t, dir)
-				data, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				data[4] = FormatVersion + 1
-				if err := os.WriteFile(path, data, 0o644); err != nil {
-					t.Fatal(err)
+				for _, path := range []string{snapFile(dir, 1), snapFile(dir, 2)} {
+					data, err := os.ReadFile(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					data[4] = FormatVersion + 1
+					if err := os.WriteFile(path, data, 0o644); err != nil {
+						t.Fatal(err)
+					}
 				}
 			},
-			corrupt: true,
 		},
 		{
-			name: "bad-magic",
-			mangle: func(t *testing.T, dir string) {
-				path := epochFile(t, dir)
-				data, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				data[0] = 'X'
-				if err := os.WriteFile(path, data, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			},
-			corrupt: true,
+			name:   "bad-magic",
+			mangle: func(t *testing.T, dir string) { flipByte(t, segFile(dir, 2), 0) },
 		},
 		{
 			name: "truncated-header",
 			mangle: func(t *testing.T, dir string) {
-				if err := os.Truncate(epochFile(t, dir), 3); err != nil {
-					t.Fatal(err)
+				for _, path := range []string{snapFile(dir, 1), snapFile(dir, 2)} {
+					if err := os.Truncate(path, 3); err != nil {
+						t.Fatal(err)
+					}
 				}
 			},
-			corrupt: true,
 		},
 		{
-			name: "mixed-epoch-newest-corrupt",
+			// The older snapshot is loaded only with every segment from
+			// its epoch to the newest, so it cannot resume the driver
+			// behind the cluster: same rounds, same pending intent.
+			name:   "newest-snapshot-corrupt-chain-intact",
+			mangle: func(t *testing.T, dir string) { flipByte(t, snapFile(dir, 2), headerLen+8+5) },
+			check:  rounds(0, true),
+		},
+		{
+			name: "newest-snapshot-corrupt-segment-missing",
 			mangle: func(t *testing.T, dir string) {
-				// A valid older epoch must NOT rescue a damaged newest
-				// one: resuming from it would restart the driver behind
-				// the cluster. Fabricate an older epoch by copying the
-				// valid file down an epoch, then damage the newest.
-				path := epochFile(t, dir)
-				data, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				older := filepath.Join(dir, "journal-0000000000000000.wal")
-				if err := os.WriteFile(older, data, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				data = append([]byte(nil), data...)
-				data[headerLen+8+5] ^= 0xff
-				if err := os.WriteFile(path, data, 0o644); err != nil {
+				flipByte(t, snapFile(dir, 2), headerLen+8+5)
+				if err := os.Remove(segFile(dir, 1)); err != nil {
 					t.Fatal(err)
 				}
 			},
-			corrupt: true,
 		},
 	}
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			writeRounds(t, dir, 2, true)
+			dir := build(t)
 			tc.mangle(t, dir)
 			st, err := recoverDir(t, dir)
-			if tc.corrupt {
-				if !errors.Is(err, xerr.ErrJournalCorrupt) {
-					t.Fatalf("err = %v, want ErrJournalCorrupt", err)
+			if tc.check == nil {
+				if !errors.Is(err, xerr.ErrJournalCorrupt) || st != nil {
+					t.Fatalf("state %v, err %v; want nothing and ErrJournalCorrupt", st, err)
 				}
 				return
 			}
@@ -317,48 +365,181 @@ func TestCorruptJournals(t *testing.T) {
 	}
 }
 
+// TestCompactionCrashPoints kills a journal compaction at each of its
+// steps, with a round applied and an intent dangling after the rotation,
+// and recovers on the same directory: whichever snapshot the recovery
+// loads, the rounds after the uncrashed twin's base, the pending intent
+// and the folded mirror must be the twin's.
+func TestCompactionCrashPoints(t *testing.T) {
+	run := func(t *testing.T, stopAt seglog.Step) *State {
+		dir := t.TempDir()
+		st, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Begin(testBase(0)); err != nil {
+			t.Fatal(err)
+		}
+		base := testBase(0)
+		round := func(r uint64) {
+			it := testIntent(r)
+			if err := st.Intent(it); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Applied(testApplied(r)); err != nil {
+				t.Fatal(err)
+			}
+			base.Round = r
+			base.Tuples = append(base.Tuples, it.Updates[0].Tuple)
+		}
+		round(1)
+		round(2)
+		st.StopAt(stopAt)
+		if err := st.Compact(base); err != nil {
+			t.Fatal(err)
+		}
+		round(3)
+		if err := st.Intent(testIntent(4)); err != nil {
+			t.Fatal(err)
+		}
+		st.Abandon(stopAt)
+		rec, err := recoverDir(t, dir)
+		if err != nil || rec == nil {
+			t.Fatalf("Recover after a kill at step %d: state %v, err %v", stopAt, rec, err)
+		}
+		return rec
+	}
+	// folded is what a resume reads off a State: the rounds applied, the
+	// mirror they fold to, and the records from round after on.
+	type folded struct {
+		Rounds  uint64
+		Tuples  []relation.Tuple
+		Intents []Intent
+		Applied []Applied
+		Pending *Intent
+	}
+	fold := func(st *State, after uint64) folded {
+		f := folded{Rounds: st.Rounds(), Tuples: st.Base.Tuples, Pending: st.Pending()}
+		for i, it := range st.Intents {
+			if i < len(st.Applied) {
+				f.Tuples = append(f.Tuples, it.Updates[0].Tuple)
+			}
+			if it.Round > after {
+				f.Intents = append(f.Intents, it)
+			}
+		}
+		for _, ap := range st.Applied {
+			if ap.Round > after {
+				f.Applied = append(f.Applied, ap)
+			}
+		}
+		return f
+	}
+	twin := run(t, 0)
+	if twin.Base.Round != 2 || len(twin.Applied) != 1 {
+		t.Fatalf("uncrashed twin recovered base round %d with %d applied, want 2 and 1", twin.Base.Round, len(twin.Applied))
+	}
+	want := fold(twin, twin.Base.Round)
+	for step, wantBase := range map[seglog.Step]uint64{
+		seglog.StepRotated: 0, seglog.StepTempWritten: 0, seglog.StepRenamed: 2, seglog.StepDone: 2,
+	} {
+		rec := run(t, step)
+		if rec.Base.Round != wantBase {
+			t.Fatalf("step %d: recovered from base round %d, want %d", step, rec.Base.Round, wantBase)
+		}
+		if got := fold(rec, twin.Base.Round); !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d: recovered %+v, uncrashed twin %+v", step, got, want)
+		}
+	}
+}
+
+// TestVersion1DirectoryIsCorrupt: a directory written by format version
+// 1 (one journal-<epoch>.wal per epoch) is refused, not taken for an
+// empty one, and Reset clears it.
+func TestVersion1DirectoryIsCorrupt(t *testing.T) {
+	dir := t.TempDir()
+	old := filepath.Join(dir, "journal-0000000000000003.wal")
+	if err := os.WriteFile(old, []byte("RJRN\x01\x01"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if rec, err := st.Recover(); !errors.Is(err, xerr.ErrJournalCorrupt) || rec != nil {
+		t.Fatalf("Recover over a v1 directory = %v, %v; want ErrJournalCorrupt", rec, err)
+	}
+	if err := st.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if got := dirNames(t, dir); len(got) != 0 {
+		t.Fatalf("directory after Reset = %v, want empty", got)
+	}
+	if rec, err := st.Recover(); rec != nil || err != nil {
+		t.Fatalf("Recover after Reset = %v, %v; want a clean empty directory", rec, err)
+	}
+}
+
 // TestInterleaveViolationsAreCorrupt pins the strict ledger grammar:
 // records out of base → (intent, applied)* order fail validation even
 // when every frame's CRC is intact.
 func TestInterleaveViolationsAreCorrupt(t *testing.T) {
-	writeRaw := func(t *testing.T, dir string, recs []record) {
+	enc := func(tag byte, rec any) []byte {
 		t.Helper()
-		f, err := os.Create(filepath.Join(dir, "journal-0000000000000001.wal"))
+		payload, err := wire.Append([]byte{tag}, rec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer f.Close()
-		if err := writeHeader(f); err != nil {
-			t.Fatal(err)
-		}
-		for _, rec := range recs {
-			payload, err := encodeRecord(rec)
+		return payload
+	}
+	base := func() []byte { return enc(0, testBase(0))[1:] }
+	intent := func(r uint64) []byte { return enc(tagIntent, testIntent(r)) }
+	applied := func(r uint64) []byte { return enc(tagApplied, &Applied{Round: r}) }
+	// writeRaw lays one epoch down by hand: any records as the snapshot,
+	// any records as its segment.
+	writeRaw := func(t *testing.T, dir string, snap, seg [][]byte) {
+		t.Helper()
+		for path, file := range map[string]struct {
+			kind byte
+			recs [][]byte
+		}{snapFile(dir, 1): {seglog.KindSnapshot, snap}, segFile(dir, 1): {seglog.KindSegment, seg}} {
+			f, err := os.Create(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := writeFramed(f, payload); err != nil {
+			defer f.Close()
+			if err := format.WriteHeader(f, file.kind); err != nil {
 				t.Fatal(err)
+			}
+			for _, rec := range file.recs {
+				if err := seglog.WriteFramed(f, rec); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	}
 	cases := []struct {
-		name string
-		recs []record
+		name      string
+		snap, seg [][]byte
 	}{
-		{"intent-before-base", []record{{Intent: testIntent(1)}}},
-		{"double-base", []record{{Base: testBase(0)}, {Base: testBase(0)}}},
-		{"applied-without-intent", []record{{Base: testBase(0)}, {Applied: &Applied{Round: 1}}}},
-		{"two-open-intents", []record{{Base: testBase(0)}, {Intent: testIntent(1)}, {Intent: testIntent(2)}}},
-		{"round-gap", []record{{Base: testBase(0)}, {Intent: testIntent(5)}}},
-		{"applied-wrong-round", []record{{Base: testBase(0)}, {Intent: testIntent(1)}, {Applied: &Applied{Round: 2}}}},
-		{"empty-file-no-base", nil},
+		{"intent-before-base", [][]byte{intent(1)}, nil},
+		{"double-base", [][]byte{base(), base()}, nil},
+		{"base-in-a-segment", [][]byte{base()}, [][]byte{base()}},
+		{"applied-without-intent", [][]byte{base()}, [][]byte{applied(1)}},
+		{"two-open-intents", [][]byte{base()}, [][]byte{intent(1), intent(2)}},
+		{"round-gap", [][]byte{base()}, [][]byte{intent(5)}},
+		{"applied-wrong-round", [][]byte{base()}, [][]byte{intent(1), applied(2)}},
+		{"empty-file-no-base", nil, nil},
+		{"empty-record", [][]byte{base()}, [][]byte{{}}},
+		{"undecodable-intent", [][]byte{base()}, [][]byte{{tagIntent, 0xff}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			writeRaw(t, dir, tc.recs)
-			if _, err := recoverDir(t, dir); !errors.Is(err, xerr.ErrJournalCorrupt) {
-				t.Fatalf("err = %v, want ErrJournalCorrupt", err)
+			writeRaw(t, dir, tc.snap, tc.seg)
+			if st, err := recoverDir(t, dir); !errors.Is(err, xerr.ErrJournalCorrupt) || st != nil {
+				t.Fatalf("state %v, err %v; want nothing and ErrJournalCorrupt", st, err)
 			}
 		})
 	}
@@ -371,7 +552,7 @@ func TestAppendContinuesAfterRecover(t *testing.T) {
 	dir := t.TempDir()
 	writeRounds(t, dir, 1, true)
 	// Tear the dangling intent.
-	path := epochFile(t, dir)
+	path := segFile(dir, 1)
 	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)

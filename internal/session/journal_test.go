@@ -10,8 +10,8 @@ import (
 	"time"
 
 	"repro/internal/centralized"
-	"repro/internal/checkpoint"
 	"repro/internal/partition"
+	"repro/internal/seglog"
 	"repro/internal/sitehost"
 	"repro/internal/workload"
 	"repro/internal/xerr"
@@ -212,6 +212,7 @@ func TestJournalRedriveAfterDriverCrash(t *testing.T) {
 	// The driver "crashes": connections and journal handle drop with the
 	// round still dangling. Site 1 comes back warm, and the next Open
 	// must fold the journal and re-drive the intent to completion.
+	sess.Abandon(seglog.StepRotated)
 	sess.closeOnOpenErr()
 	srv, err := sitehost.Serve(srvs[1].Host(), addrs[1], nil)
 	if err != nil {
@@ -280,11 +281,11 @@ func TestJournalCorruptStartsFresh(t *testing.T) {
 
 	// Flip a byte mid-file: a non-trailing record fails its CRC, which
 	// is corruption (not a torn tail) — the journal must be abandoned.
-	wals, err := filepath.Glob(filepath.Join(jdir, "journal-*.wal"))
-	if err != nil || len(wals) == 0 {
-		t.Fatalf("no journal epoch written (err %v)", err)
+	files, err := filepath.Glob(filepath.Join(jdir, "*-*.*"))
+	if err != nil || len(files) < 2 {
+		t.Fatalf("no journal epoch written: %v (err %v)", files, err)
 	}
-	for _, path := range wals {
+	for _, path := range files {
 		b, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -304,7 +305,7 @@ func TestJournalCorruptStartsFresh(t *testing.T) {
 		}
 		// The old daemon dies with its compactor, if one is running, at a
 		// different step on every site.
-		s.Host().Abandon(checkpoint.Step(1 + i%4))
+		s.Host().Abandon(seglog.Step(1 + i%4))
 		host := sitehost.NewHost()
 		if _, err := host.UseCheckpoints(sitehost.SiteDir(ckpt, i)); err != nil {
 			t.Fatal(err)
@@ -337,6 +338,40 @@ func TestJournalCorruptStartsFresh(t *testing.T) {
 	}
 	if oracle := centralized.Detect(mirror, rules); !sess2.Violations().Equal(oracle) {
 		t.Fatal("post-restart V diverged from centralized oracle")
+	}
+}
+
+// TestJournalVersion1StartsFresh: a journal directory written by format
+// version 1 (one gob journal-<epoch>.wal per epoch) is never resumed in
+// part — Open reports it corrupt, clears it and starts a fresh session.
+func TestJournalVersion1StartsFresh(t *testing.T) {
+	gen := workload.NewSized(workload.TPCH, 41, 300)
+	rules := gen.Rules(2)
+	rel := gen.Relation(60)
+	const sites = 2
+	jdir := t.TempDir()
+	old := filepath.Join(jdir, "journal-0000000000000002.wal")
+	if err := os.WriteFile(old, []byte("RJRN\x01\x01 a gob stream used to follow"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	addrs, _ := serveHosts(t, sites)
+	sess, err := Open(rel, rules,
+		WithHorizontal(partition.HashHorizontal("c_name", sites)),
+		WithTCPSites(addrs...),
+		WithCheckpointDir(t.TempDir()),
+		WithJournalDir(jdir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if js := sess.Journal(); !js.StartedCorrupt || js.Resumed || js.Rounds != 0 {
+		t.Fatalf("open over a version-1 journal: stats = %+v, want a fresh start", js)
+	}
+	if _, err := os.Stat(old); !os.IsNotExist(err) {
+		t.Fatalf("version-1 journal file still on disk (stat err %v)", err)
+	}
+	if oracle := centralized.Detect(rel, rules); !sess.Violations().Equal(oracle) {
+		t.Fatal("fresh-after-version-1 V diverged from centralized oracle")
 	}
 }
 

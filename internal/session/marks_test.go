@@ -12,8 +12,8 @@ import (
 	"time"
 
 	"repro/internal/centralized"
-	"repro/internal/checkpoint"
 	"repro/internal/partition"
+	"repro/internal/seglog"
 	"repro/internal/sitehost"
 	"repro/internal/workload"
 	"repro/internal/xerr"
@@ -75,7 +75,7 @@ func TestMarksFanOutKeepsCounts(t *testing.T) {
 				}
 				for i, srv := range srvs {
 					srv.Close()
-					srv.Host().Abandon(checkpoint.Step(1 + i%4))
+					srv.Host().Abandon(seglog.Step(1 + i%4))
 					host := sitehost.NewHost()
 					stats, err := host.UseCheckpoints(sitehost.SiteDir(root, i))
 					host.Close()

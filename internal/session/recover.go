@@ -17,8 +17,6 @@
 package session
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"slices"
@@ -30,7 +28,9 @@ import (
 	"repro/internal/network"
 	"repro/internal/optimizer"
 	"repro/internal/relation"
+	"repro/internal/seglog"
 	"repro/internal/vertical"
+	"repro/internal/wire"
 	"repro/internal/xerr"
 )
 
@@ -81,6 +81,21 @@ func (s *Session) Journal() JournalStats {
 		Rounds:         s.jround,
 		Redriven:       s.redriven,
 		InDoubt:        s.pending != nil,
+	}
+}
+
+// Abandon is process death for a session that lives inside a test or a
+// recovery sweep and is dropped, never Closed: the journal's compactor
+// goes no further than step and is waited for, so a successor may open
+// the same journal directory (see seglog.Log.Abandon). Nothing else is
+// released, as a kill releases nothing; the session must not write again.
+func (s *Session) Abandon(step seglog.Step) {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.jnl != nil {
+		s.jnl.Abandon(step)
 	}
 }
 
@@ -145,11 +160,10 @@ func (s *Session) journalBase() (*journal.Base, error) {
 	}
 	if s.cfg.kind == Vertical {
 		type planner interface{ Plan() *optimizer.Plan }
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(s.det.(planner).Plan()); err != nil {
+		var err error
+		if b.Plan, err = wire.Marshal(s.det.(planner).Plan()); err != nil {
 			return nil, fmt.Errorf("session: journal: encode plan: %w", err)
 		}
-		b.Plan = buf.Bytes()
 	}
 	return b, nil
 }
@@ -401,8 +415,12 @@ func foldJournal(st *journal.State, rel *relation.Relation, cfg config) (*resume
 			return nil, fmt.Errorf("session: resume: vertical journal base has no plan")
 		}
 		res.plan = new(optimizer.Plan)
-		if err := gob.NewDecoder(bytes.NewReader(b.Plan)).Decode(res.plan); err != nil {
-			return nil, fmt.Errorf("session: resume: decode plan: %w", err)
+		err := wire.Unmarshal(b.Plan, res.plan)
+		if err == nil {
+			err = res.plan.Validate()
+		}
+		if err != nil {
+			return nil, fmt.Errorf("session: resume: journal plan: %w", err)
 		}
 	}
 

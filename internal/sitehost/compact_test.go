@@ -4,6 +4,7 @@ package sitehost
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -16,8 +17,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/checkpoint"
 	"repro/internal/network"
+	"repro/internal/seglog"
 )
 
 // The two horizontal calls the tests drive state with, as mirrors of
@@ -117,7 +118,7 @@ func TestKillAtEveryCompactorStepRecoversTwin(t *testing.T) {
 	// kill lands right behind that mark's reply. (The compactor may be
 	// past the named step by then — it has then done more, never less;
 	// checkpoint's TestCompactionCrashPoints pins each step exactly.)
-	run := func(t *testing.T, step checkpoint.Step) (dir string, lastSeq uint64) {
+	run := func(t *testing.T, step seglog.Step) (dir string, lastSeq uint64) {
 		dir = t.TempDir()
 		host := bootHost(t, dir, 3)
 		if _, errStr := host.Dispatch(1, "chk.mark", nil); errStr != "" {
@@ -139,13 +140,13 @@ func TestKillAtEveryCompactorStepRecoversTwin(t *testing.T) {
 		}
 		return h, stats
 	}
-	twinDir, lastSeq := run(t, checkpoint.StepDone)
+	twinDir, lastSeq := run(t, seglog.StepDone)
 	twin, twinStats := recoverDir(t, twinDir)
 	if twinStats.Epoch != 2 || twinStats.Replayed != 0 || twinStats.LastSeq != lastSeq {
 		t.Fatalf("uncrashed twin recovered %+v, want epoch 2, nothing replayed, seq %d", twinStats, lastSeq)
 	}
 	want := stateOf(t, twin)
-	for _, step := range []checkpoint.Step{checkpoint.StepRotated, checkpoint.StepTempWritten, checkpoint.StepRenamed, checkpoint.StepDone} {
+	for _, step := range []seglog.Step{seglog.StepRotated, seglog.StepTempWritten, seglog.StepRenamed, seglog.StepDone} {
 		t.Run(fmt.Sprintf("step%d", step), func(t *testing.T) {
 			dir, _ := run(t, step)
 			host, stats := recoverDir(t, dir)
@@ -236,7 +237,7 @@ func TestFailedFirstSnapshotIsRetried(t *testing.T) {
 		t.Fatalf("after a failed first snapshot: epoch %d, lastSeq %d; want 0 and 0", got, host.lastSeq)
 	}
 	seq := script(t, host, 1, 0, 2)
-	host.Abandon(checkpoint.StepDone)
+	host.Abandon(seglog.StepDone)
 	host2 := NewHost()
 	defer host2.Close()
 	stats, err := host2.UseCheckpoints(dir)
@@ -340,20 +341,13 @@ func logRecords(t *testing.T, dir string) int {
 	}
 	n := 0
 	for _, path := range logs {
-		f, err := os.Open(path)
+		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.Seek(6, io.SeekStart); err != nil {
-			t.Fatal(err)
+		for off := seglog.HeaderLen; off+seglog.FrameOverhead <= len(data); n++ {
+			off += seglog.FrameOverhead + int(binary.BigEndian.Uint32(data[off:]))
 		}
-		for {
-			if _, err := checkpoint.ReadFramed(f); err != nil {
-				break
-			}
-			n++
-		}
-		f.Close()
 	}
 	return n
 }

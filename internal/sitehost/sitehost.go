@@ -46,6 +46,7 @@ import (
 	"repro/internal/optimizer"
 	"repro/internal/partition"
 	"repro/internal/relation"
+	"repro/internal/seglog"
 	"repro/internal/vertical"
 )
 
@@ -676,9 +677,9 @@ func (h *Host) Close() error {
 // Abandon is Close for a host that plays a killed daemon in a test or a
 // recovery sweep: a compaction in flight goes no further than step and
 // the delta log's buffered tail is lost, as a kill would have it (see
-// checkpoint.Store.Abandon). Returns once the compactor has, so a
+// seglog.Log.Abandon). Returns once the compactor has, so a
 // successor may open the same directory.
-func (h *Host) Abandon(step checkpoint.Step) {
+func (h *Host) Abandon(step seglog.Step) {
 	h.callMu.Lock()
 	defer h.callMu.Unlock()
 	if h.closed {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cfd"
 	"repro/internal/checkpoint"
 	"repro/internal/relation"
+	"repro/internal/seglog"
 	"repro/internal/xerr"
 )
 
@@ -101,7 +102,7 @@ func TestHostRecoversWindowAndWatermark(t *testing.T) {
 	}
 	// Crash: the process dies without FinalCheckpoint. A fresh host
 	// recovers from the snapshot (epoch 1, seq 1) plus the flushed log.
-	host.Abandon(checkpoint.StepDone)
+	host.Abandon(seglog.StepDone)
 	host2 := NewHost()
 	defer host2.Close()
 	stats, err := host2.UseCheckpoints(dir)
@@ -154,7 +155,7 @@ func TestHostRecoversWindowAndWatermark(t *testing.T) {
 	if err := host2.Bootstrap(data, false); err == nil {
 		t.Fatal("claimed state stolen by another session")
 	}
-	host2.Abandon(checkpoint.StepDone)
+	host2.Abandon(seglog.StepDone)
 	host3 := NewHost()
 	defer host3.Close()
 	if _, err := host3.UseCheckpoints(dir); err != nil {
@@ -219,7 +220,7 @@ func TestHostStartsEmptyOnOldFormatDeltaLog(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		host.Abandon(checkpoint.StepDone)
+		host.Abandon(seglog.StepDone)
 		host2 := NewHost()
 		defer host2.Close()
 		stats, err := host2.UseCheckpoints(dir)

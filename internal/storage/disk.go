@@ -8,33 +8,36 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 
-	"repro/internal/checkpoint"
+	"repro/internal/seglog"
 	"repro/internal/xerr"
 )
 
-// DiskStore file layout. One append-only data file per store:
+// DiskStore file layout. One append-only data file per store, framed by
+// internal/seglog: its header (magic "RSTR", version, the store's kind
+// byte) and its CRC-framed records, each:
 //
-//	magic "RSTR" (4) | version (1) | kind (1)        — header, 6 bytes
-//	CRC-framed records (checkpoint.WriteFramed), each:
-//	    page number  big-endian uint32 (4)
-//	    live count   big-endian uint32 (4)
-//	    page payload (see page.go; empty when count == 0 — a tombstone)
+//	page number  big-endian uint32 (4)
+//	live count   big-endian uint32 (4)
+//	page payload (see page.go; empty when count == 0 — a tombstone)
 //
 // The newest record for a page number wins; older records and applied
-// tombstones are dead weight reclaimed by compaction (temp + fsync +
-// rename, like checkpoint snapshots). A torn trailing record is the
-// expected crash-mid-append shape and is truncated on open; any other
-// damage fails open with xerr.ErrStoreCorrupt.
+// tombstones are dead weight reclaimed by compaction (seglog.Replace). A
+// torn trailing record is the expected crash-mid-append shape and is
+// truncated on open; any other damage fails open with
+// xerr.ErrStoreCorrupt.
+
+var diskFormat = seglog.Format{
+	Magic:   [4]byte{'R', 'S', 'T', 'R'},
+	Version: 1,
+	Name:    "storage",
+	Corrupt: xerr.ErrStoreCorrupt,
+}
 
 const (
-	diskMagic     = "RSTR"
-	diskVersion   = 1
-	diskHeaderLen = 6
-	recPrefixLen  = 8 // page number + live count
+	recPrefixLen = 8 // page number + live count
 	// pageOverhead approximates the fixed in-memory cost of one cached
 	// page beyond its records (struct, map header, list element).
 	pageOverhead = 128
@@ -107,10 +110,6 @@ type DiskStore struct {
 	readBuf []byte // one framed record, reused across page reads
 }
 
-func storeCorrupt(format string, a ...any) error {
-	return fmt.Errorf("storage: %s: %w", fmt.Sprintf(format, a...), xerr.ErrStoreCorrupt)
-}
-
 // OpenDisk opens (creating if absent) the data file at path. Reopening
 // an existing file rebuilds the page index by scanning it, truncating a
 // torn trailing record.
@@ -139,19 +138,17 @@ func OpenDisk(path string, opt DiskOptions) (*DiskStore, error) {
 		return nil, fmt.Errorf("storage: %w", err)
 	}
 	if fi.Size() == 0 {
-		hdr := []byte(diskMagic + string([]byte{diskVersion, opt.Kind}))
-		if _, err := f.Write(hdr); err != nil {
+		if err = diskFormat.WriteHeader(f, opt.Kind); err == nil {
+			err = f.Sync()
+		}
+		if err != nil {
 			f.Close()
 			return nil, fmt.Errorf("storage: %w", err)
 		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("storage: %w", err)
-		}
-		s.fileSize = diskHeaderLen
+		s.fileSize = seglog.HeaderLen
 		return s, nil
 	}
-	if err := s.scan(fi.Size()); err != nil {
+	if err := s.scan(); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -160,48 +157,14 @@ func OpenDisk(path string, opt DiskOptions) (*DiskStore, error) {
 
 // scan rebuilds the index from the data file, newest record per page
 // winning, and truncates a torn trailing record.
-func (s *DiskStore) scan(size int64) error {
-	if size < diskHeaderLen {
-		return storeCorrupt("%s: short header", s.path)
-	}
-	var hdr [diskHeaderLen]byte
-	if _, err := s.f.ReadAt(hdr[:], 0); err != nil {
-		return fmt.Errorf("storage: %w", err)
-	}
-	if string(hdr[:4]) != diskMagic {
-		return storeCorrupt("%s: bad magic", s.path)
-	}
-	if hdr[4] != diskVersion {
-		return storeCorrupt("%s: format version %d (want %d)", s.path, hdr[4], diskVersion)
-	}
-	if _, err := s.f.Seek(diskHeaderLen, io.SeekStart); err != nil {
-		return fmt.Errorf("storage: %w", err)
-	}
-	br := bufio.NewReader(s.f)
-	off := int64(diskHeaderLen)
-	for {
-		payload, err := checkpoint.ReadFramed(br)
-		if err == io.EOF {
-			break
-		}
-		if errors.Is(err, checkpoint.ErrTornRecord) {
-			// Crash mid-append: drop the torn tail, keep everything
-			// before it.
-			if err := s.f.Truncate(off); err != nil {
-				return fmt.Errorf("storage: %w", err)
-			}
-			size = off
-			break
-		}
-		if err != nil {
-			return storeCorrupt("%s @%d: %v", s.path, off, err)
-		}
+func (s *DiskStore) scan() error {
+	size, torn, err := diskFormat.Scan(s.f, s.opt.Kind, func(off int64, payload []byte) error {
 		if len(payload) < recPrefixLen {
-			return storeCorrupt("%s @%d: record shorter than its prefix", s.path, off)
+			return diskFormat.Corruptf("%s @%d: record shorter than its prefix", s.path, off)
 		}
 		no := binary.BigEndian.Uint32(payload[0:4])
 		count := int(binary.BigEndian.Uint32(payload[4:8]))
-		rec := int64(checkpoint.FrameOverhead + len(payload))
+		rec := int64(seglog.FrameOverhead + len(payload))
 		if old, ok := s.index[no]; ok {
 			s.dead += old.rec
 			s.n -= old.count
@@ -213,7 +176,19 @@ func (s *DiskStore) scan(size int64) error {
 			s.index[no] = pageLoc{off: off, rec: rec, count: count}
 			s.n += count
 		}
-		off += rec
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if torn {
+		if size < seglog.HeaderLen {
+			return diskFormat.Corruptf("%s: short header", s.path)
+		}
+		// Crash mid-append: drop the torn tail, keep everything before it.
+		if err := s.f.Truncate(size); err != nil {
+			return fmt.Errorf("storage: %w", err)
+		}
 	}
 	s.fileSize = size
 	if _, err := s.f.Seek(size, io.SeekStart); err != nil {
@@ -231,14 +206,14 @@ func (s *DiskStore) readRecord(no uint32, loc pageLoc) (rec, payload []byte, err
 	}
 	rec = s.readBuf[:loc.rec]
 	if _, err := s.f.ReadAt(rec, loc.off); err != nil {
-		return nil, nil, storeCorrupt("%s page %d @%d: %v", s.path, no, loc.off, err)
+		return nil, nil, diskFormat.Corruptf("%s page %d @%d: %v", s.path, no, loc.off, err)
 	}
-	body, err := checkpoint.CheckFramed(rec)
+	body, err := seglog.CheckFramed(rec)
 	if err != nil {
-		return nil, nil, storeCorrupt("%s page %d @%d: %v", s.path, no, loc.off, err)
+		return nil, nil, diskFormat.Corruptf("%s page %d @%d: %v", s.path, no, loc.off, err)
 	}
 	if len(body) < recPrefixLen || binary.BigEndian.Uint32(body[0:4]) != no {
-		return nil, nil, storeCorrupt("%s page %d @%d: record/index mismatch", s.path, no, loc.off)
+		return nil, nil, diskFormat.Corruptf("%s page %d @%d: record/index mismatch", s.path, no, loc.off)
 	}
 	return rec, body[recPrefixLen:], nil
 }
@@ -265,7 +240,7 @@ func (s *DiskStore) fault(no uint32, create bool) (*page, error) {
 		}
 		m, size, err := decodePage(payload)
 		if err != nil {
-			return nil, storeCorrupt("%s page %d @%d: %v", s.path, no, loc.off, err)
+			return nil, diskFormat.Corruptf("%s page %d @%d: %v", s.path, no, loc.off, err)
 		}
 		pg.m, pg.size = m, size
 		s.stats.Faults++
@@ -473,10 +448,10 @@ func (s *DiskStore) flushLocked() error {
 		s.encBuf = binary.BigEndian.AppendUint32(s.encBuf, pg.no)
 		s.encBuf = binary.BigEndian.AppendUint32(s.encBuf, uint32(len(pg.m)))
 		s.encBuf = encodePage(s.encBuf, pg.m)
-		if err := checkpoint.WriteFramed(bw, s.encBuf); err != nil {
+		if err := seglog.WriteFramed(bw, s.encBuf); err != nil {
 			return fmt.Errorf("storage: %w", err)
 		}
-		rec := int64(checkpoint.FrameOverhead + len(s.encBuf))
+		rec := int64(seglog.FrameOverhead + len(s.encBuf))
 		if onDisk {
 			s.dead += old.rec
 		}
@@ -535,70 +510,46 @@ func (s *DiskStore) unpin() {
 // fixed floor and the live bytes — the classic "over half the file is
 // garbage" rule. Caller holds s.mu with no dirty pages outstanding.
 func (s *DiskStore) maybeCompact() error {
-	live := s.fileSize - diskHeaderLen - s.dead
+	live := s.fileSize - seglog.HeaderLen - s.dead
 	if s.dead < compactMinDead || s.dead <= live {
 		return nil
 	}
 	return s.compactLocked()
 }
 
-// compactLocked streams the newest record of every live page to a temp
-// file, fsyncs, and atomically renames it over the data file — the same
-// discipline as checkpoint snapshots, so a crash at any point leaves
-// either the old file or the new one, never a mix.
+// compactLocked streams the newest record of every live page into a
+// replacement of the data file (seglog.Replace: a crash at any point
+// leaves either the old file or the new one, never a mix).
 func (s *DiskStore) compactLocked() error {
-	tmp := s.path + ".tmp"
-	tf, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("storage: compact: %w", err)
-	}
-	defer os.Remove(tmp) // no-op after a successful rename
-	bw := bufio.NewWriter(tf)
-	if _, err := bw.Write([]byte(diskMagic + string([]byte{diskVersion, s.opt.Kind}))); err != nil {
-		tf.Close()
-		return fmt.Errorf("storage: compact: %w", err)
-	}
 	nos := make([]uint32, 0, len(s.index))
 	for no := range s.index {
 		nos = append(nos, no)
 	}
 	sort.Slice(nos, func(i, j int) bool { return nos[i] < nos[j] })
 	newIndex := make(map[uint32]pageLoc, len(nos))
-	off := int64(diskHeaderLen)
-	for _, no := range nos {
-		loc := s.index[no]
-		rec, _, err := s.readRecord(no, loc)
-		if err != nil {
-			tf.Close()
+	off := int64(seglog.HeaderLen)
+	err := seglog.Replace(s.path+".tmp", s.path, func(w *bufio.Writer) error {
+		if err := diskFormat.WriteHeader(w, s.opt.Kind); err != nil {
 			return err
 		}
-		// The verified record moves as it is, frame and all.
-		if _, err := bw.Write(rec); err != nil {
-			tf.Close()
-			return fmt.Errorf("storage: compact: %w", err)
+		for _, no := range nos {
+			loc := s.index[no]
+			rec, _, err := s.readRecord(no, loc)
+			if err != nil {
+				return err
+			}
+			// The verified record moves as it is, frame and all.
+			if _, err := w.Write(rec); err != nil {
+				return err
+			}
+			newIndex[no] = pageLoc{off: off, rec: loc.rec, count: loc.count}
+			off += loc.rec
 		}
-		newIndex[no] = pageLoc{off: off, rec: loc.rec, count: loc.count}
-		off += loc.rec
-	}
-	if err := bw.Flush(); err != nil {
-		tf.Close()
+		return nil
+	})
+	if err != nil {
 		return fmt.Errorf("storage: compact: %w", err)
 	}
-	if err := tf.Sync(); err != nil {
-		tf.Close()
-		return fmt.Errorf("storage: compact: %w", err)
-	}
-	if err := tf.Close(); err != nil {
-		return fmt.Errorf("storage: compact: %w", err)
-	}
-	if err := os.Rename(tmp, s.path); err != nil {
-		return fmt.Errorf("storage: compact: %w", err)
-	}
-	if d, err := os.Open(filepath.Dir(s.path)); err == nil {
-		d.Sync() // best-effort directory durability, like checkpoint
-		d.Close()
-	}
-	old := s.f
 	nf, err := os.OpenFile(s.path, os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("storage: compact reopen: %w", err)
@@ -607,7 +558,7 @@ func (s *DiskStore) compactLocked() error {
 		nf.Close()
 		return fmt.Errorf("storage: compact reopen: %w", err)
 	}
-	old.Close()
+	s.f.Close()
 	s.f = nf
 	s.index = newIndex
 	s.fileSize = off

@@ -11,7 +11,7 @@ import (
 // bytes, with keys in ascending bytewise order. The payload carries no
 // count or index — decoding walks to the end — so a page is exactly as
 // large as its live records. The CRC framing around each page record
-// (checkpoint.WriteFramed) already catches bit rot; decodePage's own
+// (seglog.WriteFramed) already catches bit rot; decodePage's own
 // checks exist for the fuzz-tested hostile case: a CRC-valid frame
 // whose payload was never a page.
 

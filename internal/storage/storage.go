@@ -9,12 +9,12 @@
 //   - MemStore — plain in-process maps. The default; sessions built
 //     without a storage dir never touch this package's disk code and
 //     keep their existing allocation profile bit-for-bit.
-//   - DiskStore — a page-structured append-only file using the same
-//     CRC-framed record convention as internal/checkpoint and
-//     internal/journal (checkpoint.WriteFramed/ReadFramed), with an
-//     LRU cache of decoded pages bounded by a byte budget, write-back
-//     batching (dirty pages pinned until Flush, which the engines call
-//     once per protocol round), and temp+fsync+rename compaction.
+//   - DiskStore — a page-structured append-only file framed by
+//     internal/seglog (the header, record frames, open-time scan and
+//     atomic replace every durable file shares), with an LRU cache of
+//     decoded pages bounded by a byte budget, write-back batching (dirty
+//     pages pinned until Flush, which the engines call once per protocol
+//     round), and compaction.
 //
 // Keys and values are arbitrary byte strings; iteration order is
 // deterministic (ascending page number, then bytewise-ascending key

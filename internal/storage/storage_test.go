@@ -10,7 +10,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/checkpoint"
+	"repro/internal/seglog"
 	"repro/internal/xerr"
 )
 
@@ -236,6 +236,23 @@ func TestDiskTornTail(t *testing.T) {
 			t.Fatalf("key %d lost after torn-tail recovery", i)
 		}
 	}
+	// A tail whose length field claims 4 GiB is the same torn record,
+	// dropped without being allocated.
+	size := s.Stats().DiskBytes
+	s.Close()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 'x'})
+	f.Close()
+	if s, err = OpenDisk(path, opt); err != nil {
+		t.Fatalf("reopen after a damaged length field: %v", err)
+	}
+	defer s.Close()
+	if got := s.Stats().DiskBytes; got != size {
+		t.Fatalf("damaged tail not truncated away: %d bytes, want %d", got, size)
+	}
 }
 
 // TestDiskMidFileCorruption flips a payload byte in a non-trailing
@@ -255,7 +272,7 @@ func TestDiskMidFileCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw, _ := os.ReadFile(path)
-	raw[diskHeaderLen+checkpoint.FrameOverhead+2] ^= 0xff // first record's payload
+	raw[seglog.HeaderLen+seglog.FrameOverhead+2] ^= 0xff // first record's payload
 	os.WriteFile(path, raw, 0o644)
 	if _, err := OpenDisk(path, opt); !errors.Is(err, xerr.ErrStoreCorrupt) {
 		t.Fatalf("open on mid-file damage: %v, want ErrStoreCorrupt", err)
@@ -264,11 +281,14 @@ func TestDiskMidFileCorruption(t *testing.T) {
 
 // TestDiskBadHeader rejects wrong magic and wrong version.
 func TestDiskBadHeader(t *testing.T) {
-	opt := DiskOptions{PageFor: Uint64Pager(2)}
+	opt := DiskOptions{PageFor: Uint64Pager(2), Kind: 'T'}
 	for name, hdr := range map[string][]byte{
-		"magic":   []byte("XSTR\x01S"),
-		"version": []byte("RSTR\x63S"),
+		"magic":   []byte("XSTR\x01T"),
+		"version": []byte("RSTR\x63T"),
 		"short":   []byte("RS"),
+		// The store stamps what it holds into the header: groups.dat
+		// opened as the tuple store is refused, not misread.
+		"kind": []byte("RSTR\x01G"),
 	} {
 		path := filepath.Join(t.TempDir(), name+".dat")
 		os.WriteFile(path, hdr, 0o644)
