@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: test race loc bench stream storage storage-bench coalesce net recovery query chaos driver-chaos bench-verify bench-spine profile fuzz api apicheck verify clean
+.PHONY: test race loc bench bench-verify storage chaos driver-chaos bench-spine profile fuzz api apicheck verify clean
 
 test:
 	$(GO) build ./... && $(GO) test ./...
@@ -16,19 +16,22 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 \
 		| xargs -0 cat | wc -l
 
-# bench runs the hot-path micro benchmarks once (allocation counts are
-# deterministic; timing needs more iterations — drop -benchtime for
-# real measurements) and regenerates the committed perf baseline.
-# Always finishes with clean so no compiled test binary is left behind.
+# bench regenerates the committed baseline BENCH_exact.json: every sweep
+# that declares exact columns (message, byte, eqid and call counts, |∆V|
+# — no timings, no allocation counts, nothing machine-dependent) runs
+# once at the default scale, with its in-run assertions, and the file is
+# rewritten. Unchanged protocols leave `git status` clean on any machine.
+# Timing lives elsewhere: `go test -bench` here, bench/ for end to end.
 bench:
-	$(GO) test -bench 'BenchmarkCentralizedDetect|BenchmarkCentralizedIncrementalApply|BenchmarkUnitUpdate' \
-		-benchmem -run '^$$' -benchtime 1x .
-	$(GO) run ./cmd/expbench -json
-	@$(MAKE) --no-print-directory clean
+	$(GO) run ./cmd/expbench -out BENCH_exact.json
 
-# stream regenerates the streaming-pipeline baseline (BENCH_stream.json).
-stream:
-	$(GO) run ./cmd/expbench -stream
+# bench-verify remeasures the same sweeps in memory and fails on any
+# difference from BENCH_exact.json, naming suite / row / column — a
+# suite, row or column on one side only included. CI runs it, so
+# wire-meter and read-path regressions are caught at PR time; an
+# intentional protocol change runs `make bench` and commits the diff.
+bench-verify:
+	$(GO) run ./cmd/expbench -verify
 
 # storage runs the out-of-core suite under the race detector: the
 # storage-package disk/memory differential, the stored relation,
@@ -41,40 +44,6 @@ storage:
 	$(GO) test -race -short -run 'TestStored|TestGroupRecord|TestIDsCache|TestStorageOption' \
 		./internal/relation/ ./internal/cfd/ ./internal/centralized/ ./internal/session/
 	$(GO) test -race -run 'TestRunStorageQuick' ./internal/harness/
-
-# storage-bench regenerates the out-of-core baseline
-# (BENCH_storage.json: disk-backed vs in-memory engine over the same
-# updates, V asserted bit-identical at every measured row). Scale up
-# with `go run ./cmd/expbench -storage -storage.rows 10000000` for the
-# paper-scale ingest.
-storage-bench:
-	$(GO) run ./cmd/expbench -storage
-
-# coalesce regenerates the batch-grouped protocol baseline
-# (BENCH_coalesce.json: the wire meters of the same ∆D applied one update
-# per ApplyBatch vs whole, through the one protocol driver).
-coalesce:
-	$(GO) run ./cmd/expbench -coalesce
-
-# net regenerates the real-socket deployment baseline (BENCH_net.json:
-# loopback vs framed-TCP wire meters — asserted identical — plus the
-# physical framing overhead).
-net:
-	$(GO) run ./cmd/expbench -net
-
-# recovery regenerates the crash-recovery baseline (BENCH_recovery.json:
-# cold-start vs warm-restart call/record counts on the checkpointed TCP
-# deployment — the sweep asserts warm strictly cheaper than cold and the
-# recovered V correct).
-recovery:
-	$(GO) run ./cmd/expbench -recovery
-
-# query regenerates the read-contention baseline (BENCH_query.json:
-# session state after the idle/churn/burst phases of the
-# reader-vs-writer sweep — the sweep asserts read p99 under churn stays
-# within a constant factor of idle before emitting a row).
-query:
-	$(GO) run ./cmd/expbench -query
 
 # chaos runs the fault-injection suite under the race detector: the
 # 20-seed crash-recovery oracle (drops, duplicates, truncations,
@@ -99,19 +68,6 @@ driver-chaos:
 		-run 'TestDriverResumeOracle|TestCrossProcessDriverKillOracle' ./internal/chaos/
 	$(GO) test -race -run 'TestJournal|TestInDoubt' ./internal/session/
 	$(GO) test -race ./internal/journal/ ./internal/seglog/
-
-# bench-verify remeasures every deterministic column of the committed
-# baselines (BENCH_hotpath.json wire meters, BENCH_stream.json rows,
-# BENCH_coalesce.json rows, BENCH_net.json rows, BENCH_recovery.json
-# rows, BENCH_storage.json state rows — whose sweep also re-asserts
-# disk/memory V bit-identity at every row — and BENCH_query.json state
-# rows, whose sweep re-asserts the lock-free read-latency bound) and
-# fails on drift. CI runs it, so wire-meter and read-path regressions
-# are caught at PR time; intentional protocol changes regenerate with
-# `make bench stream coalesce net recovery query storage-bench` and
-# commit the diff.
-bench-verify:
-	$(GO) run ./cmd/expbench -verify
 
 # bench-spine vets and tests the benchmark spine (bench/ is its own
 # module, so `go test ./...` at the root never reaches it): the spine

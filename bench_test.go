@@ -107,19 +107,25 @@ func BenchmarkFanoutEngine(b *testing.B) {
 // exactly the same bytes and messages — the engine changes when messages
 // fly, never what is sent — while wall-clock drops.
 
-func benchFanoutSystems(b *testing.B) (*VerticalSystem, *HorizontalSystem, *workload.Generator) {
+// benchDetector opens a session and returns the engine behind it: the
+// benchmarks below time the engine's own ApplyBatch and BatchDetect.
+func benchDetector(b *testing.B, rel *Relation, rules []CFD, opts ...Option) Detector {
 	b.Helper()
-	gen := workload.NewSized(workload.TPCH, 7, 8000)
+	sess, err := Open(rel, rules, opts...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { sess.Close() })
+	return sess.Detector()
+}
+
+func benchFanoutSystems(b *testing.B) (vsys, hsys Detector, gen *workload.Generator) {
+	b.Helper()
+	gen = workload.NewSized(workload.TPCH, 7, 8000)
 	rules := gen.Rules(30)
 	rel := gen.Relation(2000)
-	vsys, err := NewVertical(rel, RoundRobinVertical(gen.Schema(), 8), rules, VerticalOptions{UseOptimizer: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	hsys, err := NewHorizontal(rel, HashHorizontal("c_name", 8), rules, HorizontalOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	vsys = benchDetector(b, rel, rules, WithVertical(RoundRobinVertical(gen.Schema(), 8)), WithOptimizer())
+	hsys = benchDetector(b, rel, rules, WithHorizontal(HashHorizontal("c_name", 8)))
 	vsys.Cluster().SetLinkRTT(time.Millisecond)
 	hsys.Cluster().SetLinkRTT(time.Millisecond)
 	return vsys, hsys, gen
@@ -196,16 +202,11 @@ func benchBatchApply(b *testing.B, style string, unit bool, batch int) {
 	gen := workload.NewSized(workload.TPCH, 11, 16000)
 	rules := gen.Rules(50)
 	rel := gen.Relation(2000)
-	var sys Detector
-	var err error
+	opts := []Option{WithHorizontal(HashHorizontal("c_name", 8))}
 	if style == "vertical" {
-		sys, err = NewVertical(rel, RoundRobinVertical(gen.Schema(), 8), rules, VerticalOptions{UseOptimizer: true})
-	} else {
-		sys, err = NewHorizontal(rel, HashHorizontal("c_name", 8), rules, HorizontalOptions{})
+		opts = []Option{WithVertical(RoundRobinVertical(gen.Schema(), 8)), WithOptimizer()}
 	}
-	if err != nil {
-		b.Fatal(err)
-	}
+	sys := benchDetector(b, rel, rules, opts...)
 	sys.Cluster().SetLinkRTT(100 * time.Microsecond)
 	ins := make(UpdateList, batch)
 	del := make(UpdateList, batch)
@@ -245,21 +246,11 @@ func BenchmarkBatchApplyVerCoalesced64(b *testing.B) { benchBatchApply(b, "verti
 
 // --- micro-benchmarks: per-update latency of the core algorithms ---
 
-func benchSetupVertical(b *testing.B, useOpt bool) (*VerticalSystem, *workload.Generator, *Relation) {
-	b.Helper()
+func BenchmarkUnitUpdateVertical(b *testing.B) {
 	gen := workload.NewSized(workload.TPCH, 42, 8000)
 	rules := gen.Rules(50)
 	rel := gen.Relation(4000)
-	sys, err := NewVertical(rel, RoundRobinVertical(gen.Schema(), 10), rules,
-		VerticalOptions{UseOptimizer: useOpt})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return sys, gen, rel
-}
-
-func BenchmarkUnitUpdateVertical(b *testing.B) {
-	sys, gen, _ := benchSetupVertical(b, true)
+	sys := benchDetector(b, rel, rules, WithVertical(RoundRobinVertical(gen.Schema(), 10)), WithOptimizer())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t := gen.Next()
@@ -273,10 +264,7 @@ func BenchmarkUnitUpdateHorizontal(b *testing.B) {
 	gen := workload.NewSized(workload.TPCH, 42, 8000)
 	rules := gen.Rules(50)
 	rel := gen.Relation(4000)
-	sys, err := NewHorizontal(rel, HashHorizontal("c_name", 10), rules, HorizontalOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	sys := benchDetector(b, rel, rules, WithHorizontal(HashHorizontal("c_name", 10)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t := gen.Next()
@@ -329,10 +317,7 @@ func BenchmarkBoundednessVerticalShipment(b *testing.B) {
 			gen := workload.NewSized(workload.TPCH, 5, 10000)
 			rules := gen.Rules(25)
 			rel := gen.Relation(d)
-			sys, err := NewVertical(rel, RoundRobinVertical(gen.Schema(), 10), rules, VerticalOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
+			sys := benchDetector(b, rel, rules, WithVertical(RoundRobinVertical(gen.Schema(), 10)))
 			updates := gen.Updates(rel, 500, 0.8)
 			if _, err := sys.ApplyBatch(updates); err != nil {
 				b.Fatal(err)

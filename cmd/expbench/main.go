@@ -1,33 +1,25 @@
 // expbench regenerates the paper's evaluation: every figure and table of
-// §7 as a text table, at a configurable scale. With -json it instead
-// benchmarks the detection hot paths (the allocation-sensitive inner
-// loops, not the figure sweeps) and writes BENCH_hotpath.json — the
-// repository's performance baseline, regenerated by `make bench` and
-// published by CI as an artifact.
+// §7, and the sweeps over what the reproduction added, as text tables at
+// a configurable scale. The sweeps' exact columns — message, byte, eqid
+// and call counts, |∆V|: pure functions of the scale and its seed — are
+// the committed baseline BENCH_exact.json (see baseline.go): -out writes
+// it, -verify remeasures it and fails on drift.
 //
 // Usage:
 //
-//	expbench                 # all experiments at the default scale
+//	expbench                 # every experiment at the default scale
 //	expbench -exp Exp-2      # one experiment (substring match; only it runs)
 //	expbench -unit 500 -sites 6 -seed 3
 //	expbench -quick          # the small scale used by tests/benchmarks
-//	expbench -json           # write the hot-path perf baseline
-//	expbench -json -out F    # ... to file F instead of BENCH_hotpath.json
-//	expbench -stream         # run the streaming pipeline, write BENCH_stream.json
-//	expbench -stream -stream.batch 500 -stream.batches 12 -stream.ins 0.6
-//	expbench -storage        # disk-backed vs in-memory engine, write BENCH_storage.json
-//	expbench -storage -storage.rows 10000000   # the paper-scale 10M-row ingest
-//	expbench -coalesce       # unit vs batch-grouped protocol, write BENCH_coalesce.json
-//	expbench -net            # loopback vs real-socket deployment, write BENCH_net.json
-//	expbench -recovery       # cold start vs warm restart from checkpoints, write BENCH_recovery.json
-//	expbench -query          # readers vs a churning writer, write BENCH_query.json
-//	expbench -verify         # recheck the committed baselines' deterministic columns
+//	expbench -out BENCH_exact.json   # run the baseline suites and write their exact columns
+//	expbench -verify         # remeasure the baseline suites against BENCH_exact.json
 //	expbench -cpuprofile cpu.prof -exp Exp-2   # profile a run (also -memprofile)
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -38,98 +30,36 @@ import (
 // main wraps run so error exits still flush the profiles: os.Exit skips
 // deferred functions, so every defer lives inside run.
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("expbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		quick    = flag.Bool("quick", false, "use the quick (test) scale")
-		unit     = flag.Int("unit", 0, "rows standing in for 1M TPCH tuples (0 = scale default)")
-		dblpUnit = flag.Int("dblpunit", 0, "rows standing in for 100K DBLP tuples (0 = scale default)")
-		sites    = flag.Int("sites", 0, "number of sites n (0 = scale default)")
-		seed     = flag.Int64("seed", 0, "workload seed (0 = scale default)")
-		exp      = flag.String("exp", "", "run only experiments whose name or figure contains this substring")
-		jsonMode = flag.Bool("json", false, "benchmark the detection hot paths and write a JSON baseline")
-		out      = flag.String("out", "", "output path (default BENCH_hotpath.json for -json, BENCH_stream.json for -stream, BENCH_coalesce.json for -coalesce)")
+		quick    = fs.Bool("quick", false, "use the quick (test) scale")
+		unit     = fs.Int("unit", 0, "rows standing in for 1M TPCH tuples (0 = scale default)")
+		dblpUnit = fs.Int("dblpunit", 0, "rows standing in for 100K DBLP tuples (0 = scale default)")
+		sites    = fs.Int("sites", 0, "number of sites n (0 = scale default)")
+		seed     = fs.Int64("seed", 0, "workload seed (0 = scale default)")
+		exp      = fs.String("exp", "", "run only experiments whose name or figure contains this substring")
+		out      = fs.String("out", "", "run the baseline suites and write their exact columns to this file")
+		verify   = fs.Bool("verify", false, "remeasure the baseline suites and compare with "+baselinePath+"; nonzero exit on drift")
 
-		streamMode    = flag.Bool("stream", false, "run the streaming update pipeline and write a JSON baseline")
-		streamRows    = flag.Int("stream.rows", 0, "base relation rows before the stream (0 = 4×unit)")
-		streamBatch   = flag.Int("stream.batch", 0, "updates per stream batch (0 = unit/2)")
-		streamBatches = flag.Int("stream.batches", 0, "batches per stream (0 = default 8)")
-		streamIns     = flag.Float64("stream.ins", 0, "insert fraction of each batch (0 = default 0.7, negative = all deletions)")
-
-		storageMode   = flag.Bool("storage", false, "run the out-of-core (disk-backed vs in-memory) sweep and write a JSON baseline")
-		storageRows   = flag.Int("storage.rows", 0, "rows ingested by the storage sweep (0 = 10×unit; the paper-scale run is 10000000)")
-		storageBatch  = flag.Int("storage.batch", 0, "updates per incremental batch after ingest (0 = unit/2)")
-		storageSweep  = flag.Int("storage.batches", 0, "incremental batches after ingest (0 = default 6)")
-		storageBudget = flag.Int64("storage.budget", 0, "page-cache budget in bytes (0 = default 256 KiB, negative = unlimited)")
-		storageRules  = flag.Int("storage.rules", 0, "rules in force during the storage sweep (0 = default 10)")
-
-		coalesceMode = flag.Bool("coalesce", false, "run the unit-vs-coalesced protocol sweep and write a JSON baseline")
-		netMode      = flag.Bool("net", false, "run the loopback-vs-real-socket sweep and write a JSON baseline")
-		recoveryMode = flag.Bool("recovery", false, "run the cold-vs-warm crash recovery sweep and write a JSON baseline")
-		queryMode    = flag.Bool("query", false, "run the reader-vs-writer read-contention sweep and write a JSON baseline")
-		verifyMode   = flag.Bool("verify", false, "recheck the committed baselines' deterministic columns; nonzero exit on drift")
-
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProfile = fs.String("memprofile", "", "write a heap profile at exit to this file")
 	)
-	flag.Parse()
-
-	fail := func(err error) int {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		return 1
-	}
-
-	modes := 0
-	for _, m := range []bool{*jsonMode, *streamMode, *storageMode, *coalesceMode, *netMode, *recoveryMode, *queryMode, *verifyMode} {
-		if m {
-			modes++
-		}
-	}
-	if modes > 1 {
-		fmt.Fprintln(os.Stderr, "error: -json, -stream, -storage, -coalesce, -net, -recovery, -query and -verify are mutually exclusive")
+	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return fail(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return fail(err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "error:", err)
+		return 1
 	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
-			}
-		}()
-	}
-
-	if *jsonMode {
-		path := *out
-		if path == "" {
-			path = "BENCH_hotpath.json"
-		}
-		if err := writeHotpathBaseline(path); err != nil {
-			return fail(err)
-		}
-		return 0
+	usage := func(msg string) int {
+		fmt.Fprintln(stderr, "error:", msg)
+		return 2
 	}
 
 	sc := harness.Default
@@ -150,119 +80,98 @@ func run() int {
 		sc.Seed = *seed
 	}
 
-	if *storageMode {
-		path := *out
-		if path == "" {
-			path = "BENCH_storage.json"
-		}
-		k := harness.StorageKnobs{
-			Rows:        *storageRows,
-			BatchSize:   *storageBatch,
-			Batches:     *storageSweep,
-			CacheBudget: *storageBudget,
-			NumRules:    *storageRules,
-		}
-		if err := runStorageMode(path, sc, k); err != nil {
-			return fail(err)
-		}
-		return 0
+	suitesOnly := *out != "" || *verify
+	if *verify && scaled {
+		// The committed baseline is default-scale; re-measuring at
+		// another scale would report drift that is really a knob
+		// mismatch.
+		return usage("-verify checks the committed default-scale baseline; scale flags are not allowed")
+	}
+	if suitesOnly && *exp != "" {
+		return usage("-out and -verify cover every baseline suite; -exp is not allowed")
 	}
 
-	if *coalesceMode {
-		path := *out
-		if path == "" {
-			path = "BENCH_coalesce.json"
-		}
-		if err := runCoalesceMode(path, sc); err != nil {
-			return fail(err)
-		}
-		return 0
-	}
-
-	if *netMode {
-		path := *out
-		if path == "" {
-			path = "BENCH_net.json"
-		}
-		if err := runNetMode(path, sc); err != nil {
-			return fail(err)
-		}
-		return 0
-	}
-
-	if *recoveryMode {
-		path := *out
-		if path == "" {
-			path = "BENCH_recovery.json"
-		}
-		if err := runRecoveryMode(path, sc); err != nil {
-			return fail(err)
-		}
-		return 0
-	}
-
-	if *queryMode {
-		path := *out
-		if path == "" {
-			path = "BENCH_query.json"
-		}
-		if err := runQueryMode(path, sc); err != nil {
-			return fail(err)
-		}
-		return 0
-	}
-
-	if *verifyMode {
-		if scaled {
-			// The committed baselines are default-scale; re-measuring at
-			// another scale would report drift that is really a knob
-			// mismatch.
-			fmt.Fprintln(os.Stderr, "error: -verify checks the committed default-scale baselines; scale flags are not allowed")
-			return 2
-		}
-		if err := verifyBaselines(sc); err != nil {
-			return fail(err)
-		}
-		return 0
-	}
-
-	if *streamMode {
-		k := harness.StreamKnobs{
-			BaseRows:  *streamRows,
-			BatchSize: *streamBatch,
-			Batches:   *streamBatches,
-			InsFrac:   *streamIns,
-		}
-		path := *out
-		if path == "" {
-			path = "BENCH_stream.json"
-		}
-		runs, err := harness.RunStream(sc, k)
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
 		if err != nil {
 			return fail(err)
 		}
-		fmt.Println(harness.StreamResult(runs).Format())
-		if err := writeStreamBaseline(path, sc, runs); err != nil {
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
 			return fail(err)
 		}
-		return 0
+		defer func() {
+			pprof.StopCPUProfile()
+			f.Close()
+		}()
+	}
+	if *memProfile != "" {
+		defer func() {
+			f, err := os.Create(*memProfile)
+			if err != nil {
+				fmt.Fprintln(stderr, "error:", err)
+				return
+			}
+			defer f.Close()
+			runtime.GC()
+			if err := pprof.WriteHeapProfile(f); err != nil {
+				fmt.Fprintln(stderr, "error:", err)
+			}
+		}()
 	}
 
-	fmt.Printf("reproduction scale: 1M TPCH ≙ %d rows, 100K DBLP ≙ %d rows, n = %d sites, seed %d\n\n",
-		sc.Unit, sc.DBLPUnit, sc.Sites, sc.Seed)
-
-	// The filter selects which experiments RUN, not just which print —
-	// the sweeps are expensive, and a profiled run (-cpuprofile) should
-	// contain only the selected experiment's samples.
-	results, err := harness.Matching(sc, *exp)
-	for _, r := range results {
-		fmt.Println(r.Format())
+	tables := stdout
+	if *verify {
+		tables = io.Discard
+	} else {
+		fmt.Fprintf(stdout, "reproduction scale: 1M TPCH ≙ %d rows, 100K DBLP ≙ %d rows, n = %d sites, seed %d\n\n",
+			sc.Unit, sc.DBLPUnit, sc.Sites, sc.Seed)
 	}
+	fresh, err := measure(sc, *exp, suitesOnly, tables)
 	if err != nil {
 		return fail(err)
 	}
-	if len(results) == 0 {
-		return fail(fmt.Errorf("no experiment matches %q", *exp))
+	if *out != "" {
+		if err := fresh.write(*out); err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(stdout, "wrote %s (%d suites)\n", *out, len(fresh.Suites))
+	}
+	if *verify {
+		if err := verifyFile(baselinePath, fresh, stdout); err != nil {
+			return fail(err)
+		}
 	}
 	return 0
+}
+
+// measure runs the experiments whose name or figure contains filter —
+// only the baseline suites when suitesOnly — printing each table to
+// tables as it completes, and returns the exact columns of the suites
+// among them. The filter selects which experiments RUN, not just which
+// print: the sweeps are expensive, and a profiled run (-cpuprofile)
+// should contain only the selected experiment's samples.
+func measure(sc harness.Scale, filter string, suitesOnly bool, tables io.Writer) (*baseline, error) {
+	fresh := &baseline{Scale: scale{Unit: sc.Unit, DBLPUnit: sc.DBLPUnit, Sites: sc.Sites, Seed: sc.Seed}}
+	ran := 0
+	for _, e := range harness.Experiments() {
+		if !e.Matches(filter) || (suitesOnly && e.Workload == nil) {
+			continue
+		}
+		r, err := e.Run(sc)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", e.Name, err)
+		}
+		ran++
+		fmt.Fprintln(tables, r.Format())
+		if e.Workload != nil {
+			if err := fresh.add(e.Workload(sc), r); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if ran == 0 {
+		return nil, fmt.Errorf("no experiment matches %q", filter)
+	}
+	return fresh, nil
 }

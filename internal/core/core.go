@@ -1,8 +1,8 @@
 // Package core ties the paper's pieces into one façade: a Detector
 // interface satisfied by both partition styles, and constructors that go
 // from a relation + partition scheme + rule set to a running, seeded
-// incremental detection system. The root repro package re-exports this
-// API; examples, tools and the experiment harness all build on it.
+// incremental detection system. session.Open builds every distributed
+// engine through them, and the root repro package re-exports Detector.
 //
 // A Detector owns a network.Cluster whose meters (messages, bytes,
 // eqids) are zero right after construction — seeding is never charged —

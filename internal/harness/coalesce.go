@@ -20,12 +20,12 @@ import (
 // RunCoalesce errors out otherwise — and ship identical eqid counts; what
 // drops is the message count (O(|∆D| · n) → O(n) per phase) and, under a
 // simulated link RTT, the wall-clock apply latency. The Unit* columns
-// (unit_* in BENCH_coalesce.json) are the update-by-update run, Coal* the
+// (unit_* in BENCH_exact.json) are the update-by-update run, Coal* the
 // whole-batch one.
 
 // CoalesceRow is one (engine, batch size) measurement of the sweep. The
 // meter columns are deterministic in the scale's seed; the seconds are
-// machine-dependent and excluded from the committed baseline.
+// machine-dependent and stay out of the Result's Exact columns.
 type CoalesceRow struct {
 	Style     string // "hor" or "ver"
 	BatchSize int
@@ -112,6 +112,7 @@ func CoalesceResult(rows []CoalesceRow, rtt time.Duration) *Result {
 		Title:   fmt.Sprintf("∆D update by update vs whole through the batch-grouped rounds, %s RTT", rtt),
 		XLabel:  "engine/|∆D|",
 		Columns: []string{"unitMsgs", "coalMsgs", "msg÷", "unitKB", "coalKB", "eqids", "unit(s)", "coal(s)", "speedup"},
+		Exact:   []string{"unit_msgs", "coal_msgs", "unit_bytes", "coal_bytes", "unit_eqids", "coal_eqids", "net_marks", "violations"},
 	}
 	for _, row := range rows {
 		r.Points = append(r.Points, Point{
@@ -127,6 +128,11 @@ func CoalesceResult(rows []CoalesceRow, rtt time.Duration) *Result {
 				"unit(s)":  row.UnitSeconds,
 				"coal(s)":  row.CoalSeconds,
 				"speedup":  ratio(row.UnitSeconds, row.CoalSeconds),
+
+				"unit_msgs": float64(row.UnitMsgs), "coal_msgs": float64(row.CoalMsgs),
+				"unit_bytes": float64(row.UnitBytes), "coal_bytes": float64(row.CoalBytes),
+				"unit_eqids": float64(row.UnitEqids), "coal_eqids": float64(row.CoalEqids),
+				"net_marks": float64(row.NetMarks), "violations": float64(row.Violations),
 			},
 		})
 	}
@@ -135,16 +141,4 @@ func CoalesceResult(rows []CoalesceRow, rtt time.Duration) *Result {
 		"a whole batch pays one envelope per destination per phase per wave: O(n) messages instead of O(|∆D|·n)",
 		"unit* = every update its own ApplyBatch; on ver that includes one n(n−1) barrier per call")
 	return r
-}
-
-// ExpCoalesce is the Exp-coalesce experiment at the paper-era 100µs
-// simulated link RTT (the latency the in-process loopback hides, and the
-// cost per-message overhead multiplies).
-func ExpCoalesce(sc Scale) (*Result, error) {
-	const rtt = 100 * time.Microsecond
-	rows, err := RunCoalesce(sc, rtt)
-	if err != nil {
-		return nil, err
-	}
-	return CoalesceResult(rows, rtt), nil
 }

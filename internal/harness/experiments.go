@@ -510,57 +510,84 @@ type Experiment struct {
 	// Figure the paper figure it reproduces.
 	Name, Figure string
 	Run          func(Scale) (*Result, error)
+	// Workload describes the sweep's inputs at a scale. Only a sweep whose
+	// Result declares Exact columns has one: those are the suites
+	// BENCH_exact.json commits, the others are timing-only figures.
+	Workload func(Scale) string
 }
 
-// Experiments lists every experiment in paper order. The names are
+// Matches reports whether the experiment's name or figure contains the
+// filter substring (every experiment matches the empty filter).
+func (e Experiment) Matches(filter string) bool {
+	return strings.Contains(e.Name, filter) || strings.Contains(e.Figure, filter)
+}
+
+// coalesceRTT is Exp-coalesce's simulated link RTT: the paper-era
+// latency the in-process loopback hides, and the cost per-message
+// overhead multiplies.
+const coalesceRTT = 100 * time.Microsecond
+
+// Experiments lists every experiment: the paper's figures in paper
+// order, then the sweeps over what the reproduction added. The names are
 // static so callers can select a subset before running anything (the
 // sweeps are expensive; filtering output alone would still pay for all
 // of them).
 func Experiments() []Experiment {
+	tpch := func(rows int, tail string) func(Scale) string {
+		return func(sc Scale) string {
+			return fmt.Sprintf("TPCH-like seed=%d |D|=%d |Σ|=%d n=%d sites%s", sc.Seed, rows*sc.Unit, tpchRulesDefault, sc.Sites, tail)
+		}
+	}
+	batches := fmt.Sprintf(", batches of %v", CoalesceBatchSizes())
 	return []Experiment{
-		{"Exp-1", "Fig 9(a)", Exp1},
-		{"Exp-2", "Fig 9(b)+(c)", Exp2},
-		{"Exp-2-dblp", "Fig 9(k)", Exp2DBLP},
-		{"Exp-3", "Fig 9(d)", Exp3},
-		{"Exp-3-dblp", "Fig 9(l)", Exp3DBLP},
-		{"Exp-4", "Fig 9(e)", Exp4},
-		{"Exp-5", "Fig 10", Exp5},
-		{"Exp-6", "Fig 9(f)", Exp6},
-		{"Exp-7", "Fig 9(g)+(h)", Exp7},
-		{"Exp-8", "Fig 9(i)", Exp8},
-		{"Exp-9", "Fig 9(j)", Exp9},
-		{"Exp-10-vertical", "Fig 11(a)", func(s Scale) (*Result, error) { return Exp10(s, "vertical") }},
-		{"Exp-10-horizontal", "Fig 11(b)", func(s Scale) (*Result, error) { return Exp10(s, "horizontal") }},
-		{"Ablation-md5", "§6 optimization", MD5Ablation},
-		{"Exp-fanout", "engine", ExpFanout},
-		{"Exp-coalesce", "protocol", ExpCoalesce},
-		{"Exp-stream", "pipeline", func(s Scale) (*Result, error) { return ExpStream(s, StreamKnobs{}) }},
-		{"Exp-query", "session", ExpQuery},
-		{"Exp-net", "deployment", ExpNet},
-		{"Exp-recovery", "robustness", ExpRecovery},
+		{Name: "Exp-1", Figure: "Fig 9(a)", Run: Exp1},
+		{Name: "Exp-2", Figure: "Fig 9(b)+(c)", Run: Exp2},
+		{Name: "Exp-2-dblp", Figure: "Fig 9(k)", Run: Exp2DBLP},
+		{Name: "Exp-3", Figure: "Fig 9(d)", Run: Exp3},
+		{Name: "Exp-3-dblp", Figure: "Fig 9(l)", Run: Exp3DBLP},
+		{Name: "Exp-4", Figure: "Fig 9(e)", Run: Exp4},
+		{Name: "Exp-5", Figure: "Fig 10", Run: Exp5},
+		{Name: "Exp-6", Figure: "Fig 9(f)", Run: Exp6},
+		{Name: "Exp-7", Figure: "Fig 9(g)+(h)", Run: Exp7},
+		{Name: "Exp-8", Figure: "Fig 9(i)", Run: Exp8},
+		{Name: "Exp-9", Figure: "Fig 9(j)", Run: Exp9},
+		{Name: "Exp-10-vertical", Figure: "Fig 11(a)", Run: func(s Scale) (*Result, error) { return Exp10(s, "vertical") }},
+		{Name: "Exp-10-horizontal", Figure: "Fig 11(b)", Run: func(s Scale) (*Result, error) { return Exp10(s, "horizontal") }},
+		{Name: "Ablation-md5", Figure: "§6 optimization", Run: MD5Ablation},
+		{Name: "Exp-fanout", Figure: "engine", Run: ExpFanout},
+		{Name: "Exp-coalesce", Figure: "protocol",
+			Run: sweep(func(s Scale) ([]CoalesceRow, error) { return RunCoalesce(s, coalesceRTT) },
+				func(rows []CoalesceRow) *Result { return CoalesceResult(rows, coalesceRTT) }),
+			Workload: tpch(3, batches)},
+		{Name: "Exp-stream", Figure: "pipeline",
+			Run: sweep(func(s Scale) ([]StreamRun, error) { return RunStream(s, StreamKnobs{}) }, StreamResult),
+			Workload: func(sc Scale) string {
+				return fmt.Sprintf("TPCH-like seed=%d n=%d sites, streams of churn|skew|burst", sc.Seed, sc.Sites)
+			}},
+		{Name: "Exp-query", Figure: "session", Run: ExpQuery},
+		{Name: "Exp-query-read", Figure: "session", Run: sweep(RunQueryBench, QueryBenchResult),
+			Workload: tpch(4, fmt.Sprintf(", read p99 under churn ≤ %d× idle", QueryContentionFactor))},
+		{Name: "Exp-net", Figure: "deployment", Run: sweep(RunNet, NetResult), Workload: tpch(3, batches)},
+		{Name: "Exp-recovery", Figure: "robustness", Run: sweep(RunRecovery, RecoveryResult), Workload: tpch(3, "")},
+		{Name: "Exp-driver-recovery", Figure: "robustness", Run: sweep(RunDriverRecovery, DriverRecoveryResult), Workload: tpch(3, "")},
+		{Name: "Exp-storage", Figure: "out-of-core",
+			Run:      sweep(func(s Scale) (*StorageRun, error) { return RunStorage(s, StorageKnobs{}) }, StorageResult),
+			Workload: storageWorkload},
+		{Name: "Exp-hotpath", Figure: "meters", Run: ExpHotpath, Workload: hotpathWorkload},
 	}
 }
 
-// Matching runs the experiments whose name or figure contains the
-// filter substring (every experiment when the filter is empty), in
-// paper order.
-func Matching(sc Scale, filter string) ([]*Result, error) {
-	var out []*Result
-	for _, e := range Experiments() {
-		if filter != "" && !strings.Contains(e.Name, filter) && !strings.Contains(e.Figure, filter) {
-			continue
-		}
-		r, err := e.Run(sc)
+// sweep registers a typed sweep with the renderer that names its columns:
+// the sweep runs once and its in-run assertions gate the table.
+func sweep[T any](run func(Scale) (T, error), render func(T) *Result) func(Scale) (*Result, error) {
+	return func(sc Scale) (*Result, error) {
+		rows, err := run(sc)
 		if err != nil {
-			return out, err
+			return nil, err
 		}
-		out = append(out, r)
+		return render(rows), nil
 	}
-	return out, nil
 }
-
-// All runs every experiment at the given scale, in paper order.
-func All(sc Scale) ([]*Result, error) { return Matching(sc, "") }
 
 func kb(bytes int64) float64 { return float64(bytes) / 1024 }
 

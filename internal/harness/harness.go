@@ -63,9 +63,18 @@ type Result struct {
 	Figure  string // paper figure, e.g. "Fig 9(b)"
 	Title   string
 	XLabel  string
-	Columns []string
-	Points  []Point
-	Notes   []string
+	Columns []string // the printed columns, in order
+	// Exact names the columns BENCH_exact.json commits: counts and exact
+	// ratios that are a pure function of the scale and its seed — never a
+	// duration, an allocation count or a cache counter. A renderer names
+	// them once, here; a point that lacks one fails the baseline writer.
+	// They need not be printed columns.
+	Exact  []string
+	Points []Point
+	Notes  []string
+	// Detail is a second table measured by the same sweep (Exp-stream's
+	// per-batch rows): committed after its parent, left out by Format.
+	Detail *Result
 }
 
 // Col returns the series of one column across points.

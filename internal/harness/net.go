@@ -154,6 +154,7 @@ func NetResult(rows []NetRow) *Result {
 		Title:   "in-process loopback vs real-socket (framed TCP) deployment",
 		XLabel:  "engine/|∆D|",
 		Columns: []string{"msgs", "KB", "eqids", "frameKB", "overhead", "loop(s)", "net(s)"},
+		Exact:   []string{"msgs", "bytes", "eqids", "frame_bytes", "net_marks", "violations"},
 	}
 	for _, row := range rows {
 		r.Points = append(r.Points, Point{
@@ -167,6 +168,9 @@ func NetResult(rows []NetRow) *Result {
 				"overhead": ratio(float64(row.FrameBytes), float64(row.Bytes)),
 				"loop(s)":  row.LoopSeconds,
 				"net(s)":   row.NetSeconds,
+
+				"bytes": float64(row.Bytes), "frame_bytes": float64(row.FrameBytes),
+				"net_marks": float64(row.NetMarks), "violations": float64(row.Violations),
 			},
 		})
 	}
@@ -174,13 +178,4 @@ func NetResult(rows []NetRow) *Result {
 		"loopback and TCP land on bit-identical V, net ∆V and wire meters (asserted): the socket changes where bytes travel, not what ships",
 		"frameKB is physical socket traffic (framing, envelopes, bootstrap hellos) — the deployment cost the paper's meters exclude")
 	return r
-}
-
-// ExpNet is the Exp-net experiment.
-func ExpNet(sc Scale) (*Result, error) {
-	rows, err := RunNet(sc)
-	if err != nil {
-		return nil, err
-	}
-	return NetResult(rows), nil
 }

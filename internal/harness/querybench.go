@@ -12,18 +12,18 @@ import (
 	"repro/internal/workload"
 )
 
-// The read-contention sweep behind `expbench -query`: readers hammer the
+// The read-contention sweep (Exp-query-read): readers hammer the
 // session's lock-free query surface while a writer churns update batches
 // through the engine, measuring read latency in both states. The state
 // columns (|D|, |V|, marks, epoch after each phase) are a pure function
-// of the seed and go into BENCH_query.json's verified rows; the latency
-// percentiles are machine-dependent and recorded informationally. The
+// of the seed and are the table's Exact columns; the latency
+// percentiles are machine-dependent and only printed. The
 // sweep itself asserts the tentpole claim before emitting anything: an
 // indexed read's p99 under churn stays within QueryContentionFactor of
 // the idle p99 (with a floor absorbing scheduler noise) — reads never
 // wait for the writer.
 
-// QueryBenchRow is one deterministic row of BENCH_query.json.
+// QueryBenchRow is one phase's deterministic session state.
 type QueryBenchRow struct {
 	// Phase is idle, churn or burst.
 	Phase string
@@ -39,8 +39,8 @@ type QueryBenchRow struct {
 	Epoch      uint64
 }
 
-// QueryLatencyRow is one machine-dependent latency record: not verified
-// against the committed baseline, kept for inspection and trend eyes.
+// QueryLatencyRow is one machine-dependent latency record: printed,
+// never committed.
 type QueryLatencyRow struct {
 	Phase   string
 	Readers int
@@ -248,6 +248,7 @@ func QueryBenchResult(run *QueryBenchRun) *Result {
 		Title:   "read latency vs writer contention (lock-free epoch reads)",
 		XLabel:  "phase",
 		Columns: []string{"batches", "batchSize", "|V|", "epoch", "p50µs", "p99µs", "maxµs"},
+		Exact:   []string{"batches", "batch_size", "rows", "violations", "marks", "epoch"},
 	}
 	for i, row := range run.Rows {
 		lat := run.Latency[i]
@@ -257,6 +258,9 @@ func QueryBenchResult(run *QueryBenchRun) *Result {
 				"batches": float64(row.Batches), "batchSize": float64(row.BatchSize),
 				"|V|": float64(row.Violations), "epoch": float64(row.Epoch),
 				"p50µs": lat.P50us, "p99µs": lat.P99us, "maxµs": lat.MaxUs,
+
+				"batch_size": float64(row.BatchSize), "rows": float64(row.Rows),
+				"violations": float64(row.Violations), "marks": float64(row.Marks),
 			},
 		})
 	}

@@ -19,7 +19,7 @@ import (
 // site crashed at a batch boundary and recovered from its newest
 // checkpoint plus delta log, with the driver replaying only the missed
 // tail. All cost columns are call/record counts, a pure function of the
-// scale's seed (wall-clock stays out of the committed baseline), and
+// scale's seed (the sweep measures no wall-clock), and
 // the sweep asserts warm restart strictly cheaper than cold start and
 // the post-recovery V equal to a fresh centralized detection.
 
@@ -345,6 +345,8 @@ func DriverRecoveryResult(rows []DriverRecoveryRow) *Result {
 		Title:   "driver restart from the write-ahead journal on the TCP deployment",
 		XLabel:  "engine",
 		Columns: []string{"steady/batch", "round", "resume", "replays", "post/batch", "|V|"},
+		Exact: []string{"batches", "batch_size", "steady_calls", "resumed_round", "resume_calls",
+			"wire_replays", "redriven", "post_resume_calls", "violations"},
 	}
 	for _, row := range rows {
 		r.Points = append(r.Points, Point{
@@ -357,6 +359,12 @@ func DriverRecoveryResult(rows []DriverRecoveryRow) *Result {
 				"replays":      float64(row.WireReplays),
 				"post/batch":   float64(row.PostResumeCalls),
 				"|V|":          float64(row.Violations),
+
+				"batches": float64(row.Batches), "batch_size": float64(row.BatchSize),
+				"steady_calls": float64(row.SteadyCalls), "resumed_round": float64(row.ResumedRound),
+				"resume_calls": float64(row.ResumeCalls), "wire_replays": float64(row.WireReplays),
+				"redriven": float64(row.Redriven), "post_resume_calls": float64(row.PostResumeCalls),
+				"violations": float64(row.Violations),
 			},
 		})
 	}
@@ -366,15 +374,6 @@ func DriverRecoveryResult(rows []DriverRecoveryRow) *Result {
 	return r
 }
 
-// ExpDriverRecovery is the Exp-driver-recovery experiment.
-func ExpDriverRecovery(sc Scale) (*Result, error) {
-	rows, err := RunDriverRecovery(sc)
-	if err != nil {
-		return nil, err
-	}
-	return DriverRecoveryResult(rows), nil
-}
-
 // RecoveryResult renders measured rows as the Exp-recovery table.
 func RecoveryResult(rows []RecoveryRow) *Result {
 	r := &Result{
@@ -382,6 +381,8 @@ func RecoveryResult(rows []RecoveryRow) *Result {
 		Title:   "cold start vs warm restart on the checkpointed TCP deployment",
 		XLabel:  "engine",
 		Columns: []string{"cold", "steady/batch", "warmLocal", "warmWire", "epoch", "|V|"},
+		Exact: []string{"batches", "batch_size", "checkpoint_every", "cold_start_calls", "steady_calls",
+			"warm_local_replay", "warm_wire_replay", "recovered_epoch", "recovered_seq", "violations"},
 	}
 	for _, row := range rows {
 		r.Points = append(r.Points, Point{
@@ -394,6 +395,13 @@ func RecoveryResult(rows []RecoveryRow) *Result {
 				"warmWire":     float64(row.WarmWireReplay),
 				"epoch":        float64(row.RecoveredEpoch),
 				"|V|":          float64(row.Violations),
+
+				"batches": float64(row.Batches), "batch_size": float64(row.BatchSize),
+				"checkpoint_every": float64(row.CheckpointEvery),
+				"cold_start_calls": float64(row.ColdStartCalls), "steady_calls": float64(row.SteadyCalls),
+				"warm_local_replay": float64(row.WarmLocalReplay), "warm_wire_replay": float64(row.WarmWireReplay),
+				"recovered_epoch": float64(row.RecoveredEpoch), "recovered_seq": float64(row.RecoveredSeq),
+				"violations": float64(row.Violations),
 			},
 		})
 	}
@@ -401,13 +409,4 @@ func RecoveryResult(rows []RecoveryRow) *Result {
 		"cold = site-0 calls to seed from scratch; warmLocal = delta-log records replayed by the restarted daemon; warmWire = driver replay-log calls resent on rejoin",
 		"warm restart asserted strictly cheaper than cold start, and post-recovery V asserted equal to a fresh centralized detection")
 	return r
-}
-
-// ExpRecovery is the Exp-recovery experiment.
-func ExpRecovery(sc Scale) (*Result, error) {
-	rows, err := RunRecovery(sc)
-	if err != nil {
-		return nil, err
-	}
-	return RecoveryResult(rows), nil
 }

@@ -26,13 +26,13 @@ import (
 
 // StorageKnobs are Exp-storage's shape knobs. Zero values take
 // scale-proportional defaults. The paper-scale run is
-// `expbench -storage -storage.rows 10000000` (10M-row ingest); the
+// `expbench -unit 1000000 -exp storage` (10M-row ingest); the
 // committed baseline uses the default scale to stay CI-sized.
 type StorageKnobs struct {
 	// Rows is the total ingested |D|; default 10 × Scale.Unit (the
 	// stored engine pays O(|group|) per update to re-encode touched
 	// group records, so the default stays CI-sized; scale up with
-	// -storage.rows).
+	// -unit).
 	Rows int
 	// ChunkSize is rows per ingest batch (one measured row per chunk);
 	// default Rows/10.
@@ -108,8 +108,8 @@ type StorageRun struct {
 	Rows  []StorageRow
 
 	// Stats are the stored session's final per-store counters, keyed
-	// "tuples", "groups", "postings". Informational: never compared by
-	// expbench -verify.
+	// "tuples", "groups", "postings". Informational: eviction order is
+	// not reproducible, so none of them is an Exact column.
 	Stats map[string]storage.Stats
 	// DiskBytes and ResidentBytes aggregate Stats; the sweep asserts
 	// DiskBytes exceeds the cache budget (the data did not fit).
@@ -227,7 +227,7 @@ func RunStorage(sc Scale, k StorageKnobs) (*StorageRun, error) {
 		run.ResidentBytes += st.ResidentBytes
 	}
 	if run.DiskBytes <= k.CacheBudget {
-		return nil, fmt.Errorf("storage: data fit the cache: %d disk bytes under a %d budget — raise -storage.rows",
+		return nil, fmt.Errorf("storage: data fit the cache: %d disk bytes under a %d budget — raise -unit",
 			run.DiskBytes, k.CacheBudget)
 	}
 	var evictions uint64
@@ -240,17 +240,15 @@ func RunStorage(sc Scale, k StorageKnobs) (*StorageRun, error) {
 	return run, nil
 }
 
-// ExpStorage renders the out-of-core sweep as an experiment table.
-func ExpStorage(sc Scale, k StorageKnobs) (*Result, error) {
-	run, err := RunStorage(sc, k)
-	if err != nil {
-		return nil, err
-	}
-	return StorageResult(run), nil
+// storageWorkload is Exp-storage's workload line: the knobs the scale
+// resolves to.
+func storageWorkload(sc Scale) string {
+	k := StorageKnobs{}.withDefaults(sc)
+	return fmt.Sprintf("TPCH-like seed=%d rows=%d chunk=%d batches=%d×%d |Σ|=%d, page-cache budget %d KiB",
+		sc.Seed, k.Rows, k.ChunkSize, k.Batches, k.BatchSize, k.NumRules, k.CacheBudget>>10)
 }
 
-// StorageResult renders an already-measured sweep, so the baseline
-// writer doesn't re-execute it.
+// StorageResult renders the out-of-core sweep as an experiment table.
 func StorageResult(run *StorageRun) *Result {
 	k := run.Knobs
 	r := &Result{
@@ -259,6 +257,7 @@ func StorageResult(run *StorageRun) *Result {
 			k.Rows, k.ChunkSize, k.Batches, k.BatchSize, k.CacheBudget>>10),
 		XLabel:  "phase",
 		Columns: []string{"|D|", "|∆V|", "|V|", "marks"},
+		Exact:   []string{"rows", "delta_marks", "violations", "marks"},
 	}
 	for _, row := range run.Rows {
 		r.Points = append(r.Points, Point{
@@ -269,6 +268,8 @@ func StorageResult(run *StorageRun) *Result {
 				"|∆V|":  float64(row.DeltaMarks),
 				"|V|":   float64(row.Violations),
 				"marks": float64(row.Marks),
+
+				"rows": float64(row.Rows), "delta_marks": float64(row.DeltaMarks), "violations": float64(row.Violations),
 			},
 		})
 	}

@@ -16,7 +16,7 @@ import (
 	"repro/internal/workload"
 )
 
-// StreamKnobs are ExpStream's scale knobs: how the sustained update
+// StreamKnobs are Exp-stream's scale knobs: how the sustained update
 // traffic is shaped. Zero values take scale-proportional defaults.
 type StreamKnobs struct {
 	// BaseRows is |D| before the stream starts; default 4 × Scale.Unit.
@@ -58,7 +58,7 @@ func (k StreamKnobs) withDefaults(sc Scale) StreamKnobs {
 	return k
 }
 
-// StreamEngines lists the engine names ExpStream drives, in order: the
+// StreamEngines lists the engine names Exp-stream drives, in order: the
 // centralized single-site maintainer and both distributed systems.
 func StreamEngines() []string { return []string{"cent", "hor", "ver"} }
 
@@ -164,23 +164,13 @@ func RunStream(sc Scale, k StreamKnobs) ([]StreamRun, error) {
 	return runs, nil
 }
 
-// ExpStream is the streaming experiment: sustained mixed-update traffic
-// in three arrival shapes (churn, skew, burst) through all three
+// StreamResult renders the streaming experiment: sustained mixed-update
+// traffic in three arrival shapes (churn, skew, burst) through all three
 // engines, reporting per-stream net ∆V, final |V|, wire traffic and
-// apply-latency percentiles. The paper's one-shot experiments answer
-// "how fast is one ∆D"; this one answers "what does continuous traffic
-// cost", the scenario class the scaling roadmap measures against.
-func ExpStream(sc Scale, k StreamKnobs) (*Result, error) {
-	runs, err := RunStream(sc, k)
-	if err != nil {
-		return nil, err
-	}
-	return StreamResult(runs), nil
-}
-
-// StreamResult renders already-measured stream runs as the Exp-stream
-// table, so callers holding the runs (e.g. the baseline writer) don't
-// re-execute the sweep.
+// apply-latency percentiles, with every applied batch's meters as the
+// Detail table. The paper's one-shot experiments answer "how fast is one
+// ∆D"; this one answers "what does continuous traffic cost", the
+// scenario class the scaling roadmap measures against.
 func StreamResult(runs []StreamRun) *Result {
 	var k StreamKnobs
 	if len(runs) > 0 {
@@ -192,13 +182,22 @@ func StreamResult(runs []StreamRun) *Result {
 			k.Batches, k.BatchSize, 100*k.InsFrac, k.BaseRows),
 		XLabel:  "profile/engine",
 		Columns: []string{"updates", "|∆V|net", "|V|", "KB", "msgs", "eqids", "p50ms", "p95ms"},
+		Exact: []string{"batches", "updates", "inserts", "deletes", "net_added_marks", "net_removed_marks",
+			"violations", "marks", "wire_bytes", "wire_msgs", "eqids"},
+		Detail: &Result{
+			Name: "Exp-stream-batches", Figure: "pipeline", Title: "every applied batch of Exp-stream",
+			XLabel:  "profile/engine/seq",
+			Columns: []string{"size", "added_marks", "removed_marks", "violations", "wire_bytes", "wire_msgs", "eqids"},
+		},
 	}
+	r.Detail.Exact = r.Detail.Columns
 	for _, run := range runs {
 		s := run.Summary
 		p50, p95 := ApplyPercentiles(s)
+		label := fmt.Sprintf("%s/%s", run.Spec.Profile, run.Spec.Engine)
 		r.Points = append(r.Points, Point{
 			X:     float64(len(r.Points)),
-			Label: fmt.Sprintf("%s/%s", run.Spec.Profile, run.Spec.Engine),
+			Label: label,
 			Values: map[string]float64{
 				"updates": float64(s.Updates),
 				"|∆V|net": float64(s.Net.Size()),
@@ -208,8 +207,24 @@ func StreamResult(runs []StreamRun) *Result {
 				"eqids":   float64(s.Eqids),
 				"p50ms":   p50,
 				"p95ms":   p95,
+
+				"batches": float64(s.Batches), "inserts": float64(s.Inserts), "deletes": float64(s.Deletes),
+				"net_added_marks": float64(s.Net.AddedMarks()), "net_removed_marks": float64(s.Net.RemovedMarks()),
+				"violations": float64(s.Violations), "marks": float64(s.Marks),
+				"wire_bytes": float64(s.WireBytes), "wire_msgs": float64(s.WireMessages),
 			},
 		})
+		for _, b := range s.Results {
+			r.Detail.Points = append(r.Detail.Points, Point{
+				X:     float64(len(r.Detail.Points)),
+				Label: fmt.Sprintf("%s/%d", label, b.Seq),
+				Values: map[string]float64{
+					"size": float64(b.Size), "added_marks": float64(b.AddedMarks), "removed_marks": float64(b.RemovedMarks),
+					"violations": float64(b.Violations), "wire_bytes": float64(b.WireBytes),
+					"wire_msgs": float64(b.WireMessages), "eqids": float64(b.Eqids),
+				},
+			})
+		}
 	}
 	r.Notes = append(r.Notes,
 		"per profile, all three engines consume the identical batch sequence; cent ships nothing by construction",

@@ -15,7 +15,7 @@ var streamTestKnobs = StreamKnobs{
 	BaseRows: 300, BatchSize: 40, Batches: 5, InsFrac: 0.7, NumRules: 20,
 }
 
-// TestStreamAcceptance is the PR's acceptance bar: an ExpStream run with
+// TestStreamAcceptance is the PR's acceptance bar: an Exp-stream run with
 // a deterministic seed lands, per profile and engine, on the same final
 // violation set as a one-shot incremental application of the
 // concatenated stream — bit-identical canonical |∆V| and tuple sets.
@@ -113,12 +113,12 @@ func TestStreamExpShape(t *testing.T) {
 		}
 	}
 
-	res, err := ExpStream(Quick, streamTestKnobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := StreamResult(runs)
 	if len(res.Points) != len(runs) {
-		t.Fatalf("ExpStream has %d points for %d runs", len(res.Points), len(runs))
+		t.Fatalf("StreamResult has %d points for %d runs", len(res.Points), len(runs))
+	}
+	if want := len(runs) * streamTestKnobs.Batches; len(res.Detail.Points) != want {
+		t.Fatalf("StreamResult details %d batches, want %d", len(res.Detail.Points), want)
 	}
 	out := res.Format()
 	for _, col := range res.Columns {

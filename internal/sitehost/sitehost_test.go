@@ -8,8 +8,8 @@ import (
 )
 
 // Hello payload length must not depend on the random session id's byte
-// values: the committed BENCH_net.json frame-byte column is regenerated
-// on every bench-verify, so a value-dependent varint (an [8]byte array
+// values: the committed Exp-net frame_bytes column (BENCH_exact.json) is
+// remeasured on every bench-verify, so a value-dependent varint (an [8]byte array
 // field would gob-encode each byte ≥ 0x80 as two bytes) would make the
 // baseline drift run to run. SessionID crosses the wire as a []byte
 // (length + raw bytes) precisely to keep the frame size fixed.

@@ -91,8 +91,8 @@ type Batch struct {
 // deletions reference tuples live at that point, with full values) and
 // the whole sequence is a pure function of (generator state, config).
 // The same generator seed, base relation and config always reproduce the
-// same stream — the property the differential tests and the BENCH_stream
-// baseline rely on.
+// same stream — the property the differential tests and the Exp-stream
+// suite of BENCH_exact.json rely on.
 type Stream struct {
 	gen *Generator
 	cfg StreamConfig

@@ -33,15 +33,13 @@
 // Sessions also manage rules live — AddRules/RemoveRules seed or retire
 // only the affected rules' marks through metered seed-delta rounds — and
 // publish every batch's ∆V through Watch. See examples/ for complete
-// programs, MIGRATION.md for the old-constructor mapping, and DESIGN.md
-// for the system inventory and the experiment index reproducing the
-// paper's evaluation.
+// programs and DESIGN.md for the system inventory and the experiment
+// index reproducing the paper's evaluation.
 package repro
 
 import (
 	"repro/internal/cfd"
 	"repro/internal/core"
-	"repro/internal/horizontal"
 	"repro/internal/network"
 	"repro/internal/optimizer"
 	"repro/internal/partition"
@@ -49,7 +47,6 @@ import (
 	"repro/internal/session"
 	"repro/internal/storage"
 	"repro/internal/stream"
-	"repro/internal/vertical"
 	"repro/internal/workload"
 	"repro/internal/xerr"
 )
@@ -322,14 +319,6 @@ type (
 type (
 	// Detector is the common interface of both partition styles.
 	Detector = core.Detector
-	// VerticalSystem runs §4's incVer (plus batVer) over a vertical partition.
-	VerticalSystem = vertical.System
-	// HorizontalSystem runs §6's incHor (plus batHor) over a horizontal partition.
-	HorizontalSystem = horizontal.System
-	// VerticalOptions configures NewVertical.
-	VerticalOptions = vertical.Options
-	// HorizontalOptions configures NewHorizontal.
-	HorizontalOptions = horizontal.Options
 	// Stats are the communication meters (messages, bytes, eqids).
 	Stats = network.Stats
 	// Plan is a §5 HEV build plan with its Neqid cost.
@@ -395,51 +384,6 @@ func BySetHorizontal(attr string, valueSets [][]string) *HorizontalScheme {
 	return partition.BySetHorizontal(attr, valueSets)
 }
 
-// NewVertical builds, seeds and returns a vertical detection system.
-//
-// Deprecated: use Open with WithVertical (plus WithOptimizer,
-// WithBeamWidth, WithNoIndexes as needed); this shim delegates to it.
-// Direct construction with a pre-built Plan still goes through core.
-func NewVertical(rel *Relation, scheme *VerticalScheme, rules []CFD, opts VerticalOptions) (*VerticalSystem, error) {
-	if opts.Plan != nil {
-		return core.NewVertical(rel, scheme, rules, opts)
-	}
-	sessOpts := []Option{WithVertical(scheme)}
-	if opts.UseOptimizer {
-		sessOpts = append(sessOpts, WithOptimizer())
-		if opts.BeamWidth > 0 {
-			sessOpts = append(sessOpts, WithBeamWidth(opts.BeamWidth))
-		}
-	}
-	if opts.NoIndexes {
-		sessOpts = append(sessOpts, WithNoIndexes())
-	}
-	s, err := Open(rel, rules, sessOpts...)
-	if err != nil {
-		return nil, err
-	}
-	return s.Detector().(*VerticalSystem), nil
-}
-
-// NewHorizontal builds, seeds and returns a horizontal detection system.
-//
-// Deprecated: use Open with WithHorizontal (plus WithoutMD5,
-// WithNoIndexes as needed); this shim delegates to it.
-func NewHorizontal(rel *Relation, scheme *HorizontalScheme, rules []CFD, opts HorizontalOptions) (*HorizontalSystem, error) {
-	sessOpts := []Option{WithHorizontal(scheme)}
-	if opts.DisableMD5 {
-		sessOpts = append(sessOpts, WithoutMD5())
-	}
-	if opts.NoIndexes {
-		sessOpts = append(sessOpts, WithNoIndexes())
-	}
-	s, err := Open(rel, rules, sessOpts...)
-	if err != nil {
-		return nil, err
-	}
-	return s.Detector().(*HorizontalSystem), nil
-}
-
 // NewGenerator returns a synthetic workload generator (TPCH or DBLP) with
 // entity pools proportioned to sizeHint rows.
 func NewGenerator(ds workload.Dataset, seed int64, sizeHint int) *Generator {
@@ -457,24 +401,15 @@ type (
 	StreamBatch = workload.Batch
 	// UpdateStream is a deterministic batch source over a base relation.
 	UpdateStream = workload.Stream
-	// StreamApplier is the engine surface the pipeline drives; every
-	// Detector satisfies it, and CentralizedApplier adapts the
-	// single-site maintainer.
-	StreamApplier = stream.Applier
 	// StreamSource yields successive batches.
 	StreamSource = stream.Source
 	// StreamOptions tunes a stream engine (queue depth, realtime
 	// pacing, per-batch callback).
 	StreamOptions = stream.Options
-	// StreamEngine pumps a source through an applier asynchronously.
-	StreamEngine = stream.Engine
 	// StreamBatchResult meters one applied batch.
 	StreamBatchResult = stream.BatchResult
 	// StreamSummary aggregates one stream run.
 	StreamSummary = stream.Summary
-	// CentralizedApplier adapts the single-site incremental maintainer
-	// to the stream pipeline.
-	CentralizedApplier = stream.Centralized
 )
 
 // Stream profiles.
@@ -488,31 +423,6 @@ const (
 // rel, drawing fresh tuples from gen.
 func NewUpdateStream(gen *Generator, rel *Relation, cfg StreamConfig) *UpdateStream {
 	return workload.NewStream(gen, rel, cfg)
-}
-
-// NewStreamEngine builds a one-shot pipeline engine over an applier and
-// a batch source.
-//
-// Deprecated: use Session.Run, which meters the stream through the
-// session's engine and publishes each batch to Watch subscribers.
-func NewStreamEngine(a StreamApplier, src StreamSource, opts StreamOptions) *StreamEngine {
-	return stream.NewEngine(a, src, opts)
-}
-
-// RunStream pumps src through a and returns the stream summary.
-//
-// Deprecated: use Session.Run.
-func RunStream(a StreamApplier, src StreamSource, opts StreamOptions) (*StreamSummary, error) {
-	return stream.Run(a, src, opts)
-}
-
-// NewCentralizedApplier wraps the single-site incremental maintainer
-// (zero wire traffic by construction) for use with the stream pipeline.
-//
-// Deprecated: use Open (centralized is the default engine) and drive
-// streams with Session.Run.
-func NewCentralizedApplier(rel *Relation, rules []CFD) (*CentralizedApplier, error) {
-	return stream.NewCentralized(rel, rules)
 }
 
 // DeltaBetween returns the canonical net change between two violation

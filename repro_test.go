@@ -24,37 +24,31 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 	want := DetectCentralized(updated, rules)
 
-	vsys, err := NewVertical(rel, RoundRobinVertical(gen.Schema(), 6), rules,
-		VerticalOptions{UseOptimizer: true})
+	vsess, err := Open(rel, rules, WithVertical(RoundRobinVertical(gen.Schema(), 6)), WithOptimizer())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := vsys.ApplyBatch(updates); err != nil {
-		t.Fatal(err)
-	}
-	if !vsys.Violations().Equal(want) {
-		t.Error("vertical incremental state diverged from oracle")
-	}
-
-	hsys, err := NewHorizontal(rel, HashHorizontal("c_name", 6), rules, HorizontalOptions{})
+	defer vsess.Close()
+	hsess, err := Open(rel, rules, WithHorizontal(HashHorizontal("c_name", 6)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hsys.ApplyBatch(updates); err != nil {
-		t.Fatal(err)
-	}
-	if !hsys.Violations().Equal(want) {
-		t.Error("horizontal incremental state diverged from oracle")
-	}
-
-	// Both Detectors satisfy the common interface.
-	for _, d := range []Detector{vsys, hsys} {
+	defer hsess.Close()
+	for _, sess := range []*Session{vsess, hsess} {
+		if _, err := sess.ApplyBatch(context.Background(), updates); err != nil {
+			t.Fatal(err)
+		}
+		if !sess.Violations().Equal(want) {
+			t.Errorf("%v incremental state diverged from oracle", sess.Kind())
+		}
+		// Both engines satisfy the common Detector interface.
+		var d Detector = sess.Detector()
 		v, err := d.BatchDetect()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !v.Equal(want) {
-			t.Error("batch recomputation diverged from oracle")
+			t.Errorf("%v batch recomputation diverged from oracle", sess.Kind())
 		}
 	}
 }

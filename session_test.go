@@ -115,37 +115,3 @@ phi2: ([CC, AC] -> [city], (44, 131, EDI))
 		t.Fatalf("Open with unknown attribute = %v, want ErrUnknownAttribute", err)
 	}
 }
-
-// TestDeprecatedShimsDelegate pins that the old constructors still work
-// and produce systems identical to Open-built sessions.
-func TestDeprecatedShimsDelegate(t *testing.T) {
-	gen := NewGenerator(TPCH, 3, 500)
-	rules := gen.Rules(4)
-	rel := gen.Relation(200)
-
-	hsys, err := NewHorizontal(rel, HashHorizontal("c_name", 3), rules, HorizontalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hsess, err := Open(rel, rules, WithHorizontal(HashHorizontal("c_name", 3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hsess.Close()
-	if !hsys.Violations().Equal(hsess.Violations()) {
-		t.Fatal("shim-built horizontal system disagrees with Open")
-	}
-
-	vsys, err := NewVertical(rel, RoundRobinVertical(rel.Schema, 3), rules, VerticalOptions{UseOptimizer: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vsess, err := Open(rel, rules, WithVertical(RoundRobinVertical(rel.Schema, 3)), WithOptimizer())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer vsess.Close()
-	if !vsys.Violations().Equal(vsess.Violations()) {
-		t.Fatal("shim-built vertical system disagrees with Open")
-	}
-}
