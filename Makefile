@@ -34,15 +34,16 @@ bench-verify:
 	$(GO) run ./cmd/expbench -verify
 
 # storage runs the out-of-core suite under the race detector: the
-# storage-package disk/memory differential, the stored relation,
-# postings and engine oracles, the group-record editor's differential
-# against the map codec, and the session-level eviction-churn
-# oracle (tiny page-cache budgets; every round faults and evicts).
+# storage-package disk/memory differential, the stored relation and
+# engine oracles (including the typed tuple-store failure), the
+# group-record editor's differential against the map codec, and the
+# session-level eviction-churn oracle and two-file layout (tiny
+# page-cache budgets; every round faults and evicts).
 # -short caps the seed count; drop it locally for all 20 seeds.
 storage:
 	$(GO) test -race -short ./internal/storage/
 	$(GO) test -race -short -run 'TestStored|TestGroupRecord|TestIDsCache|TestStorageOption' \
-		./internal/relation/ ./internal/cfd/ ./internal/centralized/ ./internal/session/
+		./internal/relation/ ./internal/centralized/ ./internal/session/
 	$(GO) test -race -run 'TestRunStorageQuick' ./internal/harness/
 
 # chaos runs the fault-injection suite under the race detector: the

@@ -117,7 +117,7 @@ var (
 )
 
 func memStorage() Storage {
-	return Storage{Tuples: storage.NewMem(), Groups: storage.NewMem(), Postings: storage.NewMem()}
+	return Storage{Tuples: storage.NewMem(), Groups: storage.NewMem()}
 }
 
 func newRecordRig(tb testing.TB) *recordRig {

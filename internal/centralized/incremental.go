@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cfd"
 	"repro/internal/relation"
+	"repro/internal/xerr"
 )
 
 // Incremental maintains V(Σ, D) for a single-site relation under batch
@@ -79,10 +80,16 @@ func (inc *Incremental) Relation() *relation.Relation { return inc.rel }
 // flushes its stores after the batch: one Apply is one protocol round,
 // so write-back batching aligns with rounds.
 func (inc *Incremental) Apply(updates relation.UpdateList) (*cfd.Delta, error) {
+	if err := inc.storeErr(); err != nil {
+		return nil, err
+	}
 	delta := cfd.NewDelta()
 	for _, u := range updates.Normalize() {
 		ud, err := inc.applyUnit(u)
 		if err != nil {
+			if serr := inc.storeErr(); serr != nil {
+				return nil, serr
+			}
 			return nil, err
 		}
 		ud.Apply(inc.v)
@@ -94,6 +101,17 @@ func (inc *Incremental) Apply(updates relation.UpdateList) (*cfd.Delta, error) {
 		}
 	}
 	return delta, nil
+}
+
+// storeErr returns the tuple store's sticky failure wrapped in
+// xerr.ErrStoreCorrupt, nil while the store is healthy (always, in
+// memory). Every write checks it first, so once a read or write of the
+// store has failed, every later write fails the same way.
+func (inc *Incremental) storeErr() error {
+	if err := inc.rel.StoreErr(); err != nil {
+		return fmt.Errorf("centralized: tuple store: %w: %w", xerr.ErrStoreCorrupt, err)
+	}
+	return nil
 }
 
 func (inc *Incremental) applyUnit(u relation.Update) (*cfd.Delta, error) {

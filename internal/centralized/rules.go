@@ -15,6 +15,9 @@ import (
 // holds the seeded marks. The centralized maintainer is the oracle the
 // distributed engines' seed-delta rounds are tested against.
 func (inc *Incremental) AddRules(rules []cfd.CFD) (*cfd.Delta, error) {
+	if err := inc.storeErr(); err != nil {
+		return nil, err
+	}
 	if len(rules) == 0 {
 		return cfd.NewDelta(), nil
 	}
@@ -52,6 +55,9 @@ func (inc *Incremental) AddRules(rules []cfd.CFD) (*cfd.Delta, error) {
 			if err != nil {
 				return nil, err
 			}
+		}
+		if err := inc.storeErr(); err != nil {
+			return nil, err
 		}
 		delta.Apply(inc.v)
 		if err := inc.Flush(); err != nil {
@@ -113,6 +119,9 @@ func (inc *Incremental) AddRules(rules []cfd.CFD) (*cfd.Delta, error) {
 // their violation marks removed from V. The returned ∆V holds exactly
 // the retired marks.
 func (inc *Incremental) RemoveRules(ids []string) (*cfd.Delta, error) {
+	if err := inc.storeErr(); err != nil {
+		return nil, err
+	}
 	drop := make(map[string]bool, len(ids))
 	for _, id := range ids {
 		if drop[id] {
@@ -130,14 +139,7 @@ func (inc *Incremental) RemoveRules(ids []string) (*cfd.Delta, error) {
 		return nil, fmt.Errorf("centralized: removing unknown rule: %w", xerr.ErrUnknownRule)
 	}
 
-	delta := cfd.NewDelta()
-	for _, id := range ids {
-		inc.v.EachTupleOfRule(id, func(t relation.TupleID) bool {
-			delta.Remove(t, id)
-			return true
-		})
-	}
-
+	delta := inc.v.RetiredDelta(ids)
 	if inc.gst != nil {
 		var rules []cfd.CFD
 		var tags []uint32

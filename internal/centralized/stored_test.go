@@ -1,6 +1,7 @@
 package centralized
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -9,9 +10,10 @@ import (
 	"repro/internal/cfd"
 	"repro/internal/relation"
 	"repro/internal/storage"
+	"repro/internal/xerr"
 )
 
-// testStorage opens the three stores of a stored maintainer in a temp
+// testStorage opens the two stores of a stored maintainer in a temp
 // dir under a deliberately tiny shared budget, so every test churns the
 // page caches.
 func testStorage(t testing.TB, budget int64) Storage {
@@ -30,8 +32,6 @@ func testStorage(t testing.TB, budget int64) Storage {
 			PageFor: storage.Uint64Pager(relation.TupleKeyShift), CacheBudget: budget, Monotone: true, Kind: 'T'}),
 		Groups: open("groups.dat", storage.DiskOptions{
 			PageFor: storage.FNVPager(GroupPagerBits), CacheBudget: budget, Kind: 'G'}),
-		Postings: open("post.dat", storage.DiskOptions{
-			PageFor: cfd.PostPager, CacheBudget: budget, Monotone: true, Kind: 'P'}),
 	}
 }
 
@@ -40,7 +40,7 @@ func testStorage(t testing.TB, budget int64) Storage {
 // additions and removals — under a tiny page-cache budget, asserting V,
 // ∆V and the maintained relation agree after every round. This is the
 // engine-level eviction-correctness oracle: with budgets this small,
-// every batch faults and evicts pages in all three stores.
+// every batch faults and evicts pages in both stores.
 func TestStoredMatchesIncremental(t *testing.T) {
 	schema := relation.MustSchema("R", "A", "B", "C", "D")
 	dom := func(a string, i int) string { return fmt.Sprintf("%s%d", a, i) }
@@ -150,7 +150,7 @@ func TestStoredMatchesIncremental(t *testing.T) {
 				}
 			}
 			stats := stored.StorageStats()
-			if stats["tuples"].Faults+stats["groups"].Faults+stats["postings"].Faults == 0 {
+			if stats["tuples"].Faults+stats["groups"].Faults == 0 {
 				t.Fatal("no store ever faulted — budget not exercised")
 			}
 			if !mem.Stored() == false || !stored.Stored() {
@@ -197,4 +197,74 @@ func TestStoredDeltaReplay(t *testing.T) {
 	if !old.Equal(stored.Violations()) {
 		t.Fatal("∆V replay diverged from maintained V")
 	}
+}
+
+// errInjected is failingStore's read failure.
+var errInjected = errors.New("injected read failure")
+
+// failingStore is a Store whose Get starts failing after ok more calls
+// (ok < 0: never).
+type failingStore struct {
+	storage.Store
+	ok int
+}
+
+func (f *failingStore) Get(key []byte) ([]byte, bool, error) {
+	if f.ok == 0 {
+		return nil, false, errInjected
+	}
+	if f.ok > 0 {
+		f.ok--
+	}
+	return f.Store.Get(key)
+}
+
+// TestStoredTupleStoreFailureIsTyped pins the tuple store's failure
+// contract: a Get that fails partway through a batch surfaces as an
+// error wrapping both xerr.ErrStoreCorrupt and the store's own error —
+// never a panic — and the failure sticks: every later write fails the
+// same way, even once the store answers again.
+func TestStoredTupleStoreFailureIsTyped(t *testing.T) {
+	schema := relation.MustSchema("R", "A", "B", "C", "D")
+	dom := func(a string, i int) string { return fmt.Sprintf("%s%d", a, i) }
+	rules := testRules(dom)
+	rng := rand.New(rand.NewSource(5))
+	rel := relation.New(schema)
+	for i := 1; i <= 30; i++ {
+		vals := make([]string, 4)
+		for j, a := range schema.Attrs {
+			vals[j] = dom(a, rng.Intn(3))
+		}
+		rel.MustInsert(relation.Tuple{ID: relation.TupleID(i), Values: vals})
+	}
+	tuples := &failingStore{Store: storage.NewMem(), ok: -1}
+	inc, err := NewIncrementalStored(rel, rules, Storage{Tuples: tuples, Groups: storage.NewMem()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch relation.UpdateList
+	for _, id := range []relation.TupleID{3, 7, 11} {
+		tp, _ := rel.Get(id)
+		batch = append(batch, relation.Update{Kind: relation.Delete, Tuple: tp})
+	}
+	tuples.ok = 3 // the second delete's read fails
+	isStoreFailure := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, xerr.ErrStoreCorrupt) || !errors.Is(err, errInjected) {
+			t.Fatalf("%s: err = %v, want ErrStoreCorrupt wrapping the store's failure", what, err)
+		}
+	}
+	_, err = inc.Apply(batch)
+	isStoreFailure("Apply", err)
+
+	tuples.ok = -1
+	tp := relation.Tuple{ID: 100, Values: []string{"A0", "B0", "C0", "D0"}}
+	_, err = inc.Apply(relation.UpdateList{{Kind: relation.Insert, Tuple: tp}})
+	isStoreFailure("later Apply", err)
+	extra := cfd.CFD{ID: "phi-extra", LHS: []string{"B"}, RHS: "D", LHSPattern: []string{"_"}, RHSPattern: "_"}
+	_, err = inc.AddRules([]cfd.CFD{extra})
+	isStoreFailure("AddRules", err)
+	_, err = inc.RemoveRules([]string{rules[0].ID})
+	isStoreFailure("RemoveRules", err)
+	isStoreFailure("Flush", inc.Flush())
 }

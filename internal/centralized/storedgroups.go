@@ -28,18 +28,17 @@ import (
 // compiled-rule slice never invalidates stored keys; a retired rule's
 // records are purged by tag prefix.
 
-// Storage bundles the three stores of an out-of-core engine.
+// Storage bundles the two stores of an out-of-core engine.
 type Storage struct {
-	Tuples   storage.Store
-	Groups   storage.Store
-	Postings storage.Store
+	Tuples storage.Store
+	Groups storage.Store
 }
 
 // Close closes every open store, returning the first error. Safe on a
 // partially populated Storage (nil stores are skipped).
 func (s Storage) Close() error {
 	var err error
-	for _, st := range []storage.Store{s.Tuples, s.Groups, s.Postings} {
+	for _, st := range []storage.Store{s.Tuples, s.Groups} {
 		if st == nil {
 			continue
 		}
@@ -255,11 +254,10 @@ func (g *storedGroups) purgeRule(tag uint32) error {
 	return nil
 }
 
-// NewIncrementalStored is NewIncremental with all three state planes —
-// the maintained relation's tuples, the grouping indexes, and the
-// violation postings — behind stores, so resident memory is bounded by
-// the stores' page-cache budgets (plus the always-resident mark bitsets
-// and tuple-id index) instead of |D|. The source rel is streamed in
+// NewIncrementalStored is NewIncremental with the maintained relation's
+// tuples and the grouping indexes behind stores, so resident memory is
+// bounded by the stores' page-cache budgets plus the always-resident
+// mark bitsets, their epoch tries and the tuple-id index, instead of |D|. The source rel is streamed in
 // tuple by tuple; the stores must be empty.
 func NewIncrementalStored(rel *relation.Relation, rules []cfd.CFD, st Storage) (*Incremental, error) {
 	if err := cfd.ValidateAll(rel.Schema, rules); err != nil {
@@ -277,9 +275,6 @@ func NewIncrementalStored(rel *relation.Relation, rules []cfd.CFD, st Storage) (
 		rules: append([]cfd.CFD(nil), rules...),
 		v:     cfd.NewViolations(),
 		gst:   &storedGroups{st: st.Groups},
-	}
-	if err := inc.v.UseStoredPostings(st.Postings); err != nil {
-		return nil, err
 	}
 	inc.v.InternRules(inc.rules)
 	inc.comp = cfd.CompileAll(rel.Schema, inc.rules)
@@ -307,20 +302,20 @@ func NewIncrementalStored(rel *relation.Relation, rules []cfd.CFD, st Storage) (
 // Stored reports whether the maintainer keeps its state behind stores.
 func (inc *Incremental) Stored() bool { return inc.gst != nil }
 
-// Flush writes back all dirty state to the stores — tuples, groups and
-// postings — and is a no-op for the in-memory maintainer. Callers align
+// Flush writes back all dirty state to the stores — tuples and groups —
+// and is a no-op for the in-memory maintainer. Callers align
 // it with protocol-round boundaries.
 func (inc *Incremental) Flush() error {
 	if inc.gst == nil {
 		return nil
 	}
+	if err := inc.storeErr(); err != nil {
+		return err
+	}
 	if err := inc.rel.Flush(); err != nil {
 		return err
 	}
-	if err := inc.gst.st.Flush(); err != nil {
-		return err
-	}
-	return inc.v.FlushPostings()
+	return inc.gst.st.Flush()
 }
 
 // StorageStats reports the per-store cache counters of a stored
@@ -330,9 +325,8 @@ func (inc *Incremental) StorageStats() map[string]storage.Stats {
 		return nil
 	}
 	return map[string]storage.Stats{
-		"tuples":   inc.rel.StoreStats(),
-		"groups":   inc.gst.st.Stats(),
-		"postings": inc.v.PostingStats(),
+		"tuples": inc.rel.StoreStats(),
+		"groups": inc.gst.st.Stats(),
 	}
 }
 

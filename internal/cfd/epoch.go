@@ -12,11 +12,12 @@ import (
 // Violations keeps its allocation-free map-and-bitset representation for
 // the write path, and mirrors the same state into a persistent
 // (path-copied) array-mapped trie that is published as an immutable
-// EpochView. Publishing copies only the trie paths the marks since the
-// last publish touched — O(|∆V| · depth), independent of |V| — so a
-// writer can emit one epoch per applied batch while any number of
-// readers keep answering from older epochs without locks, tearing, or
-// copies.
+// EpochView. The view also carries the per-rule posting tries — the only
+// per-rule index there is, so every per-rule read goes through a view.
+// Publishing copies only the trie paths the marks since the last publish
+// touched — O(|∆V| · depth), independent of |V| — so a writer can emit
+// one epoch per applied batch while any number of readers keep answering
+// from older epochs without locks, tearing, or copies.
 
 const (
 	amtBits = 6
@@ -307,8 +308,8 @@ func amtEach(n *amtNode, f func(*amtLeaf) bool) bool {
 // EpochView is one immutable epoch of the violation state: the mark
 // bitsets, the per-rule posting indexes and the aggregate counters, all
 // behind persistent tries. A view never changes after Publish returns
-// it, is safe for any number of concurrent readers, and answers the same
-// O(answer) queries as the live set.
+// it, is safe for any number of concurrent readers, and is where every
+// per-rule query is answered in O(answer).
 type EpochView struct {
 	epoch uint64
 
@@ -559,16 +560,17 @@ func (v *Violations) View() *EpochView {
 	return v.track.cur.Load()
 }
 
-// buildEpoch constructs a full view from the live maps: O(|V|), used for
-// the first epoch and after a pending-log overflow.
+// buildEpoch constructs a full view from the live mark bitsets: O(|V|),
+// used for the first epoch and after a pending-log overflow. The
+// postings and their counts come out of the same walk.
 func (v *Violations) buildEpoch(epoch uint64) *EpochView {
 	ev := &EpochView{
 		epoch:      epoch,
 		names:      v.rs.names,
 		byName:     cloneByName(v.rs.byName),
 		nameSorted: v.rs.sortedIdx(),
-		post:       make([]*amtNode, v.postLen()),
-		counts:     make([]int, v.postLen()),
+		post:       make([]*amtNode, len(v.rs.names)),
+		counts:     make([]int, len(v.rs.names)),
 	}
 	v.ms.each(func(id relation.TupleID, idx RuleIdx) {
 		var newKey bool
@@ -577,11 +579,9 @@ func (v *Violations) buildEpoch(epoch uint64) *EpochView {
 			ev.tuples++
 		}
 		ev.post[idx], _, _ = amtSet(ev.post[idx], id, 0, 0)
+		ev.counts[idx]++
 		ev.markN++
 	})
-	for i, n := 0, v.postLen(); i < n; i++ {
-		ev.counts[i] = v.postCount(i)
-	}
 	return ev
 }
 

@@ -29,7 +29,7 @@ func epochFixture(n int) *Violations {
 func TestEpochPublishCostProportionalToDelta(t *testing.T) {
 	measure := func(n int) float64 {
 		v := epochFixture(n)
-		r2, _ := v.LookupRule("phi2")
+		r2 := v.Intern("phi2")
 		id := relation.TupleID(n / 2)
 		return testing.AllocsPerRun(200, func() {
 			v.AddIdx(id, r2)
@@ -79,7 +79,7 @@ func TestEpochUntrackedMarkPathStaysFree(t *testing.T) {
 // nothing once the log has grown.
 func TestEpochTrackedWarmMarksAmortizeToZero(t *testing.T) {
 	v := epochFixture(64)
-	r2, _ := v.LookupRule("phi2")
+	r2 := v.Intern("phi2")
 	// Warm the pending log's capacity.
 	for i := 0; i < 32; i++ {
 		v.AddIdx(relation.TupleID(i), r2)
@@ -95,7 +95,7 @@ func TestEpochTrackedWarmMarksAmortizeToZero(t *testing.T) {
 		t.Errorf("tracked warm marks allocated %.1f objects per run, want 0 (log capacity should be reused)", allocs)
 	}
 	// Sanity: the state did not drift.
-	if got := v.Snapshot().CountRule("phi2"); got != 0 {
+	if got := v.Publish().CountRule("phi2"); got != 0 {
 		t.Errorf("CountRule(phi2) = %d, want 0", got)
 	}
 }
@@ -106,7 +106,7 @@ func BenchmarkEpochPublish(b *testing.B) {
 	for _, n := range []int{1000, 100000} {
 		b.Run(fmt.Sprintf("V=%d", n), func(b *testing.B) {
 			v := epochFixture(n)
-			r2, _ := v.LookupRule("phi2")
+			r2 := v.Intern("phi2")
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -1,138 +1,16 @@
 package cfd
 
-import (
-	"sort"
-
-	"repro/internal/relation"
-)
-
-// This file is the read-side query surface over Violations: per-rule
-// drill-down answered from the posting index (O(answer), never a scan of
-// V) and the aggregate inconsistency measures of the database-repair
+// This file holds the result types of the read-side query surface. The
+// reads themselves live on EpochView (epoch.go): per-rule drill-down
+// answered from the epoch's posting tries (O(answer), never a scan of V)
+// and the aggregate inconsistency measures of the database-repair
 // literature (Livshits et al.; Parisi & Grant), computed from the same
 // postings in O(|Σ|).
-
-// RuleIDs returns every interned rule id in lexicographic order,
-// including rules currently violated by no tuple.
-func (v *Violations) RuleIDs() []string {
-	if v.view != nil {
-		return v.view.RuleIDs()
-	}
-	idxs := v.rs.sortedIdx()
-	out := make([]string, len(idxs))
-	for i, idx := range idxs {
-		out[i] = v.rs.names[idx]
-	}
-	return out
-}
-
-// LookupRule returns the interned index of rule, if any.
-func (v *Violations) LookupRule(rule string) (RuleIdx, bool) {
-	if v.view != nil {
-		return v.view.LookupRule(rule)
-	}
-	return v.rs.lookup(rule)
-}
-
-// CountIdx returns the number of tuples violating the rule with the
-// given interned index, in O(1).
-func (v *Violations) CountIdx(idx RuleIdx) int {
-	if v.view != nil {
-		return v.view.CountIdx(idx)
-	}
-	if int(idx) < 0 || int(idx) >= v.postLen() {
-		return 0
-	}
-	return v.postCount(int(idx))
-}
-
-// CountRule returns the number of tuples violating rule, in O(1); zero
-// for unknown rules.
-func (v *Violations) CountRule(rule string) int {
-	if v.view != nil {
-		return v.view.CountRule(rule)
-	}
-	idx, ok := v.rs.lookup(rule)
-	if !ok {
-		return 0
-	}
-	return v.CountIdx(idx)
-}
-
-// EachTupleOfRuleIdx calls f for every tuple violating the rule with the
-// given interned index, in map order; f returning false stops the
-// iteration. Cost is O(visited), independent of |V|.
-func (v *Violations) EachTupleOfRuleIdx(idx RuleIdx, f func(relation.TupleID) bool) {
-	if v.view != nil {
-		v.view.EachTupleOfRuleIdx(idx, f)
-		return
-	}
-	if int(idx) < 0 || int(idx) >= v.postLen() {
-		return
-	}
-	if v.sp != nil {
-		if err := v.sp.each(idx, f); err != nil {
-			panic(err) // disk corruption mid-read; no way to continue
-		}
-		return
-	}
-	for id := range v.post[idx] {
-		if !f(id) {
-			return
-		}
-	}
-}
-
-// EachTupleOfRule is EachTupleOfRuleIdx by rule id; unknown rules visit
-// nothing.
-func (v *Violations) EachTupleOfRule(rule string, f func(relation.TupleID) bool) {
-	if v.view != nil {
-		v.view.EachTupleOfRule(rule, f)
-		return
-	}
-	if idx, ok := v.rs.lookup(rule); ok {
-		v.EachTupleOfRuleIdx(idx, f)
-	}
-}
-
-// TuplesOfRule returns the tuples violating rule in ascending order:
-// O(answer log answer), never a scan of V.
-func (v *Violations) TuplesOfRule(rule string) []relation.TupleID {
-	if v.view != nil {
-		return v.view.TuplesOfRule(rule)
-	}
-	idx, ok := v.rs.lookup(rule)
-	if !ok {
-		return nil
-	}
-	out := make([]relation.TupleID, 0, v.postCount(int(idx)))
-	v.EachTupleOfRuleIdx(idx, func(id relation.TupleID) bool {
-		out = append(out, id)
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 // RuleCount pairs a rule id with the number of tuples violating it.
 type RuleCount struct {
 	Rule  string
 	Count int
-}
-
-// Histogram returns the per-rule violation counts in lexicographic rule
-// order (every interned rule, including zero rows): the per-rule
-// inconsistency histogram, from the postings in O(|Σ|).
-func (v *Violations) Histogram() []RuleCount {
-	if v.view != nil {
-		return v.view.Histogram()
-	}
-	idxs := v.rs.sortedIdx()
-	out := make([]RuleCount, len(idxs))
-	for i, idx := range idxs {
-		out[i] = RuleCount{Rule: v.rs.names[idx], Count: v.postCount(int(idx))}
-	}
-	return out
 }
 
 // Measures are aggregate inconsistency measures over V(Σ, D), after
@@ -150,24 +28,4 @@ type Measures struct {
 	Marks int
 	// RulesViolated counts the rules with at least one violating tuple.
 	RulesViolated int
-}
-
-// Measure computes the aggregate measures.
-func (v *Violations) Measure() Measures {
-	if v.view != nil {
-		return v.view.Measure()
-	}
-	var m Measures
-	m.ViolatingTuples = v.ms.lenTuples()
-	if m.ViolatingTuples > 0 {
-		m.Drastic = 1
-	}
-	for i, n := 0, v.postLen(); i < n; i++ {
-		c := v.postCount(i)
-		m.Marks += c
-		if c > 0 {
-			m.RulesViolated++
-		}
-	}
-	return m
 }

@@ -7,10 +7,24 @@ import (
 	"repro/internal/relation"
 )
 
+// churn flips one random mark.
+func churn(rng *rand.Rand, v *Violations, rules []string) {
+	id := relation.TupleID(rng.Intn(200))
+	r := rules[rng.Intn(len(rules))]
+	if rng.Intn(3) == 0 {
+		v.Remove(id, r)
+	} else {
+		v.Add(id, r)
+	}
+}
+
 // TestPostingsMatchScan churns random marks through a Violations and
-// asserts, after every few operations, that the posting index answers
-// exactly what a linear scan of the bitsets answers — counts, per-rule
-// tuple sets, histogram and measures.
+// asserts, after every few operations, that the published epoch's
+// posting index answers exactly what a linear scan of the live bitsets
+// answers — counts, per-rule tuple sets, histogram and measures. Both
+// publish paths are covered: the incremental replay of the pending log,
+// and the rebuild after the log overflows, whose postings and counts
+// come out of one walk of the marks.
 func TestPostingsMatchScan(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -21,24 +35,27 @@ func TestPostingsMatchScan(t *testing.T) {
 			rules[i] = "phi" + string(rune('A'+i%26)) + string(rune('0'+i/26))
 			v.Intern(rules[i])
 		}
+		v.Publish() // arm epoch tracking
 		for op := 0; op < 2000; op++ {
-			id := relation.TupleID(rng.Intn(200))
-			r := rules[rng.Intn(nRules)]
-			if rng.Intn(3) == 0 {
-				v.Remove(id, r)
-			} else {
-				v.Add(id, r)
+			churn(rng, v, rules)
+			if op%97 == 0 {
+				checkPostings(t, v.Publish(), v, rules)
 			}
-			if op%97 != 0 {
-				continue
-			}
-			checkPostings(t, v, rules)
 		}
-		checkPostings(t, v, rules)
+		checkPostings(t, v.Publish(), v, rules)
+
+		for !v.track.overflow {
+			churn(rng, v, rules)
+		}
+		checkPostings(t, v.Publish(), v, rules)
+		for op := 0; op < 50; op++ {
+			churn(rng, v, rules)
+		}
+		checkPostings(t, v.Publish(), v, rules)
 	}
 }
 
-func checkPostings(t *testing.T, v *Violations, rules []string) {
+func checkPostings(t *testing.T, e *EpochView, v *Violations, rules []string) {
 	t.Helper()
 	totalMarks := 0
 	for _, r := range rules {
@@ -53,16 +70,16 @@ func checkPostings(t *testing.T, v *Violations, rules []string) {
 				scan[id] = true
 			}
 		})
-		if got := v.CountRule(r); got != len(scan) {
+		if got := e.CountRule(r); got != len(scan) {
 			t.Fatalf("CountRule(%s) = %d, scan says %d", r, got, len(scan))
 		}
-		for _, id := range v.TuplesOfRule(r) {
+		for _, id := range e.TuplesOfRule(r) {
 			if !scan[id] {
 				t.Fatalf("TuplesOfRule(%s) includes %d, scan does not", r, id)
 			}
 		}
 		seen := 0
-		v.EachTupleOfRule(r, func(id relation.TupleID) bool {
+		e.EachTupleOfRule(r, func(id relation.TupleID) bool {
 			if !scan[id] {
 				t.Fatalf("EachTupleOfRule(%s) visited %d, scan does not have it", r, id)
 			}
@@ -74,16 +91,16 @@ func checkPostings(t *testing.T, v *Violations, rules []string) {
 		}
 		totalMarks += len(scan)
 	}
-	if got := v.Measure(); got.Marks != v.Marks() || got.Marks != totalMarks ||
+	if got := e.Measure(); got.Marks != v.Marks() || got.Marks != totalMarks ||
 		got.ViolatingTuples != v.Len() || (got.Drastic == 1) != (v.Len() > 0) {
 		t.Fatalf("Measure() = %+v inconsistent with Marks=%d Len=%d scanned=%d",
 			got, v.Marks(), v.Len(), totalMarks)
 	}
-	hist := v.Histogram()
+	hist := e.Histogram()
 	histSum := 0
 	for _, rc := range hist {
-		if rc.Count != v.CountRule(rc.Rule) {
-			t.Fatalf("Histogram count for %s = %d, CountRule = %d", rc.Rule, rc.Count, v.CountRule(rc.Rule))
+		if rc.Count != e.CountRule(rc.Rule) {
+			t.Fatalf("Histogram count for %s = %d, CountRule = %d", rc.Rule, rc.Count, e.CountRule(rc.Rule))
 		}
 		histSum += rc.Count
 	}
@@ -93,7 +110,7 @@ func checkPostings(t *testing.T, v *Violations, rules []string) {
 }
 
 // TestPostingsCloneSnapshot pins that clones carry independent postings
-// and snapshots share them read-only.
+// and snapshots keep theirs while the live set moves on.
 func TestPostingsCloneSnapshot(t *testing.T) {
 	v := NewViolations()
 	v.Add(1, "phi1")
@@ -102,15 +119,64 @@ func TestPostingsCloneSnapshot(t *testing.T) {
 
 	c := v.Clone()
 	v.Remove(2, "phi1")
-	if c.CountRule("phi1") != 2 {
-		t.Fatalf("clone postings mutated with original: CountRule(phi1) = %d", c.CountRule("phi1"))
+	if got := c.Publish().CountRule("phi1"); got != 2 {
+		t.Fatalf("clone postings mutated with original: CountRule(phi1) = %d", got)
 	}
-	if v.CountRule("phi1") != 1 {
-		t.Fatalf("original CountRule(phi1) = %d, want 1", v.CountRule("phi1"))
+	if got := v.Publish().CountRule("phi1"); got != 1 {
+		t.Fatalf("original CountRule(phi1) = %d, want 1", got)
 	}
 
-	s := v.Snapshot()
+	s := v.Snapshot().View()
+	v.Remove(2, "phi2")
 	if s.CountRule("phi2") != 1 || len(s.TuplesOfRule("phi2")) != 1 {
 		t.Fatalf("snapshot postings wrong: %d", s.CountRule("phi2"))
+	}
+	if got := v.Publish().CountRule("phi2"); got != 0 {
+		t.Fatalf("live CountRule(phi2) = %d after removal, want 0", got)
+	}
+}
+
+// TestRetiredDelta pins the RemoveRules helper: the delta removes
+// exactly the retired rules' marks (spilled indexes included), leaves v
+// untouched until applied, and ignores rules v never interned.
+func TestRetiredDelta(t *testing.T) {
+	v := NewViolations()
+	var rules []string
+	for i := 0; i < 70; i++ {
+		rules = append(rules, "phi"+string(rune('A'+i%26))+string(rune('0'+i/26)))
+		v.Intern(rules[i])
+	}
+	rng := rand.New(rand.NewSource(1))
+	for op := 0; op < 3000; op++ {
+		churn(rng, v, rules)
+	}
+	retire := []string{rules[3], rules[68], "unknown"}
+	before := v.Clone()
+	d := v.RetiredDelta(retire)
+	if !v.Equal(before) {
+		t.Fatal("RetiredDelta changed V")
+	}
+	want := 0
+	for _, r := range retire[:2] {
+		idx, _ := v.rs.lookup(r)
+		v.ms.eachTuple(func(id relation.TupleID) {
+			if v.ms.has(id, idx) {
+				want++
+			}
+		})
+	}
+	if d.AddedMarks() != 0 || d.RemovedMarks() != want || want == 0 {
+		t.Fatalf("delta +%d/−%d, want +0/−%d", d.AddedMarks(), d.RemovedMarks(), want)
+	}
+	d.Apply(v)
+	e := v.Publish()
+	for _, r := range rules {
+		got, keep := e.CountRule(r), before.Publish().CountRule(r)
+		if r == retire[0] || r == retire[1] {
+			keep = 0
+		}
+		if got != keep {
+			t.Fatalf("after retiring, CountRule(%s) = %d, want %d", r, got, keep)
+		}
 	}
 }

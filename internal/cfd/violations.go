@@ -311,21 +311,10 @@ func (m *markSet) sortedTuples() []relation.TupleID {
 // allocates on a warm path.
 type Violations struct {
 	rs ruleSpace
+	// ms is the only live structure: per-tuple rule bitsets. The
+	// per-rule posting index exists only in the published epochs
+	// (epoch.go), where every per-rule read is answered.
 	ms markSet
-
-	// post holds the per-rule secondary index: post[idx] is the posting
-	// set of rule idx — exactly the tuples carrying that mark. The
-	// postings are maintained in lockstep by AddIdx/RemoveIdx, so
-	// per-rule queries (CountIdx, EachTupleOfRuleIdx) answer in
-	// O(answer) without scanning V. Maps are pre-sized at Intern time so
-	// warm mark churn stays allocation-free.
-	post []map[relation.TupleID]struct{}
-
-	// sp, when non-nil, replaces post with the out-of-core posting
-	// index (storedpost.go): flips buffer in a per-rule overlay with
-	// exact resident counts and page to disk at FlushPostings. The
-	// marks themselves (ms) always stay memory-resident.
-	sp *storedPost
 
 	// tuplesCache holds Tuples()' sorted output; nil when stale.
 	tuplesCache []relation.TupleID
@@ -357,18 +346,8 @@ func (v *Violations) Intern(rule string) RuleIdx {
 	if fresh && int(idx) == smallWidth {
 		v.ms.spill()
 	}
-	if fresh {
-		if v.sp != nil {
-			v.sp.internSlot()
-		} else {
-			// Pre-size the posting map (one bucket) so the first marks
-			// of the rule — and churn on a previously emptied posting —
-			// never allocate on the mark path.
-			v.post = append(v.post, make(map[relation.TupleID]struct{}, 8))
-		}
-		if v.track != nil {
-			v.track.rulesDirty = true
-		}
+	if fresh && v.track != nil {
+		v.track.rulesDirty = true
 	}
 	return idx
 }
@@ -392,15 +371,8 @@ func (v *Violations) AddIdx(id relation.TupleID, idx RuleIdx) {
 	if newTuple {
 		v.tuplesCache = nil
 	}
-	if changed {
-		if v.sp != nil {
-			v.sp.add(id, idx)
-		} else {
-			v.post[idx][id] = struct{}{}
-		}
-		if v.track != nil {
-			v.noteMark(id, idx, true)
-		}
+	if changed && v.track != nil {
+		v.noteMark(id, idx, true)
 	}
 }
 
@@ -421,15 +393,8 @@ func (v *Violations) RemoveIdx(id relation.TupleID, idx RuleIdx) {
 	if gone {
 		v.tuplesCache = nil
 	}
-	if changed {
-		if v.sp != nil {
-			v.sp.remove(id, idx)
-		} else {
-			delete(v.post[idx], id)
-		}
-		if v.track != nil {
-			v.noteMark(id, idx, false)
-		}
+	if changed && v.track != nil {
+		v.noteMark(id, idx, false)
 	}
 }
 
@@ -512,8 +477,6 @@ func (v *Violations) Marks() int {
 }
 
 // Clone returns a deep, mutable copy (also of an epoch-backed snapshot).
-// Cloning a stored-postings set materializes an in-memory one: clones
-// exist to be mutated independently, not to share a disk file.
 func (v *Violations) Clone() *Violations {
 	if v.view != nil {
 		c := NewViolations()
@@ -526,24 +489,32 @@ func (v *Violations) Clone() *Violations {
 		})
 		return c
 	}
-	if v.sp != nil {
-		c := NewViolations()
-		for _, name := range v.rs.names {
-			c.Intern(name)
-		}
-		v.ms.each(func(id relation.TupleID, idx RuleIdx) { c.AddIdx(id, idx) })
-		return c
+	return &Violations{rs: v.rs.clone(), ms: v.ms.clone()}
+}
+
+// RetiredDelta returns the ∆V that retires rules: the removal of every
+// mark they hold, built in one pass over the mark bitsets. v is not
+// changed; the engines' RemoveRules apply the result once their own
+// per-rule state is gone. Rules v never interned contribute nothing.
+func (v *Violations) RetiredDelta(rules []string) *Delta {
+	d := NewDelta()
+	remap := make([]RuleIdx, len(v.rs.names))
+	for i := range remap {
+		remap[i] = -1
 	}
-	c := &Violations{rs: v.rs.clone(), ms: v.ms.clone()}
-	c.post = make([]map[relation.TupleID]struct{}, len(v.post))
-	for i, p := range v.post {
-		cp := make(map[relation.TupleID]struct{}, len(p))
-		for id := range p {
-			cp[id] = struct{}{}
+	for _, r := range rules {
+		if idx, ok := v.rs.lookup(r); ok {
+			remap[idx] = d.Intern(r)
 		}
-		c.post[i] = cp
 	}
-	return c
+	if len(d.rs.names) > 0 {
+		v.ms.each(func(id relation.TupleID, idx RuleIdx) {
+			if m := remap[idx]; m >= 0 {
+				d.RemoveIdx(id, m)
+			}
+		})
+	}
+	return d
 }
 
 // Snapshot returns a read-only epoch snapshot of v: a coherent cut of

@@ -19,10 +19,10 @@ import (
 // measured row the disk-backed V must be bit-identical to the in-memory
 // V — the sweep asserts it before emitting the row, so the committed
 // baseline doubles as proof the eviction/fault machinery never loses or
-// invents a violation. Deterministic columns are state sizes (|D|, |V|,
-// marks, ∆V); cache counters and timings ride along informationally
-// (fault/eviction order depends on flush-time map iteration and is not
-// reproducible across runs).
+// invents a violation. The committed columns are state sizes (|D|, |V|,
+// marks, ∆V). The per-store cache counters are deterministic too — they
+// repeat bit for bit run to run — but are not committed here; timings
+// are printed only.
 
 // StorageKnobs are Exp-storage's shape knobs. Zero values take
 // scale-proportional defaults. The paper-scale run is
@@ -108,8 +108,8 @@ type StorageRun struct {
 	Rows  []StorageRow
 
 	// Stats are the stored session's final per-store counters, keyed
-	// "tuples", "groups", "postings". Informational: eviction order is
-	// not reproducible, so none of them is an Exact column.
+	// "tuples" and "groups". They repeat bit for bit run to run, but none
+	// of them is an Exact column of this sweep.
 	Stats map[string]storage.Stats
 	// DiskBytes and ResidentBytes aggregate Stats; the sweep asserts
 	// DiskBytes exceeds the cache budget (the data did not fit).

@@ -305,8 +305,8 @@ func (sys *System) AddRules(rules []cfd.CFD) (*cfd.Delta, error) {
 	return delta, nil
 }
 
-// RemoveRules retires rules by id: their marks leave Violations() via
-// the posting index (O(answer)), and one metered round drops the
+// RemoveRules retires rules by id: their marks leave Violations() (one
+// pass over the mark bitsets), and one metered round drops the
 // per-site compiled forms and group indexes. The returned ∆V holds
 // exactly the retired marks.
 func (sys *System) RemoveRules(ids []string) (*cfd.Delta, error) {
@@ -323,16 +323,10 @@ func (sys *System) RemoveRules(ids []string) (*cfd.Delta, error) {
 		}
 		drop[id] = true
 	}
-	delta := cfd.NewDelta()
 	if len(ids) == 0 {
-		return delta, nil
+		return cfd.NewDelta(), nil
 	}
-	for _, id := range ids {
-		sys.v.EachTupleOfRule(id, func(t relation.TupleID) bool {
-			delta.Remove(t, id)
-			return true
-		})
-	}
+	delta := sys.v.RetiredDelta(ids)
 
 	coord := network.SiteID(0)
 	targets := sys.allSites()

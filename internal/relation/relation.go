@@ -59,7 +59,7 @@ func (r *Relation) Get(id TupleID) (Tuple, bool) {
 		if _, ok := r.findID(id); !ok {
 			return Tuple{}, false
 		}
-		return r.sr.get(r.Schema, id), true
+		return r.sr.get(r.Schema, id)
 	}
 	t, ok := r.tuples[id]
 	return t, ok
@@ -111,7 +111,10 @@ func (r *Relation) Delete(id TupleID) (Tuple, error) {
 		if !ok {
 			return Tuple{}, fmt.Errorf("relation: delete from %q: no tuple id %d", r.Schema.Name, id)
 		}
-		t := r.sr.get(r.Schema, id)
+		t, ok := r.sr.get(r.Schema, id)
+		if !ok {
+			return Tuple{}, r.sr.err
+		}
 		if err := r.sr.delete(id); err != nil {
 			return Tuple{}, err
 		}
@@ -175,11 +178,12 @@ func (r *Relation) Tuples() []Tuple {
 
 // Each calls fn for every tuple in ascending TupleID order, stopping early
 // if fn returns false. In stored mode tuples fault in page by page;
-// sequential ids share pages, so a full scan faults each page once.
+// sequential ids share pages, so a full scan faults each page once; a
+// tuple that cannot be read ends the scan (see StoreErr).
 func (r *Relation) Each(fn func(Tuple) bool) {
 	for _, id := range r.sortedIDs() {
-		t, _ := r.Get(id)
-		if !fn(t) {
+		t, ok := r.Get(id)
+		if !ok || !fn(t) {
 			return
 		}
 	}
@@ -209,13 +213,15 @@ func (r *Relation) EachInsertChunk(n int, fn func(UpdateList) error) error {
 
 // Clone returns a deep copy of the relation. Cloning a stored relation
 // materializes an in-memory one — clones exist to be mutated
-// independently (mirrors, oracles), not to share a disk file.
+// independently (mirrors, oracles), not to share a disk file; a tuple
+// that cannot be read ends the copy (see StoreErr).
 func (r *Relation) Clone() *Relation {
 	c := New(r.Schema)
 	if r.sr != nil {
-		for _, id := range r.ids {
-			c.MustInsert(r.sr.get(r.Schema, id))
-		}
+		r.Each(func(t Tuple) bool {
+			c.MustInsert(t)
+			return true
+		})
 		return c
 	}
 	for id, t := range r.tuples {

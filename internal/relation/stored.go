@@ -30,6 +30,9 @@ type storedRel struct {
 	st     storage.Store
 	keyBuf []byte
 	encBuf []byte
+	// err is the first store or decode failure; once set it sticks, and
+	// StoreErr reports it to the engine that owns the relation.
+	err error
 }
 
 // NewStored returns an empty relation whose tuple values live in st.
@@ -81,6 +84,17 @@ func (r *Relation) Flush() error {
 	return r.sr.st.Flush()
 }
 
+// StoreErr returns the first store or decode failure the stored
+// relation met (nil in map mode and while the store is healthy). A read
+// that fails reports the tuple as absent; the failure stays here for the
+// engine to surface.
+func (r *Relation) StoreErr() error {
+	if r.sr == nil {
+		return nil
+	}
+	return r.sr.err
+}
+
 // StoreStats reports the backing store's cache counters (zero in map
 // mode).
 func (r *Relation) StoreStats() storage.Stats {
@@ -93,32 +107,41 @@ func (r *Relation) StoreStats() storage.Stats {
 func (sr *storedRel) put(t Tuple) error {
 	sr.keyBuf = TupleKey(sr.keyBuf[:0], t.ID)
 	sr.encBuf = AppendKeyVals(sr.encBuf[:0], t.Values)
-	return sr.st.Put(sr.keyBuf, sr.encBuf)
+	return sr.fail(sr.st.Put(sr.keyBuf, sr.encBuf))
 }
 
 func (sr *storedRel) delete(id TupleID) error {
 	sr.keyBuf = TupleKey(sr.keyBuf[:0], id)
-	return sr.st.Delete(sr.keyBuf)
+	return sr.fail(sr.st.Delete(sr.keyBuf))
 }
 
-// get fetches and decodes a tuple the membership index says exists.
-// A store failure here is disk corruption discovered mid-read — there
-// is no way to continue a deterministic run past it, so it panics with
-// the wrapped sentinel rather than giving every read an error path.
-func (sr *storedRel) get(s *Schema, id TupleID) Tuple {
+// fail records err as the sticky failure if it is the first, and
+// returns it.
+func (sr *storedRel) fail(err error) error {
+	if err != nil && sr.err == nil {
+		sr.err = err
+	}
+	return err
+}
+
+// get fetches and decodes a tuple the membership index says exists. A
+// store failure, a record missing behind the index or an undecodable
+// record is recorded (see StoreErr) and reported as not found.
+func (sr *storedRel) get(s *Schema, id TupleID) (Tuple, bool) {
 	sr.keyBuf = TupleKey(sr.keyBuf[:0], id)
 	raw, ok, err := sr.st.Get(sr.keyBuf)
+	if err == nil && !ok {
+		err = fmt.Errorf("membership index and store disagree")
+	}
+	var vals []string
+	if err == nil {
+		vals, err = DecodeKeyVals(raw, s.Width())
+	}
 	if err != nil {
-		panic(fmt.Errorf("relation: stored get %d: %w", id, err))
+		sr.fail(fmt.Errorf("relation: stored get %d: %w", id, err))
+		return Tuple{}, false
 	}
-	if !ok {
-		panic(fmt.Errorf("relation: stored get %d: membership index and store disagree", id))
-	}
-	vals, err := DecodeKeyVals(raw, s.Width())
-	if err != nil {
-		panic(fmt.Errorf("relation: stored get %d: %w", id, err))
-	}
-	return Tuple{ID: id, Values: vals}
+	return Tuple{ID: id, Values: vals}, true
 }
 
 // DecodeKeyVals parses width values from the AppendKeyVals encoding.

@@ -44,7 +44,6 @@ type config struct {
 	vScheme *partition.VerticalScheme
 
 	useOptimizer bool
-	beamWidth    int
 	disableMD5   bool
 	noIndexes    bool
 	maxFanout    int // -1 = engine default
@@ -158,9 +157,6 @@ func (c *config) validate() error {
 	if c.useOptimizer && c.kind != Vertical {
 		return fmt.Errorf("session: WithOptimizer requires a vertical session")
 	}
-	if c.beamWidth > 0 && !c.useOptimizer {
-		return fmt.Errorf("session: WithBeamWidth requires WithOptimizer on a vertical session")
-	}
 	if c.disableMD5 && c.kind != Horizontal {
 		return fmt.Errorf("session: WithoutMD5 requires a horizontal session")
 	}
@@ -201,14 +197,6 @@ func WithVertical(scheme *partition.VerticalScheme) Option {
 func WithOptimizer() Option {
 	return func(c *config) error {
 		c.useOptimizer = true
-		return nil
-	}
-}
-
-// WithBeamWidth sets optVer's beam width k (0 = default).
-func WithBeamWidth(k int) Option {
-	return func(c *config) error {
-		c.beamWidth = k
 		return nil
 	}
 }
@@ -383,12 +371,12 @@ func WithJournalEvery(n int) Option {
 }
 
 // WithStorageDir runs a centralized session out-of-core: the maintained
-// relation's tuples, the grouping indexes and the violation postings
-// live in page-structured store files under dir (tuples.dat, groups.dat,
-// post.dat), so resident memory is bounded by the page-cache budget —
-// see WithPageCacheBudget — instead of |D|. The violation *marks* and
-// the tuple-id index stay memory-resident (a few bytes per violating or
-// live tuple), keeping reads and ∆V computation in-memory-fast. The
+// relation's tuples and the grouping indexes live in page-structured
+// store files under dir (tuples.dat, groups.dat), so their resident
+// memory is bounded by the page-cache budget — see WithPageCacheBudget —
+// instead of |D|. The violation *marks*, their epoch tries (which carry
+// the per-rule postings reads use) and the tuple-id index stay
+// memory-resident, keeping reads and ∆V computation in-memory-fast. The
 // stores must be empty: a session seeds them from rel and flushes after
 // every applied batch or rule change. Requires a centralized session.
 func WithStorageDir(dir string) Option {
@@ -402,8 +390,8 @@ func WithStorageDir(dir string) Option {
 }
 
 // WithPageCacheBudget bounds the approximate decoded bytes the storage
-// page caches keep resident, split across the three stores (half to
-// tuples, the rest between groups and postings). Zero or unset keeps
+// page caches keep resident: half goes to the tuple store and 35% to
+// the group store. Zero or unset keeps
 // the default (64 MiB); negative is unlimited. Requires WithStorageDir.
 func WithPageCacheBudget(bytes int64) Option {
 	return func(c *config) error {

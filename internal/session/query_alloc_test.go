@@ -50,10 +50,10 @@ func TestQueryAnswersFromPostings(t *testing.T) {
 	defer smallV.Close()
 	defer bigV.Close()
 
-	if n := bigV.Violations().CountRule("small"); n != 2 {
+	if n := bigV.Violations().View().CountRule("small"); n != 2 {
 		t.Fatalf("fixture: CountRule(small) = %d, want 2", n)
 	}
-	if n := bigV.Violations().CountRule("big"); n != 5000 {
+	if n := bigV.Violations().View().CountRule("big"); n != 5000 {
 		t.Fatalf("fixture: CountRule(big) = %d, want 5000", n)
 	}
 

@@ -261,7 +261,6 @@ func Open(rel *relation.Relation, rules []cfd.CFD, opts ...Option) (*Session, er
 	case Vertical:
 		vOpts := core.VerticalOptions{
 			UseOptimizer: cfg.useOptimizer,
-			BeamWidth:    cfg.beamWidth,
 			NoIndexes:    cfg.noIndexes,
 			SkipSeed:     res != nil,
 		}

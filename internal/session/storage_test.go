@@ -3,6 +3,9 @@ package session
 import (
 	"context"
 	"math/rand"
+	"os"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/centralized"
@@ -16,7 +19,7 @@ import (
 // under a page-cache budget far below its data size runs the same
 // batches and rule churn as a fully in-memory session, and after every
 // step the two maintained violation sets — and a fresh centralized
-// detection — must agree exactly. The tiny budget keeps all three
+// detection — must agree exactly. The tiny budget keeps both
 // stores faulting and evicting throughout, so any page lost, stale or
 // misdecoded under cache churn breaks V.
 func TestStoredSessionDifferentialOracle(t *testing.T) {
@@ -147,9 +150,9 @@ func TestStoredSessionDifferentialOracle(t *testing.T) {
 				t.Fatalf("seed %d: no store ever evicted — budget not exercised", seed)
 			}
 
-			// Read surface parity on the final state: counts, measures and
-			// per-rule postings agree with the in-memory session.
-			sv, mv := stored.Violations(), mem.Violations()
+			// Read surface parity on the final state: counts and measures
+			// agree with the in-memory session.
+			mv := mem.Violations()
 			for _, rc := range stored.Count() {
 				n := 0
 				for _, id := range mv.Tuples() {
@@ -161,10 +164,50 @@ func TestStoredSessionDifferentialOracle(t *testing.T) {
 					t.Fatalf("seed %d: stored count %d != mem scan %d for %s", seed, rc.Count, n, rc.Rule)
 				}
 			}
-			if sm, mm := sv.Measure(), mv.Measure(); sm != mm {
+			if sm, mm := stored.Measures(), mem.Measures(); sm != mm {
 				t.Fatalf("seed %d: measures diverged: %+v vs %+v", seed, sm, mm)
 			}
 		})
+	}
+}
+
+// TestStoredSessionFiles pins the out-of-core layout: a stored session
+// pages exactly its tuples and its grouping indexes, one file each, and
+// reports exactly those two stores. The marks and the epoch tries that
+// carry the per-rule postings stay resident.
+func TestStoredSessionFiles(t *testing.T) {
+	gen := workload.NewSized(workload.TPCH, 3, 200)
+	rules := gen.Rules(3)
+	rel := gen.Relation(80)
+	dir := t.TempDir()
+
+	s, err := Open(rel, rules, WithStorageDir(dir), WithPageCacheBudget(4<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.ApplyBatch(context.Background(), gen.Updates(rel.Clone(), 20, 0.5)); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []string
+	for _, e := range entries {
+		files = append(files, e.Name())
+	}
+	sort.Strings(files)
+	if want := []string{groupsFile, tuplesFile}; !slices.Equal(files, want) {
+		t.Fatalf("storage dir holds %v, want %v", files, want)
+	}
+	var keys []string
+	for k := range s.StorageStats() {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if want := []string{"groups", "tuples"}; !slices.Equal(keys, want) {
+		t.Fatalf("StorageStats keys %v, want %v", keys, want)
 	}
 }
 

@@ -60,7 +60,7 @@ type DiskOptions struct {
 	// letting EachRange fault only pages that can intersect the range.
 	Monotone bool
 	// Kind is the header kind byte identifying what the store holds
-	// (e.g. 'T' tuples, 'G' groups, 'P' postings). Zero means 'S'.
+	// (e.g. 'T' tuples, 'G' groups). Zero means 'S'.
 	Kind byte
 }
 

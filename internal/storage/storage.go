@@ -1,8 +1,8 @@
 // Package storage is the out-of-core state subsystem: a pluggable
-// key/value Store behind which relation tuples, grouping indexes and
-// violation postings can live on disk instead of RAM, so the capacity
-// of a session is bounded by disk size and a configurable page-cache
-// budget rather than by memory.
+// key/value Store behind which relation tuples and grouping indexes can
+// live on disk instead of RAM, so the capacity of a session is bounded
+// by disk size and a configurable page-cache budget rather than by
+// memory.
 //
 // Two backends implement Store:
 //
@@ -59,9 +59,9 @@ type Store interface {
 
 // Stats are cumulative counters for one store. Only ResidentPages,
 // ResidentBytes, DirtyPages and DiskBytes are instantaneous gauges; the
-// rest are monotone since open. Counters are informational — they
-// depend on cache budget and access interleaving, so benchmark
-// baselines never verify them.
+// rest are monotone since open. Counters depend on the cache budget and
+// the access sequence; for a given input both are fixed, so the same
+// run repeats them bit for bit.
 type Stats struct {
 	Hits         uint64 // page lookups served from the cache
 	Misses       uint64 // page lookups that had to fault or create

@@ -86,9 +86,8 @@ func NewCentralized(rel *relation.Relation, rules []cfd.CFD) (*Centralized, erro
 	return &Centralized{inc: inc}, nil
 }
 
-// NewCentralizedStored is NewCentralized with the maintainer's state —
-// tuples, grouping indexes, violation postings — behind the given
-// stores (centralized.NewIncrementalStored), bounding resident memory
+// NewCentralizedStored is NewCentralized with the maintainer's tuples
+// and grouping indexes behind the given stores (centralized.NewIncrementalStored), bounding resident memory
 // by their page-cache budgets instead of |D|.
 func NewCentralizedStored(rel *relation.Relation, rules []cfd.CFD, st centralized.Storage) (*Centralized, error) {
 	inc, err := centralized.NewIncrementalStored(rel, rules, st)

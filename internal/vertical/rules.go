@@ -8,7 +8,6 @@ import (
 	"repro/internal/network"
 	"repro/internal/optimizer"
 	"repro/internal/partition"
-	"repro/internal/relation"
 	"repro/internal/xerr"
 )
 
@@ -321,8 +320,8 @@ func (sys *System) seedWave(ids []int64, newConst, newVar []*cfd.CFD, delta *cfd
 	return sys.endWave(w)
 }
 
-// RemoveRules retires rules by id: their marks leave Violations() via
-// the posting index, one metered round drops the per-site IDX state and
+// RemoveRules retires rules by id: their marks leave Violations() (one
+// pass over the mark bitsets), one metered round drops the per-site IDX state and
 // constant checks, and the plan sheds the rules' bindings (nodes shared
 // with surviving rules stay live). The returned ∆V holds exactly the
 // retired marks.
@@ -344,16 +343,10 @@ func (sys *System) RemoveRules(ids []string) (*cfd.Delta, error) {
 		}
 		drop[id] = true
 	}
-	delta := cfd.NewDelta()
 	if len(ids) == 0 {
-		return delta, nil
+		return cfd.NewDelta(), nil
 	}
-	for _, id := range ids {
-		sys.v.EachTupleOfRule(id, func(t relation.TupleID) bool {
-			delta.Remove(t, id)
-			return true
-		})
-	}
+	delta := sys.v.RetiredDelta(ids)
 
 	coord := network.SiteID(0)
 	targets := make([]network.SiteID, len(sys.sites))

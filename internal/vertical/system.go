@@ -20,8 +20,6 @@ type Options struct {
 	// plan instead if it happens to ship fewer eqids); otherwise the
 	// per-rule chains of §4 are used.
 	UseOptimizer bool
-	// BeamWidth is optVer's k (0 = default).
-	BeamWidth int
 	// Plan overrides planning entirely (used by ablations and tests).
 	Plan *optimizer.Plan
 	// NoIndexes loads the fragments only, skipping HEV/IDX construction
@@ -307,7 +305,7 @@ func buildPlan(varRules []*cfd.CFD, scheme *partition.VerticalScheme, opts Optio
 	if !opts.UseOptimizer {
 		return naive, nil
 	}
-	opt, err := optimizer.Optimize(in, opts.BeamWidth)
+	opt, err := optimizer.Optimize(in, 0)
 	if err != nil {
 		return nil, err
 	}

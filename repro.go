@@ -96,8 +96,8 @@ type (
 	JournalStats = session.JournalStats
 	// StorageStats are one store's page-cache and file counters
 	// (hits, misses, faults, evictions, flushed/resident/disk bytes) on
-	// an out-of-core session; see Session.StorageStats. Informational —
-	// never part of a verified experiment baseline.
+	// an out-of-core session; see Session.StorageStats. A pure function
+	// of the input and the budget: the same run repeats them bit for bit.
 	StorageStats = storage.Stats
 )
 
@@ -132,8 +132,6 @@ var (
 	WithVertical = session.WithVertical
 	// WithOptimizer builds vertical HEVs with §5's optVer.
 	WithOptimizer = session.WithOptimizer
-	// WithBeamWidth sets optVer's beam width.
-	WithBeamWidth = session.WithBeamWidth
 	// WithoutMD5 turns §6's MD5 tuple coding off (ablation).
 	WithoutMD5 = session.WithoutMD5
 	// WithNoIndexes loads fragments only: BatchDetect works, the
@@ -183,17 +181,18 @@ var (
 	// Zero disables in-process settling — the round settles on the next
 	// Open over the journal. Default 10s when journaling.
 	WithInDoubtRetryBudget = session.WithInDoubtRetryBudget
-	// WithStorageDir runs a centralized session out-of-core: tuples,
-	// grouping indexes and violation postings live in page-structured
-	// store files under dir, bounding resident memory by the page-cache
-	// budget instead of |D|. Violation marks and the tuple-id index stay
-	// memory-resident, so reads and ∆V stay in-memory-fast. The stores
-	// must be empty (the session seeds them from rel); V is bit-identical
-	// to an in-memory session throughout.
+	// WithStorageDir runs a centralized session out-of-core: tuples and
+	// grouping indexes live in page-structured store files under dir,
+	// bounding their resident memory by the page-cache budget instead of
+	// |D|. Violation marks, their epoch tries (which carry the per-rule
+	// postings) and the tuple-id index stay memory-resident, so reads
+	// and ∆V stay in-memory-fast. The stores must be empty (the session
+	// seeds them from rel); V is bit-identical to an in-memory session
+	// throughout.
 	WithStorageDir = session.WithStorageDir
 	// WithPageCacheBudget bounds the approximate decoded bytes the
 	// storage page caches keep resident (default 64 MiB, negative =
-	// unlimited). Requires WithStorageDir.
+	// unlimited): half to tuples, 35% to groups. Requires WithStorageDir.
 	WithPageCacheBudget = session.WithPageCacheBudget
 )
 
