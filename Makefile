@@ -2,13 +2,21 @@
 
 GO ?= go
 
-.PHONY: test race loc bench bench-verify storage chaos driver-chaos bench-spine profile fuzz api apicheck verify clean
+.PHONY: test race alloc loc bench bench-verify storage chaos driver-chaos bench-spine profile fuzz api apicheck verify clean
 
 test:
 	$(GO) build ./... && $(GO) test ./...
 
 race:
 	$(GO) test -short -race ./...
+
+# alloc runs the allocation guards: every test in the *alloc_test.go
+# files. They build only without -race (the detector allocates on its
+# own), so `make race` and CI's race step never run them.
+ALLOC_TESTS = TestAppendKeyZeroAllocs|TestHashZeroAllocs|TestCompiledMatchZeroAllocs|TestViolationsWarmMarkZeroAllocs|TestDeltaWarmMarkZeroAllocs|TestEpochPublishCostProportionalToDelta|TestEpochUntrackedMarkPathStaysFree|TestEpochTrackedWarmMarksAmortizeToZero|TestDetectAllocCeiling|TestStoredApplyAllocsIndependentOfGroupSize|TestInt64ColumnDecodesInOneAllocation|TestColumnEncodeAllocatesNothing|TestEnvelopeAllocs|TestQueryAnswersFromPostings|TestBatchDeliverDecodeAllocs|TestWaveAllocBound
+alloc:
+	$(GO) test -run '^($(ALLOC_TESTS))$$' ./internal/relation ./internal/cfd ./internal/centralized \
+		./internal/wire ./internal/netwire ./internal/session ./internal/vertical ./internal/horizontal
 
 # loc prints the non-test Go lines outside bench/: the number ROADMAP
 # asks every PR to report as added/removed.
@@ -95,8 +103,8 @@ profile:
 # against arbitrary bytes: no panic, no length trusted
 # beyond the input, every accepted input re-encodes to itself. FuzzDispatch
 # goes one layer up: arbitrary bytes through Cluster.Dispatch for every
-# method a seeded hosted vertical site registers — an answer or an error,
-# never a panic, and a site whose snapshot still restores. FuzzSnapshot
+# method a seeded hosted site of either engine registers — an answer or an
+# error, never a panic, and a site whose snapshot still restores. FuzzSnapshot
 # does the same for each engine's checkpoint blob (hSiteState /
 # vSiteState) and also restores a site from the bytes: an error or a site
 # whose own snapshot restores again, never a panic. The two
@@ -114,6 +122,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzPayload -fuzztime=10s -run '^$$' ./internal/horizontal
 	$(GO) test -fuzz=FuzzPayload -fuzztime=10s -run '^$$' ./internal/vertical
 	$(GO) test -fuzz=FuzzDispatch -fuzztime=10s -run '^$$' ./internal/vertical
+	$(GO) test -fuzz=FuzzDispatch -fuzztime=10s -run '^$$' ./internal/horizontal
 	$(GO) test -fuzz=FuzzSnapshot -fuzztime=10s -run '^$$' ./internal/horizontal
 	$(GO) test -fuzz=FuzzSnapshot -fuzztime=10s -run '^$$' ./internal/vertical
 	$(GO) test -fuzz=FuzzStorePage -fuzztime=10s -run '^$$' ./internal/storage
@@ -138,4 +147,4 @@ clean:
 	rm -f *.test *.out *.prof
 	find . -name '*.test' -type f -delete
 
-verify: test race apicheck clean
+verify: test race alloc apicheck clean

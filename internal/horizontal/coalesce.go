@@ -2,7 +2,7 @@ package horizontal
 
 import (
 	"bytes"
-	"sort"
+	"slices"
 
 	"repro/internal/cfd"
 	"repro/internal/network"
@@ -45,26 +45,33 @@ type hGroup struct {
 	preKnown, preFlag bool
 	structural, newB  bool
 	allBs             [][]byte // distinct B digests known so far, capped at 2
-	inserted          map[int64]bool
-	insertedOrder     []int64
+	// inserted lists the wave's insertions into the group, first seen
+	// first; a wave holds at most batchWaveSize updates, so membership is
+	// a scan.
+	inserted          []int64
 	postFlag, decided bool
 	needProbe         bool
 
-	// remote survey evidence, aligned with the probed sites.
-	remoteSites    []network.SiteID
-	remoteHas      []bool
-	remoteFlag     []bool
-	remotePromoted []bool
+	// remote is the survey evidence of the probed sites.
+	remote []remoteAnswer
 }
 
-func (g *hGroup) ownedBy(s network.SiteID) bool {
-	for _, o := range g.owners {
-		if o == s {
-			return true
-		}
-	}
-	return false
+// remoteAnswer is one probed site's answer for a group.
+type remoteAnswer struct {
+	site                network.SiteID
+	has, flag, promoted bool
 }
+
+// reset empties g for another wave, keeping its slices' backing arrays
+// and dropping every reference into the wave it served.
+func (g *hGroup) reset() {
+	clear(g.allBs)
+	*g = hGroup{owners: g.owners[:0], allBs: g.allBs[:0], inserted: g.inserted[:0], remote: g.remote[:0]}
+}
+
+func (g *hGroup) ownedBy(s network.SiteID) bool { return slices.Contains(g.owners, s) }
+
+func (g *hGroup) wasInserted(id int64) bool { return slices.Contains(g.inserted, id) }
 
 // allOwnerItems reports whether every settle item queued for a site
 // belongs to a group the site itself touched — in which case the settle
@@ -113,6 +120,87 @@ type mark struct {
 // bottleneck that collapses the batch baselines' scaleup).
 const batchWaveSize = 128
 
+// waveScratch is the per-wave state of applyWaveCoalesced, kept on the
+// System so a stream of small waves reuses its tables. end drops every
+// reference into the wave it served — replies, digests, update values —
+// and keeps only capacity; a wave of more than scratchKeepWave updates (a
+// seeding wave) releases the scratch instead, so its high-water tables
+// are not carried into the steady state.
+type waveScratch struct {
+	perOwner   [][]batchApplyItem // by site
+	owners     []network.SiteID
+	applyResps []batchApplyResp // aligned with owners
+
+	byKey  map[waveKey]*hGroup
+	slab   []hGroup // backs every group of the wave; sized before use
+	groups []*hGroup
+
+	removes, adds []mark
+
+	probing               []bool // by site: owns a group that probes
+	fwd, probe            network.Coalescer[probeGroupItem]
+	settle                network.Coalescer[settleGroupItem]
+	probeRefs, settleRefs [][]*hGroup // by site, aligned with the envelopes
+	settleResps           []settleGroupResp
+}
+
+// waveKey names a touched (rule, X) group within a wave.
+type waveKey struct {
+	comp *cfd.Compiled
+	x    code
+}
+
+const scratchKeepWave = 64
+
+func newWaveScratch(sites int) *waveScratch {
+	return &waveScratch{
+		perOwner:   make([][]batchApplyItem, sites),
+		byKey:      make(map[waveKey]*hGroup),
+		probing:    make([]bool, sites),
+		probeRefs:  make([][]*hGroup, sites),
+		settleRefs: make([][]*hGroup, sites),
+	}
+}
+
+// group returns the wave's aggregate of (comp, x), taking a new one off
+// the slab at first sight.
+func (sc *waveScratch) group(comp *cfd.Compiled, x code) (g *hGroup, isNew bool) {
+	k := waveKey{comp, x}
+	if g, ok := sc.byKey[k]; ok {
+		return g, false
+	}
+	sc.slab = sc.slab[:len(sc.slab)+1]
+	g = &sc.slab[len(sc.slab)-1]
+	g.comp, g.x = comp, x
+	sc.byKey[k] = g
+	sc.groups = append(sc.groups, g)
+	return g, true
+}
+
+// end empties the scratch after a wave, keeping its capacity.
+func (sc *waveScratch) end() {
+	for i := range sc.perOwner {
+		clear(sc.perOwner[i])
+		clear(sc.probeRefs[i])
+		clear(sc.settleRefs[i])
+		sc.perOwner[i], sc.probeRefs[i], sc.settleRefs[i] = sc.perOwner[i][:0], sc.probeRefs[i][:0], sc.settleRefs[i][:0]
+	}
+	for i := range sc.slab {
+		sc.slab[i].reset()
+	}
+	clear(sc.byKey)
+	clear(sc.applyResps)
+	clear(sc.settleResps)
+	clear(sc.groups)
+	clear(sc.removes)
+	clear(sc.adds)
+	sc.owners, sc.applyResps, sc.settleResps = sc.owners[:0], sc.applyResps[:0], sc.settleResps[:0]
+	sc.slab, sc.groups, sc.removes, sc.adds = sc.slab[:0], sc.groups[:0], sc.removes[:0], sc.adds[:0]
+	sc.fwd.Reset()
+	sc.probe.Reset()
+	sc.settle.Reset()
+}
+
 // applyCoalesced runs one normalized batch through the batch-grouped
 // protocol wave by wave, maintaining V and returning the exact ∆V.
 func (sys *System) applyCoalesced(norm relation.UpdateList) (*cfd.Delta, error) {
@@ -137,13 +225,24 @@ func (sys *System) applyWaveCoalesced(norm relation.UpdateList, delta *cfd.Delta
 	if len(norm) == 0 {
 		return nil
 	}
+	sc := sys.scratch
+	if sc == nil {
+		sc = newWaveScratch(len(sys.sites))
+		sys.scratch = sc
+	}
+	defer func() {
+		if len(norm) > scratchKeepWave {
+			sys.scratch = nil
+		} else {
+			sc.end()
+		}
+	}()
 
 	// Phase A: route every update to its owner, one local-phase call per
 	// owning site (same-site, unmetered — ∆D delivery is not detection
 	// traffic).
-	perOwner := make([][]batchApplyItem, len(sys.sites))
 	for _, u := range norm {
-		ownerInt, err := sys.scheme.SiteFor(sys.schema, u.Tuple)
+		owner, err := sys.scheme.SiteFor(sys.schema, u.Tuple)
 		if err != nil {
 			return err
 		}
@@ -151,18 +250,19 @@ func (sys *System) applyWaveCoalesced(norm relation.UpdateList, delta *cfd.Delta
 		if u.Kind == relation.Delete {
 			op = OpDelete
 		}
-		perOwner[ownerInt] = append(perOwner[ownerInt], batchApplyItem{Op: op, ID: int64(u.Tuple.ID), Values: u.Tuple.Values})
+		sc.perOwner[owner] = append(sc.perOwner[owner], batchApplyItem{Op: op, ID: int64(u.Tuple.ID), Values: u.Tuple.Values})
 	}
-	var owners []network.SiteID
-	for i := range perOwner {
-		if len(perOwner[i]) > 0 {
-			owners = append(owners, network.SiteID(i))
+	for i := range sc.perOwner {
+		if len(sc.perOwner[i]) > 0 {
+			sc.owners = append(sc.owners, network.SiteID(i))
 		}
 	}
-	applyResps := make([]batchApplyResp, len(owners))
+	owners := sc.owners
+	sc.applyResps = slices.Grow(sc.applyResps, len(owners))[:len(owners)]
+	applyResps := sc.applyResps
 	err := sys.cluster.Fanout(len(owners), network.FanoutOpts{}, func(i int) error {
 		o := owners[i]
-		return sys.send(o, o, "h.batchApply", batchApplyReq{Updates: perOwner[o], RawKeys: !sys.useMD5}, &applyResps[i])
+		return sys.send(o, o, "h.batchApply", batchApplyReq{Updates: sc.perOwner[o], RawKeys: !sys.useMD5}, &applyResps[i])
 	})
 	if err != nil {
 		return err
@@ -171,38 +271,35 @@ func (sys *System) applyWaveCoalesced(norm relation.UpdateList, delta *cfd.Delta
 	// Aggregate: constant-rule marks emit directly; touched groups merge
 	// across owners. Removals are emitted before additions at the end, so
 	// a modification (delete + insert of one id) replays in update order.
-	var removes, adds []mark
-	byRule := make(map[string]map[code]*hGroup)
-	var groups []*hGroup
+	total := 0
+	for i := range applyResps {
+		total += len(applyResps[i].Groups)
+	}
+	if cap(sc.slab) < total {
+		sc.slab = make([]hGroup, 0, total)
+	}
 	for oi, o := range owners {
 		resp := &applyResps[oi]
 		for _, c := range resp.Consts {
 			if c.Add {
-				adds = append(adds, mark{c.ID, c.Rule})
+				sc.adds = append(sc.adds, mark{c.ID, c.Rule})
 			} else {
-				removes = append(removes, mark{c.ID, c.Rule})
+				sc.removes = append(sc.removes, mark{c.ID, c.Rule})
 			}
 		}
 		for ti := range resp.Groups {
 			tg := &resp.Groups[ti]
-			byX, ok := byRule[tg.Rule]
-			if !ok {
-				byX = make(map[code]*hGroup)
-				byRule[tg.Rule] = byX
+			comp := sys.compByID[tg.Rule]
+			if comp == nil || len(tg.X) != codeLen || len(tg.DeletedWasInV) != len(tg.Deleted) {
+				return errResponseShape("h.batchApply", o)
 			}
-			var dx code
-			copy(dx[:], tg.X)
-			g, ok := byX[dx]
-			if !ok {
-				comp := sys.compByID[tg.Rule]
-				g = &hGroup{comp: comp, x: dx, inserted: make(map[int64]bool)}
+			g, isNew := sc.group(comp, code(tg.X))
+			if isNew {
 				if sys.useMD5 {
 					g.xref = keyRef{Digest: tg.X}
 				} else {
 					g.xref = keyRef{Raw: tg.XRaw}
 				}
-				byX[dx] = g
-				groups = append(groups, g)
 			}
 			g.owners = append(g.owners, o) // owners iterate ascending → sorted
 			if tg.PreKnown {
@@ -212,23 +309,23 @@ func (sys *System) applyWaveCoalesced(norm relation.UpdateList, delta *cfd.Delta
 			g.newB = g.newB || tg.NewB
 			g.mergeBs(tg.PostBs)
 			for _, id := range tg.Inserted {
-				if !g.inserted[id] {
-					g.inserted[id] = true
-					g.insertedOrder = append(g.insertedOrder, id)
+				if !g.wasInserted(id) {
+					g.inserted = append(g.inserted, id)
 				}
 			}
 			for k, id := range tg.Deleted {
 				if tg.DeletedWasInV[k] {
-					removes = append(removes, mark{id, tg.Rule})
+					sc.removes = append(sc.removes, mark{id, tg.Rule})
 				}
 			}
 		}
 	}
-	sort.Slice(groups, func(i, j int) bool {
-		if groups[i].comp.Idx != groups[j].comp.Idx {
-			return groups[i].comp.Idx < groups[j].comp.Idx
+	groups := sc.groups
+	slices.SortFunc(groups, func(a, b *hGroup) int {
+		if a.comp.Idx != b.comp.Idx {
+			return int(a.comp.Idx) - int(b.comp.Idx)
 		}
-		return bytes.Compare(groups[i].x[:], groups[j].x[:]) < 0
+		return bytes.Compare(a.x[:], b.x[:])
 	})
 
 	// Phase B: decide what each group needs. L is the combined local
@@ -275,27 +372,35 @@ func (sys *System) applyWaveCoalesced(norm relation.UpdateList, delta *cfd.Delta
 	// probing owners (sys.waveSeq counts waves), so sustained traffic
 	// spreads the aggregation load across sites instead of funneling
 	// every batch through one of them.
-	probing := make(map[network.SiteID]struct{})
+	probing := 0
 	for _, g := range groups {
-		if g.needProbe {
-			probing[g.owners[0]] = struct{}{}
+		if g.needProbe && !sc.probing[g.owners[0]] {
+			sc.probing[g.owners[0]] = true
+			probing++
 		}
 	}
 	relay := network.SiteID(-1)
-	if probingOwners := network.SortedSites(probing); len(probingOwners) > 0 {
-		relay = probingOwners[sys.waveSeq%len(probingOwners)]
+	if probing > 0 {
+		nth := sys.waveSeq % probing // the relay is the nth probing owner by site
+		for i, p := range sc.probing {
+			if p && nth == 0 {
+				relay = network.SiteID(i)
+				break
+			}
+			if p {
+				nth--
+			}
+		}
 	}
+	clear(sc.probing)
 	sys.waveSeq++
-	var fwdEnv network.Coalescer[probeGroupItem]
-	probeEnv := &network.Coalescer[probeGroupItem]{}
-	probeRefs := make(map[network.SiteID][]*hGroup)
 	for _, g := range groups {
 		if !g.needProbe {
 			continue
 		}
 		item := probeGroupItem{Rule: g.comp.ID, X: g.xref, Bs: g.allBs, Decided: g.decided}
 		if o := g.owners[0]; o != relay {
-			fwdEnv.Add(o, item)
+			sc.fwd.Add(o, item)
 		}
 		// Probe every site that may hold classes of the group: the
 		// non-excluded sites minus the touching owners (whose evidence
@@ -307,47 +412,44 @@ func (sys *System) applyWaveCoalesced(norm relation.UpdateList, delta *cfd.Delta
 			if ex[i] || g.ownedBy(id) {
 				continue
 			}
-			probeEnv.Add(id, item)
-			probeRefs[id] = append(probeRefs[id], g)
+			sc.probe.Add(id, item)
+			sc.probeRefs[i] = append(sc.probeRefs[i], g)
 		}
 	}
 	// Forward hop: evidence travels owner → relay concurrently (the
 	// relay's own groups need no hop). Fire-and-forget; the driver
 	// already holds the aggregate, the message is the wire cost a real
 	// aggregation pays.
-	fwdSites := fwdEnv.Sites()
+	fwdSites := sc.fwd.Sites()
 	err = sys.cluster.Fanout(len(fwdSites), network.FanoutOpts{}, func(i int) error {
 		o := fwdSites[i]
-		return sys.send(o, relay, "h.forwardGroup", forwardGroupReq{Items: fwdEnv.Items(o)}, nil)
+		return sys.send(o, relay, "h.forwardGroup", forwardGroupReq{Items: sc.fwd.Items(o)}, nil)
 	})
 	if err != nil {
 		return err
 	}
-	if !probeEnv.Empty() {
+	if !sc.probe.Empty() {
 		sites, resps, err := network.GatherCoalesced[probeGroupItem, probeGroupReq, probeGroupResp](
-			sys.cluster, sys.send, relay, "h.probeGroup", probeEnv,
+			sys.cluster, sys.send, relay, "h.probeGroup", &sc.probe,
 			func(_ network.SiteID, items []probeGroupItem) probeGroupReq { return probeGroupReq{Items: items} },
 			network.FanoutOpts{})
 		if err != nil {
 			return err
 		}
 		for si, site := range sites {
-			if len(resps[si].Items) != probeEnv.Len(site) {
+			if len(resps[si].Items) != sc.probe.Len(site) {
 				return errResponseShape("h.probeGroup", site)
 			}
 			for k, ir := range resps[si].Items {
-				g := probeRefs[site][k]
+				g := sc.probeRefs[site][k]
 				for _, id := range ir.Added {
-					if !g.inserted[id] {
-						adds = append(adds, mark{id, g.comp.ID})
+					if !g.wasInserted(id) {
+						sc.adds = append(sc.adds, mark{id, g.comp.ID})
 					}
 				}
 				if !g.decided {
 					g.mergeBs(ir.Bs)
-					g.remoteSites = append(g.remoteSites, site)
-					g.remoteHas = append(g.remoteHas, ir.HasClasses)
-					g.remoteFlag = append(g.remoteFlag, ir.Flag)
-					g.remotePromoted = append(g.remotePromoted, ir.Promoted)
+					g.remote = append(g.remote, remoteAnswer{site, ir.HasClasses, ir.Flag, ir.Promoted})
 				}
 			}
 		}
@@ -363,50 +465,49 @@ func (sys *System) applyWaveCoalesced(norm relation.UpdateList, delta *cfd.Delta
 	// their flag, demotes/promotes flip survivors), plus one envelope per
 	// (relay, site) for remote corrections — in practice the demote
 	// round, since promotions already happened inline.
-	settleEnv := &network.Coalescer[settleGroupItem]{}
-	settleRefs := make(map[network.SiteID][]*hGroup)
 	addSettle := func(to network.SiteID, g *hGroup) {
-		settleEnv.Add(to, settleGroupItem{Rule: g.comp.ID, X: g.xref, Flag: g.postFlag})
-		settleRefs[to] = append(settleRefs[to], g)
+		sc.settle.Add(to, settleGroupItem{Rule: g.comp.ID, X: g.xref, Flag: g.postFlag})
+		sc.settleRefs[to] = append(sc.settleRefs[to], g)
 	}
 	for _, g := range groups {
 		for _, o := range g.owners {
 			addSettle(o, g) // same-site from the owner itself: unmetered
 		}
-		for ri, site := range g.remoteSites {
-			if g.remoteHas[ri] && !g.remotePromoted[ri] && g.remoteFlag[ri] != g.postFlag {
-				addSettle(site, g)
+		for _, r := range g.remote {
+			if r.has && !r.promoted && r.flag != g.postFlag {
+				addSettle(r.site, g)
 			}
 		}
 	}
-	if !settleEnv.Empty() {
-		sites := settleEnv.Sites()
-		resps := make([]settleGroupResp, len(sites))
+	if !sc.settle.Empty() {
+		sites := sc.settle.Sites()
+		sc.settleResps = slices.Grow(sc.settleResps, len(sites))[:len(sites)]
+		resps := sc.settleResps
 		err := sys.cluster.Fanout(len(sites), network.FanoutOpts{}, func(i int) error {
 			to := sites[i]
 			from := to // owner settles are the site's own local work
-			if !allOwnerItems(settleRefs[to], to) {
+			if !allOwnerItems(sc.settleRefs[to], to) {
 				from = relay // demote orders travel from the relay
 			}
-			return sys.send(from, to, "h.settleGroup", settleGroupReq{Items: settleEnv.Items(to)}, &resps[i])
+			return sys.send(from, to, "h.settleGroup", settleGroupReq{Items: sc.settle.Items(to)}, &resps[i])
 		})
 		if err != nil {
 			return err
 		}
 		for si, site := range sites {
-			if len(resps[si].Items) != settleEnv.Len(site) {
+			if len(resps[si].Items) != sc.settle.Len(site) {
 				return errResponseShape("h.settleGroup", site)
 			}
 			for k, ir := range resps[si].Items {
-				g := settleRefs[site][k]
+				g := sc.settleRefs[site][k]
 				for _, id := range ir.Added {
-					if !g.inserted[id] {
-						adds = append(adds, mark{id, g.comp.ID})
+					if !g.wasInserted(id) {
+						sc.adds = append(sc.adds, mark{id, g.comp.ID})
 					}
 				}
 				for _, id := range ir.Removed {
-					if !g.inserted[id] {
-						removes = append(removes, mark{id, g.comp.ID})
+					if !g.wasInserted(id) {
+						sc.removes = append(sc.removes, mark{id, g.comp.ID})
 					}
 				}
 			}
@@ -418,15 +519,15 @@ func (sys *System) applyWaveCoalesced(norm relation.UpdateList, delta *cfd.Delta
 		if !g.postFlag {
 			continue
 		}
-		for _, id := range g.insertedOrder {
-			adds = append(adds, mark{id, g.comp.ID})
+		for _, id := range g.inserted {
+			sc.adds = append(sc.adds, mark{id, g.comp.ID})
 		}
 	}
 
-	for _, m := range removes {
+	for _, m := range sc.removes {
 		delta.Remove(relation.TupleID(m.id), m.rule)
 	}
-	for _, m := range adds {
+	for _, m := range sc.adds {
 		delta.Add(relation.TupleID(m.id), m.rule)
 	}
 	return nil

@@ -2,32 +2,12 @@ package horizontal
 
 import (
 	"slices"
-	"sync"
 	"testing"
 
 	"repro/internal/centralized"
-	"repro/internal/network"
 	"repro/internal/partition"
 	"repro/internal/workload"
 )
-
-// recordingTransport hosts every site on a cluster of its own — the
-// daemon half of the deployment, in process — and records which methods
-// the driver sends.
-type recordingTransport struct {
-	hosted *network.Cluster
-	mu     sync.Mutex
-	sent   map[string]bool
-}
-
-func (r *recordingTransport) Invoke(to network.SiteID, method string, data []byte) ([]byte, error) {
-	r.mu.Lock()
-	r.sent[method] = true
-	r.mu.Unlock()
-	return r.hosted.Dispatch(to, method, data)
-}
-
-func (r *recordingTransport) Close() error { return nil }
 
 // TestRegisteredMethodsAreDriven: between them a seeded system, a
 // NoIndexes one, a mixed batch that crosses sites, AddRules, RemoveRules
@@ -40,23 +20,6 @@ func TestRegisteredMethodsAreDriven(t *testing.T) {
 	rules := gen.Rules(24)
 	mirror := gen.Relation(300)
 	scheme := partition.HashHorizontal("c_name", n)
-
-	sent := make(map[string]bool)
-	open := func(opts Options) *System {
-		t.Helper()
-		tr := &recordingTransport{hosted: network.NewCluster(n), sent: sent}
-		for i := 0; i < n; i++ {
-			if err := HostSite(tr.hosted, network.SiteID(i), mirror.Schema, rules[:20]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		opts.Transport = tr
-		sys, err := NewSystem(mirror, scheme, rules[:20], opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sys
-	}
 	check := func(sys *System, step string) {
 		t.Helper()
 		want := centralized.Detect(mirror, sys.Rules())
@@ -65,12 +28,12 @@ func TestRegisteredMethodsAreDriven(t *testing.T) {
 		}
 	}
 
-	bare := open(Options{NoIndexes: true})
+	bare, bareTr := hostedSystem(t, mirror, scheme, rules[:20], Options{NoIndexes: true})
 	if v, err := bare.BatchDetect(); err != nil || !v.Equal(centralized.Detect(mirror, rules[:20])) {
 		t.Fatalf("NoIndexes BatchDetect: equal to the oracle = false, err = %v", err)
 	}
 
-	sys := open(Options{})
+	sys, tr := hostedSystem(t, mirror, scheme, rules[:20], Options{})
 	check(sys, "seed")
 	batch := gen.Updates(mirror, 60, 0.6)
 	if _, err := sys.ApplyBatch(batch); err != nil {
@@ -89,9 +52,11 @@ func TestRegisteredMethodsAreDriven(t *testing.T) {
 	}
 	check(sys, "RemoveRules")
 
-	driven := make([]string, 0, len(sent))
-	for m := range sent {
-		driven = append(driven, m)
+	var driven []string
+	for _, call := range append(bareTr.recorded, tr.recorded...) {
+		if !slices.Contains(driven, call.method) {
+			driven = append(driven, call.method)
+		}
 	}
 	slices.Sort(driven)
 	if registered := sys.Cluster().Methods(0); !slices.Equal(driven, registered) {

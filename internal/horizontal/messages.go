@@ -33,6 +33,8 @@ const (
 // probes never materialize a key string.
 type code [16]byte
 
+const codeLen = len(code{})
+
 // keyRef identifies an equivalence key on the wire: either a 16-byte MD5
 // code (the §6 optimization) or the raw attribute values.
 type keyRef struct {
@@ -40,12 +42,16 @@ type keyRef struct {
 	Raw    []string
 }
 
-// code canonicalizes the reference to the in-memory index key.
-func (k keyRef) code() code {
+// code canonicalizes the reference to the in-memory index key; ok is
+// false for a digest that is not 16 bytes, which no driver sends.
+func (k keyRef) code() (c code, ok bool) {
 	if k.Digest != nil {
-		return code(k.Digest)
+		if len(k.Digest) != codeLen {
+			return c, false
+		}
+		return code(k.Digest), true
 	}
-	return digestOf(k.Raw)
+	return digestOf(k.Raw), true
 }
 
 // digestOf MD5-codes a value list. Values are framed with the same
@@ -239,11 +245,3 @@ type localDetectResp struct {
 
 // empty is the reply of fire-and-forget handlers.
 type empty struct{}
-
-func toInt64s(ids []relation.TupleID) []int64 {
-	out := make([]int64, len(ids))
-	for i, id := range ids {
-		out[i] = int64(id)
-	}
-	return out
-}

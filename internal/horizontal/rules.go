@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/cfd"
 	"repro/internal/network"
@@ -62,27 +61,32 @@ type dropRulesReq struct {
 // seedRules is the site half of AddRules: it compiles and installs the
 // new rules, builds their group indexes from the local fragment in one
 // scan, settles the flags of locally decidable rules, and reports the
-// evidence the driver needs for the rest.
+// evidence the driver needs for the rest. A rule list the site cannot
+// install whole is refused before anything changes.
 func (s *site) seedRules(req seedRulesReq) (seedRulesResp, error) {
-	base := len(s.ruleOrder)
-	comps := make([]*cfd.Compiled, len(req.Rules))
+	if len(req.Local) != len(req.Rules) {
+		return seedRulesResp{}, s.refuse("h.seedRules", "%d local flags for %d rules", len(req.Local), len(req.Rules))
+	}
 	for i := range req.Rules {
-		r := req.Rules[i]
-		if _, dup := s.rules[r.ID]; dup {
+		r := &req.Rules[i]
+		if err := r.Validate(s.schema); err != nil {
+			return seedRulesResp{}, s.refuse("h.seedRules", "%w", err)
+		}
+		if _, dup := s.rules[r.ID]; dup || slices.ContainsFunc(req.Rules[:i], func(p cfd.CFD) bool { return p.ID == r.ID }) {
 			return seedRulesResp{}, fmt.Errorf("horizontal: site %d: rule %q already in force: %w", s.id, r.ID, xerr.ErrDuplicateRule)
 		}
-		c := cfd.Compile(s.schema, &r, cfd.RuleIdx(base+i))
-		comps[i] = &c
-		s.rules[r.ID] = &c
-		s.ruleOrder = append(s.ruleOrder, &c)
-		if !c.ConstRHS {
-			s.groups[r.ID] = make(map[code]map[code]*hClass)
-		}
 	}
+	base := len(s.ruleOrder)
+	for i := range req.Rules {
+		r := req.Rules[i]
+		c := cfd.Compile(s.schema, &r, cfd.RuleIdx(base+i))
+		s.install(&c)
+	}
+	added := s.ruleOrder[base:]
 
-	resp := seedRulesResp{Items: make([]seedRulesItem, len(req.Rules))}
+	resp := seedRulesResp{Items: make([]seedRulesItem, len(added))}
 	s.frag.Each(func(t relation.Tuple) bool {
-		for i, r := range comps {
+		for i, r := range added {
 			if r.ConstRHS {
 				if r.SingleViolation(t) {
 					resp.Items[i].Violations = append(resp.Items[i].Violations, int64(t.ID))
@@ -92,24 +96,20 @@ func (s *site) seedRules(req seedRulesReq) (seedRulesResp, error) {
 			if !r.MatchesLHS(t) {
 				continue
 			}
-			dx, db := s.tupleKeys(r, t)
-			c := s.ensureClass(r.ID, dx, db)
-			c.members[t.ID] = struct{}{}
+			dx, db := s.tupleKeys(r.Compiled, t)
+			c, _ := r.ensureClass(dx, db)
+			c.add(t.ID)
 		}
 		return true
 	})
 
-	for i, r := range comps {
+	for i, r := range added {
 		if r.ConstRHS {
 			continue
 		}
-		codes := make([]code, 0, len(s.groups[r.ID]))
-		for dx := range s.groups[r.ID] {
-			codes = append(codes, dx)
-		}
-		slices.SortFunc(codes, func(a, b code) int { return bytes.Compare(a[:], b[:]) })
-		for _, dx := range codes {
-			g := s.groups[r.ID][dx]
+		item := &resp.Items[i]
+		for _, dx := range sortedCodes(r.groups) {
+			g := r.groups[dx]
 			if req.Local[i] {
 				// Locally checkable: the group is global, decide here.
 				if len(g) < 2 {
@@ -117,36 +117,29 @@ func (s *site) seedRules(req seedRulesReq) (seedRulesResp, error) {
 				}
 				for _, c := range g {
 					c.inV = true
-					resp.Items[i].Violations = append(resp.Items[i].Violations, toInt64s(sortedMembers(c))...)
+					item.Violations = appendIDs(item.Violations, c.members)
 				}
 				continue
 			}
-			resp.Items[i].Groups = append(resp.Items[i].Groups, seedGroupInfo{
-				X:  append([]byte(nil), dx[:]...),
-				Bs: distinctDigests(g),
-			})
+			item.Groups = append(item.Groups, seedGroupInfo{X: append([]byte(nil), dx[:]...), Bs: distinctDigests(g)})
 		}
-		sort.Slice(resp.Items[i].Violations, func(a, b int) bool {
-			return resp.Items[i].Violations[a] < resp.Items[i].Violations[b]
-		})
+		slices.Sort(item.Violations)
 	}
 	return resp, nil
 }
 
-// dropRules is the site half of RemoveRules.
+// dropRules is the site half of RemoveRules. A list naming a rule the
+// site does not hold, or one rule twice, is refused before any is
+// dropped.
 func (s *site) dropRules(req dropRulesReq) (empty, error) {
-	for _, id := range req.Rules {
-		if _, ok := s.rules[id]; !ok {
+	for i, id := range req.Rules {
+		if _, ok := s.rules[id]; !ok || slices.Contains(req.Rules[:i], id) {
 			return empty{}, fmt.Errorf("horizontal: site %d: dropping rule %q: %w", s.id, id, xerr.ErrUnknownRule)
 		}
+	}
+	for _, id := range req.Rules {
 		delete(s.rules, id)
-		delete(s.groups, id)
-		for i, r := range s.ruleOrder {
-			if r.ID == id {
-				s.ruleOrder = append(s.ruleOrder[:i], s.ruleOrder[i+1:]...)
-				break
-			}
-		}
+		s.ruleOrder = slices.DeleteFunc(s.ruleOrder, func(r *siteRule) bool { return r.ID == id })
 	}
 	return empty{}, nil
 }
@@ -230,6 +223,9 @@ func (sys *System) AddRules(rules []cfd.CFD) (*cfd.Delta, error) {
 				delta.Add(relation.TupleID(id), rules[ri].ID)
 			}
 			for _, g := range item.Groups {
+				if len(g.X) != codeLen {
+					return nil, errResponseShape("h.seedRules", targets[si])
+				}
 				k := groupKey{rule: ri, x: code(g.X)}
 				a, ok := agg[k]
 				if !ok {

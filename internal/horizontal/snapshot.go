@@ -67,21 +67,16 @@ func (s *site) snapshotState() ([]byte, error) {
 	st := hSiteState{Frag: s.frag.Tuples(), Rules: make([]snapRule, 0, len(s.ruleOrder))}
 	for _, r := range s.ruleOrder {
 		sr := snapRule{Rule: *r.CFD, Idx: r.Idx}
-		groups := s.groups[r.ID] // none under a constant rule
 		// The key slices are not reused: the state's DX and DB alias them
 		// until it is encoded.
-		dxs := sortedCodes(groups)
+		dxs := sortedCodes(r.groups) // none under a constant rule
 		for i := range dxs {
-			g := groups[dxs[i]]
+			g := r.groups[dxs[i]]
 			dbs := sortedCodes(g)
 			sg := snapGroup{DX: dxs[i][:], Classes: make([]snapClass, 0, len(dbs))}
 			for j := range dbs {
 				c := g[dbs[j]]
-				members := make([]int64, 0, len(c.members))
-				for id := range c.members {
-					members = append(members, int64(id))
-				}
-				slices.Sort(members)
+				members := appendIDs(make([]int64, 0, len(c.members)), c.members)
 				sg.Classes = append(sg.Classes, snapClass{DB: dbs[j][:], InV: c.inV, Members: members})
 			}
 			sr.Groups = append(sr.Groups, sg)
@@ -106,9 +101,8 @@ func (s *site) restoreState(data []byte) error {
 		return fail(err)
 	}
 	s.frag = relation.New(s.schema)
-	s.rules = make(map[string]*cfd.Compiled, len(st.Rules))
+	s.rules = make(map[string]*siteRule, len(st.Rules))
 	s.ruleOrder = nil
-	s.groups = make(map[string]map[code]map[code]*hClass)
 	for _, t := range st.Frag {
 		if err := s.frag.Insert(t); err != nil {
 			return fail(err)
@@ -123,24 +117,26 @@ func (s *site) restoreState(data []byte) error {
 			return fail(fmt.Errorf("rule %q twice", sr.Rule.ID))
 		}
 		c := cfd.Compile(s.schema, &sr.Rule, sr.Idx)
-		s.rules[c.ID] = &c
-		s.ruleOrder = append(s.ruleOrder, &c)
+		s.install(&c)
+		r := s.ruleOrder[len(s.ruleOrder)-1]
 		if c.ConstRHS {
 			if len(sr.Groups) > 0 {
 				return fail(fmt.Errorf("groups under constant rule %q", c.ID))
 			}
 			continue
 		}
-		s.groups[c.ID] = make(map[code]map[code]*hClass, len(sr.Groups))
 		for _, g := range sr.Groups {
 			for _, cl := range g.Classes {
-				if len(g.DX) != len(code{}) || len(cl.DB) != len(code{}) {
+				if len(g.DX) != codeLen || len(cl.DB) != codeLen {
 					return fail(fmt.Errorf("rule %q: class key of %d and %d bytes", c.ID, len(g.DX), len(cl.DB)))
 				}
-				hc := s.ensureClass(c.ID, code(g.DX), code(cl.DB))
+				if len(cl.Members) == 0 {
+					return fail(fmt.Errorf("rule %q: class without members", c.ID))
+				}
+				hc, _ := r.ensureClass(code(g.DX), code(cl.DB))
 				hc.inV = cl.InV
 				for _, id := range cl.Members {
-					hc.members[relation.TupleID(id)] = struct{}{}
+					hc.add(relation.TupleID(id))
 				}
 			}
 		}

@@ -55,6 +55,9 @@ type System struct {
 	// waveSeq counts the batch-grouped protocol's waves; the relay role
 	// rotates on it (see coalesce.go).
 	waveSeq int
+	// scratch is the batch-grouped driver's per-wave state (coalesce.go),
+	// nil until a wave needs it and after a large one.
+	scratch *waveScratch
 
 	// localCheck marks rules needing no shipment ever: constant rules
 	// and variable rules with X_Fi ⊆ X for every fragment (§6 local

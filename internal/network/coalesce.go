@@ -1,6 +1,9 @@
 package network
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // This file is the message-coalescing surface of the batch-grouped
 // protocol rounds: instead of one message per (unit update, destination),
@@ -16,7 +19,10 @@ import "sort"
 // driver can keep one envelope per phase across batches.
 type Coalescer[Item any] struct {
 	items map[SiteID][]Item
-	sites []SiteID // sorted cache; nil when stale
+	sites []SiteID // sorted destinations, current while sorted is set
+	// sorted reports that no destination gained its first item since
+	// Sites last ran.
+	sorted bool
 }
 
 // Add appends an item bound for site to.
@@ -24,10 +30,11 @@ func (e *Coalescer[Item]) Add(to SiteID, it Item) {
 	if e.items == nil {
 		e.items = make(map[SiteID][]Item)
 	}
-	if _, ok := e.items[to]; !ok {
-		e.sites = nil
+	q := e.items[to]
+	if len(q) == 0 {
+		e.sorted = false
 	}
-	e.items[to] = append(e.items[to], it)
+	e.items[to] = append(q, it)
 }
 
 // Len returns the number of items queued for site to.
@@ -47,25 +54,31 @@ func (e *Coalescer[Item]) Empty() bool {
 func (e *Coalescer[Item]) Items(to SiteID) []Item { return e.items[to] }
 
 // Sites returns every destination with at least one queued item, sorted —
-// the deterministic send order of the phase.
+// the deterministic send order of the phase. The slice is the
+// envelope's own, valid until the next Add or Reset.
 func (e *Coalescer[Item]) Sites() []SiteID {
-	if e.sites == nil {
+	if !e.sorted {
+		e.sites = e.sites[:0]
 		for s, its := range e.items {
 			if len(its) > 0 {
 				e.sites = append(e.sites, s)
 			}
 		}
-		sort.Slice(e.sites, func(i, j int) bool { return e.sites[i] < e.sites[j] })
+		slices.Sort(e.sites)
+		e.sorted = true
 	}
 	return e.sites
 }
 
 // Reset clears every destination's queue, retaining the backing arrays.
+// The dropped items are zeroed, so a kept envelope holds no reference to
+// a past batch's data.
 func (e *Coalescer[Item]) Reset() {
-	for s := range e.items {
-		e.items[s] = e.items[s][:0]
+	for s, its := range e.items {
+		clear(its)
+		e.items[s] = its[:0]
 	}
-	e.sites = nil
+	e.sorted = false
 }
 
 // SortedSites returns a map's SiteID keys in ascending order — the
