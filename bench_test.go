@@ -7,9 +7,11 @@ package repro
 // command regenerates the same tables at larger scales.
 
 import (
+	"context"
 	"testing"
 	"time"
 
+	"repro/internal/centralized"
 	"repro/internal/harness"
 	"repro/internal/workload"
 )
@@ -107,25 +109,25 @@ func BenchmarkFanoutEngine(b *testing.B) {
 // exactly the same bytes and messages — the engine changes when messages
 // fly, never what is sent — while wall-clock drops.
 
-// benchDetector opens a session and returns the engine behind it: the
-// benchmarks below time the engine's own ApplyBatch and BatchDetect.
-func benchDetector(b *testing.B, rel *Relation, rules []CFD, opts ...Option) Detector {
+// benchSession opens a session that the benchmark's cleanup closes: the
+// benchmarks below time its ApplyBatch and BatchDetect.
+func benchSession(b *testing.B, rel *Relation, rules []CFD, opts ...Option) *Session {
 	b.Helper()
 	sess, err := Open(rel, rules, opts...)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { sess.Close() })
-	return sess.Detector()
+	return sess
 }
 
-func benchFanoutSystems(b *testing.B) (vsys, hsys Detector, gen *workload.Generator) {
+func benchFanoutSystems(b *testing.B) (vsys, hsys *Session, gen *workload.Generator) {
 	b.Helper()
 	gen = workload.NewSized(workload.TPCH, 7, 8000)
 	rules := gen.Rules(30)
 	rel := gen.Relation(2000)
-	vsys = benchDetector(b, rel, rules, WithVertical(RoundRobinVertical(gen.Schema(), 8)), WithOptimizer())
-	hsys = benchDetector(b, rel, rules, WithHorizontal(HashHorizontal("c_name", 8)))
+	vsys = benchSession(b, rel, rules, WithVertical(RoundRobinVertical(gen.Schema(), 8)), WithOptimizer())
+	hsys = benchSession(b, rel, rules, WithHorizontal(HashHorizontal("c_name", 8)))
 	vsys.Cluster().SetLinkRTT(time.Millisecond)
 	hsys.Cluster().SetLinkRTT(time.Millisecond)
 	return vsys, hsys, gen
@@ -177,10 +179,10 @@ func benchApplyBatchFanout(b *testing.B, workers int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t := gen.Next()
-		if _, err := vsys.ApplyBatch(UpdateList{{Kind: Insert, Tuple: t}}); err != nil {
+		if _, err := vsys.ApplyBatch(context.Background(), UpdateList{{Kind: Insert, Tuple: t}}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := hsys.ApplyBatch(UpdateList{{Kind: Insert, Tuple: t}}); err != nil {
+		if _, err := hsys.ApplyBatch(context.Background(), UpdateList{{Kind: Insert, Tuple: t}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -206,7 +208,7 @@ func benchBatchApply(b *testing.B, style string, unit bool, batch int) {
 	if style == "vertical" {
 		opts = []Option{WithVertical(RoundRobinVertical(gen.Schema(), 8)), WithOptimizer()}
 	}
-	sys := benchDetector(b, rel, rules, opts...)
+	sys := benchSession(b, rel, rules, opts...)
 	sys.Cluster().SetLinkRTT(100 * time.Microsecond)
 	ins := make(UpdateList, batch)
 	del := make(UpdateList, batch)
@@ -223,7 +225,7 @@ func benchBatchApply(b *testing.B, style string, unit bool, batch int) {
 				step = 1
 			}
 			for at := 0; at < len(ul); at += step {
-				if _, err := sys.ApplyBatch(ul[at : at+step]); err != nil {
+				if _, err := sys.ApplyBatch(context.Background(), ul[at:at+step]); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -250,11 +252,11 @@ func BenchmarkUnitUpdateVertical(b *testing.B) {
 	gen := workload.NewSized(workload.TPCH, 42, 8000)
 	rules := gen.Rules(50)
 	rel := gen.Relation(4000)
-	sys := benchDetector(b, rel, rules, WithVertical(RoundRobinVertical(gen.Schema(), 10)), WithOptimizer())
+	sys := benchSession(b, rel, rules, WithVertical(RoundRobinVertical(gen.Schema(), 10)), WithOptimizer())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t := gen.Next()
-		if _, err := sys.ApplyBatch(UpdateList{{Kind: Insert, Tuple: t}}); err != nil {
+		if _, err := sys.ApplyBatch(context.Background(), UpdateList{{Kind: Insert, Tuple: t}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -264,11 +266,11 @@ func BenchmarkUnitUpdateHorizontal(b *testing.B) {
 	gen := workload.NewSized(workload.TPCH, 42, 8000)
 	rules := gen.Rules(50)
 	rel := gen.Relation(4000)
-	sys := benchDetector(b, rel, rules, WithHorizontal(HashHorizontal("c_name", 10)))
+	sys := benchSession(b, rel, rules, WithHorizontal(HashHorizontal("c_name", 10)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t := gen.Next()
-		if _, err := sys.ApplyBatch(UpdateList{{Kind: Insert, Tuple: t}}); err != nil {
+		if _, err := sys.ApplyBatch(context.Background(), UpdateList{{Kind: Insert, Tuple: t}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -291,7 +293,7 @@ func BenchmarkCentralizedIncrementalApply(b *testing.B) {
 	gen := workload.NewSized(workload.TPCH, 42, 8000)
 	rules := gen.Rules(50)
 	rel := gen.Relation(4000)
-	inc, err := NewCentralizedIncremental(rel, rules)
+	inc, err := centralized.NewIncremental(rel, rules)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -317,9 +319,9 @@ func BenchmarkBoundednessVerticalShipment(b *testing.B) {
 			gen := workload.NewSized(workload.TPCH, 5, 10000)
 			rules := gen.Rules(25)
 			rel := gen.Relation(d)
-			sys := benchDetector(b, rel, rules, WithVertical(RoundRobinVertical(gen.Schema(), 10)))
+			sys := benchSession(b, rel, rules, WithVertical(RoundRobinVertical(gen.Schema(), 10)))
 			updates := gen.Updates(rel, 500, 0.8)
-			if _, err := sys.ApplyBatch(updates); err != nil {
+			if _, err := sys.ApplyBatch(context.Background(), updates); err != nil {
 				b.Fatal(err)
 			}
 			perUpdate[k] = float64(sys.Stats().Bytes) / float64(len(updates))

@@ -14,16 +14,6 @@ func centralizedDetect(rel *relation.Relation, rules []cfd.CFD) *cfd.Violations 
 	return centralized.Detect(rel, rules)
 }
 
-// CentralizedIncremental maintains V(Σ, D) for a single-site relation
-// under batch updates in O(|∆D| + |∆V|) — the centralized counterpart of
-// the distributed incremental detectors (Fan et al., TODS 2008).
-type CentralizedIncremental = centralized.Incremental
-
-// NewCentralizedIncremental indexes rel (cloned) and computes V(Σ, D).
-func NewCentralizedIncremental(rel *Relation, rules []CFD) (*CentralizedIncremental, error) {
-	return centralized.NewIncremental(rel, rules)
-}
-
 // ReadRelationCSV reads a relation written by WriteRelationCSV (header:
 // "id" plus attribute names).
 func ReadRelationCSV(r io.Reader, name string) (*Relation, error) {

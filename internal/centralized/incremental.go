@@ -228,3 +228,10 @@ func (inc *Incremental) applyUnit(u relation.Update) (*cfd.Delta, error) {
 
 // Rules returns the rule set in force.
 func (inc *Incremental) Rules() []cfd.CFD { return inc.rules }
+
+// BatchDetect recomputes V(Σ, D) from scratch over the maintained
+// relation — the single-site batch baseline the distributed engines'
+// batVer and batHor are compared against.
+func (inc *Incremental) BatchDetect() (*cfd.Violations, error) {
+	return Detect(inc.rel, inc.rules), nil
+}

@@ -12,7 +12,6 @@ import (
 	"repro/internal/partition"
 	"repro/internal/relation"
 	"repro/internal/session"
-	"repro/internal/stream"
 	"repro/internal/workload"
 )
 
@@ -138,7 +137,7 @@ func (sp StreamSpec) instantiate() (*session.Session, *workload.Stream, error) {
 // StreamRun is one measured (profile, engine) stream.
 type StreamRun struct {
 	Spec    StreamSpec
-	Summary *stream.Summary
+	Summary *session.Summary
 }
 
 // RunStream measures every profile × engine combination under the same
@@ -154,7 +153,7 @@ func RunStream(sc Scale, k StreamKnobs) ([]StreamRun, error) {
 			if err != nil {
 				return nil, err
 			}
-			sum, err := a.Run(context.Background(), src, stream.Options{Realtime: k.Realtime})
+			sum, err := a.Run(context.Background(), src, session.RunOptions{Realtime: k.Realtime})
 			if err != nil {
 				return nil, fmt.Errorf("stream %s/%s: %w", profile, engine, err)
 			}
@@ -234,7 +233,7 @@ func StreamResult(runs []StreamRun) *Result {
 
 // ApplyPercentiles returns the p50 and p95 apply latency of a stream
 // summary in milliseconds.
-func ApplyPercentiles(s *stream.Summary) (p50, p95 float64) {
+func ApplyPercentiles(s *session.Summary) (p50, p95 float64) {
 	if len(s.Results) == 0 {
 		return 0, 0
 	}

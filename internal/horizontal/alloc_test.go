@@ -38,7 +38,7 @@ func TestWaveAllocBound(t *testing.T) {
 		}
 		next := 0
 		apply := func() {
-			if _, err := sys.ApplyBatch(batches[next]); err != nil {
+			if _, err := sys.Apply(batches[next]); err != nil {
 				t.Fatal(err)
 			}
 			next++

@@ -9,7 +9,7 @@ import (
 	"repro/internal/relation"
 )
 
-// This file is the incHor driver — the one protocol ApplyBatch, seeding
+// This file is the incHor driver — the one protocol Apply, seeding
 // and rule seeding all run; a per-update round is a wave of one. One wave
 // runs as phases —
 //

@@ -167,7 +167,7 @@ func TestHandlersRefuseMalformedCalls(t *testing.T) {
 
 	// The site still serves its driver.
 	batch := relation.UpdateList{{Kind: relation.Delete, Tuple: rel.Tuples()[0]}}
-	if _, err := sys.ApplyBatch(batch); err != nil {
+	if _, err := sys.Apply(batch); err != nil {
 		t.Fatal(err)
 	}
 	mirror := rel.Clone()
@@ -210,7 +210,7 @@ func TestDriverRefusesMalformedReplies(t *testing.T) {
 	gen, rel, scheme, rules := dispatchFixture()
 	batch := gen.Updates(rel, 24, 0.5)
 	applyBatch := func(sys *System) error {
-		_, err := sys.ApplyBatch(batch)
+		_, err := sys.Apply(batch)
 		return err
 	}
 	cases := []struct {
@@ -270,7 +270,7 @@ func FuzzDispatch(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if _, err := sys.ApplyBatch(gen.Updates(rel, 24, 0.5)); err != nil {
+	if _, err := sys.Apply(gen.Updates(rel, 24, 0.5)); err != nil {
 		f.Fatal(err)
 	}
 	if _, err := sys.AddRules(rules[20:]); err != nil {

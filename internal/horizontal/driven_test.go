@@ -36,7 +36,7 @@ func TestRegisteredMethodsAreDriven(t *testing.T) {
 	sys, tr := hostedSystem(t, mirror, scheme, rules[:20], Options{})
 	check(sys, "seed")
 	batch := gen.Updates(mirror, 60, 0.6)
-	if _, err := sys.ApplyBatch(batch); err != nil {
+	if _, err := sys.Apply(batch); err != nil {
 		t.Fatal(err)
 	}
 	if err := batch.Apply(mirror); err != nil {

@@ -73,7 +73,7 @@ func TestPaperExample2InsertHorizontal(t *testing.T) {
 
 	// Example 2(1)/Example 9: t6 lands at DH3 next to t5 (a known
 	// violation); ∆V+ = {t6} with no data shipped at all.
-	delta, err := sys.ApplyBatch(relation.UpdateList{{Kind: relation.Insert, Tuple: t6()}})
+	delta, err := sys.Apply(relation.UpdateList{{Kind: relation.Insert, Tuple: t6()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestPaperExample2InsertHorizontal(t *testing.T) {
 	if got := delta.RemovedTuples(); len(got) != 0 {
 		t.Errorf("∆V− = %v, want empty", got)
 	}
-	if stats := sys.Stats(); stats.Messages != 0 {
+	if stats := sys.Cluster().Stats(); stats.Messages != 0 {
 		t.Errorf("t6 insert shipped %d messages, paper Example 2 says none are needed", stats.Messages)
 	}
 }
@@ -95,7 +95,7 @@ func TestPaperExample2DeleteHorizontal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.ApplyBatch(relation.UpdateList{{Kind: relation.Insert, Tuple: t6()}}); err != nil {
+	if _, err := sys.Apply(relation.UpdateList{{Kind: relation.Insert, Tuple: t6()}}); err != nil {
 		t.Fatal(err)
 	}
 	sys.Cluster().ResetStats()
@@ -103,7 +103,7 @@ func TestPaperExample2DeleteHorizontal(t *testing.T) {
 	// Example 2(2): deleting t4 removes exactly {t4}, shipping nothing
 	// (t3 shares t4's class at DH2).
 	t4, _ := rel.Get(4)
-	delta, err := sys.ApplyBatch(relation.UpdateList{{Kind: relation.Delete, Tuple: t4}})
+	delta, err := sys.Apply(relation.UpdateList{{Kind: relation.Delete, Tuple: t4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestPaperExample2DeleteHorizontal(t *testing.T) {
 	if got := delta.AddedTuples(); len(got) != 0 {
 		t.Errorf("∆V+ = %v, want empty", got)
 	}
-	if stats := sys.Stats(); stats.Messages != 0 {
+	if stats := sys.Cluster().Stats(); stats.Messages != 0 {
 		t.Errorf("t4 delete shipped %d messages, paper Example 2 says none are needed", stats.Messages)
 	}
 }
@@ -224,7 +224,7 @@ func runRandomCase(t *testing.T, seed int64, schemeKind int, disableMD5 bool) {
 		}
 	}
 
-	delta, err := sys.ApplyBatch(updates)
+	delta, err := sys.Apply(updates)
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}

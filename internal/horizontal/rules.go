@@ -160,7 +160,7 @@ func (sys *System) allSites() []network.SiteID {
 // sites' ≤2-distinct-B evidence and settled in one more coalesced round.
 // The rounds are metered like any other protocol round; the returned ∆V
 // holds exactly the new rules' marks, already applied to Violations().
-// Like ApplyBatch, the rounds are not atomic: a mid-round transport
+// Like Apply, the rounds are not atomic: a mid-round transport
 // error leaves driver and sites desynchronized, and the system should
 // be rebuilt.
 func (sys *System) AddRules(rules []cfd.CFD) (*cfd.Delta, error) {

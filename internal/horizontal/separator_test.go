@@ -58,7 +58,7 @@ func TestSeparatorCollisionAgainstOracle(t *testing.T) {
 		t2, _ := rel.Get(2)
 		updates = append(updates, relation.Update{Kind: relation.Delete, Tuple: t2})
 
-		if _, err := sys.ApplyBatch(updates); err != nil {
+		if _, err := sys.Apply(updates); err != nil {
 			t.Fatal(err)
 		}
 		updated := rel.Clone()

@@ -17,7 +17,7 @@ type Options struct {
 	// (for the shipment ablation).
 	DisableMD5 bool
 	// NoIndexes loads the fragments only; the system serves batHor
-	// (BatchDetect) but rejects ApplyBatch.
+	// (BatchDetect) but rejects Apply.
 	NoIndexes bool
 	// Transport, when non-nil, is a state-hosting transport (TCP sited
 	// deployment): it is installed before seeding, so the initial
@@ -49,7 +49,7 @@ type System struct {
 	compByID map[string]*cfd.Compiled
 
 	// normScratch backs the per-batch normalized update slice, reused
-	// across ApplyBatch calls so normalization happens exactly once per
+	// across Apply calls so normalization happens exactly once per
 	// batch and allocates nothing in steady state.
 	normScratch relation.UpdateList
 	// waveSeq counts the batch-grouped protocol's waves; the relay role
@@ -199,9 +199,6 @@ func (sys *System) seedFragments(rel *relation.Relation) error {
 // Cluster exposes the message fabric.
 func (sys *System) Cluster() *network.Cluster { return sys.cluster }
 
-// Stats returns the traffic meters.
-func (sys *System) Stats() network.Stats { return sys.cluster.Stats() }
-
 // Violations returns the maintained violation set V(Σ, D).
 func (sys *System) Violations() *cfd.Violations { return sys.v }
 
@@ -221,10 +218,10 @@ func gather[Req, Resp any](sys *System, from network.SiteID, method string, targ
 	return network.GatherVia[Req, Resp](sys.cluster, sys.send, from, method, targets, req, network.FanoutOpts{})
 }
 
-// ApplyBatch runs incHor (Fig. 8): normalizes ∆D once, applies it through
+// Apply runs incHor (Fig. 8): normalizes ∆D once, applies it through
 // the batch-grouped protocol (coalesce.go), maintains V and returns ∆V. A
 // per-update round is a batch of one.
-func (sys *System) ApplyBatch(updates relation.UpdateList) (*cfd.Delta, error) {
+func (sys *System) Apply(updates relation.UpdateList) (*cfd.Delta, error) {
 	if sys.noIndexes {
 		return nil, fmt.Errorf("horizontal: cannot apply incremental updates: %w", xerr.ErrNoIndexes)
 	}

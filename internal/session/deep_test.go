@@ -1,6 +1,7 @@
-package core
+package session
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -12,7 +13,7 @@ import (
 	"repro/internal/relation"
 )
 
-// The workload plans the suites above run on have cross-site depth 1.
+// The workload plans the parity suite runs on have cross-site depth 1.
 // deepFixture builds one of depth 2: R(A, B, C, D) over three sites with
 // A and D at site 0, B at site 1, C at site 2, so the §4 chain of
 // [A, B, C] → D is A@0 → AB@1 → ABC@2 — two cross-site hops, three
@@ -72,13 +73,10 @@ konst: ([A, C] -> [D], (a0, c0, d0))
 	return rel, scheme, rules, batches
 }
 
-// deepSystem builds the fixture's system over a clone of rel.
-func deepSystem(t *testing.T, rel *relation.Relation, scheme *partition.VerticalScheme, rules []cfd.CFD) Detector {
+// deepSystem opens the fixture's system over a clone of rel.
+func deepSystem(t *testing.T, rel *relation.Relation, scheme *partition.VerticalScheme, rules []cfd.CFD, extra ...Option) *Session {
 	t.Helper()
-	sys, err := NewVertical(rel.Clone(), scheme, rules, VerticalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := mustOpen(t, rel.Clone(), rules, append([]Option{WithVertical(scheme)}, extra...)...)
 	if d := slices.Max(sys.Plan().Stages()); d < 2 {
 		t.Fatalf("fixture plan has depth %d, want >= 2:\n%s", d, sys.Plan().Describe())
 	}
@@ -113,13 +111,12 @@ func TestUnitCoalescedParityDeepPlan(t *testing.T) {
 // the same V and meter the same messages, bytes, per-pair bytes,
 // received bytes and eqids.
 func TestFanoutParityDeepPlan(t *testing.T) {
-	run := func(workers int) (Detector, []string) {
+	run := func(workers int) (*Session, []string) {
 		rel, scheme, rules, batches := deepFixture(t, 3)
-		sys := deepSystem(t, rel, scheme, rules)
-		sys.Cluster().SetMaxFanout(workers)
+		sys := deepSystem(t, rel, scheme, rules, WithMaxFanout(workers))
 		var deltas []string
 		for i, batch := range batches {
-			d, err := sys.ApplyBatch(batch)
+			d, err := sys.ApplyBatch(context.Background(), batch)
 			if err != nil {
 				t.Fatalf("%d workers, batch %d: %v", workers, i, err)
 			}

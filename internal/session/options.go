@@ -4,10 +4,12 @@ import (
 	"crypto/tls"
 	"fmt"
 	"net"
+	"slices"
 	"time"
 
 	"repro/internal/partition"
 	"repro/internal/sitehost"
+	"repro/internal/xerr"
 )
 
 // Kind is the partition style behind a session.
@@ -253,11 +255,20 @@ func WithLinkRTT(d time.Duration) Option {
 // bit-identical to the in-process loopback; the extra physical bytes
 // (framing, call envelopes) are metered separately by
 // Cluster().FrameBytes(). A daemon that stays unreachable past the
-// retry budget fails the operation with ErrSiteDown.
+// retry budget fails the operation with ErrSiteDown. Every site needs a
+// daemon of its own: a repeated address fails Open with ErrSiteDown, and
+// so does a daemon that already hosts another site of the session.
 func WithTCPSites(addrs ...string) Option {
 	return func(c *config) error {
 		if len(addrs) == 0 {
 			return fmt.Errorf("session: WithTCPSites: no addresses")
+		}
+		// One daemon hosts one site: a repeated address would leave a
+		// site without a daemon of its own.
+		for j, a := range addrs {
+			if i := slices.Index(addrs, a); i < j {
+				return fmt.Errorf("session: WithTCPSites: site %d address %s repeats site %d's: %w", j, a, i, xerr.ErrSiteDown)
+			}
 		}
 		c.tcpAddrs = append([]string(nil), addrs...)
 		return nil

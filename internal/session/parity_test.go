@@ -1,12 +1,12 @@
-package core
+package session
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"repro/internal/centralized"
 	"repro/internal/cfd"
-	"repro/internal/partition"
 	"repro/internal/relation"
 	"repro/internal/workload"
 )
@@ -20,10 +20,10 @@ import (
 // coalescing merges messages, never eqids or violations.
 
 // stepwise applies batch one normalised update per ApplyBatch call.
-func stepwise(d Detector, batch relation.UpdateList) error {
+func stepwise(d *Session, batch relation.UpdateList) error {
 	norm := batch.Normalize()
 	for i := range norm {
-		if _, err := d.ApplyBatch(norm[i : i+1]); err != nil {
+		if _, err := d.ApplyBatch(context.Background(), norm[i:i+1]); err != nil {
 			return err
 		}
 	}
@@ -33,12 +33,12 @@ func stepwise(d Detector, batch relation.UpdateList) error {
 // checkCut applies batch to step update by update, to whole in one call
 // and to the mirrored relation, then holds both V's to a fresh centralized
 // Detect on the mirror. It returns the ∆V whole reported.
-func checkCut(t *testing.T, label string, step, whole Detector, mirror *relation.Relation, batch relation.UpdateList) *cfd.Delta {
+func checkCut(t *testing.T, label string, step, whole *Session, mirror *relation.Relation, batch relation.UpdateList) *cfd.Delta {
 	t.Helper()
 	if err := stepwise(step, batch); err != nil {
 		t.Fatalf("%s: update by update: %v", label, err)
 	}
-	delta, err := whole.ApplyBatch(batch)
+	delta, err := whole.ApplyBatch(context.Background(), batch)
 	if err != nil {
 		t.Fatalf("%s: whole batch: %v", label, err)
 	}
@@ -48,7 +48,7 @@ func checkCut(t *testing.T, label string, step, whole Detector, mirror *relation
 	want := centralized.Detect(mirror, whole.Rules())
 	for _, c := range []struct {
 		cut string
-		d   Detector
+		d   *Session
 	}{{"update by update", step}, {"whole batch", whole}} {
 		if got := c.d.Violations(); !got.Equal(want) {
 			t.Fatalf("%s: %s: V ≠ centralized Detect on the mirrored relation\ngot \\ want: %v\nwant \\ got: %v",
@@ -60,7 +60,7 @@ func checkCut(t *testing.T, label string, step, whole Detector, mirror *relation
 
 // checkMeters compares the two cuts' traffic after a run whose batches
 // all had k ≥ 2 updates.
-func checkMeters(t *testing.T, label string, step, whole Detector) {
+func checkMeters(t *testing.T, label string, step, whole *Session) {
 	t.Helper()
 	sSt, wSt := step.Stats(), whole.Stats()
 	if sSt.Eqids != wSt.Eqids {
@@ -94,24 +94,17 @@ func parityCases() []parityCase {
 	return out
 }
 
-// parityBuild constructs one engine over rel.
-func parityBuild(t *testing.T, c parityCase, rel *relation.Relation, rules []cfd.CFD) Detector {
+// parityBuild opens one engine over rel.
+func parityBuild(t *testing.T, c parityCase, rel *relation.Relation, rules []cfd.CFD) *Session {
 	t.Helper()
-	var (
-		d   Detector
-		err error
-	)
-	if c.style == "vertical" {
-		d, err = NewVertical(rel, partition.RoundRobinVertical(rel.Schema, c.sites), rules,
-			VerticalOptions{UseOptimizer: c.seed%2 == 0})
-	} else {
-		d, err = NewHorizontal(rel, partition.HashHorizontal("c_name", c.sites), rules,
-			HorizontalOptions{DisableMD5: c.seed%3 == 0})
+	opts := []Option{styleOption(c.style, rel.Schema, c.sites)}
+	if c.style == "vertical" && c.seed%2 == 0 {
+		opts = append(opts, WithOptimizer())
 	}
-	if err != nil {
-		t.Fatal(err)
+	if c.style == "horizontal" && c.seed%3 == 0 {
+		opts = append(opts, WithoutMD5())
 	}
-	return d
+	return mustOpen(t, rel, rules, opts...)
 }
 
 // TestUnitCoalescedParity drives both cuts through identical update
@@ -163,8 +156,8 @@ func TestCoalescedSingleUpdate(t *testing.T) {
 			gen := workload.NewSized(workload.TPCH, 5, 2000)
 			rules := gen.Rules(16)
 			mirror := gen.Relation(200)
-			step := build(t, style, mirror.Clone(), rules, false)
-			whole := build(t, style, mirror.Clone(), rules, false)
+			step := build(t, style, mirror.Clone(), rules)
+			whole := build(t, style, mirror.Clone(), rules)
 			for i := 0; i < 12; i++ {
 				tup := gen.Next()
 				for _, u := range []relation.Update{{Kind: relation.Insert, Tuple: tup}, {Kind: relation.Delete, Tuple: tup}} {

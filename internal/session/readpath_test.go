@@ -9,14 +9,13 @@ import (
 	"time"
 
 	"repro/internal/relation"
-	"repro/internal/stream"
 	"repro/internal/workload"
 )
 
 // slowSource throttles a batch stream so a Run stays active long enough
 // for concurrent readers to be observed against it.
 type slowSource struct {
-	src   stream.Source
+	src   Source
 	delay time.Duration
 }
 
@@ -46,7 +45,7 @@ func TestReadsProgressDuringRun(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := s.Run(context.Background(), src, stream.Options{})
+		_, err := s.Run(context.Background(), src, RunOptions{})
 		done <- err
 	}()
 

@@ -158,10 +158,9 @@ func (s *Session) journalBase() (*journal.Base, error) {
 		Rules:       append([]cfd.CFD(nil), s.eng.Rules()...),
 		Tuples:      s.mirror.Tuples(),
 	}
-	if s.cfg.kind == Vertical {
-		type planner interface{ Plan() *optimizer.Plan }
+	if s.plan != nil {
 		var err error
-		if b.Plan, err = wire.Marshal(s.det.(planner).Plan()); err != nil {
+		if b.Plan, err = wire.Marshal(s.plan); err != nil {
 			return nil, fmt.Errorf("session: journal: encode plan: %w", err)
 		}
 	}
@@ -281,7 +280,7 @@ func (s *Session) drivePendingLocked(p *pendingOp) error {
 		)
 		switch p.op {
 		case journal.OpBatch:
-			delta, err = s.eng.ApplyBatch(p.updates)
+			delta, err = s.eng.Apply(p.updates)
 		case journal.OpAddRules:
 			delta, err = s.eng.AddRules(p.rules)
 		case journal.OpRemoveRules:

@@ -1,4 +1,15 @@
-package stream
+package session
+
+// The continuous update pipeline: Run drives the session's engine with a
+// timed sequence of batch updates ∆D₁, ∆D₂, … and meters every batch as
+// it lands — ∆V size, maintained |V|, wire traffic, apply latency and
+// queueing delay. The paper's claim (§4–§6) is that incremental detection
+// stays O(|∆D| + |∆V|) per batch regardless of |D|; a stream is where
+// that claim earns its keep, because violations must be continuously
+// correct — after every batch, not just at the end. Production shape: a
+// producer goroutine emits batches (optionally honoring the stream's
+// simulated arrival gaps) into a bounded arrival queue; the writer
+// applies them in order and publishes per-batch results.
 
 import (
 	"context"
@@ -9,19 +20,28 @@ import (
 	"repro/internal/network"
 	"repro/internal/relation"
 	"repro/internal/workload"
+	"repro/internal/xerr"
 )
 
-// Options tunes an Engine.
-type Options struct {
-	// Buffer is the arrival-queue depth: how many batches the producer
-	// may run ahead of the applier before it blocks (back-pressure).
-	// Default 4.
-	Buffer int
+// runQueue is Run's arrival-queue depth: how many batches the producer
+// may run ahead of the writer before it blocks (back-pressure). A few
+// absorb a burst's arrivals while one batch applies; a deeper queue
+// would only hide a writer that cannot keep up.
+const runQueue = 4
+
+// Source yields successive stream batches. workload.Stream is the
+// canonical implementation.
+type Source interface {
+	Next() (workload.Batch, bool)
+}
+
+// RunOptions tunes Run.
+type RunOptions struct {
 	// Realtime makes the producer honor each batch's simulated arrival
 	// gap by sleeping before enqueueing it. Off, batches arrive
 	// back-to-back and Gap is carried through for reporting only.
 	Realtime bool
-	// OnBatch, when set, is invoked synchronously from the applier
+	// OnBatch, when set, is invoked synchronously from the writer
 	// goroutine after each batch, with the batch itself, its result,
 	// and a frozen epoch snapshot of the maintained violation set. The
 	// snapshot is immutable and remains valid after the call returns.
@@ -40,7 +60,7 @@ type BatchResult struct {
 	// after the batch.
 	Violations, Marks int
 	// WireBytes, WireMessages and Eqids are the cross-site traffic
-	// this batch caused (a window over the engine's meters).
+	// this batch caused (a window over the session's meters).
 	WireBytes, WireMessages, Eqids int64
 	// Gap is the batch's simulated arrival gap (from the source).
 	Gap time.Duration
@@ -59,7 +79,7 @@ type Summary struct {
 	// subscriber.
 	Raw *cfd.Delta
 	// Net is the canonical end-to-end change cfd.DeltaBetween(V₀, V),
-	// depending only on the initial and final violation sets.
+	// depending only on the violation sets at Run's entry and exit.
 	Net *cfd.Delta
 	// Violations and Marks describe the final maintained set.
 	Violations, Marks int
@@ -72,55 +92,35 @@ type Summary struct {
 	Results []BatchResult
 }
 
-// Engine pumps a Source through an Applier: a producer goroutine emits
-// batches into a bounded arrival queue (simulating continuous traffic),
-// the calling goroutine applies them in order and meters each one. The
-// Applier is only ever touched from the applying goroutine, so engines
-// need no internal locking.
-type Engine struct {
-	a    Applier
-	src  Source
-	opts Options
-	ran  bool
-}
-
-// NewEngine returns a one-shot engine over a (fresh) applier and source.
-func NewEngine(a Applier, src Source, opts Options) *Engine {
-	if opts.Buffer <= 0 {
-		opts.Buffer = 4
-	}
-	return &Engine{a: a, src: src, opts: opts}
-}
-
 // arrival is one queued batch with its enqueue timestamp.
 type arrival struct {
 	b  workload.Batch
 	at time.Time
 }
 
-// Run drains the source through the applier and returns the stream
-// summary. It must be called at most once per engine: the summary's
-// deltas are anchored to the applier's violation state at entry.
-func (e *Engine) Run() (*Summary, error) {
-	return e.RunContext(context.Background())
-}
-
-// RunContext is Run under a context. Cancellation stops the producer,
-// drains the arrival queue cleanly (no batch is half-applied: the check
-// sits between batches) and returns ctx's error. The engine owns no site
-// goroutines — those belong to the applier's transport, which the
-// session layer tears down on Close.
-func (e *Engine) RunContext(ctx context.Context) (*Summary, error) {
-	if e.ran {
-		return nil, fmt.Errorf("stream: engine already ran")
+// Run pumps a batch source through the session's engine, metering every
+// batch, until the source is exhausted or ctx is cancelled. Cancellation
+// stops the producer and drains the arrival queue cleanly (no batch is
+// half-applied: the check sits between batches) and returns ctx's error.
+// Every applied batch is also published to Watch subscribers. Run holds
+// the writer lock for the whole stream, so batches from two writers never
+// interleave; the state lock is taken per batch, so concurrent reads
+// (Query, Count, Measures, Snapshot) keep serving the latest applied
+// epoch throughout.
+func (s *Session) Run(ctx context.Context, src Source, opts RunOptions) (*Summary, error) {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return nil, fmt.Errorf("session: Run: %w", xerr.ErrClosed)
 	}
-	e.ran = true
-
-	v0 := e.a.Violations().Clone()
-	prev := e.a.Stats()
+	v0 := s.eng.Violations().Clone()
+	prev := s.statsLocked()
+	s.mu.Unlock()
 	sum := &Summary{Raw: cfd.NewDelta()}
 
-	arrivals := make(chan arrival, e.opts.Buffer)
+	arrivals := make(chan arrival, runQueue)
 	stop := make(chan struct{})
 	// cancelled is the producer's: set before it closes arrivals, read
 	// after the channel has drained.
@@ -133,11 +133,11 @@ func (e *Engine) RunContext(ctx context.Context) (*Summary, error) {
 	go func() {
 		defer close(arrivals)
 		for {
-			b, ok := e.src.Next()
+			b, ok := src.Next()
 			if !ok {
 				return
 			}
-			if e.opts.Realtime && b.Gap > 0 {
+			if opts.Realtime && b.Gap > 0 {
 				t := time.NewTimer(b.Gap)
 				select {
 				case <-t.C:
@@ -167,23 +167,22 @@ func (e *Engine) RunContext(ctx context.Context) (*Summary, error) {
 			drain()
 			return nil, err
 		}
-		res, err := e.applyOne(arr, prev)
+		r, delta, snap, err := s.runBatch(arr, &prev, opts.OnBatch != nil)
 		if err != nil {
 			drain()
 			return nil, err
 		}
-		prev = e.a.Stats()
 		sum.Batches++
-		sum.Updates += res.r.Size
-		sum.Inserts += res.r.Inserts
-		sum.Deletes += res.r.Deletes
-		sum.WireBytes += res.r.WireBytes
-		sum.WireMessages += res.r.WireMessages
-		sum.Eqids += res.r.Eqids
-		sum.Raw.Merge(res.delta)
-		sum.Results = append(sum.Results, res.r)
-		if e.opts.OnBatch != nil {
-			e.opts.OnBatch(arr.b, res.r, e.a.Violations().Snapshot())
+		sum.Updates += r.Size
+		sum.Inserts += r.Inserts
+		sum.Deletes += r.Deletes
+		sum.WireBytes += r.WireBytes
+		sum.WireMessages += r.WireMessages
+		sum.Eqids += r.Eqids
+		sum.Raw.Merge(delta)
+		sum.Results = append(sum.Results, r)
+		if opts.OnBatch != nil {
+			opts.OnBatch(arr.b, r, snap)
 		}
 	}
 	if cancelled {
@@ -192,20 +191,19 @@ func (e *Engine) RunContext(ctx context.Context) (*Summary, error) {
 	}
 	sum.Elapsed = time.Since(start)
 
-	final := e.a.Violations()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	final := s.eng.Violations()
 	sum.Net = cfd.DeltaBetween(v0, final)
-	sum.Violations = final.Len()
-	sum.Marks = final.Marks()
+	sum.Violations, sum.Marks = final.Len(), final.Marks()
 	return sum, nil
 }
 
-// applied carries one batch's result plus its raw ∆V.
-type applied struct {
-	r     BatchResult
-	delta *cfd.Delta
-}
-
-func (e *Engine) applyOne(arr arrival, prev network.Stats) (applied, error) {
+// runBatch applies one queued batch under the state lock and meters it
+// against prev, the meters after the previous batch (advanced here).
+// With snapshot set it also freezes the resulting violation set for
+// OnBatch, which runs after the lock is released.
+func (s *Session) runBatch(arr arrival, prev *network.Stats, snapshot bool) (BatchResult, *cfd.Delta, *cfd.Violations, error) {
 	r := BatchResult{
 		Seq:   arr.b.Seq,
 		Size:  len(arr.b.Updates),
@@ -219,26 +217,24 @@ func (e *Engine) applyOne(arr arrival, prev network.Stats) (applied, error) {
 			r.Deletes++
 		}
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	t0 := time.Now()
-	delta, err := e.a.ApplyBatch(arr.b.Updates)
+	delta, err := s.applyLocked(arr.b.Updates)
 	if err != nil {
-		return applied{}, fmt.Errorf("stream: batch %d: %w", arr.b.Seq, err)
+		return r, nil, nil, fmt.Errorf("session: Run: batch %d: %w", arr.b.Seq, err)
 	}
 	r.Apply = time.Since(t0)
-	w := e.a.Stats().Sub(prev)
+	now := s.statsLocked()
+	w := now.Sub(*prev)
+	*prev = now
 	r.WireBytes, r.WireMessages, r.Eqids = w.Bytes, w.Messages, w.Eqids
 	r.AddedMarks, r.RemovedMarks = delta.AddedMarks(), delta.RemovedMarks()
-	v := e.a.Violations()
+	v := s.eng.Violations()
 	r.Violations, r.Marks = v.Len(), v.Marks()
-	return applied{r: r, delta: delta}, nil
-}
-
-// Run is the convenience wrapper: build an engine and run it.
-func Run(a Applier, src Source, opts Options) (*Summary, error) {
-	return NewEngine(a, src, opts).Run()
-}
-
-// RunCtx is Run under a context (see Engine.RunContext).
-func RunCtx(ctx context.Context, a Applier, src Source, opts Options) (*Summary, error) {
-	return NewEngine(a, src, opts).RunContext(ctx)
+	var snap *cfd.Violations
+	if snapshot {
+		snap = v.Snapshot()
+	}
+	return r, delta, snap, nil
 }

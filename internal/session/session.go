@@ -12,12 +12,15 @@
 //     answered from posting indexes in O(answer)), Count histograms and
 //     the drastic/MI-style aggregate inconsistency measures;
 //   - subscriptions: Watch streams every applied batch's ∆V;
+//   - streaming: Run pumps a timed batch source through the engine and
+//     meters every batch (run.go);
 //   - lifecycle: context-aware ApplyBatch/Run, and Close that reliably
 //     tears down site connections and leaves no goroutine behind.
 //
-// The experiment harness, the stream pipeline and every example drive
-// their engines through this one handle; the root repro package
-// re-exports it as repro.Open.
+// The three engines — the centralized maintainer, §4/§5's incVer and
+// §6's incHor — plug straight into the one engine interface below. The
+// experiment harness, the tools and every example drive them through
+// this one handle; the root repro package re-exports it as repro.Open.
 package session
 
 import (
@@ -30,32 +33,42 @@ import (
 
 	"repro/internal/centralized"
 	"repro/internal/cfd"
-	"repro/internal/core"
+	"repro/internal/horizontal"
 	"repro/internal/journal"
 	"repro/internal/netwire"
 	"repro/internal/network"
 	"repro/internal/optimizer"
 	"repro/internal/relation"
 	"repro/internal/sitehost"
-	"repro/internal/stream"
 	"repro/internal/vertical"
 	"repro/internal/xerr"
 )
 
-// engine is the narrow surface a Session drives; both core.Detector
-// implementations and the centralized stream applier satisfy it.
+// engine is the paper's one incremental contract — given ∆D, maintain
+// V(Σ, D) and return ∆V — and the whole surface a Session drives. The
+// centralized maintainer, incVer (§4/§5) and incHor (§6) satisfy it
+// directly; what only some engines have (a protocol cursor, resume) is
+// asked for through protocolCursorEngine and adoptEngine (recover.go).
 type engine interface {
-	ApplyBatch(relation.UpdateList) (*cfd.Delta, error)
+	// Apply runs the incremental algorithm on ∆D and returns ∆V.
+	Apply(relation.UpdateList) (*cfd.Delta, error)
+	// BatchDetect recomputes V(Σ, D) from scratch with the engine's
+	// batch baseline, leaving the maintained set alone.
+	BatchDetect() (*cfd.Violations, error)
+	// Violations returns the maintained violation set.
 	Violations() *cfd.Violations
-	Stats() network.Stats
+	// Rules returns the rule set in force.
 	Rules() []cfd.CFD
+	// AddRules seeds only the new rules' state and marks; returns ∆V.
 	AddRules([]cfd.CFD) (*cfd.Delta, error)
+	// RemoveRules retires rules by id; returns the retired ∆V.
 	RemoveRules([]string) (*cfd.Delta, error)
 }
 
 var (
-	_ engine = (core.Detector)(nil)
-	_ engine = (*stream.Centralized)(nil)
+	_ engine = (*centralized.Incremental)(nil)
+	_ engine = (*horizontal.System)(nil)
+	_ engine = (*vertical.System)(nil)
 )
 
 // Session is a live, engine-agnostic incremental detection handle. All
@@ -70,13 +83,14 @@ type Session struct {
 	wmu sync.Mutex
 	// mu guards the mutable session state (engine, rows, watchers) and
 	// is held only for the duration of one batch, not a whole Run.
-	mu   sync.Mutex
-	cfg  config
-	eng  engine
-	det  core.Detector         // nil when centralized
-	tcp  *network.TCPTransport // nil without WithTCPSites
-	rows int
-	seq  int
+	mu      sync.Mutex
+	cfg     config
+	eng     engine
+	cluster *network.Cluster      // nil when centralized
+	plan    *optimizer.Plan       // the §5 HEV plan, vertical only
+	tcp     *network.TCPTransport // nil without WithTCPSites
+	rows    int
+	seq     int
 
 	// stores, non-nil with WithStorageDir, are the out-of-core backing
 	// stores the centralized engine pages through; Close flushes and
@@ -210,108 +224,83 @@ func Open(rel *relation.Relation, rules []cfd.CFD, opts ...Option) (*Session, er
 			if err != nil {
 				return nil, err
 			}
-			eng, err := stream.NewCentralizedStored(rel, rules, st)
+			inc, err := centralized.NewIncrementalStored(rel, rules, st)
 			if err != nil {
 				st.Close()
 				return nil, err
 			}
-			s.eng, s.stores = eng, &st
+			s.eng, s.stores = inc, &st
 			break
 		}
-		eng, err := stream.NewCentralized(rel, rules)
+		inc, err := centralized.NewIncremental(rel, rules)
 		if err != nil {
 			return nil, err
 		}
-		s.eng = eng
+		s.eng = inc
 	case Horizontal:
-		hOpts := core.HorizontalOptions{
+		hOpts := horizontal.Options{
 			DisableMD5: cfg.disableMD5,
 			NoIndexes:  cfg.noIndexes,
 			SkipSeed:   res != nil,
 		}
 		if len(cfg.tcpAddrs) > 0 {
-			n := cfg.hScheme.NumSites()
-			if len(cfg.tcpAddrs) != n {
-				s.closeOnOpenErr()
-				return nil, fmt.Errorf("session: WithTCPSites: %d addresses for %d sites", len(cfg.tcpAddrs), n)
+			hellos, err := sitehost.HorizontalHellos(s.sid, buildRel.Schema, buildRules, cfg.hScheme.NumSites(), cfg.checkpointing())
+			if err == nil {
+				err = s.dialSites(hellos, res)
 			}
-			hellos, err := sitehost.HorizontalHellos(s.sid, buildRel.Schema, buildRules, n, cfg.checkpointing())
 			if err != nil {
 				s.closeOnOpenErr()
 				return nil, err
 			}
-			if s.tcp, err = newTCPTransport(cfg, hellos); err != nil {
-				s.closeOnOpenErr()
-				return nil, err
-			}
-			if res != nil {
-				if err := s.tcp.Resume(res.seqs); err != nil {
-					s.closeOnOpenErr()
-					return nil, err
-				}
-			}
 			hOpts.Transport = s.tcp
 		}
-		sys, err := core.NewHorizontal(buildRel, cfg.hScheme, buildRules, hOpts)
+		sys, err := horizontal.NewSystem(buildRel, cfg.hScheme, buildRules, hOpts)
 		if err != nil {
 			s.closeOnOpenErr()
 			return nil, err
 		}
-		s.det, s.eng = sys, sys
+		s.eng, s.cluster = sys, sys.Cluster()
 	case Vertical:
-		vOpts := core.VerticalOptions{
+		vOpts := vertical.Options{
 			UseOptimizer: cfg.useOptimizer,
 			NoIndexes:    cfg.noIndexes,
 			SkipSeed:     res != nil,
 		}
 		if len(cfg.tcpAddrs) > 0 {
-			n := cfg.vScheme.NumSites
-			if len(cfg.tcpAddrs) != n {
-				s.closeOnOpenErr()
-				return nil, fmt.Errorf("session: WithTCPSites: %d addresses for %d sites", len(cfg.tcpAddrs), n)
-			}
 			// The daemons must run the exact plan the driver runs, so
 			// plan here (or take the journal's folded plan) and pin it
 			// on both sides.
-			plan := res.planOrNil()
-			if plan == nil {
-				var err error
-				if plan, err = vertical.PlanFor(buildRules, cfg.vScheme, vOpts); err != nil {
-					s.closeOnOpenErr()
-					return nil, err
-				}
+			vOpts.Plan = res.planOrNil()
+			var err error
+			if vOpts.Plan == nil {
+				vOpts.Plan, err = vertical.PlanFor(buildRules, cfg.vScheme, vOpts)
 			}
-			vOpts.Plan = plan
-			hellos, err := sitehost.VerticalHellos(s.sid, buildRel.Schema, cfg.vScheme, plan, buildRules, cfg.checkpointing())
+			var hellos [][]byte
+			if err == nil {
+				hellos, err = sitehost.VerticalHellos(s.sid, buildRel.Schema, cfg.vScheme, vOpts.Plan, buildRules, cfg.checkpointing())
+			}
+			if err == nil {
+				err = s.dialSites(hellos, res)
+			}
 			if err != nil {
 				s.closeOnOpenErr()
 				return nil, err
 			}
-			if s.tcp, err = newTCPTransport(cfg, hellos); err != nil {
-				s.closeOnOpenErr()
-				return nil, err
-			}
-			if res != nil {
-				if err := s.tcp.Resume(res.seqs); err != nil {
-					s.closeOnOpenErr()
-					return nil, err
-				}
-			}
 			vOpts.Transport = s.tcp
 		}
-		sys, err := core.NewVertical(buildRel, cfg.vScheme, buildRules, vOpts)
+		sys, err := vertical.NewSystem(buildRel, cfg.vScheme, buildRules, vOpts)
 		if err != nil {
 			s.closeOnOpenErr()
 			return nil, err
 		}
-		s.det, s.eng = sys, sys
+		s.eng, s.cluster, s.plan = sys, sys.Cluster(), sys.Plan()
 	}
-	if s.det != nil {
+	if s.cluster != nil {
 		if cfg.maxFanout >= 0 {
-			s.det.Cluster().SetMaxFanout(cfg.maxFanout)
+			s.cluster.SetMaxFanout(cfg.maxFanout)
 		}
 		if cfg.linkRTT > 0 {
-			s.det.Cluster().SetLinkRTT(cfg.linkRTT)
+			s.cluster.SetLinkRTT(cfg.linkRTT)
 		}
 	}
 	if res != nil {
@@ -377,16 +366,26 @@ func newSessionID() ([8]byte, error) {
 	return sid, nil
 }
 
-// newTCPTransport builds the real-socket transport from the config's
-// TCP knobs and the per-site bootstrap hellos. Checkpointed sessions
-// turn on the driver-side replay log that rejoins recovering daemons.
-func newTCPTransport(cfg config, hellos [][]byte) (*network.TCPTransport, error) {
-	return network.NewTCPTransport(cfg.tcpAddrs, network.TCPConfig{
+// dialSites builds the real-socket transport from the config's TCP
+// knobs and the kind's per-site bootstrap hellos, one per address, and
+// on a resume fast-forwards it to the journal's watermarks. Checkpointed
+// sessions turn on the driver-side replay log that rejoins recovering
+// daemons.
+func (s *Session) dialSites(hellos [][]byte, res *resumeState) error {
+	if len(s.cfg.tcpAddrs) != len(hellos) {
+		return fmt.Errorf("session: WithTCPSites: %d addresses for %d sites", len(s.cfg.tcpAddrs), len(hellos))
+	}
+	var err error
+	s.tcp, err = network.NewTCPTransport(s.cfg.tcpAddrs, network.TCPConfig{
 		Hellos:    hellos,
-		Dial:      netwire.DialConfig{Budget: cfg.tcpRetry, Dialer: cfg.tcpDialer},
-		TLS:       cfg.tcpTLS,
-		ReplayLog: cfg.ckptDir != "",
+		Dial:      netwire.DialConfig{Budget: s.cfg.tcpRetry, Dialer: s.cfg.tcpDialer},
+		TLS:       s.cfg.tcpTLS,
+		ReplayLog: s.cfg.ckptDir != "",
 	})
+	if err != nil || res == nil {
+		return err
+	}
+	return s.tcp.Resume(res.seqs)
 }
 
 // markSites tells every checkpointing daemon that the state just reached
@@ -402,7 +401,7 @@ func (s *Session) markSites() error {
 	if s.tcp == nil || s.cfg.ckptDir == "" {
 		return nil
 	}
-	return s.det.Cluster().Fanout(len(s.cfg.tcpAddrs), network.FanoutOpts{}, func(i int) error {
+	return s.cluster.Fanout(len(s.cfg.tcpAddrs), network.FanoutOpts{}, func(i int) error {
 		if _, err := s.tcp.Invoke(network.SiteID(i), "chk.mark", nil); err != nil {
 			return fmt.Errorf("session: checkpoint mark site %d: %w", i, err)
 		}
@@ -436,11 +435,6 @@ func (s *Session) SiteCalls() []uint64 {
 // Kind returns the partition style behind the session.
 func (s *Session) Kind() Kind { return s.cfg.kind }
 
-// Detector exposes the underlying distributed engine (nil for
-// centralized sessions): the escape hatch the deprecated constructor
-// shims and low-level tests unwrap. Prefer the Session surface.
-func (s *Session) Detector() core.Detector { return s.det }
-
 // Rules returns the rule set currently in force.
 func (s *Session) Rules() []cfd.CFD {
 	s.mu.Lock()
@@ -462,7 +456,15 @@ func (s *Session) Violations() *cfd.Violations {
 func (s *Session) Stats() network.Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.eng.Stats()
+	return s.statsLocked()
+}
+
+// statsLocked reads the cluster's meters; callers hold s.mu.
+func (s *Session) statsLocked() network.Stats {
+	if s.cluster == nil {
+		return network.Stats{}
+	}
+	return s.cluster.Stats()
 }
 
 // Rows returns |D|: the number of tuples currently in the maintained
@@ -475,21 +477,10 @@ func (s *Session) Rows() int {
 
 // Cluster exposes the message fabric of a distributed session (nil for
 // centralized ones).
-func (s *Session) Cluster() *network.Cluster {
-	if s.det == nil {
-		return nil
-	}
-	return s.det.Cluster()
-}
+func (s *Session) Cluster() *network.Cluster { return s.cluster }
 
 // Plan returns the §5 HEV plan of a vertical session, nil otherwise.
-func (s *Session) Plan() *optimizer.Plan {
-	type planner interface{ Plan() *optimizer.Plan }
-	if p, ok := s.det.(planner); ok {
-		return p.Plan()
-	}
-	return nil
-}
+func (s *Session) Plan() *optimizer.Plan { return s.plan }
 
 // ApplyBatch applies one batch update ∆D through the engine's
 // incremental algorithm, maintaining V(Σ, D) and returning ∆V. The
@@ -509,8 +500,8 @@ func (s *Session) ApplyBatch(ctx context.Context, updates relation.UpdateList) (
 	return s.applyLocked(updates)
 }
 
-// applyLocked is the shared batch path of ApplyBatch and Run's stream
-// applier: normalize, apply, account rows, publish. Callers hold s.mu.
+// applyLocked is the shared batch path of ApplyBatch and Run:
+// normalize, apply, account rows, publish. Callers hold s.mu.
 // Journaled sessions route through the intent/applied machinery in
 // recover.go instead (which ends in the same accounting and publish).
 func (s *Session) applyLocked(updates relation.UpdateList) (*cfd.Delta, error) {
@@ -518,9 +509,9 @@ func (s *Session) applyLocked(updates relation.UpdateList) (*cfd.Delta, error) {
 	if s.jnl != nil {
 		return s.journaledRound(
 			&pendingOp{op: journal.OpBatch, updates: norm},
-			func() (*cfd.Delta, error) { return s.eng.ApplyBatch(norm) })
+			func() (*cfd.Delta, error) { return s.eng.Apply(norm) })
 	}
-	delta, err := s.eng.ApplyBatch(norm)
+	delta, err := s.eng.Apply(norm)
 	if err != nil {
 		return nil, err
 	}
@@ -605,56 +596,7 @@ func (s *Session) BatchDetect() (*cfd.Violations, error) {
 	if s.closed {
 		return nil, fmt.Errorf("session: BatchDetect: %w", xerr.ErrClosed)
 	}
-	type batcher interface {
-		BatchDetect() (*cfd.Violations, error)
-	}
-	return s.eng.(batcher).BatchDetect()
-}
-
-// Run pumps a batch source through the session's engine with the stream
-// pipeline, metering every batch, until the source is exhausted or ctx
-// is cancelled (the arrival queue is drained cleanly either way). Every
-// applied batch is also published to Watch subscribers. Run holds only
-// the writer lock: the state lock is taken per batch, so concurrent
-// reads (Query, Count, Measures, Snapshot) keep serving the latest
-// applied epoch throughout the stream.
-func (s *Session) Run(ctx context.Context, src stream.Source, opts stream.Options) (*stream.Summary, error) {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
-		return nil, fmt.Errorf("session: Run: %w", xerr.ErrClosed)
-	}
-	return stream.RunCtx(ctx, &publishingApplier{s: s}, src, opts)
-}
-
-// publishingApplier threads stream batches through the session's row
-// accounting and Watch subscribers. Run holds the writer lock for the
-// whole stream; each batch takes the state lock only while it applies,
-// so readers make progress between batches.
-type publishingApplier struct{ s *Session }
-
-func (p *publishingApplier) ApplyBatch(updates relation.UpdateList) (*cfd.Delta, error) {
-	p.s.mu.Lock()
-	defer p.s.mu.Unlock()
-	if p.s.closed {
-		return nil, fmt.Errorf("session: Run: %w", xerr.ErrClosed)
-	}
-	return p.s.applyLocked(updates)
-}
-
-func (p *publishingApplier) Violations() *cfd.Violations {
-	p.s.mu.Lock()
-	defer p.s.mu.Unlock()
-	return p.s.eng.Violations()
-}
-
-func (p *publishingApplier) Stats() network.Stats {
-	p.s.mu.Lock()
-	defer p.s.mu.Unlock()
-	return p.s.eng.Stats()
+	return s.eng.BatchDetect()
 }
 
 // Close tears the session down: site connections, the journal, the

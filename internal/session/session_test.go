@@ -9,7 +9,6 @@ import (
 	"repro/internal/cfd"
 	"repro/internal/partition"
 	"repro/internal/relation"
-	"repro/internal/stream"
 	"repro/internal/workload"
 	"repro/internal/xerr"
 )
@@ -211,7 +210,7 @@ func TestRunContextCancel(t *testing.T) {
 	src := workload.NewStream(gen, rel, workload.StreamConfig{BatchSize: 8, Batches: 1000})
 	ctx, cancel := context.WithCancel(context.Background())
 	applied := 0
-	opts := stream.Options{OnBatch: func(workload.Batch, stream.BatchResult, *cfd.Violations) {
+	opts := RunOptions{OnBatch: func(workload.Batch, BatchResult, *cfd.Violations) {
 		applied++
 		if applied == 3 {
 			cancel()

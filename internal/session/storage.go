@@ -77,11 +77,8 @@ func (s *Session) StorageDir() string { return s.cfg.storageDir }
 func (s *Session) StorageStats() map[string]storage.Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	type storer interface {
-		Maintainer() *centralized.Incremental
-	}
-	if st, ok := s.eng.(storer); ok && st.Maintainer().Stored() {
-		return st.Maintainer().StorageStats()
+	if inc, ok := s.eng.(*centralized.Incremental); ok {
+		return inc.StorageStats()
 	}
 	return nil
 }

@@ -3,8 +3,10 @@ package session
 import (
 	"context"
 	"errors"
+	"net"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -378,5 +380,43 @@ func TestTCPCloseLeaksNoGoroutines(t *testing.T) {
 				n, base, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestTCPSitesRefuseSharedDaemon: two sites of one session must never
+// share a daemon, whose state would silently merge theirs. A repeated
+// address fails Open with ErrSiteDown naming the second site; two
+// addresses that reach one daemon (here through a dialer that aliases
+// them) fail it the same way, because the daemon refuses the second
+// site's hello.
+func TestTCPSitesRefuseSharedDaemon(t *testing.T) {
+	gen := workload.NewSized(workload.TPCH, 42, 600)
+	rules := gen.Rules(20)
+	rel := gen.Relation(600)
+	for _, kind := range []string{"horizontal", "vertical"} {
+		// A fresh daemon per kind: a failed Open leaves the first site
+		// it bootstrapped behind.
+		addrs, _ := serveHosts(t, 1)
+		alias := func(_ string, timeout time.Duration) (net.Conn, error) {
+			return net.DialTimeout("tcp", addrs[0], timeout)
+		}
+		for _, c := range []struct {
+			name string
+			opts []Option
+			want string
+		}{
+			{"repeated address", []Option{WithTCPSites(addrs[0], addrs[0])}, "site 1"},
+			{"aliased daemon", []Option{WithTCPSites("site-a", "site-b"), WithTCPDialer(alias)}, "refusing its " + kind + " site"},
+		} {
+			opts := append([]Option{styleOption(kind, rel.Schema, 2)}, c.opts...)
+			s, err := Open(rel, rules, opts...)
+			if err == nil {
+				s.Close()
+				t.Fatalf("%s, %s: Open succeeded with two sites on one daemon", kind, c.name)
+			}
+			if !errors.Is(err, xerr.ErrSiteDown) || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("%s, %s: Open = %v, want ErrSiteDown naming %q", kind, c.name, err, c.want)
+			}
+		}
 	}
 }

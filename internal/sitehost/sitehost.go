@@ -363,11 +363,11 @@ func buildSite(hello *Hello) (*network.Cluster, engineState, error) {
 }
 
 // Bootstrap applies one hello: constructing the site on first contact,
-// verifying session identity afterwards. reconnect is the transport's
-// flag that the driver has completed a handshake before — arriving at an
-// empty host it means the daemon lost its state, which is unrecoverable
-// without a checkpoint, so the hello is rejected and the driver surfaces
-// ErrSiteDown. State restored from a checkpoint is claimed by a
+// verifying session and site identity afterwards. reconnect is the
+// transport's flag that the driver has completed a handshake before —
+// arriving at an empty host it means the daemon lost its state, which is
+// unrecoverable without a checkpoint, so the hello is rejected and the
+// driver surfaces ErrSiteDown. State restored from a checkpoint is claimed by a
 // same-session reconnect; a different session's first contact discards
 // it (that session is gone for good) and bootstraps fresh.
 func (h *Host) Bootstrap(data []byte, reconnect bool) error {
@@ -392,8 +392,15 @@ func (h *Host) Bootstrap(data []byte, reconnect bool) error {
 	}
 	if h.cluster != nil {
 		if h.sid == sid {
-			// Same session: reconnect or duplicate connection. A
-			// reconnect claims any checkpoint-recovered state.
+			// Same session: reconnect or duplicate connection, which
+			// resend this site's own hello. A hello for another site of
+			// the session means two of its sites were pointed at one
+			// daemon; serving both would merge their state.
+			if n := h.cluster.NumSites(); hello.Kind != h.kind || hello.Site != h.site || hello.NumSites != n {
+				return fmt.Errorf("sitehost: this session's %s site %d of %d is hosted here, refusing its %s site %d of %d",
+					h.kind, h.site, n, hello.Kind, hello.Site, hello.NumSites)
+			}
+			// A reconnect claims any checkpoint-recovered state.
 			if reconnect {
 				h.fromCheckpoint = false
 			}

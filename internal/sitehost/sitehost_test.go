@@ -1,6 +1,7 @@
 package sitehost
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cfd"
@@ -83,5 +84,54 @@ func TestBootstrapRejectsOlderProto(t *testing.T) {
 		if _, _, ok := host.Hosting(); ok {
 			t.Fatalf("rejected version-%d hello still built a site", proto)
 		}
+	}
+}
+
+// Two sites of one session pointed at one daemon must not be merged: the
+// host refuses a same-session hello for a different site, naming both,
+// while the hosted site's own hello (a duplicate connection or a
+// reconnect) still passes.
+func TestBootstrapRefusesSecondSiteOfSession(t *testing.T) {
+	schema, err := relation.NewSchema("r", []string{"a", "b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rules, err := cfd.Parse("r1: ([a] -> [b], (_, _))", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sid := [8]byte{1, 2, 3, 4, 5, 6, 7, 8}
+	hellos, err := HorizontalHellos(sid, schema, rules, 2, Checkpointing{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wider, err := HorizontalHellos(sid, schema, rules, 3, Checkpointing{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	host := NewHost()
+	if err := host.Bootstrap(hellos[0], false); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		hello []byte
+		want  string
+	}{
+		{"other site", hellos[1], "horizontal site 0 of 2 is hosted here, refusing its horizontal site 1 of 2"},
+		{"other site count", wider[0], "horizontal site 0 of 2 is hosted here, refusing its horizontal site 0 of 3"},
+	} {
+		err := host.Bootstrap(c.hello, false)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Bootstrap = %v, want an error containing %q", c.name, err, c.want)
+		}
+	}
+	for _, reconnect := range []bool{false, true} {
+		if err := host.Bootstrap(hellos[0], reconnect); err != nil {
+			t.Errorf("own hello (reconnect=%v) refused: %v", reconnect, err)
+		}
+	}
+	if kind, site, ok := host.Hosting(); !ok || kind != KindHorizontal || site != 0 {
+		t.Errorf("Hosting() = %s %d %v, want horizontal 0 true", kind, site, ok)
 	}
 }

@@ -32,10 +32,10 @@ func TestBoundedShipment(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			updates = append(updates, relation.Update{Kind: relation.Insert, Tuple: gen.Next()})
 		}
-		if _, err := sys.ApplyBatch(updates); err != nil {
+		if _, err := sys.Apply(updates); err != nil {
 			t.Fatal(err)
 		}
-		st := sys.Stats()
+		st := sys.Cluster().Stats()
 		got[k] = meas{bytes: st.Bytes, eqids: st.Eqids, msgs: st.Messages}
 	}
 	// 5× the database, (almost) unchanged shipment. Allow 25% slack for
@@ -78,11 +78,11 @@ func TestEqidsPerUpdateMatchesPlan(t *testing.T) {
 			Values: []string{value(i, 3), value(i, 5), value(i, 2), value(i, 7)},
 		}})
 	}
-	if _, err := sys.ApplyBatch(updates); err != nil {
+	if _, err := sys.Apply(updates); err != nil {
 		t.Fatal(err)
 	}
 	wantPerUpdate := int64(sys.Plan().Neqid())
-	if got := sys.Stats().Eqids; got != wantPerUpdate*n {
+	if got := sys.Cluster().Stats().Eqids; got != wantPerUpdate*n {
 		t.Errorf("shipped %d eqids for %d updates; plan says %d per update", got, n, wantPerUpdate)
 	}
 }

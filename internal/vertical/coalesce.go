@@ -11,7 +11,7 @@ import (
 	"repro/internal/relation"
 )
 
-// This file is the incVer driver — the one protocol ApplyBatch, seeding
+// This file is the incVer driver — the one protocol Apply, seeding
 // and rule seeding all run; a per-update round is a wave of one. A
 // normalized batch is split into waves — maximal runs of updates with
 // pairwise-distinct tuple ids, so the phases below can safely reorder work

@@ -220,7 +220,7 @@ func TestHandlersRefuseMalformedCalls(t *testing.T) {
 
 	// The site still serves its driver.
 	batch := relation.UpdateList{{Kind: relation.Delete, Tuple: rel.Tuples()[0]}}
-	if _, err := sys.ApplyBatch(batch); err != nil {
+	if _, err := sys.Apply(batch); err != nil {
 		t.Fatal(err)
 	}
 	mirror := rel.Clone()
@@ -258,7 +258,7 @@ func TestDriverRefusesDivergentReplies(t *testing.T) {
 	for name, tamper := range map[string]func(string, []byte) []byte{"extra row": extraRow, "unknown rule": unknownRule} {
 		sys, tr := hostedSystem(t, rel, scheme, rules[:20])
 		tr.tamper = tamper
-		if _, err := sys.ApplyBatch(gen.Updates(rel, 6, 0.5)); err == nil || !strings.Contains(err.Error(), "v.batchEval") {
+		if _, err := sys.Apply(gen.Updates(rel, 6, 0.5)); err == nil || !strings.Contains(err.Error(), "v.batchEval") {
 			t.Errorf("batch, %s: %v, want a malformed v.batchEval reply", name, err)
 		}
 		sys, tr = hostedSystem(t, rel, scheme, rules[:20])
@@ -275,7 +275,7 @@ func TestDriverRefusesDivergentReplies(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := sys.ApplyBatch(gen.Updates(rel, 6, 0.5)); !errors.Is(err, xerr.ErrRuleSetSkew) {
+	if _, err := sys.Apply(gen.Updates(rel, 6, 0.5)); !errors.Is(err, xerr.ErrRuleSetSkew) {
 		t.Errorf("batch against sites holding another rule set: %v, want ErrRuleSetSkew", err)
 	}
 }
@@ -297,7 +297,7 @@ func FuzzDispatch(f *testing.F) {
 	}
 	methods := tr.c.Methods(0)
 	tr.record = true
-	if _, err := sys.ApplyBatch(gen.Updates(rel, 8, 0.5)); err != nil {
+	if _, err := sys.Apply(gen.Updates(rel, 8, 0.5)); err != nil {
 		f.Fatal(err)
 	}
 	if _, err := sys.AddRules(rules[20:]); err != nil {

@@ -59,7 +59,7 @@ func TestRegisteredMethodsAreDriven(t *testing.T) {
 
 	sys, tr := tcpSystem(t, rel, scheme, rules[:20])
 	batch := gen.Updates(rel, 60, 0.6)
-	if _, err := sys.ApplyBatch(batch); err != nil {
+	if _, err := sys.Apply(batch); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sys.AddRules(rules[20:]); err != nil {

@@ -18,7 +18,7 @@ import (
 // and then seeds only the new rules' HEV/IDX state and violation marks by
 // replaying the resident tuple ids through the batch-grouped phases —
 // eqid deliveries coalesced per edge and metered exactly like an
-// ApplyBatch wave. RemoveRules retires the rules' IDX state and marks;
+// Apply wave. RemoveRules retires the rules' IDX state and marks;
 // plan nodes shared with surviving rules stay live, and orphaned nodes
 // keep their (now inert) equivalence state, which costs memory but never
 // correctness.
@@ -152,7 +152,7 @@ func GraftRules(plan *optimizer.Plan, scheme *partition.VerticalScheme, rules []
 // structures, and a batch-grouped seed wave replays the resident tuples
 // through only the new rules' constant checks, eqid resolution/shipment
 // and Fig. 4 analyses. The returned ∆V holds exactly the new rules'
-// marks, already applied to Violations(). Like ApplyBatch, the rounds
+// marks, already applied to Violations(). Like Apply, the rounds
 // are not atomic: a mid-round transport error leaves driver and sites
 // desynchronized, and the system should be rebuilt.
 func (sys *System) AddRules(rules []cfd.CFD) (*cfd.Delta, error) {

@@ -41,7 +41,7 @@ func TestSeparatorCollisionAgainstOracle(t *testing.T) {
 			{Kind: relation.Insert, Tuple: relation.Tuple{ID: 4, Values: []string{"a", "b\x1fq", "2", "p"}}},
 			{Kind: relation.Insert, Tuple: relation.Tuple{ID: 5, Values: []string{"x\x1f", "y", "3", "p"}}},
 		}
-		if _, err := sys.ApplyBatch(updates); err != nil {
+		if _, err := sys.Apply(updates); err != nil {
 			t.Fatal(err)
 		}
 		updated := rel.Clone()

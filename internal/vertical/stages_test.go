@@ -169,7 +169,7 @@ func TestStageCallBound(t *testing.T) {
 		}
 		tr.take()
 		before := tr.SiteCalls()
-		if _, err := sys.ApplyBatch(wave); err != nil {
+		if _, err := sys.Apply(wave); err != nil {
 			t.Fatal(err)
 		}
 		calls := tr.take()
@@ -252,7 +252,7 @@ func TestSameSiteChainOneCall(t *testing.T) {
 		wave = append(wave, relation.Update{Kind: relation.Delete, Tuple: tuple(id)})
 	}
 	tr.take()
-	if _, err := sys.ApplyBatch(wave); err != nil {
+	if _, err := sys.Apply(wave); err != nil {
 		t.Fatal(err)
 	}
 	if got := tr.take()["v.batchResolve"]; !slices.Equal(got, []int{1, 1}) {

@@ -24,7 +24,7 @@ type Options struct {
 	Plan *optimizer.Plan
 	// NoIndexes loads the fragments only, skipping HEV/IDX construction
 	// and initial violation detection. Such a system serves batVer
-	// (BatchDetect) but rejects ApplyBatch. Used when measuring the
+	// (BatchDetect) but rejects Apply. Used when measuring the
 	// batch baseline, whose setup the paper does not charge for.
 	NoIndexes bool
 	// Transport, when non-nil, is a state-hosting transport (TCP sited
@@ -103,7 +103,7 @@ type System struct {
 	noIndexes bool
 
 	// normScratch backs the per-batch normalized update slice, reused
-	// across ApplyBatch calls so normalization happens exactly once per
+	// across Apply calls so normalization happens exactly once per
 	// batch and allocates nothing in steady state.
 	normScratch relation.UpdateList
 
@@ -321,9 +321,6 @@ func (sys *System) Plan() *optimizer.Plan { return sys.plan }
 // Cluster exposes the message fabric (stats, transport swapping).
 func (sys *System) Cluster() *network.Cluster { return sys.cluster }
 
-// Stats returns the cluster's traffic meters.
-func (sys *System) Stats() network.Stats { return sys.cluster.Stats() }
-
 // Violations returns the maintained violation set V(Σ, D).
 func (sys *System) Violations() *cfd.Violations { return sys.v }
 
@@ -345,10 +342,10 @@ func gather[Req, Resp any](sys *System, from network.SiteID, method string, targ
 	return network.GatherVia[Req, Resp](sys.cluster, sys.send, from, method, targets, req, network.FanoutOpts{})
 }
 
-// ApplyBatch runs incVer (Fig. 5): it normalizes ∆D once, processes it
+// Apply runs incVer (Fig. 5): it normalizes ∆D once, processes it
 // through the batch-grouped driver (coalesce.go), maintains V(Σ, D) and
 // returns the accumulated ∆V. A per-update round is a batch of one.
-func (sys *System) ApplyBatch(updates relation.UpdateList) (*cfd.Delta, error) {
+func (sys *System) Apply(updates relation.UpdateList) (*cfd.Delta, error) {
 	if sys.noIndexes {
 		return nil, fmt.Errorf("vertical: cannot apply incremental updates: %w", xerr.ErrNoIndexes)
 	}

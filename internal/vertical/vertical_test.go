@@ -99,7 +99,7 @@ func TestPaperExample2Insert(t *testing.T) {
 	}
 
 	// Example 2(1): inserting t6 adds exactly {t6} to V.
-	delta, err := sys.ApplyBatch(relation.UpdateList{{Kind: relation.Insert, Tuple: t6()}})
+	delta, err := sys.Apply(relation.UpdateList{{Kind: relation.Insert, Tuple: t6()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestPaperExample2Insert(t *testing.T) {
 	}
 
 	// Example 2(1)(b): a single eqid shipped for phi1.
-	stats := sys.Stats()
+	stats := sys.Cluster().Stats()
 	if stats.Eqids != 1 {
 		t.Errorf("eqids shipped for t6 insert = %d, want 1 (paper Example 2)", stats.Eqids)
 	}
@@ -125,11 +125,11 @@ func TestPaperExample2Delete(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Insert t6 then delete t4, as in Example 2(2).
-	if _, err := sys.ApplyBatch(relation.UpdateList{{Kind: relation.Insert, Tuple: t6()}}); err != nil {
+	if _, err := sys.Apply(relation.UpdateList{{Kind: relation.Insert, Tuple: t6()}}); err != nil {
 		t.Fatal(err)
 	}
 	t4, _ := rel.Get(4)
-	delta, err := sys.ApplyBatch(relation.UpdateList{{Kind: relation.Delete, Tuple: t4}})
+	delta, err := sys.Apply(relation.UpdateList{{Kind: relation.Delete, Tuple: t4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func runRandomCase(t *testing.T, seed int64, useOptimizer bool) {
 		}
 	}
 
-	delta, err := sys.ApplyBatch(updates)
+	delta, err := sys.Apply(updates)
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}

@@ -39,14 +39,12 @@ package repro
 
 import (
 	"repro/internal/cfd"
-	"repro/internal/core"
 	"repro/internal/network"
 	"repro/internal/optimizer"
 	"repro/internal/partition"
 	"repro/internal/relation"
 	"repro/internal/session"
 	"repro/internal/storage"
-	"repro/internal/stream"
 	"repro/internal/workload"
 	"repro/internal/xerr"
 )
@@ -316,8 +314,6 @@ type (
 
 // Detection systems.
 type (
-	// Detector is the common interface of both partition styles.
-	Detector = core.Detector
 	// Stats are the communication meters (messages, bytes, eqids).
 	Stats = network.Stats
 	// Plan is a §5 HEV build plan with its Neqid cost.
@@ -400,15 +396,15 @@ type (
 	StreamBatch = workload.Batch
 	// UpdateStream is a deterministic batch source over a base relation.
 	UpdateStream = workload.Stream
-	// StreamSource yields successive batches.
-	StreamSource = stream.Source
-	// StreamOptions tunes a stream engine (queue depth, realtime
-	// pacing, per-batch callback).
-	StreamOptions = stream.Options
+	// StreamSource yields successive batches to Session.Run.
+	StreamSource = session.Source
+	// StreamOptions tunes Session.Run (realtime pacing, per-batch
+	// callback).
+	StreamOptions = session.RunOptions
 	// StreamBatchResult meters one applied batch.
-	StreamBatchResult = stream.BatchResult
+	StreamBatchResult = session.BatchResult
 	// StreamSummary aggregates one stream run.
-	StreamSummary = stream.Summary
+	StreamSummary = session.Summary
 )
 
 // Stream profiles.

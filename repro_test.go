@@ -41,9 +41,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		if !sess.Violations().Equal(want) {
 			t.Errorf("%v incremental state diverged from oracle", sess.Kind())
 		}
-		// Both engines satisfy the common Detector interface.
-		var d Detector = sess.Detector()
-		v, err := d.BatchDetect()
+		v, err := sess.BatchDetect()
 		if err != nil {
 			t.Fatal(err)
 		}
