@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -62,23 +63,25 @@ func TestBaselineRoundTrip(t *testing.T) {
 		}
 	}
 
+	// The mutations edit Exp-coalesce, wherever the registry puts it.
+	var coal int
 	for _, tc := range []struct {
 		name   string
 		mutate func(b *baseline)
 		want   string // the drift line must name suite / row / column
 	}{
-		{"value flipped", func(b *baseline) { b.Suites[0].Rows[1].Values["coal_msgs"]++ },
+		{"value flipped", func(b *baseline) { b.Suites[coal].Rows[1].Values["coal_msgs"]++ },
 			"Exp-coalesce / hor/256 / coal_msgs: committed"},
-		{"row dropped", func(b *baseline) { b.Suites[0].Rows = b.Suites[0].Rows[1:] },
+		{"row dropped", func(b *baseline) { b.Suites[coal].Rows = b.Suites[coal].Rows[1:] },
 			"Exp-coalesce / hor/64: row measured but not committed"},
-		{"row added", func(b *baseline) { b.Suites[0].Rows = append(b.Suites[0].Rows, row{Row: "hor/9"}) },
+		{"row added", func(b *baseline) { b.Suites[coal].Rows = append(b.Suites[coal].Rows, row{Row: "hor/9"}) },
 			"Exp-coalesce / hor/9: row committed but not measured"},
 		{"column renamed", func(b *baseline) {
-			v := b.Suites[0].Rows[0].Values
+			v := b.Suites[coal].Rows[0].Values
 			v["coalesced_msgs"] = v["coal_msgs"]
 			delete(v, "coal_msgs")
 		}, "Exp-coalesce / hor/64 / coal_msgs: column measured but not committed"},
-		{"suite dropped", func(b *baseline) { b.Suites = b.Suites[1:] },
+		{"suite dropped", func(b *baseline) { b.Suites = append(b.Suites[:coal], b.Suites[coal+1:]...) },
 			"Exp-coalesce: suite measured but not committed"},
 		{"scale changed", func(b *baseline) { b.Scale.Seed++ }, "scale: committed"},
 	} {
@@ -86,8 +89,9 @@ func TestBaselineRoundTrip(t *testing.T) {
 		if err := json.Unmarshal(written, &b); err != nil {
 			t.Fatal(err)
 		}
-		if b.Suites[0].Name != "Exp-coalesce" || b.Suites[0].Rows[1].Row != "hor/256" {
-			t.Fatalf("the mutations assume Exp-coalesce leads the file, got %s / %s", b.Suites[0].Name, b.Suites[0].Rows[1].Row)
+		coal = slices.IndexFunc(b.Suites, func(s suite) bool { return s.Name == "Exp-coalesce" })
+		if coal < 0 || b.Suites[coal].Rows[1].Row != "hor/256" {
+			t.Fatal("the mutations assume an Exp-coalesce suite whose second row is hor/256")
 		}
 		tc.mutate(&b)
 		mutated := filepath.Join(dir, "mutated.json")

@@ -1,9 +1,10 @@
 package optimizer
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
 )
 
 // NaiveChainPlan is the baseline of §4 with no cross-CFD sharing
@@ -14,27 +15,25 @@ import (
 // example notes for t[A] at S3).
 func NaiveChainPlan(in Input) (*Plan, error) {
 	p := &Plan{Bindings: make(map[string]RuleBinding), edges: make(map[edge]struct{})}
-	nodeByKey := make(map[string]NodeID)
+	names, ids := attrIDs(in.Rules)
+	bases := make(map[[2]int]NodeID)    // (attribute, site) → base node
+	prefixes := make(map[string]NodeID) // prefix attribute set → composed node
 
-	baseNode := func(attr string, prefSite int) (NodeID, error) {
-		sites := in.sitesOf(attr)
+	baseNode := func(a, prefSite int) (NodeID, error) {
+		sites := in.AttrSites[names[a]]
 		if len(sites) == 0 {
-			return 0, fmt.Errorf("optimizer: attribute %q assigned to no site", attr)
+			return 0, fmt.Errorf("optimizer: attribute %q assigned to no site", names[a])
 		}
 		site := sites[0]
-		for _, s := range sites {
-			if s == prefSite {
-				site = s
-				break
-			}
+		if slices.Contains(sites, prefSite) {
+			site = prefSite
 		}
-		key := fmt.Sprintf("b:%s:%d", attr, site)
-		if id, ok := nodeByKey[key]; ok {
+		if id, ok := bases[[2]int{a, site}]; ok {
 			return id, nil
 		}
 		id := NodeID(len(p.Nodes))
-		p.Nodes = append(p.Nodes, Node{ID: id, Kind: Base, Attrs: []string{attr}, Site: site})
-		nodeByKey[key] = id
+		p.Nodes = append(p.Nodes, Node{ID: id, Kind: Base, Attrs: []string{names[a]}, Site: site})
+		bases[[2]int{a, site}] = id
 		return id, nil
 	}
 
@@ -45,35 +44,37 @@ func NaiveChainPlan(in Input) (*Plan, error) {
 		if len(r.LHS) == 0 {
 			return nil, fmt.Errorf("optimizer: rule %s has empty LHS", r.ID)
 		}
-		var prev NodeID
-		var err error
-		prev, err = baseNode(r.LHS[0], -1)
+		prev, err := baseNode(ids[r.LHS[0]], -1)
 		if err != nil {
 			return nil, err
 		}
+		prefix := newAttrSet(len(names))
+		prefix.add(ids[r.LHS[0]])
 		for i := 1; i < len(r.LHS); i++ {
 			attr := r.LHS[i]
-			sites := in.sitesOf(attr)
+			prefix.add(ids[attr])
+			sites := in.AttrSites[attr]
 			if len(sites) == 0 {
 				return nil, fmt.Errorf("optimizer: attribute %q assigned to no site", attr)
 			}
 			site := sites[0]
-			key := "c:" + attrKey(r.LHS[:i+1])
-			if id, ok := nodeByKey[key]; ok {
+			key := prefix.key()
+			if id, ok := prefixes[key]; ok {
 				prev = id
 				continue
 			}
-			ab, err := baseNode(attr, site)
+			ab, err := baseNode(ids[attr], site)
 			if err != nil {
 				return nil, err
 			}
 			id := NodeID(len(p.Nodes))
-			p.Nodes = append(p.Nodes, Node{
-				ID: id, Kind: Composed, Attrs: sortedAttrs(r.LHS[:i+1]), Site: site,
-				Inputs: []NodeID{prev, ab},
-			})
-			nodeByKey[key] = id
-			for _, inID := range []NodeID{prev, ab} {
+			n := Node{ID: id, Kind: Composed, Site: site, Inputs: []NodeID{prev, ab}}
+			for _, a := range prefix.ids(nil) {
+				n.Attrs = append(n.Attrs, names[a])
+			}
+			p.Nodes = append(p.Nodes, n)
+			prefixes[key] = id
+			for _, inID := range n.Inputs {
 				if p.Nodes[inID].Site != site {
 					p.edges[edge{src: inID, dest: site}] = struct{}{}
 				}
@@ -81,7 +82,7 @@ func NaiveChainPlan(in Input) (*Plan, error) {
 			prev = id
 		}
 		idxSite := p.Nodes[prev].Site
-		bNode, err := baseNode(r.RHS, idxSite)
+		bNode, err := baseNode(ids[r.RHS], idxSite)
 		if err != nil {
 			return nil, err
 		}
@@ -93,319 +94,96 @@ func NaiveChainPlan(in Input) (*Plan, error) {
 	return p, nil
 }
 
-// candidate is an element of the optVer search space: either a composed
-// HEV placement or a base HEV at a replica site.
-type candidate struct {
-	composedKey string // attrKey; "" for base candidates
-	attr        string // base candidates
-	site        int
-	protected   bool // HIDX members and sole base replicas cannot be removed
-}
-
-// findLoc implements the paper's placement rule with shipment-aware
-// scoring: pick the site maximizing (a) the number of h's attributes held
-// locally, plus (b) the number of already-placed HEVs at the site whose
-// attribute sets are subsets of h (free local inputs), plus (c) for every
-// rule whose LHS equals h, one point if the rule's RHS attribute is held
-// locally (co-locating the IDX with B saves the eqid_B shipment). Ties go
-// to the lowest site id.
-func findLoc(in Input, attrs []string, placed map[string]int) int {
-	key := attrKey(attrs)
-	want := make(map[string]bool, len(attrs))
-	for _, a := range attrs {
-		want[a] = true
-	}
-	bestSite, bestScore := 0, -1
-	for site := 0; site < in.NumSites; site++ {
-		score := 0
-		for _, a := range attrs {
-			if in.holdsAt(a, site) {
-				score++
-			}
-		}
-		for pk, ps := range placed {
-			if ps != site || pk == key {
-				continue
-			}
-			subset := true
-			for _, a := range splitKey(pk) {
-				if !want[a] {
-					subset = false
-					break
-				}
-			}
-			if subset {
-				score++
-			}
-		}
-		for _, r := range in.Rules {
-			if attrKey(r.LHS) == key && in.holdsAt(r.RHS, site) {
-				score++
-			}
-		}
-		if score > bestScore {
-			bestSite, bestScore = site, score
-		}
-	}
-	return bestSite
-}
-
-// expandCandidates implements optVer's initialization + expansion steps
-// (Fig. 7 lines 1–7): the X set of every rule, pairwise LHS
-// intersections, up to |Xϕ| extra shared-attribute subsets per rule
-// (pairs of a shared attribute with another LHS attribute, placed at the
-// partner attribute's site so the shared eqid flows there — the HAI-at-S6
-// move of the paper's Example 7), and base HEVs at every replica of every
-// touched attribute.
-func expandCandidates(in Input) []candidate {
-	type cset struct {
-		attrs      []string
-		protected  bool
-		forcedSite int // -1 when findLoc decides
-	}
-	composed := make(map[string]cset)
-	addComposed := func(attrs []string, protected bool, forcedSite int) {
-		if len(attrs) < 2 {
-			return
-		}
-		k := attrKey(attrs)
-		cur, ok := composed[k]
-		if !ok {
-			composed[k] = cset{attrs: sortedAttrs(attrs), protected: protected, forcedSite: forcedSite}
-			return
-		}
-		if protected && !cur.protected {
-			cur.protected = true
-			cur.forcedSite = -1 // rule X sets get scored placement
-			composed[k] = cur
-		}
-	}
-
-	for _, r := range in.Rules {
-		addComposed(r.LHS, true, -1)
-	}
-	// Pairwise LHS intersections.
-	for i := range in.Rules {
-		for j := range in.Rules {
-			if i == j {
-				continue
-			}
-			inter := intersect(in.Rules[i].LHS, in.Rules[j].LHS)
-			addComposed(inter, false, -1)
-		}
-	}
-	// Shared-attribute pairs within each rule, capped at |Xϕ| per rule:
-	// {shared, other} placed at other's primary site, so the shared
-	// attribute's eqid is shipped once and composed locally.
-	shared := attrRuleCounts(in)
-	for _, r := range in.Rules {
-		added := 0
-		lhs := sortedAttrs(r.LHS)
-		for _, a := range lhs {
-			if shared[a] < 2 || added >= len(r.LHS) {
-				continue
-			}
-			for _, b := range lhs {
-				if b == a || added >= len(r.LHS) {
-					continue
-				}
-				sites := in.sitesOf(b)
-				if len(sites) == 0 {
-					continue
-				}
-				addComposed([]string{a, b}, false, sites[0])
-				added++
-			}
-		}
-	}
-
-	// Deterministic placement order: smaller sets first (inputs before
-	// consumers, so the placed-subset bonus of findLoc is effective).
-	keys := make([]string, 0, len(composed))
-	for k := range composed {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		ka, kb := keys[a], keys[b]
-		la, lb := len(splitKey(ka)), len(splitKey(kb))
-		if la != lb {
-			return la < lb
-		}
-		return ka < kb
-	})
-	placed := make(map[string]int)
-	var out []candidate
-	for _, k := range keys {
-		cs := composed[k]
-		site := cs.forcedSite
-		if site < 0 {
-			site = findLoc(in, cs.attrs, placed)
-		}
-		placed[k] = site
-		out = append(out, candidate{composedKey: k, site: site, protected: cs.protected})
-	}
-
-	// Base HEVs at every replica; the sole replica of an attribute is
-	// protected (removing it would make the attribute unresolvable).
-	baseAttrs := allBaseSites(in)
-	attrs := make([]string, 0, len(baseAttrs))
-	for a := range baseAttrs {
-		attrs = append(attrs, a)
-	}
-	sort.Strings(attrs)
-	for _, a := range attrs {
-		sites := baseAttrs[a]
-		for _, s := range sites {
-			out = append(out, candidate{attr: a, site: s, protected: len(sites) == 1})
-		}
-	}
-	return out
-}
-
-func attrRuleCounts(in Input) map[string]int {
-	counts := make(map[string]int)
-	for _, r := range in.Rules {
-		for _, a := range r.LHS {
-			counts[a]++
-		}
-	}
-	return counts
-}
-
-func intersect(a, b []string) []string {
-	set := make(map[string]bool, len(b))
-	for _, x := range b {
-		set[x] = true
-	}
-	var out []string
-	for _, x := range a {
-		if set[x] {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-// planFromSelection builds the plan induced by the selected candidates.
-func planFromSelection(in Input, cands []candidate, selected []bool) (*Plan, error) {
-	avail := make(map[string]int)
-	availBase := make(map[string][]int)
-	for i, c := range cands {
-		if !selected[i] {
-			continue
-		}
-		if c.composedKey != "" {
-			avail[c.composedKey] = c.site
-		} else {
-			availBase[c.attr] = append(availBase[c.attr], c.site)
-		}
-	}
-	for a := range availBase {
-		sort.Ints(availBase[a])
-	}
-	return BuildPlan(in, avail, availBase)
-}
-
-// defaultEvalBudget bounds the number of plan constructions a single
-// Optimize call may spend in its beam search. The initial shipment-aware
-// greedy construction already captures most of the benefit; the search is
+// evalBudget bounds the number of selections a single Optimize call may
+// evaluate in its beam search. The initial shipment-aware greedy
+// construction already captures most of the benefit; the search is
 // refinement, and optVer only runs once per (database, partition, Σ)
 // configuration, never per update.
-const defaultEvalBudget = 4000
+const evalBudget = 4000
 
-// Optimize is optVer (Fig. 7): beam search of width k over candidate
-// removals, keeping the cheapest executable plan found. k trades solution
-// quality against planning time; the paper's experiments use small k.
+// Optimize is optVer (Fig. 7): beam search of width k (5 when k ≤ 0) over
+// candidate removals, keeping the cheapest executable plan found. k trades
+// solution quality against planning time; the paper's experiments use
+// small k. The naive per-rule chains are part of the considered space
+// (they are the search's floor): optVer never returns a plan shipping
+// more eqids than no sharing at all.
 func Optimize(in Input, k int) (*Plan, error) {
-	return OptimizeBudget(in, k, defaultEvalBudget)
-}
-
-// OptimizeBudget is Optimize with an explicit cap on the number of
-// candidate plans evaluated during the search. The naive per-rule chains
-// are part of the considered space (they are the search's floor): optVer
-// never returns a plan shipping more eqids than no sharing at all.
-func OptimizeBudget(in Input, k, budget int) (*Plan, error) {
 	if k <= 0 {
 		k = 5
 	}
-	cands := expandCandidates(in)
-	full := make([]bool, len(cands))
-	for i := range full {
-		full[i] = true
-	}
-	best, err := planFromSelection(in, cands, full)
+	sp, err := compile(in)
 	if err != nil {
-		return nil, fmt.Errorf("optimizer: initial candidate set not executable: %w", err)
+		return nil, err
 	}
-	bestCost := best.Neqid()
-	if naive, err := NaiveChainPlan(in); err == nil && naive.Neqid() < bestCost {
-		best, bestCost = naive, naive.Neqid()
+	e := sp.evaluator()
+	full := bytes.Repeat([]byte{1}, len(sp.comp)+len(sp.base))
+	bestCost, miss := e.run(full, nil)
+	if miss >= 0 {
+		return nil, fmt.Errorf("optimizer: initial candidate set not executable: attribute %s has no available base HEV site", sp.names[miss])
+	}
+	best := full
+	naive, err := NaiveChainPlan(in)
+	if err != nil || naive.Neqid() >= bestCost {
+		naive = nil
+	} else {
+		bestCost = naive.Neqid()
 	}
 
 	type state struct {
-		sel  []bool
+		sel  []byte
 		cost int
 	}
-	stateKey := func(sel []bool) string {
-		var sb strings.Builder
-		for _, s := range sel {
-			if s {
-				sb.WriteByte('1')
-			} else {
-				sb.WriteByte('0')
-			}
-		}
-		return sb.String()
-	}
-
-	queue := []state{{sel: full, cost: bestCost}}
-	visited := map[string]bool{stateKey(full): true}
+	queue := []state{{sel: full}}
+	visited := map[string]bool{string(full): true}
+	child := make([]byte, len(full))
 	evals := 0
-	for len(queue) > 0 && evals < budget {
+	for len(queue) > 0 && evals < evalBudget {
 		var next []state
 		for _, st := range queue {
-			for i := range cands {
-				if !st.sel[i] || cands[i].protected {
+			for i := range st.sel {
+				if st.sel[i] == 0 || sp.protected(i) {
 					continue
 				}
-				child := append([]bool(nil), st.sel...)
-				child[i] = false
-				ck := stateKey(child)
-				if visited[ck] {
+				copy(child, st.sel)
+				child[i] = 0
+				if visited[string(child)] {
 					continue
 				}
-				visited[ck] = true
+				visited[string(child)] = true
 				evals++
-				p, err := planFromSelection(in, cands, child)
-				if err != nil {
+				cost, miss := e.run(child, nil)
+				if miss >= 0 {
 					continue // not executable without this candidate
 				}
-				cost := p.Neqid()
+				sel := slices.Clone(child)
 				if cost < bestCost {
-					bestCost, best = cost, p
+					bestCost, best, naive = cost, sel, nil
 				}
-				next = append(next, state{sel: child, cost: cost})
-				if evals >= budget {
+				next = append(next, state{sel: sel, cost: cost})
+				if evals >= evalBudget {
 					break
 				}
 			}
-			if evals >= budget {
+			if evals >= evalBudget {
 				break
 			}
 		}
 		// Keep the k cheapest open states (deterministic ordering).
-		sort.Slice(next, func(i, j int) bool {
-			if next[i].cost != next[j].cost {
-				return next[i].cost < next[j].cost
+		slices.SortFunc(next, func(a, b state) int {
+			if a.cost != b.cost {
+				return a.cost - b.cost
 			}
-			return stateKey(next[i].sel) < stateKey(next[j].sel)
+			return bytes.Compare(a.sel, b.sel)
 		})
 		if len(next) > k {
 			next = next[:k]
 		}
 		queue = next
 	}
-	return best, nil
+	if naive != nil {
+		return naive, nil
+	}
+	return e.materialize(best), nil
 }
 
 // ExhaustiveOptimal enumerates every subset of removable candidates and
@@ -413,38 +191,38 @@ func OptimizeBudget(in Input, k, budget int) (*Plan, error) {
 // with more than maxFree removable candidates. Used as a test oracle for
 // Theorem 7's NP-complete optimization problem.
 func ExhaustiveOptimal(in Input, maxFree int) (*Plan, error) {
-	cands := expandCandidates(in)
+	sp, err := compile(in)
+	if err != nil {
+		return nil, err
+	}
+	sel := make([]byte, len(sp.comp)+len(sp.base))
 	var free []int
-	for i, c := range cands {
-		if !c.protected {
+	for i := range sel {
+		if !sp.protected(i) {
 			free = append(free, i)
 		}
 	}
 	if len(free) > maxFree {
 		return nil, fmt.Errorf("optimizer: %d removable candidates exceeds exhaustive limit %d", len(free), maxFree)
 	}
-	var best *Plan
+	e := sp.evaluator()
+	var best []byte
 	bestCost := 0
-	sel := make([]bool, len(cands))
 	for mask := 0; mask < 1<<len(free); mask++ {
 		for i := range sel {
-			sel[i] = true
+			sel[i] = 1
 		}
 		for bi, ci := range free {
 			if mask&(1<<bi) != 0 {
-				sel[ci] = false
+				sel[ci] = 0
 			}
 		}
-		p, err := planFromSelection(in, cands, sel)
-		if err != nil {
-			continue
-		}
-		if best == nil || p.Neqid() < bestCost {
-			best, bestCost = p, p.Neqid()
+		if cost, miss := e.run(sel, nil); miss < 0 && (best == nil || cost < bestCost) {
+			best, bestCost = slices.Clone(sel), cost
 		}
 	}
 	if best == nil {
 		return nil, fmt.Errorf("optimizer: no executable plan found")
 	}
-	return best, nil
+	return e.materialize(best), nil
 }

@@ -1,7 +1,10 @@
 package optimizer
 
 import (
+	"slices"
 	"testing"
+
+	"repro/internal/workload"
 )
 
 // example7 builds the topology of the paper's Example 7: relation
@@ -101,5 +104,50 @@ func TestOptimizeMatchesExhaustiveOnTinyInstance(t *testing.T) {
 	}
 	if opt.Neqid() < exact.Neqid() {
 		t.Errorf("optVer %d beat 'exhaustive' %d: exhaustive search is broken", opt.Neqid(), exact.Neqid())
+	}
+}
+
+func sortedNames(attrs []string) []string {
+	s := slices.Clone(attrs)
+	slices.Sort(s)
+	return s
+}
+
+// TestSeparatorInAttributeNames: attribute names are opaque. With an
+// attribute named "A\x1fB" beside A and B, {A\x1fB, C} and {A, B, C}
+// are different sets, so no planner may bind both rules to one X node.
+func TestSeparatorInAttributeNames(t *testing.T) {
+	in := Input{
+		NumSites: 3,
+		AttrSites: map[string][]int{
+			"A": {0}, "B": {1}, "C": {2}, "A\x1fB": {0}, "D": {1}, "E": {2},
+		},
+		Rules: []RuleSpec{
+			{ID: "r1", LHS: []string{"A\x1fB", "C"}, RHS: "D"},
+			{ID: "r2", LHS: []string{"A", "B", "C"}, RHS: "E"},
+		},
+	}
+	for _, pl := range goldenPlanners {
+		p, err := pl.plan(in)
+		if err != nil {
+			t.Fatalf("%s: %v", pl.name, err)
+		}
+		for _, r := range in.Rules {
+			if got := p.Nodes[p.Bindings[r.ID].XNode].Attrs; !slices.Equal(got, sortedNames(r.LHS)) {
+				t.Errorf("%s: rule %s binds X node %q, want %q\n%s", pl.name, r.ID, got, sortedNames(r.LHS), p.Describe())
+			}
+		}
+	}
+}
+
+// BenchmarkOptimize plans the input a benchmark vertical session opens
+// with: TPCH, 50 rules (46 variable), four round-robin sites.
+func BenchmarkOptimize(b *testing.B) {
+	in := workloadInput(workload.TPCH, 50, 4)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Optimize(in, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -256,16 +256,3 @@ func (p *Plan) Describe() string {
 	fmt.Fprintf(&sb, "  Neqid per unit update: %d\n", p.Neqid())
 	return sb.String()
 }
-
-// attrKey canonicalizes an attribute set.
-func attrKey(attrs []string) string {
-	s := append([]string(nil), attrs...)
-	sort.Strings(s)
-	return strings.Join(s, "\x1f")
-}
-
-func sortedAttrs(attrs []string) []string {
-	s := append([]string(nil), attrs...)
-	sort.Strings(s)
-	return s
-}

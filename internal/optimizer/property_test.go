@@ -3,6 +3,7 @@ package optimizer
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -78,7 +79,7 @@ func TestOptimizeAlwaysExecutableAndNoWorse(t *testing.T) {
 				return false
 			}
 			// The X node must cover exactly the rule's LHS set.
-			if attrKey(opt.Nodes[b.XNode].Attrs) != attrKey(r.LHS) {
+			if !slices.Equal(opt.Nodes[b.XNode].Attrs, sortedNames(r.LHS)) {
 				return false
 			}
 			// Every composed node's inputs must union to its attrs.

@@ -307,3 +307,52 @@ func TestRuleManagementMatchesFreshSeed(t *testing.T) {
 		}
 	}
 }
+
+// TestVerticalSeparatorInAttributeNames: attribute names are opaque to
+// the HEV planners. With an attribute named "A\x1fB" beside A and B, the
+// rule over {A\x1fB, C} and the rule over {A, B, C} need two HEVs; sharing
+// one would group r2 by the wrong columns — missing its real violation
+// (t1, t2) and flagging r1's group (t1, t3) instead.
+func TestVerticalSeparatorInAttributeNames(t *testing.T) {
+	schema := relation.MustSchema("sep", "A", "B", "C", "A\x1fB", "D", "E")
+	rel := relation.New(schema)
+	for i, row := range [][]string{
+		{"a", "b", "c", "x", "d1", "e1"},
+		{"a", "b", "c", "y", "d1", "e2"},
+		{"p", "q", "c", "x", "d2", "e3"},
+		{"p", "q", "c", "z", "d3", "e3"},
+	} {
+		rel.MustInsert(relation.Tuple{ID: relation.TupleID(i + 1), Values: row})
+	}
+	fd := func(id, rhs string, lhs ...string) cfd.CFD {
+		pat := make([]string, len(lhs))
+		for i := range pat {
+			pat[i] = cfd.Wildcard
+		}
+		return cfd.CFD{ID: id, LHS: lhs, RHS: rhs, LHSPattern: pat, RHSPattern: cfd.Wildcard}
+	}
+	rules := []cfd.CFD{fd("r1", "D", "A\x1fB", "C"), fd("r2", "E", "A", "B", "C")}
+	want := centralized.Detect(rel, rules)
+	insert := relation.UpdateList{{Kind: relation.Insert, Tuple: relation.Tuple{ID: 5, Values: []string{"p", "q", "c", "w", "d4", "e4"}}}}
+	updated := rel.Clone()
+	if err := insert.Apply(updated); err != nil {
+		t.Fatal(err)
+	}
+	wantAfter := centralized.Detect(updated, rules)
+	for _, optimized := range []bool{false, true} {
+		opts := []Option{WithVertical(partition.RoundRobinVertical(schema, 3))}
+		if optimized {
+			opts = append(opts, WithOptimizer())
+		}
+		s := mustOpen(t, rel.Clone(), rules, opts...)
+		if !s.Violations().Equal(want) {
+			t.Errorf("optimizer=%v: seeded V ≠ centralized oracle", optimized)
+		}
+		if _, err := s.ApplyBatch(context.Background(), insert); err != nil {
+			t.Fatal(err)
+		}
+		if !s.Violations().Equal(wantAfter) {
+			t.Errorf("optimizer=%v: V after a batch ≠ centralized oracle", optimized)
+		}
+	}
+}
