@@ -37,10 +37,10 @@ func Exp1(sc Scale) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.Points = append(r.Points, Point{X: float64(d), Values: map[string]float64{
+		r.Points = append(r.Points, Point{X: float64(d), Values: o.with(map[string]float64{
 			"incVer(s)": o.incSeconds, "batVer(s)": o.batSeconds,
 			"incKB": kb(o.incStats.Bytes), "batKB": kb(o.batStats.Bytes),
-		}})
+		})})
 	}
 	return r, nil
 }
@@ -65,11 +65,11 @@ func Exp2(sc Scale) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.Points = append(r.Points, Point{X: float64(d), Values: map[string]float64{
+		r.Points = append(r.Points, Point{X: float64(d), Values: o.with(map[string]float64{
 			"incVer(s)": o.incSeconds, "batVer(s)": o.batSeconds,
 			"incKB": kb(o.incStats.Bytes), "batKB": kb(o.batStats.Bytes),
 			"|∆V|": float64(o.deltaMarks),
-		}})
+		})})
 	}
 	return r, nil
 }
@@ -93,9 +93,9 @@ func Exp2DBLP(sc Scale) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.Points = append(r.Points, Point{X: float64(d), Values: map[string]float64{
+		r.Points = append(r.Points, Point{X: float64(d), Values: o.with(map[string]float64{
 			"incVer(s)": o.incSeconds, "batVer(s)": o.batSeconds,
-		}})
+		})})
 	}
 	return r, nil
 }
@@ -119,9 +119,9 @@ func Exp3(sc Scale) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.Points = append(r.Points, Point{X: float64(n), Values: map[string]float64{
+		r.Points = append(r.Points, Point{X: float64(n), Values: o.with(map[string]float64{
 			"incVer(s)": o.incSeconds, "batVer(s)": o.batSeconds,
-		}})
+		})})
 	}
 	return r, nil
 }
@@ -144,9 +144,9 @@ func Exp3DBLP(sc Scale) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.Points = append(r.Points, Point{X: float64(n), Values: map[string]float64{
+		r.Points = append(r.Points, Point{X: float64(n), Values: o.with(map[string]float64{
 			"incVer(s)": o.incSeconds, "batVer(s)": o.batSeconds,
-		}})
+		})})
 	}
 	return r, nil
 }
@@ -189,7 +189,7 @@ func scaleupExp(sc Scale, style, name, figure string) (*Result, error) {
 			baseInc, baseBat = o.incSim, o.batSim
 			baseIncB, baseBatB = incB, batB
 		}
-		r.Points = append(r.Points, Point{X: float64(n), Values: map[string]float64{
+		r.Points = append(r.Points, Point{X: float64(n), Values: o.with(map[string]float64{
 			"inc-scaleup":  ratio(baseInc, o.incSim),
 			"bat-scaleup":  ratio(baseBat, o.batSim),
 			"inc-scaleupB": ratio(baseIncB, incB),
@@ -198,7 +198,7 @@ func scaleupExp(sc Scale, style, name, figure string) (*Result, error) {
 			"bat-balance":  balance(o.batStats),
 			"inc-sim(s)":   o.incSim,
 			"bat-sim(s)":   o.batSim,
-		}})
+		})})
 	}
 	return r, nil
 }
@@ -303,11 +303,11 @@ func Exp6(sc Scale) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.Points = append(r.Points, Point{X: float64(d), Values: map[string]float64{
+		r.Points = append(r.Points, Point{X: float64(d), Values: o.with(map[string]float64{
 			"incHor(s)": o.incSeconds, "batHor(s)": o.batSeconds,
 			"incKB": kb(o.incStats.Bytes), "batKB": kb(o.batStats.Bytes),
 			"incSim(s)": o.incSim, "batSim(s)": o.batSim,
-		}})
+		})})
 	}
 	return r, nil
 }
@@ -331,11 +331,11 @@ func Exp7(sc Scale) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.Points = append(r.Points, Point{X: float64(d), Values: map[string]float64{
+		r.Points = append(r.Points, Point{X: float64(d), Values: o.with(map[string]float64{
 			"incHor(s)": o.incSeconds, "batHor(s)": o.batSeconds,
 			"incKB": kb(o.incStats.Bytes), "batKB": kb(o.batStats.Bytes),
 			"|∆V|": float64(o.deltaMarks),
-		}})
+		})})
 	}
 	return r, nil
 }
@@ -358,10 +358,10 @@ func Exp8(sc Scale) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.Points = append(r.Points, Point{X: float64(n), Values: map[string]float64{
+		r.Points = append(r.Points, Point{X: float64(n), Values: o.with(map[string]float64{
 			"incHor(s)": o.incSeconds, "batHor(s)": o.batSeconds,
 			"incSim(s)": o.incSim, "batSim(s)": o.batSim,
-		}})
+		})})
 	}
 	return r, nil
 }
@@ -399,9 +399,9 @@ func Exp10(sc Scale, style string) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.Points = append(r.Points, Point{X: float64(d), Values: map[string]float64{
+		r.Points = append(r.Points, Point{X: float64(d), Values: o.with(map[string]float64{
 			"inc(s)": o.incSeconds, "ibat(s)": o.ibatSeconds,
-		}})
+		})})
 	}
 	return r, nil
 }
@@ -464,11 +464,15 @@ func expFanout(sc Scale, rtt time.Duration) (*Result, error) {
 			sSec, sSt = so.batSeconds, so.batStats
 			pSec, pSt = po.batSeconds, po.batStats
 		}
-		r.Points = append(r.Points, Point{X: float64(len(r.Points)), Label: c.label, Values: map[string]float64{
+		if sSt.Bytes != pSt.Bytes || sSt.Messages != pSt.Messages || sSt.Eqids != pSt.Eqids {
+			return nil, fmt.Errorf("fanout: %s: sequential metered %d B / %d msgs / %d eqids, parallel %d / %d / %d",
+				c.label, sSt.Bytes, sSt.Messages, sSt.Eqids, pSt.Bytes, pSt.Messages, pSt.Eqids)
+		}
+		r.Points = append(r.Points, Point{X: float64(len(r.Points)), Label: c.label, Values: po.with(map[string]float64{
 			"seq(s)": sSec, "par(s)": pSec, "speedup": ratio(sSec, pSec),
 			"seqKB": kb(sSt.Bytes), "parKB": kb(pSt.Bytes),
 			"seqMsgs": float64(sSt.Messages), "parMsgs": float64(pSt.Messages),
-		}})
+		})})
 	}
 	r.Notes = append(r.Notes,
 		"seqKB=parKB and seqMsgs=parMsgs by construction: the engine parallelizes delivery, not protocol")
@@ -498,9 +502,63 @@ func MD5Ablation(sc Scale) (*Result, error) {
 		if disable {
 			label = "raw"
 		}
-		r.Points = append(r.Points, Point{X: float64(len(r.Points)), Label: label, Values: map[string]float64{
+		r.Points = append(r.Points, Point{X: float64(len(r.Points)), Label: label, Values: o.with(map[string]float64{
 			"KB": kb(o.incStats.Bytes),
-		}})
+		})})
+	}
+	return r, nil
+}
+
+// pinScale is the fixed scale Exp-figures runs every figure at, whatever
+// the scale asked for: small enough that the whole of §7 costs a few
+// seconds, large enough that every sweep point ships and marks something.
+var pinScale = Scale{Unit: 100, DBLPUnit: 100, Sites: 5, Seed: 1, NsPerByte: 100}
+
+// figureExact are the integer columns every figure point carries and
+// Exp-figures commits: the meters of the incremental run and of the
+// figure's batch-side baseline (batVer/batHor, or ibatVer/ibatHor in
+// Exp-10), each side's busiest-site received bytes (Exp-4/9's load
+// proxy), |∆V| and |V|. An algorithm a figure does not run reads zero.
+var figureExact = []string{
+	"inc_bytes", "inc_msgs", "inc_eqids", "inc_max_recv",
+	"bat_bytes", "bat_msgs", "bat_eqids", "bat_max_recv",
+	"delta_v", "v",
+}
+
+func figuresWorkload(Scale) string {
+	return fmt.Sprintf("every §7 figure but Exp-5 at 1M TPCH ≙ %d rows, 100K DBLP ≙ %d rows, n=%d sites (Exp-4/9: n=2..10; Exp-fanout: n=8, zero RTT), seed %d, at every scale",
+		pinScale.Unit, pinScale.DBLPUnit, pinScale.Sites, pinScale.Seed)
+}
+
+// ExpFigures pins §7: every figure's sweep at pinScale, one row per
+// point labelled experiment/x, holding the point's figureExact columns.
+func ExpFigures(Scale) (*Result, error) {
+	r := &Result{
+		Name: "Exp-figures", Figure: "§7 pins", Title: "exact meters of every figure at the pin scale",
+		XLabel: "experiment/x", Columns: figureExact, Exact: figureExact,
+	}
+	for _, run := range []func(Scale) (*Result, error){
+		Exp1, Exp2, Exp2DBLP, Exp3, Exp3DBLP, Exp6, Exp7, Exp8,
+		func(s Scale) (*Result, error) { return Exp10(s, "vertical") },
+		func(s Scale) (*Result, error) { return Exp10(s, "horizontal") },
+		Exp4, Exp9, MD5Ablation,
+		func(s Scale) (*Result, error) { return expFanout(s, 0) },
+	} {
+		fr, err := run(pinScale)
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range fr.Points {
+			x := p.Label
+			if x == "" {
+				x = trimFloat(p.X)
+			}
+			values := make(map[string]float64, len(figureExact))
+			for _, c := range figureExact {
+				values[c] = p.Values[c]
+			}
+			r.Points = append(r.Points, Point{X: float64(len(r.Points)), Label: fr.Name + "/" + x, Values: values})
+		}
 	}
 	return r, nil
 }
@@ -559,6 +617,7 @@ func Experiments() []Experiment {
 		{Name: "Exp-10-horizontal", Figure: "Fig 11(b)", Run: func(s Scale) (*Result, error) { return Exp10(s, "horizontal") }},
 		{Name: "Ablation-md5", Figure: "§6 optimization", Run: MD5Ablation},
 		{Name: "Exp-fanout", Figure: "engine", Run: ExpFanout},
+		{Name: "Exp-figures", Figure: "§7 pins", Run: ExpFigures, Workload: figuresWorkload},
 		{Name: "Exp-coalesce", Figure: "protocol",
 			Run: sweep(func(s Scale) ([]CoalesceRow, error) { return RunCoalesce(s, coalesceRTT) },
 				func(rows []CoalesceRow) *Result { return CoalesceResult(rows, coalesceRTT) }),

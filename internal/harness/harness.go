@@ -120,12 +120,29 @@ type out struct {
 	batSeconds  float64
 	ibatSeconds float64
 	incStats    network.Stats
-	batStats    network.Stats
-	deltaMarks  int
-	violations  int
+	// batStats meters the batch-side baseline: batVer/batHor, or the
+	// refined ibat rebuild when that runs instead.
+	batStats   network.Stats
+	deltaMarks int
+	violations int
 	// simulated parallel elapsed (scaleup model)
 	incSim float64
 	batSim float64
+}
+
+// with returns a point's values: the printed columns plus figureExact.
+func (o out) with(printed map[string]float64) map[string]float64 {
+	v := map[string]float64{
+		"inc_bytes": float64(o.incStats.Bytes), "inc_msgs": float64(o.incStats.Messages),
+		"inc_eqids": float64(o.incStats.Eqids), "inc_max_recv": maxRecv(o.incStats),
+		"bat_bytes": float64(o.batStats.Bytes), "bat_msgs": float64(o.batStats.Messages),
+		"bat_eqids": float64(o.batStats.Eqids), "bat_max_recv": maxRecv(o.batStats),
+		"delta_v": float64(o.deltaMarks), "v": float64(o.violations),
+	}
+	for k, x := range printed {
+		v[k] = x
+	}
+	return v
 }
 
 func (s spec) gen() *workload.Generator {
@@ -223,12 +240,16 @@ func run(s spec) (out, error) {
 			}
 			bsys.Cluster().ResetStats()
 			start := time.Now()
-			if _, err := bsys.BatchDetect(); err != nil {
+			v, err := bsys.BatchDetect()
+			if err != nil {
 				return o, err
 			}
 			o.batSeconds = time.Since(start).Seconds()
 			o.batStats = bsys.Stats()
 			o.batSim = o.batStats.SimParallelSeconds(s.nsPerByte)
+			if !s.runInc {
+				o.violations = v.Len()
+			}
 		}
 		if s.runIbat {
 			// The refined batch algorithms of Exp-10: rebuild from ∅
@@ -248,6 +269,7 @@ func run(s spec) (out, error) {
 				return o, err
 			}
 			o.ibatSeconds = time.Since(start).Seconds()
+			o.batStats = isys.Stats()
 		}
 	}
 	return o, nil
