@@ -16,12 +16,22 @@ import (
 	"repro/internal/workload"
 )
 
-// benchExperiment runs one harness experiment per iteration, reporting
-// the named columns of the final sweep point as metrics.
-func benchExperiment(b *testing.B, fn func(harness.Scale) (*harness.Result, error), metrics map[string]string) {
+// benchExperiment runs the harness experiment registered under name once
+// per iteration, reporting the named columns of the final sweep point as
+// metrics.
+func benchExperiment(b *testing.B, name string, metrics map[string]string) {
 	b.Helper()
+	var run func(harness.Scale) (*harness.Result, error)
+	for _, e := range harness.Experiments() {
+		if e.Name == name {
+			run = e.Run
+		}
+	}
+	if run == nil {
+		b.Fatalf("no experiment %q", name)
+	}
 	for i := 0; i < b.N; i++ {
-		r, err := fn(harness.Quick)
+		r, err := run(harness.Quick)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -35,68 +45,42 @@ func benchExperiment(b *testing.B, fn func(harness.Scale) (*harness.Result, erro
 	}
 }
 
-func BenchmarkFig09a_TPCHVerticalVaryD(b *testing.B) {
-	benchExperiment(b, harness.Exp1, map[string]string{"incVer(s)": "inc_s", "batVer(s)": "bat_s"})
-}
+var (
+	verTimes = map[string]string{"incVer(s)": "inc_s", "batVer(s)": "bat_s"}
+	horTimes = map[string]string{"incHor(s)": "inc_s", "batHor(s)": "bat_s"}
+	kbs      = map[string]string{"incKB": "incKB", "batKB": "batKB"}
+	scaleups = map[string]string{"inc-scaleup": "inc_su", "bat-scaleup": "bat_su"}
+)
 
-func BenchmarkFig09bc_TPCHVerticalVaryDelta(b *testing.B) {
-	benchExperiment(b, harness.Exp2, map[string]string{"incKB": "incKB", "batKB": "batKB"})
-}
-
-func BenchmarkFig09d_TPCHVerticalVarySigma(b *testing.B) {
-	benchExperiment(b, harness.Exp3, map[string]string{"incVer(s)": "inc_s", "batVer(s)": "bat_s"})
-}
-
-func BenchmarkFig09e_TPCHVerticalScaleup(b *testing.B) {
-	benchExperiment(b, harness.Exp4, map[string]string{"inc-scaleup": "inc_su", "bat-scaleup": "bat_su"})
-}
-
-func BenchmarkFig09f_TPCHHorizontalVaryD(b *testing.B) {
-	benchExperiment(b, harness.Exp6, map[string]string{"incHor(s)": "inc_s", "batHor(s)": "bat_s"})
-}
-
-func BenchmarkFig09gh_TPCHHorizontalVaryDelta(b *testing.B) {
-	benchExperiment(b, harness.Exp7, map[string]string{"incKB": "incKB", "batKB": "batKB"})
-}
-
-func BenchmarkFig09i_TPCHHorizontalVarySigma(b *testing.B) {
-	benchExperiment(b, harness.Exp8, map[string]string{"incHor(s)": "inc_s", "batHor(s)": "bat_s"})
-}
-
-func BenchmarkFig09j_TPCHHorizontalScaleup(b *testing.B) {
-	benchExperiment(b, harness.Exp9, map[string]string{"inc-scaleup": "inc_su", "bat-scaleup": "bat_su"})
-}
-
-func BenchmarkFig09k_DBLPVerticalVaryDelta(b *testing.B) {
-	benchExperiment(b, harness.Exp2DBLP, map[string]string{"incVer(s)": "inc_s", "batVer(s)": "bat_s"})
-}
-
-func BenchmarkFig09l_DBLPVerticalVarySigma(b *testing.B) {
-	benchExperiment(b, harness.Exp3DBLP, map[string]string{"incVer(s)": "inc_s", "batVer(s)": "bat_s"})
-}
+func BenchmarkFig09a_TPCHVerticalVaryD(b *testing.B)        { benchExperiment(b, "Exp-1", verTimes) }
+func BenchmarkFig09bc_TPCHVerticalVaryDelta(b *testing.B)   { benchExperiment(b, "Exp-2", kbs) }
+func BenchmarkFig09d_TPCHVerticalVarySigma(b *testing.B)    { benchExperiment(b, "Exp-3", verTimes) }
+func BenchmarkFig09e_TPCHVerticalScaleup(b *testing.B)      { benchExperiment(b, "Exp-4", scaleups) }
+func BenchmarkFig09f_TPCHHorizontalVaryD(b *testing.B)      { benchExperiment(b, "Exp-6", horTimes) }
+func BenchmarkFig09gh_TPCHHorizontalVaryDelta(b *testing.B) { benchExperiment(b, "Exp-7", kbs) }
+func BenchmarkFig09i_TPCHHorizontalVarySigma(b *testing.B)  { benchExperiment(b, "Exp-8", horTimes) }
+func BenchmarkFig09j_TPCHHorizontalScaleup(b *testing.B)    { benchExperiment(b, "Exp-9", scaleups) }
+func BenchmarkFig09k_DBLPVerticalVaryDelta(b *testing.B)    { benchExperiment(b, "Exp-2-dblp", verTimes) }
+func BenchmarkFig09l_DBLPVerticalVarySigma(b *testing.B)    { benchExperiment(b, "Exp-3-dblp", verTimes) }
 
 func BenchmarkFig10_EqidShipmentOptimization(b *testing.B) {
-	benchExperiment(b, harness.Exp5, map[string]string{"saved%": "saved_pct"})
+	benchExperiment(b, "Exp-5", map[string]string{"saved%": "saved_pct"})
 }
 
 func BenchmarkFig11a_VerticalIncVsRefinedBatch(b *testing.B) {
-	benchExperiment(b, func(sc harness.Scale) (*harness.Result, error) {
-		return harness.Exp10(sc, "vertical")
-	}, map[string]string{"inc(s)": "inc_s", "ibat(s)": "ibat_s"})
+	benchExperiment(b, "Exp-10-vertical", map[string]string{"incVer(s)": "inc_s", "ibatVer(s)": "ibat_s"})
 }
 
 func BenchmarkFig11b_HorizontalIncVsRefinedBatch(b *testing.B) {
-	benchExperiment(b, func(sc harness.Scale) (*harness.Result, error) {
-		return harness.Exp10(sc, "horizontal")
-	}, map[string]string{"inc(s)": "inc_s", "ibat(s)": "ibat_s"})
+	benchExperiment(b, "Exp-10-horizontal", map[string]string{"incHor(s)": "inc_s", "ibatHor(s)": "ibat_s"})
 }
 
 func BenchmarkMD5CodingAblation(b *testing.B) {
-	benchExperiment(b, harness.MD5Ablation, map[string]string{"KB": "KB"})
+	benchExperiment(b, "Ablation-md5", map[string]string{"KB": "KB"})
 }
 
 func BenchmarkFanoutEngine(b *testing.B) {
-	benchExperiment(b, harness.ExpFanout, map[string]string{"speedup": "speedup"})
+	benchExperiment(b, "Exp-fanout", map[string]string{"speedup": "speedup"})
 }
 
 // --- scatter/gather engine: sequential vs parallel fan-out, n = 8 ---

@@ -114,3 +114,30 @@ func TestBaselineRoundTrip(t *testing.T) {
 		t.Errorf("writer accepted a point without its exact column: %v", err)
 	}
 }
+
+// TestExpSelects: -exp is an exact experiment name or a figure substring,
+// so a name never selects the longer names it prefixes (Exp-1 is not
+// Exp-10-*), and CI's own selections keep selecting exactly what they do.
+func TestExpSelects(t *testing.T) {
+	for filter, want := range map[string][]string{
+		"Exp-1":          {"Exp-1"},
+		"Exp-query-read": {"Exp-query-read"},
+		"Exp-storage":    {"Exp-storage"},
+		"Exp-coalesce":   {"Exp-coalesce"},
+		"Fig 11":         {"Exp-10-vertical", "Exp-10-horizontal"},
+		"Fig 9(b)":       {"Exp-2"},
+		"Exp-10":         nil,
+	} {
+		var got []string
+		for _, e := range selected(filter, false) {
+			got = append(got, e.Name)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("-exp %q selects %v, want %v", filter, got, want)
+		}
+	}
+	var stderr bytes.Buffer
+	if code := run([]string{"-exp", "Exp-10"}, io.Discard, &stderr); code != 1 || !strings.Contains(stderr.String(), "no experiment matches") {
+		t.Errorf("-exp Exp-10: exit %d, stderr %q; want 1 and no match", code, stderr.String())
+	}
+}

@@ -8,7 +8,8 @@
 // Usage:
 //
 //	expbench                 # every experiment at the default scale
-//	expbench -exp Exp-2      # one experiment (substring match; only it runs)
+//	expbench -exp Exp-2      # one experiment by exact name (only it runs)
+//	expbench -exp "Fig 11"   # every experiment whose figure contains the string
 //	expbench -unit 500 -sites 6 -seed 3
 //	expbench -quick          # the small scale used by tests/benchmarks
 //	expbench -out BENCH_exact.json   # run the baseline suites and write their exact columns
@@ -42,7 +43,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		dblpUnit = fs.Int("dblpunit", 0, "rows standing in for 100K DBLP tuples (0 = scale default)")
 		sites    = fs.Int("sites", 0, "number of sites n (0 = scale default)")
 		seed     = fs.Int64("seed", 0, "workload seed (0 = scale default)")
-		exp      = fs.String("exp", "", "run only experiments whose name or figure contains this substring")
+		exp      = fs.String("exp", "", "run only the experiment of this name, or those whose figure contains this substring")
 		out      = fs.String("out", "", "run the baseline suites and write their exact columns to this file")
 		verify   = fs.Bool("verify", false, "remeasure the baseline suites and compare with "+baselinePath+"; nonzero exit on drift")
 
@@ -145,33 +146,41 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// measure runs the experiments whose name or figure contains filter —
-// only the baseline suites when suitesOnly — printing each table to
-// tables as it completes, and returns the exact columns of the suites
-// among them. The filter selects which experiments RUN, not just which
-// print: the sweeps are expensive, and a profiled run (-cpuprofile)
-// should contain only the selected experiment's samples.
-func measure(sc harness.Scale, filter string, suitesOnly bool, tables io.Writer) (*baseline, error) {
-	fresh := &baseline{Scale: scale{Unit: sc.Unit, DBLPUnit: sc.DBLPUnit, Sites: sc.Sites, Seed: sc.Seed}}
-	ran := 0
+// selected returns the experiments -exp selects — the one of that name,
+// or those whose figure contains it — and only the baseline suites among
+// them when suitesOnly.
+func selected(filter string, suitesOnly bool) []harness.Experiment {
+	var out []harness.Experiment
 	for _, e := range harness.Experiments() {
-		if !e.Matches(filter) || (suitesOnly && e.Workload == nil) {
-			continue
+		if e.Matches(filter) && (!suitesOnly || e.Workload != nil) {
+			out = append(out, e)
 		}
+	}
+	return out
+}
+
+// measure runs the selected experiments, printing each table to tables
+// as it completes, and returns the exact columns of the suites among
+// them. The filter selects which experiments RUN, not just which print:
+// the sweeps are expensive, and a profiled run (-cpuprofile) should
+// contain only the selected experiment's samples.
+func measure(sc harness.Scale, filter string, suitesOnly bool, tables io.Writer) (*baseline, error) {
+	exps := selected(filter, suitesOnly)
+	if len(exps) == 0 {
+		return nil, fmt.Errorf("no experiment matches %q", filter)
+	}
+	fresh := &baseline{Scale: scale{Unit: sc.Unit, DBLPUnit: sc.DBLPUnit, Sites: sc.Sites, Seed: sc.Seed}}
+	for _, e := range exps {
 		r, err := e.Run(sc)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", e.Name, err)
 		}
-		ran++
 		fmt.Fprintln(tables, r.Format())
 		if e.Workload != nil {
 			if err := fresh.add(e.Workload(sc), r); err != nil {
 				return nil, err
 			}
 		}
-	}
-	if ran == 0 {
-		return nil, fmt.Errorf("no experiment matches %q", filter)
 	}
 	return fresh, nil
 }

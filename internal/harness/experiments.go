@@ -17,135 +17,122 @@ const (
 	dblpRulesDefault = 16
 )
 
-// Exp1 reproduces Fig 9(a): TPCH, vertical, elapsed time vs |D| with
-// |∆D| = 6 units, |Σ| = 50, n = Sites. The incremental curve should be
-// flat; the batch curve grows with |D|.
-func Exp1(sc Scale) (*Result, error) {
-	r := &Result{
-		Name: "Exp-1", Figure: "Fig 9(a)", Title: "TPCH vertical: time vs |D|",
-		XLabel:  fmt.Sprintf("|D| (×%d tuples)", sc.Unit),
-		Columns: []string{"incVer(s)", "batVer(s)", "incKB", "batKB"},
-	}
-	for _, d := range []int{2, 4, 6, 8, 10} {
-		o, err := run(spec{
-			dataset: workload.TPCH, style: "vertical", sites: sc.Sites,
-			dSize: d * sc.Unit, deltaSize: 6 * sc.Unit, numRules: tpchRulesDefault,
-			insFrac: 0.8, seed: sc.Seed, sizeHint: 16 * sc.Unit,
-			useOptimizer: true, nsPerByte: sc.NsPerByte,
-			runInc: true, runBat: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		r.Points = append(r.Points, Point{X: float64(d), Values: o.with(map[string]float64{
-			"incVer(s)": o.incSeconds, "batVer(s)": o.batSeconds,
-			"incKB": kb(o.incStats.Bytes), "batKB": kb(o.batStats.Bytes),
-		})})
-	}
-	return r, nil
+// figure is one row of §7's sweep table: one engine over one dataset
+// along one axis. Sizes are in paper units — Scale.Unit rows for TPCH,
+// Scale.DBLPUnit for DBLP — and the swept axis replaces its fixed size.
+// Every point runs the incremental algorithm and one batch-side
+// baseline: batVer/batHor recomputing V over D ⊕ ∆D, or with ibat the
+// refined rebuild of Exp-10.
+type figure struct {
+	name, fig, title string
+	style            string // "vertical" or "horizontal"
+	dataset          workload.Dataset
+	axis             axis
+	values           []int
+	// d and delta are |D| and |∆D| in units, rules |Σ|, hint the
+	// generator's size hint in units.
+	d, delta, rules, hint int
+	insFrac               float64
+	ibat                  bool
+	// extra are the printed columns after the two time columns.
+	extra []string
 }
 
-// Exp2 reproduces Figs 9(b) and 9(c): TPCH, vertical, time and shipment
-// vs |∆D| with |D| = 10 units. Both incremental curves are linear in
-// |∆D|; batch stays high and roughly flat.
-func Exp2(sc Scale) (*Result, error) {
-	r := &Result{
-		Name: "Exp-2", Figure: "Fig 9(b)+(c)", Title: "TPCH vertical: time and shipment vs |∆D|",
-		XLabel:  fmt.Sprintf("|∆D| (×%d tuples)", sc.Unit),
-		Columns: []string{"incVer(s)", "batVer(s)", "incKB", "batKB", "|∆V|"},
+type axis int
+
+const (
+	axisD     axis = iota // |D|
+	axisDelta             // |∆D|
+	axisRules             // |Σ|
+)
+
+var (
+	sweep5 = []int{2, 4, 6, 8, 10}
+	kbCols = []string{"incKB", "batKB"}
+	dvCols = []string{"incKB", "batKB", "|∆V|"}
+)
+
+// figures is §7's sweep table in paper order. Exp-4/9 (scaleupExp),
+// Exp-5 (the planner's static cost), Ablation-md5 and Exp-fanout have
+// renderers of their own over the same per-point runner.
+//
+// Exp-10 sweeps |∆D| past the paper's 2..10 with two larger points, so
+// the crossover (paper: |∆D| ≈ 8M at |D| = 6M) is visible even though
+// the absolute per-update constants differ from the authors' EC2 Python
+// implementation.
+var figures = []figure{
+	{name: "Exp-1", fig: "Fig 9(a)", title: "TPCH vertical: time vs |D|", style: "vertical", dataset: workload.TPCH,
+		axis: axisD, values: sweep5, delta: 6, rules: tpchRulesDefault, hint: 16, insFrac: 0.8, extra: kbCols},
+	{name: "Exp-2", fig: "Fig 9(b)+(c)", title: "TPCH vertical: time and shipment vs |∆D|", style: "vertical", dataset: workload.TPCH,
+		axis: axisDelta, values: sweep5, d: 10, rules: tpchRulesDefault, hint: 20, insFrac: 0.8, extra: dvCols},
+	{name: "Exp-2-dblp", fig: "Fig 9(k)", title: "DBLP vertical: time vs |∆D|", style: "vertical", dataset: workload.DBLP,
+		axis: axisDelta, values: []int{1, 2, 3, 4, 5}, d: 5, rules: dblpRulesDefault, hint: 10, insFrac: 0.8},
+	{name: "Exp-3", fig: "Fig 9(d)", title: "TPCH vertical: time vs |Σ|", style: "vertical", dataset: workload.TPCH,
+		axis: axisRules, values: []int{25, 50, 75, 100, 125}, d: 10, delta: 6, hint: 16, insFrac: 0.8},
+	{name: "Exp-3-dblp", fig: "Fig 9(l)", title: "DBLP vertical: time vs |Σ|", style: "vertical", dataset: workload.DBLP,
+		axis: axisRules, values: []int{8, 16, 24, 32, 40}, d: 5, delta: 3, hint: 10, insFrac: 0.8},
+	{name: "Exp-6", fig: "Fig 9(f)", title: "TPCH horizontal: time vs |D|", style: "horizontal", dataset: workload.TPCH,
+		axis: axisD, values: sweep5, delta: 6, rules: tpchRulesDefault, hint: 16, insFrac: 0.8, extra: []string{"incSim(s)", "batSim(s)", "incKB", "batKB"}},
+	{name: "Exp-7", fig: "Fig 9(g)+(h)", title: "TPCH horizontal: time and shipment vs |∆D|", style: "horizontal", dataset: workload.TPCH,
+		axis: axisDelta, values: sweep5, d: 10, rules: tpchRulesDefault, hint: 20, insFrac: 0.8, extra: dvCols},
+	{name: "Exp-8", fig: "Fig 9(i)", title: "TPCH horizontal: time vs |Σ|", style: "horizontal", dataset: workload.TPCH,
+		axis: axisRules, values: []int{25, 50, 75, 100, 125}, d: 10, delta: 6, hint: 16, insFrac: 0.8, extra: []string{"incSim(s)", "batSim(s)"}},
+	{name: "Exp-10-vertical", fig: "Fig 11(a)", title: "TPCH vertical: incVer vs ibatVer (60% ins / 40% del)", style: "vertical", dataset: workload.TPCH,
+		axis: axisDelta, values: []int{2, 4, 6, 8, 10, 14, 18}, d: 6, rules: tpchRulesDefault, hint: 16, insFrac: 0.6, ibat: true},
+	{name: "Exp-10-horizontal", fig: "Fig 11(b)", title: "TPCH horizontal: incHor vs ibatHor (60% ins / 40% del)", style: "horizontal", dataset: workload.TPCH,
+		axis: axisDelta, values: []int{2, 4, 6, 8, 10, 14, 18}, d: 6, rules: tpchRulesDefault, hint: 16, insFrac: 0.6, ibat: true},
+}
+
+// run measures the row's sweep at a scale: one point per axis value.
+func (f figure) run(sc Scale) (*Result, error) {
+	unit := sc.Unit
+	if f.dataset == workload.DBLP {
+		unit = sc.DBLPUnit
 	}
-	for _, d := range []int{2, 4, 6, 8, 10} {
-		o, err := run(spec{
-			dataset: workload.TPCH, style: "vertical", sites: sc.Sites,
-			dSize: 10 * sc.Unit, deltaSize: d * sc.Unit, numRules: tpchRulesDefault,
-			insFrac: 0.8, seed: sc.Seed, sizeHint: 20 * sc.Unit,
-			useOptimizer: true, nsPerByte: sc.NsPerByte,
-			runInc: true, runBat: true,
-		})
+	short, bat := "Ver", "bat"
+	if f.style == "horizontal" {
+		short = "Hor"
+	}
+	if f.ibat {
+		bat = "ibat"
+	}
+	r := &Result{
+		Name: f.name, Figure: f.fig, Title: f.title,
+		Columns: append([]string{"inc" + short + "(s)", bat + short + "(s)"}, f.extra...),
+	}
+	switch f.axis {
+	case axisD:
+		r.XLabel = fmt.Sprintf("|D| (×%d tuples)", unit)
+	case axisDelta:
+		r.XLabel = fmt.Sprintf("|∆D| (×%d tuples)", unit)
+	case axisRules:
+		r.XLabel = "#CFDs"
+	}
+	for _, x := range f.values {
+		sp := spec{
+			dataset: f.dataset, style: f.style, sites: sc.Sites,
+			dSize: f.d * unit, deltaSize: f.delta * unit, numRules: f.rules,
+			insFrac: f.insFrac, seed: sc.Seed, sizeHint: f.hint * unit,
+			useOptimizer: f.style == "vertical", nsPerByte: sc.NsPerByte,
+			runInc: true, runBat: true, ibat: f.ibat,
+		}
+		switch f.axis {
+		case axisD:
+			sp.dSize = x * unit
+		case axisDelta:
+			sp.deltaSize = x * unit
+		case axisRules:
+			sp.numRules = x
+		}
+		o, err := run(sp)
 		if err != nil {
 			return nil, err
 		}
-		r.Points = append(r.Points, Point{X: float64(d), Values: o.with(map[string]float64{
-			"incVer(s)": o.incSeconds, "batVer(s)": o.batSeconds,
+		r.Points = append(r.Points, Point{X: float64(x), Values: o.with(map[string]float64{
+			r.Columns[0]: o.incSeconds, r.Columns[1]: o.batSeconds,
+			"incSim(s)": o.incSim, "batSim(s)": o.batSim,
 			"incKB": kb(o.incStats.Bytes), "batKB": kb(o.batStats.Bytes),
 			"|∆V|": float64(o.deltaMarks),
-		})})
-	}
-	return r, nil
-}
-
-// Exp2DBLP reproduces Fig 9(k): DBLP, vertical, time vs |∆D| with
-// |D| = 5 DBLP units and |Σ| = 16.
-func Exp2DBLP(sc Scale) (*Result, error) {
-	r := &Result{
-		Name: "Exp-2-dblp", Figure: "Fig 9(k)", Title: "DBLP vertical: time vs |∆D|",
-		XLabel:  fmt.Sprintf("|∆D| (×%d tuples)", sc.DBLPUnit),
-		Columns: []string{"incVer(s)", "batVer(s)"},
-	}
-	for _, d := range []int{1, 2, 3, 4, 5} {
-		o, err := run(spec{
-			dataset: workload.DBLP, style: "vertical", sites: sc.Sites,
-			dSize: 5 * sc.DBLPUnit, deltaSize: d * sc.DBLPUnit, numRules: dblpRulesDefault,
-			insFrac: 0.8, seed: sc.Seed, sizeHint: 10 * sc.DBLPUnit,
-			useOptimizer: true, nsPerByte: sc.NsPerByte,
-			runInc: true, runBat: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		r.Points = append(r.Points, Point{X: float64(d), Values: o.with(map[string]float64{
-			"incVer(s)": o.incSeconds, "batVer(s)": o.batSeconds,
-		})})
-	}
-	return r, nil
-}
-
-// Exp3 reproduces Fig 9(d): TPCH, vertical, time vs |Σ| (25..125) with
-// |D| = 10 and |∆D| = 6 units. Both curves grow roughly linearly in |Σ|.
-func Exp3(sc Scale) (*Result, error) {
-	r := &Result{
-		Name: "Exp-3", Figure: "Fig 9(d)", Title: "TPCH vertical: time vs |Σ|",
-		XLabel:  "#CFDs",
-		Columns: []string{"incVer(s)", "batVer(s)"},
-	}
-	for _, n := range []int{25, 50, 75, 100, 125} {
-		o, err := run(spec{
-			dataset: workload.TPCH, style: "vertical", sites: sc.Sites,
-			dSize: 10 * sc.Unit, deltaSize: 6 * sc.Unit, numRules: n,
-			insFrac: 0.8, seed: sc.Seed, sizeHint: 16 * sc.Unit,
-			useOptimizer: true, nsPerByte: sc.NsPerByte,
-			runInc: true, runBat: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		r.Points = append(r.Points, Point{X: float64(n), Values: o.with(map[string]float64{
-			"incVer(s)": o.incSeconds, "batVer(s)": o.batSeconds,
-		})})
-	}
-	return r, nil
-}
-
-// Exp3DBLP reproduces Fig 9(l): DBLP, vertical, time vs |Σ| (8..40).
-func Exp3DBLP(sc Scale) (*Result, error) {
-	r := &Result{
-		Name: "Exp-3-dblp", Figure: "Fig 9(l)", Title: "DBLP vertical: time vs |Σ|",
-		XLabel:  "#CFDs",
-		Columns: []string{"incVer(s)", "batVer(s)"},
-	}
-	for _, n := range []int{8, 16, 24, 32, 40} {
-		o, err := run(spec{
-			dataset: workload.DBLP, style: "vertical", sites: sc.Sites,
-			dSize: 5 * sc.DBLPUnit, deltaSize: 3 * sc.DBLPUnit, numRules: n,
-			insFrac: 0.8, seed: sc.Seed, sizeHint: 10 * sc.DBLPUnit,
-			useOptimizer: true, nsPerByte: sc.NsPerByte,
-			runInc: true, runBat: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		r.Points = append(r.Points, Point{X: float64(n), Values: o.with(map[string]float64{
-			"incVer(s)": o.incSeconds, "batVer(s)": o.batSeconds,
 		})})
 	}
 	return r, nil
@@ -165,9 +152,9 @@ func Exp3DBLP(sc Scale) (*Result, error) {
 // The shape claim is identical — the batch baseline funnels Θ(|D|) bytes
 // into one coordinator, so its busiest-site load grows with n while the
 // incremental algorithms keep it flat — and the meters never flake.
-func scaleupExp(sc Scale, style, name, figure string) (*Result, error) {
+func scaleupExp(sc Scale, style, name, fig string) (*Result, error) {
 	r := &Result{
-		Name: name, Figure: figure,
+		Name: name, Figure: fig,
 		Title:   fmt.Sprintf("TPCH %s: scaleup vs n (|D|=|∆D|=n units)", style),
 		XLabel:  "#partitions n",
 		Columns: []string{"inc-scaleup", "bat-scaleup", "inc-scaleupB", "bat-scaleupB", "inc-balance", "bat-balance", "inc-sim(s)", "bat-sim(s)"},
@@ -231,12 +218,6 @@ func balance(st network.Stats) float64 {
 	return float64(max) / float64(total)
 }
 
-// Exp4 reproduces Fig 9(e).
-func Exp4(sc Scale) (*Result, error) { return scaleupExp(sc, "vertical", "Exp-4", "Fig 9(e)") }
-
-// Exp9 reproduces Fig 9(j).
-func Exp9(sc Scale) (*Result, error) { return scaleupExp(sc, "horizontal", "Exp-9", "Fig 9(j)") }
-
 // Exp5 reproduces Fig 10: the number of eqids shipped per unit update for
 // vertically partitioned TPCH (|Σ|=50) and DBLP (|Σ|=16), with and
 // without the §5 optimization. The static plan cost Neqid is exactly the
@@ -282,127 +263,6 @@ func Exp5(sc Scale) (*Result, error) {
 	}
 	r.Notes = append(r.Notes,
 		"paper: TPCH 122→55 (55.5% saved), DBLP 61→17 (72.1% saved); rule sets are synthetic, the claim is the saving ratio")
-	return r, nil
-}
-
-// Exp6 reproduces Fig 9(f): TPCH, horizontal, time vs |D|.
-func Exp6(sc Scale) (*Result, error) {
-	r := &Result{
-		Name: "Exp-6", Figure: "Fig 9(f)", Title: "TPCH horizontal: time vs |D|",
-		XLabel:  fmt.Sprintf("|D| (×%d tuples)", sc.Unit),
-		Columns: []string{"incHor(s)", "batHor(s)", "incSim(s)", "batSim(s)", "incKB", "batKB"},
-	}
-	for _, d := range []int{2, 4, 6, 8, 10} {
-		o, err := run(spec{
-			dataset: workload.TPCH, style: "horizontal", sites: sc.Sites,
-			dSize: d * sc.Unit, deltaSize: 6 * sc.Unit, numRules: tpchRulesDefault,
-			insFrac: 0.8, seed: sc.Seed, sizeHint: 16 * sc.Unit,
-			nsPerByte: sc.NsPerByte,
-			runInc:    true, runBat: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		r.Points = append(r.Points, Point{X: float64(d), Values: o.with(map[string]float64{
-			"incHor(s)": o.incSeconds, "batHor(s)": o.batSeconds,
-			"incKB": kb(o.incStats.Bytes), "batKB": kb(o.batStats.Bytes),
-			"incSim(s)": o.incSim, "batSim(s)": o.batSim,
-		})})
-	}
-	return r, nil
-}
-
-// Exp7 reproduces Figs 9(g) and 9(h): TPCH, horizontal, time and shipment
-// vs |∆D|.
-func Exp7(sc Scale) (*Result, error) {
-	r := &Result{
-		Name: "Exp-7", Figure: "Fig 9(g)+(h)", Title: "TPCH horizontal: time and shipment vs |∆D|",
-		XLabel:  fmt.Sprintf("|∆D| (×%d tuples)", sc.Unit),
-		Columns: []string{"incHor(s)", "batHor(s)", "incKB", "batKB", "|∆V|"},
-	}
-	for _, d := range []int{2, 4, 6, 8, 10} {
-		o, err := run(spec{
-			dataset: workload.TPCH, style: "horizontal", sites: sc.Sites,
-			dSize: 10 * sc.Unit, deltaSize: d * sc.Unit, numRules: tpchRulesDefault,
-			insFrac: 0.8, seed: sc.Seed, sizeHint: 20 * sc.Unit,
-			nsPerByte: sc.NsPerByte,
-			runInc:    true, runBat: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		r.Points = append(r.Points, Point{X: float64(d), Values: o.with(map[string]float64{
-			"incHor(s)": o.incSeconds, "batHor(s)": o.batSeconds,
-			"incKB": kb(o.incStats.Bytes), "batKB": kb(o.batStats.Bytes),
-			"|∆V|": float64(o.deltaMarks),
-		})})
-	}
-	return r, nil
-}
-
-// Exp8 reproduces Fig 9(i): TPCH, horizontal, time vs |Σ|.
-func Exp8(sc Scale) (*Result, error) {
-	r := &Result{
-		Name: "Exp-8", Figure: "Fig 9(i)", Title: "TPCH horizontal: time vs |Σ|",
-		XLabel:  "#CFDs",
-		Columns: []string{"incHor(s)", "batHor(s)", "incSim(s)", "batSim(s)"},
-	}
-	for _, n := range []int{25, 50, 75, 100, 125} {
-		o, err := run(spec{
-			dataset: workload.TPCH, style: "horizontal", sites: sc.Sites,
-			dSize: 10 * sc.Unit, deltaSize: 6 * sc.Unit, numRules: n,
-			insFrac: 0.8, seed: sc.Seed, sizeHint: 16 * sc.Unit,
-			nsPerByte: sc.NsPerByte,
-			runInc:    true, runBat: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		r.Points = append(r.Points, Point{X: float64(n), Values: o.with(map[string]float64{
-			"incHor(s)": o.incSeconds, "batHor(s)": o.batSeconds,
-			"incSim(s)": o.incSim, "batSim(s)": o.batSim,
-		})})
-	}
-	return r, nil
-}
-
-// Exp10 reproduces Figs 11(a) and 11(b): incremental vs the refined batch
-// algorithms (ibatVer/ibatHor: rebuilding from scratch with the
-// incremental insertion machinery) as |∆D| grows past |D|, with 60%
-// insertions / 40% deletions. The incremental algorithms win until ∆D is
-// comparable to the rebuilt database.
-func Exp10(sc Scale, style string) (*Result, error) {
-	short := "Ver"
-	figure := "Fig 11(a)"
-	if style == "horizontal" {
-		short = "Hor"
-		figure = "Fig 11(b)"
-	}
-	r := &Result{
-		Name: "Exp-10-" + style, Figure: figure,
-		Title:   fmt.Sprintf("TPCH %s: inc%s vs ibat%s (60%% ins / 40%% del)", style, short, short),
-		XLabel:  fmt.Sprintf("|∆D| (×%d tuples)", sc.Unit),
-		Columns: []string{"inc(s)", "ibat(s)"},
-	}
-	// The paper sweeps 2..10; two larger points are added so the
-	// crossover (paper: |∆D| ≈ 8M at |D| = 6M) is visible even though
-	// the absolute per-update constants differ from the authors' EC2
-	// Python implementation.
-	for _, d := range []int{2, 4, 6, 8, 10, 14, 18} {
-		o, err := run(spec{
-			dataset: workload.TPCH, style: style, sites: sc.Sites,
-			dSize: 6 * sc.Unit, deltaSize: d * sc.Unit, numRules: tpchRulesDefault,
-			insFrac: 0.6, seed: sc.Seed, sizeHint: 16 * sc.Unit,
-			useOptimizer: style == "vertical", nsPerByte: sc.NsPerByte,
-			runInc: true, runIbat: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		r.Points = append(r.Points, Point{X: float64(d), Values: o.with(map[string]float64{
-			"inc(s)": o.incSeconds, "ibat(s)": o.ibatSeconds,
-		})})
-	}
 	return r, nil
 }
 
@@ -530,20 +390,23 @@ func figuresWorkload(Scale) string {
 		pinScale.Unit, pinScale.DBLPUnit, pinScale.Sites, pinScale.Seed)
 }
 
-// ExpFigures pins §7: every figure's sweep at pinScale, one row per
-// point labelled experiment/x, holding the point's figureExact columns.
+// ExpFigures pins §7: every paper-figure experiment without a suite of
+// its own (so all but Exp-5), then Exp-fanout at zero RTT, at pinScale —
+// one row per point, labelled experiment/x, holding its figureExact
+// columns. A figure registered later is pinned here by registering it.
 func ExpFigures(Scale) (*Result, error) {
 	r := &Result{
 		Name: "Exp-figures", Figure: "§7 pins", Title: "exact meters of every figure at the pin scale",
 		XLabel: "experiment/x", Columns: figureExact, Exact: figureExact,
 	}
-	for _, run := range []func(Scale) (*Result, error){
-		Exp1, Exp2, Exp2DBLP, Exp3, Exp3DBLP, Exp6, Exp7, Exp8,
-		func(s Scale) (*Result, error) { return Exp10(s, "vertical") },
-		func(s Scale) (*Result, error) { return Exp10(s, "horizontal") },
-		Exp4, Exp9, MD5Ablation,
-		func(s Scale) (*Result, error) { return expFanout(s, 0) },
-	} {
+	var runs []func(Scale) (*Result, error)
+	for _, e := range Experiments() {
+		if e.paperFigure() && e.Workload == nil {
+			runs = append(runs, e.Run)
+		}
+	}
+	runs = append(runs, func(s Scale) (*Result, error) { return expFanout(s, 0) })
+	for _, run := range runs {
 		fr, err := run(pinScale)
 		if err != nil {
 			return nil, err
@@ -575,10 +438,17 @@ type Experiment struct {
 	Workload func(Scale) string
 }
 
-// Matches reports whether the experiment's name or figure contains the
-// filter substring (every experiment matches the empty filter).
+// Matches reports whether the filter is the experiment's name or a
+// substring of its figure (every experiment matches the empty filter):
+// "Exp-1" selects Exp-1 alone, "Fig 11" both Exp-10 sweeps.
 func (e Experiment) Matches(filter string) bool {
-	return strings.Contains(e.Name, filter) || strings.Contains(e.Figure, filter)
+	return e.Name == filter || strings.Contains(e.Figure, filter)
+}
+
+// paperFigure reports whether the experiment reproduces one of the
+// paper's figures or §6's optimization.
+func (e Experiment) paperFigure() bool {
+	return strings.HasPrefix(e.Figure, "Fig ") || strings.HasPrefix(e.Figure, "§6")
 }
 
 // coalesceRTT is Exp-coalesce's simulated link RTT: the paper-era
@@ -586,8 +456,8 @@ func (e Experiment) Matches(filter string) bool {
 // overhead multiplies.
 const coalesceRTT = 100 * time.Microsecond
 
-// Experiments lists every experiment: the paper's figures in paper
-// order, then the sweeps over what the reproduction added. The names are
+// Experiments lists every experiment: the figures table, the paper's
+// other figures, then the sweeps over what the reproduction added. The names are
 // static so callers can select a subset before running anything (the
 // sweeps are expensive; filtering output alone would still pay for all
 // of them).
@@ -598,23 +468,21 @@ func Experiments() []Experiment {
 		}
 	}
 	batches := fmt.Sprintf(", batches of %v", CoalesceBatchSizes())
-	return []Experiment{
-		{Name: "Exp-1", Figure: "Fig 9(a)", Run: Exp1},
-		{Name: "Exp-2", Figure: "Fig 9(b)+(c)", Run: Exp2},
-		{Name: "Exp-2-dblp", Figure: "Fig 9(k)", Run: Exp2DBLP},
-		{Name: "Exp-3", Figure: "Fig 9(d)", Run: Exp3},
-		{Name: "Exp-3-dblp", Figure: "Fig 9(l)", Run: Exp3DBLP},
-		{Name: "Exp-4", Figure: "Fig 9(e)", Run: Exp4},
+	exps := make([]Experiment, 0, len(figures)+16)
+	for _, f := range figures {
+		exps = append(exps, Experiment{Name: f.name, Figure: f.fig, Run: f.run})
+	}
+	return append(exps, []Experiment{
+		{Name: "Exp-4", Figure: "Fig 9(e)", Run: func(s Scale) (*Result, error) {
+			return scaleupExp(s, "vertical", "Exp-4", "Fig 9(e)")
+		}},
 		{Name: "Exp-5", Figure: "Fig 10", Run: Exp5, Workload: func(sc Scale) string {
 			return fmt.Sprintf("seed=%d n=%d sites round-robin, variable rules of TPCH-like |Σ|=%d and DBLP-like |Σ|=%d; paper: TPCH 122 → 55, DBLP 61 → 17",
 				sc.Seed, sc.Sites, tpchRulesDefault, dblpRulesDefault)
 		}},
-		{Name: "Exp-6", Figure: "Fig 9(f)", Run: Exp6},
-		{Name: "Exp-7", Figure: "Fig 9(g)+(h)", Run: Exp7},
-		{Name: "Exp-8", Figure: "Fig 9(i)", Run: Exp8},
-		{Name: "Exp-9", Figure: "Fig 9(j)", Run: Exp9},
-		{Name: "Exp-10-vertical", Figure: "Fig 11(a)", Run: func(s Scale) (*Result, error) { return Exp10(s, "vertical") }},
-		{Name: "Exp-10-horizontal", Figure: "Fig 11(b)", Run: func(s Scale) (*Result, error) { return Exp10(s, "horizontal") }},
+		{Name: "Exp-9", Figure: "Fig 9(j)", Run: func(s Scale) (*Result, error) {
+			return scaleupExp(s, "horizontal", "Exp-9", "Fig 9(j)")
+		}},
 		{Name: "Ablation-md5", Figure: "§6 optimization", Run: MD5Ablation},
 		{Name: "Exp-fanout", Figure: "engine", Run: ExpFanout},
 		{Name: "Exp-figures", Figure: "§7 pins", Run: ExpFigures, Workload: figuresWorkload},
@@ -637,7 +505,7 @@ func Experiments() []Experiment {
 			Run:      sweep(func(s Scale) (*StorageRun, error) { return RunStorage(s, StorageKnobs{}) }, StorageResult),
 			Workload: storageWorkload},
 		{Name: "Exp-hotpath", Figure: "meters", Run: ExpHotpath, Workload: hotpathWorkload},
-	}
+	}...)
 }
 
 // sweep registers a typed sweep with the renderer that names its columns:

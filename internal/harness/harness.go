@@ -108,20 +108,18 @@ type spec struct {
 	// network.Cluster.SetLinkRTT); zero keeps the loopback instantaneous.
 	linkRTT time.Duration
 
-	// what to run
-	runInc  bool
-	runBat  bool
-	runIbat bool
+	// what to run: the incremental algorithm and the batch-side baseline,
+	// which with ibat is Exp-10's refined rebuild instead of BatchDetect
+	runInc bool
+	runBat bool
+	ibat   bool
 }
 
 // out carries one configuration's measurements.
 type out struct {
-	incSeconds  float64
-	batSeconds  float64
-	ibatSeconds float64
-	incStats    network.Stats
-	// batStats meters the batch-side baseline: batVer/batHor, or the
-	// refined ibat rebuild when that runs instead.
+	incSeconds float64
+	batSeconds float64 // the batch-side baseline, ibat included
+	incStats   network.Stats
 	batStats   network.Stats
 	deltaMarks int
 	violations int
@@ -202,8 +200,9 @@ func (s spec) options(rel *relation.Relation, noIndexes bool) []session.Option {
 }
 
 // run executes one configuration: generate D, Σ and ∆D, then measure the
-// requested algorithms. Setup (partitioning, index seeding) is never
-// timed, matching the paper's methodology where indices pre-exist.
+// requested algorithms, each on a session of its own that it closes.
+// Setup (partitioning, index seeding) is never timed, matching the
+// paper's methodology where indices pre-exist.
 func run(s spec) (out, error) {
 	var o out
 	gen := s.gen()
@@ -216,6 +215,7 @@ func run(s spec) (out, error) {
 		if err != nil {
 			return o, err
 		}
+		defer sys.Close()
 		start := time.Now()
 		delta, err := sys.ApplyBatch(context.Background(), updates)
 		if err != nil {
@@ -227,50 +227,47 @@ func run(s spec) (out, error) {
 		o.deltaMarks = delta.Size()
 		o.violations = sys.Violations().Len()
 	}
-
-	if s.runBat || s.runIbat {
-		updated := rel.Clone()
-		if err := updates.Normalize().Apply(updated); err != nil {
-			return o, err
-		}
-		if s.runBat {
-			bsys, err := s.build(updated, rules, true)
-			if err != nil {
-				return o, err
-			}
-			bsys.Cluster().ResetStats()
-			start := time.Now()
-			v, err := bsys.BatchDetect()
-			if err != nil {
-				return o, err
-			}
-			o.batSeconds = time.Since(start).Seconds()
-			o.batStats = bsys.Stats()
-			o.batSim = o.batStats.SimParallelSeconds(s.nsPerByte)
-			if !s.runInc {
-				o.violations = v.Len()
-			}
-		}
-		if s.runIbat {
-			// The refined batch algorithms of Exp-10: rebuild from ∅
-			// with the incremental insertion machinery over D ⊕ ∆D.
-			emptyRel := relation.New(rel.Schema)
-			isys, err := s.build(emptyRel, rules, false)
-			if err != nil {
-				return o, err
-			}
-			var inserts relation.UpdateList
-			updated.Each(func(t relation.Tuple) bool {
-				inserts = append(inserts, relation.Update{Kind: relation.Insert, Tuple: t})
-				return true
-			})
-			start := time.Now()
-			if _, err := isys.ApplyBatch(context.Background(), inserts); err != nil {
-				return o, err
-			}
-			o.ibatSeconds = time.Since(start).Seconds()
-			o.batStats = isys.Stats()
-		}
+	if !s.runBat {
+		return o, nil
+	}
+	updated := rel.Clone()
+	if err := updates.Normalize().Apply(updated); err != nil {
+		return o, err
+	}
+	// The batch side recomputes V over D ⊕ ∆D: BatchDetect on a session
+	// without indexes, or — Exp-10's refined batch algorithms — a rebuild
+	// from ∅ with the incremental insertion machinery.
+	base, noIndexes := updated, true
+	var inserts relation.UpdateList
+	if s.ibat {
+		base, noIndexes = relation.New(rel.Schema), false
+		updated.Each(func(t relation.Tuple) bool {
+			inserts = append(inserts, relation.Update{Kind: relation.Insert, Tuple: t})
+			return true
+		})
+	}
+	bsys, err := s.build(base, rules, noIndexes)
+	if err != nil {
+		return o, err
+	}
+	defer bsys.Close()
+	bsys.Cluster().ResetStats()
+	start := time.Now()
+	var v *cfd.Violations
+	if s.ibat {
+		_, err = bsys.ApplyBatch(context.Background(), inserts)
+		v = bsys.Violations()
+	} else {
+		v, err = bsys.BatchDetect()
+	}
+	if err != nil {
+		return o, err
+	}
+	o.batSeconds = time.Since(start).Seconds()
+	o.batStats = bsys.Stats()
+	o.batSim = o.batStats.SimParallelSeconds(s.nsPerByte)
+	if !s.runInc {
+		o.violations = v.Len()
 	}
 	return o, nil
 }

@@ -1,6 +1,10 @@
 package harness
 
 import (
+	"encoding/json"
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 )
 
@@ -9,6 +13,22 @@ import (
 // checks on shipment (bytes, eqids) are deterministic; the few elapsed-
 // time checks use the largest sweep point, where the measured margins are
 // widest.
+
+// runExp runs the experiment registered under name at the Quick scale.
+func runExp(t *testing.T, name string) *Result {
+	t.Helper()
+	for _, e := range Experiments() {
+		if e.Name == name {
+			r, err := e.Run(Quick)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
+	}
+	t.Fatalf("no experiment %q", name)
+	return nil
+}
 
 func first(r *Result, col string) float64 { return r.Points[0].Values[col] }
 func last(r *Result, col string) float64  { return r.Points[len(r.Points)-1].Values[col] }
@@ -19,10 +39,7 @@ func TestShapeExp1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape sweep")
 	}
-	r, err := Exp1(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runExp(t, "Exp-1")
 	if g := last(r, "incKB") / first(r, "incKB"); g > 1.5 {
 		t.Errorf("incremental shipment grew %.2f× across a 5× |D| sweep; should be ~flat (Prop. 6)", g)
 	}
@@ -46,10 +63,7 @@ func TestShapeExp2(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape sweep")
 	}
-	r, err := Exp2(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runExp(t, "Exp-2")
 	if g := last(r, "incKB") / first(r, "incKB"); g < 2.5 {
 		t.Errorf("incremental shipment grew only %.2f× across a 5× |∆D| sweep; should be ~linear", g)
 	}
@@ -71,11 +85,8 @@ func TestShapeExp3(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape sweep")
 	}
-	for _, fn := range []func(Scale) (*Result, error){Exp3, Exp3DBLP} {
-		r, err := fn(Quick)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, name := range []string{"Exp-3", "Exp-3-dblp"} {
+		r := runExp(t, name)
 		incCol, batCol := r.Columns[0], r.Columns[1]
 		if last(r, incCol) >= last(r, batCol) {
 			t.Errorf("%s: incremental (%.3fs) not faster than batch (%.3fs) at max |Σ|",
@@ -99,13 +110,10 @@ func TestShapeScaleup(t *testing.T) {
 		t.Skip("shape sweep")
 	}
 	for _, exp := range []struct {
-		run    func(Scale) (*Result, error)
+		name   string
 		margin float64
-	}{{Exp4, 1.25}, {Exp9, 1}} {
-		r, err := exp.run(Quick)
-		if err != nil {
-			t.Fatal(err)
-		}
+	}{{"Exp-4", 1.25}, {"Exp-9", 1}} {
+		r := runExp(t, exp.name)
 		incSU, batSU := last(r, "inc-scaleupB"), last(r, "bat-scaleupB")
 		if batSU > 0.35 {
 			t.Errorf("%s: batch byte-scaleup %.2f at n=10, expected collapse (paper ≈ 0.2)", r.Name, batSU)
@@ -152,10 +160,7 @@ func TestFanoutParity(t *testing.T) {
 
 // Fig 10: optVer reduces per-update eqid shipment on both datasets.
 func TestShapeExp5(t *testing.T) {
-	r, err := Exp5(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runExp(t, "Exp-5")
 	for _, p := range r.Points {
 		if p.Values["with-opt"] > p.Values["no-opt"] {
 			t.Errorf("%s: optVer ships more eqids (%v) than naive (%v)", p.Label, p.Values["with-opt"], p.Values["no-opt"])
@@ -185,10 +190,7 @@ func TestShapeHorizontal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape sweep")
 	}
-	r6, err := Exp6(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r6 := runExp(t, "Exp-6")
 	for _, p := range r6.Points {
 		if p.Values["incKB"] >= p.Values["batKB"] {
 			t.Errorf("|D|=%v: incHor shipped %.0fKB ≥ batHor %.0fKB", p.X, p.Values["incKB"], p.Values["batKB"])
@@ -199,18 +201,12 @@ func TestShapeHorizontal(t *testing.T) {
 			horTotal(r6, "inc"), horTotal(r6, "bat"))
 	}
 
-	r7, err := Exp7(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r7 := runExp(t, "Exp-7")
 	if g := last(r7, "incKB") / first(r7, "incKB"); g < 2 {
 		t.Errorf("incHor shipment grew only %.2f× across a 5× |∆D| sweep", g)
 	}
 
-	r8, err := Exp8(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r8 := runExp(t, "Exp-8")
 	if horTotal(r8, "inc") >= horTotal(r8, "bat") {
 		t.Errorf("incHor (%.3fs) not faster than batHor (%.3fs) at max |Σ| (compute + modeled network)",
 			horTotal(r8, "inc"), horTotal(r8, "bat"))
@@ -224,12 +220,10 @@ func TestShapeExp10(t *testing.T) {
 		t.Skip("shape sweep")
 	}
 	for _, style := range []string{"vertical", "horizontal"} {
-		r, err := Exp10(Quick, style)
-		if err != nil {
-			t.Fatal(err)
-		}
-		firstRatio := r.Points[0].Values["inc(s)"] / r.Points[0].Values["ibat(s)"]
-		lastRatio := last(r, "inc(s)") / last(r, "ibat(s)")
+		r := runExp(t, "Exp-10-"+style)
+		inc, ibat := r.Columns[0], r.Columns[1]
+		firstRatio := first(r, inc) / first(r, ibat)
+		lastRatio := last(r, inc) / last(r, ibat)
 		if lastRatio <= firstRatio {
 			t.Errorf("%s: inc/ibat ratio fell from %.2f to %.2f; should rise toward the crossover",
 				style, firstRatio, lastRatio)
@@ -245,10 +239,7 @@ func TestShapeMD5(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape sweep")
 	}
-	r, err := MD5Ablation(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runExp(t, "Ablation-md5")
 	if r.Points[0].Values["KB"] >= r.Points[1].Values["KB"] {
 		t.Errorf("MD5 coding (%.0fKB) did not beat raw tuples (%.0fKB)",
 			r.Points[0].Values["KB"], r.Points[1].Values["KB"])
@@ -264,19 +255,79 @@ func TestFormatRendersAllColumns(t *testing.T) {
 	}
 	out := r.Format()
 	for _, want := range []string{"X — F", "1.50", "200", "note: n"} {
-		if !containsStr(out, want) {
+		if !strings.Contains(out, want) {
 			t.Errorf("Format output missing %q:\n%s", want, out)
 		}
 	}
 }
 
-func containsStr(s, sub string) bool {
-	return len(s) >= len(sub) && (func() bool {
-		for i := 0; i+len(sub) <= len(s); i++ {
-			if s[i:i+len(sub)] == sub {
-				return true
+// TestEveryFigurePinned: every experiment that reproduces a paper figure
+// or §6 has its rows in an exact-count suite of the committed baseline —
+// a suite of its own (Exp-5), or Exp-figures rows labelled
+// experiment/x, one per point of a figures-table sweep — so a figure
+// cannot be registered without its counts landing in BENCH_exact.json.
+func TestEveryFigurePinned(t *testing.T) {
+	data, err := os.ReadFile("../../BENCH_exact.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var committed struct {
+		Suites []struct {
+			Name string
+			Rows []struct {
+				Row    string
+				Values map[string]float64
 			}
 		}
-		return false
-	})()
+	}
+	if err := json.Unmarshal(data, &committed); err != nil {
+		t.Fatal(err)
+	}
+	suiteRows := make(map[string]int)
+	pinned := make(map[string]bool) // Exp-figures row labels
+	perExp := make(map[string]int)  // Exp-figures rows per experiment
+	for _, s := range committed.Suites {
+		suiteRows[s.Name] = len(s.Rows)
+		if s.Name != "Exp-figures" {
+			continue
+		}
+		for _, r := range s.Rows {
+			pinned[r.Row] = true
+			exp, _, _ := strings.Cut(r.Row, "/")
+			perExp[exp]++
+			if len(r.Values) != len(figureExact) {
+				t.Errorf("Exp-figures / %s: %d columns, want %v", r.Row, len(r.Values), figureExact)
+			}
+		}
+	}
+	figs := 0
+	for _, e := range Experiments() {
+		if !e.paperFigure() {
+			continue
+		}
+		figs++
+		rows := perExp[e.Name]
+		if e.Workload != nil {
+			rows = suiteRows[e.Name]
+		}
+		if rows == 0 {
+			t.Errorf("%s (%s) has no rows in any suite of BENCH_exact.json", e.Name, e.Figure)
+		}
+	}
+	if figs != len(figures)+4 {
+		t.Errorf("%d paper-figure experiments, want the %d table rows plus Exp-4, 5, 9 and Ablation-md5", figs, len(figures))
+	}
+	for _, f := range figures {
+		if perExp[f.name] != len(f.values) {
+			t.Errorf("%s: %d pinned rows for %d sweep points", f.name, perExp[f.name], len(f.values))
+		}
+		for _, x := range f.values {
+			if label := fmt.Sprintf("%s/%d", f.name, x); !pinned[label] {
+				t.Errorf("Exp-figures lacks row %s", label)
+			}
+		}
+	}
+	if perExp["Exp-fanout"] == 0 {
+		t.Error("Exp-fanout's meters are not pinned")
+	}
 }
