@@ -35,8 +35,9 @@ import (
 // per-epoch segments; 5: the per-update methods are retired — no layout
 // change, but an older log may hold calls nothing handles any more; 6:
 // the vertical same-site calls carry id, index and bitset columns, and a
-// vertical site's blob no longer stores what it derives from its rules).
-const FormatVersion = 6
+// vertical site's blob no longer stores what it derives from its rules;
+// 7: the hello a snapshot carries is positional, not gob).
+const FormatVersion = 7
 
 var format = seglog.Format{
 	Magic:   [4]byte{'R', 'C', 'K', 'P'},

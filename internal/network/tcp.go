@@ -1,9 +1,7 @@
 package network
 
 import (
-	"bytes"
 	"crypto/tls"
-	"encoding/gob"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -78,12 +76,6 @@ type replayEntry struct {
 	seq    uint64
 	method string
 	data   []byte
-}
-
-// helloStatus mirrors sitehost.HelloStatus structurally (gob matches by
-// field name; importing sitehost here would cycle).
-type helloStatus struct {
-	LastSeq uint64
 }
 
 // siteConn is the driver's endpoint for one site. conn is written only
@@ -207,13 +199,13 @@ func (t *TCPTransport) ensureConn(site SiteID, sc *siteConn) error {
 	}
 	if t.cfg.ReplayLog {
 		var last uint64
+		// The status is a sitehost.HelloStatus, whose positional
+		// encoding is its one field's: the daemon's last served seq.
 		if len(ack.Data) > 0 {
-			var st helloStatus
-			if err := gob.NewDecoder(bytes.NewReader(ack.Data)).Decode(&st); err != nil {
+			if err := Unmarshal(ack.Data, &last); err != nil {
 				conn.Close()
 				return siteDown(site, sc.addr, fmt.Errorf("bad hello status: %v", err))
 			}
-			last = st.LastSeq
 		}
 		sc.lastAck = last
 		// sc.seq is the in-flight call; the daemon should have served

@@ -1,8 +1,6 @@
 package network
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"net"
 	"runtime"
@@ -129,9 +127,7 @@ func (d *fakeDaemon) serve(c *netwire.Conn) {
 			d.mu.Unlock()
 			var data []byte
 			if last > 0 {
-				var buf bytes.Buffer
-				gob.NewEncoder(&buf).Encode(helloStatus{LastSeq: last})
-				data = buf.Bytes()
+				data, _ = Marshal(struct{ LastSeq uint64 }{last})
 			}
 			c.Send(&netwire.Msg{Kind: netwire.KindHelloAck, Data: data}, time.Second)
 		case netwire.KindCall:

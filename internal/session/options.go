@@ -118,6 +118,9 @@ func (c *config) validate() error {
 		}
 	}
 	if len(c.tcpAddrs) > 0 {
+		if n := len(c.tcpAddrs); n > sitehost.MaxSites {
+			return fmt.Errorf("session: WithTCPSites: %d sites, a deployment spans at most %d", n, sitehost.MaxSites)
+		}
 		if c.linkRTT > 0 {
 			return fmt.Errorf("session: WithTCPSites conflicts with WithLinkRTT (a real network pays real latency)")
 		}

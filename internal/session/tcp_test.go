@@ -3,6 +3,7 @@ package session
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"reflect"
 	"runtime"
@@ -418,5 +419,21 @@ func TestTCPSitesRefuseSharedDaemon(t *testing.T) {
 				t.Fatalf("%s, %s: Open = %v, want ErrSiteDown naming %q", kind, c.name, err, c.want)
 			}
 		}
+	}
+}
+
+// TestTCPSitesBounded: a TCP deployment spans at most sitehost.MaxSites
+// sites — the bound every daemon holds a hello to — so Open refuses more
+// before it builds a hello or dials anything.
+func TestTCPSitesBounded(t *testing.T) {
+	gen := workload.NewSized(workload.TPCH, 42, 100)
+	n := sitehost.MaxSites + 1
+	addrs := make([]string, n)
+	for i := range addrs {
+		addrs[i] = fmt.Sprintf("site-%d", i)
+	}
+	_, err := Open(gen.Relation(10), gen.Rules(5), styleOption("horizontal", gen.Schema(), n), WithTCPSites(addrs...))
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("at most %d", sitehost.MaxSites)) {
+		t.Fatalf("Open over %d TCP sites = %v, want a refusal naming the bound", n, err)
 	}
 }

@@ -11,8 +11,7 @@ import (
 )
 
 // Checkpointing carries the driver's per-site checkpoint request into
-// the bootstrap hellos. The zero value disables checkpointing (and
-// leaves the hello bytes unchanged — both fields gob-omit when zero).
+// the bootstrap hellos. The zero value disables checkpointing.
 type Checkpointing struct {
 	// Dir is the root checkpoint directory; each site gets SiteDir(Dir, i).
 	Dir string

@@ -32,8 +32,6 @@
 package sitehost
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sort"
 	"strings"
@@ -66,6 +64,12 @@ const replyWindowSize = 32
 // compaction starts every N batch marks.
 const DefaultCheckpointEvery = 8
 
+// MaxSites bounds a deployment's site count n. A site's cluster keeps
+// per-pair meters for n² site pairs, so a hello claiming more is refused
+// before anything is sized by it, and session.Open refuses a TCP
+// deployment of more.
+const MaxSites = 256
+
 // Hello is the bootstrap payload: everything a daemon needs to build
 // one empty site that is protocol-compatible with the driver's cluster.
 // The schema crosses the wire as name + attribute list (relation.Schema
@@ -73,12 +77,10 @@ const DefaultCheckpointEvery = 8
 // shipped rather than re-derived, so driver and daemon provably agree.
 type Hello struct {
 	Proto int
-	// SessionID is the driver's 8-byte random identity. It crosses the
-	// wire as a slice, not an [8]byte array: gob encodes byte slices as
-	// length + raw bytes (fixed size), while arrays encode element-wise
-	// varints whose length depends on the random values — which would
-	// make the hello frame's size, and so the deterministic FrameBytes
-	// baseline, vary run to run.
+	// SessionID is the driver's 8-byte random identity, a slice because
+	// the payload codec carries no arrays. A slice encodes as length +
+	// raw bytes, so the hello frame's size — and the deterministic
+	// FrameBytes baseline — does not depend on the random values.
 	SessionID []byte
 	Kind      string
 	Site      int
@@ -95,8 +97,6 @@ type Hello struct {
 	// Checkpointing, optional: the driver's request that the daemon
 	// persist this site's state. A sited started with -checkpoint-dir
 	// keeps its own (authoritative) dir and ignores CheckpointDir.
-	// Both fields gob-omit at their zero values, so hellos of
-	// non-checkpointed deployments stay bit-identical to older builds.
 	CheckpointDir   string
 	CheckpointEvery int
 }
@@ -107,49 +107,63 @@ type Hello struct {
 // v.batchResolve carries a stage's node groups; 4: the per-update methods
 // are retired, so a driver that would call them is refused here instead of
 // hitting "no handler" mid-round; 5: the vertical same-site calls carry
-// id, index and bitset columns over a shared rule numbering).
-const ProtoVersion = 5
+// id, index and bitset columns over a shared rule numbering; 6: the hello
+// and its status leave gob for the positional payload codec).
+const ProtoVersion = 6
 
-// Encode gob-encodes the hello.
+// Encode encodes the hello with the positional payload codec.
 func (h *Hello) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(h); err != nil {
+	b, err := network.Marshal(h)
+	if err != nil {
 		return nil, fmt.Errorf("sitehost: encode hello: %w", err)
 	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
 // DecodeHello decodes a bootstrap payload.
 func DecodeHello(data []byte) (*Hello, error) {
 	var h Hello
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&h); err != nil {
+	if err := network.Unmarshal(data, &h); err != nil {
 		return nil, fmt.Errorf("sitehost: decode hello: %w", err)
 	}
 	return &h, nil
+}
+
+// check refuses a hello whose site numbering is out of range, before
+// anything is sized by NumSites.
+func (h *Hello) check() error {
+	if h.NumSites > MaxSites {
+		return fmt.Errorf("sitehost: %d sites, a deployment spans at most %d", h.NumSites, MaxSites)
+	}
+	if h.Site < 0 || h.Site >= h.NumSites {
+		return fmt.Errorf("sitehost: site %d out of range [0,%d)", h.Site, h.NumSites)
+	}
+	return nil
 }
 
 // HelloStatus is the daemon's answer riding a successful hello ack: how
 // far it has processed. The driver's transport compares LastSeq with its
 // own sequence counter and replays the gap from its replay log. The
 // payload is attached only when LastSeq > 0, keeping first-handshake
-// acks bit-identical to pre-checkpoint builds.
+// acks bit-identical to pre-checkpoint builds. Its positional encoding
+// is its one field's, which is how the driver's transport reads it.
 type HelloStatus struct {
 	LastSeq uint64
 }
 
-// EncodeStatus gob-encodes a hello status payload.
+// EncodeStatus encodes a hello status payload.
 func EncodeStatus(s *HelloStatus) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
+	b, err := network.Marshal(s)
+	if err != nil {
 		return nil, fmt.Errorf("sitehost: encode status: %w", err)
 	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
 // DecodeStatus decodes a hello status payload.
 func DecodeStatus(data []byte) (*HelloStatus, error) {
 	var s HelloStatus
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&s); err != nil {
+	if err := network.Unmarshal(data, &s); err != nil {
 		return nil, fmt.Errorf("sitehost: decode status: %w", err)
 	}
 	return &s, nil
@@ -332,8 +346,8 @@ func (h *Host) replayLocked(rec checkpoint.Record) {
 // proto-checked for wire hellos; snapshot hellos were checked when first
 // received).
 func buildSite(hello *Hello) (*network.Cluster, engineState, error) {
-	if hello.Site < 0 || hello.Site >= hello.NumSites {
-		return nil, nil, fmt.Errorf("sitehost: site %d out of range [0,%d)", hello.Site, hello.NumSites)
+	if err := hello.check(); err != nil {
+		return nil, nil, err
 	}
 	schema, err := relation.NewSchema(hello.SchemaName, hello.SchemaAttrs)
 	if err != nil {
@@ -377,6 +391,9 @@ func (h *Host) Bootstrap(data []byte, reconnect bool) error {
 	}
 	if hello.Proto != ProtoVersion {
 		return fmt.Errorf("sitehost: protocol version %d, daemon speaks %d", hello.Proto, ProtoVersion)
+	}
+	if err := hello.check(); err != nil {
+		return err
 	}
 	if len(hello.SessionID) != len(h.sid) {
 		return fmt.Errorf("sitehost: session id is %d bytes, want %d", len(hello.SessionID), len(h.sid))

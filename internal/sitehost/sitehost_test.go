@@ -1,19 +1,24 @@
 package sitehost
 
 import (
+	"bytes"
+	"encoding/gob"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cfd"
+	"repro/internal/optimizer"
+	"repro/internal/partition"
 	"repro/internal/relation"
+	"repro/internal/wire/wiretest"
 )
 
 // Hello payload length must not depend on the random session id's byte
 // values: the committed Exp-net frame_bytes column (BENCH_exact.json) is
-// remeasured on every bench-verify, so a value-dependent varint (an [8]byte array
-// field would gob-encode each byte ≥ 0x80 as two bytes) would make the
-// baseline drift run to run. SessionID crosses the wire as a []byte
-// (length + raw bytes) precisely to keep the frame size fixed.
+// remeasured on every bench-verify, so a value-dependent varint would make
+// the baseline drift run to run. SessionID crosses the wire as a []byte
+// (length + raw bytes) to keep the frame size fixed.
 func TestHelloLengthIndependentOfSessionID(t *testing.T) {
 	schema, err := relation.NewSchema("r", []string{"a", "b"})
 	if err != nil {
@@ -65,9 +70,19 @@ func TestBootstrapRejectsBadSessionID(t *testing.T) {
 
 // A driver built before the wire last changed — version 1's gob envelopes
 // and payloads, version 2's one-node v.batchResolve, version 3's
-// per-update methods — must be refused at the hello, before any call
-// payload is interpreted.
+// per-update methods, version 5's gob hello — must be refused at the
+// hello, before any call payload is interpreted.
 func TestBootstrapRejectsOlderProto(t *testing.T) {
+	var gobHello bytes.Buffer
+	if err := gob.NewEncoder(&gobHello).Encode(&Hello{
+		Proto: 5, SessionID: []byte{1, 2, 3, 4, 5, 6, 7, 8}, Kind: KindHorizontal,
+		Site: 0, NumSites: 1, SchemaName: "r", SchemaAttrs: []string{"a", "b"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := NewHost().Bootstrap(gobHello.Bytes(), false); err == nil {
+		t.Fatal("bootstrap accepted a gob-encoded hello")
+	}
 	for proto := 1; proto < ProtoVersion; proto++ {
 		h := &Hello{
 			Proto: proto, SessionID: []byte{1, 2, 3, 4, 5, 6, 7, 8}, Kind: KindHorizontal,
@@ -134,4 +149,67 @@ func TestBootstrapRefusesSecondSiteOfSession(t *testing.T) {
 	if kind, site, ok := host.Hosting(); !ok || kind != KindHorizontal || site != 0 {
 		t.Errorf("Hosting() = %s %d %v, want horizontal 0 true", kind, site, ok)
 	}
+}
+
+// A forged hello claiming 1<<20 sites would make the daemon allocate n²
+// per-pair meter keys before noticing anything; it is refused against
+// MaxSites before anything is sized by it, builds no site, and leaves
+// the host free for a real driver.
+func TestBootstrapRefusesHugeSiteCount(t *testing.T) {
+	h := &Hello{
+		Proto: ProtoVersion, SessionID: []byte{1, 2, 3, 4, 5, 6, 7, 8}, Kind: KindHorizontal,
+		Site: 0, NumSites: 1 << 20, SchemaName: "r", SchemaAttrs: []string{"a", "b"},
+	}
+	data, err := h.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	host := NewHost()
+	start := time.Now()
+	err = host.Bootstrap(data, false)
+	if took := time.Since(start); took > 100*time.Millisecond {
+		t.Errorf("refusing the hello took %v", took)
+	}
+	if err == nil || !strings.Contains(err.Error(), "at most") {
+		t.Fatalf("Bootstrap = %v, want a refusal naming the site bound", err)
+	}
+	if _, _, ok := host.Hosting(); ok {
+		t.Fatal("a refused hello built a site")
+	}
+	h.NumSites = 2
+	if data, err = h.Encode(); err != nil {
+		t.Fatal(err)
+	}
+	if err := host.Bootstrap(data, false); err != nil {
+		t.Fatalf("a valid hello after the refusal: %v", err)
+	}
+}
+
+// The hello and its status left gob for the positional codec; they must
+// decode as gob decoded them, vertical plan and scheme included.
+func TestHelloCodecMatchesGob(t *testing.T) {
+	schema, err := relation.NewSchema("r", []string{"a", "b", "c"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rules, err := cfd.ParseAll("r1: ([a] -> [b], (_, _))\nr2: ([a, c] -> [b], (x, _, y))")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scheme := partition.RoundRobinVertical(schema, 2)
+	in := optimizer.Input{NumSites: 2, AttrSites: scheme.AttrSites}
+	for _, r := range rules {
+		in.Rules = append(in.Rules, optimizer.RuleSpec{ID: r.ID, LHS: r.LHS, RHS: r.RHS})
+	}
+	plan, err := optimizer.NaiveChainPlan(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wiretest.GobParity(t, Hello{
+		Proto: ProtoVersion, SessionID: []byte{1, 2, 3, 4, 5, 6, 7, 8}, Kind: KindVertical,
+		Site: 1, NumSites: 2, SchemaName: schema.Name, SchemaAttrs: schema.Attrs,
+		Rules: rules, VScheme: scheme, Plan: plan, CheckpointDir: "/d/site1", CheckpointEvery: 3,
+	})
+	wiretest.GobParity(t, Hello{Proto: ProtoVersion, Kind: KindHorizontal, NumSites: 1})
+	wiretest.GobParity(t, HelloStatus{LastSeq: 1 << 40})
 }
