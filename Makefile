@@ -88,7 +88,7 @@ bench-spine:
 
 # profile writes CPU and heap profiles of one experiment sweep, so perf
 # work starts from a pprof instead of a guess. Override PROFILE_EXP to
-# target a different experiment (substring match, see expbench -exp).
+# target a different experiment (a name, or a figure substring; see expbench -exp).
 PROFILE_EXP ?= Exp-coalesce
 profile:
 	$(GO) run ./cmd/expbench -quick -exp '$(PROFILE_EXP)' -cpuprofile cpu.prof -memprofile mem.prof

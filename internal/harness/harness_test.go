@@ -255,10 +255,21 @@ func TestFormatRendersAllColumns(t *testing.T) {
 	}
 	out := r.Format()
 	for _, want := range []string{"X — F", "1.50", "200", "note: n"} {
-		if !strings.Contains(out, want) {
+		if !containsStr(out, want) {
 			t.Errorf("Format output missing %q:\n%s", want, out)
 		}
 	}
+}
+
+func containsStr(s, sub string) bool {
+	return len(s) >= len(sub) && (func() bool {
+		for i := 0; i+len(sub) <= len(s); i++ {
+			if s[i:i+len(sub)] == sub {
+				return true
+			}
+		}
+		return false
+	})()
 }
 
 // TestEveryFigurePinned: every experiment that reproduces a paper figure
