@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: test race alloc loc bench bench-verify storage chaos driver-chaos bench-spine profile fuzz api apicheck verify clean
+.PHONY: test race alloc loc bench bench-verify storage chaos driver-chaos bench-spine examples profile fuzz api apicheck verify clean
 
 test:
 	$(GO) build ./... && $(GO) test ./...
@@ -85,6 +85,13 @@ driver-chaos:
 # and the program together.
 bench-spine:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# examples runs every example program end to end; each exits non-zero
+# on a wrong answer (streaming_monitor, the one program driving Run's
+# OnBatch and a subscription, ends with a centralized cross-check).
+EXAMPLES = quickstart horizontal_shards vertical_warehouse optimizer_demo streaming_monitor
+examples:
+	@set -e; for e in $(EXAMPLES); do echo "== examples/$$e"; $(GO) run ./examples/$$e > /dev/null; done
 
 # profile writes CPU and heap profiles of one experiment sweep, so perf
 # work starts from a pprof instead of a guess. Override PROFILE_EXP to

@@ -61,8 +61,7 @@ func main() {
 		opts = append(opts, repro.WithTCPSites(addrs...))
 	}
 	switch *mode {
-	case "central":
-		opts = append(opts, repro.WithCentralized())
+	case "central": // the default engine: no option
 	case "vertical":
 		opts = append(opts, repro.WithVertical(repro.RoundRobinVertical(rel.Schema, *sites)))
 		if *optimize {

@@ -1,7 +1,7 @@
 // streaming_monitor drives a horizontally sharded detection session with
 // continuous mixed-update traffic and prints a live per-batch monitor:
 // the batch's ∆V, the maintained violation count, what crossed the wire,
-// and how long apply took. A Watch subscription consumes the same
+// and how long apply took. A subscription consumes the same
 // stream's ∆V events on the side — the shape of a downstream consumer —
 // and a centralized replay cross-checks the final violation set.
 //
@@ -54,13 +54,13 @@ func main() {
 	}
 
 	// A downstream subscriber: every applied batch's ∆V arrives on the
-	// watch channel; here it just tallies marks.
-	events, unsubscribe := sess.Watch(batches + 1)
-	defer unsubscribe()
+	// subscription's channel; here it just tallies marks.
+	sub := sess.Subscribe(batches + 1)
+	defer sub.Cancel()
 	subscriberMarks := make(chan int)
 	go func() {
 		total := 0
-		for ev := range events {
+		for ev := range sub.C() {
 			total += ev.Delta.Size()
 		}
 		subscriberMarks <- total
@@ -68,13 +68,13 @@ func main() {
 
 	fmt.Println("batch  size  +marks  -marks  |V|    wireKB  msgs  apply")
 	sum, err := sess.Run(ctx, newStream(), repro.StreamOptions{
-		OnBatch: func(b repro.StreamBatch, r repro.StreamBatchResult, snap *repro.Violations) {
+		OnBatch: func(b repro.StreamBatch, r repro.StreamBatchResult, _ repro.ReadSnapshot) {
 			tag := " "
 			if r.Size > 600 {
 				tag = "*" // the burst
 			}
 			fmt.Printf("%4d%s  %4d  %6d  %6d  %5d  %6.1f  %4d  %s\n",
-				r.Seq, tag, r.Size, r.AddedMarks, r.RemovedMarks, snap.Len(),
+				r.Seq, tag, r.Size, r.AddedMarks, r.RemovedMarks, r.Violations,
 				float64(r.WireBytes)/1024, r.WireMessages, r.Apply.Round(100_000))
 		},
 	})
@@ -86,7 +86,7 @@ func main() {
 		sum.Updates, sum.Inserts, sum.Deletes, sum.Batches,
 		float64(sum.WireBytes)/1024, sum.Net.Size())
 
-	unsubscribe()
+	sub.Cancel()
 	fmt.Printf("watch subscriber saw %d raw ∆V marks across the stream\n", <-subscriberMarks)
 
 	// The conservation law: a centralized session fed the identical

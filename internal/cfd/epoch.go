@@ -3,12 +3,11 @@ package cfd
 import (
 	"math/bits"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/relation"
 )
 
-// This file is the copy-on-write epoch layer under Snapshot(): the live
+// This file is the copy-on-write epoch layer behind every read: the live
 // Violations keeps its allocation-free map-and-bitset representation for
 // the write path, and mirrors the same state into a persistent
 // (path-copied) array-mapped trie that is published as an immutable
@@ -26,15 +25,6 @@ const (
 )
 
 func onesCount(w uint64) int { return bits.OnesCount64(w) }
-
-// eachBit calls f(base + bit) for every set bit of w, ascending.
-func eachBit(w uint64, base int, f func(RuleIdx)) {
-	for w != 0 {
-		b := bits.TrailingZeros64(w)
-		f(RuleIdx(base + b))
-		w &^= 1 << uint(b)
-	}
-}
 
 // amtLeaf is one (tuple, rule-bitset) entry. Leaves are immutable once
 // published: mutation copies the leaf (and its spilled words, if any).
@@ -61,16 +51,6 @@ func (l *amtLeaf) marks() int {
 		n += onesCount(w)
 	}
 	return n
-}
-
-func (l *amtLeaf) eachIdx(f func(RuleIdx)) {
-	if l.ws == nil {
-		eachBit(l.w, 0, f)
-		return
-	}
-	for wi, w := range l.ws {
-		eachBit(w, wi*64, f)
-	}
 }
 
 // withBit returns a copy of the leaf with bit idx set.
@@ -356,15 +336,6 @@ func (e *EpochView) LookupRule(rule string) (RuleIdx, bool) {
 	return idx, ok
 }
 
-// RuleIDs returns every interned rule id in lexicographic order.
-func (e *EpochView) RuleIDs() []string {
-	out := make([]string, len(e.nameSorted))
-	for i, idx := range e.nameSorted {
-		out[i] = e.names[idx]
-	}
-	return out
-}
-
 // Rules returns the sorted rule ids violated by the tuple.
 func (e *EpochView) Rules(id relation.TupleID) []string {
 	l := amtGet(e.marks, id)
@@ -378,20 +349,6 @@ func (e *EpochView) Rules(id relation.TupleID) []string {
 		}
 	}
 	return out
-}
-
-func (e *EpochView) marksOf(id relation.TupleID) int {
-	l := amtGet(e.marks, id)
-	if l == nil {
-		return 0
-	}
-	return l.marks()
-}
-
-func (e *EpochView) eachIdx(id relation.TupleID, f func(RuleIdx)) {
-	if l := amtGet(e.marks, id); l != nil {
-		l.eachIdx(f)
-	}
 }
 
 // EachTuple calls f for every violating tuple, in trie order; f
@@ -485,11 +442,11 @@ type markOp struct {
 	add bool
 }
 
-// epochTrack is the live set's epoch machinery: the current published
-// view plus the mark flips recorded since. cur is the only field readers
-// touch; everything else belongs to the (single) writer.
+// epochTrack is the live set's epoch machinery: the last published view
+// plus the mark flips recorded since. All of it belongs to the (single)
+// writer; readers get views only through whoever called Publish.
 type epochTrack struct {
-	cur        atomic.Pointer[EpochView]
+	cur        *EpochView
 	pending    []markOp
 	rulesDirty bool
 	// overflow: the pending log outgrew the point where replaying it
@@ -520,44 +477,21 @@ func (v *Violations) noteMark(id relation.TupleID, idx RuleIdx, add bool) {
 // first call builds epoch 1 from the live maps and arms the tracking
 // hooks; with nothing pending it returns the current view unchanged.
 // Publish is a writer-side operation: callers must serialize it with the
-// mutators, while View (and the returned views) need no lock.
+// mutators and hand the returned view to readers themselves (the session
+// swaps it into its read state); the view needs no lock.
 func (v *Violations) Publish() *EpochView {
-	if v.view != nil {
-		return v.view // a snapshot is its own fixed epoch
-	}
-	if v.track == nil {
-		v.track = &epochTrack{}
-		ev := v.buildEpoch(1)
-		v.track.cur.Store(ev)
-		return ev
-	}
 	t := v.track
-	cur := t.cur.Load()
-	if t.overflow {
-		ev := v.buildEpoch(cur.epoch + 1)
+	switch {
+	case t == nil:
+		v.track = &epochTrack{cur: v.buildEpoch(1)}
+	case t.overflow:
+		t.cur = v.buildEpoch(t.cur.epoch + 1)
 		t.overflow, t.rulesDirty, t.pending = false, false, t.pending[:0]
-		t.cur.Store(ev)
-		return ev
+	case len(t.pending) > 0 || t.rulesDirty:
+		t.cur = v.applyPending(t.cur)
+		t.pending, t.rulesDirty = t.pending[:0], false
 	}
-	if len(t.pending) == 0 && !t.rulesDirty {
-		return cur
-	}
-	next := v.applyPending(cur)
-	t.pending, t.rulesDirty = t.pending[:0], false
-	t.cur.Store(next)
-	return next
-}
-
-// View returns the last published epoch without locking (nil before the
-// first Publish/Snapshot). Safe for concurrent use with the writer.
-func (v *Violations) View() *EpochView {
-	if v.view != nil {
-		return v.view
-	}
-	if v.track == nil {
-		return nil
-	}
-	return v.track.cur.Load()
+	return v.track.cur
 }
 
 // buildEpoch constructs a full view from the live mark bitsets: O(|V|),

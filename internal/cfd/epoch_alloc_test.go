@@ -17,7 +17,7 @@ func epochFixture(n int) *Violations {
 	for i := 0; i < n; i++ {
 		v.AddIdx(relation.TupleID(i), r1)
 	}
-	v.Snapshot() // arm epoch tracking, publish epoch 1
+	v.Publish() // arm epoch tracking, publish epoch 1
 	return v
 }
 

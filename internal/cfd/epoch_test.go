@@ -3,31 +3,68 @@ package cfd
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/relation"
 )
 
+// viewString renders a view the way Violations.String renders a live
+// set: ascending tuples, each with its sorted rules.
+func viewString(e *EpochView) string {
+	var sb strings.Builder
+	for i, id := range e.Tuples() {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		fmt.Fprintf(&sb, "t%d{%s}", id, strings.Join(e.Rules(id), ","))
+	}
+	return "{" + sb.String() + "}"
+}
+
 // fingerprint captures everything a reader could observe through a
-// snapshot, for stability checks.
-func fingerprint(v *Violations) string {
-	return fmt.Sprintf("len=%d marks=%d hist=%v set=%s", v.Len(), v.Marks(), v.View().Histogram(), v.String())
+// view, for stability checks.
+func fingerprint(e *EpochView) string {
+	return fmt.Sprintf("len=%d marks=%d hist=%v set=%s", e.Len(), e.Marks(), e.Histogram(), viewString(e))
+}
+
+// viewMismatch reports how the view e answers a read differently from
+// the live set v — |V|, marks, any tuple's rules, any rule's postings or
+// count — or "" when every read agrees.
+func viewMismatch(e *EpochView, v *Violations) string {
+	if e.Len() != v.Len() || e.Marks() != v.Marks() {
+		return fmt.Sprintf("counters: view %d/%d, live %d/%d", e.Len(), e.Marks(), v.Len(), v.Marks())
+	}
+	if got, want := viewString(e), v.String(); got != want {
+		return fmt.Sprintf("marks:\nview %s\nlive %s", got, want)
+	}
+	for _, rule := range v.rs.names {
+		var want []relation.TupleID
+		for _, id := range v.Tuples() {
+			if v.HasRule(id, rule) {
+				want = append(want, id)
+			}
+		}
+		got := e.TuplesOfRule(rule)
+		if fmt.Sprint(got) != fmt.Sprint(want) || e.CountRule(rule) != len(want) {
+			return fmt.Sprintf("rule %s: view postings %v (count %d), live %v", rule, got, e.CountRule(rule), want)
+		}
+	}
+	return ""
 }
 
 // TestEpochSnapshotMatchesLive drives a randomized mark workload and
-// checks after every round that a fresh snapshot answers every read
-// exactly like the live set (via Clone, which reads the live maps). The
-// clone's first Publish builds its view in one walk of the marks, so the
-// per-rule reads also compare incremental replay against a rebuild.
+// checks after every round that the published view answers every read
+// exactly like the live set. A clone's first Publish builds its view in
+// one walk of the marks, so the same check also compares incremental
+// replay against a rebuild.
 func TestEpochSnapshotMatchesLive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	v := NewViolations()
 	rules := make([]RuleIdx, 12)
-	names := make([]string, 12)
 	for i := range rules {
-		names[i] = fmt.Sprintf("phi%02d", i)
-		rules[i] = v.Intern(names[i])
+		rules[i] = v.Intern(fmt.Sprintf("phi%02d", i))
 	}
 	for round := 0; round < 40; round++ {
 		for op := 0; op < 50; op++ {
@@ -39,41 +76,24 @@ func TestEpochSnapshotMatchesLive(t *testing.T) {
 				v.AddIdx(id, idx)
 			}
 		}
-		snap := v.Snapshot()
-		live := v.Clone()
-		if !snap.Equal(live) || !live.Equal(snap) {
-			t.Fatalf("round %d: snapshot diverged from live:\nsnap: %s\nlive: %s", round, snap, live)
+		view, rebuilt := v.Publish(), v.Clone().Publish()
+		if d := viewMismatch(view, v); d != "" {
+			t.Fatalf("round %d: published view diverged from live: %s", round, d)
 		}
-		if snap.Len() != live.Len() || snap.Marks() != live.Marks() {
-			t.Fatalf("round %d: counters diverged: snap %d/%d live %d/%d",
-				round, snap.Len(), snap.Marks(), live.Len(), live.Marks())
+		if d := viewMismatch(rebuilt, v); d != "" {
+			t.Fatalf("round %d: rebuilt view diverged from live: %s", round, d)
 		}
-		sv, lv := snap.View(), live.Publish()
-		if got, want := fmt.Sprint(sv.Histogram()), fmt.Sprint(lv.Histogram()); got != want {
-			t.Fatalf("round %d: histogram %s, want %s", round, got, want)
-		}
-		if got, want := fmt.Sprint(snap.Tuples()), fmt.Sprint(live.Tuples()); got != want {
-			t.Fatalf("round %d: tuples %s, want %s", round, got, want)
-		}
-		for _, name := range names {
-			if got, want := fmt.Sprint(sv.TuplesOfRule(name)), fmt.Sprint(lv.TuplesOfRule(name)); got != want {
-				t.Fatalf("round %d: TuplesOfRule(%s) %s, want %s", round, name, got, want)
-			}
-			if sv.CountRule(name) != lv.CountRule(name) {
-				t.Fatalf("round %d: CountRule(%s) %d, want %d", round, name, sv.CountRule(name), lv.CountRule(name))
-			}
-		}
-		if got, want := snap.String(), live.String(); got != want {
-			t.Fatalf("round %d: String\n got %s\nwant %s", round, got, want)
+		if got, want := fmt.Sprint(view.Histogram()), fmt.Sprint(rebuilt.Histogram()); got != want {
+			t.Fatalf("round %d: histogram %s, rebuilt %s", round, got, want)
 		}
 	}
 }
 
 // TestSnapshotStableUnderConcurrentWriter is the torn-read regression:
-// before the epoch layer, Snapshot() returned a view *sharing the live
-// maps*, so a reader holding a snapshot across a batch observed torn
-// state (and the race detector flagged the access). An epoch snapshot
-// must never change under a concurrent writer. Run with -race.
+// before the epoch layer, a snapshot *shared the live maps*, so a reader
+// holding one across a batch observed torn state (and the race detector
+// flagged the access). A published view must never change under a
+// concurrent writer. Run with -race.
 func TestSnapshotStableUnderConcurrentWriter(t *testing.T) {
 	v := NewViolations()
 	r1, r2 := v.Intern("phi1"), v.Intern("phi2")
@@ -83,12 +103,12 @@ func TestSnapshotStableUnderConcurrentWriter(t *testing.T) {
 			v.AddIdx(relation.TupleID(i), r2)
 		}
 	}
-	snap := v.Snapshot()
+	snap := v.Publish()
 	want := fingerprint(snap)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	// Reader: continuously re-reads the snapshot and checks it is frozen.
+	// Reader: continuously re-reads the view and checks it never changes.
 	var readerErr error
 	wg.Add(1)
 	go func() {
@@ -123,13 +143,16 @@ func TestSnapshotStableUnderConcurrentWriter(t *testing.T) {
 	if got := fingerprint(snap); got != want {
 		t.Fatalf("snapshot changed after writer finished:\n got %.120s\nwant %.120s", got, want)
 	}
-	// The new state is a *different* epoch, visible through a new snapshot.
-	fresh := v.Snapshot()
-	if fresh.Equal(snap) {
-		t.Fatal("fresh snapshot should differ from the pre-churn one")
+	// The new state is a *different* epoch, visible through a new view.
+	fresh := v.Publish()
+	if fingerprint(fresh) == want {
+		t.Fatal("fresh view should differ from the pre-churn one")
 	}
-	if fresh.View().Epoch() <= snap.View().Epoch() {
-		t.Fatalf("epochs not monotonic: fresh %d, old %d", fresh.View().Epoch(), snap.View().Epoch())
+	if d := viewMismatch(fresh, v); d != "" {
+		t.Fatalf("fresh view diverged from live: %s", d)
+	}
+	if fresh.Epoch() <= snap.Epoch() {
+		t.Fatalf("epochs not monotonic: fresh %d, old %d", fresh.Epoch(), snap.Epoch())
 	}
 }
 
@@ -166,7 +189,7 @@ func TestEpochPendingOverflow(t *testing.T) {
 	v := NewViolations()
 	r1, r2 := v.Intern("phi1"), v.Intern("phi2")
 	v.AddIdx(1, r1)
-	v.Snapshot() // arm tracking
+	v.Publish() // arm tracking
 	// Churn two marks far beyond 4·|V|+1024 flips without snapshotting.
 	for i := 0; i < 3000; i++ {
 		v.AddIdx(2, r2)
@@ -176,19 +199,19 @@ func TestEpochPendingOverflow(t *testing.T) {
 		t.Fatal("pending log did not overflow")
 	}
 	v.AddIdx(5, r2)
-	snap := v.Snapshot()
-	if !snap.Equal(v.Clone()) {
-		t.Fatalf("post-overflow snapshot diverged: %s vs %s", snap, v.Clone())
+	snap := v.Publish()
+	if d := viewMismatch(snap, v); d != "" {
+		t.Fatalf("post-overflow view diverged: %s", d)
 	}
 	if v.track.overflow {
 		t.Fatal("overflow flag not cleared by rebuild")
 	}
 	// Tracking resumes incrementally after the rebuild.
 	v.AddIdx(6, r1)
-	snap2 := v.Snapshot()
-	if !snap2.Has(6) || snap2.View().Epoch() != snap.View().Epoch()+1 {
+	snap2 := v.Publish()
+	if !snap2.Has(6) || snap2.Epoch() != snap.Epoch()+1 {
 		t.Fatalf("post-rebuild publish wrong: has6=%v epochs %d→%d",
-			snap2.Has(6), snap.View().Epoch(), snap2.View().Epoch())
+			snap2.Has(6), snap.Epoch(), snap2.Epoch())
 	}
 }
 
@@ -203,41 +226,18 @@ func TestEpochSpilledRules(t *testing.T) {
 	for i, idx := range idxs {
 		v.AddIdx(relation.TupleID(i%5), idx)
 	}
-	snap := v.Snapshot()
-	if !snap.Equal(v.Clone()) {
-		t.Fatalf("spilled snapshot diverged:\nsnap %s\nlive %s", snap, v.Clone())
+	snap := v.Publish()
+	if d := viewMismatch(snap, v); d != "" {
+		t.Fatalf("spilled view diverged: %s", d)
 	}
 	if !snap.HasRule(4, "phi069") {
-		t.Fatal("spilled mark (idx 69) missing from snapshot")
+		t.Fatal("spilled mark (idx 69) missing from view")
 	}
 	v.RemoveIdx(4, idxs[69])
-	snap2 := v.Snapshot()
+	snap2 := v.Publish()
 	if snap2.HasRule(4, "phi069") || !snap.HasRule(4, "phi069") {
 		t.Fatal("spilled removal leaked across epochs")
 	}
-}
-
-// TestSnapshotOfSnapshot pins that snapshotting a snapshot is the
-// identity, and that Clone materializes a mutable copy of a snapshot.
-func TestSnapshotOfSnapshot(t *testing.T) {
-	v := NewViolations()
-	v.Add(1, "phi")
-	snap := v.Snapshot()
-	again := snap.Snapshot()
-	if again.View() != snap.View() {
-		t.Fatal("snapshot of a snapshot is not the same epoch")
-	}
-	c := snap.Clone()
-	c.Add(2, "psi") // must not panic: clones are mutable
-	if snap.Has(2) {
-		t.Fatal("mutating a clone leaked into the snapshot")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mutating a snapshot did not panic")
-		}
-	}()
-	snap.Add(3, "chi")
 }
 
 // TestAMTSparseKeys hits the trie's collision/merge paths with keys that
@@ -252,7 +252,7 @@ func TestAMTSparseKeys(t *testing.T) {
 	for _, k := range keys {
 		v.AddIdx(k, r)
 	}
-	snap := v.Snapshot()
+	snap := v.Publish()
 	for _, k := range keys {
 		if !snap.Has(k) {
 			t.Fatalf("key %d missing", k)
@@ -263,12 +263,12 @@ func TestAMTSparseKeys(t *testing.T) {
 	}
 	for i, k := range keys {
 		v.RemoveIdx(k, r)
-		s := v.Snapshot()
+		s := v.Publish()
 		if s.Has(k) || s.Len() != len(keys)-i-1 {
 			t.Fatalf("after removing %d: has=%v len=%d", k, s.Has(k), s.Len())
 		}
 	}
-	if v.Snapshot().View().marks != nil {
+	if v.Publish().marks != nil {
 		t.Fatal("emptied trie did not prune to nil")
 	}
 }

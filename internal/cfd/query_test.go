@@ -110,7 +110,7 @@ func checkPostings(t *testing.T, e *EpochView, v *Violations, rules []string) {
 }
 
 // TestPostingsCloneSnapshot pins that clones carry independent postings
-// and snapshots keep theirs while the live set moves on.
+// and published views keep theirs while the live set moves on.
 func TestPostingsCloneSnapshot(t *testing.T) {
 	v := NewViolations()
 	v.Add(1, "phi1")
@@ -126,10 +126,10 @@ func TestPostingsCloneSnapshot(t *testing.T) {
 		t.Fatalf("original CountRule(phi1) = %d, want 1", got)
 	}
 
-	s := v.Snapshot().View()
+	s := v.Publish()
 	v.Remove(2, "phi2")
 	if s.CountRule("phi2") != 1 || len(s.TuplesOfRule("phi2")) != 1 {
-		t.Fatalf("snapshot postings wrong: %d", s.CountRule("phi2"))
+		t.Fatalf("published postings wrong: %d", s.CountRule("phi2"))
 	}
 	if got := v.Publish().CountRule("phi2"); got != 0 {
 		t.Fatalf("live CountRule(phi2) = %d after removal, want 0", got)

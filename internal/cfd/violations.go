@@ -309,6 +309,10 @@ func (m *markSet) sortedTuples() []relation.TupleID {
 // are interned into dense indexes and each tuple's marks are a bitset —
 // one machine word while |Σ| ≤ 64 — so maintaining a mark never
 // allocates on a warm path.
+//
+// A Violations is the writer's live set: it changes with every mark and
+// only its writer reads it. Every other reader reads an immutable
+// EpochView that Publish cuts from it.
 type Violations struct {
 	rs ruleSpace
 	// ms is the only live structure: per-tuple rule bitsets. The
@@ -318,18 +322,11 @@ type Violations struct {
 
 	// tuplesCache holds Tuples()' sorted output; nil when stale.
 	tuplesCache []relation.TupleID
-	// frozen marks a Snapshot view: mutators panic.
-	frozen bool
 
 	// track is the copy-on-write epoch machinery (epoch.go), armed by the
-	// first Publish/Snapshot; nil until then, so violation sets that are
-	// never snapshotted pay nothing on the mark path.
+	// first Publish; nil until then, so violation sets that are never
+	// published pay nothing on the mark path.
 	track *epochTrack
-	// view, when non-nil, makes this Violations a frozen epoch-backed
-	// snapshot: every read answers from the immutable view and mutators
-	// panic. Unlike the pre-epoch Snapshot, the view shares nothing
-	// mutable with the live set — it never changes under a writer.
-	view *EpochView
 }
 
 // NewViolations returns an empty violation set.
@@ -341,7 +338,6 @@ func NewViolations() *Violations {
 // RemoveIdx and HasRuleIdx. Indexes are assigned in first-seen order, so
 // pre-interning a rule list aligns them with CompileAll's RuleIdx.
 func (v *Violations) Intern(rule string) RuleIdx {
-	v.mutable()
 	idx, fresh := v.rs.intern(rule)
 	if fresh && int(idx) == smallWidth {
 		v.ms.spill()
@@ -366,7 +362,6 @@ func (v *Violations) Add(id relation.TupleID, rule string) {
 
 // AddIdx records a violation mark through a pre-interned index.
 func (v *Violations) AddIdx(id relation.TupleID, idx RuleIdx) {
-	v.mutable()
 	newTuple, changed := v.ms.set(id, idx)
 	if newTuple {
 		v.tuplesCache = nil
@@ -388,7 +383,6 @@ func (v *Violations) Remove(id relation.TupleID, rule string) {
 
 // RemoveIdx clears a violation mark through a pre-interned index.
 func (v *Violations) RemoveIdx(id relation.TupleID, idx RuleIdx) {
-	v.mutable()
 	gone, changed := v.ms.clear(id, idx)
 	if gone {
 		v.tuplesCache = nil
@@ -398,25 +392,13 @@ func (v *Violations) RemoveIdx(id relation.TupleID, idx RuleIdx) {
 	}
 }
 
-func (v *Violations) mutable() {
-	if v.frozen {
-		panic("cfd: mutating a Violations snapshot")
-	}
-}
-
 // Has reports whether the tuple violates any rule.
 func (v *Violations) Has(id relation.TupleID) bool {
-	if v.view != nil {
-		return v.view.Has(id)
-	}
 	return v.ms.hasTuple(id)
 }
 
 // HasRule reports whether the tuple violates the given rule.
 func (v *Violations) HasRule(id relation.TupleID, rule string) bool {
-	if v.view != nil {
-		return v.view.HasRule(id, rule)
-	}
 	idx, ok := v.rs.lookup(rule)
 	return ok && v.ms.has(id, idx)
 }
@@ -424,18 +406,12 @@ func (v *Violations) HasRule(id relation.TupleID, rule string) bool {
 // HasRuleIdx reports whether the tuple violates the rule with the given
 // interned index.
 func (v *Violations) HasRuleIdx(id relation.TupleID, idx RuleIdx) bool {
-	if v.view != nil {
-		return v.view.HasRuleIdx(id, idx)
-	}
 	return v.ms.has(id, idx)
 }
 
 // Rules returns the sorted rule ids violated by the tuple. The name
 // ordering is precomputed per rule set, so repeated calls never re-sort.
 func (v *Violations) Rules(id relation.TupleID) []string {
-	if v.view != nil {
-		return v.view.Rules(id)
-	}
 	if !v.ms.hasTuple(id) {
 		return nil
 	}
@@ -451,9 +427,6 @@ func (v *Violations) Rules(id relation.TupleID) []string {
 // Tuples returns the violating tuple ids in ascending order. The sorted
 // slice is cached between mutations; treat it as read-only.
 func (v *Violations) Tuples() []relation.TupleID {
-	if v.view != nil {
-		return v.view.Tuples()
-	}
 	if v.tuplesCache == nil {
 		v.tuplesCache = v.ms.sortedTuples()
 	}
@@ -462,33 +435,16 @@ func (v *Violations) Tuples() []relation.TupleID {
 
 // Len returns the number of violating tuples.
 func (v *Violations) Len() int {
-	if v.view != nil {
-		return v.view.Len()
-	}
 	return v.ms.lenTuples()
 }
 
 // Marks returns the total number of (tuple, rule) violation marks.
 func (v *Violations) Marks() int {
-	if v.view != nil {
-		return v.view.Marks()
-	}
 	return v.ms.marks()
 }
 
-// Clone returns a deep, mutable copy (also of an epoch-backed snapshot).
+// Clone returns a deep copy.
 func (v *Violations) Clone() *Violations {
-	if v.view != nil {
-		c := NewViolations()
-		for _, name := range v.view.names {
-			c.Intern(name)
-		}
-		amtEach(v.view.marks, func(l *amtLeaf) bool {
-			l.eachIdx(func(idx RuleIdx) { c.AddIdx(l.key, idx) })
-			return true
-		})
-		return c
-	}
 	return &Violations{rs: v.rs.clone(), ms: v.ms.clone()}
 }
 
@@ -517,119 +473,10 @@ func (v *Violations) RetiredDelta(rules []string) *Delta {
 	return d
 }
 
-// Snapshot returns a read-only epoch snapshot of v: a coherent cut of
-// the marks AND the posting indexes that never changes, even while v
-// keeps mutating. The first call mirrors the live state into the
-// copy-on-write epoch tries (O(|V|)); every later call publishes only
-// the marks flipped since the previous snapshot (O(|∆V|), see Publish).
-// Taking the snapshot is a writer-side operation — serialize it with the
-// mutators — but the returned set is immutable and safe for any number
-// of concurrent readers; mutators on it panic.
-func (v *Violations) Snapshot() *Violations {
-	return &Violations{view: v.Publish(), frozen: true}
-}
-
-// srcLen, srcNames, srcLookup, srcHas, srcMarksOf, srcEachTuple and
-// srcEachIdx abstract over the two storages a Violations can read from —
-// the live maps or an immutable epoch view — so the set-algebra methods
-// (Equal, Diff, String) work across any combination.
-func (v *Violations) srcLen() int {
-	if v.view != nil {
-		return v.view.tuples
-	}
-	return v.ms.lenTuples()
-}
-
-func (v *Violations) srcNames() []string {
-	if v.view != nil {
-		return v.view.names
-	}
-	return v.rs.names
-}
-
-func (v *Violations) srcLookup(rule string) (RuleIdx, bool) {
-	if v.view != nil {
-		return v.view.LookupRule(rule)
-	}
-	return v.rs.lookup(rule)
-}
-
-func (v *Violations) srcHas(id relation.TupleID, idx RuleIdx) bool {
-	if v.view != nil {
-		return v.view.HasRuleIdx(id, idx)
-	}
-	return v.ms.has(id, idx)
-}
-
-func (v *Violations) srcMarksOf(id relation.TupleID) int {
-	if v.view != nil {
-		return v.view.marksOf(id)
-	}
-	return v.ms.marksOf(id)
-}
-
-func (v *Violations) srcEachTuple(f func(relation.TupleID)) {
-	if v.view != nil {
-		v.view.EachTuple(func(id relation.TupleID) bool { f(id); return true })
-		return
-	}
-	v.ms.eachTuple(f)
-}
-
-func (v *Violations) srcEachIdx(id relation.TupleID, f func(RuleIdx)) {
-	if v.view != nil {
-		v.view.eachIdx(id, f)
-		return
-	}
-	v.ms.eachIdx(id, f)
-}
-
-// srcRemapTo translates v's interned indexes into o's (-1 where absent).
-func (v *Violations) srcRemapTo(o *Violations) []RuleIdx {
-	names := v.srcNames()
-	remap := make([]RuleIdx, len(names))
-	for i, name := range names {
-		if idx, ok := o.srcLookup(name); ok {
-			remap[i] = idx
-		} else {
-			remap[i] = -1
-		}
-	}
-	return remap
-}
-
 // Equal reports whether two violation sets hold identical marks. Rule
 // sets interned in the same order compare word-for-word; otherwise marks
-// are translated name-wise. Epoch-backed snapshots compare through the
-// same name-wise path (with a pointer shortcut for views of the same
-// lineage, whose tries are shared structurally).
+// are translated name-wise.
 func (v *Violations) Equal(o *Violations) bool {
-	if v.view != nil || o.view != nil {
-		if v.srcLen() != o.srcLen() {
-			return false
-		}
-		if v.view != nil && o.view != nil && v.view.marks == o.view.marks {
-			return true
-		}
-		remap := v.srcRemapTo(o)
-		equal := true
-		v.srcEachTuple(func(id relation.TupleID) {
-			if !equal {
-				return
-			}
-			if v.srcMarksOf(id) != o.srcMarksOf(id) {
-				equal = false
-				return
-			}
-			v.srcEachIdx(id, func(idx RuleIdx) {
-				m := remap[idx]
-				if m < 0 || !o.srcHas(id, m) {
-					equal = false
-				}
-			})
-		})
-		return equal
-	}
 	if v.ms.lenTuples() != o.ms.lenTuples() {
 		return false
 	}
@@ -689,18 +536,13 @@ func wordsEqual(a, b []uint64) bool {
 }
 
 // Diff returns the marks present in v but not in o, as a map id → rules.
-// Works across any combination of live sets and epoch snapshots.
 func (v *Violations) Diff(o *Violations) map[relation.TupleID][]string {
 	out := make(map[relation.TupleID][]string)
-	remap := v.srcRemapTo(o)
-	names := v.srcNames()
-	v.srcEachTuple(func(id relation.TupleID) {
-		v.srcEachIdx(id, func(idx RuleIdx) {
-			m := remap[idx]
-			if m < 0 || !o.srcHas(id, m) {
-				out[id] = append(out[id], names[idx])
-			}
-		})
+	remap, _ := v.rs.remapTo(&o.rs)
+	v.ms.each(func(id relation.TupleID, idx RuleIdx) {
+		if m := remap[idx]; m < 0 || !o.ms.has(id, m) {
+			out[id] = append(out[id], v.rs.names[idx])
+		}
 	})
 	for id := range out {
 		sort.Strings(out[id])

@@ -85,26 +85,24 @@ func TestEqualAcrossInterningOrders(t *testing.T) {
 	}
 }
 
-// TestSnapshotIsReadOnlyView: Snapshot is the O(1) alternative to Clone
-// for read-only comparisons; it sees the source's current marks and
-// panics on mutation.
+// TestSnapshotIsReadOnlyView: a published view sees the source's marks
+// at Publish and keeps them while the source moves on.
 func TestSnapshotIsReadOnlyView(t *testing.T) {
 	v := NewViolations()
 	v.Add(1, "phi1")
 	v.Add(2, "phi2")
-	snap := v.Snapshot()
-	if !snap.Equal(v) || snap.Len() != 2 || !snap.HasRule(1, "phi1") {
-		t.Fatal("snapshot does not reflect the source")
+	snap := v.Publish()
+	if d := viewMismatch(snap, v); d != "" || snap.Len() != 2 || !snap.HasRule(1, "phi1") {
+		t.Fatalf("view does not reflect the source: %s", d)
 	}
 	if got := snap.Rules(1); !reflect.DeepEqual(got, []string{"phi1"}) {
-		t.Fatalf("snapshot Rules(1) = %v", got)
+		t.Fatalf("view Rules(1) = %v", got)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("mutating a snapshot did not panic")
-		}
-	}()
-	snap.Add(3, "phi3")
+	v.Add(3, "phi3")
+	v.Remove(1, "phi1")
+	if snap.Has(3) || !snap.HasRule(1, "phi1") || snap.Len() != 2 {
+		t.Fatal("mutating the source leaked into a published view")
+	}
 }
 
 // TestTuplesCacheInvalidation: the sorted Tuples() slice is cached

@@ -62,12 +62,12 @@ func RunCoalesce(sc Scale, rtt time.Duration) ([]CoalesceRow, error) {
 				if style == "hor" {
 					opts = []session.Option{session.WithHorizontal(partition.HashHorizontal("c_name", sc.Sites))}
 				}
-				if rtt > 0 {
-					opts = append(opts, session.WithLinkRTT(rtt))
-				}
 				sys, err := session.Open(rel, rules, opts...)
 				if err != nil {
 					return nil, err
+				}
+				if rtt > 0 {
+					sys.Cluster().SetLinkRTT(rtt)
 				}
 				updates := gen.Updates(rel, batch, 0.7).Normalize()
 				step := len(updates)

@@ -159,7 +159,11 @@ func (s spec) build(rel *relation.Relation, rules []cfd.CFD, noIndexes bool) (*s
 	if opts == nil {
 		return nil, fmt.Errorf("harness: unknown style %q", s.style)
 	}
-	return session.Open(rel, rules, opts...)
+	sess, err := session.Open(rel, rules, opts...)
+	if err == nil && s.linkRTT > 0 {
+		sess.Cluster().SetLinkRTT(s.linkRTT)
+	}
+	return sess, err
 }
 
 // options maps the spec's knobs onto session options.
@@ -192,9 +196,6 @@ func (s spec) options(rel *relation.Relation, noIndexes bool) []session.Option {
 	}
 	if s.serialFanout {
 		opts = append(opts, session.WithMaxFanout(1))
-	}
-	if s.linkRTT > 0 {
-		opts = append(opts, session.WithLinkRTT(s.linkRTT))
 	}
 	return opts
 }

@@ -49,7 +49,6 @@ type config struct {
 	disableMD5   bool
 	noIndexes    bool
 	maxFanout    int // -1 = engine default
-	linkRTT      time.Duration
 
 	tcpAddrs  []string
 	tcpRetry  time.Duration
@@ -85,6 +84,15 @@ func (c *config) journalCompactEvery() int {
 	return 16
 }
 
+// pageCacheBudget resolves the storage page-cache budget: zero or unset
+// is the default, a negative budget is unlimited.
+func (c *config) pageCacheBudget() int64 {
+	if c.cacheBudget == 0 {
+		return defaultCacheBudget
+	}
+	return c.cacheBudget
+}
+
 // inDoubtRetryBudget resolves the in-process re-drive budget.
 func (c *config) inDoubtRetryBudget() time.Duration {
 	if c.inDoubtSet {
@@ -109,8 +117,6 @@ func (c *config) validate() error {
 		switch {
 		case c.maxFanout >= 0:
 			return fmt.Errorf("session: WithMaxFanout requires a distributed session")
-		case c.linkRTT > 0:
-			return fmt.Errorf("session: WithLinkRTT requires a distributed session")
 		case c.noIndexes:
 			return fmt.Errorf("session: WithNoIndexes requires a distributed session")
 		case len(c.tcpAddrs) > 0:
@@ -120,9 +126,6 @@ func (c *config) validate() error {
 	if len(c.tcpAddrs) > 0 {
 		if n := len(c.tcpAddrs); n > sitehost.MaxSites {
 			return fmt.Errorf("session: WithTCPSites: %d sites, a deployment spans at most %d", n, sitehost.MaxSites)
-		}
-		if c.linkRTT > 0 {
-			return fmt.Errorf("session: WithTCPSites conflicts with WithLinkRTT (a real network pays real latency)")
 		}
 	} else {
 		switch {
@@ -166,11 +169,6 @@ func (c *config) validate() error {
 		return fmt.Errorf("session: WithoutMD5 requires a horizontal session")
 	}
 	return nil
-}
-
-// WithCentralized selects the single-site maintainer (the default).
-func WithCentralized() Option {
-	return func(c *config) error { return c.setKind(Centralized) }
 }
 
 // WithHorizontal partitions the relation horizontally under scheme and
@@ -234,18 +232,6 @@ func WithMaxFanout(k int) Option {
 			return fmt.Errorf("session: WithMaxFanout: negative cap %d", k)
 		}
 		c.maxFanout = k
-		return nil
-	}
-}
-
-// WithLinkRTT charges a simulated network round-trip to every cross-site
-// message (the in-process loopback is otherwise instantaneous).
-func WithLinkRTT(d time.Duration) Option {
-	return func(c *config) error {
-		if d < 0 {
-			return fmt.Errorf("session: WithLinkRTT: negative RTT %v", d)
-		}
-		c.linkRTT = d
 		return nil
 	}
 }

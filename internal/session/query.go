@@ -58,7 +58,7 @@ func (s *Session) Snapshot() Snapshot {
 
 // Epoch identifies the published violation-set epoch this snapshot
 // reads. Epochs increase monotonically with every state-changing batch
-// or rule change; Watch events carry the epoch they produced.
+// or rule change; subscription events carry the epoch they produced.
 func (sn Snapshot) Epoch() uint64 { return sn.st.view.Epoch() }
 
 // Rows is |D| at this epoch.

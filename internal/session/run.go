@@ -43,9 +43,10 @@ type RunOptions struct {
 	Realtime bool
 	// OnBatch, when set, is invoked synchronously from the writer
 	// goroutine after each batch, with the batch itself, its result,
-	// and a frozen epoch snapshot of the maintained violation set. The
-	// snapshot is immutable and remains valid after the call returns.
-	OnBatch func(workload.Batch, BatchResult, *cfd.Violations)
+	// and the Snapshot of the epoch the batch published — the one
+	// Session.Snapshot returned right after it. The snapshot is
+	// immutable and remains valid after the call returns.
+	OnBatch func(workload.Batch, BatchResult, Snapshot)
 }
 
 // BatchResult meters one applied batch.
@@ -102,7 +103,7 @@ type arrival struct {
 // batch, until the source is exhausted or ctx is cancelled. Cancellation
 // stops the producer and drains the arrival queue cleanly (no batch is
 // half-applied: the check sits between batches) and returns ctx's error.
-// Every applied batch is also published to Watch subscribers. Run holds
+// Every applied batch is also published to subscribers. Run holds
 // the writer lock for the whole stream, so batches from two writers never
 // interleave; the state lock is taken per batch, so concurrent reads
 // (Query, Count, Measures, Snapshot) keep serving the latest applied
@@ -167,7 +168,7 @@ func (s *Session) Run(ctx context.Context, src Source, opts RunOptions) (*Summar
 			drain()
 			return nil, err
 		}
-		r, delta, snap, err := s.runBatch(arr, &prev, opts.OnBatch != nil)
+		r, delta, snap, err := s.runBatch(arr, &prev)
 		if err != nil {
 			drain()
 			return nil, err
@@ -200,10 +201,10 @@ func (s *Session) Run(ctx context.Context, src Source, opts RunOptions) (*Summar
 }
 
 // runBatch applies one queued batch under the state lock and meters it
-// against prev, the meters after the previous batch (advanced here).
-// With snapshot set it also freezes the resulting violation set for
-// OnBatch, which runs after the lock is released.
-func (s *Session) runBatch(arr arrival, prev *network.Stats, snapshot bool) (BatchResult, *cfd.Delta, *cfd.Violations, error) {
+// against prev, the meters after the previous batch (advanced here). It
+// returns the Snapshot of the epoch the batch published, for OnBatch,
+// which runs after the lock is released.
+func (s *Session) runBatch(arr arrival, prev *network.Stats) (BatchResult, *cfd.Delta, Snapshot, error) {
 	r := BatchResult{
 		Seq:   arr.b.Seq,
 		Size:  len(arr.b.Updates),
@@ -222,7 +223,7 @@ func (s *Session) runBatch(arr arrival, prev *network.Stats, snapshot bool) (Bat
 	t0 := time.Now()
 	delta, err := s.applyLocked(arr.b.Updates)
 	if err != nil {
-		return r, nil, nil, fmt.Errorf("session: Run: batch %d: %w", arr.b.Seq, err)
+		return r, nil, Snapshot{}, fmt.Errorf("session: Run: batch %d: %w", arr.b.Seq, err)
 	}
 	r.Apply = time.Since(t0)
 	now := s.statsLocked()
@@ -230,11 +231,7 @@ func (s *Session) runBatch(arr arrival, prev *network.Stats, snapshot bool) (Bat
 	*prev = now
 	r.WireBytes, r.WireMessages, r.Eqids = w.Bytes, w.Messages, w.Eqids
 	r.AddedMarks, r.RemovedMarks = delta.AddedMarks(), delta.RemovedMarks()
-	v := s.eng.Violations()
-	r.Violations, r.Marks = v.Len(), v.Marks()
-	var snap *cfd.Violations
-	if snapshot {
-		snap = v.Snapshot()
-	}
+	snap := s.Snapshot()
+	r.Violations, r.Marks = snap.st.view.Len(), snap.st.view.Marks()
 	return r, delta, snap, nil
 }

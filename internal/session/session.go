@@ -11,7 +11,7 @@
 //   - a read-side query surface: Query (per-rule/per-tuple drill-down
 //     answered from posting indexes in O(answer)), Count histograms and
 //     the drastic/MI-style aggregate inconsistency measures;
-//   - subscriptions: Watch streams every applied batch's ∆V;
+//   - subscriptions: Subscribe streams every applied batch's ∆V;
 //   - streaming: Run pumps a timed batch source through the engine and
 //     meters every batch (run.go);
 //   - lifecycle: context-aware ApplyBatch/Run, and Close that reliably
@@ -216,11 +216,7 @@ func Open(rel *relation.Relation, rules []cfd.CFD, opts ...Option) (*Session, er
 	switch cfg.kind {
 	case Centralized:
 		if cfg.storageDir != "" {
-			budget := int64(defaultCacheBudget)
-			if cfg.budgetSet {
-				budget = cfg.cacheBudget
-			}
-			st, err := openStorage(cfg.storageDir, budget)
+			st, err := openStorage(cfg.storageDir, cfg.pageCacheBudget())
 			if err != nil {
 				return nil, err
 			}
@@ -298,9 +294,6 @@ func Open(rel *relation.Relation, rules []cfd.CFD, opts ...Option) (*Session, er
 	if s.cluster != nil {
 		if cfg.maxFanout >= 0 {
 			s.cluster.SetMaxFanout(cfg.maxFanout)
-		}
-		if cfg.linkRTT > 0 {
-			s.cluster.SetLinkRTT(cfg.linkRTT)
 		}
 	}
 	if res != nil {
@@ -442,9 +435,10 @@ func (s *Session) Rules() []cfd.CFD {
 	return append([]cfd.CFD(nil), s.eng.Rules()...)
 }
 
-// Violations returns the maintained violation set V(Σ, D). The returned
-// set is live — it changes with subsequent batches; Clone or Snapshot it
-// for a stable view.
+// Violations returns the maintained violation set V(Σ, D): the writer's
+// live set, which changes with every later batch. Read it only while no
+// writer runs, or Clone it; a concurrent reader takes a Snapshot (or
+// calls Query, Count or Measures), which reads a published epoch.
 func (s *Session) Violations() *cfd.Violations {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -141,8 +141,9 @@ func TestWatch(t *testing.T) {
 	}
 	defer s.Close()
 
-	ch, cancel := s.Watch(16)
-	defer cancel()
+	sub := s.Subscribe(16)
+	defer sub.Cancel()
+	ch := sub.C()
 
 	mirror := rel.Clone()
 	updates := gen.Updates(mirror, 20, 0.8)
@@ -210,7 +211,7 @@ func TestRunContextCancel(t *testing.T) {
 	src := workload.NewStream(gen, rel, workload.StreamConfig{BatchSize: 8, Batches: 1000})
 	ctx, cancel := context.WithCancel(context.Background())
 	applied := 0
-	opts := RunOptions{OnBatch: func(workload.Batch, BatchResult, *cfd.Violations) {
+	opts := RunOptions{OnBatch: func(workload.Batch, BatchResult, Snapshot) {
 		applied++
 		if applied == 3 {
 			cancel()
@@ -237,7 +238,7 @@ func TestOptionValidation(t *testing.T) {
 		{WithOptimizer()},
 		{WithOptimizer(), WithHorizontal(partition.HashHorizontal("c_name", 2))},
 		{WithoutMD5(), WithVertical(partition.RoundRobinVertical(rel.Schema, 2))},
-		{WithCentralized(), WithHorizontal(partition.HashHorizontal("c_name", 2))},
+		{WithHorizontal(partition.HashHorizontal("c_name", 2)), WithVertical(partition.RoundRobinVertical(rel.Schema, 2))},
 	}
 	for i, opts := range bad {
 		if _, err := Open(rel, rules[:2], opts...); err == nil {

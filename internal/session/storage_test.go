@@ -230,6 +230,31 @@ func TestStorageOptionValidation(t *testing.T) {
 	}
 }
 
+// TestPageCacheBudgetResolves pins how the page-cache budget resolves:
+// zero or unset is the default, a negative budget stays unlimited.
+func TestPageCacheBudgetResolves(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		opts []Option
+		want int64
+	}{
+		{"unset", nil, defaultCacheBudget},
+		{"zero", []Option{WithPageCacheBudget(0)}, defaultCacheBudget},
+		{"1 MiB", []Option{WithPageCacheBudget(1 << 20)}, 1 << 20},
+		{"negative", []Option{WithPageCacheBudget(-1)}, -1},
+	} {
+		var cfg config
+		for _, o := range c.opts {
+			if err := o(&cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := cfg.pageCacheBudget(); got != c.want {
+			t.Errorf("%s: budget %d, want %d", c.name, got, c.want)
+		}
+	}
+}
+
 // TestStoredSessionDirReuse pins the empty-store requirement: an
 // out-of-core session seeds its stores from rel, so reopening a used
 // directory must fail loudly instead of mixing two seedings.

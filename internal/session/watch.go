@@ -6,7 +6,7 @@ import (
 	"repro/internal/cfd"
 )
 
-// EventKind says what produced a Watch event.
+// EventKind says what produced a subscription event.
 type EventKind int
 
 const (
@@ -45,7 +45,8 @@ type Event struct {
 	Dropped uint64
 }
 
-// Subscription is one Watch subscriber. Events are delivered on C;
+// Subscription is one subscriber to the session's ∆V stream, and the
+// only subscription handle there is. Events are delivered on C;
 // when the subscriber's buffer is full the session drops the event
 // rather than blocking detection, and the next delivered event carries
 // the gap in its Dropped field.
@@ -79,11 +80,11 @@ func (sub *Subscription) Cancel() {
 	}
 }
 
-// Subscribe registers a Watch subscriber with the given channel depth
-// (min 1) and returns its handle. Every ApplyBatch, stream batch under
-// Run, AddRules and RemoveRules publishes one event. A subscriber that
-// falls behind misses events rather than blocking detection — Watch is
-// a monitoring surface, not a replication log — but never silently:
+// Subscribe registers a subscriber with the given channel depth (min 1)
+// and returns its handle. Every ApplyBatch, stream batch under Run,
+// AddRules and RemoveRules publishes one event. A subscriber that falls
+// behind misses events rather than blocking detection — a subscription
+// is a monitoring surface, not a replication log — but never silently:
 // missed events surface in the next event's Dropped gap, the
 // subscription's Dropped() total, and the global Seq numbering.
 func (s *Session) Subscribe(buffer int) *Subscription {
@@ -102,15 +103,6 @@ func (s *Session) Subscribe(buffer int) *Subscription {
 	s.nextW++
 	s.watchers[sub.id] = sub
 	return sub
-}
-
-// Watch subscribes to the session's per-batch ∆V stream and returns the
-// event channel with a cancel function. It is Subscribe for callers that
-// don't need the Dropped() counter; the gap marker still arrives in each
-// event's Dropped field.
-func (s *Session) Watch(buffer int) (<-chan Event, func()) {
-	sub := s.Subscribe(buffer)
-	return sub.ch, sub.Cancel
 }
 
 // publish fans an event out to every subscriber. Callers hold s.mu and

@@ -32,7 +32,7 @@
 //
 // Sessions also manage rules live — AddRules/RemoveRules seed or retire
 // only the affected rules' marks through metered seed-delta rounds — and
-// publish every batch's ∆V through Watch. See examples/ for complete
+// publish every batch's ∆V to Subscribe handles. See examples/ for complete
 // programs and DESIGN.md for the system inventory and the experiment
 // index reproducing the paper's evaluation.
 package repro
@@ -69,7 +69,7 @@ type (
 	// Measures are Session.Measures' aggregate inconsistency measures
 	// (drastic, problematic tuples, MI-style mark count, |V|/|D|).
 	Measures = session.Measures
-	// WatchEvent is one Session.Watch subscription event, stamped with
+	// WatchEvent is one Session.Subscribe event, stamped with
 	// the global sequence number, the epoch it produced and the gap
 	// (events dropped for this subscriber) since the last delivery.
 	WatchEvent = session.Event
@@ -84,8 +84,9 @@ type (
 	// never blocking on (or blocked by) writers. See Session.Snapshot.
 	ReadSnapshot = session.Snapshot
 	// EpochView is a frozen copy-on-write view of a violation set at
-	// one publish epoch (the structure behind ReadSnapshot and
-	// Violations.Snapshot).
+	// one publish epoch, cut by Violations.Publish: the one form every
+	// reader of V reads (ReadSnapshot answers from one). A Violations
+	// itself is the writer's live set.
 	EpochView = cfd.EpochView
 	// JournalStats is Session.Journal's report on the write-ahead
 	// journal: whether Open resumed (or reset a corrupt journal), the
@@ -122,8 +123,6 @@ func Open(rel *Relation, rules []CFD, opts ...Option) (*Session, error) {
 
 // Engine selection and tuning options for Open.
 var (
-	// WithCentralized selects the single-site maintainer (the default).
-	WithCentralized = session.WithCentralized
 	// WithHorizontal runs §6's incHor over a horizontal partition.
 	WithHorizontal = session.WithHorizontal
 	// WithVertical runs §4/§5's incVer over a vertical partition.
@@ -137,8 +136,6 @@ var (
 	WithNoIndexes = session.WithNoIndexes
 	// WithMaxFanout caps the scatter/gather engine's workers.
 	WithMaxFanout = session.WithMaxFanout
-	// WithLinkRTT simulates a per-message network round-trip.
-	WithLinkRTT = session.WithLinkRTT
 	// WithTCPSites deploys the session across real OS processes: site i
 	// lives in the sited daemon at addrs[i] (cmd/sited), reached over
 	// framed TCP. Meters stay bit-identical to the in-process loopback;
