@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: test race alloc loc bench bench-verify storage chaos driver-chaos bench-spine examples profile fuzz api apicheck verify clean
+.PHONY: test race alloc loc fmtcheck bench bench-verify storage chaos driver-chaos bench-spine examples profile fuzz api apicheck verify clean
 
 test:
 	$(GO) build ./... && $(GO) test ./...
@@ -24,6 +24,12 @@ alloc:
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 \
 		| xargs -0 cat | wc -l
+
+# fmtcheck fails when any Go file outside .bench_build/ is not gofmt'd,
+# naming the files. CI runs it.
+fmtcheck:
+	@out=$$(find . -name '*.go' ! -path './.bench_build/*' -print0 | xargs -0 gofmt -l); \
+		if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # bench regenerates the committed baseline BENCH_exact.json: every sweep
 # that declares exact columns (message, byte, eqid and call counts, |∆V|

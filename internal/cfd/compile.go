@@ -78,14 +78,3 @@ func (c *Compiled) MatchesLHS(t relation.Tuple) bool {
 func (c *Compiled) SingleViolation(t relation.Tuple) bool {
 	return c.ConstRHS && c.MatchesLHS(t) && t.Values[c.RHSCol] != c.RHSPattern
 }
-
-// AppendLHSKey appends t's grouping key over X to dst (length-prefixed
-// encoding, see relation.Tuple.AppendKey).
-func (c *Compiled) AppendLHSKey(dst []byte, t relation.Tuple) []byte {
-	return t.AppendKey(dst, c.LHSCols)
-}
-
-// RHSValue returns t[B].
-func (c *Compiled) RHSValue(t relation.Tuple) string {
-	return t.Values[c.RHSCol]
-}

@@ -36,8 +36,10 @@ import (
 // change, but an older log may hold calls nothing handles any more; 6:
 // the vertical same-site calls carry id, index and bitset columns, and a
 // vertical site's blob no longer stores what it derives from its rules;
-// 7: the hello a snapshot carries is positional, not gob).
-const FormatVersion = 7
+// 7: the hello a snapshot carries is positional, not gob; 8: h.apply is
+// retired — no layout change, but an older log may hold calls nothing
+// handles any more).
+const FormatVersion = 8
 
 var format = seglog.Format{
 	Magic:   [4]byte{'R', 'C', 'K', 'P'},

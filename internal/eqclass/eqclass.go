@@ -117,12 +117,6 @@ func AppendComposeKey(dst []byte, inputs []EqID) []byte {
 	return dst
 }
 
-// ComposeKey canonicalizes a list of input eqids into a map key,
-// materializing a string (AppendComposeKey is the allocation-free form).
-func ComposeKey(inputs []EqID) string {
-	return string(AppendComposeKey(nil, inputs))
-}
-
 // Acquire returns eq(inputs), allocating a fresh class if needed, and
 // increments its reference count.
 func (h *HEV) Acquire(inputs []EqID) EqID {

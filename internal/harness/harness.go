@@ -77,15 +77,6 @@ type Result struct {
 	Detail *Result
 }
 
-// Col returns the series of one column across points.
-func (r *Result) Col(name string) []float64 {
-	out := make([]float64, len(r.Points))
-	for i, p := range r.Points {
-		out[i] = p.Values[name]
-	}
-	return out
-}
-
 // spec describes one measured configuration.
 type spec struct {
 	dataset   workload.Dataset
@@ -154,8 +145,8 @@ func (s spec) gen() *workload.Generator {
 // build opens a session over rel for the spec: the harness drives every
 // engine through the same repro.Open construction path as the examples
 // and tools.
-func (s spec) build(rel *relation.Relation, rules []cfd.CFD, noIndexes bool) (*session.Session, error) {
-	opts := s.options(rel, noIndexes)
+func (s spec) build(rel *relation.Relation, rules []cfd.CFD) (*session.Session, error) {
+	opts := s.options(rel)
 	if opts == nil {
 		return nil, fmt.Errorf("harness: unknown style %q", s.style)
 	}
@@ -167,7 +158,7 @@ func (s spec) build(rel *relation.Relation, rules []cfd.CFD, noIndexes bool) (*s
 }
 
 // options maps the spec's knobs onto session options.
-func (s spec) options(rel *relation.Relation, noIndexes bool) []session.Option {
+func (s spec) options(rel *relation.Relation) []session.Option {
 	var opts []session.Option
 	switch s.style {
 	case "vertical":
@@ -191,9 +182,6 @@ func (s spec) options(rel *relation.Relation, noIndexes bool) []session.Option {
 	default:
 		return nil
 	}
-	if noIndexes {
-		opts = append(opts, session.WithNoIndexes())
-	}
 	if s.serialFanout {
 		opts = append(opts, session.WithMaxFanout(1))
 	}
@@ -201,7 +189,9 @@ func (s spec) options(rel *relation.Relation, noIndexes bool) []session.Option {
 }
 
 // run executes one configuration: generate D, Σ and ∆D, then measure the
-// requested algorithms, each on a session of its own that it closes.
+// requested algorithms. The batch side runs BatchDetect on the session
+// the incremental side has just advanced to D ⊕ ∆D; a session is built
+// for it only for Exp-10's rebuild from ∅ and for batch-only points.
 // Setup (partitioning, index seeding) is never timed, matching the
 // paper's methodology where indices pre-exist.
 func run(s spec) (out, error) {
@@ -211,9 +201,10 @@ func run(s spec) (out, error) {
 	rel := gen.Relation(s.dSize)
 	updates := gen.Updates(rel, s.deltaSize, s.insFrac)
 
+	var sys *session.Session
 	if s.runInc {
-		sys, err := s.build(rel, rules, false)
-		if err != nil {
+		var err error
+		if sys, err = s.build(rel, rules); err != nil {
 			return o, err
 		}
 		defer sys.Close()
@@ -231,30 +222,34 @@ func run(s spec) (out, error) {
 	if !s.runBat {
 		return o, nil
 	}
-	updated := rel.Clone()
-	if err := updates.Normalize().Apply(updated); err != nil {
-		return o, err
-	}
-	// The batch side recomputes V over D ⊕ ∆D: BatchDetect on a session
-	// without indexes, or — Exp-10's refined batch algorithms — a rebuild
-	// from ∅ with the incremental insertion machinery.
-	base, noIndexes := updated, true
+	// Exp-10's refined batch algorithms rebuild V from ∅ with the
+	// incremental insertion machinery; a batch-only point opens its
+	// session over D ⊕ ∆D.
+	bsys := sys
 	var inserts relation.UpdateList
-	if s.ibat {
-		base, noIndexes = relation.New(rel.Schema), false
-		updated.Each(func(t relation.Tuple) bool {
-			inserts = append(inserts, relation.Update{Kind: relation.Insert, Tuple: t})
-			return true
-		})
+	if s.ibat || bsys == nil {
+		updated := rel.Clone()
+		if err := updates.Normalize().Apply(updated); err != nil {
+			return o, err
+		}
+		base := updated
+		if s.ibat {
+			base = relation.New(rel.Schema)
+			updated.Each(func(t relation.Tuple) bool {
+				inserts = append(inserts, relation.Update{Kind: relation.Insert, Tuple: t})
+				return true
+			})
+		}
+		var err error
+		if bsys, err = s.build(base, rules); err != nil {
+			return o, err
+		}
+		defer bsys.Close()
 	}
-	bsys, err := s.build(base, rules, noIndexes)
-	if err != nil {
-		return o, err
-	}
-	defer bsys.Close()
 	bsys.Cluster().ResetStats()
 	start := time.Now()
 	var v *cfd.Violations
+	var err error
 	if s.ibat {
 		_, err = bsys.ApplyBatch(context.Background(), inserts)
 		v = bsys.Violations()

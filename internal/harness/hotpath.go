@@ -33,11 +33,11 @@ func hotpathWorkload(Scale) string {
 }
 
 // hotpathSystem opens one distributed session over the hot-path workload.
-func hotpathSystem(style string, noIndexes bool) (*session.Session, *workload.Generator, error) {
-	sp := spec{dataset: workload.TPCH, style: style, sites: hpSites, seed: hpSeed, sizeHint: 8000, useOptimizer: !noIndexes}
+func hotpathSystem(style string, useOptimizer bool) (*session.Session, *workload.Generator, error) {
+	sp := spec{dataset: workload.TPCH, style: style, sites: hpSites, seed: hpSeed, sizeHint: 8000, useOptimizer: useOptimizer}
 	gen := sp.gen()
 	rules := gen.Rules(hpRules)
-	sys, err := sp.build(gen.Relation(hpRows), rules, noIndexes)
+	sys, err := sp.build(gen.Relation(hpRows), rules)
 	return sys, gen, err
 }
 
@@ -46,7 +46,7 @@ func hotpathSystem(style string, noIndexes bool) (*session.Session, *workload.Ge
 // index state steady, and a fixed window makes the meters a pure function
 // of hpSeed.
 func unitUpdateMeters(style string) (bytesPerOp, msgsPerOp float64, err error) {
-	sys, gen, err := hotpathSystem(style, false)
+	sys, gen, err := hotpathSystem(style, true)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -66,7 +66,7 @@ func unitUpdateMeters(style string) (bytesPerOp, msgsPerOp float64, err error) {
 // batchDetectMeters measures one BatchDetect (the Θ(|D|) baseline) on a
 // fresh system; every run ships the same.
 func batchDetectMeters(style string) (bytes, msgs float64, err error) {
-	sys, _, err := hotpathSystem(style, true)
+	sys, _, err := hotpathSystem(style, false)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -255,16 +255,12 @@ func TestDriverRefusesMalformedReplies(t *testing.T) {
 // hosted site registers: the site answers or refuses, never panics, and
 // after a call it accepted its index holds no empty class and no fresh
 // bit, and its snapshot still restores. The corpus is what a driver
-// really sends its sites — seeding with and without indexes, a batch, an
+// really sends its sites — seeding, a batch, per-update rounds, an
 // AddRules, a RemoveRules and a BatchDetect, all offered to site 0 —
 // plus the probe and the settle whose 3-byte digest used to kill the
 // process.
 func FuzzDispatch(f *testing.F) {
 	gen, rel, scheme, rules := dispatchFixture()
-	bare, bareTr := hostedSystem(f, rel, scheme, rules[:20], Options{NoIndexes: true})
-	if _, err := bare.BatchDetect(); err != nil {
-		f.Fatal(err)
-	}
 	sys, tr := hostedSystem(f, rel, scheme, rules[:20], Options{})
 	snap, err := tr.sites[0].Snapshot()
 	if err != nil {
@@ -273,15 +269,27 @@ func FuzzDispatch(f *testing.F) {
 	if _, err := sys.Apply(gen.Updates(rel, 24, 0.5)); err != nil {
 		f.Fatal(err)
 	}
+	// Per-update rounds, a batch of one each: a fresh tuple in and out.
+	for i := 0; i < 24; i++ {
+		t := gen.Next()
+		for _, kind := range []relation.UpdateKind{relation.Insert, relation.Delete} {
+			if _, err := sys.Apply(relation.UpdateList{{Kind: kind, Tuple: t}}); err != nil {
+				f.Fatal(err)
+			}
+		}
+	}
 	if _, err := sys.AddRules(rules[20:]); err != nil {
 		f.Fatal(err)
 	}
 	if _, err := sys.RemoveRules([]string{rules[2].ID}); err != nil {
 		f.Fatal(err)
 	}
+	if _, err := sys.BatchDetect(); err != nil {
+		f.Fatal(err)
+	}
 	methods := tr.c.Methods(0)
 	sent := make(map[string]bool)
-	for _, call := range append(bareTr.recorded, tr.recorded...) {
+	for _, call := range tr.recorded {
 		sent[call.method] = true
 		f.Add(uint8(slices.Index(methods, call.method)), call.data)
 	}

@@ -9,11 +9,11 @@ import (
 	"repro/internal/workload"
 )
 
-// TestRegisteredMethodsAreDriven: between them a seeded system, a
-// NoIndexes one, a mixed batch that crosses sites, AddRules, RemoveRules
-// and BatchDetect send every method site.register wires, and nothing
-// else. A handler kept registered with no driver code behind it — or a
-// call nothing handles — fails here.
+// TestRegisteredMethodsAreDriven: between them seeding, a mixed batch
+// that crosses sites, AddRules, RemoveRules and BatchDetect send every
+// method site.register wires, and nothing else. A handler kept
+// registered with no driver code behind it — or a call nothing handles —
+// fails here.
 func TestRegisteredMethodsAreDriven(t *testing.T) {
 	const n = 4
 	gen := workload.NewSized(workload.TPCH, 7, 3000)
@@ -26,11 +26,6 @@ func TestRegisteredMethodsAreDriven(t *testing.T) {
 		if !sys.Violations().Equal(want) {
 			t.Fatalf("%s: V ≠ centralized Detect", step)
 		}
-	}
-
-	bare, bareTr := hostedSystem(t, mirror, scheme, rules[:20], Options{NoIndexes: true})
-	if v, err := bare.BatchDetect(); err != nil || !v.Equal(centralized.Detect(mirror, rules[:20])) {
-		t.Fatalf("NoIndexes BatchDetect: equal to the oracle = false, err = %v", err)
 	}
 
 	sys, tr := hostedSystem(t, mirror, scheme, rules[:20], Options{})
@@ -51,9 +46,12 @@ func TestRegisteredMethodsAreDriven(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(sys, "RemoveRules")
+	if v, err := sys.BatchDetect(); err != nil || !v.Equal(centralized.Detect(mirror, sys.Rules())) {
+		t.Fatalf("BatchDetect: equal to the oracle = false, err = %v", err)
+	}
 
 	var driven []string
-	for _, call := range append(bareTr.recorded, tr.recorded...) {
+	for _, call := range tr.recorded {
 		if !slices.Contains(driven, call.method) {
 			driven = append(driven, call.method)
 		}

@@ -63,13 +63,6 @@ func digestOf(vals []string) code {
 	return md5.Sum(relation.AppendKeyVals(buf[:0], vals))
 }
 
-// applyReq stores or removes a tuple at its owning site.
-type applyReq struct {
-	Op     OpKind
-	ID     int64
-	Values []string
-}
-
 // --- batch-grouped protocol ---
 //
 // §6's protocols pay one probe broadcast (and possibly a demote round)

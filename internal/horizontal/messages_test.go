@@ -12,7 +12,7 @@ import (
 // value each with every nested type populated.
 func wireMessages() []any {
 	return []any{
-		applyReq{Values: []string{""}}, shipMatchingReq{}, shipMatchingResp{Rows: []matchRow{{X: []string{""}}}},
+		shipMatchingReq{}, shipMatchingResp{Rows: []matchRow{{X: []string{""}}}},
 		localDetectReq{}, localDetectResp{IDs: []int64{0}},
 		batchApplyReq{Updates: []batchApplyItem{{Values: []string{""}}}},
 		batchApplyResp{Consts: []constMark{{}}, Groups: []touchedGroup{{X: []byte{0}, PostBs: [][]byte{{0}}, Inserted: []int64{0}, DeletedWasInV: []bool{false}}}},

@@ -164,9 +164,6 @@ func (sys *System) allSites() []network.SiteID {
 // error leaves driver and sites desynchronized, and the system should
 // be rebuilt.
 func (sys *System) AddRules(rules []cfd.CFD) (*cfd.Delta, error) {
-	if sys.noIndexes {
-		return nil, fmt.Errorf("horizontal: cannot add rules: %w", xerr.ErrNoIndexes)
-	}
 	delta := cfd.NewDelta()
 	if len(rules) == 0 {
 		return delta, nil
@@ -306,9 +303,6 @@ func (sys *System) AddRules(rules []cfd.CFD) (*cfd.Delta, error) {
 // per-site compiled forms and group indexes. The returned ∆V holds
 // exactly the retired marks.
 func (sys *System) RemoveRules(ids []string) (*cfd.Delta, error) {
-	if sys.noIndexes {
-		return nil, fmt.Errorf("horizontal: cannot remove rules: %w", xerr.ErrNoIndexes)
-	}
 	drop := make(map[string]bool, len(ids))
 	for _, id := range ids {
 		if drop[id] {

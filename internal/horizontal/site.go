@@ -127,21 +127,6 @@ func (s *site) refuse(method, format string, args ...any) error {
 	return fmt.Errorf("horizontal: site %d: %s: "+format, append([]any{s.id, method}, args...)...)
 }
 
-// apply stores or removes a tuple in the fragment.
-func (s *site) apply(req applyReq) (empty, error) {
-	switch req.Op {
-	case OpInsert:
-		if err := s.frag.Insert(relation.Tuple{ID: relation.TupleID(req.ID), Values: req.Values}); err != nil {
-			return empty{}, err
-		}
-	case OpDelete:
-		if _, err := s.frag.Delete(relation.TupleID(req.ID)); err != nil {
-			return empty{}, err
-		}
-	}
-	return empty{}, nil
-}
-
 // tupleKeys computes the MD5 codes of t[X] and t[B] under a compiled
 // rule through the site's scratch buffer.
 func (s *site) tupleKeys(r *cfd.Compiled, t relation.Tuple) (dx, db code) {
@@ -594,7 +579,6 @@ func (s *site) localDetect(req localDetectReq) (localDetectResp, error) {
 }
 
 func (s *site) register(c *network.Cluster) {
-	network.RegisterFunc(c, s.id, "h.apply", s.apply)
 	network.RegisterFunc(c, s.id, "h.batchApply", s.batchApply)
 	network.RegisterFunc(c, s.id, "h.forwardGroup", s.forwardGroup)
 	network.RegisterFunc(c, s.id, "h.probeGroup", s.probeGroup)

@@ -7,7 +7,6 @@ import (
 	"repro/internal/network"
 	"repro/internal/partition"
 	"repro/internal/relation"
-	"repro/internal/xerr"
 )
 
 // Options configures a horizontal detection system.
@@ -16,9 +15,6 @@ type Options struct {
 	// group keys of probe and settle items, turning §6's optimization off
 	// (for the shipment ablation).
 	DisableMD5 bool
-	// NoIndexes loads the fragments only; the system serves batHor
-	// (BatchDetect) but rejects Apply.
-	NoIndexes bool
 	// Transport, when non-nil, is a state-hosting transport (TCP sited
 	// deployment): it is installed before seeding, so the initial
 	// database is loaded into the remote sites and the local site
@@ -67,10 +63,9 @@ type System struct {
 	// the rule's pattern constants: Fi ∧ Fφ unsatisfiable (§6 (2)(b)).
 	excluded map[string][]bool
 
-	useMD5    bool
-	v         *cfd.Violations
-	direct    bool
-	noIndexes bool
+	useMD5 bool
+	v      *cfd.Violations
+	direct bool
 }
 
 // seedChunk is how many tuples of the initial relation one seeding round
@@ -122,21 +117,15 @@ func NewSystem(rel *relation.Relation, scheme *partition.HorizontalScheme, rules
 		sys.excluded[r.ID] = ex
 	}
 
-	sys.noIndexes = opts.NoIndexes
 	if !opts.SkipSeed {
 		sys.direct = true
-		var seedErr error
-		if sys.noIndexes {
-			seedErr = sys.seedFragments(rel)
-		} else {
-			seedErr = rel.EachInsertChunk(seedChunk, func(ins relation.UpdateList) error {
-				_, err := sys.applyCoalesced(ins)
-				return err
-			})
-			// Seeding is not a protocol round: the relay rotation starts
-			// from wave zero, as it did when seeding never ran a wave.
-			sys.waveSeq = 0
-		}
+		seedErr := rel.EachInsertChunk(seedChunk, func(ins relation.UpdateList) error {
+			_, err := sys.applyCoalesced(ins)
+			return err
+		})
+		// Seeding is not a protocol round: the relay rotation starts
+		// from wave zero, as it did when seeding never ran a wave.
+		sys.waveSeq = 0
 		sys.direct = false
 		if seedErr != nil {
 			return nil, seedErr
@@ -166,36 +155,6 @@ func (sys *System) ProtocolCursor() uint64 { return uint64(sys.waveSeq) }
 // SetProtocolCursor restores the wave counter (see ProtocolCursor).
 func (sys *System) SetProtocolCursor(c uint64) { sys.waveSeq = int(c) }
 
-// seedFragments loads rel into the owning fragments without building
-// indices (the NoIndexes mode measuring the batch baseline): tuples are
-// routed to their owner once, then each site ingests its share in
-// parallel with the others.
-func (sys *System) seedFragments(rel *relation.Relation) error {
-	perSite := make([][]applyReq, len(sys.sites))
-	var routeErr error
-	rel.Each(func(t relation.Tuple) bool {
-		owner, err := sys.scheme.SiteFor(sys.schema, t)
-		if err != nil {
-			routeErr = err
-			return false
-		}
-		perSite[owner] = append(perSite[owner], applyReq{Op: OpInsert, ID: int64(t.ID), Values: t.Values})
-		return true
-	})
-	if routeErr != nil {
-		return routeErr
-	}
-	return sys.cluster.Fanout(len(perSite), network.FanoutOpts{}, func(i int) error {
-		site := network.SiteID(i)
-		for _, req := range perSite[i] {
-			if err := sys.send(site, site, "h.apply", req, nil); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
 // Cluster exposes the message fabric.
 func (sys *System) Cluster() *network.Cluster { return sys.cluster }
 
@@ -222,9 +181,6 @@ func gather[Req, Resp any](sys *System, from network.SiteID, method string, targ
 // the batch-grouped protocol (coalesce.go), maintains V and returns ∆V. A
 // per-update round is a batch of one.
 func (sys *System) Apply(updates relation.UpdateList) (*cfd.Delta, error) {
-	if sys.noIndexes {
-		return nil, fmt.Errorf("horizontal: cannot apply incremental updates: %w", xerr.ErrNoIndexes)
-	}
 	norm := updates.NormalizeInto(sys.normScratch)
 	if len(norm) != len(updates) {
 		sys.normScratch = norm // grown scratch: keep the backing array

@@ -54,15 +54,6 @@ func AppendFrame(dst, payload []byte, max int64) ([]byte, error) {
 	return append(dst, payload...), nil
 }
 
-// WriteFrame writes one framed payload to w in a single Write call.
-func WriteFrame(w io.Writer, payload []byte, max int64) (int, error) {
-	buf, err := AppendFrame(nil, payload, max)
-	if err != nil {
-		return 0, err
-	}
-	return w.Write(buf)
-}
-
 // ReadFrame reads one framed payload from r, rejecting any frame whose
 // declared length exceeds max (<= 0 means DefaultMaxFrame) before
 // allocating. A clean EOF at a frame boundary returns io.EOF; a torn

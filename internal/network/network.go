@@ -458,10 +458,3 @@ func RegisterFunc[Req, Resp any](c *Cluster, site SiteID, method string, f func(
 		return f(req)
 	}
 }
-
-// Ask is a typed convenience wrapper around Cluster.Call.
-func Ask[Resp any, Req any](c *Cluster, from, to SiteID, method string, req Req) (Resp, error) {
-	var resp Resp
-	err := c.Call(from, to, method, req, &resp)
-	return resp, err
-}

@@ -129,10 +129,6 @@ func NewTCPTransport(addrs []string, cfg TCPConfig) (*TCPTransport, error) {
 	return t, nil
 }
 
-// HostsSiteState reports that site state lives behind this transport:
-// the cluster must ship every call, same-site included, through Invoke.
-func (t *TCPTransport) HostsSiteState() bool { return true }
-
 // FrameBytes returns the physical bytes this transport has put on and
 // taken off its sockets: frame headers, binary envelopes, call and reply
 // payloads (same-site seeding and ∆D delivery included), handshakes.

@@ -97,16 +97,6 @@ func (p *Plan) Edges() []string {
 // Node returns the node with the given id.
 func (p *Plan) Node(id NodeID) Node { return p.Nodes[id] }
 
-// TopoOrder returns node ids such that inputs precede consumers. Plans are
-// built bottom-up so the natural order already satisfies this.
-func (p *Plan) TopoOrder() []NodeID {
-	out := make([]NodeID, len(p.Nodes))
-	for i := range p.Nodes {
-		out[i] = NodeID(i)
-	}
-	return out
-}
-
 // Stages returns every node's cross-site stage, indexed by node id: 0 for
 // a base node, and for a composed node the maximum over its inputs of the
 // input's stage, plus one when that input lives at another site. Every

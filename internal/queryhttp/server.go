@@ -167,8 +167,8 @@ type bufferedResponse struct {
 	body   bytes.Buffer
 }
 
-func (b *bufferedResponse) Header() http.Header       { return b.header }
-func (b *bufferedResponse) WriteHeader(code int)      { b.status = code }
+func (b *bufferedResponse) Header() http.Header         { return b.header }
+func (b *bufferedResponse) WriteHeader(code int)        { b.status = code }
 func (b *bufferedResponse) Write(p []byte) (int, error) { return b.body.Write(p) }
 
 // timed bounds a point read by ReadTimeout: the handler runs against a

@@ -11,7 +11,6 @@ package relation
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/xerr"
 	"strings"
@@ -111,13 +110,6 @@ func (s *Schema) Equal(o *Schema) bool {
 		}
 	}
 	return true
-}
-
-// SortedAttrs returns the attribute names in lexicographic order.
-func (s *Schema) SortedAttrs() []string {
-	out := append([]string(nil), s.Attrs...)
-	sort.Strings(out)
-	return out
 }
 
 func (s *Schema) String() string {

@@ -47,17 +47,6 @@ func (ul UpdateList) Insertions() UpdateList {
 	return out
 }
 
-// Deletions returns the sub-list ∆D− of deletions, in order.
-func (ul UpdateList) Deletions() UpdateList {
-	var out UpdateList
-	for _, u := range ul {
-		if u.Kind == Delete {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
 // Normalize removes pairs of updates on the same tuple id that cancel each
 // other (an insertion later deleted), implementing line 1 of the paper's
 // incVer / incHor batch algorithms. A delete-then-insert of the same id (a

@@ -45,9 +45,13 @@ func mustOpen(t *testing.T, rel *relation.Relation, rules []cfd.CFD, opts ...Opt
 }
 
 // build opens a three-site session of the given style over rel (vertical
-// with the §5 optimizer), plus any extra options.
+// with the §5 optimizer; "centralized" opens an undistributed one), plus
+// any extra options.
 func build(t *testing.T, style string, rel *relation.Relation, rules []cfd.CFD, extra ...Option) *Session {
 	t.Helper()
+	if style == "centralized" {
+		return mustOpen(t, rel, rules, extra...)
+	}
 	opts := []Option{styleOption(style, rel.Schema, 3)}
 	if style == "vertical" {
 		opts = append(opts, WithOptimizer())
@@ -125,37 +129,31 @@ func TestApplyBatchMatchesOracle(t *testing.T) {
 }
 
 // TestBatchDetectMatchesOracle: the batch baseline recomputes the same
-// violation set from the fragments, with and without indexes.
+// violation set from the fragments, on a freshly seeded session and on
+// one an ApplyBatch has advanced to D ⊕ ∆D — the session the harness
+// runs it on — for every engine.
 func TestBatchDetectMatchesOracle(t *testing.T) {
-	for _, style := range styles {
-		for _, noIndexes := range []bool{false, true} {
-			rel, rules, _ := engineFixture(3)
-			var extra []Option
-			if noIndexes {
-				extra = append(extra, WithNoIndexes())
+	for _, style := range append([]string{"centralized"}, styles...) {
+		for _, applied := range []bool{false, true} {
+			rel, rules, updates := engineFixture(3)
+			d := build(t, style, rel.Clone(), rules)
+			want := rel
+			if applied {
+				if _, err := d.ApplyBatch(context.Background(), updates); err != nil {
+					t.Fatal(err)
+				}
+				want = rel.Clone()
+				if err := updates.Normalize().Apply(want); err != nil {
+					t.Fatal(err)
+				}
 			}
-			d := build(t, style, rel.Clone(), rules, extra...)
 			got, err := d.BatchDetect()
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := centralized.Detect(rel, rules)
-			if !got.Equal(want) {
-				t.Errorf("%s noIndexes=%v: batch V ≠ oracle", style, noIndexes)
+			if !got.Equal(centralized.Detect(want, rules)) {
+				t.Errorf("%s applied=%v: batch V ≠ oracle", style, applied)
 			}
-		}
-	}
-}
-
-// TestNoIndexesRejectsIncremental: a NoIndexes system serves the batch
-// baseline only; ApplyBatch must fail loudly rather than silently skip
-// maintenance.
-func TestNoIndexesRejectsIncremental(t *testing.T) {
-	for _, style := range styles {
-		rel, rules, updates := engineFixture(4)
-		d := build(t, style, rel.Clone(), rules, WithNoIndexes())
-		if _, err := d.ApplyBatch(context.Background(), updates); err == nil {
-			t.Errorf("%s: NoIndexes system accepted ApplyBatch", style)
 		}
 	}
 }

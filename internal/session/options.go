@@ -47,7 +47,6 @@ type config struct {
 
 	useOptimizer bool
 	disableMD5   bool
-	noIndexes    bool
 	maxFanout    int // -1 = engine default
 
 	tcpAddrs  []string
@@ -117,8 +116,6 @@ func (c *config) validate() error {
 		switch {
 		case c.maxFanout >= 0:
 			return fmt.Errorf("session: WithMaxFanout requires a distributed session")
-		case c.noIndexes:
-			return fmt.Errorf("session: WithNoIndexes requires a distributed session")
 		case len(c.tcpAddrs) > 0:
 			return fmt.Errorf("session: WithTCPSites requires a distributed session")
 		}
@@ -209,17 +206,6 @@ func WithOptimizer() Option {
 func WithoutMD5() Option {
 	return func(c *config) error {
 		c.disableMD5 = true
-		return nil
-	}
-}
-
-// WithNoIndexes loads the fragments only, skipping index construction
-// and initial detection: the session serves BatchDetect (the batch
-// baselines, whose setup the paper does not charge for) but rejects
-// incremental operations with ErrNoIndexes.
-func WithNoIndexes() Option {
-	return func(c *config) error {
-		c.noIndexes = true
 		return nil
 	}
 }

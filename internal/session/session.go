@@ -236,7 +236,6 @@ func Open(rel *relation.Relation, rules []cfd.CFD, opts ...Option) (*Session, er
 	case Horizontal:
 		hOpts := horizontal.Options{
 			DisableMD5: cfg.disableMD5,
-			NoIndexes:  cfg.noIndexes,
 			SkipSeed:   res != nil,
 		}
 		if len(cfg.tcpAddrs) > 0 {
@@ -259,7 +258,6 @@ func Open(rel *relation.Relation, rules []cfd.CFD, opts ...Option) (*Session, er
 	case Vertical:
 		vOpts := vertical.Options{
 			UseOptimizer: cfg.useOptimizer,
-			NoIndexes:    cfg.noIndexes,
 			SkipSeed:     res != nil,
 		}
 		if len(cfg.tcpAddrs) > 0 {
@@ -479,7 +477,10 @@ func (s *Session) Plan() *optimizer.Plan { return s.plan }
 // ApplyBatch applies one batch update ∆D through the engine's
 // incremental algorithm, maintaining V(Σ, D) and returning ∆V. The
 // context is honored between protocol steps: a cancelled ctx fails the
-// call before any work.
+// call before any work. A batch is not checked against D up front: one
+// that is inapplicable (say, deleting a tuple D does not hold) fails
+// with its earlier updates already applied in every engine, so after
+// such an error the session should be rebuilt.
 func (s *Session) ApplyBatch(ctx context.Context, updates relation.UpdateList) (*cfd.Delta, error) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()

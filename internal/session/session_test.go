@@ -234,7 +234,6 @@ func TestOptionValidation(t *testing.T) {
 	_, rel, rules := tpch(t, 5, 50)
 	bad := [][]Option{
 		{WithMaxFanout(1)},
-		{WithNoIndexes()},
 		{WithOptimizer()},
 		{WithOptimizer(), WithHorizontal(partition.HashHorizontal("c_name", 2))},
 		{WithoutMD5(), WithVertical(partition.RoundRobinVertical(rel.Schema, 2))},
@@ -244,17 +243,5 @@ func TestOptionValidation(t *testing.T) {
 		if _, err := Open(rel, rules[:2], opts...); err == nil {
 			t.Fatalf("option set %d: Open succeeded, want error", i)
 		}
-	}
-	// NoIndexes rejects incremental ops but serves BatchDetect.
-	s, err := Open(rel, rules[:2], WithHorizontal(partition.HashHorizontal("c_name", 2)), WithNoIndexes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if _, err := s.ApplyBatch(context.Background(), nil); !errors.Is(err, xerr.ErrNoIndexes) {
-		t.Fatalf("NoIndexes ApplyBatch error = %v, want ErrNoIndexes", err)
-	}
-	if _, err := s.BatchDetect(); err != nil {
-		t.Fatalf("NoIndexes BatchDetect: %v", err)
 	}
 }

@@ -66,10 +66,6 @@ func openStorage(dir string, budget int64) (centralized.Storage, error) {
 	return st, nil
 }
 
-// StorageDir returns the out-of-core storage directory, "" for a fully
-// in-memory session.
-func (s *Session) StorageDir() string { return s.cfg.storageDir }
-
 // StorageStats reports the per-store page-cache and file counters of an
 // out-of-core session, keyed "tuples" and "groups". Nil for in-memory
 // sessions. The counters are a pure function of the input and the

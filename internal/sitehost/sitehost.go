@@ -108,8 +108,9 @@ type Hello struct {
 // are retired, so a driver that would call them is refused here instead of
 // hitting "no handler" mid-round; 5: the vertical same-site calls carry
 // id, index and bitset columns over a shared rule numbering; 6: the hello
-// and its status leave gob for the positional payload codec).
-const ProtoVersion = 6
+// and its status leave gob for the positional payload codec; 7: h.apply,
+// the per-tuple fragment load, is retired).
+const ProtoVersion = 7
 
 // Encode encodes the hello with the positional payload codec.
 func (h *Hello) Encode() ([]byte, error) {

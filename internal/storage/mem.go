@@ -54,7 +54,7 @@ func (s *MemStore) EachRange(lo, hi []byte, fn func(key, val []byte) bool) error
 	return nil
 }
 
-func (s *MemStore) Len() int      { return len(s.m) }
-func (s *MemStore) Flush() error  { return nil }
-func (s *MemStore) Stats() Stats  { return Stats{} }
-func (s *MemStore) Close() error  { return nil }
+func (s *MemStore) Len() int     { return len(s.m) }
+func (s *MemStore) Flush() error { return nil }
+func (s *MemStore) Stats() Stats { return Stats{} }
+func (s *MemStore) Close() error { return nil }

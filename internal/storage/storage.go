@@ -63,17 +63,17 @@ type Store interface {
 // the access sequence; for a given input both are fixed, so the same
 // run repeats them bit for bit.
 type Stats struct {
-	Hits         uint64 // page lookups served from the cache
-	Misses       uint64 // page lookups that had to fault or create
-	Faults       uint64 // pages decoded from disk
-	Evictions    uint64 // clean pages dropped to respect the budget
-	FlushedPages uint64 // page records appended by Flush
-	FlushedBytes uint64 // payload bytes appended by Flush
-	Compactions  uint64 // temp+fsync+rename rewrites of the data file
-	ResidentPages int   // decoded pages currently cached
-	ResidentBytes int64 // approximate decoded bytes currently cached
-	DirtyPages    int   // cached pages with unflushed writes
-	DiskBytes     int64 // current size of the backing file
+	Hits          uint64 // page lookups served from the cache
+	Misses        uint64 // page lookups that had to fault or create
+	Faults        uint64 // pages decoded from disk
+	Evictions     uint64 // clean pages dropped to respect the budget
+	FlushedPages  uint64 // page records appended by Flush
+	FlushedBytes  uint64 // payload bytes appended by Flush
+	Compactions   uint64 // temp+fsync+rename rewrites of the data file
+	ResidentPages int    // decoded pages currently cached
+	ResidentBytes int64  // approximate decoded bytes currently cached
+	DirtyPages    int    // cached pages with unflushed writes
+	DiskBytes     int64  // current size of the backing file
 }
 
 // Uint64Pager maps keys whose first 8 bytes are a big-endian uint64

@@ -6,39 +6,51 @@ import (
 
 	"repro/internal/centralized"
 	"repro/internal/partition"
-	"repro/internal/vertical"
 	"repro/internal/workload"
 )
 
-// TestNoIndexesSeedsInChunks: a NoIndexes system loads its fragments
-// through the one seeding path — one v.batchFrag per site per 128-tuple
-// chunk, ⌈|D|/128⌉ calls per site rather than |D|, and nothing else — and
-// its BatchDetect equals the centralized oracle.
-func TestNoIndexesSeedsInChunks(t *testing.T) {
+// TestSeedingRunsInChunks: a seeded system loads its fragments in
+// 128-tuple chunks — one v.batchFrag per site per chunk, ⌈|D|/128⌉ calls
+// per site rather than |D|, and fewer calls than tuples per site in all —
+// and its V and BatchDetect both equal the centralized oracle.
+func TestSeedingRunsInChunks(t *testing.T) {
 	const n, rows = 4, 300
 	gen := workload.NewSized(workload.TPCH, 3, 3000)
 	rules := gen.Rules(12)
 	rel := gen.Relation(rows)
-	sys, tr := tcpSystemOpts(t, rel, partition.RoundRobinVertical(rel.Schema, n), rules, vertical.Options{NoIndexes: true})
+	sys, tr := tcpSystem(t, rel, partition.RoundRobinVertical(rel.Schema, n), rules)
 	calls := tr.take()
 	chunks := (rows + 127) / 128
-	if got := calls["v.batchFrag"]; len(calls) != 1 || !slices.Equal(got, []int{chunks, chunks, chunks, chunks}) {
-		t.Errorf("seeding calls = %v, want only v.batchFrag, %d per site", calls, chunks)
+	if got := calls["v.batchFrag"]; !slices.Equal(got, []int{chunks, chunks, chunks, chunks}) {
+		t.Errorf("seeding v.batchFrag calls = %v, want %d per site", got, chunks)
+	}
+	total := make([]int, n)
+	for _, perSite := range calls {
+		for i, c := range perSite {
+			total[i] += c
+		}
+	}
+	if slices.Max(total) >= rows {
+		t.Errorf("seeding sent %v calls per site, not fewer than |D| = %d", total, rows)
+	}
+	want := centralized.Detect(rel, rules)
+	if !sys.Violations().Equal(want) {
+		t.Errorf("seeded V ≠ centralized Detect")
 	}
 	v, err := sys.BatchDetect()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := centralized.Detect(rel, rules); !v.Equal(want) {
-		t.Errorf("NoIndexes BatchDetect ≠ centralized Detect:\n got %v\nwant %v", v, want)
+	if !v.Equal(want) {
+		t.Errorf("BatchDetect ≠ centralized Detect:\n got %v\nwant %v", v, want)
 	}
 }
 
-// TestRegisteredMethodsAreDriven: between them a seeded system, a
-// NoIndexes one, a mixed batch that crosses sites, AddRules, RemoveRules
-// and BatchDetect send every method site.register wires, and nothing
-// else. A handler kept registered with no driver code behind it — or a
-// call nothing handles — fails here.
+// TestRegisteredMethodsAreDriven: between them seeding, a mixed batch
+// that crosses sites, AddRules, RemoveRules and BatchDetect send every
+// method site.register wires, and nothing else. A handler kept
+// registered with no driver code behind it — or a call nothing handles —
+// fails here.
 func TestRegisteredMethodsAreDriven(t *testing.T) {
 	gen := workload.NewSized(workload.TPCH, 7, 3000)
 	rules := gen.Rules(24)
@@ -51,12 +63,6 @@ func TestRegisteredMethodsAreDriven(t *testing.T) {
 		}
 	}
 
-	bare, bareTr := tcpSystemOpts(t, rel, scheme, rules[:20], vertical.Options{NoIndexes: true})
-	if _, err := bare.BatchDetect(); err != nil {
-		t.Fatal(err)
-	}
-	record(bareTr)
-
 	sys, tr := tcpSystem(t, rel, scheme, rules[:20])
 	batch := gen.Updates(rel, 60, 0.6)
 	if _, err := sys.Apply(batch); err != nil {
@@ -66,6 +72,9 @@ func TestRegisteredMethodsAreDriven(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := sys.RemoveRules([]string{rules[0].ID, rules[21].ID}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.BatchDetect(); err != nil {
 		t.Fatal(err)
 	}
 	record(tr)

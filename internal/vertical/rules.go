@@ -156,9 +156,6 @@ func GraftRules(plan *optimizer.Plan, scheme *partition.VerticalScheme, rules []
 // are not atomic: a mid-round transport error leaves driver and sites
 // desynchronized, and the system should be rebuilt.
 func (sys *System) AddRules(rules []cfd.CFD) (*cfd.Delta, error) {
-	if sys.noIndexes {
-		return nil, fmt.Errorf("vertical: cannot add rules: %w", xerr.ErrNoIndexes)
-	}
 	delta := cfd.NewDelta()
 	if len(rules) == 0 {
 		return delta, nil
@@ -326,9 +323,6 @@ func (sys *System) seedWave(ids []int64, newConst, newVar []*cfd.CFD, delta *cfd
 // with surviving rules stay live). The returned ∆V holds exactly the
 // retired marks.
 func (sys *System) RemoveRules(ids []string) (*cfd.Delta, error) {
-	if sys.noIndexes {
-		return nil, fmt.Errorf("vertical: cannot remove rules: %w", xerr.ErrNoIndexes)
-	}
 	drop := make(map[string]bool, len(ids))
 	inForce := make(map[string]bool, len(sys.rules))
 	for i := range sys.rules {

@@ -57,13 +57,6 @@ func sum(xs []int) int {
 // with its counting transport.
 func tcpSystem(t *testing.T, rel *relation.Relation, scheme *partition.VerticalScheme, rules []cfd.CFD) (*vertical.System, *countingTransport) {
 	t.Helper()
-	return tcpSystemOpts(t, rel, scheme, rules, vertical.Options{})
-}
-
-// tcpSystemOpts is tcpSystem under the given options (Plan and Transport
-// are filled in here).
-func tcpSystemOpts(t *testing.T, rel *relation.Relation, scheme *partition.VerticalScheme, rules []cfd.CFD, opts vertical.Options) (*vertical.System, *countingTransport) {
-	t.Helper()
 	addrs := make([]string, scheme.NumSites)
 	for i := range addrs {
 		srv, err := sitehost.Serve(sitehost.NewHost(), "127.0.0.1:0", nil)
@@ -73,7 +66,7 @@ func tcpSystemOpts(t *testing.T, rel *relation.Relation, scheme *partition.Verti
 		t.Cleanup(func() { srv.Close() })
 		addrs[i] = srv.Addr()
 	}
-	plan, err := vertical.PlanFor(rules, scheme, opts)
+	plan, err := vertical.PlanFor(rules, scheme, vertical.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +79,7 @@ func tcpSystemOpts(t *testing.T, rel *relation.Relation, scheme *partition.Verti
 		t.Fatal(err)
 	}
 	tr := &countingTransport{TCPTransport: tcp, calls: make(map[string][]int)}
-	opts.Plan, opts.Transport = plan, tr
-	sys, err := vertical.NewSystem(rel, scheme, rules, opts)
+	sys, err := vertical.NewSystem(rel, scheme, rules, vertical.Options{Plan: plan, Transport: tr})
 	if err != nil {
 		t.Fatal(err)
 	}

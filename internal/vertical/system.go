@@ -11,7 +11,6 @@ import (
 	"repro/internal/optimizer"
 	"repro/internal/partition"
 	"repro/internal/relation"
-	"repro/internal/xerr"
 )
 
 // Options configures a vertical detection system.
@@ -22,11 +21,6 @@ type Options struct {
 	UseOptimizer bool
 	// Plan overrides planning entirely (used by ablations and tests).
 	Plan *optimizer.Plan
-	// NoIndexes loads the fragments only, skipping HEV/IDX construction
-	// and initial violation detection. Such a system serves batVer
-	// (BatchDetect) but rejects Apply. Used when measuring the
-	// batch baseline, whose setup the paper does not charge for.
-	NoIndexes bool
 	// Transport, when non-nil, is a state-hosting transport (TCP sited
 	// deployment): it is installed before seeding, so the initial
 	// database is loaded into the remote sites and the local site
@@ -99,8 +93,7 @@ type System struct {
 	// direct makes every call same-site (unmetered, unmarshalled); used
 	// while seeding the initial database, whose index build is not part
 	// of any measured detection.
-	direct    bool
-	noIndexes bool
+	direct bool
 
 	// normScratch backs the per-batch normalized update slice, reused
 	// across Apply calls so normalization happens exactly once per
@@ -214,15 +207,10 @@ func NewSystem(rel *relation.Relation, scheme *partition.VerticalScheme, rules [
 
 	// Seed: replay the initial database through the batch-grouped
 	// insertion logic in direct (unmetered) mode, seedChunk tuples per
-	// wave; V(Σ, D) accumulates on the way. With NoIndexes only the
-	// fragments are loaded: each wave stops after its delivery phase.
-	sys.noIndexes = opts.NoIndexes
+	// wave; V(Σ, D) accumulates on the way.
 	if !opts.SkipSeed {
 		sys.direct = true
 		seedErr := rel.EachInsertChunk(seedChunk, func(ins relation.UpdateList) error {
-			if sys.noIndexes {
-				return sys.deliverFragments(ins, OpInsert)
-			}
 			_, err := sys.applyCoalesced(ins)
 			return err
 		})
@@ -346,9 +334,6 @@ func gather[Req, Resp any](sys *System, from network.SiteID, method string, targ
 // through the batch-grouped driver (coalesce.go), maintains V(Σ, D) and
 // returns the accumulated ∆V. A per-update round is a batch of one.
 func (sys *System) Apply(updates relation.UpdateList) (*cfd.Delta, error) {
-	if sys.noIndexes {
-		return nil, fmt.Errorf("vertical: cannot apply incremental updates: %w", xerr.ErrNoIndexes)
-	}
 	norm := updates.NormalizeInto(sys.normScratch)
 	if len(norm) != len(updates) {
 		sys.normScratch = norm // grown scratch: keep the backing array

@@ -18,9 +18,6 @@ var (
 	// ErrUnknownAttribute marks a reference to an attribute the schema
 	// (or partition scheme) does not define.
 	ErrUnknownAttribute = errors.New("unknown attribute")
-	// ErrNoIndexes marks an incremental operation on a system built with
-	// the NoIndexes option (batch baselines only load fragments).
-	ErrNoIndexes = errors.New("system built without indexes")
 	// ErrDuplicateRule marks a rule id colliding with one already in
 	// force.
 	ErrDuplicateRule = errors.New("duplicate rule")
@@ -71,7 +68,7 @@ var (
 
 // sentinels lists every sentinel for cross-process reconstruction.
 var sentinels = []error{
-	ErrArityMismatch, ErrUnknownAttribute, ErrNoIndexes,
+	ErrArityMismatch, ErrUnknownAttribute,
 	ErrDuplicateRule, ErrUnknownRule, ErrClosed, ErrSiteDown,
 	ErrCheckpointCorrupt, ErrBatchInDoubt, ErrReplayOverflow,
 	ErrJournalCorrupt, ErrStoreCorrupt, ErrRuleSetSkew,

@@ -131,9 +131,6 @@ var (
 	WithOptimizer = session.WithOptimizer
 	// WithoutMD5 turns §6's MD5 tuple coding off (ablation).
 	WithoutMD5 = session.WithoutMD5
-	// WithNoIndexes loads fragments only: BatchDetect works, the
-	// incremental surface returns ErrNoIndexes.
-	WithNoIndexes = session.WithNoIndexes
 	// WithMaxFanout caps the scatter/gather engine's workers.
 	WithMaxFanout = session.WithMaxFanout
 	// WithTCPSites deploys the session across real OS processes: site i
@@ -208,9 +205,6 @@ var (
 	ErrArityMismatch = xerr.ErrArityMismatch
 	// ErrUnknownAttribute marks references to undeclared attributes.
 	ErrUnknownAttribute = xerr.ErrUnknownAttribute
-	// ErrNoIndexes marks incremental operations on a WithNoIndexes
-	// session.
-	ErrNoIndexes = xerr.ErrNoIndexes
 	// ErrDuplicateRule marks rule ids colliding with rules in force.
 	ErrDuplicateRule = xerr.ErrDuplicateRule
 	// ErrUnknownRule marks operations naming a rule not in force.
