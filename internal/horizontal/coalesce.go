@@ -260,7 +260,7 @@ func (sys *System) applyWaveCoalesced(norm relation.UpdateList, delta *cfd.Delta
 	owners := sc.owners
 	sc.applyResps = slices.Grow(sc.applyResps, len(owners))[:len(owners)]
 	applyResps := sc.applyResps
-	err := sys.cluster.Fanout(len(owners), network.FanoutOpts{}, func(i int) error {
+	err := sys.cluster.Fanout(len(owners), func(i int) error {
 		o := owners[i]
 		return sys.send(o, o, "h.batchApply", batchApplyReq{Updates: sc.perOwner[o], RawKeys: !sys.useMD5}, &applyResps[i])
 	})
@@ -421,7 +421,7 @@ func (sys *System) applyWaveCoalesced(norm relation.UpdateList, delta *cfd.Delta
 	// already holds the aggregate, the message is the wire cost a real
 	// aggregation pays.
 	fwdSites := sc.fwd.Sites()
-	err = sys.cluster.Fanout(len(fwdSites), network.FanoutOpts{}, func(i int) error {
+	err = sys.cluster.Fanout(len(fwdSites), func(i int) error {
 		o := fwdSites[i]
 		return sys.send(o, relay, "h.forwardGroup", forwardGroupReq{Items: sc.fwd.Items(o)}, nil)
 	})
@@ -431,8 +431,7 @@ func (sys *System) applyWaveCoalesced(norm relation.UpdateList, delta *cfd.Delta
 	if !sc.probe.Empty() {
 		sites, resps, err := network.GatherCoalesced[probeGroupItem, probeGroupReq, probeGroupResp](
 			sys.cluster, sys.send, relay, "h.probeGroup", &sc.probe,
-			func(_ network.SiteID, items []probeGroupItem) probeGroupReq { return probeGroupReq{Items: items} },
-			network.FanoutOpts{})
+			func(_ network.SiteID, items []probeGroupItem) probeGroupReq { return probeGroupReq{Items: items} })
 		if err != nil {
 			return err
 		}
@@ -483,7 +482,7 @@ func (sys *System) applyWaveCoalesced(norm relation.UpdateList, delta *cfd.Delta
 		sites := sc.settle.Sites()
 		sc.settleResps = slices.Grow(sc.settleResps, len(sites))[:len(sites)]
 		resps := sc.settleResps
-		err := sys.cluster.Fanout(len(sites), network.FanoutOpts{}, func(i int) error {
+		err := sys.cluster.Fanout(len(sites), func(i int) error {
 			to := sites[i]
 			from := to // owner settles are the site's own local work
 			if !allOwnerItems(sc.settleRefs[to], to) {

@@ -174,7 +174,7 @@ func (sys *System) send(from, to network.SiteID, method string, args, reply any)
 // gather is network.GatherVia over sys.send, so seed-mode calls stay
 // same-site and unmetered.
 func gather[Req, Resp any](sys *System, from network.SiteID, method string, targets []network.SiteID, req func(network.SiteID) Req) ([]Resp, error) {
-	return network.GatherVia[Req, Resp](sys.cluster, sys.send, from, method, targets, req, network.FanoutOpts{})
+	return network.GatherVia[Req, Resp](sys.cluster, sys.send, from, method, targets, req)
 }
 
 // Apply runs incHor (Fig. 8): normalizes ∆D once, applies it through
@@ -225,7 +225,7 @@ func (sys *System) BatchDetect() (*cfd.Violations, error) {
 		if sys.localCheck[r.ID] {
 			targets := sys.participants(r.ID)
 			resps := make([]localDetectResp, len(targets))
-			err := sys.cluster.Fanout(len(targets), network.FanoutOpts{}, func(i int) error {
+			err := sys.cluster.Fanout(len(targets), func(i int) error {
 				// Locally checkable rules need no shipment: each site
 				// detects against its own fragment (same-site call).
 				return sys.cluster.Call(targets[i], targets[i], "h.localDetect", localDetectReq{Rule: r.ID}, &resps[i])

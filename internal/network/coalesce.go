@@ -97,11 +97,11 @@ func SortedSites[T any](m map[SiteID]T) []SiteID {
 // a destination's item slice into the wire request. Destinations are
 // contacted concurrently through the scatter/gather engine; reply order
 // is deterministic regardless of scheduling.
-func GatherCoalesced[Item, Req, Resp any](c *Cluster, call CallFunc, from SiteID, method string, e *Coalescer[Item], req func(to SiteID, items []Item) Req, opts FanoutOpts) ([]SiteID, []Resp, error) {
+func GatherCoalesced[Item, Req, Resp any](c *Cluster, call CallFunc, from SiteID, method string, e *Coalescer[Item], req func(to SiteID, items []Item) Req) ([]SiteID, []Resp, error) {
 	sites := e.Sites()
 	resps, err := GatherVia[Req, Resp](c, call, from, method, sites, func(to SiteID) Req {
 		return req(to, e.items[to])
-	}, opts)
+	})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,9 +1,7 @@
 package network
 
 import (
-	"errors"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -12,26 +10,19 @@ import (
 // boundedness result (incremental cost in O(|∆D| + |∆V|)) presumes sites
 // work in parallel: a coordinator that drives n sites one Call at a time
 // turns every fan-out into an n-long critical path and makes wall-clock
-// grow with the site count. Fanout/Broadcast/Gather run one logical
+// grow with the site count. Fanout and GatherVia run one logical
 // round-trip per target concurrently, bounded by a worker cap, while the
 // per-site handler locks keep each site's state single-threaded (a site
 // still processes messages serially, as a real node would) and the meters
 // stay exact: a message's metered size depends on nothing but its own
 // payload, so byte and message counts are identical whether a fan-out
 // runs with 1 worker or 16.
-
-// FanoutOpts tunes one scatter/gather round.
-type FanoutOpts struct {
-	// MaxWorkers bounds the number of concurrent calls; 0 uses the
-	// cluster default (SetMaxFanout), 1 degenerates to the sequential
-	// path.
-	MaxWorkers int
-	// CollectErrors joins every failure into the returned error instead
-	// of reporting only the first one. Either way all launched calls run
-	// to completion: a site's state is never left mid-protocol because a
-	// sibling failed.
-	CollectErrors bool
-}
+//
+// A wave of one update is a dozen small fan-outs, so a round's fixed
+// cost matters as much as its breadth. The workers beyond the caller are
+// helper goroutines the cluster keeps parked between rounds, and a
+// round's bookkeeping (cursor, WaitGroup, error slot) is one reused run:
+// a fan-out allocates nothing and spawns nothing once the helpers exist.
 
 // defaultFanoutCap bounds a fan-out's worker count when the cluster has
 // no explicit cap. Workers spend most of their time blocked on another
@@ -41,157 +32,180 @@ type FanoutOpts struct {
 // exactly what still wins.
 const defaultFanoutCap = 32
 
-// SetMaxFanout sets the default worker cap for Fanout/Broadcast/Gather.
-// k = 1 forces sequential fan-outs (the comparison baseline for the
-// scaleup experiments); k <= 0 restores the default (breadth, capped at
+// SetMaxFanout sets the worker cap for Fanout and GatherVia. k = 1
+// forces sequential fan-outs (the comparison baseline for the scaleup
+// experiments); k <= 0 restores the default (breadth, capped at
 // defaultFanoutCap but never below GOMAXPROCS).
-func (c *Cluster) SetMaxFanout(k int) {
-	c.statMu.Lock()
-	c.maxFanout = k
-	c.statMu.Unlock()
-}
+func (c *Cluster) SetMaxFanout(k int) { c.maxFanout.Store(int64(k)) }
 
-// MaxFanout returns the effective default worker cap.
+// MaxFanout returns the effective worker cap.
 func (c *Cluster) MaxFanout() int {
-	c.statMu.Lock()
-	k := c.maxFanout
-	c.statMu.Unlock()
-	if k <= 0 {
-		k = defaultFanoutCap
-		if p := runtime.GOMAXPROCS(0); p > k {
-			k = p
+	if k := int(c.maxFanout.Load()); k > 0 {
+		return k
+	}
+	return max(defaultFanoutCap, runtime.GOMAXPROCS(0))
+}
+
+// fanRun is one multi-worker round: the work and its bookkeeping, handed
+// to every helper that joins it.
+type fanRun struct {
+	n    int
+	fn   func(i int) error
+	next atomic.Int64 // the work-stealing cursor
+	wg   sync.WaitGroup
+
+	mu    sync.Mutex
+	errAt int // index of err; meaningful when err != nil
+	err   error
+}
+
+// work runs indices off the cursor until none are left, keeping the
+// lowest-index failure.
+func (r *fanRun) work() {
+	for {
+		i := int(r.next.Add(1)) - 1
+		if i >= r.n {
+			return
+		}
+		if err := r.fn(i); err != nil {
+			r.mu.Lock()
+			if r.err == nil || i < r.errAt {
+				r.errAt, r.err = i, err
+			}
+			r.mu.Unlock()
 		}
 	}
-	return k
 }
 
-func (c *Cluster) workersFor(n int, opts FanoutOpts) int {
-	w := opts.MaxWorkers
-	if w <= 0 {
-		w = c.MaxFanout()
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+// fanPool is a cluster's parked helper goroutines. It holds no reference
+// to the Cluster, so an unclosed cluster can still be collected.
+type fanPool struct {
+	// work hands a run to a parked helper; unbuffered, so a send
+	// succeeds only into a helper that is, or is about to be, receiving.
+	work chan *fanRun
+	// idle counts helpers committed to receiving from work. A fan-out
+	// claims one (decrement) before each send, so a claimed send never
+	// blocks for long and never waits on a busy helper.
+	idle     atomic.Int64
+	closed   atomic.Bool
+	stopOnce sync.Once
+	helpers  sync.WaitGroup // running helpers, for stop to wait on
+	// spare is the run a fan-out reuses; a nested or concurrent fan-out
+	// that finds it taken allocates its own.
+	spare atomic.Pointer[fanRun]
 }
 
-// Fanout runs fn(i) for i in [0, n) concurrently with a bounded worker
-// pool. With one worker the indices run in order, exactly like the serial
-// loop it replaces. Every index runs even after a failure; the error
-// returned is the lowest-index one (or all of them joined, under
-// CollectErrors), so the outcome is deterministic regardless of
-// scheduling.
-func (c *Cluster) Fanout(n int, opts FanoutOpts, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
+// fanHandle is the Cluster's reference to its pool, and nothing else's:
+// when an unclosed cluster is dropped, the handle's finalizer stops the
+// helpers. A finalizer on the Cluster itself would keep everything it
+// reaches alive for another collection.
+type fanHandle struct{ *fanPool }
+
+func newFanHandle() *fanHandle {
+	h := &fanHandle{&fanPool{work: make(chan *fanRun)}}
+	runtime.SetFinalizer(h, func(h *fanHandle) { h.stop() })
+	return h
+}
+
+// helper runs r, then parks for the next run until the pool stops.
+func (p *fanPool) helper(r *fanRun) {
+	defer p.helpers.Done()
+	for r != nil {
+		r.work()
+		p.idle.Add(1) // before Done: the caller's next round sees us idle
+		r.wg.Done()
+		r = <-p.work // nil once the pool is stopped
 	}
-	workers := c.workersFor(n, opts)
-	if workers == 1 || n == 1 {
-		var errs []error
+}
+
+// stop makes every parked helper exit and waits for them. Fan-outs must
+// not run concurrently with it; one started after it spawns helpers that
+// exit when their run ends.
+func (p *fanPool) stop() {
+	p.stopOnce.Do(func() {
+		p.closed.Store(true)
+		close(p.work)
+	})
+	p.helpers.Wait()
+}
+
+// Fanout runs fn(i) for i in [0, n) concurrently, with at most
+// MaxFanout workers. With one worker the indices run in order, exactly
+// like the serial loop it replaces. Every index runs even after a
+// failure, and the error returned is the lowest-index one, so the outcome
+// is deterministic regardless of scheduling. fn may itself fan out.
+func (c *Cluster) Fanout(n int, fn func(i int) error) error {
+	workers := min(n, c.MaxFanout())
+	if workers <= 1 {
+		var first error
 		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				errs = append(errs, err)
+			if err := fn(i); err != nil && first == nil {
+				first = err
 			}
 		}
-		if len(errs) == 0 {
-			return nil
-		}
-		if !opts.CollectErrors {
-			return errs[0]
-		}
-		return errors.Join(errs...)
+		return first
 	}
 
-	// Work-stealing off an atomic counter; the caller's goroutine is
-	// worker 0, so a fan-out of w workers spawns only w-1 goroutines and
-	// per-round overhead stays small even for the per-update micro
-	// fan-outs.
-	type failure struct {
-		i   int
-		err error
+	// Work-stealing off an atomic cursor; the caller's goroutine is
+	// worker 0, and the other workers are parked helpers, or new ones
+	// when none is idle.
+	p := c.fan.fanPool
+	r := p.spare.Swap(nil)
+	if r == nil {
+		r = new(fanRun)
 	}
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		errs []failure
-		next atomic.Int64
-	)
-	work := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			if err := fn(i); err != nil {
-				mu.Lock()
-				errs = append(errs, failure{i, err})
-				mu.Unlock()
-			}
+	r.n, r.fn = n, fn
+	r.next.Store(0)
+	r.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		if p.claimIdle() {
+			p.work <- r
+		} else {
+			p.helpers.Add(1)
+			go p.helper(r)
 		}
 	}
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			work()
-		}()
+	r.work()
+	r.wg.Wait()
+	err := r.err
+	r.fn, r.err = nil, nil
+	p.spare.Store(r)
+	return err
+}
+
+// claimIdle takes one idle helper for a send, reporting false when there
+// is none (or the pool has stopped, and sends would panic).
+func (p *fanPool) claimIdle() bool {
+	if p.closed.Load() {
+		return false
 	}
-	work()
-	wg.Wait()
-	if len(errs) == 0 {
-		return nil
+	for {
+		k := p.idle.Load()
+		if k <= 0 {
+			return false
+		}
+		if p.idle.CompareAndSwap(k, k-1) {
+			return true
+		}
 	}
-	sort.Slice(errs, func(a, b int) bool { return errs[a].i < errs[b].i })
-	if !opts.CollectErrors {
-		return errs[0].err
-	}
-	all := make([]error, len(errs))
-	for i, f := range errs {
-		all[i] = f.err
-	}
-	return errors.Join(all...)
 }
 
 // CallFunc is the signature of Cluster.Call. Protocol packages whose
 // send path wraps Call (e.g. rewriting the caller during unmetered seed
-// mode) pass their own to the *Via variants.
+// mode) pass their own to GatherVia.
 type CallFunc func(from, to SiteID, method string, args, reply any) error
 
-// Broadcast sends the same request from one site to every target
-// concurrently, discarding replies. Targets must not include from unless
-// a same-site call is intended (which is local and unmetered, as with
-// Call).
-func (c *Cluster) Broadcast(from SiteID, method string, args any, targets []SiteID, opts FanoutOpts) error {
-	return c.BroadcastVia(c.Call, from, method, args, targets, opts)
-}
-
-// BroadcastVia is Broadcast through a custom call function.
-func (c *Cluster) BroadcastVia(call CallFunc, from SiteID, method string, args any, targets []SiteID, opts FanoutOpts) error {
-	return c.Fanout(len(targets), opts, func(i int) error {
-		return call(from, targets[i], method, args, nil)
-	})
-}
-
-// Gather scatters one request per target concurrently and collects the
-// replies in target order, so callers can merge them deterministically.
-// req builds the (possibly per-site) request; a nil slice is returned on
-// error under first-error semantics.
-func Gather[Req, Resp any](c *Cluster, from SiteID, method string, targets []SiteID, req func(SiteID) Req, opts FanoutOpts) ([]Resp, error) {
-	return GatherVia[Req, Resp](c, c.Call, from, method, targets, req, opts)
-}
-
-// GatherVia is Gather through a custom call function.
-func GatherVia[Req, Resp any](c *Cluster, call CallFunc, from SiteID, method string, targets []SiteID, req func(SiteID) Req, opts FanoutOpts) ([]Resp, error) {
+// GatherVia scatters one request per target concurrently through call
+// and collects the replies in target order, so callers can merge them
+// deterministically. req builds the (possibly per-site) request; on
+// error the replies are nil and the error is the lowest-index one.
+func GatherVia[Req, Resp any](c *Cluster, call CallFunc, from SiteID, method string, targets []SiteID, req func(SiteID) Req) ([]Resp, error) {
 	replies := make([]Resp, len(targets))
-	err := c.Fanout(len(targets), opts, func(i int) error {
+	err := c.Fanout(len(targets), func(i int) error {
 		return call(from, targets[i], method, req(targets[i]), &replies[i])
 	})
-	if err != nil && !opts.CollectErrors {
+	if err != nil {
 		return nil, err
 	}
-	return replies, err
+	return replies, nil
 }

@@ -4,9 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // wireCount registers a handler on every site that does a little work and
@@ -38,13 +41,14 @@ func TestFanoutStatsExactness(t *testing.T) {
 	const rounds = 20
 	runStats := func(workers int) Stats {
 		c := NewCluster(8)
+		c.SetMaxFanout(workers)
 		var calls atomic.Int64
 		wireCount(c, &calls)
 		targets := targetsExcept(c, 0)
 		for r := 0; r < rounds; r++ {
-			_, err := Gather[echoReq, echoResp](c, 0, "work", targets, func(s SiteID) echoReq {
+			_, err := GatherVia[echoReq, echoResp](c, c.Call, 0, "work", targets, func(s SiteID) echoReq {
 				return echoReq{Text: fmt.Sprintf("r%d", s), N: 3}
-			}, FanoutOpts{MaxWorkers: workers})
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,9 +82,9 @@ func TestGatherPreservesTargetOrder(t *testing.T) {
 	c := NewCluster(6)
 	wireEcho(c)
 	targets := targetsExcept(c, 0)
-	resps, err := Gather[echoReq, echoResp](c, 0, "echo", targets, func(s SiteID) echoReq {
+	resps, err := GatherVia[echoReq, echoResp](c, c.Call, 0, "echo", targets, func(s SiteID) echoReq {
 		return echoReq{Text: fmt.Sprintf("s%d.", s), N: 2}
-	}, FanoutOpts{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,33 +110,14 @@ func TestFanoutErrorPropagation(t *testing.T) {
 	targets := targetsExcept(c, 0)
 
 	// First-error semantics: deterministic (lowest-index) error, nil replies.
-	resps, err := Gather[echoReq, echoResp](c, 0, "maybe", targets, func(SiteID) echoReq {
+	resps, err := GatherVia[echoReq, echoResp](c, c.Call, 0, "maybe", targets, func(SiteID) echoReq {
 		return echoReq{Text: "x", N: 1}
-	}, FanoutOpts{})
+	})
 	if err == nil || !strings.Contains(err.Error(), "site 1 down") {
 		t.Errorf("first-error = %v, want site 1's failure", err)
 	}
 	if resps != nil {
 		t.Errorf("got replies %v alongside a first-error failure", resps)
-	}
-
-	// Collect semantics: every failure is reported, healthy replies kept.
-	resps, err = Gather[echoReq, echoResp](c, 0, "maybe", targets, func(SiteID) echoReq {
-		return echoReq{Text: "x", N: 1}
-	}, FanoutOpts{CollectErrors: true})
-	if err == nil || !strings.Contains(err.Error(), "site 1 down") || !strings.Contains(err.Error(), "site 3 down") {
-		t.Errorf("collected error = %v, want both failures", err)
-	}
-	if len(resps) != len(targets) {
-		t.Fatalf("got %d replies, want %d", len(resps), len(targets))
-	}
-	if resps[1].Text != "x" || resps[3].Text != "x" { // sites 2 and 4
-		t.Errorf("healthy replies lost: %v", resps)
-	}
-
-	// Broadcast shares the same semantics.
-	if err := c.Broadcast(0, "maybe", echoReq{Text: "y", N: 1}, targets, FanoutOpts{}); err == nil {
-		t.Error("Broadcast swallowed the failure")
 	}
 }
 
@@ -152,8 +137,12 @@ func TestFanoutRunsAllAfterFailure(t *testing.T) {
 				return echoResp{}, nil
 			})
 		}
+		c.SetMaxFanout(workers)
 		targets := targetsExcept(c, 0)
-		if err := c.Broadcast(0, "failfirst", echoReq{}, targets, FanoutOpts{MaxWorkers: workers}); err == nil {
+		err := c.Fanout(len(targets), func(i int) error {
+			return c.Call(0, targets[i], "failfirst", echoReq{}, nil)
+		})
+		if err == nil {
 			t.Fatalf("workers=%d: no error", workers)
 		}
 		if got := calls.Load(); got != int64(len(targets)) {
@@ -173,9 +162,9 @@ func TestFanoutLoopbackTCPParity(t *testing.T) {
 	}
 	collect := func(c *Cluster) ([]echoResp, Stats) {
 		targets := targetsExcept(c, 0)
-		resps, err := Gather[echoReq, echoResp](c, 0, "echo", targets, func(s SiteID) echoReq {
+		resps, err := GatherVia[echoReq, echoResp](c, c.Call, 0, "echo", targets, func(s SiteID) echoReq {
 			return echoReq{Text: fmt.Sprintf("p%d", s), N: 2}
-		}, FanoutOpts{})
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,8 +199,9 @@ func TestFanoutWorkerCaps(t *testing.T) {
 	}
 
 	// Concurrency never exceeds the cap.
+	c.SetMaxFanout(3)
 	var cur, peak atomic.Int64
-	err := c.Fanout(32, FanoutOpts{MaxWorkers: 3}, func(int) error {
+	err := c.Fanout(32, func(int) error {
 		n := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -226,6 +216,171 @@ func TestFanoutWorkerCaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	if peak.Load() > 3 {
-		t.Errorf("observed %d concurrent calls with MaxWorkers=3", peak.Load())
+		t.Errorf("observed %d concurrent calls with SetMaxFanout(3)", peak.Load())
+	}
+}
+
+// awaitGoroutines waits for the goroutine count to fall to at most want,
+// reporting the last count seen.
+func awaitGoroutines(want int) int {
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= want || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// Parked helpers are reused: a long series of fan-outs wider than the cap
+// leaves at most MaxFanout()−1 helpers behind, and Close stops them all.
+func TestFanoutHelpersBounded(t *testing.T) {
+	base := runtime.NumGoroutine()
+	c := NewCluster(4)
+	w := c.MaxFanout()
+	var sum atomic.Int64
+	for round := 0; round < 10000; round++ {
+		if err := c.Fanout(w+3, func(i int) error {
+			sum.Add(int64(i))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := int64(10000 * (w + 3) * (w + 2) / 2); sum.Load() != want {
+		t.Fatalf("index sum %d, want %d", sum.Load(), want)
+	}
+	if helpers := runtime.NumGoroutine() - base; helpers > w-1 {
+		t.Errorf("%d goroutines left after 10000 fan-outs, want at most %d helpers", helpers, w-1)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := awaitGoroutines(base); n > base {
+		t.Errorf("%d goroutines after Close, baseline %d", n, base)
+	}
+	// A closed cluster still fans out, on helpers that do not stay.
+	if err := c.Fanout(w, func(int) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if n := awaitGoroutines(base); n > base {
+		t.Errorf("%d goroutines after a fan-out on a closed cluster, baseline %d", n, base)
+	}
+}
+
+// A cluster dropped without Close still lets its helpers go.
+func TestFanoutDroppedClusterStopsHelpers(t *testing.T) {
+	base := runtime.NumGoroutine()
+	func() {
+		c := NewCluster(4)
+		if err := c.Fanout(c.MaxFanout(), func(int) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after dropping an unclosed cluster, baseline %d", n, base)
+	}
+}
+
+// A Fanout called from inside another's fn completes, even when every
+// helper is busy in the outer round.
+func TestFanoutNested(t *testing.T) {
+	c := NewCluster(4)
+	defer c.Close()
+	c.SetMaxFanout(4)
+	var calls atomic.Int64
+	err := c.Fanout(8, func(int) error {
+		return c.Fanout(8, func(int) error {
+			calls.Add(1)
+			return nil
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls.Load() != 64 {
+		t.Errorf("%d inner calls ran, want 64", calls.Load())
+	}
+}
+
+// Fan-outs from several goroutines at once share the cluster's helpers
+// and each still runs every index of its own round.
+func TestFanoutConcurrentCallers(t *testing.T) {
+	c := NewCluster(4)
+	defer c.Close()
+	c.SetMaxFanout(4)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 200; round++ {
+				var sum atomic.Int64
+				if err := c.Fanout(9, func(i int) error {
+					sum.Add(int64(i))
+					return nil
+				}); err != nil {
+					t.Error(err)
+					return
+				}
+				if sum.Load() != 36 {
+					t.Errorf("round ran indices summing to %d, want 36", sum.Load())
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// A failed round leaves nothing behind for the next one to report.
+func TestFanoutNoStaleError(t *testing.T) {
+	c := NewCluster(4)
+	defer c.Close()
+	c.SetMaxFanout(4)
+	err := c.Fanout(10, func(i int) error {
+		if i == 3 {
+			return errors.New("index 3")
+		}
+		return nil
+	})
+	if err == nil || err.Error() != "index 3" {
+		t.Fatalf("failing round returned %v", err)
+	}
+	if err := c.Fanout(10, func(int) error { return nil }); err != nil {
+		t.Errorf("clean round after a failure returned %v", err)
+	}
+}
+
+// The lowest-index error wins whatever the worker count and whichever
+// failure lands first.
+func TestFanoutLowestIndexErrorWins(t *testing.T) {
+	for _, w := range []int{2, 8} {
+		c := NewCluster(4)
+		c.SetMaxFanout(w)
+		for round := 0; round < 50; round++ {
+			err := c.Fanout(16, func(i int) error {
+				if i%3 == 2 {
+					switch i {
+					case 2:
+						time.Sleep(time.Millisecond) // later failures land first
+					case 14:
+						time.Sleep(2 * time.Millisecond) // and one lands after it
+					}
+					return fmt.Errorf("index %d", i)
+				}
+				return nil
+			})
+			if err == nil || err.Error() != "index 2" {
+				t.Fatalf("w=%d: error %v, want index 2", w, err)
+			}
+		}
+		c.Close()
 	}
 }

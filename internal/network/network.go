@@ -15,10 +15,10 @@
 // agree byte for byte.
 //
 // Fan-outs — one coordinator addressing many sites — go through the
-// concurrent scatter/gather engine (Fanout, Broadcast, Gather in
-// fanout.go): bounded workers, deterministic reply order and error
-// selection, and meters that stay exact and identical whether a round
-// runs with one worker or many. SetLinkRTT adds a simulated per-message
+// concurrent scatter/gather engine (Fanout and GatherVia in fanout.go):
+// bounded workers parked between rounds, deterministic reply order and
+// error selection, and meters that stay exact and identical whether a
+// round runs with one worker or many. SetLinkRTT adds a simulated per-message
 // network round-trip, the cost a real deployment pays and parallel
 // fan-out overlaps.
 package network
@@ -28,6 +28,7 @@ import (
 	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/wire"
@@ -147,9 +148,12 @@ type Cluster struct {
 	statMu sync.Mutex
 	stats  Stats
 
-	// maxFanout is the default worker cap for Fanout/Broadcast/Gather
-	// (see fanout.go); <= 0 means GOMAXPROCS.
-	maxFanout int
+	// maxFanout is the worker cap of a fan-out (fanout.go); <= 0 means
+	// the default, breadth capped at defaultFanoutCap.
+	maxFanout atomic.Int64
+	// fan holds the fan-out helpers parked between rounds; Close stops
+	// them.
+	fan *fanHandle
 	// linkRTT is a simulated per-message network round-trip applied to
 	// cross-site calls (zero by default). See SetLinkRTT.
 	linkRTT time.Duration
@@ -170,6 +174,7 @@ func NewCluster(n int) *Cluster {
 		native:   make([]map[string]NativeHandler, n),
 		siteMu:   make([]sync.Mutex, n),
 		stats:    Stats{PerPair: make(map[string]int64), BusyNanos: make([]int64, n), RecvBytes: make([]int64, n)},
+		fan:      newFanHandle(),
 	}
 	for i := range c.registry {
 		c.registry[i] = make(map[string]RawHandler)
@@ -402,8 +407,11 @@ func (c *Cluster) ResetStats() {
 	}
 }
 
-// Close shuts the transport down, if there is one.
+// Close stops the parked fan-out helpers, waiting for them to exit, and
+// shuts the transport down, if there is one. It must not run concurrently with a fan-out; a
+// fan-out after it still runs, on helpers that exit when it ends.
 func (c *Cluster) Close() error {
+	c.fan.stop()
 	if c.transport == nil {
 		return nil
 	}

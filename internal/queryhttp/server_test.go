@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -364,11 +365,33 @@ func TestPointReadTimeout(t *testing.T) {
 	}
 }
 
+// stallWriter is a streaming ResponseWriter whose body writes block
+// until release is closed: a client that stopped reading, without
+// relying on socket buffer sizes.
+type stallWriter struct {
+	http.ResponseWriter
+	release <-chan struct{}
+}
+
+func (w stallWriter) Write(p []byte) (int, error) {
+	<-w.release
+	return w.ResponseWriter.Write(p)
+}
+
+func (w stallWriter) Flush() { w.ResponseWriter.(http.Flusher).Flush() }
+
 // TestWatchBackpressureGap stalls a subscriber below the session's
 // event rate and checks the gap marker crosses the HTTP boundary.
 func TestWatchBackpressureGap(t *testing.T) {
 	s, gen, mirror := fixture(t)
-	ts := httptest.NewServer(New(s, Options{StreamBuffer: 1}))
+	release := make(chan struct{})
+	var once sync.Once
+	unstall := func() { once.Do(func() { close(release) }) }
+	defer unstall()
+	srv := New(s, Options{StreamBuffer: 1})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		srv.ServeHTTP(stallWriter{w, release}, r)
+	}))
 	defer ts.Close()
 
 	resp, err := ts.Client().Get(ts.URL + "/v1/watch")
@@ -376,13 +399,14 @@ func TestWatchBackpressureGap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	// Apply several batches before reading anything: with a buffer of 1
-	// the subscription must drop all but the first, and the handler
-	// goroutine forwards at most one more into the response pipe.
+	// The handler takes the first event and blocks writing it; with a
+	// buffer of 1 the subscription holds the second and must drop the
+	// rest, so the next event delivered carries the gap.
 	const batches = 5
 	for i := 0; i < batches; i++ {
 		applyBatch(t, s, gen, mirror)
 	}
+	unstall()
 	sc := bufio.NewScanner(resp.Body)
 	var sawGap bool
 	deadline := time.Now().Add(5 * time.Second)

@@ -392,7 +392,7 @@ func (s *Session) markSites() error {
 	if s.tcp == nil || s.cfg.ckptDir == "" {
 		return nil
 	}
-	return s.cluster.Fanout(len(s.cfg.tcpAddrs), network.FanoutOpts{}, func(i int) error {
+	return s.cluster.Fanout(len(s.cfg.tcpAddrs), func(i int) error {
 		if _, err := s.tcp.Invoke(network.SiteID(i), "chk.mark", nil); err != nil {
 			return fmt.Errorf("session: checkpoint mark site %d: %w", i, err)
 		}
@@ -617,10 +617,12 @@ func (s *Session) Close() error {
 		delete(s.watchers, id)
 	}
 	var err error
-	if s.tcp != nil {
-		err = s.tcp.Close()
-		s.tcp = nil
+	if s.cluster != nil {
+		// Stops the fan-out helpers, and closes the TCP transport when
+		// the sites are daemons.
+		err = s.cluster.Close()
 	}
+	s.tcp = nil
 	if s.jnl != nil {
 		if jerr := s.jnl.Close(); err == nil {
 			err = jerr

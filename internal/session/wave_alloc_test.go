@@ -1,0 +1,47 @@
+//go:build !race
+
+package session
+
+import (
+	"context"
+	"testing"
+
+	"repro/internal/partition"
+	"repro/internal/relation"
+	"repro/internal/workload"
+)
+
+// TestVerticalWaveAllocBound guards the fixed cost of a vertical wave of
+// one through a session, in the shape of the root package's
+// BenchmarkUnitUpdateVertical: TPCH, 50 rules, 10 sites, the optimizer,
+// one insertion per ApplyBatch, the generated tuple included. Reused fan-out
+// runs on parked helpers and the driver's wave scratch hold it near 220;
+// per-call goroutines and per-wave tables put it near 450. What is left
+// is mostly the epoch publish's path copy, the reply slices the sites
+// allocate and one closure per fan-out.
+func TestVerticalWaveAllocBound(t *testing.T) {
+	gen := workload.NewSized(workload.TPCH, 42, 8000)
+	rules := gen.Rules(50)
+	rel := gen.Relation(4000)
+	s, err := Open(rel, rules, WithVertical(partition.RoundRobinVertical(gen.Schema(), 10)), WithOptimizer())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := context.Background()
+	apply := func() {
+		if _, err := s.ApplyBatch(ctx, relation.UpdateList{{Kind: relation.Insert, Tuple: gen.Next()}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm the schedule memo, the wave scratch and the parked helpers.
+	for i := 0; i < 1000; i++ {
+		apply()
+	}
+	allocs := testing.AllocsPerRun(2000, apply)
+	t.Logf("vertical wave of one: %.1f allocations per update", allocs)
+	const bound = 260
+	if allocs > bound {
+		t.Errorf("a vertical wave of one allocates %.1f objects per update, want ≤ %d", allocs, bound)
+	}
+}

@@ -3,6 +3,7 @@ package vertical
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/cfd"
@@ -60,20 +61,120 @@ type wave struct {
 	members []uint64
 }
 
-// newWave returns the wave over the given tuple ids, all deletions so far.
-func (sys *System) newWave(ids []int64) *wave {
-	return &wave{
-		states: make([]uState, len(ids)),
-		ids:    ids,
-		ins:    make(bitset, words(len(ids))),
-		failed: make([]uint64, len(ids)*words(len(sys.rules))),
+// waveScratch is the driver's per-wave working set — the wave itself and
+// the tables its phases build their calls in — kept on the System so a
+// stream of small waves reuses them instead of allocating each per wave.
+// Reuse is safe because no site keeps a request's slices: in process a
+// handler receives the driver's own slices and only reads them during the
+// call. The one thing a handler stores, batchFrag's projected Values, is
+// projected afresh per update and never comes from here. end drops every
+// reference a wave left (replies, values, schedules) and keeps only
+// capacity; a wave of more than scratchKeepWave updates (a seeding wave)
+// releases the scratch instead, so its high-water tables do not stay
+// resident.
+type waveScratch struct {
+	w    wave
+	seen map[relation.TupleID]bool // applyCoalesced's wave cut
+	// arena backs the wave's bitset tables (rows). A table taken before
+	// the arena grows keeps the old array, so all stay valid for the wave.
+	arena []uint64
+	sites []network.SiteID // sitesWhere's list; one phase holds it at a time
+
+	frag     [][]applyReq      // by site: deliverFragments' items
+	votes    [][]batchVoteItem // by checker*n + coordinator
+	voteKeys []int             // the non-empty votes, ascending
+
+	nodeSeen     []bool // by plan node: waveNodes' union
+	nodes        []int
+	refs         []shipRef
+	resolveReqs  []batchResolveReq    // by site
+	resolveResps []batchResolveResp   // by site
+	pend         [][]batchDeliverItem // by dest*n + src
+	srcs, dsts   []network.SiteID
+	endIDs       [][]int64 // by site
+}
+
+const scratchKeepWave = 64
+
+func newWaveScratch(sites int) *waveScratch {
+	return &waveScratch{
+		seen:         make(map[relation.TupleID]bool),
+		frag:         make([][]applyReq, sites),
+		votes:        make([][]batchVoteItem, sites*sites),
+		resolveReqs:  make([]batchResolveReq, sites),
+		resolveResps: make([]batchResolveResp, sites),
+		pend:         make([][]batchDeliverItem, sites*sites),
+		endIDs:       make([][]int64, sites),
 	}
+}
+
+// rows takes n zeroed words off the arena.
+func (sc *waveScratch) rows(n int) []uint64 {
+	at := len(sc.arena)
+	if at+n > cap(sc.arena) {
+		sc.arena, at = make([]uint64, 0, max(2*cap(sc.arena), n)), 0
+	}
+	sc.arena = sc.arena[:at+n]
+	out := sc.arena[at : at+n : at+n]
+	clear(out)
+	return out
+}
+
+// end empties the scratch after a wave, keeping its capacity.
+func (sc *waveScratch) end() {
+	clear(sc.w.states)
+	sc.w = wave{states: sc.w.states[:0], ids: sc.w.ids[:0], walk: sc.w.walk[:0]}
+	clear(sc.seen)
+	sc.arena = sc.arena[:0]
+	for i := range sc.frag {
+		clear(sc.frag[i])
+		sc.frag[i] = sc.frag[i][:0]
+		sc.resolveReqs[i], sc.resolveResps[i] = batchResolveReq{}, batchResolveResp{}
+		sc.endIDs[i] = sc.endIDs[i][:0]
+	}
+	for i := range sc.votes {
+		sc.votes[i] = sc.votes[i][:0]
+		sc.pend[i] = sc.pend[i][:0]
+	}
+	clear(sc.refs)
+	sc.refs = sc.refs[:0]
+}
+
+// scratch returns the System's wave scratch, creating it on first use.
+func (sys *System) scratch() *waveScratch {
+	if sys.sc == nil {
+		sys.sc = newWaveScratch(len(sys.sites))
+	}
+	return sys.sc
+}
+
+// doneWave ends a wave of size updates: the scratch is emptied for the
+// next one, or released past scratchKeepWave.
+func (sys *System) doneWave(size int) {
+	if size > scratchKeepWave {
+		sys.sc = nil
+	} else if sys.sc != nil {
+		sys.sc.end()
+	}
+}
+
+// newWave returns the wave over n tuple ids (w.ids, for the caller to
+// fill), all deletions so far.
+func (sys *System) newWave(n int) *wave {
+	sc := sys.scratch()
+	w := &sc.w
+	w.states = slices.Grow(w.states[:0], n)[:n]
+	clear(w.states)
+	w.ids = slices.Grow(w.ids[:0], n)[:n]
+	w.ins = sc.rows(words(n))
+	w.failed = sc.rows(n * words(len(sys.rules)))
+	return w
 }
 
 // unfailed returns a rule-set table: per position, the rules of mask whose
 // pattern constants the tuple did not fail.
-func (w *wave) unfailed(mask bitset) []uint64 {
-	rows := make([]uint64, len(w.failed))
+func (sys *System) unfailed(w *wave, mask bitset) []uint64 {
+	rows := sys.sc.rows(len(w.failed))
 	for i, word := range w.failed {
 		rows[i] = ^word & mask[i%len(mask)]
 	}
@@ -91,13 +192,16 @@ func (sys *System) ruleRow(rows []uint64, i int) bitset {
 func (sys *System) applyCoalesced(norm relation.UpdateList) (*cfd.Delta, error) {
 	delta := cfd.NewDelta()
 	for start := 0; start < len(norm); {
+		seen := sys.scratch().seen
 		end := start + 1
-		seen := map[relation.TupleID]bool{norm[start].Tuple.ID: true}
+		seen[norm[start].Tuple.ID] = true
 		for end < len(norm) && !seen[norm[end].Tuple.ID] {
 			seen[norm[end].Tuple.ID] = true
 			end++
 		}
-		if err := sys.applyWave(norm[start:end], delta); err != nil {
+		err := sys.applyWave(norm[start:end], delta)
+		sys.doneWave(end - start)
+		if err != nil {
 			return nil, err
 		}
 		start = end
@@ -112,7 +216,7 @@ func (sys *System) applyCoalesced(norm relation.UpdateList) (*cfd.Delta, error) 
 // applyWave runs one wave (distinct tuple ids) through the grouped
 // phases, appending its ∆V emissions to delta in exact replay order.
 func (sys *System) applyWave(updates relation.UpdateList, delta *cfd.Delta) error {
-	w := sys.newWave(make([]int64, len(updates)))
+	w := sys.newWave(len(updates))
 	for i, u := range updates {
 		w.ids[i] = int64(u.Tuple.ID)
 		if u.Kind != relation.Delete {
@@ -158,33 +262,38 @@ func (sys *System) applyWave(updates relation.UpdateList, delta *cfd.Delta) erro
 // fragment schema, or the bare ids of the deletions. One batched
 // same-site call per site; none when the wave has no such update.
 func (sys *System) deliverFragments(wave relation.UpdateList, op OpKind) error {
-	return sys.cluster.Fanout(len(sys.sites), network.FanoutOpts{}, func(i int) error {
-		var req batchFragReq
+	frag := sys.sc.frag
+	return sys.cluster.Fanout(len(sys.sites), func(i int) error {
+		items := frag[i][:0]
 		for _, u := range wave {
 			if (u.Kind == relation.Delete) != (op == OpDelete) {
 				continue
 			}
 			item := applyReq{Op: op, ID: int64(u.Tuple.ID)}
 			if op == OpInsert {
+				// The site keeps these values: a fresh projection each.
 				item.Values = u.Tuple.ProjectTuple(sys.schema, sys.fragSch[i]).Values
 			}
-			req.Items = append(req.Items, item)
+			items = append(items, item)
 		}
-		if len(req.Items) == 0 {
+		frag[i] = items
+		if len(items) == 0 {
 			return nil
 		}
-		return sys.send(sys.sites[i].id, sys.sites[i].id, "v.batchFrag", req, nil)
+		return sys.send(sys.sites[i].id, sys.sites[i].id, "v.batchFrag", batchFragReq{Items: items}, nil)
 	})
 }
 
-// sitesWhere lists, ascending, the sites has holds for.
+// sitesWhere lists, ascending, the sites has holds for, in the scratch's
+// site list (valid until the next call).
 func (sys *System) sitesWhere(has func(site int) bool) []network.SiteID {
-	var out []network.SiteID
+	out := sys.sc.sites[:0]
 	for s := range sys.sites {
 		if has(s) {
 			out = append(out, network.SiteID(s))
 		}
 	}
+	sys.sc.sites = out
 	return out
 }
 
@@ -199,7 +308,7 @@ func malformed(method string, site network.SiteID) error {
 func (sys *System) evalConstants(w *wave, checkers []network.SiteID) error {
 	req := batchEvalReq{Gen: sys.gen, IDs: w.ids}
 	resps := make([]batchEvalResp, len(checkers))
-	err := sys.cluster.Fanout(len(checkers), network.FanoutOpts{}, func(i int) error {
+	err := sys.cluster.Fanout(len(checkers), func(i int) error {
 		c := checkers[i]
 		return sys.send(c, c, "v.batchEval", req, &resps[i])
 	})
@@ -226,11 +335,10 @@ func (sys *System) constPhase(w *wave, rules []*cfd.CFD, nos []int, delta *cfd.D
 	if len(rules) == 0 {
 		return nil
 	}
-	votes := make(map[[2]network.SiteID][]batchVoteItem)
-	voteAt := make(map[[2]network.SiteID]int) // index of the pair's item for the current update
+	sc, n := sys.sc, len(sys.sites)
+	votes := sc.votes // by checker*n + coordinator; a pair's items in wave order
 	for i := range w.states {
 		failed := sys.ruleRow(w.failed, i)
-		clear(voteAt)
 		for ci, r := range rules {
 			if failed.has(nos[ci]) {
 				continue // non-matching tuples ship nothing
@@ -240,30 +348,29 @@ func (sys *System) constPhase(w *wave, rules []*cfd.CFD, nos []int, delta *cfd.D
 				if s == coord {
 					continue
 				}
-				key := [2]network.SiteID{s, coord}
-				at, ok := voteAt[key]
-				if !ok {
-					votes[key] = append(votes[key], batchVoteItem{ID: w.ids[i]})
-					at = len(votes[key]) - 1
-					voteAt[key] = at
+				k := int(s)*n + int(coord)
+				items := votes[k]
+				if len(items) == 0 || items[len(items)-1].ID != w.ids[i] {
+					// Open the update's item, reusing a dropped one's Rules.
+					items = slices.Grow(items, 1)[:len(items)+1]
+					items[len(items)-1].ID = w.ids[i]
+					items[len(items)-1].Rules = items[len(items)-1].Rules[:0]
 				}
-				votes[key][at].Rules = append(votes[key][at].Rules, r.ID)
+				items[len(items)-1].Rules = append(items[len(items)-1].Rules, r.ID)
+				votes[k] = items
 			}
 		}
 	}
-	pairs := make([][2]network.SiteID, 0, len(votes))
-	for k := range votes {
-		pairs = append(pairs, k)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i][0] != pairs[j][0] {
-			return pairs[i][0] < pairs[j][0]
+	keys := sc.voteKeys[:0]
+	for k, items := range votes {
+		if len(items) > 0 {
+			keys = append(keys, k)
 		}
-		return pairs[i][1] < pairs[j][1]
-	})
-	err := sys.cluster.Fanout(len(pairs), network.FanoutOpts{}, func(i int) error {
-		k := pairs[i]
-		return sys.send(k[0], k[1], "v.batchVote", batchVoteReq{Items: votes[k]}, nil)
+	}
+	sc.voteKeys = keys
+	err := sys.cluster.Fanout(len(keys), func(i int) error {
+		k := sc.voteKeys[i]
+		return sys.send(network.SiteID(k/n), network.SiteID(k%n), "v.batchVote", batchVoteReq{Items: votes[k]}, nil)
 	})
 	if err != nil {
 		return err
@@ -273,27 +380,23 @@ func (sys *System) constPhase(w *wave, rules []*cfd.CFD, nos []int, delta *cfd.D
 	// that the tuple did not fail: the complement of the failed row under
 	// the coordinator's mask.
 	rw := words(len(sys.rules))
-	masks := make([]bitset, len(sys.sites))
+	masks := sc.rows(n * rw) // by coordinator
 	for ci, r := range rules {
-		coord := sys.constCoord[r.ID]
-		if masks[coord] == nil {
-			masks[coord] = make(bitset, rw)
-		}
-		masks[coord].set(nos[ci])
+		bitset(masks[int(sys.constCoord[r.ID])*rw:]).set(nos[ci])
 	}
-	var coords []network.SiteID
-	reqs := make([]batchConstReq, len(sys.sites))
-	for s, mask := range masks {
-		if mask == nil {
+	reqs := make([]batchConstReq, n)
+	for s := 0; s < n; s++ {
+		mask := bitset(masks[s*rw : (s+1)*rw])
+		if mask.empty() {
 			continue
 		}
-		if asked := w.unfailed(mask); !bitset(asked).empty() {
-			coords = append(coords, network.SiteID(s))
+		if asked := sys.unfailed(w, mask); !bitset(asked).empty() {
 			reqs[s] = batchConstReq{Gen: sys.gen, IDs: w.ids, Rules: asked}
 		}
 	}
+	coords := sys.sitesWhere(func(s int) bool { return reqs[s].Rules != nil })
 	resps := make([]batchConstResp, len(coords))
-	err = sys.cluster.Fanout(len(coords), network.FanoutOpts{}, func(i int) error {
+	err = sys.cluster.Fanout(len(coords), func(i int) error {
 		s := coords[i]
 		return sys.send(s, s, "v.batchConst", reqs[s], &resps[i])
 	})
@@ -328,7 +431,7 @@ func (sys *System) constPhase(w *wave, rules []*cfd.CFD, nos []int, delta *cfd.D
 // the scheduled plan nodes stage by stage, then Fig. 4 at each alive
 // rule's IDX site.
 func (sys *System) varPhase(w *wave, mask bitset, delta *cfd.Delta) error {
-	alive := w.unfailed(mask)
+	alive := sys.unfailed(w, mask)
 	for i := range w.states {
 		w.states[i].sched = sys.scheduleFor(sys.ruleRow(alive, i))
 	}
@@ -355,7 +458,7 @@ type shipRef struct {
 // node's members resolve in wave order, so each HEV allocates the same
 // eqids as when nodes resolved one call at a time.
 func (sys *System) resolveStages(w *wave) error {
-	w.walk = sys.waveNodes(w.states)
+	w.walk = sys.waveNodes(w.walk[:0], w.states)
 	walk, stages := w.walk, sys.plan.Stages()
 	siteOf := func(node optimizer.NodeID) network.SiteID { return network.SiteID(sys.plan.Nodes[node].Site) }
 
@@ -368,20 +471,19 @@ func (sys *System) resolveStages(w *wave) error {
 			total += len(sched.walk)
 		}
 	}
-	iw := words(len(w.ids))
-	nodes := make([]int, len(walk))
-	w.members = make([]uint64, len(walk)*iw)
-	refs := make([]shipRef, 0, total) // one per (node, member), in reply order
+	sc, iw := sys.sc, words(len(w.ids))
+	nodes := slices.Grow(sc.nodes[:0], len(walk))[:len(walk)]
+	sc.nodes = nodes
+	w.members = sc.rows(len(walk) * iw)
+	refs := slices.Grow(sc.refs[:0], total) // one per (node, member), in reply order
 
 	n := len(sys.sites)
-	reqs := make([]batchResolveReq, n)
-	resps := make([]batchResolveResp, n)
-	pend := make([][]batchDeliverItem, n*n) // [dest*n+src]
-	srcs := make([]network.SiteID, 0, n)
-	dsts := make([]network.SiteID, 0, n)
+	reqs, resps := sc.resolveReqs, sc.resolveResps // by site
+	pend := sc.pend                                // by dest*n + src
+	defer func() { sc.refs = refs }()
 	for lo := 0; lo < len(walk); {
 		stage, stageRefs := stages[walk[lo]], len(refs)
-		srcs = srcs[:0]
+		srcs := sc.srcs[:0]
 		for lo < len(walk) && stages[walk[lo]] == stage {
 			site, first := siteOf(walk[lo]), lo
 			for ; lo < len(walk) && stages[walk[lo]] == stage && siteOf(walk[lo]) == site; lo++ {
@@ -405,9 +507,12 @@ func (sys *System) resolveStages(w *wave) error {
 			srcs = append(srcs, site)
 			reqs[site] = batchResolveReq{IDs: w.ids, Ins: w.ins, Nodes: nodes[first:lo], Members: w.members[first*iw : lo*iw]}
 		}
+		// The fan-outs read the lists off sc: a captured local that the
+		// loop reassigns would move to the heap.
+		sc.srcs = srcs
 
-		err := sys.cluster.Fanout(len(srcs), network.FanoutOpts{}, func(i int) error {
-			s := srcs[i]
+		err := sys.cluster.Fanout(len(sc.srcs), func(i int) error {
+			s := sc.srcs[i]
 			return sys.send(s, s, "v.batchResolve", reqs[s], &resps[s])
 		})
 		if err != nil {
@@ -444,7 +549,7 @@ func (sys *System) resolveStages(w *wave) error {
 		if shipped == 0 {
 			continue
 		}
-		dsts = dsts[:0]
+		dsts := sc.dsts[:0]
 		for dest := 0; dest < n; dest++ {
 			for src := 0; src < n; src++ {
 				if len(pend[dest*n+src]) > 0 {
@@ -453,8 +558,9 @@ func (sys *System) resolveStages(w *wave) error {
 				}
 			}
 		}
-		err = sys.cluster.Fanout(len(dsts), network.FanoutOpts{}, func(i int) error {
-			dest := dsts[i]
+		sc.dsts = dsts
+		err = sys.cluster.Fanout(len(dsts), func(i int) error {
+			dest := sc.dsts[i]
 			for src := 0; src < n; src++ {
 				items := pend[int(dest)*n+src]
 				if len(items) == 0 {
@@ -472,16 +578,21 @@ func (sys *System) resolveStages(w *wave) error {
 		if !sys.direct {
 			sys.cluster.AddEqids(shipped)
 		}
-		clear(pend)
+		for k := range pend {
+			pend[k] = pend[k][:0]
+		}
 	}
 	return nil
 }
 
-// waveNodes returns the union of the states' scheduled nodes in walk
-// order (System.walksBefore).
-func (sys *System) waveNodes(states []uState) []optimizer.NodeID {
-	seen := make([]bool, len(sys.plan.Nodes))
-	var walk []optimizer.NodeID
+// waveNodes appends to walk the union of the states' scheduled nodes in
+// walk order (System.walksBefore).
+func (sys *System) waveNodes(walk []optimizer.NodeID, states []uState) []optimizer.NodeID {
+	sc := sys.sc
+	if len(sc.nodeSeen) < len(sys.plan.Nodes) {
+		sc.nodeSeen = make([]bool, len(sys.plan.Nodes)) // the plan grew
+	}
+	seen := sc.nodeSeen
 	var last *runSchedule
 	merged := false
 	for i := range states {
@@ -498,6 +609,9 @@ func (sys *System) waveNodes(states []uState) []optimizer.NodeID {
 			}
 		}
 	}
+	for _, node := range walk {
+		seen[node] = false
+	}
 	if merged { // one schedule's walk is in order already
 		sort.Slice(walk, func(i, j int) bool { return sys.walksBefore(walk[i], walk[j]) })
 	}
@@ -512,7 +626,7 @@ func (sys *System) waveNodes(states []uState) []optimizer.NodeID {
 func (sys *System) idxPhase(w *wave, alive []uint64, delta *cfd.Delta) error {
 	rw := words(len(sys.rules))
 	hosts := make([]bool, len(sys.sites))
-	union := make(bitset, rw)
+	union := bitset(sys.sc.rows(rw))
 	for i, word := range alive {
 		union[i%rw] |= word
 	}
@@ -524,7 +638,7 @@ func (sys *System) idxPhase(w *wave, alive []uint64, delta *cfd.Delta) error {
 	idxSites := sys.sitesWhere(func(s int) bool { return hosts[s] })
 	req := batchRuleReq{Gen: sys.gen, IDs: w.ids, Ins: w.ins, Alive: alive}
 	resps := make([]batchRuleResp, len(idxSites))
-	err := sys.cluster.Fanout(len(idxSites), network.FanoutOpts{}, func(i int) error {
+	err := sys.cluster.Fanout(len(idxSites), func(i int) error {
 		s := idxSites[i]
 		return sys.send(s, s, "v.batchRule", req, &resps[i])
 	})
@@ -584,7 +698,7 @@ func (sys *System) releaseWave(w *wave) error {
 		}
 	}
 	sites := sys.sitesWhere(func(s int) bool { return len(reqs[s].Nodes) > 0 })
-	return sys.cluster.Fanout(len(sites), network.FanoutOpts{}, func(i int) error {
+	return sys.cluster.Fanout(len(sites), func(i int) error {
 		s := sites[i]
 		return sys.send(s, s, "v.batchRelease", reqs[s], nil)
 	})
@@ -592,7 +706,7 @@ func (sys *System) releaseWave(w *wave) error {
 
 // endWave clears the wave's eqid buffers, one call per involved site.
 func (sys *System) endWave(w *wave) error {
-	endIDs := make([][]int64, len(sys.sites))
+	endIDs := sys.sc.endIDs // by site
 	for i := range w.states {
 		if sched := w.states[i].sched; sched != nil {
 			for _, s := range sched.involved {
@@ -601,7 +715,7 @@ func (sys *System) endWave(w *wave) error {
 		}
 	}
 	sites := sys.sitesWhere(func(s int) bool { return len(endIDs[s]) > 0 })
-	return sys.cluster.Fanout(len(sites), network.FanoutOpts{}, func(i int) error {
+	return sys.cluster.Fanout(len(sites), func(i int) error {
 		s := sites[i]
 		return sys.send(s, s, "v.batchEnd", batchEndReq{IDs: endIDs[s]}, nil)
 	})

@@ -257,7 +257,9 @@ func (sys *System) AddRules(rules []cfd.CFD) (*cfd.Delta, error) {
 		return nil, err
 	}
 	if len(idResp.IDs) > 0 {
-		if err := sys.seedWave(idResp.IDs, newConst, newVar, delta); err != nil {
+		err := sys.seedWave(idResp.IDs, newConst, newVar, delta)
+		sys.doneWave(len(idResp.IDs))
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -273,7 +275,8 @@ func (sys *System) AddRules(rules []cfd.CFD) (*cfd.Delta, error) {
 // — without touching the fragments: applyWave's phases 2–5 plus the
 // buffer clears.
 func (sys *System) seedWave(ids []int64, newConst, newVar []*cfd.CFD, delta *cfd.Delta) error {
-	w := sys.newWave(ids)
+	w := sys.newWave(len(ids))
+	copy(w.ids, ids)
 	for i := range ids {
 		w.ins.set(i)
 	}
@@ -307,7 +310,7 @@ func (sys *System) seedWave(ids []int64, newConst, newVar []*cfd.CFD, delta *cfd
 	if len(newVar) == 0 {
 		return nil
 	}
-	mask := make(bitset, len(sys.varMask))
+	mask := bitset(sys.sc.rows(len(sys.varMask)))
 	for _, no := range sys.varNo[len(sys.varNo)-len(newVar):] {
 		mask.set(no)
 	}

@@ -99,6 +99,11 @@ type System struct {
 	// across Apply calls so normalization happens exactly once per
 	// batch and allocates nothing in steady state.
 	normScratch relation.UpdateList
+	// sc is the driver's per-wave working set (coalesce.go), nil between
+	// a large wave and the next; barrierPairs is barrier's fixed list of
+	// the n(n−1) site pairs.
+	sc           *waveScratch
+	barrierPairs [][2]network.SiteID
 
 	// Static lookups over the current rule set, rebuilt by indexRules.
 	// checkers are the sites holding pattern-constant checks. The rest is
@@ -327,7 +332,7 @@ func (sys *System) send(from, to network.SiteID, method string, args, reply any)
 // gather is network.GatherVia over sys.send, so seed-mode calls stay
 // same-site and unmetered.
 func gather[Req, Resp any](sys *System, from network.SiteID, method string, targets []network.SiteID, req func(network.SiteID) Req) ([]Resp, error) {
-	return network.GatherVia[Req, Resp](sys.cluster, sys.send, from, method, targets, req, network.FanoutOpts{})
+	return network.GatherVia[Req, Resp](sys.cluster, sys.send, from, method, targets, req)
 }
 
 // Apply runs incVer (Fig. 5): it normalizes ∆D once, processes it
@@ -346,16 +351,20 @@ func (sys *System) Apply(updates relation.UpdateList) (*cfd.Delta, error) {
 // empty message per site pair, per batch — O(n²) per ∆D, independent of
 // |∆D|.
 func (sys *System) barrier() error {
-	n := len(sys.sites)
-	pairs := make([][2]network.SiteID, 0, n*(n-1))
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j {
-				pairs = append(pairs, [2]network.SiteID{network.SiteID(i), network.SiteID(j)})
+	pairs := sys.barrierPairs
+	if pairs == nil {
+		n := len(sys.sites)
+		pairs = make([][2]network.SiteID, 0, n*(n-1))
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if i != j {
+					pairs = append(pairs, [2]network.SiteID{network.SiteID(i), network.SiteID(j)})
+				}
 			}
 		}
+		sys.barrierPairs = pairs
 	}
-	return sys.cluster.Fanout(len(pairs), network.FanoutOpts{}, func(i int) error {
+	return sys.cluster.Fanout(len(pairs), func(i int) error {
 		return sys.send(pairs[i][0], pairs[i][1], "v.barrier", barrierReq{}, nil)
 	})
 }
