@@ -27,8 +27,9 @@ import (
 //	   a single fan-out carrying every group's survey question or promote
 //	   order — one envelope per (relay, peer), O(n) messages per wave
 //	   instead of one broadcast per update;
-//	D. settle: final flags are pinned — same-site at the touching owners,
-//	   and one envelope per (relay, peer) for the demote round.
+//	D. settle: final flags are pinned — same-site at a touching owner
+//	   only where its reply shows a class the final flag flips, and one
+//	   envelope per (relay, peer) for the demote round.
 //
 // After every batch V equals a fresh centralized Detect on the current D
 // (the parity tests and the differential oracles pin this) however ∆D is
@@ -41,7 +42,7 @@ type hGroup struct {
 	x    code
 	xref keyRef
 
-	owners            []network.SiteID
+	owners            []groupOwner // ascending by site
 	preKnown, preFlag bool
 	structural, newB  bool
 	allBs             [][]byte // distinct B digests known so far, capped at 2
@@ -54,6 +55,13 @@ type hGroup struct {
 
 	// remote is the survey evidence of the probed sites.
 	remote []remoteAnswer
+}
+
+// groupOwner is one owner that touched a group, with the flags of the
+// classes its local phase left (touchedGroup.AnyIn, AnyOut).
+type groupOwner struct {
+	site          network.SiteID
+	anyIn, anyOut bool
 }
 
 // remoteAnswer is one probed site's answer for a group.
@@ -69,7 +77,9 @@ func (g *hGroup) reset() {
 	*g = hGroup{owners: g.owners[:0], allBs: g.allBs[:0], inserted: g.inserted[:0], remote: g.remote[:0]}
 }
 
-func (g *hGroup) ownedBy(s network.SiteID) bool { return slices.Contains(g.owners, s) }
+func (g *hGroup) ownedBy(s network.SiteID) bool {
+	return slices.ContainsFunc(g.owners, func(o groupOwner) bool { return o.site == s })
+}
 
 func (g *hGroup) wasInserted(id int64) bool { return slices.Contains(g.inserted, id) }
 
@@ -301,7 +311,7 @@ func (sys *System) applyWaveCoalesced(norm relation.UpdateList, delta *cfd.Delta
 					g.xref = keyRef{Raw: tg.XRaw}
 				}
 			}
-			g.owners = append(g.owners, o) // owners iterate ascending → sorted
+			g.owners = append(g.owners, groupOwner{o, tg.AnyIn, tg.AnyOut}) // owners iterate ascending → sorted
 			if tg.PreKnown {
 				g.preKnown, g.preFlag = true, tg.PreFlag
 			}
@@ -374,8 +384,8 @@ func (sys *System) applyWaveCoalesced(norm relation.UpdateList, delta *cfd.Delta
 	// every batch through one of them.
 	probing := 0
 	for _, g := range groups {
-		if g.needProbe && !sc.probing[g.owners[0]] {
-			sc.probing[g.owners[0]] = true
+		if g.needProbe && !sc.probing[g.owners[0].site] {
+			sc.probing[g.owners[0].site] = true
 			probing++
 		}
 	}
@@ -399,7 +409,7 @@ func (sys *System) applyWaveCoalesced(norm relation.UpdateList, delta *cfd.Delta
 			continue
 		}
 		item := probeGroupItem{Rule: g.comp.ID, X: g.xref, Bs: g.allBs, Decided: g.decided}
-		if o := g.owners[0]; o != relay {
+		if o := g.owners[0].site; o != relay {
 			sc.fwd.Add(o, item)
 		}
 		// Probe every site that may hold classes of the group: the
@@ -460,17 +470,21 @@ func (sys *System) applyWaveCoalesced(norm relation.UpdateList, delta *cfd.Delta
 		}
 	}
 
-	// Phase D: settle. Same-site at every touching owner (new classes get
-	// their flag, demotes/promotes flip survivors), plus one envelope per
-	// (relay, site) for remote corrections — in practice the demote
-	// round, since promotions already happened inline.
+	// Phase D: settle. Same-site at a touching owner whose reply shows a
+	// class the final flag flips (a new class to flag, survivors to
+	// demote or promote) — owners are never probed, so their classes are
+	// as they replied — plus one envelope per (relay, site) for remote
+	// corrections: in practice the demote round, since promotions already
+	// happened inline.
 	addSettle := func(to network.SiteID, g *hGroup) {
 		sc.settle.Add(to, settleGroupItem{Rule: g.comp.ID, X: g.xref, Flag: g.postFlag})
 		sc.settleRefs[to] = append(sc.settleRefs[to], g)
 	}
 	for _, g := range groups {
 		for _, o := range g.owners {
-			addSettle(o, g) // same-site from the owner itself: unmetered
+			if g.postFlag && o.anyOut || !g.postFlag && o.anyIn {
+				addSettle(o.site, g) // same-site from the owner itself: unmetered
+			}
 		}
 		for _, r := range g.remote {
 			if r.has && !r.promoted && r.flag != g.postFlag {

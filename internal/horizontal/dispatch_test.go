@@ -95,13 +95,15 @@ func mustMarshal(t testing.TB, v any) []byte {
 	return data
 }
 
-// TestHandlersRefuseMalformedCalls: a group digest that is not 16 bytes —
-// in a probe or a settle, behind an item the site could serve — an update
+// TestHandlersRefuseMalformedCalls: a group digest that is not 16 bytes
+// and a rule the site does not hold as a variable rule — in a probe or a
+// settle, behind an item the site could serve — an update
 // of an unknown op or arity, the deletion of a tuple the fragment does
 // not hold with the values given, and rule lists a site cannot install or
 // drop whole are answered with an error naming the site (and the
-// method), and the site does not change. At the parent commit the two
-// digest cases killed the process.
+// method), and the site does not change. The two digest cases once killed
+// the process; the unknown-rule items were once answered as "no classes"
+// and "nothing flipped".
 func TestHandlersRefuseMalformedCalls(t *testing.T) {
 	_, rel, scheme, rules := dispatchFixture()
 	sys, tr := hostedSystem(t, rel, scheme, rules[:20], Options{})
@@ -115,7 +117,7 @@ func TestHandlersRefuseMalformedCalls(t *testing.T) {
 	var dx code
 	for _, r := range s.ruleOrder {
 		for x, g := range r.groups {
-			for _, c := range g {
+			for _, c := range g.classes {
 				if !c.inV {
 					rule, dx = r.ID, x
 				}
@@ -125,6 +127,15 @@ func TestHandlersRefuseMalformedCalls(t *testing.T) {
 	if rule == "" {
 		t.Fatal("fixture: site 0 holds no unflagged class")
 	}
+	var constRule string
+	for _, r := range s.ruleOrder {
+		if r.ConstRHS {
+			constRule = r.ID
+		}
+	}
+	if constRule == "" {
+		t.Fatal("fixture: site 0 holds no constant rule")
+	}
 	good, short := keyRef{Digest: dx[:]}, keyRef{Digest: []byte{1, 2, 3}}
 	cases := []struct {
 		name, method string
@@ -133,6 +144,10 @@ func TestHandlersRefuseMalformedCalls(t *testing.T) {
 	}{
 		{"probe: 3-byte digest", "h.probeGroup", probeGroupReq{Items: []probeGroupItem{{Rule: rule, X: good, Decided: true}, {Rule: rule, X: short}}}, nil},
 		{"settle: 3-byte digest", "h.settleGroup", settleGroupReq{Items: []settleGroupItem{{Rule: rule, X: good, Flag: true}, {Rule: rule, X: short, Flag: true}}}, nil},
+		{"probe: unknown rule", "h.probeGroup", probeGroupReq{Items: []probeGroupItem{{Rule: rule, X: good, Decided: true}, {Rule: "no such rule", X: good}}}, xerr.ErrUnknownRule},
+		{"settle: unknown rule", "h.settleGroup", settleGroupReq{Items: []settleGroupItem{{Rule: rule, X: good, Flag: true}, {Rule: "no such rule", X: good, Flag: true}}}, xerr.ErrUnknownRule},
+		{"probe: constant rule", "h.probeGroup", probeGroupReq{Items: []probeGroupItem{{Rule: rule, X: good, Decided: true}, {Rule: constRule, X: good}}}, xerr.ErrUnknownRule},
+		{"settle: constant rule", "h.settleGroup", settleGroupReq{Items: []settleGroupItem{{Rule: rule, X: good, Flag: true}, {Rule: constRule, X: good, Flag: true}}}, xerr.ErrUnknownRule},
 		{"batch: unknown op", "h.batchApply", batchApplyReq{Updates: []batchApplyItem{{Op: 7, ID: 1 << 40, Values: held.Values}}}, nil},
 		{"batch: tuple short of the schema", "h.batchApply", batchApplyReq{Updates: []batchApplyItem{{Op: OpInsert, ID: 1 << 40, Values: held.Values[:2]}}}, nil},
 		{"batch: delete of an absent tuple", "h.batchApply", batchApplyReq{Updates: []batchApplyItem{{Op: OpDelete, ID: 1 << 40, Values: held.Values}}}, nil},
@@ -155,7 +170,7 @@ func TestHandlersRefuseMalformedCalls(t *testing.T) {
 			t.Errorf("%s: %v, want %v", c.name, err, c.want)
 		case !strings.Contains(err.Error(), "site 0"):
 			t.Errorf("%s: error does not name the site: %v", c.name, err)
-		case c.want == nil && !strings.Contains(err.Error(), c.method):
+		case (c.want == nil || c.want == xerr.ErrUnknownRule) && !strings.Contains(err.Error(), c.method):
 			t.Errorf("%s: error does not name the method: %v", c.name, err)
 		}
 		after, err := tr.sites[0].Snapshot()

@@ -12,43 +12,54 @@ import (
 )
 
 // checkIndex fails unless s's class index is as every call must leave it:
-// each group has a class, each class a member, members strictly
-// ascending, no fresh bit set, and no touch table left behind.
+// each group has a class, classes strictly ascending by B code, each class
+// a member, members strictly ascending, no fresh bit set, and no touch
+// table or touch slot left behind.
 func checkIndex(t testing.TB, s *site) {
 	t.Helper()
 	for _, r := range s.ruleOrder {
 		for dx, g := range r.groups {
-			if len(g) == 0 {
-				t.Fatalf("rule %s: group %x has no class", r.ID, dx)
+			if len(g.classes) == 0 || g.touch != 0 {
+				t.Fatalf("rule %s: group %x has %d classes, touch slot %d", r.ID, dx, len(g.classes), g.touch)
 			}
-			for db, c := range g {
+			for k := range g.classes {
+				c := &g.classes[k]
+				if k > 0 && bytes.Compare(g.classes[k-1].db[:], c.db[:]) >= 0 {
+					t.Fatalf("rule %s: group %x: classes not strictly ascending by B code", r.ID, dx)
+				}
 				if len(c.members) == 0 || c.fresh {
-					t.Fatalf("rule %s: class %x/%x has %d members, fresh %v", r.ID, dx, db, len(c.members), c.fresh)
+					t.Fatalf("rule %s: class %x/%x has %d members, fresh %v", r.ID, dx, c.db, len(c.members), c.fresh)
 				}
 				for i := 1; i < len(c.members); i++ {
 					if c.members[i-1] >= c.members[i] {
-						t.Fatalf("rule %s: class %x/%x: members %v not strictly ascending", r.ID, dx, db, c.members)
+						t.Fatalf("rule %s: class %x/%x: members %v not strictly ascending", r.ID, dx, c.db, c.members)
 					}
 				}
 			}
 		}
 	}
-	if n := len(s.touch) + len(s.touches) + len(s.events); n > 0 {
+	if n := len(s.touches) + len(s.events); n > 0 {
 		t.Fatalf("a call left %d touch-table entries behind", n)
 	}
 }
 
+// groupKey names a (rule, X) group of one site.
+type groupKey struct {
+	rule *siteRule
+	dx   code
+}
+
 // classSets copies s's class index: per (rule, X code), the B codes of
 // its classes with their flags.
-func classSets(s *site) map[touchKey]map[code]bool {
-	out := make(map[touchKey]map[code]bool)
+func classSets(s *site) map[groupKey]map[code]bool {
+	out := make(map[groupKey]map[code]bool)
 	for _, r := range s.ruleOrder {
 		for dx, g := range r.groups {
-			bs := make(map[code]bool, len(g))
-			for db, c := range g {
-				bs[db] = c.inV
+			bs := make(map[code]bool, len(g.classes))
+			for _, c := range g.classes {
+				bs[c.db] = c.inV
 			}
-			out[touchKey{r, dx}] = bs
+			out[groupKey{r, dx}] = bs
 		}
 	}
 	return out
@@ -65,10 +76,11 @@ func wantEvidence(t *testing.T, pre, post map[code]bool) touchedGroup {
 		}
 		want.PreKnown, want.PreFlag = true, flag
 	}
-	for db := range post {
+	for db, flag := range post {
 		if _, ok := pre[db]; !ok {
 			want.NewB = true
 		}
+		want.AnyIn, want.AnyOut = want.AnyIn || flag, want.AnyOut || !flag
 	}
 	want.Structural = want.NewB || len(pre) != len(post)
 	bs := make([]code, 0, len(post))
@@ -84,9 +96,9 @@ func wantEvidence(t *testing.T, pre, post map[code]bool) touchedGroup {
 
 // touchedGroups lists the (rule, X) groups a call over ups touches, in
 // first-touch order, with the ids each gains and loses.
-func touchedGroups(s *site, ups []batchApplyItem) ([]touchKey, map[touchKey][2][]int64) {
-	var keys []touchKey
-	ids := make(map[touchKey][2][]int64)
+func touchedGroups(s *site, ups []batchApplyItem) ([]groupKey, map[groupKey][2][]int64) {
+	var keys []groupKey
+	ids := make(map[groupKey][2][]int64)
 	for _, u := range ups {
 		t := relation.Tuple{ID: relation.TupleID(u.ID), Values: u.Values}
 		for _, r := range s.ruleOrder {
@@ -94,7 +106,7 @@ func touchedGroups(s *site, ups []batchApplyItem) ([]touchKey, map[touchKey][2][
 				continue
 			}
 			dx, _ := s.tupleKeys(r.Compiled, t)
-			k := touchKey{r, dx}
+			k := groupKey{r, dx}
 			e, seen := ids[k]
 			if !seen {
 				keys = append(keys, k)
@@ -111,8 +123,8 @@ func touchedGroups(s *site, ups []batchApplyItem) ([]touchKey, map[touchKey][2][
 }
 
 // applyChecked runs one h.batchApply on s and holds each touched group's
-// reply to the definition: PreKnown, PreFlag, Structural, NewB and PostBs
-// as s's class sets before and after the call give them, and the ids the
+// reply to the definition: PreKnown, PreFlag, Structural, NewB, AnyIn,
+// AnyOut and PostBs as s's class sets before and after the call give them, and the ids the
 // group gained and lost in batch order.
 func applyChecked(t *testing.T, s *site, ups ...batchApplyItem) []touchedGroup {
 	t.Helper()
@@ -134,6 +146,7 @@ func applyChecked(t *testing.T, s *site, ups ...batchApplyItem) []touchedGroup {
 		if got.Rule != want.Rule || !bytes.Equal(got.X, want.X) ||
 			got.PreKnown != want.PreKnown || got.PreFlag != want.PreFlag ||
 			got.Structural != want.Structural || got.NewB != want.NewB ||
+			got.AnyIn != want.AnyIn || got.AnyOut != want.AnyOut ||
 			!slices.EqualFunc(got.PostBs, want.PostBs, bytes.Equal) ||
 			!slices.Equal(got.Inserted, want.Inserted) || !slices.Equal(got.Deleted, want.Deleted) {
 			t.Fatalf("touched group %d:\n got %+v\nwant %+v", i, got, want)
@@ -170,7 +183,8 @@ func delItem(id int64, vals ...string) batchApplyItem {
 // TestBatchEvidenceMatchesClassSets: over random batches on one small
 // site — insertions, deletions, modifications, and tuples inserted and
 // deleted again within one call — every touched group's PreKnown,
-// PreFlag, Structural, NewB and PostBs are what comparing the site's
+// PreFlag, Structural, NewB, AnyIn, AnyOut and PostBs are what comparing
+// the site's
 // class sets before and after the call gives, the definition the
 // end-of-call reading of emptied classes and fresh bits stands in for.
 func TestBatchEvidenceMatchesClassSets(t *testing.T) {
@@ -295,7 +309,7 @@ func TestBatchEvidenceEdgeCases(t *testing.T) {
 		t.Fatal("the deletion of an absent tuple was accepted")
 	}
 	checkIndex(t, s)
-	if g := ab.groups[key("a2")]; len(g) != 1 {
-		t.Errorf("group ab/a2 after the failed call has %d classes, want the one of tuple 8", len(g))
+	if g := ab.groups[key("a2")]; g == nil || len(g.classes) != 1 {
+		t.Errorf("group ab/a2 after the failed call: %+v, want the one class of tuple 8", g)
 	}
 }

@@ -122,6 +122,11 @@ type touchedGroup struct {
 	PostBs     [][]byte
 	Structural bool
 	NewB       bool
+	// AnyIn and AnyOut report that some class left after the phase is
+	// flagged, and that some is not: a settle to flag f flips a class iff
+	// f ? AnyOut : AnyIn, so the driver sends one only then.
+	AnyIn  bool
+	AnyOut bool
 	// Inserted and Deleted list the batch's member changes in this group;
 	// DeletedWasInV is aligned with Deleted (the pre-batch flag of each
 	// deleted tuple's class).

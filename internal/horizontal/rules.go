@@ -97,7 +97,7 @@ func (s *site) seedRules(req seedRulesReq) (seedRulesResp, error) {
 				continue
 			}
 			dx, db := s.tupleKeys(r.Compiled, t)
-			c, _ := r.ensureClass(dx, db)
+			c, _ := r.ensureGroup(dx).ensure(db)
 			c.add(t.ID)
 		}
 		return true
@@ -112,12 +112,12 @@ func (s *site) seedRules(req seedRulesReq) (seedRulesResp, error) {
 			g := r.groups[dx]
 			if req.Local[i] {
 				// Locally checkable: the group is global, decide here.
-				if len(g) < 2 {
+				if len(g.classes) < 2 {
 					continue
 				}
-				for _, c := range g {
-					c.inV = true
-					item.Violations = appendIDs(item.Violations, c.members)
+				for k := range g.classes {
+					g.classes[k].inV = true
+					item.Violations = appendIDs(item.Violations, g.classes[k].members)
 				}
 				continue
 			}
@@ -134,7 +134,7 @@ func (s *site) seedRules(req seedRulesReq) (seedRulesResp, error) {
 func (s *site) dropRules(req dropRulesReq) (empty, error) {
 	for i, id := range req.Rules {
 		if _, ok := s.rules[id]; !ok || slices.Contains(req.Rules[:i], id) {
-			return empty{}, fmt.Errorf("horizontal: site %d: dropping rule %q: %w", s.id, id, xerr.ErrUnknownRule)
+			return empty{}, s.refuse("h.dropRules", "rule %q: %w", id, xerr.ErrUnknownRule)
 		}
 	}
 	for _, id := range req.Rules {

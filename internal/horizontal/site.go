@@ -10,13 +10,15 @@ import (
 	"repro/internal/cfd"
 	"repro/internal/network"
 	"repro/internal/relation"
+	"repro/internal/xerr"
 )
 
-// hClass is one equivalence class [t]_{X∪{B}} restricted to a site's
+// sClass is one equivalence class [t]_{X∪{B}} restricted to a site's
 // fragment, with its violation flag. All members share (X, B) values, so
 // they share violation status — the flag is per class, which is what makes
 // every protocol step O(1).
-type hClass struct {
+type sClass struct {
+	db      code
 	members []relation.TupleID // ascending
 	inV     bool
 	// fresh marks a class the running h.batchApply call created; the call
@@ -25,14 +27,14 @@ type hClass struct {
 }
 
 // add inserts id into the class, keeping members ascending.
-func (c *hClass) add(id relation.TupleID) {
+func (c *sClass) add(id relation.TupleID) {
 	if i, found := slices.BinarySearch(c.members, id); !found {
 		c.members = slices.Insert(c.members, i, id)
 	}
 }
 
 // remove deletes id from the class, reporting whether it was a member.
-func (c *hClass) remove(id relation.TupleID) bool {
+func (c *sClass) remove(id relation.TupleID) bool {
 	i, found := slices.BinarySearch(c.members, id)
 	if found {
 		c.members = slices.Delete(c.members, i, i+1)
@@ -40,11 +42,44 @@ func (c *hClass) remove(id relation.TupleID) bool {
 	return found
 }
 
-// siteRule is one installed rule with its class index: X code → B code →
-// class (nil under a constant rule).
+// sGroup is one (rule, X) group at a site: its classes inline, sorted by
+// B code. Between calls every class has members and all share one flag,
+// so classes[0] carries the group's flag and the first two classes are its
+// smallest B digests. A *sClass into classes is only good until the next
+// insert into the group.
+type sGroup struct {
+	classes []sClass
+	// touch is the group's slot in the running h.batchApply call's touch
+	// table plus one; zero between calls.
+	touch int32
+}
+
+// class returns the class of db, nil when absent.
+func (g *sGroup) class(db code) *sClass {
+	if i, found := g.find(db); found {
+		return &g.classes[i]
+	}
+	return nil
+}
+
+func (g *sGroup) find(db code) (int, bool) {
+	return slices.BinarySearchFunc(g.classes, db, func(c sClass, db code) int { return bytes.Compare(c.db[:], db[:]) })
+}
+
+// ensure returns the class of db, inserting it when absent.
+func (g *sGroup) ensure(db code) (c *sClass, created bool) {
+	i, found := g.find(db)
+	if !found {
+		g.classes = slices.Insert(g.classes, i, sClass{db: db})
+	}
+	return &g.classes[i], !found
+}
+
+// siteRule is one installed rule with its class index: X code → group
+// (nil under a constant rule).
 type siteRule struct {
 	*cfd.Compiled
-	groups map[code]map[code]*hClass
+	groups map[code]*sGroup
 }
 
 // site is the per-fragment state of the horizontal detection system.
@@ -64,12 +99,19 @@ type site struct {
 
 	keyBuf   []byte    // grouping-key scratch
 	bScratch [1]string // single-value projection scratch
-	codes    []code    // the item keys of one probe or settle
+	// groups holds the groups an item list of a probe or settle names.
+	groups []*sGroup
+
+	// The B-code memo of the running h.batchApply call: bMemo[col] is the
+	// code of the current tuple's col iff bStamp[col] == stamp, and stamp
+	// moves on for every update, so no code outlives its tuple.
+	bMemo  []code
+	bStamp []uint64
+	stamp  uint64
 
 	// The touch table of the running h.batchApply call, kept for the next
-	// one (see touchKeep): touch indexes touches by (rule, X code), events
-	// are the call's member changes in batch order.
-	touch   map[touchKey]int32
+	// one (see touchKeep): each touched group holds its slot, events are
+	// the call's member changes in batch order.
 	touches []groupTouch
 	events  []touchEvent
 }
@@ -92,34 +134,20 @@ func newSite(id network.SiteID, schema *relation.Schema, comp []cfd.Compiled) *s
 func (s *site) install(c *cfd.Compiled) {
 	r := &siteRule{Compiled: c}
 	if !c.ConstRHS {
-		r.groups = make(map[code]map[code]*hClass)
+		r.groups = make(map[code]*sGroup)
 	}
 	s.rules[c.ID] = r
 	s.ruleOrder = append(s.ruleOrder, r)
 }
 
-// group returns the classes of one (rule, X) group; none for a rule the
-// site does not hold.
-func (s *site) group(rule string, dx code) map[code]*hClass {
-	if r := s.rules[rule]; r != nil {
-		return r.groups[dx]
-	}
-	return nil
-}
-
-// ensureClass returns the class of (dx, db), creating it — and its group —
-// when absent.
-func (r *siteRule) ensureClass(dx, db code) (c *hClass, created bool) {
-	g, ok := r.groups[dx]
-	if !ok {
-		g = make(map[code]*hClass, 1)
+// ensureGroup returns the group of dx, creating it when absent.
+func (r *siteRule) ensureGroup(dx code) *sGroup {
+	g := r.groups[dx]
+	if g == nil {
+		g = &sGroup{}
 		r.groups[dx] = g
 	}
-	if c, ok = g[db]; !ok {
-		c = &hClass{}
-		g[db] = c
-	}
-	return c, !ok
+	return g
 }
 
 // refuse is the error a handler answers a malformed call with.
@@ -130,16 +158,28 @@ func (s *site) refuse(method, format string, args ...any) error {
 // tupleKeys computes the MD5 codes of t[X] and t[B] under a compiled
 // rule through the site's scratch buffer.
 func (s *site) tupleKeys(r *cfd.Compiled, t relation.Tuple) (dx, db code) {
-	s.keyBuf = t.AppendKey(s.keyBuf[:0], r.LHSCols)
-	dx = md5.Sum(s.keyBuf)
-	s.bScratch[0] = t.Values[r.RHSCol]
-	s.keyBuf = relation.AppendKeyVals(s.keyBuf[:0], s.bScratch[:])
-	return dx, md5.Sum(s.keyBuf)
+	return s.xCode(r, t), s.valueCode(t.Values[r.RHSCol])
 }
 
-type touchKey struct {
-	rule *siteRule
-	dx   code
+func (s *site) xCode(r *cfd.Compiled, t relation.Tuple) code {
+	s.keyBuf = t.AppendKey(s.keyBuf[:0], r.LHSCols)
+	return md5.Sum(s.keyBuf)
+}
+
+func (s *site) valueCode(v string) code {
+	s.bScratch[0] = v
+	s.keyBuf = relation.AppendKeyVals(s.keyBuf[:0], s.bScratch[:])
+	return md5.Sum(s.keyBuf)
+}
+
+// memoBCode is valueCode of t's col through the B memo: rules sharing a
+// right-hand side share one digest per update. Only the local phase calls
+// it, after moving the stamp on for t.
+func (s *site) memoBCode(t relation.Tuple, col int) code {
+	if s.bStamp[col] != s.stamp {
+		s.bMemo[col], s.bStamp[col] = s.valueCode(t.Values[col]), s.stamp
+	}
+	return s.bMemo[col]
 }
 
 // groupTouch is one (rule, X) group the running h.batchApply call
@@ -148,6 +188,7 @@ type touchKey struct {
 type groupTouch struct {
 	rule       *siteRule
 	dx         code
+	g          *sGroup
 	xRaw       []string
 	preKnown   bool
 	preFlag    bool
@@ -196,8 +237,8 @@ func (s *site) batchApply(req batchApplyReq) (batchApplyResp, error) {
 // localPhase applies the call's updates, filling the touch table.
 func (s *site) localPhase(req batchApplyReq) (batchApplyResp, error) {
 	var resp batchApplyResp
-	if s.touch == nil {
-		s.touch = make(map[touchKey]int32)
+	if w := s.schema.Width(); len(s.bMemo) != w {
+		s.bMemo, s.bStamp = make([]code, w), make([]uint64, w)
 	}
 	for _, u := range req.Updates {
 		t := relation.Tuple{ID: relation.TupleID(u.ID), Values: u.Values}
@@ -208,6 +249,7 @@ func (s *site) localPhase(req batchApplyReq) (batchApplyResp, error) {
 		} else if held, ok := s.frag.Get(t.ID); !ok || !slices.Equal(held.Values, t.Values) {
 			return resp, s.refuse("h.batchApply", "delete of tuple %d, which the fragment does not hold with these values", u.ID)
 		}
+		s.stamp++
 		for _, r := range s.ruleOrder {
 			if !r.MatchesLHS(t) {
 				continue
@@ -218,16 +260,23 @@ func (s *site) localPhase(req batchApplyReq) (batchApplyResp, error) {
 				}
 				continue
 			}
-			dx, db := s.tupleKeys(r.Compiled, t)
-			ev := touchEvent{touch: s.touchOf(r, dx, t, req.RawKeys), id: u.ID}
+			dx, db := s.xCode(r.Compiled, t), s.memoBCode(t, r.RHSCol)
+			g := r.groups[dx]
+			if g == nil {
+				if u.Op == OpDelete {
+					return resp, fmt.Errorf("horizontal: site %d: delete of unindexed tuple %d (rule %s)", s.id, u.ID, r.ID)
+				}
+				g = r.ensureGroup(dx)
+			}
+			ev := touchEvent{touch: s.touchOf(r, dx, g, t, req.RawKeys), id: u.ID}
 			gt := &s.touches[ev.touch]
 			if u.Op == OpInsert {
-				c, created := r.ensureClass(dx, db)
+				c, created := g.ensure(db)
 				c.fresh = c.fresh || created
 				c.add(t.ID)
 				gt.nIns++
 			} else {
-				c := r.groups[dx][db]
+				c := g.class(db)
 				if c == nil {
 					return resp, fmt.Errorf("horizontal: site %d: delete of unindexed tuple %d (rule %s)", s.id, u.ID, r.ID)
 				}
@@ -253,18 +302,15 @@ func (s *site) localPhase(req batchApplyReq) (batchApplyResp, error) {
 	return resp, nil
 }
 
-// touchOf returns the touch-table index of (r, dx), recording the group's
-// state at first touch.
-func (s *site) touchOf(r *siteRule, dx code, t relation.Tuple, raw bool) int32 {
-	k := touchKey{r, dx}
-	if i, ok := s.touch[k]; ok {
-		return i
+// touchOf returns the touch-table index of r's group g (of code dx),
+// recording the group's state at first touch.
+func (s *site) touchOf(r *siteRule, dx code, g *sGroup, t relation.Tuple, raw bool) int32 {
+	if g.touch > 0 {
+		return g.touch - 1
 	}
-	g := r.groups[dx]
-	gt := groupTouch{rule: r, dx: dx, preKnown: len(g) > 0}
-	for _, c := range g {
-		gt.preFlag = c.inV
-		break
+	gt := groupTouch{rule: r, dx: dx, g: g, preKnown: len(g.classes) > 0}
+	if gt.preKnown {
+		gt.preFlag = g.classes[0].inV
 	}
 	if raw {
 		gt.xRaw = make([]string, len(r.LHSCols))
@@ -272,21 +318,21 @@ func (s *site) touchOf(r *siteRule, dx code, t relation.Tuple, raw bool) int32 {
 			gt.xRaw[i] = t.Values[col]
 		}
 	}
-	i := int32(len(s.touches))
 	s.touches = append(s.touches, gt)
-	s.touch[k] = i
-	return i
+	g.touch = int32(len(s.touches))
+	return g.touch - 1
 }
 
 // finishTouches ends an h.batchApply call, on its error returns too:
 // every touched group drops the classes the call emptied (and itself, once
-// it has none) and every fresh bit is cleared, so between calls no class
-// is empty and none is fresh. When build is set it returns each group's
-// evidence. The group's B set before the call is its non-fresh classes and
-// the set after its non-empty ones, so the class structure changed iff a
-// class older than the call is empty or a fresh class kept members, and a
-// new B appeared iff the latter: a class created and emptied within the
-// call never existed, a class emptied and refilled is the B it was.
+// it has none), gives back its touch slot, and every fresh bit is cleared,
+// so between calls no class is empty and none is fresh. When build is set
+// it returns each group's evidence. The group's B set before the call is
+// its non-fresh classes and the set after its non-empty ones, so the class
+// structure changed iff a class older than the call is empty or a fresh
+// class kept members, and a new B appeared iff the latter: a class created
+// and emptied within the call never existed, a class emptied and refilled
+// is the B it was. AnyIn and AnyOut read the surviving classes' flags.
 func (s *site) finishTouches(build bool) []touchedGroup {
 	var out []touchedGroup
 	var bs [][]byte
@@ -323,19 +369,26 @@ func (s *site) finishTouches(build bool) []touchedGroup {
 	}
 	for i := range s.touches {
 		gt := &s.touches[i]
-		g := gt.rule.groups[gt.dx]
-		structural, newB := false, false
-		for db, c := range g {
+		g := gt.g
+		structural, newB, anyIn, anyOut := false, false, false, false
+		kept := 0
+		for k := range g.classes {
+			c := &g.classes[k]
 			switch {
 			case len(c.members) == 0:
 				structural = structural || !c.fresh
-				delete(g, db)
+				continue
 			case c.fresh:
 				structural, newB = true, true
 			}
 			c.fresh = false
+			anyIn, anyOut = anyIn || c.inV, anyOut || !c.inV
+			g.classes[kept] = *c
+			kept++
 		}
-		if len(g) == 0 {
+		clear(g.classes[kept:])
+		g.classes, g.touch = g.classes[:kept], 0
+		if kept == 0 {
 			delete(gt.rule.groups, gt.dx)
 		}
 		if build {
@@ -343,53 +396,36 @@ func (s *site) finishTouches(build bool) []touchedGroup {
 			tg := &out[i]
 			tg.Rule, tg.X, tg.XRaw = gt.rule.ID, keys[at:at+codeLen:at+codeLen], gt.xRaw
 			copy(tg.X, gt.dx[:])
-			tg.PreKnown, tg.PreFlag = gt.preKnown, gt.preKnown && gt.preFlag
+			tg.PreKnown, tg.PreFlag = gt.preKnown, gt.preFlag
 			tg.Structural, tg.NewB = structural, newB
+			tg.AnyIn, tg.AnyOut = anyIn, anyOut
 			tg.PostBs = appendDigests(bs[2*i:2*i:2*i+2], keys[at+codeLen:at+3*codeLen], g)
 		}
 	}
 	clear(s.touches)
 	if len(s.touches) > touchKeep {
-		s.touch, s.touches, s.events = nil, nil, nil
+		s.touches, s.events = nil, nil
 	} else {
-		clear(s.touch)
 		s.touches, s.events = s.touches[:0], s.events[:0]
 	}
 	return out
 }
 
-// smallestDigests returns a group's two smallest B digests, ascending, n
-// of them: two mean "at least two", which alone decides the group
-// violating.
-func smallestDigests(g map[code]*hClass) (d [2]code, n int) {
-	for db := range g {
-		switch {
-		case n == 0:
-			d[0], n = db, 1
-		case bytes.Compare(db[:], d[0][:]) < 0:
-			d[0], d[1], n = db, d[0], 2
-		case n == 1 || bytes.Compare(db[:], d[1][:]) < 0:
-			d[1], n = db, 2
-		}
-	}
-	return d, n
-}
-
-// appendDigests appends a group's smallest digests to dst, their bytes
-// copied into buf (room for two).
-func appendDigests(dst [][]byte, buf []byte, g map[code]*hClass) [][]byte {
-	d, n := smallestDigests(g)
-	for k := 0; k < n; k++ {
+// appendDigests appends a group's smallest B digests — its first two
+// classes', ascending — to dst, their bytes copied into buf (room for
+// two). Two mean "at least two", which alone decides the group violating.
+func appendDigests(dst [][]byte, buf []byte, g *sGroup) [][]byte {
+	for k := 0; k < len(g.classes) && k < 2; k++ {
 		b := buf[k*codeLen : (k+1)*codeLen : (k+1)*codeLen]
-		copy(b, d[k][:])
+		copy(b, g.classes[k].db[:])
 		dst = append(dst, b)
 	}
 	return dst
 }
 
 // distinctDigests returns a group's smallest digests in fresh memory.
-func distinctDigests(g map[code]*hClass) [][]byte {
-	if len(g) == 0 {
+func distinctDigests(g *sGroup) [][]byte {
+	if g == nil || len(g.classes) == 0 {
 		return nil
 	}
 	return appendDigests(make([][]byte, 0, 2), make([]byte, 2*codeLen), g)
@@ -399,18 +435,24 @@ func distinctDigests(g map[code]*hClass) [][]byte {
 // state-free: the driver aggregates, exactly as with constant-rule votes.
 func (s *site) forwardGroup(forwardGroupReq) (empty, error) { return empty{}, nil }
 
-// itemCodes decodes the n item keys of a probe or settle into s.codes,
-// refusing the call — before anything changes — on a digest that is not
-// 16 bytes.
-func (s *site) itemCodes(method string, n int, key func(int) keyRef) error {
-	s.codes = s.codes[:0]
+// itemGroups resolves the n (rule, X) items of a probe or settle into
+// s.groups (nil for a group the site has no classes of), refusing the
+// call — before anything changes — on a rule the site does not hold as a
+// variable rule, or a digest that is not 16 bytes.
+func (s *site) itemGroups(method string, n int, item func(int) (string, keyRef)) error {
+	clear(s.groups)
+	s.groups = s.groups[:0]
 	for i := 0; i < n; i++ {
-		k := key(i)
+		rule, k := item(i)
+		r := s.rules[rule]
+		if r == nil || r.ConstRHS {
+			return s.refuse(method, "item %d: rule %q: %w", i, rule, xerr.ErrUnknownRule)
+		}
 		dx, ok := k.code()
 		if !ok {
 			return s.refuse(method, "item %d: group digest of %d bytes", i, len(k.Digest))
 		}
-		s.codes = append(s.codes, dx)
+		s.groups = append(s.groups, r.groups[dx])
 	}
 	return nil
 }
@@ -422,23 +464,24 @@ func (s *site) itemCodes(method string, n int, key func(int) keyRef) error {
 // returning the flipped members. §6's probe semantics, for a whole wave of
 // groups in one message.
 func (s *site) probeGroup(req probeGroupReq) (probeGroupResp, error) {
-	if err := s.itemCodes("h.probeGroup", len(req.Items), func(i int) keyRef { return req.Items[i].X }); err != nil {
+	if err := s.itemGroups("h.probeGroup", len(req.Items), func(i int) (string, keyRef) { return req.Items[i].Rule, req.Items[i].X }); err != nil {
 		return probeGroupResp{}, err
 	}
 	resp := probeGroupResp{Items: make([]probeGroupItemResp, 0, len(req.Items))}
 	for i, item := range req.Items {
-		g := s.group(item.Rule, s.codes[i])
-		ir := probeGroupItemResp{HasClasses: len(g) > 0}
-		for _, c := range g {
-			ir.Flag = c.inV
-			break
+		g := s.groups[i]
+		var ir probeGroupItemResp
+		if g != nil {
+			ir.HasClasses, ir.Flag = true, g.classes[0].inV
+			ir.Bs = distinctDigests(g)
 		}
-		ir.Bs = distinctDigests(g)
 		if item.Decided || combinedDistinct(item.Bs, ir.Bs) >= 2 {
-			for _, c := range g {
-				if !c.inV {
-					c.inV = true
-					ir.Added = appendIDs(ir.Added, c.members)
+			if g != nil {
+				for k := range g.classes {
+					if c := &g.classes[k]; !c.inV {
+						c.inV = true
+						ir.Added = appendIDs(ir.Added, c.members)
+					}
 				}
 			}
 			ir.Promoted = true
@@ -480,21 +523,24 @@ func combinedDistinct(a, b [][]byte) int {
 // the members of classes that flipped. It serves both the same-site
 // settles at touching owners and the coalesced cross-site demote round.
 func (s *site) settleGroup(req settleGroupReq) (settleGroupResp, error) {
-	if err := s.itemCodes("h.settleGroup", len(req.Items), func(i int) keyRef { return req.Items[i].X }); err != nil {
+	if err := s.itemGroups("h.settleGroup", len(req.Items), func(i int) (string, keyRef) { return req.Items[i].Rule, req.Items[i].X }); err != nil {
 		return settleGroupResp{}, err
 	}
 	resp := settleGroupResp{Items: make([]settleGroupItemResp, 0, len(req.Items))}
 	for i, item := range req.Items {
 		var ir settleGroupItemResp
-		for _, c := range s.group(item.Rule, s.codes[i]) {
-			if c.inV == item.Flag {
-				continue
-			}
-			c.inV = item.Flag
-			if item.Flag {
-				ir.Added = appendIDs(ir.Added, c.members)
-			} else {
-				ir.Removed = appendIDs(ir.Removed, c.members)
+		if g := s.groups[i]; g != nil {
+			for k := range g.classes {
+				c := &g.classes[k]
+				if c.inV == item.Flag {
+					continue
+				}
+				c.inV = item.Flag
+				if item.Flag {
+					ir.Added = appendIDs(ir.Added, c.members)
+				} else {
+					ir.Removed = appendIDs(ir.Removed, c.members)
+				}
 			}
 		}
 		slices.Sort(ir.Added)

@@ -72,12 +72,11 @@ func (s *site) snapshotState() ([]byte, error) {
 		dxs := sortedCodes(r.groups) // none under a constant rule
 		for i := range dxs {
 			g := r.groups[dxs[i]]
-			dbs := sortedCodes(g)
-			sg := snapGroup{DX: dxs[i][:], Classes: make([]snapClass, 0, len(dbs))}
-			for j := range dbs {
-				c := g[dbs[j]]
+			sg := snapGroup{DX: dxs[i][:], Classes: make([]snapClass, 0, len(g.classes))}
+			for j := range g.classes { // already in ascending B order
+				c := &g.classes[j]
 				members := appendIDs(make([]int64, 0, len(c.members)), c.members)
-				sg.Classes = append(sg.Classes, snapClass{DB: dbs[j][:], InV: c.inV, Members: members})
+				sg.Classes = append(sg.Classes, snapClass{DB: c.db[:], InV: c.inV, Members: members})
 			}
 			sr.Groups = append(sr.Groups, sg)
 		}
@@ -133,7 +132,7 @@ func (s *site) restoreState(data []byte) error {
 				if len(cl.Members) == 0 {
 					return fail(fmt.Errorf("rule %q: class without members", c.ID))
 				}
-				hc, _ := r.ensureClass(code(g.DX), code(cl.DB))
+				hc, _ := r.ensureGroup(code(g.DX)).ensure(code(cl.DB))
 				hc.inV = cl.InV
 				for _, id := range cl.Members {
 					hc.add(relation.TupleID(id))

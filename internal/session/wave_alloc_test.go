@@ -45,3 +45,37 @@ func TestVerticalWaveAllocBound(t *testing.T) {
 		t.Errorf("a vertical wave of one allocates %.1f objects per update, want ≤ %d", allocs, bound)
 	}
 }
+
+// TestHorizontalWaveAllocBound guards the fixed cost of a horizontal wave
+// of one through a session, in the shape of the root package's
+// BenchmarkUnitUpdateHorizontal: TPCH, 50 rules, 10 hash sites on c_name,
+// one insertion per ApplyBatch, the generated tuple included. It measures
+// 78; owner settles sent for groups where nothing flips cost 82. Most of
+// what is left is the epoch publish's path copy (≈ 37), then the owner's
+// reply and the fan-out closures.
+func TestHorizontalWaveAllocBound(t *testing.T) {
+	gen := workload.NewSized(workload.TPCH, 42, 8000)
+	rules := gen.Rules(50)
+	rel := gen.Relation(4000)
+	s, err := Open(rel, rules, WithHorizontal(partition.HashHorizontal("c_name", 10)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := context.Background()
+	apply := func() {
+		if _, err := s.ApplyBatch(ctx, relation.UpdateList{{Kind: relation.Insert, Tuple: gen.Next()}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm the wave scratch, the touch tables and the parked helpers.
+	for i := 0; i < 1000; i++ {
+		apply()
+	}
+	allocs := testing.AllocsPerRun(2000, apply)
+	t.Logf("horizontal wave of one: %.1f allocations per update", allocs)
+	const bound = 80
+	if allocs > bound {
+		t.Errorf("a horizontal wave of one allocates %.1f objects per update, want ≤ %d", allocs, bound)
+	}
+}

@@ -109,8 +109,10 @@ type Hello struct {
 // hitting "no handler" mid-round; 5: the vertical same-site calls carry
 // id, index and bitset columns over a shared rule numbering; 6: the hello
 // and its status leave gob for the positional payload codec; 7: h.apply,
-// the per-tuple fragment load, is retired).
-const ProtoVersion = 7
+// the per-tuple fragment load, is retired; 8: an h.batchApply group
+// record carries AnyIn and AnyOut, and an owner settles only a group the
+// final flag flips).
+const ProtoVersion = 8
 
 // Encode encodes the hello with the positional payload codec.
 func (h *Hello) Encode() ([]byte, error) {

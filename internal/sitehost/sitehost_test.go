@@ -70,8 +70,9 @@ func TestBootstrapRejectsBadSessionID(t *testing.T) {
 
 // A driver built before the wire last changed — version 1's gob envelopes
 // and payloads, version 2's one-node v.batchResolve, version 3's
-// per-update methods, version 5's gob hello, version 6's h.apply — must
-// be refused at the hello, before any call payload is interpreted.
+// per-update methods, version 5's gob hello, version 6's h.apply,
+// version 7's h.batchApply reply without the class-flag summary — must be
+// refused at the hello, before any call payload is interpreted.
 func TestBootstrapRejectsOlderProto(t *testing.T) {
 	var gobHello bytes.Buffer
 	if err := gob.NewEncoder(&gobHello).Encode(&Hello{
