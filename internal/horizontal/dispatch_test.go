@@ -273,13 +273,42 @@ func TestDriverRefusesMalformedReplies(t *testing.T) {
 // really sends its sites — seeding, a batch, per-update rounds, an
 // AddRules, a RemoveRules and a BatchDetect, all offered to site 0 —
 // plus the probe and the settle whose 3-byte digest used to kill the
-// process.
+// process, and a settle of every group each local phase touched (the
+// driver now settles only the groups where a class can flip).
 func FuzzDispatch(f *testing.F) {
 	gen, rel, scheme, rules := dispatchFixture()
 	sys, tr := hostedSystem(f, rel, scheme, rules[:20], Options{})
 	snap, err := tr.sites[0].Snapshot()
 	if err != nil {
 		f.Fatal(err)
+	}
+	// Every local phase's touched groups, settled to the flag a class of
+	// them held when the phase ended: the owner settles a driver sends only
+	// where a class can flip, kept here for all of them.
+	var (
+		mu             sync.Mutex
+		touchedSettles []settleGroupReq
+		replyErr       error
+	)
+	tr.tamper = func(method string, resp []byte) []byte {
+		if method != "h.batchApply" {
+			return resp
+		}
+		var r batchApplyResp
+		err := network.Unmarshal(resp, &r)
+		var req settleGroupReq
+		for _, g := range r.Groups {
+			req.Items = append(req.Items, settleGroupItem{Rule: g.Rule, X: keyRef{Digest: g.X, Raw: g.XRaw}, Flag: g.AnyIn})
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if err != nil && replyErr == nil {
+			replyErr = err
+		}
+		if len(req.Items) > 0 {
+			touchedSettles = append(touchedSettles, req)
+		}
+		return resp
 	}
 	if _, err := sys.Apply(gen.Updates(rel, 24, 0.5)); err != nil {
 		f.Fatal(err)
@@ -302,6 +331,10 @@ func FuzzDispatch(f *testing.F) {
 	if _, err := sys.BatchDetect(); err != nil {
 		f.Fatal(err)
 	}
+	tr.tamper = nil
+	if replyErr != nil {
+		f.Fatalf("decoding a batchApply reply: %v", replyErr)
+	}
 	methods := tr.c.Methods(0)
 	sent := make(map[string]bool)
 	for _, call := range tr.recorded {
@@ -316,6 +349,9 @@ func FuzzDispatch(f *testing.F) {
 	short := keyRef{Digest: []byte{1, 2, 3}}
 	f.Add(uint8(slices.Index(methods, "h.probeGroup")), mustMarshal(f, probeGroupReq{Items: []probeGroupItem{{Rule: rules[0].ID, X: short}}}))
 	f.Add(uint8(slices.Index(methods, "h.settleGroup")), mustMarshal(f, settleGroupReq{Items: []settleGroupItem{{Rule: rules[0].ID, X: short}}}))
+	for _, req := range touchedSettles {
+		f.Add(uint8(slices.Index(methods, "h.settleGroup")), mustMarshal(f, req))
+	}
 
 	restored := func(t *testing.T, snap []byte) (*network.Cluster, *HostedSite) {
 		c := network.NewCluster(scheme.NumSites())
