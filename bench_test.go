@@ -231,33 +231,37 @@ func BenchmarkBatchApplyVerUnit64(b *testing.B)      { benchBatchApply(b, "verti
 func BenchmarkBatchApplyVerCoalesced64(b *testing.B) { benchBatchApply(b, "vertical", false, 64) }
 
 // --- micro-benchmarks: per-update latency of the core algorithms ---
+//
+// Each op of the unit benchmarks inserts a fresh tuple and deletes it
+// again, one update per ApplyBatch, so |D| and V are the same after every
+// op and ns/op does not depend on b.N.
+
+// benchUnitUpdates times insert + delete pairs of fresh tuples through
+// sys, one update per ApplyBatch.
+func benchUnitUpdates(b *testing.B, sys *Session, gen *workload.Generator) {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := gen.Next()
+		for _, kind := range []UpdateKind{Insert, Delete} {
+			if _, err := sys.ApplyBatch(context.Background(), UpdateList{{Kind: kind, Tuple: t}}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
 
 func BenchmarkUnitUpdateVertical(b *testing.B) {
 	gen := workload.NewSized(workload.TPCH, 42, 8000)
 	rules := gen.Rules(50)
 	rel := gen.Relation(4000)
-	sys := benchSession(b, rel, rules, WithVertical(RoundRobinVertical(gen.Schema(), 10)), WithOptimizer())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t := gen.Next()
-		if _, err := sys.ApplyBatch(context.Background(), UpdateList{{Kind: Insert, Tuple: t}}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchUnitUpdates(b, benchSession(b, rel, rules, WithVertical(RoundRobinVertical(gen.Schema(), 10)), WithOptimizer()), gen)
 }
 
 func BenchmarkUnitUpdateHorizontal(b *testing.B) {
 	gen := workload.NewSized(workload.TPCH, 42, 8000)
 	rules := gen.Rules(50)
 	rel := gen.Relation(4000)
-	sys := benchSession(b, rel, rules, WithHorizontal(HashHorizontal("c_name", 10)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t := gen.Next()
-		if _, err := sys.ApplyBatch(context.Background(), UpdateList{{Kind: Insert, Tuple: t}}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchUnitUpdates(b, benchSession(b, rel, rules, WithHorizontal(HashHorizontal("c_name", 10))), gen)
 }
 
 func BenchmarkCentralizedDetect(b *testing.B) {

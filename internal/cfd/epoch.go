@@ -9,14 +9,26 @@ import (
 
 // This file is the copy-on-write epoch layer behind every read: the live
 // Violations keeps its allocation-free map-and-bitset representation for
-// the write path, and mirrors the same state into a persistent
-// (path-copied) array-mapped trie that is published as an immutable
-// EpochView. The view also carries the per-rule posting tries — the only
-// per-rule index there is, so every per-rule read goes through a view.
-// Publishing copies only the trie paths the marks since the last publish
-// touched — O(|∆V| · depth), independent of |V| — so a writer can emit
-// one epoch per applied batch while any number of readers keep answering
-// from older epochs without locks, tearing, or copies.
+// the write path, and mirrors the same state into a persistent array-mapped
+// trie that is published as an immutable EpochView. The view also carries
+// the per-rule posting tries — the only per-rule index there is, so every
+// per-rule read goes through a view. Publishing touches only the trie
+// paths the marks since the last publish reach — O(|∆V| · depth),
+// independent of |V| — so a writer can emit one epoch per applied batch
+// while any number of readers keep answering from older epochs without
+// locks, tearing, or copies.
+//
+// Ownership follows Clojure's transients: every node carries the epoch
+// whose build created it. The build of epoch N mutates a node tagged N in
+// place and copies any other node once, tagging the copy N, so a publish
+// copies each node on the union of its paths at most once, however many
+// flips land below it. This is safe because the nodes tagged N are
+// reachable by nobody but the writer until the build ends: no reader can
+// reach epoch N before Publish returns it and its caller hands it out (the
+// session swaps it into its read state under its state lock), and
+// Violations.Clone does not carry the epoch track, so an epoch number
+// names one writer's build only — a clone builds its epochs from fresh
+// nodes.
 
 const (
 	amtBits = 6
@@ -26,8 +38,10 @@ const (
 
 func onesCount(w uint64) int { return bits.OnesCount64(w) }
 
-// amtLeaf is one (tuple, rule-bitset) entry. Leaves are immutable once
-// published: mutation copies the leaf (and its spilled words, if any).
+// amtLeaf is one (tuple, rule-bitset) entry, held by value in its node.
+// Its spilled words are never written in place: a leaf struct copied into
+// a newer node may share them with an older epoch, so every change to
+// them copies them.
 type amtLeaf struct {
 	key relation.TupleID
 	w   uint64   // inline bitset word while every rule index fits in 64 bits
@@ -92,13 +106,16 @@ func (l amtLeaf) withoutBit(idx RuleIdx) (out amtLeaf, empty bool) {
 }
 
 // amtNode is one trie node in CHAMP layout: leaves and sub-nodes live in
-// separate packed arrays addressed by two slot bitmaps. Nodes are
-// immutable once published; all mutation is by path copy.
+// separate packed arrays addressed by two slot bitmaps. epoch names the
+// build that created the node: that build alone may change it in place;
+// every later build copies it before a change (own), so a node is
+// immutable once its epoch is published.
 type amtNode struct {
 	leafBits uint64
 	nodeBits uint64
 	leaves   []amtLeaf
 	nodes    []*amtNode
+	epoch    uint64
 }
 
 func packedIdx(bits uint64, slot uint) int {
@@ -130,13 +147,25 @@ func amtGet(n *amtNode, key relation.TupleID) *amtLeaf {
 	return nil
 }
 
-// cloneNode copies n's header and slices (path-copy step).
-func cloneNode(n *amtNode) *amtNode {
-	c := &amtNode{leafBits: n.leafBits, nodeBits: n.nodeBits}
-	c.leaves = append(make([]amtLeaf, 0, len(n.leaves)), n.leaves...)
-	c.nodes = append(make([]*amtNode, 0, len(n.nodes)), n.nodes...)
+// own returns n when the build of epoch created it, and otherwise a copy
+// tagged with epoch, with room for one more leaf and child so the insert
+// that usually follows a copy does not grow the arrays again.
+func own(n *amtNode, epoch uint64) *amtNode {
+	if n.epoch == epoch {
+		return n
+	}
+	c := &amtNode{leafBits: n.leafBits, nodeBits: n.nodeBits, epoch: epoch}
+	if len(n.leaves) > 0 {
+		c.leaves = append(make([]amtLeaf, 0, len(n.leaves)+1), n.leaves...)
+	}
+	if len(n.nodes) > 0 {
+		c.nodes = append(make([]*amtNode, 0, len(n.nodes)+1), n.nodes...)
+	}
 	return c
 }
+
+// The four array edits below work in place: callers apply them only to
+// a node they own.
 
 func insertLeaf(leaves []amtLeaf, i int, l amtLeaf) []amtLeaf {
 	leaves = append(leaves, amtLeaf{})
@@ -146,34 +175,55 @@ func insertLeaf(leaves []amtLeaf, i int, l amtLeaf) []amtLeaf {
 }
 
 func removeLeaf(leaves []amtLeaf, i int) []amtLeaf {
-	return append(leaves[:i:i], leaves[i+1:]...)
+	last := len(leaves) - 1
+	copy(leaves[i:], leaves[i+1:])
+	leaves[last] = amtLeaf{}
+	return leaves[:last]
+}
+
+func insertNode(nodes []*amtNode, i int, c *amtNode) []*amtNode {
+	nodes = append(nodes, nil)
+	copy(nodes[i+1:], nodes[i:])
+	nodes[i] = c
+	return nodes
+}
+
+func removeNode(nodes []*amtNode, i int) []*amtNode {
+	last := len(nodes) - 1
+	copy(nodes[i:], nodes[i+1:])
+	nodes[last] = nil
+	return nodes[:last]
 }
 
 // amtMerge builds the minimal sub-trie holding two distinct-key leaves
-// that collide on every slot up to shift.
-func amtMerge(a, b amtLeaf, shift uint) *amtNode {
+// that collide on every slot up to shift, its nodes tagged with epoch.
+func amtMerge(a, b amtLeaf, shift uint, epoch uint64) *amtNode {
 	sa, sb := amtSlot(a.key, shift), amtSlot(b.key, shift)
 	if sa == sb {
 		return &amtNode{
 			nodeBits: 1 << sa,
-			nodes:    []*amtNode{amtMerge(a, b, shift+amtBits)},
+			nodes:    []*amtNode{amtMerge(a, b, shift+amtBits, epoch)},
+			epoch:    epoch,
 		}
 	}
 	if sa > sb {
 		a, b = b, a
 		sa, sb = sb, sa
 	}
-	return &amtNode{leafBits: 1<<sa | 1<<sb, leaves: []amtLeaf{a, b}}
+	return &amtNode{leafBits: 1<<sa | 1<<sb, leaves: []amtLeaf{a, b}, epoch: epoch}
 }
 
-// amtSet returns the root with bit idx set on key's bitset, copying only
-// the path from the root to key. newKey reports key was absent entirely;
-// changed reports the bit was newly set.
-func amtSet(n *amtNode, key relation.TupleID, idx RuleIdx, shift uint) (out *amtNode, newKey, changed bool) {
+// amtSet returns the root with bit idx set on key's bitset, as built by
+// epoch: nodes of that build on the path to key change in place, older
+// ones are copied once (own). newKey reports key was absent entirely;
+// changed reports the bit was newly set. An unchanged trie comes back
+// as n, uncopied.
+func amtSet(n *amtNode, key relation.TupleID, idx RuleIdx, shift uint, epoch uint64) (out *amtNode, newKey, changed bool) {
 	if n == nil {
 		return &amtNode{
 			leafBits: 1 << amtSlot(key, shift),
 			leaves:   []amtLeaf{amtLeaf{key: key}.withBit(idx)},
+			epoch:    epoch,
 		}, true, true
 	}
 	slot := amtSlot(key, shift)
@@ -185,42 +235,40 @@ func amtSet(n *amtNode, key relation.TupleID, idx RuleIdx, shift uint) (out *amt
 			if l.has(idx) {
 				return n, false, false
 			}
-			c := cloneNode(n)
+			c := own(n, epoch)
 			c.leaves[i] = l.withBit(idx)
 			return c, false, true
 		}
 		// Slot collision with a different key: push both down a level.
-		child := amtMerge(l, amtLeaf{key: key}.withBit(idx), shift+amtBits)
-		c := cloneNode(n)
+		child := amtMerge(l, amtLeaf{key: key}.withBit(idx), shift+amtBits, epoch)
+		c := own(n, epoch)
 		c.leafBits &^= 1 << slot
 		c.leaves = removeLeaf(c.leaves, i)
 		c.nodeBits |= 1 << slot
-		ni := packedIdx(c.nodeBits, slot)
-		c.nodes = append(c.nodes, nil)
-		copy(c.nodes[ni+1:], c.nodes[ni:])
-		c.nodes[ni] = child
+		c.nodes = insertNode(c.nodes, packedIdx(c.nodeBits, slot), child)
 		return c, true, true
 	case n.nodeBits&(1<<slot) != 0:
 		i := packedIdx(n.nodeBits, slot)
-		child, nk, ch := amtSet(n.nodes[i], key, idx, shift+amtBits)
+		child, nk, ch := amtSet(n.nodes[i], key, idx, shift+amtBits, epoch)
 		if !ch {
 			return n, nk, ch
 		}
-		c := cloneNode(n)
+		c := own(n, epoch)
 		c.nodes[i] = child
 		return c, nk, ch
 	default:
-		c := cloneNode(n)
+		c := own(n, epoch)
 		c.leafBits |= 1 << slot
 		c.leaves = insertLeaf(c.leaves, packedIdx(c.leafBits, slot), amtLeaf{key: key}.withBit(idx))
 		return c, true, true
 	}
 }
 
-// amtClear returns the root with bit idx cleared from key's bitset.
-// goneKey reports key's last bit left (the leaf was removed); changed
-// reports the bit was set before. A root emptied entirely becomes nil.
-func amtClear(n *amtNode, key relation.TupleID, idx RuleIdx, shift uint) (out *amtNode, goneKey, changed bool) {
+// amtClear returns the root with bit idx cleared from key's bitset, as
+// built by epoch (see amtSet). goneKey reports key's last bit left (the
+// leaf was removed); changed reports the bit was set before. A root
+// emptied entirely becomes nil.
+func amtClear(n *amtNode, key relation.TupleID, idx RuleIdx, shift uint, epoch uint64) (out *amtNode, goneKey, changed bool) {
 	if n == nil {
 		return nil, false, false
 	}
@@ -234,33 +282,33 @@ func amtClear(n *amtNode, key relation.TupleID, idx RuleIdx, shift uint) (out *a
 		}
 		nl, empty := l.withoutBit(idx)
 		if !empty {
-			c := cloneNode(n)
+			c := own(n, epoch)
 			c.leaves[i] = nl
 			return c, false, true
 		}
 		if len(n.leaves) == 1 && n.nodeBits == 0 {
 			return nil, true, true
 		}
-		c := cloneNode(n)
+		c := own(n, epoch)
 		c.leafBits &^= 1 << slot
 		c.leaves = removeLeaf(c.leaves, i)
 		return c, true, true
 	case n.nodeBits&(1<<slot) != 0:
 		i := packedIdx(n.nodeBits, slot)
-		child, gone, ch := amtClear(n.nodes[i], key, idx, shift+amtBits)
+		child, gone, ch := amtClear(n.nodes[i], key, idx, shift+amtBits, epoch)
 		if !ch {
 			return n, gone, ch
 		}
-		c := cloneNode(n)
+		if child == nil && len(n.nodes) == 1 && n.leafBits == 0 {
+			return nil, gone, ch
+		}
+		c := own(n, epoch)
 		if child != nil {
 			c.nodes[i] = child
 			return c, gone, ch
 		}
 		c.nodeBits &^= 1 << slot
-		c.nodes = append(c.nodes[:i:i], c.nodes[i+1:]...)
-		if c.leafBits == 0 && c.nodeBits == 0 {
-			return nil, gone, ch
-		}
+		c.nodes = removeNode(c.nodes, i)
 		return c, gone, ch
 	default:
 		return n, false, false
@@ -297,11 +345,16 @@ type EpochView struct {
 	byName     map[string]RuleIdx
 	nameSorted []RuleIdx
 
-	marks  *amtNode   // tuple → rule bitset
-	post   []*amtNode // per-rule posting set (bit 0 = membership)
-	counts []int      // per-rule posting sizes
-	tuples int        // |V|
-	markN  int        // total (tuple, rule) marks
+	marks  *amtNode  // tuple → rule bitset
+	post   []posting // per rule index
+	tuples int       // |V|
+	markN  int       // total (tuple, rule) marks
+}
+
+// posting is one rule's posting set (bit 0 = membership) and its size.
+type posting struct {
+	root *amtNode
+	n    int
 }
 
 // Epoch returns the view's monotonic epoch number (1 is the first
@@ -368,10 +421,10 @@ func (e *EpochView) Tuples() []relation.TupleID {
 // CountIdx returns the number of tuples violating the rule with the
 // given interned index, in O(1).
 func (e *EpochView) CountIdx(idx RuleIdx) int {
-	if int(idx) < 0 || int(idx) >= len(e.counts) {
+	if int(idx) < 0 || int(idx) >= len(e.post) {
 		return 0
 	}
-	return e.counts[idx]
+	return e.post[idx].n
 }
 
 // CountRule returns the number of tuples violating rule, in O(1).
@@ -389,7 +442,7 @@ func (e *EpochView) EachTupleOfRuleIdx(idx RuleIdx, f func(relation.TupleID) boo
 	if int(idx) < 0 || int(idx) >= len(e.post) {
 		return
 	}
-	amtEach(e.post[idx], func(l *amtLeaf) bool { return f(l.key) })
+	amtEach(e.post[idx].root, func(l *amtLeaf) bool { return f(l.key) })
 }
 
 // EachTupleOfRule is EachTupleOfRuleIdx by rule id.
@@ -427,8 +480,8 @@ func (e *EpochView) Measure() Measures {
 	if m.ViolatingTuples > 0 {
 		m.Drastic = 1
 	}
-	for _, c := range e.counts {
-		if c > 0 {
+	for _, p := range e.post {
+		if p.n > 0 {
 			m.RulesViolated++
 		}
 	}
@@ -454,10 +507,13 @@ type epochTrack struct {
 	overflow bool
 }
 
-// noteMark records a real bit flip for the next Publish. The pending log
-// is bounded: past ~4 flips per resident tuple a full rebuild is cheaper
-// than a replay, so the log overflows into rebuild mode instead of
-// growing without limit under snapshot-free churn.
+// noteMark records a real bit flip for the next Publish. A replay copies
+// each touched node at most once, so however long the log grows it never
+// allocates more trie nodes than a rebuild; the bound is for the log
+// itself, which would otherwise grow without limit under snapshot-free
+// churn, and for the replay's walk, one root-to-leaf descent per flip.
+// Past 4·|V|+1024 flips the log is dropped and the next Publish rebuilds
+// from the live maps in one O(|V|) walk instead.
 func (v *Violations) noteMark(id relation.TupleID, idx RuleIdx, add bool) {
 	t := v.track
 	if t.overflow {
@@ -472,13 +528,18 @@ func (v *Violations) noteMark(id relation.TupleID, idx RuleIdx, add bool) {
 }
 
 // Publish folds every mark flip since the last publish into a new
-// immutable EpochView and makes it current, copying only the trie paths
-// the flips touched — O(|∆V| · trie depth), independent of |V|. The
-// first call builds epoch 1 from the live maps and arms the tracking
-// hooks; with nothing pending it returns the current view unchanged.
+// immutable EpochView and makes it current, copying each trie node on the
+// flips' paths once — O(|∆V| · trie depth), independent of |V|. The
+// build owns the nodes it copies or creates (they carry its epoch) and
+// changes them in place for every later flip of the same publish; the
+// previous epoch's nodes are never written. The first call builds epoch 1
+// from the live maps and arms the tracking hooks; with nothing pending it
+// returns the current view unchanged.
 // Publish is a writer-side operation: callers must serialize it with the
 // mutators and hand the returned view to readers themselves (the session
-// swaps it into its read state); the view needs no lock.
+// swaps it into its read state); the view needs no lock. Nothing may
+// read the view before Publish returns it: until then its nodes are
+// still being changed in place.
 func (v *Violations) Publish() *EpochView {
 	t := v.track
 	switch {
@@ -495,25 +556,26 @@ func (v *Violations) Publish() *EpochView {
 }
 
 // buildEpoch constructs a full view from the live mark bitsets: O(|V|),
-// used for the first epoch and after a pending-log overflow. The
-// postings and their counts come out of the same walk.
+// used for the first epoch and after a pending-log overflow. Every node
+// is new and owned by epoch, so each insert changes the trie in place.
+// The postings and their counts come out of the same walk.
 func (v *Violations) buildEpoch(epoch uint64) *EpochView {
 	ev := &EpochView{
 		epoch:      epoch,
 		names:      v.rs.names,
 		byName:     cloneByName(v.rs.byName),
 		nameSorted: v.rs.sortedIdx(),
-		post:       make([]*amtNode, len(v.rs.names)),
-		counts:     make([]int, len(v.rs.names)),
+		post:       make([]posting, len(v.rs.names)),
 	}
 	v.ms.each(func(id relation.TupleID, idx RuleIdx) {
 		var newKey bool
-		ev.marks, newKey, _ = amtSet(ev.marks, id, idx, 0)
+		ev.marks, newKey, _ = amtSet(ev.marks, id, idx, 0, epoch)
 		if newKey {
 			ev.tuples++
 		}
-		ev.post[idx], _, _ = amtSet(ev.post[idx], id, 0, 0)
-		ev.counts[idx]++
+		p := &ev.post[idx]
+		p.root, _, _ = amtSet(p.root, id, 0, 0, epoch)
+		p.n++
 		ev.markN++
 	})
 	return ev
@@ -522,7 +584,9 @@ func (v *Violations) buildEpoch(epoch uint64) *EpochView {
 // applyPending derives the next epoch from cur by replaying the recorded
 // flips. The pending log holds exactly the bits that actually flipped on
 // the live set since cur was published, in order, so the replay lands
-// the tries on the live state precisely.
+// the tries on the live state precisely. The replay builds next.epoch:
+// cur's nodes are copied once, and every later flip below a copy
+// changes the copy in place.
 func (v *Violations) applyPending(cur *EpochView) *EpochView {
 	next := &EpochView{
 		epoch:      cur.epoch + 1,
@@ -538,37 +602,35 @@ func (v *Violations) applyPending(cur *EpochView) *EpochView {
 		next.byName = cloneByName(v.rs.byName)
 		next.nameSorted = v.rs.sortedIdx()
 	}
-	post := append(make([]*amtNode, 0, len(next.names)), cur.post...)
-	counts := append(make([]int, 0, len(next.names)), cur.counts...)
-	for len(post) < len(next.names) {
-		post, counts = append(post, nil), append(counts, 0)
-	}
+	next.post = make([]posting, len(next.names))
+	copy(next.post, cur.post)
+	epoch := next.epoch
 	for _, op := range v.track.pending {
+		p := &next.post[op.idx]
 		if op.add {
-			marks, newKey, changed := amtSet(next.marks, op.id, op.idx, 0)
+			marks, newKey, changed := amtSet(next.marks, op.id, op.idx, 0, epoch)
 			next.marks = marks
 			if newKey {
 				next.tuples++
 			}
 			if changed {
-				post[op.idx], _, _ = amtSet(post[op.idx], op.id, 0, 0)
-				counts[op.idx]++
+				p.root, _, _ = amtSet(p.root, op.id, 0, 0, epoch)
+				p.n++
 				next.markN++
 			}
 		} else {
-			marks, goneKey, changed := amtClear(next.marks, op.id, op.idx, 0)
+			marks, goneKey, changed := amtClear(next.marks, op.id, op.idx, 0, epoch)
 			next.marks = marks
 			if goneKey {
 				next.tuples--
 			}
 			if changed {
-				post[op.idx], _, _ = amtClear(post[op.idx], op.id, 0, 0)
-				counts[op.idx]--
+				p.root, _, _ = amtClear(p.root, op.id, 0, 0, epoch)
+				p.n--
 				next.markN--
 			}
 		}
 	}
-	next.post, next.counts = post, counts
 	return next
 }
 

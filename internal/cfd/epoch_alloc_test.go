@@ -55,6 +55,49 @@ func TestEpochPublishCostProportionalToDelta(t *testing.T) {
 	}
 }
 
+// TestEpochPublishCopiesEachNodeOnce pins the ownership rule: a publish
+// copies each trie node on its flips' paths once, however many flips land
+// below it, and changes its copies in place after that. The fixture holds
+// keys 0..4095 under phi1 and the keys of every other 64-block under
+// phi2, so the keys 64·j+5 for odd j share one leaf node in the marks
+// trie and one in phi2's postings. Flipping 32 of them in one publish
+// must allocate what flipping one does, plus the single regrowth of the
+// postings leaf array the 31 extra keys land in. A publish that walked
+// from the root for every flip would copy both paths 32 times.
+func TestEpochPublishCopiesEachNodeOnce(t *testing.T) {
+	measure := func(k int) float64 {
+		v := NewViolations()
+		r1, r2 := v.Intern("phi1"), v.Intern("phi2")
+		for i := 0; i < 4096; i++ {
+			v.AddIdx(relation.TupleID(i), r1)
+			if i>>6%2 == 0 {
+				v.AddIdx(relation.TupleID(i), r2)
+			}
+		}
+		v.Publish()
+		keys := make([]relation.TupleID, k)
+		for j := range keys {
+			keys[j] = relation.TupleID(64*(2*j+1) + 5)
+		}
+		return testing.AllocsPerRun(100, func() {
+			for _, id := range keys {
+				v.AddIdx(id, r2)
+			}
+			v.Publish()
+			for _, id := range keys {
+				v.RemoveIdx(id, r2)
+			}
+			v.Publish()
+		})
+	}
+	one, many := measure(1), measure(32)
+	t.Logf("flip+publish pairs: %.1f allocations for 1 key, %.1f for 32", one, many)
+	if many > one+1 {
+		t.Errorf("a publish of 32 flips under one shared path allocates %.1f objects, want ≤ %.1f (one flip's %.1f + 1 leaf-array regrowth)",
+			many, one+1, one)
+	}
+}
+
 // TestEpochUntrackedMarkPathStaysFree re-asserts the warm-mark 0-alloc
 // guard holds with the epoch hooks compiled in but tracking unarmed —
 // the engines' steady-state mark path is unchanged until someone

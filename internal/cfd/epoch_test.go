@@ -24,9 +24,13 @@ func viewString(e *EpochView) string {
 }
 
 // fingerprint captures everything a reader could observe through a
-// view, for stability checks.
+// view, the per-rule postings included, for stability checks.
 func fingerprint(e *EpochView) string {
-	return fmt.Sprintf("len=%d marks=%d hist=%v set=%s", e.Len(), e.Marks(), e.Histogram(), viewString(e))
+	var post strings.Builder
+	for _, rule := range e.names {
+		fmt.Fprintf(&post, " %s=%v", rule, e.TuplesOfRule(rule))
+	}
+	return fmt.Sprintf("len=%d marks=%d hist=%v set=%s post:%s", e.Len(), e.Marks(), e.Histogram(), viewString(e), post.String())
 }
 
 // viewMismatch reports how the view e answers a read differently from
@@ -153,6 +157,93 @@ func TestSnapshotStableUnderConcurrentWriter(t *testing.T) {
 	}
 	if fresh.Epoch() <= snap.Epoch() {
 		t.Fatalf("epochs not monotonic: fresh %d, old %d", fresh.Epoch(), snap.Epoch())
+	}
+}
+
+// TestHeldViewsNeverChange keeps every view a seeded writer publishes
+// and checks, once the writer is done, that each still reads exactly as
+// it did when it was published. A publish changes the nodes it owns in
+// place, so the writer mixes what could leak such a change into an older
+// view: bursts of flips on keys that share trie nodes (one publish
+// reaching the same nodes many times), rules interned past 64 (spilled
+// leaves, whose words older leaves share), RetiredDelta removals, and
+// unpublished churn long enough to overflow the pending log into a
+// rebuild.
+func TestHeldViewsNeverChange(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	v := NewViolations()
+	var names []string
+	var rules []RuleIdx
+	intern := func(n int) {
+		for i := 0; i < n; i++ {
+			names = append(names, fmt.Sprintf("phi%03d", len(names)))
+			rules = append(rules, v.Intern(names[len(names)-1]))
+		}
+	}
+	// key draws from 8 root slots × 48 second-level slots × 3 high
+	// parts: keys equal below bit 36 hang under one chain of
+	// single-child nodes, and every burst reaches a few shared nodes.
+	key := func() relation.TupleID {
+		return relation.TupleID(rng.Intn(3))<<36 | relation.TupleID(rng.Intn(48))<<6 | relation.TupleID(rng.Intn(8))
+	}
+	// rule favours the newest rules, so spilled bits flip too.
+	rule := func() RuleIdx {
+		if rng.Intn(2) == 0 {
+			return rules[len(rules)-1-rng.Intn(min(16, len(rules)))]
+		}
+		return rules[rng.Intn(len(rules))]
+	}
+	flip := func() {
+		id, idx := key(), rule()
+		if rng.Intn(3) == 0 {
+			v.RemoveIdx(id, idx)
+		} else {
+			v.AddIdx(id, idx)
+		}
+	}
+	type held struct {
+		view *EpochView
+		fp   string
+	}
+	var views []held
+	publish := func() {
+		e := v.Publish()
+		if n := len(views); n == 0 || views[n-1].view != e {
+			views = append(views, held{e, fingerprint(e)})
+		}
+	}
+	intern(8)
+	rebuilds := 0
+	for round := 0; round < 150; round++ {
+		switch {
+		case round%10 == 9:
+			intern(12) // 68 rules by round 49, 128 by the end
+		case round%17 == 8:
+			v.RetiredDelta([]string{names[rng.Intn(len(names))], names[rng.Intn(len(names))]}).Apply(v)
+		case round == 70 || round == 120:
+			for i := 0; !v.track.overflow; i++ {
+				if i > 100000 {
+					t.Fatal("pending log never overflowed")
+				}
+				flip()
+			}
+			rebuilds++
+		}
+		for i := rng.Intn(80); i >= 0; i-- {
+			flip()
+		}
+		publish()
+	}
+	if rebuilds != 2 || len(views) < 140 {
+		t.Fatalf("workload too weak: %d rebuilds, %d views", rebuilds, len(views))
+	}
+	for _, h := range views {
+		if got := fingerprint(h.view); got != h.fp {
+			t.Fatalf("epoch %d changed after it was published:\n got %.300s\nwant %.300s", h.view.Epoch(), got, h.fp)
+		}
+	}
+	if d := viewMismatch(views[len(views)-1].view, v); d != "" {
+		t.Fatalf("last view diverged from live: %s", d)
 	}
 }
 

@@ -14,11 +14,12 @@ import (
 // TestVerticalWaveAllocBound guards the fixed cost of a vertical wave of
 // one through a session, in the shape of the root package's
 // BenchmarkUnitUpdateVertical: TPCH, 50 rules, 10 sites, the optimizer,
-// one insertion per ApplyBatch, the generated tuple included. Reused fan-out
-// runs on parked helpers and the driver's wave scratch hold it near 220;
-// per-call goroutines and per-wave tables put it near 450. What is left
-// is mostly the epoch publish's path copy, the reply slices the sites
-// allocate and one closure per fan-out.
+// one insertion per ApplyBatch, the generated tuple included. It measures
+// 197: reused fan-out on parked helpers, the driver's wave scratch and an
+// epoch publish that copies each trie node once hold it there; a publish
+// that re-copies its own path per flip costs 219, per-call goroutines
+// and per-wave tables near 450. What is left is mostly the reply slices
+// the sites allocate and one closure per fan-out.
 func TestVerticalWaveAllocBound(t *testing.T) {
 	gen := workload.NewSized(workload.TPCH, 42, 8000)
 	rules := gen.Rules(50)
@@ -40,7 +41,7 @@ func TestVerticalWaveAllocBound(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(2000, apply)
 	t.Logf("vertical wave of one: %.1f allocations per update", allocs)
-	const bound = 260
+	const bound = 206
 	if allocs > bound {
 		t.Errorf("a vertical wave of one allocates %.1f objects per update, want ≤ %d", allocs, bound)
 	}
@@ -50,9 +51,10 @@ func TestVerticalWaveAllocBound(t *testing.T) {
 // of one through a session, in the shape of the root package's
 // BenchmarkUnitUpdateHorizontal: TPCH, 50 rules, 10 hash sites on c_name,
 // one insertion per ApplyBatch, the generated tuple included. It measures
-// 78; owner settles sent for groups where nothing flips cost 82. Most of
-// what is left is the epoch publish's path copy (≈ 37), then the owner's
-// reply and the fan-out closures.
+// 56; an epoch publish that re-copies its own path per flip costs 78,
+// owner settles sent for groups where nothing flips 4 more. What is left
+// is the publish's one copy of each touched trie node, the owner's reply
+// and the fan-out closures.
 func TestHorizontalWaveAllocBound(t *testing.T) {
 	gen := workload.NewSized(workload.TPCH, 42, 8000)
 	rules := gen.Rules(50)
@@ -74,7 +76,7 @@ func TestHorizontalWaveAllocBound(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(2000, apply)
 	t.Logf("horizontal wave of one: %.1f allocations per update", allocs)
-	const bound = 80
+	const bound = 58
 	if allocs > bound {
 		t.Errorf("a horizontal wave of one allocates %.1f objects per update, want ≤ %d", allocs, bound)
 	}
