@@ -13,7 +13,7 @@ race:
 # alloc runs the allocation guards: every test in the *alloc_test.go
 # files. They build only without -race (the detector allocates on its
 # own), so `make race` and CI's race step never run them.
-ALLOC_TESTS = TestAppendKeyZeroAllocs|TestHashZeroAllocs|TestCompiledMatchZeroAllocs|TestViolationsWarmMarkZeroAllocs|TestDeltaWarmMarkZeroAllocs|TestEpochPublishCostProportionalToDelta|TestEpochPublishCopiesEachNodeOnce|TestEpochUntrackedMarkPathStaysFree|TestEpochTrackedWarmMarksAmortizeToZero|TestDetectAllocCeiling|TestStoredApplyAllocsIndependentOfGroupSize|TestInt64ColumnDecodesInOneAllocation|TestColumnEncodeAllocatesNothing|TestEnvelopeAllocs|TestQueryAnswersFromPostings|TestBatchDeliverDecodeAllocs|TestWaveAllocBound|TestHorizontalWaveAllocBound|TestVerticalWaveAllocBound|TestOptimizeAllocBound
+ALLOC_TESTS = TestAppendKeyZeroAllocs|TestHashZeroAllocs|TestCompiledMatchZeroAllocs|TestViolationsWarmMarkZeroAllocs|TestDeltaWarmMarkZeroAllocs|TestEpochPublishCostProportionalToDelta|TestEpochPublishCopiesEachNodeOnce|TestEpochUnpublishedWarmMarksStayFree|TestEpochPublishedWarmMarksAmortizeToZero|TestDetectAllocCeiling|TestStoredApplyAllocsIndependentOfGroupSize|TestInt64ColumnDecodesInOneAllocation|TestColumnEncodeAllocatesNothing|TestEnvelopeAllocs|TestQueryAnswersFromPostings|TestBatchDeliverDecodeAllocs|TestWaveAllocBound|TestHorizontalWaveAllocBound|TestVerticalWaveAllocBound|TestOptimizeAllocBound
 alloc:
 	$(GO) test -run '^($(ALLOC_TESTS))$$' ./internal/relation ./internal/cfd ./internal/centralized \
 		./internal/wire ./internal/netwire ./internal/session ./internal/vertical ./internal/horizontal \
@@ -107,7 +107,9 @@ profile:
 	$(GO) run ./cmd/expbench -quick -exp '$(PROFILE_EXP)' -cpuprofile cpu.prof -memprofile mem.prof
 	@echo "inspect with: go tool pprof cpu.prof   (allocations: go tool pprof mem.prof)"
 
-# fuzz is the native-fuzzing smoke CI runs: grouping-key round-trip,
+# fuzz is the native-fuzzing smoke CI runs: the violation set against a
+# plain-map model (FuzzViolations: arbitrary bytes decoded into marks,
+# interns, publishes, clones and rule retirements), grouping-key round-trip,
 # injectivity and hash consistency (seeded with the \x1f collision
 # corpus), the TCP framing codec against adversarial headers, and the
 # call path's two decoders — the binary envelope (FuzzMsg) and the
@@ -130,6 +132,7 @@ profile:
 # the state that was there, never a panic, never an allocation sized by a
 # damaged length field.
 fuzz:
+	$(GO) test -fuzz=FuzzViolations -fuzztime=10s -run '^$$' ./internal/cfd
 	$(GO) test -fuzz=FuzzAppendKey -fuzztime=10s -run '^$$' ./internal/relation
 	$(GO) test -fuzz=FuzzFrame -fuzztime=10s -run '^$$' ./internal/netwire
 	$(GO) test -fuzz=FuzzMsg -fuzztime=10s -run '^$$' ./internal/netwire

@@ -3,32 +3,28 @@ package cfd
 import (
 	"math/bits"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/relation"
 )
 
-// This file is the copy-on-write epoch layer behind every read: the live
-// Violations keeps its allocation-free map-and-bitset representation for
-// the write path, and mirrors the same state into a persistent array-mapped
-// trie that is published as an immutable EpochView. The view also carries
-// the per-rule posting tries — the only per-rule index there is, so every
-// per-rule read goes through a view. Publishing touches only the trie
-// paths the marks since the last publish reach — O(|∆V| · depth),
-// independent of |V| — so a writer can emit one epoch per applied batch
-// while any number of readers keep answering from older epochs without
-// locks, tearing, or copies.
+// This file is the one representation of the violation state: a
+// persistent array-mapped trie of per-tuple rule bitsets plus one posting
+// trie per rule — the only per-rule index there is. The writer
+// (Violations, violations.go) changes the tries of the epoch it is
+// building in place; Publish seals that build as an immutable EpochView,
+// so any number of readers keep answering from older epochs without
+// locks, tearing, or copies while the writer builds the next one.
 //
-// Ownership follows Clojure's transients: every node carries the epoch
-// whose build created it. The build of epoch N mutates a node tagged N in
-// place and copies any other node once, tagging the copy N, so a publish
-// copies each node on the union of its paths at most once, however many
-// flips land below it. This is safe because the nodes tagged N are
-// reachable by nobody but the writer until the build ends: no reader can
-// reach epoch N before Publish returns it and its caller hands it out (the
-// session swaps it into its read state under its state lock), and
-// Violations.Clone does not carry the epoch track, so an epoch number
-// names one writer's build only — a clone builds its epochs from fresh
-// nodes.
+// Ownership follows Clojure's transients: every node carries the tag of
+// the build that created it. A build mutates a node carrying its own tag
+// in place and copies any other node once, tagging the copy, so between
+// two publishes each node on the union of the changed paths is copied at
+// most once, however many flips land below it — O(|∆V| · depth),
+// independent of |V|. Tags come from one package counter: a seal (Publish
+// or Clone) hands the writer a tag no node carries yet, so the nodes of a
+// sealed build are never written again, and a set and its clone never
+// build with the same tag.
 
 const (
 	amtBits = 6
@@ -65,6 +61,26 @@ func (l *amtLeaf) marks() int {
 		n += onesCount(w)
 	}
 	return n
+}
+
+// each calls f for every rule index set on the leaf, ascending.
+func (l *amtLeaf) each(f func(RuleIdx)) {
+	if l.ws == nil {
+		eachBit(l.w, 0, f)
+		return
+	}
+	for wi, w := range l.ws {
+		eachBit(w, wi*64, f)
+	}
+}
+
+// eachBit calls f(base+b) for every set bit b of w, ascending.
+func eachBit(w uint64, base int, f func(RuleIdx)) {
+	for w != 0 {
+		b := bits.TrailingZeros64(w)
+		f(RuleIdx(base + b))
+		w &^= 1 << uint(b)
+	}
 }
 
 // withBit returns a copy of the leaf with bit idx set.
@@ -106,17 +122,20 @@ func (l amtLeaf) withoutBit(idx RuleIdx) (out amtLeaf, empty bool) {
 }
 
 // amtNode is one trie node in CHAMP layout: leaves and sub-nodes live in
-// separate packed arrays addressed by two slot bitmaps. epoch names the
+// separate packed arrays addressed by two slot bitmaps. tag names the
 // build that created the node: that build alone may change it in place;
-// every later build copies it before a change (own), so a node is
-// immutable once its epoch is published.
+// every other build copies it before a change (own), so a node is
+// immutable once its build is sealed.
 type amtNode struct {
 	leafBits uint64
 	nodeBits uint64
 	leaves   []amtLeaf
 	nodes    []*amtNode
-	epoch    uint64
+	tag      uint64
 }
+
+// buildTags issues build tags; see the ownership note above.
+var buildTags atomic.Uint64
 
 func packedIdx(bits uint64, slot uint) int {
 	return onesCount(bits & (1<<slot - 1))
@@ -147,14 +166,14 @@ func amtGet(n *amtNode, key relation.TupleID) *amtLeaf {
 	return nil
 }
 
-// own returns n when the build of epoch created it, and otherwise a copy
-// tagged with epoch, with room for one more leaf and child so the insert
+// own returns n when the build tagged tag created it, and otherwise a
+// copy carrying tag, with room for one more leaf and child so the insert
 // that usually follows a copy does not grow the arrays again.
-func own(n *amtNode, epoch uint64) *amtNode {
-	if n.epoch == epoch {
+func own(n *amtNode, tag uint64) *amtNode {
+	if n.tag == tag {
 		return n
 	}
-	c := &amtNode{leafBits: n.leafBits, nodeBits: n.nodeBits, epoch: epoch}
+	c := &amtNode{leafBits: n.leafBits, nodeBits: n.nodeBits, tag: tag}
 	if len(n.leaves) > 0 {
 		c.leaves = append(make([]amtLeaf, 0, len(n.leaves)+1), n.leaves...)
 	}
@@ -196,35 +215,45 @@ func removeNode(nodes []*amtNode, i int) []*amtNode {
 }
 
 // amtMerge builds the minimal sub-trie holding two distinct-key leaves
-// that collide on every slot up to shift, its nodes tagged with epoch.
-func amtMerge(a, b amtLeaf, shift uint, epoch uint64) *amtNode {
+// that collide on every slot up to shift, its nodes carrying tag.
+func amtMerge(a, b amtLeaf, shift uint, tag uint64) *amtNode {
 	sa, sb := amtSlot(a.key, shift), amtSlot(b.key, shift)
 	if sa == sb {
 		return &amtNode{
 			nodeBits: 1 << sa,
-			nodes:    []*amtNode{amtMerge(a, b, shift+amtBits, epoch)},
-			epoch:    epoch,
+			nodes:    []*amtNode{amtMerge(a, b, shift+amtBits, tag)},
+			tag:      tag,
 		}
 	}
 	if sa > sb {
 		a, b = b, a
 		sa, sb = sb, sa
 	}
-	return &amtNode{leafBits: 1<<sa | 1<<sb, leaves: []amtLeaf{a, b}, epoch: epoch}
+	return leafNode(1<<sa|1<<sb, tag, a, b)
+}
+
+// leafPair is a node allocated together with room for two leaves.
+type leafPair struct {
+	amtNode
+	buf [2]amtLeaf
+}
+
+// leafNode returns a node carrying tag that holds only ls (at most two),
+// in one allocation with its leaf array.
+func leafNode(leafBits, tag uint64, ls ...amtLeaf) *amtNode {
+	p := &leafPair{amtNode: amtNode{leafBits: leafBits, tag: tag}}
+	p.leaves = append(p.buf[:0], ls...)
+	return &p.amtNode
 }
 
 // amtSet returns the root with bit idx set on key's bitset, as built by
-// epoch: nodes of that build on the path to key change in place, older
-// ones are copied once (own). newKey reports key was absent entirely;
+// the build tagged tag: its nodes on the path to key change in place,
+// others are copied once (own). newKey reports key was absent entirely;
 // changed reports the bit was newly set. An unchanged trie comes back
 // as n, uncopied.
-func amtSet(n *amtNode, key relation.TupleID, idx RuleIdx, shift uint, epoch uint64) (out *amtNode, newKey, changed bool) {
+func amtSet(n *amtNode, key relation.TupleID, idx RuleIdx, shift uint, tag uint64) (out *amtNode, newKey, changed bool) {
 	if n == nil {
-		return &amtNode{
-			leafBits: 1 << amtSlot(key, shift),
-			leaves:   []amtLeaf{amtLeaf{key: key}.withBit(idx)},
-			epoch:    epoch,
-		}, true, true
+		return leafNode(1<<amtSlot(key, shift), tag, amtLeaf{key: key}.withBit(idx)), true, true
 	}
 	slot := amtSlot(key, shift)
 	switch {
@@ -235,13 +264,13 @@ func amtSet(n *amtNode, key relation.TupleID, idx RuleIdx, shift uint, epoch uin
 			if l.has(idx) {
 				return n, false, false
 			}
-			c := own(n, epoch)
+			c := own(n, tag)
 			c.leaves[i] = l.withBit(idx)
 			return c, false, true
 		}
 		// Slot collision with a different key: push both down a level.
-		child := amtMerge(l, amtLeaf{key: key}.withBit(idx), shift+amtBits, epoch)
-		c := own(n, epoch)
+		child := amtMerge(l, amtLeaf{key: key}.withBit(idx), shift+amtBits, tag)
+		c := own(n, tag)
 		c.leafBits &^= 1 << slot
 		c.leaves = removeLeaf(c.leaves, i)
 		c.nodeBits |= 1 << slot
@@ -249,15 +278,15 @@ func amtSet(n *amtNode, key relation.TupleID, idx RuleIdx, shift uint, epoch uin
 		return c, true, true
 	case n.nodeBits&(1<<slot) != 0:
 		i := packedIdx(n.nodeBits, slot)
-		child, nk, ch := amtSet(n.nodes[i], key, idx, shift+amtBits, epoch)
+		child, nk, ch := amtSet(n.nodes[i], key, idx, shift+amtBits, tag)
 		if !ch {
 			return n, nk, ch
 		}
-		c := own(n, epoch)
+		c := own(n, tag)
 		c.nodes[i] = child
 		return c, nk, ch
 	default:
-		c := own(n, epoch)
+		c := own(n, tag)
 		c.leafBits |= 1 << slot
 		c.leaves = insertLeaf(c.leaves, packedIdx(c.leafBits, slot), amtLeaf{key: key}.withBit(idx))
 		return c, true, true
@@ -265,10 +294,12 @@ func amtSet(n *amtNode, key relation.TupleID, idx RuleIdx, shift uint, epoch uin
 }
 
 // amtClear returns the root with bit idx cleared from key's bitset, as
-// built by epoch (see amtSet). goneKey reports key's last bit left (the
-// leaf was removed); changed reports the bit was set before. A root
-// emptied entirely becomes nil.
-func amtClear(n *amtNode, key relation.TupleID, idx RuleIdx, shift uint, epoch uint64) (out *amtNode, goneKey, changed bool) {
+// built by the build tagged tag (see amtSet). goneKey reports key's last
+// bit left (the leaf was removed); changed reports the bit was set
+// before. An emptied inner node is pruned, and so is an emptied root the
+// build does not own; an emptied root it owns stays, empty, so the next
+// insert reuses it.
+func amtClear(n *amtNode, key relation.TupleID, idx RuleIdx, shift uint, tag uint64) (out *amtNode, goneKey, changed bool) {
 	if n == nil {
 		return nil, false, false
 	}
@@ -282,27 +313,29 @@ func amtClear(n *amtNode, key relation.TupleID, idx RuleIdx, shift uint, epoch u
 		}
 		nl, empty := l.withoutBit(idx)
 		if !empty {
-			c := own(n, epoch)
+			c := own(n, tag)
 			c.leaves[i] = nl
 			return c, false, true
 		}
-		if len(n.leaves) == 1 && n.nodeBits == 0 {
+		prune := shift > 0 || n.tag != tag
+		if prune && len(n.leaves) == 1 && n.nodeBits == 0 {
 			return nil, true, true
 		}
-		c := own(n, epoch)
+		c := own(n, tag)
 		c.leafBits &^= 1 << slot
 		c.leaves = removeLeaf(c.leaves, i)
 		return c, true, true
 	case n.nodeBits&(1<<slot) != 0:
 		i := packedIdx(n.nodeBits, slot)
-		child, gone, ch := amtClear(n.nodes[i], key, idx, shift+amtBits, epoch)
+		child, gone, ch := amtClear(n.nodes[i], key, idx, shift+amtBits, tag)
 		if !ch {
 			return n, gone, ch
 		}
-		if child == nil && len(n.nodes) == 1 && n.leafBits == 0 {
+		prune := shift > 0 || n.tag != tag
+		if prune && child == nil && len(n.nodes) == 1 && n.leafBits == 0 {
 			return nil, gone, ch
 		}
-		c := own(n, epoch)
+		c := own(n, tag)
 		if child != nil {
 			c.nodes[i] = child
 			return c, gone, ch
@@ -333,20 +366,18 @@ func amtEach(n *amtNode, f func(*amtLeaf) bool) bool {
 	return true
 }
 
-// EpochView is one immutable epoch of the violation state: the mark
-// bitsets, the per-rule posting indexes and the aggregate counters, all
-// behind persistent tries. A view never changes after Publish returns
+// EpochView is one epoch of the violation state: the mark bitsets, the
+// per-rule posting indexes and the aggregate counters, all behind
+// persistent tries. A published view never changes after Publish returns
 // it, is safe for any number of concurrent readers, and is where every
-// per-rule query is answered in O(answer).
+// per-rule query is answered in O(answer). The writer's Violations embeds
+// the view it is building, so the same methods answer its own reads.
 type EpochView struct {
 	epoch uint64
 
-	names      []string
-	byName     map[string]RuleIdx
-	nameSorted []RuleIdx
-
+	rs     ruleSpace
 	marks  *amtNode  // tuple → rule bitset
-	post   []posting // per rule index
+	post   []posting // per rule index; may be shorter than rs.names
 	tuples int       // |V|
 	markN  int       // total (tuple, rule) marks
 }
@@ -379,14 +410,13 @@ func (e *EpochView) HasRuleIdx(id relation.TupleID, idx RuleIdx) bool {
 
 // HasRule reports whether the tuple violates the given rule.
 func (e *EpochView) HasRule(id relation.TupleID, rule string) bool {
-	idx, ok := e.byName[rule]
+	idx, ok := e.rs.lookup(rule)
 	return ok && e.HasRuleIdx(id, idx)
 }
 
 // LookupRule returns the interned index of rule, if any.
 func (e *EpochView) LookupRule(rule string) (RuleIdx, bool) {
-	idx, ok := e.byName[rule]
-	return idx, ok
+	return e.rs.lookup(rule)
 }
 
 // Rules returns the sorted rule ids violated by the tuple.
@@ -396,9 +426,9 @@ func (e *EpochView) Rules(id relation.TupleID) []string {
 		return nil
 	}
 	out := make([]string, 0, l.marks())
-	for _, idx := range e.nameSorted {
+	for _, idx := range e.rs.sortedIdx() {
 		if l.has(idx) {
-			out = append(out, e.names[idx])
+			out = append(out, e.rs.names[idx])
 		}
 	}
 	return out
@@ -429,7 +459,7 @@ func (e *EpochView) CountIdx(idx RuleIdx) int {
 
 // CountRule returns the number of tuples violating rule, in O(1).
 func (e *EpochView) CountRule(rule string) int {
-	idx, ok := e.byName[rule]
+	idx, ok := e.rs.lookup(rule)
 	if !ok {
 		return 0
 	}
@@ -447,14 +477,14 @@ func (e *EpochView) EachTupleOfRuleIdx(idx RuleIdx, f func(relation.TupleID) boo
 
 // EachTupleOfRule is EachTupleOfRuleIdx by rule id.
 func (e *EpochView) EachTupleOfRule(rule string, f func(relation.TupleID) bool) {
-	if idx, ok := e.byName[rule]; ok {
+	if idx, ok := e.rs.lookup(rule); ok {
 		e.EachTupleOfRuleIdx(idx, f)
 	}
 }
 
 // TuplesOfRule returns the tuples violating rule in ascending order.
 func (e *EpochView) TuplesOfRule(rule string) []relation.TupleID {
-	idx, ok := e.byName[rule]
+	idx, ok := e.rs.lookup(rule)
 	if !ok {
 		return nil
 	}
@@ -467,9 +497,10 @@ func (e *EpochView) TuplesOfRule(rule string) []relation.TupleID {
 // Histogram returns the per-rule violation counts in lexicographic rule
 // order.
 func (e *EpochView) Histogram() []RuleCount {
-	out := make([]RuleCount, len(e.nameSorted))
-	for i, idx := range e.nameSorted {
-		out[i] = RuleCount{Rule: e.names[idx], Count: e.CountIdx(idx)}
+	sorted := e.rs.sortedIdx()
+	out := make([]RuleCount, len(sorted))
+	for i, idx := range sorted {
+		out[i] = RuleCount{Rule: e.rs.names[idx], Count: e.CountIdx(idx)}
 	}
 	return out
 }
@@ -486,158 +517,4 @@ func (e *EpochView) Measure() Measures {
 		}
 	}
 	return m
-}
-
-// markOp is one recorded mark flip awaiting the next Publish.
-type markOp struct {
-	id  relation.TupleID
-	idx RuleIdx
-	add bool
-}
-
-// epochTrack is the live set's epoch machinery: the last published view
-// plus the mark flips recorded since. All of it belongs to the (single)
-// writer; readers get views only through whoever called Publish.
-type epochTrack struct {
-	cur        *EpochView
-	pending    []markOp
-	rulesDirty bool
-	// overflow: the pending log outgrew the point where replaying it
-	// beats rebuilding; the next Publish rebuilds from the live maps.
-	overflow bool
-}
-
-// noteMark records a real bit flip for the next Publish. A replay copies
-// each touched node at most once, so however long the log grows it never
-// allocates more trie nodes than a rebuild; the bound is for the log
-// itself, which would otherwise grow without limit under snapshot-free
-// churn, and for the replay's walk, one root-to-leaf descent per flip.
-// Past 4·|V|+1024 flips the log is dropped and the next Publish rebuilds
-// from the live maps in one O(|V|) walk instead.
-func (v *Violations) noteMark(id relation.TupleID, idx RuleIdx, add bool) {
-	t := v.track
-	if t.overflow {
-		return
-	}
-	if len(t.pending) >= 4*v.ms.lenTuples()+1024 {
-		t.overflow = true
-		t.pending = t.pending[:0]
-		return
-	}
-	t.pending = append(t.pending, markOp{id: id, idx: idx, add: add})
-}
-
-// Publish folds every mark flip since the last publish into a new
-// immutable EpochView and makes it current, copying each trie node on the
-// flips' paths once — O(|∆V| · trie depth), independent of |V|. The
-// build owns the nodes it copies or creates (they carry its epoch) and
-// changes them in place for every later flip of the same publish; the
-// previous epoch's nodes are never written. The first call builds epoch 1
-// from the live maps and arms the tracking hooks; with nothing pending it
-// returns the current view unchanged.
-// Publish is a writer-side operation: callers must serialize it with the
-// mutators and hand the returned view to readers themselves (the session
-// swaps it into its read state); the view needs no lock. Nothing may
-// read the view before Publish returns it: until then its nodes are
-// still being changed in place.
-func (v *Violations) Publish() *EpochView {
-	t := v.track
-	switch {
-	case t == nil:
-		v.track = &epochTrack{cur: v.buildEpoch(1)}
-	case t.overflow:
-		t.cur = v.buildEpoch(t.cur.epoch + 1)
-		t.overflow, t.rulesDirty, t.pending = false, false, t.pending[:0]
-	case len(t.pending) > 0 || t.rulesDirty:
-		t.cur = v.applyPending(t.cur)
-		t.pending, t.rulesDirty = t.pending[:0], false
-	}
-	return v.track.cur
-}
-
-// buildEpoch constructs a full view from the live mark bitsets: O(|V|),
-// used for the first epoch and after a pending-log overflow. Every node
-// is new and owned by epoch, so each insert changes the trie in place.
-// The postings and their counts come out of the same walk.
-func (v *Violations) buildEpoch(epoch uint64) *EpochView {
-	ev := &EpochView{
-		epoch:      epoch,
-		names:      v.rs.names,
-		byName:     cloneByName(v.rs.byName),
-		nameSorted: v.rs.sortedIdx(),
-		post:       make([]posting, len(v.rs.names)),
-	}
-	v.ms.each(func(id relation.TupleID, idx RuleIdx) {
-		var newKey bool
-		ev.marks, newKey, _ = amtSet(ev.marks, id, idx, 0, epoch)
-		if newKey {
-			ev.tuples++
-		}
-		p := &ev.post[idx]
-		p.root, _, _ = amtSet(p.root, id, 0, 0, epoch)
-		p.n++
-		ev.markN++
-	})
-	return ev
-}
-
-// applyPending derives the next epoch from cur by replaying the recorded
-// flips. The pending log holds exactly the bits that actually flipped on
-// the live set since cur was published, in order, so the replay lands
-// the tries on the live state precisely. The replay builds next.epoch:
-// cur's nodes are copied once, and every later flip below a copy
-// changes the copy in place.
-func (v *Violations) applyPending(cur *EpochView) *EpochView {
-	next := &EpochView{
-		epoch:      cur.epoch + 1,
-		names:      cur.names,
-		byName:     cur.byName,
-		nameSorted: cur.nameSorted,
-		marks:      cur.marks,
-		tuples:     cur.tuples,
-		markN:      cur.markN,
-	}
-	if v.track.rulesDirty {
-		next.names = v.rs.names
-		next.byName = cloneByName(v.rs.byName)
-		next.nameSorted = v.rs.sortedIdx()
-	}
-	next.post = make([]posting, len(next.names))
-	copy(next.post, cur.post)
-	epoch := next.epoch
-	for _, op := range v.track.pending {
-		p := &next.post[op.idx]
-		if op.add {
-			marks, newKey, changed := amtSet(next.marks, op.id, op.idx, 0, epoch)
-			next.marks = marks
-			if newKey {
-				next.tuples++
-			}
-			if changed {
-				p.root, _, _ = amtSet(p.root, op.id, 0, 0, epoch)
-				p.n++
-				next.markN++
-			}
-		} else {
-			marks, goneKey, changed := amtClear(next.marks, op.id, op.idx, 0, epoch)
-			next.marks = marks
-			if goneKey {
-				next.tuples--
-			}
-			if changed {
-				p.root, _, _ = amtClear(p.root, op.id, 0, 0, epoch)
-				p.n--
-				next.markN--
-			}
-		}
-	}
-	return next
-}
-
-func cloneByName(m map[string]RuleIdx) map[string]RuleIdx {
-	c := make(map[string]RuleIdx, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
 }

@@ -9,7 +9,7 @@ import (
 	"repro/internal/relation"
 )
 
-// epochFixture builds a tracked violation set with n resident tuples.
+// epochFixture builds a published violation set with n resident tuples.
 func epochFixture(n int) *Violations {
 	v := NewViolations()
 	r1 := v.Intern("phi1")
@@ -17,7 +17,7 @@ func epochFixture(n int) *Violations {
 	for i := 0; i < n; i++ {
 		v.AddIdx(relation.TupleID(i), r1)
 	}
-	v.Publish() // arm epoch tracking, publish epoch 1
+	v.Publish()
 	return v
 }
 
@@ -98,11 +98,11 @@ func TestEpochPublishCopiesEachNodeOnce(t *testing.T) {
 	}
 }
 
-// TestEpochUntrackedMarkPathStaysFree re-asserts the warm-mark 0-alloc
-// guard holds with the epoch hooks compiled in but tracking unarmed —
-// the engines' steady-state mark path is unchanged until someone
-// snapshots.
-func TestEpochUntrackedMarkPathStaysFree(t *testing.T) {
+// TestEpochUnpublishedWarmMarksStayFree: a set that was never published
+// owns every trie node it holds, so warm marks change them in place —
+// including add → remove → add of one rule's only posting, whose
+// emptied root the build keeps.
+func TestEpochUnpublishedWarmMarksStayFree(t *testing.T) {
 	v := NewViolations()
 	r1, r2 := v.Intern("phi1"), v.Intern("phi2")
 	v.AddIdx(7, r1)
@@ -112,18 +112,16 @@ func TestEpochUntrackedMarkPathStaysFree(t *testing.T) {
 		v.RemoveIdx(7, r2)
 	})
 	if allocs != 0 {
-		t.Errorf("untracked warm marks allocated %.1f objects per run, want 0", allocs)
+		t.Errorf("unpublished warm marks allocated %.1f objects per run, want 0", allocs)
 	}
 }
 
-// TestEpochTrackedWarmMarksAmortizeToZero: with tracking armed, the
-// pending log reuses its capacity across publishes, so steady-state
-// batches allocate only the epoch publish itself — the note hook adds
-// nothing once the log has grown.
-func TestEpochTrackedWarmMarksAmortizeToZero(t *testing.T) {
+// TestEpochPublishedWarmMarksAmortizeToZero: after a publish the first
+// flips copy the shared nodes once; from then on the build owns them and
+// warm flips allocate nothing, however many land between publishes.
+func TestEpochPublishedWarmMarksAmortizeToZero(t *testing.T) {
 	v := epochFixture(64)
 	r2 := v.Intern("phi2")
-	// Warm the pending log's capacity.
 	for i := 0; i < 32; i++ {
 		v.AddIdx(relation.TupleID(i), r2)
 	}
@@ -135,7 +133,7 @@ func TestEpochTrackedWarmMarksAmortizeToZero(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("tracked warm marks allocated %.1f objects per run, want 0 (log capacity should be reused)", allocs)
+		t.Errorf("warm marks after a publish allocated %.1f objects per run, want 0", allocs)
 	}
 	// Sanity: the state did not drift.
 	if got := v.Publish().CountRule("phi2"); got != 0 {

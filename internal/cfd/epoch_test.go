@@ -27,68 +27,31 @@ func viewString(e *EpochView) string {
 // view, the per-rule postings included, for stability checks.
 func fingerprint(e *EpochView) string {
 	var post strings.Builder
-	for _, rule := range e.names {
+	for _, rule := range e.rs.names {
 		fmt.Fprintf(&post, " %s=%v", rule, e.TuplesOfRule(rule))
 	}
 	return fmt.Sprintf("len=%d marks=%d hist=%v set=%s post:%s", e.Len(), e.Marks(), e.Histogram(), viewString(e), post.String())
 }
 
-// viewMismatch reports how the view e answers a read differently from
-// the live set v — |V|, marks, any tuple's rules, any rule's postings or
-// count — or "" when every read agrees.
-func viewMismatch(e *EpochView, v *Violations) string {
-	if e.Len() != v.Len() || e.Marks() != v.Marks() {
-		return fmt.Sprintf("counters: view %d/%d, live %d/%d", e.Len(), e.Marks(), v.Len(), v.Marks())
-	}
-	if got, want := viewString(e), v.String(); got != want {
-		return fmt.Sprintf("marks:\nview %s\nlive %s", got, want)
-	}
-	for _, rule := range v.rs.names {
-		var want []relation.TupleID
-		for _, id := range v.Tuples() {
-			if v.HasRule(id, rule) {
-				want = append(want, id)
-			}
-		}
-		got := e.TuplesOfRule(rule)
-		if fmt.Sprint(got) != fmt.Sprint(want) || e.CountRule(rule) != len(want) {
-			return fmt.Sprintf("rule %s: view postings %v (count %d), live %v", rule, got, e.CountRule(rule), want)
-		}
-	}
-	return ""
-}
-
 // TestEpochSnapshotMatchesLive drives a randomized mark workload and
-// checks after every round that the published view answers every read
-// exactly like the live set. A clone's first Publish builds its view in
-// one walk of the marks, so the same check also compares incremental
-// replay against a rebuild.
+// checks after every round that the published view, the writer itself
+// and a clone's first view all answer every read exactly like the model.
 func TestEpochSnapshotMatchesLive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	v := NewViolations()
+	v, m := NewViolations(), model{}
 	rules := make([]RuleIdx, 12)
 	for i := range rules {
 		rules[i] = v.Intern(fmt.Sprintf("phi%02d", i))
 	}
 	for round := 0; round < 40; round++ {
 		for op := 0; op < 50; op++ {
-			id := relation.TupleID(rng.Intn(200))
-			idx := rules[rng.Intn(len(rules))]
-			if rng.Intn(3) == 0 {
-				v.RemoveIdx(id, idx)
-			} else {
-				v.AddIdx(id, idx)
+			mark(v, m, relation.TupleID(rng.Intn(200)), rules[rng.Intn(len(rules))], rng.Intn(3) != 0)
+		}
+		view, cloned := v.Publish(), v.Clone().Publish()
+		for name, e := range map[string]*EpochView{"published": view, "writer": &v.EpochView, "clone's": cloned} {
+			if d := m.mismatch(e); d != "" {
+				t.Fatalf("round %d: %s view diverged from the model: %s", round, name, d)
 			}
-		}
-		view, rebuilt := v.Publish(), v.Clone().Publish()
-		if d := viewMismatch(view, v); d != "" {
-			t.Fatalf("round %d: published view diverged from live: %s", round, d)
-		}
-		if d := viewMismatch(rebuilt, v); d != "" {
-			t.Fatalf("round %d: rebuilt view diverged from live: %s", round, d)
-		}
-		if got, want := fmt.Sprint(view.Histogram()), fmt.Sprint(rebuilt.Histogram()); got != want {
-			t.Fatalf("round %d: histogram %s, rebuilt %s", round, got, want)
 		}
 	}
 }
@@ -99,12 +62,12 @@ func TestEpochSnapshotMatchesLive(t *testing.T) {
 // flagged the access). A published view must never change under a
 // concurrent writer. Run with -race.
 func TestSnapshotStableUnderConcurrentWriter(t *testing.T) {
-	v := NewViolations()
+	v, m := NewViolations(), model{}
 	r1, r2 := v.Intern("phi1"), v.Intern("phi2")
 	for i := 0; i < 500; i++ {
-		v.AddIdx(relation.TupleID(i), r1)
+		mark(v, m, relation.TupleID(i), r1, true)
 		if i%3 == 0 {
-			v.AddIdx(relation.TupleID(i), r2)
+			mark(v, m, relation.TupleID(i), r2, true)
 		}
 	}
 	snap := v.Publish()
@@ -131,9 +94,8 @@ func TestSnapshotStableUnderConcurrentWriter(t *testing.T) {
 	}()
 	// Writer: churns the live set and publishes new epochs all along.
 	for i := 0; i < 300; i++ {
-		id := relation.TupleID(i % 500)
-		v.RemoveIdx(id, r1)
-		v.AddIdx(relation.TupleID(1000+i), r2)
+		mark(v, m, relation.TupleID(i%500), r1, false)
+		mark(v, m, relation.TupleID(1000+i), r2, true)
 		if i%7 == 0 {
 			v.Publish()
 		}
@@ -152,8 +114,8 @@ func TestSnapshotStableUnderConcurrentWriter(t *testing.T) {
 	if fingerprint(fresh) == want {
 		t.Fatal("fresh view should differ from the pre-churn one")
 	}
-	if d := viewMismatch(fresh, v); d != "" {
-		t.Fatalf("fresh view diverged from live: %s", d)
+	if d := m.mismatch(fresh); d != "" {
+		t.Fatalf("fresh view diverged from the model: %s", d)
 	}
 	if fresh.Epoch() <= snap.Epoch() {
 		t.Fatalf("epochs not monotonic: fresh %d, old %d", fresh.Epoch(), snap.Epoch())
@@ -162,16 +124,17 @@ func TestSnapshotStableUnderConcurrentWriter(t *testing.T) {
 
 // TestHeldViewsNeverChange keeps every view a seeded writer publishes
 // and checks, once the writer is done, that each still reads exactly as
-// it did when it was published. A publish changes the nodes it owns in
-// place, so the writer mixes what could leak such a change into an older
-// view: bursts of flips on keys that share trie nodes (one publish
-// reaching the same nodes many times), rules interned past 64 (spilled
-// leaves, whose words older leaves share), RetiredDelta removals, and
-// unpublished churn long enough to overflow the pending log into a
-// rebuild.
+// it did when it was published. The writer changes the nodes of its own
+// build in place, so the workload mixes what could leak such a change
+// into an older view: bursts of flips on keys that share trie nodes (one
+// build reaching the same nodes many times), rules interned past 64
+// (spilled leaves, whose words older leaves share), RetiredDelta
+// removals, long unpublished churn (one build of thousands of flips),
+// and a Clone mid-history whose writes must reach neither the original
+// nor any view.
 func TestHeldViewsNeverChange(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	v := NewViolations()
+	v, m := NewViolations(), model{}
 	var names []string
 	var rules []RuleIdx
 	intern := func(n int) {
@@ -193,13 +156,8 @@ func TestHeldViewsNeverChange(t *testing.T) {
 		}
 		return rules[rng.Intn(len(rules))]
 	}
-	flip := func() {
-		id, idx := key(), rule()
-		if rng.Intn(3) == 0 {
-			v.RemoveIdx(id, idx)
-		} else {
-			v.AddIdx(id, idx)
-		}
+	flip := func(v *Violations, m model) {
+		mark(v, m, key(), rule(), rng.Intn(3) != 0)
 	}
 	type held struct {
 		view *EpochView
@@ -213,42 +171,52 @@ func TestHeldViewsNeverChange(t *testing.T) {
 		}
 	}
 	intern(8)
-	rebuilds := 0
+	var clone *Violations
+	var cloneModel model
 	for round := 0; round < 150; round++ {
 		switch {
 		case round%10 == 9:
 			intern(12) // 68 rules by round 49, 128 by the end
 		case round%17 == 8:
-			v.RetiredDelta([]string{names[rng.Intn(len(names))], names[rng.Intn(len(names))]}).Apply(v)
-		case round == 70 || round == 120:
-			for i := 0; !v.track.overflow; i++ {
-				if i > 100000 {
-					t.Fatal("pending log never overflowed")
-				}
-				flip()
+			retire := []string{names[rng.Intn(len(names))], names[rng.Intn(len(names))]}
+			v.RetiredDelta(retire).Apply(v)
+			for id := range m {
+				m.set(id, retire[0], false)
+				m.set(id, retire[1], false)
 			}
-			rebuilds++
+		case round == 70 || round == 120:
+			for i := 0; i < 5000; i++ {
+				flip(v, m)
+			}
+		case round == 95:
+			clone, cloneModel = v.Clone(), m.clone()
+			for i := 0; i < 2000; i++ {
+				flip(clone, cloneModel)
+			}
 		}
 		for i := rng.Intn(80); i >= 0; i-- {
-			flip()
+			flip(v, m)
 		}
 		publish()
 	}
-	if rebuilds != 2 || len(views) < 140 {
-		t.Fatalf("workload too weak: %d rebuilds, %d views", rebuilds, len(views))
+	if len(views) < 140 {
+		t.Fatalf("workload too weak: %d views", len(views))
 	}
 	for _, h := range views {
 		if got := fingerprint(h.view); got != h.fp {
 			t.Fatalf("epoch %d changed after it was published:\n got %.300s\nwant %.300s", h.view.Epoch(), got, h.fp)
 		}
 	}
-	if d := viewMismatch(views[len(views)-1].view, v); d != "" {
-		t.Fatalf("last view diverged from live: %s", d)
+	if d := m.mismatch(views[len(views)-1].view); d != "" {
+		t.Fatalf("last view diverged from the model: %s", d)
+	}
+	if d := cloneModel.mismatch(clone.Publish()); d != "" {
+		t.Fatalf("clone diverged from its model: %s", d)
 	}
 }
 
 // TestEpochPublishIncrements pins the epoch lifecycle: publishes with no
-// pending changes return the same view; real changes bump the epoch.
+// changes return the same view; real changes bump the epoch.
 func TestEpochPublishIncrements(t *testing.T) {
 	v := NewViolations()
 	r := v.Intern("phi")
@@ -274,51 +242,19 @@ func TestEpochPublishIncrements(t *testing.T) {
 	}
 }
 
-// TestEpochPendingOverflow drives enough un-published churn to overflow
-// the pending log, then checks the rebuilt epoch is still exact.
-func TestEpochPendingOverflow(t *testing.T) {
-	v := NewViolations()
-	r1, r2 := v.Intern("phi1"), v.Intern("phi2")
-	v.AddIdx(1, r1)
-	v.Publish() // arm tracking
-	// Churn two marks far beyond 4·|V|+1024 flips without snapshotting.
-	for i := 0; i < 3000; i++ {
-		v.AddIdx(2, r2)
-		v.RemoveIdx(2, r2)
-	}
-	if !v.track.overflow {
-		t.Fatal("pending log did not overflow")
-	}
-	v.AddIdx(5, r2)
-	snap := v.Publish()
-	if d := viewMismatch(snap, v); d != "" {
-		t.Fatalf("post-overflow view diverged: %s", d)
-	}
-	if v.track.overflow {
-		t.Fatal("overflow flag not cleared by rebuild")
-	}
-	// Tracking resumes incrementally after the rebuild.
-	v.AddIdx(6, r1)
-	snap2 := v.Publish()
-	if !snap2.Has(6) || snap2.Epoch() != snap.Epoch()+1 {
-		t.Fatalf("post-rebuild publish wrong: has6=%v epochs %d→%d",
-			snap2.Has(6), snap.Epoch(), snap2.Epoch())
-	}
-}
-
 // TestEpochSpilledRules exercises the multi-word bitset path: rule
-// indexes past 64 spill both the live markSet and the epoch leaves.
+// indexes past 64 spill the trie leaves to multi-word bitsets.
 func TestEpochSpilledRules(t *testing.T) {
-	v := NewViolations()
+	v, m := NewViolations(), model{}
 	var idxs []RuleIdx
 	for i := 0; i < 70; i++ {
 		idxs = append(idxs, v.Intern(fmt.Sprintf("phi%03d", i)))
 	}
 	for i, idx := range idxs {
-		v.AddIdx(relation.TupleID(i%5), idx)
+		mark(v, m, relation.TupleID(i%5), idx, true)
 	}
 	snap := v.Publish()
-	if d := viewMismatch(snap, v); d != "" {
+	if d := m.mismatch(snap); d != "" {
 		t.Fatalf("spilled view diverged: %s", d)
 	}
 	if !snap.HasRule(4, "phi069") {
@@ -359,7 +295,7 @@ func TestAMTSparseKeys(t *testing.T) {
 			t.Fatalf("after removing %d: has=%v len=%d", k, s.Has(k), s.Len())
 		}
 	}
-	if v.Publish().marks != nil {
-		t.Fatal("emptied trie did not prune to nil")
+	if root := v.Publish().marks; root != nil && (len(root.leaves) > 0 || len(root.nodes) > 0) {
+		t.Fatal("emptied trie kept entries")
 	}
 }

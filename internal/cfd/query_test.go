@@ -7,105 +7,61 @@ import (
 	"repro/internal/relation"
 )
 
-// churn flips one random mark.
-func churn(rng *rand.Rand, v *Violations, rules []string) {
+// churn flips one random mark on v and its model.
+func churn(rng *rand.Rand, v *Violations, m model, rules []string) {
 	id := relation.TupleID(rng.Intn(200))
 	r := rules[rng.Intn(len(rules))]
-	if rng.Intn(3) == 0 {
-		v.Remove(id, r)
-	} else {
+	on := rng.Intn(3) != 0
+	if on {
 		v.Add(id, r)
+	} else {
+		v.Remove(id, r)
 	}
+	m.set(id, r, on)
 }
 
 // TestPostingsMatchScan churns random marks through a Violations and
 // asserts, after every few operations, that the published epoch's
-// posting index answers exactly what a linear scan of the live bitsets
-// answers — counts, per-rule tuple sets, histogram and measures. Both
-// publish paths are covered: the incremental replay of the pending log,
-// and the rebuild after the log overflows, whose postings and counts
-// come out of one walk of the marks.
+// posting index answers exactly what the model answers — counts,
+// per-rule tuple sets, histogram and measures. The churn publishes
+// often, then runs thousands of flips in one unpublished build, then
+// clones mid-history and churns both sides, whose postings must stay
+// apart.
 func TestPostingsMatchScan(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		v := NewViolations()
+		v, m := NewViolations(), model{}
 		nRules := 3 + rng.Intn(70) // crosses the 64-rule spill boundary
 		rules := make([]string, nRules)
 		for i := range rules {
 			rules[i] = "phi" + string(rune('A'+i%26)) + string(rune('0'+i/26))
 			v.Intern(rules[i])
 		}
-		v.Publish() // arm epoch tracking
+		check := func(e *EpochView, m model) {
+			t.Helper()
+			if d := m.mismatch(e); d != "" {
+				t.Fatalf("seed %d: %s", seed, d)
+			}
+		}
 		for op := 0; op < 2000; op++ {
-			churn(rng, v, rules)
+			churn(rng, v, m, rules)
 			if op%97 == 0 {
-				checkPostings(t, v.Publish(), v, rules)
+				check(v.Publish(), m)
 			}
 		}
-		checkPostings(t, v.Publish(), v, rules)
+		check(v.Publish(), m)
 
-		for !v.track.overflow {
-			churn(rng, v, rules)
+		for op := 0; op < 5000; op++ {
+			churn(rng, v, m, rules)
 		}
-		checkPostings(t, v.Publish(), v, rules)
-		for op := 0; op < 50; op++ {
-			churn(rng, v, rules)
+		check(v.Publish(), m)
+		c, cm := v.Clone(), m.clone()
+		for op := 0; op < 500; op++ {
+			churn(rng, v, m, rules)
+			churn(rng, c, cm, rules)
 		}
-		checkPostings(t, v.Publish(), v, rules)
-	}
-}
-
-func checkPostings(t *testing.T, e *EpochView, v *Violations, rules []string) {
-	t.Helper()
-	totalMarks := 0
-	for _, r := range rules {
-		idx, ok := v.rs.lookup(r)
-		if !ok {
-			t.Fatalf("rule %s not interned", r)
-		}
-		// Linear scan over the bitsets.
-		scan := make(map[relation.TupleID]bool)
-		v.ms.eachTuple(func(id relation.TupleID) {
-			if v.ms.has(id, idx) {
-				scan[id] = true
-			}
-		})
-		if got := e.CountRule(r); got != len(scan) {
-			t.Fatalf("CountRule(%s) = %d, scan says %d", r, got, len(scan))
-		}
-		for _, id := range e.TuplesOfRule(r) {
-			if !scan[id] {
-				t.Fatalf("TuplesOfRule(%s) includes %d, scan does not", r, id)
-			}
-		}
-		seen := 0
-		e.EachTupleOfRule(r, func(id relation.TupleID) bool {
-			if !scan[id] {
-				t.Fatalf("EachTupleOfRule(%s) visited %d, scan does not have it", r, id)
-			}
-			seen++
-			return true
-		})
-		if seen != len(scan) {
-			t.Fatalf("EachTupleOfRule(%s) visited %d tuples, scan says %d", r, seen, len(scan))
-		}
-		totalMarks += len(scan)
-	}
-	if got := e.Measure(); got.Marks != v.Marks() || got.Marks != totalMarks ||
-		got.ViolatingTuples != v.Len() || (got.Drastic == 1) != (v.Len() > 0) {
-		t.Fatalf("Measure() = %+v inconsistent with Marks=%d Len=%d scanned=%d",
-			got, v.Marks(), v.Len(), totalMarks)
-	}
-	hist := e.Histogram()
-	histSum := 0
-	for _, rc := range hist {
-		if rc.Count != e.CountRule(rc.Rule) {
-			t.Fatalf("Histogram count for %s = %d, CountRule = %d", rc.Rule, rc.Count, e.CountRule(rc.Rule))
-		}
-		histSum += rc.Count
-	}
-	if histSum != totalMarks {
-		t.Fatalf("Histogram sums to %d marks, scan says %d", histSum, totalMarks)
+		check(v.Publish(), m)
+		check(c.Publish(), cm)
 	}
 }
 
@@ -147,8 +103,9 @@ func TestRetiredDelta(t *testing.T) {
 		v.Intern(rules[i])
 	}
 	rng := rand.New(rand.NewSource(1))
+	m := model{}
 	for op := 0; op < 3000; op++ {
-		churn(rng, v, rules)
+		churn(rng, v, m, rules)
 	}
 	retire := []string{rules[3], rules[68], "unknown"}
 	before := v.Clone()
@@ -157,26 +114,19 @@ func TestRetiredDelta(t *testing.T) {
 		t.Fatal("RetiredDelta changed V")
 	}
 	want := 0
-	for _, r := range retire[:2] {
-		idx, _ := v.rs.lookup(r)
-		v.ms.eachTuple(func(id relation.TupleID) {
-			if v.ms.has(id, idx) {
-				want++
-			}
-		})
+	post := m.ruleTuples()
+	for _, r := range retire {
+		want += len(post[r])
 	}
 	if d.AddedMarks() != 0 || d.RemovedMarks() != want || want == 0 {
 		t.Fatalf("delta +%d/−%d, want +0/−%d", d.AddedMarks(), d.RemovedMarks(), want)
 	}
 	d.Apply(v)
-	e := v.Publish()
-	for _, r := range rules {
-		got, keep := e.CountRule(r), before.Publish().CountRule(r)
-		if r == retire[0] || r == retire[1] {
-			keep = 0
-		}
-		if got != keep {
-			t.Fatalf("after retiring, CountRule(%s) = %d, want %d", r, got, keep)
-		}
+	for id := range m {
+		m.set(id, retire[0], false)
+		m.set(id, retire[1], false)
+	}
+	if diff := m.mismatch(v.Publish()); diff != "" {
+		t.Fatalf("after retiring: %s", diff)
 	}
 }

@@ -2,7 +2,9 @@ package cfd
 
 import (
 	"fmt"
+	"maps"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -29,10 +31,10 @@ type ruleSpace struct {
 }
 
 // intern returns the dense index of rule, assigning the next one on
-// first sight. The second result reports whether the rule was new.
-func (rs *ruleSpace) intern(rule string) (RuleIdx, bool) {
+// first sight.
+func (rs *ruleSpace) intern(rule string) RuleIdx {
 	if idx, ok := rs.byName[rule]; ok {
-		return idx, false
+		return idx
 	}
 	if rs.byName == nil {
 		rs.byName = make(map[string]RuleIdx, 8)
@@ -41,7 +43,7 @@ func (rs *ruleSpace) intern(rule string) (RuleIdx, bool) {
 	rs.names = append(rs.names, rule)
 	rs.byName[rule] = idx
 	rs.sortedCache = nil
-	return idx, true
+	return idx
 }
 
 func (rs *ruleSpace) lookup(rule string) (RuleIdx, bool) {
@@ -65,118 +67,80 @@ func (rs *ruleSpace) sortedIdx() []RuleIdx {
 }
 
 // remapTo builds the index translation from rs to o (-1 where o lacks
-// the rule). identity reports both spaces agree name-for-name in order,
-// enabling word-level bitset comparison.
-func (rs *ruleSpace) remapTo(o *ruleSpace) (remap []RuleIdx, identity bool) {
-	remap = make([]RuleIdx, len(rs.names))
-	identity = len(rs.names) == len(o.names)
+// the rule).
+func (rs *ruleSpace) remapTo(o *ruleSpace) []RuleIdx {
+	remap := make([]RuleIdx, len(rs.names))
 	for i, name := range rs.names {
 		if idx, ok := o.lookup(name); ok {
 			remap[i] = idx
-			if idx != RuleIdx(i) {
-				identity = false
-			}
 		} else {
 			remap[i] = -1
-			identity = false
 		}
 	}
-	return remap, identity
+	return remap
 }
 
-func (rs *ruleSpace) clone() ruleSpace {
-	c := ruleSpace{names: append([]string(nil), rs.names...)}
-	if rs.byName != nil {
-		c.byName = make(map[string]RuleIdx, len(rs.byName))
-		for k, v := range rs.byName {
-			c.byName[k] = v
-		}
-	}
-	return c
-}
-
-// markSet stores (tuple, rule-index) marks as per-tuple bitsets: one
-// inline uint64 per tuple while every interned index fits in 64 bits
+// markSet stores a Delta's (tuple, rule-index) marks as per-tuple
+// bitsets: one inline uint64 per tuple while every index fits in 64 bits
 // (the common case — the paper's |Σ| is 50), spilling to multi-word
-// bitsets beyond. Either small or big is in use, never both.
+// bitsets the first time a higher index is set. Either small or big is
+// in use, never both.
 type markSet struct {
 	small map[relation.TupleID]uint64
 	big   map[relation.TupleID][]uint64
 }
 
-// spill migrates the inline representation to multi-word bitsets; called
-// by the owner when rule index 64 is first interned.
-func (m *markSet) spill() {
-	if m.big != nil {
-		return
+// set marks (id, idx).
+func (m *markSet) set(id relation.TupleID, idx RuleIdx) {
+	if m.big == nil && int(idx) >= smallWidth {
+		m.big = make(map[relation.TupleID][]uint64, len(m.small))
+		for id, w := range m.small {
+			m.big[id] = []uint64{w}
+		}
+		m.small = nil
 	}
-	m.big = make(map[relation.TupleID][]uint64, len(m.small))
-	for id, w := range m.small {
-		m.big[id] = []uint64{w}
-	}
-	m.small = nil
-}
-
-func (m *markSet) spilled() bool { return m.big != nil }
-
-// set marks (id, idx); newTuple reports whether id was previously
-// unmarked entirely, changed whether the (id, idx) bit was newly set.
-func (m *markSet) set(id relation.TupleID, idx RuleIdx) (newTuple, changed bool) {
 	if m.big == nil {
-		w, ok := m.small[id]
 		if m.small == nil {
 			m.small = make(map[relation.TupleID]uint64)
 		}
-		bit := uint64(1) << uint(idx)
-		m.small[id] = w | bit
-		return !ok, w&bit == 0
+		m.small[id] |= 1 << uint(idx)
+		return
 	}
-	ws, ok := m.big[id]
+	ws := m.big[id]
 	word, bit := int(idx)/64, uint(idx)%64
 	for len(ws) <= word {
 		ws = append(ws, 0)
 	}
-	changed = ws[word]&(1<<bit) == 0
 	ws[word] |= 1 << bit
 	m.big[id] = ws
-	return !ok, changed
 }
 
-// clear unmarks (id, idx); gone reports whether id's last mark left,
-// changed whether the (id, idx) bit was actually cleared.
-func (m *markSet) clear(id relation.TupleID, idx RuleIdx) (gone, changed bool) {
+// clear unmarks (id, idx); id leaves the set with its last mark.
+func (m *markSet) clear(id relation.TupleID, idx RuleIdx) {
 	if m.big == nil {
 		w, ok := m.small[id]
 		if !ok {
-			return false, false
+			return
 		}
-		bit := uint64(1) << uint(idx)
-		changed = w&bit != 0
-		w &^= bit
-		if w == 0 {
+		if w &^= 1 << uint(idx); w == 0 {
 			delete(m.small, id)
-			return true, changed
+		} else {
+			m.small[id] = w
 		}
-		m.small[id] = w
-		return false, changed
+		return
 	}
 	ws, ok := m.big[id]
-	if !ok {
-		return false, false
-	}
 	word, bit := int(idx)/64, uint(idx)%64
-	if word >= len(ws) {
-		return false, false
+	if !ok || word >= len(ws) {
+		return
 	}
-	changed = ws[word]&(1<<bit) != 0
 	ws[word] &^= 1 << bit
 	for _, w := range ws {
 		if w != 0 {
-			return false, changed
+			return
 		}
 	}
 	delete(m.big, id)
-	return true, changed
 }
 
 func (m *markSet) has(id relation.TupleID, idx RuleIdx) bool {
@@ -235,20 +199,11 @@ func (m *markSet) marksOf(id relation.TupleID) int {
 // eachIdx calls f for every rule index marked on id, ascending.
 func (m *markSet) eachIdx(id relation.TupleID, f func(RuleIdx)) {
 	if m.big == nil {
-		w := m.small[id]
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			f(RuleIdx(b))
-			w &^= 1 << uint(b)
-		}
+		eachBit(m.small[id], 0, f)
 		return
 	}
 	for wi, w := range m.big[id] {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			f(RuleIdx(wi*64 + b))
-			w &^= 1 << uint(b)
-		}
+		eachBit(w, wi*64, f)
 	}
 }
 
@@ -278,23 +233,6 @@ func (m *markSet) eachTuple(f func(relation.TupleID)) {
 	}
 }
 
-func (m *markSet) clone() markSet {
-	var c markSet
-	if m.small != nil {
-		c.small = make(map[relation.TupleID]uint64, len(m.small))
-		for id, w := range m.small {
-			c.small[id] = w
-		}
-	}
-	if m.big != nil {
-		c.big = make(map[relation.TupleID][]uint64, len(m.big))
-		for id, ws := range m.big {
-			c.big[id] = append([]uint64(nil), ws...)
-		}
-	}
-	return c
-}
-
 // sortedTuples returns the marked ids ascending.
 func (m *markSet) sortedTuples() []relation.TupleID {
 	out := make([]relation.TupleID, 0, m.lenTuples())
@@ -307,29 +245,33 @@ func (m *markSet) sortedTuples() []relation.TupleID {
 // with each tuple tagged by the ids of the rules it violates (the paper:
 // "violations are marked with those CFDs that they violate"). Rule ids
 // are interned into dense indexes and each tuple's marks are a bitset —
-// one machine word while |Σ| ≤ 64 — so maintaining a mark never
-// allocates on a warm path.
+// one machine word while |Σ| ≤ 64.
 //
-// A Violations is the writer's live set: it changes with every mark and
-// only its writer reads it. Every other reader reads an immutable
-// EpochView that Publish cuts from it.
+// A Violations is the writer's side of the epoch tries (epoch.go): it
+// embeds the EpochView it is building and changes that build's nodes in
+// place, so a mark costs one trie descent in the marks trie and one in
+// the rule's posting trie, and the view's methods answer the writer's
+// own reads. Every other reader reads an immutable EpochView that
+// Publish seals.
 type Violations struct {
-	rs ruleSpace
-	// ms is the only live structure: per-tuple rule bitsets. The
-	// per-rule posting index exists only in the published epochs
-	// (epoch.go), where every per-rule read is answered.
-	ms markSet
+	EpochView
 
-	// tuplesCache holds Tuples()' sorted output; nil when stale.
-	tuplesCache []relation.TupleID
+	// tag is the build tag of the epoch under construction: nodes that
+	// carry it are the writer's alone and change in place.
+	tag uint64
+	// postShared and namesShared report that a published view or a clone
+	// holds post, respectively rs.byName, too: the next write copies it.
+	postShared, namesShared bool
 
-	// track is the copy-on-write epoch machinery (epoch.go), armed by the
-	// first Publish; nil until then, so violation sets that are never
-	// published pay nothing on the mark path.
-	track *epochTrack
+	// last is the view the latest Publish returned; dirty reports a
+	// change since.
+	last  *EpochView
+	dirty bool
 }
 
-// NewViolations returns an empty violation set.
+// NewViolations returns an empty violation set. Its first build uses
+// tag 0, which no seal ever hands out, so it shares no node with
+// anyone.
 func NewViolations() *Violations {
 	return &Violations{}
 }
@@ -338,14 +280,15 @@ func NewViolations() *Violations {
 // RemoveIdx and HasRuleIdx. Indexes are assigned in first-seen order, so
 // pre-interning a rule list aligns them with CompileAll's RuleIdx.
 func (v *Violations) Intern(rule string) RuleIdx {
-	idx, fresh := v.rs.intern(rule)
-	if fresh && int(idx) == smallWidth {
-		v.ms.spill()
+	if idx, ok := v.rs.lookup(rule); ok {
+		return idx
 	}
-	if fresh && v.track != nil {
-		v.track.rulesDirty = true
+	if v.namesShared {
+		v.rs.byName = maps.Clone(v.rs.byName)
+		v.namesShared = false
 	}
-	return idx
+	v.dirty = true
+	return v.rs.intern(rule)
 }
 
 // InternRules pre-interns every rule id in order.
@@ -362,187 +305,133 @@ func (v *Violations) Add(id relation.TupleID, rule string) {
 
 // AddIdx records a violation mark through a pre-interned index.
 func (v *Violations) AddIdx(id relation.TupleID, idx RuleIdx) {
-	newTuple, changed := v.ms.set(id, idx)
-	if newTuple {
-		v.tuplesCache = nil
+	marks, newKey, changed := amtSet(v.marks, id, idx, 0, v.tag)
+	if !changed {
+		return
 	}
-	if changed && v.track != nil {
-		v.noteMark(id, idx, true)
+	v.marks = marks
+	if newKey {
+		v.tuples++
 	}
+	v.markN++
+	p := v.posting(idx)
+	p.root, _, _ = amtSet(p.root, id, 0, 0, v.tag)
+	p.n++
+	v.dirty = true
 }
 
 // Remove clears the (id, rule) mark; the tuple leaves V when its last rule
 // mark is removed.
 func (v *Violations) Remove(id relation.TupleID, rule string) {
-	idx, ok := v.rs.lookup(rule)
-	if !ok {
-		return
+	if idx, ok := v.rs.lookup(rule); ok {
+		v.RemoveIdx(id, idx)
 	}
-	v.RemoveIdx(id, idx)
 }
 
 // RemoveIdx clears a violation mark through a pre-interned index.
 func (v *Violations) RemoveIdx(id relation.TupleID, idx RuleIdx) {
-	gone, changed := v.ms.clear(id, idx)
-	if gone {
-		v.tuplesCache = nil
+	marks, goneKey, changed := amtClear(v.marks, id, idx, 0, v.tag)
+	if !changed {
+		return
 	}
-	if changed && v.track != nil {
-		v.noteMark(id, idx, false)
+	v.marks = marks
+	if goneKey {
+		v.tuples--
 	}
+	v.markN--
+	p := v.posting(idx)
+	p.root, _, _ = amtClear(p.root, id, 0, 0, v.tag)
+	p.n--
+	v.dirty = true
 }
 
-// Has reports whether the tuple violates any rule.
-func (v *Violations) Has(id relation.TupleID) bool {
-	return v.ms.hasTuple(id)
-}
-
-// HasRule reports whether the tuple violates the given rule.
-func (v *Violations) HasRule(id relation.TupleID, rule string) bool {
-	idx, ok := v.rs.lookup(rule)
-	return ok && v.ms.has(id, idx)
-}
-
-// HasRuleIdx reports whether the tuple violates the rule with the given
-// interned index.
-func (v *Violations) HasRuleIdx(id relation.TupleID, idx RuleIdx) bool {
-	return v.ms.has(id, idx)
-}
-
-// Rules returns the sorted rule ids violated by the tuple. The name
-// ordering is precomputed per rule set, so repeated calls never re-sort.
-func (v *Violations) Rules(id relation.TupleID) []string {
-	if !v.ms.hasTuple(id) {
-		return nil
+// posting returns rule idx's posting for a write. The first write after
+// a seal copies the slice, which a published view or a clone still
+// holds; a copy is sized for every interned rule.
+func (v *Violations) posting(idx RuleIdx) *posting {
+	if v.postShared || int(idx) >= len(v.post) {
+		post := make([]posting, max(len(v.post), len(v.rs.names), int(idx)+1))
+		copy(post, v.post)
+		v.post, v.postShared = post, false
 	}
-	out := make([]string, 0, v.ms.marksOf(id))
-	for _, idx := range v.rs.sortedIdx() {
-		if v.ms.has(id, idx) {
-			out = append(out, v.rs.names[idx])
-		}
+	return &v.post[idx]
+}
+
+// seal ends the current build: from here on the writer copies whatever
+// it shares with the sealed state before changing it. The names are
+// clipped so the next intern appends to a fresh array, post and byName
+// are marked shared, the sorted name order is computed for readers, and
+// a fresh tag makes every node built so far immutable.
+func (v *Violations) seal() {
+	v.rs.sortedIdx()
+	v.rs.names = slices.Clip(v.rs.names)
+	v.postShared, v.namesShared = true, true
+	v.tag = buildTags.Add(1)
+}
+
+// Publish seals every change since the last publish into a new immutable
+// EpochView and makes it current; with nothing changed it returns the
+// current view. The build already holds the new epoch's tries, so a
+// publish is O(1): it copies the view header and seals the build.
+// Publish is a writer-side operation: callers must serialize it with the
+// mutators and hand the returned view to readers themselves (the session
+// swaps it into its read state); the view needs no lock.
+func (v *Violations) Publish() *EpochView {
+	if v.last == nil || v.dirty {
+		v.epoch++
+		v.seal()
+		e := v.EpochView
+		v.last, v.dirty = &e, false
 	}
-	return out
+	return v.last
 }
 
-// Tuples returns the violating tuple ids in ascending order. The sorted
-// slice is cached between mutations; treat it as read-only.
-func (v *Violations) Tuples() []relation.TupleID {
-	if v.tuplesCache == nil {
-		v.tuplesCache = v.ms.sortedTuples()
-	}
-	return v.tuplesCache
-}
-
-// Len returns the number of violating tuples.
-func (v *Violations) Len() int {
-	return v.ms.lenTuples()
-}
-
-// Marks returns the total number of (tuple, rule) violation marks.
-func (v *Violations) Marks() int {
-	return v.ms.marks()
-}
-
-// Clone returns a deep copy.
+// Clone returns an independent copy in O(1): both sides share every
+// node and copy it on their next write. The clone's epochs count from 1
+// again.
 func (v *Violations) Clone() *Violations {
-	return &Violations{rs: v.rs.clone(), ms: v.ms.clone()}
+	v.seal()
+	c := &Violations{EpochView: v.EpochView, postShared: true, namesShared: true, tag: buildTags.Add(1)}
+	c.epoch = 0
+	return c
 }
 
 // RetiredDelta returns the ∆V that retires rules: the removal of every
-// mark they hold, built in one pass over the mark bitsets. v is not
-// changed; the engines' RemoveRules apply the result once their own
-// per-rule state is gone. Rules v never interned contribute nothing.
+// mark they hold, read off their postings. v is not changed; the
+// engines' RemoveRules apply the result once their own per-rule state is
+// gone. Rules v never interned contribute nothing.
 func (v *Violations) RetiredDelta(rules []string) *Delta {
 	d := NewDelta()
-	remap := make([]RuleIdx, len(v.rs.names))
-	for i := range remap {
-		remap[i] = -1
-	}
 	for _, r := range rules {
 		if idx, ok := v.rs.lookup(r); ok {
-			remap[idx] = d.Intern(r)
-		}
-	}
-	if len(d.rs.names) > 0 {
-		v.ms.each(func(id relation.TupleID, idx RuleIdx) {
-			if m := remap[idx]; m >= 0 {
+			m := d.Intern(r)
+			v.EachTupleOfRuleIdx(idx, func(id relation.TupleID) bool {
 				d.RemoveIdx(id, m)
-			}
-		})
+				return true
+			})
+		}
 	}
 	return d
 }
 
-// Equal reports whether two violation sets hold identical marks. Rule
-// sets interned in the same order compare word-for-word; otherwise marks
-// are translated name-wise.
+// Equal reports whether two violation sets hold identical marks, rule
+// ids compared by name, whatever order each set interned them in.
 func (v *Violations) Equal(o *Violations) bool {
-	if v.ms.lenTuples() != o.ms.lenTuples() {
-		return false
-	}
-	remap, identity := v.rs.remapTo(&o.rs)
-	if identity && v.ms.spilled() == o.ms.spilled() {
-		if !v.ms.spilled() {
-			for id, w := range v.ms.small {
-				if o.ms.small[id] != w {
-					return false
-				}
-			}
-			return true
-		}
-		for id, ws := range v.ms.big {
-			ows := o.ms.big[id]
-			if !wordsEqual(ws, ows) {
-				return false
-			}
-		}
-		return true
-	}
-	equal := true
-	v.ms.eachTuple(func(id relation.TupleID) {
-		if !equal {
-			return
-		}
-		if v.ms.marksOf(id) != o.ms.marksOf(id) {
-			equal = false
-			return
-		}
-		v.ms.eachIdx(id, func(idx RuleIdx) {
-			m := remap[idx]
-			if m < 0 || !o.ms.has(id, m) {
-				equal = false
-			}
-		})
-	})
-	return equal
-}
-
-func wordsEqual(a, b []uint64) bool {
-	long, short := a, b
-	if len(b) > len(a) {
-		long, short = b, a
-	}
-	for i, w := range short {
-		if long[i] != w {
-			return false
-		}
-	}
-	for _, w := range long[len(short):] {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
+	return v.tuples == o.tuples && v.markN == o.markN && len(v.Diff(o)) == 0
 }
 
 // Diff returns the marks present in v but not in o, as a map id → rules.
 func (v *Violations) Diff(o *Violations) map[relation.TupleID][]string {
 	out := make(map[relation.TupleID][]string)
-	remap, _ := v.rs.remapTo(&o.rs)
-	v.ms.each(func(id relation.TupleID, idx RuleIdx) {
-		if m := remap[idx]; m < 0 || !o.ms.has(id, m) {
-			out[id] = append(out[id], v.rs.names[idx])
-		}
+	remap := v.rs.remapTo(&o.rs)
+	amtEach(v.marks, func(l *amtLeaf) bool {
+		ol := amtGet(o.marks, l.key)
+		l.each(func(idx RuleIdx) {
+			if m := remap[idx]; m < 0 || ol == nil || !ol.has(m) {
+				out[l.key] = append(out[l.key], v.rs.names[idx])
+			}
+		})
+		return true
 	})
 	for id := range out {
 		sort.Strings(out[id])
@@ -584,8 +473,8 @@ func (v *Violations) String() string {
 }
 
 // Delta is ∆V: the change to a violation set in response to ∆D, split into
-// added marks (∆V+) and removed marks (∆V−). It shares the interned
-// bitset representation of Violations.
+// added marks (∆V+) and removed marks (∆V−), each a map of per-tuple rule
+// bitsets over the delta's own interned rule space.
 type Delta struct {
 	rs      ruleSpace
 	added   markSet
@@ -596,18 +485,11 @@ type Delta struct {
 func NewDelta() *Delta { return &Delta{} }
 
 // Intern returns the dense index for rule within this delta.
-func (d *Delta) Intern(rule string) RuleIdx {
-	idx, fresh := d.rs.intern(rule)
-	if fresh && int(idx) == smallWidth {
-		d.added.spill()
-		d.removed.spill()
-	}
-	return idx
-}
+func (d *Delta) Intern(rule string) RuleIdx { return d.rs.intern(rule) }
 
 // Add records a new violation mark (∆V+). Mark operations are idempotent
-// set writes, so the last operation on a (tuple, rule) pair wins: a
-// pending removal of the same mark is replaced, not merely cancelled —
+// set writes, so the last operation on a (tuple, rule) pair wins: an
+// earlier removal of the same mark is replaced, not merely cancelled —
 // replaying the delta must reproduce the final state regardless of
 // whether the mark was present initially.
 func (d *Delta) Add(id relation.TupleID, rule string) {
@@ -620,7 +502,7 @@ func (d *Delta) AddIdx(id relation.TupleID, idx RuleIdx) {
 	d.added.set(id, idx)
 }
 
-// Remove records a removed violation mark (∆V−), replacing a pending add
+// Remove records a removed violation mark (∆V−), replacing an earlier add
 // of the same mark (last operation wins).
 func (d *Delta) Remove(id relation.TupleID, rule string) {
 	d.RemoveIdx(id, d.Intern(rule))
