@@ -19,11 +19,13 @@ alloc:
 		./internal/wire ./internal/netwire ./internal/session ./internal/vertical ./internal/horizontal \
 		./internal/optimizer
 
-# loc prints the non-test Go lines outside bench/: the number ROADMAP
-# asks every PR to report as added/removed.
+# loc prints the non-test Go lines outside bench/: one line per package
+# directory, then the total on the last line — the numbers ROADMAP asks
+# every PR to report as added/removed.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 \
-		| xargs -0 cat | wc -l
+		| xargs -0 wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); print t }'
 
 # fmtcheck fails when any Go file outside .bench_build/ is not gofmt'd,
 # naming the files. CI runs it.

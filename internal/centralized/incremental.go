@@ -41,21 +41,20 @@ func NewIncremental(rel *relation.Relation, rules []cfd.CFD) (*Incremental, erro
 	if err := cfd.ValidateAll(rel.Schema, rules); err != nil {
 		return nil, err
 	}
-	inc := &Incremental{
-		rel:   relation.New(rel.Schema),
-		rules: append([]cfd.CFD(nil), rules...),
-		v:     cfd.NewViolations(),
+	inc := &Incremental{rel: relation.New(rel.Schema), v: cfd.NewViolations()}
+	if err := inc.seed(rel, rules); err != nil {
+		return nil, err
 	}
+	return inc, nil
+}
+
+// seed puts rules in force on an empty maintainer and streams src's
+// tuples in as insertions, V(Σ, D) accumulating on the way.
+func (inc *Incremental) seed(src *relation.Relation, rules []cfd.CFD) error {
+	inc.setRules(append([]cfd.CFD(nil), rules...))
 	inc.v.InternRules(inc.rules)
-	inc.comp = cfd.CompileAll(rel.Schema, inc.rules)
-	inc.groups = make([]map[string]map[string]map[relation.TupleID]struct{}, len(inc.comp))
-	for i := range inc.comp {
-		if !inc.comp[i].ConstRHS {
-			inc.groups[i] = make(map[string]map[string]map[relation.TupleID]struct{})
-		}
-	}
 	var err error
-	rel.Each(func(t relation.Tuple) bool {
+	src.Each(func(t relation.Tuple) bool {
 		var delta *cfd.Delta
 		delta, err = inc.applyUnit(relation.Update{Kind: relation.Insert, Tuple: t})
 		if err != nil {
@@ -64,10 +63,7 @@ func NewIncremental(rel *relation.Relation, rules []cfd.CFD) (*Incremental, erro
 		delta.Apply(inc.v)
 		return true
 	})
-	if err != nil {
-		return nil, err
-	}
-	return inc, nil
+	return err
 }
 
 // Violations returns the maintained violation set.
@@ -128,93 +124,11 @@ func (inc *Incremental) applyUnit(u relation.Update) (*cfd.Delta, error) {
 	}
 
 	for i := range inc.comp {
-		r := &inc.comp[i]
-		if !r.MatchesLHS(u.Tuple) {
+		if !inc.comp[i].MatchesLHS(u.Tuple) {
 			continue
 		}
-		if r.ConstRHS {
-			if u.Tuple.Values[r.RHSCol] != r.RHSPattern {
-				if u.Kind == relation.Insert {
-					delta.Add(u.Tuple.ID, r.ID)
-				} else {
-					delta.Remove(u.Tuple.ID, r.ID)
-				}
-			}
-			continue
-		}
-		if inc.gst != nil {
-			if err := inc.applyRuleStored(i, u, delta); err != nil {
-				return nil, err
-			}
-			continue
-		}
-
-		inc.keyBuf = u.Tuple.AppendKey(inc.keyBuf[:0], r.LHSCols)
-		bVal := u.Tuple.Values[r.RHSCol]
-		byRule := inc.groups[i]
-		group := byRule[string(inc.keyBuf)]
-
-		switch u.Kind {
-		case relation.Insert:
-			classSize := len(group[bVal])
-			distinct := len(group)
-			// Fig. 4 incVIns case analysis.
-			switch {
-			case classSize > 0:
-				if distinct >= 2 {
-					delta.Add(u.Tuple.ID, r.ID)
-				}
-			case distinct >= 2:
-				delta.Add(u.Tuple.ID, r.ID)
-			case distinct == 1:
-				delta.Add(u.Tuple.ID, r.ID)
-				for b := range group {
-					for id := range group[b] {
-						delta.Add(id, r.ID)
-					}
-				}
-			}
-			if group == nil {
-				group = make(map[string]map[relation.TupleID]struct{})
-				byRule[string(inc.keyBuf)] = group
-			}
-			if group[bVal] == nil {
-				group[bVal] = make(map[relation.TupleID]struct{})
-			}
-			group[bVal][u.Tuple.ID] = struct{}{}
-
-		case relation.Delete:
-			if group == nil || group[bVal] == nil {
-				return nil, fmt.Errorf("centralized: tuple %d not indexed for rule %s", u.Tuple.ID, r.ID)
-			}
-			classSize := len(group[bVal])
-			distinct := len(group)
-			// Fig. 4 incVDel case analysis.
-			switch {
-			case classSize > 1:
-				if distinct >= 2 {
-					delta.Remove(u.Tuple.ID, r.ID)
-				}
-			case distinct-1 >= 2:
-				delta.Remove(u.Tuple.ID, r.ID)
-			case distinct-1 == 1:
-				delta.Remove(u.Tuple.ID, r.ID)
-				for b, cls := range group {
-					if b == bVal {
-						continue
-					}
-					for id := range cls {
-						delta.Remove(id, r.ID)
-					}
-				}
-			}
-			delete(group[bVal], u.Tuple.ID)
-			if len(group[bVal]) == 0 {
-				delete(group, bVal)
-			}
-			if len(group) == 0 {
-				delete(byRule, string(inc.keyBuf))
-			}
+		if err := inc.applyRule(i, u, delta); err != nil {
+			return nil, err
 		}
 	}
 
@@ -224,6 +138,95 @@ func (inc *Incremental) applyUnit(u relation.Update) (*cfd.Delta, error) {
 		}
 	}
 	return delta, nil
+}
+
+// applyRule runs rule i's part of update u, whose tuple matches the
+// rule's pattern constants: a constant rule's check, or Fig. 4's case
+// analysis on the tuple's group, in memory or stored (applyRuleStored).
+func (inc *Incremental) applyRule(i int, u relation.Update, delta *cfd.Delta) error {
+	r := &inc.comp[i]
+	if r.ConstRHS {
+		if u.Tuple.Values[r.RHSCol] != r.RHSPattern {
+			if u.Kind == relation.Insert {
+				delta.Add(u.Tuple.ID, r.ID)
+			} else {
+				delta.Remove(u.Tuple.ID, r.ID)
+			}
+		}
+		return nil
+	}
+	if inc.gst != nil {
+		return inc.applyRuleStored(i, u, delta)
+	}
+
+	inc.keyBuf = u.Tuple.AppendKey(inc.keyBuf[:0], r.LHSCols)
+	bVal := u.Tuple.Values[r.RHSCol]
+	byRule := inc.groups[i]
+	group := byRule[string(inc.keyBuf)]
+
+	switch u.Kind {
+	case relation.Insert:
+		classSize := len(group[bVal])
+		distinct := len(group)
+		// Fig. 4 incVIns case analysis.
+		switch {
+		case classSize > 0:
+			if distinct >= 2 {
+				delta.Add(u.Tuple.ID, r.ID)
+			}
+		case distinct >= 2:
+			delta.Add(u.Tuple.ID, r.ID)
+		case distinct == 1:
+			delta.Add(u.Tuple.ID, r.ID)
+			for b := range group {
+				for id := range group[b] {
+					delta.Add(id, r.ID)
+				}
+			}
+		}
+		if group == nil {
+			group = make(map[string]map[relation.TupleID]struct{})
+			byRule[string(inc.keyBuf)] = group
+		}
+		if group[bVal] == nil {
+			group[bVal] = make(map[relation.TupleID]struct{})
+		}
+		group[bVal][u.Tuple.ID] = struct{}{}
+
+	case relation.Delete:
+		if group == nil || group[bVal] == nil {
+			return fmt.Errorf("centralized: tuple %d not indexed for rule %s", u.Tuple.ID, r.ID)
+		}
+		classSize := len(group[bVal])
+		distinct := len(group)
+		// Fig. 4 incVDel case analysis.
+		switch {
+		case classSize > 1:
+			if distinct >= 2 {
+				delta.Remove(u.Tuple.ID, r.ID)
+			}
+		case distinct-1 >= 2:
+			delta.Remove(u.Tuple.ID, r.ID)
+		case distinct-1 == 1:
+			delta.Remove(u.Tuple.ID, r.ID)
+			for b, cls := range group {
+				if b == bVal {
+					continue
+				}
+				for id := range cls {
+					delta.Remove(id, r.ID)
+				}
+			}
+		}
+		delete(group[bVal], u.Tuple.ID)
+		if len(group[bVal]) == 0 {
+			delete(group, bVal)
+		}
+		if len(group) == 0 {
+			delete(byRule, string(inc.keyBuf))
+		}
+	}
+	return nil
 }
 
 // Rules returns the rule set in force.

@@ -66,14 +66,13 @@ type storedGroups struct {
 	encBuf  []byte
 }
 
-// addRule assigns the next stable tag (variable rules) or 0 (ConstRHS).
-func (g *storedGroups) addRule(constRHS bool) {
+// newTag returns the next stable tag (variable rules) or 0 (ConstRHS).
+func (g *storedGroups) newTag(constRHS bool) uint32 {
 	if constRHS {
-		g.tags = append(g.tags, 0)
-		return
+		return 0
 	}
 	g.nextTag++
-	g.tags = append(g.tags, g.nextTag)
+	return g.nextTag
 }
 
 // Group record layout: uvarint #classes; per class, ascending by
@@ -270,27 +269,8 @@ func NewIncrementalStored(rel *relation.Relation, rules []cfd.CFD, st Storage) (
 	if mrel.Len() != 0 {
 		return nil, fmt.Errorf("centralized: stored engine requires an empty tuple store (%d tuples)", mrel.Len())
 	}
-	inc := &Incremental{
-		rel:   mrel,
-		rules: append([]cfd.CFD(nil), rules...),
-		v:     cfd.NewViolations(),
-		gst:   &storedGroups{st: st.Groups},
-	}
-	inc.v.InternRules(inc.rules)
-	inc.comp = cfd.CompileAll(rel.Schema, inc.rules)
-	for i := range inc.comp {
-		inc.gst.addRule(inc.comp[i].ConstRHS)
-	}
-	rel.Each(func(t relation.Tuple) bool {
-		var delta *cfd.Delta
-		delta, err = inc.applyUnit(relation.Update{Kind: relation.Insert, Tuple: t})
-		if err != nil {
-			return false
-		}
-		delta.Apply(inc.v)
-		return true
-	})
-	if err != nil {
+	inc := &Incremental{rel: mrel, v: cfd.NewViolations(), gst: &storedGroups{st: st.Groups}}
+	if err := inc.seed(rel, rules); err != nil {
 		return nil, err
 	}
 	if err := inc.Flush(); err != nil {
@@ -330,7 +310,7 @@ func (inc *Incremental) StorageStats() map[string]storage.Stats {
 	}
 }
 
-// applyRuleStored is the stored-groups mirror of applyUnit's per-rule
+// applyRuleStored is the stored-groups mirror of applyRule's in-memory
 // body: the identical Fig. 4 case analysis, run on the two numbers a
 // scan of the encoded group record yields, and the record rewritten by
 // splicing. Member ids are read off the bytes only in the two

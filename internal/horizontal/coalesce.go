@@ -9,8 +9,9 @@ import (
 	"repro/internal/relation"
 )
 
-// This file is the incHor driver — the one protocol Apply, seeding
-// and rule seeding all run; a per-update round is a wave of one. One wave
+// This file is the incHor driver — the one protocol Apply and seeding
+// run; a per-update round is a wave of one. Rule seeding does not run it:
+// AddRules sends h.seedRules and then h.settleGroup (rules.go). One wave
 // runs as phases —
 //
 //	A. local phase: one same-site call per owning site applies the whole
@@ -347,7 +348,7 @@ func (sys *System) applyWaveCoalesced(norm relation.UpdateList, delta *cfd.Delta
 			// No B-class appeared or disappeared anywhere: the group's
 			// distinct-B set — hence its flag — is unchanged. No wire.
 			g.postFlag, g.decided = g.preFlag, true
-		case sys.localCheck[g.comp.ID]:
+		case sys.facts[g.comp.Idx].local:
 			// Locally checkable rule: the whole group is co-located at
 			// its owner, so the owners' combined evidence IS the global
 			// answer. No wire.
@@ -416,7 +417,7 @@ func (sys *System) applyWaveCoalesced(norm relation.UpdateList, delta *cfd.Delta
 		// non-excluded sites minus the touching owners (whose evidence
 		// is already aggregated; they settle below). The relay probes
 		// itself same-site when it is not an owner — local computation.
-		ex := sys.excluded[g.comp.ID]
+		ex := sys.facts[g.comp.Idx].excluded
 		for i := range sys.sites {
 			id := network.SiteID(i)
 			if ex[i] || g.ownedBy(id) {

@@ -160,31 +160,20 @@ func (sys *System) allSites() []network.SiteID {
 // sites' ≤2-distinct-B evidence and settled in one more coalesced round.
 // The rounds are metered like any other protocol round; the returned ∆V
 // holds exactly the new rules' marks, already applied to Violations().
-// Like Apply, the rounds are not atomic: a mid-round transport
-// error leaves driver and sites desynchronized, and the system should
-// be rebuilt.
+// The rules must validate beside those in force (cfd.ValidateAll); the
+// caller checks. Like Apply, the rounds are not atomic: a mid-round
+// transport error leaves driver and sites desynchronized, and the
+// system should be rebuilt.
 func (sys *System) AddRules(rules []cfd.CFD) (*cfd.Delta, error) {
 	delta := cfd.NewDelta()
 	if len(rules) == 0 {
 		return delta, nil
 	}
-	all := append(append([]cfd.CFD(nil), sys.rules...), rules...)
-	if err := cfd.ValidateAll(sys.schema, all); err != nil {
-		return nil, err
-	}
-
-	n := sys.scheme.NumSites()
+	first := len(sys.rules)
+	sys.setRules(append(slices.Clip(sys.rules), rules...))
 	local := make([]bool, len(rules))
-	exByRule := make([][]bool, len(rules))
 	for i := range rules {
-		r := &rules[i]
-		local[i] = r.IsConstant() || sys.scheme.LocallyCheckable(r)
-		ex := make([]bool, n)
-		attrs, vals := r.ConstantLHS()
-		for si, p := range sys.scheme.Preds {
-			ex[si] = p.ExcludesConstants(attrs, vals)
-		}
-		exByRule[i] = ex
+		local[i] = sys.facts[first+i].local
 	}
 
 	// Seed round: one coalesced message per site, from the coordinator.
@@ -283,17 +272,6 @@ func (sys *System) AddRules(rules []cfd.CFD) (*cfd.Delta, error) {
 		}
 	}
 
-	// Driver state: recompile over the full set; per-rule scheme facts.
-	sys.rules = all
-	sys.comp = cfd.CompileAll(sys.schema, all)
-	sys.compByID = make(map[string]*cfd.Compiled, len(sys.comp))
-	for i := range sys.comp {
-		sys.compByID[sys.comp[i].ID] = &sys.comp[i]
-	}
-	for i := range rules {
-		sys.localCheck[rules[i].ID] = local[i]
-		sys.excluded[rules[i].ID] = exByRule[i]
-	}
 	delta.Apply(sys.v)
 	return delta, nil
 }
@@ -301,18 +279,9 @@ func (sys *System) AddRules(rules []cfd.CFD) (*cfd.Delta, error) {
 // RemoveRules retires rules by id: their marks leave Violations() (one
 // pass over the mark bitsets), and one metered round drops the
 // per-site compiled forms and group indexes. The returned ∆V holds
-// exactly the retired marks.
+// exactly the retired marks. Each id must name a rule in force, once;
+// the caller checks.
 func (sys *System) RemoveRules(ids []string) (*cfd.Delta, error) {
-	drop := make(map[string]bool, len(ids))
-	for _, id := range ids {
-		if drop[id] {
-			return nil, fmt.Errorf("horizontal: rule %q listed twice: %w", id, xerr.ErrDuplicateRule)
-		}
-		if _, ok := sys.compByID[id]; !ok {
-			return nil, fmt.Errorf("horizontal: removing rule %q: %w", id, xerr.ErrUnknownRule)
-		}
-		drop[id] = true
-	}
 	if len(ids) == 0 {
 		return cfd.NewDelta(), nil
 	}
@@ -325,23 +294,7 @@ func (sys *System) RemoveRules(ids []string) (*cfd.Delta, error) {
 	}); err != nil {
 		return nil, err
 	}
-
-	var kept []cfd.CFD
-	for i := range sys.rules {
-		if !drop[sys.rules[i].ID] {
-			kept = append(kept, sys.rules[i])
-		}
-	}
-	sys.rules = kept
-	sys.comp = cfd.CompileAll(sys.schema, kept)
-	sys.compByID = make(map[string]*cfd.Compiled, len(sys.comp))
-	for i := range sys.comp {
-		sys.compByID[sys.comp[i].ID] = &sys.comp[i]
-	}
-	for _, id := range ids {
-		delete(sys.localCheck, id)
-		delete(sys.excluded, id)
-	}
+	sys.setRules(slices.DeleteFunc(slices.Clone(sys.rules), func(r cfd.CFD) bool { return slices.Contains(ids, r.ID) }))
 	delta.Apply(sys.v)
 	return delta, nil
 }

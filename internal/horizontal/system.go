@@ -55,17 +55,44 @@ type System struct {
 	// nil until a wave needs it and after a large one.
 	scratch *waveScratch
 
-	// localCheck marks rules needing no shipment ever: constant rules
-	// and variable rules with X_Fi ⊆ X for every fragment (§6 local
-	// checking (1) and (2)(a)).
-	localCheck map[string]bool
-	// excluded[rule][site] marks fragments whose predicate contradicts
-	// the rule's pattern constants: Fi ∧ Fφ unsatisfiable (§6 (2)(b)).
-	excluded map[string][]bool
+	// facts is §6's pre-analysis of each rule, indexed by Compiled.Idx.
+	facts []ruleFacts
 
 	useMD5 bool
 	v      *cfd.Violations
 	direct bool
+}
+
+// ruleFacts is what the driver knows of one rule before any tuple.
+type ruleFacts struct {
+	// local marks a rule needing no shipment ever: a constant rule, or a
+	// variable rule with X_Fi ⊆ X for every fragment (§6 local checking
+	// (1) and (2)(a)).
+	local bool
+	// excluded[site] marks a fragment whose predicate contradicts the
+	// rule's pattern constants: Fi ∧ Fφ unsatisfiable (§6 (2)(b)).
+	excluded []bool
+}
+
+// setRules puts all in force in the driver: the compiled forms, their
+// id index and each rule's §6 facts. NewSystem, AddRules and RemoveRules
+// all come through here; rule validity is the caller's to check.
+func (sys *System) setRules(all []cfd.CFD) {
+	sys.rules = all
+	sys.comp = cfd.CompileAll(sys.schema, all)
+	sys.compByID = make(map[string]*cfd.Compiled, len(all))
+	sys.facts = make([]ruleFacts, len(all))
+	for i := range all {
+		r := &all[i]
+		sys.compByID[r.ID] = &sys.comp[i]
+		f := &sys.facts[i]
+		f.local = r.IsConstant() || sys.scheme.LocallyCheckable(r)
+		f.excluded = make([]bool, len(sys.scheme.Preds))
+		attrs, vals := r.ConstantLHS()
+		for si, p := range sys.scheme.Preds {
+			f.excluded[si] = p.ExcludesConstants(attrs, vals)
+		}
+	}
 }
 
 // seedChunk is how many tuples of the initial relation one seeding round
@@ -82,19 +109,12 @@ func NewSystem(rel *relation.Relation, scheme *partition.HorizontalScheme, rules
 		return nil, err
 	}
 	sys := &System{
-		schema:     rel.Schema,
-		scheme:     scheme,
-		rules:      append([]cfd.CFD(nil), rules...),
-		localCheck: make(map[string]bool),
-		excluded:   make(map[string][]bool),
-		useMD5:     !opts.DisableMD5,
-		v:          cfd.NewViolations(),
+		schema: rel.Schema,
+		scheme: scheme,
+		useMD5: !opts.DisableMD5,
+		v:      cfd.NewViolations(),
 	}
-	sys.comp = cfd.CompileAll(rel.Schema, sys.rules)
-	sys.compByID = make(map[string]*cfd.Compiled, len(sys.comp))
-	for i := range sys.comp {
-		sys.compByID[sys.comp[i].ID] = &sys.comp[i]
-	}
+	sys.setRules(append([]cfd.CFD(nil), rules...))
 	sys.v.InternRules(sys.rules)
 	n := scheme.NumSites()
 	sys.cluster = network.NewCluster(n)
@@ -105,16 +125,6 @@ func NewSystem(rel *relation.Relation, scheme *partition.HorizontalScheme, rules
 	}
 	if opts.Transport != nil {
 		sys.cluster.UseRemoteTransport(opts.Transport)
-	}
-	for i := range sys.rules {
-		r := &sys.rules[i]
-		sys.localCheck[r.ID] = r.IsConstant() || scheme.LocallyCheckable(r)
-		ex := make([]bool, n)
-		attrs, vals := r.ConstantLHS()
-		for si, p := range scheme.Preds {
-			ex[si] = p.ExcludesConstants(attrs, vals)
-		}
-		sys.excluded[r.ID] = ex
 	}
 
 	if !opts.SkipSeed {
@@ -189,9 +199,9 @@ func (sys *System) Apply(updates relation.UpdateList) (*cfd.Delta, error) {
 }
 
 // participants returns every site whose predicate can hold tuples
-// matching the rule's pattern constants, in site order.
-func (sys *System) participants(rule string) []network.SiteID {
-	ex := sys.excluded[rule]
+// matching rule i's pattern constants, in site order.
+func (sys *System) participants(i int) []network.SiteID {
+	ex := sys.facts[i].excluded
 	out := make([]network.SiteID, 0, len(sys.sites))
 	for i := range sys.sites {
 		if !ex[i] {
@@ -222,8 +232,8 @@ func (sys *System) BatchDetect() (*cfd.Violations, error) {
 	var keyBuf []byte
 	for i := range sys.rules {
 		r := &sys.rules[i]
-		if sys.localCheck[r.ID] {
-			targets := sys.participants(r.ID)
+		if sys.facts[i].local {
+			targets := sys.participants(i)
 			resps := make([]localDetectResp, len(targets))
 			err := sys.cluster.Fanout(len(targets), func(i int) error {
 				// Locally checkable rules need no shipment: each site
@@ -263,7 +273,7 @@ func (sys *System) BatchDetect() (*cfd.Violations, error) {
 			}
 			g.members = append(g.members, row.ID)
 		}
-		targets := sys.participants(r.ID)
+		targets := sys.participants(i)
 		resps, err := gather[shipMatchingReq, shipMatchingResp](sys, coord, "h.shipMatching", targets, func(network.SiteID) shipMatchingReq {
 			return shipMatchingReq{Rule: r.ID}
 		})

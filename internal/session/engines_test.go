@@ -2,13 +2,17 @@ package session
 
 import (
 	"context"
+	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/centralized"
 	"repro/internal/cfd"
+	"repro/internal/network"
 	"repro/internal/partition"
 	"repro/internal/relation"
 	"repro/internal/workload"
+	"repro/internal/xerr"
 )
 
 // The engine suite: both distributed engines, opened through Session,
@@ -352,5 +356,80 @@ func TestVerticalSeparatorInAttributeNames(t *testing.T) {
 		if !s.Violations().Equal(wantAfter) {
 			t.Errorf("optimizer=%v: V after a batch ≠ centralized oracle", optimized)
 		}
+	}
+}
+
+// TestRuleAdmission: every engine, in process, refuses a rule change
+// that would not leave a valid rule set with its sentinel and changes
+// nothing — V, the rules in force, the epoch, every meter. A fixed
+// AddRules/RemoveRules sequence then moves the wire meters by exactly the
+// pinned amounts, so the rule rounds themselves stay as they were.
+func TestRuleAdmission(t *testing.T) {
+	gen := workload.NewSized(workload.TPCH, 23, 600)
+	rules := gen.Rules(5)
+	rel := gen.Relation(200)
+	unknownAttr := rules[4]
+	unknownAttr.ID = "unknown-attribute"
+	unknownAttr.RHS = "no such attribute"
+	pins := map[string]network.Stats{
+		"centralized": {},
+		"horizontal":  {Messages: 8, Bytes: 4505},
+		"vertical":    {Messages: 22, Bytes: 2016, Eqids: 400},
+	}
+	for _, style := range []string{"centralized", "horizontal", "vertical"} {
+		t.Run(style, func(t *testing.T) {
+			sess := build(t, style, rel, rules[:3])
+			refusals := []struct {
+				name string
+				run  func() error
+				want error
+			}{
+				{"AddRules: id in force", func() error { _, err := sess.AddRules(rules[3], rules[1]); return err }, xerr.ErrDuplicateRule},
+				{"AddRules: id listed twice", func() error { _, err := sess.AddRules(rules[3], rules[3]); return err }, xerr.ErrDuplicateRule},
+				{"AddRules: unknown attribute", func() error { _, err := sess.AddRules(rules[3], unknownAttr); return err }, xerr.ErrUnknownAttribute},
+				{"RemoveRules: unknown id", func() error { _, err := sess.RemoveRules(rules[0].ID, rules[3].ID); return err }, xerr.ErrUnknownRule},
+				{"RemoveRules: id listed twice", func() error { _, err := sess.RemoveRules(rules[0].ID, rules[0].ID); return err }, xerr.ErrDuplicateRule},
+			}
+			for _, r := range refusals {
+				v, inForce, epoch, stats := sess.Violations().Clone(), sess.Rules(), sess.Epoch(), sess.Stats()
+				if err := r.run(); !errors.Is(err, r.want) {
+					t.Fatalf("%s: %v, want %v", r.name, err, r.want)
+				}
+				if !sess.Violations().Equal(v) {
+					t.Fatalf("%s: V moved", r.name)
+				}
+				if got := sess.Rules(); !reflect.DeepEqual(got, inForce) {
+					t.Fatalf("%s: rules in force moved", r.name)
+				}
+				if got := sess.Epoch(); got != epoch {
+					t.Fatalf("%s: epoch moved %d → %d", r.name, epoch, got)
+				}
+				if got := sess.Stats(); !metersEqual(got, stats) {
+					t.Fatalf("%s: meters moved", r.name)
+				}
+			}
+
+			before := sess.Stats()
+			steps := []func() error{
+				func() error { _, err := sess.AddRules(rules[3], rules[4]); return err },
+				func() error { _, err := sess.RemoveRules(rules[0].ID); return err },
+				func() error { _, err := sess.AddRules(rules[0]); return err },
+				func() error { _, err := sess.RemoveRules(rules[3].ID, rules[1].ID); return err },
+			}
+			for i, step := range steps {
+				if err := step(); err != nil {
+					t.Fatalf("step %d: %v", i, err)
+				}
+			}
+			final := []cfd.CFD{rules[2], rules[4], rules[0]}
+			if !sess.Violations().Equal(centralized.Detect(rel, final)) {
+				t.Fatal("V after the rule changes diverged from centralized oracle")
+			}
+			w, pin := sess.Stats().Sub(before), pins[style]
+			if w.Messages != pin.Messages || w.Bytes != pin.Bytes || w.Eqids != pin.Eqids {
+				t.Fatalf("rule rounds shipped %d messages, %d bytes, %d eqids; pinned %d, %d, %d",
+					w.Messages, w.Bytes, w.Eqids, pin.Messages, pin.Bytes, pin.Eqids)
+			}
+		})
 	}
 }

@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"repro/internal/centralized"
+	"repro/internal/cfd"
+	"repro/internal/journal"
 	"repro/internal/partition"
 	"repro/internal/seglog"
 	"repro/internal/sitehost"
@@ -452,5 +454,154 @@ func TestInDoubtSessionClosable(t *testing.T) {
 	}
 	if err := sess.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
+	}
+}
+
+// TestJournalRefusedRuleChange: a rule change the session refuses
+// (a duplicate or malformed rule to add, an unknown or twice-listed id to
+// remove) writes no journal intent, sends no call and changes nothing,
+// so the next round commits and a reopen over the same directories
+// resumes instead of finding an intent left open.
+func TestJournalRefusedRuleChange(t *testing.T) {
+	for _, kind := range []string{"horizontal", "vertical"} {
+		kind := kind
+		t.Run(kind, func(t *testing.T) {
+			t.Parallel()
+			gen := workload.NewSized(workload.TPCH, 23, 600)
+			rules := gen.Rules(3)
+			rel := gen.Relation(150)
+			const sites = 3
+			ckpt, jdir := t.TempDir(), t.TempDir()
+			opt := WithHorizontal(partition.HashHorizontal("c_name", sites))
+			if kind == "vertical" {
+				opt = WithVertical(partition.RoundRobinVertical(rel.Schema, sites))
+			}
+			addrs, _ := serveHosts(t, sites)
+			open := func() *Session {
+				t.Helper()
+				s, err := Open(rel, rules, opt, WithTCPSites(addrs...), WithCheckpointDir(ckpt), WithJournalDir(jdir))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+			journalBytes := func() int64 {
+				t.Helper()
+				entries, err := os.ReadDir(jdir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var n int64
+				for _, e := range entries {
+					info, err := e.Info()
+					if err != nil {
+						t.Fatal(err)
+					}
+					n += info.Size()
+				}
+				return n
+			}
+
+			sess := open()
+			unknownAttr := rules[2]
+			unknownAttr.ID = "unknown-attribute"
+			unknownAttr.LHS = append([]string{"no such attribute"}, rules[2].LHS[1:]...)
+			refusals := []struct {
+				name string
+				run  func() error
+				want error
+			}{
+				{"AddRules: id in force", func() error { _, err := sess.AddRules(rules[0]); return err }, xerr.ErrDuplicateRule},
+				{"AddRules: unknown attribute", func() error { _, err := sess.AddRules(unknownAttr); return err }, xerr.ErrUnknownAttribute},
+				{"RemoveRules: unknown id", func() error { _, err := sess.RemoveRules("no such rule"); return err }, xerr.ErrUnknownRule},
+				{"RemoveRules: id listed twice", func() error { _, err := sess.RemoveRules(rules[0].ID, rules[0].ID); return err }, xerr.ErrDuplicateRule},
+			}
+			for _, r := range refusals {
+				calls, stats, epoch, inForce, jb := sess.SiteCalls(), sess.Stats(), sess.Epoch(), sess.Rules(), journalBytes()
+				if err := r.run(); !errors.Is(err, r.want) {
+					t.Fatalf("%s: %v, want %v", r.name, err, r.want)
+				}
+				if got := journalBytes(); got != jb {
+					t.Fatalf("%s: the journal grew %d → %d bytes: an intent was written", r.name, jb, got)
+				}
+				if got := sess.SiteCalls(); !reflect.DeepEqual(got, calls) {
+					t.Fatalf("%s: site calls moved %v → %v", r.name, calls, got)
+				}
+				if got := sess.Stats(); !metersEqual(got, stats) {
+					t.Fatalf("%s: meters moved", r.name)
+				}
+				if got := sess.Epoch(); got != epoch {
+					t.Fatalf("%s: epoch moved %d → %d", r.name, epoch, got)
+				}
+				if got := sess.Rules(); !reflect.DeepEqual(got, inForce) {
+					t.Fatalf("%s: rules in force moved", r.name)
+				}
+			}
+
+			mirror := rel.Clone()
+			updates := gen.Updates(mirror, 15, 0.6)
+			if _, err := sess.ApplyBatch(context.Background(), updates); err != nil {
+				t.Fatalf("batch after the refusals: %v", err)
+			}
+			if err := updates.Normalize().Apply(mirror); err != nil {
+				t.Fatal(err)
+			}
+			if err := sess.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			sess2 := open()
+			defer sess2.Close()
+			if js := sess2.Journal(); !js.Resumed || js.StartedCorrupt || js.InDoubt || js.Rounds != 1 {
+				t.Fatalf("reopen stats = %+v, want a clean resume at round 1", js)
+			}
+			if oracle := centralized.Detect(mirror, rules); !sess2.Violations().Equal(oracle) {
+				t.Fatal("resumed V diverged from centralized oracle")
+			}
+		})
+	}
+}
+
+// TestJournalPendingRuleIntentIsAdmitted: a journal is input read from
+// disk, so the rule round it left dangling must pass the admission a
+// live round passes before its intent is written. One that does not is a
+// corrupt journal; one that does folds.
+func TestJournalPendingRuleIntentIsAdmitted(t *testing.T) {
+	gen := workload.NewSized(workload.TPCH, 43, 300)
+	rules := gen.Rules(3)
+	rel := gen.Relation(40)
+	cfg := config{kind: Horizontal, tcpAddrs: []string{"a", "b"}}
+	state := func(it journal.Intent) *journal.State {
+		it.Round, it.Seqs = 1, []uint64{0, 0}
+		return &journal.State{
+			Base: &journal.Base{
+				SessionID: make([]byte, 8), Kind: cfg.kind.String(), Sites: 2,
+				SchemaName: rel.Schema.Name, SchemaAttrs: rel.Schema.Attrs,
+				Seqs: []uint64{0, 0}, Rules: rules[:2], Tuples: rel.Tuples(),
+			},
+			Intents: []journal.Intent{it},
+		}
+	}
+	unknownAttr := rules[2]
+	unknownAttr.RHS = "no such attribute"
+	for _, c := range []struct {
+		name string
+		it   journal.Intent
+		want error
+	}{
+		{"add: id in force", journal.Intent{Op: journal.OpAddRules, Rules: rules[1:3]}, xerr.ErrDuplicateRule},
+		{"add: unknown attribute", journal.Intent{Op: journal.OpAddRules, Rules: []cfd.CFD{unknownAttr}}, xerr.ErrUnknownAttribute},
+		{"remove: unknown id", journal.Intent{Op: journal.OpRemoveRules, RuleIDs: []string{rules[2].ID}}, xerr.ErrUnknownRule},
+		{"remove: id listed twice", journal.Intent{Op: journal.OpRemoveRules, RuleIDs: []string{rules[0].ID, rules[0].ID}}, xerr.ErrDuplicateRule},
+		{"add", journal.Intent{Op: journal.OpAddRules, Rules: rules[2:3]}, nil},
+		{"remove", journal.Intent{Op: journal.OpRemoveRules, RuleIDs: []string{rules[0].ID}}, nil},
+	} {
+		res, err := foldJournal(state(c.it), rel, cfg)
+		switch {
+		case c.want == nil && (err != nil || res.pending == nil):
+			t.Errorf("%s: fold = %v, want the pending round kept", c.name, err)
+		case c.want != nil && (!errors.Is(err, xerr.ErrJournalCorrupt) || !errors.Is(err, c.want)):
+			t.Errorf("%s: fold = %v, want ErrJournalCorrupt wrapping %v", c.name, err, c.want)
+		}
 	}
 }

@@ -169,15 +169,8 @@ func (s *Session) journalBase() (*journal.Base, error) {
 
 // journaledRound is the write path of a journaled session: intent
 // before dispatch, applied after marks, quarantine on site loss.
-// Callers hold wmu and mu; run performs the engine round.
-func (s *Session) journaledRound(p *pendingOp, run func() (*cfd.Delta, error)) (*cfd.Delta, error) {
-	if s.pending != nil {
-		// A previous round is in doubt: nothing new dispatches until it
-		// settles (the cluster may hold a partial application of it).
-		if err := s.settlePendingLocked(); err != nil {
-			return nil, err
-		}
-	}
+// Callers hold wmu and mu, with no round in doubt and p admitted.
+func (s *Session) journaledRound(p *pendingOp) (*cfd.Delta, error) {
 	intent := &journal.Intent{
 		Round:   s.jround + 1,
 		Op:      p.op,
@@ -192,7 +185,7 @@ func (s *Session) journaledRound(p *pendingOp, run func() (*cfd.Delta, error)) (
 	}
 	p.round, p.baseSeqs, p.baseCursor = intent.Round, intent.Seqs, intent.Cursor
 
-	delta, err := run()
+	delta, err := s.runOp(p)
 	if err == nil {
 		p.delta, p.postSeqs = delta, s.tcp.SiteCalls()
 		if err = s.markSites(); err == nil {
@@ -274,20 +267,7 @@ func (s *Session) drivePendingLocked(p *pendingOp) error {
 				ae.AdoptViolations(centralized.Detect(s.mirror, s.eng.Rules()))
 			}
 		}
-		var (
-			delta *cfd.Delta
-			err   error
-		)
-		switch p.op {
-		case journal.OpBatch:
-			delta, err = s.eng.Apply(p.updates)
-		case journal.OpAddRules:
-			delta, err = s.eng.AddRules(p.rules)
-		case journal.OpRemoveRules:
-			delta, err = s.eng.RemoveRules(p.ruleIDs)
-		default:
-			return fmt.Errorf("session: pending round %d has unknown op %v", p.round, p.op)
-		}
+		delta, err := s.runOp(p)
 		if err != nil {
 			if p.op != journal.OpBatch {
 				// The driver's rule state may now be tainted mid-graft:
@@ -304,8 +284,8 @@ func (s *Session) drivePendingLocked(p *pendingOp) error {
 }
 
 // commitPendingLocked closes a successfully driven round: journal
-// Applied (with the ∆V fingerprint), row accounting, mirror update,
-// compaction, publish.
+// Applied (with the ∆V fingerprint), the shared commit step (rows,
+// mirror, publish), then compaction when one is due.
 func (s *Session) commitPendingLocked(p *pendingOp) error {
 	ap := &journal.Applied{
 		Round:       p.round,
@@ -317,23 +297,8 @@ func (s *Session) commitPendingLocked(p *pendingOp) error {
 		return err
 	}
 	s.jround = p.round
-	event := EventBatch
-	switch p.op {
-	case journal.OpBatch:
-		for _, u := range p.updates {
-			if u.Kind == relation.Insert {
-				s.rows++
-			} else {
-				s.rows--
-			}
-		}
-		if err := p.updates.Apply(s.mirror); err != nil {
-			return fmt.Errorf("session: journal mirror diverged: %w", err)
-		}
-	case journal.OpAddRules:
-		event = EventRulesAdded
-	case journal.OpRemoveRules:
-		event = EventRulesRemoved
+	if err := s.commitLocked(p.op, p.updates, p.delta); err != nil {
+		return err
 	}
 	s.sinceCompact++
 	if s.sinceCompact >= s.cfg.journalCompactEvery() {
@@ -346,7 +311,6 @@ func (s *Session) commitPendingLocked(p *pendingOp) error {
 		}
 		s.sinceCompact = 0
 	}
-	s.publish(event, p.delta, s.publishRead(p.op != journal.OpBatch))
 	return nil
 }
 
@@ -454,6 +418,14 @@ func foldJournal(st *journal.State, rel *relation.Relation, cfg config) (*resume
 			res.rules = kept
 		default:
 			return nil, fmt.Errorf("session: resume: fold round %d: unknown op %v", it.Round, it.Op)
+		}
+	}
+	if it := res.pending; it != nil {
+		// The journal is input read from disk: the dangling round must
+		// pass the admission a live round passed before its intent was
+		// written. No build that admits first writes one that fails it.
+		if err := admit(rel.Schema, res.rules, it.Op, it.Rules, it.RuleIDs); err != nil {
+			return nil, fmt.Errorf("session: resume: pending round %d: %w: %w", it.Round, xerr.ErrJournalCorrupt, err)
 		}
 	}
 	res.seqs, res.cursor = b.Seqs, b.Cursor

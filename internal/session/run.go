@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/cfd"
+	"repro/internal/journal"
 	"repro/internal/network"
 	"repro/internal/relation"
 	"repro/internal/workload"
@@ -221,7 +222,7 @@ func (s *Session) runBatch(arr arrival, prev *network.Stats) (BatchResult, *cfd.
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t0 := time.Now()
-	delta, err := s.applyLocked(arr.b.Updates)
+	delta, err := s.writeLocked(pendingOp{op: journal.OpBatch, updates: arr.b.Updates.Normalize()})
 	if err != nil {
 		return r, nil, Snapshot{}, fmt.Errorf("session: Run: batch %d: %w", arr.b.Seq, err)
 	}

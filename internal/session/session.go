@@ -28,6 +28,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -60,8 +61,10 @@ type engine interface {
 	// Rules returns the rule set in force.
 	Rules() []cfd.CFD
 	// AddRules seeds only the new rules' state and marks; returns ∆V.
+	// The session has admitted the rules (admit).
 	AddRules([]cfd.CFD) (*cfd.Delta, error)
-	// RemoveRules retires rules by id; returns the retired ∆V.
+	// RemoveRules retires rules by id; returns the retired ∆V. The
+	// session has admitted the ids (admit).
 	RemoveRules([]string) (*cfd.Delta, error)
 }
 
@@ -85,6 +88,7 @@ type Session struct {
 	// is held only for the duration of one batch, not a whole Run.
 	mu      sync.Mutex
 	cfg     config
+	schema  *relation.Schema
 	eng     engine
 	cluster *network.Cluster      // nil when centralized
 	plan    *optimizer.Plan       // the §5 HEV plan, vertical only
@@ -168,7 +172,7 @@ func Open(rel *relation.Relation, rules []cfd.CFD, opts ...Option) (*Session, er
 		return nil, err
 	}
 
-	s := &Session{cfg: cfg, rows: rel.Len(), watchers: make(map[int]*Subscription)}
+	s := &Session{cfg: cfg, schema: rel.Schema, rows: rel.Len(), watchers: make(map[int]*Subscription)}
 
 	// Journal recovery, ahead of engine construction: a valid journal
 	// turns this Open into a resume (folded driver state, SkipSeed
@@ -181,8 +185,11 @@ func Open(rel *relation.Relation, rules []cfd.CFD, opts ...Option) (*Session, er
 			return nil, err
 		}
 		st, err := jnl.Recover()
+		if err == nil && st != nil {
+			res, err = foldJournal(st, rel, cfg)
+		}
 		switch {
-		case err != nil && errors.Is(err, xerr.ErrJournalCorrupt):
+		case errors.Is(err, xerr.ErrJournalCorrupt):
 			if rerr := jnl.Reset(); rerr != nil {
 				jnl.Close()
 				return nil, rerr
@@ -191,11 +198,6 @@ func Open(rel *relation.Relation, rules []cfd.CFD, opts ...Option) (*Session, er
 		case err != nil:
 			jnl.Close()
 			return nil, err
-		case st != nil:
-			if res, err = foldJournal(st, rel, cfg); err != nil {
-				jnl.Close()
-				return nil, err
-			}
 		}
 		s.jnl = jnl
 	}
@@ -482,102 +484,139 @@ func (s *Session) Plan() *optimizer.Plan { return s.plan }
 // with its earlier updates already applied in every engine, so after
 // such an error the session should be rebuilt.
 func (s *Session) ApplyBatch(ctx context.Context, updates relation.UpdateList) (*cfd.Delta, error) {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, fmt.Errorf("session: ApplyBatch: %w", xerr.ErrClosed)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return s.applyLocked(updates)
-}
-
-// applyLocked is the shared batch path of ApplyBatch and Run:
-// normalize, apply, account rows, publish. Callers hold s.mu.
-// Journaled sessions route through the intent/applied machinery in
-// recover.go instead (which ends in the same accounting and publish).
-func (s *Session) applyLocked(updates relation.UpdateList) (*cfd.Delta, error) {
-	norm := updates.Normalize()
-	if s.jnl != nil {
-		return s.journaledRound(
-			&pendingOp{op: journal.OpBatch, updates: norm},
-			func() (*cfd.Delta, error) { return s.eng.Apply(norm) })
-	}
-	delta, err := s.eng.Apply(norm)
-	if err != nil {
-		return nil, err
-	}
-	for _, u := range norm {
-		if u.Kind == relation.Insert {
-			s.rows++
-		} else {
-			s.rows--
-		}
-	}
-	if err := s.markSites(); err != nil {
-		return nil, err
-	}
-	s.publish(EventBatch, delta, s.publishRead(false))
-	return delta, nil
+	return s.write(ctx, "ApplyBatch", pendingOp{op: journal.OpBatch, updates: updates.Normalize()})
 }
 
 // AddRules brings new rules into force without rebuilding the system:
 // only the new rules' per-site state and violation marks are seeded,
 // through seed-delta rounds metered like any other round. Returns the
-// seeded ∆V (exactly the new rules' marks). Like ApplyBatch, the
-// distributed rounds are not atomic: on a transport error the session
-// should be rebuilt.
+// seeded ∆V (exactly the new rules' marks). A rule set that would not
+// validate — a rule over an unknown attribute, an id already in force or
+// listed twice — is refused before anything is journaled or sent. Like
+// ApplyBatch, the distributed rounds are not atomic: on a transport
+// error the session should be rebuilt.
 func (s *Session) AddRules(rules ...cfd.CFD) (*cfd.Delta, error) {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, fmt.Errorf("session: AddRules: %w", xerr.ErrClosed)
-	}
-	if s.jnl != nil {
-		return s.journaledRound(
-			&pendingOp{op: journal.OpAddRules, rules: append([]cfd.CFD(nil), rules...)},
-			func() (*cfd.Delta, error) { return s.eng.AddRules(rules) })
-	}
-	delta, err := s.eng.AddRules(rules)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.markSites(); err != nil {
-		return nil, err
-	}
-	s.publish(EventRulesAdded, delta, s.publishRead(true))
-	return delta, nil
+	return s.write(context.Background(), "AddRules", pendingOp{op: journal.OpAddRules, rules: append([]cfd.CFD(nil), rules...)})
 }
 
 // RemoveRules retires rules by id, dropping their per-site state and
-// their marks from V. Returns the retired ∆V.
+// their marks from V. Returns the retired ∆V. An id not in force
+// (xerr.ErrUnknownRule) or listed twice (xerr.ErrDuplicateRule) is
+// refused before anything is journaled or sent.
 func (s *Session) RemoveRules(ids ...string) (*cfd.Delta, error) {
+	return s.write(context.Background(), "RemoveRules", pendingOp{op: journal.OpRemoveRules, ruleIDs: append([]string(nil), ids...)})
+}
+
+// write runs one write round under the writer locks; a cancelled ctx
+// fails it before any work.
+func (s *Session) write(ctx context.Context, name string, p pendingOp) (*cfd.Delta, error) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, fmt.Errorf("session: RemoveRules: %w", xerr.ErrClosed)
+		return nil, fmt.Errorf("session: %s: %w", name, xerr.ErrClosed)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return s.writeLocked(p)
+}
+
+// writeLocked is every write round's one path: settle a round left in
+// doubt, admit the new one, then run it — through the journal's
+// intent/applied machinery on a journaled session (recover.go) — and
+// commit it. Callers hold wmu and mu.
+func (s *Session) writeLocked(p pendingOp) (*cfd.Delta, error) {
+	if s.pending != nil {
+		// A previous round is in doubt: nothing new dispatches until it
+		// settles (the cluster may hold a partial application of it).
+		if err := s.settlePendingLocked(); err != nil {
+			return nil, err
+		}
+	}
+	if err := admit(s.schema, s.eng.Rules(), p.op, p.rules, p.ruleIDs); err != nil {
+		return nil, err
 	}
 	if s.jnl != nil {
-		return s.journaledRound(
-			&pendingOp{op: journal.OpRemoveRules, ruleIDs: append([]string(nil), ids...)},
-			func() (*cfd.Delta, error) { return s.eng.RemoveRules(ids) })
+		jp := p // the journal keeps a round in doubt; the plain path's p stays on the stack
+		return s.journaledRound(&jp)
 	}
-	delta, err := s.eng.RemoveRules(ids)
+	delta, err := s.runOp(&p)
+	if err == nil {
+		err = s.markSites()
+	}
+	if err == nil {
+		err = s.commitLocked(p.op, p.updates, delta)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if err := s.markSites(); err != nil {
-		return nil, err
-	}
-	s.publish(EventRulesRemoved, delta, s.publishRead(true))
 	return delta, nil
+}
+
+// admit is the admission check of a write round, run before the journal
+// or any site sees it, so a refused round changes nothing. A rule change
+// must leave a valid rule set: the rules to add validate against the
+// schema beside those in force (cfd.ValidateAll), and the ids to remove
+// name rules in force, each once. Batches pass; an inapplicable one
+// fails in the engine.
+func admit(schema *relation.Schema, inForce []cfd.CFD, op journal.OpKind, add []cfd.CFD, drop []string) error {
+	switch op {
+	case journal.OpAddRules:
+		return cfd.ValidateAll(schema, append(slices.Clip(inForce), add...))
+	case journal.OpRemoveRules:
+		for i, id := range drop {
+			if slices.Contains(drop[:i], id) {
+				return fmt.Errorf("session: rule %q listed twice: %w", id, xerr.ErrDuplicateRule)
+			}
+			if !slices.ContainsFunc(inForce, func(r cfd.CFD) bool { return r.ID == id }) {
+				return fmt.Errorf("session: removing rule %q: %w", id, xerr.ErrUnknownRule)
+			}
+		}
+	}
+	return nil
+}
+
+// runOp runs one admitted round's engine protocol.
+func (s *Session) runOp(p *pendingOp) (*cfd.Delta, error) {
+	switch p.op {
+	case journal.OpBatch:
+		return s.eng.Apply(p.updates)
+	case journal.OpAddRules:
+		return s.eng.AddRules(p.rules)
+	case journal.OpRemoveRules:
+		return s.eng.RemoveRules(p.ruleIDs)
+	}
+	return nil, fmt.Errorf("session: round %d has unknown op %v", p.round, p.op)
+}
+
+// commitLocked is the tail every applied round shares: a batch moves the
+// row count and, on a journaled session, the mirror; then the round's
+// epoch is published. Callers hold s.mu.
+func (s *Session) commitLocked(op journal.OpKind, updates relation.UpdateList, delta *cfd.Delta) error {
+	event := EventBatch
+	switch op {
+	case journal.OpBatch:
+		for _, u := range updates {
+			if u.Kind == relation.Insert {
+				s.rows++
+			} else {
+				s.rows--
+			}
+		}
+		if s.mirror != nil {
+			if err := updates.Apply(s.mirror); err != nil {
+				return fmt.Errorf("session: journal mirror diverged: %w", err)
+			}
+		}
+	case journal.OpAddRules:
+		event = EventRulesAdded
+	case journal.OpRemoveRules:
+		event = EventRulesRemoved
+	}
+	s.publish(event, delta, s.publishRead(op != journal.OpBatch))
+	return nil
 }
 
 // BatchDetect recomputes the violations from scratch with the engine's

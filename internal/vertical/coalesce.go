@@ -235,7 +235,7 @@ func (sys *System) applyWave(updates relation.UpdateList, delta *cfd.Delta) erro
 	}
 
 	// 3. Constant CFDs.
-	if err := sys.constPhase(w, sys.constRules, sys.constNo, delta); err != nil {
+	if err := sys.constPhase(w, sys.constNo, delta); err != nil {
 		return err
 	}
 
@@ -327,28 +327,28 @@ func (sys *System) evalConstants(w *wave, checkers []network.SiteID) error {
 	return nil
 }
 
-// constPhase runs the wave through the given constant rules (rules[i]
-// has number nos[i]): votes coalesced per (checker, coordinator) pair
-// across the wave, then the coordinator classifications batched per
-// site; ∆V replays per coordinator in (update, rule number) order.
-func (sys *System) constPhase(w *wave, rules []*cfd.CFD, nos []int, delta *cfd.Delta) error {
-	if len(rules) == 0 {
+// constPhase runs the wave through the constant rules numbered nos:
+// votes coalesced per (checker, coordinator) pair across the wave, then
+// the coordinator classifications batched per site; ∆V replays per
+// coordinator in (update, rule number) order.
+func (sys *System) constPhase(w *wave, nos []int, delta *cfd.Delta) error {
+	if len(nos) == 0 {
 		return nil
 	}
 	sc, n := sys.sc, len(sys.sites)
 	votes := sc.votes // by checker*n + coordinator; a pair's items in wave order
 	for i := range w.states {
 		failed := sys.ruleRow(w.failed, i)
-		for ci, r := range rules {
-			if failed.has(nos[ci]) {
+		for _, no := range nos {
+			if failed.has(no) {
 				continue // non-matching tuples ship nothing
 			}
-			coord := sys.constCoord[r.ID]
-			for _, s := range sys.constSites[r.ID] {
-				if s == coord {
+			f := &sys.byNo[no]
+			for _, s := range f.voters {
+				if s == f.site {
 					continue
 				}
-				k := int(s)*n + int(coord)
+				k := int(s)*n + int(f.site)
 				items := votes[k]
 				if len(items) == 0 || items[len(items)-1].ID != w.ids[i] {
 					// Open the update's item, reusing a dropped one's Rules.
@@ -356,7 +356,7 @@ func (sys *System) constPhase(w *wave, rules []*cfd.CFD, nos []int, delta *cfd.D
 					items[len(items)-1].ID = w.ids[i]
 					items[len(items)-1].Rules = items[len(items)-1].Rules[:0]
 				}
-				items[len(items)-1].Rules = append(items[len(items)-1].Rules, r.ID)
+				items[len(items)-1].Rules = append(items[len(items)-1].Rules, f.rule.ID)
 				votes[k] = items
 			}
 		}
@@ -381,8 +381,8 @@ func (sys *System) constPhase(w *wave, rules []*cfd.CFD, nos []int, delta *cfd.D
 	// the coordinator's mask.
 	rw := words(len(sys.rules))
 	masks := sc.rows(n * rw) // by coordinator
-	for ci, r := range rules {
-		bitset(masks[int(sys.constCoord[r.ID])*rw:]).set(nos[ci])
+	for _, no := range nos {
+		bitset(masks[int(sys.byNo[no].site)*rw:]).set(no)
 	}
 	reqs := make([]batchConstReq, n)
 	for s := 0; s < n; s++ {
@@ -414,7 +414,7 @@ func (sys *System) constPhase(w *wave, rules []*cfd.CFD, nos []int, delta *cfd.D
 			}
 			i := k / rw
 			for ; word != 0; word &= word - 1 {
-				rule := sys.ruleByNo[k%rw<<6+bits.TrailingZeros64(word)].ID
+				rule := sys.byNo[k%rw<<6+bits.TrailingZeros64(word)].rule.ID
 				if w.ins.has(i) {
 					delta.Add(relation.TupleID(w.ids[i]), rule)
 				} else {
@@ -632,7 +632,7 @@ func (sys *System) idxPhase(w *wave, alive []uint64, delta *cfd.Delta) error {
 	}
 	for wi, word := range union {
 		for ; word != 0; word &= word - 1 {
-			hosts[sys.idxSite[wi<<6+bits.TrailingZeros64(word)]] = true
+			hosts[sys.byNo[wi<<6+bits.TrailingZeros64(word)].site] = true
 		}
 	}
 	idxSites := sys.sitesWhere(func(s int) bool { return hosts[s] })
@@ -653,11 +653,11 @@ func (sys *System) idxPhase(w *wave, alive []uint64, delta *cfd.Delta) error {
 		ids := resp.IDs
 		for k, at := range resp.At {
 			no, count := resp.Rules[k], resp.Counts[k]
-			if at < 0 || at >= len(w.ids) || no < 0 || no >= len(sys.ruleByNo) || !sys.ruleRow(alive, at).has(no) ||
-				sys.idxSite[no] != s || count <= 0 || count > len(ids) {
+			if at < 0 || at >= len(w.ids) || no < 0 || no >= len(sys.byNo) || !sys.ruleRow(alive, at).has(no) ||
+				sys.byNo[no].site != s || count <= 0 || count > len(ids) {
 				return malformed("v.batchRule", s)
 			}
-			rule := sys.ruleByNo[no].ID
+			rule := sys.byNo[no].rule.ID
 			for _, id := range ids[:count] {
 				if w.ins.has(at) {
 					delta.Add(relation.TupleID(id), rule)

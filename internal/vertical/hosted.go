@@ -16,14 +16,7 @@ import (
 // bootstrap hello and then passes the same plan back into NewSystem via
 // Options.Plan, so driver and daemons provably agree node for node.
 func PlanFor(rules []cfd.CFD, scheme *partition.VerticalScheme, opts Options) (*optimizer.Plan, error) {
-	owned := append([]cfd.CFD(nil), rules...)
-	var varRules []*cfd.CFD
-	for i := range owned {
-		if !owned[i].IsConstant() {
-			varRules = append(varRules, &owned[i])
-		}
-	}
-	return buildPlan(varRules, scheme, opts)
+	return buildPlan(rules, scheme, opts)
 }
 
 // HostedSite is the handle a daemon keeps on a remotely hosted vertical

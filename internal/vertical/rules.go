@@ -2,7 +2,7 @@ package vertical
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/cfd"
 	"repro/internal/network"
@@ -129,21 +129,21 @@ func (s *site) listIDs(listIDsReq) (listIDsResp, error) {
 // folded plan is node-for-node identical to the one the live driver
 // (and every site daemon) holds.
 func GraftRules(plan *optimizer.Plan, scheme *partition.VerticalScheme, rules []cfd.CFD) error {
-	subIn := optimizer.Input{NumSites: scheme.NumSites, AttrSites: scheme.AttrSites}
-	for i := range rules {
-		if !rules[i].IsConstant() {
-			subIn.Rules = append(subIn.Rules, optimizer.RuleSpec{ID: rules[i].ID, LHS: rules[i].LHS, RHS: rules[i].RHS})
-		}
+	sub, err := newChains(scheme, rules)
+	if sub != nil {
+		plan.Graft(sub)
 	}
-	if len(subIn.Rules) == 0 {
-		return nil
+	return err
+}
+
+// newChains plans the variable rules of rules as self-contained §4
+// naive chains, 0-based; nil when there is none.
+func newChains(scheme *partition.VerticalScheme, rules []cfd.CFD) (*optimizer.Plan, error) {
+	in := planInput(scheme, rules)
+	if len(in.Rules) == 0 {
+		return nil, nil
 	}
-	sub, err := optimizer.NaiveChainPlan(subIn)
-	if err != nil {
-		return err
-	}
-	plan.Graft(sub)
-	return nil
+	return optimizer.NaiveChainPlan(in)
 }
 
 // AddRules brings new rules into force on the running system without
@@ -152,112 +152,51 @@ func GraftRules(plan *optimizer.Plan, scheme *partition.VerticalScheme, rules []
 // structures, and a batch-grouped seed wave replays the resident tuples
 // through only the new rules' constant checks, eqid resolution/shipment
 // and Fig. 4 analyses. The returned ∆V holds exactly the new rules'
-// marks, already applied to Violations(). Like Apply, the rounds
-// are not atomic: a mid-round transport error leaves driver and sites
-// desynchronized, and the system should be rebuilt.
+// marks, already applied to Violations(). The rules must validate beside
+// those in force (cfd.ValidateAll); the caller checks. Like Apply, the
+// rounds are not atomic: a mid-round transport error leaves driver and
+// sites desynchronized, and the system should be rebuilt.
 func (sys *System) AddRules(rules []cfd.CFD) (*cfd.Delta, error) {
 	delta := cfd.NewDelta()
 	if len(rules) == 0 {
 		return delta, nil
 	}
-	all := append(append([]cfd.CFD(nil), sys.rules...), rules...)
-	if err := cfd.ValidateAll(sys.schema, all); err != nil {
+	// Existing nodes (and the equivalence state seeded under them) are
+	// untouched by the graft. sub itself stays 0-based and rides in the
+	// install round for hosted sites to graft identically.
+	sub, err := newChains(sys.scheme, rules)
+	if err != nil {
+		return nil, err
+	}
+	firstNode := len(sys.plan.Nodes)
+	if err := sys.setRules(append(slices.Clip(sys.rules), rules...), sub); err != nil {
 		return nil, err
 	}
 
-	// Plan the new variable rules as self-contained §4 chains and graft
-	// them; existing nodes (and the equivalence state seeded under them)
-	// are untouched.
-	subIn := optimizer.Input{NumSites: sys.scheme.NumSites, AttrSites: sys.scheme.AttrSites}
-	for i := range rules {
-		if !rules[i].IsConstant() {
-			subIn.Rules = append(subIn.Rules, optimizer.RuleSpec{ID: rules[i].ID, LHS: rules[i].LHS, RHS: rules[i].RHS})
-		}
-	}
-	firstNode := len(sys.plan.Nodes)
-	var sub *optimizer.Plan
-	if len(subIn.Rules) > 0 {
-		var err error
-		sub, err = optimizer.NaiveChainPlan(subIn)
-		if err != nil {
-			return nil, err
-		}
-		// Graft copies sub's nodes; sub itself stays 0-based and rides
-		// in the install round for hosted sites to graft identically.
-		sys.plan.Graft(sub)
-	}
-
-	// Coordinator facts for the new constant rules (as in NewSystem).
-	for i := range rules {
-		r := &rules[i]
-		if !r.IsConstant() {
-			continue
-		}
-		coord, ok := sys.scheme.PrimarySiteOf(r.RHS)
-		if !ok {
-			return nil, fmt.Errorf("vertical: rule %s: RHS %q not assigned to a site: %w", r.ID, r.RHS, xerr.ErrUnknownAttribute)
-		}
-		sys.constCoord[r.ID] = network.SiteID(coord)
-		attrs, _ := r.ConstantLHS()
-		seen := make(map[network.SiteID]bool)
-		for _, a := range attrs {
-			p, ok := sys.scheme.PrimarySiteOf(a)
-			if !ok {
-				return nil, fmt.Errorf("vertical: rule %s: attribute %q not assigned to a site: %w", r.ID, a, xerr.ErrUnknownAttribute)
-			}
-			if !seen[network.SiteID(p)] {
-				seen[network.SiteID(p)] = true
-				sys.constSites[r.ID] = append(sys.constSites[r.ID], network.SiteID(p))
-			}
-		}
-		sort.Slice(sys.constSites[r.ID], func(a, b int) bool {
-			return sys.constSites[r.ID][a] < sys.constSites[r.ID][b]
-		})
-	}
-
-	// Metered install round: every site learns the new rules and creates
-	// its grafted structures.
+	// Metered install round: every site learns the new rules, renumbers
+	// exactly as setRules just did, and creates its grafted structures.
 	coord := network.SiteID(0)
-	targets := make([]network.SiteID, len(sys.sites))
-	for i := range sys.sites {
-		targets[i] = network.SiteID(i)
-	}
 	req := addRulesReq{Rules: rules, FirstNode: firstNode, Sub: sub}
-	if _, err := gather[addRulesReq, empty](sys, coord, "v.addRules", targets, func(network.SiteID) addRulesReq {
+	if _, err := gather[addRulesReq, empty](sys, coord, "v.addRules", sys.allSites(), func(network.SiteID) addRulesReq {
 		return req
 	}); err != nil {
 		return nil, err
 	}
 
-	// Driver state: the rule slices are rebuilt over the grown backing
-	// array, and indexRules renumbers exactly as every site just did.
-	sys.rules = all
-	sys.varRules, sys.constRules = nil, nil
-	var newVar, newConst []*cfd.CFD
-	for i := range sys.rules {
-		r := &sys.rules[i]
-		isNew := i >= len(all)-len(rules)
-		if r.IsConstant() {
-			sys.constRules = append(sys.constRules, r)
-			if isNew {
-				newConst = append(newConst, r)
-			}
-		} else {
-			sys.varRules = append(sys.varRules, r)
-			if isNew {
-				newVar = append(newVar, r)
-			}
+	// Seed wave: replay the resident ids through the new rules only, the
+	// tails of constNo and varNo.
+	newConst := 0
+	for i := range rules {
+		if rules[i].IsConstant() {
+			newConst++
 		}
 	}
-	sys.indexRules()
-
-	// Seed wave: replay the resident ids through the new rules only.
 	var idResp listIDsResp
 	if err := sys.send(coord, network.SiteID(0), "v.listIDs", listIDsReq{}, &idResp); err != nil {
 		return nil, err
 	}
 	if len(idResp.IDs) > 0 {
-		err := sys.seedWave(idResp.IDs, newConst, newVar, delta)
+		err := sys.seedWave(idResp.IDs, sys.constNo[len(sys.constNo)-newConst:], sys.varNo[len(sys.varNo)-(len(rules)-newConst):], delta)
 		sys.doneWave(len(idResp.IDs))
 		if err != nil {
 			return nil, err
@@ -271,10 +210,10 @@ func (sys *System) AddRules(rules []cfd.CFD) (*cfd.Delta, error) {
 }
 
 // seedWave runs the batch-grouped phases of one insertion wave restricted
-// to the given (new) rules — the tails of sys.constRules and sys.varRules
-// — without touching the fragments: applyWave's phases 2–5 plus the
-// buffer clears.
-func (sys *System) seedWave(ids []int64, newConst, newVar []*cfd.CFD, delta *cfd.Delta) error {
+// to the given (new) rules, by number — the tails of sys.constNo and
+// sys.varNo — without touching the fragments: applyWave's phases 2–5
+// plus the buffer clears.
+func (sys *System) seedWave(ids []int64, newConst, newVar []int, delta *cfd.Delta) error {
 	w := sys.newWave(len(ids))
 	copy(w.ids, ids)
 	for i := range ids {
@@ -285,9 +224,9 @@ func (sys *System) seedWave(ids []int64, newConst, newVar []*cfd.CFD, delta *cfd
 	// attribute can fail one, so the fan-out skips checker sites that
 	// serve old rules exclusively.
 	checkSites := make(map[network.SiteID]bool)
-	for _, list := range [][]*cfd.CFD{newConst, newVar} {
-		for _, r := range list {
-			attrs, _ := r.ConstantLHS()
+	for _, nos := range [][]int{newConst, newVar} {
+		for _, no := range nos {
+			attrs, _ := sys.byNo[no].rule.ConstantLHS()
 			for _, a := range attrs {
 				for _, si := range sys.scheme.AttrSites[a] {
 					checkSites[network.SiteID(si)] = true
@@ -304,14 +243,14 @@ func (sys *System) seedWave(ids []int64, newConst, newVar []*cfd.CFD, delta *cfd
 	if err := sys.evalConstants(w, checkers); err != nil {
 		return err
 	}
-	if err := sys.constPhase(w, newConst, sys.constNo[len(sys.constNo)-len(newConst):], delta); err != nil {
+	if err := sys.constPhase(w, newConst, delta); err != nil {
 		return err
 	}
 	if len(newVar) == 0 {
 		return nil
 	}
 	mask := bitset(sys.sc.rows(len(sys.varMask)))
-	for _, no := range sys.varNo[len(sys.varNo)-len(newVar):] {
+	for _, no := range newVar {
 		mask.set(no)
 	}
 	if err := sys.varPhase(w, mask, delta); err != nil {
@@ -321,63 +260,38 @@ func (sys *System) seedWave(ids []int64, newConst, newVar []*cfd.CFD, delta *cfd
 }
 
 // RemoveRules retires rules by id: their marks leave Violations() (one
-// pass over the mark bitsets), one metered round drops the per-site IDX state and
-// constant checks, and the plan sheds the rules' bindings (nodes shared
-// with surviving rules stay live). The returned ∆V holds exactly the
-// retired marks.
+// pass over the mark bitsets), one metered round drops the per-site IDX
+// state and constant checks, and the plan sheds the rules' bindings
+// (nodes shared with surviving rules stay live). The returned ∆V holds
+// exactly the retired marks. Each id must name a rule in force, once;
+// the caller checks.
 func (sys *System) RemoveRules(ids []string) (*cfd.Delta, error) {
-	drop := make(map[string]bool, len(ids))
-	inForce := make(map[string]bool, len(sys.rules))
-	for i := range sys.rules {
-		inForce[sys.rules[i].ID] = true
-	}
-	for _, id := range ids {
-		if drop[id] {
-			return nil, fmt.Errorf("vertical: rule %q listed twice: %w", id, xerr.ErrDuplicateRule)
-		}
-		if !inForce[id] {
-			return nil, fmt.Errorf("vertical: removing rule %q: %w", id, xerr.ErrUnknownRule)
-		}
-		drop[id] = true
-	}
 	if len(ids) == 0 {
 		return cfd.NewDelta(), nil
 	}
 	delta := sys.v.RetiredDelta(ids)
-
 	coord := network.SiteID(0)
-	targets := make([]network.SiteID, len(sys.sites))
-	for i := range sys.sites {
-		targets[i] = network.SiteID(i)
-	}
-	if _, err := gather[vDropRulesReq, empty](sys, coord, "v.dropRules", targets, func(network.SiteID) vDropRulesReq {
+	if _, err := gather[vDropRulesReq, empty](sys, coord, "v.dropRules", sys.allSites(), func(network.SiteID) vDropRulesReq {
 		return vDropRulesReq{Rules: ids}
 	}); err != nil {
 		return nil, err
 	}
-
 	for _, id := range ids {
 		sys.plan.DropRule(id)
-		delete(sys.constCoord, id)
-		delete(sys.constSites, id)
 	}
-	var kept []cfd.CFD
-	for i := range sys.rules {
-		if !drop[sys.rules[i].ID] {
-			kept = append(kept, sys.rules[i])
-		}
+	kept := slices.DeleteFunc(slices.Clone(sys.rules), func(r cfd.CFD) bool { return slices.Contains(ids, r.ID) })
+	if err := sys.setRules(kept, nil); err != nil {
+		return nil, err
 	}
-	sys.rules = kept
-	sys.varRules, sys.constRules = nil, nil
-	for i := range sys.rules {
-		r := &sys.rules[i]
-		if r.IsConstant() {
-			sys.constRules = append(sys.constRules, r)
-		} else {
-			sys.varRules = append(sys.varRules, r)
-		}
-	}
-	sys.indexRules()
 	delta.Apply(sys.v)
 	return delta, nil
+}
+
+// allSites returns every site id in order.
+func (sys *System) allSites() []network.SiteID {
+	out := make([]network.SiteID, len(sys.sites))
+	for i := range sys.sites {
+		out[i] = network.SiteID(i)
+	}
+	return out
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/optimizer"
 	"repro/internal/partition"
 	"repro/internal/relation"
+	"repro/internal/xerr"
 )
 
 // Options configures a vertical detection system.
@@ -74,19 +75,10 @@ type System struct {
 	scheme *partition.VerticalScheme
 	rules  []cfd.CFD
 
-	varRules   []*cfd.CFD
-	constRules []*cfd.CFD
-
 	plan    *optimizer.Plan
 	cluster *network.Cluster
 	sites   []*site
 	fragSch []*relation.Schema
-
-	// constSites lists, per constant rule, the sites owning at least one
-	// pattern-constant attribute; constCoord is the rule's coordinator
-	// (the site owning B).
-	constSites map[string][]network.SiteID
-	constCoord map[string]network.SiteID
 
 	v *cfd.Violations
 
@@ -105,19 +97,17 @@ type System struct {
 	sc           *waveScratch
 	barrierPairs [][2]network.SiteID
 
-	// Static lookups over the current rule set, rebuilt by indexRules.
+	// Static lookups over the current rule set, rebuilt by setRules.
 	// checkers are the sites holding pattern-constant checks. The rest is
 	// the rule numbering the same-site messages are coded in (rank by rule
-	// id, stamped by gen; see messages.go): ruleByNo inverts it, constNo
-	// and varNo give the numbers of constRules[i] and varRules[i], varMask
-	// is the set of variable rules and idxSite[no] a variable rule's IDX
-	// site.
+	// id, stamped by gen; see messages.go): byNo holds each numbered
+	// rule's facts, constNo and varNo the numbers of the constant and the
+	// variable rules in rule order, and varMask the set of variable rules.
 	checkers []network.SiteID
-	ruleByNo []*cfd.CFD
+	byNo     []ruleFacts
 	constNo  []int
 	varNo    []int
 	varMask  bitset
-	idxSite  []network.SiteID
 	gen      uint32
 
 	// schedCache memoizes runSchedules keyed by the alive rule set, with a
@@ -133,6 +123,18 @@ type System struct {
 // so the chunk also bounds what seeding leaves resident.
 const seedChunk = 128
 
+// ruleFacts is what the driver knows of one numbered rule before any
+// tuple.
+type ruleFacts struct {
+	rule *cfd.CFD
+	// site is a constant rule's coordinator (the site owning B) and a
+	// variable rule's IDX site.
+	site network.SiteID
+	// voters are the sites owning a constant rule's pattern-constant
+	// attributes, ascending.
+	voters []network.SiteID
+}
+
 // NewSystem partitions rel under scheme, plans and builds the HEV/IDX
 // indices for rules, seeds them with rel's data and computes the initial
 // V(Σ, D). Traffic meters are zero on return.
@@ -141,28 +143,20 @@ func NewSystem(rel *relation.Relation, scheme *partition.VerticalScheme, rules [
 		return nil, err
 	}
 	sys := &System{
-		schema:     rel.Schema,
-		scheme:     scheme,
-		rules:      append([]cfd.CFD(nil), rules...),
-		constSites: make(map[string][]network.SiteID),
-		constCoord: make(map[string]network.SiteID),
-		v:          cfd.NewViolations(),
+		schema: rel.Schema,
+		scheme: scheme,
+		v:      cfd.NewViolations(),
 	}
-	sys.v.InternRules(sys.rules)
-	for i := range sys.rules {
-		r := &sys.rules[i]
-		if r.IsConstant() {
-			sys.constRules = append(sys.constRules, r)
-		} else {
-			sys.varRules = append(sys.varRules, r)
-		}
-	}
-
-	plan, err := buildPlan(sys.varRules, scheme, opts)
+	rules = append([]cfd.CFD(nil), rules...)
+	sys.v.InternRules(rules)
+	plan, err := buildPlan(rules, scheme, opts)
 	if err != nil {
 		return nil, err
 	}
 	sys.plan = plan
+	if err := sys.setRules(rules, nil); err != nil {
+		return nil, err
+	}
 
 	sys.cluster = network.NewCluster(scheme.NumSites)
 	sys.fragSch = make([]*relation.Schema, scheme.NumSites)
@@ -183,33 +177,6 @@ func NewSystem(rel *relation.Relation, scheme *partition.VerticalScheme, rules [
 		sys.cluster.UseRemoteTransport(opts.Transport)
 	}
 
-	for _, r := range sys.constRules {
-		coord, ok := scheme.PrimarySiteOf(r.RHS)
-		if !ok {
-			return nil, fmt.Errorf("vertical: rule %s: RHS %q not assigned to a site", r.ID, r.RHS)
-		}
-		sys.constCoord[r.ID] = network.SiteID(coord)
-		attrs, _ := r.ConstantLHS()
-		seen := make(map[network.SiteID]bool)
-		for _, a := range attrs {
-			// Every replica site can check the constant locally; the
-			// primary is responsible for the match vote.
-			p, ok := scheme.PrimarySiteOf(a)
-			if !ok {
-				return nil, fmt.Errorf("vertical: rule %s: attribute %q not assigned to a site", r.ID, a)
-			}
-			if !seen[network.SiteID(p)] {
-				seen[network.SiteID(p)] = true
-				sys.constSites[r.ID] = append(sys.constSites[r.ID], network.SiteID(p))
-			}
-		}
-		sort.Slice(sys.constSites[r.ID], func(a, b int) bool {
-			return sys.constSites[r.ID][a] < sys.constSites[r.ID][b]
-		})
-	}
-
-	sys.indexRules()
-
 	// Seed: replay the initial database through the batch-grouped
 	// insertion logic in direct (unmetered) mode, seedChunk tuples per
 	// wave; V(Σ, D) accumulates on the way.
@@ -228,47 +195,84 @@ func NewSystem(rel *relation.Relation, scheme *partition.VerticalScheme, rules [
 	return sys, nil
 }
 
-// indexRules rebuilds the static lookups over the current rule lists,
-// fragment schemas and plan: the sites owning pattern-constant checks and
-// the rule numbering. Renumbering moves every alive-set key, so the
-// memoized schedules go too.
-func (sys *System) indexRules() {
-	// Derived from the rule set and the fragment schemas, never from the
-	// local site replicas: a hosted deployment does not update those.
-	sys.checkers = nil
-	for i, fs := range sys.fragSch {
-		for ri := range sys.rules {
-			if cols, _ := constChecksFor(fs, &sys.rules[ri]); len(cols) > 0 {
-				sys.checkers = append(sys.checkers, network.SiteID(i))
-				break
-			}
-		}
-	}
-
-	ids := make([]string, len(sys.rules))
-	for i := range sys.rules {
-		ids[i] = sys.rules[i].ID
+// setRules puts all in force in the driver, in one pass over the rule
+// numbering: each rule's facts, the constant and variable numbers, the
+// variable mask and the checker sites. The scheme must place every
+// attribute a constant rule reads; it is checked first, so a rule it
+// cannot place changes nothing. sub, when non-nil, holds the new
+// variable rules' chains: it is grafted onto the plan after the check
+// and before the IDX sites are read. Renumbering moves every alive-set
+// key, so the memoized schedules go too. NewSystem, AddRules and
+// RemoveRules all come through here; rule validity is the caller's to
+// check.
+func (sys *System) setRules(all []cfd.CFD, sub *optimizer.Plan) error {
+	ids := make([]string, len(all))
+	for i := range all {
+		ids[i] = all[i].ID
 	}
 	sort.Strings(ids)
-	sys.gen = ruleGen(ids)
-	sys.ruleByNo = make([]*cfd.CFD, len(ids))
-	number := func(rules []*cfd.CFD) []int {
-		nos := make([]int, len(rules))
-		for i, r := range rules {
-			nos[i] = sort.SearchStrings(ids, r.ID)
-			sys.ruleByNo[nos[i]] = r
+	byNo := make([]ruleFacts, len(all))
+	var constNo, varNo []int
+	checker := make([]bool, sys.scheme.NumSites)
+	site := func(r *cfd.CFD, attr string) (network.SiteID, error) {
+		p, ok := sys.scheme.PrimarySiteOf(attr)
+		if !ok {
+			return 0, fmt.Errorf("vertical: rule %s: attribute %q not assigned to a site: %w", r.ID, attr, xerr.ErrUnknownAttribute)
 		}
-		return nos
+		return network.SiteID(p), nil
 	}
-	sys.constNo, sys.varNo = number(sys.constRules), number(sys.varRules)
-	sys.varMask = make(bitset, words(len(ids)))
-	sys.idxSite = make([]network.SiteID, len(ids))
-	for i, r := range sys.varRules {
-		sys.varMask.set(sys.varNo[i])
-		sys.idxSite[sys.varNo[i]] = network.SiteID(sys.plan.Bindings[r.ID].IDXSite)
+	for i := range all {
+		r := &all[i]
+		no := sort.SearchStrings(ids, r.ID)
+		f := &byNo[no]
+		f.rule = r
+		attrs, _ := r.ConstantLHS()
+		for _, a := range attrs {
+			for _, s := range sys.scheme.AttrSites[a] {
+				checker[s] = true
+			}
+		}
+		if !r.IsConstant() {
+			varNo = append(varNo, no)
+			continue
+		}
+		constNo = append(constNo, no)
+		var err error
+		if f.site, err = site(r, r.RHS); err != nil {
+			return err
+		}
+		for _, a := range attrs {
+			// Every replica site can check the constant locally; the
+			// primary is responsible for the match vote.
+			p, err := site(r, a)
+			if err != nil {
+				return err
+			}
+			if !slices.Contains(f.voters, p) {
+				f.voters = append(f.voters, p)
+			}
+		}
+		slices.Sort(f.voters)
 	}
+	if sub != nil {
+		sys.plan.Graft(sub)
+	}
+	varMask := make(bitset, words(len(all)))
+	for _, no := range varNo {
+		varMask.set(no)
+		byNo[no].site = network.SiteID(sys.plan.Bindings[byNo[no].rule.ID].IDXSite)
+	}
+	sys.checkers = nil
+	for s, ok := range checker {
+		if ok {
+			sys.checkers = append(sys.checkers, network.SiteID(s))
+		}
+	}
+	sys.rules, sys.byNo, sys.constNo, sys.varNo, sys.varMask = all, byNo, constNo, varNo, varMask
+	sys.gen = ruleGen(ids)
 	sys.schedCache = make(map[string]*runSchedule)
 	sys.fullSched = nil
+	return nil
 }
 
 // AdoptViolations replaces the maintained violation set — the resume
@@ -280,17 +284,14 @@ func (sys *System) AdoptViolations(v *cfd.Violations) {
 	sys.v = v
 }
 
-func buildPlan(varRules []*cfd.CFD, scheme *partition.VerticalScheme, opts Options) (*optimizer.Plan, error) {
+// buildPlan plans the variable rules of rules: opts.Plan when set, else
+// the §4 naive chains or, with UseOptimizer, the better of those and
+// §5's optVer.
+func buildPlan(rules []cfd.CFD, scheme *partition.VerticalScheme, opts Options) (*optimizer.Plan, error) {
 	if opts.Plan != nil {
 		return opts.Plan, nil
 	}
-	in := optimizer.Input{
-		NumSites:  scheme.NumSites,
-		AttrSites: scheme.AttrSites,
-	}
-	for _, r := range varRules {
-		in.Rules = append(in.Rules, optimizer.RuleSpec{ID: r.ID, LHS: r.LHS, RHS: r.RHS})
-	}
+	in := planInput(scheme, rules)
 	naive, err := optimizer.NaiveChainPlan(in)
 	if err != nil {
 		return nil, err
@@ -306,6 +307,17 @@ func buildPlan(varRules []*cfd.CFD, scheme *partition.VerticalScheme, opts Optio
 		return naive, nil
 	}
 	return opt, nil
+}
+
+// planInput is the optimizer's input for the variable rules of rules.
+func planInput(scheme *partition.VerticalScheme, rules []cfd.CFD) optimizer.Input {
+	in := optimizer.Input{NumSites: scheme.NumSites, AttrSites: scheme.AttrSites}
+	for i := range rules {
+		if r := &rules[i]; !r.IsConstant() {
+			in.Rules = append(in.Rules, optimizer.RuleSpec{ID: r.ID, LHS: r.LHS, RHS: r.RHS})
+		}
+	}
+	return in
 }
 
 // Plan returns the HEV plan in use.
@@ -405,9 +417,9 @@ func (sys *System) scheduleFor(alive bitset) *runSchedule {
 // and involved-site set for one alive rule set.
 func (sys *System) buildSchedule(aliveSet bitset) *runSchedule {
 	var alive []*cfd.CFD
-	for no, r := range sys.ruleByNo {
+	for no := range sys.byNo {
 		if aliveSet.has(no) {
-			alive = append(alive, r)
+			alive = append(alive, sys.byNo[no].rule)
 		}
 	}
 	needed := make(map[optimizer.NodeID]bool)
