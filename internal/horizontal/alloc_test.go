@@ -27,10 +27,7 @@ func TestWaveAllocBound(t *testing.T) {
 		batch, rounds int
 		bound         float64
 	}{{1, 400, 24}, {64, 20, 10}} {
-		sys, err := NewSystem(rel, partition.HashHorizontal("c_name", 4), rules, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		sys, _ := localSystem(t, rel, partition.HashHorizontal("c_name", 4), rules, Options{})
 		mirror := rel.Clone()
 		batches := make([]relation.UpdateList, c.rounds+4)
 		for i := range batches {

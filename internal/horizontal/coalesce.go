@@ -238,7 +238,7 @@ func (sys *System) applyWaveCoalesced(norm relation.UpdateList, delta *cfd.Delta
 	}
 	sc := sys.scratch
 	if sc == nil {
-		sc = newWaveScratch(len(sys.sites))
+		sc = newWaveScratch(sys.cluster.NumSites())
 		sys.scratch = sc
 	}
 	defer func() {
@@ -418,7 +418,7 @@ func (sys *System) applyWaveCoalesced(norm relation.UpdateList, delta *cfd.Delta
 		// is already aggregated; they settle below). The relay probes
 		// itself same-site when it is not an owner — local computation.
 		ex := sys.facts[g.comp.Idx].excluded
-		for i := range sys.sites {
+		for i := range ex {
 			id := network.SiteID(i)
 			if ex[i] || g.ownedBy(id) {
 				continue

@@ -57,7 +57,7 @@ func TestRegisteredMethodsAreDriven(t *testing.T) {
 		}
 	}
 	slices.Sort(driven)
-	if registered := sys.Cluster().Methods(0); !slices.Equal(driven, registered) {
+	if registered := tr.c.Methods(0); !slices.Equal(driven, registered) {
 		t.Errorf("methods sent ≠ methods registered\nsent:       %v\nregistered: %v", driven, registered)
 	}
 }

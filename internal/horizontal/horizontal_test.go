@@ -62,10 +62,7 @@ func t6() relation.Tuple {
 func TestPaperExample2InsertHorizontal(t *testing.T) {
 	rel := empData(t)
 	rules := empRules(t)
-	sys, err := NewSystem(rel, empScheme(), rules, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys, _ := localSystem(t, rel, empScheme(), rules, Options{})
 	want := centralized.Detect(rel, rules)
 	if !sys.Violations().Equal(want) {
 		t.Fatalf("initial V mismatch:\n got %v\nwant %v", sys.Violations(), want)
@@ -91,10 +88,7 @@ func TestPaperExample2InsertHorizontal(t *testing.T) {
 func TestPaperExample2DeleteHorizontal(t *testing.T) {
 	rel := empData(t)
 	rules := empRules(t)
-	sys, err := NewSystem(rel, empScheme(), rules, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys, _ := localSystem(t, rel, empScheme(), rules, Options{})
 	if _, err := sys.Apply(relation.UpdateList{{Kind: relation.Insert, Tuple: t6()}}); err != nil {
 		t.Fatal(err)
 	}
@@ -121,10 +115,7 @@ func TestPaperExample2DeleteHorizontal(t *testing.T) {
 func TestBatchDetectMatchesOracleHorizontal(t *testing.T) {
 	rel := empData(t)
 	rules := empRules(t)
-	sys, err := NewSystem(rel, empScheme(), rules, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys, _ := localSystem(t, rel, empScheme(), rules, Options{})
 	got, err := sys.BatchDetect()
 	if err != nil {
 		t.Fatal(err)
@@ -188,10 +179,7 @@ func runRandomCase(t *testing.T, seed int64, schemeKind int, disableMD5 bool) {
 		scheme = partition.BySetHorizontal("A", sets)
 	}
 
-	sys, err := NewSystem(rel, scheme, rules, Options{DisableMD5: disableMD5})
-	if err != nil {
-		t.Fatalf("seed %d: %v", seed, err)
-	}
+	sys, _ := localSystem(t, rel, scheme, rules, Options{DisableMD5: disableMD5})
 	if want := centralized.Detect(rel, rules); !sys.Violations().Equal(want) {
 		t.Fatalf("seed %d: initial V mismatch:\n got %v\nwant %v", seed, sys.Violations(), want)
 	}

@@ -6,10 +6,10 @@ import (
 	"repro/internal/relation"
 )
 
-// HostedSite is the handle a daemon keeps on a remotely hosted
-// horizontal site, exposing checkpoint capture and restore. Snapshot
-// and Restore must only run between dispatches (the host serializes
-// calls, so invoking them from the dispatch path is safe).
+// HostedSite is the handle kept on a hosted horizontal site, exposing
+// checkpoint capture and restore. Snapshot and Restore must only run
+// between dispatches (the host serializes calls, so invoking them from
+// the dispatch path is safe).
 type HostedSite struct {
 	st *site
 }
@@ -20,11 +20,11 @@ func (h *HostedSite) Snapshot() ([]byte, error) { return h.st.snapshotState() }
 // Restore replaces the site's state with a checkpointed snapshot.
 func (h *HostedSite) Restore(data []byte) error { return h.st.restoreState(data) }
 
-// HostSiteState builds and registers the per-site state for one remotely
-// hosted horizontal site on c — the daemon half of the TCP deployment —
-// returning a handle for checkpointing. The site starts empty; the
-// driver seeds it through the same (unmetered, same-site) protocol calls
-// it uses in-process, and later rule changes arrive via
+// HostSiteState builds one empty horizontal site holding rules and
+// registers its handlers on c, returning a handle for checkpointing. A
+// daemon and an in-process session both reach it through
+// sitehost.HostSite, from a decoded hello. The driver seeds the site
+// through the same-site protocol calls, and later rule changes arrive via
 // h.seedRules/h.dropRules, which compile against the site's own schema.
 // No driver state is shared.
 func HostSiteState(c *network.Cluster, id network.SiteID, schema *relation.Schema, rules []cfd.CFD) (*HostedSite, error) {
@@ -35,11 +35,3 @@ func HostSiteState(c *network.Cluster, id network.SiteID, schema *relation.Schem
 	st.register(c)
 	return &HostedSite{st: st}, nil
 }
-
-// HostSite is HostSiteState without the checkpoint handle.
-func HostSite(c *network.Cluster, id network.SiteID, schema *relation.Schema, rules []cfd.CFD) error {
-	_, err := HostSiteState(c, id, schema, rules)
-	return err
-}
-
-// Transport plumbing: see Options.Transport in system.go.

@@ -83,11 +83,11 @@ func classFlagStream(t *testing.T, hosted bool, wave int, disable bool) {
 			sites = append(sites, hs.st)
 		}
 	} else {
-		var err error
-		if sys, err = NewSystem(rel, scheme, rules[:22], Options{DisableMD5: disable}); err != nil {
-			t.Fatal(err)
+		var hs []*HostedSite
+		sys, hs = localSystem(t, rel, scheme, rules[:22], Options{DisableMD5: disable})
+		for _, h := range hs {
+			sites = append(sites, h.st)
 		}
-		sites = sys.sites
 	}
 	mirror := rel.Clone()
 	checkClassFlags(t, "seed", sites)

@@ -146,8 +146,8 @@ func (s *site) dropRules(req dropRulesReq) (empty, error) {
 
 // allSites returns every site id in order.
 func (sys *System) allSites() []network.SiteID {
-	out := make([]network.SiteID, len(sys.sites))
-	for i := range sys.sites {
+	out := make([]network.SiteID, sys.cluster.NumSites())
+	for i := range out {
 		out[i] = network.SiteID(i)
 	}
 	return out

@@ -39,10 +39,7 @@ func TestSeparatorCollisionAgainstOracle(t *testing.T) {
 			}
 			rel.MustInsert(relation.Tuple{ID: relation.TupleID(id), Values: vals})
 		}
-		sys, err := NewSystem(rel, partition.IDHorizontal(3), rules, Options{DisableMD5: disableMD5})
-		if err != nil {
-			t.Fatal(err)
-		}
+		sys, _ := localSystem(t, rel, partition.IDHorizontal(3), rules, Options{DisableMD5: disableMD5})
 		var updates relation.UpdateList
 		for id, vals := range adds {
 			if vals == nil {

@@ -19,11 +19,12 @@ import (
 func seededSites(t testing.TB, rows int) []*site {
 	t.Helper()
 	gen := workload.NewSized(workload.TPCH, 7, 800)
-	sys, err := NewSystem(gen.Relation(rows), partition.HashHorizontal("c_name", 3), gen.Rules(8), Options{})
-	if err != nil {
-		t.Fatal(err)
+	_, hs := localSystem(t, gen.Relation(rows), partition.HashHorizontal("c_name", 3), gen.Rules(8), Options{})
+	sites := make([]*site, len(hs))
+	for i, h := range hs {
+		sites[i] = h.st
 	}
-	return sys.sites
+	return sites
 }
 
 // TestSnapshotIsCanonical: a snapshot decodes as an hSiteState, and a
@@ -112,16 +113,13 @@ func TestSnapshotGolden(t *testing.T) {
 		gen := workload.NewSized(workload.TPCH, 11, 1200)
 		rules := gen.Rules(30)
 		rel := gen.Relation(400)
-		sys, err := NewSystem(rel, partition.HashHorizontal("c_name", 4), rules[:22], Options{DisableMD5: disable})
-		if err != nil {
-			t.Fatal(err)
-		}
+		sys, sites := localSystem(t, rel, partition.HashHorizontal("c_name", 4), rules[:22], Options{DisableMD5: disable})
 		mirror := rel.Clone()
 		h := sha256.New()
 		record := func(step string) {
 			t.Helper()
-			for _, s := range sys.sites {
-				data, err := s.snapshotState()
+			for _, s := range sites {
+				data, err := s.Snapshot()
 				if err != nil {
 					t.Fatalf("%s: %v", step, err)
 				}

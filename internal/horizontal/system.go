@@ -15,11 +15,6 @@ type Options struct {
 	// group keys of probe and settle items, turning §6's optimization off
 	// (for the shipment ablation).
 	DisableMD5 bool
-	// Transport, when non-nil, is a state-hosting transport (TCP sited
-	// deployment): it is installed before seeding, so the initial
-	// database is loaded into the remote sites and the local site
-	// replicas stay empty.
-	Transport network.Transport
 	// SkipSeed builds the system without the seeding pass: no site
 	// loads, no initial V. A resumed driver uses it when the sites
 	// already hold their fragments (recovered from checkpoints) and V is
@@ -38,7 +33,6 @@ type System struct {
 	comp []cfd.Compiled
 
 	cluster *network.Cluster
-	sites   []*site
 
 	// compByID resolves a rule id to its compiled form (the batch-grouped
 	// driver aggregates site responses keyed by rule id).
@@ -101,31 +95,26 @@ func (sys *System) setRules(all []cfd.CFD) {
 // site.
 const seedChunk = batchWaveSize
 
-// NewSystem partitions rel under scheme, builds the per-site indices for
-// rules, seeds them and computes the initial V(Σ, D). Traffic meters are
-// zero on return.
-func NewSystem(rel *relation.Relation, scheme *partition.HorizontalScheme, rules []cfd.CFD, opts Options) (*System, error) {
+// NewSystem builds the driver over c, whose sites hold rules and are
+// empty — hosted on c itself (HostSiteState) or behind its remote
+// transport — then seeds them with rel partitioned under scheme and
+// computes the initial V(Σ, D). Traffic meters are zero on return.
+func NewSystem(c *network.Cluster, rel *relation.Relation, scheme *partition.HorizontalScheme, rules []cfd.CFD, opts Options) (*System, error) {
 	if err := cfd.ValidateAll(rel.Schema, rules); err != nil {
 		return nil, err
 	}
+	if c.NumSites() != scheme.NumSites() {
+		return nil, fmt.Errorf("horizontal: %d-site scheme on a %d-site cluster", scheme.NumSites(), c.NumSites())
+	}
 	sys := &System{
-		schema: rel.Schema,
-		scheme: scheme,
-		useMD5: !opts.DisableMD5,
-		v:      cfd.NewViolations(),
+		schema:  rel.Schema,
+		scheme:  scheme,
+		cluster: c,
+		useMD5:  !opts.DisableMD5,
+		v:       cfd.NewViolations(),
 	}
 	sys.setRules(append([]cfd.CFD(nil), rules...))
 	sys.v.InternRules(sys.rules)
-	n := scheme.NumSites()
-	sys.cluster = network.NewCluster(n)
-	for i := 0; i < n; i++ {
-		st := newSite(network.SiteID(i), rel.Schema, sys.comp)
-		sys.sites = append(sys.sites, st)
-		st.register(sys.cluster)
-	}
-	if opts.Transport != nil {
-		sys.cluster.UseRemoteTransport(opts.Transport)
-	}
 
 	if !opts.SkipSeed {
 		sys.direct = true
@@ -202,8 +191,8 @@ func (sys *System) Apply(updates relation.UpdateList) (*cfd.Delta, error) {
 // matching rule i's pattern constants, in site order.
 func (sys *System) participants(i int) []network.SiteID {
 	ex := sys.facts[i].excluded
-	out := make([]network.SiteID, 0, len(sys.sites))
-	for i := range sys.sites {
+	out := make([]network.SiteID, 0, len(ex))
+	for i := range ex {
 		if !ex[i] {
 			out = append(out, network.SiteID(i))
 		}

@@ -4,12 +4,14 @@
 // Cluster, which meters messages, payload bytes and shipped eqids — the
 // quantities behind the paper's Figs. 9(c), 9(h) and 10.
 //
-// A site is reached in one of two ways: natively, in process
-// (deterministic, used by tests and benchmarks), or through the framed
-// TCP transport to site daemons (tcp.go). A shipped byte has one
-// definition on both: a cross-site call is metered at the length of its
-// Marshal payload — the descriptor-free positional encoding of
-// internal/wire — request plus reply. The TCP path holds those bytes and
+// A site is built one way — registered on a cluster from its hello
+// (sitehost.HostSite) — and reached in one of two ways: natively, on the
+// cluster it is registered on, in process (deterministic, used by tests
+// and benchmarks), or through the framed TCP transport to the daemon
+// hosting it (tcp.go). A shipped byte has one definition on both: a
+// cross-site call is metered at the length of its Marshal payload — the
+// descriptor-free positional encoding of internal/wire — request plus
+// reply. The TCP path holds those bytes and
 // counts them; the native path, which ships none, encodes the same
 // values into scratch to size them. The codec is canonical, so the two
 // agree byte for byte.
@@ -139,10 +141,10 @@ type Cluster struct {
 	native   []map[string]NativeHandler
 	siteMu   []sync.Mutex
 
-	// transport, when non-nil, HOSTS the site state (TCP daemons): every
-	// call, same-site included, ships through it and the local registry
-	// goes unused. Nil means the sites live in this process and calls
-	// dispatch natively.
+	// transport, when non-nil, reaches the sites where they are hosted
+	// (TCP daemons): every call, same-site included, ships through it,
+	// and nothing registers here. Nil means the sites are registered on
+	// this cluster and calls dispatch natively.
 	transport Transport
 
 	statMu sync.Mutex
@@ -163,7 +165,7 @@ type Cluster struct {
 	pairKeys [][]string
 }
 
-// NewCluster creates a cluster of n in-process sites.
+// NewCluster creates a cluster of n sites, none registered yet.
 func NewCluster(n int) *Cluster {
 	if n <= 0 {
 		panic(fmt.Sprintf("network: cluster needs at least one site, got %d", n))
@@ -234,10 +236,10 @@ func (c *Cluster) Methods(site SiteID) []string {
 	return out
 }
 
-// UseRemoteTransport installs a transport that hosts the site state at
-// its remote end (the TCP sited deployment). Every call — same-site
-// seeding traffic included — ships through it; the local site replicas
-// stay empty. The meters keep their definition: a cross-site call costs
+// UseRemoteTransport installs a transport that reaches sites hosted at
+// its remote end (the TCP sited deployment), on a cluster where no site
+// is registered. Every call — same-site seeding traffic included — ships
+// through it. The meters keep their definition: a cross-site call costs
 // the payload bytes of its request and reply, which are the bytes this
 // path ships, while the transport's own framing overhead is counted
 // separately (see TCPTransport.FrameBytes).

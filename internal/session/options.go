@@ -103,6 +103,18 @@ func (c *config) inDoubtRetryBudget() time.Duration {
 	return 0
 }
 
+// numSites is a distributed session's site count, 0 for a centralized
+// one.
+func (c *config) numSites() int {
+	switch c.kind {
+	case Horizontal:
+		return c.hScheme.NumSites()
+	case Vertical:
+		return c.vScheme.NumSites
+	}
+	return 0
+}
+
 func (c *config) setKind(k Kind) error {
 	if c.kindSet && c.kind != k {
 		return fmt.Errorf("session: conflicting partition styles %s and %s", c.kind, k)
@@ -120,11 +132,10 @@ func (c *config) validate() error {
 			return fmt.Errorf("session: WithTCPSites requires a distributed session")
 		}
 	}
-	if len(c.tcpAddrs) > 0 {
-		if n := len(c.tcpAddrs); n > sitehost.MaxSites {
-			return fmt.Errorf("session: WithTCPSites: %d sites, a deployment spans at most %d", n, sitehost.MaxSites)
-		}
-	} else {
+	if n := c.numSites(); n > sitehost.MaxSites {
+		return fmt.Errorf("session: %d sites, a deployment spans at most %d", n, sitehost.MaxSites)
+	}
+	if len(c.tcpAddrs) == 0 {
 		switch {
 		case c.tcpRetry > 0:
 			return fmt.Errorf("session: WithTCPRetryBudget requires WithTCPSites")

@@ -236,60 +236,46 @@ func Open(rel *relation.Relation, rules []cfd.CFD, opts ...Option) (*Session, er
 		}
 		s.eng = inc
 	case Horizontal:
-		hOpts := horizontal.Options{
-			DisableMD5: cfg.disableMD5,
-			SkipSeed:   res != nil,
+		hellos, err := sitehost.HorizontalHellos(s.sid, buildRel.Schema, buildRules, cfg.hScheme.NumSites(), cfg.checkpointing())
+		if err == nil {
+			err = s.reachSites(hellos, res)
 		}
-		if len(cfg.tcpAddrs) > 0 {
-			hellos, err := sitehost.HorizontalHellos(s.sid, buildRel.Schema, buildRules, cfg.hScheme.NumSites(), cfg.checkpointing())
-			if err == nil {
-				err = s.dialSites(hellos, res)
-			}
-			if err != nil {
-				s.closeOnOpenErr()
-				return nil, err
-			}
-			hOpts.Transport = s.tcp
+		var sys *horizontal.System
+		if err == nil {
+			sys, err = horizontal.NewSystem(s.cluster, buildRel, cfg.hScheme, buildRules, horizontal.Options{
+				DisableMD5: cfg.disableMD5,
+				SkipSeed:   res != nil,
+			})
 		}
-		sys, err := horizontal.NewSystem(buildRel, cfg.hScheme, buildRules, hOpts)
 		if err != nil {
 			s.closeOnOpenErr()
 			return nil, err
 		}
-		s.eng, s.cluster = sys, sys.Cluster()
+		s.eng = sys
 	case Vertical:
-		vOpts := vertical.Options{
-			UseOptimizer: cfg.useOptimizer,
-			SkipSeed:     res != nil,
+		// The sites run the exact plan the driver runs: plan here (or
+		// take the journal's folded plan) and ship a copy in every hello.
+		plan := res.planOrNil()
+		var err error
+		if plan == nil {
+			plan, err = vertical.PlanFor(buildRules, cfg.vScheme, cfg.useOptimizer)
 		}
-		if len(cfg.tcpAddrs) > 0 {
-			// The daemons must run the exact plan the driver runs, so
-			// plan here (or take the journal's folded plan) and pin it
-			// on both sides.
-			vOpts.Plan = res.planOrNil()
-			var err error
-			if vOpts.Plan == nil {
-				vOpts.Plan, err = vertical.PlanFor(buildRules, cfg.vScheme, vOpts)
-			}
-			var hellos [][]byte
-			if err == nil {
-				hellos, err = sitehost.VerticalHellos(s.sid, buildRel.Schema, cfg.vScheme, vOpts.Plan, buildRules, cfg.checkpointing())
-			}
-			if err == nil {
-				err = s.dialSites(hellos, res)
-			}
-			if err != nil {
-				s.closeOnOpenErr()
-				return nil, err
-			}
-			vOpts.Transport = s.tcp
+		var hellos [][]byte
+		if err == nil {
+			hellos, err = sitehost.VerticalHellos(s.sid, buildRel.Schema, cfg.vScheme, plan, buildRules, cfg.checkpointing())
 		}
-		sys, err := vertical.NewSystem(buildRel, cfg.vScheme, buildRules, vOpts)
+		if err == nil {
+			err = s.reachSites(hellos, res)
+		}
+		var sys *vertical.System
+		if err == nil {
+			sys, err = vertical.NewSystem(s.cluster, buildRel, cfg.vScheme, plan, buildRules, vertical.Options{SkipSeed: res != nil})
+		}
 		if err != nil {
 			s.closeOnOpenErr()
 			return nil, err
 		}
-		s.eng, s.cluster, s.plan = sys, sys.Cluster(), sys.Plan()
+		s.eng, s.plan = sys, plan
 	}
 	if s.cluster != nil {
 		if cfg.maxFanout >= 0 {
@@ -336,11 +322,12 @@ func Open(rel *relation.Relation, rules []cfd.CFD, opts ...Option) (*Session, er
 }
 
 // closeOnOpenErr tears down the partially built session on an Open
-// error path (journal handle, transport if already dialed).
+// error path (journal handle, and the cluster with its transport if
+// already built).
 func (s *Session) closeOnOpenErr() {
-	if s.tcp != nil {
-		s.tcp.Close()
-		s.tcp = nil
+	if s.cluster != nil {
+		s.cluster.Close()
+		s.cluster, s.tcp = nil, nil
 	}
 	if s.jnl != nil {
 		s.jnl.Close()
@@ -359,12 +346,28 @@ func newSessionID() ([8]byte, error) {
 	return sid, nil
 }
 
-// dialSites builds the real-socket transport from the config's TCP
-// knobs and the kind's per-site bootstrap hellos, one per address, and
-// on a resume fast-forwards it to the journal's watermarks. Checkpointed
-// sessions turn on the driver-side replay log that rejoins recovering
-// daemons.
-func (s *Session) dialSites(hellos [][]byte, res *resumeState) error {
+// reachSites builds the cluster the driver calls its sites on, one site
+// per hello. Without WithTCPSites each hello is hosted on the cluster
+// itself by sitehost.HostSite, the constructor a daemon bootstraps with,
+// and calls dispatch in process. With it, a real-socket transport built
+// from the config's TCP knobs sends each hello to its address and
+// carries every call, and on a resume it is fast-forwarded to the
+// journal's watermarks; checkpointed sessions turn on the driver-side
+// replay log that rejoins recovering daemons.
+func (s *Session) reachSites(hellos [][]byte, res *resumeState) error {
+	s.cluster = network.NewCluster(len(hellos))
+	if len(s.cfg.tcpAddrs) == 0 {
+		for _, b := range hellos {
+			h, err := sitehost.DecodeHello(b)
+			if err == nil {
+				_, err = sitehost.HostSite(s.cluster, h)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	if len(s.cfg.tcpAddrs) != len(hellos) {
 		return fmt.Errorf("session: WithTCPSites: %d addresses for %d sites", len(s.cfg.tcpAddrs), len(hellos))
 	}
@@ -375,8 +378,12 @@ func (s *Session) dialSites(hellos [][]byte, res *resumeState) error {
 		TLS:       s.cfg.tcpTLS,
 		ReplayLog: s.cfg.ckptDir != "",
 	})
-	if err != nil || res == nil {
+	if err != nil {
 		return err
+	}
+	s.cluster.UseRemoteTransport(s.tcp)
+	if res == nil {
+		return nil
 	}
 	return s.tcp.Resume(res.seqs)
 }

@@ -3,12 +3,15 @@ package session
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/centralized"
 	"repro/internal/cfd"
 	"repro/internal/partition"
 	"repro/internal/relation"
+	"repro/internal/sitehost"
 	"repro/internal/workload"
 	"repro/internal/xerr"
 )
@@ -232,16 +235,27 @@ func TestRunContextCancel(t *testing.T) {
 // TestOptionValidation pins the option/engine compatibility matrix.
 func TestOptionValidation(t *testing.T) {
 	_, rel, rules := tpch(t, 5, 50)
-	bad := [][]Option{
-		{WithMaxFanout(1)},
-		{WithOptimizer()},
-		{WithOptimizer(), WithHorizontal(partition.HashHorizontal("c_name", 2))},
-		{WithoutMD5(), WithVertical(partition.RoundRobinVertical(rel.Schema, 2))},
-		{WithHorizontal(partition.HashHorizontal("c_name", 2)), WithVertical(partition.RoundRobinVertical(rel.Schema, 2))},
+	bad := []struct {
+		opts []Option
+		want string // in the error, when set
+	}{
+		{opts: []Option{WithMaxFanout(1)}},
+		{opts: []Option{WithOptimizer()}},
+		{opts: []Option{WithOptimizer(), WithHorizontal(partition.HashHorizontal("c_name", 2))}},
+		{opts: []Option{WithoutMD5(), WithVertical(partition.RoundRobinVertical(rel.Schema, 2))}},
+		{opts: []Option{WithHorizontal(partition.HashHorizontal("c_name", 2)), WithVertical(partition.RoundRobinVertical(rel.Schema, 2))}},
+		// In process as over TCP, a deployment spans at most MaxSites:
+		// every site is built from a hello, which no site accepts beyond.
+		{opts: []Option{WithHorizontal(partition.HashHorizontal("c_name", sitehost.MaxSites+1))},
+			want: fmt.Sprintf("%d sites, a deployment spans at most %d", sitehost.MaxSites+1, sitehost.MaxSites)},
 	}
-	for i, opts := range bad {
-		if _, err := Open(rel, rules[:2], opts...); err == nil {
+	for i, c := range bad {
+		_, err := Open(rel, rules[:2], c.opts...)
+		if err == nil {
 			t.Fatalf("option set %d: Open succeeded, want error", i)
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("option set %d: Open = %v, want an error naming %q", i, err, c.want)
 		}
 	}
 }

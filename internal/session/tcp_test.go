@@ -176,9 +176,8 @@ func TestTCPSessionMatchesLoopback(t *testing.T) {
 			// A rule added live whose pattern constant sits on a site that
 			// checked nothing before (every pool rule is all-wildcard). The
 			// driver must start consulting that site — and must learn it
-			// from the rule set: over TCP its local site replicas never see
-			// AddRules. The seed wave and a later violating insert both
-			// depend on it.
+			// from the rule set, since it holds no site of its own. The
+			// seed wave and a later violating insert both depend on it.
 			sample := mirror.Tuples()[0]
 			col, _ := rel.Schema.Index("c_nation")
 			live := cfd.CFD{

@@ -3,10 +3,13 @@
 // endpoint (netwire), bootstrapped by the driver's hello message. The
 // cmd/sited binary is a thin main over this package; tests and the
 // benchmark harness embed Hosts in-process (still over real sockets).
+// HostSite, the one constructor of a site from a hello, is shared with
+// in-process sessions, which host all their sites on the driver's
+// cluster.
 //
 // Lifecycle: a Host starts empty. The first hello constructs the site —
-// a one-site-populated cluster whose handlers are the same ones the
-// in-process engines register — and records the driver's session id.
+// HostSite on a cluster of the host's own, where only this site is
+// registered — and records the driver's session id.
 // Later hellos (reconnects, or duplicate connections) must carry the
 // same session id; a hello flagged Reconnect while the host holds no
 // state is rejected, because the daemon evidently lost the seeded state
@@ -172,8 +175,8 @@ func DecodeStatus(data []byte) (*HelloStatus, error) {
 	return &s, nil
 }
 
-// engineState is the checkpoint surface both hosted engines expose.
-type engineState interface {
+// SiteState is the checkpoint surface of a hosted site, either engine's.
+type SiteState interface {
 	Snapshot() ([]byte, error)
 	Restore([]byte) error
 }
@@ -206,7 +209,7 @@ type Host struct {
 	sid     [8]byte
 	kind    string
 	site    int
-	engine  engineState
+	engine  SiteState
 	// helloBytes is the encoded hello that built the site, persisted in
 	// snapshots so recovery can rebuild the structure without a driver.
 	helloBytes []byte
@@ -345,37 +348,50 @@ func (h *Host) replayLocked(rec checkpoint.Record) {
 	h.remember(rec.Seq, resp, errStr)
 }
 
-// buildSite constructs a site cluster from a hello (already
-// proto-checked for wire hellos; snapshot hellos were checked when first
-// received).
-func buildSite(hello *Hello) (*network.Cluster, engineState, error) {
+// buildSite hosts a hello's site on a cluster of its own, the daemon's
+// one site (already proto-checked for wire hellos; snapshot hellos were
+// checked when first received).
+func buildSite(hello *Hello) (*network.Cluster, SiteState, error) {
 	if err := hello.check(); err != nil {
 		return nil, nil, err
 	}
-	schema, err := relation.NewSchema(hello.SchemaName, hello.SchemaAttrs)
+	cluster := network.NewCluster(hello.NumSites)
+	st, err := HostSite(cluster, hello)
 	if err != nil {
 		return nil, nil, err
 	}
-	cluster := network.NewCluster(hello.NumSites)
+	return cluster, st, nil
+}
+
+// HostSite builds the empty site hello describes and registers its
+// handlers on c at hello.Site. It is the one constructor of a horizontal
+// or vertical site: a daemon hosts its one site on a cluster of its own
+// (Bootstrap, and recovery from a snapshot), and an in-process session
+// hosts all n of its hellos on the cluster its driver calls. Either way
+// the site's schema, rules and plan copy come from its own decoded
+// hello, and it shares nothing with the driver.
+func HostSite(c *network.Cluster, hello *Hello) (SiteState, error) {
+	if err := hello.check(); err != nil {
+		return nil, err
+	}
+	if c.NumSites() != hello.NumSites {
+		return nil, fmt.Errorf("sitehost: hello for a %d-site deployment on a %d-site cluster", hello.NumSites, c.NumSites())
+	}
+	schema, err := relation.NewSchema(hello.SchemaName, hello.SchemaAttrs)
+	if err != nil {
+		return nil, err
+	}
 	id := network.SiteID(hello.Site)
 	switch hello.Kind {
 	case KindHorizontal:
-		hs, err := horizontal.HostSiteState(cluster, id, schema, hello.Rules)
-		if err != nil {
-			return nil, nil, err
-		}
-		return cluster, hs, nil
+		return horizontal.HostSiteState(c, id, schema, hello.Rules)
 	case KindVertical:
 		if hello.VScheme == nil || hello.Plan == nil {
-			return nil, nil, fmt.Errorf("sitehost: vertical hello without scheme or plan")
+			return nil, fmt.Errorf("sitehost: vertical hello without scheme or plan")
 		}
-		vs, err := vertical.HostSiteState(cluster, id, schema, hello.VScheme, hello.Plan, hello.Rules)
-		if err != nil {
-			return nil, nil, err
-		}
-		return cluster, vs, nil
+		return vertical.HostSiteState(c, id, schema, hello.VScheme, hello.Plan, hello.Rules)
 	default:
-		return nil, nil, fmt.Errorf("sitehost: unknown site kind %q", hello.Kind)
+		return nil, fmt.Errorf("sitehost: unknown site kind %q", hello.Kind)
 	}
 }
 

@@ -50,10 +50,7 @@ func TestWaveAllocBound(t *testing.T) {
 	const batch, rounds, bound = 64, 20, 24
 	gen := workload.NewSized(workload.TPCH, 5, 2000)
 	rel := gen.Relation(400)
-	sys, err := NewSystem(rel, partition.RoundRobinVertical(rel.Schema, 4), gen.Rules(50), Options{UseOptimizer: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys, _ := localSystem(t, rel, partition.RoundRobinVertical(rel.Schema, 4), gen.Rules(50), true)
 	mirror := rel.Clone()
 	batches := make([]relation.UpdateList, rounds+4)
 	for i := range batches {

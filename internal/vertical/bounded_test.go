@@ -22,10 +22,7 @@ func TestBoundedShipment(t *testing.T) {
 		gen := workload.NewSized(workload.TPCH, 17, 6000)
 		rules := gen.Rules(20)
 		rel := gen.Relation(dSize)
-		sys, err := NewSystem(rel, partition.RoundRobinVertical(gen.Schema(), 5), rules, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		sys, _ := localSystem(t, rel, partition.RoundRobinVertical(gen.Schema(), 5), rules, false)
 		// A fixed-size insert-only batch (deletions would reference
 		// different tuples at different |D|).
 		var updates relation.UpdateList
@@ -66,10 +63,7 @@ func TestEqidsPerUpdateMatchesPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	rel := relation.New(schema)
-	sys, err := NewSystem(rel, scheme, rules, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys, _ := localSystem(t, rel, scheme, rules, false)
 	const n = 50
 	var updates relation.UpdateList
 	for i := 1; i <= n; i++ {

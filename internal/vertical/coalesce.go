@@ -143,7 +143,7 @@ func (sc *waveScratch) end() {
 // scratch returns the System's wave scratch, creating it on first use.
 func (sys *System) scratch() *waveScratch {
 	if sys.sc == nil {
-		sys.sc = newWaveScratch(len(sys.sites))
+		sys.sc = newWaveScratch(sys.scheme.NumSites)
 	}
 	return sys.sc
 }
@@ -263,7 +263,7 @@ func (sys *System) applyWave(updates relation.UpdateList, delta *cfd.Delta) erro
 // same-site call per site; none when the wave has no such update.
 func (sys *System) deliverFragments(wave relation.UpdateList, op OpKind) error {
 	frag := sys.sc.frag
-	return sys.cluster.Fanout(len(sys.sites), func(i int) error {
+	return sys.cluster.Fanout(len(frag), func(i int) error {
 		items := frag[i][:0]
 		for _, u := range wave {
 			if (u.Kind == relation.Delete) != (op == OpDelete) {
@@ -280,7 +280,7 @@ func (sys *System) deliverFragments(wave relation.UpdateList, op OpKind) error {
 		if len(items) == 0 {
 			return nil
 		}
-		return sys.send(sys.sites[i].id, sys.sites[i].id, "v.batchFrag", batchFragReq{Items: items}, nil)
+		return sys.send(network.SiteID(i), network.SiteID(i), "v.batchFrag", batchFragReq{Items: items}, nil)
 	})
 }
 
@@ -288,7 +288,7 @@ func (sys *System) deliverFragments(wave relation.UpdateList, op OpKind) error {
 // site list (valid until the next call).
 func (sys *System) sitesWhere(has func(site int) bool) []network.SiteID {
 	out := sys.sc.sites[:0]
-	for s := range sys.sites {
+	for s := 0; s < sys.scheme.NumSites; s++ {
 		if has(s) {
 			out = append(out, network.SiteID(s))
 		}
@@ -335,7 +335,7 @@ func (sys *System) constPhase(w *wave, nos []int, delta *cfd.Delta) error {
 	if len(nos) == 0 {
 		return nil
 	}
-	sc, n := sys.sc, len(sys.sites)
+	sc, n := sys.sc, sys.scheme.NumSites
 	votes := sc.votes // by checker*n + coordinator; a pair's items in wave order
 	for i := range w.states {
 		failed := sys.ruleRow(w.failed, i)
@@ -477,7 +477,7 @@ func (sys *System) resolveStages(w *wave) error {
 	w.members = sc.rows(len(walk) * iw)
 	refs := slices.Grow(sc.refs[:0], total) // one per (node, member), in reply order
 
-	n := len(sys.sites)
+	n := sys.scheme.NumSites
 	reqs, resps := sc.resolveReqs, sc.resolveResps // by site
 	pend := sc.pend                                // by dest*n + src
 	defer func() { sc.refs = refs }()
@@ -625,7 +625,7 @@ func (sys *System) waveNodes(walk []optimizer.NodeID, states []uState) []optimiz
 // inside one IDX site's reply, where the order is the mutation order).
 func (sys *System) idxPhase(w *wave, alive []uint64, delta *cfd.Delta) error {
 	rw := words(len(sys.rules))
-	hosts := make([]bool, len(sys.sites))
+	hosts := make([]bool, sys.scheme.NumSites)
 	union := bitset(sys.sc.rows(rw))
 	for i, word := range alive {
 		union[i%rw] |= word
@@ -680,7 +680,7 @@ func (sys *System) idxPhase(w *wave, alive []uint64, delta *cfd.Delta) error {
 // deleted members.
 func (sys *System) releaseWave(w *wave) error {
 	iw := words(len(w.ids))
-	reqs := make([]batchReleaseReq, len(sys.sites))
+	reqs := make([]batchReleaseReq, sys.scheme.NumSites)
 	for k := len(w.walk) - 1; k >= 0; k-- {
 		row := w.members[k*iw : (k+1)*iw]
 		deleted := uint64(0)

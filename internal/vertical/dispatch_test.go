@@ -59,31 +59,57 @@ func (h *hostedTransport) Invoke(to network.SiteID, method string, data []byte) 
 
 func (h *hostedTransport) Close() error { return nil }
 
-// hostedSystem seeds rel into hosted sites and returns the driver with
-// the transport between them.
-func hostedSystem(t testing.TB, rel *relation.Relation, scheme *partition.VerticalScheme, rules []cfd.CFD) (*System, *hostedTransport) {
+// hostSites hosts the sites of a deployment on one cluster, each built by
+// HostSiteState over its own copy of plan, as decoded from a hello — as
+// sitehost.HostSite builds them.
+func hostSites(t testing.TB, schema *relation.Schema, scheme *partition.VerticalScheme, plan *optimizer.Plan, rules []cfd.CFD) (*network.Cluster, []*HostedSite) {
 	t.Helper()
-	plan, err := PlanFor(rules, scheme, Options{UseOptimizer: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	planBytes, err := network.Marshal(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := &hostedTransport{c: network.NewCluster(scheme.NumSites)}
-	for i := 0; i < scheme.NumSites; i++ {
-		var own optimizer.Plan // as decoded from a hello
-		if err := network.Unmarshal(planBytes, &own); err != nil {
+	planBytes := mustMarshal(t, plan)
+	c := network.NewCluster(scheme.NumSites)
+	sites := make([]*HostedSite, scheme.NumSites)
+	for i := range sites {
+		own := new(optimizer.Plan)
+		if err := network.Unmarshal(planBytes, own); err != nil {
 			t.Fatal(err)
 		}
-		hs, err := HostSiteState(tr.c, network.SiteID(i), rel.Schema, scheme, &own, rules)
+		hs, err := HostSiteState(c, network.SiteID(i), schema, scheme, own, rules)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr.sites = append(tr.sites, hs)
+		sites[i] = hs
 	}
-	sys, err := NewSystem(rel, scheme, rules, Options{Plan: plan, Transport: tr})
+	return c, sites
+}
+
+// localSystem seeds rel into sites that the driver calls on the cluster
+// they are hosted on, as an in-process session does.
+func localSystem(t testing.TB, rel *relation.Relation, scheme *partition.VerticalScheme, rules []cfd.CFD, useOptimizer bool) (*System, []*HostedSite) {
+	t.Helper()
+	plan, err := PlanFor(rules, scheme, useOptimizer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, sites := hostSites(t, rel.Schema, scheme, plan, rules)
+	sys, err := NewSystem(c, rel, scheme, plan, rules, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys, sites
+}
+
+// hostedSystem seeds rel into hosted sites and returns the driver with
+// the transport between them, as a TCP session reaches its daemons.
+func hostedSystem(t testing.TB, rel *relation.Relation, scheme *partition.VerticalScheme, rules []cfd.CFD) (*System, *hostedTransport) {
+	t.Helper()
+	plan, err := PlanFor(rules, scheme, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, sites := hostSites(t, rel.Schema, scheme, plan, rules)
+	tr := &hostedTransport{c: c, sites: sites}
+	drv := network.NewCluster(scheme.NumSites)
+	drv.UseRemoteTransport(tr)
+	sys, err := NewSystem(drv, rel, scheme, plan, rules, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,6 +133,74 @@ func mustMarshal(t testing.TB, v any) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// TestLocalSitesAreHostedSites: one stream of seeding, rule changes and
+// batches, run through sites the driver calls in process and through
+// sites behind a transport as a daemon hosts them, leaves every site
+// with the same snapshot bytes after every step. An in-process site is a
+// daemon's site: it grafts its plan copy, drops bindings and renumbers its rules on its own, from the wire.
+func TestLocalSitesAreHostedSites(t *testing.T) {
+	gen, rel, scheme, rules := dispatchFixture(t)
+	local, sites := localSystem(t, rel, scheme, rules[:20], true)
+	hosted, tr := hostedSystem(t, rel, scheme, rules[:20])
+	mirror := rel.Clone()
+	check := func(step string) {
+		t.Helper()
+		if !local.Violations().Equal(hosted.Violations()) {
+			t.Fatalf("%s: V differs in process and hosted", step)
+		}
+		for i, s := range sites {
+			a, err := s.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := tr.sites[i].Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Fatalf("%s: site %d snapshots differ in process and hosted", step, i)
+			}
+			var st vSiteState
+			if err := network.Unmarshal(a, &st); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(mustMarshal(t, st.Plan), mustMarshal(t, local.Plan())) {
+				t.Fatalf("%s: site %d plan differs from the driver's:\n%s\ndriver:\n%s", step, i, st.Plan.Describe(), local.Plan().Describe())
+			}
+		}
+	}
+	step := func(name string, f func(*System) (*cfd.Delta, error)) {
+		t.Helper()
+		for _, sys := range []*System{local, hosted} {
+			if _, err := f(sys); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		check(name)
+	}
+	batch := func(name string) {
+		t.Helper()
+		b := gen.Updates(mirror, 30, 0.5)
+		step(name, func(sys *System) (*cfd.Delta, error) { return sys.Apply(b) })
+		if err := b.Normalize().Apply(mirror); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("seed")
+	step("add rules", func(sys *System) (*cfd.Delta, error) { return sys.AddRules(rules[20:]) })
+	batch("batch 1")
+	step("remove rules", func(sys *System) (*cfd.Delta, error) {
+		return sys.RemoveRules([]string{rules[0].ID, rules[21].ID})
+	})
+	batch("batch 2")
+	// Back in force under a new number: every rule after it renumbers.
+	step("re-add a rule", func(sys *System) (*cfd.Delta, error) { return sys.AddRules(rules[:1]) })
+	batch("batch 3")
+	if want := centralized.Detect(mirror, local.Rules()); !local.Violations().Equal(want) {
+		t.Fatal("V ≠ centralized Detect after the stream")
+	}
 }
 
 // TestHandlersRefuseMalformedCalls: every wire-supplied node index, rule

@@ -10,19 +10,10 @@ import (
 	"repro/internal/relation"
 )
 
-// PlanFor returns the HEV plan NewSystem would build for rules under
-// scheme and opts. The TCP deployment needs the plan before
-// construction: the driver ships it to every site daemon in the
-// bootstrap hello and then passes the same plan back into NewSystem via
-// Options.Plan, so driver and daemons provably agree node for node.
-func PlanFor(rules []cfd.CFD, scheme *partition.VerticalScheme, opts Options) (*optimizer.Plan, error) {
-	return buildPlan(rules, scheme, opts)
-}
-
-// HostedSite is the handle a daemon keeps on a remotely hosted vertical
-// site, exposing checkpoint capture and restore. Snapshot and Restore
-// must only run between dispatches (the host serializes calls, so
-// invoking them from the dispatch path is safe).
+// HostedSite is the handle kept on a hosted vertical site, exposing
+// checkpoint capture and restore. Snapshot and Restore must only run
+// between dispatches (the host serializes calls, so invoking them from
+// the dispatch path is safe).
 type HostedSite struct {
 	st *site
 }
@@ -33,12 +24,12 @@ func (h *HostedSite) Snapshot() ([]byte, error) { return h.st.snapshotState() }
 // Restore replaces the site's state with a checkpointed snapshot.
 func (h *HostedSite) Restore(data []byte) error { return h.st.restoreState(data) }
 
-// HostSiteState builds and registers the per-site state for one remotely
-// hosted vertical site on c — the daemon half of the TCP deployment —
-// returning a handle for checkpointing. Unlike in-process sites, which
-// share the driver's plan object, a hosted site owns its plan copy: rule
-// management grafts and drops are applied to it from the wire (see
-// addRulesReq.Sub).
+// HostSiteState builds one empty vertical site over plan and rules and
+// registers its handlers on c, returning a handle for checkpointing. A
+// daemon and an in-process session both reach it through
+// sitehost.HostSite, from a decoded hello. The site owns plan — a copy
+// no driver or other site shares — and rule changes graft onto it and
+// drop from it from the wire (see addRulesReq.Sub).
 func HostSiteState(c *network.Cluster, id network.SiteID, schema *relation.Schema, scheme *partition.VerticalScheme, plan *optimizer.Plan, rules []cfd.CFD) (*HostedSite, error) {
 	if err := cfd.ValidateAll(schema, rules); err != nil {
 		return nil, err
@@ -57,13 +48,6 @@ func HostSiteState(c *network.Cluster, id network.SiteID, schema *relation.Schem
 	if err != nil {
 		return nil, err
 	}
-	st.ownsPlan = true
 	st.register(c)
 	return &HostedSite{st: st}, nil
-}
-
-// HostSite is HostSiteState without the checkpoint handle.
-func HostSite(c *network.Cluster, id network.SiteID, schema *relation.Schema, scheme *partition.VerticalScheme, plan *optimizer.Plan, rules []cfd.CFD) error {
-	_, err := HostSiteState(c, id, schema, scheme, plan, rules)
-	return err
 }

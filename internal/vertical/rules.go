@@ -23,13 +23,12 @@ import (
 // keep their (now inert) equivalence state, which costs memory but never
 // correctness.
 
-// addRulesReq installs new rules at a site. For in-process sites the
-// plan has already been grafted by the driver (sites share the plan
-// object, as they do at construction); FirstNode marks where the
-// grafted nodes begin. Sub carries the same sub-plan on the wire for
-// remotely hosted sites, which own their plan copy and graft it
-// themselves — Graft is deterministic and id assignment depends only on
-// the pre-graft node count, so driver and daemons end bit-identical.
+// addRulesReq installs new rules at a site. Sub is the new variable
+// rules' sub-plan (nil when there is none), which every site grafts onto
+// its own plan copy as the driver grafted it onto its own; FirstNode is
+// where the grafted nodes begin. Graft is deterministic and id
+// assignment depends only on the pre-graft node count, so driver and
+// sites end bit-identical.
 type addRulesReq struct {
 	Rules     []cfd.CFD
 	FirstNode int
@@ -49,19 +48,17 @@ type listIDsResp struct {
 	IDs []int64
 }
 
-// addRules is the site half of AddRules: install the grafted nodes this
-// site owns and put the rules in force, which renumbers every rule. A
-// hosted site grafts the shipped sub-plan onto its own plan copy;
-// in-process sites see the driver's already-grafted plan. The request is
-// checked in full before anything changes.
+// addRules is the site half of AddRules: graft the shipped sub-plan onto
+// the site's plan copy, install the grafted nodes this site owns and put
+// the rules in force, which renumbers every rule. The request is checked
+// in full before anything changes.
 func (s *site) addRules(req addRulesReq) (empty, error) {
 	const method = "v.addRules"
 	if req.FirstNode != len(s.nodes) {
 		return empty{}, s.refuse(method, "plan out of sync: %d nodes, graft expects %d", len(s.nodes), req.FirstNode)
 	}
-	grafted := s.plan.Nodes[len(s.nodes):]
-	graft := s.ownsPlan && req.Sub != nil
-	if graft {
+	var grafted []optimizer.Node
+	if req.Sub != nil {
 		if err := req.Sub.Validate(); err != nil {
 			return empty{}, s.refuse(method, "%w", err)
 		}
@@ -78,7 +75,7 @@ func (s *site) addRules(req addRulesReq) (empty, error) {
 	if err := s.checkRules(req.Rules); err != nil {
 		return empty{}, err
 	}
-	if graft {
+	if req.Sub != nil {
 		s.plan.Graft(req.Sub)
 	}
 	s.installNodes()
@@ -86,10 +83,9 @@ func (s *site) addRules(req addRulesReq) (empty, error) {
 	return empty{}, nil
 }
 
-// vDropRules is the site half of RemoveRules; the surviving rules close
-// ranks in the numbering. A hosted site also sheds the rules' bindings
-// from its own plan copy (the driver does this for the shared in-process
-// plan after the round).
+// vDropRules is the site half of RemoveRules: the rules' bindings leave
+// the site's plan copy, and the surviving rules close ranks in the
+// numbering.
 func (s *site) vDropRules(req vDropRulesReq) (empty, error) {
 	drop := make(map[string]bool, len(req.Rules))
 	for _, id := range req.Rules {
@@ -102,7 +98,7 @@ func (s *site) vDropRules(req vDropRulesReq) (empty, error) {
 	for _, r := range s.rules {
 		if !drop[r.rule.ID] {
 			kept = append(kept, r)
-		} else if s.ownsPlan {
+		} else {
 			s.plan.DropRule(r.rule.ID)
 		}
 	}
@@ -289,8 +285,8 @@ func (sys *System) RemoveRules(ids []string) (*cfd.Delta, error) {
 
 // allSites returns every site id in order.
 func (sys *System) allSites() []network.SiteID {
-	out := make([]network.SiteID, len(sys.sites))
-	for i := range sys.sites {
+	out := make([]network.SiteID, sys.scheme.NumSites)
+	for i := range out {
 		out[i] = network.SiteID(i)
 	}
 	return out

@@ -33,10 +33,7 @@ func TestSeparatorCollisionAgainstOracle(t *testing.T) {
 			}
 			rel.MustInsert(relation.Tuple{ID: relation.TupleID(id), Values: vals})
 		}
-		sys, err := NewSystem(rel, partition.RoundRobinVertical(s, 3), rules, Options{UseOptimizer: useOpt})
-		if err != nil {
-			t.Fatal(err)
-		}
+		sys, _ := localSystem(t, rel, partition.RoundRobinVertical(s, 3), rules, useOpt)
 		updates := relation.UpdateList{
 			{Kind: relation.Insert, Tuple: relation.Tuple{ID: 4, Values: []string{"a", "b\x1fq", "2", "p"}}},
 			{Kind: relation.Insert, Tuple: relation.Tuple{ID: 5, Values: []string{"x\x1f", "y", "3", "p"}}},

@@ -55,11 +55,9 @@ type site struct {
 	schema *relation.Schema // fragment schema
 	frag   *relation.Relation
 
+	// plan is the site's own copy, decoded from its hello: rule grafts
+	// and drops apply to it from the wire.
 	plan *optimizer.Plan
-	// ownsPlan marks a remotely hosted site whose plan is its own copy
-	// (decoded from the bootstrap hello) rather than shared with the
-	// driver: rule grafts and drops then apply to it from the wire.
-	ownsPlan bool
 
 	// rules are the rules in force, ascending by id; gen stamps that
 	// numbering (ruleGen), checked lists the numbers of the rules with

@@ -88,8 +88,7 @@ func (s *site) snapshotState() ([]byte, error) {
 }
 
 // restoreState rebuilds the site from a checkpointed snapshot, replacing
-// all current state. The restored site owns its plan copy, exactly like
-// a freshly bootstrapped hosted site. The snapshot is checked the way a
+// all current state, the site's plan copy included. The snapshot is checked the way a
 // hello's plan and rules are, and every equivalence state must belong to
 // a node or rule the rebuilt site hosts; a refused snapshot leaves the
 // site as it was.
@@ -108,7 +107,6 @@ func (s *site) restoreState(data []byte) error {
 	if err != nil {
 		return fmt.Errorf("vertical: restore site %d: %w", s.id, err)
 	}
-	r.ownsPlan = true
 	for _, t := range st.Frag {
 		if err := r.frag.Insert(t); err != nil {
 			return fmt.Errorf("vertical: restore site %d: %w", s.id, err)

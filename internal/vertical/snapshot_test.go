@@ -15,11 +15,12 @@ import (
 func seededSites(t testing.TB, rows int) []*site {
 	t.Helper()
 	gen := workload.NewSized(workload.TPCH, 7, 800)
-	sys, err := NewSystem(gen.Relation(rows), partition.RoundRobinVertical(gen.Schema(), 3), gen.Rules(8), Options{UseOptimizer: true})
-	if err != nil {
-		t.Fatal(err)
+	_, hs := localSystem(t, gen.Relation(rows), partition.RoundRobinVertical(gen.Schema(), 3), gen.Rules(8), true)
+	sites := make([]*site, len(hs))
+	for i, h := range hs {
+		sites[i] = h.st
 	}
-	return sys.sites
+	return sites
 }
 
 // emptySite returns a site over like's fragment schema with no plan nodes,

@@ -66,7 +66,7 @@ func tcpSystem(t *testing.T, rel *relation.Relation, scheme *partition.VerticalS
 		t.Cleanup(func() { srv.Close() })
 		addrs[i] = srv.Addr()
 	}
-	plan, err := vertical.PlanFor(rules, scheme, vertical.Options{})
+	plan, err := vertical.PlanFor(rules, scheme, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,9 @@ func tcpSystem(t *testing.T, rel *relation.Relation, scheme *partition.VerticalS
 		t.Fatal(err)
 	}
 	tr := &countingTransport{TCPTransport: tcp, calls: make(map[string][]int)}
-	sys, err := vertical.NewSystem(rel, scheme, rules, vertical.Options{Plan: plan, Transport: tr})
+	drv := network.NewCluster(scheme.NumSites)
+	drv.UseRemoteTransport(tr)
+	sys, err := vertical.NewSystem(drv, rel, scheme, plan, rules, vertical.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,23 +16,10 @@ import (
 
 // Options configures a vertical detection system.
 type Options struct {
-	// UseOptimizer builds HEVs with §5's optVer (taking the naive chain
-	// plan instead if it happens to ship fewer eqids); otherwise the
-	// per-rule chains of §4 are used.
-	UseOptimizer bool
-	// Plan overrides planning entirely (used by ablations and tests).
-	Plan *optimizer.Plan
-	// Transport, when non-nil, is a state-hosting transport (TCP sited
-	// deployment): it is installed before seeding, so the initial
-	// database is loaded into the remote sites and the local site
-	// replicas stay empty. Callers must also set Plan (the same plan the
-	// daemons were bootstrapped with; see PlanFor).
-	Transport network.Transport
 	// SkipSeed builds the system without the seeding pass: no fragment
 	// loads, no initial V. A resumed driver uses it when the sites
 	// already hold their checkpointed state and V is re-derived locally
-	// — see AdoptViolations. Callers must set Plan (the plan the sites
-	// were bootstrapped with).
+	// — see AdoptViolations.
 	SkipSeed bool
 }
 
@@ -77,7 +64,6 @@ type System struct {
 
 	plan    *optimizer.Plan
 	cluster *network.Cluster
-	sites   []*site
 	fragSch []*relation.Schema
 
 	v *cfd.Violations
@@ -135,46 +121,38 @@ type ruleFacts struct {
 	voters []network.SiteID
 }
 
-// NewSystem partitions rel under scheme, plans and builds the HEV/IDX
-// indices for rules, seeds them with rel's data and computes the initial
-// V(Σ, D). Traffic meters are zero on return.
-func NewSystem(rel *relation.Relation, scheme *partition.VerticalScheme, rules []cfd.CFD, opts Options) (*System, error) {
+// NewSystem builds the driver over c, whose sites hold plan and rules
+// and are empty — hosted on c itself (HostSiteState) or behind its
+// remote transport — then seeds them with rel's data and computes the
+// initial V(Σ, D). plan is the driver's own copy (see PlanFor); the
+// sites graft and drop theirs from the wire. Traffic meters are zero on
+// return.
+func NewSystem(c *network.Cluster, rel *relation.Relation, scheme *partition.VerticalScheme, plan *optimizer.Plan, rules []cfd.CFD, opts Options) (*System, error) {
 	if err := cfd.ValidateAll(rel.Schema, rules); err != nil {
 		return nil, err
 	}
+	if c.NumSites() != scheme.NumSites {
+		return nil, fmt.Errorf("vertical: %d-site scheme on a %d-site cluster", scheme.NumSites, c.NumSites())
+	}
 	sys := &System{
-		schema: rel.Schema,
-		scheme: scheme,
-		v:      cfd.NewViolations(),
+		schema:  rel.Schema,
+		scheme:  scheme,
+		plan:    plan,
+		cluster: c,
+		fragSch: make([]*relation.Schema, scheme.NumSites),
+		v:       cfd.NewViolations(),
 	}
 	rules = append([]cfd.CFD(nil), rules...)
 	sys.v.InternRules(rules)
-	plan, err := buildPlan(rules, scheme, opts)
-	if err != nil {
-		return nil, err
-	}
-	sys.plan = plan
 	if err := sys.setRules(rules, nil); err != nil {
 		return nil, err
 	}
-
-	sys.cluster = network.NewCluster(scheme.NumSites)
-	sys.fragSch = make([]*relation.Schema, scheme.NumSites)
-	for i := 0; i < scheme.NumSites; i++ {
+	for i := range sys.fragSch {
 		fs, err := scheme.FragmentSchema(rel.Schema, i)
 		if err != nil {
 			return nil, err
 		}
 		sys.fragSch[i] = fs
-		st, err := newSite(network.SiteID(i), fs, plan, sys.rules)
-		if err != nil {
-			return nil, err
-		}
-		sys.sites = append(sys.sites, st)
-		st.register(sys.cluster)
-	}
-	if opts.Transport != nil {
-		sys.cluster.UseRemoteTransport(opts.Transport)
 	}
 
 	// Seed: replay the initial database through the batch-grouped
@@ -284,19 +262,18 @@ func (sys *System) AdoptViolations(v *cfd.Violations) {
 	sys.v = v
 }
 
-// buildPlan plans the variable rules of rules: opts.Plan when set, else
-// the §4 naive chains or, with UseOptimizer, the better of those and
-// §5's optVer.
-func buildPlan(rules []cfd.CFD, scheme *partition.VerticalScheme, opts Options) (*optimizer.Plan, error) {
-	if opts.Plan != nil {
-		return opts.Plan, nil
-	}
+// PlanFor plans the variable rules of rules under scheme: the §4 naive
+// chains or, with useOptimizer, the better of those and §5's optVer. It
+// is the one place a deployment's plan is made: the driver runs it, and
+// every site is built from a copy shipped in its hello, so driver and
+// sites agree node for node.
+func PlanFor(rules []cfd.CFD, scheme *partition.VerticalScheme, useOptimizer bool) (*optimizer.Plan, error) {
 	in := planInput(scheme, rules)
 	naive, err := optimizer.NaiveChainPlan(in)
 	if err != nil {
 		return nil, err
 	}
-	if !opts.UseOptimizer {
+	if !useOptimizer {
 		return naive, nil
 	}
 	opt, err := optimizer.Optimize(in, 0)
@@ -365,7 +342,7 @@ func (sys *System) Apply(updates relation.UpdateList) (*cfd.Delta, error) {
 func (sys *System) barrier() error {
 	pairs := sys.barrierPairs
 	if pairs == nil {
-		n := len(sys.sites)
+		n := sys.scheme.NumSites
 		pairs = make([][2]network.SiteID, 0, n*(n-1))
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {

@@ -75,10 +75,7 @@ func t6() relation.Tuple {
 func TestPaperExample2Insert(t *testing.T) {
 	rel := empData(t)
 	rules := empRules(t)
-	sys, err := NewSystem(rel, empScheme(t, rel.Schema), rules, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys, _ := localSystem(t, rel, empScheme(t, rel.Schema), rules, false)
 
 	// Initial violations (paper Fig. 1): t1, t3, t4, t5 violate phi1;
 	// t1 violates phi2.
@@ -120,10 +117,7 @@ func TestPaperExample2Insert(t *testing.T) {
 func TestPaperExample2Delete(t *testing.T) {
 	rel := empData(t)
 	rules := empRules(t)
-	sys, err := NewSystem(rel, empScheme(t, rel.Schema), rules, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys, _ := localSystem(t, rel, empScheme(t, rel.Schema), rules, false)
 	// Insert t6 then delete t4, as in Example 2(2).
 	if _, err := sys.Apply(relation.UpdateList{{Kind: relation.Insert, Tuple: t6()}}); err != nil {
 		t.Fatal(err)
@@ -144,10 +138,7 @@ func TestPaperExample2Delete(t *testing.T) {
 func TestBatchDetectMatchesOracle(t *testing.T) {
 	rel := empData(t)
 	rules := empRules(t)
-	sys, err := NewSystem(rel, empScheme(t, rel.Schema), rules, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys, _ := localSystem(t, rel, empScheme(t, rel.Schema), rules, false)
 	got, err := sys.BatchDetect()
 	if err != nil {
 		t.Fatal(err)
@@ -204,10 +195,7 @@ func runRandomCase(t *testing.T, seed int64, useOptimizer bool) {
 	numSites := 2 + rng.Intn(3)
 	scheme := partition.RoundRobinVertical(schema, numSites)
 
-	sys, err := NewSystem(rel, scheme, rules, Options{UseOptimizer: useOptimizer})
-	if err != nil {
-		t.Fatalf("seed %d: %v", seed, err)
-	}
+	sys, _ := localSystem(t, rel, scheme, rules, useOptimizer)
 	if want := centralized.Detect(rel, rules); !sys.Violations().Equal(want) {
 		t.Fatalf("seed %d: initial V mismatch:\n got %v\nwant %v", seed, sys.Violations(), want)
 	}
@@ -305,11 +293,8 @@ func TestBatchResolveSameSiteChain(t *testing.T) {
 	rows := [][]string{{"x", "p", "1"}, {"x", "q", "2"}, {"x", "p", "3"}, {"y", "p", "4"}}
 	all := []uint64{1<<len(rows) - 1} // every position: inserted, and a member of every node
 	build := func() (*site, batchResolveReq) {
-		sys, err := NewSystem(relation.New(schema), scheme, rules, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := sys.sites[0]
+		sys, sites := localSystem(t, relation.New(schema), scheme, rules, false)
+		s := sites[0].st
 		req := batchResolveReq{Ins: all}
 		for i, row := range rows {
 			id := int64(i + 1)
