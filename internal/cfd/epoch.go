@@ -35,9 +35,9 @@ const (
 func onesCount(w uint64) int { return bits.OnesCount64(w) }
 
 // amtLeaf is one (tuple, rule-bitset) entry, held by value in its node.
-// Its spilled words belong to that node: own copies them with the node,
-// so a build flips them in place in the nodes it owns, and a leaf that
-// moves to another node of the build (amtMerge) takes them along.
+// Its spilled words are never written in place: a leaf struct copied into
+// a newer node may share them with an older epoch, so every change to
+// them copies them.
 type amtLeaf struct {
 	key relation.TupleID
 	w   uint64   // inline bitset word while every rule index fits in 64 bits
@@ -83,36 +83,42 @@ func eachBit(w uint64, base int, f func(RuleIdx)) {
 	}
 }
 
-// setBit sets bit idx, in place: the leaf must sit in a node the
-// building set owns, or be fresh. Spilled words are only reallocated to
-// grow.
-func (l *amtLeaf) setBit(idx RuleIdx) {
+// withBit returns a copy of the leaf with bit idx set.
+func (l amtLeaf) withBit(idx RuleIdx) amtLeaf {
 	if l.ws == nil && int(idx) < smallWidth {
 		l.w |= 1 << uint(idx)
-		return
+		return l
 	}
 	word, bit := int(idx)/64, uint(idx)%64
-	if word >= len(l.ws) {
-		ws := make([]uint64, word+1)
-		copy(ws, l.ws)
-		if l.ws == nil {
-			ws[0] = l.w
-		}
-		l.w, l.ws = 0, ws
+	ws := make([]uint64, max(word+1, len(l.ws)))
+	copy(ws, l.ws)
+	if l.ws == nil {
+		ws[0] = l.w
 	}
-	l.ws[word] |= 1 << bit
+	ws[word] |= 1 << bit
+	l.w, l.ws = 0, ws
+	return l
 }
 
-// clearBit clears bit idx, in place, on a leaf of a node the building
-// set owns.
-func (l *amtLeaf) clearBit(idx RuleIdx) {
+// withoutBit returns a copy with bit idx cleared; empty reports the
+// bitset is now all-zero (the leaf should be dropped).
+func (l amtLeaf) withoutBit(idx RuleIdx) (out amtLeaf, empty bool) {
 	if l.ws == nil {
 		l.w &^= 1 << uint(idx)
-		return
+		return l, l.w == 0
 	}
-	if word, bit := int(idx)/64, uint(idx)%64; word < len(l.ws) {
-		l.ws[word] &^= 1 << bit
+	word, bit := int(idx)/64, uint(idx)%64
+	ws := append([]uint64(nil), l.ws...)
+	if word < len(ws) {
+		ws[word] &^= 1 << bit
 	}
+	l.ws = ws
+	for _, w := range ws {
+		if w != 0 {
+			return l, false
+		}
+	}
+	return l, true
 }
 
 // amtNode is one trie node in CHAMP layout: leaves and sub-nodes live in
@@ -162,8 +168,7 @@ func amtGet(n *amtNode, key relation.TupleID) *amtLeaf {
 
 // own returns n when the build tagged tag created it, and otherwise a
 // copy carrying tag, with room for one more leaf and child so the insert
-// that usually follows a copy does not grow the arrays again. The copy's
-// leaves get spilled words of their own (see amtLeaf).
+// that usually follows a copy does not grow the arrays again.
 func own(n *amtNode, tag uint64) *amtNode {
 	if n.tag == tag {
 		return n
@@ -171,11 +176,6 @@ func own(n *amtNode, tag uint64) *amtNode {
 	c := &amtNode{leafBits: n.leafBits, nodeBits: n.nodeBits, tag: tag}
 	if len(n.leaves) > 0 {
 		c.leaves = append(make([]amtLeaf, 0, len(n.leaves)+1), n.leaves...)
-		for i := range c.leaves {
-			if ws := c.leaves[i].ws; ws != nil {
-				c.leaves[i].ws = append([]uint64(nil), ws...)
-			}
-		}
 	}
 	if len(n.nodes) > 0 {
 		c.nodes = append(make([]*amtNode, 0, len(n.nodes)+1), n.nodes...)
@@ -252,28 +252,25 @@ func leafNode(leafBits, tag uint64, ls ...amtLeaf) *amtNode {
 // changed reports the bit was newly set. An unchanged trie comes back
 // as n, uncopied.
 func amtSet(n *amtNode, key relation.TupleID, idx RuleIdx, shift uint, tag uint64) (out *amtNode, newKey, changed bool) {
-	fresh := amtLeaf{key: key}
 	if n == nil {
-		fresh.setBit(idx)
-		return leafNode(1<<amtSlot(key, shift), tag, fresh), true, true
+		return leafNode(1<<amtSlot(key, shift), tag, amtLeaf{key: key}.withBit(idx)), true, true
 	}
 	slot := amtSlot(key, shift)
 	switch {
 	case n.leafBits&(1<<slot) != 0:
 		i := packedIdx(n.leafBits, slot)
-		if l := &n.leaves[i]; l.key == key {
+		l := n.leaves[i]
+		if l.key == key {
 			if l.has(idx) {
 				return n, false, false
 			}
 			c := own(n, tag)
-			c.leaves[i].setBit(idx)
+			c.leaves[i] = l.withBit(idx)
 			return c, false, true
 		}
 		// Slot collision with a different key: push both down a level.
-		// The resident leaf moves from the owned copy, its words with it.
+		child := amtMerge(l, amtLeaf{key: key}.withBit(idx), shift+amtBits, tag)
 		c := own(n, tag)
-		fresh.setBit(idx)
-		child := amtMerge(c.leaves[i], fresh, shift+amtBits, tag)
 		c.leafBits &^= 1 << slot
 		c.leaves = removeLeaf(c.leaves, i)
 		c.nodeBits |= 1 << slot
@@ -290,9 +287,8 @@ func amtSet(n *amtNode, key relation.TupleID, idx RuleIdx, shift uint, tag uint6
 		return c, nk, ch
 	default:
 		c := own(n, tag)
-		fresh.setBit(idx)
 		c.leafBits |= 1 << slot
-		c.leaves = insertLeaf(c.leaves, packedIdx(c.leafBits, slot), fresh)
+		c.leaves = insertLeaf(c.leaves, packedIdx(c.leafBits, slot), amtLeaf{key: key}.withBit(idx))
 		return c, true, true
 	}
 }
@@ -311,13 +307,14 @@ func amtClear(n *amtNode, key relation.TupleID, idx RuleIdx, shift uint, tag uin
 	switch {
 	case n.leafBits&(1<<slot) != 0:
 		i := packedIdx(n.leafBits, slot)
-		l := &n.leaves[i]
+		l := n.leaves[i]
 		if l.key != key || !l.has(idx) {
 			return n, false, false
 		}
-		if l.marks() > 1 {
+		nl, empty := l.withoutBit(idx)
+		if !empty {
 			c := own(n, tag)
-			c.leaves[i].clearBit(idx)
+			c.leaves[i] = nl
 			return c, false, true
 		}
 		prune := shift > 0 || n.tag != tag

@@ -141,34 +141,6 @@ func TestEpochPublishedWarmMarksAmortizeToZero(t *testing.T) {
 	}
 }
 
-// TestEpochSpilledWarmMarksStayFree: a rule index past the inline word
-// spills a leaf's bitset into words of its own. The copy of a published
-// node copies them once; after that the build flips them in place, so
-// warm marks of rule 69 allocate nothing, as rule 1's do.
-func TestEpochSpilledWarmMarksStayFree(t *testing.T) {
-	v := NewViolations()
-	var idx []RuleIdx
-	for i := 0; i < 70; i++ {
-		idx = append(idx, v.Intern(fmt.Sprintf("r%02d", i)))
-	}
-	for id := relation.TupleID(0); id < 64; id++ {
-		v.AddIdx(id, idx[0])
-		v.AddIdx(id, idx[69])
-	}
-	v.Publish()
-	v.RemoveIdx(7, idx[69]) // the first flip after the publish copies the path
-	allocs := testing.AllocsPerRun(1000, func() {
-		v.AddIdx(7, idx[69])
-		v.RemoveIdx(7, idx[69])
-	})
-	if allocs != 0 {
-		t.Errorf("warm marks of a spilled rule allocated %.1f objects per add+remove, want 0", allocs)
-	}
-	if got := v.Publish().CountRule("r69"); got != 63 {
-		t.Errorf("CountRule(r69) = %d, want 63", got)
-	}
-}
-
 // BenchmarkEpochPublish documents the per-batch epoch cost at a
 // realistic delta size.
 func BenchmarkEpochPublish(b *testing.B) {

@@ -120,86 +120,6 @@ func mustMarshal(t testing.TB, v any) []byte {
 	return data
 }
 
-// TestLocalSitesAreHostedSites: one stream of seeding, rule changes and
-// batches, run through sites the driver calls in process and through
-// sites behind a transport as a daemon hosts them, leaves every site
-// with the same snapshot bytes after every step. An in-process site is a
-// daemon's site: it compiles, indexes and drops its rules on its own, from the wire.
-func TestLocalSitesAreHostedSites(t *testing.T) {
-	gen, rel, scheme, rules := dispatchFixture()
-	local, sites := localSystem(t, rel, scheme, rules[:20], Options{})
-	hosted, tr := hostedSystem(t, rel, scheme, rules[:20], Options{})
-	mirror := rel.Clone()
-	check := func(step string) {
-		t.Helper()
-		if !local.Violations().Equal(hosted.Violations()) {
-			t.Fatalf("%s: V differs in process and hosted", step)
-		}
-		for i, s := range sites {
-			a, err := s.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := tr.sites[i].Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(a, b) {
-				t.Fatalf("%s: site %d snapshots differ in process and hosted", step, i)
-			}
-			var st hSiteState
-			if err := network.Unmarshal(a, &st); err != nil {
-				t.Fatal(err)
-			}
-			var ids []string
-			for _, r := range st.Rules {
-				ids = append(ids, r.Rule.ID)
-			}
-			if want := ruleIDs(local.Rules()); !slices.Equal(ids, want) {
-				t.Fatalf("%s: site %d holds rules %v, the driver %v", step, i, ids, want)
-			}
-		}
-	}
-	step := func(name string, f func(*System) (*cfd.Delta, error)) {
-		t.Helper()
-		for _, sys := range []*System{local, hosted} {
-			if _, err := f(sys); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-		}
-		check(name)
-	}
-	batch := func(name string) {
-		t.Helper()
-		b := gen.Updates(mirror, 30, 0.5)
-		step(name, func(sys *System) (*cfd.Delta, error) { return sys.Apply(b) })
-		if err := b.Normalize().Apply(mirror); err != nil {
-			t.Fatal(err)
-		}
-	}
-	check("seed")
-	step("add rules", func(sys *System) (*cfd.Delta, error) { return sys.AddRules(rules[20:]) })
-	batch("batch 1")
-	step("remove rules", func(sys *System) (*cfd.Delta, error) {
-		return sys.RemoveRules([]string{rules[0].ID, rules[21].ID})
-	})
-	batch("batch 2")
-	// Back in force under a new number: every rule after it renumbers.
-	step("re-add a rule", func(sys *System) (*cfd.Delta, error) { return sys.AddRules(rules[:1]) })
-	batch("batch 3")
-	if want := centralized.Detect(mirror, local.Rules()); !local.Violations().Equal(want) {
-		t.Fatal("V ≠ centralized Detect after the stream")
-	}
-}
-
-func ruleIDs(rules []cfd.CFD) []string {
-	ids := make([]string, len(rules))
-	for i := range rules {
-		ids[i] = rules[i].ID
-	}
-	return ids
-}
-
 // TestHandlersRefuseMalformedCalls: a group digest that is not 16 bytes
 // and a rule the site does not hold as a variable rule — in a probe or a
 // settle, behind an item the site could serve — an update

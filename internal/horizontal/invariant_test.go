@@ -1,11 +1,13 @@
 package horizontal
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"testing"
 
 	"repro/internal/centralized"
+	"repro/internal/cfd"
 	"repro/internal/partition"
 	"repro/internal/relation"
 	"repro/internal/workload"
@@ -56,7 +58,11 @@ func checkClassFlags(t *testing.T, step string, sites []*site) {
 // and same-values twins under new ids, with rules added and removed
 // between batches, every site satisfies checkClassFlags after every batch
 // and V equals a fresh centralized detection — in process and through
-// hosted sites, in waves of 1 and 64, MD5 coding on and off.
+// hosted sites, in waves of 1 and 64, MD5 coding on and off. A hosted run
+// also drives in-process sites with the same stream, and after every step
+// each hosted site must hold the snapshot bytes of its in-process twin:
+// an in-process site is a daemon's site, indexing and dropping its rules
+// on its own, from the wire.
 func TestClassFlagInvariant(t *testing.T) {
 	for _, hosted := range []bool{false, true} {
 		for _, wave := range []int{1, 64} {
@@ -74,23 +80,35 @@ func classFlagStream(t *testing.T, hosted bool, wave int, disable bool) {
 	rules := gen.Rules(28)
 	rel := gen.Relation(300)
 	scheme := partition.HashHorizontal("c_name", 3)
-	var sys *System
-	var sites []*site
+	opts := Options{DisableMD5: disable}
+	local, localSites := localSystem(t, rel, scheme, rules[:22], opts)
+	systems, siteSets := []*System{local}, [][]*HostedSite{localSites}
 	if hosted {
-		var tr *hostedTransport
-		sys, tr = hostedSystem(t, rel, scheme, rules[:22], Options{DisableMD5: disable})
-		for _, hs := range tr.sites {
-			sites = append(sites, hs.st)
-		}
-	} else {
-		var hs []*HostedSite
-		sys, hs = localSystem(t, rel, scheme, rules[:22], Options{DisableMD5: disable})
-		for _, h := range hs {
-			sites = append(sites, h.st)
-		}
+		sys, tr := hostedSystem(t, rel, scheme, rules[:22], opts)
+		systems, siteSets = append(systems, sys), append(siteSets, tr.sites)
 	}
 	mirror := rel.Clone()
-	checkClassFlags(t, "seed", sites)
+	check := func(step string) {
+		t.Helper()
+		for k, sys := range systems {
+			checkClassFlags(t, step, sites(siteSets[k]))
+			if want := centralized.Detect(mirror, sys.Rules()); !sys.Violations().Equal(want) {
+				t.Fatalf("%s: V diverged from the centralized oracle", step)
+			}
+		}
+		if hosted {
+			sameSites(t, step, localSites, siteSets[1], local.Rules())
+		}
+	}
+	each := func(f func(*System) error) {
+		t.Helper()
+		for _, sys := range systems {
+			if err := f(sys); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check("seed")
 	rounds := 240 / wave
 	if rounds < 12 {
 		rounds = 12
@@ -110,28 +128,58 @@ func classFlagStream(t *testing.T, hosted bool, wave int, disable bool) {
 			batch = append(batch, relation.Update{Kind: relation.Delete, Tuple: tp},
 				relation.Update{Kind: relation.Insert, Tuple: relation.Tuple{ID: nextID, Values: tp.Values}})
 		}
-		if _, err := sys.Apply(batch); err != nil {
-			t.Fatal(err)
-		}
+		each(func(sys *System) error { _, err := sys.Apply(batch); return err })
 		if err := batch.Normalize().Apply(mirror); err != nil {
 			t.Fatal(err)
 		}
 		step := fmt.Sprintf("batch %d", round)
 		switch round {
 		case rounds / 4:
-			if _, err := sys.AddRules(rules[22:]); err != nil {
-				t.Fatal(err)
-			}
+			each(func(sys *System) error { _, err := sys.AddRules(rules[22:]); return err })
 			step += " + AddRules"
 		case rounds / 2:
-			if _, err := sys.RemoveRules([]string{rules[1].ID, rules[24].ID}); err != nil {
-				t.Fatal(err)
-			}
+			each(func(sys *System) error { _, err := sys.RemoveRules([]string{rules[1].ID, rules[24].ID}); return err })
 			step += " + RemoveRules"
 		}
-		checkClassFlags(t, step, sites)
-		if want := centralized.Detect(mirror, sys.Rules()); !sys.Violations().Equal(want) {
-			t.Fatalf("%s: V diverged from the centralized oracle", step)
+		check(step)
+	}
+}
+
+func sites(hs []*HostedSite) []*site {
+	out := make([]*site, len(hs))
+	for i, h := range hs {
+		out[i] = h.st
+	}
+	return out
+}
+
+// sameSites holds hosted sites to the in-process sites fed the same
+// stream: equal snapshot bytes, and each holding the driver's rules in
+// the driver's order.
+func sameSites(t *testing.T, step string, local, hosted []*HostedSite, rules []cfd.CFD) {
+	t.Helper()
+	for i, s := range local {
+		a, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := hosted[i].Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("%s: site %d snapshots differ in process and hosted", step, i)
+		}
+		ids := make([]string, len(s.st.ruleOrder))
+		for k, r := range s.st.ruleOrder {
+			ids[k] = r.ID
+		}
+		want := make([]string, len(rules))
+		for k := range rules {
+			want[k] = rules[k].ID
+		}
+		if !slices.Equal(ids, want) {
+			t.Fatalf("%s: site %d holds rules %v, the driver %v", step, i, ids, want)
 		}
 	}
 }

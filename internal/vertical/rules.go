@@ -159,7 +159,7 @@ func (sys *System) AddRules(rules []cfd.CFD) (*cfd.Delta, error) {
 	}
 	// Existing nodes (and the equivalence state seeded under them) are
 	// untouched by the graft. sub itself stays 0-based and rides in the
-	// install round for hosted sites to graft identically.
+	// install round: every site grafts it onto its own plan copy.
 	sub, err := newChains(sys.scheme, rules)
 	if err != nil {
 		return nil, err
