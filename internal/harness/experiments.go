@@ -281,8 +281,9 @@ func ExpFanout(sc Scale) (*Result, error) { return expFanout(sc, 100*time.Micros
 
 // expFanout is ExpFanout at a configurable simulated RTT. The meter
 // parity claim is latency-independent, so TestFanoutParity asserts it at
-// zero RTT (no sleeping in -short CI runs); the speedup column is only
-// meaningful with a nonzero RTT.
+// a 1 ns RTT (concurrent rounds, no real sleeping in -short CI runs); at
+// zero RTT an in-process round runs inline and "parallel" is sequential,
+// and the speedup column is only meaningful with a real RTT.
 func expFanout(sc Scale, rtt time.Duration) (*Result, error) {
 	r := &Result{
 		Name: "Exp-fanout", Figure: "engine",

@@ -95,8 +95,8 @@ func SortedSites[T any](m map[SiteID]T) []SiteID {
 // GatherCoalesced ships each destination's queued items as one message
 // (from → site) and collects the replies aligned with Sites(). req wraps
 // a destination's item slice into the wire request. Destinations are
-// contacted concurrently through the scatter/gather engine; reply order
-// is deterministic regardless of scheduling.
+// contacted through the scatter/gather engine (concurrently where a call
+// can wait); reply order is deterministic regardless of scheduling.
 func GatherCoalesced[Item, Req, Resp any](c *Cluster, call CallFunc, from SiteID, method string, e *Coalescer[Item], req func(to SiteID, items []Item) Req) ([]SiteID, []Resp, error) {
 	sites := e.Sites()
 	resps, err := GatherVia[Req, Resp](c, call, from, method, sites, func(to SiteID) Req {

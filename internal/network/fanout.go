@@ -6,17 +6,23 @@ import (
 	"sync/atomic"
 )
 
-// This file is the concurrent scatter/gather engine. The paper's
-// boundedness result (incremental cost in O(|∆D| + |∆V|)) presumes sites
-// work in parallel: a coordinator that drives n sites one Call at a time
-// turns every fan-out into an n-long critical path and makes wall-clock
-// grow with the site count. Fanout and GatherVia run one logical
-// round-trip per target concurrently, bounded by a worker cap, while the
+// This file is the scatter/gather engine. The paper's boundedness result
+// (incremental cost in O(|∆D| + |∆V|)) presumes sites work in parallel: a
+// coordinator that waits on n sites one Call at a time turns every
+// fan-out into an n-long critical path and makes wall-clock grow with the
+// site count. Fanout and GatherVia run one logical round-trip per target,
+// concurrently and bounded by a worker cap wherever a call can wait — on
+// a remote transport's socket or on simulated link latency — while the
 // per-site handler locks keep each site's state single-threaded (a site
 // still processes messages serially, as a real node would) and the meters
 // stay exact: a message's metered size depends on nothing but its own
 // payload, so byte and message counts are identical whether a fan-out
 // runs with 1 worker or 16.
+//
+// An in-process cluster at zero RTT has nothing to overlap: every call is
+// site compute, and a hand-off to another goroutine is pure scheduling
+// cost. There a round runs inline on the caller, in index order, exactly
+// as with a cap of 1.
 //
 // A wave of one update is a dozen small fan-outs, so a round's fixed
 // cost matters as much as its breadth. The workers beyond the caller are
@@ -24,15 +30,17 @@ import (
 // round's bookkeeping (cursor, WaitGroup, error slot) is one reused run:
 // a fan-out allocates nothing and spawns nothing once the helpers exist.
 
-// defaultFanoutCap bounds a fan-out's worker count when the cluster has
-// no explicit cap. Workers spend most of their time blocked on another
-// site's lock, a socket, or simulated link latency, so the right bound
-// tracks fan-out breadth (what a real coordinator overlaps with async
-// I/O), not GOMAXPROCS — on a single-core host breadth-wide overlap is
-// exactly what still wins.
+// defaultFanoutCap bounds a concurrent fan-out's worker count when the
+// cluster has no explicit cap. Rounds run concurrently only where
+// workers spend most of their time blocked on a socket or simulated link
+// latency, so the right bound tracks fan-out breadth (what a real
+// coordinator overlaps with async I/O), not GOMAXPROCS — on a
+// single-core host breadth-wide overlap is exactly what still wins.
 const defaultFanoutCap = 32
 
-// SetMaxFanout sets the worker cap for Fanout and GatherVia. k = 1
+// SetMaxFanout sets the worker cap for Fanout and GatherVia where a call
+// can wait (a remote transport or a nonzero link RTT); an in-process
+// cluster at zero RTT runs every round inline whatever the cap. k = 1
 // forces sequential fan-outs (the comparison baseline for the scaleup
 // experiments); k <= 0 restores the default (breadth, capped at
 // defaultFanoutCap but never below GOMAXPROCS).
@@ -129,13 +137,17 @@ func (p *fanPool) stop() {
 	p.helpers.Wait()
 }
 
-// Fanout runs fn(i) for i in [0, n) concurrently, with at most
-// MaxFanout workers. With one worker the indices run in order, exactly
-// like the serial loop it replaces. Every index runs even after a
-// failure, and the error returned is the lowest-index one, so the outcome
-// is deterministic regardless of scheduling. fn may itself fan out.
+// Fanout runs fn(i) for i in [0, n), concurrently with at most
+// MaxFanout workers where a call can wait (canWait). Otherwise, or with
+// one worker, the indices run in order on the caller, exactly like the
+// serial loop it replaces. Every index runs even after a failure, and the
+// error returned is the lowest-index one, so the outcome is deterministic
+// regardless of scheduling. fn may itself fan out.
 func (c *Cluster) Fanout(n int, fn func(i int) error) error {
-	workers := min(n, c.MaxFanout())
+	workers := 1
+	if c.canWait() {
+		workers = min(n, c.MaxFanout())
+	}
 	if workers <= 1 {
 		var first error
 		for i := 0; i < n; i++ {
@@ -195,10 +207,11 @@ func (p *fanPool) claimIdle() bool {
 // mode) pass their own to GatherVia.
 type CallFunc func(from, to SiteID, method string, args, reply any) error
 
-// GatherVia scatters one request per target concurrently through call
-// and collects the replies in target order, so callers can merge them
-// deterministically. req builds the (possibly per-site) request; on
-// error the replies are nil and the error is the lowest-index one.
+// GatherVia scatters one request per target through call, on Fanout's
+// workers, and collects the replies in target order, so callers can
+// merge them deterministically. req builds the (possibly per-site)
+// request; on error the replies are nil and the error is the
+// lowest-index one.
 func GatherVia[Req, Resp any](c *Cluster, call CallFunc, from SiteID, method string, targets []SiteID, req func(SiteID) Req) ([]Resp, error) {
 	replies := make([]Resp, len(targets))
 	err := c.Fanout(len(targets), func(i int) error {

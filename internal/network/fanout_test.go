@@ -33,6 +33,14 @@ func targetsExcept(c *Cluster, skip SiteID) []SiteID {
 	return out
 }
 
+// waitingCluster is a cluster of n in-process sites whose calls can wait:
+// the smallest nonzero link RTT, so its fan-outs run on helpers.
+func waitingCluster(n int) *Cluster {
+	c := NewCluster(n)
+	c.SetLinkRTT(time.Nanosecond)
+	return c
+}
+
 // A parallel fan-out and a sequential fan-out of the same requests must
 // meter exactly the same messages, bytes, per-pair bytes and received
 // bytes. Run with -race this also proves the meters are data-race free
@@ -40,7 +48,7 @@ func targetsExcept(c *Cluster, skip SiteID) []SiteID {
 func TestFanoutStatsExactness(t *testing.T) {
 	const rounds = 20
 	runStats := func(workers int) Stats {
-		c := NewCluster(8)
+		c := waitingCluster(8)
 		c.SetMaxFanout(workers)
 		var calls atomic.Int64
 		wireCount(c, &calls)
@@ -125,7 +133,7 @@ func TestFanoutErrorPropagation(t *testing.T) {
 // other sites mid-protocol.
 func TestFanoutRunsAllAfterFailure(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		c := NewCluster(6)
+		c := waitingCluster(6)
 		var calls atomic.Int64
 		for i := 0; i < c.NumSites(); i++ {
 			site := SiteID(i)
@@ -188,7 +196,7 @@ func TestFanoutLoopbackTCPParity(t *testing.T) {
 }
 
 func TestFanoutWorkerCaps(t *testing.T) {
-	c := NewCluster(4)
+	c := waitingCluster(4)
 	c.SetMaxFanout(1)
 	if got := c.MaxFanout(); got != 1 {
 		t.Errorf("MaxFanout = %d after SetMaxFanout(1)", got)
@@ -220,6 +228,87 @@ func TestFanoutWorkerCaps(t *testing.T) {
 	}
 }
 
+// goroutineID is the running goroutine's id, read off its stack header.
+func goroutineID() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return strings.Fields(string(buf))[1]
+}
+
+// stubTransport is a remote transport nothing is sent through.
+type stubTransport struct{}
+
+func (stubTransport) Invoke(SiteID, string, []byte) ([]byte, error) {
+	return nil, errors.New("stub transport")
+}
+func (stubTransport) Close() error { return nil }
+
+// A fan-out overlaps its calls only where a call can wait. In process at
+// zero RTT it runs inline on the caller, in index order, whatever the
+// cap; a nonzero link RTT or a remote transport makes it concurrent.
+func TestFanoutInlineWithoutWaits(t *testing.T) {
+	base := runtime.NumGoroutine()
+	c := NewCluster(4)
+	defer c.Close()
+	c.SetMaxFanout(4)
+	caller := goroutineID()
+	var order []int
+	var cur atomic.Int64
+	err := c.Fanout(16, func(i int) error {
+		if n := cur.Add(1); n != 1 {
+			return fmt.Errorf("index %d ran beside %d others", i, n-1)
+		}
+		defer cur.Add(-1)
+		if id := goroutineID(); id != caller {
+			return fmt.Errorf("index %d ran on goroutine %s, caller is %s", i, id, caller)
+		}
+		order = append(order, i)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("indices ran in order %v", order)
+		}
+	}
+	if len(order) != 16 {
+		t.Errorf("%d indices ran, want 16", len(order))
+	}
+	if n := runtime.NumGoroutine(); n > base || c.fan.idle.Load() != 0 {
+		t.Errorf("%d goroutines (baseline %d), %d parked helpers after an inline fan-out", n, base, c.fan.idle.Load())
+	}
+
+	// Each index waits for the other to arrive: only a round on two
+	// workers completes.
+	barrier := func(c *Cluster) error {
+		var arrived atomic.Int64
+		all := make(chan struct{})
+		return c.Fanout(2, func(i int) error {
+			if arrived.Add(1) == 2 {
+				close(all)
+			}
+			select {
+			case <-all:
+				return nil
+			case <-time.After(5 * time.Second):
+				return fmt.Errorf("index %d waited alone: the round ran on one worker", i)
+			}
+		})
+	}
+	c.SetLinkRTT(time.Nanosecond)
+	if err := barrier(c); err != nil {
+		t.Errorf("with a link RTT: %v", err)
+	}
+	remote := NewCluster(4)
+	remote.UseRemoteTransport(stubTransport{})
+	defer remote.Close()
+	if err := barrier(remote); err != nil {
+		t.Errorf("with a remote transport: %v", err)
+	}
+}
+
 // awaitGoroutines waits for the goroutine count to fall to at most want,
 // reporting the last count seen.
 func awaitGoroutines(want int) int {
@@ -237,7 +326,7 @@ func awaitGoroutines(want int) int {
 // leaves at most MaxFanout()−1 helpers behind, and Close stops them all.
 func TestFanoutHelpersBounded(t *testing.T) {
 	base := runtime.NumGoroutine()
-	c := NewCluster(4)
+	c := waitingCluster(4)
 	w := c.MaxFanout()
 	var sum atomic.Int64
 	for round := 0; round < 10000; round++ {
@@ -273,7 +362,7 @@ func TestFanoutHelpersBounded(t *testing.T) {
 func TestFanoutDroppedClusterStopsHelpers(t *testing.T) {
 	base := runtime.NumGoroutine()
 	func() {
-		c := NewCluster(4)
+		c := waitingCluster(4)
 		if err := c.Fanout(c.MaxFanout(), func(int) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
@@ -291,7 +380,7 @@ func TestFanoutDroppedClusterStopsHelpers(t *testing.T) {
 // A Fanout called from inside another's fn completes, even when every
 // helper is busy in the outer round.
 func TestFanoutNested(t *testing.T) {
-	c := NewCluster(4)
+	c := waitingCluster(4)
 	defer c.Close()
 	c.SetMaxFanout(4)
 	var calls atomic.Int64
@@ -312,7 +401,7 @@ func TestFanoutNested(t *testing.T) {
 // Fan-outs from several goroutines at once share the cluster's helpers
 // and each still runs every index of its own round.
 func TestFanoutConcurrentCallers(t *testing.T) {
-	c := NewCluster(4)
+	c := waitingCluster(4)
 	defer c.Close()
 	c.SetMaxFanout(4)
 	var wg sync.WaitGroup
@@ -341,7 +430,7 @@ func TestFanoutConcurrentCallers(t *testing.T) {
 
 // A failed round leaves nothing behind for the next one to report.
 func TestFanoutNoStaleError(t *testing.T) {
-	c := NewCluster(4)
+	c := waitingCluster(4)
 	defer c.Close()
 	c.SetMaxFanout(4)
 	err := c.Fanout(10, func(i int) error {
@@ -362,7 +451,7 @@ func TestFanoutNoStaleError(t *testing.T) {
 // failure lands first.
 func TestFanoutLowestIndexErrorWins(t *testing.T) {
 	for _, w := range []int{2, 8} {
-		c := NewCluster(4)
+		c := waitingCluster(4)
 		c.SetMaxFanout(w)
 		for round := 0; round < 50; round++ {
 			err := c.Fanout(16, func(i int) error {

@@ -17,12 +17,14 @@
 // agree byte for byte.
 //
 // Fan-outs — one coordinator addressing many sites — go through the
-// concurrent scatter/gather engine (Fanout and GatherVia in fanout.go):
-// bounded workers parked between rounds, deterministic reply order and
-// error selection, and meters that stay exact and identical whether a
-// round runs with one worker or many. SetLinkRTT adds a simulated per-message
-// network round-trip, the cost a real deployment pays and parallel
-// fan-out overlaps.
+// scatter/gather engine (Fanout and GatherVia in fanout.go): deterministic
+// reply order and error selection, and meters that stay exact and
+// identical whether a round runs with one worker or many. A round runs
+// concurrently, on bounded workers parked between rounds, only where a
+// call can wait: over a remote transport, or with SetLinkRTT's simulated
+// per-message round-trip, the cost a real deployment pays and parallel
+// fan-out overlaps. In process at zero RTT no call waits, so a round
+// runs inline on the caller.
 package network
 
 import (
@@ -157,8 +159,9 @@ type Cluster struct {
 	// them.
 	fan *fanHandle
 	// linkRTT is a simulated per-message network round-trip applied to
-	// cross-site calls (zero by default). See SetLinkRTT.
-	linkRTT time.Duration
+	// cross-site calls, in nanoseconds (zero by default). See SetLinkRTT.
+	// Atomic, so reading it never takes statMu, the meters' lock.
+	linkRTT atomic.Int64
 
 	// pairKeys precomputes the "from→to" PerPair map keys so metering a
 	// message never formats a string.
@@ -261,21 +264,21 @@ func (c *Cluster) FrameBytes() int64 {
 // not what is sent. With a nonzero RTT the benefit of the parallel
 // scatter/gather engine is visible even on a single-core host: sequential
 // fan-out pays breadth × RTT per round, parallel fan-out pays ~one RTT.
-func (c *Cluster) SetLinkRTT(d time.Duration) {
-	c.statMu.Lock()
-	c.linkRTT = d
-	c.statMu.Unlock()
-}
+// A nonzero RTT is also what makes an in-process cluster's fan-outs run
+// concurrently at all; at zero they run inline on the caller.
+func (c *Cluster) SetLinkRTT(d time.Duration) { c.linkRTT.Store(int64(d)) }
 
 // linkDelay sleeps one simulated round-trip, if configured.
 func (c *Cluster) linkDelay() {
-	c.statMu.Lock()
-	d := c.linkRTT
-	c.statMu.Unlock()
-	if d > 0 {
+	if d := time.Duration(c.linkRTT.Load()); d > 0 {
 		time.Sleep(d)
 	}
 }
+
+// canWait reports whether a call on this cluster can wait on something
+// other than a site lock: a remote transport's socket or a simulated
+// link round-trip. Only then does a fan-out overlap its calls.
+func (c *Cluster) canWait() bool { return c.transport != nil || c.linkRTT.Load() > 0 }
 
 // Call sends a request from one site to another, metering it, and stores
 // the reply in reply (a pointer, or nil to discard it). A call with

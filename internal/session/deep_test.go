@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/cfd"
 	"repro/internal/partition"
@@ -109,11 +110,13 @@ func TestUnitCoalescedParityDeepPlan(t *testing.T) {
 // TestFanoutParityDeepPlan: the stage runner fans its resolve and
 // delivery rounds out; with 1 worker or 4 the deep plan must maintain
 // the same V and meter the same messages, bytes, per-pair bytes,
-// received bytes and eqids.
+// received bytes and eqids. The smallest nonzero link RTT makes the
+// 4-worker rounds run concurrently.
 func TestFanoutParityDeepPlan(t *testing.T) {
 	run := func(workers int) (*Session, []string) {
 		rel, scheme, rules, batches := deepFixture(t, 3)
 		sys := deepSystem(t, rel, scheme, rules, WithMaxFanout(workers))
+		sys.Cluster().SetLinkRTT(time.Nanosecond)
 		var deltas []string
 		for i, batch := range batches {
 			d, err := sys.ApplyBatch(context.Background(), batch)

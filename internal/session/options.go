@@ -222,7 +222,9 @@ func WithoutMD5() Option {
 }
 
 // WithMaxFanout caps the scatter/gather engine's concurrent workers per
-// round (1 = the serial coordinator; 0 or unset = GOMAXPROCS).
+// round where a call can wait, i.e. over WithTCPSites (1 = the serial
+// coordinator; 0 or unset = the network package's default). An
+// in-process session runs its fan-outs inline, whatever the cap.
 func WithMaxFanout(k int) Option {
 	return func(c *config) error {
 		if k < 0 {

@@ -15,11 +15,12 @@ import (
 // one through a session, in the shape of the root package's
 // BenchmarkUnitUpdateVertical: TPCH, 50 rules, 10 sites, the optimizer,
 // one insertion per ApplyBatch, the generated tuple included. It measures
-// 197: reused fan-out on parked helpers, the driver's wave scratch and an
-// epoch publish that copies each trie node once hold it there; a publish
-// that re-copies its own path per flip costs 219, per-call goroutines
-// and per-wave tables near 450. What is left is mostly the reply slices
-// the sites allocate and one closure per fan-out.
+// 195: fan-outs that run inline on the caller (no call here can wait),
+// the driver's wave scratch and an epoch publish that copies each trie
+// node once hold it there; a publish that re-copies its own path per
+// flip costs 219, per-call goroutines and per-wave tables near 450.
+// What is left is mostly the reply slices the sites allocate and one
+// closure per fan-out.
 func TestVerticalWaveAllocBound(t *testing.T) {
 	gen := workload.NewSized(workload.TPCH, 42, 8000)
 	rules := gen.Rules(50)
@@ -35,7 +36,8 @@ func TestVerticalWaveAllocBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Warm the schedule memo, the wave scratch and the parked helpers.
+	// Warm the schedule memo and the wave scratch; the in-process
+	// fan-outs run inline, so there are no helpers to warm.
 	for i := 0; i < 1000; i++ {
 		apply()
 	}
@@ -51,7 +53,7 @@ func TestVerticalWaveAllocBound(t *testing.T) {
 // of one through a session, in the shape of the root package's
 // BenchmarkUnitUpdateHorizontal: TPCH, 50 rules, 10 hash sites on c_name,
 // one insertion per ApplyBatch, the generated tuple included. It measures
-// 56; an epoch publish that re-copies its own path per flip costs 78,
+// 53; an epoch publish that re-copies its own path per flip costs 78,
 // owner settles sent for groups where nothing flips 4 more. What is left
 // is the publish's one copy of each touched trie node, the owner's reply
 // and the fan-out closures.
@@ -70,7 +72,8 @@ func TestHorizontalWaveAllocBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Warm the wave scratch, the touch tables and the parked helpers.
+	// Warm the wave scratch and the touch tables; the in-process fan-outs
+	// run inline, so there are no helpers to warm.
 	for i := 0; i < 1000; i++ {
 		apply()
 	}

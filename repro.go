@@ -131,7 +131,8 @@ var (
 	WithOptimizer = session.WithOptimizer
 	// WithoutMD5 turns §6's MD5 tuple coding off (ablation).
 	WithoutMD5 = session.WithoutMD5
-	// WithMaxFanout caps the scatter/gather engine's workers.
+	// WithMaxFanout caps the scatter/gather engine's workers where a
+	// call can wait (TCP sites); in process, fan-outs run inline.
 	WithMaxFanout = session.WithMaxFanout
 	// WithTCPSites deploys the session across real OS processes: site i
 	// lives in the sited daemon at addrs[i] (cmd/sited), reached over
