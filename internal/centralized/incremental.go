@@ -55,13 +55,8 @@ func (inc *Incremental) seed(src *relation.Relation, rules []cfd.CFD) error {
 	inc.v.InternRules(inc.rules)
 	var err error
 	src.Each(func(t relation.Tuple) bool {
-		var delta *cfd.Delta
-		delta, err = inc.applyUnit(relation.Update{Kind: relation.Insert, Tuple: t})
-		if err != nil {
-			return false
-		}
-		delta.Apply(inc.v)
-		return true
+		err = inc.applyUnit(relation.Update{Kind: relation.Insert, Tuple: t})
+		return err == nil
 	})
 	return err
 }
@@ -72,31 +67,30 @@ func (inc *Incremental) Violations() *cfd.Violations { return inc.v }
 // Relation returns the maintained relation (D ⊕ all applied batches).
 func (inc *Incremental) Relation() *relation.Relation { return inc.rel }
 
-// Apply processes a batch update and returns ∆V. A stored maintainer
+// Apply processes a batch update, marking V as it goes, and returns ∆V:
+// the change from V before the batch to V after it. A stored maintainer
 // flushes its stores after the batch: one Apply is one protocol round,
-// so write-back batching aligns with rounds.
+// so write-back batching aligns with rounds. A batch that fails leaves
+// the updates before the failing one applied.
 func (inc *Incremental) Apply(updates relation.UpdateList) (*cfd.Delta, error) {
 	if err := inc.storeErr(); err != nil {
 		return nil, err
 	}
-	delta := cfd.NewDelta()
+	before := inc.v.Seal()
 	for _, u := range updates.Normalize() {
-		ud, err := inc.applyUnit(u)
-		if err != nil {
+		if err := inc.applyUnit(u); err != nil {
 			if serr := inc.storeErr(); serr != nil {
 				return nil, serr
 			}
 			return nil, err
 		}
-		ud.Apply(inc.v)
-		delta.Merge(ud)
 	}
 	if inc.gst != nil {
 		if err := inc.Flush(); err != nil {
 			return nil, err
 		}
 	}
-	return delta, nil
+	return inc.v.DeltaSince(&before), nil
 }
 
 // storeErr returns the tuple store's sticky failure wrapped in
@@ -110,16 +104,15 @@ func (inc *Incremental) storeErr() error {
 	return nil
 }
 
-func (inc *Incremental) applyUnit(u relation.Update) (*cfd.Delta, error) {
-	delta := cfd.NewDelta()
+func (inc *Incremental) applyUnit(u relation.Update) error {
 	switch u.Kind {
 	case relation.Insert:
 		if err := inc.rel.Insert(u.Tuple); err != nil {
-			return nil, err
+			return err
 		}
 	case relation.Delete:
 		if _, ok := inc.rel.Get(u.Tuple.ID); !ok {
-			return nil, fmt.Errorf("centralized: delete of missing tuple %d", u.Tuple.ID)
+			return fmt.Errorf("centralized: delete of missing tuple %d", u.Tuple.ID)
 		}
 	}
 
@@ -127,36 +120,37 @@ func (inc *Incremental) applyUnit(u relation.Update) (*cfd.Delta, error) {
 		if !inc.comp[i].MatchesLHS(u.Tuple) {
 			continue
 		}
-		if err := inc.applyRule(i, u, delta); err != nil {
-			return nil, err
+		if err := inc.applyRule(i, u); err != nil {
+			return err
 		}
 	}
 
 	if u.Kind == relation.Delete {
 		if _, err := inc.rel.Delete(u.Tuple.ID); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return delta, nil
+	return nil
 }
 
 // applyRule runs rule i's part of update u, whose tuple matches the
-// rule's pattern constants: a constant rule's check, or Fig. 4's case
-// analysis on the tuple's group, in memory or stored (applyRuleStored).
-func (inc *Incremental) applyRule(i int, u relation.Update, delta *cfd.Delta) error {
+// rule's pattern constants, marking V: a constant rule's check, or
+// Fig. 4's case analysis on the tuple's group, in memory or stored
+// (applyRuleStored).
+func (inc *Incremental) applyRule(i int, u relation.Update) error {
 	r := &inc.comp[i]
 	if r.ConstRHS {
 		if u.Tuple.Values[r.RHSCol] != r.RHSPattern {
 			if u.Kind == relation.Insert {
-				delta.Add(u.Tuple.ID, r.ID)
+				inc.v.Add(u.Tuple.ID, r.ID)
 			} else {
-				delta.Remove(u.Tuple.ID, r.ID)
+				inc.v.Remove(u.Tuple.ID, r.ID)
 			}
 		}
 		return nil
 	}
 	if inc.gst != nil {
-		return inc.applyRuleStored(i, u, delta)
+		return inc.applyRuleStored(i, u)
 	}
 
 	inc.keyBuf = u.Tuple.AppendKey(inc.keyBuf[:0], r.LHSCols)
@@ -172,15 +166,15 @@ func (inc *Incremental) applyRule(i int, u relation.Update, delta *cfd.Delta) er
 		switch {
 		case classSize > 0:
 			if distinct >= 2 {
-				delta.Add(u.Tuple.ID, r.ID)
+				inc.v.Add(u.Tuple.ID, r.ID)
 			}
 		case distinct >= 2:
-			delta.Add(u.Tuple.ID, r.ID)
+			inc.v.Add(u.Tuple.ID, r.ID)
 		case distinct == 1:
-			delta.Add(u.Tuple.ID, r.ID)
+			inc.v.Add(u.Tuple.ID, r.ID)
 			for b := range group {
 				for id := range group[b] {
-					delta.Add(id, r.ID)
+					inc.v.Add(id, r.ID)
 				}
 			}
 		}
@@ -203,18 +197,18 @@ func (inc *Incremental) applyRule(i int, u relation.Update, delta *cfd.Delta) er
 		switch {
 		case classSize > 1:
 			if distinct >= 2 {
-				delta.Remove(u.Tuple.ID, r.ID)
+				inc.v.Remove(u.Tuple.ID, r.ID)
 			}
 		case distinct-1 >= 2:
-			delta.Remove(u.Tuple.ID, r.ID)
+			inc.v.Remove(u.Tuple.ID, r.ID)
 		case distinct-1 == 1:
-			delta.Remove(u.Tuple.ID, r.ID)
+			inc.v.Remove(u.Tuple.ID, r.ID)
 			for b, cls := range group {
 				if b == bVal {
 					continue
 				}
 				for id := range cls {
-					delta.Remove(id, r.ID)
+					inc.v.Remove(id, r.ID)
 				}
 			}
 		}

@@ -52,14 +52,14 @@ func (inc *Incremental) AddRules(rules []cfd.CFD) (*cfd.Delta, error) {
 	if err := inc.storeErr(); err != nil {
 		return nil, err
 	}
-	delta := cfd.NewDelta()
+	before := inc.v.Seal()
 	first := len(inc.rules)
 	inc.setRules(append(slices.Clip(inc.rules), rules...))
 	var err error
 	for i := first; i < len(inc.comp); i++ {
 		inc.rel.Each(func(t relation.Tuple) bool {
 			if inc.comp[i].MatchesLHS(t) {
-				err = inc.applyRule(i, relation.Update{Kind: relation.Insert, Tuple: t}, delta)
+				err = inc.applyRule(i, relation.Update{Kind: relation.Insert, Tuple: t})
 			}
 			return err == nil
 		})
@@ -70,11 +70,10 @@ func (inc *Incremental) AddRules(rules []cfd.CFD) (*cfd.Delta, error) {
 	if err := inc.storeErr(); err != nil {
 		return nil, err
 	}
-	delta.Apply(inc.v)
 	if err := inc.Flush(); err != nil {
 		return nil, err
 	}
-	return delta, nil
+	return inc.v.DeltaSince(&before), nil
 }
 
 // RemoveRules retires rules by id: their group indexes are dropped and
@@ -85,7 +84,7 @@ func (inc *Incremental) RemoveRules(ids []string) (*cfd.Delta, error) {
 	if err := inc.storeErr(); err != nil {
 		return nil, err
 	}
-	delta := inc.v.RetiredDelta(ids)
+	before := inc.v.Seal()
 	var kept []cfd.CFD
 	for i := range inc.rules {
 		if !slices.Contains(ids, inc.rules[i].ID) {
@@ -97,9 +96,9 @@ func (inc *Incremental) RemoveRules(ids []string) (*cfd.Delta, error) {
 		}
 	}
 	inc.setRules(kept)
-	delta.Apply(inc.v)
+	inc.v.ClearRules(ids)
 	if err := inc.Flush(); err != nil {
 		return nil, err
 	}
-	return delta, nil
+	return inc.v.DeltaSince(&before), nil
 }

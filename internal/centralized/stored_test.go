@@ -193,9 +193,8 @@ func TestStoredDeltaReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta.Apply(old)
-	if !old.Equal(stored.Violations()) {
-		t.Fatal("∆V replay diverged from maintained V")
+	if want := cfd.DeltaBetween(old, stored.Violations()); delta.String() != want.String() {
+		t.Fatalf("∆V = %v, want the change to the maintained V %v", delta, want)
 	}
 }
 

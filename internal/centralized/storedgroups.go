@@ -317,7 +317,7 @@ func (inc *Incremental) StorageStats() map[string]storage.Stats {
 // transitions that mark every other member (paid for by |∆V|). raw is
 // the store's (valid until the next store operation): it is only read,
 // the new record is assembled in encBuf and then Put.
-func (inc *Incremental) applyRuleStored(i int, u relation.Update, delta *cfd.Delta) error {
+func (inc *Incremental) applyRuleStored(i int, u relation.Update) error {
 	r := &inc.comp[i]
 	g := inc.gst
 	inc.keyBuf = u.Tuple.AppendKey(inc.keyBuf[:0], r.LHSCols)
@@ -343,13 +343,13 @@ func (inc *Incremental) applyRuleStored(i int, u relation.Update, delta *cfd.Del
 		switch {
 		case sc.classSize > 0:
 			if sc.distinct >= 2 {
-				delta.Add(u.Tuple.ID, r.ID)
+				inc.v.Add(u.Tuple.ID, r.ID)
 			}
 		case sc.distinct >= 2:
-			delta.Add(u.Tuple.ID, r.ID)
+			inc.v.Add(u.Tuple.ID, r.ID)
 		case sc.distinct == 1:
-			delta.Add(u.Tuple.ID, r.ID)
-			sc.eachOtherMember(raw, func(id relation.TupleID) { delta.Add(id, r.ID) })
+			inc.v.Add(u.Tuple.ID, r.ID)
+			sc.eachOtherMember(raw, func(id relation.TupleID) { inc.v.Add(id, r.ID) })
 		}
 		g.encBuf = sc.appendInsert(g.encBuf[:0], raw, bVal, u.Tuple.ID)
 
@@ -361,13 +361,13 @@ func (inc *Incremental) applyRuleStored(i int, u relation.Update, delta *cfd.Del
 		switch {
 		case sc.classSize > 1:
 			if sc.distinct >= 2 {
-				delta.Remove(u.Tuple.ID, r.ID)
+				inc.v.Remove(u.Tuple.ID, r.ID)
 			}
 		case sc.distinct-1 >= 2:
-			delta.Remove(u.Tuple.ID, r.ID)
+			inc.v.Remove(u.Tuple.ID, r.ID)
 		case sc.distinct-1 == 1:
-			delta.Remove(u.Tuple.ID, r.ID)
-			sc.eachOtherMember(raw, func(id relation.TupleID) { delta.Remove(id, r.ID) })
+			inc.v.Remove(u.Tuple.ID, r.ID)
+			sc.eachOtherMember(raw, func(id relation.TupleID) { inc.v.Remove(id, r.ID) })
 		}
 		g.encBuf = sc.appendDelete(g.encBuf[:0], raw)
 	}

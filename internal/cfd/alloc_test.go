@@ -48,15 +48,3 @@ func TestViolationsWarmMarkZeroAllocs(t *testing.T) {
 		t.Errorf("warm violation marks allocated %.1f objects per run, want 0", allocs)
 	}
 }
-
-func TestDeltaWarmMarkZeroAllocs(t *testing.T) {
-	d := NewDelta()
-	r := d.Intern("phi1")
-	d.AddIdx(7, r)
-	allocs := testing.AllocsPerRun(1000, func() {
-		d.AddIdx(7, r)
-	})
-	if allocs != 0 {
-		t.Errorf("warm delta marks allocated %.1f objects per run, want 0", allocs)
-	}
-}

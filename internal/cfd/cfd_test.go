@@ -213,57 +213,96 @@ func TestViolationsSetOps(t *testing.T) {
 	}
 }
 
-// Property: for any sequence of add/remove mark operations, applying the
-// recorded Delta to the original set reproduces the final set.
+// Property: for any sequence of add/remove mark operations, the delta
+// between the original and the final set replays that history: taking
+// ∆V− off the original and adding ∆V+ gives the final set, and ∆V is
+// exactly the plain-map difference of the two.
 func TestDeltaReplaysHistory(t *testing.T) {
 	rules := []string{"r1", "r2", "r3"}
 	f := func(ops []uint16) bool {
-		base := NewViolations()
+		base, m := NewViolations(), model{}
 		base.Add(1, "r1")
 		base.Add(2, "r2")
-		final := base.Clone()
-		delta := NewDelta()
+		m.set(1, "r1", true)
+		m.set(2, "r2", true)
+		final, fm := base.Clone(), m.clone()
 		for _, op := range ops {
 			id := relation.TupleID(op % 5)
 			rule := rules[int(op/5)%len(rules)]
 			if op%2 == 0 {
 				final.Add(id, rule)
-				delta.Add(id, rule)
 			} else {
 				final.Remove(id, rule)
-				delta.Remove(id, rule)
+			}
+			fm.set(id, rule, op%2 == 0)
+		}
+		d := DeltaBetween(base, final)
+		replay := m.clone()
+		for _, id := range d.RemovedTuples() {
+			for _, r := range d.RemovedRules(id) {
+				replay.set(id, r, false)
 			}
 		}
-		replay := base.Clone()
-		delta.Apply(replay)
-		return replay.Equal(final)
+		for _, id := range d.AddedTuples() {
+			for _, r := range d.AddedRules(id) {
+				replay.set(id, r, true)
+			}
+		}
+		return fmt.Sprint(replay) == fmt.Sprint(fm) && deltaMismatch(d, m, fm) == ""
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }
 
+// TestDeltaLastOperationWins: marks are idempotent set writes, so the
+// last operation on a (tuple, rule) pair decides V, and ∆V holds only
+// what that changed against the set the round started from.
 func TestDeltaLastOperationWins(t *testing.T) {
-	// Mark operations are idempotent set writes: the delta keeps the last
-	// operation per (tuple, rule), never both.
-	d := NewDelta()
-	d.Add(1, "r")
-	d.Remove(1, "r")
-	if d.AddedMarks() != 0 || d.RemovedMarks() != 1 {
-		t.Errorf("add then remove should net to remove: %v", d)
+	v := NewViolations()
+	v.Add(2, "r")
+	before := v.Clone()
+	v.Add(1, "r")
+	v.Remove(1, "r") // add then remove a fresh mark: no change
+	v.Remove(2, "r")
+	v.Add(2, "r") // remove then add a present mark: no change
+	v.Remove(3, "r")
+	v.Add(3, "r") // remove then add a fresh mark: an addition
+	d := DeltaBetween(before, v)
+	if d.String() != "∆V+={t3{r}} ∆V−={}" {
+		t.Errorf("delta = %v, want only t3 added", d)
 	}
-	d2 := NewDelta()
-	d2.Remove(2, "r")
-	d2.Add(2, "r")
-	if d2.AddedMarks() != 1 || d2.RemovedMarks() != 0 {
-		t.Errorf("remove then add should net to add: %v", d2)
+	v.Add(2, "r2")
+	v.Remove(2, "r") // the present mark goes, a fresh one comes
+	if got := DeltaBetween(before, v).String(); got != "∆V+={t2{r2}, t3{r}} ∆V−={t2{r}}" {
+		t.Errorf("delta = %s", got)
 	}
-	d3 := NewDelta()
-	d3.Add(3, "r")
-	other := NewDelta()
-	other.Remove(3, "r")
-	d3.Merge(other)
-	if d3.AddedMarks() != 0 || d3.RemovedMarks() != 1 {
-		t.Errorf("merge applies the later operation: %v", d3)
+}
+
+// TestRollbackRestoresLastPublish: Rollback drops every change since the
+// last Publish, interned rules included, and the writer goes on from
+// there; before the first Publish it changes nothing.
+func TestRollbackRestoresLastPublish(t *testing.T) {
+	v := NewViolations()
+	v.Add(1, "r1")
+	v.Rollback()
+	if !v.HasRule(1, "r1") {
+		t.Fatal("Rollback before any Publish dropped marks")
+	}
+	e := v.Publish()
+	want := v.Clone()
+	v.Add(2, "r1")
+	v.Add(1, "r2")
+	v.Remove(1, "r1")
+	v.Rollback()
+	if !v.Equal(want) || v.Publish() != e {
+		t.Fatalf("after Rollback V = %v, want %v at epoch %d", v, want, e.Epoch())
+	}
+	if _, ok := v.LookupRule("r2"); ok {
+		t.Fatal("a rule interned after the Publish survived Rollback")
+	}
+	v.Add(3, "r3")
+	if e.Has(3) || !v.HasRule(3, "r3") || v.Publish().Epoch() != e.Epoch()+1 {
+		t.Fatal("the writer did not go on from the restored epoch")
 	}
 }

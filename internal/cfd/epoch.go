@@ -145,6 +145,17 @@ func amtSlot(key relation.TupleID, shift uint) uint {
 	return uint(uint64(key)>>shift) & amtMask
 }
 
+// at returns what n holds at slot: a leaf, a sub-trie, or neither.
+func (n *amtNode) at(slot uint) (*amtLeaf, *amtNode) {
+	switch {
+	case n.leafBits&(1<<slot) != 0:
+		return &n.leaves[packedIdx(n.leafBits, slot)], nil
+	case n.nodeBits&(1<<slot) != 0:
+		return nil, n.nodes[packedIdx(n.nodeBits, slot)]
+	}
+	return nil, nil
+}
+
 // amtGet returns key's leaf, nil when absent.
 func amtGet(n *amtNode, key relation.TupleID) *amtLeaf {
 	shift := uint(0)

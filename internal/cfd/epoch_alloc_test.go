@@ -55,6 +55,47 @@ func TestEpochPublishCostProportionalToDelta(t *testing.T) {
 	}
 }
 
+// TestDeltaBetweenCostProportionalToChange pins the diff's claim: ∆V
+// between a sealed view and the writer walks only the nodes changed
+// since, because the two share every other sub-trie by pointer. One
+// batch of 16 flips spread over the key space must diff with the same
+// allocations at |V| = 500 as at |V| = 20 000, and compare at most one
+// root-to-leaf path of nodes per flip; a full comparison would visit
+// every node of the larger trie, hundreds of them.
+func TestDeltaBetweenCostProportionalToChange(t *testing.T) {
+	const flips = 16
+	measure := func(n int) (allocs float64, visited int) {
+		v := epochFixture(n)
+		r1, r2 := v.Intern("phi1"), v.Intern("phi2")
+		before := v.Clone()
+		for k := 0; k < flips/2; k++ {
+			v.AddIdx(relation.TupleID(k*n/8), r2)
+			v.RemoveIdx(relation.TupleID(k*n/8+1), r1)
+		}
+		var d *Delta
+		allocs = testing.AllocsPerRun(100, func() { d = DeltaBetween(before, v) })
+		if d.AddedMarks() != flips/2 || d.RemovedMarks() != flips/2 {
+			t.Fatalf("|V|=%d: delta +%d/−%d, want +%d/−%d", n, d.AddedMarks(), d.RemovedMarks(), flips/2, flips/2)
+		}
+		var w differ
+		w.nodes(before.marks, v.marks, 0)
+		return allocs, w.visited
+	}
+	small, smallVisited := measure(500)
+	big, bigVisited := measure(20000)
+	if small == 0 {
+		t.Fatal("fixture broken: a delta of 16 marks cannot be allocation-free")
+	}
+	if big != small {
+		t.Errorf("diff allocations scale with |V|: %.1f at |V|=500 vs %.1f at |V|=20000", small, big)
+	}
+	// Three trie levels hold 20 000 keys: at most the root plus two
+	// nodes per flip.
+	if bound := 1 + 2*flips; smallVisited > bound || bigVisited > bound {
+		t.Errorf("diff compared %d nodes at |V|=500 and %d at |V|=20000, want ≤ %d", smallVisited, bigVisited, bound)
+	}
+}
+
 // TestEpochPublishCopiesEachNodeOnce pins the ownership rule: a publish
 // copies each trie node on its flips' paths once, however many flips land
 // below it, and changes its copies in place after that. The fixture holds

@@ -128,7 +128,7 @@ func TestSnapshotStableUnderConcurrentWriter(t *testing.T) {
 // build in place, so the workload mixes what could leak such a change
 // into an older view: bursts of flips on keys that share trie nodes (one
 // build reaching the same nodes many times), rules interned past 64
-// (spilled leaves, whose words older leaves share), RetiredDelta
+// (spilled leaves, whose words older leaves share), ClearRules
 // removals, long unpublished churn (one build of thousands of flips),
 // and a Clone mid-history whose writes must reach neither the original
 // nor any view.
@@ -179,7 +179,7 @@ func TestHeldViewsNeverChange(t *testing.T) {
 			intern(12) // 68 rules by round 49, 128 by the end
 		case round%17 == 8:
 			retire := []string{names[rng.Intn(len(names))], names[rng.Intn(len(names))]}
-			v.RetiredDelta(retire).Apply(v)
+			v.ClearRules(retire)
 			for id := range m {
 				m.set(id, retire[0], false)
 				m.set(id, retire[1], false)

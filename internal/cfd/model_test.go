@@ -144,7 +144,9 @@ type heldView struct {
 //	6    Intern of 1–16 fresh rules (the pool crosses 64)
 //	7    Publish: hold the view and a copy of the model
 //	8    Clone the chosen side; both sides go on independently
-//	9    RetiredDelta(two rules).Apply
+//	9    ClearRules(two rules)
+//	10   diff a held view against the chosen side, or against another
+//	     held view, both ways; the deltas must be the models' difference
 //
 // The first argument of every operation picks the side. Ids draw from 8
 // root slots × 48 second-level slots × 3 high parts, so many share trie
@@ -177,7 +179,7 @@ func runModel(t *testing.T, data []byte) {
 		return pool[b%len(pool)]
 	}
 	for step := 0; pos < len(data); step++ {
-		op := arg() % 10
+		op := arg() % 11
 		s := sides[arg()%len(sides)]
 		var what string
 		switch op {
@@ -212,13 +214,28 @@ func runModel(t *testing.T, data []byte) {
 			what = "Clone"
 		case 9:
 			retire := []string{rule(s), rule(s)}
-			s.v.RetiredDelta(retire).Apply(s.v)
+			s.v.ClearRules(retire)
 			for _, r := range retire {
 				for id := range s.m {
 					s.m.set(id, r, false)
 				}
 			}
-			what = fmt.Sprintf("RetiredDelta(%v)", retire)
+			what = fmt.Sprintf("ClearRules(%v)", retire)
+		case 10:
+			if len(held) == 0 {
+				break
+			}
+			h := held[arg()%len(held)]
+			other := heldView{&s.v.EpochView, s.m}
+			if k := arg() % (len(held) + 1); k < len(held) {
+				other = held[k]
+			}
+			what = fmt.Sprintf("diff epoch %d against epoch %d", h.view.Epoch(), other.view.Epoch())
+			for _, p := range [][2]heldView{{h, other}, {other, h}} {
+				if d := deltaMismatch(diffViews(p[0].view, p[1].view), p[0].m, p[1].m); d != "" {
+					t.Fatalf("step %d (%s): %s", step, what, d)
+				}
+			}
 		}
 		if d := s.m.mismatch(&s.v.EpochView); d != "" {
 			t.Fatalf("step %d (%s): the written set diverged from its model: %s", step, what, d)
@@ -251,15 +268,88 @@ func TestViolationsMatchModel(t *testing.T) {
 }
 
 // FuzzViolations is TestViolationsMatchModel over arbitrary operation
-// streams.
+// streams. Two seeds aim at the diff: one diffs a spilled mark (rule
+// index ≥ 64) in and out, the other a leaf the writer pushes a trie level
+// down, and then back up into a different key.
 func FuzzViolations(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2, 3, 4, 7, 0, 4, 0, 1, 2, 3, 8, 0, 6, 0, 5, 6, 1, 7, 0, 1, 2, 3, 4})
+	f.Add([]byte{
+		6, 0, 15, 6, 0, 15, 6, 0, 15, 6, 0, 15, 6, 0, 15, // intern 80 rules
+		0, 0, 0, 1, 2, 70, // Add(t66, phi070)
+		7, 0, // Publish
+		0, 0, 0, 1, 2, 75, 4, 0, 0, 1, 2, 70, // Add(t66, phi075), Remove(t66, phi070)
+		10, 0, 0, 1, // diff against the writer
+		7, 0, 10, 0, 0, 1, // Publish, diff the two held epochs
+	})
+	f.Add([]byte{
+		0, 0, 0, 1, 0, 0, 7, 0, // Add(t64, phi000), Publish
+		0, 0, 0, 2, 0, 0, // Add(t128, phi000): t64's leaf goes a level down
+		10, 0, 0, 1, 7, 0, // diff against the writer, Publish
+		4, 0, 0, 1, 0, 0, 4, 0, 0, 2, 0, 0, // remove both: the sub-trie goes
+		0, 0, 0, 3, 0, 0, // Add(t192, phi000): a leaf where the sub-trie was
+		10, 0, 1, 2, 10, 0, 0, 1, // diff against the writer, and the two epochs
+	})
 	for seed := int64(1); seed <= 4; seed++ {
 		data := make([]byte, 400)
 		rand.New(rand.NewSource(seed)).Read(data)
 		f.Add(data)
 	}
 	f.Fuzz(runModel)
+}
+
+// deltaMismatch reports how d differs from the change from old to new
+// computed on plain maps — its marks, their counts, their order — or ""
+// when it is exactly that change.
+func deltaMismatch(d *Delta, old, new model) string {
+	minus := func(a, b model) model {
+		out := model{}
+		for id, rules := range a {
+			for r := range rules {
+				if !b[id][r] {
+					out.set(id, r, true)
+				}
+			}
+		}
+		return out
+	}
+	for _, side := range []struct {
+		name   string
+		want   model
+		marks  int
+		tuples []relation.TupleID
+		rules  func(relation.TupleID) []string
+	}{
+		{"∆V+", minus(new, old), d.AddedMarks(), d.AddedTuples(), d.AddedRules},
+		{"∆V−", minus(old, new), d.RemovedMarks(), d.RemovedTuples(), d.RemovedRules},
+	} {
+		got := model{}
+		for i, id := range side.tuples {
+			if i > 0 && side.tuples[i-1] >= id {
+				return fmt.Sprintf("%s tuples out of order: %v", side.name, side.tuples)
+			}
+			rules := side.rules(id)
+			if len(rules) == 0 || !sort.StringsAreSorted(rules) {
+				return fmt.Sprintf("%s t%d: rules %v", side.name, id, rules)
+			}
+			for _, r := range rules {
+				got.set(id, r, true)
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(side.want) {
+			return fmt.Sprintf("%s = %v, model %v", side.name, got, side.want)
+		}
+		n := 0
+		for _, rules := range side.want {
+			n += len(rules)
+		}
+		if side.marks != n {
+			return fmt.Sprintf("%s counts %d marks, model %d", side.name, side.marks, n)
+		}
+	}
+	if d.Empty() != (d.Size() == 0) {
+		return fmt.Sprintf("Empty() = %v with Size() = %d", d.Empty(), d.Size())
+	}
+	return ""
 }
 
 // mark sets or clears (id, idx) on v and on its model together.

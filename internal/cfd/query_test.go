@@ -92,10 +92,10 @@ func TestPostingsCloneSnapshot(t *testing.T) {
 	}
 }
 
-// TestRetiredDelta pins the RemoveRules helper: the delta removes
-// exactly the retired rules' marks (spilled indexes included), leaves v
-// untouched until applied, and ignores rules v never interned.
-func TestRetiredDelta(t *testing.T) {
+// TestClearRules pins the RemoveRules helper: it removes exactly the
+// retired rules' marks (spilled indexes included), read off their
+// postings, and ignores rules v never interned.
+func TestClearRules(t *testing.T) {
 	v := NewViolations()
 	var rules []string
 	for i := 0; i < 70; i++ {
@@ -109,19 +109,15 @@ func TestRetiredDelta(t *testing.T) {
 	}
 	retire := []string{rules[3], rules[68], "unknown"}
 	before := v.Clone()
-	d := v.RetiredDelta(retire)
-	if !v.Equal(before) {
-		t.Fatal("RetiredDelta changed V")
-	}
+	v.ClearRules(retire)
 	want := 0
 	post := m.ruleTuples()
 	for _, r := range retire {
 		want += len(post[r])
 	}
-	if d.AddedMarks() != 0 || d.RemovedMarks() != want || want == 0 {
+	if d := DeltaBetween(before, v); d.AddedMarks() != 0 || d.RemovedMarks() != want || want == 0 {
 		t.Fatalf("delta +%d/−%d, want +0/−%d", d.AddedMarks(), d.RemovedMarks(), want)
 	}
-	d.Apply(v)
 	for id := range m {
 		m.set(id, retire[0], false)
 		m.set(id, retire[1], false)

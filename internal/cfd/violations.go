@@ -1,19 +1,21 @@
 package cfd
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"math/bits"
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/relation"
 )
 
-// RuleIdx is a dense interned rule index, scoped to the Violations or
-// Delta that issued it (via Intern). Hot paths intern each rule id once
-// and mark violations through AddIdx/RemoveIdx with no string hashing.
+// RuleIdx is a dense interned rule index, scoped to the Violations that
+// issued it (via Intern). Hot paths intern each rule id once and mark
+// violations through AddIdx/RemoveIdx with no string hashing.
 type RuleIdx int
 
 // smallWidth is the bitset width of the inline representation: rule sets
@@ -64,181 +66,6 @@ func (rs *ruleSpace) sortedIdx() []RuleIdx {
 		})
 	}
 	return rs.sortedCache
-}
-
-// remapTo builds the index translation from rs to o (-1 where o lacks
-// the rule).
-func (rs *ruleSpace) remapTo(o *ruleSpace) []RuleIdx {
-	remap := make([]RuleIdx, len(rs.names))
-	for i, name := range rs.names {
-		if idx, ok := o.lookup(name); ok {
-			remap[i] = idx
-		} else {
-			remap[i] = -1
-		}
-	}
-	return remap
-}
-
-// markSet stores a Delta's (tuple, rule-index) marks as per-tuple
-// bitsets: one inline uint64 per tuple while every index fits in 64 bits
-// (the common case — the paper's |Σ| is 50), spilling to multi-word
-// bitsets the first time a higher index is set. Either small or big is
-// in use, never both.
-type markSet struct {
-	small map[relation.TupleID]uint64
-	big   map[relation.TupleID][]uint64
-}
-
-// set marks (id, idx).
-func (m *markSet) set(id relation.TupleID, idx RuleIdx) {
-	if m.big == nil && int(idx) >= smallWidth {
-		m.big = make(map[relation.TupleID][]uint64, len(m.small))
-		for id, w := range m.small {
-			m.big[id] = []uint64{w}
-		}
-		m.small = nil
-	}
-	if m.big == nil {
-		if m.small == nil {
-			m.small = make(map[relation.TupleID]uint64)
-		}
-		m.small[id] |= 1 << uint(idx)
-		return
-	}
-	ws := m.big[id]
-	word, bit := int(idx)/64, uint(idx)%64
-	for len(ws) <= word {
-		ws = append(ws, 0)
-	}
-	ws[word] |= 1 << bit
-	m.big[id] = ws
-}
-
-// clear unmarks (id, idx); id leaves the set with its last mark.
-func (m *markSet) clear(id relation.TupleID, idx RuleIdx) {
-	if m.big == nil {
-		w, ok := m.small[id]
-		if !ok {
-			return
-		}
-		if w &^= 1 << uint(idx); w == 0 {
-			delete(m.small, id)
-		} else {
-			m.small[id] = w
-		}
-		return
-	}
-	ws, ok := m.big[id]
-	word, bit := int(idx)/64, uint(idx)%64
-	if !ok || word >= len(ws) {
-		return
-	}
-	ws[word] &^= 1 << bit
-	for _, w := range ws {
-		if w != 0 {
-			return
-		}
-	}
-	delete(m.big, id)
-}
-
-func (m *markSet) has(id relation.TupleID, idx RuleIdx) bool {
-	if m.big == nil {
-		return m.small[id]&(1<<uint(idx)) != 0
-	}
-	ws := m.big[id]
-	word, bit := int(idx)/64, uint(idx)%64
-	return word < len(ws) && ws[word]&(1<<bit) != 0
-}
-
-func (m *markSet) hasTuple(id relation.TupleID) bool {
-	if m.big == nil {
-		_, ok := m.small[id]
-		return ok
-	}
-	_, ok := m.big[id]
-	return ok
-}
-
-func (m *markSet) lenTuples() int {
-	if m.big == nil {
-		return len(m.small)
-	}
-	return len(m.big)
-}
-
-func (m *markSet) marks() int {
-	n := 0
-	if m.big == nil {
-		for _, w := range m.small {
-			n += bits.OnesCount64(w)
-		}
-		return n
-	}
-	for _, ws := range m.big {
-		for _, w := range ws {
-			n += bits.OnesCount64(w)
-		}
-	}
-	return n
-}
-
-// marksOf returns the popcount of id's bitset.
-func (m *markSet) marksOf(id relation.TupleID) int {
-	if m.big == nil {
-		return bits.OnesCount64(m.small[id])
-	}
-	n := 0
-	for _, w := range m.big[id] {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// eachIdx calls f for every rule index marked on id, ascending.
-func (m *markSet) eachIdx(id relation.TupleID, f func(RuleIdx)) {
-	if m.big == nil {
-		eachBit(m.small[id], 0, f)
-		return
-	}
-	for wi, w := range m.big[id] {
-		eachBit(w, wi*64, f)
-	}
-}
-
-// each calls f for every (id, idx) mark, in map order over ids.
-func (m *markSet) each(f func(relation.TupleID, RuleIdx)) {
-	if m.big == nil {
-		for id := range m.small {
-			m.eachIdx(id, func(r RuleIdx) { f(id, r) })
-		}
-		return
-	}
-	for id := range m.big {
-		m.eachIdx(id, func(r RuleIdx) { f(id, r) })
-	}
-}
-
-// eachTuple calls f for every marked tuple id, in map order.
-func (m *markSet) eachTuple(f func(relation.TupleID)) {
-	if m.big == nil {
-		for id := range m.small {
-			f(id)
-		}
-		return
-	}
-	for id := range m.big {
-		f(id)
-	}
-}
-
-// sortedTuples returns the marked ids ascending.
-func (m *markSet) sortedTuples() []relation.TupleID {
-	out := make([]relation.TupleID, 0, m.lenTuples())
-	m.eachTuple(func(id relation.TupleID) { out = append(out, id) })
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Violations is V(Σ, D): the set of tuples violating at least one rule,
@@ -386,6 +213,25 @@ func (v *Violations) Publish() *EpochView {
 	return v.last
 }
 
+// Seal ends the current build and returns v as it stands, as a view
+// no later change of v reaches: the view Publish last returned when
+// nothing changed since, else the build sealed in place, in O(1) either
+// way. Unlike Publish it makes no epoch; an engine seals V at the start
+// of a round and returns DeltaSince of it as the round's ∆V.
+func (v *Violations) Seal() EpochView {
+	if v.last != nil && !v.dirty {
+		return *v.last
+	}
+	v.seal()
+	return v.EpochView
+}
+
+// DeltaSince returns DeltaBetween of old, a view of v's own history
+// (Seal, Publish), and v: ∆V from then to now.
+func (v *Violations) DeltaSince(old *EpochView) *Delta {
+	return diffViews(old, &v.EpochView)
+}
+
 // Clone returns an independent copy in O(1): both sides share every
 // node and copy it on their next write. The clone's epochs count from 1
 // again.
@@ -396,69 +242,239 @@ func (v *Violations) Clone() *Violations {
 	return c
 }
 
-// RetiredDelta returns the ∆V that retires rules: the removal of every
-// mark they hold, read off their postings. v is not changed; the
-// engines' RemoveRules apply the result once their own per-rule state is
-// gone. Rules v never interned contribute nothing.
-func (v *Violations) RetiredDelta(rules []string) *Delta {
-	d := NewDelta()
+// ClearRules removes every mark of rules from v, reading the tuples off
+// the rules' postings; a rule v never interned clears nothing. The rules
+// stay interned. The engines' RemoveRules retire marks through it.
+func (v *Violations) ClearRules(rules []string) {
+	v.seal() // the postings walked below stay as they are while v copies what it changes
 	for _, r := range rules {
-		if idx, ok := v.rs.lookup(r); ok {
-			m := d.Intern(r)
-			v.EachTupleOfRuleIdx(idx, func(id relation.TupleID) bool {
-				d.RemoveIdx(id, m)
+		if idx, ok := v.rs.lookup(r); ok && int(idx) < len(v.post) {
+			amtEach(v.post[idx].root, func(l *amtLeaf) bool {
+				v.RemoveIdx(l.key, idx)
 				return true
 			})
 		}
 	}
-	return d
+}
+
+// Rollback discards every change since the last Publish: the writer
+// goes back to the view Publish returned, in O(1), since that view's
+// nodes are sealed and the writer copies them before changing them. A
+// set never published has no such view and stays as it is. A refused
+// round ends here, so V never holds half a round.
+func (v *Violations) Rollback() {
+	if v.last == nil || !v.dirty {
+		return
+	}
+	v.EpochView = *v.last
+	v.postShared, v.namesShared, v.dirty = true, true, false
 }
 
 // Equal reports whether two violation sets hold identical marks, rule
 // ids compared by name, whatever order each set interned them in.
 func (v *Violations) Equal(o *Violations) bool {
-	return v.tuples == o.tuples && v.markN == o.markN && len(v.Diff(o)) == 0
+	return v.tuples == o.tuples && v.markN == o.markN && DeltaBetween(o, v).Empty()
 }
 
-// Diff returns the marks present in v but not in o, as a map id → rules.
+// Diff returns the marks present in v but not in o, as a map id → rules
+// (sorted): DeltaBetween(o, v)'s ∆V+.
 func (v *Violations) Diff(o *Violations) map[relation.TupleID][]string {
-	out := make(map[relation.TupleID][]string)
-	remap := v.rs.remapTo(&o.rs)
-	amtEach(v.marks, func(l *amtLeaf) bool {
-		ol := amtGet(o.marks, l.key)
-		l.each(func(idx RuleIdx) {
-			if m := remap[idx]; m < 0 || ol == nil || !ol.has(m) {
-				out[l.key] = append(out[l.key], v.rs.names[idx])
-			}
-		})
-		return true
-	})
-	for id := range out {
-		sort.Strings(out[id])
+	d := DeltaBetween(o, v)
+	out := make(map[relation.TupleID][]string, len(d.added))
+	for _, l := range d.added {
+		out[l.key] = d.AddedRules(l.key)
 	}
 	return out
 }
 
-// DeltaBetween returns the canonical net change from old to new:
-// ∆V+ holds exactly the marks in new but not old, ∆V− exactly those in
-// old but not new. Unlike the delta an incremental run accumulates —
-// whose replay semantics may record removals of marks that were never in
-// old — the canonical form depends only on the two end states, so any
-// two executions landing on the same final violation set produce
-// bit-identical canonical deltas.
+// DeltaBetween returns ∆V from old to new: ∆V+ holds exactly the marks
+// in new but not old, ∆V− exactly those in old but not new. It depends
+// only on the two sets, so any two executions landing on the same sets
+// produce bit-identical deltas; every engine returns a round's ∆V as
+// DeltaBetween of V before and after the round.
+//
+// The walk goes down both mark tries together and skips every sub-trie
+// the two hold by the same pointer: a sealed node is never written again
+// (epoch.go), so one pointer is one set of marks. Two epochs of one
+// writer therefore diff in O(nodes changed between them), not O(|V|);
+// unrelated sets share no node and are compared in full.
 func DeltaBetween(old, new *Violations) *Delta {
-	d := NewDelta()
-	for id, rules := range new.Diff(old) {
-		for _, r := range rules {
-			d.Add(id, r)
+	return diffViews(&old.EpochView, &new.EpochView)
+}
+
+// diffViews is DeltaBetween over two views.
+func diffViews(old, new *EpochView) *Delta {
+	w := differs.Get().(*differ)
+	defer func() {
+		w.reset()
+		differs.Put(w)
+	}()
+	var rs ruleSpace
+	if oldNames, newNames := old.rs.names, new.rs.names; len(oldNames) <= len(newNames) &&
+		(len(oldNames) == 0 || &oldNames[0] == &newNames[0] || slices.Equal(oldNames, newNames[:len(oldNames)])) {
+		// Old's names open new's, as in two epochs of one writer (which
+		// share the array until the writer next interns a rule): old's
+		// rule indexes mean what new's do.
+		rs = ruleSpace{names: slices.Clip(newNames), sortedCache: new.rs.sortedCache}
+	} else {
+		for _, name := range new.rs.names {
+			rs.intern(name)
+		}
+		w.remap = make([]RuleIdx, len(old.rs.names))
+		for i, name := range old.rs.names {
+			w.remap[i] = rs.intern(name)
 		}
 	}
-	for id, rules := range old.Diff(new) {
-		for _, r := range rules {
-			d.Remove(id, r)
-		}
+	w.nodes(old.marks, new.marks, 0)
+	n := len(w.added) + len(w.removed)
+	if n == 0 {
+		return &noChange
 	}
+	var d *Delta
+	var buf []amtLeaf
+	if n <= 2 {
+		p := &deltaPair{}
+		d, buf = &p.Delta, p.buf[:n]
+	} else {
+		d, buf = &Delta{}, make([]amtLeaf, n)
+	}
+	d.rs = rs
+	d.rs.sortedIdx()
+	d.added, d.removed = buf[:copy(buf, w.added)], buf[len(w.added):]
+	copy(d.removed, w.removed)
+	slices.SortFunc(d.added, byKey)
+	slices.SortFunc(d.removed, byKey)
 	return d
+}
+
+// noChange is every diff's delta when the two sides hold the same
+// marks: a Delta is read-only, so one serves them all.
+var noChange Delta
+
+// deltaPair is a delta allocated together with room for two leaves, the
+// whole change of most one-update rounds.
+type deltaPair struct {
+	Delta
+	buf [2]amtLeaf
+}
+
+func byKey(a, b amtLeaf) int { return cmp.Compare(a.key, b.key) }
+
+// differ is one DeltaBetween walk: it collects the tuples whose marks
+// differ, as the leaves of the bits only old sets (removed) and only new
+// sets (added). remap translates old's rule indexes into the delta's;
+// nil when they already agree. visited counts the node pairs compared.
+type differ struct {
+	added, removed []amtLeaf
+	remap          []RuleIdx
+	visited        int
+}
+
+// differs keeps walks' leaf buffers between calls, so a delta costs one
+// array for its leaves.
+var differs = sync.Pool{New: func() any { return new(differ) }}
+
+// reset empties w for another walk, keeping its buffers' arrays.
+func (w *differ) reset() {
+	clear(w.added)
+	clear(w.removed)
+	*w = differ{added: w.added[:0], removed: w.removed[:0]}
+}
+
+// nodes diffs the sub-tries o and n, both rooted at shift.
+func (w *differ) nodes(o, n *amtNode, shift uint) {
+	if o == n {
+		return
+	}
+	w.visited++
+	if o == nil || n == nil {
+		amtEach(o, func(l *amtLeaf) bool { w.pair(l, nil); return true })
+		amtEach(n, func(l *amtLeaf) bool { w.pair(nil, l); return true })
+		return
+	}
+	if o.leafBits == n.leafBits && o.nodeBits == n.nodeBits {
+		// One shape, the common case: slot i of one side is slot i of
+		// the other.
+		for i := range o.leaves {
+			w.leaves(&o.leaves[i], &n.leaves[i])
+		}
+		for i, c := range o.nodes {
+			if c != n.nodes[i] {
+				w.nodes(c, n.nodes[i], shift+amtBits)
+			}
+		}
+		return
+	}
+	for slots := o.leafBits | o.nodeBits | n.leafBits | n.nodeBits; slots != 0; slots &= slots - 1 {
+		slot := uint(bits.TrailingZeros64(slots))
+		ol, oc := o.at(slot)
+		nl, nc := n.at(slot)
+		// A leaf against a sub-trie: the leaf goes down a level in a
+		// one-leaf node, and the two compare as sub-tries.
+		switch {
+		case ol != nil && nc != nil:
+			oc, ol = leafNode(1<<amtSlot(ol.key, shift+amtBits), 0, *ol), nil
+		case nl != nil && oc != nil:
+			nc, nl = leafNode(1<<amtSlot(nl.key, shift+amtBits), 0, *nl), nil
+		}
+		switch {
+		case ol != nil && nl != nil:
+			w.leaves(ol, nl)
+		case ol != nil || nl != nil:
+			w.pair(ol, nil)
+			w.pair(nil, nl)
+		default:
+			w.nodes(oc, nc, shift+amtBits)
+		}
+	}
+}
+
+// leaves diffs the two leaves one slot holds, skipping equal ones.
+func (w *differ) leaves(o, n *amtLeaf) {
+	switch {
+	case o.key != n.key:
+		w.pair(o, nil)
+		w.pair(nil, n)
+	case w.remap != nil || o.ws != nil || n.ws != nil || o.w != n.w:
+		w.pair(o, n)
+	}
+}
+
+// pair records how one tuple's marks differ: o and n are its leaves in
+// old and new, nil where the tuple is absent.
+func (w *differ) pair(o, n *amtLeaf) {
+	if o != nil && w.remap != nil {
+		t := amtLeaf{key: o.key}
+		o.each(func(idx RuleIdx) { t = t.withBit(w.remap[idx]) })
+		o = &t
+	}
+	if gone, ok := leafMinus(o, n); ok {
+		w.removed = append(w.removed, gone)
+	}
+	if came, ok := leafMinus(n, o); ok {
+		w.added = append(w.added, came)
+	}
+}
+
+// leafMinus returns the leaf of a's key holding the bits a sets and b
+// does not (all of a's when b is nil); ok is false when there are none.
+func leafMinus(a, b *amtLeaf) (out amtLeaf, ok bool) {
+	switch {
+	case a == nil:
+		return amtLeaf{}, false
+	case b == nil:
+		return *a, true // a trie leaf always holds a bit
+	case a.ws == nil && b.ws == nil:
+		out = amtLeaf{key: a.key, w: a.w &^ b.w}
+		return out, out.w != 0
+	}
+	out = amtLeaf{key: a.key}
+	a.each(func(idx RuleIdx) {
+		if !b.has(idx) {
+			out = out.withBit(idx)
+		}
+	})
+	return out, out.w != 0 || out.ws != nil
 }
 
 func (v *Violations) String() string {
@@ -472,115 +488,68 @@ func (v *Violations) String() string {
 	return "{" + sb.String() + "}"
 }
 
-// Delta is ∆V: the change to a violation set in response to ∆D, split into
-// added marks (∆V+) and removed marks (∆V−), each a map of per-tuple rule
-// bitsets over the delta's own interned rule space.
+// Delta is ∆V: the change from one violation set to another, split into
+// added marks (∆V+) and removed marks (∆V−). DeltaBetween derives it from
+// the two sets, and it is read-only. Each side holds one rule bitset per
+// tuple, ascending by tuple id, over the delta's rule names.
 type Delta struct {
-	rs      ruleSpace
-	added   markSet
-	removed markSet
-}
-
-// NewDelta returns an empty change set.
-func NewDelta() *Delta { return &Delta{} }
-
-// Intern returns the dense index for rule within this delta.
-func (d *Delta) Intern(rule string) RuleIdx { return d.rs.intern(rule) }
-
-// Add records a new violation mark (∆V+). Mark operations are idempotent
-// set writes, so the last operation on a (tuple, rule) pair wins: an
-// earlier removal of the same mark is replaced, not merely cancelled —
-// replaying the delta must reproduce the final state regardless of
-// whether the mark was present initially.
-func (d *Delta) Add(id relation.TupleID, rule string) {
-	d.AddIdx(id, d.Intern(rule))
-}
-
-// AddIdx is Add through a pre-interned index.
-func (d *Delta) AddIdx(id relation.TupleID, idx RuleIdx) {
-	d.removed.clear(id, idx)
-	d.added.set(id, idx)
-}
-
-// Remove records a removed violation mark (∆V−), replacing an earlier add
-// of the same mark (last operation wins).
-func (d *Delta) Remove(id relation.TupleID, rule string) {
-	d.RemoveIdx(id, d.Intern(rule))
-}
-
-// RemoveIdx is Remove through a pre-interned index.
-func (d *Delta) RemoveIdx(id relation.TupleID, idx RuleIdx) {
-	d.added.clear(id, idx)
-	d.removed.set(id, idx)
-}
-
-// Merge folds other into d.
-func (d *Delta) Merge(other *Delta) {
-	remap := make([]RuleIdx, len(other.rs.names))
-	for i, name := range other.rs.names {
-		remap[i] = d.Intern(name)
-	}
-	other.removed.each(func(id relation.TupleID, idx RuleIdx) {
-		d.RemoveIdx(id, remap[idx])
-	})
-	other.added.each(func(id relation.TupleID, idx RuleIdx) {
-		d.AddIdx(id, remap[idx])
-	})
+	rs             ruleSpace
+	added, removed []amtLeaf
 }
 
 // Empty reports whether the delta changes nothing.
-func (d *Delta) Empty() bool {
-	return d.added.lenTuples() == 0 && d.removed.lenTuples() == 0
-}
+func (d *Delta) Empty() bool { return len(d.added) == 0 && len(d.removed) == 0 }
 
 // AddedMarks returns the number of (tuple, rule) marks in ∆V+.
-func (d *Delta) AddedMarks() int { return d.added.marks() }
+func (d *Delta) AddedMarks() int { return countMarks(d.added) }
 
 // RemovedMarks returns the number of (tuple, rule) marks in ∆V−.
-func (d *Delta) RemovedMarks() int { return d.removed.marks() }
+func (d *Delta) RemovedMarks() int { return countMarks(d.removed) }
 
 // Size returns |∆V| measured in marks.
 func (d *Delta) Size() int { return d.AddedMarks() + d.RemovedMarks() }
 
 // AddedTuples returns the ids with at least one added mark, ascending.
-func (d *Delta) AddedTuples() []relation.TupleID { return d.added.sortedTuples() }
+func (d *Delta) AddedTuples() []relation.TupleID { return keys(d.added) }
 
 // RemovedTuples returns the ids with at least one removed mark, ascending.
-func (d *Delta) RemovedTuples() []relation.TupleID { return d.removed.sortedTuples() }
+func (d *Delta) RemovedTuples() []relation.TupleID { return keys(d.removed) }
 
 // AddedRules returns the rules added for id, sorted.
-func (d *Delta) AddedRules(id relation.TupleID) []string { return d.sortedRules(&d.added, id) }
+func (d *Delta) AddedRules(id relation.TupleID) []string { return d.rules(d.added, id) }
 
 // RemovedRules returns the rules removed for id, sorted.
-func (d *Delta) RemovedRules(id relation.TupleID) []string { return d.sortedRules(&d.removed, id) }
+func (d *Delta) RemovedRules(id relation.TupleID) []string { return d.rules(d.removed, id) }
 
-func (d *Delta) sortedRules(m *markSet, id relation.TupleID) []string {
-	if !m.hasTuple(id) {
+func (d *Delta) rules(side []amtLeaf, id relation.TupleID) []string {
+	i, ok := slices.BinarySearchFunc(side, id, func(l amtLeaf, id relation.TupleID) int { return cmp.Compare(l.key, id) })
+	if !ok {
 		return nil
 	}
-	out := make([]string, 0, m.marksOf(id))
+	l := &side[i]
+	out := make([]string, 0, l.marks())
 	for _, idx := range d.rs.sortedIdx() {
-		if m.has(id, idx) {
+		if l.has(idx) {
 			out = append(out, d.rs.names[idx])
 		}
 	}
 	return out
 }
 
-// Apply computes V ⊕ ∆V in place: removed marks are cleared, added marks
-// set. Rule names are translated into v's interned space once, not per
-// mark.
-func (d *Delta) Apply(v *Violations) {
-	remap := make([]RuleIdx, len(d.rs.names))
-	for i, name := range d.rs.names {
-		remap[i] = v.Intern(name)
+func countMarks(side []amtLeaf) int {
+	n := 0
+	for i := range side {
+		n += side[i].marks()
 	}
-	d.removed.each(func(id relation.TupleID, idx RuleIdx) {
-		v.RemoveIdx(id, remap[idx])
-	})
-	d.added.each(func(id relation.TupleID, idx RuleIdx) {
-		v.AddIdx(id, remap[idx])
-	})
+	return n
+}
+
+func keys(side []amtLeaf) []relation.TupleID {
+	out := make([]relation.TupleID, len(side))
+	for i := range side {
+		out[i] = side[i].key
+	}
+	return out
 }
 
 func (d *Delta) String() string {

@@ -128,28 +128,32 @@ func TestTuplesCacheInvalidation(t *testing.T) {
 	}
 }
 
-// TestDeltaSpillAndMerge pushes a Delta across the 64-rule boundary and
-// checks Merge/Apply semantics survive it.
-func TestDeltaSpillAndMerge(t *testing.T) {
-	d := NewDelta()
-	for i := 0; i < 70; i++ {
-		d.Add(relation.TupleID(i), fmt.Sprintf("r%03d", i))
+// TestDeltaSpill diffs across the 64-rule boundary: a delta whose
+// marks sit on both sides of it, between two sets of which only one has
+// spilled, and between two spilled sets.
+func TestDeltaSpill(t *testing.T) {
+	old := NewViolations()
+	for i := 0; i < 60; i++ {
+		old.Add(relation.TupleID(i), fmt.Sprintf("r%03d", i))
 	}
-	d.Remove(3, "r003")
-	other := NewDelta()
-	other.Add(3, "r003") // last-op-wins on merge
-	other.Remove(0, "r000")
-	d.Merge(other)
-
-	v := NewViolations()
-	d.Apply(v)
-	if !v.HasRule(3, "r003") {
-		t.Error("merged add lost")
+	v := old.Clone()
+	for i := 60; i < 70; i++ {
+		v.Add(relation.TupleID(i), fmt.Sprintf("r%03d", i))
 	}
-	if v.HasRule(0, "r000") {
-		t.Error("merged remove lost")
+	v.Remove(3, "r003")
+	v.Add(0, "r069")
+	d := DeltaBetween(old, v)
+	if d.AddedMarks() != 11 || d.RemovedMarks() != 1 || !reflect.DeepEqual(d.AddedRules(0), []string{"r069"}) ||
+		!reflect.DeepEqual(d.RemovedRules(3), []string{"r003"}) {
+		t.Fatalf("spilled delta = %v", d)
 	}
-	if v.Len() != 69 { // 70 adds, one flipped to remove
-		t.Errorf("Len = %d, want 69", v.Len())
+	mid := v.Clone()
+	v.Remove(0, "r069")
+	v.Add(0, "r068")
+	if got := DeltaBetween(mid, v).String(); got != "∆V+={t0{r068}} ∆V−={t0{r069}}" {
+		t.Fatalf("delta between spilled sets = %s", got)
+	}
+	if got := DeltaBetween(v, old).String(); got != "∆V+={t3{r003}} ∆V−={t0{r068}, t60{r060}, t61{r061}, t62{r062}, t63{r063}, t64{r064}, t65{r065}, t66{r066}, t67{r067}, t68{r068}, t69{r069}}" {
+		t.Fatalf("reverse delta = %s", got)
 	}
 }

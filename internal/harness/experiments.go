@@ -386,6 +386,10 @@ var figureExact = []string{
 	"delta_v", "v",
 }
 
+// figurePairs run one ∆D through both engines, so each pair must pin the
+// same delta_v at every point: ∆V is the change to V, whoever made it.
+var figurePairs = [][2]string{{"Exp-1", "Exp-6"}, {"Exp-2", "Exp-7"}, {"Exp-3", "Exp-8"}, {"Exp-4", "Exp-9"}, {"Exp-10-vertical", "Exp-10-horizontal"}}
+
 func figuresWorkload(Scale) string {
 	return fmt.Sprintf("every §7 figure but Exp-5 at 1M TPCH ≙ %d rows, 100K DBLP ≙ %d rows, n=%d sites (Exp-4/9: n=2..10; Exp-fanout: n=8, zero RTT), seed %d, at every scale",
 		pinScale.Unit, pinScale.DBLPUnit, pinScale.Sites, pinScale.Seed)
@@ -422,6 +426,16 @@ func ExpFigures(Scale) (*Result, error) {
 				values[c] = p.Values[c]
 			}
 			r.Points = append(r.Points, Point{X: float64(len(r.Points)), Label: fr.Name + "/" + x, Values: values})
+		}
+	}
+	deltaV := make(map[string]string)
+	for _, p := range r.Points {
+		name, x, _ := strings.Cut(p.Label, "/")
+		deltaV[name] += fmt.Sprintf(" %s:%v", x, p.Values["delta_v"])
+	}
+	for _, pair := range figurePairs {
+		if a, b := deltaV[pair[0]], deltaV[pair[1]]; a == "" || a != b {
+			return nil, fmt.Errorf("figures: delta_v differs by engine: %s%s, %s%s", pair[0], a, pair[1], b)
 		}
 	}
 	return r, nil

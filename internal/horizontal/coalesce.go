@@ -116,7 +116,7 @@ func (g *hGroup) mergeBs(bs [][]byte) {
 	}
 }
 
-// mark is one pending ∆V emission.
+// mark is one pending mark change of V.
 type mark struct {
 	id   int64
 	rule string
@@ -213,26 +213,24 @@ func (sc *waveScratch) end() {
 }
 
 // applyCoalesced runs one normalized batch through the batch-grouped
-// protocol wave by wave, maintaining V and returning the exact ∆V.
-func (sys *System) applyCoalesced(norm relation.UpdateList) (*cfd.Delta, error) {
-	delta := cfd.NewDelta()
+// protocol wave by wave, maintaining V.
+func (sys *System) applyCoalesced(norm relation.UpdateList) error {
 	for start := 0; start < len(norm); start += batchWaveSize {
 		end := start + batchWaveSize
 		if end > len(norm) {
 			end = len(norm)
 		}
-		if err := sys.applyWaveCoalesced(norm[start:end], delta); err != nil {
-			return nil, err
+		if err := sys.applyWaveCoalesced(norm[start:end]); err != nil {
+			return err
 		}
 	}
-	delta.Apply(sys.v)
-	return delta, nil
+	return nil
 }
 
-// applyWaveCoalesced runs one wave through the grouped phases, appending
-// its ∆V emissions (removals before additions, so modifications replay
-// exactly) to delta.
-func (sys *System) applyWaveCoalesced(norm relation.UpdateList, delta *cfd.Delta) error {
+// applyWaveCoalesced runs one wave through the grouped phases and marks
+// its changes in V, removals before additions, so a modification lands
+// as its updates order it.
+func (sys *System) applyWaveCoalesced(norm relation.UpdateList) error {
 	if len(norm) == 0 {
 		return nil
 	}
@@ -280,14 +278,15 @@ func (sys *System) applyWaveCoalesced(norm relation.UpdateList, delta *cfd.Delta
 	}
 
 	// Aggregate: constant-rule marks emit directly; touched groups merge
-	// across owners. Removals are emitted before additions at the end, so
-	// a modification (delete + insert of one id) replays in update order.
+	// across owners. Removals reach V before additions at the end, so a
+	// modification (delete + insert of one id) lands in update order.
 	total := 0
 	for i := range applyResps {
 		total += len(applyResps[i].Groups)
 	}
 	if cap(sc.slab) < total {
-		sc.slab = make([]hGroup, 0, total)
+		// Grow over the kept groups, so their slices' arrays stay.
+		sc.slab = append(sc.slab[:cap(sc.slab)], make([]hGroup, total-cap(sc.slab))...)[:0]
 	}
 	for oi, o := range owners {
 		resp := &applyResps[oi]
@@ -539,10 +538,10 @@ func (sys *System) applyWaveCoalesced(norm relation.UpdateList, delta *cfd.Delta
 	}
 
 	for _, m := range sc.removes {
-		delta.Remove(relation.TupleID(m.id), m.rule)
+		sys.v.Remove(relation.TupleID(m.id), m.rule)
 	}
 	for _, m := range sc.adds {
-		delta.Add(relation.TupleID(m.id), m.rule)
+		sys.v.Add(relation.TupleID(m.id), m.rule)
 	}
 	return nil
 }

@@ -159,16 +159,16 @@ func (sys *System) allSites() []network.SiteID {
 // place, and the remaining groups are decided by the driver from the
 // sites' ≤2-distinct-B evidence and settled in one more coalesced round.
 // The rounds are metered like any other protocol round; the returned ∆V
-// holds exactly the new rules' marks, already applied to Violations().
+// holds exactly the new rules' marks, already marked in Violations().
 // The rules must validate beside those in force (cfd.ValidateAll); the
 // caller checks. Like Apply, the rounds are not atomic: a mid-round
 // transport error leaves driver and sites desynchronized, and the
 // system should be rebuilt.
 func (sys *System) AddRules(rules []cfd.CFD) (*cfd.Delta, error) {
-	delta := cfd.NewDelta()
 	if len(rules) == 0 {
-		return delta, nil
+		return &cfd.Delta{}, nil
 	}
+	before := sys.v.Seal()
 	first := len(sys.rules)
 	sys.setRules(append(slices.Clip(sys.rules), rules...))
 	local := make([]bool, len(rules))
@@ -206,7 +206,7 @@ func (sys *System) AddRules(rules []cfd.CFD) (*cfd.Delta, error) {
 		}
 		for ri, item := range resp.Items {
 			for _, id := range item.Violations {
-				delta.Add(relation.TupleID(id), rules[ri].ID)
+				sys.v.Add(relation.TupleID(id), rules[ri].ID)
 			}
 			for _, g := range item.Groups {
 				if len(g.X) != codeLen {
@@ -267,13 +267,11 @@ func (sys *System) AddRules(rules []cfd.CFD) (*cfd.Delta, error) {
 		}
 		for k, ir := range settleResps[si].Items {
 			for _, id := range ir.Added {
-				delta.Add(relation.TupleID(id), settleRules[s][k])
+				sys.v.Add(relation.TupleID(id), settleRules[s][k])
 			}
 		}
 	}
-
-	delta.Apply(sys.v)
-	return delta, nil
+	return sys.v.DeltaSince(&before), nil
 }
 
 // RemoveRules retires rules by id: their marks leave Violations() (one
@@ -283,9 +281,9 @@ func (sys *System) AddRules(rules []cfd.CFD) (*cfd.Delta, error) {
 // the caller checks.
 func (sys *System) RemoveRules(ids []string) (*cfd.Delta, error) {
 	if len(ids) == 0 {
-		return cfd.NewDelta(), nil
+		return &cfd.Delta{}, nil
 	}
-	delta := sys.v.RetiredDelta(ids)
+	before := sys.v.Seal()
 
 	coord := network.SiteID(0)
 	targets := sys.allSites()
@@ -295,6 +293,6 @@ func (sys *System) RemoveRules(ids []string) (*cfd.Delta, error) {
 		return nil, err
 	}
 	sys.setRules(slices.DeleteFunc(slices.Clone(sys.rules), func(r cfd.CFD) bool { return slices.Contains(ids, r.ID) }))
-	delta.Apply(sys.v)
-	return delta, nil
+	sys.v.ClearRules(ids)
+	return sys.v.DeltaSince(&before), nil
 }

@@ -118,10 +118,7 @@ func NewSystem(c *network.Cluster, rel *relation.Relation, scheme *partition.Hor
 
 	if !opts.SkipSeed {
 		sys.direct = true
-		seedErr := rel.EachInsertChunk(seedChunk, func(ins relation.UpdateList) error {
-			_, err := sys.applyCoalesced(ins)
-			return err
-		})
+		seedErr := rel.EachInsertChunk(seedChunk, sys.applyCoalesced)
 		// Seeding is not a protocol round: the relay rotation starts
 		// from wave zero, as it did when seeding never ran a wave.
 		sys.waveSeq = 0
@@ -177,14 +174,19 @@ func gather[Req, Resp any](sys *System, from network.SiteID, method string, targ
 }
 
 // Apply runs incHor (Fig. 8): normalizes ∆D once, applies it through
-// the batch-grouped protocol (coalesce.go), maintains V and returns ∆V. A
-// per-update round is a batch of one.
+// the batch-grouped protocol (coalesce.go), maintains V and returns ∆V,
+// the change from V before the batch to V after it. A per-update round
+// is a batch of one.
 func (sys *System) Apply(updates relation.UpdateList) (*cfd.Delta, error) {
 	norm := updates.NormalizeInto(sys.normScratch)
 	if len(norm) != len(updates) {
 		sys.normScratch = norm // grown scratch: keep the backing array
 	}
-	return sys.applyCoalesced(norm)
+	before := sys.v.Seal()
+	if err := sys.applyCoalesced(norm); err != nil {
+		return nil, err
+	}
+	return sys.v.DeltaSince(&before), nil
 }
 
 // participants returns every site whose predicate can hold tuples

@@ -131,8 +131,8 @@ type Intent struct {
 type Applied struct {
 	// Round matches the intent it closes.
 	Round uint64
-	// Fingerprint is the canonical digest of the round's ∆V
-	// (cfd.Delta.Fingerprint), pinning what the round did.
+	// Fingerprint is the canonical digest of the round's ∆V, the diff
+	// of V before and after it (cfd.Delta.Fingerprint).
 	Fingerprint uint64
 	// Seqs are the post-round (post-mark) per-site watermarks.
 	Seqs []uint64

@@ -103,7 +103,7 @@ func TestSeededStateInvariants(t *testing.T) {
 
 // TestApplyBatchMatchesOracle: the distributed engines maintain V
 // incrementally to exactly the oracle's fresh result, and their returned
-// ∆V replays the old state onto the new one.
+// ∆V is the change from the old state to the new one.
 func TestApplyBatchMatchesOracle(t *testing.T) {
 	for _, style := range styles {
 		t.Run(style, func(t *testing.T) {
@@ -124,9 +124,50 @@ func TestApplyBatchMatchesOracle(t *testing.T) {
 			if !d.Violations().Equal(want) {
 				t.Errorf("maintained V ≠ oracle after batch")
 			}
-			delta.Apply(before)
-			if !before.Equal(want) {
-				t.Errorf("replaying ∆V over V₀ ≠ oracle")
+			if got, w := delta.String(), cfd.DeltaBetween(before, want).String(); got != w {
+				t.Errorf("∆V = %s, want the change V₀ → oracle %s", got, w)
+			}
+		})
+	}
+}
+
+// TestRefusedRoundLeavesV: a batch that fails halfway — a fresh
+// insertion, then the deletion of a tuple D does not hold — leaves V as
+// the last published epoch holds it, in every engine: the engines mark
+// V as they go, and the session rolls back what a refused round marked.
+// No epoch is published for it.
+func TestRefusedRoundLeavesV(t *testing.T) {
+	for _, style := range append([]string{"centralized"}, styles...) {
+		t.Run(style, func(t *testing.T) {
+			marked := 0
+			for seed := int64(1); seed <= 12; seed++ {
+				rel, rules, _ := engineFixture(seed)
+				d := build(t, style, rel.Clone(), rules)
+				before, epoch := d.Violations().Clone(), d.Snapshot().Epoch()
+				fresh := rel.Tuples()[0].Clone()
+				fresh.ID = 100000
+				missing := fresh.Clone()
+				missing.ID = 999999
+				if _, err := d.ApplyBatch(context.Background(), relation.UpdateList{
+					{Kind: relation.Insert, Tuple: fresh},
+					{Kind: relation.Delete, Tuple: missing},
+				}); err == nil {
+					t.Fatalf("seed %d: deleting a tuple D does not hold succeeded", seed)
+				}
+				if !d.Violations().Equal(before) {
+					t.Fatalf("seed %d: the refused round changed V by %v", seed, cfd.DeltaBetween(before, d.Violations()))
+				}
+				if got := d.Snapshot().Epoch(); got != epoch {
+					t.Fatalf("seed %d: the refused round moved the epoch %d → %d", seed, epoch, got)
+				}
+				withFresh := rel.Clone()
+				withFresh.MustInsert(fresh)
+				if centralized.Detect(withFresh, rules).Has(fresh.ID) {
+					marked++
+				}
+			}
+			if marked == 0 {
+				t.Fatal("fixture broken: no refused round's insertion would have marked V")
 			}
 		})
 	}

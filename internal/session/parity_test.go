@@ -176,3 +176,44 @@ func TestCoalescedSingleUpdate(t *testing.T) {
 		})
 	}
 }
+
+// TestReturnedDeltaIsTheChange holds every engine to the one meaning of
+// ∆V: the ∆V a batch returns is exactly the change it made to V, so the
+// three engines return the same ∆V for the same batch. Multi-update
+// batches of every stream profile are where a ∆V accumulated mark by
+// mark would differ from that change: a mark set and cleared again
+// within the batch, or cleared where it was never set.
+func TestReturnedDeltaIsTheChange(t *testing.T) {
+	for _, p := range workload.Profiles() {
+		t.Run(string(p), func(t *testing.T) {
+			gen := workload.NewSized(workload.TPCH, 2, 4000)
+			rules := gen.Rules(24)
+			mirror := gen.Relation(300)
+			engines := []string{"centralized", "horizontal", "vertical"}
+			sessions := make([]*Session, len(engines))
+			for i, style := range engines {
+				sessions[i] = build(t, style, mirror.Clone(), rules)
+			}
+			src := workload.NewStream(gen, mirror, workload.StreamConfig{Profile: p, BatchSize: 32, Batches: 6, Seed: 2})
+			for b, ok := src.Next(); ok; b, ok = src.Next() {
+				var first string
+				for i, s := range sessions {
+					before := s.Violations().Clone()
+					got, err := s.ApplyBatch(context.Background(), b.Updates)
+					if err != nil {
+						t.Fatalf("batch %d: %s: %v", b.Seq, engines[i], err)
+					}
+					if want := cfd.DeltaBetween(before, s.Violations()); got.String() != want.String() {
+						t.Fatalf("batch %d: %s returned ∆V with %d marks, V changed by %d:\nreturned %v\nchange   %v",
+							b.Seq, engines[i], got.Size(), want.Size(), got, want)
+					}
+					if i == 0 {
+						first = got.String()
+					} else if got.String() != first {
+						t.Fatalf("batch %d: %s returned ∆V %v, %s %v", b.Seq, engines[i], got, engines[0], first)
+					}
+				}
+			}
+		})
+	}
+}

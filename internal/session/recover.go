@@ -259,14 +259,6 @@ func (s *Session) drivePendingLocked(p *pendingOp) error {
 		if ce, ok := s.eng.(protocolCursorEngine); ok {
 			ce.SetProtocolCursor(p.baseCursor)
 		}
-		if p.cause != nil {
-			// The failed attempt may have partially applied ∆V to the
-			// driver's live set; re-derive the pre-round V from the
-			// journaled mirror so the re-drive starts clean.
-			if ae, ok := s.eng.(adoptEngine); ok {
-				ae.AdoptViolations(centralized.Detect(s.mirror, s.eng.Rules()))
-			}
-		}
 		delta, err := s.runOp(p)
 		if err != nil {
 			if p.op != journal.OpBatch {

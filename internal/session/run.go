@@ -76,10 +76,6 @@ type BatchResult struct {
 type Summary struct {
 	// Batches, Updates, Inserts and Deletes count the applied stream.
 	Batches, Updates, Inserts, Deletes int
-	// Raw is the merge of every batch's returned ∆V, in replay
-	// semantics: the delta the engine would ship to a downstream
-	// subscriber.
-	Raw *cfd.Delta
 	// Net is the canonical end-to-end change cfd.DeltaBetween(V₀, V),
 	// depending only on the violation sets at Run's entry and exit.
 	Net *cfd.Delta
@@ -120,7 +116,7 @@ func (s *Session) Run(ctx context.Context, src Source, opts RunOptions) (*Summar
 	v0 := s.eng.Violations().Clone()
 	prev := s.statsLocked()
 	s.mu.Unlock()
-	sum := &Summary{Raw: cfd.NewDelta()}
+	sum := &Summary{}
 
 	arrivals := make(chan arrival, runQueue)
 	stop := make(chan struct{})
@@ -169,7 +165,7 @@ func (s *Session) Run(ctx context.Context, src Source, opts RunOptions) (*Summar
 			drain()
 			return nil, err
 		}
-		r, delta, snap, err := s.runBatch(arr, &prev)
+		r, snap, err := s.runBatch(arr, &prev)
 		if err != nil {
 			drain()
 			return nil, err
@@ -181,7 +177,6 @@ func (s *Session) Run(ctx context.Context, src Source, opts RunOptions) (*Summar
 		sum.WireBytes += r.WireBytes
 		sum.WireMessages += r.WireMessages
 		sum.Eqids += r.Eqids
-		sum.Raw.Merge(delta)
 		sum.Results = append(sum.Results, r)
 		if opts.OnBatch != nil {
 			opts.OnBatch(arr.b, r, snap)
@@ -205,7 +200,7 @@ func (s *Session) Run(ctx context.Context, src Source, opts RunOptions) (*Summar
 // against prev, the meters after the previous batch (advanced here). It
 // returns the Snapshot of the epoch the batch published, for OnBatch,
 // which runs after the lock is released.
-func (s *Session) runBatch(arr arrival, prev *network.Stats) (BatchResult, *cfd.Delta, Snapshot, error) {
+func (s *Session) runBatch(arr arrival, prev *network.Stats) (BatchResult, Snapshot, error) {
 	r := BatchResult{
 		Seq:   arr.b.Seq,
 		Size:  len(arr.b.Updates),
@@ -224,7 +219,7 @@ func (s *Session) runBatch(arr arrival, prev *network.Stats) (BatchResult, *cfd.
 	t0 := time.Now()
 	delta, err := s.writeLocked(pendingOp{op: journal.OpBatch, updates: arr.b.Updates.Normalize()})
 	if err != nil {
-		return r, nil, Snapshot{}, fmt.Errorf("session: Run: batch %d: %w", arr.b.Seq, err)
+		return r, Snapshot{}, fmt.Errorf("session: Run: batch %d: %w", arr.b.Seq, err)
 	}
 	r.Apply = time.Since(t0)
 	now := s.statsLocked()
@@ -234,5 +229,5 @@ func (s *Session) runBatch(arr arrival, prev *network.Stats) (BatchResult, *cfd.
 	r.AddedMarks, r.RemovedMarks = delta.AddedMarks(), delta.RemovedMarks()
 	snap := s.Snapshot()
 	r.Violations, r.Marks = snap.st.view.Len(), snap.st.view.Marks()
-	return r, delta, snap, nil
+	return r, snap, nil
 }

@@ -488,8 +488,9 @@ func (s *Session) Plan() *optimizer.Plan { return s.plan }
 // context is honored between protocol steps: a cancelled ctx fails the
 // call before any work. A batch is not checked against D up front: one
 // that is inapplicable (say, deleting a tuple D does not hold) fails
-// with its earlier updates already applied in every engine, so after
-// such an error the session should be rebuilt.
+// with V as the last published epoch holds it but its earlier updates
+// already applied to the engine's data, so after such an error the
+// session should be rebuilt.
 func (s *Session) ApplyBatch(ctx context.Context, updates relation.UpdateList) (*cfd.Delta, error) {
 	return s.write(ctx, "ApplyBatch", pendingOp{op: journal.OpBatch, updates: updates.Normalize()})
 }
@@ -585,17 +586,24 @@ func admit(schema *relation.Schema, inForce []cfd.CFD, op journal.OpKind, add []
 	return nil
 }
 
-// runOp runs one admitted round's engine protocol.
-func (s *Session) runOp(p *pendingOp) (*cfd.Delta, error) {
+// runOp runs one admitted round's engine protocol. A round that fails
+// leaves V as the last published epoch holds it: the engines mark V as
+// they go, and the writer rolls back whatever a refused round marked.
+func (s *Session) runOp(p *pendingOp) (delta *cfd.Delta, err error) {
 	switch p.op {
 	case journal.OpBatch:
-		return s.eng.Apply(p.updates)
+		delta, err = s.eng.Apply(p.updates)
 	case journal.OpAddRules:
-		return s.eng.AddRules(p.rules)
+		delta, err = s.eng.AddRules(p.rules)
 	case journal.OpRemoveRules:
-		return s.eng.RemoveRules(p.ruleIDs)
+		delta, err = s.eng.RemoveRules(p.ruleIDs)
+	default:
+		err = fmt.Errorf("session: round %d has unknown op %v", p.round, p.op)
 	}
-	return nil, fmt.Errorf("session: round %d has unknown op %v", p.round, p.op)
+	if err != nil {
+		s.eng.Violations().Rollback()
+	}
+	return delta, err
 }
 
 // commitLocked is the tail every applied round shares: a batch moves the

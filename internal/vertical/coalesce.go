@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 
-	"repro/internal/cfd"
 	"repro/internal/network"
 	"repro/internal/optimizer"
 	"repro/internal/relation"
@@ -26,8 +25,8 @@ import (
 //	4. plan-node resolution by cross-site stage (resolveStages): per
 //	   stage one resolve call per site, then one eqid delivery per
 //	   (source, destination) edge — instead of one per edge per tuple;
-//	5. Fig. 4 case analyses batched per IDX site, replayed in the order
-//	   the site ran them;
+//	5. Fig. 4 case analyses batched per IDX site, marked in V in the
+//	   order the site ran them;
 //	6. reference-count releases, buffer clears and fragment removals,
 //	   batched per site.
 //
@@ -187,10 +186,8 @@ func (sys *System) ruleRow(rows []uint64, i int) bitset {
 	return rows[i*w : (i+1)*w]
 }
 
-// applyCoalesced runs one normalized batch wave by wave, maintaining V
-// and returning the exact ∆V.
-func (sys *System) applyCoalesced(norm relation.UpdateList) (*cfd.Delta, error) {
-	delta := cfd.NewDelta()
+// applyCoalesced runs one normalized batch wave by wave, maintaining V.
+func (sys *System) applyCoalesced(norm relation.UpdateList) error {
 	for start := 0; start < len(norm); {
 		seen := sys.scratch().seen
 		end := start + 1
@@ -199,23 +196,19 @@ func (sys *System) applyCoalesced(norm relation.UpdateList) (*cfd.Delta, error) 
 			seen[norm[end].Tuple.ID] = true
 			end++
 		}
-		err := sys.applyWave(norm[start:end], delta)
+		err := sys.applyWave(norm[start:end])
 		sys.doneWave(end - start)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		start = end
 	}
-	delta.Apply(sys.v)
-	if err := sys.barrier(); err != nil {
-		return nil, err
-	}
-	return delta, nil
+	return sys.barrier()
 }
 
 // applyWave runs one wave (distinct tuple ids) through the grouped
-// phases, appending its ∆V emissions to delta in exact replay order.
-func (sys *System) applyWave(updates relation.UpdateList, delta *cfd.Delta) error {
+// phases, marking its changes in V in update order.
+func (sys *System) applyWave(updates relation.UpdateList) error {
 	w := sys.newWave(len(updates))
 	for i, u := range updates {
 		w.ids[i] = int64(u.Tuple.ID)
@@ -235,13 +228,13 @@ func (sys *System) applyWave(updates relation.UpdateList, delta *cfd.Delta) erro
 	}
 
 	// 3. Constant CFDs.
-	if err := sys.constPhase(w, sys.constNo, delta); err != nil {
+	if err := sys.constPhase(w, sys.constNo); err != nil {
 		return err
 	}
 
 	// 4. Variable CFDs: the alive rules' plan nodes, stage by stage, then
 	// 5. Fig. 4 at each alive rule's IDX site.
-	if err := sys.varPhase(w, sys.varMask, delta); err != nil {
+	if err := sys.varPhase(w, sys.varMask); err != nil {
 		return err
 	}
 
@@ -329,9 +322,9 @@ func (sys *System) evalConstants(w *wave, checkers []network.SiteID) error {
 
 // constPhase runs the wave through the constant rules numbered nos:
 // votes coalesced per (checker, coordinator) pair across the wave, then
-// the coordinator classifications batched per site; ∆V replays per
-// coordinator in (update, rule number) order.
-func (sys *System) constPhase(w *wave, nos []int, delta *cfd.Delta) error {
+// the coordinator classifications batched per site; the marks land in
+// V per coordinator in (update, rule number) order.
+func (sys *System) constPhase(w *wave, nos []int) error {
 	if len(nos) == 0 {
 		return nil
 	}
@@ -416,9 +409,9 @@ func (sys *System) constPhase(w *wave, nos []int, delta *cfd.Delta) error {
 			for ; word != 0; word &= word - 1 {
 				rule := sys.byNo[k%rw<<6+bits.TrailingZeros64(word)].rule.ID
 				if w.ins.has(i) {
-					delta.Add(relation.TupleID(w.ids[i]), rule)
+					sys.v.Add(relation.TupleID(w.ids[i]), rule)
 				} else {
-					delta.Remove(relation.TupleID(w.ids[i]), rule)
+					sys.v.Remove(relation.TupleID(w.ids[i]), rule)
 				}
 			}
 		}
@@ -430,7 +423,7 @@ func (sys *System) constPhase(w *wave, nos []int, delta *cfd.Delta) error {
 // the alive set (mask minus the failed rules) and its memoized schedule,
 // the scheduled plan nodes stage by stage, then Fig. 4 at each alive
 // rule's IDX site.
-func (sys *System) varPhase(w *wave, mask bitset, delta *cfd.Delta) error {
+func (sys *System) varPhase(w *wave, mask bitset) error {
 	alive := sys.unfailed(w, mask)
 	for i := range w.states {
 		w.states[i].sched = sys.scheduleFor(sys.ruleRow(alive, i))
@@ -438,7 +431,7 @@ func (sys *System) varPhase(w *wave, mask bitset, delta *cfd.Delta) error {
 	if err := sys.resolveStages(w); err != nil {
 		return err
 	}
-	return sys.idxPhase(w, alive, delta)
+	return sys.idxPhase(w, alive)
 }
 
 // shipRef says where one resolved eqid goes: the position it belongs to
@@ -620,10 +613,11 @@ func (sys *System) waveNodes(walk []optimizer.NodeID, states []uState) []optimiz
 
 // idxPhase runs Fig. 4 at each alive rule's IDX site, one call per site
 // hosting the IDX of a rule some update has alive; every site gets the
-// same request and runs the rules it hosts. ∆V replays in each site's
-// reply order (conflicting flips of one (tuple, rule) mark only ever meet
-// inside one IDX site's reply, where the order is the mutation order).
-func (sys *System) idxPhase(w *wave, alive []uint64, delta *cfd.Delta) error {
+// same request and runs the rules it hosts. The marks land in V in each
+// site's reply order (conflicting flips of one (tuple, rule) mark only
+// ever meet inside one IDX site's reply, where the order is the mutation
+// order).
+func (sys *System) idxPhase(w *wave, alive []uint64) error {
 	rw := words(len(sys.rules))
 	hosts := make([]bool, sys.scheme.NumSites)
 	union := bitset(sys.sc.rows(rw))
@@ -660,9 +654,9 @@ func (sys *System) idxPhase(w *wave, alive []uint64, delta *cfd.Delta) error {
 			rule := sys.byNo[no].rule.ID
 			for _, id := range ids[:count] {
 				if w.ins.has(at) {
-					delta.Add(relation.TupleID(id), rule)
+					sys.v.Add(relation.TupleID(id), rule)
 				} else {
-					delta.Remove(relation.TupleID(id), rule)
+					sys.v.Remove(relation.TupleID(id), rule)
 				}
 			}
 			ids = ids[count:]

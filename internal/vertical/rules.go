@@ -148,15 +148,15 @@ func newChains(scheme *partition.VerticalScheme, rules []cfd.CFD) (*optimizer.Pl
 // structures, and a batch-grouped seed wave replays the resident tuples
 // through only the new rules' constant checks, eqid resolution/shipment
 // and Fig. 4 analyses. The returned ∆V holds exactly the new rules'
-// marks, already applied to Violations(). The rules must validate beside
+// marks, already marked in Violations(). The rules must validate beside
 // those in force (cfd.ValidateAll); the caller checks. Like Apply, the
 // rounds are not atomic: a mid-round transport error leaves driver and
 // sites desynchronized, and the system should be rebuilt.
 func (sys *System) AddRules(rules []cfd.CFD) (*cfd.Delta, error) {
-	delta := cfd.NewDelta()
 	if len(rules) == 0 {
-		return delta, nil
+		return &cfd.Delta{}, nil
 	}
+	before := sys.v.Seal()
 	// Existing nodes (and the equivalence state seeded under them) are
 	// untouched by the graft. sub itself stays 0-based and rides in the
 	// install round: every site grafts it onto its own plan copy.
@@ -192,7 +192,7 @@ func (sys *System) AddRules(rules []cfd.CFD) (*cfd.Delta, error) {
 		return nil, err
 	}
 	if len(idResp.IDs) > 0 {
-		err := sys.seedWave(idResp.IDs, sys.constNo[len(sys.constNo)-newConst:], sys.varNo[len(sys.varNo)-(len(rules)-newConst):], delta)
+		err := sys.seedWave(idResp.IDs, sys.constNo[len(sys.constNo)-newConst:], sys.varNo[len(sys.varNo)-(len(rules)-newConst):])
 		sys.doneWave(len(idResp.IDs))
 		if err != nil {
 			return nil, err
@@ -201,15 +201,14 @@ func (sys *System) AddRules(rules []cfd.CFD) (*cfd.Delta, error) {
 	if err := sys.barrier(); err != nil {
 		return nil, err
 	}
-	delta.Apply(sys.v)
-	return delta, nil
+	return sys.v.DeltaSince(&before), nil
 }
 
 // seedWave runs the batch-grouped phases of one insertion wave restricted
 // to the given (new) rules, by number — the tails of sys.constNo and
 // sys.varNo — without touching the fragments: applyWave's phases 2–5
 // plus the buffer clears.
-func (sys *System) seedWave(ids []int64, newConst, newVar []int, delta *cfd.Delta) error {
+func (sys *System) seedWave(ids []int64, newConst, newVar []int) error {
 	w := sys.newWave(len(ids))
 	copy(w.ids, ids)
 	for i := range ids {
@@ -239,7 +238,7 @@ func (sys *System) seedWave(ids []int64, newConst, newVar []int, delta *cfd.Delt
 	if err := sys.evalConstants(w, checkers); err != nil {
 		return err
 	}
-	if err := sys.constPhase(w, newConst, delta); err != nil {
+	if err := sys.constPhase(w, newConst); err != nil {
 		return err
 	}
 	if len(newVar) == 0 {
@@ -249,7 +248,7 @@ func (sys *System) seedWave(ids []int64, newConst, newVar []int, delta *cfd.Delt
 	for _, no := range newVar {
 		mask.set(no)
 	}
-	if err := sys.varPhase(w, mask, delta); err != nil {
+	if err := sys.varPhase(w, mask); err != nil {
 		return err
 	}
 	return sys.endWave(w)
@@ -263,9 +262,9 @@ func (sys *System) seedWave(ids []int64, newConst, newVar []int, delta *cfd.Delt
 // the caller checks.
 func (sys *System) RemoveRules(ids []string) (*cfd.Delta, error) {
 	if len(ids) == 0 {
-		return cfd.NewDelta(), nil
+		return &cfd.Delta{}, nil
 	}
-	delta := sys.v.RetiredDelta(ids)
+	before := sys.v.Seal()
 	coord := network.SiteID(0)
 	if _, err := gather[vDropRulesReq, empty](sys, coord, "v.dropRules", sys.allSites(), func(network.SiteID) vDropRulesReq {
 		return vDropRulesReq{Rules: ids}
@@ -279,8 +278,8 @@ func (sys *System) RemoveRules(ids []string) (*cfd.Delta, error) {
 	if err := sys.setRules(kept, nil); err != nil {
 		return nil, err
 	}
-	delta.Apply(sys.v)
-	return delta, nil
+	sys.v.ClearRules(ids)
+	return sys.v.DeltaSince(&before), nil
 }
 
 // allSites returns every site id in order.

@@ -160,10 +160,7 @@ func NewSystem(c *network.Cluster, rel *relation.Relation, scheme *partition.Ver
 	// wave; V(Σ, D) accumulates on the way.
 	if !opts.SkipSeed {
 		sys.direct = true
-		seedErr := rel.EachInsertChunk(seedChunk, func(ins relation.UpdateList) error {
-			_, err := sys.applyCoalesced(ins)
-			return err
-		})
+		seedErr := rel.EachInsertChunk(seedChunk, sys.applyCoalesced)
 		sys.direct = false
 		if seedErr != nil {
 			return nil, seedErr
@@ -326,13 +323,18 @@ func gather[Req, Resp any](sys *System, from network.SiteID, method string, targ
 
 // Apply runs incVer (Fig. 5): it normalizes ∆D once, processes it
 // through the batch-grouped driver (coalesce.go), maintains V(Σ, D) and
-// returns the accumulated ∆V. A per-update round is a batch of one.
+// returns ∆V, the change from V before the batch to V after it. A
+// per-update round is a batch of one.
 func (sys *System) Apply(updates relation.UpdateList) (*cfd.Delta, error) {
 	norm := updates.NormalizeInto(sys.normScratch)
 	if len(norm) != len(updates) {
 		sys.normScratch = norm // grown scratch: keep the backing array
 	}
-	return sys.applyCoalesced(norm)
+	before := sys.v.Seal()
+	if err := sys.applyCoalesced(norm); err != nil {
+		return nil, err
+	}
+	return sys.v.DeltaSince(&before), nil
 }
 
 // barrier emits the end-of-batch markers a push-based implementation

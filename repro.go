@@ -276,12 +276,12 @@ type (
 	// CompiledRule is a CFD resolved against a schema: column indexes
 	// and pre-split pattern constants, for allocation-free matching.
 	CompiledRule = cfd.Compiled
-	// RuleIdx is a dense interned rule index within one Violations or
-	// Delta (see Violations.Intern / AddIdx).
+	// RuleIdx is a dense interned rule index within one Violations (see
+	// Violations.Intern / AddIdx).
 	RuleIdx = cfd.RuleIdx
 	// Violations is V(Σ, D) with per-rule tags.
 	Violations = cfd.Violations
-	// Delta is ∆V: added and removed violation marks.
+	// Delta is ∆V, read-only: DeltaBetween of V before and after a round.
 	Delta = cfd.Delta
 )
 
