@@ -13,7 +13,7 @@ race:
 # alloc runs the allocation guards: every test in the *alloc_test.go
 # files. They build only without -race (the detector allocates on its
 # own), so `make race` and CI's race step never run them.
-ALLOC_TESTS = TestAppendKeyZeroAllocs|TestHashZeroAllocs|TestCompiledMatchZeroAllocs|TestViolationsWarmMarkZeroAllocs|TestDeltaBetweenCostProportionalToChange|TestEpochPublishCostProportionalToDelta|TestEpochPublishCopiesEachNodeOnce|TestEpochUnpublishedWarmMarksStayFree|TestEpochPublishedWarmMarksAmortizeToZero|TestDetectAllocCeiling|TestStoredApplyAllocsIndependentOfGroupSize|TestInt64ColumnDecodesInOneAllocation|TestColumnEncodeAllocatesNothing|TestEnvelopeAllocs|TestQueryAnswersFromPostings|TestBatchDeliverDecodeAllocs|TestWaveAllocBound|TestHorizontalWaveAllocBound|TestVerticalWaveAllocBound|TestOptimizeAllocBound
+ALLOC_TESTS = TestAppendKeyZeroAllocs|TestHashZeroAllocs|TestCompiledMatchZeroAllocs|TestViolationsWarmMarkZeroAllocs|TestDeltaBetweenCostProportionalToChange|TestEpochPublishCostProportionalToDelta|TestEpochPublishCopiesEachNodeOnce|TestEpochFlipCopiesOneArrayPerNode|TestEpochUnpublishedWarmMarksStayFree|TestEpochPublishedWarmMarksAmortizeToZero|TestDetectAllocCeiling|TestStoredApplyAllocsIndependentOfGroupSize|TestInt64ColumnDecodesInOneAllocation|TestColumnEncodeAllocatesNothing|TestEnvelopeAllocs|TestQueryAnswersFromPostings|TestBatchDeliverDecodeAllocs|TestWaveAllocBound|TestHorizontalWaveAllocBound|TestHorizontalWaveBytesBound|TestVerticalWaveAllocBound|TestOptimizeAllocBound
 alloc:
 	$(GO) test -run '^($(ALLOC_TESTS))$$' ./internal/relation ./internal/cfd ./internal/centralized \
 		./internal/wire ./internal/netwire ./internal/session ./internal/vertical ./internal/horizontal \
@@ -104,10 +104,19 @@ examples:
 # profile writes CPU and heap profiles of one experiment sweep, so perf
 # work starts from a pprof instead of a guess. Override PROFILE_EXP to
 # target a different experiment (a name, or a figure substring; see expbench -exp).
+# It also profiles the unit-update rounds the loop workloads run, the
+# timed part of BenchmarkUnitUpdateHorizontal and BenchmarkUnitUpdateVertical:
+# unit_{hor,ver}_cpu.prof and unit_{hor,ver}_mem.prof (read the bytes
+# with -sample_index=alloc_space).
 PROFILE_EXP ?= Exp-coalesce
 profile:
 	$(GO) run ./cmd/expbench -quick -exp '$(PROFILE_EXP)' -cpuprofile cpu.prof -memprofile mem.prof
+	$(GO) test -run '^$$' -bench '^BenchmarkUnitUpdateHorizontal$$' -benchtime 5s -o unit.test \
+		-cpuprofile unit_hor_cpu.prof -memprofile unit_hor_mem.prof .
+	$(GO) test -run '^$$' -bench '^BenchmarkUnitUpdateVertical$$' -benchtime 5s -o unit.test \
+		-cpuprofile unit_ver_cpu.prof -memprofile unit_ver_mem.prof .
 	@echo "inspect with: go tool pprof cpu.prof   (allocations: go tool pprof mem.prof)"
+	@echo "unit rounds: go tool pprof unit.test unit_hor_cpu.prof   (bytes: go tool pprof -sample_index=alloc_space unit.test unit_hor_mem.prof)"
 
 # fuzz is the native-fuzzing smoke CI runs: the violation set against a
 # plain-map model (FuzzViolations: arbitrary bytes decoded into marks,

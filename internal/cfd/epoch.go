@@ -21,10 +21,18 @@ import (
 // in place and copies any other node once, tagging the copy, so between
 // two publishes each node on the union of the changed paths is copied at
 // most once, however many flips land below it — O(|∆V| · depth),
-// independent of |V|. Tags come from one package counter: a seal (Publish
-// or Clone) hands the writer a tag no node carries yet, so the nodes of a
-// sealed build are never written again, and a set and its clone never
-// build with the same tag.
+// independent of |V|. The copy is the node's header: it shares the older
+// node's leaf and child arrays and copies each only on its first edit in
+// the build, so an inner node on a flip's path copies its child array
+// and the bottom node its leaf array, never both. Whether a node may
+// edit an array in place is its own flag, set where the build made the
+// array; an array of capacity zero holds nothing to share. The per-rule
+// postings sit in chunks of postChunkLen (postTable), each chunk tagged
+// like a node, so a write after a seal copies the one chunk it changes,
+// plus, past the first smallWidth rules, the table's tail. Tags come from one
+// package counter: a seal (Publish or Clone) hands the writer a tag no
+// node carries yet, so the nodes of a sealed build are never written
+// again, and a set and its clone never build with the same tag.
 
 const (
 	amtBits = 6
@@ -125,13 +133,17 @@ func (l amtLeaf) withoutBit(idx RuleIdx) (out amtLeaf, empty bool) {
 // separate packed arrays addressed by two slot bitmaps. tag names the
 // build that created the node: that build alone may change it in place;
 // every other build copies it before a change (own), so a node is
-// immutable once its build is sealed.
+// immutable once its build is sealed. ownLeaves and ownNodes report that
+// the build made the array too, so it may edit it in place; a copy's
+// arrays are its older node's until its first edit (writeLeaves,
+// writeNodes).
 type amtNode struct {
-	leafBits uint64
-	nodeBits uint64
-	leaves   []amtLeaf
-	nodes    []*amtNode
-	tag      uint64
+	leafBits            uint64
+	nodeBits            uint64
+	leaves              []amtLeaf
+	nodes               []*amtNode
+	tag                 uint64
+	ownLeaves, ownNodes bool
 }
 
 // buildTags issues build tags; see the ownership note above.
@@ -178,24 +190,46 @@ func amtGet(n *amtNode, key relation.TupleID) *amtLeaf {
 }
 
 // own returns n when the build tagged tag created it, and otherwise a
-// copy carrying tag, with room for one more leaf and child so the insert
-// that usually follows a copy does not grow the arrays again.
+// copy of its header carrying tag, sharing both of n's arrays.
 func own(n *amtNode, tag uint64) *amtNode {
 	if n.tag == tag {
 		return n
 	}
-	c := &amtNode{leafBits: n.leafBits, nodeBits: n.nodeBits, tag: tag}
-	if len(n.leaves) > 0 {
-		c.leaves = append(make([]amtLeaf, 0, len(n.leaves)+1), n.leaves...)
+	return &amtNode{leafBits: n.leafBits, nodeBits: n.nodeBits, leaves: n.leaves, nodes: n.nodes, tag: tag}
+}
+
+// writeLeaves readies an owned node's leaf array for an edit in place:
+// an array the node shares with an older one is copied first, with room
+// for one more leaf so the insert that often follows does not grow it
+// again. Sharing is read off the capacity, not the length: an emptied
+// array with spare room still belongs to the older node.
+func (n *amtNode) writeLeaves() {
+	if !n.ownLeaves && cap(n.leaves) > 0 {
+		n.leaves = append(make([]amtLeaf, 0, len(n.leaves)+1), n.leaves...)
 	}
-	if len(n.nodes) > 0 {
-		c.nodes = append(make([]*amtNode, 0, len(n.nodes)+1), n.nodes...)
+	n.ownLeaves = true
+}
+
+// writeNodes is writeLeaves for the child array.
+func (n *amtNode) writeNodes() {
+	if !n.ownNodes && cap(n.nodes) > 0 {
+		n.nodes = append(make([]*amtNode, 0, len(n.nodes)+1), n.nodes...)
 	}
-	return c
+	n.ownNodes = true
+}
+
+// setChild points an owned node's child slot i at c, touching the child
+// array only when c is not already there (a child the build owns changes
+// in place and comes back as itself).
+func (n *amtNode) setChild(i int, c *amtNode) {
+	if n.nodes[i] != c {
+		n.writeNodes()
+		n.nodes[i] = c
+	}
 }
 
 // The four array edits below work in place: callers apply them only to
-// a node they own.
+// an array they made writable (writeLeaves, writeNodes).
 
 func insertLeaf(leaves []amtLeaf, i int, l amtLeaf) []amtLeaf {
 	leaves = append(leaves, amtLeaf{})
@@ -234,6 +268,7 @@ func amtMerge(a, b amtLeaf, shift uint, tag uint64) *amtNode {
 			nodeBits: 1 << sa,
 			nodes:    []*amtNode{amtMerge(a, b, shift+amtBits, tag)},
 			tag:      tag,
+			ownNodes: true,
 		}
 	}
 	if sa > sb {
@@ -252,7 +287,7 @@ type leafPair struct {
 // leafNode returns a node carrying tag that holds only ls (at most two),
 // in one allocation with its leaf array.
 func leafNode(leafBits, tag uint64, ls ...amtLeaf) *amtNode {
-	p := &leafPair{amtNode: amtNode{leafBits: leafBits, tag: tag}}
+	p := &leafPair{amtNode: amtNode{leafBits: leafBits, tag: tag, ownLeaves: true}}
 	p.leaves = append(p.buf[:0], ls...)
 	return &p.amtNode
 }
@@ -276,12 +311,15 @@ func amtSet(n *amtNode, key relation.TupleID, idx RuleIdx, shift uint, tag uint6
 				return n, false, false
 			}
 			c := own(n, tag)
+			c.writeLeaves()
 			c.leaves[i] = l.withBit(idx)
 			return c, false, true
 		}
 		// Slot collision with a different key: push both down a level.
 		child := amtMerge(l, amtLeaf{key: key}.withBit(idx), shift+amtBits, tag)
 		c := own(n, tag)
+		c.writeLeaves()
+		c.writeNodes()
 		c.leafBits &^= 1 << slot
 		c.leaves = removeLeaf(c.leaves, i)
 		c.nodeBits |= 1 << slot
@@ -294,10 +332,11 @@ func amtSet(n *amtNode, key relation.TupleID, idx RuleIdx, shift uint, tag uint6
 			return n, nk, ch
 		}
 		c := own(n, tag)
-		c.nodes[i] = child
+		c.setChild(i, child)
 		return c, nk, ch
 	default:
 		c := own(n, tag)
+		c.writeLeaves()
 		c.leafBits |= 1 << slot
 		c.leaves = insertLeaf(c.leaves, packedIdx(c.leafBits, slot), amtLeaf{key: key}.withBit(idx))
 		return c, true, true
@@ -325,6 +364,7 @@ func amtClear(n *amtNode, key relation.TupleID, idx RuleIdx, shift uint, tag uin
 		nl, empty := l.withoutBit(idx)
 		if !empty {
 			c := own(n, tag)
+			c.writeLeaves()
 			c.leaves[i] = nl
 			return c, false, true
 		}
@@ -333,6 +373,7 @@ func amtClear(n *amtNode, key relation.TupleID, idx RuleIdx, shift uint, tag uin
 			return nil, true, true
 		}
 		c := own(n, tag)
+		c.writeLeaves()
 		c.leafBits &^= 1 << slot
 		c.leaves = removeLeaf(c.leaves, i)
 		return c, true, true
@@ -348,9 +389,10 @@ func amtClear(n *amtNode, key relation.TupleID, idx RuleIdx, shift uint, tag uin
 		}
 		c := own(n, tag)
 		if child != nil {
-			c.nodes[i] = child
+			c.setChild(i, child)
 			return c, gone, ch
 		}
+		c.writeNodes()
 		c.nodeBits &^= 1 << slot
 		c.nodes = removeNode(c.nodes, i)
 		return c, gone, ch
@@ -387,16 +429,59 @@ type EpochView struct {
 	epoch uint64
 
 	rs     ruleSpace
-	marks  *amtNode  // tuple → rule bitset
-	post   []posting // per rule index; may be shorter than rs.names
-	tuples int       // |V|
-	markN  int       // total (tuple, rule) marks
+	marks  *amtNode // tuple → rule bitset
+	post   postTable
+	tuples int // |V|
+	markN  int // total (tuple, rule) marks
 }
 
 // posting is one rule's posting set (bit 0 = membership) and its size.
 type posting struct {
 	root *amtNode
 	n    int
+}
+
+// postChunkLen is how many rules' postings share one chunk: a write
+// after a seal copies the one chunk holding its rule, not every posting.
+const postChunkLen = 16
+
+// postChunk is one chunk of postings, tagged like a trie node with the
+// build that made it, the only one that writes it in place.
+type postChunk struct {
+	p   [postChunkLen]posting
+	tag uint64
+}
+
+// postTable holds the postings by rule index in chunks. The chunks of
+// the first smallWidth rules sit in head, which travels inside the view,
+// so a view copy copies it; the rest sit in tail, which a sealed view
+// shares until the writer's next write there copies it. It may cover
+// fewer rules than are interned, and a nil chunk holds no posting.
+type postTable struct {
+	head [smallWidth / postChunkLen]*postChunk
+	tail []*postChunk
+}
+
+// slot returns where chunk ci sits, nil past the table.
+func (t *postTable) slot(ci int) **postChunk {
+	if ci < len(t.head) {
+		return &t.head[ci]
+	}
+	if ci -= len(t.head); ci < len(t.tail) {
+		return &t.tail[ci]
+	}
+	return nil
+}
+
+// postingOf returns rule idx's posting, empty for a rule it holds none of.
+func (e *EpochView) postingOf(idx RuleIdx) posting {
+	if idx < 0 {
+		return posting{}
+	}
+	if c := e.post.slot(int(idx) / postChunkLen); c != nil && *c != nil {
+		return (*c).p[int(idx)%postChunkLen]
+	}
+	return posting{}
 }
 
 // Epoch returns the view's monotonic epoch number (1 is the first
@@ -461,12 +546,7 @@ func (e *EpochView) Tuples() []relation.TupleID {
 
 // CountIdx returns the number of tuples violating the rule with the
 // given interned index, in O(1).
-func (e *EpochView) CountIdx(idx RuleIdx) int {
-	if int(idx) < 0 || int(idx) >= len(e.post) {
-		return 0
-	}
-	return e.post[idx].n
-}
+func (e *EpochView) CountIdx(idx RuleIdx) int { return e.postingOf(idx).n }
 
 // CountRule returns the number of tuples violating rule, in O(1).
 func (e *EpochView) CountRule(rule string) int {
@@ -480,10 +560,7 @@ func (e *EpochView) CountRule(rule string) int {
 // EachTupleOfRuleIdx calls f for every tuple violating the rule with the
 // given interned index; f returning false stops. Cost is O(visited).
 func (e *EpochView) EachTupleOfRuleIdx(idx RuleIdx, f func(relation.TupleID) bool) {
-	if int(idx) < 0 || int(idx) >= len(e.post) {
-		return
-	}
-	amtEach(e.post[idx].root, func(l *amtLeaf) bool { return f(l.key) })
+	amtEach(e.postingOf(idx).root, func(l *amtLeaf) bool { return f(l.key) })
 }
 
 // EachTupleOfRule is EachTupleOfRuleIdx by rule id.
@@ -522,9 +599,13 @@ func (e *EpochView) Measure() Measures {
 	if m.ViolatingTuples > 0 {
 		m.Drastic = 1
 	}
-	for _, p := range e.post {
-		if p.n > 0 {
-			m.RulesViolated++
+	for _, chunks := range [][]*postChunk{e.post.head[:], e.post.tail} {
+		for _, c := range chunks {
+			for i := 0; c != nil && i < len(c.p); i++ {
+				if c.p[i].n > 0 {
+					m.RulesViolated++
+				}
+			}
 		}
 	}
 	return m

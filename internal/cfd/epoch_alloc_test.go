@@ -5,6 +5,7 @@ package cfd
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"repro/internal/relation"
 )
@@ -136,6 +137,65 @@ func TestEpochPublishCopiesEachNodeOnce(t *testing.T) {
 	if many > one+1 {
 		t.Errorf("a publish of 32 flips under one shared path allocates %.1f objects, want ≤ %.1f (one flip's %.1f + 1 leaf-array regrowth)",
 			many, one+1, one)
+	}
+}
+
+// TestEpochFlipCopiesOneArrayPerNode pins array-level sharing: one flip
+// after a seal copies, per node on its path, the header and the one
+// array the flip edits — the child array of an inner node, the leaf
+// array of the bottom node — and shares the other with the sealed node;
+// and of the postings it copies the one chunk holding the rule. The
+// fixture holds keys 0..4095 under phi1 plus key 4101, which shares
+// key 5's bottom slot, so the level-one node on key 69's path holds both
+// leaves and a child; two more rules hold postings in the other chunks.
+func TestEpochFlipCopiesOneArrayPerNode(t *testing.T) {
+	v := NewViolations()
+	for i := 0; i < 40; i++ { // three posting chunks
+		v.Intern(fmt.Sprintf("phi%d", i+1))
+	}
+	r1 := v.Intern("phi1")
+	for i := 0; i < 4096; i++ {
+		v.AddIdx(relation.TupleID(i), r1)
+	}
+	v.AddIdx(4101, r1)
+	v.Add(4000, "phi20") // every chunk holds a posting
+	v.Add(4000, "phi40")
+	old := v.Publish()
+	v.RemoveIdx(69, r1)
+	same := func(a, b unsafe.Pointer) bool { return a == b }
+	for _, trie := range []struct {
+		name     string
+		old, new *amtNode
+	}{{"marks", old.marks, v.marks}, {"phi1's postings", old.postingOf(r1).root, v.postingOf(r1).root}} {
+		o, n := trie.old, trie.new
+		if o == n || len(o.leaves) != 0 || same(unsafe.Pointer(unsafe.SliceData(o.nodes)), unsafe.Pointer(unsafe.SliceData(n.nodes))) {
+			t.Fatalf("%s: the root was not copied with its child array alone", trie.name)
+		}
+		o, n = o.nodes[5], n.nodes[5]
+		if len(o.leaves) != 63 || len(o.nodes) != 1 {
+			t.Fatalf("%s: fixture broken: the level-one node holds %d leaves and %d children", trie.name, len(o.leaves), len(o.nodes))
+		}
+		if o == n || same(unsafe.Pointer(unsafe.SliceData(o.leaves)), unsafe.Pointer(unsafe.SliceData(n.leaves))) ||
+			!same(unsafe.Pointer(unsafe.SliceData(o.nodes)), unsafe.Pointer(unsafe.SliceData(n.nodes))) {
+			t.Errorf("%s: the bottom node was not copied with its leaf array alone, sharing its child array", trie.name)
+		}
+	}
+	for ci, c := range old.post.head {
+		if changed := v.post.head[ci] != c; changed != (ci == int(r1)/postChunkLen) {
+			t.Errorf("posting chunk %d: copied = %v", ci, changed)
+		}
+	}
+	// Per flip: two paths of two nodes, each a header and one array, and
+	// one posting chunk; per publish, the view.
+	allocs := testing.AllocsPerRun(100, func() {
+		v.Publish()
+		v.AddIdx(69, r1)
+		v.Publish()
+		v.RemoveIdx(69, r1)
+	})
+	const want = 2*(2*2*2+1) + 2
+	if allocs > want {
+		t.Errorf("a flip after a seal allocates %.1f objects per add+remove pair with its publishes, want ≤ %d", allocs, want)
 	}
 }
 

@@ -270,7 +270,9 @@ func TestViolationsMatchModel(t *testing.T) {
 // FuzzViolations is TestViolationsMatchModel over arbitrary operation
 // streams. Two seeds aim at the diff: one diffs a spilled mark (rule
 // index ≥ 64) in and out, the other a leaf the writer pushes a trie level
-// down, and then back up into a different key.
+// down, and then back up into a different key. A third has two clones
+// insert into one emptied root, whose leaf array has spare room: each
+// must copy it, not append into the array the sealed root still holds.
 func FuzzViolations(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2, 3, 4, 7, 0, 4, 0, 1, 2, 3, 8, 0, 6, 0, 5, 6, 1, 7, 0, 1, 2, 3, 4})
 	f.Add([]byte{
@@ -288,6 +290,12 @@ func FuzzViolations(f *testing.F) {
 		4, 0, 0, 1, 0, 0, 4, 0, 0, 2, 0, 0, // remove both: the sub-trie goes
 		0, 0, 0, 3, 0, 0, // Add(t192, phi000): a leaf where the sub-trie was
 		10, 0, 1, 2, 10, 0, 0, 1, // diff against the writer, and the two epochs
+	})
+	f.Add([]byte{
+		0, 0, 0, 0, 1, 0, 4, 0, 0, 0, 1, 0, // Add(t1, phi000), Remove(t1, phi000): the root stays, empty
+		8, 0, // Clone
+		0, 0, 0, 0, 2, 0, // side 0: Add(t2, phi000)
+		0, 1, 0, 0, 3, 0, // side 1: Add(t3, phi000)
 	})
 	for seed := int64(1); seed <= 4; seed++ {
 		data := make([]byte, 400)

@@ -87,7 +87,8 @@ type Violations struct {
 	// carry it are the writer's alone and change in place.
 	tag uint64
 	// postShared and namesShared report that a published view or a clone
-	// holds post, respectively rs.byName, too: the next write copies it.
+	// holds post.tail, respectively rs.byName, too: the next write copies
+	// it.
 	postShared, namesShared bool
 
 	// last is the view the latest Publish returned; dirty reports a
@@ -172,16 +173,27 @@ func (v *Violations) RemoveIdx(id relation.TupleID, idx RuleIdx) {
 	v.dirty = true
 }
 
-// posting returns rule idx's posting for a write. The first write after
-// a seal copies the slice, which a published view or a clone still
-// holds; a copy is sized for every interned rule.
+// posting returns rule idx's posting for a write. The first write to a
+// chunk in a build copies that chunk alone; past the table's head, the
+// first write after a seal also copies the tail, which a published view
+// or a clone still holds, sized for every interned rule.
 func (v *Violations) posting(idx RuleIdx) *posting {
-	if v.postShared || int(idx) >= len(v.post) {
-		post := make([]posting, max(len(v.post), len(v.rs.names), int(idx)+1))
-		copy(post, v.post)
-		v.post, v.postShared = post, false
+	ci, head := int(idx)/postChunkLen, len(v.post.head)
+	if ci >= head && (v.postShared || ci-head >= len(v.post.tail)) {
+		tail := make([]*postChunk, max(len(v.post.tail), (len(v.rs.names)+postChunkLen-1)/postChunkLen-head, ci+1-head))
+		copy(tail, v.post.tail)
+		v.post.tail, v.postShared = tail, false
 	}
-	return &v.post[idx]
+	slot := v.post.slot(ci)
+	c := *slot
+	if c == nil || c.tag != v.tag {
+		nc := &postChunk{tag: v.tag}
+		if c != nil {
+			nc.p = c.p
+		}
+		c, *slot = nc, nc
+	}
+	return &c.p[int(idx)%postChunkLen]
 }
 
 // seal ends the current build: from here on the writer copies whatever
@@ -248,8 +260,8 @@ func (v *Violations) Clone() *Violations {
 func (v *Violations) ClearRules(rules []string) {
 	v.seal() // the postings walked below stay as they are while v copies what it changes
 	for _, r := range rules {
-		if idx, ok := v.rs.lookup(r); ok && int(idx) < len(v.post) {
-			amtEach(v.post[idx].root, func(l *amtLeaf) bool {
+		if idx, ok := v.rs.lookup(r); ok {
+			amtEach(v.postingOf(idx).root, func(l *amtLeaf) bool {
 				v.RemoveIdx(l.key, idx)
 				return true
 			})
@@ -395,8 +407,10 @@ func (w *differ) nodes(o, n *amtNode, shift uint) {
 	if o.leafBits == n.leafBits && o.nodeBits == n.nodeBits {
 		// One shape, the common case: slot i of one side is slot i of
 		// the other.
-		for i := range o.leaves {
-			w.leaves(&o.leaves[i], &n.leaves[i])
+		if len(o.leaves) > 0 && &o.leaves[0] != &n.leaves[0] { // a shared array holds the same leaves
+			for i := range o.leaves {
+				w.leaves(&o.leaves[i], &n.leaves[i])
+			}
 		}
 		for i, c := range o.nodes {
 			if c != n.nodes[i] {

@@ -114,6 +114,22 @@ type site struct {
 	// the call's member changes in batch order.
 	touches []groupTouch
 	events  []touchEvent
+
+	// reply holds the arrays the last small h.batchApply reply was carved
+	// from, which the next small call carves again (see replyKeep).
+	reply replyArrays
+}
+
+// replyArrays back one h.batchApply reply: its touched groups, their
+// digest lists and bytes, their member changes and the constant-rule
+// marks.
+type replyArrays struct {
+	groups []touchedGroup
+	bs     [][]byte
+	keys   []byte
+	ids    []int64
+	wasInV []bool
+	consts []constMark
 }
 
 func newSite(id network.SiteID, schema *relation.Schema, comp []cfd.Compiled) *site {
@@ -207,6 +223,25 @@ type touchEvent struct {
 // that touched more groups (a seeding wave) leaves it to the collector.
 const touchKeep = 256
 
+// replyKeep bounds the reply a site carves from its kept arrays: a call
+// of at most replyKeep touched groups, member events and constant-rule
+// marks reuses them, so a stream of small calls allocates no reply; a
+// larger call (seeding, a wide batch) gets arrays of its own, so their
+// high-water size is not carried between calls.
+const replyKeep = 64
+
+// reuse returns (*buf)[:n], zeroed, first clearing what the last reply
+// left in *buf; a *buf too short is replaced by a fresh array.
+func reuse[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+		return *buf
+	}
+	clear(*buf)
+	*buf = (*buf)[:n]
+	return *buf
+}
+
 // batchApply runs the whole batch's local phase at the owning site: for
 // every owned update, in batch order, it maintains the fragment, checks
 // constant rules and applies class-membership changes, recording the
@@ -216,6 +251,8 @@ const touchKeep = 256
 // the pre-batch ones. Nothing of a group is copied at first touch: the
 // call leaves the classes it empties in place and marks the ones it
 // creates, and finishTouches reads each group's evidence off its classes.
+// The reply shares the site's kept arrays (replyKeep): it is good until
+// the site's next h.batchApply.
 func (s *site) batchApply(req batchApplyReq) (batchApplyResp, error) {
 	for i, u := range req.Updates {
 		if u.Op != OpInsert && u.Op != OpDelete {
@@ -227,6 +264,9 @@ func (s *site) batchApply(req batchApplyReq) (batchApplyResp, error) {
 	}
 	resp, err := s.localPhase(req)
 	groups := s.finishTouches(err == nil)
+	if len(resp.Consts) <= replyKeep {
+		s.reply.consts = resp.Consts[:0]
+	}
 	if err != nil {
 		return batchApplyResp{}, err
 	}
@@ -234,9 +274,10 @@ func (s *site) batchApply(req batchApplyReq) (batchApplyResp, error) {
 	return resp, nil
 }
 
-// localPhase applies the call's updates, filling the touch table.
+// localPhase applies the call's updates, filling the touch table, and
+// appends the constant-rule marks to the kept array.
 func (s *site) localPhase(req batchApplyReq) (batchApplyResp, error) {
-	var resp batchApplyResp
+	resp := batchApplyResp{Consts: s.reply.consts[:0]}
 	if w := s.schema.Width(); len(s.bMemo) != w {
 		s.bMemo, s.bStamp = make([]code, w), make([]uint64, w)
 	}
@@ -333,6 +374,7 @@ func (s *site) touchOf(r *siteRule, dx code, g *sGroup, t relation.Tuple, raw bo
 // class kept members, and a new B appeared iff the latter: a class created
 // and emptied within the call never existed, a class emptied and refilled
 // is the B it was. AnyIn and AnyOut read the surviving classes' flags.
+// A reply of at most replyKeep groups and events is carved from s.reply.
 func (s *site) finishTouches(build bool) []touchedGroup {
 	var out []touchedGroup
 	var bs [][]byte
@@ -343,11 +385,15 @@ func (s *site) finishTouches(build bool) []touchedGroup {
 			nIns += int(s.touches[i].nIns)
 			nDel += int(s.touches[i].nDel)
 		}
-		out = make([]touchedGroup, n)
-		bs = make([][]byte, 2*n)
-		keys = make([]byte, 3*n*codeLen) // per group: X, then room for two digests
-		ids := make([]int64, nIns+nDel)
-		wasInV := make([]bool, nDel)
+		r := &s.reply
+		if n > replyKeep || len(s.events) > replyKeep {
+			r = &replyArrays{} // a large reply's arrays are its own
+		}
+		out = reuse(&r.groups, n)
+		bs = reuse(&r.bs, 2*n)
+		keys = reuse(&r.keys, 3*n*codeLen) // per group: X, then room for two digests
+		ids := reuse(&r.ids, nIns+nDel)
+		wasInV := reuse(&r.wasInV, nDel)
 		// Carve each group's runs out of the shared arrays, then drop the
 		// events in.
 		ins, del := 0, nIns

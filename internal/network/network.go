@@ -29,6 +29,7 @@ package network
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"sort"
 	"sync"
@@ -138,9 +139,11 @@ func (s Stats) Pairs() []string {
 type Cluster struct {
 	n int
 
+	// handlers holds each site's handler table. A call reads it without a
+	// lock; RegisterFunc, under mu, installs a copy holding one more
+	// handler.
 	mu       sync.Mutex
-	registry []map[string]RawHandler
-	native   []map[string]NativeHandler
+	handlers []atomic.Pointer[siteHandlers]
 	siteMu   []sync.Mutex
 
 	// transport, when non-nil, reaches the sites where they are hosted
@@ -168,6 +171,13 @@ type Cluster struct {
 	pairKeys [][]string
 }
 
+// siteHandlers is one site's handler table, in both forms; never
+// changed once installed.
+type siteHandlers struct {
+	raw    map[string]RawHandler
+	native map[string]NativeHandler
+}
+
 // NewCluster creates a cluster of n sites, none registered yet.
 func NewCluster(n int) *Cluster {
 	if n <= 0 {
@@ -175,15 +185,13 @@ func NewCluster(n int) *Cluster {
 	}
 	c := &Cluster{
 		n:        n,
-		registry: make([]map[string]RawHandler, n),
-		native:   make([]map[string]NativeHandler, n),
+		handlers: make([]atomic.Pointer[siteHandlers], n),
 		siteMu:   make([]sync.Mutex, n),
 		stats:    Stats{PerPair: make(map[string]int64), BusyNanos: make([]int64, n), RecvBytes: make([]int64, n)},
 		fan:      newFanHandle(),
 	}
-	for i := range c.registry {
-		c.registry[i] = make(map[string]RawHandler)
-		c.native[i] = make(map[string]NativeHandler)
+	for i := range c.handlers {
+		c.handlers[i].Store(&siteHandlers{})
 	}
 	c.pairKeys = make([][]string, n)
 	for i := 0; i < n; i++ {
@@ -198,13 +206,19 @@ func NewCluster(n int) *Cluster {
 // NumSites returns n.
 func (c *Cluster) NumSites() int { return c.n }
 
-// charge adds a handler execution that began at start to the site's
-// busy meter.
-func (c *Cluster) charge(to SiteID, start time.Time) {
-	elapsed := time.Since(start)
-	c.statMu.Lock()
-	c.stats.BusyNanos[to] += elapsed.Nanoseconds()
-	c.statMu.Unlock()
+// clockBase is the origin of the busy meter's clock readings: a
+// duration since it reads only the monotonic clock.
+var clockBase = time.Now()
+
+// busyRun runs h under the site's lock and returns its result with the
+// time it took, read off the monotonic clock twice.
+func busyRun[Arg, Res any](c *Cluster, to SiteID, h func(Arg) (Res, error), arg Arg) (res Res, busy time.Duration, err error) {
+	c.siteMu[to].Lock()
+	start := time.Since(clockBase)
+	res, err = h(arg)
+	busy = time.Since(clockBase) - start
+	c.siteMu[to].Unlock()
+	return res, busy, err
 }
 
 // Dispatch runs the registered handler for (to, method) on raw bytes:
@@ -213,26 +227,22 @@ func (c *Cluster) Dispatch(to SiteID, method string, data []byte) ([]byte, error
 	if int(to) < 0 || int(to) >= c.n {
 		return nil, fmt.Errorf("network: no site %d", to)
 	}
-	c.mu.Lock()
-	h, ok := c.registry[to][method]
-	c.mu.Unlock()
+	h, ok := c.handlers[to].Load().raw[method]
 	if !ok {
 		return nil, fmt.Errorf("network: site %d has no handler %q", to, method)
 	}
-	c.siteMu[to].Lock()
-	start := time.Now()
-	resp, err := h(data)
-	c.siteMu[to].Unlock()
-	c.charge(to, start)
+	resp, busy, err := busyRun(c, to, h, data)
+	c.statMu.Lock()
+	c.stats.BusyNanos[to] += int64(busy)
+	c.statMu.Unlock()
 	return resp, err
 }
 
 // Methods returns the method names registered at site, sorted.
 func (c *Cluster) Methods(site SiteID) []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.registry[site]))
-	for m := range c.registry[site] {
+	raw := c.handlers[site].Load().raw
+	out := make([]string, 0, len(raw))
+	for m := range raw {
 		out = append(out, m)
 	}
 	sort.Strings(out)
@@ -291,9 +301,7 @@ func (c *Cluster) Call(from, to SiteID, method string, args, reply any) error {
 	if int(to) < 0 || int(to) >= c.n {
 		return fmt.Errorf("network: no site %d", to)
 	}
-	c.mu.Lock()
-	h, ok := c.native[to][method]
-	c.mu.Unlock()
+	h, ok := c.handlers[to].Load().native[method]
 	if !ok {
 		return fmt.Errorf("network: site %d has no handler %q", to, method)
 	}
@@ -307,20 +315,22 @@ func (c *Cluster) Call(from, to SiteID, method string, args, reply any) error {
 		}
 		reqBytes = n
 	}
-	c.siteMu[to].Lock()
-	start := time.Now()
-	resp, err := h(args)
-	c.siteMu[to].Unlock()
-	c.charge(to, start)
+	resp, busy, err := busyRun(c, to, h, args)
+	respBytes := 0
+	if err == nil && metered {
+		respBytes, err = payloadSize(resp)
+		if err != nil {
+			err = fmt.Errorf("network: marshal %s reply: %w", method, err)
+		}
+	}
+	c.statMu.Lock()
+	c.stats.BusyNanos[to] += int64(busy)
+	if err == nil && metered {
+		c.meterLocked(from, to, reqBytes, respBytes)
+	}
+	c.statMu.Unlock()
 	if err != nil {
 		return err
-	}
-	if metered {
-		respBytes, err := payloadSize(resp)
-		if err != nil {
-			return fmt.Errorf("network: marshal %s reply: %w", method, err)
-		}
-		c.meter(from, to, reqBytes, respBytes)
 	}
 	if reply != nil {
 		reflect.ValueOf(reply).Elem().Set(reflect.ValueOf(resp))
@@ -342,7 +352,9 @@ func (c *Cluster) callRemote(from, to SiteID, method string, args, reply any) er
 		return err
 	}
 	if from != to {
-		c.meter(from, to, len(data), len(respData))
+		c.statMu.Lock()
+		c.meterLocked(from, to, len(data), len(respData))
+		c.statMu.Unlock()
 	}
 	if reply == nil {
 		return nil
@@ -366,9 +378,9 @@ func payloadSize(v any) (int, error) {
 	return len(b), err
 }
 
-func (c *Cluster) meter(from, to SiteID, reqBytes, respBytes int) {
-	c.statMu.Lock()
-	defer c.statMu.Unlock()
+// meterLocked counts one cross-site message of the given payload sizes;
+// the caller holds statMu.
+func (c *Cluster) meterLocked(from, to SiteID, reqBytes, respBytes int) {
 	c.stats.Messages++
 	c.stats.Bytes += int64(reqBytes) + int64(respBytes)
 	c.stats.PerPair[c.pairKeys[from][to]] += int64(reqBytes)
@@ -437,6 +449,10 @@ func Unmarshal(data []byte, v any) error { return wire.Unmarshal(data, v) }
 // forms: the raw one a daemon's Dispatch serves framed calls through, and
 // the native one in-process calls use. Handlers must not retain or mutate
 // their arguments: on the native path they are shared with the caller.
+// The reply is the other half of that contract: a native reply may share
+// the site's memory until that site's next call of the method, which may
+// reuse it, so a caller must be done with it by then. The raw form
+// encodes the reply before the site's next call can run.
 //
 // The payload codec's plans for Req and Resp are built here, so a type
 // the codec cannot carry panics at registration — start-up — rather than
@@ -449,10 +465,14 @@ func RegisterFunc[Req, Resp any](c *Cluster, site SiteID, method string, f func(
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, dup := c.registry[site][method]; dup {
+	old := c.handlers[site].Load()
+	if _, dup := old.raw[method]; dup {
 		panic(fmt.Sprintf("network: site %d already has handler %q", site, method))
 	}
-	c.registry[site][method] = func(data []byte) ([]byte, error) {
+	hs := &siteHandlers{raw: make(map[string]RawHandler, len(old.raw)+1), native: make(map[string]NativeHandler, len(old.native)+1)}
+	maps.Copy(hs.raw, old.raw)
+	maps.Copy(hs.native, old.native)
+	hs.raw[method] = func(data []byte) ([]byte, error) {
 		var req Req
 		if err := Unmarshal(data, &req); err != nil {
 			return nil, err
@@ -463,11 +483,12 @@ func RegisterFunc[Req, Resp any](c *Cluster, site SiteID, method string, f func(
 		}
 		return Marshal(resp)
 	}
-	c.native[site][method] = func(args any) (any, error) {
+	hs.native[method] = func(args any) (any, error) {
 		req, ok := args.(Req)
 		if !ok {
 			return nil, fmt.Errorf("network: %s: native call got %T", method, args)
 		}
 		return f(req)
 	}
+	c.handlers[site].Store(hs)
 }

@@ -4,6 +4,7 @@ package session
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/partition"
@@ -55,11 +56,12 @@ func TestVerticalWaveAllocBound(t *testing.T) {
 // of one through a session, in the shape of the root package's
 // BenchmarkUnitUpdateHorizontal: TPCH, 50 rules, 10 hash sites on c_name,
 // one insertion per ApplyBatch, the generated tuple included. It measures
-// 47; building ∆V in a mark store of its own beside V costs 53, an epoch
-// publish that re-copies its own path per flip 78, owner settles sent for
-// groups where nothing flips 4 more. What is left
-// is the publish's one copy of each touched trie node, the owner's reply
-// and the fan-out closures.
+// 42; fresh reply arrays per owner call and trie node copies with both
+// their arrays and every posting cost 47, building ∆V in a mark store of
+// its own beside V 53, an epoch publish that re-copies its own path per
+// flip 78, owner settles sent for groups where nothing flips 4 more.
+// What is left is the publish's one copy of each touched trie node with
+// the array it edits, and the fan-out closures.
 func TestHorizontalWaveAllocBound(t *testing.T) {
 	gen := workload.NewSized(workload.TPCH, 42, 8000)
 	rules := gen.Rules(50)
@@ -82,8 +84,49 @@ func TestHorizontalWaveAllocBound(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(2000, apply)
 	t.Logf("horizontal wave of one: %.1f allocations per update", allocs)
-	const bound = 52
+	const bound = 44
 	if allocs > bound {
 		t.Errorf("a horizontal wave of one allocates %.1f objects per update, want ≤ %d", allocs, bound)
+	}
+}
+
+// TestHorizontalWaveBytesBound guards the bytes a horizontal wave of one
+// allocates through a session, in TestHorizontalWaveAllocBound's shape:
+// the count alone misses a reply or a trie copy that grows. It measures
+// 10 240–10 264 bytes per update (runtime.MemStats.TotalAlloc), and the
+// bound is that plus 10 %: the owner answers in arrays it keeps between
+// calls, and an epoch copy shares the trie arrays and posting chunks it
+// does not change. Fresh reply arrays per call, trie node copies with
+// both arrays and a copy of every posting cost 14 963.
+func TestHorizontalWaveBytesBound(t *testing.T) {
+	gen := workload.NewSized(workload.TPCH, 42, 8000)
+	rules := gen.Rules(50)
+	rel := gen.Relation(4000)
+	s, err := Open(rel, rules, WithHorizontal(partition.HashHorizontal("c_name", 10)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := context.Background()
+	apply := func() {
+		if _, err := s.ApplyBatch(ctx, relation.UpdateList{{Kind: relation.Insert, Tuple: gen.Next()}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		apply()
+	}
+	const runs = 2000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		apply()
+	}
+	runtime.ReadMemStats(&after)
+	perUpdate := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("horizontal wave of one: %.0f bytes allocated per update", perUpdate)
+	const bound = 11250
+	if perUpdate > bound {
+		t.Errorf("a horizontal wave of one allocates %.0f bytes per update, want ≤ %d", perUpdate, bound)
 	}
 }
