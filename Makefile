@@ -13,10 +13,10 @@ race:
 # alloc runs the allocation guards: every test in the *alloc_test.go
 # files. They build only without -race (the detector allocates on its
 # own), so `make race` and CI's race step never run them.
-ALLOC_TESTS = TestAppendKeyZeroAllocs|TestHashZeroAllocs|TestCompiledMatchZeroAllocs|TestViolationsWarmMarkZeroAllocs|TestDeltaBetweenCostProportionalToChange|TestEpochPublishCostProportionalToDelta|TestEpochPublishCopiesEachNodeOnce|TestEpochFlipCopiesOneArrayPerNode|TestEpochUnpublishedWarmMarksStayFree|TestEpochPublishedWarmMarksAmortizeToZero|TestDetectAllocCeiling|TestStoredApplyAllocsIndependentOfGroupSize|TestInt64ColumnDecodesInOneAllocation|TestColumnEncodeAllocatesNothing|TestEnvelopeAllocs|TestQueryAnswersFromPostings|TestBatchDeliverDecodeAllocs|TestWaveAllocBound|TestHorizontalWaveAllocBound|TestHorizontalWaveBytesBound|TestVerticalWaveAllocBound|TestOptimizeAllocBound
+ALLOC_TESTS = TestAppendKeyZeroAllocs|TestHashZeroAllocs|TestCompiledMatchZeroAllocs|TestViolationsWarmMarkZeroAllocs|TestDeltaBetweenCostProportionalToChange|TestEpochPublishCostProportionalToDelta|TestEpochPublishCopiesEachNodeOnce|TestEpochFlipCopiesOneArrayPerNode|TestEpochUnpublishedWarmMarksStayFree|TestEpochPublishedWarmMarksAmortizeToZero|TestDetectAllocCeiling|TestStoredApplyAllocsIndependentOfGroupSize|TestInt64ColumnDecodesInOneAllocation|TestColumnEncodeAllocatesNothing|TestEnvelopeAllocs|TestInlineCallAllocs|TestQueryAnswersFromPostings|TestBatchDeliverDecodeAllocs|TestWaveAllocBound|TestHorizontalWaveAllocBound|TestHorizontalWaveBytesBound|TestVerticalWaveAllocBound|TestOptimizeAllocBound
 alloc:
 	$(GO) test -run '^($(ALLOC_TESTS))$$' ./internal/relation ./internal/cfd ./internal/centralized \
-		./internal/wire ./internal/netwire ./internal/session ./internal/vertical ./internal/horizontal \
+		./internal/wire ./internal/netwire ./internal/network ./internal/session ./internal/vertical ./internal/horizontal \
 		./internal/optimizer
 
 # loc prints the non-test Go lines outside bench/: one line per package
@@ -104,10 +104,11 @@ examples:
 # profile writes CPU and heap profiles of one experiment sweep, so perf
 # work starts from a pprof instead of a guess. Override PROFILE_EXP to
 # target a different experiment (a name, or a figure substring; see expbench -exp).
-# It also profiles the unit-update rounds the loop workloads run, the
-# timed part of BenchmarkUnitUpdateHorizontal and BenchmarkUnitUpdateVertical:
-# unit_{hor,ver}_cpu.prof and unit_{hor,ver}_mem.prof (read the bytes
-# with -sample_index=alloc_space).
+# It also profiles the unit-update rounds, the timed part of
+# BenchmarkUnitUpdateHorizontal and BenchmarkUnitUpdateVertical at 10
+# sites: unit_{hor,ver}_cpu.prof and unit_{hor,ver}_mem.prof (read the
+# bytes with -sample_index=alloc_space); and of their 4-site twins, the
+# shape the loop workloads run: unit4_{hor,ver}_{cpu,mem}.prof.
 PROFILE_EXP ?= Exp-coalesce
 profile:
 	$(GO) run ./cmd/expbench -quick -exp '$(PROFILE_EXP)' -cpuprofile cpu.prof -memprofile mem.prof
@@ -115,6 +116,10 @@ profile:
 		-cpuprofile unit_hor_cpu.prof -memprofile unit_hor_mem.prof .
 	$(GO) test -run '^$$' -bench '^BenchmarkUnitUpdateVertical$$' -benchtime 5s -o unit.test \
 		-cpuprofile unit_ver_cpu.prof -memprofile unit_ver_mem.prof .
+	$(GO) test -run '^$$' -bench '^BenchmarkUnitUpdateHorizontal4$$' -benchtime 5s -o unit.test \
+		-cpuprofile unit4_hor_cpu.prof -memprofile unit4_hor_mem.prof .
+	$(GO) test -run '^$$' -bench '^BenchmarkUnitUpdateVertical4$$' -benchtime 5s -o unit.test \
+		-cpuprofile unit4_ver_cpu.prof -memprofile unit4_ver_mem.prof .
 	@echo "inspect with: go tool pprof cpu.prof   (allocations: go tool pprof mem.prof)"
 	@echo "unit rounds: go tool pprof unit.test unit_hor_cpu.prof   (bytes: go tool pprof -sample_index=alloc_space unit.test unit_hor_mem.prof)"
 
@@ -141,7 +146,10 @@ profile:
 # FuzzRecover is the durable log's: arbitrary bytes as the last segment
 # and as the newest snapshot of a small valid directory — the sentinel or
 # the state that was there, never a panic, never an allocation sized by a
-# damaged length field.
+# damaged length field. FuzzCallSize holds the in-process meter to the
+# wire: arbitrary bytes decoded as every method handle's request and reply
+# of either engine, and a metered call of the two must cost exactly their
+# Marshal lengths per direction.
 fuzz:
 	$(GO) test -fuzz=FuzzViolations -fuzztime=10s -run '^$$' ./internal/cfd
 	$(GO) test -fuzz=FuzzAppendKey -fuzztime=10s -run '^$$' ./internal/relation
@@ -151,6 +159,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzPayload -fuzztime=10s -run '^$$' ./internal/vertical
 	$(GO) test -fuzz=FuzzDispatch -fuzztime=10s -run '^$$' ./internal/vertical
 	$(GO) test -fuzz=FuzzDispatch -fuzztime=10s -run '^$$' ./internal/horizontal
+	$(GO) test -fuzz=FuzzCallSize -fuzztime=10s -run '^$$' ./internal/vertical
+	$(GO) test -fuzz=FuzzCallSize -fuzztime=10s -run '^$$' ./internal/horizontal
 	$(GO) test -fuzz=FuzzSnapshot -fuzztime=10s -run '^$$' ./internal/horizontal
 	$(GO) test -fuzz=FuzzSnapshot -fuzztime=10s -run '^$$' ./internal/vertical
 	$(GO) test -fuzz=FuzzStorePage -fuzztime=10s -run '^$$' ./internal/storage

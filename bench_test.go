@@ -264,6 +264,23 @@ func BenchmarkUnitUpdateHorizontal(b *testing.B) {
 	benchUnitUpdates(b, benchSession(b, rel, rules, WithHorizontal(HashHorizontal("c_name", 10))), gen)
 }
 
+// The 4-site twins run the loop workloads' shape (bench/sites.go and
+// bench/workloads.go): 4 sites, 50 rules, 2 000 rows.
+
+func BenchmarkUnitUpdateVertical4(b *testing.B) {
+	gen := workload.NewSized(workload.TPCH, 42, 16000)
+	rules := gen.Rules(50)
+	rel := gen.Relation(2000)
+	benchUnitUpdates(b, benchSession(b, rel, rules, WithVertical(RoundRobinVertical(gen.Schema(), 4)), WithOptimizer()), gen)
+}
+
+func BenchmarkUnitUpdateHorizontal4(b *testing.B) {
+	gen := workload.NewSized(workload.TPCH, 42, 16000)
+	rules := gen.Rules(50)
+	rel := gen.Relation(2000)
+	benchUnitUpdates(b, benchSession(b, rel, rules, WithHorizontal(HashHorizontal("c_name", 4))), gen)
+}
+
 func BenchmarkCentralizedDetect(b *testing.B) {
 	gen := workload.NewSized(workload.TPCH, 42, 8000)
 	rules := gen.Rules(50)

@@ -22,6 +22,7 @@ import (
 	"repro/internal/seglog"
 	"repro/internal/session"
 	"repro/internal/sitehost"
+	"repro/internal/wire"
 	"repro/internal/workload"
 	"repro/internal/xerr"
 )
@@ -275,7 +276,7 @@ func TestDriverReplaysLostTail(t *testing.T) {
 	// Structurally mirrors horizontal's localDetectReq: gob matches
 	// struct fields by name, not by type name.
 	type detectReq struct{ Rule string }
-	req, err := network.Marshal(detectReq{Rule: "r1"})
+	req, err := wire.Marshal(detectReq{Rule: "r1"})
 	if err != nil {
 		t.Fatal(err)
 	}

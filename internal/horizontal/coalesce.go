@@ -269,9 +269,11 @@ func (sys *System) applyWaveCoalesced(norm relation.UpdateList) error {
 	owners := sc.owners
 	sc.applyResps = slices.Grow(sc.applyResps, len(owners))[:len(owners)]
 	applyResps := sc.applyResps
-	err := sys.cluster.Fanout(len(owners), func(i int) error {
+	err := sys.cluster.Fanout(len(owners), func(l *network.Lane, i int) error {
 		o := owners[i]
-		return sys.send(o, o, "h.batchApply", batchApplyReq{Updates: sc.perOwner[o], RawKeys: !sys.useMD5}, &applyResps[i])
+		var err error
+		applyResps[i], err = send(sys, l, o, o, mBatchApply, batchApplyReq{Updates: sc.perOwner[o], RawKeys: !sys.useMD5})
+		return err
 	})
 	if err != nil {
 		return err
@@ -431,16 +433,16 @@ func (sys *System) applyWaveCoalesced(norm relation.UpdateList) error {
 	// already holds the aggregate, the message is the wire cost a real
 	// aggregation pays.
 	fwdSites := sc.fwd.Sites()
-	err = sys.cluster.Fanout(len(fwdSites), func(i int) error {
+	err = sys.cluster.Fanout(len(fwdSites), func(l *network.Lane, i int) error {
 		o := fwdSites[i]
-		return sys.send(o, relay, "h.forwardGroup", forwardGroupReq{Items: sc.fwd.Items(o)}, nil)
+		_, err := send(sys, l, o, relay, mForwardGroup, forwardGroupReq{Items: sc.fwd.Items(o)})
+		return err
 	})
 	if err != nil {
 		return err
 	}
 	if !sc.probe.Empty() {
-		sites, resps, err := network.GatherCoalesced[probeGroupItem, probeGroupReq, probeGroupResp](
-			sys.cluster, sys.send, relay, "h.probeGroup", &sc.probe,
+		sites, resps, err := network.GatherCoalesced(sys.cluster, via[probeGroupReq, probeGroupResp](sys), relay, mProbeGroup, &sc.probe,
 			func(_ network.SiteID, items []probeGroupItem) probeGroupReq { return probeGroupReq{Items: items} })
 		if err != nil {
 			return err
@@ -496,13 +498,15 @@ func (sys *System) applyWaveCoalesced(norm relation.UpdateList) error {
 		sites := sc.settle.Sites()
 		sc.settleResps = slices.Grow(sc.settleResps, len(sites))[:len(sites)]
 		resps := sc.settleResps
-		err := sys.cluster.Fanout(len(sites), func(i int) error {
+		err := sys.cluster.Fanout(len(sites), func(l *network.Lane, i int) error {
 			to := sites[i]
 			from := to // owner settles are the site's own local work
 			if !allOwnerItems(sc.settleRefs[to], to) {
 				from = relay // demote orders travel from the relay
 			}
-			return sys.send(from, to, "h.settleGroup", settleGroupReq{Items: sc.settle.Items(to)}, &resps[i])
+			var err error
+			resps[i], err = send(sys, l, from, to, mSettleGroup, settleGroupReq{Items: sc.settle.Items(to)})
+			return err
 		})
 		if err != nil {
 			return err

@@ -13,6 +13,7 @@ import (
 	"repro/internal/network"
 	"repro/internal/partition"
 	"repro/internal/relation"
+	"repro/internal/wire"
 	"repro/internal/workload"
 	"repro/internal/xerr"
 )
@@ -113,7 +114,7 @@ var brandFD = cfd.CFD{ID: "brand", LHS: []string{"p_brand"}, LHSPattern: []strin
 
 func mustMarshal(t testing.TB, v any) []byte {
 	t.Helper()
-	data, err := network.Marshal(v)
+	data, err := wire.Marshal(v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,12 +228,12 @@ func rewriteReply[R any](t *testing.T, method string, edit func(*R)) func(string
 			return resp
 		}
 		var r R
-		if err := network.Unmarshal(resp, &r); err != nil {
+		if err := wire.Unmarshal(resp, &r); err != nil {
 			t.Error(err)
 			return resp
 		}
 		edit(&r)
-		out, err := network.Marshal(r)
+		out, err := wire.Marshal(r)
 		if err != nil {
 			t.Error(err)
 			return resp
@@ -320,7 +321,7 @@ func FuzzDispatch(f *testing.F) {
 			return resp
 		}
 		var r batchApplyResp
-		err := network.Unmarshal(resp, &r)
+		err := wire.Unmarshal(resp, &r)
 		var req settleGroupReq
 		for _, g := range r.Groups {
 			req.Items = append(req.Items, settleGroupItem{Rule: g.Rule, X: keyRef{Digest: g.X, Raw: g.XRaw}, Flag: g.AnyIn})

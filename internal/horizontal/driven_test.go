@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/centralized"
 	"repro/internal/partition"
+	"repro/internal/wire/wiretest"
 	"repro/internal/workload"
 )
 
@@ -60,4 +61,5 @@ func TestRegisteredMethodsAreDriven(t *testing.T) {
 	if registered := tr.c.Methods(0); !slices.Equal(driven, registered) {
 		t.Errorf("methods sent ≠ methods registered\nsent:       %v\nregistered: %v", driven, registered)
 	}
+	wiretest.CheckHandles(t, tr.c, handles)
 }

@@ -15,6 +15,7 @@ package horizontal
 import (
 	"crypto/md5"
 
+	"repro/internal/network"
 	"repro/internal/relation"
 )
 
@@ -243,3 +244,15 @@ type localDetectResp struct {
 
 // empty is the reply of fire-and-forget handlers.
 type empty struct{}
+
+// The methods a horizontal site serves, one handle each (site.register).
+var (
+	mBatchApply   = network.NewMethod[batchApplyReq, batchApplyResp]("h.batchApply")
+	mForwardGroup = network.NewMethod[forwardGroupReq, empty]("h.forwardGroup")
+	mProbeGroup   = network.NewMethod[probeGroupReq, probeGroupResp]("h.probeGroup")
+	mSettleGroup  = network.NewMethod[settleGroupReq, settleGroupResp]("h.settleGroup")
+	mShipMatching = network.NewMethod[shipMatchingReq, shipMatchingResp]("h.shipMatching")
+	mLocalDetect  = network.NewMethod[localDetectReq, localDetectResp]("h.localDetect")
+	mSeedRules    = network.NewMethod[seedRulesReq, seedRulesResp]("h.seedRules")
+	mDropRules    = network.NewMethod[dropRulesReq, empty]("h.dropRules")
+)

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cfd"
-	"repro/internal/network"
+	"repro/internal/wire"
 	"repro/internal/wire/wiretest"
 )
 
@@ -60,7 +60,7 @@ func FuzzPayload(f *testing.F) {
 			Inserted: []int64{1, -2}, Deleted: []int64{3}, DeletedWasInV: []bool{true},
 		}}},
 	} {
-		seed, err := network.Marshal(v)
+		seed, err := wire.Marshal(v)
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -180,7 +180,7 @@ func (sys *System) AddRules(rules []cfd.CFD) (*cfd.Delta, error) {
 	coord := network.SiteID(0)
 	targets := sys.allSites()
 	req := seedRulesReq{Rules: rules, Local: local}
-	resps, err := gather[seedRulesReq, seedRulesResp](sys, coord, "h.seedRules", targets, func(network.SiteID) seedRulesReq {
+	resps, err := gather(sys, coord, mSeedRules, targets, func(network.SiteID) seedRulesReq {
 		return req
 	})
 	if err != nil {
@@ -255,7 +255,7 @@ func (sys *System) AddRules(rules []cfd.CFD) (*cfd.Delta, error) {
 		}
 	}
 	settleSites := network.SortedSites(settleItems)
-	settleResps, err := gather[settleGroupReq, settleGroupResp](sys, coord, "h.settleGroup", settleSites, func(s network.SiteID) settleGroupReq {
+	settleResps, err := gather(sys, coord, mSettleGroup, settleSites, func(s network.SiteID) settleGroupReq {
 		return settleGroupReq{Items: settleItems[s]}
 	})
 	if err != nil {
@@ -287,7 +287,7 @@ func (sys *System) RemoveRules(ids []string) (*cfd.Delta, error) {
 
 	coord := network.SiteID(0)
 	targets := sys.allSites()
-	if _, err := gather[dropRulesReq, empty](sys, coord, "h.dropRules", targets, func(network.SiteID) dropRulesReq {
+	if _, err := gather(sys, coord, mDropRules, targets, func(network.SiteID) dropRulesReq {
 		return dropRulesReq{Rules: ids}
 	}); err != nil {
 		return nil, err

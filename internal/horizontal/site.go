@@ -671,14 +671,14 @@ func (s *site) localDetect(req localDetectReq) (localDetectResp, error) {
 }
 
 func (s *site) register(c *network.Cluster) {
-	network.RegisterFunc(c, s.id, "h.batchApply", s.batchApply)
-	network.RegisterFunc(c, s.id, "h.forwardGroup", s.forwardGroup)
-	network.RegisterFunc(c, s.id, "h.probeGroup", s.probeGroup)
-	network.RegisterFunc(c, s.id, "h.settleGroup", s.settleGroup)
-	network.RegisterFunc(c, s.id, "h.shipMatching", s.shipMatching)
-	network.RegisterFunc(c, s.id, "h.localDetect", s.localDetect)
-	network.RegisterFunc(c, s.id, "h.seedRules", s.seedRules)
-	network.RegisterFunc(c, s.id, "h.dropRules", s.dropRules)
+	network.RegisterFunc(c, s.id, mBatchApply, s.batchApply)
+	network.RegisterFunc(c, s.id, mForwardGroup, s.forwardGroup)
+	network.RegisterFunc(c, s.id, mProbeGroup, s.probeGroup)
+	network.RegisterFunc(c, s.id, mSettleGroup, s.settleGroup)
+	network.RegisterFunc(c, s.id, mShipMatching, s.shipMatching)
+	network.RegisterFunc(c, s.id, mLocalDetect, s.localDetect)
+	network.RegisterFunc(c, s.id, mSeedRules, s.seedRules)
+	network.RegisterFunc(c, s.id, mDropRules, s.dropRules)
 }
 
 // appendIDs appends class members to a reply's id list.

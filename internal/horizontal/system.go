@@ -160,17 +160,26 @@ func (sys *System) Violations() *cfd.Violations { return sys.v }
 // Rules returns the rule set.
 func (sys *System) Rules() []cfd.CFD { return sys.rules }
 
-func (sys *System) send(from, to network.SiteID, method string, args, reply any) error {
+// send routes a possibly-cross-site call on lane l; in direct (seeding)
+// mode every call is dispatched locally and unmetered.
+func send[Req, Resp any](sys *System, l *network.Lane, from, to network.SiteID, m *network.Method[Req, Resp], req Req) (Resp, error) {
 	if sys.direct {
 		from = to
 	}
-	return sys.cluster.Call(from, to, method, args, reply)
+	return network.Call(l, from, to, m, req)
 }
 
-// gather is network.GatherVia over sys.send, so seed-mode calls stay
+// via is send as the network package's gathers take it.
+func via[Req, Resp any](sys *System) network.CallFunc[Req, Resp] {
+	return func(l *network.Lane, from, to network.SiteID, m *network.Method[Req, Resp], req Req) (Resp, error) {
+		return send(sys, l, from, to, m, req)
+	}
+}
+
+// gather is network.GatherVia over send, so seed-mode calls stay
 // same-site and unmetered.
-func gather[Req, Resp any](sys *System, from network.SiteID, method string, targets []network.SiteID, req func(network.SiteID) Req) ([]Resp, error) {
-	return network.GatherVia[Req, Resp](sys.cluster, sys.send, from, method, targets, req)
+func gather[Req, Resp any](sys *System, from network.SiteID, m *network.Method[Req, Resp], targets []network.SiteID, req func(network.SiteID) Req) ([]Resp, error) {
+	return network.GatherVia(sys.cluster, via[Req, Resp](sys), from, m, targets, req)
 }
 
 // Apply runs incHor (Fig. 8): normalizes ∆D once, applies it through
@@ -226,10 +235,12 @@ func (sys *System) BatchDetect() (*cfd.Violations, error) {
 		if sys.facts[i].local {
 			targets := sys.participants(i)
 			resps := make([]localDetectResp, len(targets))
-			err := sys.cluster.Fanout(len(targets), func(i int) error {
+			err := sys.cluster.Fanout(len(targets), func(l *network.Lane, i int) error {
 				// Locally checkable rules need no shipment: each site
 				// detects against its own fragment (same-site call).
-				return sys.cluster.Call(targets[i], targets[i], "h.localDetect", localDetectReq{Rule: r.ID}, &resps[i])
+				var err error
+				resps[i], err = network.Call(l, targets[i], targets[i], mLocalDetect, localDetectReq{Rule: r.ID})
+				return err
 			})
 			if err != nil {
 				return nil, err
@@ -265,7 +276,7 @@ func (sys *System) BatchDetect() (*cfd.Violations, error) {
 			g.members = append(g.members, row.ID)
 		}
 		targets := sys.participants(i)
-		resps, err := gather[shipMatchingReq, shipMatchingResp](sys, coord, "h.shipMatching", targets, func(network.SiteID) shipMatchingReq {
+		resps, err := gather(sys, coord, mShipMatching, targets, func(network.SiteID) shipMatchingReq {
 			return shipMatchingReq{Rule: r.ID}
 		})
 		if err != nil {

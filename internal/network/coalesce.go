@@ -1,9 +1,6 @@
 package network
 
-import (
-	"slices"
-	"sort"
-)
+import "slices"
 
 // This file is the message-coalescing surface of the batch-grouped
 // protocol rounds: instead of one message per (unit update, destination),
@@ -88,7 +85,7 @@ func SortedSites[T any](m map[SiteID]T) []SiteID {
 	for s := range m {
 		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -97,9 +94,9 @@ func SortedSites[T any](m map[SiteID]T) []SiteID {
 // a destination's item slice into the wire request. Destinations are
 // contacted through the scatter/gather engine (concurrently where a call
 // can wait); reply order is deterministic regardless of scheduling.
-func GatherCoalesced[Item, Req, Resp any](c *Cluster, call CallFunc, from SiteID, method string, e *Coalescer[Item], req func(to SiteID, items []Item) Req) ([]SiteID, []Resp, error) {
+func GatherCoalesced[Item, Req, Resp any](c *Cluster, call CallFunc[Req, Resp], from SiteID, m *Method[Req, Resp], e *Coalescer[Item], req func(to SiteID, items []Item) Req) ([]SiteID, []Resp, error) {
 	sites := e.Sites()
-	resps, err := GatherVia[Req, Resp](c, call, from, method, sites, func(to SiteID) Req {
+	resps, err := GatherVia(c, call, from, m, sites, func(to SiteID) Req {
 		return req(to, e.items[to])
 	})
 	if err != nil {

@@ -22,7 +22,8 @@ import (
 // An in-process cluster at zero RTT has nothing to overlap: every call is
 // site compute, and a hand-off to another goroutine is pure scheduling
 // cost. There a round runs inline on the caller, in index order, exactly
-// as with a cap of 1.
+// as with a cap of 1, and its calls share one lane: each reads the clock
+// once, where its busy window ends and the next one's starts (Lane).
 //
 // A wave of one update is a dozen small fan-outs, so a round's fixed
 // cost matters as much as its breadth. The workers beyond the caller are
@@ -58,7 +59,8 @@ func (c *Cluster) MaxFanout() int {
 // to every helper that joins it.
 type fanRun struct {
 	n    int
-	fn   func(i int) error
+	fn   func(l *Lane, i int) error
+	lane *Lane        // the cluster's lone lane, which every worker may share
 	next atomic.Int64 // the work-stealing cursor
 	wg   sync.WaitGroup
 
@@ -75,7 +77,7 @@ func (r *fanRun) work() {
 		if i >= r.n {
 			return
 		}
-		if err := r.fn(i); err != nil {
+		if err := r.fn(r.lane, i); err != nil {
 			r.mu.Lock()
 			if r.err == nil || i < r.errAt {
 				r.errAt, r.err = i, err
@@ -137,21 +139,26 @@ func (p *fanPool) stop() {
 	p.helpers.Wait()
 }
 
-// Fanout runs fn(i) for i in [0, n), concurrently with at most
+// Fanout runs fn(l, i) for i in [0, n), concurrently with at most
 // MaxFanout workers where a call can wait (canWait). Otherwise, or with
 // one worker, the indices run in order on the caller, exactly like the
 // serial loop it replaces. Every index runs even after a failure, and the
 // error returned is the lowest-index one, so the outcome is deterministic
-// regardless of scheduling. fn may itself fan out.
-func (c *Cluster) Fanout(n int, fn func(i int) error) error {
-	workers := 1
+// regardless of scheduling. fn makes its calls on l. fn may itself fan
+// out; a nested inline round has a lane of its own, so the outer lane's
+// next window also spans it.
+func (c *Cluster) Fanout(n int, fn func(l *Lane, i int) error) error {
+	workers, l := 1, &c.lone
 	if c.canWait() {
 		workers = min(n, c.MaxFanout())
+	} else {
+		l = c.inlineLane()
+		defer c.spare.Store(l)
 	}
 	if workers <= 1 {
 		var first error
 		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil && first == nil {
+			if err := fn(l, i); err != nil && first == nil {
 				first = err
 			}
 		}
@@ -166,7 +173,7 @@ func (c *Cluster) Fanout(n int, fn func(i int) error) error {
 	if r == nil {
 		r = new(fanRun)
 	}
-	r.n, r.fn = n, fn
+	r.n, r.fn, r.lane = n, fn, l
 	r.next.Store(0)
 	r.wg.Add(workers - 1)
 	for w := 1; w < workers; w++ {
@@ -180,7 +187,7 @@ func (c *Cluster) Fanout(n int, fn func(i int) error) error {
 	r.work()
 	r.wg.Wait()
 	err := r.err
-	r.fn, r.err = nil, nil
+	r.fn, r.lane, r.err = nil, nil, nil
 	p.spare.Store(r)
 	return err
 }
@@ -202,20 +209,22 @@ func (p *fanPool) claimIdle() bool {
 	}
 }
 
-// CallFunc is the signature of Cluster.Call. Protocol packages whose
-// send path wraps Call (e.g. rewriting the caller during unmetered seed
-// mode) pass their own to GatherVia.
-type CallFunc func(from, to SiteID, method string, args, reply any) error
+// CallFunc is the signature of Call. Protocol packages whose send path
+// wraps Call (e.g. rewriting the caller during unmetered seed mode) pass
+// their own to GatherVia.
+type CallFunc[Req, Resp any] func(l *Lane, from, to SiteID, m *Method[Req, Resp], req Req) (Resp, error)
 
 // GatherVia scatters one request per target through call, on Fanout's
 // workers, and collects the replies in target order, so callers can
 // merge them deterministically. req builds the (possibly per-site)
 // request; on error the replies are nil and the error is the
 // lowest-index one.
-func GatherVia[Req, Resp any](c *Cluster, call CallFunc, from SiteID, method string, targets []SiteID, req func(SiteID) Req) ([]Resp, error) {
+func GatherVia[Req, Resp any](c *Cluster, call CallFunc[Req, Resp], from SiteID, m *Method[Req, Resp], targets []SiteID, req func(SiteID) Req) ([]Resp, error) {
 	replies := make([]Resp, len(targets))
-	err := c.Fanout(len(targets), func(i int) error {
-		return call(from, targets[i], method, req(targets[i]), &replies[i])
+	err := c.Fanout(len(targets), func(l *Lane, i int) error {
+		var err error
+		replies[i], err = call(l, from, targets[i], m, req(targets[i]))
+		return err
 	})
 	if err != nil {
 		return nil, err

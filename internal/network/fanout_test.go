@@ -16,7 +16,7 @@ import (
 // counts its invocations.
 func wireCount(c *Cluster, calls *atomic.Int64) {
 	for i := 0; i < c.NumSites(); i++ {
-		RegisterFunc(c, SiteID(i), "work", func(req echoReq) (echoResp, error) {
+		RegisterFunc(c, SiteID(i), mWork, func(req echoReq) (echoResp, error) {
 			calls.Add(1)
 			return echoResp{Text: strings.Repeat(req.Text, req.N)}, nil
 		})
@@ -54,7 +54,7 @@ func TestFanoutStatsExactness(t *testing.T) {
 		wireCount(c, &calls)
 		targets := targetsExcept(c, 0)
 		for r := 0; r < rounds; r++ {
-			_, err := GatherVia[echoReq, echoResp](c, c.Call, 0, "work", targets, func(s SiteID) echoReq {
+			_, err := GatherVia(c, Call[echoReq, echoResp], 0, mWork, targets, func(s SiteID) echoReq {
 				return echoReq{Text: fmt.Sprintf("r%d", s), N: 3}
 			})
 			if err != nil {
@@ -90,7 +90,7 @@ func TestGatherPreservesTargetOrder(t *testing.T) {
 	c := NewCluster(6)
 	wireEcho(c)
 	targets := targetsExcept(c, 0)
-	resps, err := GatherVia[echoReq, echoResp](c, c.Call, 0, "echo", targets, func(s SiteID) echoReq {
+	resps, err := GatherVia(c, Call[echoReq, echoResp], 0, mEcho, targets, func(s SiteID) echoReq {
 		return echoReq{Text: fmt.Sprintf("s%d.", s), N: 2}
 	})
 	if err != nil {
@@ -108,7 +108,7 @@ func TestFanoutErrorPropagation(t *testing.T) {
 	c := NewCluster(5)
 	for i := 0; i < c.NumSites(); i++ {
 		site := SiteID(i)
-		RegisterFunc(c, site, "maybe", func(req echoReq) (echoResp, error) {
+		RegisterFunc(c, site, mMaybe, func(req echoReq) (echoResp, error) {
 			if int(site)%2 == 1 {
 				return echoResp{}, fmt.Errorf("site %d down", site)
 			}
@@ -118,7 +118,7 @@ func TestFanoutErrorPropagation(t *testing.T) {
 	targets := targetsExcept(c, 0)
 
 	// First-error semantics: deterministic (lowest-index) error, nil replies.
-	resps, err := GatherVia[echoReq, echoResp](c, c.Call, 0, "maybe", targets, func(SiteID) echoReq {
+	resps, err := GatherVia(c, Call[echoReq, echoResp], 0, mMaybe, targets, func(SiteID) echoReq {
 		return echoReq{Text: "x", N: 1}
 	})
 	if err == nil || !strings.Contains(err.Error(), "site 1 down") {
@@ -137,7 +137,7 @@ func TestFanoutRunsAllAfterFailure(t *testing.T) {
 		var calls atomic.Int64
 		for i := 0; i < c.NumSites(); i++ {
 			site := SiteID(i)
-			RegisterFunc(c, site, "failfirst", func(echoReq) (echoResp, error) {
+			RegisterFunc(c, site, mFailFirst, func(echoReq) (echoResp, error) {
 				calls.Add(1)
 				if site == 1 {
 					return echoResp{}, errors.New("boom")
@@ -147,8 +147,9 @@ func TestFanoutRunsAllAfterFailure(t *testing.T) {
 		}
 		c.SetMaxFanout(workers)
 		targets := targetsExcept(c, 0)
-		err := c.Fanout(len(targets), func(i int) error {
-			return c.Call(0, targets[i], "failfirst", echoReq{}, nil)
+		err := c.Fanout(len(targets), func(l *Lane, i int) error {
+			_, err := Call(l, 0, targets[i], mFailFirst, echoReq{})
+			return err
 		})
 		if err == nil {
 			t.Fatalf("workers=%d: no error", workers)
@@ -170,7 +171,7 @@ func TestFanoutLoopbackTCPParity(t *testing.T) {
 	}
 	collect := func(c *Cluster) ([]echoResp, Stats) {
 		targets := targetsExcept(c, 0)
-		resps, err := GatherVia[echoReq, echoResp](c, c.Call, 0, "echo", targets, func(s SiteID) echoReq {
+		resps, err := GatherVia(c, Call[echoReq, echoResp], 0, mEcho, targets, func(s SiteID) echoReq {
 			return echoReq{Text: fmt.Sprintf("p%d", s), N: 2}
 		})
 		if err != nil {
@@ -209,7 +210,7 @@ func TestFanoutWorkerCaps(t *testing.T) {
 	// Concurrency never exceeds the cap.
 	c.SetMaxFanout(3)
 	var cur, peak atomic.Int64
-	err := c.Fanout(32, func(int) error {
+	err := c.Fanout(32, func(*Lane, int) error {
 		n := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -254,7 +255,7 @@ func TestFanoutInlineWithoutWaits(t *testing.T) {
 	caller := goroutineID()
 	var order []int
 	var cur atomic.Int64
-	err := c.Fanout(16, func(i int) error {
+	err := c.Fanout(16, func(_ *Lane, i int) error {
 		if n := cur.Add(1); n != 1 {
 			return fmt.Errorf("index %d ran beside %d others", i, n-1)
 		}
@@ -285,7 +286,7 @@ func TestFanoutInlineWithoutWaits(t *testing.T) {
 	barrier := func(c *Cluster) error {
 		var arrived atomic.Int64
 		all := make(chan struct{})
-		return c.Fanout(2, func(i int) error {
+		return c.Fanout(2, func(_ *Lane, i int) error {
 			if arrived.Add(1) == 2 {
 				close(all)
 			}
@@ -330,7 +331,7 @@ func TestFanoutHelpersBounded(t *testing.T) {
 	w := c.MaxFanout()
 	var sum atomic.Int64
 	for round := 0; round < 10000; round++ {
-		if err := c.Fanout(w+3, func(i int) error {
+		if err := c.Fanout(w+3, func(_ *Lane, i int) error {
 			sum.Add(int64(i))
 			return nil
 		}); err != nil {
@@ -350,7 +351,7 @@ func TestFanoutHelpersBounded(t *testing.T) {
 		t.Errorf("%d goroutines after Close, baseline %d", n, base)
 	}
 	// A closed cluster still fans out, on helpers that do not stay.
-	if err := c.Fanout(w, func(int) error { return nil }); err != nil {
+	if err := c.Fanout(w, func(*Lane, int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if n := awaitGoroutines(base); n > base {
@@ -363,7 +364,7 @@ func TestFanoutDroppedClusterStopsHelpers(t *testing.T) {
 	base := runtime.NumGoroutine()
 	func() {
 		c := waitingCluster(4)
-		if err := c.Fanout(c.MaxFanout(), func(int) error { return nil }); err != nil {
+		if err := c.Fanout(c.MaxFanout(), func(*Lane, int) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}()
@@ -384,8 +385,8 @@ func TestFanoutNested(t *testing.T) {
 	defer c.Close()
 	c.SetMaxFanout(4)
 	var calls atomic.Int64
-	err := c.Fanout(8, func(int) error {
-		return c.Fanout(8, func(int) error {
+	err := c.Fanout(8, func(*Lane, int) error {
+		return c.Fanout(8, func(*Lane, int) error {
 			calls.Add(1)
 			return nil
 		})
@@ -398,34 +399,45 @@ func TestFanoutNested(t *testing.T) {
 	}
 }
 
-// Fan-outs from several goroutines at once share the cluster's helpers
-// and each still runs every index of its own round.
+// Fan-outs from several goroutines at once each run every index of
+// their own round, whether they share the cluster's helpers or, with
+// nothing to wait on, run inline on lanes of their own, and the meters
+// count every call they make.
 func TestFanoutConcurrentCallers(t *testing.T) {
-	c := waitingCluster(4)
-	defer c.Close()
-	c.SetMaxFanout(4)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for round := 0; round < 200; round++ {
-				var sum atomic.Int64
-				if err := c.Fanout(9, func(i int) error {
-					sum.Add(int64(i))
-					return nil
-				}); err != nil {
-					t.Error(err)
-					return
+	const callers, rounds, width = 4, 200, 9
+	for _, c := range []*Cluster{waitingCluster(4), NewCluster(4)} {
+		var calls atomic.Int64
+		wireCount(c, &calls)
+		c.SetMaxFanout(4)
+		var wg sync.WaitGroup
+		for g := 0; g < callers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for round := 0; round < rounds; round++ {
+					var sum atomic.Int64
+					if err := c.Fanout(width, func(l *Lane, i int) error {
+						sum.Add(int64(i))
+						_, err := Call(l, 0, SiteID(i%4), mWork, echoReq{Text: "x", N: 1})
+						return err
+					}); err != nil {
+						t.Error(err)
+						return
+					}
+					if sum.Load() != 36 {
+						t.Errorf("round ran indices summing to %d, want 36", sum.Load())
+						return
+					}
 				}
-				if sum.Load() != 36 {
-					t.Errorf("round ran indices summing to %d, want 36", sum.Load())
-					return
-				}
-			}
-		}()
+			}()
+		}
+		wg.Wait()
+		// Indices 0, 4 and 8 are site 0 calling itself: unmetered.
+		if got, msgs := calls.Load(), c.Stats().Messages; got != callers*rounds*width || msgs != callers*rounds*(width-3) {
+			t.Errorf("canWait %v: %d calls, %d messages; want %d and %d", c.canWait(), got, msgs, callers*rounds*width, callers*rounds*(width-3))
+		}
+		c.Close()
 	}
-	wg.Wait()
 }
 
 // A failed round leaves nothing behind for the next one to report.
@@ -433,7 +445,7 @@ func TestFanoutNoStaleError(t *testing.T) {
 	c := waitingCluster(4)
 	defer c.Close()
 	c.SetMaxFanout(4)
-	err := c.Fanout(10, func(i int) error {
+	err := c.Fanout(10, func(_ *Lane, i int) error {
 		if i == 3 {
 			return errors.New("index 3")
 		}
@@ -442,7 +454,7 @@ func TestFanoutNoStaleError(t *testing.T) {
 	if err == nil || err.Error() != "index 3" {
 		t.Fatalf("failing round returned %v", err)
 	}
-	if err := c.Fanout(10, func(int) error { return nil }); err != nil {
+	if err := c.Fanout(10, func(*Lane, int) error { return nil }); err != nil {
 		t.Errorf("clean round after a failure returned %v", err)
 	}
 }
@@ -454,7 +466,7 @@ func TestFanoutLowestIndexErrorWins(t *testing.T) {
 		c := waitingCluster(4)
 		c.SetMaxFanout(w)
 		for round := 0; round < 50; round++ {
-			err := c.Fanout(16, func(i int) error {
+			err := c.Fanout(16, func(_ *Lane, i int) error {
 				if i%3 == 2 {
 					switch i {
 					case 2:
@@ -468,6 +480,49 @@ func TestFanoutLowestIndexErrorWins(t *testing.T) {
 			})
 			if err == nil || err.Error() != "index 2" {
 				t.Fatalf("w=%d: error %v, want index 2", w, err)
+			}
+		}
+		c.Close()
+	}
+}
+
+// The busy meter charges a call's time to the site that took it: in a
+// round where one site's handler alone takes 20 ms, that site's
+// BusyNanos grows by at least as much per round and no other site's by
+// anything near it. At zero RTT the round runs inline, and a call's
+// window starts where the previous call's ended; at 1 ns it runs
+// concurrently, and each handler is timed alone.
+func TestBusyMeterChargesTheWorkingSite(t *testing.T) {
+	const (
+		slow   = SiteID(2)
+		work   = 20 * time.Millisecond
+		rounds = 3
+	)
+	for _, rtt := range []time.Duration{0, time.Nanosecond} {
+		c := NewCluster(4)
+		c.SetLinkRTT(rtt)
+		for i := 0; i < c.NumSites(); i++ {
+			site := SiteID(i)
+			RegisterFunc(c, site, mWork, func(echoReq) (echoResp, error) {
+				if site == slow {
+					time.Sleep(work)
+				}
+				return echoResp{}, nil
+			})
+		}
+		targets := []SiteID{0, 1, 2, 3} // site 0's own call is same-site
+		for r := 0; r < rounds; r++ {
+			if _, err := GatherVia(c, Call[echoReq, echoResp], 0, mWork, targets, func(SiteID) echoReq { return echoReq{} }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		busy := c.Stats().BusyNanos
+		if got := time.Duration(busy[slow]); got < rounds*work {
+			t.Errorf("rtt %v: the working site was charged %v, want at least %v", rtt, got, rounds*work)
+		}
+		for i, ns := range busy {
+			if got := time.Duration(ns); SiteID(i) != slow && got >= work/2 {
+				t.Errorf("rtt %v: idle site %d was charged %v of the working site's %v", rtt, i, got, time.Duration(busy[slow]))
 			}
 		}
 		c.Close()

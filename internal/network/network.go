@@ -8,30 +8,25 @@
 // (sitehost.HostSite) — and reached in one of two ways: natively, on the
 // cluster it is registered on, in process (deterministic, used by tests
 // and benchmarks), or through the framed TCP transport to the daemon
-// hosting it (tcp.go). A shipped byte has one definition on both: a
-// cross-site call is metered at the length of its Marshal payload — the
-// descriptor-free positional encoding of internal/wire — request plus
-// reply. The TCP path holds those bytes and
-// counts them; the native path, which ships none, encodes the same
-// values into scratch to size them. The codec is canonical, so the two
-// agree byte for byte.
+// hosting it (tcp.go), where the call's method handle (Method) goes by
+// its name; in process it is an index into the site's handler table. A
+// shipped byte has one definition on both: a cross-site call is metered
+// at the length of its Marshal payload — the descriptor-free positional
+// encoding of internal/wire — request plus reply. The TCP path holds
+// those bytes and counts them; the native path, which ships none, counts
+// them with the codec's sizing pass over the plans the handle resolved.
+// The codec is canonical, so the two agree byte for byte.
 //
 // Fan-outs — one coordinator addressing many sites — go through the
-// scatter/gather engine (Fanout and GatherVia in fanout.go): deterministic
-// reply order and error selection, and meters that stay exact and
-// identical whether a round runs with one worker or many. A round runs
-// concurrently, on bounded workers parked between rounds, only where a
-// call can wait: over a remote transport, or with SetLinkRTT's simulated
-// per-message round-trip, the cost a real deployment pays and parallel
-// fan-out overlaps. In process at zero RTT no call waits, so a round
-// runs inline on the caller.
+// scatter/gather engine of fanout.go: deterministic reply order and error
+// selection, and meters that stay exact whatever its worker count.
 package network
 
 import (
+	"errors"
 	"fmt"
 	"maps"
-	"reflect"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,14 +36,6 @@ import (
 
 // SiteID identifies a site (fragment host) in [0, n).
 type SiteID int
-
-// RawHandler is a registered message handler: Marshal-encoded request
-// bytes in, Marshal-encoded reply bytes out.
-type RawHandler func(data []byte) ([]byte, error)
-
-// NativeHandler is the unserialized twin of a RawHandler, the form every
-// call to an in-process site takes: the values themselves change hands.
-type NativeHandler func(args any) (any, error)
 
 // Transport delivers a request to a remotely hosted site's handler and
 // returns the reply.
@@ -68,9 +55,12 @@ type Stats struct {
 	// PerPair maps "from→to" to request bytes shipped on that edge,
 	// the paper's M(i,j).
 	PerPair map[string]int64
-	// BusyNanos is per-site handler execution time: the compute each
-	// site performed. The scaleup experiments (§7 Exp-4/Exp-9) derive a
-	// simulated parallel elapsed time from it.
+	// BusyNanos is per-site call time: the compute each site performed.
+	// A call in a round inline on its caller is charged from the end of
+	// the round's previous call (or its start) to the end of its handler,
+	// the caller's work leading up to it included (see Lane); any other
+	// call and every Dispatch its handler alone. The scaleup experiments
+	// (§7 Exp-4/Exp-9) derive a simulated parallel elapsed time from it.
 	BusyNanos []int64
 	// RecvBytes is per-site received payload bytes (requests arriving
 	// plus replies returning), for the same parallel model.
@@ -90,19 +80,15 @@ func (s Stats) Sub(o Stats) Stats {
 			d.PerPair[k] = dv
 		}
 	}
-	d.BusyNanos = make([]int64, len(s.BusyNanos))
-	d.RecvBytes = make([]int64, len(s.RecvBytes))
-	for i := range s.BusyNanos {
-		d.BusyNanos[i] = s.BusyNanos[i]
-		if i < len(o.BusyNanos) {
-			d.BusyNanos[i] -= o.BusyNanos[i]
-		}
-	}
-	for i := range s.RecvBytes {
-		d.RecvBytes[i] = s.RecvBytes[i]
-		if i < len(o.RecvBytes) {
-			d.RecvBytes[i] -= o.RecvBytes[i]
-		}
+	d.BusyNanos, d.RecvBytes = subSites(s.BusyNanos, o.BusyNanos), subSites(s.RecvBytes, o.RecvBytes)
+	return d
+}
+
+// subSites returns a minus b per site; b may be shorter.
+func subSites(a, b []int64) []int64 {
+	d := slices.Clone(a)
+	for i := 0; i < len(a) && i < len(b); i++ {
+		d[i] -= b[i]
 	}
 	return d
 }
@@ -131,51 +117,87 @@ func (s Stats) Pairs() []string {
 	for k := range s.PerPair {
 		out = append(out, k)
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
+}
+
+// Method is the handle of one call method, Req in, Resp out: its name,
+// which a remote call's envelope carries and Dispatch serves, its index
+// into every site's handler table, all an in-process call looks up, and
+// the codec plans a metered call sizes its payloads with. A protocol
+// package declares one per method, once, and registers it on its sites.
+type Method[Req, Resp any] struct {
+	name string
+	idx  int // from 1: no handle maps to a table's first slot
+	req  wire.Plan[Req]
+	resp wire.Plan[Resp]
+}
+
+var methods atomic.Int64 // the handles NewMethod has made
+
+// NewMethod declares the handle of method name. A Req or Resp the payload
+// codec cannot carry panics here — at start-up — rather than failing a
+// call mid-round.
+func NewMethod[Req, Resp any](name string) *Method[Req, Resp] {
+	req, err := wire.PlanOf[Req]()
+	resp, rerr := wire.PlanOf[Resp]()
+	if err = errors.Join(err, rerr); err != nil {
+		panic(fmt.Sprintf("network: method %q: %v", name, err))
+	}
+	return &Method[Req, Resp]{name: name, idx: int(methods.Add(1)), req: req, resp: resp}
+}
+
+// Name returns the method's name.
+func (m *Method[Req, Resp]) Name() string { return m.name }
+
+// NoHandlerError is a call to a method the site does not serve.
+type NoHandlerError struct {
+	Site   SiteID
+	Method string
+}
+
+func (e *NoHandlerError) Error() string {
+	return fmt.Sprintf("network: site %d has no handler %q", e.Site, e.Method)
 }
 
 // Cluster is a set of sites plus the metered message fabric between them.
 type Cluster struct {
 	n int
 
-	// handlers holds each site's handler table. A call reads it without a
-	// lock; RegisterFunc, under mu, installs a copy holding one more
-	// handler.
+	// handlers holds each site's handler table, read without a lock;
+	// RegisterFunc, under mu, installs a copy with one more handler.
 	mu       sync.Mutex
 	handlers []atomic.Pointer[siteHandlers]
 	siteMu   []sync.Mutex
 
 	// transport, when non-nil, reaches the sites where they are hosted
-	// (TCP daemons): every call, same-site included, ships through it,
-	// and nothing registers here. Nil means the sites are registered on
-	// this cluster and calls dispatch natively.
+	// (TCP daemons); nil means they are registered here.
 	transport Transport
 
-	statMu sync.Mutex
-	stats  Stats
+	// The meters: pair is PerPair by from*n + to, and paired marks the
+	// edges a payload crossed, zero-byte ones included; busy needs no lock.
+	statMu      sync.Mutex
+	msgs, eqids int64
+	pair        []int64
+	paired      []bool
+	busy        []atomic.Int64
 
-	// maxFanout is the worker cap of a fan-out (fanout.go); <= 0 means
-	// the default, breadth capped at defaultFanoutCap.
-	maxFanout atomic.Int64
-	// fan holds the fan-out helpers parked between rounds; Close stops
-	// them.
-	fan *fanHandle
-	// linkRTT is a simulated per-message network round-trip applied to
-	// cross-site calls, in nanoseconds (zero by default). See SetLinkRTT.
-	// Atomic, so reading it never takes statMu, the meters' lock.
-	linkRTT atomic.Int64
+	// lone is the lane of every call outside an inline round, never
+	// written; spare keeps an inline round's lane for the next round.
+	lone  Lane
+	spare atomic.Pointer[Lane]
 
-	// pairKeys precomputes the "from→to" PerPair map keys so metering a
-	// message never formats a string.
-	pairKeys [][]string
+	maxFanout atomic.Int64 // a fan-out's worker cap; <= 0: the default
+	fan       *fanHandle   // the fan-out helpers parked between rounds
+	linkRTT   atomic.Int64 // SetLinkRTT's round-trip, in nanoseconds
 }
 
-// siteHandlers is one site's handler table, in both forms; never
-// changed once installed.
+// siteHandlers is one site's handler table, never changed once
+// installed: raw serves Dispatch by name; typed holds each registered
+// func(Req) (Resp, error) at its method's index.
 type siteHandlers struct {
-	raw    map[string]RawHandler
-	native map[string]NativeHandler
+	raw   map[string]func([]byte) ([]byte, error)
+	typed []any
 }
 
 // NewCluster creates a cluster of n sites, none registered yet.
@@ -187,18 +209,14 @@ func NewCluster(n int) *Cluster {
 		n:        n,
 		handlers: make([]atomic.Pointer[siteHandlers], n),
 		siteMu:   make([]sync.Mutex, n),
-		stats:    Stats{PerPair: make(map[string]int64), BusyNanos: make([]int64, n), RecvBytes: make([]int64, n)},
+		pair:     make([]int64, n*n),
+		paired:   make([]bool, n*n),
+		busy:     make([]atomic.Int64, n),
 		fan:      newFanHandle(),
 	}
+	c.lone.c = c
 	for i := range c.handlers {
-		c.handlers[i].Store(&siteHandlers{})
-	}
-	c.pairKeys = make([][]string, n)
-	for i := 0; i < n; i++ {
-		c.pairKeys[i] = make([]string, n)
-		for j := 0; j < n; j++ {
-			c.pairKeys[i][j] = fmt.Sprintf("%d→%d", i, j)
-		}
+		c.handlers[i].Store(&siteHandlers{raw: make(map[string]func([]byte) ([]byte, error))})
 	}
 	return c
 }
@@ -206,36 +224,65 @@ func NewCluster(n int) *Cluster {
 // NumSites returns n.
 func (c *Cluster) NumSites() int { return c.n }
 
-// clockBase is the origin of the busy meter's clock readings: a
-// duration since it reads only the monotonic clock.
+// Lane is the clock a call's busy time is read off: a fan-out hands one
+// to its calls, valid during the round. On the lane of a round inline on
+// its caller, a call's window starts where the previous call's ended (or
+// at the round's start), so n calls read the clock n+1 times; any other
+// lane times each handler alone, with two reads.
+type Lane struct {
+	c      *Cluster
+	inline bool
+	mark   time.Duration // where an inline lane's next window starts
+}
+
+// Lane returns the lane of a call made outside any fan-out.
+func (c *Cluster) Lane() *Lane { return &c.lone }
+
+// inlineLane returns an inline round's lane, its window opening now.
+func (c *Cluster) inlineLane() *Lane {
+	l := c.spare.Swap(nil)
+	if l == nil {
+		l = &Lane{c: c, inline: true}
+	}
+	l.mark = now()
+	return l
+}
+
+// clockBase is the origin of the busy meter's readings: a duration since
+// it reads only the monotonic clock.
 var clockBase = time.Now()
 
-// busyRun runs h under the site's lock and returns its result with the
-// time it took, read off the monotonic clock twice.
-func busyRun[Arg, Res any](c *Cluster, to SiteID, h func(Arg) (Res, error), arg Arg) (res Res, busy time.Duration, err error) {
+func now() time.Duration { return time.Since(clockBase) }
+
+// run runs f under the site's lock and charges the site its window on l.
+func run[Req, Resp any](l *Lane, to SiteID, f func(Req) (Resp, error), req Req) (Resp, error) {
+	c := l.c
 	c.siteMu[to].Lock()
-	start := time.Since(clockBase)
-	res, err = h(arg)
-	busy = time.Since(clockBase) - start
+	start := l.mark
+	if !l.inline {
+		start = now()
+	}
+	resp, err := f(req)
+	end := now()
 	c.siteMu[to].Unlock()
-	return res, busy, err
+	if l.inline {
+		l.mark = end
+	}
+	c.busy[to].Add(int64(end - start))
+	return resp, err
 }
 
 // Dispatch runs the registered handler for (to, method) on raw bytes:
 // the entry point a site daemon serves its framed calls through.
 func (c *Cluster) Dispatch(to SiteID, method string, data []byte) ([]byte, error) {
-	if int(to) < 0 || int(to) >= c.n {
+	if uint(to) >= uint(c.n) {
 		return nil, fmt.Errorf("network: no site %d", to)
 	}
 	h, ok := c.handlers[to].Load().raw[method]
 	if !ok {
-		return nil, fmt.Errorf("network: site %d has no handler %q", to, method)
+		return nil, &NoHandlerError{Site: to, Method: method}
 	}
-	resp, busy, err := busyRun(c, to, h, data)
-	c.statMu.Lock()
-	c.stats.BusyNanos[to] += int64(busy)
-	c.statMu.Unlock()
-	return resp, err
+	return run(&c.lone, to, h, data)
 }
 
 // Methods returns the method names registered at site, sorted.
@@ -245,17 +292,14 @@ func (c *Cluster) Methods(site SiteID) []string {
 	for m := range raw {
 		out = append(out, m)
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
 // UseRemoteTransport installs a transport that reaches sites hosted at
 // its remote end (the TCP sited deployment), on a cluster where no site
-// is registered. Every call — same-site seeding traffic included — ships
-// through it. The meters keep their definition: a cross-site call costs
-// the payload bytes of its request and reply, which are the bytes this
-// path ships, while the transport's own framing overhead is counted
-// separately (see TCPTransport.FrameBytes).
+// is registered. Every call, same-site included, ships through it; the
+// transport's framing overhead is metered apart (FrameBytes).
 func (c *Cluster) UseRemoteTransport(t Transport) { c.transport = t }
 
 // FrameBytes returns the transport's physical framing overhead in bytes
@@ -268,126 +312,91 @@ func (c *Cluster) FrameBytes() int64 {
 }
 
 // SetLinkRTT sets a simulated network round-trip charged to every
-// cross-site call (the paper's EC2 cluster pays real propagation delay on
-// every message; in-process sites pay none). Same-site calls are
-// unaffected, as is every meter — latency changes when replies arrive,
-// not what is sent. With a nonzero RTT the benefit of the parallel
-// scatter/gather engine is visible even on a single-core host: sequential
-// fan-out pays breadth × RTT per round, parallel fan-out pays ~one RTT.
-// A nonzero RTT is also what makes an in-process cluster's fan-outs run
-// concurrently at all; at zero they run inline on the caller.
+// cross-site call, as the paper's EC2 cluster pays on every message; no
+// meter changes. Sequential fan-out pays breadth × RTT per round,
+// parallel fan-out about one RTT, even on one core. A nonzero RTT is
+// also what makes an in-process cluster's fan-outs run concurrently.
 func (c *Cluster) SetLinkRTT(d time.Duration) { c.linkRTT.Store(int64(d)) }
-
-// linkDelay sleeps one simulated round-trip, if configured.
-func (c *Cluster) linkDelay() {
-	if d := time.Duration(c.linkRTT.Load()); d > 0 {
-		time.Sleep(d)
-	}
-}
 
 // canWait reports whether a call on this cluster can wait on something
 // other than a site lock: a remote transport's socket or a simulated
 // link round-trip. Only then does a fan-out overlap its calls.
 func (c *Cluster) canWait() bool { return c.transport != nil || c.linkRTT.Load() > 0 }
 
-// Call sends a request from one site to another, metering it, and stores
-// the reply in reply (a pointer, or nil to discard it). A call with
-// from == to is local computation and never metered. A cross-site call
-// counts one message and the payload bytes of its request and reply.
-func (c *Cluster) Call(from, to SiteID, method string, args, reply any) error {
+// Call sends req from site from to method m of site to, on lane l, and
+// returns the reply. A call with from == to is local computation and
+// never metered. A cross-site call counts one message and the payload
+// bytes of its request and reply, whether or not the caller reads it.
+// A site that has no handler of m answers a *NoHandlerError.
+func Call[Req, Resp any](l *Lane, from, to SiteID, m *Method[Req, Resp], req Req) (Resp, error) {
+	c := l.c
 	if c.transport != nil {
-		return c.callRemote(from, to, method, args, reply)
+		return callRemote(c, from, to, m, req)
 	}
-	if int(to) < 0 || int(to) >= c.n {
-		return fmt.Errorf("network: no site %d", to)
+	var f func(Req) (Resp, error)
+	if uint(to) >= uint(c.n) {
+		return *new(Resp), fmt.Errorf("network: no site %d", to)
+	} else if typed := c.handlers[to].Load().typed; m.idx < len(typed) {
+		f, _ = typed[m.idx].(func(Req) (Resp, error))
 	}
-	h, ok := c.handlers[to].Load().native[method]
-	if !ok {
-		return fmt.Errorf("network: site %d has no handler %q", to, method)
+	if f == nil {
+		return *new(Resp), &NoHandlerError{Site: to, Method: m.name}
 	}
-	metered := from != to
-	reqBytes := 0
-	if metered {
-		c.linkDelay()
-		n, err := payloadSize(args)
-		if err != nil {
-			return fmt.Errorf("network: marshal %s args: %w", method, err)
-		}
-		reqBytes = n
+	if from == to {
+		return run(l, to, f, req)
 	}
-	resp, busy, err := busyRun(c, to, h, args)
-	respBytes := 0
-	if err == nil && metered {
-		respBytes, err = payloadSize(resp)
-		if err != nil {
-			err = fmt.Errorf("network: marshal %s reply: %w", method, err)
-		}
+	if d := time.Duration(c.linkRTT.Load()); d > 0 {
+		time.Sleep(d)
 	}
-	c.statMu.Lock()
-	c.stats.BusyNanos[to] += int64(busy)
-	if err == nil && metered {
-		c.meterLocked(from, to, reqBytes, respBytes)
-	}
-	c.statMu.Unlock()
+	// Sizing reads through a pointer, which moves what it points at to
+	// the heap: copies keep that cost off same-site calls.
+	sent := req
+	reqBytes := m.req.Size(&sent)
+	resp, err := run(l, to, f, req)
 	if err != nil {
-		return err
+		return resp, err
 	}
-	if reply != nil {
-		reflect.ValueOf(reply).Elem().Set(reflect.ValueOf(resp))
-	}
-	return nil
+	got := resp
+	respBytes := m.resp.Size(&got)
+	c.statMu.Lock()
+	c.meterLocked(from, to, reqBytes, respBytes)
+	c.statMu.Unlock()
+	return resp, nil
 }
 
 // callRemote ships a call through the state-hosting transport. Same-site
 // calls (local computation, e.g. seed-mode traffic) travel to the daemon
 // but stay unmetered, exactly as they are free in process. The simulated
 // link RTT is not charged: a real network is paying real latency.
-func (c *Cluster) callRemote(from, to SiteID, method string, args, reply any) error {
-	data, err := Marshal(args)
+func callRemote[Req, Resp any](c *Cluster, from, to SiteID, m *Method[Req, Resp], req Req) (Resp, error) {
+	var resp Resp
+	data := m.req.Marshal(&req)
+	respData, err := c.transport.Invoke(to, m.name, data)
 	if err != nil {
-		return fmt.Errorf("network: marshal %s args: %w", method, err)
-	}
-	respData, err := c.transport.Invoke(to, method, data)
-	if err != nil {
-		return err
+		return resp, err
 	}
 	if from != to {
 		c.statMu.Lock()
 		c.meterLocked(from, to, len(data), len(respData))
 		c.statMu.Unlock()
 	}
-	if reply == nil {
-		return nil
+	if err := m.resp.Unmarshal(respData, &resp); err != nil {
+		return resp, fmt.Errorf("network: unmarshal %s reply: %w", m.name, err)
 	}
-	if err := Unmarshal(respData, reply); err != nil {
-		return fmt.Errorf("network: unmarshal %s reply: %w", method, err)
-	}
-	return nil
-}
-
-// scratch holds the encode buffers payloadSize reuses.
-var scratch = sync.Pool{New: func() any { return new([]byte) }}
-
-// payloadSize returns len(Marshal(v)) without keeping the bytes: what a
-// natively dispatched value would have cost to ship.
-func payloadSize(v any) (int, error) {
-	bp := scratch.Get().(*[]byte)
-	b, err := wire.Append((*bp)[:0], v)
-	*bp = b
-	scratch.Put(bp)
-	return len(b), err
+	return resp, nil
 }
 
 // meterLocked counts one cross-site message of the given payload sizes;
 // the caller holds statMu.
 func (c *Cluster) meterLocked(from, to SiteID, reqBytes, respBytes int) {
-	c.stats.Messages++
-	c.stats.Bytes += int64(reqBytes) + int64(respBytes)
-	c.stats.PerPair[c.pairKeys[from][to]] += int64(reqBytes)
-	c.stats.RecvBytes[to] += int64(reqBytes)
+	c.msgs++
+	out := int(from)*c.n + int(to)
+	c.pair[out] += int64(reqBytes)
+	c.paired[out] = true
 	if respBytes > 0 {
-		c.stats.PerPair[c.pairKeys[to][from]] += int64(respBytes)
-		c.stats.RecvBytes[from] += int64(respBytes)
+		back := int(to)*c.n + int(from)
+		c.pair[back] += int64(respBytes)
+		c.paired[back] = true
 	}
 }
 
@@ -395,32 +404,39 @@ func (c *Cluster) meterLocked(from, to SiteID, reqBytes, respBytes int) {
 // §4/§5 algorithms call it alongside the messages carrying them.
 func (c *Cluster) AddEqids(n int) {
 	c.statMu.Lock()
-	c.stats.Eqids += int64(n)
+	c.eqids += int64(n)
 	c.statMu.Unlock()
 }
 
-// Stats returns a snapshot of the meters.
+// Stats returns a snapshot of the meters. Bytes and RecvBytes are sums
+// over the pair matrix: every payload byte crossed one edge.
 func (c *Cluster) Stats() Stats {
+	st := Stats{PerPair: make(map[string]int64), BusyNanos: make([]int64, c.n), RecvBytes: make([]int64, c.n)}
 	c.statMu.Lock()
-	defer c.statMu.Unlock()
-	snap := c.stats
-	snap.PerPair = make(map[string]int64, len(c.stats.PerPair))
-	for k, v := range c.stats.PerPair {
-		snap.PerPair[k] = v
+	st.Messages, st.Eqids = c.msgs, c.eqids
+	for k, b := range c.pair {
+		if c.paired[k] {
+			st.PerPair[fmt.Sprintf("%d→%d", k/c.n, k%c.n)] = b
+		}
+		st.Bytes += b
+		st.RecvBytes[k%c.n] += b
 	}
-	snap.BusyNanos = append([]int64(nil), c.stats.BusyNanos...)
-	snap.RecvBytes = append([]int64(nil), c.stats.RecvBytes...)
-	return snap
+	c.statMu.Unlock()
+	for i := range c.busy {
+		st.BusyNanos[i] = c.busy[i].Load()
+	}
+	return st
 }
 
 // ResetStats zeroes the meters.
 func (c *Cluster) ResetStats() {
 	c.statMu.Lock()
-	defer c.statMu.Unlock()
-	c.stats = Stats{
-		PerPair:   make(map[string]int64),
-		BusyNanos: make([]int64, c.n),
-		RecvBytes: make([]int64, c.n),
+	c.msgs, c.eqids = 0, 0
+	clear(c.pair)
+	clear(c.paired)
+	c.statMu.Unlock()
+	for i := range c.busy {
+		c.busy[i].Store(0)
 	}
 }
 
@@ -435,60 +451,36 @@ func (c *Cluster) Close() error {
 	return c.transport.Close()
 }
 
-// Marshal encodes a request or reply for the call path with the
-// positional payload codec (internal/wire): self-contained bytes with no
-// type descriptors, so the same payload can sit in a replay log, a delta
-// log or a reply window and decode alone.
-func Marshal(v any) ([]byte, error) { return wire.Marshal(v) }
-
-// Unmarshal decodes a Marshal payload into v (a pointer), overwriting it
-// in full.
-func Unmarshal(data []byte, v any) error { return wire.Unmarshal(data, v) }
-
-// RegisterFunc installs a typed handler for (site, method) in both its
-// forms: the raw one a daemon's Dispatch serves framed calls through, and
-// the native one in-process calls use. Handlers must not retain or mutate
-// their arguments: on the native path they are shared with the caller.
-// The reply is the other half of that contract: a native reply may share
-// the site's memory until that site's next call of the method, which may
-// reuse it, so a caller must be done with it by then. The raw form
-// encodes the reply before the site's next call can run.
-//
-// The payload codec's plans for Req and Resp are built here, so a type
-// the codec cannot carry panics at registration — start-up — rather than
-// failing a call mid-round.
-func RegisterFunc[Req, Resp any](c *Cluster, site SiteID, method string, f func(Req) (Resp, error)) {
-	for _, t := range []reflect.Type{reflect.TypeOf((*Req)(nil)), reflect.TypeOf((*Resp)(nil))} {
-		if err := wire.Register(t); err != nil {
-			panic(fmt.Sprintf("network: handler %q: %v", method, err))
-		}
-	}
+// RegisterFunc installs f as site's handler of method m in both its
+// forms: the raw one Dispatch serves framed calls through, by m's name,
+// and the typed one in-process calls reach by m's index. Handlers must
+// not retain or mutate their arguments: in process they are shared with
+// the caller. The reply is the other half of that contract: an
+// in-process reply may share the site's memory until that site's next
+// call of the method, which may reuse it, so a caller must be done with
+// it by then. The raw form encodes the reply before that call can run.
+func RegisterFunc[Req, Resp any](c *Cluster, site SiteID, m *Method[Req, Resp], f func(Req) (Resp, error)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	old := c.handlers[site].Load()
-	if _, dup := old.raw[method]; dup {
-		panic(fmt.Sprintf("network: site %d already has handler %q", site, method))
+	if _, dup := old.raw[m.name]; dup {
+		panic(fmt.Sprintf("network: site %d already has handler %q", site, m.name))
 	}
-	hs := &siteHandlers{raw: make(map[string]RawHandler, len(old.raw)+1), native: make(map[string]NativeHandler, len(old.native)+1)}
-	maps.Copy(hs.raw, old.raw)
-	maps.Copy(hs.native, old.native)
-	hs.raw[method] = func(data []byte) ([]byte, error) {
+	hs := &siteHandlers{raw: maps.Clone(old.raw), typed: slices.Clone(old.typed)}
+	hs.raw[m.name] = func(data []byte) ([]byte, error) {
 		var req Req
-		if err := Unmarshal(data, &req); err != nil {
+		if err := m.req.Unmarshal(data, &req); err != nil {
 			return nil, err
 		}
 		resp, err := f(req)
 		if err != nil {
 			return nil, err
 		}
-		return Marshal(resp)
+		return m.resp.Marshal(&resp), nil
 	}
-	hs.native[method] = func(args any) (any, error) {
-		req, ok := args.(Req)
-		if !ok {
-			return nil, fmt.Errorf("network: %s: native call got %T", method, args)
-		}
-		return f(req)
+	if len(hs.typed) <= m.idx {
+		hs.typed = append(hs.typed, make([]any, m.idx+1-len(hs.typed))...)
 	}
+	hs.typed[m.idx] = f
 	c.handlers[site].Store(hs)
 }

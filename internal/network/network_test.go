@@ -1,6 +1,7 @@
 package network
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/netwire"
+	"repro/internal/wire"
 )
 
 type echoReq struct {
@@ -19,11 +21,20 @@ type echoResp struct {
 	Text string
 }
 
+type dropResp struct{}
+
+// The handles of the methods the tests register.
+var (
+	mEcho      = NewMethod[echoReq, echoResp]("echo")
+	mDrop      = NewMethod[echoReq, dropResp]("drop")
+	mWork      = NewMethod[echoReq, echoResp]("work")
+	mMaybe     = NewMethod[echoReq, echoResp]("maybe")
+	mFailFirst = NewMethod[echoReq, echoResp]("failfirst")
+)
+
 func wireEcho(c *Cluster) {
 	for i := 0; i < c.NumSites(); i++ {
-		site := SiteID(i)
-		network := c
-		RegisterFunc(network, site, "echo", func(req echoReq) (echoResp, error) {
+		RegisterFunc(c, SiteID(i), mEcho, func(req echoReq) (echoResp, error) {
 			return echoResp{Text: strings.Repeat(req.Text, req.N)}, nil
 		})
 	}
@@ -32,8 +43,8 @@ func wireEcho(c *Cluster) {
 func TestLocalCallsAreUnmetered(t *testing.T) {
 	c := NewCluster(3)
 	wireEcho(c)
-	var resp echoResp
-	if err := c.Call(1, 1, "echo", echoReq{Text: "ab", N: 2}, &resp); err != nil {
+	resp, err := Call(c.Lane(), 1, 1, mEcho, echoReq{Text: "ab", N: 2})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Text != "abab" {
@@ -47,9 +58,8 @@ func TestLocalCallsAreUnmetered(t *testing.T) {
 func TestCrossSiteCallsAreMetered(t *testing.T) {
 	c := NewCluster(3)
 	wireEcho(c)
-	var resp echoResp
 	for i := 0; i < 5; i++ {
-		if err := c.Call(0, 2, "echo", echoReq{Text: "hello", N: 3}, &resp); err != nil {
+		if _, err := Call(c.Lane(), 0, 2, mEcho, echoReq{Text: "hello", N: 3}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -119,23 +129,21 @@ func remoteTwin(t *testing.T, srv *Cluster) *Cluster {
 	return drv
 }
 
-type dropResp struct{}
-
 // TestMeterIsPayloadLength pins the one definition of a shipped byte on
 // both ways to reach a site: a cross-site call is one message costing
-// len(Marshal(request)) + len(Marshal(reply)) — the reply counted even
+// len(wire.Marshal(request)) + len(wire.Marshal(reply)) — the reply counted even
 // when the caller discards it — and a same-site call costs nothing.
 func TestMeterIsPayloadLength(t *testing.T) {
 	build := func() *Cluster {
 		c := NewCluster(3)
 		wireEcho(c)
 		for i := 0; i < c.NumSites(); i++ {
-			RegisterFunc(c, SiteID(i), "drop", func(echoReq) (dropResp, error) { return dropResp{}, nil })
+			RegisterFunc(c, SiteID(i), mDrop, func(echoReq) (dropResp, error) { return dropResp{}, nil })
 		}
 		return c
 	}
 	size := func(v any) int64 {
-		b, err := Marshal(v)
+		b, err := wire.Marshal(v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,18 +151,20 @@ func TestMeterIsPayloadLength(t *testing.T) {
 	}
 	req := echoReq{Text: "héllo", N: 300}
 	echoed := echoResp{Text: strings.Repeat(req.Text, req.N)}
+	echo := func(l *Lane, from, to SiteID) (any, error) { return Call(l, from, to, mEcho, req) }
+	drop := func(l *Lane, from, to SiteID) (any, error) { return Call(l, from, to, mDrop, req) }
 	cases := []struct {
 		name      string
 		from, to  SiteID
-		method    string
-		reply     any
+		call      func(l *Lane, from, to SiteID) (any, error)
+		reply     any // the reply the caller reads, or nil when it drops it
 		msgs      int64
 		req, resp int64
 	}{
-		{"cross-site with reply", 0, 2, "echo", new(echoResp), 1, size(req), size(echoed)},
-		{"fire-and-forget", 1, 0, "drop", nil, 1, size(req), size(dropResp{})},
-		{"discarded reply", 2, 1, "echo", nil, 1, size(req), size(echoed)},
-		{"same-site", 1, 1, "echo", new(echoResp), 0, 0, 0},
+		{"cross-site with reply", 0, 2, echo, echoed, 1, size(req), size(echoed)},
+		{"fire-and-forget", 1, 0, drop, nil, 1, size(req), size(dropResp{})},
+		{"discarded reply", 2, 1, echo, nil, 1, size(req), size(echoed)},
+		{"same-site", 1, 1, echo, echoed, 0, 0, 0},
 	}
 	for _, tr := range []struct {
 		name    string
@@ -163,11 +173,12 @@ func TestMeterIsPayloadLength(t *testing.T) {
 		c := tr.cluster
 		for _, tc := range cases {
 			before := c.Stats()
-			if err := c.Call(tc.from, tc.to, tc.method, req, tc.reply); err != nil {
+			got, err := tc.call(c.Lane(), tc.from, tc.to)
+			if err != nil {
 				t.Fatalf("%s/%s: %v", tr.name, tc.name, err)
 			}
-			if r, ok := tc.reply.(*echoResp); ok && *r != echoed {
-				t.Errorf("%s/%s: reply %q", tr.name, tc.name, r.Text)
+			if tc.reply != nil && got != tc.reply {
+				t.Errorf("%s/%s: reply %v", tr.name, tc.name, got)
 			}
 			d := c.Stats().Sub(before)
 			want := Stats{Messages: tc.msgs, Bytes: tc.req + tc.resp, PerPair: map[string]int64{}, RecvBytes: make([]int64, 3)}
@@ -187,15 +198,41 @@ func TestMeterIsPayloadLength(t *testing.T) {
 	}
 }
 
+// TestZeroByteEdgesKeepTheirKey: an edge a metered call crossed is in
+// PerPair even when its payloads are empty — the request edge always,
+// the reply edge only once a reply byte crossed it — on both ways to
+// reach a site.
+func TestZeroByteEdgesKeepTheirKey(t *testing.T) {
+	mEmpty := NewMethod[dropResp, dropResp]("empty")
+	build := func() *Cluster {
+		c := NewCluster(3)
+		for i := 0; i < c.NumSites(); i++ {
+			RegisterFunc(c, SiteID(i), mEmpty, func(dropResp) (dropResp, error) { return dropResp{}, nil })
+		}
+		return c
+	}
+	for _, tr := range []struct {
+		name    string
+		cluster *Cluster
+	}{{"loopback", build()}, {"tcp", remoteTwin(t, build())}} {
+		if _, err := Call(tr.cluster.Lane(), 2, 0, mEmpty, dropResp{}); err != nil {
+			t.Fatal(err)
+		}
+		st := tr.cluster.Stats()
+		if want := map[string]int64{"2→0": 0}; !reflect.DeepEqual(st.PerPair, want) || st.Messages != 1 || st.Bytes != 0 {
+			t.Errorf("%s: %d messages, %d bytes, PerPair %v; want 1, 0, %v", tr.name, st.Messages, st.Bytes, st.PerPair, want)
+		}
+	}
+}
+
 func TestStatsSubAndSim(t *testing.T) {
 	c := NewCluster(2)
 	wireEcho(c)
-	var resp echoResp
-	if err := c.Call(0, 1, "echo", echoReq{Text: "abc", N: 100}, &resp); err != nil {
+	if _, err := Call(c.Lane(), 0, 1, mEcho, echoReq{Text: "abc", N: 100}); err != nil {
 		t.Fatal(err)
 	}
 	before := c.Stats()
-	if err := c.Call(0, 1, "echo", echoReq{Text: "abc", N: 100}, &resp); err != nil {
+	if _, err := Call(c.Lane(), 0, 1, mEcho, echoReq{Text: "abc", N: 100}); err != nil {
 		t.Fatal(err)
 	}
 	window := c.Stats().Sub(before)
@@ -209,10 +246,17 @@ func TestStatsSubAndSim(t *testing.T) {
 
 func TestErrorsPropagate(t *testing.T) {
 	c := NewCluster(2)
-	if err := c.Call(0, 1, "nope", echoReq{}, nil); err == nil {
-		t.Error("unknown handler succeeded")
+	var nh *NoHandlerError
+	if _, err := Call(c.Lane(), 0, 1, mEcho, echoReq{}); !errors.As(err, &nh) || nh.Site != 1 || nh.Method != "echo" {
+		t.Errorf("unknown handler: %v", err)
 	}
-	if err := c.Call(0, 0, "nope", echoReq{}, nil); err == nil {
-		t.Error("unknown local handler succeeded")
+	if _, err := Call(c.Lane(), 0, 0, mEcho, echoReq{}); !errors.As(err, &nh) {
+		t.Errorf("unknown local handler: %v", err)
+	}
+	if _, err := c.Dispatch(1, "echo", nil); !errors.As(err, &nh) {
+		t.Errorf("unknown dispatched handler: %v", err)
+	}
+	if _, err := Call(c.Lane(), 0, 2, mEcho, echoReq{}); err == nil || errors.As(err, &nh) {
+		t.Errorf("call to a site past the cluster: %v", err)
 	}
 }

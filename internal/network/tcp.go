@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/netwire"
+	"repro/internal/wire"
 	"repro/internal/xerr"
 )
 
@@ -198,7 +199,7 @@ func (t *TCPTransport) ensureConn(site SiteID, sc *siteConn) error {
 		// The status is a sitehost.HelloStatus, whose positional
 		// encoding is its one field's: the daemon's last served seq.
 		if len(ack.Data) > 0 {
-			if err := Unmarshal(ack.Data, &last); err != nil {
+			if err := wire.Unmarshal(ack.Data, &last); err != nil {
 				conn.Close()
 				return siteDown(site, sc.addr, fmt.Errorf("bad hello status: %v", err))
 			}

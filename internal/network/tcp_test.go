@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/netwire"
+	"repro/internal/wire"
 	"repro/internal/xerr"
 )
 
@@ -127,7 +128,7 @@ func (d *fakeDaemon) serve(c *netwire.Conn) {
 			d.mu.Unlock()
 			var data []byte
 			if last > 0 {
-				data, _ = Marshal(struct{ LastSeq uint64 }{last})
+				data, _ = wire.Marshal(struct{ LastSeq uint64 }{last})
 			}
 			c.Send(&netwire.Msg{Kind: netwire.KindHelloAck, Data: data}, time.Second)
 		case netwire.KindCall:

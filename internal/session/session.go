@@ -395,13 +395,13 @@ func (s *Session) reachSites(hellos [][]byte, res *resumeState) error {
 // out concurrently, at most WithMaxFanout at a time; every site gets
 // exactly one per round, under its own sequence number, whatever a
 // sibling answers, and the lowest failing site's error is returned. A
-// no-op without WithCheckpointDir. Marks ride outside the Cluster.Call
+// no-op without WithCheckpointDir. Marks ride outside the network.Call
 // path, so the protocol meters never see them.
 func (s *Session) markSites() error {
 	if s.tcp == nil || s.cfg.ckptDir == "" {
 		return nil
 	}
-	return s.cluster.Fanout(len(s.cfg.tcpAddrs), func(i int) error {
+	return s.cluster.Fanout(len(s.cfg.tcpAddrs), func(_ *network.Lane, i int) error {
 		if _, err := s.tcp.Invoke(network.SiteID(i), "chk.mark", nil); err != nil {
 			return fmt.Errorf("session: checkpoint mark site %d: %w", i, err)
 		}

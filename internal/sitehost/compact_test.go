@@ -17,8 +17,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/network"
 	"repro/internal/seglog"
+	"repro/internal/wire"
 )
 
 // The two horizontal calls the tests drive state with, as mirrors of
@@ -64,7 +64,7 @@ func script(t *testing.T, host *Host, seq uint64, from, to int) uint64 {
 		var data []byte
 		if req != nil {
 			var err error
-			if data, err = network.Marshal(req); err != nil {
+			if data, err = wire.Marshal(req); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -49,6 +49,7 @@ import (
 	"repro/internal/relation"
 	"repro/internal/seglog"
 	"repro/internal/vertical"
+	"repro/internal/wire"
 )
 
 // Kind names in hellos.
@@ -119,7 +120,7 @@ const ProtoVersion = 8
 
 // Encode encodes the hello with the positional payload codec.
 func (h *Hello) Encode() ([]byte, error) {
-	b, err := network.Marshal(h)
+	b, err := wire.Marshal(h)
 	if err != nil {
 		return nil, fmt.Errorf("sitehost: encode hello: %w", err)
 	}
@@ -129,7 +130,7 @@ func (h *Hello) Encode() ([]byte, error) {
 // DecodeHello decodes a bootstrap payload.
 func DecodeHello(data []byte) (*Hello, error) {
 	var h Hello
-	if err := network.Unmarshal(data, &h); err != nil {
+	if err := wire.Unmarshal(data, &h); err != nil {
 		return nil, fmt.Errorf("sitehost: decode hello: %w", err)
 	}
 	return &h, nil
@@ -159,7 +160,7 @@ type HelloStatus struct {
 
 // EncodeStatus encodes a hello status payload.
 func EncodeStatus(s *HelloStatus) ([]byte, error) {
-	b, err := network.Marshal(s)
+	b, err := wire.Marshal(s)
 	if err != nil {
 		return nil, fmt.Errorf("sitehost: encode status: %w", err)
 	}
@@ -169,7 +170,7 @@ func EncodeStatus(s *HelloStatus) ([]byte, error) {
 // DecodeStatus decodes a hello status payload.
 func DecodeStatus(data []byte) (*HelloStatus, error) {
 	var s HelloStatus
-	if err := network.Unmarshal(data, &s); err != nil {
+	if err := wire.Unmarshal(data, &s); err != nil {
 		return nil, fmt.Errorf("sitehost: decode status: %w", err)
 	}
 	return &s, nil

@@ -54,7 +54,7 @@ func (sys *System) batchRule(rule *cfd.CFD, v *cfd.Violations) error {
 		seen int
 	}
 	tuples := make(map[int64]*partial)
-	resps, err := gather[shipColsReq, shipColsResp](sys, coordID, "v.shipCols", participants, func(network.SiteID) shipColsReq {
+	resps, err := gather(sys, coordID, mShipCols, participants, func(network.SiteID) shipColsReq {
 		return shipColsReq{Rule: rule.ID}
 	})
 	if err != nil {

@@ -256,7 +256,7 @@ func (sys *System) applyWave(updates relation.UpdateList) error {
 // same-site call per site; none when the wave has no such update.
 func (sys *System) deliverFragments(wave relation.UpdateList, op OpKind) error {
 	frag := sys.sc.frag
-	return sys.cluster.Fanout(len(frag), func(i int) error {
+	return sys.cluster.Fanout(len(frag), func(l *network.Lane, i int) error {
 		items := frag[i][:0]
 		for _, u := range wave {
 			if (u.Kind == relation.Delete) != (op == OpDelete) {
@@ -273,7 +273,8 @@ func (sys *System) deliverFragments(wave relation.UpdateList, op OpKind) error {
 		if len(items) == 0 {
 			return nil
 		}
-		return sys.send(network.SiteID(i), network.SiteID(i), "v.batchFrag", batchFragReq{Items: items}, nil)
+		_, err := send(sys, l, network.SiteID(i), network.SiteID(i), mBatchFrag, batchFragReq{Items: items})
+		return err
 	})
 }
 
@@ -301,9 +302,11 @@ func malformed(method string, site network.SiteID) error {
 func (sys *System) evalConstants(w *wave, checkers []network.SiteID) error {
 	req := batchEvalReq{Gen: sys.gen, IDs: w.ids}
 	resps := make([]batchEvalResp, len(checkers))
-	err := sys.cluster.Fanout(len(checkers), func(i int) error {
+	err := sys.cluster.Fanout(len(checkers), func(l *network.Lane, i int) error {
 		c := checkers[i]
-		return sys.send(c, c, "v.batchEval", req, &resps[i])
+		var err error
+		resps[i], err = send(sys, l, c, c, mBatchEval, req)
+		return err
 	})
 	if err != nil {
 		return err
@@ -361,9 +364,10 @@ func (sys *System) constPhase(w *wave, nos []int) error {
 		}
 	}
 	sc.voteKeys = keys
-	err := sys.cluster.Fanout(len(keys), func(i int) error {
+	err := sys.cluster.Fanout(len(keys), func(l *network.Lane, i int) error {
 		k := sc.voteKeys[i]
-		return sys.send(network.SiteID(k/n), network.SiteID(k%n), "v.batchVote", batchVoteReq{Items: votes[k]}, nil)
+		_, err := send(sys, l, network.SiteID(k/n), network.SiteID(k%n), mBatchVote, batchVoteReq{Items: votes[k]})
+		return err
 	})
 	if err != nil {
 		return err
@@ -389,9 +393,11 @@ func (sys *System) constPhase(w *wave, nos []int) error {
 	}
 	coords := sys.sitesWhere(func(s int) bool { return reqs[s].Rules != nil })
 	resps := make([]batchConstResp, len(coords))
-	err = sys.cluster.Fanout(len(coords), func(i int) error {
+	err = sys.cluster.Fanout(len(coords), func(l *network.Lane, i int) error {
 		s := coords[i]
-		return sys.send(s, s, "v.batchConst", reqs[s], &resps[i])
+		var err error
+		resps[i], err = send(sys, l, s, s, mBatchConst, reqs[s])
+		return err
 	})
 	if err != nil {
 		return err
@@ -504,9 +510,11 @@ func (sys *System) resolveStages(w *wave) error {
 		// loop reassigns would move to the heap.
 		sc.srcs = srcs
 
-		err := sys.cluster.Fanout(len(sc.srcs), func(i int) error {
+		err := sys.cluster.Fanout(len(sc.srcs), func(l *network.Lane, i int) error {
 			s := sc.srcs[i]
-			return sys.send(s, s, "v.batchResolve", reqs[s], &resps[s])
+			var err error
+			resps[s], err = send(sys, l, s, s, mBatchResolve, reqs[s])
+			return err
 		})
 		if err != nil {
 			return err
@@ -552,14 +560,14 @@ func (sys *System) resolveStages(w *wave) error {
 			}
 		}
 		sc.dsts = dsts
-		err = sys.cluster.Fanout(len(dsts), func(i int) error {
+		err = sys.cluster.Fanout(len(dsts), func(l *network.Lane, i int) error {
 			dest := sc.dsts[i]
 			for src := 0; src < n; src++ {
 				items := pend[int(dest)*n+src]
 				if len(items) == 0 {
 					continue
 				}
-				if err := sys.send(network.SiteID(src), dest, "v.batchDeliver", batchDeliverReq{Items: items}, nil); err != nil {
+				if _, err := send(sys, l, network.SiteID(src), dest, mBatchDeliver, batchDeliverReq{Items: items}); err != nil {
 					return err
 				}
 			}
@@ -632,9 +640,11 @@ func (sys *System) idxPhase(w *wave, alive []uint64) error {
 	idxSites := sys.sitesWhere(func(s int) bool { return hosts[s] })
 	req := batchRuleReq{Gen: sys.gen, IDs: w.ids, Ins: w.ins, Alive: alive}
 	resps := make([]batchRuleResp, len(idxSites))
-	err := sys.cluster.Fanout(len(idxSites), func(i int) error {
+	err := sys.cluster.Fanout(len(idxSites), func(l *network.Lane, i int) error {
 		s := idxSites[i]
-		return sys.send(s, s, "v.batchRule", req, &resps[i])
+		var err error
+		resps[i], err = send(sys, l, s, s, mBatchRule, req)
+		return err
 	})
 	if err != nil {
 		return err
@@ -692,9 +702,10 @@ func (sys *System) releaseWave(w *wave) error {
 		}
 	}
 	sites := sys.sitesWhere(func(s int) bool { return len(reqs[s].Nodes) > 0 })
-	return sys.cluster.Fanout(len(sites), func(i int) error {
+	return sys.cluster.Fanout(len(sites), func(l *network.Lane, i int) error {
 		s := sites[i]
-		return sys.send(s, s, "v.batchRelease", reqs[s], nil)
+		_, err := send(sys, l, s, s, mBatchRelease, reqs[s])
+		return err
 	})
 }
 
@@ -709,8 +720,9 @@ func (sys *System) endWave(w *wave) error {
 		}
 	}
 	sites := sys.sitesWhere(func(s int) bool { return len(endIDs[s]) > 0 })
-	return sys.cluster.Fanout(len(sites), func(i int) error {
+	return sys.cluster.Fanout(len(sites), func(l *network.Lane, i int) error {
 		s := sites[i]
-		return sys.send(s, s, "v.batchEnd", batchEndReq{IDs: endIDs[s]}, nil)
+		_, err := send(sys, l, s, s, mBatchEnd, batchEndReq{IDs: endIDs[s]})
+		return err
 	})
 }

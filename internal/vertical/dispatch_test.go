@@ -14,6 +14,7 @@ import (
 	"repro/internal/optimizer"
 	"repro/internal/partition"
 	"repro/internal/relation"
+	"repro/internal/wire"
 	"repro/internal/workload"
 	"repro/internal/xerr"
 )
@@ -69,7 +70,7 @@ func hostSites(t testing.TB, schema *relation.Schema, scheme *partition.Vertical
 	sites := make([]*HostedSite, scheme.NumSites)
 	for i := range sites {
 		own := new(optimizer.Plan)
-		if err := network.Unmarshal(planBytes, own); err != nil {
+		if err := wire.Unmarshal(planBytes, own); err != nil {
 			t.Fatal(err)
 		}
 		hs, err := HostSiteState(c, network.SiteID(i), schema, scheme, own, rules)
@@ -128,7 +129,7 @@ func dispatchFixture(t testing.TB) (*workload.Generator, *relation.Relation, *pa
 
 func mustMarshal(t testing.TB, v any) []byte {
 	t.Helper()
-	data, err := network.Marshal(v)
+	data, err := wire.Marshal(v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestLocalSitesAreHostedSites(t *testing.T) {
 				t.Fatalf("%s: site %d snapshots differ in process and hosted", step, i)
 			}
 			var st vSiteState
-			if err := network.Unmarshal(a, &st); err != nil {
+			if err := wire.Unmarshal(a, &st); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(mustMarshal(t, st.Plan), mustMarshal(t, local.Plan())) {
@@ -339,7 +340,7 @@ func TestDriverRefusesDivergentReplies(t *testing.T) {
 				return resp
 			}
 			var r batchEvalResp
-			if err := network.Unmarshal(resp, &r); err != nil {
+			if err := wire.Unmarshal(resp, &r); err != nil {
 				t.Fatal(err)
 			}
 			edit(&r)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/network"
 	"repro/internal/partition"
 	"repro/internal/vertical"
+	"repro/internal/wire/wiretest"
 	"repro/internal/workload"
 )
 
@@ -89,13 +90,16 @@ func TestRegisteredMethodsAreDriven(t *testing.T) {
 		driven = append(driven, m)
 	}
 	slices.Sort(driven)
-	// What a site registers, on a cluster of its own: the driver's
+	// What the sites register, on a cluster of their own: the driver's
 	// cluster reaches the daemons and registers nothing.
 	reg := network.NewCluster(scheme.NumSites)
-	if _, err := vertical.HostSiteState(reg, 0, rel.Schema, scheme, sys.Plan(), nil); err != nil {
-		t.Fatal(err)
+	for i := 0; i < scheme.NumSites; i++ {
+		if _, err := vertical.HostSiteState(reg, network.SiteID(i), rel.Schema, scheme, sys.Plan(), nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if registered := reg.Methods(0); !slices.Equal(driven, registered) {
 		t.Errorf("methods sent ≠ methods registered\nsent:       %v\nregistered: %v", driven, registered)
 	}
+	wiretest.CheckHandles(t, reg, vertical.Handles)
 }

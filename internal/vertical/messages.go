@@ -11,6 +11,8 @@
 // ∆V locally, exactly as in the paper's Figs. 4 and 5.
 package vertical
 
+import "repro/internal/network"
+
 // OpKind says whether a unit update is an insertion or a deletion.
 type OpKind int
 
@@ -203,3 +205,21 @@ type shipColsResp struct {
 
 // empty is the reply type of fire-and-forget handlers.
 type empty struct{}
+
+// The methods a vertical site serves, one handle each (site.register).
+var (
+	mBarrier      = network.NewMethod[barrierReq, empty]("v.barrier")
+	mBatchFrag    = network.NewMethod[batchFragReq, empty]("v.batchFrag")
+	mBatchEval    = network.NewMethod[batchEvalReq, batchEvalResp]("v.batchEval")
+	mBatchVote    = network.NewMethod[batchVoteReq, empty]("v.batchVote")
+	mBatchConst   = network.NewMethod[batchConstReq, batchConstResp]("v.batchConst")
+	mBatchResolve = network.NewMethod[batchResolveReq, batchResolveResp]("v.batchResolve")
+	mBatchDeliver = network.NewMethod[batchDeliverReq, empty]("v.batchDeliver")
+	mBatchRule    = network.NewMethod[batchRuleReq, batchRuleResp]("v.batchRule")
+	mBatchRelease = network.NewMethod[batchReleaseReq, empty]("v.batchRelease")
+	mBatchEnd     = network.NewMethod[batchEndReq, empty]("v.batchEnd")
+	mShipCols     = network.NewMethod[shipColsReq, shipColsResp]("v.shipCols")
+	mAddRules     = network.NewMethod[addRulesReq, empty]("v.addRules")
+	mDropRules    = network.NewMethod[vDropRulesReq, empty]("v.dropRules")
+	mListIDs      = network.NewMethod[listIDsReq, listIDsResp]("v.listIDs")
+)

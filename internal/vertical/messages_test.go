@@ -7,6 +7,7 @@ import (
 	"repro/internal/cfd"
 	"repro/internal/network"
 	"repro/internal/optimizer"
+	"repro/internal/wire"
 	"repro/internal/wire/wiretest"
 )
 
@@ -98,11 +99,11 @@ func TestScalarColumnsEncodeAsTheirElements(t *testing.T) {
 	} {
 		wiretest.PlanParity(t, v)
 	}
-	viaGeneric, err := network.Marshal(sites)
+	viaGeneric, err := wire.Marshal(sites)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaNative, err := network.Marshal(ints)
+	viaNative, err := wire.Marshal(ints)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func FuzzPayload(f *testing.F) {
 		batchResolveReq{}, // no nodes
 		batchResolveReq{IDs: []int64{1, 2}, Ins: []uint64{1}, Nodes: []int{3, 9}, Members: []uint64{3, 1}},
 	} {
-		seed, err := network.Marshal(v)
+		seed, err := wire.Marshal(v)
 		if err != nil {
 			f.Fatal(err)
 		}

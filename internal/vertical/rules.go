@@ -173,7 +173,7 @@ func (sys *System) AddRules(rules []cfd.CFD) (*cfd.Delta, error) {
 	// exactly as setRules just did, and creates its grafted structures.
 	coord := network.SiteID(0)
 	req := addRulesReq{Rules: rules, FirstNode: firstNode, Sub: sub}
-	if _, err := gather[addRulesReq, empty](sys, coord, "v.addRules", sys.allSites(), func(network.SiteID) addRulesReq {
+	if _, err := gather(sys, coord, mAddRules, sys.allSites(), func(network.SiteID) addRulesReq {
 		return req
 	}); err != nil {
 		return nil, err
@@ -187,8 +187,8 @@ func (sys *System) AddRules(rules []cfd.CFD) (*cfd.Delta, error) {
 			newConst++
 		}
 	}
-	var idResp listIDsResp
-	if err := sys.send(coord, network.SiteID(0), "v.listIDs", listIDsReq{}, &idResp); err != nil {
+	idResp, err := send(sys, sys.cluster.Lane(), coord, network.SiteID(0), mListIDs, listIDsReq{})
+	if err != nil {
 		return nil, err
 	}
 	if len(idResp.IDs) > 0 {
@@ -266,7 +266,7 @@ func (sys *System) RemoveRules(ids []string) (*cfd.Delta, error) {
 	}
 	before := sys.v.Seal()
 	coord := network.SiteID(0)
-	if _, err := gather[vDropRulesReq, empty](sys, coord, "v.dropRules", sys.allSites(), func(network.SiteID) vDropRulesReq {
+	if _, err := gather(sys, coord, mDropRules, sys.allSites(), func(network.SiteID) vDropRulesReq {
 		return vDropRulesReq{Rules: ids}
 	}); err != nil {
 		return nil, err

@@ -675,18 +675,18 @@ func (s *site) shipCols(req shipColsReq) (shipColsResp, error) {
 
 // register wires every handler into the cluster.
 func (s *site) register(c *network.Cluster) {
-	network.RegisterFunc(c, s.id, "v.barrier", s.barrier)
-	network.RegisterFunc(c, s.id, "v.batchFrag", s.batchFrag)
-	network.RegisterFunc(c, s.id, "v.batchEval", s.batchEval)
-	network.RegisterFunc(c, s.id, "v.batchVote", s.batchVote)
-	network.RegisterFunc(c, s.id, "v.batchConst", s.batchConst)
-	network.RegisterFunc(c, s.id, "v.batchResolve", s.batchResolve)
-	network.RegisterFunc(c, s.id, "v.batchDeliver", s.batchDeliver)
-	network.RegisterFunc(c, s.id, "v.batchRule", s.batchRule)
-	network.RegisterFunc(c, s.id, "v.batchRelease", s.batchRelease)
-	network.RegisterFunc(c, s.id, "v.batchEnd", s.batchEnd)
-	network.RegisterFunc(c, s.id, "v.shipCols", s.shipCols)
-	network.RegisterFunc(c, s.id, "v.addRules", s.addRules)
-	network.RegisterFunc(c, s.id, "v.dropRules", s.vDropRules)
-	network.RegisterFunc(c, s.id, "v.listIDs", s.listIDs)
+	network.RegisterFunc(c, s.id, mBarrier, s.barrier)
+	network.RegisterFunc(c, s.id, mBatchFrag, s.batchFrag)
+	network.RegisterFunc(c, s.id, mBatchEval, s.batchEval)
+	network.RegisterFunc(c, s.id, mBatchVote, s.batchVote)
+	network.RegisterFunc(c, s.id, mBatchConst, s.batchConst)
+	network.RegisterFunc(c, s.id, mBatchResolve, s.batchResolve)
+	network.RegisterFunc(c, s.id, mBatchDeliver, s.batchDeliver)
+	network.RegisterFunc(c, s.id, mBatchRule, s.batchRule)
+	network.RegisterFunc(c, s.id, mBatchRelease, s.batchRelease)
+	network.RegisterFunc(c, s.id, mBatchEnd, s.batchEnd)
+	network.RegisterFunc(c, s.id, mShipCols, s.shipCols)
+	network.RegisterFunc(c, s.id, mAddRules, s.addRules)
+	network.RegisterFunc(c, s.id, mDropRules, s.vDropRules)
+	network.RegisterFunc(c, s.id, mListIDs, s.listIDs)
 }

@@ -306,19 +306,22 @@ func (sys *System) Violations() *cfd.Violations { return sys.v }
 // Rules returns the rule set.
 func (sys *System) Rules() []cfd.CFD { return sys.rules }
 
-// send routes a possibly-cross-site call; in direct (seeding) mode every
-// call is dispatched locally and unmetered.
-func (sys *System) send(from, to network.SiteID, method string, args, reply any) error {
+// send routes a possibly-cross-site call on lane l; in direct (seeding)
+// mode every call is dispatched locally and unmetered.
+func send[Req, Resp any](sys *System, l *network.Lane, from, to network.SiteID, m *network.Method[Req, Resp], req Req) (Resp, error) {
 	if sys.direct {
 		from = to
 	}
-	return sys.cluster.Call(from, to, method, args, reply)
+	return network.Call(l, from, to, m, req)
 }
 
-// gather is network.GatherVia over sys.send, so seed-mode calls stay
+// gather is network.GatherVia over send, so seed-mode calls stay
 // same-site and unmetered.
-func gather[Req, Resp any](sys *System, from network.SiteID, method string, targets []network.SiteID, req func(network.SiteID) Req) ([]Resp, error) {
-	return network.GatherVia[Req, Resp](sys.cluster, sys.send, from, method, targets, req)
+func gather[Req, Resp any](sys *System, from network.SiteID, m *network.Method[Req, Resp], targets []network.SiteID, req func(network.SiteID) Req) ([]Resp, error) {
+	via := func(l *network.Lane, from, to network.SiteID, m *network.Method[Req, Resp], req Req) (Resp, error) {
+		return send(sys, l, from, to, m, req)
+	}
+	return network.GatherVia(sys.cluster, via, from, m, targets, req)
 }
 
 // Apply runs incVer (Fig. 5): it normalizes ∆D once, processes it
@@ -355,8 +358,9 @@ func (sys *System) barrier() error {
 		}
 		sys.barrierPairs = pairs
 	}
-	return sys.cluster.Fanout(len(pairs), func(i int) error {
-		return sys.send(pairs[i][0], pairs[i][1], "v.barrier", barrierReq{}, nil)
+	return sys.cluster.Fanout(len(pairs), func(l *network.Lane, i int) error {
+		_, err := send(sys, l, pairs[i][0], pairs[i][1], mBarrier, barrierReq{})
+		return err
 	})
 }
 

@@ -16,9 +16,9 @@ import (
 var scalarSlices = map[reflect.Type]*codec{
 	reflect.TypeOf([]int64(nil)):  intsCodec[int64](),
 	reflect.TypeOf([]int(nil)):    intsCodec[int](),
-	reflect.TypeOf([]uint64(nil)): scalarCodec(appendUint64s, readUint64s),
-	reflect.TypeOf([]bool(nil)):   scalarCodec(appendBools, readBools),
-	reflect.TypeOf([]string(nil)): scalarCodec(appendStrings, readStrings),
+	reflect.TypeOf([]uint64(nil)): scalarCodec(appendUint64s, readUint64s, sizeUint64s),
+	reflect.TypeOf([]bool(nil)):   scalarCodec(appendBools, readBools, func(s []bool) int { return len(s) }),
+	reflect.TypeOf([]string(nil)): scalarCodec(appendStrings, readStrings, sizeStrings),
 }
 
 // concrete returns the []E that v, a reflect.Value of exactly that type,
@@ -31,17 +31,22 @@ func concrete[E any](v reflect.Value) []E {
 	return v.Interface().([]E)
 }
 
-// scalarCodec builds the plan of []E from its two loops. read fills a
+// scalarCodec builds the plan of []E from its three loops. read fills a
 // slice already sized to the declared count, which the decoder has checked
 // against the remaining input (every element is at least one byte): one
 // allocation for the backing array, and none for an empty slice, which
-// decodes to nil as in the generic plan.
-func scalarCodec[E any](appendAll func([]byte, []E) []byte, read func(*decoder, []E) error) *codec {
+// decodes to nil as in the generic plan. sizeAll counts the bytes
+// appendAll writes.
+func scalarCodec[E any](appendAll func([]byte, []E) []byte, read func(*decoder, []E) error, sizeAll func([]E) int) *codec {
 	return &codec{
 		min: 1,
 		enc: func(b []byte, v reflect.Value) []byte {
 			s := concrete[E](v)
 			return appendAll(binary.AppendUvarint(b, uint64(len(s))), s)
+		},
+		size: func(v reflect.Value) int {
+			s := concrete[E](v)
+			return uvarintLen(uint64(len(s))) + sizeAll(s)
 		},
 		dec: func(d *decoder, v reflect.Value) error {
 			n, err := d.count(1)
@@ -64,7 +69,7 @@ func intsCodec[E int | int64]() *codec {
 	return scalarCodec(
 		func(b []byte, s []E) []byte {
 			for _, x := range s {
-				b = binary.AppendUvarint(b, uint64(x<<1)^uint64(x>>63))
+				b = binary.AppendUvarint(b, zigzag(int64(x)))
 			}
 			return b
 		},
@@ -81,6 +86,13 @@ func intsCodec[E int | int64]() *codec {
 				s[i] = E(x)
 			}
 			return nil
+		},
+		func(s []E) int {
+			n := 0
+			for _, x := range s {
+				n += uvarintLen(zigzag(int64(x)))
+			}
+			return n
 		})
 }
 
@@ -89,6 +101,14 @@ func appendUint64s(b []byte, s []uint64) []byte {
 		b = binary.AppendUvarint(b, x)
 	}
 	return b
+}
+
+func sizeUint64s(s []uint64) int {
+	n := 0
+	for _, x := range s {
+		n += uvarintLen(x)
+	}
+	return n
 }
 
 func readUint64s(d *decoder, s []uint64) error {
@@ -129,6 +149,14 @@ func appendStrings(b []byte, s []string) []byte {
 		b = append(binary.AppendUvarint(b, uint64(len(x))), x...)
 	}
 	return b
+}
+
+func sizeStrings(s []string) int {
+	n := 0
+	for _, x := range s {
+		n += uvarintLen(uint64(len(x))) + len(x)
+	}
+	return n
 }
 
 func readStrings(d *decoder, s []string) error {

@@ -90,6 +90,9 @@ func TestScalarPlansMatchGenericPlan(t *testing.T) {
 			if want := generic.enc(nil, v); !bytes.Equal(enc, want) {
 				t.Fatalf("%s, %d elements: native plan wrote %x, generic plan %x", c.typ, n, enc, want)
 			}
+			if fs, gs := fast.size(v), generic.size(v); fs != len(enc) || gs != len(enc) {
+				t.Fatalf("%s, %d elements: %d bytes written, sized %d by the native plan and %d by the generic one", c.typ, n, len(enc), fs, gs)
+			}
 			got, err := decode(fast, enc)
 			if err != nil {
 				t.Fatalf("%s, %d elements: native decode: %v", c.typ, n, err)

@@ -9,7 +9,11 @@
 // long-lived gob stream cannot offer) and costs nothing to describe.
 // The encode/decode plan of a type is built once by reflection, cached,
 // and reused for every later value; Register builds it eagerly so an
-// unsupported field kind surfaces at start-up.
+// unsupported field kind surfaces at start-up, and PlanOf hands it to a
+// holder of one type's values (a call path's method handle), which then
+// sizes, encodes and decodes them with no lookup at all. Size is a
+// counting pass over the same plan: the length Marshal would return,
+// with nothing written.
 //
 // Encoding rules:
 //
@@ -47,6 +51,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"reflect"
 	"sort"
 	"sync"
@@ -62,6 +67,8 @@ var ErrCorrupt = errors.New("wire: corrupt payload")
 type codec struct {
 	enc func(b []byte, v reflect.Value) []byte
 	dec func(d *decoder, v reflect.Value) error
+	// size is len(enc(nil, v)), counted without writing.
+	size func(v reflect.Value) int
 	// min is the smallest number of bytes a value of the type encodes
 	// to: the bound a declared element count is checked against.
 	min int
@@ -90,19 +97,24 @@ func planFor(t reflect.Type) (*codec, error) {
 	return build(t, map[reflect.Type]bool{})
 }
 
-// Marshal encodes v, a value or a non-nil pointer to one. The buffer
-// starts at the size (plus an eighth) of the type's previous encoding:
-// successive messages of one type are about the same length, so the
-// usual Marshal is one allocation and no regrowth.
+// Marshal encodes v, a value or a non-nil pointer to one.
 func Marshal(v any) ([]byte, error) {
 	rv, c, err := encodable(v)
 	if err != nil {
 		return nil, err
 	}
+	return c.marshal(rv), nil
+}
+
+// marshal encodes v into a fresh buffer that starts at the size (plus an
+// eighth) of the type's previous encoding: successive messages of one
+// type are about the same length, so the usual encode is one allocation
+// and no regrowth.
+func (c *codec) marshal(v reflect.Value) []byte {
 	last := c.last.Load()
-	b := c.enc(make([]byte, 0, last+last/8), rv)
+	b := c.enc(make([]byte, 0, last+last/8), v)
 	c.last.Store(int64(len(b)))
-	return b, nil
+	return b
 }
 
 // Append appends the encoding of v to b.
@@ -142,15 +154,54 @@ func Unmarshal(data []byte, v any) error {
 	if err != nil {
 		return err
 	}
+	return c.unmarshal(data, rv.Elem())
+}
+
+// unmarshal decodes data into v, an addressable value of the plan's type.
+func (c *codec) unmarshal(data []byte, v reflect.Value) error {
 	d := decoder{data: data}
-	if err := c.dec(&d, rv.Elem()); err != nil {
-		return fmt.Errorf("%w: %s: %v", ErrCorrupt, rv.Type().Elem(), err)
+	if err := c.dec(&d, v); err != nil {
+		return fmt.Errorf("%w: %s: %v", ErrCorrupt, v.Type(), err)
 	}
 	if d.off != len(data) {
-		return fmt.Errorf("%w: %s: %d trailing bytes", ErrCorrupt, rv.Type().Elem(), len(data)-d.off)
+		return fmt.Errorf("%w: %s: %d trailing bytes", ErrCorrupt, v.Type(), len(data)-d.off)
 	}
 	return nil
 }
+
+// Plan is the resolved codec of one payload type T. A holder of T values
+// sizes, encodes and decodes them through it with no plan lookup and no
+// interface box per value. The zero Plan is not usable; PlanOf builds one.
+type Plan[T any] struct{ c *codec }
+
+// PlanOf builds (or finds) T's plan, reporting an unsupported kind inside
+// it. T must not be a pointer: Marshal flattens a pointer argument, while
+// a plan of a pointer type would encode its presence byte.
+func PlanOf[T any]() (Plan[T], error) {
+	t := reflect.TypeOf((*T)(nil)).Elem()
+	if t.Kind() == reflect.Pointer {
+		return Plan[T]{}, fmt.Errorf("wire: %s: a payload type must not be a pointer", t)
+	}
+	c, err := planFor(t)
+	return Plan[T]{c}, err
+}
+
+// Size returns len(Marshal(*v)), counted without encoding.
+func (p Plan[T]) Size(v *T) int { return p.c.size(reflect.ValueOf(v).Elem()) }
+
+// Marshal encodes *v exactly as Marshal(v) does.
+func (p Plan[T]) Marshal(v *T) []byte { return p.c.marshal(reflect.ValueOf(v).Elem()) }
+
+// Unmarshal decodes data into *v exactly as Unmarshal(data, v) does.
+func (p Plan[T]) Unmarshal(data []byte, v *T) error {
+	return p.c.unmarshal(data, reflect.ValueOf(v).Elem())
+}
+
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// zigzag maps a signed integer onto the unsigned one its varint encodes.
+func zigzag(x int64) uint64 { return uint64(x<<1) ^ uint64(x>>63) }
 
 // --- decoder ---
 
@@ -311,7 +362,8 @@ func construct(t reflect.Type, busy map[reflect.Type]bool) (*codec, error) {
 }
 
 var boolCodec = &codec{
-	min: 1,
+	min:  1,
+	size: func(reflect.Value) int { return 1 },
 	enc: func(b []byte, v reflect.Value) []byte {
 		if v.Bool() {
 			return append(b, 1)
@@ -331,9 +383,9 @@ var boolCodec = &codec{
 var intCodec = &codec{
 	min: 1,
 	enc: func(b []byte, v reflect.Value) []byte {
-		x := v.Int()
-		return binary.AppendUvarint(b, uint64(x<<1)^uint64(x>>63))
+		return binary.AppendUvarint(b, zigzag(v.Int()))
 	},
+	size: func(v reflect.Value) int { return uvarintLen(zigzag(v.Int())) },
 	dec: func(d *decoder, v reflect.Value) error {
 		u, err := d.uvarint()
 		if err != nil {
@@ -353,6 +405,7 @@ var uintCodec = &codec{
 	enc: func(b []byte, v reflect.Value) []byte {
 		return binary.AppendUvarint(b, v.Uint())
 	},
+	size: func(v reflect.Value) int { return uvarintLen(v.Uint()) },
 	dec: func(d *decoder, v reflect.Value) error {
 		u, err := d.uvarint()
 		if err != nil {
@@ -372,6 +425,7 @@ var stringCodec = &codec{
 		s := v.String()
 		return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 	},
+	size: spanSize,
 	dec: func(d *decoder, v reflect.Value) error {
 		s, err := d.span()
 		if err != nil {
@@ -382,6 +436,12 @@ var stringCodec = &codec{
 	},
 }
 
+// spanSize sizes a string or []byte: its length, then its bytes.
+func spanSize(v reflect.Value) int {
+	n := v.Len()
+	return uvarintLen(uint64(n)) + n
+}
+
 // bytesCodec copies out of the input, so a decoded value never pins (or
 // is changed through) the buffer it was decoded from.
 var bytesCodec = &codec{
@@ -390,6 +450,7 @@ var bytesCodec = &codec{
 		s := v.Bytes()
 		return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 	},
+	size: spanSize,
 	dec: func(d *decoder, v reflect.Value) error {
 		s, err := d.span()
 		if err != nil {
@@ -414,6 +475,14 @@ func sliceCodec(el *codec) *codec {
 				b = el.enc(b, v.Index(i))
 			}
 			return b
+		},
+		size: func(v reflect.Value) int {
+			n := v.Len()
+			size := uvarintLen(uint64(n))
+			for i := 0; i < n; i++ {
+				size += el.size(v.Index(i))
+			}
+			return size
 		},
 		dec: func(d *decoder, v reflect.Value) error {
 			n, err := d.count(el.min)
@@ -446,6 +515,12 @@ func pointerCodec(t reflect.Type, el *codec) *codec {
 				return append(b, 0)
 			}
 			return el.enc(append(b, 1), v.Elem())
+		},
+		size: func(v reflect.Value) int {
+			if v.IsNil() {
+				return 1
+			}
+			return 1 + el.size(v.Elem())
 		},
 		dec: func(d *decoder, v reflect.Value) error {
 			set, err := d.flag(errPresence)
@@ -489,6 +564,16 @@ func mapCodec(t reflect.Type, key, val *codec) *codec {
 				b = val.enc(append(b, p.k...), p.v)
 			}
 			return b
+		},
+		size: func(v reflect.Value) int {
+			if v.IsNil() {
+				return 1
+			}
+			size := uvarintLen(uint64(v.Len()) + 1)
+			for it := v.MapRange(); it.Next(); {
+				size += key.size(it.Key()) + val.size(it.Value())
+			}
+			return size
 		},
 		dec: func(d *decoder, v reflect.Value) error {
 			x, err := d.uvarint()
@@ -554,6 +639,13 @@ func structCodec(t reflect.Type, busy map[reflect.Type]bool) (*codec, error) {
 				b = f.c.enc(b, v.Field(f.idx))
 			}
 			return b
+		},
+		size: func(v reflect.Value) int {
+			size := 0
+			for _, f := range fields {
+				size += f.c.size(v.Field(f.idx))
+			}
+			return size
 		},
 		dec: func(d *decoder, v reflect.Value) error {
 			for _, f := range fields {

@@ -66,6 +66,55 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPlanMatchesMarshal: a type's resolved Plan sizes a value at the
+// length Marshal gives it — nil, empty and populated shapes of every
+// kind, wide varints included — and encodes and decodes exactly as
+// Marshal and Unmarshal do. A pointer type has no Plan.
+func TestPlanMatchesMarshal(t *testing.T) {
+	p, err := PlanOf[outer]()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []outer{
+		{},
+		{Raw: []byte{}, Items: []inner{}, ByName: map[string]inner{}, Nested: [][]int64{}},
+		{
+			Flag: true, I: -1 << 62, U: 1<<32 - 1, S: strings.Repeat("é", 100), Raw: make([]byte, 200),
+			Items:  []inner{{N: -1 << 15, Tags: []string{"a", "", strings.Repeat("x", 128)}}, {}},
+			Ptr:    &inner{Tags: []string{}},
+			ByName: map[string]inner{"b": {N: 2}, "a": {N: 1}, "": {}},
+			ByID:   map[int8]bool{-128: true, 127: false},
+			Nested: [][]int64{{1 << 62, -1}, nil, {}},
+		},
+		// Counts on either side of a varint's one-byte limit.
+		{Items: make([]inner, 127), Nested: make([][]int64, 128)},
+	} {
+		enc, err := Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.Size(&v); got != len(enc) {
+			t.Errorf("Size = %d, Marshal wrote %d bytes of %+v", got, len(enc), v)
+		}
+		if got := p.Marshal(&v); !bytes.Equal(got, enc) {
+			t.Errorf("Plan.Marshal wrote %x, Marshal %x", got, enc)
+		}
+		var out, want outer
+		if err := p.Unmarshal(enc, &out); err != nil {
+			t.Fatal(err)
+		}
+		if err := Unmarshal(enc, &want); err != nil || !reflect.DeepEqual(out, want) {
+			t.Errorf("Plan.Unmarshal decoded %+v, Unmarshal %+v (%v)", out, want, err)
+		}
+	}
+	if err := p.Unmarshal([]byte{2}, new(outer)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Plan.Unmarshal of a bad payload: %v", err)
+	}
+	if _, err := PlanOf[*outer](); err == nil {
+		t.Error("PlanOf a pointer type succeeded")
+	}
+}
+
 // A reused decode target is overwritten in full, and nothing it held is
 // written through or left behind.
 func TestUnmarshalOverwritesTarget(t *testing.T) {

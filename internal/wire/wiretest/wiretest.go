@@ -14,7 +14,7 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/network"
+	"repro/internal/wire"
 )
 
 // PlanParity checks that v's encoding is, byte for byte, the one the
@@ -26,7 +26,7 @@ import (
 func PlanParity(t *testing.T, v any) {
 	t.Helper()
 	typ := reflect.TypeOf(v)
-	enc, err := network.Marshal(v)
+	enc, err := wire.Marshal(v)
 	if err != nil {
 		t.Fatalf("%s: Marshal: %v", typ, err)
 	}
@@ -105,19 +105,19 @@ func GobParity(t *testing.T, v any) {
 		t.Fatalf("%s: gob decode: %v", typ, err)
 	}
 
-	enc, err := network.Marshal(v)
+	enc, err := wire.Marshal(v)
 	if err != nil {
 		t.Fatalf("%s: Marshal: %v", typ, err)
 	}
 	viaWire := reflect.New(typ)
-	if err := network.Unmarshal(enc, viaWire.Interface()); err != nil {
+	if err := wire.Unmarshal(enc, viaWire.Interface()); err != nil {
 		t.Fatalf("%s: Unmarshal: %v", typ, err)
 	}
 	if !reflect.DeepEqual(viaGob.Elem().Interface(), viaWire.Elem().Interface()) {
 		t.Errorf("%s: codec round trip differs from gob round trip:\n in   %#v\n gob  %#v\n wire %#v",
 			typ, v, viaGob.Elem().Interface(), viaWire.Elem().Interface())
 	}
-	again, err := network.Marshal(viaWire.Interface())
+	again, err := wire.Marshal(viaWire.Interface())
 	if err != nil {
 		t.Fatalf("%s: re-Marshal: %v", typ, err)
 	}
@@ -127,19 +127,19 @@ func GobParity(t *testing.T, v any) {
 }
 
 // FuzzDecode is the body of a payload fuzz target for message type T:
-// arbitrary bytes through network.Unmarshal must never panic, must never
+// arbitrary bytes through wire.Unmarshal must never panic, must never
 // materialize more elements than the input has bytes (every declared
 // length is checked against the remaining input before allocation), and
 // whatever is accepted must re-encode to exactly the input.
 func FuzzDecode[T any](t *testing.T, data []byte) {
 	var v T
-	if err := network.Unmarshal(data, &v); err != nil {
+	if err := wire.Unmarshal(data, &v); err != nil {
 		return
 	}
 	if n := elements(reflect.ValueOf(v)); n > len(data) {
 		t.Fatalf("decoded %d elements from %d bytes of input", n, len(data))
 	}
-	reenc, err := network.Marshal(v)
+	reenc, err := wire.Marshal(v)
 	if err != nil {
 		t.Fatalf("re-encode of accepted payload: %v", err)
 	}
