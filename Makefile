@@ -13,7 +13,7 @@ race:
 # alloc runs the allocation guards: every test in the *alloc_test.go
 # files. They build only without -race (the detector allocates on its
 # own), so `make race` and CI's race step never run them.
-ALLOC_TESTS = TestAppendKeyZeroAllocs|TestHashZeroAllocs|TestCompiledMatchZeroAllocs|TestViolationsWarmMarkZeroAllocs|TestDeltaBetweenCostProportionalToChange|TestEpochPublishCostProportionalToDelta|TestEpochPublishCopiesEachNodeOnce|TestEpochFlipCopiesOneArrayPerNode|TestEpochUnpublishedWarmMarksStayFree|TestEpochPublishedWarmMarksAmortizeToZero|TestDetectAllocCeiling|TestStoredApplyAllocsIndependentOfGroupSize|TestInt64ColumnDecodesInOneAllocation|TestColumnEncodeAllocatesNothing|TestEnvelopeAllocs|TestInlineCallAllocs|TestQueryAnswersFromPostings|TestBatchDeliverDecodeAllocs|TestWaveAllocBound|TestHorizontalWaveAllocBound|TestHorizontalWaveBytesBound|TestVerticalWaveAllocBound|TestOptimizeAllocBound
+ALLOC_TESTS = TestAppendKeyZeroAllocs|TestHashZeroAllocs|TestCompiledMatchZeroAllocs|TestViolationsWarmMarkZeroAllocs|TestDeltaBetweenCostProportionalToChange|TestEpochPublishCostProportionalToDelta|TestEpochPublishCopiesEachNodeOnce|TestEpochFlipCopiesOneArrayPerNode|TestEpochUnpublishedWarmMarksStayFree|TestEpochPublishedWarmMarksAmortizeToZero|TestDetectAllocCeiling|TestStoredApplyAllocsIndependentOfGroupSize|TestInt64ColumnDecodesInOneAllocation|TestColumnEncodeAllocatesNothing|TestEnvelopeAllocs|TestInlineCallAllocs|TestQueryAnswersFromPostings|TestBatchDeliverDecodeAllocs|TestWaveAllocBound|TestHorizontalWaveAllocBound|TestHorizontalWaveBytesBound|TestVerticalWaveAllocBound|TestVerticalWaveBytesBound|TestOptimizeAllocBound
 alloc:
 	$(GO) test -run '^($(ALLOC_TESTS))$$' ./internal/relation ./internal/cfd ./internal/centralized \
 		./internal/wire ./internal/netwire ./internal/network ./internal/session ./internal/vertical ./internal/horizontal \

@@ -153,6 +153,12 @@ type waveScratch struct {
 	settle                network.Coalescer[settleGroupItem]
 	probeRefs, settleRefs [][]*hGroup // by site, aligned with the envelopes
 	settleResps           []settleGroupResp
+
+	// relay is the wave's probe relay (-1: none), and sites the
+	// destinations of the fan-out round running: the state the round
+	// bodies read, as they capture nothing.
+	relay network.SiteID
+	sites []network.SiteID
 }
 
 // waveKey names a touched (rule, X) group within a wave.
@@ -269,10 +275,11 @@ func (sys *System) applyWaveCoalesced(norm relation.UpdateList) error {
 	owners := sc.owners
 	sc.applyResps = slices.Grow(sc.applyResps, len(owners))[:len(owners)]
 	applyResps := sc.applyResps
-	err := sys.cluster.Fanout(len(owners), func(l *network.Lane, i int) error {
-		o := owners[i]
+	err := network.Fanout(sys.cluster, len(owners), sys, func(sys *System, l *network.Lane, i int) error {
+		sc := sys.scratch
+		o := sc.owners[i]
 		var err error
-		applyResps[i], err = send(sys, l, o, o, mBatchApply, batchApplyReq{Updates: sc.perOwner[o], RawKeys: !sys.useMD5})
+		sc.applyResps[i], err = send(sys, l, o, o, mBatchApply, batchApplyReq{Updates: sc.perOwner[o], RawKeys: !sys.useMD5})
 		return err
 	})
 	if err != nil {
@@ -406,6 +413,7 @@ func (sys *System) applyWaveCoalesced(norm relation.UpdateList) error {
 	}
 	clear(sc.probing)
 	sys.waveSeq++
+	sc.relay = relay
 	for _, g := range groups {
 		if !g.needProbe {
 			continue
@@ -432,10 +440,11 @@ func (sys *System) applyWaveCoalesced(norm relation.UpdateList) error {
 	// relay's own groups need no hop). Fire-and-forget; the driver
 	// already holds the aggregate, the message is the wire cost a real
 	// aggregation pays.
-	fwdSites := sc.fwd.Sites()
-	err = sys.cluster.Fanout(len(fwdSites), func(l *network.Lane, i int) error {
-		o := fwdSites[i]
-		_, err := send(sys, l, o, relay, mForwardGroup, forwardGroupReq{Items: sc.fwd.Items(o)})
+	sc.sites = sc.fwd.Sites()
+	err = network.Fanout(sys.cluster, len(sc.sites), sys, func(sys *System, l *network.Lane, i int) error {
+		sc := sys.scratch
+		o := sc.sites[i]
+		_, err := send(sys, l, o, sc.relay, mForwardGroup, forwardGroupReq{Items: sc.fwd.Items(o)})
 		return err
 	})
 	if err != nil {
@@ -496,16 +505,18 @@ func (sys *System) applyWaveCoalesced(norm relation.UpdateList) error {
 	}
 	if !sc.settle.Empty() {
 		sites := sc.settle.Sites()
+		sc.sites = sites
 		sc.settleResps = slices.Grow(sc.settleResps, len(sites))[:len(sites)]
 		resps := sc.settleResps
-		err := sys.cluster.Fanout(len(sites), func(l *network.Lane, i int) error {
-			to := sites[i]
+		err := network.Fanout(sys.cluster, len(sites), sys, func(sys *System, l *network.Lane, i int) error {
+			sc := sys.scratch
+			to := sc.sites[i]
 			from := to // owner settles are the site's own local work
 			if !allOwnerItems(sc.settleRefs[to], to) {
-				from = relay // demote orders travel from the relay
+				from = sc.relay // demote orders travel from the relay
 			}
 			var err error
-			resps[i], err = send(sys, l, from, to, mSettleGroup, settleGroupReq{Items: sc.settle.Items(to)})
+			sc.settleResps[i], err = send(sys, l, from, to, mSettleGroup, settleGroupReq{Items: sc.settle.Items(to)})
 			return err
 		})
 		if err != nil {

@@ -235,7 +235,7 @@ func (sys *System) BatchDetect() (*cfd.Violations, error) {
 		if sys.facts[i].local {
 			targets := sys.participants(i)
 			resps := make([]localDetectResp, len(targets))
-			err := sys.cluster.Fanout(len(targets), func(l *network.Lane, i int) error {
+			err := network.Fanout(sys.cluster, len(targets), nil, func(_ *struct{}, l *network.Lane, i int) error {
 				// Locally checkable rules need no shipment: each site
 				// detects against its own fragment (same-site call).
 				var err error

@@ -26,10 +26,14 @@ import (
 // once, where its busy window ends and the next one's starts (Lane).
 //
 // A wave of one update is a dozen small fan-outs, so a round's fixed
-// cost matters as much as its breadth. The workers beyond the caller are
-// helper goroutines the cluster keeps parked between rounds, and a
-// round's bookkeeping (cursor, WaitGroup, error slot) is one reused run:
-// a fan-out allocates nothing and spawns nothing once the helpers exist.
+// cost matters as much as its breadth. A round body gets its state as an
+// argument — a static func over a pointer the caller already holds — so
+// an inline round builds no closure and, once the cluster holds a spare
+// lane, allocates nothing. A concurrent round wraps body and state in
+// one closure for its helpers; the workers beyond the caller are helper
+// goroutines the cluster keeps parked between rounds, and the round's
+// bookkeeping (cursor, WaitGroup, error slot) is one reused run, so it
+// spawns nothing once the helpers exist.
 
 // defaultFanoutCap bounds a concurrent fan-out's worker count when the
 // cluster has no explicit cap. Rounds run concurrently only where
@@ -139,7 +143,7 @@ func (p *fanPool) stop() {
 	p.helpers.Wait()
 }
 
-// Fanout runs fn(l, i) for i in [0, n), concurrently with at most
+// Fanout runs fn(st, l, i) for i in [0, n), concurrently with at most
 // MaxFanout workers where a call can wait (canWait). Otherwise, or with
 // one worker, the indices run in order on the caller, exactly like the
 // serial loop it replaces. Every index runs even after a failure, and the
@@ -147,33 +151,46 @@ func (p *fanPool) stop() {
 // regardless of scheduling. fn makes its calls on l. fn may itself fan
 // out; a nested inline round has a lane of its own, so the outer lane's
 // next window also spans it.
-func (c *Cluster) Fanout(n int, fn func(l *Lane, i int) error) error {
-	workers, l := 1, &c.lone
+//
+// st is the round's state and fn reads it through its first argument
+// rather than capturing it: a func literal that captures nothing is
+// static, so an inline round allocates no closure. st is shared with the
+// helpers of a concurrent round, so escape analysis moves a local it
+// points at to the heap: pass a pointer the caller already holds.
+func Fanout[S any](c *Cluster, n int, st *S, fn func(st *S, l *Lane, i int) error) error {
 	if c.canWait() {
-		workers = min(n, c.MaxFanout())
-	} else {
-		l = c.inlineLane()
-		defer c.spare.Store(l)
-	}
-	if workers <= 1 {
-		var first error
-		for i := 0; i < n; i++ {
-			if err := fn(l, i); err != nil && first == nil {
-				first = err
-			}
+		if workers := min(n, c.MaxFanout()); workers > 1 {
+			return c.fanout(n, workers, func(l *Lane, i int) error { return fn(st, l, i) })
 		}
-		return first
+		return inline(n, st, fn, &c.lone)
 	}
+	l := c.inlineLane()
+	err := inline(n, st, fn, l)
+	c.spare.Store(l)
+	return err
+}
 
-	// Work-stealing off an atomic cursor; the caller's goroutine is
-	// worker 0, and the other workers are parked helpers, or new ones
-	// when none is idle.
+// inline runs a round's indices in order on the caller, on lane l.
+func inline[S any](n int, st *S, fn func(*S, *Lane, int) error, l *Lane) error {
+	var first error
+	for i := 0; i < n; i++ {
+		if err := fn(st, l, i); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// fanout runs a concurrent round of workers: work-stealing off an atomic
+// cursor, the caller's goroutine worker 0, the others parked helpers, or
+// new ones when none is idle.
+func (c *Cluster) fanout(n, workers int, fn func(l *Lane, i int) error) error {
 	p := c.fan.fanPool
 	r := p.spare.Swap(nil)
 	if r == nil {
 		r = new(fanRun)
 	}
-	r.n, r.fn, r.lane = n, fn, l
+	r.n, r.fn, r.lane = n, fn, &c.lone
 	r.next.Store(0)
 	r.wg.Add(workers - 1)
 	for w := 1; w < workers; w++ {
@@ -221,7 +238,7 @@ type CallFunc[Req, Resp any] func(l *Lane, from, to SiteID, m *Method[Req, Resp]
 // lowest-index one.
 func GatherVia[Req, Resp any](c *Cluster, call CallFunc[Req, Resp], from SiteID, m *Method[Req, Resp], targets []SiteID, req func(SiteID) Req) ([]Resp, error) {
 	replies := make([]Resp, len(targets))
-	err := c.Fanout(len(targets), func(l *Lane, i int) error {
+	err := Fanout(c, len(targets), nil, func(_ *struct{}, l *Lane, i int) error {
 		var err error
 		replies[i], err = call(l, from, targets[i], m, req(targets[i]))
 		return err

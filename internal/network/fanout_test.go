@@ -147,7 +147,7 @@ func TestFanoutRunsAllAfterFailure(t *testing.T) {
 		}
 		c.SetMaxFanout(workers)
 		targets := targetsExcept(c, 0)
-		err := c.Fanout(len(targets), func(l *Lane, i int) error {
+		err := Fanout(c, len(targets), nil, func(_ *struct{}, l *Lane, i int) error {
 			_, err := Call(l, 0, targets[i], mFailFirst, echoReq{})
 			return err
 		})
@@ -210,7 +210,7 @@ func TestFanoutWorkerCaps(t *testing.T) {
 	// Concurrency never exceeds the cap.
 	c.SetMaxFanout(3)
 	var cur, peak atomic.Int64
-	err := c.Fanout(32, func(*Lane, int) error {
+	err := Fanout(c, 32, nil, func(*struct{}, *Lane, int) error {
 		n := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -255,7 +255,7 @@ func TestFanoutInlineWithoutWaits(t *testing.T) {
 	caller := goroutineID()
 	var order []int
 	var cur atomic.Int64
-	err := c.Fanout(16, func(_ *Lane, i int) error {
+	err := Fanout(c, 16, nil, func(_ *struct{}, _ *Lane, i int) error {
 		if n := cur.Add(1); n != 1 {
 			return fmt.Errorf("index %d ran beside %d others", i, n-1)
 		}
@@ -286,7 +286,7 @@ func TestFanoutInlineWithoutWaits(t *testing.T) {
 	barrier := func(c *Cluster) error {
 		var arrived atomic.Int64
 		all := make(chan struct{})
-		return c.Fanout(2, func(_ *Lane, i int) error {
+		return Fanout(c, 2, nil, func(_ *struct{}, _ *Lane, i int) error {
 			if arrived.Add(1) == 2 {
 				close(all)
 			}
@@ -331,7 +331,7 @@ func TestFanoutHelpersBounded(t *testing.T) {
 	w := c.MaxFanout()
 	var sum atomic.Int64
 	for round := 0; round < 10000; round++ {
-		if err := c.Fanout(w+3, func(_ *Lane, i int) error {
+		if err := Fanout(c, w+3, nil, func(_ *struct{}, _ *Lane, i int) error {
 			sum.Add(int64(i))
 			return nil
 		}); err != nil {
@@ -351,7 +351,7 @@ func TestFanoutHelpersBounded(t *testing.T) {
 		t.Errorf("%d goroutines after Close, baseline %d", n, base)
 	}
 	// A closed cluster still fans out, on helpers that do not stay.
-	if err := c.Fanout(w, func(*Lane, int) error { return nil }); err != nil {
+	if err := Fanout(c, w, nil, func(*struct{}, *Lane, int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if n := awaitGoroutines(base); n > base {
@@ -364,7 +364,7 @@ func TestFanoutDroppedClusterStopsHelpers(t *testing.T) {
 	base := runtime.NumGoroutine()
 	func() {
 		c := waitingCluster(4)
-		if err := c.Fanout(c.MaxFanout(), func(*Lane, int) error { return nil }); err != nil {
+		if err := Fanout(c, c.MaxFanout(), nil, func(*struct{}, *Lane, int) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}()
@@ -385,8 +385,8 @@ func TestFanoutNested(t *testing.T) {
 	defer c.Close()
 	c.SetMaxFanout(4)
 	var calls atomic.Int64
-	err := c.Fanout(8, func(*Lane, int) error {
-		return c.Fanout(8, func(*Lane, int) error {
+	err := Fanout(c, 8, nil, func(*struct{}, *Lane, int) error {
+		return Fanout(c, 8, nil, func(*struct{}, *Lane, int) error {
 			calls.Add(1)
 			return nil
 		})
@@ -416,7 +416,7 @@ func TestFanoutConcurrentCallers(t *testing.T) {
 				defer wg.Done()
 				for round := 0; round < rounds; round++ {
 					var sum atomic.Int64
-					if err := c.Fanout(width, func(l *Lane, i int) error {
+					if err := Fanout(c, width, nil, func(_ *struct{}, l *Lane, i int) error {
 						sum.Add(int64(i))
 						_, err := Call(l, 0, SiteID(i%4), mWork, echoReq{Text: "x", N: 1})
 						return err
@@ -445,7 +445,7 @@ func TestFanoutNoStaleError(t *testing.T) {
 	c := waitingCluster(4)
 	defer c.Close()
 	c.SetMaxFanout(4)
-	err := c.Fanout(10, func(_ *Lane, i int) error {
+	err := Fanout(c, 10, nil, func(_ *struct{}, _ *Lane, i int) error {
 		if i == 3 {
 			return errors.New("index 3")
 		}
@@ -454,7 +454,7 @@ func TestFanoutNoStaleError(t *testing.T) {
 	if err == nil || err.Error() != "index 3" {
 		t.Fatalf("failing round returned %v", err)
 	}
-	if err := c.Fanout(10, func(*Lane, int) error { return nil }); err != nil {
+	if err := Fanout(c, 10, nil, func(*struct{}, *Lane, int) error { return nil }); err != nil {
 		t.Errorf("clean round after a failure returned %v", err)
 	}
 }
@@ -466,7 +466,7 @@ func TestFanoutLowestIndexErrorWins(t *testing.T) {
 		c := waitingCluster(4)
 		c.SetMaxFanout(w)
 		for round := 0; round < 50; round++ {
-			err := c.Fanout(16, func(_ *Lane, i int) error {
+			err := Fanout(c, 16, nil, func(_ *struct{}, _ *Lane, i int) error {
 				if i%3 == 2 {
 					switch i {
 					case 2:

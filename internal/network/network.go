@@ -131,6 +131,36 @@ type Method[Req, Resp any] struct {
 	idx  int // from 1: no handle maps to a table's first slot
 	req  wire.Plan[Req]
 	resp wire.Plan[Resp]
+	// sizing is where a metered call puts its request and reply for the
+	// sizing pass, which reads through a pointer: the values themselves
+	// would move to the heap, per call. A concurrent caller that finds
+	// it taken makes its own.
+	sizing atomic.Pointer[payloads[Req, Resp]]
+}
+
+// payloads are a metered call's request and reply.
+type payloads[Req, Resp any] struct {
+	req  Req
+	resp Resp
+}
+
+// size returns the payload bytes of a call of m: the lengths of req's
+// and resp's Marshal encodings, counted without encoding.
+func (m *Method[Req, Resp]) size(req Req, resp Resp) (reqBytes, respBytes int) {
+	if n, ok := m.req.Fixed(); ok {
+		if k, ok := m.resp.Fixed(); ok {
+			return n, k // nothing to read, such as a barrier's
+		}
+	}
+	p := m.sizing.Swap(nil)
+	if p == nil {
+		p = new(payloads[Req, Resp])
+	}
+	p.req, p.resp = req, resp
+	reqBytes, respBytes = m.req.Size(&p.req), m.resp.Size(&p.resp)
+	*p = payloads[Req, Resp]{} // keep no reference to the call's values
+	m.sizing.Store(p)
+	return reqBytes, respBytes
 }
 
 var methods atomic.Int64 // the handles NewMethod has made
@@ -348,16 +378,11 @@ func Call[Req, Resp any](l *Lane, from, to SiteID, m *Method[Req, Resp], req Req
 	if d := time.Duration(c.linkRTT.Load()); d > 0 {
 		time.Sleep(d)
 	}
-	// Sizing reads through a pointer, which moves what it points at to
-	// the heap: copies keep that cost off same-site calls.
-	sent := req
-	reqBytes := m.req.Size(&sent)
 	resp, err := run(l, to, f, req)
 	if err != nil {
 		return resp, err
 	}
-	got := resp
-	respBytes := m.resp.Size(&got)
+	reqBytes, respBytes := m.size(req, resp)
 	c.statMu.Lock()
 	c.meterLocked(from, to, reqBytes, respBytes)
 	c.statMu.Unlock()
@@ -457,8 +482,11 @@ func (c *Cluster) Close() error {
 // not retain or mutate their arguments: in process they are shared with
 // the caller. The reply is the other half of that contract: an
 // in-process reply may share the site's memory until that site's next
-// call of the method, which may reuse it, so a caller must be done with
-// it by then. The raw form encodes the reply before that call can run.
+// call of the method, which may reuse it, so a caller must read it —
+// and never write it — before then. Both engines' sites answer small
+// calls from arrays they keep per method on these terms, bounded so a
+// large reply (a seeding wave) gets arrays of its own. The raw form
+// encodes the reply before that call can run.
 func RegisterFunc[Req, Resp any](c *Cluster, site SiteID, m *Method[Req, Resp], f func(Req) (Resp, error)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -401,7 +401,7 @@ func (s *Session) markSites() error {
 	if s.tcp == nil || s.cfg.ckptDir == "" {
 		return nil
 	}
-	return s.cluster.Fanout(len(s.cfg.tcpAddrs), func(_ *network.Lane, i int) error {
+	return network.Fanout(s.cluster, len(s.cfg.tcpAddrs), s, func(s *Session, _ *network.Lane, i int) error {
 		if _, err := s.tcp.Invoke(network.SiteID(i), "chk.mark", nil); err != nil {
 			return fmt.Errorf("session: checkpoint mark site %d: %w", i, err)
 		}

@@ -61,16 +61,18 @@ type wave struct {
 }
 
 // waveScratch is the driver's per-wave working set — the wave itself and
-// the tables its phases build their calls in — kept on the System so a
-// stream of small waves reuses them instead of allocating each per wave.
-// Reuse is safe because no site keeps a request's slices: in process a
-// handler receives the driver's own slices and only reads them during the
-// call. The one thing a handler stores, batchFrag's projected Values, is
-// projected afresh per update and never comes from here. end drops every
-// reference a wave left (replies, values, schedules) and keeps only
-// capacity; a wave of more than scratchKeepWave updates (a seeding wave)
-// releases the scratch instead, so its high-water tables do not stay
-// resident.
+// the tables its phases build their calls in and gather their replies
+// into — kept on the System so a stream of small waves reuses them
+// instead of allocating each per wave. Reuse is safe because no site
+// keeps a request's slices: in process a handler receives the driver's
+// own slices and only reads them during the call. The one thing a
+// handler stores, batchFrag's projected Values, is projected afresh per
+// update and never comes from here. A phase's fan-out round reads what it
+// sends from here too: its body is a static func over the System, not a
+// closure. end drops every reference a wave left (replies, values,
+// schedules) and keeps only capacity; a wave of more than scratchKeepWave
+// updates (a seeding wave) releases the scratch instead, so its
+// high-water tables do not stay resident.
 type waveScratch struct {
 	w    wave
 	seen map[relation.TupleID]bool // applyCoalesced's wave cut
@@ -78,10 +80,18 @@ type waveScratch struct {
 	// the arena grows keeps the old array, so all stay valid for the wave.
 	arena []uint64
 	sites []network.SiteID // sitesWhere's list; one phase holds it at a time
+	// targets are the sites of the fan-out round running, by index.
+	targets []network.SiteID
 
+	updates  relation.UpdateList // deliverFragments' updates of kind op
+	op       OpKind
 	frag     [][]applyReq      // by site: deliverFragments' items
+	evalReq  batchEvalReq      // sent to every checker
+	evals    []batchEvalResp   // by checker
 	votes    [][]batchVoteItem // by checker*n + coordinator
 	voteKeys []int             // the non-empty votes, ascending
+	consts   []batchConstReq   // by site
+	verdicts []batchConstResp  // by coordinator
 
 	nodeSeen     []bool // by plan node: waveNodes' union
 	nodes        []int
@@ -90,6 +100,10 @@ type waveScratch struct {
 	resolveResps []batchResolveResp   // by site
 	pend         [][]batchDeliverItem // by dest*n + src
 	srcs, dsts   []network.SiteID
+	hosts        []bool          // by site: hosts an alive rule's IDX
+	ruleReq      batchRuleReq    // sent to every IDX site
+	ruleResps    []batchRuleResp // by IDX site
+	releases     []batchReleaseReq
 	endIDs       [][]int64 // by site
 }
 
@@ -100,11 +114,22 @@ func newWaveScratch(sites int) *waveScratch {
 		seen:         make(map[relation.TupleID]bool),
 		frag:         make([][]applyReq, sites),
 		votes:        make([][]batchVoteItem, sites*sites),
+		consts:       make([]batchConstReq, sites),
 		resolveReqs:  make([]batchResolveReq, sites),
 		resolveResps: make([]batchResolveResp, sites),
 		pend:         make([][]batchDeliverItem, sites*sites),
+		hosts:        make([]bool, sites),
+		releases:     make([]batchReleaseReq, sites),
 		endIDs:       make([][]int64, sites),
 	}
+}
+
+// sized returns s resized to n zeroed elements, keeping its array when
+// it is large enough.
+func sized[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
 // rows takes n zeroed words off the arena.
@@ -125,10 +150,18 @@ func (sc *waveScratch) end() {
 	sc.w = wave{states: sc.w.states[:0], ids: sc.w.ids[:0], walk: sc.w.walk[:0]}
 	clear(sc.seen)
 	sc.arena = sc.arena[:0]
+	sc.targets, sc.updates = nil, nil
+	sc.evalReq, sc.ruleReq = batchEvalReq{}, batchRuleReq{}
+	clear(sc.evals)
+	clear(sc.verdicts)
+	clear(sc.ruleResps)
 	for i := range sc.frag {
 		clear(sc.frag[i])
 		sc.frag[i] = sc.frag[i][:0]
+		sc.consts[i] = batchConstReq{}
 		sc.resolveReqs[i], sc.resolveResps[i] = batchResolveReq{}, batchResolveResp{}
+		r := &sc.releases[i]
+		*r = batchReleaseReq{Nodes: r.Nodes[:0], Members: r.Members[:0]}
 		sc.endIDs[i] = sc.endIDs[i][:0]
 	}
 	for i := range sc.votes {
@@ -255,21 +288,23 @@ func (sys *System) applyWave(updates relation.UpdateList) error {
 // fragment schema, or the bare ids of the deletions. One batched
 // same-site call per site; none when the wave has no such update.
 func (sys *System) deliverFragments(wave relation.UpdateList, op OpKind) error {
-	frag := sys.sc.frag
-	return sys.cluster.Fanout(len(frag), func(l *network.Lane, i int) error {
-		items := frag[i][:0]
-		for _, u := range wave {
-			if (u.Kind == relation.Delete) != (op == OpDelete) {
+	sc := sys.sc
+	sc.updates, sc.op = wave, op
+	return network.Fanout(sys.cluster, len(sc.frag), sys, func(sys *System, l *network.Lane, i int) error {
+		sc := sys.sc
+		items := sc.frag[i][:0]
+		for _, u := range sc.updates {
+			if (u.Kind == relation.Delete) != (sc.op == OpDelete) {
 				continue
 			}
-			item := applyReq{Op: op, ID: int64(u.Tuple.ID)}
-			if op == OpInsert {
+			item := applyReq{Op: sc.op, ID: int64(u.Tuple.ID)}
+			if sc.op == OpInsert {
 				// The site keeps these values: a fresh projection each.
 				item.Values = u.Tuple.ProjectTuple(sys.schema, sys.fragSch[i]).Values
 			}
 			items = append(items, item)
 		}
-		frag[i] = items
+		sc.frag[i] = items
 		if len(items) == 0 {
 			return nil
 		}
@@ -300,19 +335,21 @@ func malformed(method string, site network.SiteID) error {
 // evalConstants checks the wave's pattern constants at every listed
 // checker site and ORs the failures into w.failed.
 func (sys *System) evalConstants(w *wave, checkers []network.SiteID) error {
-	req := batchEvalReq{Gen: sys.gen, IDs: w.ids}
-	resps := make([]batchEvalResp, len(checkers))
-	err := sys.cluster.Fanout(len(checkers), func(l *network.Lane, i int) error {
-		c := checkers[i]
+	sc := sys.sc
+	sc.evalReq = batchEvalReq{Gen: sys.gen, IDs: w.ids}
+	sc.targets, sc.evals = checkers, sized(sc.evals, len(checkers))
+	err := network.Fanout(sys.cluster, len(checkers), sys, func(sys *System, l *network.Lane, i int) error {
+		sc := sys.sc
+		c := sc.targets[i]
 		var err error
-		resps[i], err = send(sys, l, c, c, mBatchEval, req)
+		sc.evals[i], err = send(sys, l, c, c, mBatchEval, sc.evalReq)
 		return err
 	})
 	if err != nil {
 		return err
 	}
 	for ci, c := range checkers {
-		failed := resps[ci].Failed
+		failed := sc.evals[ci].Failed
 		if !validRows(failed, len(w.ids), len(sys.rules)) {
 			return malformed("v.batchEval", c)
 		}
@@ -364,9 +401,10 @@ func (sys *System) constPhase(w *wave, nos []int) error {
 		}
 	}
 	sc.voteKeys = keys
-	err := sys.cluster.Fanout(len(keys), func(l *network.Lane, i int) error {
+	err := network.Fanout(sys.cluster, len(keys), sys, func(sys *System, l *network.Lane, i int) error {
+		sc, n := sys.sc, sys.scheme.NumSites
 		k := sc.voteKeys[i]
-		_, err := send(sys, l, network.SiteID(k/n), network.SiteID(k%n), mBatchVote, batchVoteReq{Items: votes[k]})
+		_, err := send(sys, l, network.SiteID(k/n), network.SiteID(k%n), mBatchVote, batchVoteReq{Items: sc.votes[k]})
 		return err
 	})
 	if err != nil {
@@ -381,7 +419,7 @@ func (sys *System) constPhase(w *wave, nos []int) error {
 	for _, no := range nos {
 		bitset(masks[int(sys.byNo[no].site)*rw:]).set(no)
 	}
-	reqs := make([]batchConstReq, n)
+	reqs := sc.consts // by site
 	for s := 0; s < n; s++ {
 		mask := bitset(masks[s*rw : (s+1)*rw])
 		if mask.empty() {
@@ -392,18 +430,19 @@ func (sys *System) constPhase(w *wave, nos []int) error {
 		}
 	}
 	coords := sys.sitesWhere(func(s int) bool { return reqs[s].Rules != nil })
-	resps := make([]batchConstResp, len(coords))
-	err = sys.cluster.Fanout(len(coords), func(l *network.Lane, i int) error {
-		s := coords[i]
+	sc.targets, sc.verdicts = coords, sized(sc.verdicts, len(coords))
+	err = network.Fanout(sys.cluster, len(coords), sys, func(sys *System, l *network.Lane, i int) error {
+		sc := sys.sc
+		s := sc.targets[i]
 		var err error
-		resps[i], err = send(sys, l, s, s, mBatchConst, reqs[s])
+		sc.verdicts[i], err = send(sys, l, s, s, mBatchConst, sc.consts[s])
 		return err
 	})
 	if err != nil {
 		return err
 	}
 	for si, s := range coords {
-		violations, asked := resps[si].Violations, reqs[s].Rules
+		violations, asked := sc.verdicts[si].Violations, reqs[s].Rules
 		if len(violations) != len(asked) {
 			return malformed("v.batchConst", s)
 		}
@@ -506,14 +545,13 @@ func (sys *System) resolveStages(w *wave) error {
 			srcs = append(srcs, site)
 			reqs[site] = batchResolveReq{IDs: w.ids, Ins: w.ins, Nodes: nodes[first:lo], Members: w.members[first*iw : lo*iw]}
 		}
-		// The fan-outs read the lists off sc: a captured local that the
-		// loop reassigns would move to the heap.
 		sc.srcs = srcs
 
-		err := sys.cluster.Fanout(len(sc.srcs), func(l *network.Lane, i int) error {
+		err := network.Fanout(sys.cluster, len(sc.srcs), sys, func(sys *System, l *network.Lane, i int) error {
+			sc := sys.sc
 			s := sc.srcs[i]
 			var err error
-			resps[s], err = send(sys, l, s, s, mBatchResolve, reqs[s])
+			sc.resolveResps[s], err = send(sys, l, s, s, mBatchResolve, sc.resolveReqs[s])
 			return err
 		})
 		if err != nil {
@@ -560,10 +598,11 @@ func (sys *System) resolveStages(w *wave) error {
 			}
 		}
 		sc.dsts = dsts
-		err = sys.cluster.Fanout(len(dsts), func(l *network.Lane, i int) error {
+		err = network.Fanout(sys.cluster, len(dsts), sys, func(sys *System, l *network.Lane, i int) error {
+			sc, n := sys.sc, sys.scheme.NumSites
 			dest := sc.dsts[i]
 			for src := 0; src < n; src++ {
-				items := pend[int(dest)*n+src]
+				items := sc.pend[int(dest)*n+src]
 				if len(items) == 0 {
 					continue
 				}
@@ -626,9 +665,10 @@ func (sys *System) waveNodes(walk []optimizer.NodeID, states []uState) []optimiz
 // ever meet inside one IDX site's reply, where the order is the mutation
 // order).
 func (sys *System) idxPhase(w *wave, alive []uint64) error {
-	rw := words(len(sys.rules))
-	hosts := make([]bool, sys.scheme.NumSites)
-	union := bitset(sys.sc.rows(rw))
+	sc, rw := sys.sc, words(len(sys.rules))
+	hosts := sc.hosts
+	clear(hosts)
+	union := bitset(sc.rows(rw))
 	for i, word := range alive {
 		union[i%rw] |= word
 	}
@@ -638,19 +678,20 @@ func (sys *System) idxPhase(w *wave, alive []uint64) error {
 		}
 	}
 	idxSites := sys.sitesWhere(func(s int) bool { return hosts[s] })
-	req := batchRuleReq{Gen: sys.gen, IDs: w.ids, Ins: w.ins, Alive: alive}
-	resps := make([]batchRuleResp, len(idxSites))
-	err := sys.cluster.Fanout(len(idxSites), func(l *network.Lane, i int) error {
-		s := idxSites[i]
+	sc.ruleReq = batchRuleReq{Gen: sys.gen, IDs: w.ids, Ins: w.ins, Alive: alive}
+	sc.targets, sc.ruleResps = idxSites, sized(sc.ruleResps, len(idxSites))
+	err := network.Fanout(sys.cluster, len(idxSites), sys, func(sys *System, l *network.Lane, i int) error {
+		sc := sys.sc
+		s := sc.targets[i]
 		var err error
-		resps[i], err = send(sys, l, s, s, mBatchRule, req)
+		sc.ruleResps[i], err = send(sys, l, s, s, mBatchRule, sc.ruleReq)
 		return err
 	})
 	if err != nil {
 		return err
 	}
 	for si, s := range idxSites {
-		resp := &resps[si]
+		resp := &sc.ruleResps[si]
 		if len(resp.Rules) != len(resp.At) || len(resp.Counts) != len(resp.At) {
 			return malformed("v.batchRule", s)
 		}
@@ -683,8 +724,7 @@ func (sys *System) idxPhase(w *wave, alive []uint64) error {
 // reverse walk order (a consumer before its inputs) with each node's
 // deleted members.
 func (sys *System) releaseWave(w *wave) error {
-	iw := words(len(w.ids))
-	reqs := make([]batchReleaseReq, sys.scheme.NumSites)
+	iw, reqs := words(len(w.ids)), sys.sc.releases // by site
 	for k := len(w.walk) - 1; k >= 0; k-- {
 		row := w.members[k*iw : (k+1)*iw]
 		deleted := uint64(0)
@@ -701,10 +741,11 @@ func (sys *System) releaseWave(w *wave) error {
 			req.Members = append(req.Members, word&^w.ins[wi])
 		}
 	}
-	sites := sys.sitesWhere(func(s int) bool { return len(reqs[s].Nodes) > 0 })
-	return sys.cluster.Fanout(len(sites), func(l *network.Lane, i int) error {
-		s := sites[i]
-		_, err := send(sys, l, s, s, mBatchRelease, reqs[s])
+	sys.sc.targets = sys.sitesWhere(func(s int) bool { return len(reqs[s].Nodes) > 0 })
+	return network.Fanout(sys.cluster, len(sys.sc.targets), sys, func(sys *System, l *network.Lane, i int) error {
+		sc := sys.sc
+		s := sc.targets[i]
+		_, err := send(sys, l, s, s, mBatchRelease, sc.releases[s])
 		return err
 	})
 }
@@ -719,10 +760,11 @@ func (sys *System) endWave(w *wave) error {
 			}
 		}
 	}
-	sites := sys.sitesWhere(func(s int) bool { return len(endIDs[s]) > 0 })
-	return sys.cluster.Fanout(len(sites), func(l *network.Lane, i int) error {
-		s := sites[i]
-		_, err := send(sys, l, s, s, mBatchEnd, batchEndReq{IDs: endIDs[s]})
+	sys.sc.targets = sys.sitesWhere(func(s int) bool { return len(endIDs[s]) > 0 })
+	return network.Fanout(sys.cluster, len(sys.sc.targets), sys, func(sys *System, l *network.Lane, i int) error {
+		sc := sys.sc
+		s := sc.targets[i]
+		_, err := send(sys, l, s, s, mBatchEnd, batchEndReq{IDs: sc.endIDs[s]})
 		return err
 	})
 }

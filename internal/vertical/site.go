@@ -81,6 +81,43 @@ type site struct {
 	inScratch []eqclass.EqID
 	// snapLen is the size of the last snapshot, the next one's buffer.
 	snapLen int
+
+	// reply holds the arrays the site's small replies are carved from,
+	// one set per method, which its next call of the method carves again
+	// (see replyKeep). No snapshot reads them.
+	reply replyArrays
+}
+
+// replyArrays back the replies of v.batchEval (failed), v.batchConst
+// (violations), v.batchResolve (eqs) and v.batchRule (the rest).
+type replyArrays struct {
+	failed, violations []uint64
+	eqs, ids           []int64
+	at, rules, counts  []int
+}
+
+// replyKeep bounds the reply arrays a site keeps between calls: a reply
+// array of at most replyKeep elements is carved from the one the site
+// kept from its last call of the method, so a stream of small waves
+// allocates no reply; a longer one (a seeding wave of 128, a rule whose
+// group turns violating at once) gets an array of its own, so the kept
+// ones never grow past replyKeep.
+const replyKeep = 64
+
+// carve returns a reply array of n zeroed elements: *kept's when n fits
+// replyKeep (the array is made, at that capacity, on first use), else a
+// fresh one. A reply built by appending starts from carve(kept, 0) and
+// moves to an array of its own once it outgrows the kept one.
+func carve[T any](kept *[]T, n int) []T {
+	if n > replyKeep {
+		return make([]T, n)
+	}
+	if *kept == nil {
+		*kept = make([]T, replyKeep)
+	}
+	out := (*kept)[:n]
+	clear(out)
+	return out
 }
 
 // newSite builds an empty site over plan and rules. Both may come off the
@@ -456,12 +493,15 @@ func (s *site) batchFrag(req batchFragReq) (empty, error) {
 }
 
 // batchEval checks the local pattern constants for every listed tuple.
+// A small reply shares the site's kept arrays (replyKeep): it is good
+// until the site's next v.batchEval, as are those of v.batchConst,
+// v.batchResolve and v.batchRule.
 func (s *site) batchEval(req batchEvalReq) (batchEvalResp, error) {
 	if err := s.checkGen("v.batchEval", req.Gen); err != nil {
 		return batchEvalResp{}, err
 	}
 	w := words(len(s.rules))
-	resp := batchEvalResp{Failed: make([]uint64, len(req.IDs)*w)}
+	resp := batchEvalResp{Failed: carve(&s.reply.failed, len(req.IDs)*w)}
 	if len(s.checked) == 0 {
 		return resp, nil
 	}
@@ -501,7 +541,7 @@ func (s *site) batchConst(req batchConstReq) (batchConstResp, error) {
 		return batchConstResp{}, s.refuse(method, "%d rule-set words for %d tuples under %d rules", len(req.Rules), len(req.IDs), len(s.rules))
 	}
 	w := words(len(s.rules))
-	resp := batchConstResp{Violations: make([]uint64, len(req.Rules))}
+	resp := batchConstResp{Violations: carve(&s.reply.violations, len(req.Rules))}
 	for i, id := range req.IDs {
 		row := req.Rules[i*w : (i+1)*w]
 		if bitset(row).empty() {
@@ -542,7 +582,7 @@ func (s *site) batchResolve(req batchResolveReq) (batchResolveResp, error) {
 	for _, word := range req.Members {
 		n += bits.OnesCount64(word)
 	}
-	resp := batchResolveResp{Eqs: make([]int64, 0, n)}
+	resp := batchResolveResp{Eqs: carve(&s.reply.eqs, n)[:0]}
 	w := words(len(req.IDs))
 	for k, node := range req.Nodes {
 		for wi, word := range req.Members[k*w : (k+1)*w] {
@@ -583,7 +623,8 @@ func (s *site) batchRule(req batchRuleReq) (batchRuleResp, error) {
 		return batchRuleResp{}, s.refuse(method, "%d op and %d rule-set words for %d tuples under %d rules",
 			len(req.Ins), len(req.Alive), len(req.IDs), len(s.rules))
 	}
-	var resp batchRuleResp
+	r := &s.reply
+	resp := batchRuleResp{At: carve(&r.at, 0), Rules: carve(&r.rules, 0), Counts: carve(&r.counts, 0), IDs: carve(&r.ids, 0)}
 	w := words(len(s.rules))
 	for i, id := range req.IDs {
 		insert := bitset(req.Ins).has(i)

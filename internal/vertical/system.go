@@ -358,8 +358,9 @@ func (sys *System) barrier() error {
 		}
 		sys.barrierPairs = pairs
 	}
-	return sys.cluster.Fanout(len(pairs), func(l *network.Lane, i int) error {
-		_, err := send(sys, l, pairs[i][0], pairs[i][1], mBarrier, barrierReq{})
+	return network.Fanout(sys.cluster, len(pairs), sys, func(sys *System, l *network.Lane, i int) error {
+		pair := sys.barrierPairs[i]
+		_, err := send(sys, l, pair[0], pair[1], mBarrier, barrierReq{})
 		return err
 	})
 }

@@ -72,6 +72,10 @@ type codec struct {
 	// min is the smallest number of bytes a value of the type encodes
 	// to: the bound a declared element count is checked against.
 	min int
+	// fixed reports that every value of the type encodes to exactly min
+	// bytes (bools, and structs of nothing else), so sizing one is a
+	// constant.
+	fixed bool
 	// last is the length of the type's latest Marshal encoding: the next
 	// one's starting capacity.
 	last atomic.Int64
@@ -186,8 +190,18 @@ func PlanOf[T any]() (Plan[T], error) {
 	return Plan[T]{c}, err
 }
 
-// Size returns len(Marshal(*v)), counted without encoding.
-func (p Plan[T]) Size(v *T) int { return p.c.size(reflect.ValueOf(v).Elem()) }
+// Size returns len(Marshal(*v)), counted without encoding; a type of one
+// fixed length is sized by a constant.
+func (p Plan[T]) Size(v *T) int {
+	if p.c.fixed {
+		return p.c.min
+	}
+	return p.c.size(reflect.ValueOf(v).Elem())
+}
+
+// Fixed reports the one length every value of T encodes to, if there is
+// one.
+func (p Plan[T]) Fixed() (int, bool) { return p.c.min, p.c.fixed }
 
 // Marshal encodes *v exactly as Marshal(v) does.
 func (p Plan[T]) Marshal(v *T) []byte { return p.c.marshal(reflect.ValueOf(v).Elem()) }
@@ -362,8 +376,9 @@ func construct(t reflect.Type, busy map[reflect.Type]bool) (*codec, error) {
 }
 
 var boolCodec = &codec{
-	min:  1,
-	size: func(reflect.Value) int { return 1 },
+	min:   1,
+	fixed: true,
+	size:  func(reflect.Value) int { return 1 },
 	enc: func(b []byte, v reflect.Value) []byte {
 		if v.Bool() {
 			return append(b, 1)
@@ -619,7 +634,7 @@ func structCodec(t reflect.Type, busy map[reflect.Type]bool) (*codec, error) {
 		c   *codec
 	}
 	var fields []field
-	min := 0
+	min, fixed := 0, true
 	for i := 0; i < t.NumField(); i++ {
 		f := t.Field(i)
 		if !f.IsExported() {
@@ -631,9 +646,11 @@ func structCodec(t reflect.Type, busy map[reflect.Type]bool) (*codec, error) {
 		}
 		fields = append(fields, field{i, c})
 		min += c.min
+		fixed = fixed && c.fixed
 	}
 	return &codec{
-		min: min,
+		min:   min,
+		fixed: fixed,
 		enc: func(b []byte, v reflect.Value) []byte {
 			for _, f := range fields {
 				b = f.c.enc(b, v.Field(f.idx))

@@ -113,6 +113,66 @@ func TestPlanMatchesMarshal(t *testing.T) {
 	if _, err := PlanOf[*outer](); err == nil {
 		t.Error("PlanOf a pointer type succeeded")
 	}
+
+	// A type whose every value encodes to one length is sized by a
+	// constant: bools and structs of nothing else. Anything holding a
+	// varint, a length prefix or a presence byte is sized by its value.
+	type flags struct{ A, B bool }
+	type nested struct {
+		F flags
+		E struct{}
+		C bool
+	}
+	fixedLength(t, true, struct{}{})
+	fixedLength(t, true, false, true)
+	fixedLength(t, true, nested{}, nested{F: flags{B: true}, C: true})
+	fixedLength(t, false, struct {
+		F flags
+		N int
+	}{}, struct {
+		F flags
+		N int
+	}{N: 1 << 20})
+	fixedLength(t, false, struct {
+		B bool
+		S string
+	}{}, struct {
+		B bool
+		S string
+	}{S: "abc"})
+	fixedLength(t, false, struct {
+		B bool
+		X []bool
+	}{}, struct {
+		B bool
+		X []bool
+	}{X: []bool{true, false}})
+}
+
+// fixedLength checks that T's plan is fixed-length exactly when fixed
+// says so, and that it sizes every one of vals at its Marshal length.
+func fixedLength[T any](t *testing.T, fixed bool, vals ...T) {
+	t.Helper()
+	p, err := PlanOf[T]()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, ok := p.Fixed()
+	if ok != fixed {
+		t.Errorf("%T: fixed-length plan %v, want %v", vals[0], ok, fixed)
+	}
+	for _, v := range vals {
+		enc, err := Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok && n != len(enc) {
+			t.Errorf("%T: fixed length %d, Marshal wrote %d bytes of %+v", v, n, len(enc), v)
+		}
+		if got := p.Size(&v); got != len(enc) {
+			t.Errorf("%T: Size(%+v) = %d, Marshal wrote %d bytes", v, v, got, len(enc))
+		}
+	}
 }
 
 // A reused decode target is overwritten in full, and nothing it held is
